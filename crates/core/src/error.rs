@@ -22,6 +22,10 @@ pub enum ExecError {
     /// [`crate::exec::CancelToken`] fired (explicit cancel or deadline) and
     /// the engine stopped at the next check point, discarding partial output.
     Canceled,
+    /// A morsel worker thread panicked (a bug, not a property of the query);
+    /// the message names the worker and carries its panic payload. Partial
+    /// output is discarded.
+    WorkerPanicked(String),
 }
 
 impl std::fmt::Display for ExecError {
@@ -33,6 +37,7 @@ impl std::fmt::Display for ExecError {
             ExecError::Query(e) => write!(f, "query error: {e}"),
             ExecError::InvalidOrder(o) => write!(f, "invalid variable order {o:?}"),
             ExecError::Canceled => write!(f, "execution cancelled"),
+            ExecError::WorkerPanicked(e) => write!(f, "join worker panicked: {e}"),
         }
     }
 }
@@ -79,5 +84,8 @@ mod tests {
         assert!(ExecError::Bound("x".into()).to_string().contains('x'));
         assert!(ExecError::Database("y".into()).to_string().contains('y'));
         assert!(ExecError::Canceled.to_string().contains("cancelled"));
+        assert!(ExecError::WorkerPanicked("worker 1: z".into())
+            .to_string()
+            .contains("worker 1: z"));
     }
 }

@@ -19,71 +19,69 @@
 //! Matched values re-position the participant cursors (uncounted — the kernel
 //! already paid for their discovery) before the engine recurses; at the **deepest**
 //! level the extension set *is* the tuple tail, so results are emitted straight from
-//! the kernel output with no per-value cursor movement at all.
+//! the kernel output into the [`ColumnSink`] — one slice append on the last
+//! column, one constant fill per prefix column, no per-value cursor movement.
 
-use super::{first_extension_set, flush_cursor_work, level_extension_into};
-use wcoj_obs::LevelRecorder;
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
+use super::{first_extension_set, flush_cursor_work, level_extension_into, ColumnSink, JoinCtx};
+use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Value, WorkCounter};
 
 /// Run Generic Join over one cursor per atom.
 ///
 /// `participants[l]` lists the cursor indices whose relations contain the variable
 /// bound at level `l` of the global order; every cursor's own attribute order must be
 /// sorted by global position (see `wcoj_query::plan::atom_attr_order`). Returns the
-/// result tuples in global-order layout as one row-major **flat buffer** (arity =
-/// `participants.len()`, no per-row allocation); output tuples are tallied in
-/// `counter`.
+/// result tuples as a [`ColumnSink`] — one column per level of the global order,
+/// rows sorted and distinct in that order, no per-row allocation; output tuples
+/// are tallied in `counter`.
 pub fn generic_join<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     policy: KernelPolicy,
     cal: &KernelCalibration,
     counter: &WorkCounter,
-) -> Vec<Value> {
-    let mut out = Vec::new();
-    let e0 = first_extension_set(cursors, &participants[0], policy, cal, counter, None);
-    join_extensions(
-        cursors,
-        participants,
-        &e0,
+) -> ColumnSink {
+    let ctx = JoinCtx {
         policy,
         cal,
         counter,
-        None,
-        &mut out,
-    );
+        trace: None,
+    };
+    let mut sink = ColumnSink::new(participants.len());
+    let e0 = first_extension_set(cursors, &participants[0], ctx);
+    join_extensions(cursors, participants, &e0, ctx, &mut sink);
     for &ci in &participants[0] {
         cursors[ci].up();
     }
-    out
+    sink
 }
 
 /// Process a slice of the first variable's extension set: for each value, re-position
 /// the level-0 participant cursors (uncounted — the intersection already paid for the
-/// discovery) and recurse over the remaining levels. The level-0 participant cursors
-/// must already be open at their root group. This is the serial engine body that
-/// morsel workers run on their private cursor sets.
+/// discovery) and recurse over the remaining levels, emitting into `sink`. The
+/// level-0 participant cursors must already be open at their root group. This is the
+/// serial engine body that morsel workers run on their private cursor sets.
 ///
-/// With `trace` present, per-level extension statistics are recorded into the
-/// shared [`LevelRecorder`] (relaxed atomic sums — commutative, so parallel
-/// traced runs report the same deterministic totals as serial ones).
-#[allow(clippy::too_many_arguments)] // mirrors the exec layer's dispatch seam
+/// With `ctx.trace` present, per-level extension statistics are recorded into the
+/// shared [`wcoj_obs::LevelRecorder`] (relaxed atomic sums — commutative, so
+/// parallel traced runs report the same deterministic totals as serial ones).
 pub(crate) fn join_extensions<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     values: &[Value],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
-    out: &mut Vec<Value>,
+    ctx: JoinCtx<'_>,
+    sink: &mut ColumnSink,
 ) {
-    if let Some(rec) = trace {
+    if let Some(rec) = ctx.trace {
         // level 0's candidates were recorded by the driver's intersection;
         // each processed slice contributes its share of the emitted tally
         rec.record_emitted(0, values.len() as u64);
     }
-    let mut binding: Tuple = Vec::with_capacity(participants.len());
+    if participants.len() == 1 {
+        // single-variable query: the slice itself is the tuple tail
+        ctx.counter.add_output(values.len() as u64);
+        sink.emit(values);
+        return;
+    }
     let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); participants.len()];
     for (i, &v) in values.iter().enumerate() {
         for &ci in &participants[0] {
@@ -96,43 +94,20 @@ pub(crate) fn join_extensions<C: TrieAccess>(
             };
             debug_assert!(found, "extension-set values occur in every participant");
         }
-        binding.push(v);
-        descend(
-            cursors,
-            participants,
-            1,
-            &mut binding,
-            out,
-            policy,
-            cal,
-            &mut scratch,
-            counter,
-            trace,
-        );
-        binding.pop();
+        sink.bind(0, v);
+        descend(cursors, participants, 1, sink, &mut scratch, ctx);
     }
-    flush_cursor_work(cursors, counter);
+    flush_cursor_work(cursors, ctx.counter);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn descend<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     level: usize,
-    binding: &mut Tuple,
-    out: &mut Vec<Value>,
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
+    sink: &mut ColumnSink,
     scratch: &mut [Vec<Value>],
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
+    ctx: JoinCtx<'_>,
 ) {
-    if level == participants.len() {
-        // only reachable for single-variable queries (deeper levels emit below)
-        counter.add_output(1);
-        out.extend_from_slice(binding);
-        return;
-    }
     let parts = &participants[level];
 
     // open every participating cursor one level deeper
@@ -150,16 +125,8 @@ fn descend<C: TrieAccess>(
     // this level's extension set, through the adaptive kernel layer (the scratch
     // buffer is reused across all visits of this level)
     let mut ext = std::mem::take(&mut scratch[level]);
-    level_extension_into(
-        &mut ext,
-        cursors,
-        parts,
-        policy,
-        cal,
-        counter,
-        trace.map(|t| (t, level)),
-    );
-    if let Some(rec) = trace {
+    level_extension_into(&mut ext, cursors, parts, ctx, level);
+    if let Some(rec) = ctx.trace {
         // Generic Join binds every candidate, so this level emits all of them
         rec.record_emitted(level, ext.len() as u64);
     }
@@ -167,12 +134,8 @@ fn descend<C: TrieAccess>(
     if level + 1 == participants.len() {
         // deepest variable: the extension set is the tuple tail — emit directly,
         // no per-value cursor repositioning
-        counter.add_output(ext.len() as u64);
-        out.reserve(ext.len() * (binding.len() + 1));
-        for &v in &ext {
-            out.extend_from_slice(binding);
-            out.push(v);
-        }
+        ctx.counter.add_output(ext.len() as u64);
+        sink.emit(&ext);
     } else {
         for &v in &ext {
             // ext is ascending, so the forward-only uncounted advance suffices
@@ -180,20 +143,8 @@ fn descend<C: TrieAccess>(
                 let found = cursors[ci].advance_to(v);
                 debug_assert!(found, "extension values occur in every participant");
             }
-            binding.push(v);
-            descend(
-                cursors,
-                participants,
-                level + 1,
-                binding,
-                out,
-                policy,
-                cal,
-                scratch,
-                counter,
-                trace,
-            );
-            binding.pop();
+            sink.bind(level, v);
+            descend(cursors, participants, level + 1, sink, scratch, ctx);
         }
     }
     scratch[level] = ext;
@@ -246,10 +197,10 @@ mod tests {
             &w,
         );
 
-        // row-major flat output: (1,2,3), (1,3,4), (2,3,1)
-        let expected = vec![1, 2, 3, 1, 3, 4, 2, 3, 1];
-        assert_eq!(from_tries, expected);
-        assert_eq!(from_indexes, expected);
+        // one column per level: (1,2,3), (1,3,4), (2,3,1)
+        let expected = vec![vec![1, 1, 2], vec![2, 3, 3], vec![3, 4, 1]];
+        assert_eq!(from_tries.into_columns(), expected);
+        assert_eq!(from_indexes.into_columns(), expected);
         assert_eq!(w.output_tuples(), 6); // both runs tallied
     }
 
@@ -276,7 +227,10 @@ mod tests {
             &KernelCalibration::fixed(),
             &w,
         );
-        assert_eq!(out, vec![1, 2, 3, 1, 3, 4, 2, 3, 1]);
+        assert_eq!(
+            out.into_columns(),
+            vec![vec![1, 1, 2], vec![2, 3, 3], vec![3, 4, 1]]
+        );
         assert!(w.probes() > 0);
     }
 

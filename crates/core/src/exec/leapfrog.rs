@@ -15,68 +15,66 @@
 //! smallest-enumerates. At the **deepest** level, where nothing remains to bind
 //! below, the mutual leapfrog degenerates into a pure intersection: that level runs
 //! through the adaptive kernel layer (`crate::exec::level_extension_into`) and
-//! emits result tuples straight from the kernel output. Leapfrog Triejoin is
-//! worst-case optimal (up to a log factor) by the same fractional-cover argument
-//! (Section 1.2 of the paper).
+//! emits result tuples straight from the kernel output into the [`ColumnSink`].
+//! Leapfrog Triejoin is worst-case optimal (up to a log factor) by the same
+//! fractional-cover argument (Section 1.2 of the paper).
 
-use super::{first_extension_set, flush_cursor_work, level_extension_into};
-use wcoj_obs::LevelRecorder;
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Tuple, Value, WorkCounter};
+use super::{first_extension_set, flush_cursor_work, level_extension_into, ColumnSink, JoinCtx};
+use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Value, WorkCounter};
 
 /// Run Leapfrog Triejoin over one cursor per atom.
 ///
 /// Contracts are identical to [`crate::exec::generic::generic_join`]: cursors are
-/// positioned at the root, their attribute orders are sorted by global position, and
-/// `participants[l]` lists the cursors containing the level-`l` variable.
+/// positioned at the root, their attribute orders are sorted by global position,
+/// `participants[l]` lists the cursors containing the level-`l` variable, and the
+/// result is a [`ColumnSink`] with one column per level.
 pub fn leapfrog_triejoin<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     policy: KernelPolicy,
     cal: &KernelCalibration,
     counter: &WorkCounter,
-) -> Vec<Value> {
-    let mut out = Vec::new();
-    let e0 = first_extension_set(cursors, &participants[0], policy, cal, counter, None);
-    join_extensions(
-        cursors,
-        participants,
-        &e0,
+) -> ColumnSink {
+    let ctx = JoinCtx {
         policy,
         cal,
         counter,
-        None,
-        &mut out,
-    );
+        trace: None,
+    };
+    let mut sink = ColumnSink::new(participants.len());
+    let e0 = first_extension_set(cursors, &participants[0], ctx);
+    join_extensions(cursors, participants, &e0, ctx, &mut sink);
     for &ci in &participants[0] {
         cursors[ci].up();
     }
-    out
+    sink
 }
 
 /// The morsel body: process a slice of the first variable's extension set with
 /// leapfrogging below level 0. See [`crate::exec::generic::join_extensions`] for the
-/// shared contract (including the `trace` recording discipline).
+/// shared contract (including the `ctx.trace` recording discipline).
 ///
 /// Leapfrog's *interior* levels run the ring-based mutual seek, not the kernel
 /// layer, so their trace rows report only `emitted` (matches found) — no
 /// candidates and no kernel choice. Only the deepest level (a pure
 /// intersection) gets kernel attribution.
-#[allow(clippy::too_many_arguments)] // mirrors the exec layer's dispatch seam
 pub(crate) fn join_extensions<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     values: &[Value],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
-    out: &mut Vec<Value>,
+    ctx: JoinCtx<'_>,
+    sink: &mut ColumnSink,
 ) {
-    if let Some(rec) = trace {
+    if let Some(rec) = ctx.trace {
         // level 0's candidates were recorded by the driver's intersection
         rec.record_emitted(0, values.len() as u64);
     }
-    let mut binding: Tuple = Vec::with_capacity(participants.len());
+    if participants.len() == 1 {
+        // single-variable query: the slice itself is the tuple tail
+        ctx.counter.add_output(values.len() as u64);
+        sink.emit(values);
+        return;
+    }
     let mut scratch: Vec<Value> = Vec::new();
     for (i, &v) in values.iter().enumerate() {
         for &ci in &participants[0] {
@@ -89,43 +87,20 @@ pub(crate) fn join_extensions<C: TrieAccess>(
             };
             debug_assert!(found, "extension-set values occur in every participant");
         }
-        binding.push(v);
-        descend(
-            cursors,
-            participants,
-            1,
-            &mut binding,
-            out,
-            policy,
-            cal,
-            &mut scratch,
-            counter,
-            trace,
-        );
-        binding.pop();
+        sink.bind(0, v);
+        descend(cursors, participants, 1, sink, &mut scratch, ctx);
     }
-    flush_cursor_work(cursors, counter);
+    flush_cursor_work(cursors, ctx.counter);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn descend<C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
     level: usize,
-    binding: &mut Tuple,
-    out: &mut Vec<Value>,
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
+    sink: &mut ColumnSink,
     scratch: &mut Vec<Value>,
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
+    ctx: JoinCtx<'_>,
 ) {
-    if level == participants.len() {
-        // only reachable for single-variable queries (the deepest level emits below)
-        counter.add_output(1);
-        out.extend_from_slice(binding);
-        return;
-    }
     let parts = &participants[level];
 
     // triejoin_open: descend every participating cursor
@@ -145,24 +120,12 @@ fn descend<C: TrieAccess>(
         // run it through the kernel layer and emit tuples straight from its output
         // (only this level needs the scratch buffer, so one Vec suffices)
         let mut ext = std::mem::take(scratch);
-        level_extension_into(
-            &mut ext,
-            cursors,
-            parts,
-            policy,
-            cal,
-            counter,
-            trace.map(|t| (t, level)),
-        );
-        if let Some(rec) = trace {
+        level_extension_into(&mut ext, cursors, parts, ctx, level);
+        if let Some(rec) = ctx.trace {
             rec.record_emitted(level, ext.len() as u64);
         }
-        counter.add_output(ext.len() as u64);
-        out.reserve(ext.len() * (binding.len() + 1));
-        for &v in &ext {
-            out.extend_from_slice(binding);
-            out.push(v);
-        }
+        ctx.counter.add_output(ext.len() as u64);
+        sink.emit(&ext);
         *scratch = ext;
         for &ci in parts.iter() {
             cursors[ci].up();
@@ -185,20 +148,8 @@ fn descend<C: TrieAccess>(
         if key == max_key {
             // all k cursors agree
             matches += 1;
-            binding.push(key);
-            descend(
-                cursors,
-                participants,
-                level + 1,
-                binding,
-                out,
-                policy,
-                cal,
-                scratch,
-                counter,
-                trace,
-            );
-            binding.pop();
+            sink.bind(level, key);
+            descend(cursors, participants, level + 1, sink, scratch, ctx);
             if !cursors[cur].next() {
                 break;
             }
@@ -210,7 +161,7 @@ fn descend<C: TrieAccess>(
             p = (p + 1) % k;
         }
     }
-    if let Some(rec) = trace {
+    if let Some(rec) = ctx.trace {
         // interior leapfrog level: `matches` keys survived the mutual seek
         rec.record_emitted(level, matches);
     }
@@ -255,9 +206,10 @@ mod tests {
             &KernelCalibration::fixed(),
             &w,
         );
-        assert_eq!(lf, gj);
-        // row-major flat output: (1,2,3), (1,3,4), (2,3,1), (4,5,6)
-        assert_eq!(lf, vec![1, 2, 3, 1, 3, 4, 2, 3, 1, 4, 5, 6]);
+        // one column per level: (1,2,3), (1,3,4), (2,3,1), (4,5,6)
+        let expected = vec![vec![1, 1, 2, 4], vec![2, 3, 3, 5], vec![3, 4, 1, 6]];
+        assert_eq!(lf.into_columns(), expected);
+        assert_eq!(gj.into_columns(), expected);
     }
 
     #[test]
@@ -280,7 +232,7 @@ mod tests {
             &KernelCalibration::fixed(),
             &w,
         );
-        assert_eq!(out, vec![1, 2, 3, 2, 3, 1]);
+        assert_eq!(out.into_columns(), vec![vec![1, 2], vec![2, 3], vec![3, 1]]);
         assert!(w.probes() > 0);
     }
 
@@ -297,6 +249,6 @@ mod tests {
             &KernelCalibration::fixed(),
             &w,
         );
-        assert_eq!(out, vec![1, 2, 3, 4]);
+        assert_eq!(out.into_columns(), vec![vec![1, 3], vec![2, 4]]);
     }
 }

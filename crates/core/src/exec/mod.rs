@@ -19,9 +19,11 @@
 //! `level_extension_into`): branchless merge, galloping, or small-domain
 //! bitmap, chosen per intersection by the [`KernelPolicy`] carried in
 //! [`ExecOptions`] (forceable for differential testing) and recorded in the
-//! [`WorkCounter`] kernel breakdown. Engines emit result tuples into row-major
-//! flat buffers — no per-row allocation — and at the deepest variable emit
-//! straight from the kernel output.
+//! [`WorkCounter`] kernel breakdown. Every engine body emits result tuples
+//! through one [`ColumnSink`] — one column per join level, no per-row
+//! allocation — and at the deepest variable appends the kernel output itself;
+//! when the join order is the identity those columns become the result
+//! [`Relation`] without being copied or sorted (`rows_to_relation`).
 //!
 //! Access-structure **builds** flow through the per-database
 //! [`wcoj_storage::AccessCache`]: `BuiltAccess::build` keys each trie, prefix
@@ -65,12 +67,14 @@ pub mod cancel;
 pub mod generic;
 pub mod leapfrog;
 pub mod parallel;
+mod sink;
 
 pub use cancel::CancelToken;
+pub use sink::ColumnSink;
 
 use crate::error::ExecError;
 use crate::planner::plan_order;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_bounds::agm::agm_bound;
 use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel, TraceSink};
@@ -313,7 +317,7 @@ impl ExecOutput {
     /// column decodes back to strings through the shared per-domain dictionary of
     /// `db` that its values were interned into at load time. The engines' inner
     /// loops never touch this — decoding is a lazy view over the already-built
-    /// flat-row output, and unknown codes fail loudly
+    /// result columns, and unknown codes fail loudly
     /// ([`wcoj_storage::StorageError::UnknownCode`]) instead of guessing.
     pub fn typed_rows<'a>(
         &'a self,
@@ -444,9 +448,20 @@ pub fn execute_cancellable(
 /// into it with relaxed atomics — per-level sums are commutative, so the
 /// deterministic fields are identical for any thread count) and a slot the
 /// morsel scheduler fills with its per-worker claim/steal/pin report.
-pub(crate) struct TraceCtx {
-    pub(crate) levels: LevelRecorder,
-    pub(crate) morsels: Mutex<Option<MorselTrace>>,
+struct TraceCtx {
+    levels: LevelRecorder,
+    morsels: OnceLock<MorselTrace>,
+}
+
+/// What every engine body reads while it runs: the kernel policy and
+/// thresholds, the counter it charges (a morsel worker swaps in its private
+/// one), and the per-level trace recorder when a sink is installed.
+#[derive(Clone, Copy)]
+pub(crate) struct JoinCtx<'a> {
+    pub(crate) policy: KernelPolicy,
+    pub(crate) cal: &'a KernelCalibration,
+    pub(crate) counter: &'a WorkCounter,
+    pub(crate) trace: Option<&'a LevelRecorder>,
 }
 
 /// The stable trace spelling of a work-counter snapshot — every deterministic
@@ -544,20 +559,18 @@ fn execute_inner(
             if tracing {
                 trace_ctx = Some(TraceCtx {
                     levels: LevelRecorder::new(order.len()),
-                    morsels: Mutex::new(None),
+                    morsels: OnceLock::new(),
                 });
             }
+            let ctx = JoinCtx {
+                policy: opts.kernel,
+                cal: &cal,
+                counter: &counter,
+                trace: trace_ctx.as_ref().map(|t| &t.levels),
+            };
             let join_started = tracing.then(Instant::now);
-            let rows = built.run(
-                engine,
-                &parts,
-                threads,
-                opts.kernel,
-                &cal,
-                &counter,
-                token,
-                trace_ctx.as_ref(),
-            )?;
+            let morsels = trace_ctx.as_ref().map(|t| &t.morsels);
+            let rows = built.run(engine, &parts, threads, ctx, token, morsels)?;
             join_ns = join_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
             // fold this query's cache activity into the database's cumulative
             // observability counters (guarded so a cache-bypassing run cannot
@@ -580,7 +593,7 @@ fn execute_inner(
         let (levels, morsels) = match trace_ctx {
             Some(ctx) => (
                 ctx.levels.into_levels(&order_names),
-                ctx.morsels.into_inner().unwrap_or_default(),
+                ctx.morsels.into_inner(),
             ),
             None => (Vec::new(), None),
         };
@@ -1070,53 +1083,45 @@ impl<'d> BuiltAccess<'d> {
     }
 
     /// Run the engine over fresh cursor sets — serial for `threads == 1`, morsel
-    /// workers otherwise. Monomorphizes per backend. Fails only with
-    /// [`ExecError::Canceled`], and only when `token` fires mid-run.
-    #[allow(clippy::too_many_arguments)] // the engine-dispatch seam carries the full config
+    /// workers otherwise. Monomorphizes per backend. Fails with
+    /// [`ExecError::Canceled`] when `token` fires mid-run, or
+    /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
     fn run(
         &self,
         engine: Engine,
         participants: &[Vec<usize>],
         threads: usize,
-        policy: KernelPolicy,
-        cal: &KernelCalibration,
-        counter: &WorkCounter,
+        ctx: JoinCtx<'_>,
         token: Option<&CancelToken>,
-        trace: Option<&TraceCtx>,
-    ) -> Result<Vec<Value>, ExecError> {
+        morsels: Option<&OnceLock<MorselTrace>>,
+    ) -> Result<ColumnSink, ExecError> {
         match self {
             BuiltAccess::Tries(tries) => run_cursors(
                 engine,
                 || tries.iter().map(|t| t.cursor()).collect(),
                 participants,
                 threads,
-                policy,
-                cal,
-                counter,
+                ctx,
                 token,
-                trace,
+                morsels,
             ),
             BuiltAccess::Indexes(indexes) => run_cursors(
                 engine,
                 || indexes.iter().map(|ix| ix.cursor()).collect(),
                 participants,
                 threads,
-                policy,
-                cal,
-                counter,
+                ctx,
                 token,
-                trace,
+                morsels,
             ),
             BuiltAccess::Mixed(accesses) => run_cursors(
                 engine,
                 || accesses.iter().map(|a| a.cursor()).collect(),
                 participants,
                 threads,
-                policy,
-                cal,
-                counter,
+                ctx,
                 token,
-                trace,
+                morsels,
             ),
         }
     }
@@ -1128,113 +1133,55 @@ impl<'d> BuiltAccess<'d> {
 /// only bounds cancellation latency (one chunk's subtrees).
 const CANCEL_CHUNK: usize = 64;
 
-#[allow(clippy::too_many_arguments)] // the engine-dispatch seam carries the full config
+/// The serial driver is the engines' own decomposition — the driver's level-0
+/// intersection, then the engine body over slices of it, all into one
+/// [`ColumnSink`]: a single whole-set slice when nothing can cancel the run,
+/// [`CANCEL_CHUNK`]-value slices with a token poll between them otherwise. Rows
+/// and counters do not depend on the slicing, nor on `ctx.trace`.
 fn run_cursors<C, F>(
     engine: Engine,
     make_cursors: F,
     participants: &[Vec<usize>],
     threads: usize,
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
+    ctx: JoinCtx<'_>,
     token: Option<&CancelToken>,
-    trace: Option<&TraceCtx>,
-) -> Result<Vec<Value>, ExecError>
+    morsels: Option<&OnceLock<MorselTrace>>,
+) -> Result<ColumnSink, ExecError>
 where
     C: TrieAccess,
     F: Fn() -> Vec<C> + Sync,
 {
-    let levels = trace.map(|t| &t.levels);
-    if threads <= 1 {
-        let mut cursors = make_cursors();
-        for c in cursors.iter_mut() {
-            c.set_seek_calibration(cal.linear_seek_max);
-        }
-        match token {
-            None => match levels {
-                None => Ok(match engine {
-                    Engine::GenericJoin => {
-                        generic::generic_join(&mut cursors, participants, policy, cal, counter)
-                    }
-                    Engine::Leapfrog => leapfrog::leapfrog_triejoin(
-                        &mut cursors,
-                        participants,
-                        policy,
-                        cal,
-                        counter,
-                    ),
-                    Engine::BinaryHash => unreachable!("the binary baseline has no cursor path"),
-                }),
-                Some(levels) => {
-                    // the traced serial body is the engines' own decomposition
-                    // (driver intersection + one full-slice engine body), so
-                    // rows and counters are bit-identical to the direct call
-                    let e0 = first_extension_set(
-                        &mut cursors,
-                        &participants[0],
-                        policy,
-                        cal,
-                        counter,
-                        Some(levels),
-                    );
-                    let mut out = Vec::new();
-                    engine_join_extensions(
-                        engine,
-                        &mut cursors,
-                        participants,
-                        &e0,
-                        policy,
-                        cal,
-                        counter,
-                        Some(levels),
-                        &mut out,
-                    );
-                    Ok(out)
-                }
-            },
-            Some(token) => {
-                // chunked serial body: same driver charge + per-slice engine
-                // body as the morsel path, with a token poll between slices
-                token.check()?;
-                let e0 = first_extension_set(
-                    &mut cursors,
-                    &participants[0],
-                    policy,
-                    cal,
-                    counter,
-                    levels,
-                );
-                let mut out = Vec::new();
-                for chunk in e0.chunks(CANCEL_CHUNK) {
-                    token.check()?;
-                    engine_join_extensions(
-                        engine,
-                        &mut cursors,
-                        participants,
-                        chunk,
-                        policy,
-                        cal,
-                        counter,
-                        levels,
-                        &mut out,
-                    );
-                }
-                Ok(out)
-            }
-        }
-    } else {
-        parallel::morsel_join(
+    if threads > 1 {
+        return parallel::morsel_join(
             engine,
             make_cursors,
             participants,
             threads,
-            policy,
-            cal,
-            counter,
+            ctx,
             token,
-            trace,
-        )
+            morsels,
+        );
     }
+    let mut cursors = make_cursors();
+    for c in cursors.iter_mut() {
+        c.set_seek_calibration(ctx.cal.linear_seek_max);
+    }
+    if let Some(t) = token {
+        t.check()?;
+    }
+    let e0 = first_extension_set(&mut cursors, &participants[0], ctx);
+    let mut sink = ColumnSink::new(participants.len());
+    let slice_len = match token {
+        Some(_) => CANCEL_CHUNK,
+        None => e0.len().max(1),
+    };
+    for slice in e0.chunks(slice_len) {
+        if let Some(t) = token {
+            t.check()?;
+        }
+        engine_join_extensions(engine, &mut cursors, participants, slice, ctx, &mut sink);
+    }
+    Ok(sink)
 }
 
 /// Open the level-0 participant cursors and intersect their root sibling groups —
@@ -1244,10 +1191,7 @@ where
 pub(crate) fn first_extension_set<C: TrieAccess>(
     cursors: &mut [C],
     parts0: &[usize],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
+    ctx: JoinCtx<'_>,
 ) -> Vec<Value> {
     for &ci in parts0 {
         if !cursors[ci].open() {
@@ -1255,15 +1199,7 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
         }
     }
     let mut out = Vec::new();
-    level_extension_into(
-        &mut out,
-        cursors,
-        parts0,
-        policy,
-        cal,
-        counter,
-        trace.map(|t| (t, 0)),
-    );
+    level_extension_into(&mut out, cursors, parts0, ctx, 0);
     out
 }
 
@@ -1275,21 +1211,25 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// The SIMD level is the process-wide detected one — it never changes output or
 /// counters, only the instruction mix.
 ///
-/// With `trace` present the kernel's choice and its charged work (diffed from
-/// `counter` around the call — the counter is private to this thread of
-/// execution, so the diff attributes exactly this intersection) are recorded
-/// against the given join level. Tracing reads the counter and appends to
+/// With `ctx.trace` present the kernel's choice and its charged work (diffed
+/// from `ctx.counter` around the call — the counter is private to this thread
+/// of execution, so the diff attributes exactly this intersection) are recorded
+/// against join level `level`. Tracing reads the counter and appends to
 /// relaxed atomics; it never changes what the kernel computes.
 pub(crate) fn level_extension_into<C: TrieAccess>(
     ext: &mut Vec<Value>,
     cursors: &[C],
     parts: &[usize],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
-    trace: Option<(&LevelRecorder, usize)>,
+    ctx: JoinCtx<'_>,
+    level: usize,
 ) {
-    let level = wcoj_storage::simd::active_level();
+    let JoinCtx {
+        policy,
+        cal,
+        counter,
+        trace,
+    } = ctx;
+    let simd = wcoj_storage::simd::active_level();
     // sized against the kernel layer's own inline-bookkeeping capacity
     const MAX_INLINE: usize = kernels::MAX_INLINE_LISTS;
     let before = trace.map(|_| (counter.intersect_steps(), counter.comparisons()));
@@ -1298,14 +1238,14 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
         for (slot, &ci) in buf.iter_mut().zip(parts) {
             *slot = cursors[ci].remaining();
         }
-        kernels::intersect_into_cal(level, ext, &buf[..parts.len()], policy, cal, counter)
+        kernels::intersect_into_cal(simd, ext, &buf[..parts.len()], policy, cal, counter)
     } else {
         let slices: Vec<&[Value]> = parts.iter().map(|&ci| cursors[ci].remaining()).collect();
-        kernels::intersect_into_cal(level, ext, &slices, policy, cal, counter)
+        kernels::intersect_into_cal(simd, ext, &slices, policy, cal, counter)
     };
-    if let (Some((rec, lvl)), Some((steps0, cmps0))) = (trace, before) {
+    if let (Some(rec), Some((steps0, cmps0))) = (trace, before) {
         rec.record_intersection(
-            lvl,
+            level,
             ext.len() as u64,
             chosen.map(trace_kernel),
             counter.intersect_steps() - steps0,
@@ -1330,40 +1270,18 @@ pub(crate) fn flush_cursor_work<C: TrieAccess>(cursors: &mut [C], counter: &Work
     }
 }
 
-/// Dispatch the per-morsel serial engine body by engine kind.
-#[allow(clippy::too_many_arguments)] // mirrors the engines' join_extensions signature
+/// Dispatch the per-slice serial engine body by engine kind.
 pub(crate) fn engine_join_extensions<C: TrieAccess>(
     engine: Engine,
     cursors: &mut [C],
     participants: &[Vec<usize>],
     values: &[Value],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
-    trace: Option<&LevelRecorder>,
-    out: &mut Vec<Value>,
+    ctx: JoinCtx<'_>,
+    sink: &mut ColumnSink,
 ) {
     match engine {
-        Engine::GenericJoin => generic::join_extensions(
-            cursors,
-            participants,
-            values,
-            policy,
-            cal,
-            counter,
-            trace,
-            out,
-        ),
-        Engine::Leapfrog => leapfrog::join_extensions(
-            cursors,
-            participants,
-            values,
-            policy,
-            cal,
-            counter,
-            trace,
-            out,
-        ),
+        Engine::GenericJoin => generic::join_extensions(cursors, participants, values, ctx, sink),
+        Engine::Leapfrog => leapfrog::join_extensions(cursors, participants, values, ctx, sink),
         Engine::BinaryHash => unreachable!("the binary baseline has no cursor path"),
     }
 }
@@ -1379,30 +1297,29 @@ fn participants(query: &ConjunctiveQuery, order: &[VarId]) -> Vec<Vec<usize>> {
     parts
 }
 
-/// Package global-order rows (a row-major flat buffer — the engines'
-/// allocation-free output format) as a relation with columns back in
-/// variable-id order. Engine output is already canonically ordered, so the
-/// flat constructor skips the argsort-and-dedup pass. Each output column carries
-/// the [`AttrType`] of its variable's binding, so dictionary-encoded results stay
-/// decodable (and bit-compatible with the binary baseline, whose schemas flow
-/// through the storage operators).
+/// Package the engines' output — one column per level of the join order — as a
+/// relation with columns in variable-id order. Only the column *vector* is
+/// permuted; no value moves. Under the identity order (the default planner's
+/// usual choice) the columns are then already canonical and
+/// [`Relation::try_from_columns`] adopts them after one linear check — no copy,
+/// no sort; under any other order it packs, radix-sorts and unpacks them in
+/// place. Each output column carries the [`AttrType`] of its variable's binding,
+/// so dictionary-encoded results stay decodable (and bit-compatible with the
+/// binary baseline, whose schemas flow through the storage operators).
 fn rows_to_relation(
     query: &ConjunctiveQuery,
     order: &[VarId],
-    rows: Vec<Value>,
+    rows: ColumnSink,
     bindings: &[VarBinding],
 ) -> Result<Relation, ExecError> {
-    // Rows arrive row-major in join-variable order; the output schema lists
-    // variables in declaration order. `perm[c]` is the row field holding output
-    // column `c`, so packaging is one fused permute-sort-dedup pass.
     let names: Vec<String> = query.var_names().to_vec();
     let types: Vec<AttrType> = (0..names.len() as VarId).map(|v| bindings[v].ty).collect();
     let schema = Schema::try_new_typed(names, types)?;
-    let mut perm = vec![0usize; order.len()];
-    for (field, &v) in order.iter().enumerate() {
-        perm[v] = field;
+    let mut columns = vec![Vec::new(); order.len()];
+    for (&v, col) in order.iter().zip(rows.into_columns()) {
+        columns[v] = col;
     }
-    Ok(Relation::try_from_flat_rows_permuted(schema, &rows, &perm)?)
+    Ok(Relation::try_from_columns(schema, columns)?)
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 //!   trie and own their stack), and
 //! * a **private [`WorkCounter`]**,
 //!
-//! and runs the *serial engine body* (`join_extensions`) on each claimed morsel.
-//! No locks are taken on the hot path; the single mutex is touched once per worker
-//! at shutdown to deposit results.
+//! and runs the *serial engine body* (`join_extensions`) on each claimed morsel,
+//! into one [`ColumnSink`] per morsel. No locks are taken anywhere: each worker
+//! *returns* its sinks, counter and scheduling report through its join handle, and
+//! a worker that panics surfaces as [`ExecError::WorkerPanicked`].
 //!
 //! # Topology-aware placement
 //!
@@ -33,22 +34,24 @@
 //!
 //! # Determinism
 //!
-//! Results are concatenated in morsel order (morsels are ascending ranges of the
-//! first variable, and each morsel's output is sorted), so the output tuple sequence
-//! is identical to serial execution regardless of scheduling. Work counters are
-//! deterministic too: the driver's intersection is counted exactly once, per-value
-//! re-positioning is uncounted (`TrieAccess::reposition`), and all counted work below
-//! level 0 is a pure function of the value being extended — so the merged counters
-//! equal the serial engine's for *any* thread count. The differential test suite
-//! asserts both properties for threads ∈ {1, 2, 4, 8}.
+//! Results are concatenated in morsel order — one append per column — and morsels
+//! are ascending ranges of the first variable whose outputs are each sorted, so the
+//! output tuple sequence is identical to serial execution regardless of scheduling.
+//! Work counters are deterministic too: the driver's intersection is counted exactly
+//! once, per-value re-positioning is uncounted (`TrieAccess::reposition`), and all
+//! counted work below level 0 is a pure function of the value being extended — so the
+//! merged counters equal the serial engine's for *any* thread count. The differential
+//! test suite asserts both properties for threads ∈ {1, 2, 4, 8}.
 
-use super::{engine_join_extensions, first_extension_set, CancelToken, Engine, TraceCtx};
+use super::{
+    engine_join_extensions, first_extension_set, CancelToken, ColumnSink, Engine, JoinCtx,
+};
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 use wcoj_obs::{MorselTrace, WorkerTrace};
 use wcoj_storage::topology::{self, CpuTopology};
-use wcoj_storage::{KernelCalibration, KernelPolicy, TrieAccess, Value, WorkCounter};
+use wcoj_storage::{TrieAccess, Value, WorkCounter};
 
 /// Morsels handed out per worker thread: small enough that a skewed heavy-hitter
 /// value cannot leave threads idle, large enough that the scheduling atomics are
@@ -122,23 +125,21 @@ impl MorselSchedule {
 /// Run `engine` over `threads` workers, each holding a private cursor set produced
 /// by `make_cursors` (one cursor per atom, positioned at the root). Returns the
 /// result tuples in the same order as serial execution; merged worker counters and
-/// the driver's intersection work are recorded into `counter`. A `token` is
-/// polled in every worker's morsel claim loop: once it fires, workers stop
-/// claiming, the scope drains, and the call returns [`ExecError::Canceled`]
-/// (partial output is discarded) — with a token that never fires, rows and
-/// counters are bit-identical to a token-less run.
-#[allow(clippy::too_many_arguments)] // mirrors the exec layer's dispatch seam
+/// the driver's intersection work are recorded into `ctx.counter`, and the
+/// scheduling report into `morsels` when tracing. A `token` is polled in every
+/// worker's morsel claim loop: once it fires, workers stop claiming, the scope
+/// drains, and the call returns [`ExecError::Canceled`] (partial output is
+/// discarded) — with a token that never fires, rows and counters are
+/// bit-identical to a token-less run.
 pub(crate) fn morsel_join<C, F>(
     engine: Engine,
     make_cursors: F,
     participants: &[Vec<usize>],
     threads: usize,
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
-    counter: &WorkCounter,
+    ctx: JoinCtx<'_>,
     token: Option<&CancelToken>,
-    trace: Option<&TraceCtx>,
-) -> Result<Vec<Value>, ExecError>
+    morsels: Option<&OnceLock<MorselTrace>>,
+) -> Result<ColumnSink, ExecError>
 where
     C: TrieAccess,
     F: Fn() -> Vec<C> + Sync,
@@ -147,144 +148,132 @@ where
     if let Some(t) = token {
         t.check()?;
     }
-    let levels = trace.map(|t| &t.levels);
     // The driver computes the extension set once, charging the intersection work to
     // the main counter — the same charge serial execution makes.
     let extensions = {
         let mut driver_cursors = make_cursors();
         for c in driver_cursors.iter_mut() {
-            c.set_seek_calibration(cal.linear_seek_max);
+            c.set_seek_calibration(ctx.cal.linear_seek_max);
         }
-        first_extension_set(
-            &mut driver_cursors,
-            &participants[0],
-            policy,
-            cal,
-            counter,
-            levels,
-        )
+        first_extension_set(&mut driver_cursors, &participants[0], ctx)
     };
-    if extensions.is_empty() {
-        if let Some(t) = trace {
-            *t.morsels.lock().expect("morsel trace slot") = Some(MorselTrace {
-                morsels: 0,
-                workers: Vec::new(),
-            });
-        }
-        return Ok(Vec::new());
-    }
-
     let morsel_len = extensions
         .len()
         .div_ceil(threads * MORSELS_PER_THREAD)
         .max(1);
-    let morsels: Vec<&[Value]> = extensions.chunks(morsel_len).collect();
+    let slices: Vec<&[Value]> = extensions.chunks(morsel_len).collect();
     let topo = CpuTopology::detect();
     let pin_plan = topo.pin_plan(threads);
-    let schedule = MorselSchedule::new(topo, threads, morsels.len());
-    // (morsel id, flat rows) pairs plus one counter per worker, deposited at
-    // shutdown
-    let results: Mutex<Vec<(usize, Vec<Value>)>> = Mutex::new(Vec::with_capacity(morsels.len()));
-    let worker_counters: Mutex<Vec<WorkCounter>> = Mutex::new(Vec::with_capacity(threads));
-    // per-worker scheduling reports, deposited only when tracing (worker id
-    // keyed so the trace lists workers in order regardless of finish order)
-    let worker_traces: Mutex<Vec<(usize, WorkerTrace)>> = Mutex::new(Vec::new());
+    let schedule = MorselSchedule::new(topo, threads, slices.len());
 
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let pin_plan = &pin_plan;
-            let schedule = &schedule;
-            let make_cursors = &make_cursors;
-            let morsels = &morsels;
-            let results = &results;
-            let worker_counters = &worker_counters;
-            let worker_traces = &worker_traces;
-            scope.spawn(move || {
-                let pinned = topology::pin_current_thread(pin_plan[w]);
-                let local = WorkCounter::new();
-                let mut cursors = make_cursors();
-                for c in cursors.iter_mut() {
-                    c.set_seek_calibration(cal.linear_seek_max);
-                }
-                let mut opened = false;
-                let mut claimed = 0u64;
-                let mut stolen = 0u64;
-                let mut produced: Vec<(usize, Vec<Value>)> = Vec::new();
-                while let Some((m, stole)) = schedule.claim(w) {
-                    // cooperative cancellation: stop claiming once the token
-                    // fires; the partial output is discarded by the caller
-                    if token.is_some_and(|t| t.is_canceled()) {
-                        break;
+    // one `(morsel id, sink)` list, private counter and scheduling report per
+    // worker, handed back through its join handle; an empty extension set
+    // spawns nothing
+    let workers = if slices.is_empty() { 0 } else { threads };
+    let joined: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (pin_plan, schedule, slices) = (&pin_plan, &schedule, &slices);
+                let make_cursors = &make_cursors;
+                scope.spawn(move || {
+                    let pinned = topology::pin_current_thread(pin_plan[w]);
+                    let local = WorkCounter::new();
+                    let ctx = JoinCtx {
+                        counter: &local,
+                        ..ctx
+                    };
+                    let mut cursors = make_cursors();
+                    for c in cursors.iter_mut() {
+                        c.set_seek_calibration(ctx.cal.linear_seek_max);
                     }
-                    claimed += 1;
-                    stolen += stole as u64;
-                    if !opened {
-                        // lazily open the level-0 participants: workers that never
-                        // claim a morsel touch nothing
-                        for &ci in &participants[0] {
-                            let ok = cursors[ci].open();
-                            debug_assert!(ok, "non-empty extension set implies children");
+                    let mut report = WorkerTrace {
+                        claimed: 0,
+                        stolen: 0,
+                        pin: pinned.then_some(pin_plan[w]),
+                    };
+                    let mut produced: Vec<(usize, ColumnSink)> = Vec::new();
+                    while let Some((m, stole)) = schedule.claim(w) {
+                        // cooperative cancellation: stop claiming once the token
+                        // fires; the partial output is discarded by the caller
+                        if token.is_some_and(|t| t.is_canceled()) {
+                            break;
                         }
-                        opened = true;
+                        if report.claimed == 0 {
+                            // lazily open the level-0 participants: workers that
+                            // never claim a morsel touch nothing
+                            for &ci in &participants[0] {
+                                let ok = cursors[ci].open();
+                                debug_assert!(ok, "non-empty extension set implies children");
+                            }
+                        }
+                        report.claimed += 1;
+                        report.stolen += stole as u64;
+                        let mut sink = ColumnSink::new(participants.len());
+                        engine_join_extensions(
+                            engine,
+                            &mut cursors,
+                            participants,
+                            slices[m],
+                            ctx,
+                            &mut sink,
+                        );
+                        produced.push((m, sink));
                     }
-                    let mut rows = Vec::new();
-                    engine_join_extensions(
-                        engine,
-                        &mut cursors,
-                        participants,
-                        morsels[m],
-                        policy,
-                        cal,
-                        &local,
-                        levels,
-                        &mut rows,
-                    );
-                    produced.push((m, rows));
-                }
-                results.lock().expect("result sink").extend(produced);
-                worker_counters.lock().expect("counter sink").push(local);
-                if trace.is_some() {
-                    worker_traces.lock().expect("trace sink").push((
-                        w,
-                        WorkerTrace {
-                            claimed,
-                            stolen,
-                            pin: pinned.then_some(pin_plan[w]),
-                        },
-                    ));
-                }
-            });
-        }
+                    (produced, local, report)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
     });
 
-    if let Some(t) = trace {
-        let mut per_worker = worker_traces.into_inner().expect("trace sink");
-        per_worker.sort_unstable_by_key(|&(w, _)| w);
-        *t.morsels.lock().expect("morsel trace slot") = Some(MorselTrace {
-            morsels: morsels.len() as u64,
-            workers: per_worker.into_iter().map(|(_, wt)| wt).collect(),
+    let mut per_morsel = Vec::with_capacity(slices.len());
+    let mut reports = Vec::with_capacity(workers);
+    for (w, outcome) in joined.into_iter().enumerate() {
+        let (produced, local, report) =
+            outcome.map_err(|panic| ExecError::WorkerPanicked(panic_message(w, &*panic)))?;
+        per_morsel.extend(produced);
+        ctx.counter.merge(&local);
+        reports.push(report);
+    }
+    if let Some(slot) = morsels {
+        // one execution runs one morsel join, so the slot is still empty
+        let _ = slot.set(MorselTrace {
+            morsels: slices.len() as u64,
+            workers: reports,
         });
     }
     if let Some(t) = token {
-        t.check()?; // cancelled mid-run: the deposited output is partial
+        t.check()?; // cancelled mid-run: the returned output is partial
     }
-    for local in worker_counters.into_inner().expect("counter sink") {
-        counter.merge(&local);
-    }
-    let mut per_morsel = results.into_inner().expect("result sink");
     per_morsel.sort_unstable_by_key(|&(m, _)| m);
-    let mut out = Vec::new();
-    for (_, mut rows) in per_morsel {
-        out.append(&mut rows);
-    }
-    Ok(out)
+    let sinks = per_morsel.into_iter().map(|(_, sink)| sink).collect();
+    Ok(ColumnSink::concat(participants.len(), sinks))
+}
+
+/// `worker w: <payload>` for the payload types `panic!` produces.
+fn panic_message(w: usize, panic: &(dyn std::any::Any + Send)) -> String {
+    let what = panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    format!("worker {w}: {what}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::generic::generic_join;
-    use wcoj_storage::{Relation, Trie};
+    use wcoj_storage::{KernelCalibration, KernelPolicy, Relation, Trie};
+
+    fn ctx<'a>(cal: &'a KernelCalibration, counter: &'a WorkCounter) -> JoinCtx<'a> {
+        JoinCtx {
+            policy: KernelPolicy::Adaptive,
+            cal,
+            counter,
+            trace: None,
+        }
+    }
 
     fn triangle_tries() -> [Trie; 3] {
         let r = Relation::from_pairs("A", "B", (0..200u64).map(|i| (i % 20, (i * 7) % 23)));
@@ -312,7 +301,9 @@ mod tests {
             &serial_counter,
         );
         assert!(!serial.is_empty(), "fixture should produce triangles");
+        let serial = serial.into_columns();
 
+        let cal = KernelCalibration::fixed();
         for threads in [1, 2, 4, 8] {
             let parallel_counter = WorkCounter::new();
             let out = morsel_join(
@@ -320,14 +311,12 @@ mod tests {
                 || tries.iter().map(|t| t.cursor()).collect(),
                 &participants,
                 threads,
-                KernelPolicy::Adaptive,
-                &KernelCalibration::fixed(),
-                &parallel_counter,
+                ctx(&cal, &parallel_counter),
                 None,
                 None,
             )
             .unwrap();
-            assert_eq!(out, serial, "rows with {threads} threads");
+            assert_eq!(out.into_columns(), serial, "rows with {threads} threads");
             assert_eq!(
                 parallel_counter, serial_counter,
                 "work counters with {threads} threads"
@@ -344,19 +333,54 @@ mod tests {
             Trie::build(&s, &["A", "C"]).unwrap(),
         ];
         let w = WorkCounter::new();
+        let cal = KernelCalibration::fixed();
+        let slot = OnceLock::new();
         let out = morsel_join(
             Engine::Leapfrog,
             || tries.iter().map(|t| t.cursor()).collect(),
             &[vec![0, 1], vec![0], vec![1]],
             4,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &w,
+            ctx(&cal, &w),
             None,
-            None,
+            Some(&slot),
         )
         .unwrap();
         assert!(out.is_empty());
         assert_eq!(w.output_tuples(), 0);
+        let report = slot
+            .into_inner()
+            .expect("the scheduling report is deposited");
+        assert_eq!((report.morsels, report.workers.len()), (0, 0));
+    }
+
+    /// A worker that dies mid-run becomes a typed error naming it — never a
+    /// poisoned-lock panic in the driver.
+    #[test]
+    fn worker_panic_is_a_typed_error() {
+        let tries = triangle_tries();
+        let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
+        let calls = AtomicUsize::new(0);
+        let w = WorkCounter::new();
+        let cal = KernelCalibration::fixed();
+        let err = morsel_join(
+            Engine::GenericJoin,
+            || {
+                // the driver's cursor set (call 0) builds; every worker's dies
+                if calls.fetch_add(1, Ordering::SeqCst) > 0 {
+                    panic!("cursor construction failed");
+                }
+                tries.iter().map(|t| t.cursor()).collect()
+            },
+            &participants,
+            2,
+            ctx(&cal, &w),
+            None,
+            None,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::WorkerPanicked("worker 0: cursor construction failed".into())
+        );
     }
 }

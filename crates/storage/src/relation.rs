@@ -81,203 +81,23 @@ impl Relation {
         })
     }
 
-    /// Build a relation from a row-major flat value buffer (`values.len()` must be
-    /// a multiple of the schema arity) — the zero-allocation-per-row result path
-    /// of the join engines. When the rows are already in canonical order (sorted,
-    /// distinct — which the engines' depth-first enumeration guarantees), the
-    /// argsort-and-dedup pass is skipped entirely.
-    pub fn try_from_flat_rows(schema: Schema, values: Vec<Value>) -> Result<Self, StorageError> {
-        let arity = schema.arity();
-        if arity == 0 {
-            return Ok(Relation::empty(schema));
-        }
-        if !values.len().is_multiple_of(arity) {
-            return Err(StorageError::ArityMismatch {
-                expected: arity,
-                found: values.len() % arity,
-            });
-        }
-        let n = values.len() / arity;
-        let columns: Vec<Vec<Value>> = (0..arity)
-            .map(|c| values.iter().skip(c).step_by(arity).copied().collect())
-            .collect();
-        let row_cmp = |a: usize, b: usize| -> Ordering {
-            for col in &columns {
-                match col[a].cmp(&col[b]) {
-                    Ordering::Equal => continue,
-                    o => return o,
-                }
-            }
-            Ordering::Equal
-        };
-        let canonical = (1..n).all(|i| row_cmp(i - 1, i) == Ordering::Less);
-        if canonical {
-            Ok(Self::from_canonical_columns(schema, columns))
-        } else {
-            Self::try_from_columns(schema, columns)
-        }
-    }
-
-    /// Build a relation from a row-major flat value buffer whose fields are then
-    /// *permuted* per row: output column `c` is field `perm[c]` of each input row.
-    /// This fuses the engines' result-packaging pipeline (flat rows in join-variable
-    /// order → reorder columns to schema order → canonical sort + dedup) into a
-    /// single pack-sort-split pass over contiguous rows, instead of materializing an
-    /// intermediate relation and re-sorting it through an index argsort.
-    pub fn try_from_flat_rows_permuted(
-        schema: Schema,
-        values: &[Value],
-        perm: &[usize],
-    ) -> Result<Self, StorageError> {
-        let arity = schema.arity();
-        if perm.len() != arity || perm.iter().any(|&p| p >= arity) {
-            return Err(StorageError::ArityMismatch {
-                expected: arity,
-                found: perm.len(),
-            });
-        }
-        if arity == 0 {
-            return Ok(Relation::empty(schema));
-        }
-        if !values.len().is_multiple_of(arity) {
-            return Err(StorageError::ArityMismatch {
-                expected: arity,
-                found: values.len() % arity,
-            });
-        }
-        if arity == 1 {
-            let mut col: Vec<Value> = values.to_vec();
-            col.sort_unstable();
-            col.dedup();
-            let len = col.len();
-            return Ok(Relation {
-                schema,
-                columns: vec![col],
-                len,
-            });
-        }
-        // Pack each permuted row into a single scalar sort key straight from the
-        // flat buffer (no intermediate row materialization) whenever the fields'
-        // bit widths fit in one u64.
-        if arity <= 8 {
-            let mut field_max = vec![0u64; arity];
-            for chunk in values.chunks_exact(arity) {
-                for (m, &v) in field_max.iter_mut().zip(chunk) {
-                    if v > *m {
-                        *m = v;
-                    }
-                }
-            }
-            let widths: Vec<u32> = perm
-                .iter()
-                .map(|&p| 64 - field_max[p].leading_zeros())
-                .collect();
-            let total: u32 = widths.iter().sum();
-            if total <= 64 {
-                let mut keys: Vec<u64> = values
-                    .chunks_exact(arity)
-                    .map(|chunk| {
-                        let mut k = 0u64;
-                        for (&p, &w) in perm.iter().zip(&widths) {
-                            // w == 64 implies every other width is 0 and k is still 0
-                            k = if w == 64 {
-                                chunk[p]
-                            } else {
-                                (k << w) | chunk[p]
-                            };
-                        }
-                        k
-                    })
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                let columns = unpack_keys::<u64>(&keys, &widths);
-                let len = keys.len();
-                return Ok(Relation {
-                    schema,
-                    columns,
-                    len,
-                });
-            }
-        }
-        let columns: Vec<Vec<Value>> = perm
-            .iter()
-            .map(|&p| values.iter().skip(p).step_by(arity).copied().collect())
-            .collect();
-        Self::try_from_columns(schema, columns)
-    }
-
-    /// Sort + dedup rows already packed as fixed-arity arrays, then split back into
-    /// columns. When the per-field bit widths fit, rows are squeezed into single
-    /// `u64`/`u128` sort keys (lexicographic order is preserved because each field
-    /// occupies a disjoint, more-significant bit range) — sorting scalar keys is
-    /// ~3x faster than sorting `[Value; K]` arrays, which in turn beats an index
-    /// argsort chasing per-column vectors. This is the canonicalization core for
-    /// every low-arity constructor.
-    fn canonicalize_packed<const K: usize>(schema: Schema, mut rows: Vec<[Value; K]>) -> Self {
-        let mut maxes = [0u64; K];
-        for row in &rows {
-            for (c, m) in maxes.iter_mut().enumerate() {
-                *m = (*m).max(row[c]);
-            }
-        }
-        let widths = maxes.map(|m| 64 - m.leading_zeros());
-        let total: u32 = widths.iter().sum();
-        let columns = if total <= 64 {
-            let mut keys: Vec<u64> = rows
-                .iter()
-                .map(|row| {
-                    let mut k = 0u64;
-                    for (c, &w) in widths.iter().enumerate() {
-                        // w == 64 implies every other width is 0 and k is still 0
-                        k = if w == 64 { row[c] } else { (k << w) | row[c] };
-                    }
-                    k
-                })
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            unpack_keys::<u64>(&keys, &widths)
-        } else if total <= 128 {
-            let mut keys: Vec<u128> = rows
-                .iter()
-                .map(|row| {
-                    let mut k = 0u128;
-                    for (c, &w) in widths.iter().enumerate() {
-                        k = (k << w) | row[c] as u128;
-                    }
-                    k
-                })
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
-            unpack_keys::<u128>(&keys, &widths)
-        } else {
-            rows.sort_unstable();
-            rows.dedup();
-            let mut columns: Vec<Vec<Value>> =
-                (0..K).map(|_| Vec::with_capacity(rows.len())).collect();
-            for row in &rows {
-                for (c, col) in columns.iter_mut().enumerate() {
-                    col.push(row[c]);
-                }
-            }
-            columns
-        };
-        let len = columns.first().map_or(0, |c| c.len());
-        Relation {
-            schema,
-            columns,
-            len,
-        }
-    }
-
-    /// Build a relation directly from columns (all of equal length), sorting rows
-    /// lexicographically and deduplicating — the bulk-load path that never touches a
-    /// row representation.
+    /// Build a relation directly from columns (all of equal length) — the bulk-load
+    /// path, and the join engines' result path; it never touches a row
+    /// representation.
+    ///
+    /// Columns whose rows are already canonical (strictly ascending — what the
+    /// engines' depth-first enumeration produces under the identity variable
+    /// order) are **adopted as they are** after one linear check: no copy, no
+    /// sort, no allocation. Anything else is sorted lexicographically and
+    /// deduplicated: when the per-column bit widths fit, each row is squeezed
+    /// into one `u64`/`u128` key (lexicographic order is preserved because each
+    /// field occupies a disjoint, more-significant bit range), the keys are
+    /// sorted — an LSD radix sort for `u64` keys — and unpacked back into the
+    /// input's own column allocations; wider rows fall back to an argsort of
+    /// row indices.
     pub fn try_from_columns(
         schema: Schema,
-        columns: Vec<Vec<Value>>,
+        mut columns: Vec<Vec<Value>>,
     ) -> Result<Self, StorageError> {
         if columns.len() != schema.arity() {
             return Err(StorageError::ArityMismatch {
@@ -292,66 +112,30 @@ impl Relation {
                 found: bad.len(),
             });
         }
-        // Low arities (the overwhelmingly common case) repack into contiguous
-        // fixed-size rows and sort those; wider schemas fall back to an argsort of
-        // row indices gathered through the permutation.
-        match columns.len() {
-            1 => {
-                let mut col = columns.into_iter().next().expect("arity checked");
-                col.sort_unstable();
-                col.dedup();
-                let len = col.len();
-                return Ok(Relation {
-                    schema,
-                    columns: vec![col],
-                    len,
-                });
-            }
-            2 => {
-                return Ok(Self::canonicalize_packed::<2>(
-                    schema,
-                    pack_columns::<2>(&columns, n),
-                ))
-            }
-            3 => {
-                return Ok(Self::canonicalize_packed::<3>(
-                    schema,
-                    pack_columns::<3>(&columns, n),
-                ))
-            }
-            4 => {
-                return Ok(Self::canonicalize_packed::<4>(
-                    schema,
-                    pack_columns::<4>(&columns, n),
-                ))
-            }
-            _ => {}
-        }
-        let cmp = |&a: &usize, &b: &usize| -> Ordering {
-            for col in &columns {
-                match col[a].cmp(&col[b]) {
-                    Ordering::Equal => continue,
-                    o => return o,
+        if !is_canonical(&columns, n) {
+            let widths: Vec<u32> = columns
+                .iter()
+                .map(|col| 64 - col.iter().fold(0, |acc, &v| acc | v).leading_zeros())
+                .collect();
+            match widths.iter().sum::<u32>() {
+                0..=64 => canonicalize_packed::<u64>(&mut columns, &widths),
+                65..=128 => canonicalize_packed::<u128>(&mut columns, &widths),
+                _ => {
+                    let all: Vec<usize> = (0..columns.len()).collect();
+                    let mut perm = argsort_columns(&columns, &all, n);
+                    perm.dedup_by(|a, b| all.iter().all(|&c| columns[c][*a] == columns[c][*b]));
+                    for col in columns.iter_mut() {
+                        *col = perm.iter().map(|&i| col[i]).collect();
+                    }
                 }
             }
-            Ordering::Equal
-        };
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.sort_unstable_by(cmp);
-        perm.dedup_by(|a, b| cmp(a, b) == Ordering::Equal);
-        let sorted: Vec<Vec<Value>> = columns
-            .iter()
-            .map(|col| perm.iter().map(|&i| col[i]).collect())
-            .collect();
-        Ok(Relation {
-            schema,
-            len: perm.len(),
-            columns: sorted,
-        })
+        }
+        Ok(Self::from_canonical_columns(schema, columns))
     }
 
     /// Internal constructor for columns already in canonical (sorted, deduplicated)
-    /// row order — used by operators that filter or merge canonical inputs.
+    /// row order — used by operators that filter or merge canonical inputs. The
+    /// checked public spelling is [`Relation::try_from_columns`].
     pub(crate) fn from_canonical_columns(schema: Schema, columns: Vec<Vec<Value>>) -> Self {
         debug_assert_eq!(columns.len(), schema.arity());
         let len = columns.first().map_or(0, |c| c.len());
@@ -796,13 +580,61 @@ pub(crate) fn cmp_columns_at(
     a.cmp(&b)
 }
 
-/// Scalar sort keys that packed rows can be squeezed into: shift/extract in
-/// word-sized chunks with per-field widths summing to at most `Self::BITS`.
-trait PackedKey: Copy {
+/// Whether `n` column-major rows are strictly ascending in lexicographic order —
+/// sorted and duplicate-free, i.e. already a [`Relation`]'s canonical layout.
+/// Rows are compared with their predecessors a block at a time, one column at a
+/// time from the least significant (the most significant column in which two
+/// rows differ has the last word): branch-free streaming loops, and unsorted
+/// bulk loads are turned away by their first block.
+fn is_canonical(columns: &[Vec<Value>], n: usize) -> bool {
+    const BLOCK: usize = 1024;
+    let mut ascending = [0u8; BLOCK];
+    (1..n).step_by(BLOCK).all(|lo| {
+        let hi = (lo + BLOCK).min(n);
+        let ascending = &mut ascending[..hi - lo];
+        ascending.fill(0);
+        for col in columns.iter().rev() {
+            let (prev, cur) = (&col[lo - 1..hi - 1], &col[lo..hi]);
+            // three equal-length slices under one index: the form the
+            // optimizer turns into straight-line compares (zips cost 1.5x)
+            for i in 0..ascending.len() {
+                let (p, c) = (prev[i], cur[i]);
+                ascending[i] = (p < c) as u8 | ((p == c) as u8 & ascending[i]);
+            }
+        }
+        ascending.iter().all(|&asc| asc == 1)
+    })
+}
+
+/// Scalar sort keys that rows can be squeezed into: fields are shifted in and
+/// extracted with per-field widths summing to at most `Self::BITS`.
+trait PackedKey: Copy + Ord {
+    /// One key per value of the most significant column. `u64` keys take over
+    /// the column's own allocation; nothing is copied.
+    fn from_first(col: &mut Vec<Value>) -> Vec<Self>;
+    /// `self` with a `width`-bit field appended at the least-significant end.
+    fn push_field(self, width: u32, v: Value) -> Self;
+    /// The `width`-bit field that has `shift` bits to its right.
     fn field(self, shift: u32, width: u32) -> Value;
+    /// Sort keys that all fit in their low `bits` bits; `spare` is a dead
+    /// buffer the sort may use as scratch space.
+    fn sort_keys(keys: &mut Vec<Self>, bits: u32, spare: &mut Vec<Value>);
 }
 
 impl PackedKey for u64 {
+    fn from_first(col: &mut Vec<Value>) -> Vec<Self> {
+        std::mem::take(col)
+    }
+
+    fn push_field(self, width: u32, v: Value) -> Self {
+        // width == 64 implies every other width is 0 and `self` is still 0
+        if width == 64 {
+            v
+        } else {
+            (self << width) | v
+        }
+    }
+
     fn field(self, shift: u32, width: u32) -> Value {
         if width == 0 {
             0
@@ -810,9 +642,25 @@ impl PackedKey for u64 {
             (self >> shift) & (u64::MAX >> (64 - width))
         }
     }
+
+    fn sort_keys(keys: &mut Vec<Self>, bits: u32, spare: &mut Vec<Value>) {
+        if keys.len() < RADIX_MIN_KEYS || bits > RADIX_MAX_BITS {
+            keys.sort_unstable();
+        } else {
+            radix_sort(keys, bits, spare);
+        }
+    }
 }
 
 impl PackedKey for u128 {
+    fn from_first(col: &mut Vec<Value>) -> Vec<Self> {
+        col.iter().map(|&v| v as u128).collect()
+    }
+
+    fn push_field(self, width: u32, v: Value) -> Self {
+        (self << width) | v as u128
+    }
+
     fn field(self, shift: u32, width: u32) -> Value {
         if width == 0 {
             0
@@ -820,37 +668,90 @@ impl PackedKey for u128 {
             ((self >> shift) as u64) & (u64::MAX >> (64 - width))
         }
     }
+
+    fn sort_keys(keys: &mut Vec<Self>, _bits: u32, _spare: &mut Vec<Value>) {
+        keys.sort_unstable();
+    }
 }
 
-/// Split sorted packed keys back into per-field columns using the bit widths the
-/// keys were packed with (field 0 most significant).
-fn unpack_keys<T: PackedKey>(keys: &[T], widths: &[u32]) -> Vec<Vec<Value>> {
-    let mut shifts = vec![0u32; widths.len()];
-    let mut acc = 0u32;
-    for c in (0..widths.len()).rev() {
-        shifts[c] = acc;
-        acc += widths[c];
+/// Sort + dedup column-major rows in place through packed scalar keys (field 0
+/// most significant): pack column by column, sort, dedup, and unpack into the
+/// same column allocations. With `u64` keys nothing is allocated at all — the
+/// keys live in the first column's buffer and the sort borrows the second's.
+fn canonicalize_packed<T: PackedKey>(columns: &mut [Vec<Value>], widths: &[u32]) {
+    let (first, rest) = columns
+        .split_first_mut()
+        .expect("rows out of order have at least one column");
+    let bits: u32 = widths.iter().sum();
+    let mut keys = T::from_first(first);
+    for (col, &w) in rest.iter().zip(&widths[1..]) {
+        for (k, &v) in keys.iter_mut().zip(col) {
+            *k = k.push_field(w, v);
+        }
     }
-    let mut columns: Vec<Vec<Value>> = (0..widths.len())
-        .map(|_| Vec::with_capacity(keys.len()))
+    // every input value now lives in a key, so the columns are dead buffers
+    let mut none = Vec::new();
+    T::sort_keys(&mut keys, bits, rest.first_mut().unwrap_or(&mut none));
+    keys.dedup();
+    let (first_shift, first_width) = (bits - widths[0], widths[0]);
+    let mut shift = first_shift;
+    for (col, &w) in rest.iter_mut().zip(&widths[1..]) {
+        shift -= w;
+        col.clear();
+        col.extend(keys.iter().map(|k| k.field(shift, w)));
+    }
+    *first = keys
+        .into_iter()
+        .map(|k| k.field(first_shift, first_width))
         .collect();
-    for &k in keys {
-        for (c, col) in columns.iter_mut().enumerate() {
-            col.push(k.field(shifts[c], widths[c]));
-        }
-    }
-    columns
 }
 
-/// Gather `n` column-major rows into contiguous fixed-arity arrays.
-fn pack_columns<const K: usize>(columns: &[Vec<Value>], n: usize) -> Vec<[Value; K]> {
-    let mut rows: Vec<[Value; K]> = vec![[0; K]; n];
-    for (c, col) in columns.iter().enumerate() {
-        for (row, &v) in rows.iter_mut().zip(col) {
-            row[c] = v;
+/// Below this many keys `sort_unstable` beats the radix passes' fixed cost.
+const RADIX_MIN_KEYS: usize = 1024;
+
+/// Above this many key bits (more than four passes) `sort_unstable` wins again.
+const RADIX_MAX_BITS: u32 = 4 * RADIX_MAX_DIGIT_BITS;
+
+/// Widest radix digit: 2^11 counters of 8 bytes stay within the L1 data cache.
+const RADIX_MAX_DIGIT_BITS: u32 = 11;
+
+/// LSD radix sort of keys that all fit in their low `bits` bits: as few
+/// counting passes as [`RADIX_MAX_DIGIT_BITS`] allows, `bits` spread evenly over
+/// them, every pass's histogram taken in one read of the keys, passes whose
+/// digit is constant skipped. Keys ping-pong between their own buffer and
+/// `spare`, which is left holding garbage.
+fn radix_sort(keys: &mut Vec<u64>, bits: u32, spare: &mut Vec<u64>) {
+    let passes = bits.div_ceil(RADIX_MAX_DIGIT_BITS);
+    if passes == 0 {
+        return; // every key is 0
+    }
+    let digit_bits = bits.div_ceil(passes);
+    let buckets = 1usize << digit_bits;
+    let digit = |k: u64, pass: usize| (k >> (pass as u32 * digit_bits)) as usize & (buckets - 1);
+    let mut counts = vec![0usize; buckets * passes as usize];
+    for &k in keys.iter() {
+        for (pass, hist) in counts.chunks_exact_mut(buckets).enumerate() {
+            hist[digit(k, pass)] += 1;
         }
     }
-    rows
+    spare.resize(keys.len(), 0);
+    for (pass, hist) in counts.chunks_exact_mut(buckets).enumerate() {
+        if hist.contains(&keys.len()) {
+            continue; // all keys share this digit: the pass would move nothing
+        }
+        let mut start = 0usize;
+        for slot in hist.iter_mut() {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &k in keys.iter() {
+            let slot = &mut hist[digit(k, pass)];
+            spare[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
 }
 
 /// Argsort of `len` rows of column-major `columns` by `positions` — the serial
@@ -1003,12 +904,159 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r, r_ab());
-        // mismatched column lengths rejected
-        assert!(
-            Relation::try_from_columns(Schema::new(&["A", "B"]), vec![vec![1], vec![]]).is_err()
+        // ragged columns are rejected, naming both lengths
+        assert_eq!(
+            Relation::try_from_columns(Schema::new(&["A", "B"]), vec![vec![1], vec![]])
+                .unwrap_err(),
+            StorageError::ArityMismatch {
+                expected: 1,
+                found: 0
+            }
         );
         // wrong column count rejected
-        assert!(Relation::try_from_columns(Schema::new(&["A", "B"]), vec![vec![1]]).is_err());
+        assert_eq!(
+            Relation::try_from_columns(Schema::new(&["A", "B"]), vec![vec![1]]).unwrap_err(),
+            StorageError::ArityMismatch {
+                expected: 2,
+                found: 1
+            }
+        );
+    }
+
+    #[test]
+    fn canonical_columns_are_adopted_without_copying() {
+        // what the join engines hand over under the identity order
+        let columns = vec![vec![1, 1, 2, 2], vec![5, 6, 0, 9], vec![7, 7, 7, 7]];
+        let ptrs: Vec<*const Value> = columns.iter().map(|c| c.as_ptr()).collect();
+        let r = Relation::try_from_columns(Schema::new(&["A", "B", "C"]), columns).unwrap();
+        assert_eq!(r.len(), 4);
+        for (pos, ptr) in ptrs.into_iter().enumerate() {
+            assert_eq!(r.column(pos).as_ptr(), ptr, "column {pos} was copied");
+        }
+        // one duplicate or one descent anywhere and the input is re-canonicalized
+        let dup = Relation::try_from_columns(
+            Schema::new(&["A", "B"]),
+            vec![vec![1, 1, 2], vec![5, 5, 0]],
+        )
+        .unwrap();
+        assert_eq!(dup.rows(), vec![vec![1, 5], vec![2, 0]]);
+        let descent = Relation::try_from_columns(
+            Schema::new(&["A", "B"]),
+            vec![vec![1, 1, 2], vec![6, 5, 0]],
+        )
+        .unwrap();
+        assert_eq!(descent.rows(), vec![vec![1, 5], vec![1, 6], vec![2, 0]]);
+        // a violation past the first check block is still seen
+        let mut long: Vec<Value> = (0..3000).collect();
+        long[2500] = 7;
+        let sorted = Relation::try_from_columns(Schema::new(&["A"]), vec![long]).unwrap();
+        assert_eq!(sorted.len(), 2999);
+        assert!(sorted.column(0).windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn from_columns_arity_zero_and_one() {
+        let nullary = Relation::try_from_columns(Schema::new(&[]), vec![]).unwrap();
+        assert_eq!((nullary.arity(), nullary.len()), (0, 0));
+        let unary = Relation::try_from_columns(Schema::new(&["A"]), vec![vec![3, 1, 3, 2]]);
+        assert_eq!(unary.unwrap().column(0), &[1, 2, 3]);
+        let canonical = vec![1, 2, 3];
+        let ptr = canonical.as_ptr();
+        let adopted = Relation::try_from_columns(Schema::new(&["A"]), vec![canonical]).unwrap();
+        assert_eq!(adopted.column(0).as_ptr(), ptr);
+        let empty = Relation::try_from_columns(Schema::new(&["A"]), vec![vec![]]).unwrap();
+        assert!(empty.is_empty());
+    }
+
+    /// A small deterministic generator for the randomized tests below.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn from_columns_agrees_with_from_rows_on_every_key_width() {
+        // per-column bit widths that exercise the u64 keys (with and without
+        // the radix sort), the u128 keys, and the argsort fallback
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for (widths, n) in [
+            (vec![0u32, 0], 50),
+            (vec![9, 9, 9], 3000),
+            (vec![9, 9, 9], 200),
+            (vec![64], 2000),
+            (vec![0, 64, 0], 1500),
+            (vec![30, 30], 2000),
+            (vec![40, 40, 40], 500),
+            (vec![60, 60, 60], 500),
+            (vec![3, 3, 3, 3, 3], 2000),
+        ] {
+            let rows: Vec<Tuple> = (0..n)
+                .map(|_| {
+                    widths
+                        .iter()
+                        .map(|&w| match w {
+                            0 => 0,
+                            w => xorshift(&mut state) >> (64 - w),
+                        })
+                        .collect()
+                })
+                .collect();
+            let names: Vec<String> = (0..widths.len()).map(|c| format!("c{c}")).collect();
+            let schema = Schema::try_new(names).unwrap();
+            let mut columns = vec![Vec::with_capacity(n); widths.len()];
+            for row in &rows {
+                for (col, &v) in columns.iter_mut().zip(row) {
+                    col.push(v);
+                }
+            }
+            let from_columns = Relation::try_from_columns(schema.clone(), columns).unwrap();
+            let from_rows = Relation::try_from_rows(schema, rows).unwrap();
+            assert_eq!(from_columns, from_rows, "widths {widths:?}, {n} rows");
+        }
+    }
+
+    #[test]
+    fn radix_sort_agrees_with_sort_unstable() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        let n = 2 * RADIX_MIN_KEYS + 77;
+        let mut random = |bits: u32, n: usize| -> Vec<u64> {
+            (0..n)
+                .map(|_| match bits {
+                    0 => 0,
+                    bits => xorshift(&mut state) >> (64 - bits),
+                })
+                .collect()
+        };
+        let mut inputs: Vec<(u32, Vec<u64>)> = Vec::new();
+        for bits in [0, 1, 8, 11, 12, 27, 33, 44, 45, 64] {
+            inputs.push((bits, random(bits, n)));
+        }
+        inputs.push((27, random(27, RADIX_MIN_KEYS - 1))); // below the cutoff
+        inputs.push((27, vec![0x5A5_A5A5; n])); // all keys equal
+        inputs.push((20, (0..n as u64).collect())); // already sorted
+        inputs.push((20, (0..n as u64).rev().collect())); // and reversed
+        inputs.push((27, Vec::new()));
+        for (bits, keys) in inputs {
+            let mut expected = keys.clone();
+            expected.sort_unstable();
+            // the dispatching entry point, with and without a lent buffer
+            let mut dispatched = keys.clone();
+            <u64 as PackedKey>::sort_keys(&mut dispatched, bits, &mut Vec::new());
+            assert_eq!(dispatched, expected, "{bits}-bit keys, n = {}", keys.len());
+            // the radix passes themselves, whatever the cutoffs say
+            let mut sorted = keys.clone();
+            let mut spare = vec![u64::MAX; keys.len()];
+            radix_sort(&mut sorted, bits, &mut spare);
+            assert_eq!(
+                sorted,
+                expected,
+                "radix, {bits}-bit keys, n = {}",
+                keys.len()
+            );
+            assert_eq!(spare.len(), keys.len());
+        }
     }
 
     #[test]
@@ -1156,24 +1204,6 @@ mod tests {
         assert_eq!(r.sort_perm(&[1, 0]), vec![1, 2, 0]);
         // identity prefix: already canonical
         assert_eq!(r.sort_perm(&[0, 1]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn flat_rows_build_canonical_and_noncanonical() {
-        // already canonical: the fast path must not reorder anything
-        let canon =
-            Relation::try_from_flat_rows(Schema::new(&["A", "B"]), vec![1, 2, 1, 3, 2, 1]).unwrap();
-        assert_eq!(canon.rows(), vec![vec![1, 2], vec![1, 3], vec![2, 1]]);
-        // unsorted + duplicated input takes the canonicalizing path
-        let messy =
-            Relation::try_from_flat_rows(Schema::new(&["A", "B"]), vec![2, 1, 1, 2, 2, 1, 1, 2])
-                .unwrap();
-        assert_eq!(messy.rows(), vec![vec![1, 2], vec![2, 1]]);
-        // arity mismatch is rejected; empty input and 0-arity degenerate cleanly
-        assert!(Relation::try_from_flat_rows(Schema::new(&["A", "B"]), vec![1, 2, 3]).is_err());
-        assert!(Relation::try_from_flat_rows(Schema::new(&["A"]), vec![])
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -180,15 +180,14 @@ impl<'a> TypedRows<'a> {
 
     /// Decode row `i`.
     pub fn row(&self, i: usize) -> Result<TypedRow, StorageError> {
-        (0..self.rel.arity())
-            .map(|c| {
-                let code = self.rel.column(c)[i];
-                match self.dicts[c] {
-                    None => Ok(TypedValue::Int(code)),
-                    Some(d) => Ok(TypedValue::Str(d.try_string(code)?.to_string())),
-                }
-            })
-            .collect()
+        let mut row = Vec::with_capacity(self.dicts.len());
+        for (col, dict) in self.rel.columns().iter().zip(&self.dicts) {
+            row.push(match dict {
+                None => TypedValue::Int(col[i]),
+                Some(d) => TypedValue::Str(d.try_string(col[i])?.to_string()),
+            });
+        }
+        Ok(row)
     }
 
     /// Iterator over decoded rows, in the relation's canonical (code) order.
@@ -198,7 +197,12 @@ impl<'a> TypedRows<'a> {
 
     /// Materialize every decoded row (fails on the first unknown code).
     pub fn to_rows(&self) -> Result<Vec<TypedRow>, StorageError> {
-        self.iter().collect()
+        // collecting through `Result` has no size hint: presize instead
+        let mut rows = Vec::with_capacity(self.len());
+        for row in self.iter() {
+            rows.push(row?);
+        }
+        Ok(rows)
     }
 }
 
