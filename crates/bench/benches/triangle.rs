@@ -20,7 +20,7 @@
 use std::time::Instant;
 use wcoj_bench::{bench_matrix, BenchRecord, ExperimentTable};
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 
 fn median_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -52,11 +52,7 @@ fn bench_workload(
     let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
     for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
         for &threads in thread_counts(engine) {
-            // fixed calibration: recorded work tallies must not depend on the
-            // recording machine's auto-tuned thresholds (see tune.rs)
-            let opts = ExecOptions::new(engine)
-                .with_threads(threads)
-                .with_calibration(KernelCalibration::fixed());
+            let opts = ExecOptions::new(engine).with_threads(threads);
             // warm-up run also gives us the output size and work counters
             let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("execute");
             let ms = median_time_ms(

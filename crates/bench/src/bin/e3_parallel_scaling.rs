@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 use wcoj_bench::ExperimentTable;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::{PrefixIndex, Trie};
 use wcoj_workloads::triangle;
@@ -54,7 +54,7 @@ fn main() {
     let w = triangle(n, 0xE3);
     let order = agm_variable_order(&w.query, &w.db).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let serial_opts = ExecOptions::new(engine).with_calibration(KernelCalibration::fixed());
+        let serial_opts = ExecOptions::new(engine);
         let serial = execute_opts_with_order(&w.query, &w.db, &serial_opts, &order).unwrap();
         let serial_ms = median_time_ms(
             || {

@@ -10,7 +10,7 @@
 
 use std::time::Instant;
 use wcoj_bench::ExperimentTable;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::KernelPolicy;
 use wcoj_workloads::{hub_spoke, kclique, triangle, triangle_skewed, Workload};
@@ -54,7 +54,7 @@ fn main() {
     for w in &workloads {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let adaptive = ExecOptions::new(engine).with_calibration(KernelCalibration::fixed());
+            let adaptive = ExecOptions::new(engine);
             let out = execute_opts_with_order(&w.query, &w.db, &adaptive, &order).expect("exec");
             let mut cells = vec![
                 out.work.kernel_merge() as f64,

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 use wcoj_bench::ExperimentTable;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
@@ -154,7 +154,7 @@ fn main() {
         &[4_096, 1_024, 256, 64]
     };
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let opts = ExecOptions::new(engine).with_calibration(KernelCalibration::fixed());
+        let opts = ExecOptions::new(engine);
         let static_out =
             execute_opts_with_order(&query, &static_db, &opts, &order).expect("static query");
         let static_ms = median_ms(

@@ -1,11 +1,10 @@
-//! E7: hardware-calibrated kernels — the measurements behind the
+//! E7: SIMD kernels and morsel placement — the measurements behind the
 //! `EXPERIMENTS.md` E7 writeup.
 //!
-//! Four sections:
+//! Three sections (the numbering is E7's historical one; sections 1 and 4 —
+//! the startup auto-tune probe and its calibrated-vs-fixed comparison — were
+//! deleted with the probe, see the closing measurement in `EXPERIMENTS.md`):
 //!
-//! 1. **Probe** — run the startup auto-tune micro-benchmark
-//!    ([`wcoj_storage::tune::probe`]) and report the calibrated thresholds and
-//!    the probe's wall-clock (budget: 50ms).
 //! 2. **Kernel microbench** — the merge/gallop/bitmap kernels at every
 //!    runnable SIMD level on dense and short/skewed list shapes, so the
 //!    SIMD-vs-scalar ratio of each inner loop is visible in isolation.
@@ -13,10 +12,6 @@
 //!    process-wide dispatch flipped between `Scalar` and the native level via
 //!    [`wcoj_storage::simd::force_active_level`]; asserts bit-identical output
 //!    and work counters, reports the wall-clock ratio.
-//! 4. **Calibrated-vs-fixed** — the same joins under the probe's calibration
-//!    vs [`KernelCalibration::fixed`], showing what host tuning buys (or
-//!    honestly, when the host agrees with the fixed constants, that it buys
-//!    nothing).
 //! 5. **Morsel scaling** — threads 1/2/4 with topology-aware placement
 //!    (pinning state reported; disable with `WCOJ_NO_PIN=1` to A/B across
 //!    runs).
@@ -27,11 +22,11 @@
 use std::time::Instant;
 use wcoj_bench::report::{parse_bench_json, write_bench_json, BenchRecord};
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
 use wcoj_storage::topology::{pinning_enabled, CpuTopology};
-use wcoj_storage::{kernels, tune, KernelPolicy, Value, WorkCounter};
+use wcoj_storage::{kernels, KernelPolicy, Value, WorkCounter};
 use wcoj_workloads::{triangle, triangle_skewed, Workload};
 
 fn min_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -80,25 +75,8 @@ fn main() {
     let (n, iters) = if smoke { (2_048, 3) } else { (16_384, 15) };
     let native = simd::detect_level();
 
-    // ---- 1. probe --------------------------------------------------------
-    let (cal, probe_ms) = tune::probe(native);
-    println!("E7.1 auto-tune probe at {native:?}: {probe_ms:.2}ms (budget 50ms)");
-    println!(
-        "  calibrated: merge_max_ratio={} bitmap_max_span={} bitmap_span_per_element={} linear_seek_max={}",
-        cal.merge_max_ratio, cal.bitmap_max_span, cal.bitmap_span_per_element, cal.linear_seek_max
-    );
-    let fixed = KernelCalibration::fixed();
-    println!(
-        "  fixed:      merge_max_ratio={} bitmap_max_span={} bitmap_span_per_element={} linear_seek_max={}",
-        fixed.merge_max_ratio, fixed.bitmap_max_span, fixed.bitmap_span_per_element, fixed.linear_seek_max
-    );
-    assert!(
-        probe_ms < 50.0,
-        "probe blew its 50ms budget: {probe_ms:.2}ms"
-    );
-
     // ---- 2. kernel microbench -------------------------------------------
-    println!("\nE7.2 kernel microbench (min of {iters}, lower is better)");
+    println!("E7.2 kernel microbench (min of {iters}, lower is better)");
     let mut seed = 0xE7u64;
     let dense_a: Vec<Value> = (0..4096u64).map(|i| i * 3).collect();
     let dense_b: Vec<Value> = (0..4096u64).map(|i| i * 4).collect();
@@ -133,9 +111,7 @@ fn main() {
     }
 
     // ---- 3. end-to-end SIMD A/B -----------------------------------------
-    println!(
-        "\nE7.3 end-to-end serial joins, {native:?} vs Scalar (fixed calibration, min of {iters})"
-    );
+    println!("\nE7.3 end-to-end serial joins, {native:?} vs Scalar (min of {iters})");
     let workloads = [
         (format!("uniform_n{n}"), triangle(n, 0xC0FFEE)),
         (
@@ -147,7 +123,7 @@ fn main() {
     for (name, w) in &workloads {
         let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let opts = ExecOptions::new(engine).with_calibration(fixed);
+            let opts = ExecOptions::new(engine);
             simd::force_active_level(SimdLevel::Scalar);
             let (scalar_ms, scalar_out) = run_serial(w, &opts, iters);
             simd::force_active_level(native);
@@ -186,25 +162,6 @@ fn main() {
         }
     }
 
-    // ---- 4. calibrated vs fixed -----------------------------------------
-    println!("\nE7.4 probe calibration vs fixed constants ({native:?} dispatch, min of {iters})");
-    simd::force_active_level(native);
-    for (name, w) in &workloads {
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let (fixed_ms, fixed_out) =
-                run_serial(w, &ExecOptions::new(engine).with_calibration(fixed), iters);
-            let (cal_ms, cal_out) =
-                run_serial(w, &ExecOptions::new(engine).with_calibration(cal), iters);
-            assert_eq!(cal_out.result, fixed_out.result, "{name}/{engine:?} output");
-            println!(
-                "  {name}/{engine:?}: fixed {fixed_ms:.2}ms -> calibrated {cal_ms:.2}ms (x{:.2}, work {} -> {})",
-                fixed_ms / cal_ms,
-                fixed_out.work.total_work(),
-                cal_out.work.total_work()
-            );
-        }
-    }
-
     // ---- 5. morsel scaling ----------------------------------------------
     let topo = CpuTopology::detect();
     println!(
@@ -218,7 +175,7 @@ fn main() {
         }
     );
     let (name, w) = &workloads[0];
-    let serial_opts = ExecOptions::new(Engine::GenericJoin).with_calibration(fixed);
+    let serial_opts = ExecOptions::new(Engine::GenericJoin);
     let (serial_ms, serial_out) = run_serial(w, &serial_opts, iters);
     println!("  {name}/t1: {serial_ms:.2}ms (x1.00)");
     for threads in [2usize, 4] {

@@ -9,9 +9,8 @@
 //!   reproducible, so this catches algorithmic regressions on any machine.
 //! * **kernel breakdown** — the per-kernel tallies (`kernel_merge`,
 //!   `kernel_gallop`, `kernel_bitmap`) and the incremental-path `delta_merge`
-//!   tally must match the baseline **exactly**. The gate runs with
-//!   [`KernelCalibration::fixed`] pinned, so the adaptive policy's choices are a
-//!   pure function of the data: any drift means the kernel-selection logic (or
+//!   tally must match the baseline **exactly**. The adaptive policy's choices
+//!   are a pure function of the data and the (default) thresholds: any drift means the kernel-selection logic (or
 //!   a counted kernel's accounting) changed, and the baseline must be re-recorded
 //!   deliberately rather than absorbed silently.
 //! * **wall-clock** — the fresh time must not exceed the baseline median by more
@@ -48,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use wcoj_bench::report::parse_bench_json;
 use wcoj_bench::{bench_matrix, ExperimentTable};
-use wcoj_core::exec::{execute_opts_with_order, CacheMode, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::TraceSink;
 
@@ -137,9 +136,7 @@ fn main() {
             else {
                 continue; // workload/engine not in the committed baseline yet
             };
-            // pin the fixed calibration: the baseline's deterministic tallies were
-            // recorded with it, and host auto-tuning must not shift the comparison
-            let opts = ExecOptions::new(engine).with_calibration(KernelCalibration::fixed());
+            let opts = ExecOptions::new(engine);
             let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("execute");
             let fresh_ms = min_time_ms(
                 || {

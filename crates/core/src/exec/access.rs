@@ -1,0 +1,347 @@
+//! Access-structure builds and their cache slots.
+//!
+//! [`BuiltAccess::build`] produces one access structure per atom — a CSR trie or
+//! prefix hash index for a static relation, a live [`DeltaAccess`] union cursor
+//! for a delta-backed one — fetching each through the per-database
+//! [`wcoj_storage::AccessCache`] keyed by `(relation, column positions, kind,
+//! stamp)`. Builds record no [`wcoj_storage::WorkCounter`] work (their activity
+//! is tallied in [`CacheStats`]), and cached, fresh-serial and fresh-parallel
+//! structures are bit-identical, so results and work counters are the same with
+//! the cache on, off, or cold.
+
+use super::driver::run_cursors;
+use super::engine::{InteriorStep, JoinCtx};
+use super::trace::{atom_outcome, elapsed_ns};
+use super::{Backend, CacheMode, CancelToken, ColumnSink, ExecOptions};
+use crate::error::ExecError;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+use wcoj_obs::{AtomTrace, MorselTrace};
+use wcoj_query::{AtomSource, ConjunctiveQuery, Database};
+use wcoj_storage::{
+    CacheKey, CacheKind, CacheStats, CachedValue, CursorKind, DeltaAccess, DeltaRelation,
+    DeltaView, PrefixIndex, Relation, Trie,
+};
+
+/// One atom's built access structure. Static structures are `Arc`-shared with
+/// the access cache, so a hit costs a refcount, not a rebuild.
+pub(super) enum AtomAccess<'d> {
+    Trie(Arc<Trie>),
+    Index(Arc<PrefixIndex>),
+    Delta(DeltaAccess<'d>),
+}
+
+impl AtomAccess<'_> {
+    fn cursor(&self) -> CursorKind<'_> {
+        match self {
+            AtomAccess::Trie(t) => t.cursor().into(),
+            AtomAccess::Index(ix) => ix.cursor().into(),
+            AtomAccess::Delta(d) => d.cursor().into(),
+        }
+    }
+
+    /// The trace spelling of the structure kind.
+    fn kind(&self) -> &'static str {
+        match self {
+            AtomAccess::Trie(_) => "trie",
+            AtomAccess::Index(_) => "index",
+            AtomAccess::Delta(_) => "delta",
+        }
+    }
+}
+
+/// The access structures built for one execution, shared immutably by all
+/// workers: all tries or all prefix indexes (the monomorphized fast paths), or
+/// — as soon as the atoms' kinds differ, which any delta-backed atom forces —
+/// one [`AtomAccess`] per atom, composed through [`CursorKind`]'s branch (not
+/// vtable) dispatch.
+pub(super) enum BuiltAccess<'d> {
+    Tries(Vec<Arc<Trie>>),
+    Indexes(Vec<Arc<PrefixIndex>>),
+    Mixed(Vec<AtomAccess<'d>>),
+}
+
+/// The cache side-channel of one [`BuiltAccess::build`]: the database whose
+/// [`wcoj_storage::AccessCache`] (and relation stamps) to consult, and the
+/// resolved [`CacheMode`]. `use_cache` is false when the mode is
+/// [`CacheMode::Off`] *or* the cache's byte budget is zero — either way every
+/// build is fresh and the shared cache is never touched.
+struct CacheCtx<'a> {
+    db: &'a Database,
+    use_cache: bool,
+    pinned: bool,
+}
+
+/// Fetch-or-build one static relation's access structure — a CSR trie for
+/// [`Backend::Trie`], a prefix hash index otherwise — through the access cache.
+/// Keyed by `(name, positions, kind, insertion stamp)`: rebinding the name
+/// changes the stamp, so stale entries can never be returned (they age out).
+fn cached_static<'d>(
+    ctx: &CacheCtx<'_>,
+    backend: Backend,
+    name: &str,
+    rel: &Relation,
+    positions: &[usize],
+    threads: usize,
+    stats: &mut CacheStats,
+) -> Result<AtomAccess<'d>, ExecError> {
+    let want_trie = backend == Backend::Trie;
+    let key = ctx.use_cache.then(|| CacheKey {
+        relation: name.to_string(),
+        positions: positions.to_vec(),
+        kind: if want_trie {
+            CacheKind::Trie
+        } else {
+            CacheKind::Index
+        },
+        stamp: ctx.db.relation_stamp(name),
+    });
+    let cache = ctx.db.access_cache();
+    // the key's kind decides which variant a hit can hold
+    match key.as_ref().and_then(|key| cache.get(key)) {
+        Some(CachedValue::Trie(t)) => {
+            stats.hits += 1;
+            return Ok(AtomAccess::Trie(t));
+        }
+        Some(CachedValue::Index(ix)) => {
+            stats.hits += 1;
+            return Ok(AtomAccess::Index(ix));
+        }
+        _ => {}
+    }
+    let (access, value, bytes) = if want_trie {
+        let t = Arc::new(Trie::build_positions_parallel(rel, positions, threads)?);
+        let bytes = t.heap_bytes();
+        (
+            AtomAccess::Trie(Arc::clone(&t)),
+            CachedValue::Trie(t),
+            bytes,
+        )
+    } else {
+        let ix = Arc::new(PrefixIndex::build_positions_parallel(
+            rel, positions, threads,
+        )?);
+        let bytes = ix.heap_bytes();
+        (
+            AtomAccess::Index(Arc::clone(&ix)),
+            CachedValue::Index(ix),
+            bytes,
+        )
+    };
+    if let Some(key) = key {
+        stats.misses += 1;
+        stats.evictions += cache.insert(key, value, rel.len() as u64, bytes, ctx.pinned);
+    }
+    Ok(access)
+}
+
+/// FNV-1a over the sealed-run identity list — the content fingerprint that
+/// keys a delta view to the exact run set it was built over. `| 1` keeps it
+/// disjoint from the head slot's reserved stamp 0.
+fn run_fingerprint(delta: &DeltaRelation) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for id in delta.run_ids() {
+        h ^= id;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h | 1
+}
+
+/// Fetch-or-build one delta-backed atom's [`DeltaAccess`] through the access
+/// cache. The cached payload is a [`DeltaView`] of the **sealed** runs only —
+/// the live unsealed buffer is collapsed per query by
+/// [`DeltaAccess::from_view`], exactly like an uncached build — revalidated by
+/// run identity: unchanged run list = hit, newly sealed runs appended =
+/// incremental merge (permute only the new tail, re-insert the extended view),
+/// anything else (tier merge, compaction) = full rebuild. The relation's
+/// **native** attribute order borrows the log directly (no permute, nothing
+/// worth caching), so identity orders bypass the cache.
+///
+/// Two slots per `(relation, order)`: the **head slot** (stamp 0), owned by
+/// the live database and only ever moved forward (extended, or rebuilt by a
+/// non-snapshot reader), and **exact slots** (stamp = run-set fingerprint)
+/// that pin a view to the precise run list it matches. A pinned
+/// [`wcoj_query::Snapshot`]'s reads fill only its exact slot — its frozen run
+/// set may be behind a head another reader already advanced — so a long-held
+/// snapshot and the advancing head never evict each other (EXPERIMENTS E10.4:
+/// 100 → 0 re-merges), while a *fresh* snapshot still hits the head slot via
+/// run-identity revalidation (same run list at pin time), which is what keeps
+/// the service's snapshot-per-query read path cached.
+fn cached_delta<'d>(
+    ctx: &CacheCtx<'_>,
+    name: &str,
+    delta: &'d DeltaRelation,
+    positions: &[usize],
+    threads: usize,
+    stats: &mut CacheStats,
+) -> Result<DeltaAccess<'d>, ExecError> {
+    let identity = positions.iter().enumerate().all(|(i, &p)| i == p);
+    if identity || !ctx.use_cache {
+        return Ok(DeltaAccess::build_positions(delta, positions, threads)?);
+    }
+    let cache = ctx.db.access_cache();
+    let head_key = CacheKey {
+        relation: name.to_string(),
+        positions: positions.to_vec(),
+        kind: CacheKind::Delta,
+        stamp: 0,
+    };
+    let exact_key = CacheKey {
+        stamp: run_fingerprint(delta),
+        ..head_key.clone()
+    };
+    let lookup = |key: &CacheKey| match cache.get(key) {
+        Some(CachedValue::Delta(view)) => Some(view),
+        _ => None,
+    };
+    if let Some(view) = lookup(&exact_key).filter(|v| v.matches(delta)) {
+        stats.hits += 1;
+        return Ok(DeltaAccess::from_view(&view, delta));
+    }
+    let head = lookup(&head_key);
+    if let Some(view) = head.as_ref().filter(|v| v.matches(delta)) {
+        stats.hits += 1;
+        return Ok(DeltaAccess::from_view(view, delta));
+    }
+    let view = match head.and_then(|v| v.extend(delta, threads)) {
+        Some(extended) => {
+            stats.incremental_merges += 1;
+            Arc::new(extended)
+        }
+        None => {
+            let built = Arc::new(DeltaView::build(delta, positions, threads)?);
+            stats.misses += 1;
+            built
+        }
+    };
+    let slots = [(!ctx.db.is_snapshot()).then_some(head_key), Some(exact_key)];
+    for key in slots.into_iter().flatten() {
+        stats.evictions += cache.insert(
+            key,
+            CachedValue::Delta(Arc::clone(&view)),
+            view.num_rows() as u64,
+            view.heap_bytes(),
+            ctx.pinned,
+        );
+    }
+    Ok(DeltaAccess::from_view(&view, delta))
+}
+
+impl<'d> BuiltAccess<'d> {
+    /// Build (or fetch from the database's access cache) one access structure
+    /// per atom over the column `positions` its join order resolves to (also
+    /// the cache key's permutation component); with `threads > 1` each fresh
+    /// build's argsort-and-scan pass is partitioned across scoped workers
+    /// ([`Trie::build_positions_parallel`] /
+    /// [`PrefixIndex::build_positions_parallel`] /
+    /// [`wcoj_storage::Relation::sort_perm_threads`] for delta runs).
+    /// Delta-backed atoms build a [`DeltaAccess`] over the live runs — no
+    /// snapshot materialization.
+    ///
+    /// With `trace` present, one [`AtomTrace`] per atom is appended — its
+    /// relation name, structure kind, cache outcome (diffed from `stats`),
+    /// and build wall-time. `None` adds no timing calls at all.
+    pub(super) fn build(
+        query: &ConjunctiveQuery,
+        db: &Database,
+        sources: &'d [AtomSource<'d>],
+        positions: &[Vec<usize>],
+        opts: &ExecOptions,
+        stats: &mut CacheStats,
+        mut trace: Option<&mut Vec<AtomTrace>>,
+    ) -> Result<Self, ExecError> {
+        let backend = opts.resolved_backend();
+        let threads = opts.resolved_threads();
+        let ctx = CacheCtx {
+            db,
+            use_cache: opts.cache != CacheMode::Off && db.access_cache().is_enabled(),
+            pinned: opts.cache == CacheMode::Pinned,
+        };
+        let mut atoms = Vec::with_capacity(sources.len());
+        for ((atom, source), positions) in query.atoms().iter().zip(sources).zip(positions) {
+            let started = trace.is_some().then(Instant::now);
+            let before = *stats;
+            let access = match source {
+                AtomSource::Static(rel) => {
+                    cached_static(&ctx, backend, &atom.name, rel, positions, threads, stats)?
+                }
+                AtomSource::Delta(delta) => AtomAccess::Delta(cached_delta(
+                    &ctx, &atom.name, delta, positions, threads, stats,
+                )?),
+            };
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.push(AtomTrace {
+                    relation: atom.name.clone(),
+                    kind: access.kind().to_string(),
+                    outcome: atom_outcome(&before, stats).to_string(),
+                    build_ns: elapsed_ns(started),
+                });
+            }
+            atoms.push(access);
+        }
+        if ctx.use_cache {
+            stats.bytes = db.access_cache().bytes() as u64;
+        }
+        Ok(Self::from_atoms(atoms))
+    }
+
+    /// Pick the monomorphized fast path when every atom got the same static
+    /// kind, the [`CursorKind`] composition otherwise.
+    fn from_atoms(atoms: Vec<AtomAccess<'d>>) -> Self {
+        let tries = atoms.iter().map(|a| match a {
+            AtomAccess::Trie(t) => Some(Arc::clone(t)),
+            _ => None,
+        });
+        if let Some(tries) = tries.collect() {
+            return BuiltAccess::Tries(tries);
+        }
+        let indexes = atoms.iter().map(|a| match a {
+            AtomAccess::Index(ix) => Some(Arc::clone(ix)),
+            _ => None,
+        });
+        match indexes.collect() {
+            Some(indexes) => BuiltAccess::Indexes(indexes),
+            None => BuiltAccess::Mixed(atoms),
+        }
+    }
+
+    /// Run the engine `S` over fresh cursor sets — serial for `threads == 1`,
+    /// morsel workers otherwise. Monomorphizes per backend. Fails with
+    /// [`ExecError::Canceled`] when `token` fires mid-run, or
+    /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
+    pub(super) fn run<S: InteriorStep>(
+        &self,
+        participants: &[Vec<usize>],
+        threads: usize,
+        ctx: JoinCtx<'_>,
+        token: Option<&CancelToken>,
+        morsels: Option<&OnceLock<MorselTrace>>,
+    ) -> Result<ColumnSink, ExecError> {
+        match self {
+            BuiltAccess::Tries(tries) => run_cursors::<S, _, _>(
+                || tries.iter().map(|t| t.cursor()).collect(),
+                participants,
+                threads,
+                ctx,
+                token,
+                morsels,
+            ),
+            BuiltAccess::Indexes(indexes) => run_cursors::<S, _, _>(
+                || indexes.iter().map(|ix| ix.cursor()).collect(),
+                participants,
+                threads,
+                ctx,
+                token,
+                morsels,
+            ),
+            BuiltAccess::Mixed(atoms) => run_cursors::<S, _, _>(
+                || atoms.iter().map(|a| a.cursor()).collect(),
+                participants,
+                threads,
+                ctx,
+                token,
+                morsels,
+            ),
+        }
+    }
+}

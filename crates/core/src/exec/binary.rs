@@ -15,20 +15,11 @@ use wcoj_storage::ops::{hash_join, nested_loop_join};
 use wcoj_storage::{Relation, WorkCounter};
 
 /// Execute `query` with a greedy left-deep binary hash-join plan. The result keeps
-/// one column per query variable, in the variable-id order of the query.
-pub fn binary_hash_plan(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    counter: &WorkCounter,
-) -> Result<Relation, ExecError> {
-    binary_hash_plan_cancellable(query, db, counter, None)
-}
-
-/// [`binary_hash_plan`] with a cooperative [`CancelToken`]: the token is
-/// polled **between** binary joins — the storage operators themselves have no
-/// chunk seam, so one oversized intermediate join still runs to completion
-/// before the cancellation is honored (coarse, but bounded per join).
-pub(crate) fn binary_hash_plan_cancellable(
+/// one column per query variable, in the variable-id order of the query. A
+/// [`CancelToken`] is polled **between** binary joins — the storage operators
+/// themselves have no chunk seam, so one oversized intermediate join still runs to
+/// completion before the cancellation is honored (coarse, but bounded per join).
+pub(super) fn binary_hash_plan(
     query: &ConjunctiveQuery,
     db: &Database,
     counter: &WorkCounter,
@@ -97,7 +88,7 @@ mod tests {
             Relation::from_pairs("x", "y", vec![(1, 3), (2, 1), (1, 4)]),
         );
         let w = WorkCounter::new();
-        let out = binary_hash_plan(&q, &db, &w).unwrap();
+        let out = binary_hash_plan(&q, &db, &w, None).unwrap();
         assert_eq!(out.len(), 3);
         assert!(out.contains(&[1, 2, 3]));
         assert!(w.intermediate_tuples() > 0);
@@ -121,7 +112,7 @@ mod tests {
             Relation::from_rows(wcoj_storage::Schema::new(&["B"]), vec![vec![7], vec![8]]),
         );
         let w = WorkCounter::new();
-        let out = binary_hash_plan(&q, &db, &w).unwrap();
+        let out = binary_hash_plan(&q, &db, &w, None).unwrap();
         assert_eq!(out.len(), 4);
     }
 
@@ -131,7 +122,7 @@ mod tests {
         let db = Database::new();
         let w = WorkCounter::new();
         assert!(matches!(
-            binary_hash_plan(&q, &db, &w).unwrap_err(),
+            binary_hash_plan(&q, &db, &w, None).unwrap_err(),
             ExecError::Database(_)
         ));
     }

@@ -1,0 +1,255 @@
+//! The driver: the one internal entry every public `execute*` calls ([`run`]),
+//! and the serial loop that feeds the engine skeleton ([`run_cursors`]).
+
+use super::access::BuiltAccess;
+use super::engine::{
+    first_extension_set, join_extensions, InteriorStep, JoinCtx, KernelExtension, LeapfrogRing,
+};
+use super::trace::{elapsed_ns, Recording, TraceTo};
+use super::{
+    binary, parallel, CacheMode, CancelToken, ColumnSink, Engine, ExecOptions, ExecOutput,
+};
+use crate::error::ExecError;
+use crate::planner::plan_order;
+use std::sync::OnceLock;
+use wcoj_obs::{LevelRecorder, MorselTrace};
+use wcoj_query::database::VarBinding;
+use wcoj_query::plan::is_valid_order;
+use wcoj_query::{ConjunctiveQuery, Database, VarId};
+use wcoj_storage::{AttrType, CacheStats, Relation, Schema, TrieAccess, WorkCounter};
+
+/// Execute `query` over `db` as `opts` says: under `order` (`None` asks the
+/// planner — the binary baseline ignores it), polling `token` if there is one,
+/// with the trace (if `to` wants one) built here, planning time included, and
+/// handed to `to`.
+pub(super) fn run<T: TraceTo>(
+    query: &ConjunctiveQuery,
+    db: &Database,
+    opts: &ExecOptions,
+    order: Option<&[VarId]>,
+    token: Option<&CancelToken>,
+    to: T,
+) -> Result<T::Out, ExecError> {
+    if let Some(t) = token {
+        t.check()?;
+    }
+    let mut rec = Recording::new(to.tracing());
+    let planned;
+    let order = match order {
+        Some(order) => order,
+        None => {
+            let planning = rec.clock();
+            planned = plan_order(query, db, opts)?;
+            rec.plan_ns = elapsed_ns(planning);
+            &planned
+        }
+    };
+    if !is_valid_order(query, order) {
+        return Err(ExecError::InvalidOrder(order.to_vec()));
+    }
+    // Validate the typed-catalog contract up front: every atom binding a variable
+    // must agree on its type and dictionary domain, else the engines would compare
+    // codes from different value spaces. Also yields the result schema's types.
+    let bindings = db.var_bindings(query)?;
+    let work = WorkCounter::new();
+    let mut cache_stats = CacheStats::default();
+    let wcoj = Wcoj {
+        query,
+        db,
+        opts,
+        order,
+        token,
+        bindings: &bindings,
+    };
+    let result = match opts.engine {
+        Engine::BinaryHash => {
+            // the baseline's storage operators have no chunk seam: the token is
+            // honored only between whole binary joins (coarse, but bounded)
+            let joining = rec.clock();
+            let rel = binary::binary_hash_plan(query, db, &work, token)?;
+            rec.join_ns = elapsed_ns(joining);
+            if let Some(t) = token {
+                t.check()?;
+            }
+            rel
+        }
+        Engine::GenericJoin => wcoj.join::<KernelExtension>(&work, &mut cache_stats, &mut rec)?,
+        Engine::Leapfrog => wcoj.join::<LeapfrogRing>(&work, &mut cache_stats, &mut rec)?,
+    };
+    let out = ExecOutput {
+        result,
+        work,
+        order: order.to_vec(),
+        cache_stats,
+    };
+    Ok(to.deliver(out, |out| rec.into_trace(query, db, opts, out)))
+}
+
+/// One validated WCOJ execution: what [`run`] resolved before choosing the
+/// engine's [`InteriorStep`] by type.
+struct Wcoj<'a> {
+    query: &'a ConjunctiveQuery,
+    db: &'a Database,
+    opts: &'a ExecOptions,
+    order: &'a [VarId],
+    token: Option<&'a CancelToken>,
+    bindings: &'a [VarBinding],
+}
+
+impl Wcoj<'_> {
+    /// Build the access structures, run the skeleton with step `S` over them,
+    /// and package the columns as the result relation.
+    fn join<S: InteriorStep>(
+        &self,
+        work: &WorkCounter,
+        cache_stats: &mut CacheStats,
+        rec: &mut Recording,
+    ) -> Result<Relation, ExecError> {
+        let Wcoj {
+            query, db, opts, ..
+        } = *self;
+        let sources = db.atom_sources(query)?;
+        let (participants, positions) = levels_and_positions(query, self.order);
+        let building = rec.clock();
+        let built = BuiltAccess::build(
+            query,
+            db,
+            &sources,
+            &positions,
+            opts,
+            cache_stats,
+            rec.tracing().then_some(&mut rec.atoms),
+        )?;
+        rec.build_ns = elapsed_ns(building);
+        if rec.tracing() {
+            rec.levels = Some(LevelRecorder::new(self.order.len()));
+        }
+        let ctx = JoinCtx {
+            policy: opts.kernel,
+            cal: &opts.calibration,
+            counter: work,
+            trace: rec.levels.as_ref(),
+        };
+        let joining = rec.clock();
+        let morsels = rec.tracing().then_some(&rec.morsels);
+        let threads = opts.resolved_threads();
+        let rows = built.run::<S>(&participants, threads, ctx, self.token, morsels)?;
+        rec.join_ns = elapsed_ns(joining);
+        // fold this query's cache activity into the database's cumulative
+        // observability counters (guarded so a cache-bypassing run cannot
+        // zero the resident-bytes gauge)
+        if opts.cache != CacheMode::Off && db.access_cache().is_enabled() {
+            db.access_cache().record_query(cache_stats);
+        }
+        rows_to_relation(query, self.order, rows, self.bindings)
+    }
+}
+
+/// What a (valid) global variable order means for each atom, resolved once:
+/// `participants[l]` = the atoms containing the variable bound at level `l`,
+/// and per atom the **column positions** of its relation sorted by the level
+/// their variable is bound at — the order its trie / prefix index is built over
+/// (every source's columns bind to its atom's variables positionally).
+fn levels_and_positions(
+    query: &ConjunctiveQuery,
+    order: &[VarId],
+) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let mut level_of = vec![0usize; order.len()];
+    for (level, &v) in order.iter().enumerate() {
+        level_of[v] = level;
+    }
+    let mut participants = vec![Vec::new(); order.len()];
+    let mut positions = Vec::with_capacity(query.atoms().len());
+    for (i, atom) in query.atoms().iter().enumerate() {
+        for &v in &atom.vars {
+            participants[level_of[v]].push(i);
+        }
+        let mut columns: Vec<usize> = (0..atom.vars.len()).collect();
+        columns.sort_by_key(|&c| level_of[atom.vars[c]]);
+        positions.push(columns);
+    }
+    (participants, positions)
+}
+
+/// Serial cancellable execution slices the extension set this many values at a
+/// time between token polls. Chunk boundaries cannot affect rows or counters —
+/// the morsel scheduler's differential tests assert exactly that — so this
+/// only bounds cancellation latency (one chunk's subtrees).
+const CANCEL_CHUNK: usize = 64;
+
+/// Run the skeleton with step `S` over cursor sets from `make_cursors` (one
+/// cursor per atom, positioned at the root): the morsel scheduler for
+/// `threads > 1`, else the engines' own decomposition in place — the level-0
+/// intersection, then the engine body over slices of it, all into one
+/// [`ColumnSink`]: a single whole-set slice when nothing can cancel the run,
+/// [`CANCEL_CHUNK`]-value slices with a token poll between them otherwise. Rows
+/// and counters do not depend on the slicing, nor on `ctx.trace`.
+pub(super) fn run_cursors<S, C, F>(
+    make_cursors: F,
+    participants: &[Vec<usize>],
+    threads: usize,
+    ctx: JoinCtx<'_>,
+    token: Option<&CancelToken>,
+    morsels: Option<&OnceLock<MorselTrace>>,
+) -> Result<ColumnSink, ExecError>
+where
+    S: InteriorStep,
+    C: TrieAccess,
+    F: Fn() -> Vec<C> + Sync,
+{
+    if threads > 1 {
+        return parallel::morsel_join::<S, C, F>(
+            make_cursors,
+            participants,
+            threads,
+            ctx,
+            token,
+            morsels,
+        );
+    }
+    let mut cursors = make_cursors();
+    for c in cursors.iter_mut() {
+        c.set_seek_calibration(ctx.cal.linear_seek_max);
+    }
+    if let Some(t) = token {
+        t.check()?;
+    }
+    let e0 = first_extension_set(&mut cursors, &participants[0], ctx);
+    let mut sink = ColumnSink::new(participants.len());
+    let slice_len = match token {
+        Some(_) => CANCEL_CHUNK,
+        None => e0.len().max(1),
+    };
+    for slice in e0.chunks(slice_len) {
+        if let Some(t) = token {
+            t.check()?;
+        }
+        join_extensions::<S, C>(&mut cursors, participants, slice, ctx, &mut sink);
+    }
+    Ok(sink)
+}
+
+/// Package the engines' output — one column per level of the join order — as a
+/// relation with columns in variable-id order. Only the column *vector* is
+/// permuted; no value moves. Under the identity order (the default planner's
+/// usual choice) the columns are then already canonical and
+/// [`Relation::try_from_columns`] adopts them after one linear check — no copy,
+/// no sort; under any other order it packs, radix-sorts and unpacks them in
+/// place. Each output column carries the [`AttrType`] of its variable's binding,
+/// so dictionary-encoded results stay decodable (and bit-compatible with the
+/// binary baseline, whose schemas flow through the storage operators).
+fn rows_to_relation(
+    query: &ConjunctiveQuery,
+    order: &[VarId],
+    rows: ColumnSink,
+    bindings: &[VarBinding],
+) -> Result<Relation, ExecError> {
+    let names: Vec<String> = query.var_names().to_vec();
+    let types: Vec<AttrType> = (0..names.len() as VarId).map(|v| bindings[v].ty).collect();
+    let schema = Schema::try_new_typed(names, types)?;
+    let mut columns = vec![Vec::new(); order.len()];
+    for (&v, col) in order.iter().zip(rows.into_columns()) {
+        columns[v] = col;
+    }
+    Ok(Relation::try_from_columns(schema, columns)?)
+}

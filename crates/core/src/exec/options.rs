@@ -1,0 +1,298 @@
+//! What an execution is told and what it hands back: [`Engine`], [`Backend`],
+//! [`CacheMode`], the [`ExecOptions`] that carry them, and [`ExecOutput`].
+//!
+//! Rows and work counters are a function of `(query, database, options)` and
+//! nothing else: no field here is resolved from the environment, the
+//! filesystem or a measurement of the host.
+
+use crate::error::ExecError;
+use std::sync::Arc;
+use wcoj_obs::TraceSink;
+use wcoj_query::{ConjunctiveQuery, Database, VarId};
+use wcoj_storage::typed::TypedRows;
+use wcoj_storage::{topology, CacheStats, KernelCalibration, KernelPolicy, Relation, WorkCounter};
+
+/// Which join engine to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// Left-deep binary hash-join plan (the one-pair-at-a-time baseline).
+    BinaryHash,
+    /// Generic Join (smallest-first set intersection).
+    GenericJoin,
+    /// Leapfrog Triejoin (mutual leapfrogging).
+    Leapfrog,
+}
+
+/// Which storage access path to build for the WCOJ engines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// Each engine's native access path: prefix indexes for Generic Join, CSR tries
+    /// for Leapfrog Triejoin.
+    Auto,
+    /// CSR tries for every atom.
+    Trie,
+    /// Prefix hash indexes for every atom.
+    Hash,
+}
+
+/// How one execution uses the per-database access-structure cache
+/// ([`wcoj_storage::AccessCache`]). Caching never changes results or work
+/// counters — structures are bit-identical however they were obtained — so
+/// this only trades build time against memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CacheMode {
+    /// Bypass the cache entirely: build fresh structures and touch no shared
+    /// state (differential baselines, one-shot queries).
+    Off,
+    /// Reuse valid cached structures, insert whatever gets built, and let the
+    /// cost-aware policy evict under byte pressure. The default.
+    #[default]
+    On,
+    /// Like [`CacheMode::On`], but entries this execution inserts are exempt
+    /// from eviction (they still revalidate, and stale ones are replaced).
+    /// For hot recurring queries that must never lose their structures.
+    Pinned,
+}
+
+/// Execution configuration threaded through the public API and the planner.
+///
+/// Equality ignores [`ExecOptions::trace`]: a trace sink observes an execution
+/// without configuring it (results and work counters are bit-identical with
+/// tracing on or off), so two options differing only in their sink describe
+/// the same execution.
+#[derive(Debug, Clone)]
+pub struct ExecOptions {
+    /// The join engine.
+    pub engine: Engine,
+    /// The storage access path for the WCOJ engines (ignored by the binary
+    /// baseline).
+    pub backend: Backend,
+    /// Worker threads for the WCOJ engines: `1` runs serially, `n > 1` runs the
+    /// morsel-driven scheduler with `n` workers, and `0` asks the OS for the
+    /// available parallelism. With `n > 1` the access-structure *builds* are also
+    /// partitioned across `n` scoped workers. The binary baseline always runs
+    /// serially.
+    pub threads: usize,
+    /// Intersection-kernel policy for the WCOJ engines' extension sets:
+    /// [`KernelPolicy::Adaptive`] (the default) picks merge / gallop / bitmap per
+    /// intersection; the other values force one kernel (used by differential
+    /// tests and experiments). Ignored by the binary baseline.
+    pub kernel: KernelPolicy,
+    /// Kernel-selection and seek thresholds: [`KernelCalibration::fixed`]
+    /// unless overridden (differential tests run other values). Thresholds
+    /// change which kernel/tally a given intersection or seek lands in —
+    /// never the result — and are never derived from the host, so the same
+    /// options give the same work counters on every machine and every run.
+    pub calibration: KernelCalibration,
+    /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
+    /// the database's shared cache ([`CacheMode::On`], the default), pin them
+    /// against eviction, or bypass the cache. Ignored by the binary baseline,
+    /// which builds no tries or indexes.
+    pub cache: CacheMode,
+    /// Optional trace sink: `Some` makes the execution deposit a
+    /// [`wcoj_obs::QueryTrace`] — plan choice, per-level extension-set statistics,
+    /// per-atom cache outcomes, morsel scheduling, and wall-time phases —
+    /// into the sink ([`TraceSink::take`] retrieves it). `None` (the default)
+    /// records nothing and adds no work to the hot path. Tracing never
+    /// perturbs execution: rows and work counters are bit-identical with the
+    /// sink present or absent (the trace-neutrality property suite asserts
+    /// this), only wall-clock fields differ between traced runs.
+    pub trace: Option<Arc<TraceSink>>,
+}
+
+impl PartialEq for ExecOptions {
+    fn eq(&self, other: &Self) -> bool {
+        // `trace` is deliberately excluded: it observes, never configures.
+        self.engine == other.engine
+            && self.backend == other.backend
+            && self.threads == other.threads
+            && self.kernel == other.kernel
+            && self.calibration == other.calibration
+            && self.cache == other.cache
+    }
+}
+
+impl Eq for ExecOptions {}
+
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions {
+            engine: Engine::GenericJoin,
+            backend: Backend::Auto,
+            threads: 1,
+            kernel: KernelPolicy::Adaptive,
+            calibration: KernelCalibration::fixed(),
+            cache: CacheMode::On,
+            trace: None,
+        }
+    }
+}
+
+impl ExecOptions {
+    /// Options for `engine` with the native backend, single-threaded.
+    pub fn new(engine: Engine) -> Self {
+        ExecOptions {
+            engine,
+            ..Default::default()
+        }
+    }
+
+    /// Builder-style backend override.
+    pub fn with_backend(&self, backend: Backend) -> Self {
+        ExecOptions {
+            backend,
+            ..self.clone()
+        }
+    }
+
+    /// Builder-style thread-count override (see [`ExecOptions::threads`]).
+    pub fn with_threads(&self, threads: usize) -> Self {
+        ExecOptions {
+            threads,
+            ..self.clone()
+        }
+    }
+
+    /// Builder-style kernel-policy override (see [`ExecOptions::kernel`]).
+    pub fn with_kernel(&self, kernel: KernelPolicy) -> Self {
+        ExecOptions {
+            kernel,
+            ..self.clone()
+        }
+    }
+
+    /// Builder-style threshold override (see [`ExecOptions::calibration`]).
+    pub fn with_calibration(&self, calibration: KernelCalibration) -> Self {
+        ExecOptions {
+            calibration,
+            ..self.clone()
+        }
+    }
+
+    /// Builder-style cache-mode override (see [`ExecOptions::cache`]).
+    pub fn with_cache(&self, cache: CacheMode) -> Self {
+        ExecOptions {
+            cache,
+            ..self.clone()
+        }
+    }
+
+    /// Builder-style trace sink (see [`ExecOptions::trace`]).
+    pub fn with_trace(&self, sink: Arc<TraceSink>) -> Self {
+        ExecOptions {
+            trace: Some(sink),
+            ..self.clone()
+        }
+    }
+
+    /// The concrete worker count: `threads`, with `0` resolved to the CPUs
+    /// available to the process ([`topology::available_cpus`], read once — so a
+    /// caller that has pinned its own thread still gets every core).
+    pub fn resolved_threads(&self) -> usize {
+        if self.threads == 0 {
+            topology::available_cpus()
+        } else {
+            self.threads
+        }
+    }
+
+    /// The concrete backend for `self.engine` after resolving [`Backend::Auto`].
+    pub fn resolved_backend(&self) -> Backend {
+        match (self.backend, self.engine) {
+            (Backend::Auto, Engine::Leapfrog) => Backend::Trie,
+            (Backend::Auto, _) => Backend::Hash,
+            (b, _) => b,
+        }
+    }
+}
+
+/// The result of executing a query: the output relation (columns in the query's
+/// variable order), the work performed, and the variable order that was used.
+#[derive(Debug, Clone)]
+pub struct ExecOutput {
+    /// The query output.
+    pub result: Relation,
+    /// Elementary-operation tallies recorded during execution (for parallel runs:
+    /// the deterministic merge of every worker's tallies).
+    pub work: WorkCounter,
+    /// The global variable order the engine ran with (identity for the binary
+    /// baseline, which is order-insensitive).
+    pub order: Vec<VarId>,
+    /// Access-structure cache activity during this execution: hits, misses,
+    /// incremental delta merges, evictions triggered, and the cache's resident
+    /// bytes afterwards. Build work is tallied here — never in
+    /// [`ExecOutput::work`] — so caching cannot perturb the work counters.
+    /// All-zero for the binary baseline and with [`CacheMode::Off`].
+    pub cache_stats: CacheStats,
+}
+
+impl ExecOutput {
+    /// A typed decode view over [`ExecOutput::result`]: each dictionary-encoded
+    /// column decodes back to strings through the shared per-domain dictionary of
+    /// `db` that its values were interned into at load time. The engines' inner
+    /// loops never touch this — decoding is a lazy view over the already-built
+    /// result columns, and unknown codes fail loudly
+    /// ([`wcoj_storage::StorageError::UnknownCode`]) instead of guessing.
+    pub fn typed_rows<'a>(
+        &'a self,
+        query: &ConjunctiveQuery,
+        db: &'a Database,
+    ) -> Result<TypedRows<'a>, ExecError> {
+        let bindings = db.var_bindings(query)?;
+        let dicts = bindings
+            .iter()
+            .map(|b| b.domain.as_deref().and_then(|d| db.dictionary(d)))
+            .collect();
+        Ok(TypedRows::new(&self.result, dicts)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn options_resolve_sensibly() {
+        let opts = ExecOptions::default();
+        assert_eq!(opts.engine, Engine::GenericJoin);
+        assert_eq!(opts.resolved_backend(), Backend::Hash);
+        assert_eq!(opts.resolved_threads(), 1);
+        assert_eq!(opts.calibration, KernelCalibration::fixed());
+        assert_eq!(opts.cache, CacheMode::On);
+        assert_eq!(
+            ExecOptions::default().with_cache(CacheMode::Pinned).cache,
+            CacheMode::Pinned
+        );
+        let lf = ExecOptions::new(Engine::Leapfrog).with_threads(4);
+        assert_eq!(lf.resolved_backend(), Backend::Trie);
+        assert_eq!(lf.resolved_threads(), 4);
+        assert_eq!(
+            ExecOptions::new(Engine::GenericJoin)
+                .with_backend(Backend::Trie)
+                .resolved_backend(),
+            Backend::Trie
+        );
+    }
+
+    /// `threads: 0` means every CPU of the *process*: a caller that pinned its
+    /// own thread (a service worker, a benchmark client) must not be resolved
+    /// down to the one CPU its affinity mask now shows.
+    #[test]
+    fn zero_threads_survives_a_pinned_caller() {
+        let all = topology::available_cpus();
+        assert!(all >= 1);
+        let auto = ExecOptions::new(Engine::GenericJoin).with_threads(0);
+        let resolved = std::thread::scope(|s| {
+            s.spawn(|| {
+                topology::pin_current_thread(0);
+                auto.resolved_threads()
+            })
+            .join()
+        });
+        assert_eq!(
+            resolved.ok(),
+            Some(all),
+            "resolved count dropped after a pin"
+        );
+    }
+}

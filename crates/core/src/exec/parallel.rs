@@ -43,9 +43,8 @@
 //! merged counters equal the serial engine's for *any* thread count. The differential
 //! test suite asserts both properties for threads ∈ {1, 2, 4, 8}.
 
-use super::{
-    engine_join_extensions, first_extension_set, CancelToken, ColumnSink, Engine, JoinCtx,
-};
+use super::engine::{first_extension_set, join_extensions, InteriorStep, JoinCtx};
+use super::{CancelToken, ColumnSink};
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -122,8 +121,8 @@ impl MorselSchedule {
     }
 }
 
-/// Run `engine` over `threads` workers, each holding a private cursor set produced
-/// by `make_cursors` (one cursor per atom, positioned at the root). Returns the
+/// Run the engine skeleton with step `S` over `threads` workers, each holding a
+/// private cursor set produced by `make_cursors` (one cursor per atom, positioned at the root). Returns the
 /// result tuples in the same order as serial execution; merged worker counters and
 /// the driver's intersection work are recorded into `ctx.counter`, and the
 /// scheduling report into `morsels` when tracing. A `token` is polled in every
@@ -131,8 +130,7 @@ impl MorselSchedule {
 /// drains, and the call returns [`ExecError::Canceled`] (partial output is
 /// discarded) — with a token that never fires, rows and counters are
 /// bit-identical to a token-less run.
-pub(crate) fn morsel_join<C, F>(
-    engine: Engine,
+pub(crate) fn morsel_join<S, C, F>(
     make_cursors: F,
     participants: &[Vec<usize>],
     threads: usize,
@@ -141,6 +139,7 @@ pub(crate) fn morsel_join<C, F>(
     morsels: Option<&OnceLock<MorselTrace>>,
 ) -> Result<ColumnSink, ExecError>
 where
+    S: InteriorStep,
     C: TrieAccess,
     F: Fn() -> Vec<C> + Sync,
 {
@@ -209,8 +208,7 @@ where
                         report.claimed += 1;
                         report.stolen += stole as u64;
                         let mut sink = ColumnSink::new(participants.len());
-                        engine_join_extensions(
-                            engine,
+                        join_extensions::<S, C>(
                             &mut cursors,
                             participants,
                             slices[m],
@@ -262,8 +260,9 @@ fn panic_message(w: usize, panic: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::super::driver::run_cursors;
+    use super::super::engine::{KernelExtension, LeapfrogRing};
     use super::*;
-    use crate::exec::generic::generic_join;
     use wcoj_storage::{KernelCalibration, KernelPolicy, Relation, Trie};
 
     fn ctx<'a>(cal: &'a KernelCalibration, counter: &'a WorkCounter) -> JoinCtx<'a> {
@@ -291,23 +290,23 @@ mod tests {
         let tries = triangle_tries();
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
 
+        let cal = KernelCalibration::fixed();
         let serial_counter = WorkCounter::new();
-        let mut cursors: Vec<_> = tries.iter().map(|t| t.cursor()).collect();
-        let serial = generic_join(
-            &mut cursors,
+        let serial = run_cursors::<KernelExtension, _, _>(
+            || tries.iter().map(|t| t.cursor()).collect(),
             &participants,
-            KernelPolicy::Adaptive,
-            &KernelCalibration::fixed(),
-            &serial_counter,
-        );
+            1,
+            ctx(&cal, &serial_counter),
+            None,
+            None,
+        )
+        .unwrap();
         assert!(!serial.is_empty(), "fixture should produce triangles");
         let serial = serial.into_columns();
 
-        let cal = KernelCalibration::fixed();
         for threads in [1, 2, 4, 8] {
             let parallel_counter = WorkCounter::new();
-            let out = morsel_join(
-                Engine::GenericJoin,
+            let out = morsel_join::<KernelExtension, _, _>(
                 || tries.iter().map(|t| t.cursor()).collect(),
                 &participants,
                 threads,
@@ -335,8 +334,7 @@ mod tests {
         let w = WorkCounter::new();
         let cal = KernelCalibration::fixed();
         let slot = OnceLock::new();
-        let out = morsel_join(
-            Engine::Leapfrog,
+        let out = morsel_join::<LeapfrogRing, _, _>(
             || tries.iter().map(|t| t.cursor()).collect(),
             &[vec![0, 1], vec![0], vec![1]],
             4,
@@ -362,8 +360,7 @@ mod tests {
         let calls = AtomicUsize::new(0);
         let w = WorkCounter::new();
         let cal = KernelCalibration::fixed();
-        let err = morsel_join(
-            Engine::GenericJoin,
+        let err = morsel_join::<KernelExtension, _, _>(
             || {
                 // the driver's cursor set (call 0) builds; every worker's dies
                 if calls.fetch_add(1, Ordering::SeqCst) > 0 {

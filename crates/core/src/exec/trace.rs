@@ -1,0 +1,208 @@
+//! Trace plumbing: what a traced execution records on the side
+//! ([`Recording`]), who receives the finished [`QueryTrace`] ([`TraceTo`]), and
+//! the stable trace spellings of engines, backends, kernels and counters.
+//! Tracing observes, never configures — rows and work counters are
+//! bit-identical with it on or off; only wall-clock fields differ.
+
+use super::{Backend, Engine, ExecOptions, ExecOutput};
+use std::sync::OnceLock;
+use std::time::Instant;
+use wcoj_bounds::agm::agm_bound;
+use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel, TraceSink};
+use wcoj_query::{ConjunctiveQuery, Database};
+use wcoj_storage::{kernels, CacheStats, WorkCounter};
+
+/// Who receives an execution's [`QueryTrace`], and therefore whether one is
+/// recorded at all and what the execution returns.
+pub(super) trait TraceTo {
+    /// What the caller gets back.
+    type Out;
+    /// Whether this execution records a trace.
+    fn tracing(&self) -> bool;
+    /// Hand over the output; `trace` is called iff [`TraceTo::tracing`].
+    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> Self::Out;
+}
+
+/// The sink on [`ExecOptions::trace`], if any: the trace is deposited there and
+/// the caller gets the plain output. `None` records nothing and adds no work.
+impl TraceTo for Option<&TraceSink> {
+    type Out = ExecOutput;
+    fn tracing(&self) -> bool {
+        self.is_some()
+    }
+    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> ExecOutput {
+        if let Some(sink) = self {
+            sink.record(trace(&out));
+        }
+        out
+    }
+}
+
+/// `EXPLAIN ANALYZE`: tracing forced on, the trace returned next to the output.
+pub(super) struct Explain;
+
+impl TraceTo for Explain {
+    type Out = (ExecOutput, QueryTrace);
+    fn tracing(&self) -> bool {
+        true
+    }
+    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> Self::Out {
+        let trace = trace(&out);
+        (out, trace)
+    }
+}
+
+/// What one execution records on the side. Inert — no clock read, no
+/// allocation, no recorder on the hot path — unless the execution is traced.
+pub(super) struct Recording {
+    /// When the execution started; `Some` iff it is traced.
+    started: Option<Instant>,
+    pub(super) plan_ns: u64,
+    pub(super) build_ns: u64,
+    pub(super) join_ns: u64,
+    /// One record per atom's access-structure build.
+    pub(super) atoms: Vec<AtomTrace>,
+    /// One cell row per join variable (engines record into it with relaxed
+    /// atomics — per-level sums are commutative, so the deterministic fields are
+    /// identical for any thread count); installed by the WCOJ engines only.
+    pub(super) levels: Option<LevelRecorder>,
+    /// Filled by the morsel scheduler with its per-worker claim/steal/pin report.
+    pub(super) morsels: OnceLock<MorselTrace>,
+}
+
+impl Recording {
+    pub(super) fn new(tracing: bool) -> Self {
+        Recording {
+            started: tracing.then(Instant::now),
+            plan_ns: 0,
+            build_ns: 0,
+            join_ns: 0,
+            atoms: Vec::new(),
+            levels: None,
+            morsels: OnceLock::new(),
+        }
+    }
+
+    pub(super) fn tracing(&self) -> bool {
+        self.started.is_some()
+    }
+
+    /// Start timing a phase (`None`, and no clock read, when not tracing).
+    pub(super) fn clock(&self) -> Option<Instant> {
+        self.started.map(|_| Instant::now())
+    }
+
+    /// Assemble the trace of the execution that produced `out`.
+    pub(super) fn into_trace(
+        self,
+        query: &ConjunctiveQuery,
+        db: &Database,
+        opts: &ExecOptions,
+        out: &ExecOutput,
+    ) -> QueryTrace {
+        let (agm_log2, agm_tuples) = match agm_bound(query, db) {
+            Ok(b) => (b.log2_bound, b.tuple_bound()),
+            Err(_) => (f64::NAN, f64::NAN),
+        };
+        let order: Vec<String> = out
+            .order
+            .iter()
+            .map(|&v| query.var_name(v).to_string())
+            .collect();
+        let CacheStats {
+            hits,
+            misses,
+            incremental_merges,
+            evictions,
+            ..
+        } = out.cache_stats;
+        QueryTrace {
+            engine: engine_name(opts.engine).to_string(),
+            backend: backend_name(opts.resolved_backend()).to_string(),
+            threads: opts.resolved_threads(),
+            agm_log2,
+            agm_tuples,
+            rows: out.result.len() as u64,
+            plan_ns: self.plan_ns,
+            build_ns: self.build_ns,
+            join_ns: self.join_ns,
+            total_ns: elapsed_ns(self.started),
+            atoms: self.atoms,
+            levels: self.levels.map_or_else(Vec::new, |l| l.into_levels(&order)),
+            morsels: self.morsels.into_inner(),
+            order,
+            work: work_pairs(&out.work),
+            cache_hits: hits,
+            cache_misses: misses,
+            cache_incremental: incremental_merges,
+            cache_evictions: evictions,
+        }
+    }
+}
+
+/// Nanoseconds since a [`Recording::clock`] reading (0 when not tracing).
+pub(super) fn elapsed_ns(since: Option<Instant>) -> u64 {
+    since.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// The stable trace spelling of a work-counter snapshot — every deterministic
+/// tally, in a fixed order (bit-identical across traced and untraced runs by
+/// the trace-neutrality property).
+fn work_pairs(w: &WorkCounter) -> Vec<(String, u64)> {
+    [
+        ("total_work", w.total_work()),
+        ("intersect_steps", w.intersect_steps()),
+        ("probes", w.probes()),
+        ("comparisons", w.comparisons()),
+        ("intermediate_tuples", w.intermediate_tuples()),
+        ("output_tuples", w.output_tuples()),
+        ("delta_merge", w.delta_merge()),
+        ("kernel_merge", w.kernel_merge()),
+        ("kernel_gallop", w.kernel_gallop()),
+        ("kernel_bitmap", w.kernel_bitmap()),
+    ]
+    .into_iter()
+    .map(|(n, v)| (n.to_string(), v))
+    .collect()
+}
+
+fn engine_name(engine: Engine) -> &'static str {
+    match engine {
+        Engine::BinaryHash => "binary_hash",
+        Engine::GenericJoin => "generic_join",
+        Engine::Leapfrog => "leapfrog",
+    }
+}
+
+fn backend_name(backend: Backend) -> &'static str {
+    match backend {
+        Backend::Auto => "auto",
+        Backend::Trie => "trie",
+        Backend::Hash => "hash",
+    }
+}
+
+/// The trace spelling of a kernel choice.
+pub(super) fn trace_kernel(kind: kernels::KernelKind) -> TraceKernel {
+    match kind {
+        kernels::KernelKind::Merge => TraceKernel::Merge,
+        kernels::KernelKind::Gallop => TraceKernel::Gallop,
+        kernels::KernelKind::Bitmap => TraceKernel::Bitmap,
+    }
+}
+
+/// Classify one atom's cache interaction by diffing the per-query
+/// [`CacheStats`] around its build: exactly one tally moves per cached build,
+/// and none on the cache-bypassing paths (identity-order deltas,
+/// [`super::CacheMode::Off`], a disabled cache).
+pub(super) fn atom_outcome(before: &CacheStats, after: &CacheStats) -> &'static str {
+    if after.hits > before.hits {
+        "hit"
+    } else if after.incremental_merges > before.incremental_merges {
+        "incremental"
+    } else if after.misses > before.misses {
+        "miss"
+    } else {
+        "bypass"
+    }
+}

@@ -5,25 +5,32 @@
 //! join execution. It provides:
 //!
 //! * **Generic Join** (Algorithm 2, Section 4.2) — recursive variable-at-a-time
-//!   binding with smallest-first sorted-set intersection — [`exec::generic`];
-//! * **Leapfrog Triejoin** (Veldhuizen 2014, the survey's Section 1.2 ancestor) —
-//!   k-way leapfrog intersection over sorted trie cursors — [`exec::leapfrog`];
-//! * the classical **binary hash-join baseline** the paper compares against —
-//!   [`exec::binary`];
-//! * **morsel-driven parallel execution** of both WCOJ engines — [`exec::parallel`]
+//!   binding with smallest-first sorted-set intersection — and **Leapfrog
+//!   Triejoin** (Veldhuizen 2014, the survey's Section 1.2 ancestor) — k-way
+//!   leapfrog intersection over sorted trie cursors — as **one engine skeleton**
+//!   parameterized by how an interior level's values are enumerated
+//!   ([`exec::Engine`] picks which);
+//! * the classical **binary hash-join baseline** the paper compares against
+//!   ([`exec::Engine::BinaryHash`]);
+//! * **morsel-driven parallel execution** of the skeleton — [`exec::parallel`]
 //!   partitions the first join variable's extension set across `std::thread::scope`
 //!   workers holding private cursors and counters, merging results and work tallies
 //!   deterministically (bit-identical to serial execution);
 //! * an **AGM-guided planner** that picks variable orders from the optimal
 //!   fractional edge cover of the `wcoj-bounds` LP — [`planner`];
-//! * one entry point, [`exec::execute_opts`] (with [`exec::execute`] as the
-//!   serial-default convenience), configured by [`exec::ExecOptions`]
-//!   `{ engine, backend, threads }` and returning the output relation plus the
-//!   [`wcoj_storage::WorkCounter`] tallies that let tests compare measured work
-//!   against the `N^{ρ*}` bound directly.
+//! * **one entry**: [`exec::execute`] (engine only — the quick start below),
+//!   [`exec::execute_opts`] (full [`exec::ExecOptions`]), and three variants for
+//!   an explicit order, a cancel token and `EXPLAIN ANALYZE`, every one a
+//!   one-line call into the same internal function. Each returns the output
+//!   relation plus the [`wcoj_storage::WorkCounter`] tallies that let tests compare
+//!   measured work against the `N^{ρ*}` bound directly.
 //!
-//! Both WCOJ engines are written once, **generically**, against the
-//! [`wcoj_storage::TrieAccess`] trait, so they run monomorphized over CSR tries and
+//! Rows and work counters are a function of `(query, database, options)`:
+//! nothing in this crate reads the environment, the filesystem or a clock to
+//! decide *what* to execute — there is no host tuning.
+//!
+//! The skeleton is written once, **generically**, against the
+//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over CSR tries and
 //! prefix hash indexes (selected by [`exec::Backend`]), and any future access path
 //! (compressed, distributed, cached) only has to implement the trait.
 //!
@@ -58,9 +65,8 @@ pub mod planner;
 
 pub use error::ExecError;
 pub use exec::{
-    cache_partitions_enabled, execute, execute_cancellable, execute_explain, execute_opts,
-    execute_opts_with_order, execute_with_order, set_cache_partitions, Backend, CacheMode,
-    CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
+    execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order, Backend,
+    CacheMode, CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
 };
 pub use planner::{agm_variable_order, plan_order};
 pub use wcoj_obs::{AtomTrace, LevelTrace, MorselTrace, QueryTrace, TraceSink, WorkerTrace};

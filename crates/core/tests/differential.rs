@@ -8,14 +8,31 @@
 //! 3. on the canonical triangle instance, the cursor work (probes + intersection
 //!    steps) of both WCOJ engines must stay within a constant factor of the AGM
 //!    bound `N^{3/2}` — the guarantee of Theorem 4.3 made checkable.
+//!
+//! Property 1 is checked under two sets of kernel thresholds ([`CALIBRATIONS`]):
+//! thresholds move which kernel an intersection lands in, never the rows.
 
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute, execute_with_order, Engine};
+use wcoj_core::exec::{
+    execute, execute_opts, execute_opts_with_order, Engine, ExecOptions, KernelCalibration,
+};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::Database;
 use wcoj_storage::ops::nested_loop_join;
 use wcoj_storage::Relation;
 use wcoj_workloads::{differential_suite, triangle, Workload};
+
+/// The default thresholds and a deliberately different set (every field moved,
+/// in both directions): rows must equal the reference under both.
+const CALIBRATIONS: [KernelCalibration; 2] = [
+    KernelCalibration::fixed(),
+    KernelCalibration {
+        merge_max_ratio: 4,
+        bitmap_max_span: 2048,
+        bitmap_span_per_element: 8,
+        linear_seek_max: 32,
+    },
+];
 
 /// The nested-loop ground truth, with columns in the query's variable order.
 fn reference(w: &Workload) -> Relation {
@@ -31,13 +48,16 @@ fn wcoj_engines_match_nested_loop_reference() {
     for w in differential_suite(0xD1FF) {
         let expected = reference(&w);
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            let out = execute(&w.query, &w.db, engine)
-                .unwrap_or_else(|e| panic!("{}: {engine:?} failed: {e}", w.name));
-            assert_eq!(
-                out.result, expected,
-                "{}: {engine:?} output diverges from nested-loop reference",
-                w.name
-            );
+            for cal in CALIBRATIONS {
+                let opts = ExecOptions::new(engine).with_calibration(cal);
+                let out = execute_opts(&w.query, &w.db, &opts)
+                    .unwrap_or_else(|e| panic!("{}: {engine:?} failed: {e}", w.name));
+                assert_eq!(
+                    out.result, expected,
+                    "{}: {engine:?} under {cal:?} diverges from nested-loop reference",
+                    w.name
+                );
+            }
         }
     }
 }
@@ -79,8 +99,14 @@ fn every_order_agrees_across_engines_on_four_cycle() {
     }
     for order in orders {
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let out = execute_with_order(&w.query, &w.db, engine, &order).unwrap();
-            assert_eq!(out.result, expected, "order {order:?} engine {engine:?}");
+            for cal in CALIBRATIONS {
+                let opts = ExecOptions::new(engine).with_calibration(cal);
+                let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+                assert_eq!(
+                    out.result, expected,
+                    "order {order:?} engine {engine:?} under {cal:?}"
+                );
+            }
         }
     }
 }
@@ -99,7 +125,8 @@ fn triangle_1024_work_stays_within_constant_factor_of_agm() {
     let expected = reference(&w);
     let order = agm_variable_order(&w.query, &w.db).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let out = execute_with_order(&w.query, &w.db, engine, &order).unwrap();
+        let out =
+            execute_opts_with_order(&w.query, &w.db, &ExecOptions::new(engine), &order).unwrap();
         assert_eq!(out.result, expected, "{engine:?} diverges at N=1024");
 
         let cursor_work = (out.work.probes() + out.work.intersect_steps()) as f64;
@@ -150,7 +177,8 @@ fn planner_order_is_no_worse_than_default_on_skew() {
     // small factor on the skewed instance (it usually wins)
     let w = wcoj_workloads::triangle_skewed(1_000, 48, 1.3, 0xFACE);
     let planned = execute(&w.query, &w.db, Engine::GenericJoin).unwrap();
-    let default = execute_with_order(&w.query, &w.db, Engine::GenericJoin, &[0, 1, 2]).unwrap();
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let default = execute_opts_with_order(&w.query, &w.db, &opts, &[0, 1, 2]).unwrap();
     assert_eq!(planned.result, default.result);
     let planned_work = planned.work.probes() + planned.work.intersect_steps();
     let default_work = default.work.probes() + default.work.intersect_steps();

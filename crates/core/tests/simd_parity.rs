@@ -1,8 +1,10 @@
 //! SIMD-parity property tests: the vector kernels must be **observationally
 //! identical** to the scalar reference — same output tuples in the same order
 //! *and* the same deterministic work counters — across the differential
-//! workload suite, every engine, every access-structure backend, and both the
-//! serial and morsel-parallel paths.
+//! workload suite, every engine, every access-structure backend, both the
+//! serial and morsel-parallel paths, and two sets of kernel thresholds (the
+//! defaults and a set with every field moved, so other kernels and the other
+//! seek path get exercised on the same data).
 //!
 //! The sweep flips the process-wide dispatch level with
 //! [`wcoj_storage::simd::force_active_level`] between runs, so it exercises the
@@ -23,18 +25,23 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
         // scalar-only host: the sweep would compare scalar against itself
         eprintln!("host has no SIMD level; parity holds vacuously");
     }
+    let fixed = KernelCalibration::fixed();
+    let moved = KernelCalibration {
+        merge_max_ratio: 4,
+        bitmap_max_span: 2048,
+        bitmap_span_per_element: 8,
+        linear_seek_max: 32,
+    };
     let suite = differential_suite(0x51D0);
     for w in &suite {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             for backend in [Backend::Auto, Backend::Trie, Backend::Hash] {
-                for threads in [1usize, 4] {
-                    // fixed calibration: parity must not depend on what the
-                    // host probe happened to measure
+                for (threads, cal) in [(1, fixed), (4, fixed), (1, moved), (4, moved)] {
                     let opts = ExecOptions::new(engine)
                         .with_backend(backend)
                         .with_threads(threads)
-                        .with_calibration(KernelCalibration::fixed());
+                        .with_calibration(cal);
 
                     simd::force_active_level(SimdLevel::Scalar);
                     let scalar =
@@ -45,7 +52,7 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
                         execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
 
                     let cfg = format!(
-                        "{}/{engine:?}/{backend:?}/t{threads} ({native:?} vs Scalar)",
+                        "{}/{engine:?}/{backend:?}/t{threads}/{cal:?} ({native:?} vs Scalar)",
                         w.name
                     );
                     assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");

@@ -108,8 +108,7 @@ pub trait TrieAccess {
     /// (see [`crate::tune::KernelCalibration::linear_seek_max`]). Engines call
     /// this once after construction; the default implementation ignores it, so
     /// cursors without an adaptive seek need not care. Changing the cutoff
-    /// changes which tally (comparisons vs probes) a seek records — recorded
-    /// baselines pin the fixed calibration for machine-independent counters.
+    /// changes which tally (comparisons vs probes) a seek records.
     fn set_seek_calibration(&mut self, _linear_max: usize) {}
 }
 

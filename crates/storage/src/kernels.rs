@@ -115,7 +115,7 @@ pub fn choose_kernel(lists: &[&[Value]], lo: Value, hi: Value) -> KernelKind {
     choose_kernel_with(&KernelCalibration::fixed(), lists, lo, hi)
 }
 
-/// [`choose_kernel`] with explicit (host-calibrated or pinned) thresholds.
+/// [`choose_kernel`] with explicit thresholds.
 pub fn choose_kernel_with(
     cal: &KernelCalibration,
     lists: &[&[Value]],
@@ -191,8 +191,8 @@ pub fn intersect_into_at(
 }
 
 /// The full-control intersection entry point: explicit SIMD level and policy
-/// thresholds. The execution layer resolves both once per query (from
-/// `ExecOptions` / the host calibration) and calls this in its hot loop.
+/// thresholds. The execution layer resolves both once per query (the detected
+/// level, `ExecOptions::calibration`) and calls this in its hot loop.
 /// Returns the kernel that ran, so tracing can attribute the choice per level;
 /// `None` means a short-circuit (empty operand, single list, disjoint spans)
 /// answered before any kernel dispatched. The return value is derived from

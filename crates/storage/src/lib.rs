@@ -61,14 +61,17 @@
 //!   comparisons, probes, and intermediate tuples so that tests and benchmarks can
 //!   check the *work* bounds the paper proves, not just wall-clock time. Parallel
 //!   workers' counters merge associatively;
-//! * [`simd`] / [`tune`] / [`topology`] — the hardware-calibration layer:
-//!   runtime-dispatched SIMD intersection and seek primitives (AVX2 / NEON with a
-//!   scalar fallback, selected once at startup), a startup micro-benchmark probe
-//!   producing a [`tune::KernelCalibration`] of kernel-selection thresholds, and a
-//!   `/sys`-based CPU-topology probe for socket/SMT-aware worker placement. All
-//!   SIMD paths are bit-identical to scalar in both output **and** recorded work:
-//!   the counters replay the scalar algorithm's tally arithmetically from the
-//!   landing position, so recorded work baselines stay machine-independent.
+//! * [`simd`] / [`topology`] — host *detection*, which never moves a result or a
+//!   counter: runtime-dispatched SIMD intersection and seek primitives (AVX2 /
+//!   NEON with a scalar fallback, selected once at startup) and a `/sys`-based
+//!   CPU-topology probe for socket/SMT-aware worker placement. All SIMD paths are
+//!   bit-identical to scalar in both output **and** recorded work: the counters
+//!   replay the scalar algorithm's tally arithmetically from the landing
+//!   position, so recorded work baselines stay machine-independent;
+//! * [`tune::KernelCalibration`] — the four kernel-selection thresholds, a plain
+//!   value ([`tune::KernelCalibration::fixed`] by default) that the execution
+//!   layer passes in. There is no host tuning: nothing in this crate times the
+//!   machine, and work counters are a function of the data and the thresholds.
 //!
 //! # Quick example
 //!

@@ -65,8 +65,8 @@ pub(crate) fn gallop_lub(
 
 /// Sibling groups at or below this length are sought by a branch-predictable
 /// linear scan instead of galloping: for tiny groups the scan's sequential loads
-/// beat the galloping search's data-dependent branches. This is the *fixed*
-/// default; the calibrated value lives in [`crate::tune::KernelCalibration`].
+/// beat the galloping search's data-dependent branches. This is the default
+/// of [`crate::tune::KernelCalibration::linear_seek_max`].
 pub(crate) const LINEAR_SEEK_MAX: usize = 16;
 
 /// Adaptive least-upper-bound seek with an explicit SIMD level and calibrated
@@ -80,7 +80,7 @@ pub(crate) const LINEAR_SEEK_MAX: usize = 16;
 /// path charges the [`gallop_lub`] probe sequence replayed arithmetically — so
 /// the SIMD level changes wall-clock only, never the counters. The *cutoff*
 /// does change counters (it picks which tally a seek lands in), which is why
-/// recorded baselines pin the fixed calibration.
+/// it is an explicit input and never measured.
 pub(crate) fn seek_lub_cal(
     level: crate::simd::SimdLevel,
     values: &[Value],

@@ -187,9 +187,13 @@ impl CpuTopology {
     }
 }
 
-/// Number of CPUs available to this process, from `std::thread`.
+/// Number of CPUs available to this process, from `std::thread` — read once.
+/// `available_parallelism` reports the *calling thread's* affinity mask, which
+/// [`pin_current_thread`] narrows to one CPU; a count read after a pin would
+/// silently turn "use every core" into "run serially".
 pub fn available_cpus() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Whether pinning is enabled for this process (`WCOJ_NO_PIN` unset).
@@ -324,6 +328,21 @@ mod tests {
         assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
         let all: usize = t.socket_groups(7).iter().map(Vec::len).sum();
         assert_eq!(all, 7);
+    }
+
+    /// A pin narrows the calling thread's affinity mask; the process-wide
+    /// CPU count must not follow it down.
+    #[test]
+    fn available_cpus_survives_a_pin() {
+        let before = available_cpus();
+        let after = std::thread::scope(|s| {
+            s.spawn(|| {
+                pin_current_thread(0);
+                available_cpus()
+            })
+            .join()
+        });
+        assert_eq!(after.ok(), Some(before));
     }
 
     #[test]

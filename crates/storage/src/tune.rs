@@ -1,44 +1,26 @@
-//! Startup auto-tuning of the kernel-policy thresholds.
+//! The kernel-policy thresholds.
 //!
 //! The adaptive kernel heuristic (`kernels::choose_kernel`) and the cursor seek
-//! fast path steer on four thresholds that PR 3 hard-coded to constants measured
-//! on one container. This module turns them into a [`KernelCalibration`] struct
-//! and measures them on the *host* with a sub-50ms micro-benchmark probe at
-//! first use:
+//! fast path steer on four thresholds, carried as one [`KernelCalibration`]:
 //!
-//! * `merge_max_ratio` — largest `max/min` list-size ratio at which the (now
-//!   SIMD) merge kernel still beats galloping search.
+//! * `merge_max_ratio` — largest `max/min` list-size ratio at which the SIMD
+//!   merge kernel still beats galloping search.
 //! * `bitmap_max_span` — widest common span the bitmap kernel may window.
 //! * `bitmap_span_per_element` — how sparse (span per smallest-list element)
 //!   the bitmap kernel is allowed to run before merge/gallop win.
 //! * `linear_seek_max` — seek window length below which a linear scan beats
 //!   galloping search.
 //!
-//! Resolution order for [`KernelCalibration::host`]:
-//! 1. `WCOJ_TUNE=fixed` (or `off`) → the fixed defaults, probe skipped.
-//! 2. A cached calibration file — `$WCOJ_TUNE_FILE` or `~/.wcoj-tune.json`.
-//! 3. The micro-benchmark probe; its result is written back to the cache file
-//!    (best effort) so later processes skip the probe.
-//! 4. Per-field env overrides (`WCOJ_MERGE_MAX_RATIO`, `WCOJ_BITMAP_MAX_SPAN`,
-//!    `WCOJ_BITMAP_SPAN_PER_ELEMENT`, `WCOJ_LINEAR_SEEK_MAX`) applied on top of
-//!    whichever base was chosen.
-//!
-//! Calibration changes which kernel the adaptive policy picks, and therefore
-//! the deterministic work counters. Anything that records or gates counters
-//! (the bench harness, `perf_gate`) pins [`KernelCalibration::fixed`] so
-//! recorded baselines stay machine-independent; live queries get the host
-//! calibration through `ExecOptions`.
+//! Thresholds decide which kernel the adaptive policy picks and therefore the
+//! deterministic work counters, so they are a plain *input* of an execution:
+//! [`KernelCalibration::fixed`] unless the caller passes other values. Nothing
+//! here measures the host, reads the environment or touches the filesystem —
+//! a startup probe used to, and EXPERIMENTS.md E7 records why it went
+//! (calibrated ≈ fixed in wall-clock, counters no longer reproducible).
 
-use crate::kernels::{self, KernelPolicy};
-use crate::simd::{self, SimdLevel};
-use crate::stats::WorkCounter;
-use crate::Value;
-use std::sync::OnceLock;
-use std::time::Instant;
+use crate::kernels;
 
-/// The tunable kernel-policy thresholds. `Default` (== [`KernelCalibration::fixed`])
-/// reproduces the PR 3 constants bit-for-bit, which is what every recorded
-/// baseline pins.
+/// The kernel-policy thresholds. `Default` is [`KernelCalibration::fixed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCalibration {
     /// Merge is chosen when the largest list is at most this many times the smallest.
@@ -58,8 +40,8 @@ impl Default for KernelCalibration {
 }
 
 impl KernelCalibration {
-    /// The fixed thresholds every recorded baseline (bench, `perf_gate`) pins:
-    /// exactly the PR 3 constants.
+    /// The thresholds every execution runs with unless told otherwise, and the
+    /// ones every recorded baseline (bench, `perf_gate`) was taken under.
     pub const fn fixed() -> Self {
         KernelCalibration {
             merge_max_ratio: kernels::MERGE_MAX_RATIO,
@@ -68,258 +50,6 @@ impl KernelCalibration {
             linear_seek_max: crate::ops::LINEAR_SEEK_MAX,
         }
     }
-
-    /// The host calibration: cached probe results (or the probe itself on first
-    /// use), with env overrides applied. Computed once per process.
-    pub fn host() -> &'static KernelCalibration {
-        static HOST: OnceLock<KernelCalibration> = OnceLock::new();
-        HOST.get_or_init(|| {
-            let mode = std::env::var("WCOJ_TUNE").unwrap_or_default();
-            let mut cal = if mode == "fixed" || mode == "off" {
-                KernelCalibration::fixed()
-            } else if let Some(cached) = load_cache() {
-                cached
-            } else {
-                let (cal, _) = probe(simd::active_level());
-                store_cache(&cal);
-                cal
-            };
-            cal.apply_env_overrides();
-            cal
-        })
-    }
-
-    fn apply_env_overrides(&mut self) {
-        if let Some(v) = env_usize("WCOJ_MERGE_MAX_RATIO") {
-            self.merge_max_ratio = v;
-        }
-        if let Some(v) = env_usize("WCOJ_BITMAP_MAX_SPAN") {
-            self.bitmap_max_span = v as u64;
-        }
-        if let Some(v) = env_usize("WCOJ_BITMAP_SPAN_PER_ELEMENT") {
-            self.bitmap_span_per_element = v as u64;
-        }
-        if let Some(v) = env_usize("WCOJ_LINEAR_SEEK_MAX") {
-            self.linear_seek_max = v;
-        }
-    }
-
-    /// Serialize as a single-line JSON object (the cache-file format).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"merge_max_ratio\":{},\"bitmap_max_span\":{},\"bitmap_span_per_element\":{},\"linear_seek_max\":{}}}",
-            self.merge_max_ratio, self.bitmap_max_span, self.bitmap_span_per_element, self.linear_seek_max
-        )
-    }
-
-    /// Parse the cache-file format written by [`KernelCalibration::to_json`].
-    /// Unknown keys are ignored; missing keys keep their fixed default.
-    pub fn from_json(text: &str) -> Option<Self> {
-        let mut cal = KernelCalibration::fixed();
-        let mut any = false;
-        for (key, field) in [
-            ("merge_max_ratio", 0usize),
-            ("bitmap_max_span", 1),
-            ("bitmap_span_per_element", 2),
-            ("linear_seek_max", 3),
-        ] {
-            if let Some(v) = json_u64_field(text, key) {
-                any = true;
-                match field {
-                    0 => cal.merge_max_ratio = v as usize,
-                    1 => cal.bitmap_max_span = v,
-                    2 => cal.bitmap_span_per_element = v,
-                    _ => cal.linear_seek_max = v as usize,
-                }
-            }
-        }
-        if any {
-            Some(cal)
-        } else {
-            None
-        }
-    }
-}
-
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok()?.trim().parse().ok()
-}
-
-fn json_u64_field(text: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Path of the calibration cache file: `$WCOJ_TUNE_FILE`, else `~/.wcoj-tune.json`.
-pub fn cache_path() -> Option<std::path::PathBuf> {
-    if let Ok(p) = std::env::var("WCOJ_TUNE_FILE") {
-        if !p.is_empty() {
-            return Some(p.into());
-        }
-    }
-    let home = std::env::var("HOME").ok()?;
-    if home.is_empty() {
-        return None;
-    }
-    Some(std::path::Path::new(&home).join(".wcoj-tune.json"))
-}
-
-fn load_cache() -> Option<KernelCalibration> {
-    let text = std::fs::read_to_string(cache_path()?).ok()?;
-    KernelCalibration::from_json(&text)
-}
-
-fn store_cache(cal: &KernelCalibration) {
-    if let Some(path) = cache_path() {
-        let _ = std::fs::write(path, cal.to_json() + "\n");
-    }
-}
-
-fn xorshift(seed: &mut u64) -> u64 {
-    *seed ^= *seed << 13;
-    *seed ^= *seed >> 7;
-    *seed ^= *seed << 17;
-    *seed
-}
-
-fn sorted_unique(seed: &mut u64, len: usize, span: u64) -> Vec<Value> {
-    let mut v: Vec<Value> = (0..len * 2).map(|_| xorshift(seed) % span).collect();
-    v.sort_unstable();
-    v.dedup();
-    v.truncate(len);
-    v
-}
-
-/// Median-of-repeats wall time of `f` in nanoseconds.
-fn time_ns<F: FnMut()>(mut f: F, reps: usize) -> u64 {
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        samples.push(t.elapsed().as_nanos() as u64);
-    }
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Run the micro-benchmark probe at `level` and return the measured calibration
-/// plus the probe's wall-clock in milliseconds. Budgeted well under 50ms: each
-/// threshold is decided from a handful of ~10µs timing cells.
-pub fn probe(level: SimdLevel) -> (KernelCalibration, f64) {
-    let started = Instant::now();
-    let mut seed = 0xA076_1D64_78BD_642F;
-    let w = WorkCounter::new();
-    let mut out: Vec<Value> = Vec::new();
-    let mut cal = KernelCalibration::fixed();
-
-    // merge-vs-gallop crossover: fix the smallest list at 64 elements and grow
-    // the larger list; merge stays the pick while it still wins the timing cell.
-    let small = sorted_unique(&mut seed, 64, 1 << 20);
-    let mut ratio = 4usize;
-    for cand in [4usize, 8, 16, 32, 64, 128] {
-        let large = sorted_unique(&mut seed, 64 * cand, 1 << 20);
-        let lists: [&[Value]; 2] = [&small, &large];
-        let t_merge = time_ns(
-            || {
-                kernels::intersect_into_at(level, &mut out, &lists, KernelPolicy::Merge, &w);
-            },
-            15,
-        );
-        let t_gallop = time_ns(
-            || {
-                kernels::intersect_into_at(level, &mut out, &lists, KernelPolicy::Gallop, &w);
-            },
-            15,
-        );
-        if t_merge <= t_gallop {
-            ratio = cand;
-        } else {
-            break;
-        }
-    }
-    cal.merge_max_ratio = ratio;
-
-    // bitmap sparsity cutoff: lists of 192 elements over spans of
-    // 192 * {4, 8, 16, 32, 64} values; bitmap keeps the slot while it beats the
-    // best size-comparable alternative (merge at these shapes).
-    let mut spe = 4u64;
-    for cand in [4u64, 8, 16, 32, 64] {
-        let span = 192 * cand;
-        let a = sorted_unique(&mut seed, 192, span);
-        let b = sorted_unique(&mut seed, 192, span);
-        let lists: [&[Value]; 2] = [&a, &b];
-        let t_bitmap = time_ns(
-            || {
-                kernels::intersect_into_at(level, &mut out, &lists, KernelPolicy::Bitmap, &w);
-            },
-            15,
-        );
-        let t_merge = time_ns(
-            || {
-                kernels::intersect_into_at(level, &mut out, &lists, KernelPolicy::Merge, &w);
-            },
-            15,
-        );
-        if t_bitmap <= t_merge {
-            spe = cand;
-        } else {
-            break;
-        }
-    }
-    cal.bitmap_span_per_element = spe;
-    // the span cap scales with the measured sparsity tolerance, clamped to keep
-    // the windowed bitsets inside L1 (the stack-buffer fast path)
-    cal.bitmap_max_span = (256 * spe).clamp(1024, 4096);
-
-    // linear-vs-gallop seek cutoff: windows of {8, 16, 32, 64} values. A single
-    // hot window overstates the linear scan (everything in L1, branches learned),
-    // so each timing cell sweeps one seek per window across a working set larger
-    // than L1 — the cache behavior real cursor seeks actually see.
-    let big = sorted_unique(&mut seed, 1 << 14, 1 << 30);
-    let mut linear = 8usize;
-    for cand in [8usize, 16, 32, 64] {
-        let windows: Vec<(usize, Value)> = (0..big.len() / cand)
-            .map(|i| {
-                let start = i * cand;
-                (start, big[start + (xorshift(&mut seed) as usize) % cand])
-            })
-            .collect();
-        let t_linear = time_ns(
-            || {
-                for &(start, t) in &windows {
-                    std::hint::black_box(crate::simd::linear_lub(
-                        level,
-                        &big,
-                        start,
-                        start + cand,
-                        t,
-                    ));
-                }
-            },
-            9,
-        );
-        let t_gallop = time_ns(
-            || {
-                for &(start, t) in &windows {
-                    std::hint::black_box(crate::ops::gallop_lub(&big, start, start + cand, t));
-                }
-            },
-            9,
-        );
-        if t_linear <= t_gallop {
-            linear = cand;
-        } else {
-            break;
-        }
-    }
-    cal.linear_seek_max = linear;
-
-    (cal, started.elapsed().as_secs_f64() * 1e3)
 }
 
 #[cfg(test)]
@@ -334,34 +64,5 @@ mod tests {
         assert_eq!(cal.bitmap_span_per_element, 16);
         assert_eq!(cal.linear_seek_max, 16);
         assert_eq!(cal, KernelCalibration::default());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let cal = KernelCalibration {
-            merge_max_ratio: 32,
-            bitmap_max_span: 2048,
-            bitmap_span_per_element: 8,
-            linear_seek_max: 64,
-        };
-        assert_eq!(KernelCalibration::from_json(&cal.to_json()), Some(cal));
-        assert_eq!(KernelCalibration::from_json("not json"), None);
-        // partial objects keep fixed defaults for missing keys
-        let partial = KernelCalibration::from_json("{\"linear_seek_max\": 32}").unwrap();
-        assert_eq!(partial.linear_seek_max, 32);
-        assert_eq!(
-            partial.merge_max_ratio,
-            KernelCalibration::fixed().merge_max_ratio
-        );
-    }
-
-    #[test]
-    fn probe_is_fast_and_sane() {
-        let (cal, ms) = probe(crate::simd::active_level());
-        assert!(ms < 50.0, "probe took {ms:.1}ms, budget is 50ms");
-        assert!(cal.merge_max_ratio >= 4);
-        assert!((1024..=4096).contains(&cal.bitmap_max_span));
-        assert!(cal.bitmap_span_per_element >= 4);
-        assert!(cal.linear_seek_max >= 8);
     }
 }
