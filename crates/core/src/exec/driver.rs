@@ -3,7 +3,8 @@
 
 use super::access::BuiltAccess;
 use super::engine::{
-    first_extension_set, join_extensions, InteriorStep, JoinCtx, KernelExtension, LeapfrogRing,
+    first_extension_set, join_extensions, level_scratch, InteriorStep, JoinCtx, KernelExtension,
+    LeapfrogRing,
 };
 use super::trace::{elapsed_ns, Recording, TraceTo};
 use super::{
@@ -216,6 +217,7 @@ where
     }
     let e0 = first_extension_set(&mut cursors, &participants[0], ctx);
     let mut sink = ColumnSink::new(participants.len());
+    let mut scratch = level_scratch(participants);
     let slice_len = match token {
         Some(_) => CANCEL_CHUNK,
         None => e0.len().max(1),
@@ -224,7 +226,14 @@ where
         if let Some(t) = token {
             t.check()?;
         }
-        join_extensions::<S, C>(&mut cursors, participants, slice, ctx, &mut sink);
+        join_extensions::<S, C>(
+            &mut cursors,
+            participants,
+            slice,
+            ctx,
+            &mut sink,
+            &mut scratch,
+        );
     }
     Ok(sink)
 }

@@ -143,7 +143,9 @@ impl InteriorStep for LeapfrogRing {
 /// intersection already paid for the discovery) and recurse over the remaining
 /// levels, emitting into `sink`. The level-0 participant cursors must already be
 /// open at their root group. This is the engine body both the serial driver
-/// and every morsel worker run, on their own cursor sets.
+/// and every morsel worker run, on their own cursor sets and their own
+/// `scratch` — one extension-set buffer per level ([`level_scratch`]), kept
+/// across slices so a sliced run grows each buffer once.
 ///
 /// `participants[l]` lists the cursor indices whose relations contain the
 /// variable bound at level `l` of the global order; every cursor's own attribute
@@ -158,6 +160,7 @@ pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
     values: &[Value],
     ctx: JoinCtx<'_>,
     sink: &mut ColumnSink,
+    scratch: &mut [Vec<Value>],
 ) {
     if let Some(rec) = ctx.trace {
         // level 0's candidates were recorded by the driver's intersection;
@@ -170,7 +173,6 @@ pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
         sink.emit(values);
         return;
     }
-    let mut scratch: Vec<Vec<Value>> = vec![Vec::new(); participants.len()];
     for (i, &v) in values.iter().enumerate() {
         for &ci in &participants[0] {
             // the slice ascends, so after the first (bidirectional) reposition —
@@ -183,11 +185,16 @@ pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
             debug_assert!(found, "extension-set values occur in every participant");
         }
         sink.bind(0, v);
-        descend::<S, C>(cursors, participants, 1, sink, &mut scratch, ctx);
+        descend::<S, C>(cursors, participants, 1, sink, scratch, ctx);
     }
     for c in cursors.iter_mut() {
         ctx.counter.absorb(c.take_work());
     }
+}
+
+/// The per-level extension-set buffers [`join_extensions`] works in.
+pub(crate) fn level_scratch(participants: &[Vec<usize>]) -> Vec<Vec<Value>> {
+    vec![Vec::new(); participants.len()]
 }
 
 /// One level of the recursion: open every participating cursor one level deeper
@@ -258,10 +265,14 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// Compute the extension set of one join variable — the kernel-layer intersection
 /// of the open participant cursors' remaining sibling groups — into `ext`. This is
 /// the single intersection seam of the skeleton: every candidate set flows through
-/// [`wcoj_storage::kernels::intersect_into_cal`], so the policy, the thresholds
-/// and the per-kernel work/choice tallies apply uniformly. The SIMD level is the
-/// process-wide detected one — it never changes output or counters, only the
-/// instruction mix.
+/// the kernel layer — [`wcoj_storage::kernels::intersect_layouts_into`] when every
+/// participant's group carries a prebuilt set layout (static structures build
+/// one per dense group) and the policy allows bitmaps,
+/// [`wcoj_storage::kernels::intersect_into_cal`] over the sorted lists otherwise
+/// — so the policy, the thresholds and the per-kernel work/choice tallies apply
+/// uniformly, at level 0, interior and deepest levels alike. The SIMD level is
+/// the process-wide detected one — it never changes output or counters, only
+/// the instruction mix.
 ///
 /// With `ctx.trace` present the kernel's choice and its charged work (diffed
 /// from `ctx.counter` around the call — the counter is private to this thread
@@ -282,28 +293,63 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
         trace,
     } = ctx;
     let simd = wcoj_storage::simd::active_level();
-    // sized against the kernel layer's own inline-bookkeeping capacity
-    const MAX_INLINE: usize = kernels::MAX_INLINE_LISTS;
-    let before = trace.map(|_| (counter.intersect_steps(), counter.comparisons()));
-    let chosen = if parts.len() <= MAX_INLINE {
-        let mut buf: [&[Value]; MAX_INLINE] = [&[]; MAX_INLINE];
-        for (slot, &ci) in buf.iter_mut().zip(parts) {
-            *slot = cursors[ci].remaining();
-        }
-        kernels::intersect_into_cal(simd, ext, &buf[..parts.len()], policy, cal, counter)
-    } else {
-        let slices: Vec<&[Value]> = parts.iter().map(|&ci| cursors[ci].remaining()).collect();
-        kernels::intersect_into_cal(simd, ext, &slices, policy, cal, counter)
+    let charged = || {
+        [
+            counter.intersect_steps(),
+            counter.comparisons(),
+            counter.probes(),
+        ]
     };
-    if let (Some(rec), Some((steps0, cmps0))) = (trace, before) {
-        rec.record_intersection(
-            level,
-            ext.len() as u64,
-            chosen.map(trace_kernel),
-            counter.intersect_steps() - steps0,
-            counter.comparisons() - cmps0,
-        );
+    let before = trace.map(|_| charged());
+    let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
+    let remaining = parts.iter().map(|&ci| cursors[ci].remaining());
+    let lists = gather(&mut list_buf, &mut list_spill, parts.len(), remaining);
+    // The dense path: every participant's group carries a prebuilt layout, so
+    // the intersection is a word-parallel AND. A forced list kernel never reads
+    // a layout (the "all kernels agree" differentials keep exercising them),
+    // and a single participant is an enumeration, not an intersection.
+    let dense = parts.len() >= 2 && matches!(policy, KernelPolicy::Adaptive | KernelPolicy::Bitmap);
+    let (mut layout_buf, mut layout_spill) = ([(0, &[][..]); MAX_INLINE], Vec::new());
+    let layouts = if dense {
+        // stops at the first participant without one
+        let found = parts.iter().map_while(|&ci| cursors[ci].layout());
+        gather(&mut layout_buf, &mut layout_spill, parts.len(), found)
+    } else {
+        &[]
+    };
+    let chosen = if dense && layouts.len() == parts.len() {
+        kernels::intersect_layouts_into(ext, lists, layouts, counter)
+    } else {
+        kernels::intersect_into_cal(simd, ext, lists, policy, cal, counter)
+    };
+    if let (Some(rec), Some(before)) = (trace, before) {
+        let after = charged();
+        let work = std::array::from_fn(|i| after[i] - before[i]);
+        rec.record_intersection(level, ext.len() as u64, chosen.map(trace_kernel), work);
     }
+}
+
+/// Sized against the kernel layer's own inline-bookkeeping capacity.
+const MAX_INLINE: usize = kernels::MAX_INLINE_LISTS;
+
+/// Collect `items` — at most `n` of them — without touching the heap: into
+/// `buf`, spilling to `spill` only when `n` exceeds [`MAX_INLINE`].
+fn gather<'b, T: Copy>(
+    buf: &'b mut [T; MAX_INLINE],
+    spill: &'b mut Vec<T>,
+    n: usize,
+    items: impl Iterator<Item = T>,
+) -> &'b [T] {
+    if n > MAX_INLINE {
+        spill.extend(items);
+        return spill;
+    }
+    let mut len = 0;
+    for (slot, item) in buf.iter_mut().zip(items) {
+        *slot = item;
+        len += 1;
+    }
+    &buf[..len]
 }
 
 #[cfg(test)]

@@ -38,7 +38,10 @@
 //! layer** ([`wcoj_storage::kernels`]): branchless merge, galloping, or
 //! small-domain bitmap, chosen per intersection by the [`KernelPolicy`] and the
 //! [`KernelCalibration`] thresholds carried in [`ExecOptions`] and recorded in the
-//! [`WorkCounter`] kernel breakdown. Result tuples leave through one
+//! [`WorkCounter`] kernel breakdown; where every participating sibling group is
+//! dense enough to carry the bitset its access structure prebuilt, the
+//! intersection is a word-parallel AND of those instead of a scan of the lists
+//! (see [`wcoj_storage::kernels`]). Result tuples leave through one
 //! [`ColumnSink`] — one column per join level, no per-row allocation; when the
 //! join order is the identity those columns become the result [`Relation`]
 //! without being copied or sorted.

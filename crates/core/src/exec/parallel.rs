@@ -43,7 +43,7 @@
 //! merged counters equal the serial engine's for *any* thread count. The differential
 //! test suite asserts both properties for threads ∈ {1, 2, 4, 8}.
 
-use super::engine::{first_extension_set, join_extensions, InteriorStep, JoinCtx};
+use super::engine::{first_extension_set, join_extensions, level_scratch, InteriorStep, JoinCtx};
 use super::{CancelToken, ColumnSink};
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -191,6 +191,7 @@ where
                         pin: pinned.then_some(pin_plan[w]),
                     };
                     let mut produced: Vec<(usize, ColumnSink)> = Vec::new();
+                    let mut scratch = level_scratch(participants);
                     while let Some((m, stole)) = schedule.claim(w) {
                         // cooperative cancellation: stop claiming once the token
                         // fires; the partial output is discarded by the caller
@@ -214,6 +215,7 @@ where
                             slices[m],
                             ctx,
                             &mut sink,
+                            &mut scratch,
                         );
                         produced.push((m, sink));
                     }

@@ -8,16 +8,24 @@
 //! 1. the result equals the binary hash-join baseline's relation, and
 //! 2. the work counters are identical across all nine (threads, mode) runs of
 //!    one (engine, order).
+//!
+//! The two `dense_*` shapes — the small-domain triangle whose sibling groups
+//! carry set layouts, alone and beside a delta-backed atom that has none — run
+//! all of that under every backend with the access cache on and off as well:
+//! the word-parallel path and its fall-through give the same rows, and
+//! counters that depend on nothing but (engine, order, backend).
 
 use std::sync::Arc;
 use wcoj_core::exec::{
-    execute, execute_cancellable, execute_opts_with_order, CancelToken, Engine, ExecOptions,
-    ExecOutput,
+    execute, execute_cancellable, execute_opts_with_order, Backend, CacheMode, CancelToken, Engine,
+    ExecOptions, ExecOutput,
 };
 use wcoj_obs::TraceSink;
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{KernelCalibration, Relation, Schema};
-use wcoj_workloads::{four_cycle, k_path, kclique, star, triangle, SplitMix64, Workload};
+use wcoj_workloads::{
+    four_cycle, k_path, kclique, star, triangle, triangle_live, SplitMix64, Workload,
+};
 
 /// `Q(A) ← R(A), S(A)`: the one shape whose level 0 is also its deepest level.
 fn single_variable(n: usize, seed: u64) -> Workload {
@@ -53,6 +61,13 @@ fn empty_relation(n: usize, seed: u64) -> Workload {
         Relation::from_pairs("B", "C", Vec::<(u64, u64)>::new()),
     );
     w.name = format!("empty_relation_n{n}");
+    w
+}
+
+/// `w` under a `dense_` name: at 256 rows over ~33 values most sibling groups
+/// are dense, and the name asks the sweep below for its storage axes.
+fn dense(mut w: Workload) -> Workload {
+    w.name = format!("dense_{}", w.name);
     w
 }
 
@@ -102,6 +117,8 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
             star(3, n, seed),
             single_variable(n, seed),
             empty_relation(n, seed),
+            dense(triangle(256, seed)),
+            dense(triangle_live(256, seed)),
         ];
         for w in &shapes {
             let expected = execute(&w.query, &w.db, Engine::BinaryHash)
@@ -109,27 +126,44 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                 .result;
             let must_be_empty = w.name.starts_with("empty_relation");
             assert_eq!(expected.is_empty(), must_be_empty, "{}: vacuous", w.name);
+            let (backends, caches): (&[Backend], &[CacheMode]) = if w.name.starts_with("dense_") {
+                (
+                    &[Backend::Auto, Backend::Trie, Backend::Hash],
+                    &[CacheMode::On, CacheMode::Off],
+                )
+            } else {
+                (&[Backend::Auto], &[CacheMode::On])
+            };
             for order in permutations(w.query.num_vars()) {
                 for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-                    let mut work = None;
-                    for threads in [1, 2, 4] {
-                        let opts = ExecOptions::new(engine)
-                            .with_threads(threads)
-                            .with_calibration(KernelCalibration::fixed());
-                        for mode in ["plain", "cancellable", "traced"] {
-                            let out = run(w, &opts, &order, mode);
-                            let at =
-                                format!("{} {engine:?} order {order:?} x{threads} {mode}", w.name);
-                            assert_eq!(out.result, expected, "{at}: rows");
-                            let first = work.get_or_insert_with(|| out.work.clone());
-                            assert_eq!(&out.work, first, "{at}: work counters");
-                            executions += 1;
+                    for &backend in backends {
+                        let mut work = None;
+                        for &cache in caches {
+                            for threads in [1, 2, 4] {
+                                let opts = ExecOptions::new(engine)
+                                    .with_backend(backend)
+                                    .with_cache(cache)
+                                    .with_threads(threads)
+                                    .with_calibration(KernelCalibration::fixed());
+                                for mode in ["plain", "cancellable", "traced"] {
+                                    let out = run(w, &opts, &order, mode);
+                                    let at = format!(
+                                        "{} {engine:?} order {order:?} {backend:?} cache \
+                                         {cache:?} x{threads} {mode}",
+                                        w.name
+                                    );
+                                    assert_eq!(out.result, expected, "{at}: rows");
+                                    let first = work.get_or_insert_with(|| out.work.clone());
+                                    assert_eq!(&out.work, first, "{at}: work counters");
+                                    executions += 1;
+                                }
+                            }
                         }
                     }
                 }
             }
         }
     }
-    // 3 seeds × (6 + 24·4 + 1 + 6) orders × 2 engines × 9 modes
-    assert_eq!(executions, 3 * 109 * 18);
+    // 3 seeds × ((6 + 24·4 + 1 + 6) + 2·6·6) orders × 2 engines × 9 modes
+    assert_eq!(executions, 3 * (109 + 72) * 18);
 }

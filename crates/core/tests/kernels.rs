@@ -4,8 +4,9 @@
 //! suite, on both backends, and the adaptive policy must actually record its
 //! per-kernel choices in the `WorkCounter` breakdown.
 
-use wcoj_core::exec::{execute_opts, Backend, Engine, ExecOptions};
-use wcoj_storage::KernelPolicy;
+use wcoj_core::exec::{execute, execute_explain, execute_opts, Backend, Engine, ExecOptions};
+use wcoj_query::{ConjunctiveQuery, Database};
+use wcoj_storage::{KernelPolicy, Relation, Schema};
 use wcoj_workloads::differential_suite;
 
 #[test]
@@ -100,4 +101,102 @@ fn forced_policies_shift_the_breakdown() {
     // comparisons (dead in the pre-kernel engine: always 0) are now populated by
     // the merge kernel
     assert!(merge.work.comparisons() > 0);
+}
+
+/// Every sibling group of this triangle is dense, so under the adaptive (or
+/// forced-bitmap) policy every intersection ANDs prebuilt layouts — nothing is
+/// scanned — while a forced list kernel never reads one.
+#[test]
+fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
+    let pairs = |skip: u64| {
+        let all = (0..32u64).flat_map(|a| (0..32u64).map(move |b| (a, b)));
+        all.filter(move |(a, b)| (a + b) % 3 != skip)
+    };
+    let mut db = Database::new();
+    db.insert("R", Relation::from_pairs("x", "y", pairs(0)));
+    db.insert("S", Relation::from_pairs("x", "y", pairs(1)));
+    db.insert("T", Relation::from_pairs("x", "y", pairs(2)));
+    let q = wcoj_query::query::examples::triangle();
+    let expected = execute(&q, &db, Engine::BinaryHash).unwrap().result;
+    assert!(!expected.is_empty());
+    for engine in [Engine::GenericJoin, Engine::Leapfrog] {
+        for backend in [Backend::Trie, Backend::Hash] {
+            let base = ExecOptions::new(engine).with_backend(backend);
+            let at = format!("{engine:?}/{backend:?}");
+            for policy in [KernelPolicy::Adaptive, KernelPolicy::Bitmap] {
+                let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
+                assert_eq!(out.result, expected, "{at}/{policy:?}");
+                assert_eq!(out.work.kernel_calls(), out.work.kernel_bitmap(), "{at}");
+                if engine == Engine::GenericJoin {
+                    // (the leapfrog ring's own short seeks do compare)
+                    assert_eq!(out.work.comparisons(), 0, "{at}/{policy:?} scanned a list");
+                }
+            }
+            // the trace charges a level's ANDs what the counter does: word
+            // probes, and nothing else (the leapfrog ring's interior level
+            // calls no kernel)
+            let (_, trace) = execute_explain(&q, &db, &base).unwrap();
+            for (i, l) in trace.levels.iter().enumerate() {
+                let anded = engine == Engine::GenericJoin || i != 1;
+                assert_eq!(
+                    (l.kernel_bitmap > 0, l.probes > 0),
+                    (anded, anded),
+                    "{at}: {l:?}"
+                );
+                assert_eq!((l.kernel_merge, l.kernel_gallop, l.comparisons), (0, 0, 0));
+            }
+            for policy in [KernelPolicy::Merge, KernelPolicy::Gallop] {
+                let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
+                assert_eq!(out.result, expected, "{at}/{policy:?}");
+                assert_eq!(out.work.kernel_bitmap(), 0, "{at}/{policy:?} read a layout");
+            }
+        }
+    }
+}
+
+/// Values at both ends of `u64` in one sibling group: the common span is 2^64
+/// wide, which used to overflow the kernel choice (debug: panic; release: a
+/// 2^58-word bitmap allocation that aborted the process).
+#[test]
+fn a_query_spanning_all_of_u64_matches_the_baseline() {
+    let unary = |values: &[u64]| {
+        Relation::from_rows(
+            Schema::new(&["v"]),
+            values.iter().map(|&v| vec![v]).collect(),
+        )
+    };
+    let mut db = Database::new();
+    db.insert("R", unary(&[0, 1, 2, 3, 4, 5, u64::MAX]));
+    db.insert("S", unary(&[0, 2, 4, 6, 8, 10, u64::MAX]));
+    // the same two sets again as the B-groups under one A value
+    let under_seven =
+        |values: &[u64]| Relation::from_pairs("a", "b", values.iter().map(|&v| (7, v)));
+    db.insert("P", under_seven(&[0, 1, 2, 3, 4, 5, u64::MAX]));
+    db.insert("Q", under_seven(&[0, 2, 4, 6, 8, 10, u64::MAX]));
+    let roots = ConjunctiveQuery::builder()
+        .atom("R", &["A"])
+        .atom("S", &["A"])
+        .build()
+        .unwrap();
+    let children = ConjunctiveQuery::builder()
+        .atom("P", &["A", "B"])
+        .atom("Q", &["A", "B"])
+        .build()
+        .unwrap();
+    for (q, arity) in [(&roots, 1), (&children, 2)] {
+        let expected = execute(q, &db, Engine::BinaryHash).unwrap().result;
+        let last: Vec<u64> = expected.iter().map(|row| row[arity - 1]).collect();
+        assert_eq!(last, [0, 2, 4, u64::MAX]);
+        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
+            for backend in [Backend::Trie, Backend::Hash] {
+                for policy in KernelPolicy::ALL {
+                    let opts = ExecOptions::new(engine)
+                        .with_backend(backend)
+                        .with_kernel(policy);
+                    let out = execute_opts(q, &db, &opts).unwrap();
+                    assert_eq!(out.result, expected, "{engine:?}/{backend:?}/{policy:?}");
+                }
+            }
+        }
+    }
 }

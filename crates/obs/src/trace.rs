@@ -47,6 +47,10 @@ pub struct LevelTrace {
     pub intersect_steps: u64,
     /// Comparisons charged at this level.
     pub comparisons: u64,
+    /// Kernel probes charged at this level: galloping search probes and bitset
+    /// words touched — the only charge of an intersection over prebuilt set
+    /// layouts, which scans nothing.
+    pub probes: u64,
 }
 
 /// Cache outcome for one atom's access structure.
@@ -202,7 +206,7 @@ impl QueryTrace {
             out.push_str(&format!(
                 "{{\"var\": \"{}\", \"candidates\": {}, \"emitted\": {}, \
                  \"kernel_merge\": {}, \"kernel_gallop\": {}, \"kernel_bitmap\": {}, \
-                 \"intersect_steps\": {}, \"comparisons\": {}}}",
+                 \"intersect_steps\": {}, \"comparisons\": {}, \"probes\": {}}}",
                 json::escape(&l.var),
                 l.candidates,
                 l.emitted,
@@ -210,7 +214,8 @@ impl QueryTrace {
                 l.kernel_gallop,
                 l.kernel_bitmap,
                 l.intersect_steps,
-                l.comparisons
+                l.comparisons,
+                l.probes
             ));
         }
         out.push_str("], ");
@@ -291,7 +296,7 @@ impl QueryTrace {
             };
             out.push_str(&format!(
                 "│  {} level {} {}: candidates {} emitted {} | kernels merge={} gallop={} \
-                 bitmap={} | steps {} cmp {}\n",
+                 bitmap={} | steps {} cmp {} probes {}\n",
                 branch,
                 i,
                 l.var,
@@ -301,7 +306,8 @@ impl QueryTrace {
                 l.kernel_gallop,
                 l.kernel_bitmap,
                 l.intersect_steps,
-                l.comparisons
+                l.comparisons,
+                l.probes
             ));
         }
         if let Some(m) = &self.morsels {
@@ -357,6 +363,7 @@ struct LevelCells {
     kernel_bitmap: AtomicU64,
     intersect_steps: AtomicU64,
     comparisons: AtomicU64,
+    probes: AtomicU64,
 }
 
 impl LevelRecorder {
@@ -379,15 +386,14 @@ impl LevelRecorder {
 
     /// Record one intersection at `level`: how many candidates it produced,
     /// which kernel handled it (`None` when a short-circuit or seek path
-    /// skipped the kernel layer), and the intersection-step / comparison work
-    /// it charged.
+    /// skipped the kernel layer), and the work it charged as
+    /// `[intersect_steps, comparisons, probes]`.
     pub fn record_intersection(
         &self,
         level: usize,
         candidates: u64,
         kernel: Option<TraceKernel>,
-        steps: u64,
-        comparisons: u64,
+        [steps, comparisons, probes]: [u64; 3],
     ) {
         let cells = &self.levels[level];
         cells.candidates.fetch_add(candidates, Ordering::Relaxed);
@@ -399,6 +405,7 @@ impl LevelRecorder {
         };
         cells.intersect_steps.fetch_add(steps, Ordering::Relaxed);
         cells.comparisons.fetch_add(comparisons, Ordering::Relaxed);
+        cells.probes.fetch_add(probes, Ordering::Relaxed);
     }
 
     /// Record `n` bindings pushed past `level` (rows, at the deepest level).
@@ -421,6 +428,7 @@ impl LevelRecorder {
                 kernel_bitmap: c.kernel_bitmap.into_inner(),
                 intersect_steps: c.intersect_steps.into_inner(),
                 comparisons: c.comparisons.into_inner(),
+                probes: c.probes.into_inner(),
             })
             .collect()
     }
@@ -484,6 +492,7 @@ mod tests {
                 kernel_bitmap: 1,
                 intersect_steps: 1234,
                 comparisons: 567,
+                probes: 89,
             }],
             morsels: Some(MorselTrace {
                 morsels: 32,
@@ -509,6 +518,7 @@ mod tests {
         assert_eq!(v.get("rows").unwrap().as_u64(), Some(2783));
         let levels = v.get("levels").unwrap().as_arr().unwrap();
         assert_eq!(levels[0].get("kernel_merge").unwrap().as_u64(), Some(5));
+        assert_eq!(levels[0].get("probes").unwrap().as_u64(), Some(89));
         let morsels = v.get("morsels").unwrap();
         assert_eq!(morsels.get("count").unwrap().as_u64(), Some(32));
         assert_eq!(
@@ -545,15 +555,16 @@ mod tests {
     #[test]
     fn recorder_sums_are_order_independent() {
         let r = LevelRecorder::new(2);
-        r.record_intersection(0, 10, Some(TraceKernel::Merge), 20, 5);
-        r.record_intersection(0, 7, Some(TraceKernel::Gallop), 3, 1);
-        r.record_intersection(1, 2, None, 0, 0);
+        r.record_intersection(0, 10, Some(TraceKernel::Merge), [20, 5, 0]);
+        r.record_intersection(0, 7, Some(TraceKernel::Gallop), [3, 1, 9]);
+        r.record_intersection(1, 2, None, [0, 0, 0]);
         r.record_emitted(1, 2);
         let levels = r.into_levels(&["x".to_string(), "y".to_string()]);
         assert_eq!(levels[0].candidates, 17);
         assert_eq!(levels[0].kernel_merge, 1);
         assert_eq!(levels[0].kernel_gallop, 1);
         assert_eq!(levels[0].intersect_steps, 23);
+        assert_eq!((levels[0].comparisons, levels[0].probes), (6, 9));
         assert_eq!(levels[1].emitted, 2);
         assert_eq!(levels[1].kernel_merge, 0);
     }

@@ -23,6 +23,13 @@
 //! engine drains via [`TrieAccess::take_work`]. That is what lets morsel-driven
 //! parallel workers each hold a private cursor over one shared trie/index.
 //!
+//! A static structure also hands out, per dense sibling group, the **set layout**
+//! it prebuilt ([`TrieAccess::layout`], see [`crate::kernels`]): when every cursor
+//! of an intersection has one, the engines AND bitset words instead of scanning
+//! the lists. [`DeltaCursor`] keeps the default (its groups are merged per
+//! `open`, there is nothing prebuilt), which makes any intersection it takes part
+//! in fall through to the list kernels.
+//!
 //! # Contract
 //!
 //! A cursor is a stack of *sibling groups*. At depth `d` the cursor is positioned at
@@ -34,7 +41,8 @@
 //! whose discovery was already paid for elsewhere, so it records no work.
 
 use crate::delta::DeltaCursor;
-use crate::index::PrefixIndex;
+use crate::index::{Group, PrefixIndex};
+use crate::kernels::{self, Layout};
 use crate::stats::CursorWork;
 use crate::trie::TrieCursor;
 use crate::Value;
@@ -99,6 +107,14 @@ pub trait TrieAccess {
         self.remaining().len()
     }
 
+    /// The prebuilt set layout of the **whole** current group (not just what
+    /// remains of it), when the access structure gave the group one: a static
+    /// structure does for every dense group (see [`crate::kernels`]); the
+    /// default — no layout — is right for everything else.
+    fn layout(&self) -> Option<Layout<'_>> {
+        None
+    }
+
     /// Drain the cursor's private work tallies (resetting them to zero). Engines
     /// call this once per cursor at the end of a run and absorb the result into
     /// their [`crate::WorkCounter`].
@@ -157,6 +173,10 @@ impl TrieAccess for TrieCursor<'_> {
         TrieCursor::remaining(self)
     }
 
+    fn layout(&self) -> Option<Layout<'_>> {
+        TrieCursor::layout(self)
+    }
+
     fn take_work(&mut self) -> CursorWork {
         TrieCursor::take_work(self)
     }
@@ -167,19 +187,32 @@ impl TrieAccess for TrieCursor<'_> {
 }
 
 /// One open level of a [`PrefixCursor`]: the sorted distinct values extending the
-/// prefix chosen above, plus the position within them.
+/// prefix chosen above, the group's set layout words (empty when it has none),
+/// plus the position within the values.
 #[derive(Debug, Clone, Copy)]
 struct PrefixFrame<'a> {
     values: &'a [Value],
+    words: &'a [u64],
     pos: usize,
+}
+
+impl<'a> PrefixFrame<'a> {
+    fn at_start(group: &'a Group) -> Self {
+        PrefixFrame {
+            values: &group.values,
+            words: &group.words,
+            pos: 0,
+        }
+    }
 }
 
 /// A [`TrieAccess`] cursor over a [`PrefixIndex`].
 ///
 /// Each non-root `open` costs one hash probe (`values_after` on the prefix assembled
-/// from the keys above — gathered into a reused buffer, so `open` never allocates
-/// after the first descent); the root group lookup is free (it is a single static
-/// entry, amortized across the whole run). Navigation within a level is adaptive
+/// from the keys above — gathered into a reused buffer, and memoized into one, so
+/// `open` never allocates after the first descent); the root group lookup is
+/// free (it is a single static entry, amortized across the whole run).
+/// Navigation within a level is adaptive
 /// linear/galloping search over the sorted slice, identical in cost shape to
 /// [`TrieCursor`]. Obtained from [`PrefixIndex::cursor`]. `Send + Clone` like every
 /// cursor.
@@ -188,14 +221,15 @@ pub struct PrefixCursor<'a> {
     index: &'a PrefixIndex,
     frames: Vec<PrefixFrame<'a>>,
     prefix_buf: Vec<Value>,
-    /// One-entry memo per depth: the last prefix opened there and its group.
+    /// One-entry memo per depth: the last prefix opened there and its group
+    /// (`None` until the depth is first opened; the prefix buffer is reused).
     /// Join engines re-open the same prefix many times in a row (everything
     /// *below* it in the variable order iterates in between), so this turns the
     /// common case into a short `Vec` comparison instead of a hash lookup. Memo
     /// hits still record the probe, keeping the work counters a pure function of
     /// the visited values — scheduling-independent, as the parallel determinism
     /// property requires.
-    memo: Vec<Option<(Vec<Value>, &'a [Value])>>,
+    memo: Vec<(Vec<Value>, Option<&'a Group>)>,
     work: CursorWork,
     simd: crate::simd::SimdLevel,
     seek_linear_max: usize,
@@ -208,7 +242,7 @@ impl PrefixIndex {
             index: self,
             frames: Vec::new(),
             prefix_buf: Vec::with_capacity(self.arity()),
-            memo: vec![None; self.arity()],
+            memo: vec![(Vec::new(), None); self.arity()],
             work: CursorWork::default(),
             simd: crate::simd::active_level(),
             seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
@@ -239,18 +273,19 @@ impl TrieAccess for PrefixCursor<'_> {
             // count identically so tallies stay scheduling-independent.
             self.work.probes += 1;
         }
-        let depth = self.frames.len();
-        if let Some((prefix, values)) = &self.memo[depth] {
-            if *prefix == self.prefix_buf {
-                let values = *values;
-                self.frames.push(PrefixFrame { values, pos: 0 });
+        let (memo_prefix, memo_group) = &mut self.memo[self.frames.len()];
+        if let Some(group) = *memo_group {
+            if *memo_prefix == self.prefix_buf {
+                self.frames.push(PrefixFrame::at_start(group));
                 return true;
             }
         }
-        match self.index.values_after(&self.prefix_buf) {
-            Some(values) if !values.is_empty() => {
-                self.memo[depth] = Some((self.prefix_buf.clone(), values));
-                self.frames.push(PrefixFrame { values, pos: 0 });
+        match self.index.group_after(&self.prefix_buf) {
+            Some(group) if !group.values.is_empty() => {
+                memo_prefix.clear();
+                memo_prefix.extend_from_slice(&self.prefix_buf);
+                *memo_group = Some(group);
+                self.frames.push(PrefixFrame::at_start(group));
                 true
             }
             _ => false,
@@ -345,6 +380,11 @@ impl TrieAccess for PrefixCursor<'_> {
             None => &[],
             Some(f) => &f.values[f.pos..],
         }
+    }
+
+    fn layout(&self) -> Option<Layout<'_>> {
+        let f = self.frames.last()?;
+        kernels::layout_of(f.values[0], f.words)
     }
 
     fn take_work(&mut self) -> CursorWork {
@@ -442,6 +482,10 @@ impl TrieAccess for CursorKind<'_> {
 
     fn group_size(&self) -> usize {
         dispatch!(self, c => c.group_size())
+    }
+
+    fn layout(&self) -> Option<Layout<'_>> {
+        dispatch!(self, c => TrieAccess::layout(c))
     }
 
     fn take_work(&mut self) -> CursorWork {
@@ -554,6 +598,49 @@ mod tests {
             assert!(!c.seek(5)); // nothing >= 5 at level A
             assert!(c.at_end());
             assert!(!c.take_work().is_zero());
+        }
+    }
+
+    /// Every set bit of a layout, ascending.
+    fn decode((base, words): Layout<'_>) -> Vec<Value> {
+        let bits = |i: usize| (0..64).filter(move |b| words[i] >> b & 1 == 1);
+        (0..words.len())
+            .flat_map(|i| bits(i).map(move |b| base + 64 * i as u64 + b))
+            .collect()
+    }
+
+    #[test]
+    fn dense_groups_carry_their_layout_on_both_backends() {
+        // root: {3, 200, 9000} (sparse); under 3: 70..=134 step 2 (dense, first
+        // off the 64-grid); under 200: four values (tiny); under 9000: a wide
+        // sparse group
+        let mut rows: Vec<Vec<Value>> = (70..=134).step_by(2).map(|b| vec![3, b]).collect();
+        rows.extend((0..4).map(|b| vec![200, b]));
+        rows.extend((0..8).map(|b| vec![9000, b * 1000]));
+        let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
+        let trie = Trie::build(&r, &["A", "B"]).unwrap();
+        let index = PrefixIndex::build(&r, &["A", "B"]).unwrap();
+        let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), index.cursor().into()];
+        for c in cursors.iter_mut() {
+            assert_eq!(c.layout(), None, "at the root");
+            assert!(c.open());
+            assert_eq!(c.layout(), None, "three root values are a tiny group");
+            assert!(c.open()); // under A = 3
+            let group = TrieAccess::remaining(c).to_vec();
+            let (base, words) = c.layout().expect("a dense group");
+            assert_eq!((base, words.len()), (64, 2));
+            assert_eq!(decode((base, words)), group);
+            // the layout is the whole group's wherever the cursor stands
+            assert!(c.seek(101));
+            assert_eq!(c.key(), 102);
+            assert_eq!(decode(c.layout().unwrap()), group);
+            c.up();
+            for sparse in [200, 9000] {
+                assert!(c.seek(sparse));
+                assert!(c.open());
+                assert_eq!(c.layout(), None, "under A = {sparse}");
+                c.up();
+            }
         }
     }
 

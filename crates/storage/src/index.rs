@@ -10,9 +10,13 @@
 //! [`crate::Trie::build`]: one argsort of row indices (skipped when the requested
 //! order is the relation's native order), then a single scan that — at each row —
 //! touches only the hash entries of the prefixes that actually changed, rather than
-//! re-hashing every prefix of every tuple.
+//! re-hashing every prefix of every tuple. Once the value lists are complete, every
+//! dense group gets its **set layout** (see [`crate::kernels`]) beside its list —
+//! one walk over the entries, no second lookup — counted in
+//! [`PrefixIndex::heap_bytes`]; a sparse group allocates nothing.
 
 use crate::error::StorageError;
+use crate::kernels;
 use crate::relation::Relation;
 use crate::trie::{
     boundary_depths, fused_scan, order_perm_threads, order_positions, positions_order,
@@ -77,8 +81,30 @@ impl Hasher for FxHasher {
     }
 }
 
+/// One sibling group of a [`PrefixIndex`]: the sorted distinct values extending
+/// a prefix and, beside them, the group's set layout.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub(crate) values: Vec<Value>,
+    /// The [`crate::kernels::Layout`] words of a dense group; empty (no
+    /// allocation) for a sparse one.
+    pub(crate) words: Box<[u64]>,
+}
+
 /// A prefix-to-extensions map hashed with [`FxHasher`].
-type PrefixMap = HashMap<Vec<Value>, Vec<Value>, BuildHasherDefault<FxHasher>>;
+type PrefixMap = HashMap<Vec<Value>, Group, BuildHasherDefault<FxHasher>>;
+
+/// Give every dense group its set layout, once the fused pass has completed the
+/// value lists. A layout is a function of its group's values alone, so serial
+/// and parallel builds agree bit for bit.
+fn with_layouts(mut levels: Vec<PrefixMap>) -> Vec<PrefixMap> {
+    for group in levels.iter_mut().flat_map(|m| m.values_mut()) {
+        let mut words = Vec::new();
+        kernels::append_layout(&mut words, &group.values);
+        group.words = words.into_boxed_slice();
+    }
+    levels
+}
 
 /// A multi-level hash index over a relation reordered by a chosen attribute order.
 ///
@@ -126,12 +152,13 @@ impl PrefixIndex {
             // prefix; positions < d extend prefixes whose entries already exist
             for (k, col) in cols.iter().enumerate().skip(d) {
                 cur[k] = col[r];
-                levels[k].entry(cur[..k].to_vec()).or_default().push(cur[k]);
+                let group = levels[k].entry(cur[..k].to_vec()).or_default();
+                group.values.push(cur[k]);
             }
         });
         PrefixIndex {
             attr_order,
-            levels,
+            levels: with_layouts(levels),
             len: rel.len(),
         }
     }
@@ -214,7 +241,8 @@ impl PrefixIndex {
                             // always fully initialized before any prefix read
                             for (k, col) in cols.iter().enumerate().skip(bounds[idx]) {
                                 cur[k] = col[r];
-                                levels[k].entry(cur[..k].to_vec()).or_default().push(cur[k]);
+                                let group = levels[k].entry(cur[..k].to_vec()).or_default();
+                                group.values.push(cur[k]);
                             }
                         }
                         levels
@@ -232,12 +260,13 @@ impl PrefixIndex {
             for (k, map) in partial.into_iter().enumerate() {
                 if k == 0 {
                     // single root entry: concatenate the chunks' runs in order
-                    for (key, mut vals) in map {
-                        levels[0].entry(key).or_default().append(&mut vals);
+                    for (key, mut group) in map {
+                        let root = levels[0].entry(key).or_default();
+                        root.values.append(&mut group.values);
                     }
                 } else {
-                    for (key, vals) in map {
-                        let old = levels[k].insert(key, vals);
+                    for (key, group) in map {
+                        let old = levels[k].insert(key, group);
                         debug_assert!(old.is_none(), "prefix keys must not span chunks");
                     }
                 }
@@ -245,7 +274,7 @@ impl PrefixIndex {
         }
         PrefixIndex {
             attr_order,
-            levels,
+            levels: with_layouts(levels),
             len: n,
         }
     }
@@ -255,16 +284,21 @@ impl PrefixIndex {
         &self.attr_order
     }
 
-    /// Approximate heap footprint in bytes (per-entry key and value storage
-    /// plus an estimated hash-table overhead) — the byte accounting behind the
-    /// access-structure cache's budget.
+    /// Approximate heap footprint in bytes (per-entry key, value and layout
+    /// storage plus an estimated hash-table overhead) — the byte accounting
+    /// behind the access-structure cache's budget.
     pub fn heap_bytes(&self) -> usize {
-        // per-entry bookkeeping estimate: two Vec headers + table slot
-        const ENTRY_OVERHEAD: usize = 56;
+        // per-entry bookkeeping estimate: two Vec headers, the layout's boxed
+        // slice + table slot
+        const ENTRY_OVERHEAD: usize = 72;
         self.levels
             .iter()
             .flat_map(|m| m.iter())
-            .map(|(k, v)| (k.len() + v.len()) * std::mem::size_of::<Value>() + ENTRY_OVERHEAD)
+            .map(|(k, g)| {
+                (k.len() + g.values.len()) * std::mem::size_of::<Value>()
+                    + g.words.len() * std::mem::size_of::<u64>()
+                    + ENTRY_OVERHEAD
+            })
             .sum()
     }
 
@@ -286,10 +320,13 @@ impl PrefixIndex {
     /// Sorted distinct values of attribute `prefix.len()` (in index order) extending
     /// `prefix`, or `None` if the prefix does not occur.
     pub fn values_after(&self, prefix: &[Value]) -> Option<&[Value]> {
-        self.levels
-            .get(prefix.len())
-            .and_then(|lvl| lvl.get(prefix))
-            .map(|v| v.as_slice())
+        self.group_after(prefix).map(|g| g.values.as_slice())
+    }
+
+    /// The whole sibling group extending `prefix` — values and layout — or
+    /// `None` if the prefix does not occur. What a [`crate::PrefixCursor`] opens.
+    pub(crate) fn group_after(&self, prefix: &[Value]) -> Option<&Group> {
+        self.levels.get(prefix.len())?.get(prefix)
     }
 
     /// The sorted distinct values of the first attribute — the root sibling group.
@@ -389,6 +426,29 @@ mod tests {
         assert!(by_pos.heap_bytes() > 0);
         let par = PrefixIndex::build_positions_parallel(&r, &[1, 0], 4).unwrap();
         assert_eq!(par, by_name);
+    }
+
+    #[test]
+    fn layouts_sit_beside_dense_groups_and_count_in_heap_bytes() {
+        // one dense root group of 40, forty dense child groups of 8
+        let rows = (0..800).map(|i| vec![i % 40, 100 + (i * 7) % 64]).collect();
+        let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
+        let idx = PrefixIndex::build(&r, &["A", "B"]).unwrap();
+        let groups: Vec<&Group> = idx.levels.iter().flat_map(|m| m.values()).collect();
+        assert_eq!(groups.len(), 41);
+        let mut bytes = 0;
+        for g in &groups {
+            assert!((1..=g.values.len() / 4 + 2).contains(&g.words.len()));
+            bytes += 8 * (g.values.len() + g.words.len()) + 72;
+        }
+        // ... plus the forty 1-value keys
+        assert_eq!(idx.heap_bytes(), bytes + 8 * 40);
+
+        // a sparse group allocates nothing
+        let wide =
+            Relation::from_rows(Schema::new(&["A"]), (0..9).map(|i| vec![i << 20]).collect());
+        let idx = PrefixIndex::build(&wide, &["A"]).unwrap();
+        assert!(idx.group_after(&[]).unwrap().words.is_empty());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! that dominates *constants* in practice: the best machine kernel depends on the
 //! relative sizes and the value density of the sets being intersected.
 //!
-//! This module offers three kernels plus a per-intersection heuristic:
+//! This module offers three list kernels plus a per-intersection heuristic, and
+//! the prebuilt-bitset path for groups dense enough to carry one (see *Set
+//! layouts* below):
 //!
 //! * [`KernelKind::Merge`] — branchless two-pointer merge, pairwise
 //!   smallest-first. `O(Σ|L_i|)` with no data-dependent branches in the hot loop;
@@ -28,13 +30,45 @@
 //! [`WorkCounter`] kernel breakdown (`kernel_merge` / `kernel_gallop` /
 //! `kernel_bitmap`), so adaptivity is auditable per query.
 //!
+//! # Set layouts
+//!
+//! The bitmap kernel above derives both bitsets from the sorted lists on every
+//! call. The lists of a *static* access structure ([`crate::Trie`],
+//! [`crate::PrefixIndex`]) do not change between calls, so — as EmptyHeaded
+//! fixes a layout per set when it builds its tries — every **dense sibling
+//! group** gets its bitset once, at build time: a [`Layout`] `(base, words)`.
+//!
+//! * **Rule.** A group is dense when the adaptive policy's bitmap condition
+//!   holds for the group alone, under the fixed thresholds: more than
+//!   `TINY_LIST` (4) values, span at most [`BITMAP_MAX_SPAN`], span at most
+//!   [`BITMAP_SPAN_PER_ELEMENT`] per value ([`append_layout`]). The rule is baked
+//!   into a structure that is cached and shared across queries, so it cannot
+//!   depend on per-query options: [`KernelCalibration`]'s two bitmap thresholds
+//!   steer the *list*-kernel choice ([`choose_kernel_with`]) only.
+//! * **Memory.** Words sit on the absolute 64-grid (`base = first / 64 · 64`), so
+//!   any two layouts AND without shifting; that alignment costs at most one word
+//!   beyond the span's own `⌈span/64⌉`, and the density rule bounds the total at
+//!   `len/4 + 2` words per dense group — about 1/4 on top of the values, nothing
+//!   for sparse groups. Both structures count it in their `heap_bytes()`.
+//! * **Who uses them.** [`intersect_layouts_into`]: the execution layer takes
+//!   it when *every* participant of an intersection has a layout and the policy
+//!   is `Adaptive` or `Bitmap`. It ANDs the words under the common span, masks
+//!   the two ends (which also drops values behind a cursor) and decodes — no list
+//!   is scanned. Anything else — a sparse or delta-backed participant, or a
+//!   forced `Merge`/`Gallop`, which must keep exercising the list kernels for
+//!   the "all kernels agree" differentials — goes through
+//!   [`intersect_into_cal`] unchanged. The list-bitmap kernel stays: it is the
+//!   only bitmap path for delta-backed atoms and for sparse groups whose
+//!   *common* window is dense.
+//!
 //! # Work accounting
 //!
 //! * Gallop records `intersect_steps` (smallest-set elements consumed) and
 //!   `probes` (galloping search probes) — the classic tallies.
 //! * Merge records `comparisons` (two-pointer loop iterations).
 //! * Bitmap records `comparisons` (elements scanned into bitsets) and `probes`
-//!   (bitset words touched).
+//!   (bitset words touched); over prebuilt layouts nothing is scanned, so it
+//!   records `probes` alone.
 //!
 //! The adaptive policy only chooses merge when `max/min ≤ 8` and bitmap when the
 //! span is within a constant factor of the smallest set, so every kernel's cost
@@ -131,8 +165,10 @@ pub fn choose_kernel_with(
             KernelKind::Gallop
         };
     }
-    let span = hi - lo + 1;
-    if span <= cal.bitmap_max_span && span <= cal.bitmap_span_per_element * m as u64 {
+    // the span is `width + 1`, which overflows when the operands hold both 0
+    // and `u64::MAX`: compare widths (`span <= x` is `width < x`)
+    let width = hi - lo;
+    if width < cal.bitmap_max_span && width < cal.bitmap_span_per_element.saturating_mul(m as u64) {
         KernelKind::Bitmap
     } else if max_len <= cal.merge_max_ratio * m {
         KernelKind::Merge
@@ -536,13 +572,115 @@ fn bitmap_intersect(
     counter.add_probes((words * lists.len()) as u64);
 
     for (w, &bits) in acc.iter().enumerate() {
-        let mut bits = bits;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as u64;
-            out.push(lo + (w as u64) * 64 + b);
-            bits &= bits - 1;
+        decode_word(out, lo + (w as u64) * 64, bits);
+    }
+}
+
+/// Append the values of one bitset word — `base` plus each set bit's index,
+/// ascending — to `out`.
+#[inline]
+fn decode_word(out: &mut Vec<Value>, base: Value, mut bits: u64) {
+    while bits != 0 {
+        out.push(base + bits.trailing_zeros() as u64);
+        bits &= bits - 1;
+    }
+}
+
+/// A dense sibling group's prebuilt **set layout**: `(base, words)` where `base`
+/// is a multiple of 64 and bit `b` of `words[i]` says whether `base + 64·i + b`
+/// is in the group. See the module docs.
+pub type Layout<'a> = (Value, &'a [u64]);
+
+/// How many bitset words the set layout of `group` (sorted, distinct) takes —
+/// `0` when the group is sparse and gets no layout. Dense is the adaptive
+/// policy's bitmap condition under the fixed thresholds, applied to the group's
+/// own span: more than [`TINY_LIST`] values, spanning at most
+/// [`BITMAP_MAX_SPAN`] and at most [`BITMAP_SPAN_PER_ELEMENT`] per value — so a
+/// layout costs at most `⌈span/64⌉ + 1 ≤ len/4 + 2` words (the `+ 1` is the
+/// 64-grid alignment).
+fn layout_words(group: &[Value]) -> usize {
+    let (Some(&first), Some(&last)) = (group.first(), group.last()) else {
+        return 0;
+    };
+    // widths, not spans: `last - first + 1` overflows on a {0, .., u64::MAX} group
+    let width = last - first;
+    if group.len() <= TINY_LIST
+        || width >= BITMAP_MAX_SPAN
+        || width >= BITMAP_SPAN_PER_ELEMENT * group.len() as u64
+    {
+        return 0;
+    }
+    (last / 64 - first / 64 + 1) as usize
+}
+
+/// The one builder of set layouts: if `group` (sorted, distinct) is dense (see
+/// the module docs for the rule), append its bitset words to `pool` — on the
+/// absolute 64-grid ([`layout_of`] turns them back into a [`Layout`]) — and return
+/// how many were appended; `0`, with `pool` untouched, for a sparse group.
+pub fn append_layout(pool: &mut Vec<u64>, group: &[Value]) -> usize {
+    let n = layout_words(group);
+    if n > 0 {
+        let start = pool.len();
+        pool.resize(start + n, 0);
+        for &v in group {
+            pool[start + (v / 64 - group[0] / 64) as usize] |= 1u64 << (v % 64);
         }
     }
+    n
+}
+
+/// The [`Layout`] of a group whose first value is `first` over the `words`
+/// [`append_layout`] appended for it — `None` when it appended none (a sparse
+/// group). With `append_layout`, the only code that knows the 64-grid.
+pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
+    (!words.is_empty()).then_some((first / 64 * 64, words))
+}
+
+/// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s into `out`
+/// (cleared first): `lists[i]` is what remains of group `i` from its cursor's
+/// position and `layouts[i]` the whole group's layout. The common span comes
+/// from `lists` exactly as [`intersect_into_cal`]'s prefilter computes it —
+/// which also masks off the values behind each cursor — and the covered words
+/// are ANDed in place (every layout sits on the same 64-grid) and decoded
+/// ascending. Nothing is scanned, so the charge is one `Bitmap` invocation and
+/// `words · k` probes, no comparisons. Returns `None` when a short-circuit
+/// (empty operand, disjoint spans) answered first.
+pub fn intersect_layouts_into(
+    out: &mut Vec<Value>,
+    lists: &[&[Value]],
+    layouts: &[Layout<'_>],
+    counter: &WorkCounter,
+) -> Option<KernelKind> {
+    debug_assert!(lists.len() >= 2 && lists.len() == layouts.len());
+    out.clear();
+    let mut lo = Value::MIN;
+    let mut hi = Value::MAX;
+    for l in lists {
+        lo = lo.max(*l.first()?);
+        hi = hi.min(*l.last()?);
+    }
+    if lo > hi {
+        return None;
+    }
+    let (first, last) = (lo / 64, hi / 64);
+    counter.add_kernel(KernelKind::Bitmap);
+    counter.add_probes((last - first + 1) * layouts.len() as u64);
+    // no accumulator: each covered word is ANDed across the layouts, masked at
+    // the span's two ends and decoded in one go
+    for w in first..=last {
+        let mut bits = u64::MAX;
+        for &(base, words) in layouts {
+            bits &= words[(w - base / 64) as usize];
+        }
+        if w == first {
+            bits &= u64::MAX << (lo % 64);
+        }
+        if w == last {
+            bits &= u64::MAX >> (63 - hi % 64);
+        }
+        decode_word(out, w * 64, bits);
+    }
+    Some(KernelKind::Bitmap)
 }
 
 #[cfg(test)]
@@ -563,6 +701,31 @@ mod tests {
             .copied()
             .filter(|v| lists[1..].iter().all(|l| l.contains(v)))
             .collect()
+    }
+
+    /// `group`'s layout words as the access structures build them, `None`
+    /// when sparse.
+    fn built_words(group: &[Value]) -> Option<Vec<u64>> {
+        let mut words = vec![];
+        (append_layout(&mut words, group) > 0).then_some(words)
+    }
+
+    /// The dense path over `groups` with each cursor `skip[i]` values in:
+    /// `None` unless every group has a layout.
+    fn run_dense(groups: &[Vec<Value>], skip: &[usize], w: &WorkCounter) -> Option<Vec<Value>> {
+        let owned: Vec<Vec<u64>> = groups
+            .iter()
+            .map(|g| built_words(g))
+            .collect::<Option<_>>()?;
+        let layouts: Vec<Layout> = groups
+            .iter()
+            .zip(&owned)
+            .map(|(g, ws)| layout_of(g[0], ws).expect("dense"))
+            .collect();
+        let lists: Vec<&[Value]> = groups.iter().zip(skip).map(|(g, &s)| &g[s..]).collect();
+        let mut out = vec![99];
+        intersect_layouts_into(&mut out, &lists, &layouts, w);
+        Some(out)
     }
 
     #[test]
@@ -586,7 +749,29 @@ mod tests {
                 vec![0, 64, 128],
                 vec![0, 1, 64, 100, 128],
             ],
+            // spans of 2^64: `hi - lo + 1` overflowed here (debug: panic;
+            // release: span 0 -> Bitmap -> a 2^58-word allocation)
+            vec![
+                vec![0, 1, 2, 3, 4, 5, u64::MAX],
+                vec![0, 2, 4, 6, 8, 10, u64::MAX],
+            ],
+            // all dense, straddling word boundaries, firsts off the 64-grid
+            vec![
+                vec![63, 64, 127, 128, 129],
+                vec![60, 63, 64, 65, 128, 130],
+                (50..140).collect(),
+            ],
+            vec![
+                (70..200).step_by(3).collect(),
+                (100..260).step_by(2).collect(),
+            ],
+            vec![
+                (u64::MAX - 70..=u64::MAX).collect(),
+                (u64::MAX - 200..u64::MAX).step_by(2).collect(),
+            ],
+            vec![(0..64).collect(), (64..128).collect()], // dense, disjoint
         ];
+        let mut dense_shapes = 0;
         for lists in &shapes {
             let refs: Vec<&[Value]> = lists.iter().map(|l| l.as_slice()).collect();
             let expected = naive(&refs);
@@ -597,7 +782,125 @@ mod tests {
                     "policy {policy:?} diverges on {lists:?}"
                 );
             }
+            // ... and where every list is dense, so must the prebuilt layouts
+            if lists.len() < 2 {
+                continue;
+            }
+            let w = WorkCounter::new();
+            if let Some(out) = run_dense(lists, &vec![0; lists.len()], &w) {
+                assert_eq!(out, expected, "layouts diverge on {lists:?}");
+                assert_eq!(w.comparisons(), 0, "the dense path scans nothing");
+                assert_eq!(w.kernel_calls(), w.kernel_bitmap());
+                dense_shapes += 1;
+            }
         }
+        assert_eq!(dense_shapes, 5);
+    }
+
+    #[test]
+    fn the_overflow_reproducer_returns_its_four_values() {
+        let a: Vec<Value> = vec![0, 1, 2, 3, 4, 5, u64::MAX];
+        let b: Vec<Value> = vec![0, 2, 4, 6, 8, 10, u64::MAX];
+        for policy in KernelPolicy::ALL {
+            assert_eq!(run(&[&a, &b], policy), [0, 2, 4, u64::MAX], "{policy:?}");
+        }
+        // the widest possible span is never a bitmap candidate
+        assert_ne!(choose_kernel(&[&a, &b], 0, u64::MAX), KernelKind::Bitmap);
+        assert_eq!(layout_words(&a), 0);
+    }
+
+    #[test]
+    fn layouts_hold_exactly_their_groups_values() {
+        let mut state = 0x1A_707u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let (mut dense, mut sparse) = (0, 0);
+        for _ in 0..2_000 {
+            let first = next(1 << 40);
+            let span = 1 + next(6_000);
+            let mut group: Vec<Value> = (0..1 + next(400)).map(|_| first + next(span)).collect();
+            group.sort_unstable();
+            group.dedup();
+            let Some(words) = built_words(&group) else {
+                sparse += 1;
+                assert_eq!(layout_of(group[0], &[]), None);
+                continue;
+            };
+            dense += 1;
+            let (base, words) = layout_of(group[0], &words).expect("dense");
+            assert_eq!(base % 64, 0);
+            assert!(base <= group[0] && group[0] - base < 64);
+            assert!(words.len() <= group.len() / 4 + 2, "{} words", words.len());
+            let mut decoded = Vec::new();
+            for (i, &bits) in words.iter().enumerate() {
+                decode_word(&mut decoded, base + 64 * i as u64, bits);
+            }
+            assert_eq!(decoded, group);
+        }
+        assert!(
+            dense > 200 && sparse > 200,
+            "{dense} dense, {sparse} sparse"
+        );
+    }
+
+    #[test]
+    fn the_density_rule_at_its_edges() {
+        let with_last = |len: u64, last: u64| -> Vec<Value> {
+            (0..len - 1).chain(std::iter::once(last)).collect()
+        };
+        // more than TINY_LIST values
+        assert_eq!(layout_words(&[]), 0);
+        assert_eq!(layout_words(&[10, 11, 12, 13]), 0);
+        assert_eq!(layout_words(&[10, 11, 12, 13, 14]), 1);
+        // span <= BITMAP_MAX_SPAN
+        assert_eq!(layout_words(&with_last(300, 4095)), 64); // span 4096
+        assert_eq!(layout_words(&with_last(300, 4096)), 0); // span 4097
+                                                            // span <= BITMAP_SPAN_PER_ELEMENT * len, here 160
+        assert_eq!(layout_words(&with_last(10, 158)), 3); // span 159
+        assert_eq!(layout_words(&with_last(10, 159)), 3); // span 160
+        assert_eq!(layout_words(&with_last(10, 160)), 0); // span 161
+                                                          // the same rule the adaptive policy applies to a common span
+        for (len, last) in [
+            (300, 4095),
+            (300, 4096),
+            (10, 159),
+            (10, 160),
+            (4, 3),
+            (5, 4),
+        ] {
+            let g = with_last(len, last);
+            let chosen = choose_kernel(&[&g, &g], 0, last) == KernelKind::Bitmap;
+            assert_eq!(layout_words(&g) > 0, chosen, "len {len} last {last}");
+        }
+        // alignment costs at most one word over the span's own
+        let straddling: Vec<Value> = (63..143).step_by(16).chain([142]).collect();
+        assert_eq!(straddling.len(), 6);
+        assert_eq!(layout_words(&straddling), 3); // span 80: words 0, 1 and 2
+    }
+
+    #[test]
+    fn values_behind_a_cursor_never_reappear() {
+        // both cursors stopped mid-word: 70 and 72 are behind a's, 71 behind b's
+        let a: Vec<Value> = vec![65, 70, 72, 75, 80, 100, 130];
+        let b: Vec<Value> = vec![66, 70, 71, 72, 75, 100, 129, 130, 131];
+        let w = WorkCounter::new();
+        let out = run_dense(&[a.clone(), b.clone()], &[3, 3], &w).expect("both dense");
+        assert_eq!(out, naive(&[&a[3..], &b[3..]]));
+        assert_eq!(out, [75, 100, 130]);
+        // [72, 130] covers words 1..=2 of two layouts
+        assert_eq!((w.kernel_bitmap(), w.probes(), w.comparisons()), (1, 4, 0));
+        // a cursor at its end, or past the other's last value, short-circuits
+        let w = WorkCounter::new();
+        assert_eq!(
+            run_dense(&[a.clone(), b.clone()], &[7, 0], &w),
+            Some(vec![])
+        );
+        assert_eq!(run_dense(&[a, b], &[6, 8], &w), Some(vec![]));
+        assert_eq!((w.kernel_calls(), w.probes()), (0, 0));
     }
 
     #[test]

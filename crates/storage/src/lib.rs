@@ -15,7 +15,9 @@
 //! * [`kernels`] — the adaptive multi-way intersection layer: branchless merge,
 //!   smallest-driven galloping, and a small-domain bitmap kernel, selected per
 //!   intersection by a span/size-ratio heuristic ([`kernels::KernelPolicy`]) and
-//!   recorded in the [`stats::WorkCounter`] breakdown;
+//!   recorded in the [`stats::WorkCounter`] breakdown — plus the **set layouts**
+//!   the static access structures prebuild for their dense sibling groups
+//!   ([`kernels::Layout`]), which turn dense∩dense into a word-parallel AND;
 //! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order with a
 //!   seekable cursor, the access path required by Leapfrog Triejoin; built by a
 //!   single fused argsort-and-scan pass over the relation's columns — or, with

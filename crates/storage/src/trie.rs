@@ -9,6 +9,13 @@
 //! scan that emits every level's values and child offsets simultaneously — no row
 //! materialization, no per-level re-grouping.
 //!
+//! Each level also carries the **set layouts** of its dense sibling groups (see
+//! [`crate::kernels`]): one pool of bitset words per level plus one offset per
+//! group (CSR, like the child ranges), filled from the finished value arrays by
+//! the same code in the serial and the parallel build (so the two stay
+//! bit-identical), counted in [`Trie::heap_bytes`], and absent altogether on a
+//! level without a dense group.
+//!
 //! A [`TrieCursor`] implements the linear-iterator interface Leapfrog needs: `open`,
 //! `up`, `next`, `seek` (least upper bound within the current sibling group), `key`,
 //! `at_end`. `seek` uses galloping (exponential then binary) search so that a full
@@ -18,6 +25,7 @@
 //! can each hold their own cursor over one shared trie.
 
 use crate::error::StorageError;
+use crate::kernels::{self, Layout};
 use crate::relation::Relation;
 use crate::stats::CursorWork;
 use crate::Value;
@@ -31,6 +39,63 @@ struct TrieLevel {
     /// `child_start[i]..child_start[i+1]` is the range of node `i`'s children in the
     /// next level's `values`. Empty for the deepest level (never dereferenced there).
     child_start: Vec<usize>,
+    /// The set layouts of this level's dense sibling groups, concatenated in
+    /// group order: one word pool per level.
+    layout_words: Vec<u64>,
+    /// `layout_start[g]..layout_start[g + 1]` is group `g`'s layout in
+    /// `layout_words` — group `g` is the children of node `g` one level up (the
+    /// root level is its single group 0) — an empty range for a sparse group.
+    /// Left empty when no group of the level is dense, so sparse relations pay
+    /// nothing.
+    layout_start: Vec<usize>,
+}
+
+impl TrieLevel {
+    /// Assemble a level from its finished `values`, building the layouts of its
+    /// sibling groups — `groups` yields their `start..end` ranges in order.
+    /// Shared by the serial and parallel builds, so both produce the same bits.
+    fn new(
+        values: Vec<Value>,
+        child_start: Vec<usize>,
+        groups: impl Iterator<Item = std::ops::Range<usize>>,
+    ) -> Self {
+        let mut layout_words: Vec<u64> = Vec::new();
+        let mut layout_start: Vec<usize> = vec![0];
+        for range in groups {
+            kernels::append_layout(&mut layout_words, &values[range]);
+            layout_start.push(layout_words.len());
+        }
+        if layout_words.is_empty() {
+            layout_start = Vec::new();
+        }
+        TrieLevel {
+            values,
+            child_start,
+            layout_words,
+            layout_start,
+        }
+    }
+}
+
+/// Assemble a trie's levels from the per-level `values` and `child_start`
+/// arrays both builds produce: level 0 is one sibling group, level `d + 1`'s
+/// groups are level `d`'s child ranges.
+fn assemble_levels(values: Vec<Vec<Value>>, child_start: Vec<Vec<usize>>) -> Vec<TrieLevel> {
+    let mut levels: Vec<TrieLevel> = Vec::with_capacity(values.len());
+    for (values, child_start) in values.into_iter().zip(child_start) {
+        let level = match levels.last() {
+            None => {
+                let root = (!values.is_empty()).then_some(0..values.len());
+                TrieLevel::new(values, child_start, root.into_iter())
+            }
+            Some(parent) => {
+                let groups = parent.child_start.windows(2).map(|w| w[0]..w[1]);
+                TrieLevel::new(values, child_start, groups)
+            }
+        };
+        levels.push(level);
+    }
+    levels
 }
 
 /// A prefix trie over a relation in a fixed attribute order.
@@ -251,17 +316,9 @@ impl Trie {
             child_start[depth].push(values[depth + 1].len());
         }
 
-        let levels = values
-            .into_iter()
-            .zip(child_start)
-            .map(|(values, child_start)| TrieLevel {
-                values,
-                child_start,
-            })
-            .collect();
         Trie {
             attr_order,
-            levels,
+            levels: assemble_levels(values, child_start),
             num_tuples: n,
         }
     }
@@ -421,17 +478,9 @@ impl Trie {
             }
         }
 
-        let levels = values
-            .into_iter()
-            .zip(child_start)
-            .map(|(values, child_start)| TrieLevel {
-                values,
-                child_start,
-            })
-            .collect();
         Trie {
             attr_order,
-            levels,
+            levels: assemble_levels(values, child_start),
             num_tuples: n,
         }
     }
@@ -441,15 +490,17 @@ impl Trie {
         &self.attr_order
     }
 
-    /// Approximate heap footprint in bytes (level value and offset arrays plus
-    /// order metadata) — the byte accounting behind the access-structure
-    /// cache's budget.
+    /// Approximate heap footprint in bytes (level value, offset and layout
+    /// arrays plus order metadata) — the byte accounting behind the
+    /// access-structure cache's budget.
     pub fn heap_bytes(&self) -> usize {
         self.levels
             .iter()
             .map(|l| {
                 l.values.len() * std::mem::size_of::<Value>()
                     + l.child_start.len() * std::mem::size_of::<usize>()
+                    + l.layout_words.len() * std::mem::size_of::<u64>()
+                    + l.layout_start.len() * std::mem::size_of::<usize>()
             })
             .sum::<usize>()
             + self.attr_order.iter().map(|s| s.len()).sum::<usize>()
@@ -665,6 +716,23 @@ impl<'a> TrieCursor<'a> {
         }
     }
 
+    /// The prebuilt set layout of the whole current sibling group, if the
+    /// group is dense (see [`crate::kernels`]); `None` at the root.
+    pub fn layout(&self) -> Option<Layout<'a>> {
+        let depth = self.stack.len();
+        let frame = self.stack.last()?;
+        // a parent's position is fixed while its children are open
+        let group = if depth == 1 {
+            0
+        } else {
+            self.stack[depth - 2].pos
+        };
+        let level = &self.trie.levels[depth - 1];
+        let bounds = level.layout_start.get(group..group + 2)?;
+        let words = &level.layout_words[bounds[0]..bounds[1]];
+        kernels::layout_of(level.values[frame.start], words)
+    }
+
     /// Drain the cursor's private work tallies (resetting them to zero).
     pub fn take_work(&mut self) -> CursorWork {
         std::mem::take(&mut self.work)
@@ -706,6 +774,34 @@ mod tests {
         assert!(Trie::build_positions(&r, &[0, 1]).is_err());
         assert!(Trie::build_positions(&r, &[0, 1, 1]).is_err());
         assert!(Trie::build_positions(&r, &[0, 1, 3]).is_err());
+    }
+
+    #[test]
+    fn layouts_are_bounded_and_counted_in_heap_bytes() {
+        // 40 roots (dense) x 8 children each within a span of 64 (dense), and a
+        // sparse twin
+        let dense: Vec<Vec<Value>> = (0..800).map(|i| vec![i % 40, 100 + (i * 7) % 64]).collect();
+        let dense = Relation::from_rows(Schema::new(&["A", "B"]), dense);
+        let t = Trie::build(&dense, &["A", "B"]).unwrap();
+        let mut bytes = "AB".len();
+        for (level, groups) in t.levels.iter().zip([1, 40]) {
+            assert_eq!(level.layout_start.len(), groups + 1);
+            assert!(level.layout_start.windows(2).all(|w| w[0] < w[1]));
+            // per group at most len / 4 + 2 words
+            assert!(level.layout_words.len() <= level.values.len() / 4 + 2 * groups);
+            bytes += 8 * (level.values.len() + level.child_start.len())
+                + 8 * level.layout_words.len()
+                + 8 * level.layout_start.len();
+        }
+        assert_eq!(t.heap_bytes(), bytes);
+
+        let sparse: Vec<Vec<Value>> = (0..800).map(|i| vec![i * 1000, i * 999]).collect();
+        let sparse = Relation::from_rows(Schema::new(&["A", "B"]), sparse);
+        let t = Trie::build(&sparse, &["A", "B"]).unwrap();
+        for level in &t.levels {
+            assert!(level.layout_words.is_empty() && level.layout_start.is_empty());
+        }
+        assert_eq!(t.heap_bytes(), 2 + 8 * (800 + 801 + 800));
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! * `linear_seek_max` — seek window length below which a linear scan beats
 //!   galloping search.
 //!
+//! The two bitmap thresholds steer the choice among the *list* kernels only:
+//! which sibling groups carry a prebuilt set layout (`kernels::append_layout`)
+//! is decided when an access structure is built, under the fixed values — a
+//! cached structure cannot depend on one query's options.
+//!
 //! Thresholds decide which kernel the adaptive policy picks and therefore the
 //! deterministic work counters, so they are a plain *input* of an execution:
 //! [`KernelCalibration::fixed`] unless the caller passes other values. Nothing

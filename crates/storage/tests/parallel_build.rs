@@ -1,11 +1,12 @@
 //! Property tests for parallel access-structure construction: for relations on
 //! both sides of the parallel-build size threshold, several attribute orders, and
 //! threads ∈ {1, 2, 4, 8}, `Trie::build_parallel` / `PrefixIndex::build_parallel`
-//! must produce **bit-identical** contents to the serial builds (the acceptance
-//! criterion of the parallel-construction work), and the parallel argsort must
-//! equal the serial argsort permutation exactly.
+//! must produce **bit-identical** contents — values, offsets and the dense
+//! groups' set layouts — to the serial builds (the acceptance criterion of the
+//! parallel-construction work), and the parallel argsort must equal the serial
+//! argsort permutation exactly.
 
-use wcoj_storage::{PrefixIndex, Relation, Schema, Trie};
+use wcoj_storage::{PrefixIndex, Relation, Schema, Trie, TrieAccess};
 
 /// A deterministic pseudo-random ternary relation with heavy prefix sharing.
 fn ternary(n: usize, seed: u64) -> Relation {
@@ -36,6 +37,10 @@ fn parallel_trie_build_is_bit_identical_to_serial() {
         let r = ternary(n, 0x7E57 ^ n as u64);
         for order in ORDERS {
             let serial = Trie::build(&r, &order).expect("serial build");
+            // the derived equality below covers the set layouts: make sure the
+            // large relations actually have some (every root value occurs)
+            let mut root = serial.cursor();
+            assert!(n < 500 || (root.open() && root.layout().is_some()));
             for t in THREADS {
                 let parallel = Trie::build_parallel(&r, &order, t).expect("parallel build");
                 assert_eq!(parallel, serial, "n={n} order={order:?} threads={t}");
@@ -50,6 +55,8 @@ fn parallel_index_build_is_bit_identical_to_serial() {
         let r = ternary(n, 0xBEEF ^ n as u64);
         for order in ORDERS {
             let serial = PrefixIndex::build(&r, &order).expect("serial build");
+            let mut root = serial.cursor();
+            assert!(n < 500 || (root.open() && root.layout().is_some()));
             for t in THREADS {
                 let parallel = PrefixIndex::build_parallel(&r, &order, t).expect("parallel build");
                 assert_eq!(parallel, serial, "n={n} order={order:?} threads={t}");

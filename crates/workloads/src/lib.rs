@@ -152,6 +152,20 @@ pub fn triangle(n: usize, seed: u64) -> Workload {
     }
 }
 
+/// [`triangle`] with `R` **delta-backed** — converted on first mutation, then a
+/// sealed run of fresh edges on top of the base — beside the static `S` and
+/// `T`: levels where `R` participates intersect through its union cursor,
+/// the others through the static structures alone.
+pub fn triangle_live(n: usize, seed: u64) -> Workload {
+    let mut w = triangle(n, seed);
+    for (a, b) in random_pairs((n / 8).max(4), default_domain(n), seed ^ 0x11FE) {
+        w.db.insert_delta("R", vec![a, b]).expect("live insert");
+    }
+    w.db.seal("R").expect("seal live run");
+    w.name = format!("triangle_live_n{n}");
+    w
+}
+
 /// Triangle query over Zipf-skewed relations with exponent `theta` over
 /// `[0, domain)` — the adversarial regime for binary plans.
 pub fn triangle_skewed(n: usize, domain: u64, theta: f64, seed: u64) -> Workload {
@@ -620,6 +634,7 @@ pub fn differential_suite(seed: u64) -> Vec<Workload> {
         social_graph(96, seed ^ 13),
         edge_stream(96, seed ^ 14),
         query_replay(96, seed ^ 15),
+        triangle_live(256, seed ^ 16),
     ]
 }
 
