@@ -3,11 +3,10 @@
 //!
 //! Times Generic Join and Leapfrog Triejoin on large uniform triangle instances at
 //! 1, 2, and 4 worker threads, reporting the speedup over serial execution, and
-//! separately times `Trie::build_parallel` / `PrefixIndex::build_parallel` at the
-//! same thread counts. Verifies on every row that the parallel output, the merged
-//! work counters, and the parallel-built access structures are identical to their
-//! serial counterparts — scaling must not change *what* is computed, only how
-//! fast.
+//! separately times `Trie::build_parallel` at the same thread counts. Verifies on
+//! every row that the parallel output, the merged work counters, and the
+//! parallel-built tries are identical to their serial counterparts — scaling
+//! must not change *what* is computed, only how fast.
 //!
 //! Note: wall-clock speedup is bounded by the machine's core count; on a
 //! single-core container every thread count ≥ 1 times the same — run this on
@@ -19,7 +18,7 @@ use std::time::Instant;
 use wcoj_bench::ExperimentTable;
 use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
-use wcoj_storage::{PrefixIndex, Trie};
+use wcoj_storage::Trie;
 use wcoj_workloads::triangle;
 
 fn median_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -91,52 +90,29 @@ fn main() {
     table.print();
 
     // access-structure construction scaling: one representative reordered build
-    // per backend (the non-native order forces the parallel argsort too)
+    // (the non-native order forces the parallel argsort too)
     let rel = w.db.get("R").expect("workload binds R");
     let mut build_table = ExperimentTable::new(
         format!(
             "E3b: parallel access-structure build, |R| = {} rows",
             rel.len()
         ),
-        &[
-            "threads",
-            "trie_ms",
-            "trie_speedup",
-            "index_ms",
-            "index_speedup",
-        ],
+        &["threads", "trie_ms", "trie_speedup"],
     );
     let order = ["B", "A"];
     let trie_serial = Trie::build(rel, &order).expect("serial trie");
-    let index_serial = PrefixIndex::build(rel, &order).expect("serial index");
     let trie_serial_ms = median_time_ms(|| drop(Trie::build(rel, &order).unwrap()), 3);
-    let index_serial_ms = median_time_ms(|| drop(PrefixIndex::build(rel, &order).unwrap()), 3);
-    build_table.push(
-        "build/serial",
-        vec![1.0, trie_serial_ms, 1.0, index_serial_ms, 1.0],
-    );
+    build_table.push("build/serial", vec![1.0, trie_serial_ms, 1.0]);
     for threads in [2usize, 4] {
         let trie = Trie::build_parallel(rel, &order, threads).expect("parallel trie");
         assert_eq!(trie, trie_serial, "parallel trie x{threads} differs");
-        let index = PrefixIndex::build_parallel(rel, &order, threads).expect("parallel index");
-        assert_eq!(index, index_serial, "parallel index x{threads} differs");
         let trie_ms = median_time_ms(
             || drop(Trie::build_parallel(rel, &order, threads).unwrap()),
             3,
         );
-        let index_ms = median_time_ms(
-            || drop(PrefixIndex::build_parallel(rel, &order, threads).unwrap()),
-            3,
-        );
         build_table.push(
             format!("build/t{threads}"),
-            vec![
-                threads as f64,
-                trie_ms,
-                trie_serial_ms / trie_ms,
-                index_ms,
-                index_serial_ms / index_ms,
-            ],
+            vec![threads as f64, trie_ms, trie_serial_ms / trie_ms],
         );
     }
     build_table.print();

@@ -1,8 +1,9 @@
 //! Reporting for the experiment binaries and benchmarks: fixed-width plain-text
-//! tables for eyeballing/diffing, and a dependency-free JSON emitter so the perf
+//! tables for eyeballing/diffing, and a JSON emitter so the perf
 //! trajectory (`BENCH_joins.json`) is machine-readable across PRs.
 
 use std::io::Write as _;
+use wcoj_obs::json::{escape as json_escape, num as json_f64, Json};
 
 /// One row of an experiment table: a label plus numeric cells.
 #[derive(Debug, Clone)]
@@ -106,32 +107,6 @@ impl BenchRecord {
     }
 }
 
-/// Minimal JSON string escaping (the identifiers here are ASCII, but be safe).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format a float as JSON (finite; NaN/inf map to null).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Render benchmark records as a pretty-printed JSON document.
 pub fn render_bench_json(command: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
@@ -174,63 +149,39 @@ pub fn write_bench_json(
 }
 
 /// Parse a `BENCH_joins.json` document produced by [`render_bench_json`] back
-/// into records — the dependency-free reader behind the CI perf-regression gate.
-/// One record per `{"workload": …}` line; `parse(render(r)) == r` is
-/// property-tested below. Returns `None` for documents this emitter did not
-/// produce.
+/// into records — the reader behind the CI perf-regression gate, on the
+/// workspace's one JSON parser ([`Json`]). One record per `{"workload": …}`
+/// line; `parse(render(r)) == r` is property-tested below. Returns `None` for
+/// documents this emitter did not produce.
 pub fn parse_bench_json(doc: &str) -> Option<Vec<BenchRecord>> {
-    fn str_field(line: &str, name: &str) -> Option<String> {
-        let pat = format!("\"{name}\": \"");
-        let start = line.find(&pat)? + pat.len();
-        let end = start + line[start..].find('"')?;
-        Some(line[start..end].to_string())
-    }
-    fn raw_field(line: &str, name: &str) -> Option<String> {
-        let pat = format!("\"{name}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let end = start + line[start..].find([',', '}']).unwrap_or(line.len() - start);
-        Some(line[start..end].trim().to_string())
-    }
     let mut records = Vec::new();
-    for line in doc.lines() {
-        let line = line.trim();
+    for line in doc.lines().map(str::trim) {
         if !line.starts_with("{\"workload\"") {
             continue;
         }
-        let workload = str_field(line, "workload")?;
-        let engine = str_field(line, "engine")?;
-        let threads: usize = raw_field(line, "threads")?.parse().ok()?;
-        let median_ms: f64 = raw_field(line, "median_ms")?.parse().unwrap_or(f64::NAN);
-        let out_tuples: u64 = raw_field(line, "out_tuples")?.parse().ok()?;
-        let agm_bound: f64 = raw_field(line, "agm_bound")?.parse().unwrap_or(f64::NAN);
-        // the work object is the last braced group on the line
-        let work_start = line.find("\"work\": {")? + "\"work\": {".len();
-        let work_end = work_start + line[work_start..].find('}')?;
-        let mut work = Vec::new();
-        let body = &line[work_start..work_end];
-        for entry in body.split(", ") {
-            if entry.is_empty() {
-                continue;
-            }
-            let (name, value) = entry.split_once(": ")?;
-            let name = name.trim().trim_matches('"').to_string();
-            work.push((name, value.trim().parse().ok()?));
-        }
+        let run = Json::parse(line.trim_end_matches(','))?;
+        let Json::Obj(work) = run.get("work")? else {
+            return None;
+        };
+        // `Json` sorts object keys; a record keeps its tallies in the order
+        // they were written (the work object closes the line, so the last
+        // occurrence of a quoted key is its own)
+        let mut work: Vec<_> = work.iter().collect();
+        work.sort_by_cached_key(|(name, _)| line.rfind(&format!("\"{}\":", json_escape(name))));
         records.push(BenchRecord {
-            workload,
-            engine,
-            threads,
-            median_ms,
-            out_tuples,
-            agm_bound,
-            work,
+            workload: run.get("workload")?.as_str()?.to_string(),
+            engine: run.get("engine")?.as_str()?.to_string(),
+            threads: run.get("threads")?.as_u64()? as usize,
+            median_ms: run.get("median_ms")?.as_f64().unwrap_or(f64::NAN),
+            out_tuples: run.get("out_tuples")?.as_u64()?,
+            agm_bound: run.get("agm_bound")?.as_f64().unwrap_or(f64::NAN),
+            work: work
+                .into_iter()
+                .map(|(name, v)| Some((name.clone(), v.as_u64()?)))
+                .collect::<Option<_>>()?,
         });
     }
-    if records.is_empty() {
-        None
-    } else {
-        Some(records)
-    }
+    (!records.is_empty()).then_some(records)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Access-structure builds and their cache slots.
 //!
-//! [`BuiltAccess::build`] produces one access structure per atom — a CSR trie or
-//! prefix hash index for a static relation, a live [`DeltaAccess`] union cursor
-//! for a delta-backed one — fetching each through the per-database
-//! [`wcoj_storage::AccessCache`] keyed by `(relation, column positions, kind,
-//! stamp)`. Builds record no [`wcoj_storage::WorkCounter`] work (their activity
+//! [`BuiltAccess::build`] produces one access structure per atom — a CSR trie
+//! for a static relation (the same one for either WCOJ engine), a live
+//! [`DeltaAccess`] union cursor for a delta-backed one — fetching each through
+//! the per-database [`wcoj_storage::AccessCache`] keyed by `(relation, column
+//! positions, kind, stamp)`. Builds record no [`wcoj_storage::WorkCounter`] work (their activity
 //! is tallied in [`CacheStats`]), and cached, fresh-serial and fresh-parallel
 //! structures are bit-identical, so results and work counters are the same with
 //! the cache on, off, or cold.
@@ -12,7 +12,7 @@
 use super::driver::run_cursors;
 use super::engine::{InteriorStep, JoinCtx};
 use super::trace::{atom_outcome, elapsed_ns};
-use super::{Backend, CacheMode, CancelToken, ColumnSink, ExecOptions};
+use super::{CacheMode, CancelToken, ColumnSink, ExecOptions};
 use crate::error::ExecError;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -20,14 +20,13 @@ use wcoj_obs::{AtomTrace, MorselTrace};
 use wcoj_query::{AtomSource, ConjunctiveQuery, Database};
 use wcoj_storage::{
     CacheKey, CacheKind, CacheStats, CachedValue, CursorKind, DeltaAccess, DeltaRelation,
-    DeltaView, PrefixIndex, Relation, Trie,
+    DeltaView, Relation, Trie,
 };
 
 /// One atom's built access structure. Static structures are `Arc`-shared with
 /// the access cache, so a hit costs a refcount, not a rebuild.
 pub(super) enum AtomAccess<'d> {
     Trie(Arc<Trie>),
-    Index(Arc<PrefixIndex>),
     Delta(DeltaAccess<'d>),
 }
 
@@ -35,7 +34,6 @@ impl AtomAccess<'_> {
     fn cursor(&self) -> CursorKind<'_> {
         match self {
             AtomAccess::Trie(t) => t.cursor().into(),
-            AtomAccess::Index(ix) => ix.cursor().into(),
             AtomAccess::Delta(d) => d.cursor().into(),
         }
     }
@@ -44,20 +42,17 @@ impl AtomAccess<'_> {
     fn kind(&self) -> &'static str {
         match self {
             AtomAccess::Trie(_) => "trie",
-            AtomAccess::Index(_) => "index",
             AtomAccess::Delta(_) => "delta",
         }
     }
 }
 
 /// The access structures built for one execution, shared immutably by all
-/// workers: all tries or all prefix indexes (the monomorphized fast paths), or
-/// — as soon as the atoms' kinds differ, which any delta-backed atom forces —
-/// one [`AtomAccess`] per atom, composed through [`CursorKind`]'s branch (not
-/// vtable) dispatch.
+/// workers: all tries (the monomorphized fast path), or — as soon as any atom
+/// is delta-backed — one [`AtomAccess`] per atom, composed through
+/// [`CursorKind`]'s branch (not vtable) dispatch.
 pub(super) enum BuiltAccess<'d> {
     Tries(Vec<Arc<Trie>>),
-    Indexes(Vec<Arc<PrefixIndex>>),
     Mixed(Vec<AtomAccess<'d>>),
 }
 
@@ -72,67 +67,35 @@ struct CacheCtx<'a> {
     pinned: bool,
 }
 
-/// Fetch-or-build one static relation's access structure — a CSR trie for
-/// [`Backend::Trie`], a prefix hash index otherwise — through the access cache.
+/// Fetch-or-build one static relation's CSR trie through the access cache.
 /// Keyed by `(name, positions, kind, insertion stamp)`: rebinding the name
 /// changes the stamp, so stale entries can never be returned (they age out).
-fn cached_static<'d>(
+fn cached_static(
     ctx: &CacheCtx<'_>,
-    backend: Backend,
     name: &str,
     rel: &Relation,
     positions: &[usize],
     threads: usize,
     stats: &mut CacheStats,
-) -> Result<AtomAccess<'d>, ExecError> {
-    let want_trie = backend == Backend::Trie;
+) -> Result<Arc<Trie>, ExecError> {
     let key = ctx.use_cache.then(|| CacheKey {
         relation: name.to_string(),
         positions: positions.to_vec(),
-        kind: if want_trie {
-            CacheKind::Trie
-        } else {
-            CacheKind::Index
-        },
+        kind: CacheKind::Trie,
         stamp: ctx.db.relation_stamp(name),
     });
     let cache = ctx.db.access_cache();
-    // the key's kind decides which variant a hit can hold
-    match key.as_ref().and_then(|key| cache.get(key)) {
-        Some(CachedValue::Trie(t)) => {
-            stats.hits += 1;
-            return Ok(AtomAccess::Trie(t));
-        }
-        Some(CachedValue::Index(ix)) => {
-            stats.hits += 1;
-            return Ok(AtomAccess::Index(ix));
-        }
-        _ => {}
+    if let Some(CachedValue::Trie(t)) = key.as_ref().and_then(|key| cache.get(key)) {
+        stats.hits += 1;
+        return Ok(t);
     }
-    let (access, value, bytes) = if want_trie {
-        let t = Arc::new(Trie::build_positions_parallel(rel, positions, threads)?);
-        let bytes = t.heap_bytes();
-        (
-            AtomAccess::Trie(Arc::clone(&t)),
-            CachedValue::Trie(t),
-            bytes,
-        )
-    } else {
-        let ix = Arc::new(PrefixIndex::build_positions_parallel(
-            rel, positions, threads,
-        )?);
-        let bytes = ix.heap_bytes();
-        (
-            AtomAccess::Index(Arc::clone(&ix)),
-            CachedValue::Index(ix),
-            bytes,
-        )
-    };
+    let t = Arc::new(Trie::build_positions_parallel(rel, positions, threads)?);
     if let Some(key) = key {
         stats.misses += 1;
-        stats.evictions += cache.insert(key, value, rel.len() as u64, bytes, ctx.pinned);
+        let value = CachedValue::Trie(Arc::clone(&t));
+        stats.evictions += cache.insert(key, value, rel.len() as u64, t.heap_bytes(), ctx.pinned);
     }
-    Ok(access)
+    Ok(t)
 }
 
 /// FNV-1a over the sealed-run identity list — the content fingerprint that
@@ -233,7 +196,6 @@ impl<'d> BuiltAccess<'d> {
     /// the cache key's permutation component); with `threads > 1` each fresh
     /// build's argsort-and-scan pass is partitioned across scoped workers
     /// ([`Trie::build_positions_parallel`] /
-    /// [`PrefixIndex::build_positions_parallel`] /
     /// [`wcoj_storage::Relation::sort_perm_threads`] for delta runs).
     /// Delta-backed atoms build a [`DeltaAccess`] over the live runs — no
     /// snapshot materialization.
@@ -250,7 +212,6 @@ impl<'d> BuiltAccess<'d> {
         stats: &mut CacheStats,
         mut trace: Option<&mut Vec<AtomTrace>>,
     ) -> Result<Self, ExecError> {
-        let backend = opts.resolved_backend();
         let threads = opts.resolved_threads();
         let ctx = CacheCtx {
             db,
@@ -262,9 +223,9 @@ impl<'d> BuiltAccess<'d> {
             let started = trace.is_some().then(Instant::now);
             let before = *stats;
             let access = match source {
-                AtomSource::Static(rel) => {
-                    cached_static(&ctx, backend, &atom.name, rel, positions, threads, stats)?
-                }
+                AtomSource::Static(rel) => AtomAccess::Trie(cached_static(
+                    &ctx, &atom.name, rel, positions, threads, stats,
+                )?),
                 AtomSource::Delta(delta) => AtomAccess::Delta(cached_delta(
                     &ctx, &atom.name, delta, positions, threads, stats,
                 )?),
@@ -285,28 +246,21 @@ impl<'d> BuiltAccess<'d> {
         Ok(Self::from_atoms(atoms))
     }
 
-    /// Pick the monomorphized fast path when every atom got the same static
-    /// kind, the [`CursorKind`] composition otherwise.
+    /// Pick the monomorphized fast path when every atom is static, the
+    /// [`CursorKind`] composition otherwise.
     fn from_atoms(atoms: Vec<AtomAccess<'d>>) -> Self {
         let tries = atoms.iter().map(|a| match a {
             AtomAccess::Trie(t) => Some(Arc::clone(t)),
-            _ => None,
+            AtomAccess::Delta(_) => None,
         });
-        if let Some(tries) = tries.collect() {
-            return BuiltAccess::Tries(tries);
-        }
-        let indexes = atoms.iter().map(|a| match a {
-            AtomAccess::Index(ix) => Some(Arc::clone(ix)),
-            _ => None,
-        });
-        match indexes.collect() {
-            Some(indexes) => BuiltAccess::Indexes(indexes),
+        match tries.collect() {
+            Some(tries) => BuiltAccess::Tries(tries),
             None => BuiltAccess::Mixed(atoms),
         }
     }
 
     /// Run the engine `S` over fresh cursor sets — serial for `threads == 1`,
-    /// morsel workers otherwise. Monomorphizes per backend. Fails with
+    /// morsel workers otherwise. Monomorphizes per cursor type. Fails with
     /// [`ExecError::Canceled`] when `token` fires mid-run, or
     /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
     pub(super) fn run<S: InteriorStep>(
@@ -320,14 +274,6 @@ impl<'d> BuiltAccess<'d> {
         match self {
             BuiltAccess::Tries(tries) => run_cursors::<S, _, _>(
                 || tries.iter().map(|t| t.cursor()).collect(),
-                participants,
-                threads,
-                ctx,
-                token,
-                morsels,
-            ),
-            BuiltAccess::Indexes(indexes) => run_cursors::<S, _, _>(
-                || indexes.iter().map(|ix| ix.cursor()).collect(),
                 participants,
                 threads,
                 ctx,

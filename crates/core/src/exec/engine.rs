@@ -4,7 +4,7 @@
 //! on, bind each, recurse — and differ only in *how an interior level's values
 //! are enumerated*. That difference is the [`InteriorStep`]; everything else is
 //! written once, generically against [`TrieAccess`], so each hot loop
-//! monomorphizes per step and per cursor backend (no `dyn`, no closure).
+//! monomorphizes per step and per cursor type (no `dyn`, no closure).
 //!
 //! Variables are bound in the fixed global order. The **first** variable's
 //! extension set is computed up front by one multi-way sorted intersection of the
@@ -356,7 +356,7 @@ fn gather<'b, T: Copy>(
 mod tests {
     use super::super::driver::run_cursors;
     use super::*;
-    use wcoj_storage::{CursorKind, PrefixIndex, Relation, Trie};
+    use wcoj_storage::{CursorKind, DeltaAccess, DeltaRelation, Relation, Trie};
 
     /// The whole engine over one cursor per atom, through the serial driver.
     fn join<S: InteriorStep, C: TrieAccess>(
@@ -396,36 +396,9 @@ mod tests {
         ]
     }
 
-    fn indexes(rels: &[Relation; 3]) -> [PrefixIndex; 3] {
-        [
-            PrefixIndex::build(&rels[0], &["A", "B"]).unwrap(),
-            PrefixIndex::build(&rels[1], &["B", "C"]).unwrap(),
-            PrefixIndex::build(&rels[2], &["A", "C"]).unwrap(),
-        ]
-    }
-
     // one column per level: (1,2,3), (1,3,4), (2,3,1), (4,5,6)
     fn triangle_columns() -> Vec<Vec<Value>> {
         vec![vec![1, 1, 2, 4], vec![2, 3, 3, 5], vec![3, 4, 1, 6]]
-    }
-
-    /// Generic Join over tries and over prefix indexes must agree.
-    #[test]
-    fn generic_join_over_both_backends() {
-        let rels = triangle_relations();
-        let (tries, indexes) = (tries(&rels), indexes(&rels));
-        let parts = triangle_participants();
-        let w = WorkCounter::new();
-        let from_tries =
-            join::<KernelExtension, _>(|| tries.iter().map(|t| t.cursor()).collect(), &parts, &w);
-        let from_indexes = join::<KernelExtension, _>(
-            || indexes.iter().map(|ix| ix.cursor()).collect(),
-            &parts,
-            &w,
-        );
-        assert_eq!(from_tries, triangle_columns());
-        assert_eq!(from_indexes, triangle_columns());
-        assert_eq!(w.output_tuples(), 8); // both runs tallied
     }
 
     #[test]
@@ -440,31 +413,19 @@ mod tests {
         assert_eq!(gj, lf);
     }
 
-    /// The ring is backend-agnostic through the trait.
-    #[test]
-    fn leapfrog_runs_on_prefix_indexes_too() {
-        let indexes = indexes(&triangle_relations());
-        let w = WorkCounter::new();
-        let out = join::<LeapfrogRing, _>(
-            || indexes.iter().map(|ix| ix.cursor()).collect(),
-            &triangle_participants(),
-            &w,
-        );
-        assert_eq!(out, triangle_columns());
-        assert!(w.probes() > 0);
-    }
-
-    /// Mixed trie/index backends compose through [`CursorKind`] without `dyn`.
+    /// A static trie beside a delta-backed atom: the two cursor types compose
+    /// through [`CursorKind`] without `dyn`.
     #[test]
     fn triangle_over_mixed_backends() {
         let rels = triangle_relations();
         let trie_r = Trie::build(&rels[0], &["A", "B"]).unwrap();
-        let index_s = PrefixIndex::build(&rels[1], &["B", "C"]).unwrap();
+        let log_s = DeltaRelation::from_relation(rels[1].clone());
+        let live_s = DeltaAccess::build(&log_s, &["B", "C"], 1).unwrap();
         let trie_t = Trie::build(&rels[2], &["A", "C"]).unwrap();
         let mixed = || -> Vec<CursorKind> {
             vec![
                 trie_r.cursor().into(),
-                index_s.cursor().into(),
+                live_s.cursor().into(),
                 trie_t.cursor().into(),
             ]
         };
@@ -478,7 +439,7 @@ mod tests {
             join::<LeapfrogRing, _>(mixed, &parts, &w),
             triangle_columns()
         );
-        assert!(w.probes() > 0);
+        assert!(w.delta_merge() > 0, "the union cursor really took part");
     }
 
     #[test]

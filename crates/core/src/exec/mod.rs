@@ -26,11 +26,11 @@
 //! *interior* level's values are enumerated — a materialized kernel
 //! intersection, or the leapfrog ring of mutual seeks. It is written
 //! **generically** over `C: TrieAccess`, so each hot loop monomorphizes per
-//! storage backend — CSR [`wcoj_storage::Trie`] cursors or
-//! [`wcoj_storage::PrefixIndex`] hash cursors, selected by [`Backend`]
-//! ([`Backend::Auto`] picks each algorithm's native access path); mixed backends
-//! within one query compose through [`wcoj_storage::CursorKind`] with branch (not
-//! vtable) dispatch. [`Engine::BinaryHash`] is the classical left-deep binary
+//! cursor type. Both run on the one static access structure, the CSR
+//! [`wcoj_storage::Trie`] — Generic Join's "sorted extensions of a bound prefix"
+//! is a `child_start` offset of the same trie Leapfrog walks — and a query that
+//! mixes static and delta-backed atoms composes their cursors through
+//! [`wcoj_storage::CursorKind`] with branch (not vtable) dispatch. [`Engine::BinaryHash`] is the classical left-deep binary
 //! hash-join baseline the paper measures them against; it has no cursor path.
 //!
 //! The first level and every deepest level — and every level of Generic Join —
@@ -87,7 +87,7 @@ mod sink;
 mod trace;
 
 pub use cancel::CancelToken;
-pub use options::{Backend, CacheMode, Engine, ExecOptions, ExecOutput};
+pub use options::{CacheMode, Engine, ExecOptions, ExecOutput};
 pub use sink::ColumnSink;
 pub use wcoj_storage::{CacheStats, KernelCalibration};
 
@@ -97,7 +97,7 @@ use wcoj_obs::QueryTrace;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 
 /// Execute `query` over `db` with the given engine and otherwise default
-/// options (native backend, serial), letting the AGM-guided planner pick the
+/// options (serial), letting the AGM-guided planner pick the
 /// variable order for the WCOJ engines.
 pub fn execute(
     query: &ConjunctiveQuery,
@@ -220,20 +220,6 @@ mod tests {
                     execute_opts_with_order(&q, &db, &ExecOptions::new(engine), &order).unwrap();
                 assert_eq!(out.result, reference, "order {order:?} engine {engine:?}");
                 assert_eq!(out.order, order);
-            }
-        }
-    }
-
-    #[test]
-    fn explicit_backends_agree_with_auto() {
-        let q = examples::triangle();
-        let db = triangle_db();
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let auto = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
-            for backend in [Backend::Trie, Backend::Hash] {
-                let opts = ExecOptions::new(engine).with_backend(backend);
-                let out = execute_opts(&q, &db, &opts).unwrap();
-                assert_eq!(out.result, auto.result, "{engine:?} over {backend:?}");
             }
         }
     }
@@ -375,17 +361,13 @@ mod tests {
         db.insert_delta("R", vec![1, 2]).unwrap(); // re-add it
         assert!(db.delta("R").is_some());
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Auto, Backend::Trie, Backend::Hash] {
-                for threads in [1, 4] {
-                    let opts = ExecOptions::new(engine)
-                        .with_backend(backend)
-                        .with_threads(threads);
-                    let out = execute_opts(&q, &db, &opts).unwrap();
-                    assert_eq!(
-                        out.result, expected.result,
-                        "{engine:?}/{backend:?}/t{threads} over the delta path"
-                    );
-                }
+            for threads in [1, 4] {
+                let opts = ExecOptions::new(engine).with_threads(threads);
+                let out = execute_opts(&q, &db, &opts).unwrap();
+                assert_eq!(
+                    out.result, expected.result,
+                    "{engine:?}/t{threads} over the delta path"
+                );
             }
         }
         // delta work appears in the counters once data actually lives in runs
@@ -423,7 +405,7 @@ mod tests {
         assert_eq!(off.cache_stats, CacheStats::default());
         assert_eq!(off.result, cold.result);
         assert_eq!(off.work, cold.work);
-        // the binary baseline builds no tries or indexes
+        // the binary baseline builds no access structures
         let bh = execute(&q, &db, Engine::BinaryHash).unwrap();
         assert_eq!(bh.cache_stats, CacheStats::default());
     }

@@ -1,4 +1,4 @@
-//! What an execution is told and what it hands back: [`Engine`], [`Backend`],
+//! What an execution is told and what it hands back: [`Engine`],
 //! [`CacheMode`], the [`ExecOptions`] that carry them, and [`ExecOutput`].
 //!
 //! Rows and work counters are a function of `(query, database, options)` and
@@ -21,18 +21,6 @@ pub enum Engine {
     GenericJoin,
     /// Leapfrog Triejoin (mutual leapfrogging).
     Leapfrog,
-}
-
-/// Which storage access path to build for the WCOJ engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Each engine's native access path: prefix indexes for Generic Join, CSR tries
-    /// for Leapfrog Triejoin.
-    Auto,
-    /// CSR tries for every atom.
-    Trie,
-    /// Prefix hash indexes for every atom.
-    Hash,
 }
 
 /// How one execution uses the per-database access-structure cache
@@ -64,9 +52,6 @@ pub enum CacheMode {
 pub struct ExecOptions {
     /// The join engine.
     pub engine: Engine,
-    /// The storage access path for the WCOJ engines (ignored by the binary
-    /// baseline).
-    pub backend: Backend,
     /// Worker threads for the WCOJ engines: `1` runs serially, `n > 1` runs the
     /// morsel-driven scheduler with `n` workers, and `0` asks the OS for the
     /// available parallelism. With `n > 1` the access-structure *builds* are also
@@ -87,7 +72,7 @@ pub struct ExecOptions {
     /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
     /// the database's shared cache ([`CacheMode::On`], the default), pin them
     /// against eviction, or bypass the cache. Ignored by the binary baseline,
-    /// which builds no tries or indexes.
+    /// which builds no access structures.
     pub cache: CacheMode,
     /// Optional trace sink: `Some` makes the execution deposit a
     /// [`wcoj_obs::QueryTrace`] — plan choice, per-level extension-set statistics,
@@ -104,7 +89,6 @@ impl PartialEq for ExecOptions {
     fn eq(&self, other: &Self) -> bool {
         // `trace` is deliberately excluded: it observes, never configures.
         self.engine == other.engine
-            && self.backend == other.backend
             && self.threads == other.threads
             && self.kernel == other.kernel
             && self.calibration == other.calibration
@@ -118,7 +102,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             engine: Engine::GenericJoin,
-            backend: Backend::Auto,
             threads: 1,
             kernel: KernelPolicy::Adaptive,
             calibration: KernelCalibration::fixed(),
@@ -129,19 +112,11 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options for `engine` with the native backend, single-threaded.
+    /// Options for `engine`, single-threaded, everything else default.
     pub fn new(engine: Engine) -> Self {
         ExecOptions {
             engine,
             ..Default::default()
-        }
-    }
-
-    /// Builder-style backend override.
-    pub fn with_backend(&self, backend: Backend) -> Self {
-        ExecOptions {
-            backend,
-            ..self.clone()
         }
     }
 
@@ -195,15 +170,6 @@ impl ExecOptions {
             self.threads
         }
     }
-
-    /// The concrete backend for `self.engine` after resolving [`Backend::Auto`].
-    pub fn resolved_backend(&self) -> Backend {
-        match (self.backend, self.engine) {
-            (Backend::Auto, Engine::Leapfrog) => Backend::Trie,
-            (Backend::Auto, _) => Backend::Hash,
-            (b, _) => b,
-        }
-    }
 }
 
 /// The result of executing a query: the output relation (columns in the query's
@@ -255,7 +221,6 @@ mod tests {
     fn options_resolve_sensibly() {
         let opts = ExecOptions::default();
         assert_eq!(opts.engine, Engine::GenericJoin);
-        assert_eq!(opts.resolved_backend(), Backend::Hash);
         assert_eq!(opts.resolved_threads(), 1);
         assert_eq!(opts.calibration, KernelCalibration::fixed());
         assert_eq!(opts.cache, CacheMode::On);
@@ -264,14 +229,7 @@ mod tests {
             CacheMode::Pinned
         );
         let lf = ExecOptions::new(Engine::Leapfrog).with_threads(4);
-        assert_eq!(lf.resolved_backend(), Backend::Trie);
         assert_eq!(lf.resolved_threads(), 4);
-        assert_eq!(
-            ExecOptions::new(Engine::GenericJoin)
-                .with_backend(Backend::Trie)
-                .resolved_backend(),
-            Backend::Trie
-        );
     }
 
     /// `threads: 0` means every CPU of the *process*: a caller that pinned its

@@ -3,7 +3,7 @@
 //!
 //! # Architecture
 //!
-//! The access structures (tries / prefix indexes) are built **once** and shared
+//! The access structures (tries / delta views) are built **once** and shared
 //! immutably (`Sync`) across workers. The driver computes the first join variable's
 //! extension set — the multi-way intersection of the root sibling groups, exactly
 //! what serial execution computes first — and partitions it into contiguous

@@ -1,10 +1,10 @@
 //! Trace plumbing: what a traced execution records on the side
 //! ([`Recording`]), who receives the finished [`QueryTrace`] ([`TraceTo`]), and
-//! the stable trace spellings of engines, backends, kernels and counters.
+//! the stable trace spellings of engines, kernels and counters.
 //! Tracing observes, never configures — rows and work counters are
 //! bit-identical with it on or off; only wall-clock fields differ.
 
-use super::{Backend, Engine, ExecOptions, ExecOutput};
+use super::{Engine, ExecOptions, ExecOutput};
 use std::sync::OnceLock;
 use std::time::Instant;
 use wcoj_bounds::agm::agm_bound;
@@ -118,7 +118,7 @@ impl Recording {
         } = out.cache_stats;
         QueryTrace {
             engine: engine_name(opts.engine).to_string(),
-            backend: backend_name(opts.resolved_backend()).to_string(),
+            backend: backend_name(&self.atoms).to_string(),
             threads: opts.resolved_threads(),
             agm_log2,
             agm_tuples,
@@ -174,11 +174,14 @@ fn engine_name(engine: Engine) -> &'static str {
     }
 }
 
-fn backend_name(backend: Backend) -> &'static str {
-    match backend {
-        Backend::Auto => "auto",
-        Backend::Trie => "trie",
-        Backend::Hash => "hash",
+/// What was actually built, over all atoms: the kind they share (`trie` /
+/// `delta`), `mixed` when they differ, `none` for the binary baseline, which
+/// builds no access structure.
+fn backend_name(atoms: &[AtomTrace]) -> &str {
+    match atoms.split_first() {
+        None => "none",
+        Some((first, rest)) if rest.iter().all(|a| a.kind == first.kind) => &first.kind,
+        Some(_) => "mixed",
     }
 }
 

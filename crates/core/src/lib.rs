@@ -30,9 +30,9 @@
 //! decide *what* to execute — there is no host tuning.
 //!
 //! The skeleton is written once, **generically**, against the
-//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over CSR tries and
-//! prefix hash indexes (selected by [`exec::Backend`]), and any future access path
-//! (compressed, distributed, cached) only has to implement the trait.
+//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over CSR tries
+//! (static relations) and delta union cursors (live ones), and any future
+//! access path (compressed, distributed) only has to implement the trait.
 //!
 //! # Example: the triangle query three ways
 //!
@@ -65,7 +65,7 @@ pub mod planner;
 
 pub use error::ExecError;
 pub use exec::{
-    execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order, Backend,
+    execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order,
     CacheMode, CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
 };
 pub use planner::{agm_variable_order, plan_order};

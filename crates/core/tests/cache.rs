@@ -2,15 +2,14 @@
 //!
 //! executing with the cache **on** (or pinned) must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
-//! across engines × backends × threads {1, 4}, interleaved with every kind of
+//! across engines × threads {1, 4}, interleaved with every kind of
 //! log mutation (append, delete, seal, compact, relation rebinding); repeated
 //! queries must actually hit; newly sealed runs must take the incremental-merge
-//! path, compaction must force a rebuild; and a byte-starved cache must evict
-//! without ever surfacing a stale structure.
+//! path, compaction must force a rebuild; a byte-starved cache must evict
+//! without ever surfacing a stale structure; and the two WCOJ engines must
+//! share one cached trie per `(relation, order)`.
 
-use wcoj_core::exec::{
-    execute_opts, execute_opts_with_order, Backend, CacheMode, Engine, ExecOptions,
-};
+use wcoj_core::exec::{execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::{ConjunctiveQuery, Database};
@@ -18,7 +17,6 @@ use wcoj_storage::Relation;
 use wcoj_workloads::{query_replay, random_pairs, Workload};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
-const BACKENDS: [Backend; 3] = [Backend::Auto, Backend::Trie, Backend::Hash];
 
 /// Run one configuration with the cache off (fresh builds, shared state
 /// untouched) and assert the cached run is bit-identical in rows and counters.
@@ -29,26 +27,21 @@ fn assert_cached_matches_uncached(
     label: &str,
 ) {
     for engine in ENGINES {
-        for backend in BACKENDS {
-            for threads in [1usize, 4] {
-                let base = ExecOptions::new(engine)
-                    .with_backend(backend)
-                    .with_threads(threads);
-                let off =
-                    execute_opts_with_order(query, db, &base.with_cache(CacheMode::Off), order)
-                        .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
-                for mode in [CacheMode::On, CacheMode::Pinned] {
-                    let on = execute_opts_with_order(query, db, &base.with_cache(mode), order)
-                        .unwrap_or_else(|e| panic!("{label}: {mode:?} {engine:?} failed: {e}"));
-                    assert_eq!(
-                        on.result, off.result,
-                        "{label}: {engine:?}/{backend:?}/t{threads}/{mode:?}: rows diverge"
-                    );
-                    assert_eq!(
-                        on.work, off.work,
-                        "{label}: {engine:?}/{backend:?}/t{threads}/{mode:?}: counters diverge"
-                    );
-                }
+        for threads in [1usize, 4] {
+            let base = ExecOptions::new(engine).with_threads(threads);
+            let off = execute_opts_with_order(query, db, &base.with_cache(CacheMode::Off), order)
+                .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
+            for mode in [CacheMode::On, CacheMode::Pinned] {
+                let on = execute_opts_with_order(query, db, &base.with_cache(mode), order)
+                    .unwrap_or_else(|e| panic!("{label}: {mode:?} {engine:?} failed: {e}"));
+                assert_eq!(
+                    on.result, off.result,
+                    "{label}: {engine:?}/t{threads}/{mode:?}: rows diverge"
+                );
+                assert_eq!(
+                    on.work, off.work,
+                    "{label}: {engine:?}/t{threads}/{mode:?}: counters diverge"
+                );
             }
         }
     }
@@ -233,13 +226,21 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
     let off = execute_opts_with_order(&query, &db, &opts.with_cache(CacheMode::Off), &order)
         .expect("off");
 
-    // measure the full working set (3 tries + 3 indexes), then starve the
-    // cache to 3/4 of it: individual entries still fit, the set does not
-    // (explicit budget first, so WCOJ_CACHE_BYTES=0 cannot void the warm-up)
+    // measure the full working set (3 tries under each of two variable
+    // orders), then starve the cache to 3/4 of it: individual entries still
+    // fit, the set does not (explicit budget first, so WCOJ_CACHE_BYTES=0
+    // cannot void the warm-up)
     db.set_cache_budget(64 << 20);
-    for backend in [Backend::Hash, Backend::Trie] {
-        execute_opts_with_order(&query, &db, &opts.with_backend(backend), &order).expect("warm-up");
+    let reversed: Vec<usize> = order.iter().rev().copied().collect();
+    let orders = [order, reversed];
+    for order in &orders {
+        execute_opts_with_order(&query, &db, &opts, order).expect("warm-up");
     }
+    assert_eq!(
+        db.access_cache().len(),
+        6,
+        "no trie is shared by the two orders"
+    );
     let full_bytes = db.access_cache().bytes();
     assert!(full_bytes > 0);
     let budget = full_bytes * 3 / 4;
@@ -247,11 +248,11 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
 
     let mut evictions = 0u64;
     for round in 0..4 {
-        // alternate backends so trie and index entries fight over the budget
-        for backend in [Backend::Hash, Backend::Trie] {
-            let out = execute_opts_with_order(&query, &db, &opts.with_backend(backend), &order)
-                .unwrap_or_else(|e| panic!("round {round}/{backend:?}: {e}"));
-            assert_eq!(out.result, off.result, "round {round}/{backend:?}");
+        // alternate orders so the two sets of tries fight over the budget
+        for order in &orders {
+            let out = execute_opts_with_order(&query, &db, &opts, order)
+                .unwrap_or_else(|e| panic!("round {round}/{order:?}: {e}"));
+            assert_eq!(out.result, off.result, "round {round}/{order:?}");
             evictions += out.cache_stats.evictions;
             assert!(
                 db.access_cache().bytes() <= budget,
@@ -263,12 +264,36 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
 
     // zero budget disables the cache outright: no hits, no residency
     db.set_cache_budget(0);
-    let disabled = execute_opts_with_order(&query, &db, &opts, &order).expect("disabled");
+    let disabled = execute_opts_with_order(&query, &db, &opts, &orders[0]).expect("disabled");
     assert_eq!(disabled.result, off.result);
     assert_eq!(disabled.cache_stats.hits, 0);
     assert_eq!(disabled.cache_stats.misses, 0);
     assert_eq!(disabled.cache_stats.bytes, 0);
     assert!(db.access_cache().is_empty());
+}
+
+/// One static structure means one cache entry per `(relation, order)` whichever
+/// WCOJ engine asks: a Leapfrog run after a Generic Join run over the same
+/// order rebuilds nothing and adds no bytes.
+#[test]
+fn generic_join_and_leapfrog_share_one_cached_trie() {
+    let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE84);
+    db.set_cache_budget(64 << 20);
+    let order = agm_variable_order(&query, &db).expect("planner");
+    let atoms = query.atoms().len() as u64;
+    let oracle = execute_opts(&query, &db, &ExecOptions::new(Engine::BinaryHash)).expect("oracle");
+
+    let gj = ExecOptions::new(Engine::GenericJoin);
+    let first = execute_opts_with_order(&query, &db, &gj, &order).expect("generic join");
+    assert_eq!(first.cache_stats.misses, atoms, "every atom built cold");
+    assert_eq!(first.result, oracle.result);
+
+    let lf = ExecOptions::new(Engine::Leapfrog);
+    let second = execute_opts_with_order(&query, &db, &lf, &order).expect("leapfrog");
+    assert_eq!(second.cache_stats.hits, atoms, "every atom reused");
+    assert_eq!(second.cache_stats.misses, 0);
+    assert_eq!(second.cache_stats.bytes, first.cache_stats.bytes);
+    assert_eq!(second.result, oracle.result);
 }
 
 #[test]

@@ -11,13 +11,13 @@
 //!
 //! The two `dense_*` shapes — the small-domain triangle whose sibling groups
 //! carry set layouts, alone and beside a delta-backed atom that has none — run
-//! all of that under every backend with the access cache on and off as well:
-//! the word-parallel path and its fall-through give the same rows, and
-//! counters that depend on nothing but (engine, order, backend).
+//! all of that with the access cache on and off as well: the word-parallel path
+//! and its fall-through give the same rows, and counters that depend on nothing
+//! but (engine, order).
 
 use std::sync::Arc;
 use wcoj_core::exec::{
-    execute, execute_cancellable, execute_opts_with_order, Backend, CacheMode, CancelToken, Engine,
+    execute, execute_cancellable, execute_opts_with_order, CacheMode, CancelToken, Engine,
     ExecOptions, ExecOutput,
 };
 use wcoj_obs::TraceSink;
@@ -126,37 +126,31 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                 .result;
             let must_be_empty = w.name.starts_with("empty_relation");
             assert_eq!(expected.is_empty(), must_be_empty, "{}: vacuous", w.name);
-            let (backends, caches): (&[Backend], &[CacheMode]) = if w.name.starts_with("dense_") {
-                (
-                    &[Backend::Auto, Backend::Trie, Backend::Hash],
-                    &[CacheMode::On, CacheMode::Off],
-                )
+            let caches: &[CacheMode] = if w.name.starts_with("dense_") {
+                &[CacheMode::On, CacheMode::Off]
             } else {
-                (&[Backend::Auto], &[CacheMode::On])
+                &[CacheMode::On]
             };
             for order in permutations(w.query.num_vars()) {
                 for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-                    for &backend in backends {
-                        let mut work = None;
-                        for &cache in caches {
-                            for threads in [1, 2, 4] {
-                                let opts = ExecOptions::new(engine)
-                                    .with_backend(backend)
-                                    .with_cache(cache)
-                                    .with_threads(threads)
-                                    .with_calibration(KernelCalibration::fixed());
-                                for mode in ["plain", "cancellable", "traced"] {
-                                    let out = run(w, &opts, &order, mode);
-                                    let at = format!(
-                                        "{} {engine:?} order {order:?} {backend:?} cache \
-                                         {cache:?} x{threads} {mode}",
-                                        w.name
-                                    );
-                                    assert_eq!(out.result, expected, "{at}: rows");
-                                    let first = work.get_or_insert_with(|| out.work.clone());
-                                    assert_eq!(&out.work, first, "{at}: work counters");
-                                    executions += 1;
-                                }
+                    let mut work = None;
+                    for &cache in caches {
+                        for threads in [1, 2, 4] {
+                            let opts = ExecOptions::new(engine)
+                                .with_cache(cache)
+                                .with_threads(threads)
+                                .with_calibration(KernelCalibration::fixed());
+                            for mode in ["plain", "cancellable", "traced"] {
+                                let out = run(w, &opts, &order, mode);
+                                let at = format!(
+                                    "{} {engine:?} order {order:?} cache {cache:?} x{threads} \
+                                     {mode}",
+                                    w.name
+                                );
+                                assert_eq!(out.result, expected, "{at}: rows");
+                                let first = work.get_or_insert_with(|| out.work.clone());
+                                assert_eq!(&out.work, first, "{at}: work counters");
+                                executions += 1;
                             }
                         }
                     }
@@ -164,6 +158,6 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
             }
         }
     }
-    // 3 seeds × ((6 + 24·4 + 1 + 6) + 2·6·6) orders × 2 engines × 9 modes
-    assert_eq!(executions, 3 * (109 + 72) * 18);
+    // 3 seeds × ((6 + 24·4 + 1 + 6) + 2·6·2) orders × 2 engines × 9 modes
+    assert_eq!(executions, 3 * (109 + 24) * 18);
 }

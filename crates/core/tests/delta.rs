@@ -3,17 +3,16 @@
 //!
 //! querying **base + delta runs + tombstones** through the union cursor must be
 //! bit-identical to querying a **fully rebuilt** static database, across engines
-//! × backends × threads {1, 4}; the delta path's merged work counters must be
+//! × threads {1, 4}; the delta path's merged work counters must be
 //! deterministic (parallel ≡ serial for every configuration); and both
 //! properties must survive **every** compaction step down to a single run.
 
-use wcoj_core::exec::{execute_opts_with_order, Backend, Engine, ExecOptions};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::Database;
 use wcoj_workloads::{edge_stream, edge_stream_ops, SplitMix64, Workload};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
-const BACKENDS: [Backend; 3] = [Backend::Auto, Backend::Trie, Backend::Hash];
 
 /// Replace every delta-backed relation with its materialized snapshot — the
 /// "full rebuild" twin of a live database.
@@ -28,39 +27,35 @@ fn rebuilt(db: &Database) -> Database {
 }
 
 /// Assert the acceptance property on one live database: for every engine ×
-/// backend × threads {1, 4}, the delta path's rows equal the rebuilt path's,
+/// threads {1, 4}, the delta path's rows equal the rebuilt path's,
 /// and the delta path's merged counters are thread-count independent.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
     let order = agm_variable_order(&w.query, &static_db).expect("planner");
     for engine in ENGINES {
-        for backend in BACKENDS {
-            let mut serial_work = None;
-            for threads in [1usize, 4] {
-                let opts = ExecOptions::new(engine)
-                    .with_backend(backend)
-                    .with_threads(threads);
-                let live = execute_opts_with_order(&w.query, &w.db, &opts, &order)
-                    .unwrap_or_else(|e| panic!("{label}: live {engine:?} failed: {e}"));
-                let full = execute_opts_with_order(&w.query, &static_db, &opts, &order)
-                    .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
-                assert_eq!(
-                    live.result, full.result,
-                    "{label}: {engine:?}/{backend:?}/t{threads}: delta path diverges from rebuild"
-                );
-                // the rebuilt path never runs the union cursor
-                assert_eq!(
-                    full.work.delta_merge(),
-                    0,
-                    "{label}: static path charged delta work"
-                );
-                match &serial_work {
-                    None => serial_work = Some(live.work),
-                    Some(w1) => assert_eq!(
-                        w1, &live.work,
-                        "{label}: {engine:?}/{backend:?}: delta-path counters depend on threads"
-                    ),
-                }
+        let mut serial_work = None;
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::new(engine).with_threads(threads);
+            let live = execute_opts_with_order(&w.query, &w.db, &opts, &order)
+                .unwrap_or_else(|e| panic!("{label}: live {engine:?} failed: {e}"));
+            let full = execute_opts_with_order(&w.query, &static_db, &opts, &order)
+                .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
+            assert_eq!(
+                live.result, full.result,
+                "{label}: {engine:?}/t{threads}: delta path diverges from rebuild"
+            );
+            // the rebuilt path never runs the union cursor
+            assert_eq!(
+                full.work.delta_merge(),
+                0,
+                "{label}: static path charged delta work"
+            );
+            match &serial_work {
+                None => serial_work = Some(live.work),
+                Some(w1) => assert_eq!(
+                    w1, &live.work,
+                    "{label}: {engine:?}: delta-path counters depend on threads"
+                ),
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Differential tests for the adaptive intersection-kernel layer at the engine
 //! level: every kernel policy (adaptive, forced merge, forced gallop, forced
 //! bitmap) must produce bit-identical engine output across the full workload
-//! suite, on both backends, and the adaptive policy must actually record its
+//! suite, over static and delta-backed atoms, and the adaptive policy must actually record its
 //! per-kernel choices in the `WorkCounter` breakdown.
 
-use wcoj_core::exec::{execute, execute_explain, execute_opts, Backend, Engine, ExecOptions};
+use wcoj_core::exec::{execute, execute_explain, execute_opts, Engine, ExecOptions};
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{KernelPolicy, Relation, Schema};
 use wcoj_workloads::differential_suite;
@@ -32,25 +32,29 @@ fn every_kernel_policy_gives_identical_results() {
 #[test]
 fn kernel_policies_agree_on_both_backends_and_threads() {
     // policy identity is backend- and schedule-independent: check a representative
-    // cyclic and a wide-atom workload on forced backends and parallel execution
+    // cyclic and a wide-atom workload over static tries and over a delta-backed
+    // twin (every relation converted to a log), serial and parallel
     for w in [
         wcoj_workloads::hub_spoke(128, 0xB17),
         wcoj_workloads::kclique(4, 64, 0xB18),
         wcoj_workloads::lw4(64, 0xB19),
     ] {
+        let mut live = w.db.clone();
+        for name in w.db.relation_names() {
+            live.to_delta(name).expect("convert to a delta log");
+        }
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine)).unwrap();
             for policy in KernelPolicy::ALL {
-                for backend in [Backend::Trie, Backend::Hash] {
+                for (backend, db) in [("trie", &w.db), ("delta", &live)] {
                     for threads in [1usize, 4] {
                         let opts = ExecOptions::new(engine)
                             .with_kernel(policy)
-                            .with_backend(backend)
                             .with_threads(threads);
-                        let out = execute_opts(&w.query, &w.db, &opts).unwrap();
+                        let out = execute_opts(&w.query, db, &opts).unwrap();
                         assert_eq!(
                             out.result, reference.result,
-                            "{}: {engine:?}/{policy:?}/{backend:?} x{threads}",
+                            "{}: {engine:?}/{policy:?}/{backend} x{threads}",
                             w.name
                         );
                     }
@@ -120,36 +124,34 @@ fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
     let expected = execute(&q, &db, Engine::BinaryHash).unwrap().result;
     assert!(!expected.is_empty());
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        for backend in [Backend::Trie, Backend::Hash] {
-            let base = ExecOptions::new(engine).with_backend(backend);
-            let at = format!("{engine:?}/{backend:?}");
-            for policy in [KernelPolicy::Adaptive, KernelPolicy::Bitmap] {
-                let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
-                assert_eq!(out.result, expected, "{at}/{policy:?}");
-                assert_eq!(out.work.kernel_calls(), out.work.kernel_bitmap(), "{at}");
-                if engine == Engine::GenericJoin {
-                    // (the leapfrog ring's own short seeks do compare)
-                    assert_eq!(out.work.comparisons(), 0, "{at}/{policy:?} scanned a list");
-                }
+        let base = ExecOptions::new(engine);
+        let at = format!("{engine:?}");
+        for policy in [KernelPolicy::Adaptive, KernelPolicy::Bitmap] {
+            let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
+            assert_eq!(out.result, expected, "{at}/{policy:?}");
+            assert_eq!(out.work.kernel_calls(), out.work.kernel_bitmap(), "{at}");
+            if engine == Engine::GenericJoin {
+                // (the leapfrog ring's own short seeks do compare)
+                assert_eq!(out.work.comparisons(), 0, "{at}/{policy:?} scanned a list");
             }
-            // the trace charges a level's ANDs what the counter does: word
-            // probes, and nothing else (the leapfrog ring's interior level
-            // calls no kernel)
-            let (_, trace) = execute_explain(&q, &db, &base).unwrap();
-            for (i, l) in trace.levels.iter().enumerate() {
-                let anded = engine == Engine::GenericJoin || i != 1;
-                assert_eq!(
-                    (l.kernel_bitmap > 0, l.probes > 0),
-                    (anded, anded),
-                    "{at}: {l:?}"
-                );
-                assert_eq!((l.kernel_merge, l.kernel_gallop, l.comparisons), (0, 0, 0));
-            }
-            for policy in [KernelPolicy::Merge, KernelPolicy::Gallop] {
-                let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
-                assert_eq!(out.result, expected, "{at}/{policy:?}");
-                assert_eq!(out.work.kernel_bitmap(), 0, "{at}/{policy:?} read a layout");
-            }
+        }
+        // the trace charges a level's ANDs what the counter does: word
+        // probes, and nothing else (the leapfrog ring's interior level
+        // calls no kernel)
+        let (_, trace) = execute_explain(&q, &db, &base).unwrap();
+        for (i, l) in trace.levels.iter().enumerate() {
+            let anded = engine == Engine::GenericJoin || i != 1;
+            assert_eq!(
+                (l.kernel_bitmap > 0, l.probes > 0),
+                (anded, anded),
+                "{at}: {l:?}"
+            );
+            assert_eq!((l.kernel_merge, l.kernel_gallop, l.comparisons), (0, 0, 0));
+        }
+        for policy in [KernelPolicy::Merge, KernelPolicy::Gallop] {
+            let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
+            assert_eq!(out.result, expected, "{at}/{policy:?}");
+            assert_eq!(out.work.kernel_bitmap(), 0, "{at}/{policy:?} read a layout");
         }
     }
 }
@@ -188,14 +190,10 @@ fn a_query_spanning_all_of_u64_matches_the_baseline() {
         let last: Vec<u64> = expected.iter().map(|row| row[arity - 1]).collect();
         assert_eq!(last, [0, 2, 4, u64::MAX]);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Trie, Backend::Hash] {
-                for policy in KernelPolicy::ALL {
-                    let opts = ExecOptions::new(engine)
-                        .with_backend(backend)
-                        .with_kernel(policy);
-                    let out = execute_opts(q, &db, &opts).unwrap();
-                    assert_eq!(out.result, expected, "{engine:?}/{backend:?}/{policy:?}");
-                }
+            for policy in KernelPolicy::ALL {
+                let opts = ExecOptions::new(engine).with_kernel(policy);
+                let out = execute_opts(q, &db, &opts).unwrap();
+                assert_eq!(out.result, expected, "{engine:?}/{policy:?}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! `wcoj_core::exec::parallel` (driver-counted intersection + scheduling-independent
 //! per-extension work).
 
-use wcoj_core::exec::{execute, execute_opts, Backend, Engine, ExecOptions};
+use wcoj_core::exec::{execute, execute_opts, Engine, ExecOptions};
 use wcoj_workloads::differential_suite;
 
 #[test]
@@ -31,37 +31,6 @@ fn parallel_results_and_merged_counters_equal_serial() {
                     w.name
                 );
                 assert_eq!(out.order, serial.order);
-            }
-        }
-    }
-}
-
-#[test]
-fn parallel_equality_holds_on_both_backends() {
-    // the guarantee is backend-independent: force each engine onto its non-native
-    // access path and repeat the check on a couple of representative workloads
-    for w in [
-        wcoj_workloads::triangle(256, 0xBAC0),
-        wcoj_workloads::lw4(64, 0xBAC1),
-    ] {
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Trie, Backend::Hash] {
-                let serial_opts = ExecOptions::new(engine).with_backend(backend);
-                let serial = execute_opts(&w.query, &w.db, &serial_opts).unwrap();
-                for threads in [2usize, 4] {
-                    let opts = serial_opts.with_threads(threads);
-                    let out = execute_opts(&w.query, &w.db, &opts).unwrap();
-                    assert_eq!(
-                        out.result, serial.result,
-                        "{}: {engine:?}/{backend:?} x{threads}",
-                        w.name
-                    );
-                    assert_eq!(
-                        out.work, serial.work,
-                        "{}: {engine:?}/{backend:?} x{threads} counters",
-                        w.name
-                    );
-                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! SIMD-parity property tests: the vector kernels must be **observationally
 //! identical** to the scalar reference — same output tuples in the same order
 //! *and* the same deterministic work counters — across the differential
-//! workload suite, every engine, every access-structure backend, both the
+//! workload suite (static and delta-backed atoms), every engine, both the
 //! serial and morsel-parallel paths, and two sets of kernel thresholds (the
 //! defaults and a set with every field moved, so other kernels and the other
 //! seek path get exercised on the same data).
@@ -13,7 +13,7 @@
 //! lives in a single `#[test]` because the dispatch level is process-global:
 //! this file must not grow concurrent tests that execute queries.
 
-use wcoj_core::exec::{execute_opts_with_order, Backend, Engine, ExecOptions, KernelCalibration};
+use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions, KernelCalibration};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
 use wcoj_workloads::differential_suite;
@@ -36,28 +36,24 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
     for w in &suite {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for backend in [Backend::Auto, Backend::Trie, Backend::Hash] {
-                for (threads, cal) in [(1, fixed), (4, fixed), (1, moved), (4, moved)] {
-                    let opts = ExecOptions::new(engine)
-                        .with_backend(backend)
-                        .with_threads(threads)
-                        .with_calibration(cal);
+            for (threads, cal) in [(1, fixed), (4, fixed), (1, moved), (4, moved)] {
+                let opts = ExecOptions::new(engine)
+                    .with_threads(threads)
+                    .with_calibration(cal);
 
-                    simd::force_active_level(SimdLevel::Scalar);
-                    let scalar =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("scalar");
+                simd::force_active_level(SimdLevel::Scalar);
+                let scalar =
+                    execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("scalar");
 
-                    simd::force_active_level(native);
-                    let vector =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
+                simd::force_active_level(native);
+                let vector = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
 
-                    let cfg = format!(
-                        "{}/{engine:?}/{backend:?}/t{threads}/{cal:?} ({native:?} vs Scalar)",
-                        w.name
-                    );
-                    assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
-                    assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
-                }
+                let cfg = format!(
+                    "{}/{engine:?}/t{threads}/{cal:?} ({native:?} vs Scalar)",
+                    w.name
+                );
+                assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
+                assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
             }
         }
     }

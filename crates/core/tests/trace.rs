@@ -2,7 +2,7 @@
 //! criterion:
 //!
 //! installing a [`TraceSink`] must not perturb execution. For every engine ×
-//! backend × threads {1, 4} × cache mode, rows AND work counters must be
+//! threads {1, 4} × cache mode, rows AND work counters must be
 //! **bit-identical** with tracing on or off; two traced runs of the same plan
 //! must agree on every deterministic trace field (only wall-clock fields may
 //! differ — [`QueryTrace::strip_nondeterministic`] removes exactly those); and
@@ -11,8 +11,7 @@
 
 use std::sync::Arc;
 use wcoj_core::exec::{
-    execute_explain, execute_opts_with_order, Backend, CacheMode, Engine, ExecOptions,
-    KernelCalibration,
+    execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions, KernelCalibration,
 };
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::{QueryTrace, TraceSink};
@@ -23,7 +22,6 @@ use wcoj_storage::Relation;
 use wcoj_workloads::{four_cycle, triangle};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
-const BACKENDS: [Backend; 3] = [Backend::Auto, Backend::Trie, Backend::Hash];
 
 /// Run one configuration traced and return `(output, trace)`.
 fn run_traced(
@@ -44,62 +42,66 @@ fn tracing_never_perturbs_rows_or_counters() {
     for w in [triangle(300, 7), four_cycle(200, 11)] {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
         for engine in ENGINES {
-            for backend in BACKENDS {
-                for threads in [1usize, 4] {
-                    for cache in [CacheMode::Off, CacheMode::On] {
-                        let base = ExecOptions::new(engine)
-                            .with_backend(backend)
-                            .with_threads(threads)
-                            .with_cache(cache)
-                            .with_calibration(KernelCalibration::fixed());
-                        let label = format!("{engine:?}/{backend:?}/t{threads}/{cache:?}");
-                        let plain =
-                            execute_opts_with_order(&w.query, &w.db, &base, &order).expect("plain");
-                        let (traced, trace) = run_traced(&w.query, &w.db, &base, &order);
-                        assert_eq!(traced.result, plain.result, "{label}: rows perturbed");
-                        assert_eq!(traced.work, plain.work, "{label}: counters perturbed");
-                        // the trace's work pairs are the counter, re-spelled
-                        assert_eq!(
-                            trace.work_value("total_work"),
-                            Some(plain.work.total_work()),
-                            "{label}"
-                        );
-                        assert_eq!(
-                            trace.work_value("kernel_merge"),
-                            Some(plain.work.kernel_merge()),
-                            "{label}"
-                        );
-                        assert_eq!(
-                            trace.work_value("output_tuples"),
-                            Some(plain.work.output_tuples()),
-                            "{label}"
-                        );
-                        assert_eq!(trace.rows, plain.result.len() as u64, "{label}");
-                        assert_eq!(trace.cache_hits, traced.cache_stats.hits, "{label}");
-                        assert_eq!(trace.cache_misses, traced.cache_stats.misses, "{label}");
-                        // two traced runs agree on every deterministic field
-                        let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &order);
-                        assert_eq!(traced2.result, plain.result, "{label}: rerun rows");
-                        assert_eq!(traced2.work, plain.work, "{label}: rerun counters");
-                        let mut a = trace.clone();
-                        let mut b = trace2.clone();
-                        a.strip_nondeterministic();
-                        b.strip_nondeterministic();
-                        // cache mode On: the second traced run may hit where the
-                        // first missed, so compare cache-independent forms
-                        for t in [&mut a, &mut b] {
-                            t.cache_hits = 0;
-                            t.cache_misses = 0;
-                            t.cache_incremental = 0;
-                            t.cache_evictions = 0;
-                        }
-                        for t in [&mut a, &mut b] {
-                            for atom in &mut t.atoms {
-                                atom.outcome.clear();
-                            }
-                        }
-                        assert_eq!(a, b, "{label}: deterministic trace fields diverge");
+            for threads in [1usize, 4] {
+                for cache in [CacheMode::Off, CacheMode::On] {
+                    let base = ExecOptions::new(engine)
+                        .with_threads(threads)
+                        .with_cache(cache)
+                        .with_calibration(KernelCalibration::fixed());
+                    let label = format!("{engine:?}/t{threads}/{cache:?}");
+                    let plain =
+                        execute_opts_with_order(&w.query, &w.db, &base, &order).expect("plain");
+                    let (traced, trace) = run_traced(&w.query, &w.db, &base, &order);
+                    assert_eq!(traced.result, plain.result, "{label}: rows perturbed");
+                    assert_eq!(traced.work, plain.work, "{label}: counters perturbed");
+                    // the trace's work pairs are the counter, re-spelled
+                    assert_eq!(
+                        trace.work_value("total_work"),
+                        Some(plain.work.total_work()),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        trace.work_value("kernel_merge"),
+                        Some(plain.work.kernel_merge()),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        trace.work_value("output_tuples"),
+                        Some(plain.work.output_tuples()),
+                        "{label}"
+                    );
+                    assert_eq!(trace.rows, plain.result.len() as u64, "{label}");
+                    // both WCOJ engines build tries; the baseline builds nothing
+                    let built = if engine == Engine::BinaryHash {
+                        "none"
+                    } else {
+                        "trie"
+                    };
+                    assert_eq!(trace.backend, built, "{label}");
+                    assert_eq!(trace.cache_hits, traced.cache_stats.hits, "{label}");
+                    assert_eq!(trace.cache_misses, traced.cache_stats.misses, "{label}");
+                    // two traced runs agree on every deterministic field
+                    let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &order);
+                    assert_eq!(traced2.result, plain.result, "{label}: rerun rows");
+                    assert_eq!(traced2.work, plain.work, "{label}: rerun counters");
+                    let mut a = trace.clone();
+                    let mut b = trace2.clone();
+                    a.strip_nondeterministic();
+                    b.strip_nondeterministic();
+                    // cache mode On: the second traced run may hit where the
+                    // first missed, so compare cache-independent forms
+                    for t in [&mut a, &mut b] {
+                        t.cache_hits = 0;
+                        t.cache_misses = 0;
+                        t.cache_incremental = 0;
+                        t.cache_evictions = 0;
                     }
+                    for t in [&mut a, &mut b] {
+                        for atom in &mut t.atoms {
+                            atom.outcome.clear();
+                        }
+                    }
+                    assert_eq!(a, b, "{label}: deterministic trace fields diverge");
                 }
             }
         }
@@ -172,6 +174,11 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
         trace.atoms.iter().all(|a| a.kind == "delta"),
         "clique atoms are views of the delta-backed E"
     );
+    assert_eq!(trace.backend, "delta");
+    // a static relation beside a delta-backed one is reported as mixed
+    let live = wcoj_workloads::triangle_live(64, 3);
+    let (_, beside) = execute_explain(&live.query, &live.db, &opts).expect("explain mixed");
+    assert_eq!(beside.backend, "mixed");
     assert_eq!(trace.levels.len(), 3, "one level record per variable");
     assert!(
         trace.levels.iter().any(|l| l.candidates > 0),

@@ -58,7 +58,7 @@ pub struct LevelTrace {
 pub struct AtomTrace {
     /// Relation name.
     pub relation: String,
-    /// Structure kind built ("trie", "index", "delta", "columns").
+    /// Structure kind built ("trie" or "delta").
     pub kind: String,
     /// Cache outcome: "hit", "miss", "incremental", or "bypass".
     pub outcome: String,
@@ -94,7 +94,8 @@ pub struct MorselTrace {
 pub struct QueryTrace {
     /// Engine name (e.g. `GenericJoin`).
     pub engine: String,
-    /// Access-path backend actually used (e.g. `Trie`, `Hash`, `Mixed`).
+    /// What was built, over all atoms: `trie`, `delta`, `mixed`, or `none`
+    /// (the binary baseline builds no access structure).
     pub backend: String,
     /// Worker thread count (1 = serial).
     pub threads: usize,

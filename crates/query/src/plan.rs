@@ -2,7 +2,7 @@
 //!
 //! Generic Join and Leapfrog Triejoin both fix a *global variable order*
 //! `A_{σ(1)}, …, A_{σ(n)}` up front and bind variables in that order; every atom's
-//! access path (trie or prefix index) is then built over the atom's attributes sorted
+//! access path (trie or delta view) is then built over the atom's attributes sorted
 //! by their global position. The AGM guarantee of Algorithm 2 holds for **any**
 //! order, but constants vary wildly in practice, so the choice matters.
 //!
@@ -46,7 +46,7 @@ pub fn default_order(query: &ConjunctiveQuery) -> Vec<VarId> {
 
 /// The attribute order for atom `atom_index` induced by a global variable order: the
 /// atom's variable names sorted by their position in `order`. This is the order its
-/// trie / prefix index must be built over.
+/// access structure must be built over.
 pub fn atom_attr_order<'q>(
     query: &'q ConjunctiveQuery,
     atom_index: usize,

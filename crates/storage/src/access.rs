@@ -1,30 +1,33 @@
-//! [`TrieAccess`] — the common cursor interface both join algorithms are written
+//! [`TrieAccess`] — the cursor interface both join algorithms are written
 //! against.
 //!
 //! The worst-case optimal join algorithms of the paper need exactly one capability
 //! from storage: positioned enumeration of the sorted set of values extending a bound
 //! prefix, with a least-upper-bound `seek` so that set intersections run in time
-//! proportional to the smallest set (Section 2). Two access paths provide it:
+//! proportional to the smallest set (Section 2). One static structure provides it,
+//! and one live one:
 //!
 //! * [`crate::TrieCursor`] over a CSR-flattened [`crate::Trie`] — contiguous sorted
-//!   sibling groups, galloping `seek`; the classic Leapfrog Triejoin iterator;
-//! * [`PrefixCursor`] over a [`PrefixIndex`] — hash lookup per `open`, then the same
-//!   sorted-slice navigation; the access path Generic Join assumes.
+//!   sibling groups found by one `child_start` offset per `open` (no hashing),
+//!   galloping `seek`; the classic Leapfrog Triejoin iterator, and equally the
+//!   "sorted extensions of a prefix" access Generic Join (Algorithm 2) assumes;
+//! * [`DeltaCursor`] over a [`crate::delta::DeltaAccess`] — the union cursor that
+//!   merges a delta log's runs per `open`.
 //!
-//! `TrieAccess` abstracts over both so that Generic Join and Leapfrog Triejoin in
-//! `wcoj-core` are written once and run on either backend. The engines are *generic*
+//! Generic Join and Leapfrog Triejoin in `wcoj-core` are written once, *generic*
 //! over `C: TrieAccess`, so the hot loops monomorphize — no per-seek virtual
-//! dispatch. To mix backends within one query, wrap each cursor in [`CursorKind`]
-//! (a two-variant enum whose dispatch is a predictable branch, not a vtable call);
-//! the trait remains object-safe for callers that really want `dyn`.
+//! dispatch. To mix static and delta-backed atoms within one query, wrap each
+//! cursor in [`CursorKind`] (a two-variant enum whose dispatch is a predictable
+//! branch, not a vtable call); the trait remains object-safe for callers that
+//! really want `dyn`.
 //!
 //! Every cursor is `Send + Clone`: it borrows its (immutable, `Sync`) access
 //! structure and owns its stack plus private [`CursorWork`] tallies, which the
 //! engine drains via [`TrieAccess::take_work`]. That is what lets morsel-driven
-//! parallel workers each hold a private cursor over one shared trie/index.
+//! parallel workers each hold a private cursor over one shared trie.
 //!
-//! A static structure also hands out, per dense sibling group, the **set layout**
-//! it prebuilt ([`TrieAccess::layout`], see [`crate::kernels`]): when every cursor
+//! A trie also hands out, per dense sibling group, the **set layout** it
+//! prebuilt ([`TrieAccess::layout`], see [`crate::kernels`]): when every cursor
 //! of an intersection has one, the engines AND bitset words instead of scanning
 //! the lists. [`DeltaCursor`] keeps the default (its groups are merged per
 //! `open`, there is nothing prebuilt), which makes any intersection it takes part
@@ -41,8 +44,7 @@
 //! whose discovery was already paid for elsewhere, so it records no work.
 
 use crate::delta::DeltaCursor;
-use crate::index::{Group, PrefixIndex};
-use crate::kernels::{self, Layout};
+use crate::kernels::Layout;
 use crate::stats::CursorWork;
 use crate::trie::TrieCursor;
 use crate::Value;
@@ -186,221 +188,13 @@ impl TrieAccess for TrieCursor<'_> {
     }
 }
 
-/// One open level of a [`PrefixCursor`]: the sorted distinct values extending the
-/// prefix chosen above, the group's set layout words (empty when it has none),
-/// plus the position within the values.
-#[derive(Debug, Clone, Copy)]
-struct PrefixFrame<'a> {
-    values: &'a [Value],
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> PrefixFrame<'a> {
-    fn at_start(group: &'a Group) -> Self {
-        PrefixFrame {
-            values: &group.values,
-            words: &group.words,
-            pos: 0,
-        }
-    }
-}
-
-/// A [`TrieAccess`] cursor over a [`PrefixIndex`].
-///
-/// Each non-root `open` costs one hash probe (`values_after` on the prefix assembled
-/// from the keys above — gathered into a reused buffer, and memoized into one, so
-/// `open` never allocates after the first descent); the root group lookup is
-/// free (it is a single static entry, amortized across the whole run).
-/// Navigation within a level is adaptive
-/// linear/galloping search over the sorted slice, identical in cost shape to
-/// [`TrieCursor`]. Obtained from [`PrefixIndex::cursor`]. `Send + Clone` like every
-/// cursor.
-#[derive(Debug, Clone)]
-pub struct PrefixCursor<'a> {
-    index: &'a PrefixIndex,
-    frames: Vec<PrefixFrame<'a>>,
-    prefix_buf: Vec<Value>,
-    /// One-entry memo per depth: the last prefix opened there and its group
-    /// (`None` until the depth is first opened; the prefix buffer is reused).
-    /// Join engines re-open the same prefix many times in a row (everything
-    /// *below* it in the variable order iterates in between), so this turns the
-    /// common case into a short `Vec` comparison instead of a hash lookup. Memo
-    /// hits still record the probe, keeping the work counters a pure function of
-    /// the visited values — scheduling-independent, as the parallel determinism
-    /// property requires.
-    memo: Vec<(Vec<Value>, Option<&'a Group>)>,
-    work: CursorWork,
-    simd: crate::simd::SimdLevel,
-    seek_linear_max: usize,
-}
-
-impl PrefixIndex {
-    /// A [`PrefixCursor`] positioned at the root.
-    pub fn cursor(&self) -> PrefixCursor<'_> {
-        PrefixCursor {
-            index: self,
-            frames: Vec::new(),
-            prefix_buf: Vec::with_capacity(self.arity()),
-            memo: vec![(Vec::new(), None); self.arity()],
-            work: CursorWork::default(),
-            simd: crate::simd::active_level(),
-            seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
-        }
-    }
-}
-
-impl TrieAccess for PrefixCursor<'_> {
-    fn arity(&self) -> usize {
-        self.index.arity()
-    }
-
-    fn depth(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn open(&mut self) -> bool {
-        if self.frames.len() >= self.index.arity() {
-            return false;
-        }
-        self.prefix_buf.clear();
-        for f in &self.frames {
-            debug_assert!(f.pos < f.values.len(), "open below an exhausted level");
-            self.prefix_buf.push(f.values[f.pos]);
-        }
-        if !self.prefix_buf.is_empty() {
-            // the (logical) hash lookup; the root group is free. Memo hits below
-            // count identically so tallies stay scheduling-independent.
-            self.work.probes += 1;
-        }
-        let (memo_prefix, memo_group) = &mut self.memo[self.frames.len()];
-        if let Some(group) = *memo_group {
-            if *memo_prefix == self.prefix_buf {
-                self.frames.push(PrefixFrame::at_start(group));
-                return true;
-            }
-        }
-        match self.index.group_after(&self.prefix_buf) {
-            Some(group) if !group.values.is_empty() => {
-                memo_prefix.clear();
-                memo_prefix.extend_from_slice(&self.prefix_buf);
-                *memo_group = Some(group);
-                self.frames.push(PrefixFrame::at_start(group));
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn up(&mut self) {
-        self.frames.pop();
-    }
-
-    fn key(&self) -> Value {
-        let f = self.frames.last().expect("cursor is at the root");
-        assert!(f.pos < f.values.len(), "cursor is at end of its group");
-        f.values[f.pos]
-    }
-
-    fn at_end(&self) -> bool {
-        match self.frames.last() {
-            None => true,
-            Some(f) => f.pos >= f.values.len(),
-        }
-    }
-
-    fn next(&mut self) -> bool {
-        self.work.intersect_steps += 1;
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        if f.pos < f.values.len() {
-            f.pos += 1;
-        }
-        f.pos < f.values.len()
-    }
-
-    fn seek(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        if f.pos >= f.values.len() {
-            return false;
-        }
-        let (pos, probes, cmps) = crate::ops::seek_lub_cal(
-            self.simd,
-            f.values,
-            f.pos,
-            f.values.len(),
-            target,
-            self.seek_linear_max,
-        );
-        self.work.probes += probes;
-        self.work.comparisons += cmps;
-        f.pos = pos;
-        f.pos < f.values.len()
-    }
-
-    fn set_seek_calibration(&mut self, linear_max: usize) {
-        self.seek_linear_max = linear_max;
-    }
-
-    fn reposition(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        match f.values.binary_search(&target) {
-            Ok(i) => {
-                f.pos = i;
-                true
-            }
-            Err(i) => {
-                f.pos = i;
-                false
-            }
-        }
-    }
-
-    fn advance_to(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        if f.pos >= f.values.len() {
-            return false;
-        }
-        if f.values[f.pos] >= target {
-            return f.values[f.pos] == target;
-        }
-        let pos = crate::ops::advance_lub(
-            self.simd,
-            f.values,
-            f.pos,
-            f.values.len(),
-            target,
-            self.seek_linear_max,
-        );
-        f.pos = pos;
-        pos < f.values.len() && f.values[pos] == target
-    }
-
-    fn remaining(&self) -> &[Value] {
-        match self.frames.last() {
-            None => &[],
-            Some(f) => &f.values[f.pos..],
-        }
-    }
-
-    fn layout(&self) -> Option<Layout<'_>> {
-        let f = self.frames.last()?;
-        kernels::layout_of(f.values[0], f.words)
-    }
-
-    fn take_work(&mut self) -> CursorWork {
-        std::mem::take(&mut self.work)
-    }
-}
-
-/// A cursor over either backend, dispatching through a two-variant enum instead of a
-/// vtable — the composition point for queries that mix trie-backed and hash-backed
-/// atoms while keeping the engines' hot loops monomorphized.
+/// A cursor over either access structure, dispatching through a two-variant enum
+/// instead of a vtable — the composition point for queries that mix static and
+/// delta-backed atoms while keeping the engines' hot loops monomorphized.
 #[derive(Debug, Clone)]
 pub enum CursorKind<'a> {
     /// A cursor over a CSR [`crate::Trie`].
     Trie(TrieCursor<'a>),
-    /// A cursor over a [`PrefixIndex`].
-    Prefix(PrefixCursor<'a>),
     /// A delta-log union cursor over a [`crate::delta::DeltaAccess`] — the live
     /// (base + delta runs + tombstones) view of a
     /// [`crate::delta::DeltaRelation`].
@@ -410,12 +204,6 @@ pub enum CursorKind<'a> {
 impl<'a> From<TrieCursor<'a>> for CursorKind<'a> {
     fn from(c: TrieCursor<'a>) -> Self {
         CursorKind::Trie(c)
-    }
-}
-
-impl<'a> From<PrefixCursor<'a>> for CursorKind<'a> {
-    fn from(c: PrefixCursor<'a>) -> Self {
-        CursorKind::Prefix(c)
     }
 }
 
@@ -429,7 +217,6 @@ macro_rules! dispatch {
     ($self:ident, $c:ident => $e:expr) => {
         match $self {
             CursorKind::Trie($c) => $e,
-            CursorKind::Prefix($c) => $e,
             CursorKind::Delta($c) => $e,
         }
     };
@@ -500,6 +287,7 @@ impl TrieAccess for CursorKind<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{DeltaAccess, DeltaRelation};
     use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::trie::Trie;
@@ -551,25 +339,26 @@ mod tests {
         c.up();
     }
 
+    /// The static trie and the delta union cursor over the same tuples.
     #[test]
     fn both_backends_enumerate_identically() {
         let r = rel();
         let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
-        let index = PrefixIndex::build(&r, &["A", "B", "C"]).unwrap();
+        let log = DeltaRelation::from_relation(r.clone());
+        let live = DeltaAccess::build(&log, &["A", "B", "C"], 1).unwrap();
         let mut tc = trie.cursor();
-        let mut pc = index.cursor();
-        let from_trie = enumerate(&mut tc, 3);
-        let from_index = enumerate(&mut pc, 3);
-        assert_eq!(from_trie, r.rows());
-        assert_eq!(from_index, r.rows());
+        let mut dc = live.cursor();
+        assert_eq!(enumerate(&mut tc, 3), r.rows());
+        assert_eq!(enumerate(&mut dc, 3), r.rows());
     }
 
     #[test]
     fn cursor_kind_matches_concrete_navigation() {
         let r = rel();
         let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
-        let index = PrefixIndex::build(&r, &["A", "B", "C"]).unwrap();
-        let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), index.cursor().into()];
+        let log = DeltaRelation::from_relation(r.clone());
+        let live = DeltaAccess::build(&log, &["A", "B", "C"], 1).unwrap();
+        let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), live.cursor().into()];
         for c in cursors.iter_mut() {
             assert_eq!(c.arity(), 3);
             assert!(c.at_end()); // root
@@ -610,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_groups_carry_their_layout_on_both_backends() {
+    fn dense_trie_groups_carry_their_layout_and_delta_groups_none() {
         // root: {3, 200, 9000} (sparse); under 3: 70..=134 step 2 (dense, first
         // off the 64-grid); under 200: four values (tiny); under 9000: a wide
         // sparse group
@@ -619,29 +408,35 @@ mod tests {
         rows.extend((0..8).map(|b| vec![9000, b * 1000]));
         let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
         let trie = Trie::build(&r, &["A", "B"]).unwrap();
-        let index = PrefixIndex::build(&r, &["A", "B"]).unwrap();
-        let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), index.cursor().into()];
-        for c in cursors.iter_mut() {
-            assert_eq!(c.layout(), None, "at the root");
+        let mut c: CursorKind = trie.cursor().into();
+        assert_eq!(c.layout(), None, "at the root");
+        assert!(c.open());
+        assert_eq!(c.layout(), None, "three root values are a tiny group");
+        assert!(c.open()); // under A = 3
+        let group = TrieAccess::remaining(&c).to_vec();
+        let (base, words) = c.layout().expect("a dense group");
+        assert_eq!((base, words.len()), (64, 2));
+        assert_eq!(decode((base, words)), group);
+        // the layout is the whole group's wherever the cursor stands
+        assert!(c.seek(101));
+        assert_eq!(c.key(), 102);
+        assert_eq!(decode(c.layout().unwrap()), group);
+        c.up();
+        for sparse in [200, 9000] {
+            assert!(c.seek(sparse));
             assert!(c.open());
-            assert_eq!(c.layout(), None, "three root values are a tiny group");
-            assert!(c.open()); // under A = 3
-            let group = TrieAccess::remaining(c).to_vec();
-            let (base, words) = c.layout().expect("a dense group");
-            assert_eq!((base, words.len()), (64, 2));
-            assert_eq!(decode((base, words)), group);
-            // the layout is the whole group's wherever the cursor stands
-            assert!(c.seek(101));
-            assert_eq!(c.key(), 102);
-            assert_eq!(decode(c.layout().unwrap()), group);
+            assert_eq!(c.layout(), None, "under A = {sparse}");
             c.up();
-            for sparse in [200, 9000] {
-                assert!(c.seek(sparse));
-                assert!(c.open());
-                assert_eq!(c.layout(), None, "under A = {sparse}");
-                c.up();
-            }
         }
+
+        // a delta cursor merges its groups per `open`: nothing is prebuilt
+        let log = DeltaRelation::from_relation(r);
+        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
+        let mut c: CursorKind = live.cursor().into();
+        assert!(c.open());
+        assert!(c.open()); // under A = 3: the same dense values
+        assert_eq!(TrieAccess::remaining(&c), group.as_slice());
+        assert_eq!(c.layout(), None);
     }
 
     #[test]
@@ -654,54 +449,25 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cursor_seek_is_forward_only_within_group() {
-        let r = rel();
-        let index = PrefixIndex::build(&r, &["A", "B", "C"]).unwrap();
-        let mut c = index.cursor();
-        c.open();
-        assert_eq!(c.key(), 1);
-        c.open(); // B under A=1: {2, 3}
-        assert!(c.seek(3));
-        assert_eq!(c.key(), 3);
-        assert!(!c.seek(4)); // 4 only occurs at level A, never under A=1
-    }
-
-    #[test]
-    fn prefix_cursor_counts_work_privately() {
-        let rows = (0..1000).map(|i| vec![0, i]).collect();
-        let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
-        let index = PrefixIndex::build(&r, &["A", "B"]).unwrap();
-        let mut c = index.cursor();
-        assert!(c.open());
-        assert!(c.take_work().is_zero(), "root open is free");
-        assert!(c.open()); // non-root open: one hash probe
-        assert_eq!(c.take_work().probes, 1);
-        assert!(c.seek(900));
-        assert_eq!(c.key(), 900);
-        c.next();
-        let w = c.take_work();
-        assert!(w.probes > 1, "galloping probes");
-        assert!(w.intersect_steps > 0);
-    }
-
-    #[test]
     fn cursors_are_send_clone_and_indexes_sync() {
         fn assert_send_clone<T: Send + Clone>() {}
         fn assert_sync<T: Sync>() {}
-        assert_send_clone::<PrefixCursor<'_>>();
+        assert_send_clone::<DeltaCursor<'_>>();
         assert_send_clone::<CursorKind<'_>>();
-        assert_sync::<PrefixIndex>();
+        assert_sync::<Trie>();
+        assert_sync::<DeltaAccess<'_>>();
     }
 
     #[test]
     fn empty_relation_cursors() {
         let r = Relation::empty(Schema::new(&["A", "B"]));
         let trie = Trie::build(&r, &["A", "B"]).unwrap();
-        let index = PrefixIndex::build(&r, &["A", "B"]).unwrap();
+        let log = DeltaRelation::from_relation(r);
+        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
         let mut tc = trie.cursor();
-        let mut pc = index.cursor();
+        let mut dc = live.cursor();
         assert!(!TrieAccess::open(&mut tc));
-        assert!(!TrieAccess::open(&mut pc));
-        assert_eq!(pc.arity(), 2);
+        assert!(!TrieAccess::open(&mut dc));
+        assert_eq!(dc.arity(), 2);
     }
 }

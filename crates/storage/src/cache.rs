@@ -1,7 +1,7 @@
-//! The per-database access-structure cache: built [`Trie`]s, [`PrefixIndex`]es
-//! and permuted delta views ([`DeltaView`]), keyed by *what they were built
-//! from* and evicted under a byte budget with cost-aware (GreedyDual-Size
-//! style) priorities.
+//! The per-database access-structure cache: built [`Trie`]s and permuted
+//! delta views ([`DeltaView`]), keyed by *what they were built from* and
+//! evicted under a byte budget with cost-aware (GreedyDual-Size style)
+//! priorities.
 //!
 //! # Keying and invalidation
 //!
@@ -36,7 +36,6 @@
 //! `WCOJ_CACHE_BYTES` environment variable; `0` disables caching entirely.
 
 use crate::delta::DeltaView;
-use crate::index::PrefixIndex;
 use crate::trie::Trie;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,14 +86,12 @@ impl CacheStats {
     }
 }
 
-/// Which access structure an entry holds — part of the key, so one relation
-/// and order can cache a trie and a prefix index side by side.
+/// Which access structure an entry holds — part of the key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CacheKind {
-    /// A CSR [`Trie`] (the Leapfrog backend).
+    /// A CSR [`Trie`] over a static relation — one per `(relation, order)`,
+    /// shared by both WCOJ engines.
     Trie,
-    /// A [`PrefixIndex`] (the Generic Join backend).
-    Index,
     /// A permuted [`DeltaView`] over a delta log's sealed runs.
     Delta,
 }
@@ -123,8 +120,6 @@ pub struct CacheKey {
 pub enum CachedValue {
     /// A built CSR trie.
     Trie(Arc<Trie>),
-    /// A built prefix hash index.
-    Index(Arc<PrefixIndex>),
     /// A permuted view of a delta log's sealed runs.
     Delta(Arc<DeltaView>),
 }

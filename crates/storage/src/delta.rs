@@ -1,7 +1,7 @@
 //! Incremental maintenance: delta-log relations with mergeable access structures.
 //!
-//! Every access path in this crate ([`crate::Trie`], [`crate::PrefixIndex`]) is
-//! built over an immutable, canonically sorted [`Relation`] — and
+//! The static access path in this crate ([`crate::Trie`]) is built over an
+//! immutable, canonically sorted [`Relation`] — and
 //! [`Relation::insert`] pays O(n) per tuple to keep that order. This module adds
 //! the LSM-style storage layout that makes the engines' worst-case-optimal
 //! guarantees usable over a *live, continuously-ingesting* database:
@@ -51,7 +51,7 @@
 //! rows under prefix·value is positive.
 
 use crate::error::StorageError;
-use crate::index::FxHasher;
+use crate::fxhash::FxHasher;
 use crate::relation::{argsort_columns_threads, Relation, Tuple};
 use crate::schema::Schema;
 use crate::stats::CursorWork;
@@ -1051,7 +1051,7 @@ impl AccessRun<'_> {
 }
 
 /// The mergeable access structure over a [`DeltaRelation`]'s runs for one
-/// attribute order: what [`crate::Trie`]/[`crate::PrefixIndex`] are to a static
+/// attribute order: what a [`crate::Trie`] is to a static
 /// [`Relation`], this is to a delta log — except construction only re-sorts runs
 /// whose native order differs from the requested one, and a still-unsealed
 /// buffer is collapsed into an ephemeral extra run without mutating the log.
@@ -1403,8 +1403,7 @@ struct DeltaFrame {
 
 /// One-entry memo per depth: the last prefix merged there, its group, and the
 /// merge work that was charged — hits re-charge the same work so the tallies
-/// stay a pure function of the visited values (scheduling-independent), exactly
-/// like [`crate::PrefixCursor`]'s memo.
+/// stay a pure function of the visited values (scheduling-independent).
 #[derive(Debug, Clone)]
 struct DeltaMemo {
     prefix: Vec<Value>,
@@ -1416,8 +1415,7 @@ struct DeltaMemo {
 /// `open` materializes the merged sibling group of the current prefix by an
 /// n-way sorted merge over the runs' ranges, keeping a value iff its signed
 /// subtree count is positive. The root group's merge is uncounted (it is
-/// computed once per run and amortized, mirroring the free root lookup of
-/// [`crate::PrefixCursor`]); deeper merges charge `delta_merge` work that
+/// computed once per run and amortized); deeper merges charge `delta_merge` work that
 /// depends only on the prefix, which is what keeps parallel merged counters
 /// bit-identical to serial execution.
 #[derive(Debug, Clone)]
@@ -1425,8 +1423,8 @@ pub struct DeltaCursor<'a> {
     access: &'a DeltaAccess<'a>,
     frames: Vec<DeltaFrame>,
     memo: Vec<Option<DeltaMemo>>,
-    /// Reused per-`open` prefix assembly buffer (like [`crate::PrefixCursor`]'s
-    /// `prefix_buf`): memo hits — the common case — never allocate.
+    /// Reused per-`open` prefix assembly buffer: memo hits — the common case —
+    /// never allocate.
     prefix_buf: Vec<Value>,
     work: CursorWork,
     simd: crate::simd::SimdLevel,

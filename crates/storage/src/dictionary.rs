@@ -110,18 +110,6 @@ impl Dictionary {
             .collect()
     }
 
-    /// Lossy decode for **debug printing only**: unknown codes decode to `"?<code>"`
-    /// instead of failing. Typed result paths use [`Dictionary::try_decode_row`].
-    pub fn decode_row_lossy(&self, row: &[Value]) -> Vec<String> {
-        row.iter()
-            .map(|&c| {
-                self.string(c)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("?{c}"))
-            })
-            .collect()
-    }
-
     /// Merge `other` into `self`, interning every string of `other` that `self` has
     /// not seen. Returns the remap table `m` with `m[other_code] = self_code`, the
     /// input to [`crate::Relation::remap_columns`] — together they unify
@@ -207,8 +195,6 @@ mod tests {
             d.try_decode_row(&[0, 99]).unwrap_err(),
             StorageError::UnknownCode(99)
         );
-        // the lossy helper survives unknown codes (debug printing only)
-        assert_eq!(d.decode_row_lossy(&[99]), vec!["?99".to_string()]);
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! # Set layouts
 //!
 //! The bitmap kernel above derives both bitsets from the sorted lists on every
-//! call. The lists of a *static* access structure ([`crate::Trie`],
-//! [`crate::PrefixIndex`]) do not change between calls, so — as EmptyHeaded
+//! call. The lists of the *static* access structure ([`crate::Trie`]) do not
+//! change between calls, so — as EmptyHeaded
 //! fixes a layout per set when it builds its tries — every **dense sibling
 //! group** gets its bitset once, at build time: a [`Layout`] `(base, words)`.
 //!

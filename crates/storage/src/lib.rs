@@ -19,20 +19,18 @@
 //!   the static access structures prebuild for their dense sibling groups
 //!   ([`kernels::Layout`]), which turn dense∩dense into a word-parallel AND;
 //! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order with a
-//!   seekable cursor, the access path required by Leapfrog Triejoin; built by a
+//!   seekable cursor, the access path of both Generic Join and Leapfrog Triejoin;
+//!   built by a
 //!   single fused argsort-and-scan pass over the relation's columns — or, with
 //!   [`trie::Trie::build_parallel`], by the same pass partitioned across scoped
 //!   workers with bit-identical results;
-//! * [`index::PrefixIndex`] — a hash index from bound prefixes to the sorted list of
-//!   next-attribute values, the access path used by Generic Join and by the
-//!   backtracking search of Algorithm 3; built by the same fused pass (serial or
-//!   parallel via [`index::PrefixIndex::build_parallel`]);
-//! * [`access::TrieAccess`] — the common cursor trait over both access paths
-//!   (`TrieCursor` and [`access::PrefixCursor`]), so the join engines in `wcoj-core`
-//!   are written once — generically, monomorphized per backend — and run on either;
-//!   [`access::CursorKind`] composes mixed backends without vtable dispatch. Every
-//!   cursor is `Send + Clone`, so parallel workers hold private cursors over one
-//!   shared access structure;
+//! * [`access::TrieAccess`] — the cursor trait the join engines in `wcoj-core` are
+//!   written against — once, generically, monomorphized per cursor type: Generic
+//!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
+//!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** static access
+//!   structure; [`access::CursorKind`] composes static and delta-backed atoms
+//!   without vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
+//!   hold private cursors over one shared access structure;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as a base run + ordered delta runs (sorted ± mini-relations with
 //!   sign prefix-sums, tombstones for deletes) + an append buffer, with
@@ -40,7 +38,7 @@
 //!   the **union cursor** — a [`access::TrieAccess`] implementation that n-way
 //!   merges the runs and suppresses tombstoned subtrees, so both engines run
 //!   unmodified (and bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: built tries, prefix indexes, and
+//! * [`cache`] — the access-structure cache: built tries and
 //!   permuted delta views ([`delta::DeltaView`]) keyed by what they were built
 //!   from (relation identity stamp, column permutation, structure kind) in a
 //!   shared [`cache::AccessCache`] with a byte budget and cost-aware
@@ -102,7 +100,7 @@ pub mod cache;
 pub mod delta;
 pub mod dictionary;
 pub mod error;
-pub mod index;
+mod fxhash;
 pub mod kernels;
 pub mod ops;
 pub mod relation;
@@ -115,12 +113,11 @@ pub mod tune;
 pub mod typed;
 pub mod wal;
 
-pub use access::{CursorKind, PrefixCursor, TrieAccess};
+pub use access::{CursorKind, TrieAccess};
 pub use cache::{next_stamp, AccessCache, CacheKey, CacheKind, CacheStats, CachedValue};
 pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation, DeltaView};
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
-pub use index::PrefixIndex;
 pub use kernels::{KernelKind, KernelPolicy};
 pub use ops::{hash_join, intersect_sorted, merge_join, nested_loop_join};
 pub use relation::{Relation, Tuple};

@@ -31,7 +31,7 @@ pub fn intersect_sorted(lists: &[&[Value]], counter: &WorkCounter) -> Vec<Value>
 /// Least-upper-bound galloping search within `values[start..end]`: the first index
 /// `>= start` (and `< end`) whose value is `>= target`, or `end` if none. Returns the
 /// index and the number of probes performed. Shared by every seekable cursor
-/// ([`crate::TrieCursor`], [`crate::PrefixCursor`]).
+/// ([`crate::TrieCursor`], [`crate::DeltaCursor`]).
 pub(crate) fn gallop_lub(
     values: &[Value],
     start: usize,

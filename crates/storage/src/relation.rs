@@ -3,9 +3,8 @@
 //! A relation stores one contiguous `Vec<Value>` per attribute; row `i` is the tuple
 //! `(columns[0][i], …, columns[k-1][i])`. Rows are kept lexicographically sorted and
 //! deduplicated, which gives set semantics, O(log n) membership and prefix range
-//! lookups, and lets [`crate::Trie::build`] / [`crate::PrefixIndex::build`] run as a
-//! single fused pass over the columns (an argsort of row indices — no row
-//! materialization).
+//! lookups, and lets [`crate::Trie::build`] run as a single fused pass over the
+//! columns (an argsort of row indices — no row materialization).
 //!
 //! The columnar layout is the storage half of the PR's performance story: scans touch
 //! one cache-friendly array per attribute instead of chasing one heap allocation per

@@ -28,8 +28,7 @@ use std::ops::AddAssign;
 /// [`WorkCounter`] by the engine (see `TrieAccess::take_work`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorWork {
-    /// Index probes: galloping-search probes and hash lookups performed by `seek`
-    /// and (for hash-backed cursors) non-root `open`.
+    /// Index probes: galloping-search probes performed by `seek`.
     pub probes: u64,
     /// Set-intersection steps: `next` advances within a sibling group.
     pub intersect_steps: u64,

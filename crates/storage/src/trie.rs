@@ -107,11 +107,8 @@ pub struct Trie {
 }
 
 /// Validate that `attr_order` is a permutation of `rel`'s attributes and return the
-/// column position of each ordered attribute. Shared with [`crate::PrefixIndex`].
-pub(crate) fn order_positions(
-    rel: &Relation,
-    attr_order: &[&str],
-) -> Result<Vec<usize>, StorageError> {
+/// column position of each ordered attribute.
+fn order_positions(rel: &Relation, attr_order: &[&str]) -> Result<Vec<usize>, StorageError> {
     if attr_order.len() != rel.arity() {
         return Err(StorageError::ArityMismatch {
             expected: rel.arity(),
@@ -133,13 +130,9 @@ pub(crate) fn order_positions(
 
 /// Validate that `positions` is a permutation of `0..rel.arity()` and synthesize the
 /// attribute names of that order from the relation's stored schema. The positional
-/// twin of [`order_positions`], used by the cache-keyed builds
-/// ([`Trie::build_positions`], [`crate::PrefixIndex::build_positions`]) where atom
-/// variables bind to stored columns positionally.
-pub(crate) fn positions_order(
-    rel: &Relation,
-    positions: &[usize],
-) -> Result<Vec<String>, StorageError> {
+/// twin of [`order_positions`]: atom variables bind to stored columns
+/// positionally.
+fn positions_order(rel: &Relation, positions: &[usize]) -> Result<Vec<String>, StorageError> {
     if positions.len() != rel.arity() {
         return Err(StorageError::ArityMismatch {
             expected: rel.arity(),
@@ -159,131 +152,225 @@ pub(crate) fn positions_order(
         .collect())
 }
 
-/// Argsort of `rel`'s rows by the permuted columns, or `None` when the permutation
-/// is the identity (the relation is already sorted in that order). Rows of a
-/// full-attribute permutation are distinct, so `sort_perm`'s index tie-break never
-/// fires.
-pub(crate) fn order_perm(rel: &Relation, positions: &[usize]) -> Option<Vec<usize>> {
-    if positions.iter().enumerate().all(|(i, &p)| i == p) {
-        return None;
-    }
-    Some(rel.sort_perm(positions))
-}
-
-/// The shared fused-build scan: visit `rel`'s rows in the order of the permuted
-/// columns `positions`, calling `visit(row, depth)` where `depth` is the first
-/// position (in the permuted order) at which the row differs from its predecessor
-/// (0 for the first row). Both [`Trie::build`] and [`crate::PrefixIndex::build`]
-/// drive their single-pass construction off this boundary stream.
-pub(crate) fn fused_scan(rel: &Relation, positions: &[usize], mut visit: impl FnMut(usize, usize)) {
-    let arity = positions.len();
-    let perm = order_perm(rel, positions);
-    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
-    let mut prev: Option<usize> = None;
-    for idx in 0..rel.len() {
-        let r = perm.as_ref().map_or(idx, |p| p[idx]);
-        let d = match prev {
-            None => 0,
-            Some(pr) => {
-                let mut d = 0;
-                while d < arity && cols[d][r] == cols[d][pr] {
-                    d += 1;
-                }
-                d
-            }
-        };
-        debug_assert!(d < arity, "relations are deduplicated");
-        visit(r, d);
-        prev = Some(r);
-    }
-}
-
-/// Relations below this many rows build serially even when worker threads are
-/// requested: the scoped-thread spawn cost would exceed the build itself.
-pub(crate) const PAR_BUILD_MIN: usize = 4096;
-
-/// [`order_perm`] with the argsort spread across `threads` scoped workers
-/// ([`Relation::sort_perm_threads`]); bit-identical to the serial argsort.
-pub(crate) fn order_perm_threads(
-    rel: &Relation,
-    positions: &[usize],
-    threads: usize,
-) -> Option<Vec<usize>> {
+/// Argsort of `rel`'s rows by the permuted columns (across `threads` scoped
+/// workers, bit-identical for every count — [`Relation::sort_perm_threads`]),
+/// or `None` when the permutation is the identity (the relation is already
+/// sorted in that order). Rows of a full-attribute permutation are distinct, so
+/// the argsort's index tie-break never fires.
+fn order_perm(rel: &Relation, positions: &[usize], threads: usize) -> Option<Vec<usize>> {
     if positions.iter().enumerate().all(|(i, &p)| i == p) {
         return None;
     }
     Some(rel.sort_perm_threads(positions, threads))
 }
 
-/// The level-boundary stream of [`fused_scan`] as data: `bounds[idx]` is the first
-/// depth at which sorted row `idx` differs from row `idx - 1` (0 for row 0).
+/// The first depth at which row `r` differs from row `prev` under the permuted
+/// columns `cols` — where `r` starts new trie nodes when it follows `prev`.
+#[inline]
+fn boundary(cols: &[&[Value]], r: usize, prev: usize) -> usize {
+    let mut d = 0;
+    while d < cols.len() && cols[d][r] == cols[d][prev] {
+        d += 1;
+    }
+    debug_assert!(d < cols.len(), "relations are deduplicated");
+    d
+}
+
+/// The level arrays — per level the node `values` and their `child_start`
+/// offsets — by one fused pass: argsort the row indices by the permuted columns
+/// (skipped when the order is native), then scan once, pushing a node at depth
+/// `d` whenever the current row first differs from the previous row at depth
+/// `≤ d`.
+fn scan_serial(rel: &Relation, positions: &[usize]) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
+    let arity = rel.arity();
+    let perm = order_perm(rel, positions, 1);
+    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
+    let mut values: Vec<Vec<Value>> = vec![Vec::new(); arity];
+    let mut child_start: Vec<Vec<usize>> = vec![Vec::new(); arity];
+    let mut prev: Option<usize> = None;
+    for idx in 0..rel.len() {
+        let r = perm.as_ref().map_or(idx, |p| p[idx]);
+        let d = prev.map_or(0, |pr| boundary(&cols, r, pr));
+        // the row starts a new node at every depth >= d
+        for (depth, col) in cols.iter().enumerate().skip(d) {
+            if depth + 1 < arity {
+                child_start[depth].push(values[depth + 1].len());
+            }
+            values[depth].push(col[r]);
+        }
+        prev = Some(r);
+    }
+    // closing sentinels: node i's children end where node i+1's begin
+    for depth in 0..arity.saturating_sub(1) {
+        child_start[depth].push(values[depth + 1].len());
+    }
+    (values, child_start)
+}
+
+/// Relations below this many rows build serially even when worker threads are
+/// requested: the scoped-thread spawn cost would exceed the build itself.
+const PAR_BUILD_MIN: usize = 4096;
+
+/// The level-boundary stream of the fused scan over `n >= 1` rows as data:
+/// `bounds[idx]` is the [`boundary`] of sorted row `idx` against row `idx - 1`
+/// (0 for row 0).
 /// Computed across `threads` scoped workers — each chunk's boundaries depend only
 /// on the rows at its edges, so the partition is embarrassingly parallel.
-pub(crate) fn boundary_depths(
-    rel: &Relation,
-    positions: &[usize],
+fn boundary_depths(
+    cols: &[&[Value]],
+    n: usize,
     perm: Option<&[usize]>,
     threads: usize,
 ) -> Vec<usize> {
-    let arity = positions.len();
-    let n = rel.len();
-    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
     let mut bounds = vec![0usize; n];
-    let diff = |idx: usize| -> usize {
-        let r = perm.map_or(idx, |p| p[idx]);
-        let pr = perm.map_or(idx - 1, |p| p[idx - 1]);
-        let mut d = 0;
-        while d < arity && cols[d][r] == cols[d][pr] {
-            d += 1;
+    let row = |idx: usize| perm.map_or(idx, |p| p[idx]);
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let row = &row;
+        // skip row 0 (boundary 0 by definition), then hand out chunks
+        let mut rest: &mut [usize] = &mut bounds[1..];
+        let mut start = 1usize;
+        while !rest.is_empty() {
+            let take = chunk.min(rest.len());
+            let (head, tail) = rest.split_at_mut(take);
+            let begin = start;
+            scope.spawn(move || {
+                for (off, b) in head.iter_mut().enumerate() {
+                    *b = boundary(cols, row(begin + off), row(begin + off - 1));
+                }
+            });
+            rest = tail;
+            start += take;
         }
-        debug_assert!(d < arity, "relations are deduplicated");
-        d
-    };
-    if n == 0 {
-        return bounds;
-    }
-    if threads <= 1 || n < PAR_BUILD_MIN {
-        for (idx, b) in bounds.iter_mut().enumerate().skip(1) {
-            *b = diff(idx);
-        }
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let diff = &diff;
-            // skip row 0 (boundary 0 by definition), then hand out chunks
-            let mut rest: &mut [usize] = &mut bounds[1..];
-            let mut start = 1usize;
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                let begin = start;
+    });
+    bounds
+}
+
+/// [`scan_serial`]'s arrays from three parallel stages, each bit-identical to
+/// its serial counterpart: the argsort runs as sorted runs + parallel merges
+/// ([`Relation::sort_perm_threads`]), the level-boundary stream is chunked
+/// ([`boundary_depths`]), and the level arrays are filled through exclusive
+/// per-chunk output slices whose offsets come from a prefix sum of per-chunk
+/// node counts. Called with at least [`PAR_BUILD_MIN`] rows and two threads.
+fn scan_parallel(
+    rel: &Relation,
+    positions: &[usize],
+    threads: usize,
+) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
+    let arity = rel.arity();
+    let n = rel.len();
+    let perm = order_perm(rel, positions, threads);
+    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
+    let bounds = boundary_depths(&cols, n, perm.as_deref(), threads);
+
+    // per-chunk node counts per depth (a row with boundary b creates one node
+    // at every depth >= b), then exclusive prefix sums -> chunk output offsets
+    let chunk = n.div_ceil(threads);
+    let ranges: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(chunk)
+        .map(|s| s..(s + chunk).min(n))
+        .collect();
+    let counts: Vec<Vec<usize>> = std::thread::scope(|scope| {
+        let bounds = &bounds;
+        let handles: Vec<_> = ranges
+            .iter()
+            .map(|range| {
+                let range = range.clone();
                 scope.spawn(move || {
-                    for (off, b) in head.iter_mut().enumerate() {
-                        *b = diff(begin + off);
+                    let mut c = vec![0usize; arity];
+                    for idx in range {
+                        for slot in c.iter_mut().skip(bounds[idx]) {
+                            *slot += 1;
+                        }
+                    }
+                    c
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("count worker"))
+            .collect()
+    });
+    let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(counts.len());
+    let mut totals = vec![0usize; arity];
+    for c in &counts {
+        offsets.push(totals.clone());
+        for (t, &k) in totals.iter_mut().zip(c) {
+            *t += k;
+        }
+    }
+
+    // exact-size level arrays, handed to workers as exclusive per-chunk slices
+    let mut values: Vec<Vec<Value>> = totals.iter().map(|&t| vec![0; t]).collect();
+    let mut child_start: Vec<Vec<usize>> = (0..arity)
+        .map(|d| {
+            if d + 1 < arity {
+                vec![0usize; totals[d] + 1] // + 1 for the closing sentinel
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    {
+        let mut val_rem: Vec<&mut [Value]> = values.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let mut cs_rem: Vec<&mut [usize]> =
+            child_start.iter_mut().map(|v| v.as_mut_slice()).collect();
+        std::thread::scope(|scope| {
+            let bounds = &bounds;
+            let cols = &cols;
+            let perm = perm.as_deref();
+            for (c, range) in ranges.iter().enumerate() {
+                let mut vs: Vec<&mut [Value]> = Vec::with_capacity(arity);
+                let mut cs: Vec<&mut [usize]> = Vec::with_capacity(arity);
+                for d in 0..arity {
+                    let (head, tail) = std::mem::take(&mut val_rem[d]).split_at_mut(counts[c][d]);
+                    vs.push(head);
+                    val_rem[d] = tail;
+                    if d + 1 < arity {
+                        let (head, tail) =
+                            std::mem::take(&mut cs_rem[d]).split_at_mut(counts[c][d]);
+                        cs.push(head);
+                        cs_rem[d] = tail;
+                    }
+                }
+                let range = range.clone();
+                let offs = offsets[c].clone();
+                scope.spawn(move || {
+                    let mut vs = vs;
+                    let mut cs = cs;
+                    let mut local = vec![0usize; arity];
+                    for idx in range {
+                        let r = perm.map_or(idx, |p| p[idx]);
+                        for depth in bounds[idx]..arity {
+                            if depth + 1 < arity {
+                                // first child of this node = depth+1 nodes
+                                // emitted so far, globally
+                                cs[depth][local[depth]] = offs[depth + 1] + local[depth + 1];
+                            }
+                            vs[depth][local[depth]] = cols[depth][r];
+                            local[depth] += 1;
+                        }
                     }
                 });
-                rest = tail;
-                start += take;
             }
         });
+        // closing sentinels: node i's children end where node i + 1's begin
+        for d in 0..arity.saturating_sub(1) {
+            debug_assert_eq!(cs_rem[d].len(), 1);
+            cs_rem[d][0] = totals[d + 1];
+        }
     }
-    bounds
+
+    (values, child_start)
 }
 
 impl Trie {
     /// Build a trie for `rel` with attributes reordered to `attr_order` (a permutation
-    /// of the relation's attributes).
-    ///
-    /// Single fused pass: argsort the row indices by the permuted columns (skipped
-    /// when the order is native), then scan once, pushing a node at depth `d`
-    /// whenever the current row first differs from the previous row at depth `≤ d`.
+    /// of the relation's attributes), by a single fused argsort-and-scan pass over
+    /// the relation's columns.
     pub fn build(rel: &Relation, attr_order: &[&str]) -> Result<Self, StorageError> {
-        let positions = order_positions(rel, attr_order)?;
-        Ok(Self::build_ordered(
-            rel,
-            &positions,
-            attr_order.iter().map(|s| s.to_string()).collect(),
-        ))
+        Self::build_parallel(rel, attr_order, 1)
     }
 
     /// [`Trie::build`] with the order given as **column positions** (a permutation of
@@ -291,62 +378,19 @@ impl Trie {
     /// execution layer's access-structure cache, whose keys are positional so that
     /// per-query variable names never reach (or fragment) the cache.
     pub fn build_positions(rel: &Relation, positions: &[usize]) -> Result<Self, StorageError> {
-        let attr_order = positions_order(rel, positions)?;
-        Ok(Self::build_ordered(rel, positions, attr_order))
-    }
-
-    fn build_ordered(rel: &Relation, positions: &[usize], attr_order: Vec<String>) -> Self {
-        let arity = rel.arity();
-        let n = rel.len();
-        let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
-
-        let mut values: Vec<Vec<Value>> = vec![Vec::new(); arity];
-        let mut child_start: Vec<Vec<usize>> = vec![Vec::new(); arity];
-        fused_scan(rel, positions, |r, d| {
-            // the row starts a new node at every depth >= d
-            for (depth, col) in cols.iter().enumerate().skip(d) {
-                if depth + 1 < arity {
-                    child_start[depth].push(values[depth + 1].len());
-                }
-                values[depth].push(col[r]);
-            }
-        });
-        // closing sentinels: node i's children end where node i+1's begin
-        for depth in 0..arity.saturating_sub(1) {
-            child_start[depth].push(values[depth + 1].len());
-        }
-
-        Trie {
-            attr_order,
-            levels: assemble_levels(values, child_start),
-            num_tuples: n,
-        }
+        Self::build_positions_parallel(rel, positions, 1)
     }
 
     /// [`Trie::build`] with the fused argsort-and-scan pass partitioned across
-    /// `threads` scoped workers.
-    ///
-    /// Three parallel stages, each bit-identical to its serial counterpart:
-    /// the argsort runs as sorted runs + parallel merges
-    /// ([`Relation::sort_perm_threads`]), the level-boundary stream is chunked
-    /// (`boundary_depths`), and the level arrays are filled through
-    /// exclusive per-chunk output slices whose offsets come from a prefix sum of
-    /// per-chunk node counts — so the result is guaranteed equal to
-    /// [`Trie::build`] for every thread count (property-tested for
-    /// threads ∈ {1, 2, 4, 8}). Small relations and `threads <= 1` fall back to
-    /// the serial build.
+    /// `threads` scoped workers. The result is guaranteed equal to [`Trie::build`]
+    /// for every thread count (property-tested for threads ∈ {1, 2, 4, 8}). Small
+    /// relations and `threads <= 1` take the serial pass.
     pub fn build_parallel(
         rel: &Relation,
         attr_order: &[&str],
         threads: usize,
     ) -> Result<Self, StorageError> {
-        let positions = order_positions(rel, attr_order)?;
-        Ok(Self::build_parallel_ordered(
-            rel,
-            &positions,
-            attr_order.iter().map(|s| s.to_string()).collect(),
-            threads,
-        ))
+        Self::build_positions_parallel(rel, &order_positions(rel, attr_order)?, threads)
     }
 
     /// [`Trie::build_positions`] with the parallel fused pass of
@@ -357,132 +401,16 @@ impl Trie {
         threads: usize,
     ) -> Result<Self, StorageError> {
         let attr_order = positions_order(rel, positions)?;
-        Ok(Self::build_parallel_ordered(
-            rel, positions, attr_order, threads,
-        ))
-    }
-
-    fn build_parallel_ordered(
-        rel: &Relation,
-        positions: &[usize],
-        attr_order: Vec<String>,
-        threads: usize,
-    ) -> Self {
-        if threads <= 1 || rel.len() < PAR_BUILD_MIN {
-            return Self::build_ordered(rel, positions, attr_order);
-        }
-        let arity = rel.arity();
-        let n = rel.len();
-        let perm = order_perm_threads(rel, positions, threads);
-        let bounds = boundary_depths(rel, positions, perm.as_deref(), threads);
-        let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
-
-        // per-chunk node counts per depth (a row with boundary b creates one node
-        // at every depth >= b), then exclusive prefix sums -> chunk output offsets
-        let chunk = n.div_ceil(threads);
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(n))
-            .collect();
-        let counts: Vec<Vec<usize>> = std::thread::scope(|scope| {
-            let bounds = &bounds;
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let range = range.clone();
-                    scope.spawn(move || {
-                        let mut c = vec![0usize; arity];
-                        for idx in range {
-                            for slot in c.iter_mut().skip(bounds[idx]) {
-                                *slot += 1;
-                            }
-                        }
-                        c
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("count worker"))
-                .collect()
-        });
-        let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(counts.len());
-        let mut totals = vec![0usize; arity];
-        for c in &counts {
-            offsets.push(totals.clone());
-            for (t, &k) in totals.iter_mut().zip(c) {
-                *t += k;
-            }
-        }
-
-        // exact-size level arrays, handed to workers as exclusive per-chunk slices
-        let mut values: Vec<Vec<Value>> = totals.iter().map(|&t| vec![0; t]).collect();
-        let mut child_start: Vec<Vec<usize>> = (0..arity)
-            .map(|d| {
-                if d + 1 < arity {
-                    vec![0usize; totals[d] + 1] // + 1 for the closing sentinel
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        {
-            let mut val_rem: Vec<&mut [Value]> =
-                values.iter_mut().map(|v| v.as_mut_slice()).collect();
-            let mut cs_rem: Vec<&mut [usize]> =
-                child_start.iter_mut().map(|v| v.as_mut_slice()).collect();
-            std::thread::scope(|scope| {
-                let bounds = &bounds;
-                let cols = &cols;
-                let perm = perm.as_deref();
-                for (c, range) in ranges.iter().enumerate() {
-                    let mut vs: Vec<&mut [Value]> = Vec::with_capacity(arity);
-                    let mut cs: Vec<&mut [usize]> = Vec::with_capacity(arity);
-                    for d in 0..arity {
-                        let (head, tail) =
-                            std::mem::take(&mut val_rem[d]).split_at_mut(counts[c][d]);
-                        vs.push(head);
-                        val_rem[d] = tail;
-                        if d + 1 < arity {
-                            let (head, tail) =
-                                std::mem::take(&mut cs_rem[d]).split_at_mut(counts[c][d]);
-                            cs.push(head);
-                            cs_rem[d] = tail;
-                        }
-                    }
-                    let range = range.clone();
-                    let offs = offsets[c].clone();
-                    scope.spawn(move || {
-                        let mut vs = vs;
-                        let mut cs = cs;
-                        let mut local = vec![0usize; arity];
-                        for idx in range {
-                            let r = perm.map_or(idx, |p| p[idx]);
-                            for depth in bounds[idx]..arity {
-                                if depth + 1 < arity {
-                                    // first child of this node = depth+1 nodes
-                                    // emitted so far, globally
-                                    cs[depth][local[depth]] = offs[depth + 1] + local[depth + 1];
-                                }
-                                vs[depth][local[depth]] = cols[depth][r];
-                                local[depth] += 1;
-                            }
-                        }
-                    });
-                }
-            });
-            // closing sentinels: node i's children end where node i + 1's begin
-            for d in 0..arity.saturating_sub(1) {
-                debug_assert_eq!(cs_rem[d].len(), 1);
-                cs_rem[d][0] = totals[d + 1];
-            }
-        }
-
-        Trie {
+        let (values, child_start) = if threads <= 1 || rel.len() < PAR_BUILD_MIN {
+            scan_serial(rel, positions)
+        } else {
+            scan_parallel(rel, positions, threads)
+        };
+        Ok(Trie {
             attr_order,
             levels: assemble_levels(values, child_start),
-            num_tuples: n,
-        }
+            num_tuples: rel.len(),
+        })
     }
 
     /// The attribute order of the trie.
@@ -528,11 +456,12 @@ impl Trie {
         self.levels.first().map_or(&[], |l| l.values.as_slice())
     }
 
-    /// A cursor positioned at the root.
+    /// A cursor positioned at the root. Its frame stack is sized for a full
+    /// descent here, so navigation never allocates.
     pub fn cursor(&self) -> TrieCursor<'_> {
         TrieCursor {
             trie: self,
-            stack: Vec::new(),
+            stack: Vec::with_capacity(self.arity()),
             work: CursorWork::default(),
             simd: crate::simd::active_level(),
             seek_linear_max: crate::ops::LINEAR_SEEK_MAX,

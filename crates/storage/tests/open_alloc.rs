@@ -1,5 +1,6 @@
-//! `PrefixCursor::open` must not allocate once the cursor is warm: the prefix
-//! buffer, the frame stack and the per-depth memo are all reused.
+//! A `TrieCursor` allocates once, when it is made: `Trie::cursor()` sizes the
+//! frame stack for a full descent, so a request pays at most one allocation
+//! per atom cursor and a sweep — `open`, `up`, `next`, however deep — none.
 //!
 //! This file holds exactly one test so it owns its process — the counting
 //! allocator is global, and another test's allocations on a parallel test
@@ -7,7 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use wcoj_storage::{PrefixIndex, Relation, Schema, TrieAccess};
+use wcoj_storage::{Relation, Schema, Trie};
 
 struct Counting;
 
@@ -35,25 +36,30 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn a_warm_prefix_cursor_opens_without_allocating() {
+fn a_trie_cursor_allocates_once_and_sweeps_without_allocating() {
     let rows = (0..4096u64).map(|i| vec![i % 16, i % 64, i]).collect();
     let r = Relation::from_rows(Schema::new(&["A", "B", "C"]), rows);
-    let index = PrefixIndex::build(&r, &["A", "B", "C"]).unwrap();
-    let mut c = index.cursor();
+    let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
 
-    // one warm descent to the deepest level and back up to the root group
-    assert!(c.open() && c.open() && c.open());
-    c.up();
-    c.up();
+    // the process's first cursor also resolves the SIMD dispatch level once
+    // (an environment read, which allocates): keep it out of the count
+    drop(trie.cursor());
 
-    // every (a, b) prefix is a memo miss at depth 2, every new a one at depth 1
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut opens = 0usize;
+    let mut c = trie.cursor();
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(made, 1, "the frame stack, sized for a full descent");
+
+    // the first descent already runs in the presized stack
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    assert!(c.open());
+    let mut opens = 1usize;
     loop {
         assert!(c.open());
+        opens += 1;
         loop {
             assert!(c.open());
-            opens += 2;
+            opens += 1;
             c.up();
             if !c.next() {
                 break;
@@ -65,6 +71,6 @@ fn a_warm_prefix_cursor_opens_without_allocating() {
         }
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(opens, 2 * 64, "16 a-values x 4 b-values under each");
+    assert_eq!(opens, 1 + 16 + 64, "16 a-values x 4 b-values under each");
     assert_eq!(allocated, 0, "{allocated} allocations over {opens} opens");
 }

@@ -1,12 +1,11 @@
 //! Property tests for parallel access-structure construction: for relations on
 //! both sides of the parallel-build size threshold, several attribute orders, and
-//! threads ∈ {1, 2, 4, 8}, `Trie::build_parallel` / `PrefixIndex::build_parallel`
-//! must produce **bit-identical** contents — values, offsets and the dense
-//! groups' set layouts — to the serial builds (the acceptance criterion of the
-//! parallel-construction work), and the parallel argsort must equal the serial
-//! argsort permutation exactly.
+//! threads ∈ {1, 2, 4, 8}, `Trie::build_parallel` must produce **bit-identical**
+//! contents — values, offsets and the dense groups' set layouts — to the serial
+//! build (the acceptance criterion of the parallel-construction work), and the
+//! parallel argsort must equal the serial argsort permutation exactly.
 
-use wcoj_storage::{PrefixIndex, Relation, Schema, Trie, TrieAccess};
+use wcoj_storage::{Relation, Schema, Trie};
 
 /// A deterministic pseudo-random ternary relation with heavy prefix sharing.
 fn ternary(n: usize, seed: u64) -> Relation {
@@ -50,22 +49,6 @@ fn parallel_trie_build_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn parallel_index_build_is_bit_identical_to_serial() {
-    for n in SIZES {
-        let r = ternary(n, 0xBEEF ^ n as u64);
-        for order in ORDERS {
-            let serial = PrefixIndex::build(&r, &order).expect("serial build");
-            let mut root = serial.cursor();
-            assert!(n < 500 || (root.open() && root.layout().is_some()));
-            for t in THREADS {
-                let parallel = PrefixIndex::build_parallel(&r, &order, t).expect("parallel build");
-                assert_eq!(parallel, serial, "n={n} order={order:?} threads={t}");
-            }
-        }
-    }
-}
-
-#[test]
 fn parallel_argsort_equals_serial_argsort() {
     for n in SIZES {
         let r = ternary(n, 0xCAFE ^ n as u64);
@@ -87,7 +70,7 @@ fn parallel_build_rejects_bad_orders_like_serial() {
     let r = ternary(5_000, 1);
     assert!(Trie::build_parallel(&r, &["A", "B"], 4).is_err());
     assert!(Trie::build_parallel(&r, &["A", "B", "Z"], 4).is_err());
-    assert!(PrefixIndex::build_parallel(&r, &["A", "A", "B"], 4).is_err());
+    assert!(Trie::build_parallel(&r, &["A", "A", "B"], 4).is_err());
 }
 
 #[test]
@@ -99,20 +82,12 @@ fn parallel_build_handles_degenerate_shapes() {
         Trie::build_parallel(&u, &["A"], 4).unwrap(),
         Trie::build(&u, &["A"]).unwrap()
     );
-    assert_eq!(
-        PrefixIndex::build_parallel(&u, &["A"], 4).unwrap(),
-        PrefixIndex::build(&u, &["A"]).unwrap()
-    );
     // a single fat root group: every row shares the first attribute
     let rows: Vec<Vec<u64>> = (0..10_000).map(|i| vec![7, i]).collect();
     let fat = Relation::from_rows(Schema::new(&["A", "B"]), rows);
     assert_eq!(
         Trie::build_parallel(&fat, &["A", "B"], 8).unwrap(),
         Trie::build(&fat, &["A", "B"]).unwrap()
-    );
-    assert_eq!(
-        PrefixIndex::build_parallel(&fat, &["A", "B"], 8).unwrap(),
-        PrefixIndex::build(&fat, &["A", "B"]).unwrap()
     );
     // more threads than rows above the threshold is impossible, but more threads
     // than root values is not: 3 roots, 8 workers
@@ -121,9 +96,5 @@ fn parallel_build_handles_degenerate_shapes() {
     assert_eq!(
         Trie::build_parallel(&few_roots, &["A", "B"], 8).unwrap(),
         Trie::build(&few_roots, &["A", "B"]).unwrap()
-    );
-    assert_eq!(
-        PrefixIndex::build_parallel(&few_roots, &["A", "B"], 8).unwrap(),
-        PrefixIndex::build(&few_roots, &["A", "B"]).unwrap()
     );
 }
