@@ -13,10 +13,11 @@
 //!    rotation) and disabled; checkpointed recovery replays only the tail and
 //!    stays flat while uncheckpointed recovery grows linearly.
 //! 3. **Snapshot/live cache thrash (E9.4)** — a pinned snapshot and an
-//!    advanced live catalog alternate the same query; the epoch-aware cache
-//!    slots keep both warm (0 misses, 0 re-merges). The shared-slot "before"
-//!    (100 re-merges per 100 alternations) is on record in `EXPERIMENTS.md`;
-//!    the switch that reproduced it is gone with the question.
+//!    advanced live catalog alternate the same query; cache entries are keyed
+//!    by sealed run, so the two share what they have in common, never contend
+//!    for a key, and both stay warm (0 misses, 0 re-merges). The shared-slot
+//!    "before" (100 re-merges per 100 alternations) is on record in
+//!    `EXPERIMENTS.md`; the switch that reproduced it is gone with the question.
 //! 4. **Solo-writer latency** — the group path must not tax the uncontended
 //!    writer: solo apply latency with the coordinator (and the honest cost of
 //!    turning the coalescing window on for a solo writer).
@@ -310,7 +311,7 @@ fn main() {
     }
     let ms = t.elapsed().as_secs_f64() * 1e3 / (2 * iters) as f64;
     println!(
-        "  epoch-aware slots: {misses:>4} misses + {merges:>4} re-merges over {iters} alternations ({ms:.3} ms/query)",
+        "  run-keyed entries: {misses:>4} misses + {merges:>4} re-merges over {iters} alternations ({ms:.3} ms/query)",
     );
     e10_records.push(service_record(
         "e10_thrash_on",

@@ -14,8 +14,9 @@
 //!    wins), the streaming replay mix, and the selective `needle` shape
 //!    (build-dominated — large wins, and the regime the cache is *for*).
 //! 2. **Incremental merge vs full rebuild** — seal one small batch into a
-//!    large delta log and compare revalidating the cached view (permute only
-//!    the new run) against rebuilding from scratch; in full mode the
+//!    large delta log and compare reusing the cached views of the runs that
+//!    are still there (permute only the new run) against rebuilding from
+//!    scratch; in full mode the
 //!    incremental path must win.
 //! 3. **Hit-rate sweep** — Zipf-distributed replay over a pool of variable
 //!    orders under shrinking byte budgets: hit rate degrades and evictions
@@ -220,8 +221,8 @@ fn main() {
         },
         iters,
     );
-    // incremental: prime the pre-seal view (the db clone shares the cache),
-    // then time only the post-seal query, which revalidates and extends it
+    // incremental: prime the pre-seal runs' views (the db clone shares the
+    // cache), then time only the post-seal query, which builds the new run's
     let incremental_ms = {
         let mut best = f64::INFINITY;
         for _ in 0..iters {
@@ -230,7 +231,10 @@ fn main() {
             let t = Instant::now();
             let out = execute_opts_with_order(&query, &db, &opts, &order).unwrap();
             best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            assert_eq!(out.cache_stats.incremental_merges, 1, "the view extends");
+            assert_eq!(
+                out.cache_stats.incremental_merges, 1,
+                "only the new run is built"
+            );
             assert_eq!(out.cache_stats.misses, 0, "nothing rebuilt");
         }
         best

@@ -1,4 +1,4 @@
-//! Access-structure builds and their cache slots.
+//! Access-structure builds and their cache entries.
 //!
 //! [`BuiltAccess::build`] produces one access structure per atom — a CSR trie
 //! for a static relation (the same one for either WCOJ engine), a live
@@ -19,8 +19,8 @@ use std::time::Instant;
 use wcoj_obs::{AtomTrace, MorselTrace};
 use wcoj_query::{AtomSource, ConjunctiveQuery, Database};
 use wcoj_storage::{
-    CacheKey, CacheKind, CacheStats, CachedValue, CursorKind, DeltaAccess, DeltaRelation,
-    DeltaView, Relation, Trie,
+    CacheKey, CacheKind, CacheStats, CachedValue, CursorKind, DeltaAccess, DeltaRelation, Relation,
+    Trie,
 };
 
 /// One atom's built access structure. Static structures are `Arc`-shared with
@@ -98,38 +98,23 @@ fn cached_static(
     Ok(t)
 }
 
-/// FNV-1a over the sealed-run identity list — the content fingerprint that
-/// keys a delta view to the exact run set it was built over. `| 1` keeps it
-/// disjoint from the head slot's reserved stamp 0.
-fn run_fingerprint(delta: &DeltaRelation) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for id in delta.run_ids() {
-        h ^= id;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h | 1
-}
-
 /// Fetch-or-build one delta-backed atom's [`DeltaAccess`] through the access
-/// cache. The cached payload is a [`DeltaView`] of the **sealed** runs only —
-/// the live unsealed buffer is collapsed per query by
-/// [`DeltaAccess::from_view`], exactly like an uncached build — revalidated by
-/// run identity: unchanged run list = hit, newly sealed runs appended =
-/// incremental merge (permute only the new tail, re-insert the extended view),
-/// anything else (tier merge, compaction) = full rebuild. The relation's
-/// **native** attribute order borrows the log directly (no permute, nothing
-/// worth caching), so identity orders bypass the cache.
+/// cache — [`cached_static`]'s loop, once per sealed run. A run is immutable
+/// and its id is never reissued, so the key `(name, positions, kind, run id)`
+/// names one permuted [`wcoj_storage::RunView`] for good: the reader looks up
+/// the runs of **its own** list (one lock acquisition), the builder permutes
+/// the ones that were not there, and those are inserted. Every run found is a
+/// hit, some found an incremental merge (after a seal: only the new run is
+/// built), none found a miss (cold, or after a compaction) — one tally per
+/// atom. The head and any number of pinned snapshots share the entries of the
+/// runs they have in common and never write to each other's keys; the entry of
+/// a run no log holds any more is dropped by the next insert for this
+/// relation and order.
 ///
-/// Two slots per `(relation, order)`: the **head slot** (stamp 0), owned by
-/// the live database and only ever moved forward (extended, or rebuilt by a
-/// non-snapshot reader), and **exact slots** (stamp = run-set fingerprint)
-/// that pin a view to the precise run list it matches. A pinned
-/// [`wcoj_query::Snapshot`]'s reads fill only its exact slot — its frozen run
-/// set may be behind a head another reader already advanced — so a long-held
-/// snapshot and the advancing head never evict each other (EXPERIMENTS E10.4:
-/// 100 → 0 re-merges), while a *fresh* snapshot still hits the head slot via
-/// run-identity revalidation (same run list at pin time), which is what keeps
-/// the service's snapshot-per-query read path cached.
+/// The live unsealed buffer is collapsed per query, exactly like an uncached
+/// build. The relation's **native** attribute order borrows the log directly
+/// (no permute, nothing worth caching), and a log with no sealed run has
+/// nothing to keep, so both bypass the cache.
 fn cached_delta<'d>(
     ctx: &CacheCtx<'_>,
     name: &str,
@@ -139,55 +124,40 @@ fn cached_delta<'d>(
     stats: &mut CacheStats,
 ) -> Result<DeltaAccess<'d>, ExecError> {
     let identity = positions.iter().enumerate().all(|(i, &p)| i == p);
-    if identity || !ctx.use_cache {
+    let run_ids = if identity || !ctx.use_cache {
+        Vec::new()
+    } else {
+        delta.run_ids()
+    };
+    if run_ids.is_empty() {
         return Ok(DeltaAccess::build_positions(delta, positions, threads)?);
     }
-    let cache = ctx.db.access_cache();
-    let head_key = CacheKey {
+    let key = |run_id: u64| CacheKey {
         relation: name.to_string(),
         positions: positions.to_vec(),
         kind: CacheKind::Delta,
-        stamp: 0,
+        stamp: run_id,
     };
-    let exact_key = CacheKey {
-        stamp: run_fingerprint(delta),
-        ..head_key.clone()
-    };
-    let lookup = |key: &CacheKey| match cache.get(key) {
-        Some(CachedValue::Delta(view)) => Some(view),
-        _ => None,
-    };
-    if let Some(view) = lookup(&exact_key).filter(|v| v.matches(delta)) {
-        stats.hits += 1;
-        return Ok(DeltaAccess::from_view(&view, delta));
+    let cache = ctx.db.access_cache();
+    let found = cache
+        .get_many(run_ids.iter().copied().map(key))
+        .into_iter()
+        .map(|value| match value {
+            Some(CachedValue::Run(view)) => Some(view),
+            _ => None,
+        })
+        .collect();
+    let (access, built) = DeltaAccess::build_positions_with(delta, positions, threads, found)?;
+    match built.len() {
+        0 => stats.hits += 1,
+        n if n == run_ids.len() => stats.misses += 1,
+        _ => stats.incremental_merges += 1,
     }
-    let head = lookup(&head_key);
-    if let Some(view) = head.as_ref().filter(|v| v.matches(delta)) {
-        stats.hits += 1;
-        return Ok(DeltaAccess::from_view(view, delta));
+    for view in built {
+        let (id, cost, bytes) = (view.run_id(), view.num_rows() as u64, view.heap_bytes());
+        stats.evictions += cache.insert(key(id), CachedValue::Run(view), cost, bytes, ctx.pinned);
     }
-    let view = match head.and_then(|v| v.extend(delta, threads)) {
-        Some(extended) => {
-            stats.incremental_merges += 1;
-            Arc::new(extended)
-        }
-        None => {
-            let built = Arc::new(DeltaView::build(delta, positions, threads)?);
-            stats.misses += 1;
-            built
-        }
-    };
-    let slots = [(!ctx.db.is_snapshot()).then_some(head_key), Some(exact_key)];
-    for key in slots.into_iter().flatten() {
-        stats.evictions += cache.insert(
-            key,
-            CachedValue::Delta(Arc::clone(&view)),
-            view.num_rows() as u64,
-            view.heap_bytes(),
-            ctx.pinned,
-        );
-    }
-    Ok(DeltaAccess::from_view(&view, delta))
+    Ok(access)
 }
 
 impl<'d> BuiltAccess<'d> {

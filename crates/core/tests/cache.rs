@@ -1,13 +1,14 @@
-//! Differential and property tests for the epoch-keyed access-structure cache:
+//! Differential and property tests for the stamp-keyed access-structure cache:
 //!
 //! executing with the cache **on** (or pinned) must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
 //! across engines × threads {1, 4}, interleaved with every kind of
 //! log mutation (append, delete, seal, compact, relation rebinding); repeated
 //! queries must actually hit; newly sealed runs must take the incremental-merge
-//! path, compaction must force a rebuild; a byte-starved cache must evict
-//! without ever surfacing a stale structure; and the two WCOJ engines must
-//! share one cached trie per `(relation, order)`.
+//! path, compaction must force a rebuild; a pinned snapshot and a compacting
+//! head must keep each other warm; a byte-starved cache must evict without
+//! ever surfacing a stale structure; and the two WCOJ engines must share one
+//! cached trie per `(relation, order)`.
 
 use wcoj_core::exec::{execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
@@ -168,6 +169,95 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
         .expect("off");
     assert_eq!(rebuilt.result, off.result);
     assert_eq!(rebuilt.work, off.work);
+}
+
+/// EXPERIMENTS E10.3's shape, made harsher: the head does not merely seal past
+/// the pinned snapshot, it compacts, so the two run lists share nothing. Both
+/// sides stay warm because neither ever writes a key the other reads, and what
+/// only the snapshot held is reclaimed after it is dropped.
+#[test]
+fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
+    let query = examples::triangle();
+    let mut db = Database::new();
+    for (name, cols, seed) in [
+        ("R", ["A", "B"], 0xE1031u64),
+        ("S", ["B", "C"], 0xE1032),
+        ("T", ["A", "C"], 0xE1033),
+    ] {
+        let mut delta = wcoj_storage::DeltaRelation::new(wcoj_storage::Schema::new(&cols));
+        delta.set_seal_threshold(usize::MAX);
+        for (a, b) in random_pairs(512, 48, seed) {
+            delta.insert(vec![a, b]).expect("base insert");
+        }
+        delta.seal();
+        db.insert_delta_relation(name, delta);
+    }
+    db.set_cache_budget(64 << 20);
+    let order = vec![2, 1, 0]; // every atom binds positions [1, 0]
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let run = |db: &Database, opts: &ExecOptions| {
+        execute_opts_with_order(&query, db, opts, &order).expect("query")
+    };
+    // small batches of fresh tuples: never a tier merge against a 512-row base
+    let seal_batch = |db: &mut Database, salt: u64| {
+        for name in ["R", "S", "T"] {
+            for i in 0..4u64 {
+                db.insert_delta(name, vec![100 + salt, i]).expect("append");
+            }
+            db.seal(name).expect("seal");
+        }
+    };
+
+    let snap = db.snapshot();
+    seal_batch(&mut db, 0);
+    for name in ["R", "S", "T"] {
+        db.compact(name, 1).expect("compact");
+        assert!(!snap
+            .delta(name)
+            .unwrap()
+            .run_ids()
+            .contains(&db.delta(name).unwrap().run_ids()[0]));
+    }
+    // one alternation builds both sides…
+    let live0 = run(&db, &opts);
+    let snap0 = run(&snap, &opts);
+    assert_eq!(live0.cache_stats.misses + snap0.cache_stats.misses, 6);
+    assert_ne!(live0.result, snap0.result);
+    for (side, out) in [(&db, &live0), (&*snap, &snap0)] {
+        let off = run(side, &opts.with_cache(CacheMode::Off));
+        assert_eq!(out.result, off.result);
+        assert_eq!(out.work, off.work);
+    }
+    // …and from then on both are warm
+    for round in 0..20 {
+        for (side, first) in [(&db, &live0), (&*snap, &snap0)] {
+            let out = run(side, &opts);
+            assert_eq!(out.result, first.result, "round {round}");
+            assert_eq!(out.work, first.work, "round {round}");
+            assert_eq!(out.cache_stats.hits, 3, "round {round}");
+            assert_eq!(out.cache_stats.misses, 0, "round {round}");
+            assert_eq!(out.cache_stats.incremental_merges, 0, "round {round}");
+        }
+    }
+    assert_eq!(db.access_cache().len(), 6, "one entry per run per side");
+
+    // the snapshot goes away; the head's next insert for each relation and
+    // order leaves no entry for the runs only the snapshot held
+    drop(snap);
+    seal_batch(&mut db, 1);
+    let merged = run(&db, &opts);
+    assert_eq!(merged.cache_stats.incremental_merges, 3);
+    assert_eq!(merged.cache_stats.evictions, 0, "reclaimed, not evicted");
+    let (len, bytes) = (db.access_cache().len(), db.access_cache().bytes());
+    assert_eq!(len, 6, "two runs per relation, all the head's");
+    assert_eq!(merged.cache_stats.bytes, bytes as u64);
+    // exactly what a head-only warm-up from a cleared cache produces
+    db.access_cache().clear();
+    let cold = run(&db, &opts);
+    assert_eq!(cold.cache_stats.misses, 3);
+    assert_eq!(cold.result, merged.result);
+    assert_eq!(db.access_cache().len(), len);
+    assert_eq!(db.access_cache().bytes(), bytes);
 }
 
 #[test]

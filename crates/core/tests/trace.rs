@@ -18,7 +18,7 @@ use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_obs::Json;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_storage::Relation;
+use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::{four_cycle, triangle};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
@@ -209,6 +209,25 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
         "warm reversed-order run hits the access cache: {:?}",
         warm.atoms
     );
+
+    // a log with nothing sealed yet has no run to keep a view of: its atoms
+    // bypass the cache under any order, cold and warm alike
+    let mut unsealed = Database::new();
+    unsealed.insert_delta_relation("E", DeltaRelation::new(Schema::new(&["src", "dst"])));
+    unsealed.set_cache_budget(64 << 20);
+    for (a, b) in [(1, 2), (2, 3), (1, 3)] {
+        unsealed.insert_delta("E", vec![a, b]).unwrap();
+    }
+    for pass in ["cold", "warm"] {
+        let (out, buffered) = run_traced(&q, &unsealed, &opts, &rev);
+        assert_eq!(out.result.len(), 1, "{pass}: the one triangle");
+        assert!(
+            buffered.atoms.iter().all(|a| a.outcome == "bypass"),
+            "{pass}: buffer-only atoms bypass the cache: {:?}",
+            buffered.atoms
+        );
+    }
+    assert!(unsealed.access_cache().is_empty());
 
     // the human tree names the phases, levels, and kernels
     let tree = trace.render_tree();

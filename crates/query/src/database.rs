@@ -209,18 +209,12 @@ pub struct Database {
     /// Per-static-relation identity stamps ([`next_stamp`]): refreshed whenever a
     /// name is (re)bound to a relation, part of every cache key, so replacing a
     /// relation can never produce a stale cache hit. Delta-backed relations
-    /// carry their freshness in their run ids instead.
+    /// are keyed by the ids of their sealed runs instead.
     rel_stamps: HashMap<String, u64>,
     /// The access-structure cache, shared across clones of this database (the
     /// keys are identity-stamped, so sharing is safe — clones that diverge
     /// simply stop hitting each other's entries).
     cache: Arc<AccessCache>,
-    /// Whether this instance is a pinned snapshot clone (set by
-    /// [`crate::snapshot::Snapshot::pin`]). Snapshots share the writer's
-    /// access cache but must not claim the live **head slot** for their frozen
-    /// delta views — see `wcoj_core`'s delta-view caching — or a long-pinned
-    /// snapshot and the advancing head evict each other (the E9.4 thrash).
-    snapshot_pinned: bool,
 }
 
 impl Database {
@@ -300,18 +294,6 @@ impl Database {
     /// the same cache; identity-stamped keys make that safe.
     pub fn snapshot(&self) -> crate::snapshot::Snapshot {
         crate::snapshot::Snapshot::pin(self)
-    }
-
-    /// Whether this instance is a pinned snapshot clone (reads through it must
-    /// not claim the live head's cache slots). See
-    /// [`crate::snapshot::Snapshot`].
-    pub fn is_snapshot(&self) -> bool {
-        self.snapshot_pinned
-    }
-
-    /// Mark this instance as a pinned snapshot clone.
-    pub(crate) fn mark_snapshot(&mut self) {
-        self.snapshot_pinned = true;
     }
 
     /// The modification epoch of the relation stored under `name`: the delta

@@ -12,12 +12,14 @@
 //! database at pin time, no matter what the writer does in between.
 //!
 //! Snapshots share the origin database's access-structure cache. That is safe
-//! by construction — cache keys carry relation identity stamps and delta
-//! entries revalidate against run ids, so a snapshot can never surface a
-//! structure built over state it does not hold — and it is what makes
-//! repeated reads cheap: a snapshot both hits and seeds the same cache the
-//! live database uses, and entries built over runs that survive a writer's
-//! seal keep hitting on both sides.
+//! by construction — every cache key carries the identity stamp of one
+//! immutable input (a static relation binding, or one sealed run of a delta
+//! log), and a reader only ever asks for the inputs it holds, so a snapshot
+//! can never surface a structure built over state it does not have — and it
+//! is what makes repeated reads cheap: a snapshot and the live database find
+//! and seed the same entries for every run they have in common, whichever of
+//! them is ahead, and neither can displace the other's. The entry of a run
+//! that only a snapshot still holds goes away after the snapshot does.
 //!
 //! `Snapshot` derefs to [`Database`], so every read-only API — and the
 //! execution layer, which takes `&Database` — works on a snapshot unchanged:
@@ -60,12 +62,10 @@ impl Snapshot {
             .into_iter()
             .filter_map(|name| db.relation_epoch(name).map(|e| (name.to_string(), e)))
             .collect();
-        let mut db = db.clone();
-        // the clone is marked so the execution layer's delta-view caching
-        // keys this snapshot's frozen views away from the live head slot —
-        // a pinned snapshot must never evict the advancing head's entry
-        db.mark_snapshot();
-        Snapshot { db, epochs }
+        Snapshot {
+            db: db.clone(),
+            epochs,
+        }
     }
 
     /// The modification epoch relation `name` had when this snapshot was

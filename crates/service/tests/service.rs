@@ -848,3 +848,120 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
     assert!(snap.gauge_value("recovery.checkpoint_install_us").is_some());
     std::fs::remove_dir_all(&path).ok();
 }
+
+/// The read path the product has — `apply` a batch that seals, `query` on a
+/// fresh snapshot — must keep the access cache incremental and bounded: each
+/// seal costs the next query one run's view, a miss happens only when a tier
+/// merge rewrote the base, nothing built for a superseded run stays resident,
+/// and every answer is what an uncached execution of the same snapshot gives.
+#[test]
+fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
+    use std::collections::{HashSet, VecDeque};
+    use wcoj_core::CacheMode;
+    const BATCH: usize = 16;
+    let mut db = Database::new();
+    let mut delta = DeltaRelation::new(Schema::new(&["src", "dst"]));
+    delta.set_seal_threshold(usize::MAX);
+    db.insert_delta_relation("E", delta);
+    // an explicit budget, so the tallies hold under WCOJ_CACHE_BYTES=0 too
+    db.set_cache_budget(64 << 20);
+    let config = ServiceConfig {
+        slow_query: None,
+        ..ServiceConfig::default()
+    };
+    let uncached = config.exec.with_cache(CacheMode::Off);
+    let service = QueryService::in_memory(db, config);
+    // the directed 3-cycle: under any variable order some atom reads E's
+    // columns swapped, so it cannot borrow the log and goes through the cache
+    let query = wcoj_query::ConjunctiveQuery::builder()
+        .atom("E", &["A", "B"])
+        .atom("E", &["B", "C"])
+        .atom("E", &["C", "A"])
+        .build()
+        .unwrap();
+
+    // a sliding window of 1024 live edges: every cycle inserts BATCH fresh
+    // ones, deletes the BATCH oldest, and seals
+    let mut rng = SplitMix64::new(0xE15);
+    let mut live: HashSet<(u64, u64)> = HashSet::new();
+    let mut window: VecDeque<(u64, u64)> = VecDeque::new();
+    let mut fresh_edge = |live: &mut HashSet<(u64, u64)>| loop {
+        let edge = (rng.next_u64() % 64, rng.next_u64() % 64);
+        if live.insert(edge) {
+            return edge;
+        }
+    };
+    let mut prefill = WriteBatch::new();
+    for _ in 0..1024 {
+        let (a, b) = fresh_edge(&mut live);
+        window.push_back((a, b));
+        prefill = prefill.insert("E", vec![a, b]);
+    }
+    service.apply(&prefill.seal("E")).unwrap();
+
+    let counter = |name: &str| service.registry().snapshot().counter_value(name).unwrap();
+    let run_ids = || service.with_db(|db| db.delta("E").unwrap().run_ids());
+    let mut cached_ids: Vec<u64> = Vec::new();
+    let mut resident = Vec::new();
+    let mut base_rewrites = 0;
+    for cycle in 0..40 {
+        if cycle > 0 {
+            let mut batch = WriteBatch::new();
+            for _ in 0..BATCH {
+                let (a, b) = fresh_edge(&mut live);
+                window.push_back((a, b));
+                batch = batch.insert("E", vec![a, b]);
+                let (a, b) = window.pop_front().unwrap();
+                live.remove(&(a, b));
+                batch = batch.delete("E", vec![a, b]);
+            }
+            service.apply(&batch.seal("E")).unwrap();
+        }
+        let ids = run_ids();
+        let kept = ids.iter().filter(|id| cached_ids.contains(id)).count();
+        assert!(
+            kept < ids.len(),
+            "cycle {cycle}: every seal leaves a new run"
+        );
+        let (misses, merges) = (counter("cache.misses"), counter("cache.incremental_merges"));
+        let out = service.query(&query).unwrap();
+        let (misses, merges) = (
+            counter("cache.misses") - misses,
+            counter("cache.incremental_merges") - merges,
+        );
+        if kept == 0 {
+            // cold, or a tier merge swallowed the base: nothing to reuse
+            assert_eq!((misses, merges), (1, 0), "cycle {cycle}: {ids:?}");
+            base_rewrites += 1;
+        } else {
+            assert_eq!((misses, merges), (0, 1), "cycle {cycle}: {ids:?}");
+        }
+        cached_ids = ids;
+        resident.push(
+            service
+                .registry()
+                .snapshot()
+                .gauge_value("cache.resident_bytes")
+                .unwrap(),
+        );
+
+        let snap = service.snapshot();
+        let off = execute_cancellable(&query, &snap, &uncached, None, &CancelToken::new()).unwrap();
+        assert_eq!(out.result, off.result, "cycle {cycle}: rows");
+        assert_eq!(out.work, off.work, "cycle {cycle}: work counters");
+    }
+    assert_eq!(
+        base_rewrites, 2,
+        "the cold build and the one merge that reaches the 1024-row base"
+    );
+    assert_eq!(counter("cache.misses"), 2);
+    assert_eq!(counter("cache.incremental_merges"), 38);
+    // the live set is a constant 1024 edges and tiering keeps the runs' rows
+    // under twice that, so residency must stay inside 2x of its first reading
+    // (one whole stranded view per seal used to make it 40x)
+    let bound = 2 * resident[0];
+    assert!(
+        resident.iter().all(|&bytes| bytes > 0 && bytes <= bound),
+        "resident bytes per cycle: {resident:?}"
+    );
+}

@@ -1,26 +1,38 @@
 //! The per-database access-structure cache: built [`Trie`]s and permuted
-//! delta views ([`DeltaView`]), keyed by *what they were built from* and
-//! evicted under a byte budget with cost-aware (GreedyDual-Size style)
-//! priorities.
+//! delta runs ([`RunView`]), keyed by *what they were built from* and evicted
+//! under a byte budget with cost-aware (GreedyDual-Size style) priorities.
 //!
 //! # Keying and invalidation
 //!
-//! A cache cannot safely key on relation **names** alone: names are rebound
-//! (`Database::insert` replaces), databases are cloned, and delta logs mutate
-//! in place. Two mechanisms make stale hits impossible by construction:
+//! One rule: **an immutable input permuted to one column order is one entry,
+//! and the entry dies with its input.** A cache cannot safely key on relation
+//! **names** alone — names are rebound (`Database::insert` replaces),
+//! databases are cloned, and delta logs mutate in place — so every
+//! [`CacheKey`] carries a **stamp** ([`next_stamp`]), a process-global
+//! monotone counter that names one immutable input and is never reissued:
 //!
-//! * **Stamps** ([`next_stamp`]) — a process-global monotone counter. Every
-//!   static relation insertion takes a fresh stamp, and the stamp is part of
-//!   the [`CacheKey`]; replacing a relation under the same name simply keys
-//!   new builds away from the old entries (which age out via eviction).
-//! * **Run identity** — delta entries hold a [`DeltaView`] that records the
-//!   unique ids of the sealed runs it was built over. At lookup time the view
-//!   is revalidated against the live [`crate::DeltaRelation`]: equal id lists
-//!   hit; a *proper prefix* (only new sealed runs appended since the build)
-//!   takes the **incremental merge** path, permuting only the new runs;
-//!   anything else (compaction, tier merges, replacement) rebuilds. The
-//!   unsealed append buffer is never cached — it is collapsed into an
-//!   ephemeral run per query, exactly as uncached execution does.
+//! * a **static relation** takes a fresh stamp per insertion; replacing a
+//!   relation under the same name keys new builds away from the old entries;
+//! * a **sealed run** of a [`crate::DeltaRelation`] takes one when it is
+//!   created (a seal, a tier merge, a compaction), and a delta-backed atom is
+//!   served run by run: the reader presents its own run list
+//!   ([`crate::DeltaRelation::run_ids`]) and fetches or builds each run's
+//!   [`RunView`]. There is nothing to revalidate — a key either names a run
+//!   the reader holds or it does not. Every run found is a hit; after a seal
+//!   the one new run is the only one built (the **incremental merge**); after
+//!   a compaction the reader holds one run nobody has seen, and builds it. A
+//!   snapshot and the advancing head share the entries of the runs they have
+//!   in common and never contend for a key, so neither can evict the other by
+//!   reading. The unsealed append buffer is never cached — it is collapsed
+//!   into an ephemeral run per query, exactly as uncached execution does.
+//!
+//! A run view holds its run weakly, and the run lives exactly as long as some
+//! log — the head or a snapshot — lists it. Once the last of them has dropped
+//! it no reader can present its id again, so the entry is **dead**:
+//! [`AccessCache::insert`] removes the dead entries of the `(relation,
+//! positions)` it is inserting for, and each byte resident is charged to
+//! exactly one entry. Stale static entries have no such signal and age out
+//! through eviction.
 //!
 //! # Eviction
 //!
@@ -35,7 +47,7 @@
 //! The budget defaults to 256 MiB and is configurable via the
 //! `WCOJ_CACHE_BYTES` environment variable; `0` disables caching entirely.
 
-use crate::delta::DeltaView;
+use crate::delta::RunView;
 use crate::trie::Trie;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,8 +78,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing usable and built from scratch.
     pub misses: u64,
-    /// Delta lookups revalidated by merging only newly sealed runs into the
-    /// cached view (the incremental path between a hit and a rebuild).
+    /// Delta lookups that found some of the reader's runs and built only the
+    /// others — newly sealed ones (the incremental path between a hit and a
+    /// rebuild).
     pub incremental_merges: u64,
     /// Cache residency in bytes after the query's builds.
     pub bytes: u64,
@@ -92,14 +105,14 @@ pub enum CacheKind {
     /// A CSR [`Trie`] over a static relation — one per `(relation, order)`,
     /// shared by both WCOJ engines.
     Trie,
-    /// A permuted [`DeltaView`] over a delta log's sealed runs.
+    /// A permuted [`RunView`] of one sealed run of a delta log.
     Delta,
 }
 
 /// What an access structure was built from: the relation's catalog name, the
-/// column permutation it was built over, the structure kind, and — for static
-/// relations — the insertion stamp of the exact stored relation (0 for delta
-/// entries, which revalidate by run identity instead; see the
+/// column permutation it was built over, the structure kind, and the identity
+/// stamp of the immutable input — the insertion stamp of the exact stored
+/// static relation, or the id of the sealed run (see the
 /// [module docs](crate::cache)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -109,7 +122,7 @@ pub struct CacheKey {
     pub positions: Vec<usize>,
     /// Which structure the entry holds.
     pub kind: CacheKind,
-    /// Insertion stamp of the static source relation; 0 for delta entries.
+    /// Insertion stamp of the static source relation, or the sealed run's id.
     pub stamp: u64,
 }
 
@@ -120,8 +133,19 @@ pub struct CacheKey {
 pub enum CachedValue {
     /// A built CSR trie.
     Trie(Arc<Trie>),
-    /// A permuted view of a delta log's sealed runs.
-    Delta(Arc<DeltaView>),
+    /// One sealed run of a delta log, permuted.
+    Run(Arc<RunView>),
+}
+
+impl CachedValue {
+    /// Whether the input this was built from is gone for good, so that no
+    /// reader can ask for it again (see the [module docs](crate::cache)).
+    fn is_dead(&self) -> bool {
+        match self {
+            CachedValue::Trie(_) => false,
+            CachedValue::Run(view) => view.is_dead(),
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -166,6 +190,16 @@ pub struct AccessCache {
     incremental_merges: Arc<Counter>,
     evictions: Arc<Counter>,
     resident_bytes: Arc<Gauge>,
+}
+
+impl Inner {
+    /// The entry under `key`, with its eviction priority refreshed.
+    fn touch(&mut self, key: &CacheKey) -> Option<CachedValue> {
+        let clock = self.clock;
+        let entry = self.map.get_mut(key)?;
+        entry.priority = clock + credit(entry.cost, entry.bytes);
+        Some(entry.value.clone())
+    }
 }
 
 impl Default for AccessCache {
@@ -284,14 +318,16 @@ impl AccessCache {
     }
 
     /// Look up `key`, refreshing its eviction priority on a hit. The returned
-    /// value is an `Arc` clone; delta values must still be revalidated against
-    /// the live log by the caller (see the [module docs](crate::cache)).
+    /// value is an `Arc` clone.
     pub fn get(&self, key: &CacheKey) -> Option<CachedValue> {
+        self.lock().touch(key)
+    }
+
+    /// [`AccessCache::get`] for each of `keys` under one lock acquisition —
+    /// how a delta-backed atom fetches the views of all its runs.
+    pub fn get_many(&self, keys: impl Iterator<Item = CacheKey>) -> Vec<Option<CachedValue>> {
         let mut inner = self.lock();
-        let clock = inner.clock;
-        let entry = inner.map.get_mut(key)?;
-        entry.priority = clock + credit(entry.cost, entry.bytes);
-        Some(entry.value.clone())
+        keys.map(|key| inner.touch(&key)).collect()
     }
 
     /// Insert (or replace) `key` with `value`, charging `bytes` of residency
@@ -299,7 +335,9 @@ impl AccessCache {
     /// eviction priority. Returns how many entries were evicted to fit. An
     /// unpinned value larger than the whole budget is not admitted (inserting
     /// it could only thrash); a pinned value always is, and pinned entries are
-    /// never evicted.
+    /// never evicted. Dead entries of the same `(relation, positions)` —
+    /// views of runs no log holds any more — are removed first, pinned or
+    /// not, and are not counted as evictions: nothing could have hit them.
     pub fn insert(
         &self,
         key: CacheKey,
@@ -312,6 +350,16 @@ impl AccessCache {
         if let Some(old) = inner.map.remove(&key) {
             inner.bytes -= old.bytes;
         }
+        let mut reclaimed = 0;
+        inner.map.retain(|k, e| {
+            let dead =
+                e.value.is_dead() && k.relation == key.relation && k.positions == key.positions;
+            if dead {
+                reclaimed += e.bytes;
+            }
+            !dead
+        });
+        inner.bytes -= reclaimed;
         if !self.is_enabled() || (!pinned && bytes > self.budget) {
             return 0;
         }
@@ -357,7 +405,9 @@ impl AccessCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::{DeltaAccess, DeltaRelation};
     use crate::relation::Relation;
+    use crate::schema::Schema;
 
     fn trie_of(n: u64) -> Arc<Trie> {
         let rel = Relation::from_pairs("A", "B", (0..n).map(|i| (i, i + 1)));
@@ -501,6 +551,99 @@ mod tests {
             cache.get(&key("small", 1)).is_none(),
             "only the unpinned entry could yield"
         );
+    }
+
+    fn run_key(id: u64) -> CacheKey {
+        CacheKey {
+            relation: "E".to_string(),
+            positions: vec![1, 0],
+            kind: CacheKind::Delta,
+            stamp: id,
+        }
+    }
+
+    /// What the execution layer does for one delta-backed atom: look up the
+    /// reader's own runs, build the views that are missing, keep those.
+    /// Returns how many were built.
+    fn fetch_or_build(cache: &AccessCache, delta: &DeltaRelation) -> usize {
+        let found = cache
+            .get_many(delta.run_ids().into_iter().map(run_key))
+            .into_iter()
+            .map(|v| match v {
+                Some(CachedValue::Run(view)) => Some(view),
+                _ => None,
+            })
+            .collect();
+        let (_, built) = DeltaAccess::build_positions_with(delta, &[1, 0], 1, found).unwrap();
+        let n = built.len();
+        for view in built {
+            let (id, cost, bytes) = (view.run_id(), view.num_rows() as u64, view.heap_bytes());
+            cache.insert(run_key(id), CachedValue::Run(view), cost, bytes, false);
+        }
+        n
+    }
+
+    /// Sum of `heap_bytes()` over the resident views of `ids`, and how many
+    /// of them are resident.
+    fn resident(cache: &AccessCache, ids: &[u64]) -> (usize, usize) {
+        let views = cache.get_many(ids.iter().copied().map(run_key));
+        let bytes = views.iter().flatten().map(|v| match v {
+            CachedValue::Run(view) => view.heap_bytes(),
+            CachedValue::Trie(_) => 0,
+        });
+        (bytes.sum(), views.iter().flatten().count())
+    }
+
+    #[test]
+    fn each_resident_byte_is_charged_once_and_dead_runs_are_reclaimed() {
+        let cache = AccessCache::with_budget(1 << 20);
+        let mut head = DeltaRelation::new(Schema::new(&["A", "B"]));
+        head.set_seal_threshold(usize::MAX);
+        for i in 0..512u64 {
+            head.insert(vec![i % 31, i]).unwrap();
+        }
+        head.seal();
+        assert_eq!(fetch_or_build(&cache, &head), 1, "cold: the base");
+        // seal-extend: each small seal adds one run and one entry, and the
+        // views every reader shares are charged to exactly one of them
+        for round in 0..3u64 {
+            for i in 0..(16 >> round) {
+                head.insert(vec![round, 1000 + 100 * round + i]).unwrap();
+            }
+            head.seal();
+            assert_eq!(head.num_runs(), round as usize + 2, "no tier merge");
+            assert_eq!(fetch_or_build(&cache, &head), 1, "only the new run");
+            assert_eq!(fetch_or_build(&cache, &head), 0, "then every run hits");
+            let (bytes, n) = resident(&cache, &head.run_ids());
+            assert_eq!(n, head.num_runs());
+            assert_eq!(cache.len(), n);
+            assert_eq!(cache.bytes(), bytes, "round {round}");
+        }
+        // a snapshot pins the four runs; the head compacts them away
+        let snapshot = head.clone();
+        head.compact(1);
+        assert_eq!(fetch_or_build(&cache, &head), 1);
+        assert_eq!(fetch_or_build(&cache, &snapshot), 0, "shared entries hit");
+        let both = [snapshot.run_ids(), head.run_ids()].concat();
+        let (bytes, n) = resident(&cache, &both);
+        assert_eq!(
+            (n, cache.len()),
+            (5, 5),
+            "the snapshot keeps its runs alive"
+        );
+        assert_eq!(cache.bytes(), bytes);
+        // once it is gone, the next insert for this relation and order
+        // reclaims what only it held
+        drop(snapshot);
+        assert_eq!(cache.len(), 5, "nothing happens until an insert");
+        head.insert(vec![77, 7000]).unwrap();
+        head.seal();
+        assert_eq!(fetch_or_build(&cache, &head), 1);
+        let (bytes, n) = resident(&cache, &both);
+        assert_eq!(n, 1, "only the compacted base survives of the old five");
+        let (tail, _) = resident(&cache, &head.run_ids()[1..]);
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.bytes(), bytes + tail);
     }
 
     #[test]

@@ -57,13 +57,13 @@ use crate::schema::Schema;
 use crate::stats::CursorWork;
 use crate::Value;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A column (or prefix-sum) slice inside an [`AccessRun`]: borrowed straight
 /// from the log when the requested order is a run's native order, owned when
-/// freshly permuted (or collapsed from the unsealed buffer), or shared with
-/// the access-structure cache's [`DeltaView`]. `Deref` keeps the cursor code
-/// oblivious to which.
+/// collapsed from the unsealed buffer, or shared with a sealed run's
+/// [`RunView`] (which the access-structure cache may also hold). `Deref` keeps
+/// the cursor code oblivious to which.
 #[derive(Debug, Clone)]
 enum SliceRef<'a, T> {
     Borrowed(&'a [T]),
@@ -241,8 +241,8 @@ const GROWTH: usize = 2;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Run {
     /// Process-unique identity stamp ([`crate::cache::next_stamp`]): runs are
-    /// immutable, so equal ids imply identical content — what the
-    /// access-structure cache's [`DeltaView`] revalidates against.
+    /// immutable, so equal ids imply identical content — the stamp of the
+    /// access-structure cache's key for this run's [`RunView`]s.
     id: u64,
     /// The run's rows: sorted, distinct tuples (each tuple occurs at most once
     /// per run, with its net sign).
@@ -286,7 +286,7 @@ impl Run {
 
     /// Number of tombstone rows.
     fn tombstones(&self) -> usize {
-        let net = *self.cum.last().expect("cum is never empty");
+        let net = self.cum.last().copied().unwrap_or(0);
         (self.len() as i64 - net) as usize / 2
     }
 }
@@ -479,8 +479,8 @@ pub struct DeltaRelation {
     seal_threshold: usize,
     /// Modification epoch: a fresh process-unique stamp
     /// ([`crate::cache::next_stamp`]) on every mutation, so equal epochs imply
-    /// identical visible state — the access-structure cache's fast-path
-    /// freshness check (run-id matching is the authoritative one).
+    /// identical visible state — what compare-and-set writers validate
+    /// against. (The access-structure cache never reads it: it keys by run.)
     epoch: u64,
 }
 
@@ -545,7 +545,7 @@ impl DeltaRelation {
 
     /// Take a fresh epoch stamp; called on every visible mutation (ingest,
     /// seal, tier merge). Over-stamping is harmless — a changed epoch only
-    /// means cached views re-check run identity.
+    /// makes an optimistic writer retry.
     fn touch(&mut self) {
         self.epoch = crate::cache::next_stamp();
     }
@@ -553,17 +553,17 @@ impl DeltaRelation {
     /// The modification epoch: refreshed from the process-global stamp source
     /// on every mutation. Because stamps are process-unique, **equal epochs
     /// imply identical visible state**, even across clones of the log; an
-    /// unequal epoch says nothing more than "re-examine" (see
-    /// [`DeltaView::matches`] for the authoritative check).
+    /// unequal epoch says nothing more than "something was written" — the
+    /// optimistic-concurrency check of `Database::relation_epoch`.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// The sealed runs' unique identity stamps, oldest first. Runs are
-    /// immutable, so any cached structure recording these ids can revalidate
-    /// exactly: same list = same sealed content; a proper prefix = only new
-    /// runs were sealed since (the incremental-maintenance case); anything
-    /// else = a structural rewrite (tier merge, compaction).
+    /// immutable, so an id names one run's content for as long as the process
+    /// lives: a seal appends an id, a tier merge or compaction replaces the
+    /// ids of the runs it rewrote with one fresh id, and clones of the log
+    /// (snapshots) keep the ids of the runs they share.
     pub fn run_ids(&self) -> Vec<u64> {
         self.runs.iter().map(|r| r.id).collect()
     }
@@ -753,9 +753,9 @@ impl DeltaRelation {
     /// two merge (annihilating matched insert/tombstone pairs).
     ///
     /// Sealing an **empty** buffer is a complete no-op: no run is pushed, the
-    /// epoch is not bumped, and — because the run list is untouched — cached
-    /// [`DeltaView`]s stay valid (no spurious invalidation). The tiering
-    /// invariant is re-established by the seals that actually add runs.
+    /// epoch is not bumped, and — because the run list is untouched — every
+    /// cached [`RunView`] keeps hitting. The tiering invariant is
+    /// re-established by the seals that actually add runs.
     pub fn seal(&mut self) {
         if self.buffer.is_empty() {
             return;
@@ -1029,18 +1029,135 @@ fn validate_positions(arity: usize, positions: &[usize]) -> Result<bool, Storage
     Ok(positions.iter().enumerate().all(|(i, &p)| i == p))
 }
 
-/// One run's view inside a [`DeltaAccess`]: columns permuted to the requested
-/// attribute order, rows re-sorted in that order, plus the permuted sign
-/// prefix sums. For the run's native order both columns **and** prefix sums
-/// are borrowed straight from the log — zero per-query work; cache hits hand
-/// out [`SliceRef::Shared`] slices instead.
+/// One sealed run permuted to one attribute order: the columns re-sorted in
+/// that order plus the permuted sign prefix sums. A run is immutable, so its
+/// view for an order is built once and is valid for as long as the run
+/// exists — the unit the access-structure cache holds for delta-backed
+/// relations ([`crate::CachedValue::Run`], keyed by the run's id). The
+/// allocations are `Arc`-backed, so the cache, every in-flight query and every
+/// snapshot that still holds the run share them.
+#[derive(Debug)]
+pub struct RunView {
+    run_id: u64,
+    cols: Vec<Arc<[Value]>>,
+    cum: Arc<[i64]>,
+    /// The run this is a view of, held weakly: the view must not keep a
+    /// compacted-away run's rows alive, and its refcount is how the cache
+    /// learns that no log (head or snapshot) can ask for this view again.
+    source: Weak<Run>,
+}
+
+impl RunView {
+    /// Re-sort `run`'s rows into the order given by `positions` — the one
+    /// place a sealed run becomes a permuted view. `threads` parallelizes the
+    /// argsort, bit-identically to serial.
+    fn build(run: &Arc<Run>, positions: &[usize], threads: usize) -> RunView {
+        let perm = run.rel.sort_perm_threads(positions, threads);
+        let cols = positions
+            .iter()
+            .map(|&p| {
+                let src = run.rel.column(p);
+                perm.iter().map(|&i| src[i]).collect::<Arc<[Value]>>()
+            })
+            .collect();
+        RunView {
+            run_id: run.id,
+            cols,
+            cum: cum_from(perm.iter().map(|&i| run.sign(i))).into(),
+            source: Arc::downgrade(run),
+        }
+    }
+
+    /// The id of the run this is a view of ([`DeltaRelation::run_ids`]).
+    pub fn run_id(&self) -> u64 {
+        self.run_id
+    }
+
+    /// Rows in the run — the rebuild-cost proxy for cache eviction priorities.
+    pub fn num_rows(&self) -> usize {
+        self.cum.len().saturating_sub(1)
+    }
+
+    /// Heap footprint in bytes — what the cache charges for holding the view.
+    pub fn heap_bytes(&self) -> usize {
+        let cols: usize = self
+            .cols
+            .iter()
+            .map(|c| std::mem::size_of_val(&c[..]))
+            .sum();
+        cols + std::mem::size_of_val(&self.cum[..])
+    }
+
+    /// Whether the run is gone: every log that held it — the head and each
+    /// snapshot — has dropped it (tier merge, compaction, or the log itself
+    /// went away). Run ids are never reissued, so a dead view can never be
+    /// asked for again. Once true, stays true.
+    pub(crate) fn is_dead(&self) -> bool {
+        self.source.strong_count() == 0
+    }
+}
+
+/// One run's view inside a [`DeltaAccess`]: columns in the requested
+/// attribute order, rows sorted in that order, plus the matching sign prefix
+/// sums. For the run's native order both are borrowed straight from the log —
+/// zero per-query work; any other order shares a [`RunView`]'s allocations;
+/// the collapsed unsealed buffer owns its own.
 #[derive(Debug, Clone)]
 struct AccessRun<'a> {
     cols: Vec<SliceRef<'a, Value>>,
     cum: SliceRef<'a, i64>,
 }
 
-impl AccessRun<'_> {
+impl<'a> AccessRun<'a> {
+    /// Native order: the run is already sorted and prefix-summed this way —
+    /// borrow both, permute (and allocate) nothing.
+    fn borrowed(run: &'a Run) -> Self {
+        AccessRun {
+            cols: run
+                .rel
+                .columns()
+                .iter()
+                .map(|c| SliceRef::Borrowed(c.as_slice()))
+                .collect(),
+            cum: SliceRef::Borrowed(&run.cum),
+        }
+    }
+
+    fn shared(view: &RunView) -> AccessRun<'static> {
+        AccessRun {
+            cols: view
+                .cols
+                .iter()
+                .map(|c| SliceRef::Shared(Arc::clone(c)))
+                .collect(),
+            cum: SliceRef::Shared(Arc::clone(&view.cum)),
+        }
+    }
+
+    /// Owned (ephemeral) columns + signs — the unsealed buffer's collapsed
+    /// view, which cannot borrow from the log and is never shared.
+    fn owned(
+        cols: Vec<Vec<Value>>,
+        signs: &[i64],
+        positions: &[usize],
+        identity: bool,
+    ) -> AccessRun<'static> {
+        if identity {
+            return AccessRun {
+                cum: SliceRef::Owned(cum_from(signs.iter().copied())),
+                cols: cols.into_iter().map(SliceRef::Owned).collect(),
+            };
+        }
+        let perm = crate::relation::argsort_columns(&cols, positions, signs.len());
+        AccessRun {
+            cum: SliceRef::Owned(cum_from(perm.iter().map(|&i| signs[i]))),
+            cols: positions
+                .iter()
+                .map(|&p| SliceRef::Owned(perm.iter().map(|&i| cols[p][i]).collect()))
+                .collect(),
+        }
+    }
+
     fn len(&self) -> usize {
         self.cum.len() - 1
     }
@@ -1064,29 +1181,60 @@ pub struct DeltaAccess<'a> {
 
 impl<'a> DeltaAccess<'a> {
     /// Build the access structure with the attribute order given as **column
-    /// positions** (a permutation of `0..arity`); `threads` parallelizes the
-    /// per-run argsorts. This is the entry the execution layer uses, where atom
-    /// variables map to stored columns positionally.
+    /// positions** (a permutation of `0..arity`), permuting every sealed run
+    /// afresh; `threads` parallelizes the per-run argsorts. This is the entry
+    /// the execution layer uses when it is not caching.
     pub fn build_positions(
         delta: &'a DeltaRelation,
         positions: &[usize],
         threads: usize,
     ) -> Result<Self, StorageError> {
+        Ok(Self::build_positions_with(delta, positions, threads, Vec::new())?.0)
+    }
+
+    /// The one builder. `views[i]` says where the permuted view of the `i`-th
+    /// sealed run ([`DeltaRelation::run_ids`] order) comes from: `Some` is a
+    /// view someone kept (the access cache), `None` — or a list that stops
+    /// short, or a view of some other run — means build it here. Returns the
+    /// access structure plus the views it had to build, for the caller to
+    /// keep. Run order is the log's, the unsealed buffer is collapsed into an
+    /// ephemeral last run either way, and a kept view is the same bytes a
+    /// fresh one would be, so cursors over the result are bit-identical
+    /// wherever the views came from. The native order borrows the log,
+    /// consults no view and builds none.
+    pub fn build_positions_with(
+        delta: &'a DeltaRelation,
+        positions: &[usize],
+        threads: usize,
+        views: Vec<Option<Arc<RunView>>>,
+    ) -> Result<(Self, Vec<Arc<RunView>>), StorageError> {
         let arity = delta.arity();
         let identity = validate_positions(arity, positions)?;
         let mut runs: Vec<AccessRun<'a>> = Vec::with_capacity(delta.runs.len() + 1);
+        let mut built = Vec::new();
+        let mut views = views.into_iter();
         for run in &delta.runs {
-            runs.push(Self::run_view(run, positions, identity, threads));
+            if identity {
+                runs.push(AccessRun::borrowed(run));
+                continue;
+            }
+            let kept = views.next().flatten().filter(|v| v.run_id == run.id);
+            let view = kept.unwrap_or_else(|| {
+                let view = Arc::new(RunView::build(run, positions, threads));
+                built.push(Arc::clone(&view));
+                view
+            });
+            runs.push(AccessRun::shared(&view));
         }
         if !delta.buffer.is_empty() {
             // collapse a copy of the unsealed buffer into an ephemeral owned
             // run; the log itself stays untouched (queries take `&DeltaRelation`)
             let (cols, signs) = delta.buffer_parts();
             if !signs.is_empty() {
-                runs.push(Self::owned_view(cols, &signs, positions, identity));
+                runs.push(AccessRun::owned(cols, &signs, positions, identity));
             }
         }
-        Ok(DeltaAccess { arity, runs })
+        Ok((DeltaAccess { arity, runs }, built))
     }
 
     /// [`DeltaAccess::build_positions`] with the order given by attribute names.
@@ -1108,112 +1256,6 @@ impl<'a> DeltaAccess<'a> {
         Self::build_positions(delta, &positions, threads)
     }
 
-    /// An [`AccessRun`] over owned (ephemeral) columns + signs — the unsealed
-    /// buffer's collapsed view, which cannot borrow from the log.
-    fn owned_view(
-        cols: Vec<Vec<Value>>,
-        signs: &[i64],
-        positions: &[usize],
-        identity: bool,
-    ) -> AccessRun<'static> {
-        if identity {
-            return AccessRun {
-                cum: SliceRef::Owned(cum_from(signs.iter().copied())),
-                cols: cols.into_iter().map(SliceRef::Owned).collect(),
-            };
-        }
-        let len = signs.len();
-        let perm = crate::relation::argsort_columns(&cols, positions, len);
-        let permuted: Vec<SliceRef<'static, Value>> = positions
-            .iter()
-            .map(|&p| SliceRef::Owned(perm.iter().map(|&i| cols[p][i]).collect::<Vec<Value>>()))
-            .collect();
-        AccessRun {
-            cum: SliceRef::Owned(cum_from(perm.iter().map(|&i| signs[i]))),
-            cols: permuted,
-        }
-    }
-
-    /// Re-sort one sealed run's rows into the order given by `positions`,
-    /// returning the permuted columns and sign prefix sums. Shared by the
-    /// borrowing build path and [`DeltaView`]'s cacheable (Arc-backed) builds.
-    fn permuted_parts(
-        run: &Run,
-        positions: &[usize],
-        threads: usize,
-    ) -> (Vec<Vec<Value>>, Vec<i64>) {
-        let perm = run.rel.sort_perm_threads(positions, threads);
-        let cols = positions
-            .iter()
-            .map(|&p| {
-                let src = run.rel.column(p);
-                perm.iter().map(|&i| src[i]).collect::<Vec<Value>>()
-            })
-            .collect();
-        let cum = cum_from(perm.iter().map(|&i| run.sign(i)));
-        (cols, cum)
-    }
-
-    fn run_view<'r>(
-        run: &'r Run,
-        positions: &[usize],
-        identity: bool,
-        threads: usize,
-    ) -> AccessRun<'r> {
-        if identity {
-            // native order: the run is already sorted and prefix-summed this
-            // way — borrow both, permute (and allocate) nothing
-            return AccessRun {
-                cols: run
-                    .rel
-                    .columns()
-                    .iter()
-                    .map(|c| SliceRef::Borrowed(c.as_slice()))
-                    .collect(),
-                cum: SliceRef::Borrowed(&run.cum),
-            };
-        }
-        let (cols, cum) = Self::permuted_parts(run, positions, threads);
-        AccessRun {
-            cols: cols.into_iter().map(SliceRef::Owned).collect(),
-            cum: SliceRef::Owned(cum),
-        }
-    }
-
-    /// Rehydrate a cached [`DeltaView`] into a queryable access structure: the
-    /// sealed-run columns are shared (`Arc` clones, no copying), and the live
-    /// unsealed buffer — never cached — is collapsed into an ephemeral owned
-    /// run exactly as [`DeltaAccess::build_positions`] does. The caller must
-    /// have revalidated `view` against `delta` (see [`DeltaView::matches`] /
-    /// [`DeltaView::extend`]); run order is preserved, so the result is
-    /// bit-identical to an uncached build.
-    pub fn from_view(view: &DeltaView, delta: &DeltaRelation) -> DeltaAccess<'static> {
-        debug_assert!(view.matches(delta), "view must be revalidated before use");
-        let identity = view.positions.iter().enumerate().all(|(i, &p)| i == p);
-        let mut runs: Vec<AccessRun<'static>> = view
-            .runs
-            .iter()
-            .map(|r| AccessRun {
-                cols: r
-                    .cols
-                    .iter()
-                    .map(|c| SliceRef::Shared(Arc::clone(c)))
-                    .collect(),
-                cum: SliceRef::Shared(Arc::clone(&r.cum)),
-            })
-            .collect();
-        if !delta.buffer.is_empty() {
-            let (cols, signs) = delta.buffer_parts();
-            if !signs.is_empty() {
-                runs.push(Self::owned_view(cols, &signs, &view.positions, identity));
-            }
-        }
-        DeltaAccess {
-            arity: delta.arity(),
-            runs,
-        }
-    }
-
     /// Number of levels (the relation's arity).
     pub fn arity(&self) -> usize {
         self.arity
@@ -1230,157 +1272,6 @@ impl<'a> DeltaAccess<'a> {
             simd: crate::simd::active_level(),
             seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
         }
-    }
-}
-
-/// One sealed run's permuted columns and sign prefix sums, `Arc`-backed so a
-/// cached view, its incremental extensions, and every in-flight query share
-/// the same allocations.
-#[derive(Debug, Clone)]
-struct ViewRun {
-    cols: Vec<Arc<[Value]>>,
-    cum: Arc<[i64]>,
-}
-
-/// A cacheable permuted view of a [`DeltaRelation`]'s **sealed** runs for one
-/// attribute order — the owned counterpart of the borrowing [`DeltaAccess`],
-/// and the delta payload of [`crate::AccessCache`]. The view records the
-/// identity stamps of the runs it was built over ([`DeltaRelation::run_ids`]),
-/// so freshness is decidable exactly: [`DeltaView::matches`] accepts when the
-/// live run list is identical, and [`DeltaView::extend`] handles the
-/// incremental-maintenance case — only new sealed runs appended — by permuting
-/// *just those runs* and sharing everything already built. Anything else
-/// (tier merge, compaction, relation replacement) is a rebuild. The unsealed
-/// append buffer is deliberately absent: [`DeltaAccess::from_view`] collapses
-/// it per query, exactly like an uncached build.
-#[derive(Debug, Clone)]
-pub struct DeltaView {
-    positions: Vec<usize>,
-    run_ids: Vec<u64>,
-    runs: Vec<ViewRun>,
-}
-
-impl DeltaView {
-    /// Build a view of `delta`'s sealed runs in the order given by column
-    /// `positions` (a permutation of `0..arity`); `threads` parallelizes the
-    /// per-run argsorts, with bit-identical results to serial.
-    pub fn build(
-        delta: &DeltaRelation,
-        positions: &[usize],
-        threads: usize,
-    ) -> Result<DeltaView, StorageError> {
-        let identity = validate_positions(delta.arity(), positions)?;
-        Ok(DeltaView {
-            positions: positions.to_vec(),
-            run_ids: delta.run_ids(),
-            runs: delta
-                .runs
-                .iter()
-                .map(|r| Self::view_run(r, positions, identity, threads))
-                .collect(),
-        })
-    }
-
-    fn view_run(run: &Run, positions: &[usize], identity: bool, threads: usize) -> ViewRun {
-        if identity {
-            // native order still copies once into the shared allocation: a
-            // cached view may not borrow from (and thereby pin) the log —
-            // which is why identity orders skip the cache entirely
-            return ViewRun {
-                cols: run
-                    .rel
-                    .columns()
-                    .iter()
-                    .map(|c| Arc::from(c.as_slice()))
-                    .collect(),
-                cum: Arc::from(run.cum.as_slice()),
-            };
-        }
-        let (cols, cum) = DeltaAccess::permuted_parts(run, positions, threads);
-        ViewRun {
-            cols: cols
-                .into_iter()
-                .map(|c| Arc::from(c.into_boxed_slice()))
-                .collect(),
-            cum: Arc::from(cum.into_boxed_slice()),
-        }
-    }
-
-    /// Whether the view covers exactly `delta`'s current sealed runs (the
-    /// authoritative freshness check — run ids are process-unique and runs
-    /// immutable, so a match guarantees identical sealed content).
-    pub fn matches(&self, delta: &DeltaRelation) -> bool {
-        self.run_ids.len() == delta.runs.len()
-            && self
-                .run_ids
-                .iter()
-                .zip(&delta.runs)
-                .all(|(id, r)| *id == r.id)
-    }
-
-    /// The incremental-maintenance path: when `delta`'s run list **extends**
-    /// this view's (same runs, plus newly sealed ones appended), return a new
-    /// view that shares every already-permuted run and permutes only the new
-    /// tail. `None` means the run list diverged (tier merge, compaction,
-    /// replacement) and the caller must rebuild.
-    pub fn extend(&self, delta: &DeltaRelation, threads: usize) -> Option<DeltaView> {
-        if delta.runs.len() <= self.run_ids.len()
-            || !self
-                .run_ids
-                .iter()
-                .zip(&delta.runs)
-                .all(|(id, r)| *id == r.id)
-        {
-            return None;
-        }
-        let identity = self.positions.iter().enumerate().all(|(i, &p)| i == p);
-        let mut run_ids = self.run_ids.clone();
-        let mut runs = self.runs.clone();
-        for run in &delta.runs[self.run_ids.len()..] {
-            run_ids.push(run.id);
-            runs.push(Self::view_run(run, &self.positions, identity, threads));
-        }
-        Some(DeltaView {
-            positions: self.positions.clone(),
-            run_ids,
-            runs,
-        })
-    }
-
-    /// The column positions the view was built over.
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
-    /// Number of sealed runs covered.
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Total rows across the covered runs — the rebuild-cost proxy used for
-    /// cache eviction priorities.
-    pub fn num_rows(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|r| r.cum.len().saturating_sub(1))
-            .sum()
-    }
-
-    /// Approximate heap footprint in bytes — the cache's budget accounting.
-    pub fn heap_bytes(&self) -> usize {
-        let runs: usize = self
-            .runs
-            .iter()
-            .map(|r| {
-                r.cols
-                    .iter()
-                    .map(|c| std::mem::size_of_val(&c[..]))
-                    .sum::<usize>()
-                    + std::mem::size_of_val(&r.cum[..])
-            })
-            .sum();
-        runs + self.positions.len() * std::mem::size_of::<usize>()
-            + self.run_ids.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -2015,67 +1906,110 @@ mod tests {
         assert!(!extended.contains(&compacted[0]));
     }
 
+    /// Enumerate a fresh cursor of `access` and return the rows with the work
+    /// the walk charged — what "cursor for cursor" compares.
+    fn walk(access: &DeltaAccess<'_>) -> (Vec<Tuple>, CursorWork) {
+        let mut c = access.cursor();
+        let rows = enumerate(&mut c, 2);
+        (rows, c.take_work())
+    }
+
     #[test]
-    fn view_matches_extends_and_rehydrates_bit_identically() {
+    fn kept_run_views_serve_what_a_fresh_build_serves() {
         let mut d = DeltaRelation::new(schema_ab());
         d.set_seal_threshold(usize::MAX);
-        for i in 0..200u64 {
-            d.insert(vec![i % 13, (i * 11) % 17]).unwrap();
+        for (chunk, size) in [(0u64, 200u64), (1, 40), (2, 8)] {
+            for i in 0..size {
+                d.insert(vec![i % 13 + 100 * chunk, i / 13 * 3 + chunk])
+                    .unwrap();
+            }
+            // a tombstone for a chunk-0 row in every run after the first
+            assert!(d.delete(&[chunk, 0]).unwrap());
+            d.seal();
         }
-        d.seal();
-        for positions in [vec![0usize, 1], vec![1usize, 0]] {
-            let view = DeltaView::build(&d, &positions, 1).unwrap();
-            assert!(view.matches(&d));
-            assert!(view.heap_bytes() > 0);
-            assert_eq!(view.num_rows(), d.run_sizes().iter().sum::<usize>());
-            let fresh = DeltaAccess::build_positions(&d, &positions, 1).unwrap();
-            let cached = DeltaAccess::from_view(&view, &d);
-            assert_eq!(
-                enumerate(&mut fresh.cursor(), 2),
-                enumerate(&mut cached.cursor(), 2),
-                "rehydrated view must equal a fresh build ({positions:?})"
-            );
+        assert_eq!(d.num_runs(), 3, "{:?}", d.run_sizes());
+        let keep = |built: &[Arc<RunView>]| -> Vec<Option<Arc<RunView>>> {
+            built.iter().cloned().map(Some).collect()
+        };
+        for threads in [1usize, 4] {
+            // the native order borrows the log: no view is built or consulted
+            let (_, built) =
+                DeltaAccess::build_positions_with(&d, &[0, 1], threads, vec![]).unwrap();
+            assert!(built.is_empty());
 
-            // mutate: unsealed ops are visible through the ephemeral run even
-            // on a stale-free (matching) view
+            let positions = [1usize, 0];
+            let (cold, built) =
+                DeltaAccess::build_positions_with(&d, &positions, threads, vec![]).unwrap();
+            assert_eq!(
+                built.iter().map(|v| v.run_id()).collect::<Vec<_>>(),
+                d.run_ids(),
+                "one view per sealed run, in run order"
+            );
+            for (view, rows) in built.iter().zip(d.run_sizes()) {
+                assert_eq!(view.num_rows(), rows);
+                assert_eq!(view.heap_bytes(), rows * 16 + (rows + 1) * 8);
+                assert!(!view.is_dead());
+            }
+            let fresh = DeltaAccess::build_positions(&d, &positions, 1).unwrap();
+            assert_eq!(walk(&cold), walk(&fresh), "x{threads}");
+
+            // every view kept: nothing is built, the access is the same
+            let (warm, rebuilt) =
+                DeltaAccess::build_positions_with(&d, &positions, threads, keep(&built)).unwrap();
+            assert!(rebuilt.is_empty());
+            assert_eq!(walk(&warm), walk(&fresh), "x{threads}");
+
+            // unsealed ops ride on the kept views through the ephemeral run
             let mut d2 = d.clone();
             d2.insert(vec![999, 1]).unwrap();
-            d2.delete(&[0, 0]).unwrap();
-            assert!(view.matches(&d2), "buffer-only changes keep run ids");
+            d2.delete(&[3, 3]).unwrap();
+            let (warm2, rebuilt) =
+                DeltaAccess::build_positions_with(&d2, &positions, threads, keep(&built)).unwrap();
+            assert!(rebuilt.is_empty(), "buffer-only changes keep every run");
             let fresh2 = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
-            let cached2 = DeltaAccess::from_view(&view, &d2);
-            assert_eq!(
-                enumerate(&mut fresh2.cursor(), 2),
-                enumerate(&mut cached2.cursor(), 2),
-                "unsealed buffer visible through cached view ({positions:?})"
-            );
+            assert_eq!(walk(&warm2), walk(&fresh2), "x{threads}");
+            drop((warm2, fresh2));
 
-            // seal: the view no longer matches, but extends incrementally
-            d2.set_seal_threshold(usize::MAX);
+            // a seal adds one run: only that one is built
             d2.seal();
-            assert!(!view.matches(&d2));
-            let extended = view.extend(&d2, 1).expect("append-only seal extends");
-            assert!(extended.matches(&d2));
-            assert_eq!(extended.num_runs(), d2.num_runs());
+            assert_eq!(d2.num_runs(), 4, "{:?}", d2.run_sizes());
+            let (merged, tail) =
+                DeltaAccess::build_positions_with(&d2, &positions, threads, keep(&built)).unwrap();
+            assert_eq!(tail.len(), 1);
+            assert_eq!(tail[0].run_id(), d2.run_ids()[3]);
             let fresh3 = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
-            let cached3 = DeltaAccess::from_view(&extended, &d2);
-            assert_eq!(
-                enumerate(&mut fresh3.cursor(), 2),
-                enumerate(&mut cached3.cursor(), 2),
-                "incrementally extended view must equal a fresh build ({positions:?})"
-            );
+            assert_eq!(walk(&merged), walk(&fresh3), "x{threads}");
 
-            // compaction diverges the run list: no extension possible
+            // a view in the wrong slot is not of that run: ignored, rebuilt
+            let mut shuffled = keep(&built);
+            shuffled.swap(0, 2);
+            let (mixed, rebuilt) =
+                DeltaAccess::build_positions_with(&d, &positions, threads, shuffled).unwrap();
+            assert_eq!(rebuilt.len(), 2);
+            assert_eq!(walk(&mixed), walk(&fresh), "x{threads}");
+
+            // compaction rewrites every run: no kept view applies, and once
+            // the last log holding the old runs is gone their views are dead
             let mut d3 = d2.clone();
-            d3.compact(1);
-            assert!(!extended.matches(&d3));
-            assert!(
-                extended.extend(&d3, 1).is_none(),
-                "compaction forces rebuild"
-            );
+            d3.compact(threads);
+            let (compacted, rebuilt) =
+                DeltaAccess::build_positions_with(&d3, &positions, threads, keep(&built)).unwrap();
+            assert_eq!(rebuilt.len(), 1);
+            let fresh4 = DeltaAccess::build_positions(&d3, &positions, 1).unwrap();
+            assert_eq!(walk(&compacted), walk(&fresh4), "x{threads}");
+            drop((merged, fresh3));
+            drop(d2);
+            assert!(tail[0].is_dead(), "d2 is gone and d3 compacted it away");
+            assert!(!built[0].is_dead(), "`d` still holds the first three");
         }
-        assert!(DeltaView::build(&d, &[0, 0], 1).is_err());
-        assert!(DeltaView::build(&d, &[0], 1).is_err());
+        let (_, built) = DeltaAccess::build_positions_with(&d, &[1, 0], 1, vec![]).unwrap();
+        let mut head = d.clone();
+        head.compact(1);
+        assert!(built.iter().all(|v| !v.is_dead()), "`d` pins its runs");
+        drop(d);
+        assert!(built.iter().all(|v| v.is_dead()), "no log holds them");
+        assert!(DeltaAccess::build_positions_with(&head, &[0, 0], 1, vec![]).is_err());
+        assert!(DeltaAccess::build_positions_with(&head, &[0], 1, vec![]).is_err());
     }
 
     #[test]

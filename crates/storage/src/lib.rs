@@ -38,13 +38,12 @@
 //!   the **union cursor** — a [`access::TrieAccess`] implementation that n-way
 //!   merges the runs and suppresses tombstoned subtrees, so both engines run
 //!   unmodified (and bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: built tries and
-//!   permuted delta views ([`delta::DeltaView`]) keyed by what they were built
-//!   from (relation identity stamp, column permutation, structure kind) in a
-//!   shared [`cache::AccessCache`] with a byte budget and cost-aware
-//!   (GreedyDual-Size) eviction; delta entries revalidate against the live
-//!   log's run ids and extend **incrementally** when only new sealed runs
-//!   appeared since the cached build;
+//! * [`cache`] — the access-structure cache: one entry per immutable input and
+//!   column permutation — a built trie per static relation, a permuted
+//!   [`delta::RunView`] per sealed run of a delta log — keyed by the input's
+//!   identity stamp in a shared [`cache::AccessCache`] with a byte budget and
+//!   cost-aware (GreedyDual-Size) eviction; a seal adds one run, so the next
+//!   query builds one view (the **incremental** path) and finds the rest;
 //! * [`wal`] — write-ahead logging for the ingest path: every delta mutation
 //!   appends a length-prefixed, CRC32-checksummed [`wal::WalOp`] record to a
 //!   per-database log with batch commit markers; [`wal::recover`] replays the
@@ -115,7 +114,7 @@ pub mod wal;
 
 pub use access::{CursorKind, TrieAccess};
 pub use cache::{next_stamp, AccessCache, CacheKey, CacheKind, CacheStats, CachedValue};
-pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation, DeltaView};
+pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation, RunView};
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
 pub use kernels::{KernelKind, KernelPolicy};
