@@ -32,7 +32,7 @@ use wcoj_core::exec::{execute_opts_with_order, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_service::{QueryService, ServiceConfig, WriteBatch};
+use wcoj_service::{MetricValue, QueryService, ServiceConfig, WriteBatch};
 use wcoj_storage::{DeltaRelation, Schema};
 use wcoj_workloads::{random_pairs, SplitMix64};
 
@@ -51,6 +51,17 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
     p
 }
 
+/// `(wal.group_commits, wal.batches_per_fsync bucket counts)` from the
+/// service's registry.
+fn group_metrics(service: &QueryService) -> (u64, Vec<u64>) {
+    let snap = service.registry().snapshot();
+    let groups = snap.counter_value("wal.group_commits").unwrap();
+    match snap.get("wal.batches_per_fsync") {
+        Some(MetricValue::Histogram { counts, .. }) => (groups, counts.clone()),
+        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
+    }
+}
+
 /// `threads` committers push `per_thread` blind batches (`ops` inserts each)
 /// through one durable service; returns (batches/s, groups, histogram).
 fn ingest_rate(
@@ -59,7 +70,7 @@ fn ingest_rate(
     threads: u64,
     per_thread: u64,
     ops: u64,
-) -> (f64, u64, [u64; 6]) {
+) -> (f64, u64, Vec<u64>) {
     let path = wal_dir(tag);
     let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
     let t = Instant::now();
@@ -80,19 +91,16 @@ fn ingest_rate(
         }
     });
     let secs = t.elapsed().as_secs_f64();
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, threads * per_thread);
-    assert_eq!(
-        stats.batches_per_fsync.iter().sum::<u64>(),
-        stats.group_commits
-    );
+    let committed = service
+        .registry()
+        .snapshot()
+        .counter_value("wal.batches_committed");
+    assert_eq!(committed, Some(threads * per_thread));
+    let (groups, hist) = group_metrics(&service);
+    assert_eq!(hist.iter().sum::<u64>(), groups);
     drop(service);
     std::fs::remove_dir_all(&path).ok();
-    (
-        (threads * per_thread) as f64 / secs,
-        stats.group_commits,
-        stats.batches_per_fsync,
-    )
+    ((threads * per_thread) as f64 / secs, groups, hist)
 }
 
 fn service_record(workload: &str, engine: &str, ms: f64, work: Vec<(String, u64)>) -> BenchRecord {
@@ -350,15 +358,12 @@ fn main() {
         lat.sort_by(|a, b| a.total_cmp(b));
         let median = lat[lat.len() / 2];
         let p99 = lat[(lat.len() * 99) / 100];
-        let stats = service.stats();
+        let (groups, hist) = group_metrics(&service);
         assert_eq!(
-            stats.group_commits, solo_batches as u64,
+            groups, solo_batches as u64,
             "a solo writer commits every batch in its own group"
         );
-        assert_eq!(
-            stats.batches_per_fsync[0], solo_batches as u64,
-            "...of size exactly 1 (the degenerate PR 8 path)"
-        );
+        assert_eq!(hist[0], solo_batches as u64, "...of size exactly 1");
         println!("  {label}: median {median:>7.1} us, p99 {p99:>7.1} us");
         if window.is_zero() {
             base_us = median;

@@ -199,14 +199,16 @@ fn main() {
             .and_then(Json::as_str),
         Some("gauge")
     );
-    let stats = service.stats();
     assert_eq!(
         parsed
             .get("service.admitted")
             .and_then(|m| m.get("value"))
             .and_then(Json::as_u64),
-        Some(stats.admitted),
-        "StatsSnapshot and the registry agree"
+        service
+            .registry()
+            .snapshot()
+            .counter_value("service.admitted"),
+        "the JSON rendering and the registry agree"
     );
     let slow = service.slow_queries();
     assert!(!slow.is_empty(), "threshold zero traces every query");

@@ -4,9 +4,11 @@
 //! Two measurements over the `edge_stream` workload (sliding-window graph
 //! stream, interleaved inserts/deletes, triangle self-join):
 //!
-//! 1. **Ingest** — apply the same operation stream to (a) a sorted
-//!    [`Relation`] via `insert`/`remove` (O(n) per op: the full-rebuild
-//!    discipline every pre-delta layer assumed) and (b) a
+//! 1. **Ingest** — apply the same operation stream to (a) a [`Relation`]'s
+//!    sorted columns kept sorted in place (binary search, then
+//!    `Vec::insert`/`remove` per column — O(n) per op: the full-rebuild
+//!    discipline every pre-delta layer assumed; the baseline's delete lives
+//!    here, the storage crate has none) and (b) a
 //!    [`DeltaRelation`] (buffer append + amortized seal/tier merges). Reports
 //!    ops/ms for both; both replicas must agree tuple-for-tuple at the end.
 //!    The full run also **asserts the delta path is ≥ 10× faster at
@@ -78,16 +80,30 @@ fn main() {
     let mut naive_ms = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
-        let mut fresh = Relation::empty(Schema::new(&["src", "dst"]));
+        // the relation's own layout — one sorted column per attribute
+        let (mut src, mut dst): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
         for &(insert, (a, b)) in &ops {
-            if insert {
-                fresh.insert(vec![a, b]).expect("naive insert");
-            } else {
-                fresh.remove(&[a, b]).expect("naive remove");
+            let (mut pos, mut hi) = (0, src.len());
+            while pos < hi {
+                let mid = (pos + hi) / 2;
+                if (src[mid], dst[mid]) < (a, b) {
+                    pos = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let present = pos < src.len() && (src[pos], dst[pos]) == (a, b);
+            if insert && !present {
+                src.insert(pos, a);
+                dst.insert(pos, b);
+            } else if !insert && present {
+                src.remove(pos);
+                dst.remove(pos);
             }
         }
         naive_ms = naive_ms.min(ms(t));
-        naive = fresh;
+        naive = Relation::try_from_columns(naive.schema().clone(), vec![src, dst])
+            .expect("two equal-length columns");
     }
 
     let mut delta = load_delta(&ops, 4096);

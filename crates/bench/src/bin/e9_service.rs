@@ -190,7 +190,8 @@ fn main() {
         });
         let (ok, shed) = (ok.load(Ordering::Relaxed), shed.load(Ordering::Relaxed));
         assert_eq!(ok + shed, 24);
-        assert_eq!(service.stats().shed, shed);
+        let counted = service.registry().snapshot().counter_value("service.shed");
+        assert_eq!(counted, Some(shed));
         println!("  queue {max_queued:>2}: {ok:>2} served, {shed:>2} shed (typed Overloaded)");
     }
 

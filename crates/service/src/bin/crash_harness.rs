@@ -1,28 +1,33 @@
 //! Crash-recovery differential harness: `ingest` drives a deterministic,
 //! seeded op stream through a durable [`QueryService`] (and is designed to be
 //! `kill -9`ed at arbitrary points, or crashed deterministically via
-//! `WCOJ_FAULT`); `verify` reopens the log, recovers, regenerates the same
+//! `--fault`); `verify` reopens the log, recovers, regenerates the same
 //! stream from the seed, and asserts the recovered catalog is **bit-identical
 //! to the committed-batch prefix of the oracle** — rows, run structure, and
 //! tombstones.
 //!
 //! ```text
-//! crash_harness ingest --wal DIR --seed S --batches N [--ops-per-batch M]
-//! crash_harness verify --wal DIR --seed S --batches N [--ops-per-batch M]
+//! crash_harness ingest|verify --wal DIR --seed S --batches N [--ops-per-batch M]
+//!               [--segment-bytes B] [--group-commit-us U] [--fault SPEC]
 //! ```
 //!
-//! `--wal` names a log **directory** (rotated segments plus checkpoints —
-//! size the segments with `WCOJ_WAL_SEGMENT_BYTES` to force rotation and
-//! checkpointing under the kill loop). `ingest` resumes: if the log already
-//! holds `k` committed batches it recovers them and continues from batch `k`,
-//! so a kill/restart loop converges to the full `N` batches while exercising
-//! recovery — checkpoint load plus tail replay — on every iteration.
+//! `--wal` names a log **directory** (rotated segments plus checkpoints).
+//! `--segment-bytes` sizes the segments — small ones force rotation and
+//! checkpointing under the kill loop; `--group-commit-us` arms the commit
+//! leader's coalescing window; `--fault` takes [`FaultPlan::parse`]
+//! directives (`torn:900`, `fsync_fail:5,ckpt_torn:64`), and one that does
+//! not parse is an argument error. These flags are the process's whole
+//! configuration: the library reads no environment. `ingest` resumes: if the
+//! log already holds `k` committed batches it recovers them and continues from
+//! batch `k`, so a kill/restart loop converges to the full `N` batches while
+//! exercising recovery — checkpoint load plus tail replay — on every
+//! iteration.
 
 use std::process::ExitCode;
+use std::time::Duration;
 use wcoj_query::Database;
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
-use wcoj_storage::wal::WalOp;
-use wcoj_storage::{DeltaRelation, Schema};
+use wcoj_storage::{DeltaRelation, FaultPlan, Schema, WalOp};
 use wcoj_workloads::SplitMix64;
 
 /// The fixed base catalog both sides start from (schemas are not logged).
@@ -94,6 +99,7 @@ struct Args {
     seed: u64,
     batches: usize,
     ops_per_batch: usize,
+    config: ServiceConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -103,6 +109,7 @@ fn parse_args() -> Result<Args, String> {
     let mut seed = 42u64;
     let mut batches = 64usize;
     let mut ops_per_batch = 32usize;
+    let mut config = ServiceConfig::default();
     while let Some(flag) = argv.next() {
         let value = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
@@ -112,6 +119,14 @@ fn parse_args() -> Result<Args, String> {
             "--ops-per-batch" => {
                 ops_per_batch = value.parse().map_err(|_| "--ops-per-batch needs a usize")?
             }
+            "--segment-bytes" => {
+                config.segment_bytes = value.parse().map_err(|_| "--segment-bytes needs a u64")?
+            }
+            "--group-commit-us" => {
+                let us = value.parse().map_err(|_| "--group-commit-us needs a u64")?;
+                config.group_commit_window = Duration::from_micros(us);
+            }
+            "--fault" => config.fault = FaultPlan::parse(&value)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -121,6 +136,7 @@ fn parse_args() -> Result<Args, String> {
         seed,
         batches,
         ops_per_batch,
+        config,
     })
 }
 
@@ -141,7 +157,7 @@ fn recovery_line(service: &QueryService) -> String {
 }
 
 fn ingest(args: &Args) -> Result<(), String> {
-    let (service, replayed) = QueryService::open(&args.wal, base_db(), ServiceConfig::default())
+    let (service, replayed) = QueryService::open(&args.wal, base_db(), args.config.clone())
         .map_err(|e| format!("open failed: {e}"))?;
     let start = replayed.committed as usize;
     if start > 0 {
@@ -167,7 +183,7 @@ fn ingest(args: &Args) -> Result<(), String> {
 }
 
 fn verify(args: &Args) -> Result<(), String> {
-    let (service, replayed) = QueryService::open(&args.wal, base_db(), ServiceConfig::default())
+    let (service, replayed) = QueryService::open(&args.wal, base_db(), args.config.clone())
         .map_err(|e| format!("recovery failed: {e}"))?;
     let committed = replayed.committed as usize;
     if committed > args.batches {

@@ -1,7 +1,7 @@
 //! The group-commit coordinator: one fsync for many concurrent batches.
 //!
-//! E9.1 measured the PR 8 write path fsync-bound: every [`crate::WriteBatch`]
-//! paid its own `fsync`, capping durable ingest near the disk's barrier rate
+//! A write path where every [`crate::WriteBatch`] pays its own `fsync` is
+//! fsync-bound (E9.1): durable ingest caps near the disk's barrier rate
 //! (~4.5k batches/s) while WAL replay sustains millions of ops/s. The classic
 //! fix is **leader-based group commit**: concurrent committers enqueue their
 //! batches; whichever caller finds no leader active becomes the leader, drains
@@ -10,8 +10,9 @@
 //! the leader is inside its fsync, new arrivals pile up in the queue — so the
 //! batching is **self-clocking**: the slower the disk, the larger the groups,
 //! with no tuning required. An optional coalescing window
-//! (`WCOJ_GROUP_COMMIT_US`) lets the leader wait a bounded extra moment to
-//! grow the group — a latency-for-throughput trade that defaults to off.
+//! (`ServiceConfig::group_commit_window`) lets the leader wait a bounded extra
+//! moment to grow the group — a latency-for-throughput trade that defaults to
+//! off.
 //!
 //! This module owns only the queueing fabric (queue, leadership flag, per-
 //! caller outcome slots). The commit protocol itself — epoch CAS, WAL append,

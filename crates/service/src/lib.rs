@@ -23,10 +23,13 @@
 //!   records relation epochs, [`QueryService::apply`] CAS-validates them, and
 //!   [`QueryService::apply_with_retry`] rebases with exponential backoff on
 //!   [`ServiceError::Conflict`];
-//! * **fault injection** — [`wcoj_storage::FaultPlan`] (from the `WCOJ_FAULT`
-//!   environment variable) deterministically fails fsyncs, tears writes, and
-//!   delays seals, so the crash harness can drive recovery through real
-//!   failure shapes.
+//! * **fault injection** — a [`wcoj_storage::FaultPlan`] in the
+//!   [`ServiceConfig`] deterministically fails fsyncs, tears writes, and
+//!   delays seals, so the crash harness (`--fault`) can drive recovery
+//!   through real failure shapes;
+//! * **nothing ambient** — the crate reads no environment variable:
+//!   [`ServiceConfig::default`] is a constant and behaviour is a function of
+//!   the config and the calls.
 //!
 //! # Example
 //!
@@ -61,7 +64,6 @@ pub mod service;
 pub use admission::{AdmissionGate, Permit};
 pub use error::ServiceError;
 pub use service::{
-    replay_into, QueryService, RecoveryReport, ServiceConfig, StatsSnapshot, WriteBatch,
-    GROUP_SIZE_BUCKETS,
+    replay_into, QueryService, RecoveryReport, ServiceConfig, WriteBatch, GROUP_SIZE_BUCKETS,
 };
 pub use wcoj_obs::{MetricValue, MetricsSnapshot, Registry};

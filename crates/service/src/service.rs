@@ -29,10 +29,17 @@
 //! the whole group — so the per-batch fsync cost is amortized across however
 //! many writers piled up during the previous group's barrier. A failed group
 //! fsync fails *every* member atomically with memory untouched. An optional
-//! coalescing window (`WCOJ_GROUP_COMMIT_US`,
-//! [`ServiceConfig::group_commit_window`]) grows groups at the cost of
-//! latency; a solo writer degenerates to exactly the PR 8 path — one append,
-//! one marker, one fsync.
+//! coalescing window ([`ServiceConfig::group_commit_window`]) grows groups at
+//! the cost of latency; a solo writer is a group of one — one append, one
+//! marker, one fsync.
+//!
+//! # Configuration
+//!
+//! Everything the service does is a function of its [`ServiceConfig`] and
+//! the calls made on it: the library reads no environment variable, and
+//! [`ServiceConfig::default`] is a constant. A process that wants a knob on
+//! its command line parses it where the process starts (`crash_harness
+//! --fault/--segment-bytes/--group-commit-us`).
 //!
 //! # Recovery
 //!
@@ -61,11 +68,10 @@ use std::time::{Duration, Instant};
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions, ExecOutput, QueryTrace, TraceSink};
 use wcoj_obs::{Counter, Gauge, Histogram, Registry};
 use wcoj_query::{ConjunctiveQuery, Database, Snapshot};
-use wcoj_storage::wal::segmented::{
-    gc_checkpoint, recover_dir, segment_bytes_from_env, write_checkpoint, SegmentedWal,
+use wcoj_storage::{
+    gc_checkpoint, recover_dir, write_checkpoint, DeltaRelation, FaultPlan, SegmentedWal,
+    StorageError, Value, WalOp, DEFAULT_SEGMENT_BYTES,
 };
-use wcoj_storage::wal::{FaultPlan, WalOp};
-use wcoj_storage::{DeltaRelation, StorageError, Value};
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Debug, Clone)]
@@ -94,10 +100,9 @@ pub struct ServiceConfig {
     /// How long a group-commit leader waits after claiming leadership before
     /// draining the queue, letting more batches coalesce into its fsync.
     /// Zero (the default) relies on the self-clocking batching alone.
-    /// Defaults from `WCOJ_GROUP_COMMIT_US` (microseconds).
     pub group_commit_window: Duration,
-    /// WAL segment-rotation threshold in bytes. Defaults from
-    /// `WCOJ_WAL_SEGMENT_BYTES` (64 MiB when unset).
+    /// WAL segment-rotation threshold in bytes (default
+    /// [`DEFAULT_SEGMENT_BYTES`], 64 MiB).
     pub segment_bytes: u64,
     /// Take a checkpoint after this many completed (rotated-out) segments;
     /// `0` disables automatic checkpoints ([`QueryService::checkpoint`] can
@@ -106,27 +111,8 @@ pub struct ServiceConfig {
     /// Slow-query threshold: queries at or above it run with a per-query
     /// [`TraceSink`] and deposit their [`QueryTrace`] into the bounded ring
     /// behind [`QueryService::slow_queries`]. `Duration::ZERO` traces every
-    /// query; `None` (the default) disables tracing entirely. Defaults from
-    /// `WCOJ_SLOW_QUERY_MS` (milliseconds).
+    /// query; `None` (the default) disables tracing entirely.
     pub slow_query: Option<Duration>,
-}
-
-/// `WCOJ_GROUP_COMMIT_US` (microseconds), or zero when unset/unparsable.
-fn group_commit_window_from_env() -> Duration {
-    std::env::var("WCOJ_GROUP_COMMIT_US")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_micros)
-        .unwrap_or(Duration::ZERO)
-}
-
-/// `WCOJ_SLOW_QUERY_MS` (milliseconds; `0` traces every query), or `None`
-/// when unset/unparsable.
-fn slow_query_from_env() -> Option<Duration> {
-    std::env::var("WCOJ_SLOW_QUERY_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
 }
 
 impl Default for ServiceConfig {
@@ -139,11 +125,11 @@ impl Default for ServiceConfig {
             write_retries: 3,
             retry_backoff: Duration::from_millis(1),
             compact_threads: 1,
-            fault: FaultPlan::from_env(),
-            group_commit_window: group_commit_window_from_env(),
-            segment_bytes: segment_bytes_from_env(),
+            fault: FaultPlan::default(),
+            group_commit_window: Duration::ZERO,
+            segment_bytes: DEFAULT_SEGMENT_BYTES,
             checkpoint_after_segments: 1,
-            slow_query: slow_query_from_env(),
+            slow_query: None,
         }
     }
 }
@@ -168,7 +154,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the injected fault plan (tests).
+    /// Override the injected fault plan.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
         self
@@ -216,7 +202,7 @@ const SLOW_LOG_CAP: usize = 16;
 /// paths update lock-free atomics directly (no name lookups); the same
 /// primitives are visible by name through [`QueryService::registry`] under
 /// `service.*` (admission/query), `wal.*` (durability), and `recovery.*`
-/// (startup) — [`QueryService::stats`] is a thin compatibility view over them.
+/// (startup).
 #[derive(Debug)]
 struct ServiceStats {
     admitted: Arc<Counter>,
@@ -278,44 +264,6 @@ impl ServiceStats {
             wal_bytes: registry.gauge("wal.bytes"),
         }
     }
-}
-
-/// A point-in-time copy of the service counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Queries that passed admission.
-    pub admitted: u64,
-    /// Queries shed with [`ServiceError::Overloaded`].
-    pub shed: u64,
-    /// Queries that hit their deadline mid-execution.
-    pub deadline_exceeded: u64,
-    /// Queries cancelled explicitly.
-    pub canceled: u64,
-    /// Write batches durably committed and applied.
-    pub batches_committed: u64,
-    /// Ops inside those batches.
-    pub ops_committed: u64,
-    /// Write batches rejected by the epoch CAS.
-    pub conflicts: u64,
-    /// Conflict retries performed by [`QueryService::apply_with_retry`].
-    pub write_retries: u64,
-    /// Batches reconstructed from the log at [`QueryService::open`]
-    /// (checkpoint-covered + tail-replayed).
-    pub recovered_batches: u64,
-    /// Ops actually **replayed** at [`QueryService::open`] — the tail after
-    /// the newest checkpoint, i.e. the work recovery had to redo.
-    pub recovery_replay_ops: u64,
-    /// Coalesced commit groups flushed (each = exactly one fsync).
-    pub group_commits: u64,
-    /// Histogram of group sizes: bucket `i` counts groups of up to
-    /// [`GROUP_SIZE_BUCKETS`]`[i]` batches (≤1, ≤2, ≤4, ≤8, ≤16, more).
-    pub batches_per_fsync: [u64; 6],
-    /// Checkpoints durably written.
-    pub checkpoints: u64,
-    /// WAL segments deleted by checkpoint GC.
-    pub segments_deleted: u64,
-    /// Gauge: on-disk WAL segment bytes (appended minus GC-freed).
-    pub wal_bytes: u64,
 }
 
 /// A batch of catalog mutations applied atomically: WAL-logged, fsynced, then
@@ -651,30 +599,6 @@ impl QueryService {
         self.db_read().snapshot()
     }
 
-    /// Current service counters — a thin view over the same registry
-    /// primitives [`QueryService::registry`] exposes by name.
-    pub fn stats(&self) -> StatsSnapshot {
-        let s = &self.stats;
-        let group_sizes = s.batches_per_fsync.bucket_counts();
-        StatsSnapshot {
-            admitted: s.admitted.get(),
-            shed: s.shed.get(),
-            deadline_exceeded: s.deadline_exceeded.get(),
-            canceled: s.canceled.get(),
-            batches_committed: s.batches_committed.get(),
-            ops_committed: s.ops_committed.get(),
-            conflicts: s.conflicts.get(),
-            write_retries: s.write_retries.get(),
-            recovered_batches: s.recovered_batches.get(),
-            recovery_replay_ops: s.recovery_replay_ops.get(),
-            group_commits: s.group_commits.get(),
-            batches_per_fsync: std::array::from_fn(|i| group_sizes[i]),
-            checkpoints: s.checkpoints.get(),
-            segments_deleted: s.segments_deleted.get(),
-            wal_bytes: s.wal_bytes.get(),
-        }
-    }
-
     /// The metrics registry behind the service: every `service.*`, `wal.*`,
     /// `recovery.*`, and `cache.*` primitive, snapshottable as stable JSON
     /// ([`QueryService::metrics_json`]) or Prometheus text
@@ -823,9 +747,8 @@ impl QueryService {
     /// batch joins the shared queue, and either this caller becomes the
     /// leader (drains the queue, commits the whole group under one fsync,
     /// fills every member's outcome) or it blocks until a concurrent leader
-    /// delivers its outcome. A solo writer degenerates to the direct path —
-    /// one append, one marker, one fsync — with only two uncontended mutex
-    /// hops added.
+    /// delivers its outcome. A solo writer is a group of one — one append,
+    /// one marker, one fsync — behind two uncontended mutex hops.
     ///
     /// **Deferral rule:** a non-blind member whose touched relations were
     /// already written by an *earlier member of the same group* cannot be
@@ -1013,7 +936,7 @@ impl QueryService {
             drop(w);
             // 3. apply in memory under the still-held write lock; an apply
             //    error fails only that member (its ops are durable and replay
-            //    deterministically — same contract as the PR 8 single path)
+            //    deterministically)
             let accepted_len = accepted.len() as u64;
             let mut last_seq = 0;
             let apply_started = Instant::now();

@@ -7,9 +7,27 @@ use std::time::Duration;
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions};
 use wcoj_query::{query::examples, Database};
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
-use wcoj_storage::wal::{FaultPlan, WalWriter};
-use wcoj_storage::{DeltaRelation, Relation, Schema};
+use wcoj_storage::wal::crc32;
+use wcoj_storage::{DeltaRelation, FaultPlan, Relation, Schema, WalOp};
 use wcoj_workloads::SplitMix64;
+
+/// The suite's base config. The "every service query traced" CI leg runs this
+/// binary with `WCOJ_SLOW_QUERY_MS=0`; the variable is read here, at the test
+/// binary's edge — `ServiceConfig::default()` is a constant.
+fn config() -> ServiceConfig {
+    ServiceConfig {
+        slow_query: std::env::var("WCOJ_SLOW_QUERY_MS")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .map(Duration::from_millis),
+        ..ServiceConfig::default()
+    }
+}
+
+/// A registry counter of `service`, by name.
+fn counter(service: &QueryService, name: &str) -> u64 {
+    service.registry().snapshot().counter_value(name).unwrap()
+}
 
 /// A fresh WAL **directory** (segments + checkpoints live inside).
 fn temp_wal(tag: &str) -> std::path::PathBuf {
@@ -54,8 +72,7 @@ fn triangle_db(n: u64) -> Database {
 #[test]
 fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     let path = temp_wal("recover");
-    let config = ServiceConfig::default();
-    let (service, replayed) = QueryService::open(&path, edge_db(), config.clone()).unwrap();
+    let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, 0);
     assert!(replayed.tail.is_empty());
 
@@ -80,25 +97,31 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     }
     let expected_rows: Relation = service.with_db(|db| db.delta("E").unwrap().snapshot());
     let expected_runs = service.with_db(|db| db.delta("E").unwrap().run_sizes());
-    assert_eq!(service.stats().batches_committed, 12);
+    assert_eq!(counter(&service, "wal.batches_committed"), 12);
     drop(service); // simulated crash after the last commit
 
     // splice an uncommitted tail onto the live segment — a crash mid-batch
     // (the default 64 MiB rotation threshold means one segment holds it all)
-    let mut w =
-        WalWriter::append_to_with_fault(path.join("wal.000001"), 12, FaultPlan::default()).unwrap();
-    w.log(&wcoj_storage::wal::WalOp::Insert {
+    let payload = WalOp::Insert {
         relation: "E".into(),
         tuple: vec![999, 999],
-    })
-    .unwrap();
-    drop(w); // never committed
+    }
+    .encode();
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend(crc32(&payload).to_le_bytes());
+    frame.extend(payload); // and no commit marker behind it
+    let mut segment = std::fs::OpenOptions::new()
+        .append(true)
+        .open(path.join("wal.000001"))
+        .unwrap();
+    std::io::Write::write_all(&mut segment, &frame).unwrap();
+    drop(segment);
 
-    let (recovered, replayed) = QueryService::open(&path, edge_db(), config).unwrap();
+    let (recovered, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, 12, "committed batches survive");
     assert_eq!(replayed.tail.len(), 12, "no checkpoint: all replayed");
     assert!(replayed.torn(), "the uncommitted tail was dropped");
-    assert_eq!(recovered.stats().recovered_batches, 12);
+    assert_eq!(counter(&recovered, "recovery.batches"), 12);
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert_eq!(delta.snapshot(), expected_rows, "rows are bit-identical");
@@ -117,7 +140,7 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
 fn snapshot_queries_are_bit_identical_under_a_concurrent_writer() {
     let service = QueryService::in_memory(
         triangle_db(600),
-        ServiceConfig::default().with_exec(ExecOptions::default().with_threads(2)),
+        config().with_exec(ExecOptions::default().with_threads(2)),
     );
     let q = examples::triangle();
     let opts = ExecOptions::default().with_threads(2);
@@ -168,15 +191,12 @@ fn snapshot_queries_are_bit_identical_under_a_concurrent_writer() {
     let last = execute_cancellable(&q, &snap0, &opts, None, &token).unwrap();
     assert_eq!(last.result, baseline.result);
     assert_eq!(last.work, baseline.work);
-    assert_eq!(service.stats().batches_committed, 40);
+    assert_eq!(counter(&service, "wal.batches_committed"), 40);
 }
 
 #[test]
 fn overload_sheds_and_deadlines_expire_with_typed_errors() {
-    let service = QueryService::in_memory(
-        triangle_db(2_500),
-        ServiceConfig::default().with_admission(1, 0),
-    );
+    let service = QueryService::in_memory(triangle_db(2_500), config().with_admission(1, 0));
     let q = examples::triangle();
 
     // an already-expired deadline cancels at the first check point
@@ -195,8 +215,9 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
     // saturate the single slot with a long query, then shed a second arrival
     std::thread::scope(|scope| {
         let long = scope.spawn(|| service.query(&q));
-        // wait until the long query actually holds the slot
-        while service.load().0 == 0 {
+        // wait until the long query actually holds the slot — or has already
+        // released it: an optimized build can finish it between two polls
+        while service.load().0 == 0 && !long.is_finished() {
             std::thread::yield_now();
         }
         match service.query(&q) {
@@ -212,14 +233,13 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
         long.join().unwrap().unwrap();
     });
 
-    let stats = service.stats();
-    assert_eq!(stats.deadline_exceeded, 1);
-    assert_eq!(stats.canceled, 1);
+    assert_eq!(counter(&service, "service.deadline_exceeded"), 1);
+    assert_eq!(counter(&service, "service.canceled"), 1);
 }
 
 #[test]
 fn conflicting_batches_are_rejected_and_retry_rebases() {
-    let service = QueryService::in_memory(edge_db(), ServiceConfig::default());
+    let service = QueryService::in_memory(edge_db(), config());
     let snap = service.snapshot();
     let first = WriteBatch::against(&snap).insert("E", vec![1, 2]).seal("E");
     service.apply(&first).unwrap();
@@ -230,7 +250,7 @@ fn conflicting_batches_are_rejected_and_retry_rebases() {
         Err(ServiceError::Conflict { relation, .. }) => assert_eq!(relation, "E"),
         other => panic!("expected Conflict, got {other:?}"),
     }
-    assert_eq!(service.stats().conflicts, 1);
+    assert_eq!(counter(&service, "wal.conflicts"), 1);
     service.with_db(|db| assert!(!db.delta("E").unwrap().is_live(&[3, 4])));
 
     // rebasing on a fresh snapshot succeeds without retries...
@@ -253,7 +273,7 @@ fn conflicting_batches_are_rejected_and_retry_rebases() {
             Ok(batch)
         })
         .unwrap();
-    assert_eq!(service.stats().write_retries, 1);
+    assert_eq!(counter(&service, "wal.write_retries"), 1);
     service.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert!(delta.is_live(&[7, 8]) && delta.is_live(&[9, 9]));
@@ -271,8 +291,8 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     // fsync failure: the batch is rejected, memory is untouched, the writer
     // is poisoned until recovery
     let path = temp_wal("fsync-fault");
-    let config = ServiceConfig::default().with_fault(FaultPlan::parse("fsync_fail:1").unwrap());
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let faulty = config().with_fault(FaultPlan::parse("fsync_fail:1").unwrap());
+    let (service, _) = QueryService::open(&path, edge_db(), faulty).unwrap();
     let batch = WriteBatch::new()
         .insert("E", vec![1, 2])
         .insert("E", vec![3, 4]);
@@ -291,8 +311,7 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     // recovery truncates whatever the failed-fsync batch left behind (its
     // durability was never acknowledged, so either outcome is legal — what
     // matters is that reopen yields a consistent catalog and a live writer)
-    let (service, replayed) =
-        QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     let recovered = replayed.committed;
     assert!(recovered <= 1);
     service.with_db(|db| {
@@ -305,8 +324,8 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     // torn write: the record is cut mid-frame, the batch rejected, and
     // recovery truncates back to the last durable commit
     let path = temp_wal("torn-fault");
-    let config = ServiceConfig::default().with_fault(FaultPlan::parse("torn:30").unwrap());
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let faulty = config().with_fault(FaultPlan::parse("torn:30").unwrap());
+    let (service, _) = QueryService::open(&path, edge_db(), faulty).unwrap();
     let big = WriteBatch::new()
         .insert("E", vec![1, 2])
         .insert("E", vec![3, 4])
@@ -319,8 +338,7 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     ));
     service.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 0));
     drop(service);
-    let (service, replayed) =
-        QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, 0, "no batch ever committed");
     assert!(replayed.torn());
     assert_eq!(service.apply(&big).unwrap(), 1);
@@ -342,21 +360,21 @@ fn replay_into_matches_live_application_over_a_random_stream() {
             let (a, b) = (rng.next_u64() % 64, rng.next_u64() % 64);
             let roll = rng.next_u64() % 10;
             ops.push(if roll < 6 {
-                wcoj_storage::wal::WalOp::Insert {
+                WalOp::Insert {
                     relation: "E".into(),
                     tuple: vec![a, b],
                 }
             } else if roll < 8 {
-                wcoj_storage::wal::WalOp::Delete {
+                WalOp::Delete {
                     relation: "E".into(),
                     tuple: vec![a, b],
                 }
             } else if roll < 9 {
-                wcoj_storage::wal::WalOp::Seal {
+                WalOp::Seal {
                     relation: "E".into(),
                 }
             } else {
-                wcoj_storage::wal::WalOp::Compact {
+                WalOp::Compact {
                     relation: "E".into(),
                 }
             });
@@ -382,8 +400,8 @@ fn replay_into_matches_live_application_over_a_random_stream() {
 #[test]
 fn group_commit_acked_batches_never_vanish_across_crash() {
     let path = temp_wal("group-acked");
-    let config = ServiceConfig::default().with_group_commit_window(Duration::from_millis(1));
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let windowed = config().with_group_commit_window(Duration::from_millis(1));
+    let (service, _) = QueryService::open(&path, edge_db(), windowed).unwrap();
 
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 25;
@@ -413,29 +431,33 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
     let seqs: Vec<u64> = acked.iter().map(|&(s, _)| s).collect();
     assert_eq!(seqs, (1..=THREADS * PER_THREAD).collect::<Vec<_>>());
 
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, THREADS * PER_THREAD);
-    assert!(
-        stats.group_commits <= stats.batches_committed,
-        "one fsync per group, not per batch"
+    let snap = service.registry().snapshot();
+    let group_commits = snap.counter_value("wal.group_commits").unwrap();
+    assert_eq!(
+        snap.counter_value("wal.batches_committed"),
+        Some(THREADS * PER_THREAD)
     );
     assert!(
-        stats.group_commits < THREADS * PER_THREAD,
-        "the coalescing window formed at least one multi-batch group \
-         ({} groups for {} batches)",
-        stats.group_commits,
+        group_commits < THREADS * PER_THREAD,
+        "one fsync per group, not per batch: the coalescing window formed at \
+         least one multi-batch group ({group_commits} groups for {} batches)",
         THREADS * PER_THREAD
     );
-    assert_eq!(
-        stats.batches_per_fsync.iter().sum::<u64>(),
-        stats.group_commits,
-        "histogram totals the group count"
+    match snap.get("wal.batches_per_fsync") {
+        Some(wcoj_service::MetricValue::Histogram { counts, .. }) => assert_eq!(
+            counts.iter().sum::<u64>(),
+            group_commits,
+            "histogram totals the group count"
+        ),
+        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
+    }
+    assert!(
+        snap.gauge_value("wal.bytes").unwrap() > 0,
+        "the log-size gauge is maintained"
     );
-    assert!(stats.wal_bytes > 0, "the log-size gauge is maintained");
     drop(service); // crash
 
-    let (recovered, replayed) =
-        QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let (recovered, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, THREADS * PER_THREAD);
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
@@ -457,10 +479,10 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
 #[test]
 fn failed_group_fsync_fails_every_member_atomically() {
     let path = temp_wal("group-fsync-fault");
-    let config = ServiceConfig::default()
+    let faulty = config()
         .with_fault(FaultPlan::parse("fsync_fail:1").unwrap())
         .with_group_commit_window(Duration::from_millis(2));
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let (service, _) = QueryService::open(&path, edge_db(), faulty).unwrap();
 
     const THREADS: u64 = 6;
     let outcomes: Vec<Result<u64, ServiceError>> = std::thread::scope(|scope| {
@@ -492,8 +514,7 @@ fn failed_group_fsync_fails_every_member_atomically() {
     // the log may run ahead of acknowledgement (bytes written before the
     // failed sync can survive the crash) — memory never runs ahead of the
     // log: whatever prefix replays is exactly what the catalog holds
-    let (recovered, replayed) =
-        QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let (recovered, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert!(replayed.committed <= THREADS);
     recovered.with_db(|db| {
         assert_eq!(
@@ -511,7 +532,7 @@ fn failed_group_fsync_fails_every_member_atomically() {
 #[test]
 fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
     let path = temp_wal("ckpt-torn");
-    let tiny = ServiceConfig::default()
+    let tiny = config()
         .with_segment_bytes(1024)
         .with_checkpoint_after_segments(1);
 
@@ -528,10 +549,12 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
         }
     };
     apply_batches(&service, 30);
-    let healthy = service.stats();
-    assert!(healthy.checkpoints >= 1, "tiny segments force checkpoints");
     assert!(
-        healthy.segments_deleted >= 1,
+        counter(&service, "wal.checkpoints") >= 1,
+        "tiny segments force checkpoints"
+    );
+    assert!(
+        counter(&service, "wal.segments_deleted") >= 1,
         "GC reclaimed covered segments"
     );
     drop(service);
@@ -549,11 +572,15 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
     let (service, _) = QueryService::open(&path, edge_db(), torn_config).unwrap();
     apply_batches(&service, 30);
     assert_eq!(
-        service.stats().checkpoints,
+        counter(&service, "wal.checkpoints"),
         0,
         "torn checkpoints never count"
     );
-    assert_eq!(service.stats().batches_committed, 30, "writes unaffected");
+    assert_eq!(
+        counter(&service, "wal.batches_committed"),
+        30,
+        "writes unaffected"
+    );
     drop(service);
 
     // phase 3: recovery discards the torn checkpoint file and falls back
@@ -575,10 +602,10 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
     // differential: the recovered catalog equals a clean replay of the stream
     let mut rng = SplitMix64::new(0x9);
     let mut oracle = edge_db();
-    let stream: Vec<Vec<wcoj_storage::wal::WalOp>> = (0..60)
+    let stream: Vec<Vec<WalOp>> = (0..60)
         .map(|_| {
             (0..8)
-                .map(|_| wcoj_storage::wal::WalOp::Insert {
+                .map(|_| WalOp::Insert {
                     relation: "E".into(),
                     tuple: vec![rng.next_u64() % 64, rng.next_u64() % 64],
                 })
@@ -602,7 +629,7 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
 #[test]
 fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
     let path = temp_wal("ckpt-bound");
-    let config = ServiceConfig::default()
+    let config = config()
         .with_segment_bytes(2048)
         .with_checkpoint_after_segments(1);
     let (service, _) = QueryService::open(&path, edge_db(), config.clone()).unwrap();
@@ -617,9 +644,9 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
         }
         assert_eq!(service.apply(&batch).unwrap(), i + 1);
     }
-    let stats = service.stats();
-    assert!(stats.checkpoints >= 2);
-    assert!(stats.segments_deleted >= stats.checkpoints);
+    let checkpoints = counter(&service, "wal.checkpoints");
+    assert!(checkpoints >= 2);
+    assert!(counter(&service, "wal.segments_deleted") >= checkpoints);
     let rows = service.with_db(|db| db.delta("E").unwrap().len());
     drop(service);
 
@@ -633,7 +660,7 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
         replayed.tail.len()
     );
     assert_eq!(
-        recovered.stats().recovery_replay_ops,
+        counter(&recovered, "recovery.replay_ops"),
         replayed.num_ops() as u64
     );
     recovered.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), rows));
@@ -653,10 +680,10 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
 #[test]
 fn concurrent_cas_writers_converge_under_group_commit() {
     let path = temp_wal("group-cas");
-    let mut config = ServiceConfig::default().with_group_commit_window(Duration::from_micros(200));
-    config.write_retries = 50;
-    config.retry_backoff = Duration::from_micros(50);
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let mut windowed = config().with_group_commit_window(Duration::from_micros(200));
+    windowed.write_retries = 50;
+    windowed.retry_backoff = Duration::from_micros(50);
+    let (service, _) = QueryService::open(&path, edge_db(), windowed).unwrap();
 
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
@@ -675,14 +702,16 @@ fn concurrent_cas_writers_converge_under_group_commit() {
             });
         }
     });
-    let stats = service.stats();
-    assert_eq!(stats.batches_committed, THREADS * PER_THREAD);
+    assert_eq!(
+        counter(&service, "wal.batches_committed"),
+        THREADS * PER_THREAD
+    );
     service.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert_eq!(delta.len(), (THREADS * PER_THREAD) as usize);
     });
     drop(service);
-    let (_, replayed) = QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
+    let (_, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, THREADS * PER_THREAD);
     std::fs::remove_dir_all(&path).ok();
 }
@@ -690,11 +719,8 @@ fn concurrent_cas_writers_converge_under_group_commit() {
 #[test]
 fn registry_mirrors_stats_and_renders_stable_snapshots() {
     let path = temp_wal("metrics");
-    let config = ServiceConfig {
-        slow_query: None, // isolate from WCOJ_SLOW_QUERY_MS in the env
-        ..ServiceConfig::default()
-    };
-    let (service, _) = QueryService::open(&path, triangle_db(40), config).unwrap();
+    let (service, _) =
+        QueryService::open(&path, triangle_db(40), ServiceConfig::default()).unwrap();
     for i in 0..6u64 {
         let batch = WriteBatch::new().insert("R", vec![i, i + 1]).seal("R");
         service.apply(&batch).unwrap();
@@ -702,40 +728,30 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
     service.query(&examples::triangle()).unwrap();
     service.query(&examples::triangle()).unwrap();
 
-    // StatsSnapshot is a thin view over the registry: every field it reports
-    // must equal the primitive registered under the dotted name
-    let stats = service.stats();
+    // six solo writers: every batch is its own group, under the dotted
+    // names a scrape would read
     let snap = service.registry().snapshot();
-    assert_eq!(
-        snap.counter_value("wal.batches_committed"),
-        Some(stats.batches_committed)
-    );
-    assert_eq!(
-        snap.counter_value("wal.ops_committed"),
-        Some(stats.ops_committed)
-    );
-    assert_eq!(snap.counter_value("service.admitted"), Some(stats.admitted));
+    assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
+    assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
+    assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
     assert_eq!(snap.counter_value("service.admitted"), Some(2));
-    assert_eq!(snap.gauge_value("wal.bytes"), Some(stats.wal_bytes));
+    let disk_bytes = std::fs::metadata(path.join("wal.000001")).unwrap().len();
+    assert_eq!(snap.gauge_value("wal.bytes"), Some(disk_bytes));
     match snap.get("wal.batches_per_fsync") {
         Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
-            assert_eq!(&counts[..], &stats.batches_per_fsync[..]);
-            assert_eq!(*count, stats.group_commits);
+            assert_eq!(&counts[..], &[6, 0, 0, 0, 0, 0]);
+            assert_eq!(*count, 6);
         }
         other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
     }
     // one fsync-latency observation per coalesced group
     match snap.get("wal.fsync_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => {
-            assert_eq!(*count, stats.group_commits);
-        }
+        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 6),
         other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
     }
     // one query-latency observation per admitted query
     match snap.get("service.query_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => {
-            assert_eq!(*count, stats.admitted);
-        }
+        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
         other => panic!("service.query_us missing or wrong kind: {other:?}"),
     }
     // the database's access cache registers its own primitives
@@ -750,7 +766,7 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
         json.get("wal.batches_committed")
             .and_then(|m| m.get("value"))
             .and_then(wcoj_obs::Json::as_u64),
-        Some(stats.batches_committed)
+        Some(6)
     );
     // the Prometheus exposition carries the histogram expansion
     let prom = service.metrics_prometheus();
@@ -762,10 +778,7 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
 
 #[test]
 fn slow_query_log_captures_traces_without_perturbing_results() {
-    let quiet_config = ServiceConfig {
-        slow_query: None, // isolate from WCOJ_SLOW_QUERY_MS in the env
-        ..ServiceConfig::default()
-    };
+    let quiet_config = ServiceConfig::default();
     let plain = QueryService::in_memory(triangle_db(60), quiet_config.clone());
     let traced = QueryService::in_memory(
         triangle_db(60),
@@ -810,7 +823,7 @@ fn slow_query_log_captures_traces_without_perturbing_results() {
 fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
     let path = temp_wal("recovery-metrics");
     // tiny segments force rotation, so checkpoints happen under the loop
-    let config = ServiceConfig::default()
+    let config = config()
         .with_segment_bytes(256)
         .with_checkpoint_after_segments(1);
     let (service, _) = QueryService::open(&path, edge_db(), config.clone()).unwrap();
@@ -818,7 +831,10 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
         let batch = WriteBatch::new().insert("E", vec![i, i + 1]);
         service.apply(&batch).unwrap();
     }
-    assert!(service.stats().checkpoints > 0, "tiny segments checkpoint");
+    assert!(
+        counter(&service, "wal.checkpoints") > 0,
+        "tiny segments checkpoint"
+    );
     drop(service);
 
     let (recovered, report) = QueryService::open(&path, edge_db(), config).unwrap();
@@ -865,10 +881,7 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     db.insert_delta_relation("E", delta);
     // an explicit budget, so the tallies hold under WCOJ_CACHE_BYTES=0 too
     db.set_cache_budget(64 << 20);
-    let config = ServiceConfig {
-        slow_query: None,
-        ..ServiceConfig::default()
-    };
+    let config = ServiceConfig::default();
     let uncached = config.exec.with_cache(CacheMode::Off);
     let service = QueryService::in_memory(db, config);
     // the directed 3-cycle: under any variable order some atom reads E's

@@ -44,12 +44,13 @@
 //!   identity stamp in a shared [`cache::AccessCache`] with a byte budget and
 //!   cost-aware (GreedyDual-Size) eviction; a seal adds one run, so the next
 //!   query builds one view (the **incremental** path) and finds the rest;
-//! * [`wal`] — write-ahead logging for the ingest path: every delta mutation
-//!   appends a length-prefixed, CRC32-checksummed [`wal::WalOp`] record to a
-//!   per-database log with batch commit markers; [`wal::recover`] replays the
-//!   committed-batch prefix and truncates any torn tail, and a deterministic
-//!   [`wal::FaultPlan`] (env `WCOJ_FAULT`) injects fsync failures and torn
-//!   writes for crash testing;
+//! * [`wal`] — write-ahead logging for the ingest path: every write batch is
+//!   appended as length-prefixed, CRC32-checksummed [`wal::WalOp`] records
+//!   closed by a commit marker, by the one writer ([`SegmentedWal`]) of a log
+//!   directory of rotated segments and checkpoints; [`recover_dir`] replays
+//!   the committed-batch prefix after the newest checkpoint and truncates any
+//!   torn tail, and a deterministic [`wal::FaultPlan`] injects fsync failures
+//!   and torn writes for crash testing;
 //! * [`typed`] / [`dictionary`] — the typed-value layer over the `u64` columns:
 //!   [`Schema`]s carry per-attribute [`AttrType`]s, [`typed::TypedValue`] rows
 //!   encode through per-domain [`Dictionary`]s (batch interning, single-storage
@@ -127,10 +128,10 @@ pub use trie::{Trie, TrieCursor};
 pub use tune::KernelCalibration;
 pub use typed::{encode_column, TypedRow, TypedRows, TypedValue};
 pub use wal::segmented::{
-    gc_checkpoint, recover_dir, segment_bytes_from_env, write_checkpoint, Checkpoint, DirRecovery,
-    GcReport, SegmentedWal, DEFAULT_SEGMENT_BYTES,
+    gc_checkpoint, recover_dir, write_checkpoint, Checkpoint, DirRecovery, GcReport, SegmentedWal,
+    DEFAULT_SEGMENT_BYTES,
 };
-pub use wal::{FaultPlan, WalOp, WalReplay, WalWriter};
+pub use wal::{FaultPlan, WalOp, WalReplay};
 
 /// A dictionary-encoded attribute value.
 ///

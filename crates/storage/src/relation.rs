@@ -288,28 +288,6 @@ impl Relation {
         Ok(true)
     }
 
-    /// Remove a single tuple, keeping the relation sorted. Returns whether the
-    /// tuple was present. O(n) per call, like [`Relation::insert`] — the
-    /// full-rebuild baseline for deletes; sustained delete streams should use
-    /// [`crate::delta::DeltaRelation::delete`] (tombstones) instead.
-    pub fn remove(&mut self, tuple: &[Value]) -> Result<bool, StorageError> {
-        if tuple.len() != self.schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: tuple.len(),
-            });
-        }
-        let pos = self.partition_point(|r, i| r.cmp_row_prefix(i, tuple) == Ordering::Less);
-        if pos >= self.len || self.cmp_row_prefix(pos, tuple) != Ordering::Equal {
-            return Ok(false);
-        }
-        for col in self.columns.iter_mut() {
-            col.remove(pos);
-        }
-        self.len -= 1;
-        Ok(true)
-    }
-
     /// First row index for which `pred(self, i)` is false (rows are assumed
     /// partitioned: all `true` rows precede all `false` rows).
     fn partition_point<F: Fn(&Self, usize) -> bool>(&self, pred: F) -> usize {
@@ -1085,15 +1063,6 @@ mod tests {
         assert!(!r.insert(vec![5]).unwrap());
         assert_eq!(r.rows(), vec![vec![1], vec![5]]);
         assert!(r.insert(vec![1, 2]).is_err());
-    }
-
-    #[test]
-    fn remove_deletes_and_reports_presence() {
-        let mut r = r_ab();
-        assert!(r.remove(&[1, 3]).unwrap());
-        assert!(!r.remove(&[1, 3]).unwrap());
-        assert_eq!(r.rows(), vec![vec![1, 2], vec![2, 3]]);
-        assert!(r.remove(&[1]).is_err());
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Write-ahead logging for delta relations: crash durability for the ingest
-//! path.
+//! Write-ahead logging for delta relations — the **record format**: ops,
+//! framing, checksums, the pure replay scan, and the fault plan. The log
+//! itself (the directory of segments, its one writer, checkpoints, recovery)
+//! is [`segmented`].
 //!
 //! A [`DeltaRelation`](crate::DeltaRelation)'s append buffer lives only in
 //! memory, so a crash mid-ingest silently loses every operation since the last
-//! materialization. This module adds the classical fix: every mutation
+//! materialization. The classical fix: every mutation
 //! (`insert`/`delete`/`seal`/`compact`) is encoded as a [`WalOp`] and appended
 //! to a per-database log **before** it is applied in memory, and batches are
 //! bounded by an explicit commit marker. The format is deliberately boring:
@@ -14,31 +16,26 @@
 //! batch    := record*  commit-record(seq)
 //! ```
 //!
-//! * **Torn tails are expected, not fatal.** [`replay`] scans records until the
-//!   first incomplete, over-long, checksum-failing, or undecodable record and
-//!   returns exactly the batches whose commit marker was fully durable before
-//!   that point — any byte prefix of a valid log recovers the committed-batch
-//!   prefix and never a partial batch (property-tested in
-//!   `tests/wal_recovery.rs`). [`recover`] additionally truncates the file to
-//!   the last committed byte so a writer can reopen it for appending.
+//! * **Torn tails are expected, not fatal.** [`replay_bytes_from`] scans
+//!   records until the first incomplete, over-long, checksum-failing, or
+//!   undecodable record and returns exactly the batches whose commit marker
+//!   was complete before that point — any byte prefix of a valid segment
+//!   recovers the committed-batch prefix and never a partial batch
+//!   (property-tested in `tests/wal_recovery.rs`).
 //! * **Commit sequence numbers are contiguous** (1, 2, 3, …). A gap or
-//!   repetition means the log was spliced rather than torn, and replay stops
+//!   repetition means the log was spliced rather than torn, and the scan stops
 //!   there exactly like a torn tail rather than guessing.
-//! * **Fault injection is first-class.** A [`FaultPlan`] — parsed from the
-//!   `WCOJ_FAULT` environment variable or constructed directly by tests —
-//!   deterministically fails the Nth fsync or tears a write at byte k, leaving
-//!   the on-disk state exactly as a crash at that point would. The crash-recovery
-//!   test suite and the CI chaos leg drive recovery through these hooks.
+//! * **Fault injection is first-class.** A [`FaultPlan`] — built by tests, or
+//!   parsed by a binary from its `--fault` flag — deterministically fails the
+//!   Nth fsync or tears a write at byte k, leaving the on-disk state exactly
+//!   as a crash at that point would. The crash-recovery test suite and the CI
+//!   chaos legs drive recovery through these hooks.
 //!
 //! The replay output is storage-agnostic (`Vec<Vec<WalOp>>`); applying it to a
 //! catalog (`wcoj_query::Database`) lives with the service layer, which owns
 //! both sides.
 
-use crate::error::StorageError;
 use crate::Value;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
 
 pub mod segmented;
 
@@ -136,35 +133,55 @@ fn put_tuple(buf: &mut Vec<u8>, tuple: &[Value]) {
     }
 }
 
-/// A bounds-checked little-endian reader over one record payload.
-struct PayloadReader<'a> {
+/// A bounds-checked little-endian reader over one record or checkpoint
+/// payload.
+pub(crate) struct PayloadReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> PayloadReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "payload truncated: wanted {n} bytes at {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        PayloadReader { bytes, pos: 0 }
+    }
+
+    fn truncated(&self, n: usize) -> String {
+        format!(
+            "payload truncated: wanted {n} bytes at {}, have {}",
+            self.pos,
+            self.bytes.len() - self.pos
+        )
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let taken = self.bytes[self.pos..]
+            .get(..n)
+            .ok_or_else(|| self.truncated(n))?;
         self.pos += n;
-        Ok(s)
+        Ok(taken)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let taken = self.bytes[self.pos..]
+            .first_chunk()
+            .ok_or_else(|| self.truncated(N))?;
+        self.pos += N;
+        Ok(*taken)
     }
 
     fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        self.array().map(u16::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn name(&mut self) -> Result<String, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    pub(crate) fn name(&mut self) -> Result<String, String> {
         let len = self.u16()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| "relation name is not UTF-8".to_string())
@@ -179,10 +196,15 @@ impl<'a> PayloadReader<'a> {
         Ok(tuple)
     }
 
-    fn done(&self) -> Result<(), String> {
+    /// The bytes not yet consumed.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.bytes[self.pos..]
+    }
+
+    pub(crate) fn done(&self) -> Result<(), String> {
         if self.pos != self.bytes.len() {
             return Err(format!(
-                "trailing garbage: {} bytes after op",
+                "trailing garbage: {} bytes",
                 self.bytes.len() - self.pos
             ));
         }
@@ -222,13 +244,10 @@ impl WalOp {
     }
 
     /// Decode one record payload. The error is a human-readable reason;
-    /// [`replay`] treats any failure as a torn tail.
+    /// [`replay_bytes_from`] treats any failure as a torn tail.
     pub fn decode(payload: &[u8]) -> Result<WalOp, String> {
-        let mut r = PayloadReader {
-            bytes: payload,
-            pos: 0,
-        };
-        let tag = *r.take(1)?.first().expect("len 1");
+        let mut r = PayloadReader::new(payload);
+        let [tag] = r.array()?;
         let op = match tag {
             TAG_INSERT => WalOp::Insert {
                 relation: r.name()?,
@@ -263,14 +282,14 @@ impl WalOp {
     }
 }
 
-/// Deterministic fault injection for the durability path, parsed from the
-/// `WCOJ_FAULT` environment variable (comma-separated directives) or built
-/// directly by tests:
+/// Deterministic fault injection for the durability path, built directly by
+/// tests or [parsed](FaultPlan::parse) from comma-separated directives (the
+/// crash harness's `--fault` flag):
 ///
 /// * `fsync_fail:N` — the Nth fsync (1-based) fails and poisons the writer;
 /// * `torn:K` — the write that would carry the log past absolute byte offset
-///   `K` stops at `K` (a torn write) and poisons the writer (for segmented
-///   logs the offset counts across segments, oldest first);
+///   `K` stops at `K` (a torn write) and poisons the writer (the offset counts
+///   across the surviving segments, oldest first);
 /// * `ckpt_torn:K` — a checkpoint file write stops after `K` bytes, as a
 ///   crash mid-checkpoint would leave it (see [`segmented::write_checkpoint`]);
 /// * `seal_delay:MS` — the service layer sleeps `MS` milliseconds before
@@ -278,7 +297,7 @@ impl WalOp {
 ///
 /// Poisoning mirrors the only safe interpretation of a real fsync/write
 /// failure: the log's durable tail is unknown, so every later append fails
-/// until recovery truncates and reopens the file.
+/// until recovery truncates and reopens the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Fail the Nth fsync (1-based), then poison the writer.
@@ -292,7 +311,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parse a `WCOJ_FAULT` directive string (e.g. `"fsync_fail:2,torn:96"`).
+    /// Parse a directive string (e.g. `"fsync_fail:2,torn:96"`).
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for directive in spec.split(',') {
@@ -317,295 +336,28 @@ impl FaultPlan {
         Ok(plan)
     }
 
-    /// The plan from `WCOJ_FAULT`, or the all-off default when the variable is
-    /// unset or unparsable (a debugging knob must never take the process down).
-    pub fn from_env() -> FaultPlan {
-        std::env::var("WCOJ_FAULT")
-            .ok()
-            .and_then(|spec| FaultPlan::parse(&spec).ok())
-            .unwrap_or_default()
-    }
-
     /// Whether any fault is armed.
     pub fn is_armed(&self) -> bool {
         *self != FaultPlan::default()
     }
 }
 
-/// Appends length-prefixed, checksummed [`WalOp`] records to a log file.
-/// Records are written immediately (so a crash leaves a realistic partial
-/// batch on disk); [`WalWriter::commit`] appends the batch's commit marker and
-/// fsyncs. After any I/O failure — real or injected — the writer is poisoned:
-/// the durable tail is unknown, so every later call fails until the log is
-/// [`recover`]ed and reopened.
-#[derive(Debug)]
-pub struct WalWriter {
-    file: File,
-    /// Bytes successfully handed to the OS so far (the torn-fault ruler).
-    offset: u64,
-    /// Fsyncs attempted so far (the fsync-fault ruler).
-    fsyncs: u64,
-    /// Committed batches so far; the next commit marker carries `committed + 1`.
-    committed: u64,
-    /// Ops logged since the last commit marker.
-    pending_ops: u64,
-    fault: FaultPlan,
-    poisoned: bool,
-}
-
-impl WalWriter {
-    /// Create (truncating) a fresh log at `path`, with faults from
-    /// [`FaultPlan::from_env`].
-    pub fn create(path: impl AsRef<Path>) -> Result<WalWriter, StorageError> {
-        Self::create_with_fault(path, FaultPlan::from_env())
-    }
-
-    /// [`WalWriter::create`] with an explicit fault plan (tests).
-    pub fn create_with_fault(
-        path: impl AsRef<Path>,
-        fault: FaultPlan,
-    ) -> Result<WalWriter, StorageError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(WalWriter {
-            file,
-            offset: 0,
-            fsyncs: 0,
-            committed: 0,
-            pending_ops: 0,
-            fault,
-            poisoned: false,
-        })
-    }
-
-    /// Reopen a log for appending after [`recover`] truncated it: positions at
-    /// the end and resumes the commit sequence from `committed` (the number of
-    /// batches recovery replayed). Faults come from [`FaultPlan::from_env`].
-    pub fn append_to(path: impl AsRef<Path>, committed: u64) -> Result<WalWriter, StorageError> {
-        Self::append_to_with_fault(path, committed, FaultPlan::from_env())
-    }
-
-    /// [`WalWriter::append_to`] with an explicit fault plan (tests).
-    pub fn append_to_with_fault(
-        path: impl AsRef<Path>,
-        committed: u64,
-        fault: FaultPlan,
-    ) -> Result<WalWriter, StorageError> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(path)?;
-        let offset = file.seek(SeekFrom::End(0))?;
-        Ok(WalWriter {
-            file,
-            offset,
-            fsyncs: 0,
-            committed,
-            pending_ops: 0,
-            fault,
-            poisoned: false,
-        })
-    }
-
-    /// Bytes handed to the OS so far.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Batches committed through this writer (plus whatever it resumed from).
-    pub fn committed(&self) -> u64 {
-        self.committed
-    }
-
-    /// Ops logged since the last commit marker.
-    pub fn pending_ops(&self) -> u64 {
-        self.pending_ops
-    }
-
-    /// Fsyncs attempted through this writer (the fsync-fault ruler).
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs
-    }
-
-    /// Whether a prior failure poisoned the writer.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Replace the fault plan (tests re-arm between scenarios).
-    pub fn set_fault(&mut self, fault: FaultPlan) {
-        self.fault = fault;
-    }
-
-    fn check_poisoned(&self) -> Result<(), StorageError> {
-        if self.poisoned {
-            return Err(StorageError::Io(
-                "wal writer is poisoned by an earlier failure; recover the log first".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Write `bytes` through the torn-write fault filter, poisoning on any
-    /// short or failed write.
-    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
-        if let Some(k) = self.fault.torn_write_at {
-            if self.offset + bytes.len() as u64 > k {
-                let keep = k.saturating_sub(self.offset) as usize;
-                let res = self.file.write_all(&bytes[..keep]).and_then(|_| {
-                    // a torn write is only observable once it reaches the disk
-                    self.file.sync_data()
-                });
-                self.poisoned = true;
-                res?;
-                self.offset += keep as u64;
-                return Err(StorageError::FaultInjected(format!(
-                    "torn write at byte {k}"
-                )));
-            }
-        }
-        if let Err(e) = self.file.write_all(bytes) {
-            self.poisoned = true;
-            return Err(e.into());
-        }
-        self.offset += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn fsync(&mut self) -> Result<(), StorageError> {
-        self.fsyncs += 1;
-        if self.fault.fail_fsync_at == Some(self.fsyncs) {
-            self.poisoned = true;
-            return Err(StorageError::FaultInjected(format!(
-                "fsync {} failed",
-                self.fsyncs
-            )));
-        }
-        if let Err(e) = self.file.sync_data() {
-            self.poisoned = true;
-            return Err(e.into());
-        }
-        Ok(())
-    }
-
-    fn write_record(&mut self, op: &WalOp) -> Result<(), StorageError> {
-        let mut framed = Vec::with_capacity(64);
-        frame_into(&mut framed, op);
-        self.write_all(&framed)
-    }
-
-    /// Append one op record (unsynced — durability comes from the batch's
-    /// [`WalWriter::commit`]). Logging a [`WalOp::Commit`] directly is a
-    /// contract violation and is rejected.
-    pub fn log(&mut self, op: &WalOp) -> Result<(), StorageError> {
-        self.check_poisoned()?;
-        if matches!(op, WalOp::Commit { .. }) {
-            return Err(StorageError::Io(
-                "commit markers are written by WalWriter::commit, not log()".into(),
-            ));
-        }
-        self.write_record(op)?;
-        self.pending_ops += 1;
-        Ok(())
-    }
-
-    /// Commit the batch: append the commit marker and fsync. Returns the
-    /// batch's sequence number. Committing with no pending ops is a no-op
-    /// (no marker written) and returns the current committed count.
-    pub fn commit(&mut self) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops == 0 {
-            return Ok(self.committed);
-        }
-        let seq = self.commit_unsynced()?;
-        self.sync()?;
-        Ok(seq)
-    }
-
-    /// Append the batch's commit marker **without** fsyncing — the group-commit
-    /// half-step: a leader writes one marker per coalesced batch, then makes
-    /// the whole group durable with a single [`WalWriter::sync`]. The returned
-    /// sequence number is provisional until that sync succeeds; a sync failure
-    /// poisons the writer, so the unacknowledged markers can never be followed
-    /// by later appends. Committing with no pending ops is a no-op (no marker
-    /// written) and returns the current committed count.
-    pub fn commit_unsynced(&mut self) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops == 0 {
-            return Ok(self.committed);
-        }
-        let seq = self.committed + 1;
-        self.write_record(&WalOp::Commit { seq })?;
-        self.committed = seq;
-        self.pending_ops = 0;
-        Ok(seq)
-    }
-
-    /// Append a whole batch — every op frame plus its commit marker — with a
-    /// **single buffered write**, unsynced. The hot half of the group-commit
-    /// write path: per-op [`WalWriter::log`] costs one `write(2)` per record,
-    /// which dominates the leader's serial CPU once the fsync is amortized
-    /// across the group; this folds an entire batch into one syscall. The
-    /// frame format is byte-identical to `log` + [`WalWriter::commit_unsynced`],
-    /// so replay and the byte-ruler fault filters see the same stream. Only
-    /// legal with no pending ops (mixing the two styles mid-batch would
-    /// interleave markers); an empty batch is a no-op like `commit_unsynced`.
-    pub fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
-        self.check_poisoned()?;
-        if self.pending_ops != 0 {
-            return Err(StorageError::Io(
-                "commit_batch_unsynced with ops pending; close the open batch first".into(),
-            ));
-        }
-        if ops.is_empty() {
-            return Ok(self.committed);
-        }
-        let seq = self.committed + 1;
-        let mut framed = Vec::with_capacity(ops.len() * 48 + 32);
-        for op in ops {
-            if matches!(op, WalOp::Commit { .. }) {
-                return Err(StorageError::Io(
-                    "commit markers are written by the batch append, not passed to it".into(),
-                ));
-            }
-            frame_into(&mut framed, op);
-        }
-        frame_into(&mut framed, &WalOp::Commit { seq });
-        self.write_all(&framed)?;
-        self.committed = seq;
-        Ok(seq)
-    }
-
-    /// Fsync the log file — the durability barrier closing a
-    /// [`WalWriter::commit_unsynced`] group. Honors the `fsync_fail` fault and
-    /// poisons the writer on failure, exactly like the fsync inside
-    /// [`WalWriter::commit`].
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.check_poisoned()?;
-        self.fsync()
-    }
-}
-
 /// Append one length-prefixed, CRC-guarded frame for `op` to `buf`.
-fn frame_into(buf: &mut Vec<u8>, op: &WalOp) {
+pub(crate) fn frame_into(buf: &mut Vec<u8>, op: &WalOp) {
     let payload = op.encode();
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(&payload).to_le_bytes());
     buf.extend_from_slice(&payload);
 }
 
-/// What [`replay`] found in a log file.
+/// What [`replay_bytes_from`] found in one segment's bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalReplay {
     /// The committed batches, in commit order; each batch's ops in log order.
     pub batches: Vec<Vec<WalOp>>,
     /// Byte offset just past the last commit marker — the durable prefix.
     pub valid_bytes: u64,
-    /// Total file size; `valid_bytes < file_bytes` means a tail was dropped.
+    /// Total image size; `valid_bytes < file_bytes` means a tail was dropped.
     pub file_bytes: u64,
     /// Why the tail (if any) was dropped: human-readable, `None` for a clean
     /// log that ends exactly on a commit marker.
@@ -617,22 +369,12 @@ impl WalReplay {
     pub fn torn(&self) -> bool {
         self.valid_bytes < self.file_bytes
     }
-
-    /// Total ops across the committed batches (markers excluded).
-    pub fn num_ops(&self) -> usize {
-        self.batches.iter().map(Vec::len).sum()
-    }
 }
 
-/// Scan the committed batches out of a log's bytes (the pure core of
-/// [`replay`], shared with tests that fuzz byte prefixes directly).
-pub fn replay_bytes(bytes: &[u8]) -> WalReplay {
-    replay_bytes_from(bytes, 1)
-}
-
-/// [`replay_bytes`] for a log whose first commit marker carries `first_seq`
-/// instead of 1 — the per-segment scan of a [`segmented`] log, where each
-/// segment continues the global batch sequence where its predecessor stopped.
+/// Scan the committed batches out of one segment's bytes: `first_seq` is the
+/// sequence its first commit marker must carry (the number in the segment's
+/// file name), and every later marker continues from there. Pure — recovery
+/// and the byte-level property tests share it.
 pub fn replay_bytes_from(bytes: &[u8], first_seq: u64) -> WalReplay {
     let file_bytes = bytes.len() as u64;
     let mut batches = Vec::new();
@@ -648,12 +390,12 @@ pub fn replay_bytes_from(bytes: &[u8], first_seq: u64) -> WalReplay {
             break;
         }
         let at = pos as u64;
-        if bytes.len() - pos < 8 {
+        let Some(&[l0, l1, l2, l3, c0, c1, c2, c3]) = bytes[pos..].first_chunk() else {
             tail_reason = Some(format!("truncated record header at byte {at}"));
             break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("len 4"));
+        };
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
         if len > MAX_RECORD_BYTES {
             tail_reason = Some(format!("implausible record length {len} at byte {at}"));
             break;
@@ -677,7 +419,7 @@ pub fn replay_bytes_from(bytes: &[u8], first_seq: u64) -> WalReplay {
         pos += 8 + len as usize;
         match op {
             WalOp::Commit { seq } => {
-                if seq != first_seq + batches.len() as u64 {
+                if first_seq.checked_add(batches.len() as u64) != Some(seq) {
                     tail_reason = Some(format!(
                         "commit sequence jumped to {seq} after {} batches at byte {at}",
                         batches.len()
@@ -698,39 +440,14 @@ pub fn replay_bytes_from(bytes: &[u8], first_seq: u64) -> WalReplay {
     }
 }
 
-/// Read a log file and return its committed batches, dropping (but not yet
-/// truncating) any torn tail. A missing file replays as empty — creating the
-/// log lazily on first write is fine.
-pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, StorageError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
-    Ok(replay_bytes(&bytes))
-}
-
-/// [`replay`], then truncate the file to the durable prefix so a
-/// [`WalWriter::append_to`] can resume cleanly. This is the recovery entry the
-/// service layer calls on startup.
-pub fn recover(path: impl AsRef<Path>) -> Result<WalReplay, StorageError> {
-    let replayed = replay(&path)?;
-    if replayed.torn() {
-        let file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(replayed.valid_bytes)?;
-        file.sync_data()?;
-    }
-    Ok(replayed)
-}
-
 #[cfg(test)]
 mod tests {
+    use super::segmented::{recover_dir, write_checkpoint, DirRecovery, SegmentedWal};
     use super::*;
+    use crate::error::StorageError;
+    use std::path::{Path, PathBuf};
 
-    fn temp_path(tag: &str) -> std::path::PathBuf {
+    fn temp_dir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!(
             "wcoj-wal-{tag}-{}-{}",
@@ -745,6 +462,25 @@ mod tests {
             relation: rel.into(),
             tuple: t.to_vec(),
         }
+    }
+
+    /// Recover `dir` and open its writer (no rotation) under `fault`.
+    fn open(dir: &Path, fault: FaultPlan) -> (DirRecovery, SegmentedWal) {
+        let rec = recover_dir(dir).unwrap();
+        let w = SegmentedWal::open(dir, &rec, u64::MAX, fault).unwrap();
+        (rec, w)
+    }
+
+    /// One durable batch: the whole write path.
+    fn append_synced(w: &mut SegmentedWal, ops: &[WalOp]) -> Result<u64, StorageError> {
+        let seq = w.commit_batch_unsynced(ops)?;
+        w.sync()?;
+        Ok(seq)
+    }
+
+    /// The scan of the log's first segment.
+    fn replay_first_segment(dir: &Path) -> WalReplay {
+        replay_bytes_from(&std::fs::read(dir.join("wal.000001")).unwrap(), 1)
     }
 
     #[test]
@@ -782,76 +518,72 @@ mod tests {
 
     #[test]
     fn write_then_replay_roundtrips_batches() {
-        let path = temp_path("roundtrip");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
-        w.log(&WalOp::Seal {
+        let dir = temp_dir("roundtrip");
+        let (_, mut w) = open(&dir, FaultPlan::default());
+        let first = [ins("E", &[1, 2]), ins("E", &[3, 4])];
+        assert_eq!(append_synced(&mut w, &first).unwrap(), 1);
+        let seal = WalOp::Seal {
             relation: "E".into(),
-        })
-        .unwrap();
-        assert_eq!(w.commit().unwrap(), 2);
-        // empty commit: no marker, sequence unchanged
-        assert_eq!(w.commit().unwrap(), 2);
+        };
+        assert_eq!(append_synced(&mut w, &[seal]).unwrap(), 2);
+        // empty batch: no marker, sequence unchanged
+        assert_eq!(append_synced(&mut w, &[]).unwrap(), 2);
+        // a commit marker is the writer's to place, never the caller's
+        assert!(w
+            .commit_batch_unsynced(&[WalOp::Commit { seq: 3 }])
+            .is_err());
 
-        let replayed = replay(&path).unwrap();
+        let replayed = replay_first_segment(&dir);
         assert_eq!(replayed.batches.len(), 2);
-        assert_eq!(
-            replayed.batches[0],
-            vec![ins("E", &[1, 2]), ins("E", &[3, 4])]
-        );
+        assert_eq!(replayed.batches[0], first);
         assert!(!replayed.torn());
         assert_eq!(replayed.tail_reason, None);
-        assert_eq!(replayed.num_ops(), 3);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(replayed.batches[1].len(), 1);
+        assert_eq!(replayed.file_bytes, w.total_bytes());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn uncommitted_tail_is_dropped_and_recover_truncates() {
-        let path = temp_path("tail");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
-        w.log(&ins("E", &[5, 6])).unwrap(); // never committed
+        let dir = temp_dir("tail");
+        let (_, mut w) = open(&dir, FaultPlan::default());
+        append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap();
+        let durable = w.total_bytes();
         drop(w);
+        // a crash mid-batch: the op frame is on disk, its marker is not
+        let segment = dir.join("wal.000001");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        frame_into(&mut bytes, &ins("E", &[5, 6]));
+        std::fs::write(&segment, &bytes).unwrap();
 
-        let replayed = recover(&path).unwrap();
-        assert_eq!(replayed.batches.len(), 1);
-        assert!(replayed.torn());
-        assert!(replayed.tail_reason.unwrap().contains("uncommitted"));
-
-        // after recovery the file ends exactly on the commit marker and a
-        // writer can resume with a contiguous sequence
-        let mut w = WalWriter::append_to_with_fault(
-            &path,
-            replayed.batches.len() as u64,
-            FaultPlan::default(),
-        )
-        .unwrap();
-        w.log(&ins("E", &[7, 8])).unwrap();
-        assert_eq!(w.commit().unwrap(), 2);
-        let replayed = replay(&path).unwrap();
+        let (rec, mut w) = open(&dir, FaultPlan::default());
+        assert_eq!(rec.tail, vec![vec![ins("E", &[1, 2])]]);
+        assert!(rec.torn);
+        assert!(rec.tail_reason.unwrap().contains("uncommitted"));
+        // after recovery the segment ends exactly on the commit marker and
+        // the writer resumes with a contiguous sequence
+        assert_eq!(std::fs::metadata(&segment).unwrap().len(), durable);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[7, 8])]).unwrap(), 2);
+        let replayed = replay_first_segment(&dir);
         assert_eq!(replayed.batches.len(), 2);
         assert!(!replayed.torn());
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_byte_truncates_from_there() {
-        let path = temp_path("corrupt");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
+        let dir = temp_dir("corrupt");
+        let (_, mut w) = open(&dir, FaultPlan::default());
         for i in 0..4u64 {
-            w.log(&ins("E", &[i, i + 1])).unwrap();
-            w.commit().unwrap();
+            append_synced(&mut w, &[ins("E", &[i, i + 1])]).unwrap();
         }
-        let clean = replay(&path).unwrap();
+        let clean = replay_first_segment(&dir);
         assert_eq!(clean.batches.len(), 4);
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = std::fs::read(dir.join("wal.000001")).unwrap();
         // flip a byte inside batch 3's record
         let target = (clean.valid_bytes / 2) as usize;
         bytes[target] ^= 0xFF;
-        let replayed = replay_bytes(&bytes);
+        let replayed = replay_bytes_from(&bytes, 1);
         assert!(replayed.batches.len() < 4);
         assert!(replayed.torn() || replayed.tail_reason.is_some());
         // the surviving batches are a strict prefix of the clean ones
@@ -859,53 +591,56 @@ mod tests {
             replayed.batches[..],
             clean.batches[..replayed.batches.len()]
         );
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn injected_fsync_failure_poisons_the_writer() {
-        let path = temp_path("fsync-fault");
-        let fault = FaultPlan::parse("fsync_fail:2").unwrap();
-        let mut w = WalWriter::create_with_fault(&path, fault).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
-        w.log(&ins("E", &[3, 4])).unwrap();
-        let err = w.commit().unwrap_err();
+        let dir = temp_dir("fsync-fault");
+        let (_, mut w) = open(&dir, FaultPlan::parse("fsync_fail:2").unwrap());
+        assert_eq!(append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap(), 1);
+        let err = append_synced(&mut w, &[ins("E", &[3, 4])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
-        assert!(w.log(&ins("E", &[5, 6])).is_err(), "poisoned writer");
+        assert!(
+            w.commit_batch_unsynced(&[ins("E", &[5, 6])]).is_err(),
+            "poisoned writer"
+        );
+        assert!(w.sync().is_err(), "poisoned writer");
         // batch 2's marker reached the file but its durability was never
         // acknowledged; replay may surface it or not — what recovery must
         // guarantee is that batch 1 survives and nothing partial appears
-        let replayed = replay(&path).unwrap();
-        assert!(!replayed.batches.is_empty());
-        assert_eq!(replayed.batches[0], vec![ins("E", &[1, 2])]);
-        std::fs::remove_file(&path).ok();
+        let rec = recover_dir(&dir).unwrap();
+        assert!(!rec.tail.is_empty());
+        assert_eq!(rec.tail[0], vec![ins("E", &[1, 2])]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn injected_torn_write_truncates_mid_record() {
-        let path = temp_path("torn-fault");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
-        let cut = w.offset() + 5; // mid-way through the next record
-        w.set_fault(FaultPlan {
-            torn_write_at: Some(cut),
-            ..FaultPlan::default()
-        });
-        let err = w.log(&ins("E", &[3, 4])).unwrap_err();
+        let dir = temp_dir("torn-fault");
+        let (_, mut w) = open(&dir, FaultPlan::default());
+        append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap();
+        let cut = w.total_bytes() + 5; // mid-way through the next record
+        drop(w);
+        let (_, mut w) = open(
+            &dir,
+            FaultPlan {
+                torn_write_at: Some(cut),
+                ..FaultPlan::default()
+            },
+        );
+        let err = w.commit_batch_unsynced(&[ins("E", &[3, 4])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), cut);
-        let replayed = recover(&path).unwrap();
-        assert_eq!(replayed.batches.len(), 1);
-        assert!(replayed.torn());
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            replayed.valid_bytes
-        );
-        std::fs::remove_file(&path).ok();
+        let segment = dir.join("wal.000001");
+        assert_eq!(std::fs::metadata(&segment).unwrap().len(), cut);
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!(rec.committed, 1);
+        assert!(rec.torn);
+        assert_eq!(std::fs::metadata(&segment).unwrap().len(), rec.wal_bytes);
+        assert_eq!(rec.wal_bytes, cut - 5);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -925,38 +660,39 @@ mod tests {
 
     #[test]
     fn group_of_unsynced_commits_closes_with_one_sync() {
-        let path = temp_path("group");
-        let mut w = WalWriter::create_with_fault(&path, FaultPlan::default()).unwrap();
+        let dir = temp_dir("group");
+        // the fsync ruler is the witness: were a batch append a barrier of
+        // its own, the armed 2nd fsync would fire inside the first group
+        let (_, mut w) = open(&dir, FaultPlan::parse("fsync_fail:2").unwrap());
         for i in 0..3u64 {
-            w.log(&ins("E", &[i, i + 1])).unwrap();
-            assert_eq!(w.commit_unsynced().unwrap(), i + 1);
+            let seq = w.commit_batch_unsynced(&[ins("E", &[i, i + 1])]).unwrap();
+            assert_eq!(seq, i + 1);
         }
-        w.sync().unwrap();
-        assert_eq!(w.fsyncs(), 1, "three batches, one durability barrier");
-        let replayed = replay(&path).unwrap();
+        w.sync().unwrap(); // three batches, one durability barrier
+        let replayed = replay_first_segment(&dir);
         assert_eq!(replayed.batches.len(), 3);
         assert!(!replayed.torn());
         // a failed group sync poisons the writer: the unacked markers can
         // never be followed by later appends
-        w.log(&ins("E", &[9, 9])).unwrap();
-        w.commit_unsynced().unwrap();
-        w.set_fault(FaultPlan::parse("fsync_fail:2").unwrap());
+        w.commit_batch_unsynced(&[ins("E", &[9, 9])]).unwrap();
         assert!(w.sync().is_err());
         assert!(w.is_poisoned());
-        assert!(w.log(&ins("E", &[10, 10])).is_err());
-        std::fs::remove_file(&path).ok();
+        assert!(w.commit_batch_unsynced(&[ins("E", &[10, 10])]).is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn replay_from_offset_sequence() {
-        let path = temp_path("from-seq");
-        // a segment whose first batch is global seq 5
-        let mut w = WalWriter::append_to_with_fault(&path, 4, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 5);
-        w.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w.commit().unwrap(), 6);
-        let bytes = std::fs::read(&path).unwrap();
+        let dir = temp_dir("from-seq");
+        // a checkpoint covering 1..=4 with no segment behind it: the writer
+        // starts a segment whose first batch is global seq 5
+        std::fs::create_dir_all(&dir).unwrap();
+        write_checkpoint(&dir, 4, &[], &FaultPlan::default()).unwrap();
+        let (rec, mut w) = open(&dir, FaultPlan::default());
+        assert_eq!((rec.committed, rec.last_segment), (4, None));
+        assert_eq!(append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap(), 5);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[3, 4])]).unwrap(), 6);
+        let bytes = std::fs::read(dir.join("wal.000005")).unwrap();
         let replayed = replay_bytes_from(&bytes, 5);
         assert_eq!(replayed.batches.len(), 2);
         assert!(!replayed.torn());
@@ -964,14 +700,6 @@ mod tests {
         let wrong = replay_bytes_from(&bytes, 1);
         assert!(wrong.batches.is_empty());
         assert!(wrong.tail_reason.unwrap().contains("jumped"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_replays_empty() {
-        let replayed = replay(temp_path("never-created")).unwrap();
-        assert!(replayed.batches.is_empty());
-        assert_eq!(replayed.file_bytes, 0);
-        assert!(!replayed.torn());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,17 +1,23 @@
-//! Segmented write-ahead logs with checkpointing: bounded recovery time.
+//! The write-ahead log: a directory of rotated segments plus checkpoints, its
+//! one writer, and recovery bounded by the tail after the newest checkpoint.
 //!
-//! A single-file WAL replays its **entire history** at startup, so recovery
-//! time grows without bound as the service runs. This module applies the
-//! classical fix (ARIES-style fuzzy checkpoints over a rotated log):
+//! A log that is only ever appended to replays its **entire history** at
+//! startup, so recovery time grows without bound as the service runs. This
+//! module applies the classical fix (ARIES-style fuzzy checkpoints over a
+//! rotated log):
 //!
 //! * **Segments.** The log is a directory of files `wal.000001`, `wal.000047`,
 //!   … — each named by the global sequence number of the *first* batch it
-//!   holds. [`SegmentedWal`] appends to the newest segment and rotates to a
-//!   fresh one once the current file crosses a size threshold
-//!   (`WCOJ_WAL_SEGMENT_BYTES`, default 64 MiB), always at a batch boundary:
-//!   records never straddle segments, and every segment's commit markers
-//!   continue the global sequence exactly where its predecessor stopped
-//!   ([`crate::wal::replay_bytes_from`] verifies this per segment).
+//!   holds (sequences start at 1, so a file numbered 0 is not a segment).
+//!   [`SegmentedWal`] is the only writer: a batch is one buffered `write`
+//!   ([`SegmentedWal::commit_batch_unsynced`]), a group of batches becomes
+//!   durable with one `fdatasync` ([`SegmentedWal::sync`]), and the writer
+//!   rotates to a fresh segment once the current file crosses its size
+//!   threshold ([`DEFAULT_SEGMENT_BYTES`] unless the caller says otherwise),
+//!   always between synced batches: records never straddle segments, and
+//!   every segment's commit markers continue the global sequence exactly
+//!   where its predecessor stopped ([`replay_bytes_from`] verifies this per
+//!   segment).
 //! * **Checkpoints.** [`write_checkpoint`] persists an opaque per-relation
 //!   state blob (the service serializes each delta relation from an MVCC
 //!   snapshot, so the writer is never stalled) as `ckpt.000047`, named by the
@@ -24,38 +30,26 @@
 //!   (a torn or corrupt one — e.g. via the `ckpt_torn` [`FaultPlan`]
 //!   directive — is discarded and recovery falls back to the previous
 //!   checkpoint plus a longer tail), then replays segments in sequence order,
-//!   skipping batches the checkpoint covers, tolerating a torn tail in the
-//!   last segment exactly like the single-file [`crate::wal::recover`], and
-//!   cutting (with the reason surfaced) at any gap the checkpoint does not
-//!   cover.
+//!   skipping batches the checkpoint covers, truncating a torn tail off the
+//!   last segment so the writer resumes on a marker boundary, and cutting
+//!   (with the reason surfaced) at any gap the checkpoint does not cover.
 //!
-//! The crash-ordering discipline mirrors the single-file log: a batch is
-//! acknowledged only after its commit marker is fsynced; a checkpoint's file
-//! *and* directory entry are fsynced before any segment it covers is deleted;
-//! so at every kill point the union of (newest durable checkpoint, surviving
-//! segments) reconstructs exactly the acknowledged prefix.
+//! The crash-ordering discipline: a batch is acknowledged only after its
+//! commit marker is fsynced; a checkpoint's file *and* directory entry are
+//! fsynced before any segment it covers is deleted; so at every kill point
+//! the union of (newest durable checkpoint, surviving segments) reconstructs
+//! exactly the acknowledged prefix. After any I/O failure — real or injected
+//! — the writer is **poisoned**: the durable tail is unknown, so every later
+//! call fails until the directory is recovered and reopened.
 
-use super::{replay_bytes_from, FaultPlan, WalOp, WalWriter};
+use super::{crc32, frame_into, replay_bytes_from, FaultPlan, PayloadReader, WalOp};
 use crate::error::StorageError;
-use crate::wal::crc32;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Default segment-rotation threshold (bytes) when `WCOJ_WAL_SEGMENT_BYTES`
-/// is unset.
+/// Default segment-rotation threshold (bytes).
 pub const DEFAULT_SEGMENT_BYTES: u64 = 64 << 20;
-
-/// The rotation threshold from `WCOJ_WAL_SEGMENT_BYTES`, or
-/// [`DEFAULT_SEGMENT_BYTES`] when unset/unparsable. Clamped to ≥ 1 so `0`
-/// cannot force a rotation per batch with empty segments in between.
-pub fn segment_bytes_from_env() -> u64 {
-    std::env::var("WCOJ_WAL_SEGMENT_BYTES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|v| v.max(1))
-        .unwrap_or(DEFAULT_SEGMENT_BYTES)
-}
 
 /// `wal.{first_seq:06}` — segments sort by name iff they sort by sequence
 /// (within six digits; parsing is numeric, so wider numbers stay correct).
@@ -99,6 +93,14 @@ fn list_numbered(dir: &Path, prefix: &str) -> Result<Vec<(u64, PathBuf)>, Storag
     }
     out.sort_unstable_by_key(|&(n, _)| n);
     Ok(out)
+}
+
+/// The segment files of `dir`, oldest first. Sequences start at 1, so a file
+/// numbered 0 is a stray, not a segment: no batch could ever live in it.
+fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StorageError> {
+    let mut segments = list_numbered(dir, "wal.")?;
+    segments.retain(|&(start, _)| start > 0);
+    Ok(segments)
 }
 
 const CKPT_MAGIC: &[u8; 8] = b"WCOJCKPT";
@@ -146,22 +148,19 @@ fn encode_checkpoint(seq: u64, relations: &[(String, Vec<u8>)]) -> Vec<u8> {
 /// file is unusable — recovery treats any failure as "this checkpoint never
 /// finished" and falls back to the previous one.
 fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
-    let header = 8 + 4 + 8 + 8 + 4;
-    if bytes.len() < header {
-        return Err(format!("truncated header: {} bytes", bytes.len()));
-    }
-    if &bytes[..8] != CKPT_MAGIC {
+    let mut header = PayloadReader::new(bytes);
+    if header.take(CKPT_MAGIC.len())? != CKPT_MAGIC {
         return Err("bad magic".into());
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("len 4"));
+    let version = header.u32()?;
     if version != CKPT_VERSION {
         return Err(format!("unknown version {version}"));
     }
-    let seq = u64::from_le_bytes(bytes[12..20].try_into().expect("len 8"));
-    let payload_len = u64::from_le_bytes(bytes[20..28].try_into().expect("len 8")) as usize;
-    let crc = u32::from_le_bytes(bytes[28..32].try_into().expect("len 4"));
-    let payload = &bytes[header..];
-    if payload.len() != payload_len {
+    let seq = header.u64()?;
+    let payload_len = header.u64()?;
+    let crc = header.u32()?;
+    let payload = header.rest();
+    if payload.len() as u64 != payload_len {
         return Err(format!(
             "payload truncated: declared {payload_len}, have {}",
             payload.len()
@@ -170,28 +169,14 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
     if crc32(payload) != crc {
         return Err("payload checksum mismatch".into());
     }
+    let mut r = PayloadReader::new(payload);
     let mut relations = Vec::new();
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-        if payload.len() - *pos < n {
-            return Err(format!("payload underrun at {}", *pos));
-        }
-        let s = &payload[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len 4"));
-    for _ in 0..count {
-        let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().expect("len 2")) as usize;
-        let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
-            .map_err(|_| "relation name is not UTF-8".to_string())?;
-        let state_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("len 8")) as usize;
-        let state = take(&mut pos, state_len)?.to_vec();
-        relations.push((name, state));
+    for _ in 0..r.u32()? {
+        let name = r.name()?;
+        let state_len = usize::try_from(r.u64()?).map_err(|_| "state length overflows")?;
+        relations.push((name, r.take(state_len)?.to_vec()));
     }
-    if pos != payload.len() {
-        return Err(format!("trailing garbage: {} bytes", payload.len() - pos));
-    }
+    r.done()?;
     Ok(Checkpoint { seq, relations })
 }
 
@@ -262,7 +247,7 @@ pub fn gc_checkpoint(dir: &Path, keep_seq: u64) -> Result<GcReport, StorageError
             report.checkpoints_deleted += 1;
         }
     }
-    let segments = list_numbered(dir, "wal.")?;
+    let segments = list_segments(dir)?;
     for window in segments.windows(2) {
         let (_, ref path) = window[0];
         let (next_start, _) = window[1];
@@ -315,11 +300,6 @@ impl DirRecovery {
     pub fn checkpoint_seq(&self) -> u64 {
         self.checkpoint.as_ref().map(|c| c.seq).unwrap_or(0)
     }
-
-    /// Ops across the tail batches (what recovery must re-apply).
-    pub fn num_tail_ops(&self) -> usize {
-        self.tail.iter().map(Vec::len).sum()
-    }
 }
 
 /// Recover a segmented log directory: pick the newest valid checkpoint
@@ -330,20 +310,26 @@ impl DirRecovery {
 /// [module docs](self) for the invariants.
 pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
     fs::create_dir_all(dir)?;
-    // 1. newest CRC-valid checkpoint wins; unusable ones are deleted so a
-    //    retried checkpoint at the same sequence starts clean
+    // 1. newest usable checkpoint wins; unusable ones are deleted so a
+    //    retried checkpoint at the same sequence starts clean. The header's
+    //    sequence is outside the payload CRC, so it must also match the name.
     let mut checkpoint = None;
-    let mut ckpt_reason = None;
-    for (_, path) in list_numbered(dir, "ckpt.")?.into_iter().rev() {
-        if checkpoint.is_some() {
-            break;
-        }
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        match decode_checkpoint(&bytes) {
-            Ok(c) => checkpoint = Some(c),
+    let mut tail_reason = None;
+    for (named, path) in list_numbered(dir, "ckpt.")?.into_iter().rev() {
+        let decoded = decode_checkpoint(&fs::read(&path)?).and_then(|c| {
+            if c.seq == named {
+                Ok(c)
+            } else {
+                Err(format!("covers sequence {}, not the one it names", c.seq))
+            }
+        });
+        match decoded {
+            Ok(c) => {
+                checkpoint = Some(c);
+                break;
+            }
             Err(reason) => {
-                ckpt_reason.get_or_insert(format!(
+                tail_reason.get_or_insert(format!(
                     "discarded checkpoint {}: {reason}",
                     path.file_name().and_then(|n| n.to_str()).unwrap_or("?")
                 ));
@@ -355,120 +341,82 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
 
     // 2. replay the segment chain; `reached` = the highest sequence whose
     //    state we can reconstruct (checkpoint-seeded, advanced per segment)
-    let segments = list_numbered(dir, "wal.")?;
+    struct Survivor {
+        path: PathBuf,
+        /// Last batch sequence committed in the segment (`start - 1` if none).
+        end: u64,
+        /// Bytes up to the segment's last commit marker.
+        valid_bytes: u64,
+        /// Bytes on disk.
+        size: u64,
+    }
+    let segments = list_segments(dir)?;
     let mut reached = ckpt_seq;
     let mut tail: Vec<Vec<WalOp>> = Vec::new();
-    let mut torn = ckpt_reason.is_some();
-    let mut tail_reason = ckpt_reason;
-    let mut surviving: Vec<(PathBuf, u64)> = Vec::new(); // (path, size after truncation)
-    let mut cut_at: Option<usize> = None;
+    let mut surviving: Vec<Survivor> = Vec::new();
     for (i, (start, path)) in segments.iter().enumerate() {
-        if *start > reached + 1 {
-            // batches reached+1..start-1 exist nowhere: cut here, exactly as
-            // single-file recovery truncates at mid-file corruption
-            torn = true;
+        // `list_segments` yields no 0, so `start - 1` cannot underflow
+        if start - 1 > reached {
+            // batches reached+1..start-1 exist nowhere: cut here, dropping
+            // this segment and everything after it
             tail_reason.get_or_insert(format!(
                 "sequence gap: segment {start} follows reconstructible prefix {reached}"
             ));
-            cut_at = Some(i);
+            for (_, path) in &segments[i..] {
+                fs::remove_file(path)?;
+            }
+            sync_dir(dir)?;
             break;
         }
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let rep = replay_bytes_from(&bytes, *start);
-        for (j, batch) in rep.batches.iter().enumerate() {
-            let seq = *start + j as u64;
-            if seq > reached {
-                debug_assert_eq!(
-                    seq,
-                    ckpt_seq + 1 + tail.len() as u64,
-                    "tail batches are contiguous from the checkpoint"
-                );
-                tail.push(batch.clone());
-            }
-        }
-        let end = *start + rep.batches.len() as u64 - 1; // start-1 when empty
-        reached = reached.max(end);
+        let rep = replay_bytes_from(&fs::read(path)?, *start);
+        let end = start - 1 + rep.batches.len() as u64;
         if rep.torn() {
-            if i + 1 < segments.len() {
-                // a torn middle segment: whatever follows is only usable if
-                // the checkpoint already covers the missing part — the gap
-                // check on the next iteration decides. Keep the file intact
-                // (truncation is only for the append target).
-                torn = true;
-                tail_reason.get_or_insert(
-                    rep.tail_reason
-                        .clone()
-                        .unwrap_or_else(|| "torn middle segment".into()),
-                );
-                surviving.push((path.clone(), rep.file_bytes));
-            } else {
-                // torn tail of the last segment: truncate so appends resume
-                // cleanly, exactly like single-file recovery
-                torn = true;
-                tail_reason.get_or_insert(rep.tail_reason.clone().unwrap_or_default());
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(rep.valid_bytes)?;
-                f.sync_data()?;
-                surviving.push((path.clone(), rep.valid_bytes));
-            }
-        } else {
-            surviving.push((path.clone(), rep.file_bytes));
+            // in a middle segment whatever follows is only usable if the
+            // checkpoint already covers the missing part — the gap check on
+            // the next iteration decides
+            tail_reason.get_or_insert(rep.tail_reason.unwrap_or_default());
         }
+        // batches the checkpoint (or an earlier segment) already covers are
+        // skipped, so the tail stays contiguous from the checkpoint
+        tail.extend(
+            (*start..)
+                .zip(rep.batches)
+                .filter(|&(seq, _)| seq > reached)
+                .map(|(_, batch)| batch),
+        );
+        reached = reached.max(end);
+        surviving.push(Survivor {
+            path: path.clone(),
+            end,
+            valid_bytes: rep.valid_bytes,
+            size: rep.file_bytes,
+        });
     }
-    if let Some(i) = cut_at {
-        for (_, path) in &segments[i..] {
-            fs::remove_file(path)?;
+    // the last survivor is where appends could resume: drop its torn tail so
+    // the writer starts on a marker boundary (earlier segments stay intact)
+    if let Some(last) = surviving.last_mut() {
+        if last.size > last.valid_bytes {
+            let f = OpenOptions::new().write(true).open(&last.path)?;
+            f.set_len(last.valid_bytes)?;
+            f.sync_data()?;
+            last.size = last.valid_bytes;
         }
-        // the cut makes the previous segment the append target: drop its own
-        // torn tail (if any) so the writer resumes on a marker boundary
-        if let Some((path, size)) = surviving.last_mut() {
-            let mut bytes = Vec::new();
-            File::open(&*path)?.read_to_end(&mut bytes)?;
-            let start = segments[i - 1].0;
-            let rep = replay_bytes_from(&bytes, start);
-            if rep.torn() {
-                let f = OpenOptions::new().write(true).open(&*path)?;
-                f.set_len(rep.valid_bytes)?;
-                f.sync_data()?;
-                *size = rep.valid_bytes;
-            }
-        }
-        sync_dir(dir)?;
     }
 
     // 3. the append target: the last surviving segment, but only if the
     //    global sequence actually ends inside it — when the checkpoint is
     //    ahead of every segment, appending would splice a sequence jump, so
     //    a fresh segment must be started instead
-    let last_end_matches = match surviving.last() {
-        Some((path, _)) => {
-            // reconstruct this segment's end from its name + replay count:
-            // cheaper to thread through, but recompute keeps the loop simple
-            let start = segments
-                .iter()
-                .find(|(_, p)| p == path)
-                .map(|(s, _)| *s)
-                .expect("surviving paths come from the listing");
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            let rep = replay_bytes_from(&bytes, start);
-            start + rep.batches.len() as u64 - 1 == reached
-        }
-        None => false,
-    };
-    let wal_bytes: u64 = surviving.iter().map(|&(_, s)| s).sum();
-    let (last_segment, bytes_before_last) = if last_end_matches {
-        let (path, size) = surviving.last().cloned().expect("non-empty per the match");
-        (Some(path), wal_bytes - size)
-    } else {
-        (None, wal_bytes)
+    let wal_bytes: u64 = surviving.iter().map(|s| s.size).sum();
+    let (last_segment, bytes_before_last) = match surviving.last() {
+        Some(last) if last.end == reached => (Some(last.path.clone()), wal_bytes - last.size),
+        _ => (None, wal_bytes),
     };
     Ok(DirRecovery {
         checkpoint,
         tail,
         committed: reached,
-        torn,
+        torn: tail_reason.is_some(),
         tail_reason,
         segments: surviving.len(),
         wal_bytes,
@@ -477,40 +425,52 @@ pub fn recover_dir(dir: &Path) -> Result<DirRecovery, StorageError> {
     })
 }
 
-/// Translate the absolute fault rulers into a per-segment [`FaultPlan`]:
-/// fsync counts and byte offsets are global across the log, while each
-/// [`WalWriter`] counts from its own segment's start.
-fn plan_for_segment(fault: &FaultPlan, fsyncs_done: u64, bytes_done: u64) -> FaultPlan {
-    FaultPlan {
-        fail_fsync_at: fault
-            .fail_fsync_at
-            .and_then(|n| n.checked_sub(fsyncs_done))
-            .filter(|&n| n > 0),
-        torn_write_at: fault.torn_write_at.map(|k| k.saturating_sub(bytes_done)),
-        ..*fault
-    }
-}
-
-/// The segmented log's writer: a [`WalWriter`] over the newest segment, plus
-/// rotation. All appends go through the same record framing, commit markers,
-/// poisoning, and fault semantics as the single-file writer; rotation happens
-/// only between fully-synced batches, so every segment ends on a commit
-/// marker except (after a crash) the newest.
+/// The log's one writer: appends length-prefixed, checksummed [`WalOp`]
+/// records to the newest segment and rotates between synced batches, so every
+/// segment ends on a commit marker except (after a crash) the newest. The
+/// byte and fsync rulers the [`FaultPlan`] is measured against are absolute —
+/// they run across rotations, from the oldest surviving segment and from
+/// [`SegmentedWal::open`] respectively.
 #[derive(Debug)]
 pub struct SegmentedWal {
     dir: PathBuf,
-    writer: WalWriter,
+    /// The newest segment, positioned at its end.
+    file: File,
     segment_bytes: u64,
-    /// The absolute fault plan; per-segment writers get translated copies.
     fault: FaultPlan,
-    /// Fsyncs performed in rotated-out segments (fault-ruler base).
-    fsyncs_base: u64,
-    /// Bytes in segments before the current one (fault ruler + size gauge;
-    /// monotonic — GC does not rewind it).
+    /// Bytes in the surviving segments before the current one (monotonic —
+    /// GC does not rewind it).
     bytes_completed: u64,
+    /// Bytes handed to the OS in the current segment.
+    segment_offset: u64,
+    /// Fsyncs attempted since open.
+    fsyncs: u64,
+    /// Batches committed; the next commit marker carries `committed + 1`.
+    committed: u64,
+    poisoned: bool,
     /// Segments completed (rotated out) since the last checkpoint — the
     /// service's checkpoint trigger.
     segments_since_checkpoint: u64,
+}
+
+/// Open `path` for appending (creating it if absent); returns the file
+/// positioned at its end, and that offset.
+fn open_segment(path: &Path) -> Result<(File, u64), StorageError> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(false)
+        .open(path)?;
+    let offset = file.seek(SeekFrom::End(0))?;
+    Ok((file, offset))
+}
+
+/// The sequence after `committed`; a log cannot run past `u64::MAX` batches
+/// (reachable only through a forged checkpoint or file name).
+fn next_seq(committed: u64) -> Result<u64, StorageError> {
+    committed
+        .checked_add(1)
+        .ok_or_else(|| StorageError::Io("wal batch sequence exhausted".into()))
 }
 
 impl SegmentedWal {
@@ -527,47 +487,39 @@ impl SegmentedWal {
         fs::create_dir_all(&dir)?;
         let seg_path = match &recovery.last_segment {
             Some(p) => p.clone(),
-            None => segment_path(&dir, recovery.committed + 1),
+            None => segment_path(&dir, next_seq(recovery.committed)?),
         };
-        let plan = plan_for_segment(&fault, 0, recovery.bytes_before_last);
-        let writer = WalWriter::append_to_with_fault(&seg_path, recovery.committed, plan)?;
+        let (file, segment_offset) = open_segment(&seg_path)?;
         sync_dir(&dir)?;
         Ok(SegmentedWal {
             dir,
-            writer,
+            file,
             segment_bytes: segment_bytes.max(1),
             fault,
-            fsyncs_base: 0,
             bytes_completed: recovery.bytes_before_last,
+            segment_offset,
+            fsyncs: 0,
+            committed: recovery.committed,
+            poisoned: false,
             segments_since_checkpoint: 0,
         })
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Batches committed (global sequence).
     pub fn committed(&self) -> u64 {
-        self.writer.committed()
+        self.committed
     }
 
-    /// Ops logged since the last commit marker.
-    pub fn pending_ops(&self) -> u64 {
-        self.writer.pending_ops()
-    }
-
-    /// Whether a prior failure poisoned the writer (recover + reopen to
-    /// resume, exactly like the single-file log).
+    /// Whether a prior failure poisoned the writer (recover the directory and
+    /// reopen to resume).
     pub fn is_poisoned(&self) -> bool {
-        self.writer.is_poisoned()
+        self.poisoned
     }
 
     /// Bytes written across all segments since open (plus what open
     /// retained). Monotonic: checkpoint GC does not rewind it.
     pub fn total_bytes(&self) -> u64 {
-        self.bytes_completed + self.writer.offset()
+        self.bytes_completed + self.segment_offset
     }
 
     /// Segments completed since the last [`SegmentedWal::checkpoint_taken`].
@@ -581,70 +533,108 @@ impl SegmentedWal {
         self.segments_since_checkpoint = 0;
     }
 
-    /// Replace the fault plan (tests re-arm between scenarios). Rulers are
-    /// absolute, like the constructor's.
-    pub fn set_fault(&mut self, fault: FaultPlan) {
-        self.fault = fault;
-        let plan = plan_for_segment(
-            &fault,
-            self.fsyncs_base + self.writer.fsyncs(),
-            self.bytes_completed, // in-segment offset is the writer's own ruler
-        );
-        self.writer.set_fault(plan);
+    fn check_poisoned(&self) -> Result<(), StorageError> {
+        if self.poisoned {
+            return Err(StorageError::Io(
+                "wal writer is poisoned by an earlier failure; recover the log first".into(),
+            ));
+        }
+        Ok(())
     }
 
-    /// Append one op record (unsynced); see [`WalWriter::log`].
-    pub fn log(&mut self, op: &WalOp) -> Result<(), StorageError> {
-        self.writer.log(op)
+    /// Write `bytes` through the torn-write fault filter, poisoning on any
+    /// short or failed write.
+    fn write_all(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
+        if let Some(k) = self.fault.torn_write_at {
+            let written = self.total_bytes();
+            if written + bytes.len() as u64 > k {
+                let keep = k.saturating_sub(written) as usize;
+                let res = self.file.write_all(&bytes[..keep]).and_then(|_| {
+                    // a torn write is only observable once it reaches the disk
+                    self.file.sync_data()
+                });
+                self.poisoned = true;
+                res?;
+                self.segment_offset += keep as u64;
+                return Err(StorageError::FaultInjected(format!(
+                    "torn write at byte {k}"
+                )));
+            }
+        }
+        if let Err(e) = self.file.write_all(bytes) {
+            self.poisoned = true;
+            return Err(e.into());
+        }
+        self.segment_offset += bytes.len() as u64;
+        Ok(())
     }
 
-    /// Append the batch's commit marker without fsyncing; see
-    /// [`WalWriter::commit_unsynced`].
-    pub fn commit_unsynced(&mut self) -> Result<u64, StorageError> {
-        self.writer.commit_unsynced()
-    }
-
-    /// Append a whole batch (ops + commit marker) in a single buffered write,
-    /// unsynced; see [`WalWriter::commit_batch_unsynced`].
+    /// Append a whole batch — every op frame plus its commit marker — with a
+    /// **single buffered write**, unsynced: the group-commit half-step. A
+    /// leader appends one batch per coalesced member, then makes the whole
+    /// group durable with a single [`SegmentedWal::sync`]; with the fsync
+    /// amortized across the group, one `write(2)` per batch (not per record)
+    /// is what keeps the leader's serial CPU off the ingest path. The
+    /// returned sequence number is provisional until that sync succeeds; a
+    /// sync failure poisons the writer, so the unacknowledged markers can
+    /// never be followed by later appends. An empty batch is a no-op (no
+    /// marker written) and returns the current committed count.
     pub fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
-        self.writer.commit_batch_unsynced(ops)
-    }
-
-    /// Fsync the current segment — the group durability barrier; see
-    /// [`WalWriter::sync`].
-    pub fn sync(&mut self) -> Result<(), StorageError> {
-        self.writer.sync()
-    }
-
-    /// Commit the pending batch: marker + fsync (the solo-writer path).
-    pub fn commit(&mut self) -> Result<u64, StorageError> {
-        let seq = self.writer.commit()?;
+        self.check_poisoned()?;
+        if ops.is_empty() {
+            return Ok(self.committed);
+        }
+        let seq = next_seq(self.committed)?;
+        let mut framed = Vec::with_capacity(ops.len() * 48 + 32);
+        for op in ops {
+            if matches!(op, WalOp::Commit { .. }) {
+                return Err(StorageError::Io(
+                    "commit markers are written by the batch append, not passed to it".into(),
+                ));
+            }
+            frame_into(&mut framed, op);
+        }
+        frame_into(&mut framed, &WalOp::Commit { seq });
+        self.write_all(&framed)?;
+        self.committed = seq;
         Ok(seq)
     }
 
+    /// Fsync the current segment — the durability barrier closing a group of
+    /// [`SegmentedWal::commit_batch_unsynced`] appends. Honors the
+    /// `fsync_fail` fault and poisons the writer on failure.
+    pub fn sync(&mut self) -> Result<(), StorageError> {
+        self.check_poisoned()?;
+        self.fsyncs += 1;
+        if self.fault.fail_fsync_at == Some(self.fsyncs) {
+            self.poisoned = true;
+            return Err(StorageError::FaultInjected(format!(
+                "fsync {} failed",
+                self.fsyncs
+            )));
+        }
+        if let Err(e) = self.file.sync_data() {
+            self.poisoned = true;
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
     /// Rotate to a fresh segment if the current one has crossed the size
-    /// threshold. Only legal between batches (no pending ops) on a healthy,
-    /// fully-synced writer — the caller invokes this right after a successful
-    /// commit/sync. Returns whether a rotation happened. On failure to create
-    /// the next segment the current writer stays in place (appends continue
-    /// into the oversized segment; correctness is unaffected).
+    /// threshold. Only legal on a healthy, fully-synced writer — the caller
+    /// invokes this right after a successful [`SegmentedWal::sync`]. Returns
+    /// whether a rotation happened. On failure to create the next segment the
+    /// current one stays in place (appends continue into the oversized
+    /// segment; correctness is unaffected).
     pub fn maybe_rotate(&mut self) -> Result<bool, StorageError> {
-        if self.writer.is_poisoned()
-            || self.writer.pending_ops() != 0
-            || self.writer.offset() < self.segment_bytes
-        {
+        if self.poisoned || self.segment_offset < self.segment_bytes {
             return Ok(false);
         }
-        let committed = self.writer.committed();
-        let fsyncs_done = self.fsyncs_base + self.writer.fsyncs();
-        let bytes_done = self.bytes_completed + self.writer.offset();
-        let path = segment_path(&self.dir, committed + 1);
-        let plan = plan_for_segment(&self.fault, fsyncs_done, bytes_done);
-        let writer = WalWriter::append_to_with_fault(&path, committed, plan)?;
+        let (file, offset) = open_segment(&segment_path(&self.dir, next_seq(self.committed)?))?;
         sync_dir(&self.dir)?;
-        self.writer = writer;
-        self.fsyncs_base = fsyncs_done;
-        self.bytes_completed = bytes_done;
+        self.file = file;
+        self.bytes_completed += self.segment_offset;
+        self.segment_offset = offset;
         self.segments_since_checkpoint += 1;
         Ok(true)
     }
@@ -677,11 +667,17 @@ mod tests {
         SegmentedWal::open(dir, &rec, segment_bytes, FaultPlan::default()).unwrap()
     }
 
+    /// One durable batch: append, sync, rotate if due.
+    fn append_synced(w: &mut SegmentedWal, ops: &[WalOp]) -> Result<u64, StorageError> {
+        let seq = w.commit_batch_unsynced(ops)?;
+        w.sync()?;
+        w.maybe_rotate()?;
+        Ok(seq)
+    }
+
     fn commit_n(w: &mut SegmentedWal, n: u64, base: u64) {
         for i in 0..n {
-            w.log(&ins("E", &[base + i, base + i + 1])).unwrap();
-            w.commit().unwrap();
-            w.maybe_rotate().unwrap();
+            append_synced(w, &[ins("E", &[base + i, base + i + 1])]).unwrap();
         }
     }
 
@@ -701,8 +697,7 @@ mod tests {
         assert_eq!(rec.tail[11], vec![ins("E", &[11, 12])]);
         // append resumes the global sequence
         let mut w = SegmentedWal::open(&dir, &rec, 64, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[99, 100])).unwrap();
-        assert_eq!(w.commit().unwrap(), 13);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[99, 100])]).unwrap(), 13);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -776,8 +771,7 @@ mod tests {
         assert!(!rec.torn);
         // appends continue at 6
         let mut w = SegmentedWal::open(&dir, &rec, 1 << 20, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[7, 8])).unwrap();
-        assert_eq!(w.commit().unwrap(), 6);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[7, 8])]).unwrap(), 6);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -785,8 +779,8 @@ mod tests {
     fn commit_exactly_at_segment_boundary_rotates_cleanly() {
         let dir = temp_dir("boundary");
         let mut w = open_fresh(&dir, 1 << 20);
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
+        w.commit_batch_unsynced(&[ins("E", &[1, 2])]).unwrap();
+        w.sync().unwrap();
         // arm the threshold to exactly the current offset: the *next*
         // maybe_rotate must fire, and the batch boundary is preserved
         let exact = w.total_bytes();
@@ -796,8 +790,8 @@ mod tests {
             SegmentedWal::open(&dir, &rec, exact, FaultPlan::default()).unwrap()
         };
         assert!(w2.maybe_rotate().unwrap(), "offset == threshold rotates");
-        w2.log(&ins("E", &[3, 4])).unwrap();
-        assert_eq!(w2.commit().unwrap(), 2);
+        assert_eq!(w2.commit_batch_unsynced(&[ins("E", &[3, 4])]).unwrap(), 2);
+        w2.sync().unwrap();
         drop(w2);
         let rec = recover_dir(&dir).unwrap();
         assert_eq!(rec.committed, 2);
@@ -812,8 +806,15 @@ mod tests {
         let dir = temp_dir("torn-tail");
         let mut w = open_fresh(&dir, 64);
         commit_n(&mut w, 5, 0);
-        w.log(&ins("E", &[77, 78])).unwrap(); // never committed
         drop(w);
+        // a crash mid-batch: an op frame reached the newest segment, its
+        // commit marker never did
+        let (_, newest) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut frame = Vec::new();
+        frame_into(&mut frame, &ins("E", &[77, 78]));
+        let mut file = OpenOptions::new().append(true).open(newest).unwrap();
+        file.write_all(&frame).unwrap();
+        drop(file);
         let rec = recover_dir(&dir).unwrap();
         assert_eq!(rec.committed, 5);
         assert!(rec.torn);
@@ -832,7 +833,7 @@ mod tests {
         commit_n(&mut w, 9, 0);
         drop(w);
         // delete a middle segment: the chain past it is unusable
-        let segments = list_numbered(&dir, "wal.").unwrap();
+        let segments = list_segments(&dir).unwrap();
         assert!(segments.len() >= 3, "need a middle segment to delete");
         let (victim_start, victim) = segments[1].clone();
         fs::remove_file(&victim).unwrap();
@@ -849,20 +850,66 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_must_cover_the_sequence_it_names() {
+        // the header's sequence is outside the payload CRC: a flipped bit
+        // there (or a renamed file) must not move the recovery point
+        let dir = temp_dir("ckpt-name");
+        let mut w = open_fresh(&dir, 1 << 20);
+        commit_n(&mut w, 6, 0);
+        drop(w);
+        write_checkpoint(&dir, 4, &[], &FaultPlan::default()).unwrap();
+        let mut forged = fs::read(checkpoint_path(&dir, 4)).unwrap();
+        forged[12] ^= 0x40; // seq 4 -> 68, CRC still valid
+        assert_eq!(decode_checkpoint(&forged).unwrap().seq, 68);
+        fs::write(checkpoint_path(&dir, 4), &forged).unwrap();
+        write_checkpoint(&dir, 5, &[], &FaultPlan::default()).unwrap();
+        fs::rename(checkpoint_path(&dir, 5), checkpoint_path(&dir, 9)).unwrap();
+        write_checkpoint(&dir, 2, &[], &FaultPlan::default()).unwrap();
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!(rec.checkpoint_seq(), 2, "the one honest checkpoint");
+        assert_eq!((rec.committed, rec.tail.len()), (6, 4));
+        assert!(rec.tail_reason.unwrap().contains("ckpt.000009"));
+        assert!(!checkpoint_path(&dir, 9).exists() && !checkpoint_path(&dir, 4).exists());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_file_numbered_zero_is_not_a_segment() {
+        // sequences start at 1: `wal.000000` can hold no batch, and used to
+        // make recovery compute `0 - 1` for its last sequence
+        let dir = temp_dir("stray-zero");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("wal.000000"), b"").unwrap();
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!((rec.committed, rec.segments, rec.torn), (0, 0, false));
+        assert_eq!(rec.last_segment, None, "the stray is not the append target");
+        let mut w = SegmentedWal::open(&dir, &rec, 64, FaultPlan::default()).unwrap();
+        commit_n(&mut w, 4, 0);
+        drop(w);
+        // beside a real chain, with bytes in it, under its short spelling
+        fs::write(dir.join("wal.0"), b"not a log").unwrap();
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!((rec.committed, rec.tail.len(), rec.torn), (4, 4, false));
+        assert_eq!(rec.segments, list_segments(&dir).unwrap().len());
+        gc_checkpoint(&dir, 4).unwrap();
+        assert!(
+            dir.join("wal.0").exists(),
+            "GC leaves what is not a segment"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn absolute_fault_rulers_span_rotations() {
         let dir = temp_dir("fault-ruler");
         let rec = recover_dir(&dir).unwrap();
-        // 3rd fsync fails, even though rotation replaces the inner writer
+        // 3rd fsync fails, even though rotation replaces the segment file
         let fault = FaultPlan::parse("fsync_fail:3").unwrap();
-        let mut w = SegmentedWal::open(&dir, &rec, 64, fault).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        w.commit().unwrap();
-        w.maybe_rotate().unwrap();
-        w.log(&ins("E", &[3, 4])).unwrap();
-        w.commit().unwrap();
-        w.maybe_rotate().unwrap();
-        w.log(&ins("E", &[5, 6])).unwrap();
-        let err = w.commit().unwrap_err();
+        let mut w = SegmentedWal::open(&dir, &rec, 32, fault).unwrap();
+        append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap();
+        append_synced(&mut w, &[ins("E", &[3, 4])]).unwrap();
+        assert_eq!(list_segments(&dir).unwrap().len(), 3, "two rotations");
+        let err = append_synced(&mut w, &[ins("E", &[5, 6])]).unwrap_err();
         assert!(matches!(err, StorageError::FaultInjected(_)), "{err}");
         assert!(w.is_poisoned());
         // the unacked batch's marker bytes may survive in the OS cache: the
@@ -907,8 +954,7 @@ mod tests {
         assert!(rec.checkpoint.is_none());
         assert!(!rec.torn);
         let mut w = SegmentedWal::open(&dir, &rec, 1 << 20, FaultPlan::default()).unwrap();
-        w.log(&ins("E", &[1, 2])).unwrap();
-        assert_eq!(w.commit().unwrap(), 1);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 }
