@@ -39,34 +39,7 @@ use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
-use wcoj_workloads::{query_replay, random_pairs, triangle, triangle_skewed, SplitMix64, Workload};
-
-/// The selective repeated-query shape the cache targets: a tiny probe relation
-/// R joined against two large, slowly-changing relations S and T (the
-/// dashboard-query regime). The join itself touches little — work is bounded
-/// by R's 64 rows — but an uncached execution still pays two full `n`-row
-/// argsort builds, so this is where structure reuse pays off most.
-fn needle(n: usize, seed: u64) -> Workload {
-    let d = (n as u64 / 4).max(16);
-    let mut db = Database::new();
-    db.insert(
-        "R",
-        Relation::from_pairs("A", "B", random_pairs(64, d, seed)),
-    );
-    db.insert(
-        "S",
-        Relation::from_pairs("B", "C", random_pairs(n, d, seed ^ 1)),
-    );
-    db.insert(
-        "T",
-        Relation::from_pairs("A", "C", random_pairs(n, d, seed ^ 2)),
-    );
-    Workload {
-        name: format!("needle_n{n}"),
-        query: examples::triangle(),
-        db,
-    }
-}
+use wcoj_workloads::{needle, query_replay, random_pairs, triangle, triangle_skewed, SplitMix64};
 
 fn min_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
     let mut best = f64::INFINITY;
@@ -122,6 +95,12 @@ fn main() {
     for (name, w) in &workloads {
         let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
+        println!("  {name}: planned order {order:?}");
+        if name.starts_with("needle") {
+            // the probe relation R(A, B) is bound first: the join's work is
+            // bounded by R's rows, not by S ⋈ T (EXPERIMENTS E17)
+            assert!(order[0] < 2, "{name}: {order:?} binds C before the needle");
+        }
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let base = ExecOptions::new(engine);
             let off_opts = base.with_cache(CacheMode::Off);

@@ -15,7 +15,7 @@
 
 use crate::BoundError;
 use wcoj_lp::{Cmp, LinearProgram, Sense};
-use wcoj_query::{ConjunctiveQuery, Database, Hypergraph};
+use wcoj_query::{Atom, ConjunctiveQuery, Database, Hypergraph, VarId};
 
 /// The result of solving the AGM LP.
 #[derive(Debug, Clone)]
@@ -122,6 +122,68 @@ pub fn agm_bound(query: &ConjunctiveQuery, db: &Database) -> Result<AgmBound, Bo
     agm_bound_from_sizes(query, &sizes?)
 }
 
+/// `log2` of the AGM bound of `query` **restricted to the variables `vars`**:
+/// every atom is projected onto `vars` (a projection is no larger than its
+/// relation, so atom `F` keeps its weight `log_sizes[F]`) and the cover LP (5) is
+/// solved over the variables of `vars` and the atoms touching them. This bounds
+/// the bindings Generic Join visits once it has bound exactly `vars` (Section
+/// 4.2), so the sum of these over the prefixes of a variable order is that
+/// order's cost.
+///
+/// One and two variables need no LP. For `{v}` the bound is the smallest atom
+/// containing `v`. For `{u, v}` the cover LP has two constraints, so a basic
+/// optimum charges either one atom containing both or the smallest atom of each:
+/// `min(min_{F ⊇ {u,v}} N_F, min_{F ∋ u} N_F · min_{F ∋ v} N_F)`.
+///
+/// An empty atom (`log_sizes[F] = -inf`) touching `vars` gives `-inf`; a variable
+/// no atom contains is [`BoundError::Infinite`].
+pub fn prefix_log2_bound(
+    query: &ConjunctiveQuery,
+    log_sizes: &[f64],
+    vars: &[VarId],
+) -> Result<f64, BoundError> {
+    let atoms = query.atoms();
+    if log_sizes.len() != atoms.len() {
+        return Err(BoundError::Invalid("one log size per atom".to_string()));
+    }
+    // the smallest log size among the atoms containing every variable of `of`
+    let smallest = |of: &[VarId]| {
+        let among = atoms.iter().zip(log_sizes);
+        among
+            .filter(|(atom, _)| of.iter().all(|v| atom.vars.contains(v)))
+            .fold(f64::INFINITY, |least, (_, &l)| least.min(l))
+    };
+    let bound = match *vars {
+        [] => 0.0,
+        [v] => smallest(&[v]),
+        [u, v] => smallest(&[u, v]).min(smallest(&[u]) + smallest(&[v])),
+        _ => {
+            // the restricted hypergraph: vertex `i` is `vars[i]`; an atom that
+            // misses `vars` is an empty edge, which covers nothing at weight 0
+            let vertices = |atom: &Atom| -> Vec<VarId> {
+                (0..vars.len())
+                    .filter(|&i| atom.vars.contains(&vars[i]))
+                    .collect()
+            };
+            let edges: Vec<Vec<VarId>> = atoms.iter().map(vertices).collect();
+            let weights: Vec<f64> = (edges.iter().zip(log_sizes))
+                .map(|(edge, &l)| if edge.is_empty() { 0.0 } else { l })
+                .collect();
+            if weights.contains(&f64::NEG_INFINITY) {
+                return Ok(f64::NEG_INFINITY);
+            }
+            solve_cover_lp(&Hypergraph::new(vars.len(), edges), &weights)?.0
+        }
+    };
+    // a closed form over a variable no atom contains (the LP reports its own)
+    if bound == f64::INFINITY {
+        return Err(BoundError::Infinite {
+            reason: "some variable occurs in no atom".to_string(),
+        });
+    }
+    Ok(bound)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +274,34 @@ mod tests {
             agm_bound(&q, &missing).unwrap_err(),
             BoundError::Database(_)
         ));
+    }
+
+    #[test]
+    fn prefix_bounds_of_the_triangle_and_their_edge_cases() {
+        let q = examples::triangle(); // R(A,B), S(B,C), T(A,C)
+        let logs = [2.0, 6.0, 6.0];
+        let bound = |vars: &[VarId]| prefix_log2_bound(&q, &logs, vars);
+        assert_eq!(bound(&[]).unwrap(), 0.0);
+        assert_eq!(bound(&[0]).unwrap(), 2.0); // A: min(R, T)
+        assert_eq!(bound(&[2]).unwrap(), 6.0); // C: min(S, T)
+        assert_eq!(bound(&[0, 1]).unwrap(), 2.0); // R covers both
+        assert_eq!(bound(&[0, 2]).unwrap(), 6.0); // min(T, R·S)
+        assert!((bound(&[2, 0, 1]).unwrap() - 7.0).abs() < 1e-9); // sqrt(R·S·T)
+                                                                  // a variable no atom contains is a typed error at every size
+        for vars in [&[9][..], &[0, 9], &[0, 1, 9]] {
+            assert!(matches!(bound(vars), Err(BoundError::Infinite { .. })));
+        }
+        assert!(matches!(
+            prefix_log2_bound(&q, &[1.0], &[0]),
+            Err(BoundError::Invalid(_))
+        ));
+        // an empty atom empties every prefix it touches, and only those
+        let empty_s = [2.0, f64::NEG_INFINITY, 6.0];
+        assert_eq!(prefix_log2_bound(&q, &empty_s, &[0]).unwrap(), 2.0);
+        for vars in [&[1][..], &[0, 1], &[0, 1, 2]] {
+            let bound = prefix_log2_bound(&q, &empty_s, vars).unwrap();
+            assert_eq!(bound, f64::NEG_INFINITY, "{vars:?}");
+        }
     }
 
     #[test]

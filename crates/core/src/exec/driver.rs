@@ -11,11 +11,11 @@ use super::{
     binary, parallel, CacheMode, CancelToken, ColumnSink, Engine, ExecOptions, ExecOutput,
 };
 use crate::error::ExecError;
-use crate::planner::plan_order;
+use crate::planner::{plan, Plan};
 use std::sync::OnceLock;
 use wcoj_obs::{LevelRecorder, MorselTrace};
 use wcoj_query::database::VarBinding;
-use wcoj_query::plan::is_valid_order;
+use wcoj_query::plan::{default_order, is_valid_order};
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::{AttrType, CacheStats, Relation, Schema, TrieAccess, WorkCounter};
 
@@ -35,14 +35,20 @@ pub(super) fn run<T: TraceTo>(
         t.check()?;
     }
     let mut rec = Recording::new(to.tracing());
-    let planned;
+    // the planner's plan, when it ran: the trace reports its bounds as solved
+    let mut planned: Option<Plan> = None;
+    let identity;
     let order = match order {
         Some(order) => order,
+        None if opts.engine == Engine::BinaryHash => {
+            identity = default_order(query);
+            &identity
+        }
         None => {
             let planning = rec.clock();
-            planned = plan_order(query, db, opts)?;
+            let plan = plan(query, db)?;
             rec.plan_ns = elapsed_ns(planning);
-            &planned
+            &planned.insert(plan).order
         }
     };
     if !is_valid_order(query, order) {
@@ -83,7 +89,7 @@ pub(super) fn run<T: TraceTo>(
         order: order.to_vec(),
         cache_stats,
     };
-    Ok(to.deliver(out, |out| rec.into_trace(query, db, opts, out)))
+    Ok(to.deliver(out, |out| rec.into_trace(query, db, opts, out, planned)))
 }
 
 /// One validated WCOJ execution: what [`run`] resolved before choosing the

@@ -97,7 +97,7 @@ use wcoj_obs::QueryTrace;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 
 /// Execute `query` over `db` with the given engine and otherwise default
-/// options (serial), letting the AGM-guided planner pick the
+/// options (serial), letting the prefix-bound planner pick the
 /// variable order for the WCOJ engines.
 pub fn execute(
     query: &ConjunctiveQuery,
@@ -134,7 +134,7 @@ pub fn execute_opts_with_order(
 /// [`ExecError::Canceled`], discarding partial output, once it fires. With a
 /// token that never fires, rows and work counters are **bit-identical** to
 /// [`execute_opts_with_order`]. `order` picks an explicit global variable
-/// order; `None` asks the AGM-guided planner, like [`execute_opts`].
+/// order; `None` asks the prefix-bound planner, like [`execute_opts`].
 pub fn execute_cancellable(
     query: &ConjunctiveQuery,
     db: &Database,

@@ -5,9 +5,9 @@
 //! bit-identical with it on or off; only wall-clock fields differ.
 
 use super::{Engine, ExecOptions, ExecOutput};
+use crate::planner::{cost_order, Plan};
 use std::sync::OnceLock;
 use std::time::Instant;
-use wcoj_bounds::agm::agm_bound;
 use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel, TraceSink};
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{kernels, CacheStats, WorkCounter};
@@ -92,17 +92,21 @@ impl Recording {
         self.started.map(|_| Instant::now())
     }
 
-    /// Assemble the trace of the execution that produced `out`.
+    /// Assemble the trace of the execution that produced `out` under `plan`'s
+    /// order; `None` — the caller supplied the order, or the engine has none —
+    /// solves the bounds of `out.order` here.
     pub(super) fn into_trace(
         self,
         query: &ConjunctiveQuery,
         db: &Database,
         opts: &ExecOptions,
         out: &ExecOutput,
+        plan: Option<Plan>,
     ) -> QueryTrace {
-        let (agm_log2, agm_tuples) = match agm_bound(query, db) {
-            Ok(b) => (b.log2_bound, b.tuple_bound()),
-            Err(_) => (f64::NAN, f64::NAN),
+        let plan = plan.or_else(|| cost_order(query, db, &out.order).ok());
+        let (agm_log2, agm_tuples, prefix_log2) = match plan {
+            Some(p) => (p.agm.log2_bound, p.agm.tuple_bound(), p.prefix_log2),
+            None => (f64::NAN, f64::NAN, Vec::new()),
         };
         let order: Vec<String> = out
             .order
@@ -131,6 +135,7 @@ impl Recording {
             levels: self.levels.map_or_else(Vec::new, |l| l.into_levels(&order)),
             morsels: self.morsels.into_inner(),
             order,
+            prefix_log2,
             work: work_pairs(&out.work),
             cache_hits: hits,
             cache_misses: misses,

@@ -16,8 +16,9 @@
 //!   partitions the first join variable's extension set across `std::thread::scope`
 //!   workers holding private cursors and counters, merging results and work tallies
 //!   deterministically (bit-identical to serial execution);
-//! * an **AGM-guided planner** that picks variable orders from the optimal
-//!   fractional edge cover of the `wcoj-bounds` LP — [`planner`];
+//! * a **prefix-bound planner** that costs a variable order by the sum of the AGM
+//!   bounds of its prefixes (the paper's own analysis of Algorithm 2) and picks
+//!   the cheapest — [`planner`];
 //! * **one entry**: [`exec::execute`] (engine only — the quick start below),
 //!   [`exec::execute_opts`] (full [`exec::ExecOptions`]), and three variants for
 //!   an explicit order, a cancel token and `EXPLAIN ANALYZE`, every one a
@@ -68,5 +69,5 @@ pub use exec::{
     execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order,
     CacheMode, CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
 };
-pub use planner::{agm_variable_order, plan_order};
+pub use planner::{agm_variable_order, plan, plan_order, Plan};
 pub use wcoj_obs::{AtomTrace, LevelTrace, MorselTrace, QueryTrace, TraceSink, WorkerTrace};

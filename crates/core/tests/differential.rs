@@ -173,7 +173,7 @@ fn adversarial_triangle_binary_plan_blows_up_but_wcoj_does_not() {
 
 #[test]
 fn planner_order_is_no_worse_than_default_on_skew() {
-    // the AGM-guided order must not lose to the appearance order by more than a
+    // the planned order must not lose to the appearance order by more than a
     // small factor on the skewed instance (it usually wins)
     let w = wcoj_workloads::triangle_skewed(1_000, 48, 1.3, 0xFACE);
     let planned = execute(&w.query, &w.db, Engine::GenericJoin).unwrap();

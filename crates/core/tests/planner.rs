@@ -1,0 +1,296 @@
+//! The prefix-bound planner, checked against brute force and against the paper.
+//!
+//! * the dynamic program's cost is the minimum over all `n!` orders, each costed
+//!   by solving the plain cover LP of every prefix's restricted query, and the
+//!   one- and two-variable closed forms equal that LP;
+//! * the plan does not depend on cache state;
+//! * **the certificate**: at every level of every traced run, the engines'
+//!   `candidates` and `emitted` are at most `C ·` the prefix bound the planner reported — the
+//!   paper's per-level claim for Generic Join (Section 4.2), with [`C`]` = 1`;
+//! * on the needle shapes (a few probe rows against two larger relations) the
+//!   planned order binds the probe first and does close to the best order's work.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+use wcoj_bounds::agm::{agm_bound_from_sizes, prefix_log2_bound};
+use wcoj_core::exec::{execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions};
+use wcoj_core::planner::{cost_order, plan, plan_from_bound};
+use wcoj_core::{QueryTrace, TraceSink};
+use wcoj_query::{ConjunctiveQuery, Database, VarId};
+use wcoj_storage::Relation;
+use wcoj_workloads::{differential_suite, needle, random_pairs, SplitMix64, Workload};
+
+const WCOJ: [Engine; 2] = [Engine::GenericJoin, Engine::Leapfrog];
+
+/// The certificate's constant: a level's `candidates` (extension-set values) and
+/// `emitted` (values bound) each count distinct tuples of the join of the atoms'
+/// projections onto the bound prefix, which the prefix's AGM bound bounds
+/// outright.
+const C: f64 = 1.0;
+
+/// A random query of `2..=5` variables and `1..=6` atoms of arity `1..=3` (every
+/// variable covered), with a size in `1..=2^20` per atom.
+fn random_query(seed: u64) -> (ConjunctiveQuery, Vec<u64>) {
+    let mut rng = SplitMix64::new(seed);
+    let num_vars = 2 + rng.below(4) as usize;
+    let num_atoms = 1 + rng.below(6) as usize;
+    let mut atom_vars: Vec<Vec<usize>> = vec![Vec::new(); num_atoms];
+    for v in 0..num_vars {
+        atom_vars[v % num_atoms].push(v);
+    }
+    for vars in atom_vars.iter_mut() {
+        let arity = vars.len().max(1 + rng.below(3) as usize).min(num_vars);
+        while vars.len() < arity {
+            let v = rng.below(num_vars as u64) as usize;
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+    }
+    let names: Vec<String> = (0..num_vars).map(|v| format!("X{v}")).collect();
+    let mut builder = ConjunctiveQuery::builder();
+    for (a, vars) in atom_vars.iter().enumerate() {
+        let refs: Vec<&str> = vars.iter().map(|&v| names[v].as_str()).collect();
+        builder = builder.atom(&format!("H{a}"), &refs);
+    }
+    let sizes = (0..num_atoms)
+        .map(|_| {
+            let bits = rng.below(21);
+            1 + rng.below(1 << bits)
+        })
+        .collect();
+    (builder.build().expect("valid query"), sizes)
+}
+
+/// The plain LP: the AGM bound (`log2`) of the query whose atoms are `query`'s
+/// projected onto `vars` (atoms that miss `vars` dropped), sizes kept.
+fn restricted_lp(query: &ConjunctiveQuery, sizes: &[u64], vars: &[VarId]) -> f64 {
+    let mut builder = ConjunctiveQuery::builder();
+    let mut kept = Vec::new();
+    for (atom, &size) in query.atoms().iter().zip(sizes) {
+        let names: Vec<&str> = atom
+            .vars
+            .iter()
+            .filter(|v| vars.contains(v))
+            .map(|&v| query.var_name(v))
+            .collect();
+        if !names.is_empty() {
+            builder = builder.atom(&atom.name, &names);
+            kept.push(size);
+        }
+    }
+    let restricted = builder.build().expect("restricted query");
+    assert_eq!(restricted.num_vars(), vars.len());
+    agm_bound_from_sizes(&restricted, &kept)
+        .expect("cover LP")
+        .log2_bound
+}
+
+fn permutations(n: usize) -> Vec<Vec<VarId>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut all = Vec::new();
+    for shorter in permutations(n - 1) {
+        for at in 0..n {
+            let mut order = shorter.clone();
+            order.insert(at, n - 1);
+            all.push(order);
+        }
+    }
+    all.sort();
+    all
+}
+
+#[test]
+fn the_dp_finds_the_brute_force_minimum_and_the_closed_forms_equal_the_lp() {
+    for seed in 0..400u64 {
+        let (query, sizes) = random_query(0x9A77 ^ seed.wrapping_mul(0x9E37_79B9));
+        let agm = agm_bound_from_sizes(&query, &sizes).expect("agm");
+        let n = query.num_vars();
+        // the oracle, once per variable set
+        let mut lp: HashMap<Vec<VarId>, f64> = HashMap::new();
+        let mut oracle = |vars: &[VarId]| {
+            let mut key = vars.to_vec();
+            key.sort_unstable();
+            *lp.entry(key)
+                .or_insert_with_key(|key| restricted_lp(&query, &sizes, key))
+        };
+        for u in 0..n {
+            let one = prefix_log2_bound(&query, &agm.log_sizes, &[u]).unwrap();
+            assert!((one - oracle(&[u])).abs() < 1e-9, "{query}: {{{u}}}");
+            for v in (0..n).filter(|&v| v != u) {
+                let two = prefix_log2_bound(&query, &agm.log_sizes, &[u, v]).unwrap();
+                assert!((two - oracle(&[u, v])).abs() < 1e-9, "{query}: {{{u},{v}}}");
+            }
+        }
+        let cost = |order: &[VarId], oracle: &mut dyn FnMut(&[VarId]) -> f64| -> f64 {
+            (1..=order.len()).map(|i| oracle(&order[..i]).exp2()).sum()
+        };
+        let orders = permutations(n);
+        let costs: Vec<f64> = orders.iter().map(|o| cost(o, &mut oracle)).collect();
+        let least = costs.iter().copied().fold(f64::INFINITY, f64::min);
+        let plan = plan_from_bound(&query, agm).expect("plan");
+        let label = format!("{query} sizes {sizes:?}: planned {:?}", plan.order);
+        let planned: f64 = plan.prefix_log2.iter().map(|l| l.exp2()).sum();
+        assert!((planned - least).abs() <= 1e-9 * least, "{label}");
+        // ... attained by the order it returns, the least such order
+        let first = orders
+            .iter()
+            .zip(&costs)
+            .find(|(_, &c)| c <= least * (1.0 + 1e-9))
+            .map(|(o, _)| o);
+        assert_eq!(Some(&plan.order), first, "{label}");
+        for (i, &l) in plan.prefix_log2.iter().enumerate() {
+            assert!((l - oracle(&plan.order[..=i])).abs() < 1e-9, "{label}");
+        }
+    }
+}
+
+fn traced(w: &Workload, opts: &ExecOptions, order: Option<&[VarId]>) -> QueryTrace {
+    let sink = Arc::new(TraceSink::new());
+    let opts = opts.with_trace(Arc::clone(&sink));
+    match order {
+        Some(order) => execute_opts_with_order(&w.query, &w.db, &opts, order),
+        None => execute_opts(&w.query, &w.db, &opts),
+    }
+    .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+    sink.take().expect("trace deposited")
+}
+
+#[test]
+fn candidates_stay_under_the_prefix_bound_at_every_level() {
+    for w in differential_suite(0xCE27) {
+        let planned = plan(&w.query, &w.db).expect("plan");
+        let reversed: Vec<VarId> = (0..w.query.num_vars()).rev().collect();
+        let (mut worst, mut loosest) = (0.0f64, 1.0f64);
+        for engine in WCOJ {
+            let opts = ExecOptions::new(engine);
+            for order in [None, Some(reversed.as_slice())] {
+                let trace = traced(&w, &opts, order);
+                if order.is_none() {
+                    // the planner ran: the trace reports its bounds, not a re-solve
+                    assert_eq!(trace.prefix_log2, planned.prefix_log2, "{}", w.name);
+                    assert_eq!(trace.agm_log2, planned.agm.log2_bound, "{}", w.name);
+                }
+                assert_eq!(trace.levels.len(), w.query.num_vars());
+                for (i, level) in trace.levels.iter().enumerate() {
+                    // Leapfrog's ring materializes no extension set at an
+                    // interior level (`candidates` stays 0 there); the values it
+                    // binds are that level's `emitted`, the same prefix tuples
+                    let visited = level.candidates.max(level.emitted);
+                    let bound = trace.level_bound(i).exp2();
+                    let ratio = visited as f64 / bound;
+                    worst = worst.max(ratio);
+                    loosest = loosest.min(ratio);
+                    assert!(
+                        ratio <= C * (1.0 + 1e-9),
+                        "{} {engine:?} {:?} level {i}: {visited} bindings over a bound of {bound}",
+                        w.name,
+                        trace.order,
+                    );
+                }
+            }
+        }
+        println!(
+            "{:<28} bindings/bound over all levels: {loosest:.4} to {worst:.4}",
+            w.name
+        );
+    }
+}
+
+#[test]
+fn a_caller_supplied_order_is_traced_with_its_own_bounds() {
+    let w = needle(256, 3);
+    let order = [2, 0, 1];
+    let trace = traced(&w, &ExecOptions::new(Engine::GenericJoin), Some(&order));
+    let costed = cost_order(&w.query, &w.db, &order).expect("cost");
+    assert_eq!(trace.order, ["C", "A", "B"]);
+    assert_eq!(trace.prefix_log2, costed.prefix_log2);
+    assert_eq!(trace.agm_log2, costed.agm.log2_bound);
+    // the binary baseline has no levels, yet reports the identity order's bounds
+    let trace = traced(&w, &ExecOptions::new(Engine::BinaryHash), None);
+    assert_eq!(trace.prefix_log2.len(), 3);
+    assert!(trace.levels.is_empty());
+}
+
+#[test]
+fn the_plan_does_not_depend_on_cache_state() {
+    for w in differential_suite(0x0C4E) {
+        let planned = plan(&w.query, &w.db).expect("plan").order;
+        for engine in WCOJ {
+            // cold, warm, warm again, bypassed: one order throughout
+            for cache in [CacheMode::On, CacheMode::On, CacheMode::Off, CacheMode::On] {
+                let opts = ExecOptions::new(engine).with_cache(cache);
+                let out = execute_opts(&w.query, &w.db, &opts).expect("execute");
+                assert_eq!(out.order, planned, "{} {engine:?} {cache:?}", w.name);
+            }
+        }
+        assert_eq!(plan(&w.query, &w.db).expect("plan").order, planned);
+    }
+}
+
+/// The `needle_cached` instance of the request benchmark: 4 probe rows against
+/// two relations of 64 distinct rows over 16 values, the seed permuting labels.
+fn request_needle(seed: u64) -> Workload {
+    fn distinct_pairs(count: usize, domain: u64, seed: u64) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(count);
+        for round in 0u64.. {
+            let salt = round.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            for pair in random_pairs(count, domain, seed ^ salt) {
+                if !pairs.contains(&pair) {
+                    pairs.push(pair);
+                    if pairs.len() == count {
+                        return pairs;
+                    }
+                }
+            }
+        }
+        unreachable!()
+    }
+    let mut labels: Vec<u64> = (0..16).collect();
+    let mut rng = SplitMix64::new(seed);
+    for i in (1..labels.len()).rev() {
+        labels.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let pairs = |rows, salt: u64| {
+        distinct_pairs(rows, 16, 0xD1D1 ^ salt)
+            .into_iter()
+            .map(|(a, b)| (labels[a as usize], labels[b as usize]))
+            .collect::<Vec<_>>()
+    };
+    let mut db = Database::new();
+    db.insert("R", Relation::from_pairs("A", "B", pairs(4, 0)));
+    db.insert("S", Relation::from_pairs("B", "C", pairs(64, 1)));
+    db.insert("T", Relation::from_pairs("A", "C", pairs(64, 2)));
+    Workload {
+        name: format!("request_needle_s{seed}"),
+        query: wcoj_query::query::examples::triangle(),
+        db,
+    }
+}
+
+#[test]
+fn a_needle_is_probed_from_its_small_side() {
+    let mut instances: Vec<Workload> = [1, 5, 7].map(request_needle).into();
+    instances.push(needle(16_384, 0xD1D1));
+    for w in instances {
+        let planned = plan(&w.query, &w.db).expect("plan").order;
+        assert!(planned[0] < 2, "{}: {planned:?} binds C first", w.name);
+        for engine in WCOJ {
+            let opts = ExecOptions::new(engine);
+            let work = |order: &[VarId]| {
+                let out = execute_opts_with_order(&w.query, &w.db, &opts, order).expect("run");
+                out.work.total_work()
+            };
+            let best = permutations(3).iter().map(|o| work(o)).min().unwrap();
+            let (ours, old) = (work(&planned), work(&[2, 0, 1]));
+            println!(
+                "{} {engine:?}: planned {ours} best {best} old {old}",
+                w.name
+            );
+            assert!(2 * ours <= 3 * best, "{}: {ours} > 1.5 x {best}", w.name);
+            assert!(10 * ours <= 6 * old, "{}: {ours} > 0.6 x {old}", w.name);
+        }
+    }
+}

@@ -101,6 +101,10 @@ pub struct QueryTrace {
     pub threads: usize,
     /// Chosen variable order, by name.
     pub order: Vec<String>,
+    /// The planner's estimate per level of `order`: `log2` of the AGM bound of
+    /// the query restricted to the variables bound so far, which bounds that
+    /// level's `candidates` (empty when the bound could not be solved).
+    pub prefix_log2: Vec<f64>,
     /// AGM bound exponent: log2 of the output-size bound.
     pub agm_log2: f64,
     /// AGM bound in tuples (`2^agm_log2`).
@@ -156,6 +160,11 @@ impl QueryTrace {
         }
     }
 
+    /// The planner's `log2` bound on level `i`'s candidates (NaN when unsolved).
+    pub fn level_bound(&self, i: usize) -> f64 {
+        self.prefix_log2.get(i).copied().unwrap_or(f64::NAN)
+    }
+
     /// Look up one work tally by name.
     pub fn work_value(&self, name: &str) -> Option<u64> {
         self.work.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -205,10 +214,11 @@ impl QueryTrace {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"var\": \"{}\", \"candidates\": {}, \"emitted\": {}, \
+                "{{\"var\": \"{}\", \"prefix_log2\": {}, \"candidates\": {}, \"emitted\": {}, \
                  \"kernel_merge\": {}, \"kernel_gallop\": {}, \"kernel_bitmap\": {}, \
                  \"intersect_steps\": {}, \"comparisons\": {}, \"probes\": {}}}",
                 json::escape(&l.var),
+                json::num(self.level_bound(i)),
                 l.candidates,
                 l.emitted,
                 l.kernel_merge,
@@ -296,11 +306,12 @@ impl QueryTrace {
                 "├─"
             };
             out.push_str(&format!(
-                "│  {} level {} {}: candidates {} emitted {} | kernels merge={} gallop={} \
-                 bitmap={} | steps {} cmp {} probes {}\n",
+                "│  {} level {} {}: bound 2^{:.2} candidates {} emitted {} | kernels merge={} \
+                 gallop={} bitmap={} | steps {} cmp {} probes {}\n",
                 branch,
                 i,
                 l.var,
+                self.level_bound(i),
                 l.candidates,
                 l.emitted,
                 l.kernel_merge,
@@ -471,6 +482,7 @@ mod tests {
             backend: "Trie".into(),
             threads: 4,
             order: vec!["a".into(), "b".into(), "c".into()],
+            prefix_log2: vec![7.0, 9.5, 13.4],
             agm_log2: 13.4,
             agm_tuples: 10809.0,
             rows: 2783,
@@ -520,6 +532,8 @@ mod tests {
         let levels = v.get("levels").unwrap().as_arr().unwrap();
         assert_eq!(levels[0].get("kernel_merge").unwrap().as_u64(), Some(5));
         assert_eq!(levels[0].get("probes").unwrap().as_u64(), Some(89));
+        // the planner's estimate beside the actual
+        assert_eq!(levels[0].get("prefix_log2").unwrap().as_f64(), Some(7.0));
         let morsels = v.get("morsels").unwrap();
         assert_eq!(morsels.get("count").unwrap().as_u64(), Some(32));
         assert_eq!(
@@ -533,7 +547,7 @@ mod tests {
         let t = sample();
         let tree = t.render_tree();
         assert!(tree.contains("EXPLAIN ANALYZE"));
-        assert!(tree.contains("level 0 a"));
+        assert!(tree.contains("level 0 a: bound 2^7.00 candidates 128"));
         assert!(tree.contains("merge=5"));
         assert!(tree.contains("cache hit"));
         assert!(tree.contains("hits=2"));

@@ -16,11 +16,9 @@
 //! * **MVCC snapshots** pinning a database's visible state via `Arc` refcounts
 //!   so readers run lock-free against a frozen view while writers proceed —
 //!   [`Snapshot`];
-//! * GYO reduction / α-acyclicity of the query hypergraph — [`gyo`];
 //! * a small datalog-style parser for queries and constraints — [`parser`];
-//! * **variable-order planning** for the join engines of `wcoj-core`: per-atom
-//!   attribute orders induced by a global variable order, and a weighted greedy
-//!   order heuristic fed by the AGM fractional edge cover — [`plan`].
+//! * **variable-order validation** for the join engines of `wcoj-core` —
+//!   [`plan`] (the order itself is chosen by `wcoj-core::planner`).
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@
 
 pub mod constraints;
 pub mod database;
-pub mod gyo;
 pub mod hypergraph;
 pub mod parser;
 pub mod plan;
@@ -59,7 +56,7 @@ pub use constraints::{constraint_graph, ConstraintSet, DegreeConstraint};
 pub use database::{AtomSource, Database, VarBinding};
 pub use hypergraph::Hypergraph;
 pub use parser::{parse_constraints, parse_query, ParseError};
-pub use plan::{atom_attr_order, default_order, is_valid_order, weighted_greedy_order};
+pub use plan::{default_order, is_valid_order};
 pub use query::{Atom, ConjunctiveQuery, QueryBuilder, QueryError};
 pub use repair::{bound_variables, is_output_finite, repair_to_acyclic};
 pub use snapshot::Snapshot;

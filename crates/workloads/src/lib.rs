@@ -152,6 +152,25 @@ pub fn triangle(n: usize, seed: u64) -> Workload {
     }
 }
 
+/// The selective repeated-query shape an access cache targets (experiment E8):
+/// a tiny probe relation `R` of (up to) 64 rows joined against two relations `S`
+/// and `T` of (up to) `n` — the dashboard-query regime. The join touches little
+/// — its work is bounded by `R`'s rows under an order that binds `R` first —
+/// but an uncached execution still pays two full `n`-row builds.
+pub fn needle(n: usize, seed: u64) -> Workload {
+    let d = (n as u64 / 4).max(16);
+    let pairs = |rows, salt| random_pairs(rows, d, seed ^ salt);
+    let mut db = Database::new();
+    db.insert("R", Relation::from_pairs("A", "B", pairs(64, 0)));
+    db.insert("S", Relation::from_pairs("B", "C", pairs(n, 1)));
+    db.insert("T", Relation::from_pairs("A", "C", pairs(n, 2)));
+    Workload {
+        name: format!("needle_n{n}"),
+        query: examples::triangle(),
+        db,
+    }
+}
+
 /// [`triangle`] with `R` **delta-backed** — converted on first mutation, then a
 /// sealed run of fresh edges on top of the base — beside the static `S` and
 /// `T`: levels where `R` participates intersect through its union cursor,
