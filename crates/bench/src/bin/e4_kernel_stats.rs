@@ -134,6 +134,7 @@ fn dense_intersection_microbench(reps: usize) {
             for rep in 0..reps {
                 let (a, b) = (2 * (rep % 64), 2 * (rep % 64) + 1);
                 let lists: [&[Value]; 2] = [&groups[a], &groups[b]];
+                out.clear(); // the kernels append
                 if dense {
                     kernels::intersect_layouts_into(out, &lists, &[layout(a), layout(b)], &w);
                 } else {

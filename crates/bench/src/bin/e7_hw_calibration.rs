@@ -99,6 +99,7 @@ fn main() {
                 let ms = min_time_ms(
                     || {
                         for _ in 0..reps {
+                            out.clear(); // the kernels append
                             kernels::intersect_into_at(level, &mut out, &lists, policy, &w);
                         }
                     },

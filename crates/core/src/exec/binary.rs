@@ -10,7 +10,7 @@
 
 use super::CancelToken;
 use crate::error::ExecError;
-use wcoj_query::{ConjunctiveQuery, Database};
+use wcoj_query::{ConjunctiveQuery, Database, QueryError};
 use wcoj_storage::ops::{hash_join, nested_loop_join};
 use wcoj_storage::{Relation, WorkCounter};
 
@@ -32,7 +32,7 @@ pub(super) fn binary_hash_plan(
         .enumerate()
         .min_by_key(|(_, r)| r.len())
         .map(|(i, _)| i)
-        .expect("queries have at least one atom");
+        .ok_or(QueryError::EmptyQuery)?;
     let mut acc = pending.swap_remove(start);
 
     while !pending.is_empty() {

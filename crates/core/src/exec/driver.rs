@@ -247,10 +247,12 @@ where
 /// Package the engines' output — one column per level of the join order — as a
 /// relation with columns in variable-id order. Only the column *vector* is
 /// permuted; no value moves. Under the identity order (the default planner's
-/// usual choice) the columns are then already canonical and
-/// [`Relation::try_from_columns`] adopts them after one linear check — no copy,
-/// no sort; under any other order it packs, radix-sorts and unpacks them in
-/// place. Each output column carries the [`AttrType`] of its variable's binding,
+/// usual choice) the columns are already canonical, and the sink proved it row
+/// by row as they were emitted: [`Relation::try_from_canonical_columns`] adopts
+/// them with no second pass — no copy, no sort. Under any other order, or
+/// should the sink's check ever fail, [`Relation::try_from_columns`]
+/// canonicalizes them (packs, radix-sorts and unpacks in place) exactly as
+/// before. Each output column carries the [`AttrType`] of its variable's binding,
 /// so dictionary-encoded results stay decodable (and bit-compatible with the
 /// binary baseline, whose schemas flow through the storage operators).
 fn rows_to_relation(
@@ -262,9 +264,21 @@ fn rows_to_relation(
     let names: Vec<String> = query.var_names().to_vec();
     let types: Vec<AttrType> = (0..names.len() as VarId).map(|v| bindings[v].ty).collect();
     let schema = Schema::try_new_typed(names, types)?;
+    // an engine that emits out of level order is a bug: fail every debug-built
+    // suite loudly instead of letting the re-sort below mask it
+    debug_assert!(
+        rows.is_canonical(),
+        "a WCOJ engine emits rows strictly ascending in level order"
+    );
+    let identity = order.iter().enumerate().all(|(level, &v)| v == level);
+    let verified = identity && rows.is_canonical();
     let mut columns = vec![Vec::new(); order.len()];
     for (&v, col) in order.iter().zip(rows.into_columns()) {
         columns[v] = col;
     }
-    Ok(Relation::try_from_columns(schema, columns)?)
+    Ok(if verified {
+        Relation::try_from_canonical_columns(schema, columns)?
+    } else {
+        Relation::try_from_columns(schema, columns)?
+    })
 }

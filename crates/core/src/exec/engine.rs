@@ -21,9 +21,10 @@
 //! `O(k · m · log(M/m))` per level through adaptive seeks and is worst-case
 //! optimal up to a log factor by the same fractional-cover argument
 //! (Section 1.2). At the **deepest** level nothing remains to bind below, so for
-//! both engines the extension set *is* the tuple tail: it goes straight from the
-//! kernel output into the [`ColumnSink`] — one slice append on the last column,
-//! one constant fill per prefix column, no per-value cursor movement.
+//! both engines the extension set *is* the tuple tail — Algorithm 2's
+//! `{a_I} × Q[a_I]` with `Q[a_I]` one intersection: the kernel appends it
+//! straight into the [`ColumnSink`]'s deepest column, under the prefix runs the
+//! levels above have bound. No scratch copy, no per-value cursor movement.
 
 use super::trace::trace_kernel;
 use super::ColumnSink;
@@ -82,6 +83,7 @@ impl InteriorStep for KernelExtension {
         let parts = &participants[level];
         // the scratch buffer is reused across all visits of this level
         let mut ext = std::mem::take(&mut scratch[level]);
+        ext.clear();
         level_extension_into(&mut ext, cursors, parts, ctx, level);
         for &v in &ext {
             // ext is ascending, so the forward-only uncounted advance suffices
@@ -144,16 +146,18 @@ impl InteriorStep for LeapfrogRing {
 /// levels, emitting into `sink`. The level-0 participant cursors must already be
 /// open at their root group. This is the engine body both the serial driver
 /// and every morsel worker run, on their own cursor sets and their own
-/// `scratch` — one extension-set buffer per level ([`level_scratch`]), kept
-/// across slices so a sliced run grows each buffer once.
+/// `scratch` — one extension-set buffer per interior level
+/// ([`level_scratch`]), kept across slices so a sliced run grows each buffer
+/// once.
 ///
 /// `participants[l]` lists the cursor indices whose relations contain the
 /// variable bound at level `l` of the global order; every cursor's own attribute
 /// order must be sorted by global position. Tuples land in `sink` sorted and
 /// distinct in level order and are tallied in `ctx.counter`. With `ctx.trace`
-/// present, per-level statistics go to the shared [`LevelRecorder`] (relaxed
-/// atomic sums — commutative, so parallel traced runs report the same
-/// deterministic totals as serial ones).
+/// present, per-level statistics go to that [`LevelRecorder`], which this
+/// thread of execution must be the only writer of — a morsel worker records
+/// into a private one the scheduler absorbs afterwards (commutative sums, so
+/// parallel traced runs report the same deterministic totals as serial ones).
 pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
     cursors: &mut [C],
     participants: &[Vec<usize>],
@@ -192,9 +196,11 @@ pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
     }
 }
 
-/// The per-level extension-set buffers [`join_extensions`] works in.
+/// The extension-set buffers [`join_extensions`] works in, indexed by level:
+/// the interior levels' only — level 0's set is the driver's, and the deepest
+/// level's goes straight into the sink.
 pub(crate) fn level_scratch(participants: &[Vec<usize>]) -> Vec<Vec<Value>> {
-    vec![Vec::new(); participants.len()]
+    vec![Vec::new(); participants.len().saturating_sub(1)]
 }
 
 /// One level of the recursion: open every participating cursor one level deeper
@@ -221,14 +227,11 @@ fn descend<S: InteriorStep, C: TrieAccess>(
     }
 
     let emitted = if level + 1 == participants.len() {
-        // deepest variable: the extension set is the tuple tail — emit it
-        // straight from the kernel output, no per-value cursor repositioning
-        let mut ext = std::mem::take(&mut scratch[level]);
-        level_extension_into(&mut ext, cursors, parts, ctx, level);
-        ctx.counter.add_output(ext.len() as u64);
-        sink.emit(&ext);
-        let emitted = ext.len() as u64;
-        scratch[level] = ext;
+        // deepest variable: the extension set is the tuple tail — the kernel
+        // appends it to the sink's deepest column, no per-value repositioning
+        let emitted =
+            sink.emit_with(|tails| level_extension_into(tails, cursors, parts, ctx, level)) as u64;
+        ctx.counter.add_output(emitted);
         emitted
     } else {
         S::bind_each(cursors, participants, level, sink, scratch, ctx)
@@ -263,11 +266,13 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 }
 
 /// Compute the extension set of one join variable — the kernel-layer intersection
-/// of the open participant cursors' remaining sibling groups — into `ext`. This is
-/// the single intersection seam of the skeleton: every candidate set flows through
-/// the kernel layer — [`wcoj_storage::kernels::intersect_layouts_into`] when every
-/// participant's group carries a prebuilt set layout (static structures build
-/// one per dense group) and the policy allows bitmaps,
+/// of the open participant cursors' remaining sibling groups — and **append** it
+/// to `ext` (what `ext` already holds stays: the deepest level passes the sink's
+/// own column). This is the single intersection seam of the skeleton: every
+/// candidate set flows through the kernel layer —
+/// [`wcoj_storage::kernels::intersect_layouts_into`] when every participant's
+/// group carries a prebuilt set layout (static structures build one per dense
+/// group) and the policy allows bitmaps,
 /// [`wcoj_storage::kernels::intersect_into_cal`] over the sorted lists otherwise
 /// — so the policy, the thresholds and the per-kernel work/choice tallies apply
 /// uniformly, at level 0, interior and deepest levels alike. The SIMD level is
@@ -277,8 +282,10 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// With `ctx.trace` present the kernel's choice and its charged work (diffed
 /// from `ctx.counter` around the call — the counter is private to this thread
 /// of execution, so the diff attributes exactly this intersection) are recorded
-/// against join level `level`. Tracing reads the counter and appends to
-/// relaxed atomics; it never changes what the kernel computes.
+/// against join level `level`, with the appended count as its candidates: a
+/// traced run takes the same fused path as an untraced one. Tracing reads the
+/// counter and appends to relaxed atomics; it never changes what the kernel
+/// computes.
 pub(crate) fn level_extension_into<C: TrieAccess>(
     ext: &mut Vec<Value>,
     cursors: &[C],
@@ -300,7 +307,7 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
             counter.probes(),
         ]
     };
-    let before = trace.map(|_| charged());
+    let before = trace.map(|_| (ext.len(), charged()));
     let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
     let remaining = parts.iter().map(|&ci| cursors[ci].remaining());
     let lists = gather(&mut list_buf, &mut list_spill, parts.len(), remaining);
@@ -322,10 +329,11 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
     } else {
         kernels::intersect_into_cal(simd, ext, lists, policy, cal, counter)
     };
-    if let (Some(rec), Some(before)) = (trace, before) {
+    if let (Some(rec), Some((start, before))) = (trace, before) {
         let after = charged();
         let work = std::array::from_fn(|i| after[i] - before[i]);
-        rec.record_intersection(level, ext.len() as u64, chosen.map(trace_kernel), work);
+        let candidates = (ext.len() - start) as u64;
+        rec.record_intersection(level, candidates, chosen.map(trace_kernel), work);
     }
 }
 

@@ -41,10 +41,25 @@
 //! [`WorkCounter`] kernel breakdown; where every participating sibling group is
 //! dense enough to carry the bitset its access structure prebuilt, the
 //! intersection is a word-parallel AND of those instead of a scan of the lists
-//! (see [`wcoj_storage::kernels`]). Result tuples leave through one
-//! [`ColumnSink`] — one column per join level, no per-row allocation; when the
-//! join order is the identity those columns become the result [`Relation`]
-//! without being copied or sorted.
+//! (see [`wcoj_storage::kernels`]).
+//!
+//! # Prefix runs × deepest column
+//!
+//! Algorithm 2 returns `⋃ {a_I} × Q[a_I]`: the output *is* a union of (bound
+//! prefix) × (extension set) products, and the one [`ColumnSink`] every engine
+//! body emits through stores it that way. Binding a level opens a **run**
+//! `(value, first_row)`; the deepest level's intersection appends `Q[a_I]`
+//! straight into the sink's **deepest column** (the kernels append, so there is
+//! no scratch copy); and each prefix column is expanded once, into an
+//! exactly-sized allocation, when the join is over. A result value is written
+//! once. Rows come out strictly ascending in level order, and the sink
+//! **verifies that as it goes** — each emission against its predecessor while
+//! the rows are in L1, each morsel boundary at the merge — so when the join
+//! order is the identity the columns become the result [`Relation`] with no
+//! copy, no sort and no second pass
+//! ([`wcoj_storage::Relation::try_from_canonical_columns`]); any other order,
+//! or a result that failed the check, is canonicalized by
+//! [`wcoj_storage::Relation::try_from_columns`].
 //!
 //! With `threads > 1` the skeleton runs under the morsel-driven scheduler of
 //! [`parallel`], which partitions the first join variable's extension set across

@@ -12,13 +12,14 @@
 //! shared atomic counter; each worker owns
 //!
 //! * a **private cursor set** (cursors are `Send + Clone`: they borrow the shared
-//!   trie and own their stack), and
-//! * a **private [`WorkCounter`]**,
+//!   trie and own their stack),
+//! * a **private [`WorkCounter`]**, and
+//! * when the run is traced, a **private [`LevelRecorder`]**,
 //!
 //! and runs the *serial engine body* (`join_extensions`) on each claimed morsel,
 //! into one [`ColumnSink`] per morsel. No locks are taken anywhere: each worker
-//! *returns* its sinks, counter and scheduling report through its join handle, and
-//! a worker that panics surfaces as [`ExecError::WorkerPanicked`].
+//! *returns* its sinks, counter, tallies and scheduling report through its join
+//! handle, and a worker that panics surfaces as [`ExecError::WorkerPanicked`].
 //!
 //! # Topology-aware placement
 //!
@@ -34,9 +35,11 @@
 //!
 //! # Determinism
 //!
-//! Results are concatenated in morsel order — one append per column — and morsels
-//! are ascending ranges of the first variable whose outputs are each sorted, so the
-//! output tuple sequence is identical to serial execution regardless of scheduling.
+//! Results are concatenated in morsel order — one append of the deepest column,
+//! the prefix runs spliced — and morsels are ascending ranges of the first
+//! variable whose outputs are each sorted, so the output tuple sequence is
+//! identical to serial execution regardless of scheduling; `ColumnSink::concat`
+//! checks each morsel boundary, so the merged sink is verified canonical too.
 //! Work counters are deterministic too: the driver's intersection is counted exactly
 //! once, per-value re-positioning is uncounted (`TrieAccess::reposition`), and all
 //! counted work below level 0 is a pure function of the value being extended — so the
@@ -48,7 +51,7 @@ use super::{CancelToken, ColumnSink};
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-use wcoj_obs::{MorselTrace, WorkerTrace};
+use wcoj_obs::{LevelRecorder, MorselTrace, WorkerTrace};
 use wcoj_storage::topology::{self, CpuTopology};
 use wcoj_storage::{TrieAccess, Value, WorkCounter};
 
@@ -177,8 +180,11 @@ where
                 scope.spawn(move || {
                     let pinned = topology::pin_current_thread(pin_plan[w]);
                     let local = WorkCounter::new();
+                    // a recorder has one writer: tallies go to a private one too
+                    let levels = ctx.trace.map(|rec| LevelRecorder::new(rec.len()));
                     let ctx = JoinCtx {
                         counter: &local,
+                        trace: levels.as_ref(),
                         ..ctx
                     };
                     let mut cursors = make_cursors();
@@ -219,7 +225,7 @@ where
                         );
                         produced.push((m, sink));
                     }
-                    (produced, local, report)
+                    (produced, local, levels, report)
                 })
             })
             .collect();
@@ -229,10 +235,13 @@ where
     let mut per_morsel = Vec::with_capacity(slices.len());
     let mut reports = Vec::with_capacity(workers);
     for (w, outcome) in joined.into_iter().enumerate() {
-        let (produced, local, report) =
+        let (produced, local, levels, report) =
             outcome.map_err(|panic| ExecError::WorkerPanicked(panic_message(w, &*panic)))?;
         per_morsel.extend(produced);
         ctx.counter.merge(&local);
+        if let (Some(rec), Some(levels)) = (ctx.trace, levels) {
+            rec.absorb(&levels);
+        }
         reports.push(report);
     }
     if let Some(slot) = morsels {
@@ -304,6 +313,7 @@ mod tests {
         )
         .unwrap();
         assert!(!serial.is_empty(), "fixture should produce triangles");
+        assert!(serial.is_canonical());
         let serial = serial.into_columns();
 
         for threads in [1, 2, 4, 8] {
@@ -317,6 +327,7 @@ mod tests {
                 None,
             )
             .unwrap();
+            assert!(out.is_canonical(), "verified morsels concatenate verified");
             assert_eq!(out.into_columns(), serial, "rows with {threads} threads");
             assert_eq!(
                 parallel_counter, serial_counter,

@@ -61,6 +61,17 @@
 //!   only bitmap path for delta-backed atoms and for sparse groups whose
 //!   *common* window is dense.
 //!
+//! # Append contract
+//!
+//! Every `*_into` entry point ([`intersect_into`], [`intersect_into_at`],
+//! [`intersect_into_cal`], [`intersect_layouts_into`]) **appends** the
+//! intersection to `out` and never reads, reorders or drops what `out` already
+//! holds — short-circuits append nothing. That is what lets the execution layer
+//! hand the deepest join level the result column itself: the extension set of
+//! a bound prefix lands behind the previous prefix's, written once. A caller
+//! reusing one buffer across intersections clears it between calls; counters
+//! and output are those of clear-then-intersect either way.
+//!
 //! # Work accounting
 //!
 //! * Gallop records `intersect_steps` (smallest-set elements consumed) and
@@ -178,19 +189,20 @@ pub fn choose_kernel_with(
 }
 
 /// Intersect any number of sorted, deduplicated value slices under `policy`,
-/// returning a fresh vector. See [`intersect_into`] for the allocation-reusing
-/// variant the engines' hot loops use.
+/// returning a fresh vector. See [`intersect_into`] for the appending variant
+/// the engines' hot loops use.
 pub fn intersect(lists: &[&[Value]], policy: KernelPolicy, counter: &WorkCounter) -> Vec<Value> {
     let mut out = Vec::new();
     intersect_into(&mut out, lists, policy, counter);
     out
 }
 
-/// Intersect `lists` into `out` (cleared first) under `policy`, recording work
-/// and the kernel choice into `counter`. All kernels produce identical output:
-/// the ascending sorted intersection. Runs at the detected SIMD level with the
-/// fixed thresholds; the SIMD level never changes output or counters. Returns
-/// the kernel that ran (`None` when a short-circuit skipped the kernel layer).
+/// Intersect `lists` under `policy`, **appending** the result to `out` (see the
+/// module docs' *Append contract*) and recording work and the kernel choice
+/// into `counter`. All kernels produce identical output: the ascending sorted
+/// intersection. Runs at the detected SIMD level with the fixed thresholds; the
+/// SIMD level never changes output or counters. Returns the kernel that ran
+/// (`None` when a short-circuit skipped the kernel layer).
 pub fn intersect_into(
     out: &mut Vec<Value>,
     lists: &[&[Value]],
@@ -227,8 +239,9 @@ pub fn intersect_into_at(
 }
 
 /// The full-control intersection entry point: explicit SIMD level and policy
-/// thresholds. The execution layer resolves both once per query (the detected
-/// level, `ExecOptions::calibration`) and calls this in its hot loop.
+/// thresholds, appending to `out` like every `*_into` here. The execution layer
+/// resolves both once per query (the detected level,
+/// `ExecOptions::calibration`) and calls this in its hot loop.
 /// Returns the kernel that ran, so tracing can attribute the choice per level;
 /// `None` means a short-circuit (empty operand, single list, disjoint spans)
 /// answered before any kernel dispatched. The return value is derived from
@@ -241,7 +254,6 @@ pub fn intersect_into_cal(
     cal: &KernelCalibration,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
-    out.clear();
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
         return None;
     }
@@ -353,8 +365,8 @@ fn merge2_counted(level: SimdLevel, out: &mut Vec<Value>, a: &[Value], b: &[Valu
     }
 }
 
-/// Pairwise merge intersection, smallest lists first so the accumulator shrinks
-/// as early as possible.
+/// Pairwise merge intersection, smallest lists first so the accumulator — the
+/// part of `out` this call appended — shrinks as early as possible.
 fn merge_intersect(
     level: SimdLevel,
     out: &mut Vec<Value>,
@@ -376,41 +388,45 @@ fn merge_intersect(
     };
     order.sort_unstable_by_key(|&i| lists[i].len());
 
+    let start = out.len();
     let mut cmps = merge2_counted(level, out, lists[order[0]], lists[order[1]]);
     match level {
         SimdLevel::Scalar => {
             for &i in &order[2..] {
-                if out.is_empty() {
+                if out.len() == start {
                     break;
                 }
-                cmps += retain_common(out, lists[i]);
+                cmps += retain_common(out, start, lists[i]);
             }
         }
         _ => {
             // The SIMD block kernel can't retain in place (block writes may
-            // overrun the read frontier), so extra lists ping-pong between the
-            // caller's buffer and one scratch vector. retain_common is the same
-            // two-pointer loop as merge2, so the closed-form cost still applies.
-            let mut scratch: Vec<Value> = Vec::new();
+            // overrun the read frontier), so for each extra list the
+            // accumulator moves to one scratch vector and is merged back onto
+            // the caller's prefix. retain_common is the same two-pointer loop
+            // as merge2, so the closed-form cost still applies.
+            let mut acc: Vec<Value> = Vec::new();
             for &i in &order[2..] {
-                if out.is_empty() {
+                if out.len() == start {
                     break;
                 }
-                std::mem::swap(out, &mut scratch);
-                out.clear();
-                cmps += merge2_counted(level, out, &scratch, lists[i]);
+                acc.clear();
+                acc.extend_from_slice(&out[start..]);
+                out.truncate(start);
+                cmps += merge2_counted(level, out, &acc, lists[i]);
             }
         }
     }
     counter.add_comparisons(cmps);
 }
 
-/// Drop every element of `out` (sorted, distinct) not also present in `b`, via a
-/// two-pointer pass with an in-place write cursor — the intersection is a subset
-/// of `out`, so no scratch buffer is needed and the caller's reused allocation
-/// survives. Returns the number of loop iterations (= comparisons).
-fn retain_common(out: &mut Vec<Value>, b: &[Value]) -> u64 {
-    let (mut r, mut j, mut w) = (0usize, 0usize, 0usize);
+/// Drop every element of `out[start..]` (sorted, distinct) not also present in
+/// `b`, via a two-pointer pass with an in-place write cursor — the intersection
+/// is a subset of it, so no scratch buffer is needed and the caller's prefix
+/// and allocation survive. Returns the number of loop iterations
+/// (= comparisons).
+fn retain_common(out: &mut Vec<Value>, start: usize, b: &[Value]) -> u64 {
+    let (mut r, mut j, mut w) = (start, 0usize, start);
     let mut cmps = 0u64;
     while r < out.len() && j < b.len() {
         let x = out[r];
@@ -571,20 +587,34 @@ fn bitmap_intersect(
     counter.add_comparisons(scanned);
     counter.add_probes((words * lists.len()) as u64);
 
-    for (w, &bits) in acc.iter().enumerate() {
-        decode_word(out, lo + (w as u64) * 64, bits);
-    }
+    decode_words(out, lo, acc);
 }
 
-/// Append the values of one bitset word — `base` plus each set bit's index,
-/// ascending — to `out`.
+/// Append the values of the bitset `words` — `base + 64·i + b` for every set
+/// bit `b` of `words[i]`, ascending — to `out`. The bits are counted first, so
+/// `out` grows once, by exactly the slots the decode loop then fills: no
+/// per-value capacity check, no length written back per value.
 #[inline]
-fn decode_word(out: &mut Vec<Value>, base: Value, mut bits: u64) {
-    while bits != 0 {
-        out.push(base + bits.trailing_zeros() as u64);
+fn decode_words(out: &mut Vec<Value>, base: Value, words: &[u64]) {
+    let total: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+    let start = out.len();
+    out.resize(start + total, 0);
+    // one slot per set bit: the slots drive the loop, each taking the next
+    // set bit at or after word `i`
+    let (mut i, mut bits) = (0, words.first().copied().unwrap_or(0));
+    for slot in &mut out[start..] {
+        while bits == 0 {
+            i += 1;
+            bits = words[i];
+        }
+        *slot = base + 64 * i as u64 + bits.trailing_zeros() as u64;
         bits &= bits - 1;
     }
 }
+
+/// The most words one layout takes: a dense group spans at most
+/// [`BITMAP_MAX_SPAN`] values, plus the one word the 64-grid alignment costs.
+const LAYOUT_MAX_WORDS: usize = (BITMAP_MAX_SPAN / 64) as usize + 1;
 
 /// A dense sibling group's prebuilt **set layout**: `(base, words)` where `base`
 /// is a multiple of 64 and bit `b` of `words[i]` says whether `base + 64·i + b`
@@ -636,15 +666,16 @@ pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
     (!words.is_empty()).then_some((first / 64 * 64, words))
 }
 
-/// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s into `out`
-/// (cleared first): `lists[i]` is what remains of group `i` from its cursor's
-/// position and `layouts[i]` the whole group's layout. The common span comes
-/// from `lists` exactly as [`intersect_into_cal`]'s prefilter computes it —
-/// which also masks off the values behind each cursor — and the covered words
-/// are ANDed in place (every layout sits on the same 64-grid) and decoded
-/// ascending. Nothing is scanned, so the charge is one `Bitmap` invocation and
-/// `words · k` probes, no comparisons. Returns `None` when a short-circuit
-/// (empty operand, disjoint spans) answered first.
+/// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s,
+/// **appending** to `out`: `lists[i]` is what remains of group `i` from its
+/// cursor's position and `layouts[i]` the whole group's layout. The common span
+/// comes from `lists` exactly as [`intersect_into_cal`]'s prefilter computes it
+/// — which also masks off the values behind each cursor — and the covered
+/// words are ANDed first (every layout sits on the same 64-grid), masked at the
+/// span's two ends, then counted and decoded ascending in one go. Nothing is
+/// scanned, so the charge is one `Bitmap` invocation and `words · k` probes, no
+/// comparisons. Returns `None` when a short-circuit (empty operand, disjoint
+/// spans) answered first.
 pub fn intersect_layouts_into(
     out: &mut Vec<Value>,
     lists: &[&[Value]],
@@ -652,7 +683,6 @@ pub fn intersect_layouts_into(
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
     debug_assert!(lists.len() >= 2 && lists.len() == layouts.len());
-    out.clear();
     let mut lo = Value::MIN;
     let mut hi = Value::MAX;
     for l in lists {
@@ -665,21 +695,19 @@ pub fn intersect_layouts_into(
     let (first, last) = (lo / 64, hi / 64);
     counter.add_kernel(KernelKind::Bitmap);
     counter.add_probes((last - first + 1) * layouts.len() as u64);
-    // no accumulator: each covered word is ANDed across the layouts, masked at
-    // the span's two ends and decoded in one go
-    for w in first..=last {
-        let mut bits = u64::MAX;
-        for &(base, words) in layouts {
-            bits &= words[(w - base / 64) as usize];
+    // the common span lies inside every group's own, so it covers at most
+    // LAYOUT_MAX_WORDS words: the accumulator lives on the stack
+    let mut acc = [u64::MAX; LAYOUT_MAX_WORDS];
+    let acc = &mut acc[..(last - first + 1) as usize];
+    for &(base, words) in layouts {
+        let covered = &words[(first - base / 64) as usize..][..acc.len()];
+        for (bits, &word) in acc.iter_mut().zip(covered) {
+            *bits &= word;
         }
-        if w == first {
-            bits &= u64::MAX << (lo % 64);
-        }
-        if w == last {
-            bits &= u64::MAX >> (63 - hi % 64);
-        }
-        decode_word(out, w * 64, bits);
     }
+    acc[0] &= u64::MAX << (lo % 64);
+    acc[acc.len() - 1] &= u64::MAX >> (63 - hi % 64);
+    decode_words(out, first * 64, acc);
     Some(KernelKind::Bitmap)
 }
 
@@ -710,9 +738,18 @@ mod tests {
         (append_layout(&mut words, group) > 0).then_some(words)
     }
 
-    /// The dense path over `groups` with each cursor `skip[i]` values in:
-    /// `None` unless every group has a layout.
-    fn run_dense(groups: &[Vec<Value>], skip: &[usize], w: &WorkCounter) -> Option<Vec<Value>> {
+    /// What a caller's `out` already holds when the appending forms run:
+    /// neither sorted nor below the shapes' values, and never touched.
+    const PREFIX: [Value; 2] = [99, 7];
+
+    /// The dense path over `groups` with each cursor `skip[i]` values in,
+    /// appended to `out`: `None` unless every group has a layout.
+    fn run_dense_into(
+        out: &mut Vec<Value>,
+        groups: &[Vec<Value>],
+        skip: &[usize],
+        w: &WorkCounter,
+    ) -> Option<()> {
         let owned: Vec<Vec<u64>> = groups
             .iter()
             .map(|g| built_words(g))
@@ -723,9 +760,17 @@ mod tests {
             .map(|(g, ws)| layout_of(g[0], ws).expect("dense"))
             .collect();
         let lists: Vec<&[Value]> = groups.iter().zip(skip).map(|(g, &s)| &g[s..]).collect();
-        let mut out = vec![99];
-        intersect_layouts_into(&mut out, &lists, &layouts, w);
-        Some(out)
+        intersect_layouts_into(out, &lists, &layouts, w);
+        Some(())
+    }
+
+    /// [`run_dense_into`] behind [`PREFIX`], which must survive; returns what
+    /// was appended.
+    fn run_dense(groups: &[Vec<Value>], skip: &[usize], w: &WorkCounter) -> Option<Vec<Value>> {
+        let mut out = PREFIX.to_vec();
+        run_dense_into(&mut out, groups, skip, w)?;
+        assert_eq!(out[..PREFIX.len()], PREFIX, "the prefix is the caller's");
+        Some(out.split_off(PREFIX.len()))
     }
 
     #[test]
@@ -776,11 +821,22 @@ mod tests {
             let refs: Vec<&[Value]> = lists.iter().map(|l| l.as_slice()).collect();
             let expected = naive(&refs);
             for policy in KernelPolicy::ALL {
+                let fresh = WorkCounter::new();
                 assert_eq!(
-                    run(&refs, policy),
+                    intersect(&refs, policy, &fresh),
                     expected,
                     "policy {policy:?} diverges on {lists:?}"
                 );
+                // the appending form, on every dispatch level: the caller's
+                // prefix survives and the charge is the fresh run's
+                for level in simd::runnable_levels() {
+                    let (mut out, w) = (PREFIX.to_vec(), WorkCounter::new());
+                    intersect_into_at(level, &mut out, &refs, policy, &w);
+                    let what = format!("{policy:?} at {level:?} appending on {lists:?}");
+                    assert_eq!(out[..PREFIX.len()], PREFIX, "{what}");
+                    assert_eq!(out[PREFIX.len()..], expected, "{what}");
+                    assert_eq!(w, fresh, "{what}");
+                }
             }
             // ... and where every list is dense, so must the prebuilt layouts
             if lists.len() < 2 {
@@ -791,6 +847,13 @@ mod tests {
                 assert_eq!(out, expected, "layouts diverge on {lists:?}");
                 assert_eq!(w.comparisons(), 0, "the dense path scans nothing");
                 assert_eq!(w.kernel_calls(), w.kernel_bitmap());
+                let (mut cleared, fresh) = (Vec::new(), WorkCounter::new());
+                run_dense_into(&mut cleared, lists, &vec![0; lists.len()], &fresh);
+                assert_eq!(
+                    (cleared, &fresh),
+                    (out, &w),
+                    "appending == clear-then-intersect"
+                );
                 dense_shapes += 1;
             }
         }
@@ -836,9 +899,7 @@ mod tests {
             assert!(base <= group[0] && group[0] - base < 64);
             assert!(words.len() <= group.len() / 4 + 2, "{} words", words.len());
             let mut decoded = Vec::new();
-            for (i, &bits) in words.iter().enumerate() {
-                decode_word(&mut decoded, base + 64 * i as u64, bits);
-            }
+            decode_words(&mut decoded, base, words);
             assert_eq!(decoded, group);
         }
         assert!(
@@ -986,13 +1047,20 @@ mod tests {
     }
 
     #[test]
-    fn intersect_into_reuses_allocation_and_clears() {
+    fn intersect_into_appends_and_leaves_clearing_to_the_caller() {
         let w = WorkCounter::new();
         let mut out = vec![99, 98, 97];
         let a: Vec<Value> = vec![1, 2, 3];
         intersect_into(&mut out, &[&a, &a], KernelPolicy::Merge, &w);
-        assert_eq!(out, vec![1, 2, 3]);
+        assert_eq!(out, vec![99, 98, 97, 1, 2, 3]);
+        // every short-circuit leaves `out` alone too
         intersect_into(&mut out, &[], KernelPolicy::Adaptive, &w);
-        assert!(out.is_empty());
+        intersect_into(&mut out, &[&a, &[]], KernelPolicy::Adaptive, &w);
+        intersect_into(&mut out, &[&a, &[4, 5]], KernelPolicy::Adaptive, &w);
+        assert_eq!(out, vec![99, 98, 97, 1, 2, 3]);
+        // a reused buffer is the caller's to clear
+        out.clear();
+        intersect_into(&mut out, &[&a, &[2, 3, 4]], KernelPolicy::Gallop, &w);
+        assert_eq!(out, vec![2, 3]);
     }
 }

@@ -81,36 +81,24 @@ impl Relation {
     }
 
     /// Build a relation directly from columns (all of equal length) — the bulk-load
-    /// path, and the join engines' result path; it never touches a row
-    /// representation.
+    /// path, and the join engines' result path under a non-identity variable
+    /// order; it never touches a row representation.
     ///
-    /// Columns whose rows are already canonical (strictly ascending — what the
-    /// engines' depth-first enumeration produces under the identity variable
-    /// order) are **adopted as they are** after one linear check: no copy, no
-    /// sort, no allocation. Anything else is sorted lexicographically and
-    /// deduplicated: when the per-column bit widths fit, each row is squeezed
-    /// into one `u64`/`u128` key (lexicographic order is preserved because each
-    /// field occupies a disjoint, more-significant bit range), the keys are
-    /// sorted — an LSD radix sort for `u64` keys — and unpacked back into the
-    /// input's own column allocations; wider rows fall back to an argsort of
-    /// row indices.
+    /// Columns whose rows are already canonical (strictly ascending) are
+    /// **adopted as they are** after one linear check: no copy, no sort, no
+    /// allocation (a caller that has verified the order itself skips even the
+    /// check: [`Relation::try_from_canonical_columns`]). Anything else is
+    /// sorted lexicographically and deduplicated: when the per-column bit
+    /// widths fit, each row is squeezed into one `u64`/`u128` key
+    /// (lexicographic order is preserved because each field occupies a
+    /// disjoint, more-significant bit range), the keys are sorted — an LSD
+    /// radix sort for `u64` keys — and unpacked back into the input's own
+    /// column allocations; wider rows fall back to an argsort of row indices.
     pub fn try_from_columns(
         schema: Schema,
         mut columns: Vec<Vec<Value>>,
     ) -> Result<Self, StorageError> {
-        if columns.len() != schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: schema.arity(),
-                found: columns.len(),
-            });
-        }
-        let n = columns.first().map_or(0, |c| c.len());
-        if let Some(bad) = columns.iter().find(|c| c.len() != n) {
-            return Err(StorageError::ArityMismatch {
-                expected: n,
-                found: bad.len(),
-            });
-        }
+        let n = check_shape(&schema, &columns)?;
         if !is_canonical(&columns, n) {
             let widths: Vec<u32> = columns
                 .iter()
@@ -129,6 +117,27 @@ impl Relation {
                 }
             }
         }
+        Ok(Self::from_canonical_columns(schema, columns))
+    }
+
+    /// Adopt columns whose rows the caller has **already verified** canonical —
+    /// strictly ascending in lexicographic order, i.e. sorted and distinct — as
+    /// they are: [`Relation::try_from_columns`] without its linear re-read. This
+    /// is the join engines' result path: their sink checks every row against
+    /// its predecessor as it is emitted, while the data is in L1, so a second
+    /// pass over the finished columns would only re-prove it cold.
+    ///
+    /// **Precondition:** the rows are canonical. Only the shape (arity, equal
+    /// column lengths) is checked here; debug builds additionally re-scan and
+    /// panic on a violation. Breaking the precondition in a release build is
+    /// memory-safe but yields a relation whose lookups, merges and equality
+    /// are wrong — when in doubt, call [`Relation::try_from_columns`].
+    pub fn try_from_canonical_columns(
+        schema: Schema,
+        columns: Vec<Vec<Value>>,
+    ) -> Result<Self, StorageError> {
+        let n = check_shape(&schema, &columns)?;
+        debug_assert!(is_canonical(&columns, n), "caller-verified row order");
         Ok(Self::from_canonical_columns(schema, columns))
     }
 
@@ -557,6 +566,25 @@ pub(crate) fn cmp_columns_at(
     a.cmp(&b)
 }
 
+/// The common length of `columns` once they are known to fit `schema`: one per
+/// attribute, all equally long.
+fn check_shape(schema: &Schema, columns: &[Vec<Value>]) -> Result<usize, StorageError> {
+    if columns.len() != schema.arity() {
+        return Err(StorageError::ArityMismatch {
+            expected: schema.arity(),
+            found: columns.len(),
+        });
+    }
+    let n = columns.first().map_or(0, |c| c.len());
+    match columns.iter().find(|c| c.len() != n) {
+        Some(bad) => Err(StorageError::ArityMismatch {
+            expected: n,
+            found: bad.len(),
+        }),
+        None => Ok(n),
+    }
+}
+
 /// Whether `n` column-major rows are strictly ascending in lexicographic order —
 /// sorted and duplicate-free, i.e. already a [`Relation`]'s canonical layout.
 /// Rows are compared with their predecessors a block at a time, one column at a
@@ -929,6 +957,40 @@ mod tests {
         let sorted = Relation::try_from_columns(Schema::new(&["A"]), vec![long]).unwrap();
         assert_eq!(sorted.len(), 2999);
         assert!(sorted.column(0).windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn verified_columns_are_adopted_as_they_are() {
+        // what the join engines hand over under the identity order, verified
+        // row by row as it was emitted
+        let columns = vec![vec![1, 1, 2, 2], vec![5, 6, 0, 9], vec![7, 7, 7, 7]];
+        let ptrs: Vec<*const Value> = columns.iter().map(|c| c.as_ptr()).collect();
+        let schema = Schema::new(&["A", "B", "C"]);
+        let checked = Relation::try_from_columns(schema.clone(), columns.clone()).unwrap();
+        let adopted = Relation::try_from_canonical_columns(schema.clone(), columns).unwrap();
+        assert_eq!(adopted, checked);
+        for (pos, ptr) in ptrs.into_iter().enumerate() {
+            assert_eq!(adopted.column(pos).as_ptr(), ptr, "column {pos} was copied");
+        }
+        // the shape is still checked
+        for bad in [vec![vec![1], vec![2]], vec![vec![1], vec![2], vec![]]] {
+            assert!(matches!(
+                Relation::try_from_canonical_columns(schema.clone(), bad),
+                Err(StorageError::ArityMismatch { .. })
+            ));
+        }
+    }
+
+    /// Debug builds re-scan at adoption: a caller that broke the precondition
+    /// is told, not believed.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "caller-verified row order")]
+    fn debug_builds_recheck_the_canonical_precondition() {
+        let _ = Relation::try_from_canonical_columns(
+            Schema::new(&["A", "B"]),
+            vec![vec![1, 1, 2], vec![6, 5, 0]],
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! The force-scalar escape hatch is read once at first use; tests that need to
 //! cover both paths on one machine pass an explicit [`SimdLevel`], or flip the
-//! process-wide dispatch between runs with [`force_active_level`], instead of
-//! mutating the environment.
+//! process-wide dispatch between runs with the hidden test-support hook
+//! `force_active_level`, instead of mutating the environment.
 
 // The only unsafe in the storage crate (with the `topology` pinning syscall):
 // `#[target_feature]` intrinsics, each call guarded by runtime detection.
@@ -38,7 +38,7 @@ pub enum SimdLevel {
 }
 
 /// Dispatch-level cache: 0 = not yet detected, otherwise `encode_level + 1`.
-/// An atomic rather than a `OnceLock` so [`force_active_level`] can re-point
+/// An atomic rather than a `OnceLock` so `force_active_level` can re-point
 /// dispatch for in-process scalar-vs-SIMD A/B runs (tests, the E7 bench).
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
@@ -60,8 +60,8 @@ fn decode_level(byte: u8) -> SimdLevel {
 
 /// The SIMD level every kernel dispatches to by default: the best level the
 /// host supports, unless `WCOJ_FORCE_SCALAR=1` pins the scalar fallback.
-/// Detected once at first use and stable thereafter — except for explicit
-/// [`force_active_level`] calls.
+/// Detected once at first use and stable thereafter (the hidden test-support
+/// hook `force_active_level` aside).
 pub fn active_level() -> SimdLevel {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => {
@@ -83,11 +83,14 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// Re-point process-wide dispatch at `level` — the in-process A/B hook used by
-/// the SIMD-parity tests and the E7 calibration bench to compare scalar and
-/// vector paths without respawning under `WCOJ_FORCE_SCALAR=1`. Panics if the
-/// host cannot execute `level`. Not for concurrent use with live queries: flip
-/// it only between runs.
+/// Re-point process-wide dispatch at `level` — **test support**, hidden from
+/// the documented API: the in-process A/B hook of the SIMD-parity test
+/// (`core/tests/simd_parity.rs`) and the E7 calibration bench, which compare
+/// scalar and vector paths without respawning under `WCOJ_FORCE_SCALAR=1`
+/// (both live outside this crate, so `cfg(test)` cannot reach them). Panics if
+/// the host cannot execute `level`. Not for concurrent use with live queries:
+/// flip it only between runs.
+#[doc(hidden)]
 pub fn force_active_level(level: SimdLevel) {
     assert!(
         runnable_levels().contains(&level),
