@@ -314,6 +314,10 @@ fn main() {
         let pinned = execute_opts_with_order(&q, &snap, &opts, &order).unwrap();
         assert_eq!(live.result, live0.result, "live rows stable");
         assert_eq!(pinned.result, snap0.result, "pinned rows stable");
+        // one tally per atom, each read in one column order: all three found
+        if db.access_cache().is_enabled() {
+            assert_eq!((live.cache_stats.hits, pinned.cache_stats.hits), (3, 3));
+        }
         misses += live.cache_stats.misses + pinned.cache_stats.misses;
         merges += live.cache_stats.incremental_merges + pinned.cache_stats.incremental_merges;
     }

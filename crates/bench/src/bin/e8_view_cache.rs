@@ -14,8 +14,8 @@
 //!    wins), the streaming replay mix, and the selective `needle` shape
 //!    (build-dominated — large wins, and the regime the cache is *for*).
 //! 2. **Incremental merge vs full rebuild** — seal one small batch into a
-//!    large delta log and compare reusing the cached views of the runs that
-//!    are still there (permute only the new run) against rebuilding from
+//!    large delta log and compare reusing the cached tries of the runs that
+//!    are still there (build only the new run's) against rebuilding from
 //!    scratch; in full mode the
 //!    incremental path must win.
 //! 3. **Hit-rate sweep** — Zipf-distributed replay over a pool of variable
@@ -180,7 +180,7 @@ fn main() {
         "T",
         Relation::from_pairs("A", "C", random_pairs(64, d, 0xE823)),
     );
-    // non-native order: R's columns must be permuted, so its view is cached
+    // non-native order: each run of R is argsorted once, then its trie is cached
     let order = vec![2usize, 1, 0];
     let opts = ExecOptions::new(Engine::GenericJoin);
     let db_old = db.clone(); // shares the access cache with db
@@ -200,7 +200,7 @@ fn main() {
         },
         iters,
     );
-    // incremental: prime the pre-seal runs' views (the db clone shares the
+    // incremental: prime the pre-seal runs' tries (the db clone shares the
     // cache), then time only the post-seal query, which builds the new run's
     let incremental_ms = {
         let mut best = f64::INFINITY;
@@ -318,7 +318,7 @@ fn main() {
         "  one-shot cold query pays for caching it never uses: off {off_ms:.3}ms vs cold {cold_ms:.3}ms (x{:.2} overhead)",
         cold_ms / off_ms
     );
-    println!("  identity-order delta atoms always bypass the cache: the native order borrows the log for free, so streams queried only in native order see no benefit");
+    println!("  a sealed run's trie is resident per (run, order), the native order included: a stream read in k column orders keeps k tries per run, where the native order used to borrow the log for free");
 
     // ---- record E8 rows into BENCH_joins.json (full runs only) -----------
     if !smoke {

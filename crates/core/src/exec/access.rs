@@ -1,11 +1,15 @@
 //! Access-structure builds and their cache entries.
 //!
-//! [`BuiltAccess::build`] produces one access structure per atom — a CSR trie
-//! for a static relation (the same one for either WCOJ engine), a live
-//! [`DeltaAccess`] union cursor for a delta-backed one — fetching each through
-//! the per-database [`wcoj_storage::AccessCache`] keyed by `(relation, column
-//! positions, kind, stamp)`. Builds record no [`wcoj_storage::WorkCounter`] work (their activity
-//! is tallied in [`CacheStats`]), and cached, fresh-serial and fresh-parallel
+//! [`BuiltAccess::build`] produces one access structure per atom, and there is
+//! one kind: the CSR [`Trie`], the same for either WCOJ engine. A static
+//! relation has one; a delta-backed relation has one per sealed run (plus the
+//! collapsed unsealed buffer's, built per query), merged on the fly by the
+//! [`DeltaAccess`] union cursor — and a log that comes to a single trie with no
+//! tombstone *is* the static case and runs as one. Every trie of an immutable
+//! input goes through the one [`fetch_or_build`] and the per-database
+//! [`wcoj_storage::AccessCache`], keyed `(relation, column positions, stamp)`.
+//! Builds record no [`wcoj_storage::WorkCounter`] work (their activity is
+//! tallied in [`CacheStats`]), and cached, fresh-serial and fresh-parallel
 //! structures are bit-identical, so results and work counters are the same with
 //! the cache on, off, or cold.
 
@@ -18,42 +22,32 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_obs::{AtomTrace, MorselTrace};
 use wcoj_query::{AtomSource, ConjunctiveQuery, Database};
-use wcoj_storage::{
-    CacheKey, CacheKind, CacheStats, CachedValue, CursorKind, DeltaAccess, DeltaRelation, Relation,
-    Trie,
-};
+use wcoj_storage::delta::Run;
+use wcoj_storage::{CacheKey, CacheStats, CursorKind, DeltaAccess, StorageError, Trie};
 
-/// One atom's built access structure. Static structures are `Arc`-shared with
-/// the access cache, so a hit costs a refcount, not a rebuild.
-pub(super) enum AtomAccess<'d> {
+/// One atom's built access structure. Tries are `Arc`-shared with the access
+/// cache, so a hit costs a refcount, not a rebuild.
+pub(super) enum AtomAccess {
     Trie(Arc<Trie>),
-    Delta(DeltaAccess<'d>),
+    Delta(DeltaAccess),
 }
 
-impl AtomAccess<'_> {
+impl AtomAccess {
     fn cursor(&self) -> CursorKind<'_> {
         match self {
             AtomAccess::Trie(t) => t.cursor().into(),
             AtomAccess::Delta(d) => d.cursor().into(),
         }
     }
-
-    /// The trace spelling of the structure kind.
-    fn kind(&self) -> &'static str {
-        match self {
-            AtomAccess::Trie(_) => "trie",
-            AtomAccess::Delta(_) => "delta",
-        }
-    }
 }
 
 /// The access structures built for one execution, shared immutably by all
 /// workers: all tries (the monomorphized fast path), or — as soon as any atom
-/// is delta-backed — one [`AtomAccess`] per atom, composed through
+/// needs the union cursor — one [`AtomAccess`] per atom, composed through
 /// [`CursorKind`]'s branch (not vtable) dispatch.
-pub(super) enum BuiltAccess<'d> {
+pub(super) enum BuiltAccess {
     Tries(Vec<Arc<Trie>>),
-    Mixed(Vec<AtomAccess<'d>>),
+    Mixed(Vec<AtomAccess>),
 }
 
 /// The cache side-channel of one [`BuiltAccess::build`]: the database whose
@@ -67,107 +61,97 @@ struct CacheCtx<'a> {
     pinned: bool,
 }
 
-/// Fetch-or-build one static relation's CSR trie through the access cache.
-/// Keyed by `(name, positions, kind, insertion stamp)`: rebinding the name
-/// changes the stamp, so stale entries can never be returned (they age out).
-fn cached_static(
+/// Fetch-or-build the trie of one immutable input — a static relation, or one
+/// sealed run of a delta log (`run`) — through the access cache. `key` names
+/// the input by its stamp (`None`: not caching): a relation's insertion stamp
+/// changes when its name is rebound and a run's id is never reissued, so a
+/// stale entry can never be returned. Returns the trie and whether it was
+/// built here; a built trie is inserted (`rows` is its rebuild cost), and the
+/// insert drops the entries of this relation and order whose run no log holds
+/// any more.
+fn fetch_or_build(
+    ctx: &CacheCtx<'_>,
+    key: Option<&CacheKey>,
+    rows: usize,
+    run: Option<&Arc<Run>>,
+    build: impl FnOnce() -> Result<Trie, StorageError>,
+    stats: &mut CacheStats,
+) -> Result<(Arc<Trie>, bool), ExecError> {
+    let cache = ctx.db.access_cache();
+    if let Some(t) = key.and_then(|key| cache.get(key)) {
+        return Ok((t, false));
+    }
+    let t = Arc::new(build()?);
+    if let Some(key) = key {
+        let (value, run) = (Arc::clone(&t), run.map(Arc::downgrade));
+        let (cost, bytes) = (rows as u64, t.heap_bytes());
+        stats.evictions += cache.insert(key.clone(), value, run, cost, bytes, ctx.pinned);
+    }
+    Ok((t, true))
+}
+
+/// One atom's access structure. A static relation is one input; a delta log
+/// is its sealed runs, each fetched or built exactly like a static relation
+/// (the reader walks **its own** run list, so the head and any number of
+/// pinned snapshots share the entries of the runs they have in common and
+/// never write to each other's keys), plus the unsealed buffer collapsed per
+/// query, exactly like an uncached build. One tally per atom: every input
+/// found is a hit, some found an incremental merge (after a seal: only the new
+/// run is built), none found a miss (cold, or after a compaction); a log with
+/// no sealed run has nothing to keep and tallies nothing. A log that comes to
+/// one trie with no tombstone is served as that trie: the static path.
+fn atom_access(
     ctx: &CacheCtx<'_>,
     name: &str,
-    rel: &Relation,
+    source: &AtomSource<'_>,
     positions: &[usize],
     threads: usize,
     stats: &mut CacheStats,
-) -> Result<Arc<Trie>, ExecError> {
-    let key = ctx.use_cache.then(|| CacheKey {
+) -> Result<AtomAccess, ExecError> {
+    let mut key = ctx.use_cache.then(|| CacheKey {
         relation: name.to_string(),
         positions: positions.to_vec(),
-        kind: CacheKind::Trie,
         stamp: ctx.db.relation_stamp(name),
     });
-    let cache = ctx.db.access_cache();
-    if let Some(CachedValue::Trie(t)) = key.as_ref().and_then(|key| cache.get(key)) {
-        stats.hits += 1;
-        return Ok(t);
-    }
-    let t = Arc::new(Trie::build_positions_parallel(rel, positions, threads)?);
-    if let Some(key) = key {
-        stats.misses += 1;
-        let value = CachedValue::Trie(Arc::clone(&t));
-        stats.evictions += cache.insert(key, value, rel.len() as u64, t.heap_bytes(), ctx.pinned);
-    }
-    Ok(t)
-}
-
-/// Fetch-or-build one delta-backed atom's [`DeltaAccess`] through the access
-/// cache — [`cached_static`]'s loop, once per sealed run. A run is immutable
-/// and its id is never reissued, so the key `(name, positions, kind, run id)`
-/// names one permuted [`wcoj_storage::RunView`] for good: the reader looks up
-/// the runs of **its own** list (one lock acquisition), the builder permutes
-/// the ones that were not there, and those are inserted. Every run found is a
-/// hit, some found an incremental merge (after a seal: only the new run is
-/// built), none found a miss (cold, or after a compaction) — one tally per
-/// atom. The head and any number of pinned snapshots share the entries of the
-/// runs they have in common and never write to each other's keys; the entry of
-/// a run no log holds any more is dropped by the next insert for this
-/// relation and order.
-///
-/// The live unsealed buffer is collapsed per query, exactly like an uncached
-/// build. The relation's **native** attribute order borrows the log directly
-/// (no permute, nothing worth caching), and a log with no sealed run has
-/// nothing to keep, so both bypass the cache.
-fn cached_delta<'d>(
-    ctx: &CacheCtx<'_>,
-    name: &str,
-    delta: &'d DeltaRelation,
-    positions: &[usize],
-    threads: usize,
-    stats: &mut CacheStats,
-) -> Result<DeltaAccess<'d>, ExecError> {
-    let identity = positions.iter().enumerate().all(|(i, &p)| i == p);
-    let run_ids = if identity || !ctx.use_cache {
-        Vec::new()
-    } else {
-        delta.run_ids()
-    };
-    if run_ids.is_empty() {
-        return Ok(DeltaAccess::build_positions(delta, positions, threads)?);
-    }
-    let key = |run_id: u64| CacheKey {
-        relation: name.to_string(),
-        positions: positions.to_vec(),
-        kind: CacheKind::Delta,
-        stamp: run_id,
-    };
-    let cache = ctx.db.access_cache();
-    let found = cache
-        .get_many(run_ids.iter().copied().map(key))
-        .into_iter()
-        .map(|value| match value {
-            Some(CachedValue::Run(view)) => Some(view),
-            _ => None,
-        })
-        .collect();
-    let (access, built) = DeltaAccess::build_positions_with(delta, positions, threads, found)?;
-    match built.len() {
+    let tally = |stats: &mut CacheStats, built: usize, inputs: usize| match built {
+        _ if !ctx.use_cache || inputs == 0 => {}
         0 => stats.hits += 1,
-        n if n == run_ids.len() => stats.misses += 1,
+        n if n == inputs => stats.misses += 1,
         _ => stats.incremental_merges += 1,
-    }
-    for view in built {
-        let (id, cost, bytes) = (view.run_id(), view.num_rows() as u64, view.heap_bytes());
-        stats.evictions += cache.insert(key(id), CachedValue::Run(view), cost, bytes, ctx.pinned);
-    }
-    Ok(access)
+    };
+    let delta = match source {
+        AtomSource::Static(rel) => {
+            let build = || Trie::build_positions_parallel(rel, positions, threads);
+            let (trie, built) = fetch_or_build(ctx, key.as_ref(), rel.len(), None, build, stats)?;
+            tally(stats, built as usize, 1);
+            return Ok(AtomAccess::Trie(trie));
+        }
+        AtomSource::Delta(delta) => delta,
+    };
+    let mut built = 0;
+    let access = DeltaAccess::assemble(delta, positions, |run| {
+        if let Some(key) = key.as_mut() {
+            key.stamp = run.id();
+        }
+        let build = || run.trie(positions, threads);
+        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run.len(), Some(run), build, stats)?;
+        built += fresh as usize;
+        Ok::<_, ExecError>(trie)
+    })?;
+    tally(stats, built, delta.num_runs());
+    Ok(match access.tries() {
+        [only] if !only.has_tombstones() => AtomAccess::Trie(Arc::clone(only)),
+        _ => AtomAccess::Delta(access),
+    })
 }
 
-impl<'d> BuiltAccess<'d> {
+impl BuiltAccess {
     /// Build (or fetch from the database's access cache) one access structure
     /// per atom over the column `positions` its join order resolves to (also
     /// the cache key's permutation component); with `threads > 1` each fresh
     /// build's argsort-and-scan pass is partitioned across scoped workers
-    /// ([`Trie::build_positions_parallel`] /
-    /// [`wcoj_storage::Relation::sort_perm_threads`] for delta runs).
-    /// Delta-backed atoms build a [`DeltaAccess`] over the live runs — no
+    /// ([`Trie::build_positions_parallel`], for a relation and for a run).
+    /// Delta-backed atoms get a [`DeltaAccess`] over their runs' tries — no
     /// snapshot materialization.
     ///
     /// With `trace` present, one [`AtomTrace`] per atom is appended — its
@@ -176,7 +160,7 @@ impl<'d> BuiltAccess<'d> {
     pub(super) fn build(
         query: &ConjunctiveQuery,
         db: &Database,
-        sources: &'d [AtomSource<'d>],
+        sources: &[AtomSource<'_>],
         positions: &[Vec<usize>],
         opts: &ExecOptions,
         stats: &mut CacheStats,
@@ -192,18 +176,16 @@ impl<'d> BuiltAccess<'d> {
         for ((atom, source), positions) in query.atoms().iter().zip(sources).zip(positions) {
             let started = trace.is_some().then(Instant::now);
             let before = *stats;
-            let access = match source {
-                AtomSource::Static(rel) => AtomAccess::Trie(cached_static(
-                    &ctx, &atom.name, rel, positions, threads, stats,
-                )?),
-                AtomSource::Delta(delta) => AtomAccess::Delta(cached_delta(
-                    &ctx, &atom.name, delta, positions, threads, stats,
-                )?),
-            };
+            let access = atom_access(&ctx, &atom.name, source, positions, threads, stats)?;
             if let Some(tr) = trace.as_deref_mut() {
+                // where the atom is served from, not which cursor serves it
+                let kind = match source {
+                    AtomSource::Static(_) => "trie",
+                    AtomSource::Delta(_) => "delta",
+                };
                 tr.push(AtomTrace {
                     relation: atom.name.clone(),
-                    kind: access.kind().to_string(),
+                    kind: kind.to_string(),
                     outcome: atom_outcome(&before, stats).to_string(),
                     build_ns: elapsed_ns(started),
                 });
@@ -216,9 +198,9 @@ impl<'d> BuiltAccess<'d> {
         Ok(Self::from_atoms(atoms))
     }
 
-    /// Pick the monomorphized fast path when every atom is static, the
+    /// Pick the monomorphized fast path when every atom is a single trie, the
     /// [`CursorKind`] composition otherwise.
-    fn from_atoms(atoms: Vec<AtomAccess<'d>>) -> Self {
+    fn from_atoms(atoms: Vec<AtomAccess>) -> Self {
         let tries = atoms.iter().map(|a| match a {
             AtomAccess::Trie(t) => Some(Arc::clone(t)),
             AtomAccess::Delta(_) => None,

@@ -26,12 +26,15 @@
 //! *interior* level's values are enumerated — a materialized kernel
 //! intersection, or the leapfrog ring of mutual seeks. It is written
 //! **generically** over `C: TrieAccess`, so each hot loop monomorphizes per
-//! cursor type. Both run on the one static access structure, the CSR
+//! cursor type. Both run on the one access structure, the CSR
 //! [`wcoj_storage::Trie`] — Generic Join's "sorted extensions of a bound prefix"
-//! is a `child_start` offset of the same trie Leapfrog walks — and a query that
-//! mixes static and delta-backed atoms composes their cursors through
-//! [`wcoj_storage::CursorKind`] with branch (not vtable) dispatch. [`Engine::BinaryHash`] is the classical left-deep binary
-//! hash-join baseline the paper measures them against; it has no cursor path.
+//! is a `child_start` offset of the same trie Leapfrog walks. A sealed run of a
+//! delta log is a trie as well: a log of one run with no tombstones *is* the
+//! static case (same cursor, kernels and counters), and any other is walked by
+//! the union cursor over its runs' tries, composed with the plain cursors
+//! through [`wcoj_storage::CursorKind`] with branch (not vtable) dispatch.
+//! [`Engine::BinaryHash`] is the classical left-deep binary hash-join baseline
+//! the paper measures them against; it has no cursor path.
 //!
 //! The first level and every deepest level — and every level of Generic Join —
 //! compute their extension set through the **adaptive intersection kernel
@@ -70,15 +73,17 @@
 //!
 //! # One builder loop
 //!
-//! Access structures are built by one per-atom loop (`access`) through the
-//! per-database [`wcoj_storage::AccessCache`], keyed by `(relation, column
-//! positions, kind, stamp)` and reused across executions. Delta-backed entries
-//! revalidate by **run identity**: an unchanged sealed-run list is a hit, newly
-//! sealed runs appended are an *incremental merge* (only the new runs get
-//! permuted), anything else rebuilds. [`CacheMode`] switches the cache off or
-//! pins entries per execution, and [`ExecOutput::cache_stats`] reports the
-//! activity — builds record no [`WorkCounter`] work, so results and work counters
-//! are bit-identical with the cache on, off, or cold.
+//! Access structures are built by one per-atom loop (`access`) with one
+//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: an
+//! immutable input — a static relation, or one sealed run of a delta log —
+//! permuted to one column order is one cached trie, keyed `(relation, column
+//! positions, stamp)`, and the entry dies with its input. A delta-backed atom
+//! walks its own run list: every run found is a hit, a newly sealed run is the
+//! only one built (an *incremental merge*), a compaction leaves one run nobody
+//! has seen (a miss). [`CacheMode`] switches the cache off or pins entries per
+//! execution, and [`ExecOutput::cache_stats`] reports the activity — builds
+//! record no [`WorkCounter`] work, so results and work counters are
+//! bit-identical with the cache on, off, or cold.
 //!
 //! **Typed data** never reaches the engines: string columns are
 //! dictionary-encoded at load time (`wcoj_query::Database`'s typed loaders),
@@ -385,8 +390,17 @@ mod tests {
                 );
             }
         }
-        // delta work appears in the counters once data actually lives in runs
+        // the buffered ops cancel, so sealing leaves one run with no tombstone:
+        // that log's trie is the static trie and runs on the static path
         db.seal("R").unwrap();
+        let out = execute(&q, &db, Engine::GenericJoin).unwrap();
+        assert_eq!(out.result, expected.result);
+        assert_eq!(out.work, expected.work, "one clean run is the static case");
+        // delta work appears in the counters once a second run has to be merged
+        db.delete("R", &[1, 2]).unwrap();
+        db.insert_delta("R", vec![1, 9]).unwrap();
+        db.seal("R").unwrap();
+        db.insert_delta("R", vec![1, 2]).unwrap();
         let out = execute(&q, &db, Engine::GenericJoin).unwrap();
         assert_eq!(out.result, expected.result);
         assert!(

@@ -28,7 +28,11 @@ fn rebuilt(db: &Database) -> Database {
 
 /// Assert the acceptance property on one live database: for every engine ×
 /// threads {1, 4}, the delta path's rows equal the rebuilt path's,
-/// and the delta path's merged counters are thread-count independent.
+/// and the delta path's merged counters are thread-count independent. Then
+/// compact every log — one run, no tombstones — and assert that the live
+/// database has *become* the rebuilt one: a sealed run's access structure is
+/// the static trie, so both WCOJ engines charge the same `WorkCounter` bit for
+/// bit, kernel tallies included, and no union-cursor work at all.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
     let order = agm_variable_order(&w.query, &static_db).expect("planner");
@@ -57,6 +61,28 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
                     "{label}: {engine:?}: delta-path counters depend on threads"
                 ),
             }
+        }
+    }
+    let mut compacted = w.db.clone();
+    for name in w.db.relation_names() {
+        compacted.compact(name, 2).expect("compact");
+        if let Some(delta) = compacted.delta(name) {
+            assert!(delta.num_runs() <= 1 && delta.tombstones() == 0);
+        }
+    }
+    for engine in [Engine::GenericJoin, Engine::Leapfrog] {
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::new(engine).with_threads(threads);
+            let live = execute_opts_with_order(&w.query, &compacted, &opts, &order)
+                .unwrap_or_else(|e| panic!("{label}: compacted {engine:?} failed: {e}"));
+            let full = execute_opts_with_order(&w.query, &static_db, &opts, &order)
+                .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
+            assert_eq!(live.result, full.result, "{label}: {engine:?}/t{threads}");
+            assert_eq!(
+                live.work, full.work,
+                "{label}: {engine:?}/t{threads}: a compacted log is not the static path"
+            );
+            assert_eq!(live.work.delta_merge(), 0, "{label}: {engine:?}/t{threads}");
         }
     }
 }

@@ -249,20 +249,7 @@ impl Database {
     /// (the existing rows become the base run). No-op if already delta-backed.
     /// Typed-load domain records are preserved — the encoding is unchanged.
     pub fn to_delta(&mut self, name: &str) -> Result<(), DatabaseError> {
-        if self.deltas.contains_key(name) {
-            return Ok(());
-        }
-        let rel = self
-            .relations
-            .remove(name)
-            .ok_or_else(|| DatabaseError::MissingRelation(name.to_string()))?;
-        // reclaim the allocation when this catalog is the sole owner; a
-        // snapshot holding the old static binding keeps its own copy
-        let rel = Arc::try_unwrap(rel).unwrap_or_else(|shared| (*shared).clone());
-        self.rel_stamps.remove(name);
-        self.deltas
-            .insert(name.to_string(), DeltaRelation::from_relation(rel));
-        Ok(())
+        self.require_delta(name, None).map(|_| ())
     }
 
     /// The identity stamp of the static relation stored under `name` (assigned
@@ -318,11 +305,31 @@ impl Database {
         self.deltas.get_mut(name)
     }
 
-    fn require_delta(&mut self, name: &str) -> Result<&mut DeltaRelation, DatabaseError> {
+    /// The delta log under `name`, converting a static relation (its rows
+    /// become the base run) or, given `create`, starting an empty log for an
+    /// unknown name.
+    fn require_delta(
+        &mut self,
+        name: &str,
+        create: Option<&Schema>,
+    ) -> Result<&mut DeltaRelation, DatabaseError> {
         if !self.deltas.contains_key(name) {
-            self.to_delta(name)?; // converts a static relation (or errors)
+            let log = match (self.relations.remove(name), create) {
+                // reclaim the allocation when this catalog is the sole owner; a
+                // snapshot holding the old static binding keeps its own copy
+                (Some(rel), _) => DeltaRelation::from_relation(
+                    Arc::try_unwrap(rel).unwrap_or_else(|shared| (*shared).clone()),
+                ),
+                (None, Some(schema)) => DeltaRelation::new(schema.clone()),
+                (None, None) => return Err(DatabaseError::MissingRelation(name.to_string())),
+            };
+            self.rel_stamps.remove(name);
+            self.deltas.insert(name.to_string(), log);
         }
-        Ok(self.deltas.get_mut(name).expect("just ensured"))
+        // the lookup the ingest path pays per tuple: no key is allocated, and
+        // after the block above it cannot miss
+        let missing = || DatabaseError::MissingRelation(name.to_string());
+        self.deltas.get_mut(name).ok_or_else(missing)
     }
 
     /// Insert one (already-encoded) tuple into relation `name` through the
@@ -331,7 +338,7 @@ impl Database {
     /// is converted to delta-backed (its rows become the base run) on first use.
     /// Returns whether the tuple was newly inserted.
     pub fn insert_delta(&mut self, name: &str, tuple: Tuple) -> Result<bool, DatabaseError> {
-        Ok(self.require_delta(name)?.insert(tuple)?)
+        Ok(self.require_delta(name, None)?.insert(tuple)?)
     }
 
     /// Delete one (already-encoded) tuple from relation `name` through the
@@ -339,7 +346,7 @@ impl Database {
     /// [`Database::insert_delta`], converting a static relation on first use).
     /// Returns whether the tuple was live.
     pub fn delete(&mut self, name: &str, tuple: &[u64]) -> Result<bool, DatabaseError> {
-        Ok(self.require_delta(name)?.delete(tuple)?)
+        Ok(self.require_delta(name, None)?.delete(tuple)?)
     }
 
     /// Seal relation `name`'s append buffer into a sorted delta run (plus
@@ -545,16 +552,10 @@ impl Database {
         debug_assert_eq!(encoded_domains, col_domains);
 
         // ── mutation phase ──
-        if !self.deltas.contains_key(name) {
-            if self.relations.contains_key(name) {
-                self.to_delta(name)?;
-            } else {
-                self.deltas
-                    .insert(name.to_string(), DeltaRelation::new(schema.clone()));
-                self.loaded_domains.insert(name.to_string(), col_domains);
-            }
+        if !self.deltas.contains_key(name) && !self.relations.contains_key(name) {
+            self.loaded_domains.insert(name.to_string(), col_domains);
         }
-        let delta = self.deltas.get_mut(name).expect("just ensured");
+        let delta = self.require_delta(name, Some(&schema))?;
         let mut fresh = 0usize;
         for i in 0..rows.len() {
             let tuple: Tuple = columns.iter().map(|c| c[i]).collect();

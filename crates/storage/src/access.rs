@@ -4,15 +4,17 @@
 //! The worst-case optimal join algorithms of the paper need exactly one capability
 //! from storage: positioned enumeration of the sorted set of values extending a bound
 //! prefix, with a least-upper-bound `seek` so that set intersections run in time
-//! proportional to the smallest set (Section 2). One static structure provides it,
-//! and one live one:
+//! proportional to the smallest set (Section 2). One structure provides it, the
+//! CSR-flattened [`crate::Trie`], through two cursors:
 //!
-//! * [`crate::TrieCursor`] over a CSR-flattened [`crate::Trie`] — contiguous sorted
-//!   sibling groups found by one `child_start` offset per `open` (no hashing),
-//!   galloping `seek`; the classic Leapfrog Triejoin iterator, and equally the
-//!   "sorted extensions of a prefix" access Generic Join (Algorithm 2) assumes;
-//! * [`DeltaCursor`] over a [`crate::delta::DeltaAccess`] — the union cursor that
-//!   merges a delta log's runs per `open`.
+//! * [`crate::TrieCursor`] over one trie — contiguous sorted sibling groups found
+//!   by one `child_start` offset per `open` (no hashing), galloping `seek`; the
+//!   classic Leapfrog Triejoin iterator, and equally the "sorted extensions of
+//!   a prefix" access Generic Join (Algorithm 2) assumes;
+//! * [`DeltaCursor`] over a [`crate::delta::DeltaAccess`] — the union cursor over
+//!   the tries of a delta log's runs: one `TrieCursor` per run, their sibling
+//!   groups merged (and tombstoned values suppressed) where more than one run
+//!   holds the prefix.
 //!
 //! Generic Join and Leapfrog Triejoin in `wcoj-core` are written once, *generic*
 //! over `C: TrieAccess`, so the hot loops monomorphize — no per-seek virtual
@@ -29,9 +31,11 @@
 //! A trie also hands out, per dense sibling group, the **set layout** it
 //! prebuilt ([`TrieAccess::layout`], see [`crate::kernels`]): when every cursor
 //! of an intersection has one, the engines AND bitset words instead of scanning
-//! the lists. [`DeltaCursor`] keeps the default (its groups are merged per
-//! `open`, there is nothing prebuilt), which makes any intersection it takes part
-//! in fall through to the list kernels.
+//! the lists. A [`DeltaCursor`] group that lives in one run is that run's trie's
+//! own group and hands out the same layout; a group merged from several runs —
+//! or borrowed from a run with tombstones, whose trie builds none — has no
+//! layout, which makes an intersection it takes part in fall through to the
+//! list kernels.
 //!
 //! # Contract
 //!
@@ -110,9 +114,9 @@ pub trait TrieAccess {
     }
 
     /// The prebuilt set layout of the **whole** current group (not just what
-    /// remains of it), when the access structure gave the group one: a static
-    /// structure does for every dense group (see [`crate::kernels`]); the
-    /// default — no layout — is right for everything else.
+    /// remains of it), when the access structure gave the group one: a trie
+    /// does for every dense group (see [`crate::kernels`]); the default — no
+    /// layout — is right for everything else.
     fn layout(&self) -> Option<Layout<'_>> {
         None
     }
@@ -196,8 +200,7 @@ pub enum CursorKind<'a> {
     /// A cursor over a CSR [`crate::Trie`].
     Trie(TrieCursor<'a>),
     /// A delta-log union cursor over a [`crate::delta::DeltaAccess`] — the live
-    /// (base + delta runs + tombstones) view of a
-    /// [`crate::delta::DeltaRelation`].
+    /// (run tries + tombstones) view of a [`crate::delta::DeltaRelation`].
     Delta(DeltaCursor<'a>),
 }
 
@@ -429,14 +432,39 @@ mod tests {
             c.up();
         }
 
-        // a delta cursor merges its groups per `open`: nothing is prebuilt
-        let log = DeltaRelation::from_relation(r);
+        // a delta group that lives in one run is that run's trie's own group:
+        // the same values and the very same layout words
+        let mut log = DeltaRelation::from_relation(r);
         let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
-        let mut c: CursorKind = live.cursor().into();
-        assert!(c.open());
-        assert!(c.open()); // under A = 3: the same dense values
-        assert_eq!(TrieAccess::remaining(&c), group.as_slice());
-        assert_eq!(c.layout(), None);
+        let mut d: CursorKind = live.cursor().into();
+        assert!(d.open());
+        assert!(d.open()); // under A = 3: the same dense values
+        assert!(c.reposition(3) && c.open());
+        assert_eq!(TrieAccess::remaining(&d), group.as_slice());
+        assert_eq!(d.layout(), c.layout());
+        assert_eq!(decode(d.layout().unwrap()), group);
+
+        // a second run under A = 3 (one tombstone, one insert): the group is
+        // merged from two runs and has no layout; A = 200 still lives in the
+        // first run alone and is still borrowed from it
+        log.set_seal_threshold(usize::MAX);
+        assert!(log.delete(&[3, 70]).unwrap());
+        assert!(log.insert(vec![3, 71]).unwrap());
+        log.seal();
+        assert_eq!(log.num_runs(), 2);
+        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
+        let mut d: CursorKind = live.cursor().into();
+        assert!(d.open());
+        assert!(d.open());
+        let merged: Vec<Value> = std::iter::once(71)
+            .chain(group[1..].iter().copied())
+            .collect();
+        assert_eq!(TrieAccess::remaining(&d), merged.as_slice());
+        assert_eq!(d.layout(), None);
+        d.up();
+        assert!(d.seek(200) && d.open());
+        assert_eq!(TrieAccess::remaining(&d), &[0, 1, 2, 3]);
+        assert_eq!(d.take_work().delta_merge, 2 + (33 + 2) + 1);
     }
 
     #[test]
@@ -455,7 +483,7 @@ mod tests {
         assert_send_clone::<DeltaCursor<'_>>();
         assert_send_clone::<CursorKind<'_>>();
         assert_sync::<Trie>();
-        assert_sync::<DeltaAccess<'_>>();
+        assert_sync::<DeltaAccess>();
     }
 
     #[test]

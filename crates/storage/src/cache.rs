@@ -1,13 +1,13 @@
-//! The per-database access-structure cache: built [`Trie`]s and permuted
-//! delta runs ([`RunView`]), keyed by *what they were built from* and evicted
-//! under a byte budget with cost-aware (GreedyDual-Size style) priorities.
+//! The per-database access-structure cache: built [`Trie`]s, keyed by *what
+//! they were built from* and evicted under a byte budget with cost-aware
+//! (GreedyDual-Size style) priorities.
 //!
 //! # Keying and invalidation
 //!
-//! One rule: **an immutable input permuted to one column order is one entry,
-//! and the entry dies with its input.** A cache cannot safely key on relation
-//! **names** alone — names are rebound (`Database::insert` replaces),
-//! databases are cloned, and delta logs mutate in place — so every
+//! One rule: **an immutable input permuted to one column order is one entry —
+//! a [`Trie`] — and the entry dies with its input.** A cache cannot safely key
+//! on relation **names** alone — names are rebound (`Database::insert`
+//! replaces), databases are cloned, and delta logs mutate in place — so every
 //! [`CacheKey`] carries a **stamp** ([`next_stamp`]), a process-global
 //! monotone counter that names one immutable input and is never reissued:
 //!
@@ -15,20 +15,23 @@
 //!   relation under the same name keys new builds away from the old entries;
 //! * a **sealed run** of a [`crate::DeltaRelation`] takes one when it is
 //!   created (a seal, a tier merge, a compaction), and a delta-backed atom is
-//!   served run by run: the reader presents its own run list
-//!   ([`crate::DeltaRelation::run_ids`]) and fetches or builds each run's
-//!   [`RunView`]. There is nothing to revalidate — a key either names a run
-//!   the reader holds or it does not. Every run found is a hit; after a seal
-//!   the one new run is the only one built (the **incremental merge**); after
-//!   a compaction the reader holds one run nobody has seen, and builds it. A
-//!   snapshot and the advancing head share the entries of the runs they have
-//!   in common and never contend for a key, so neither can evict the other by
-//!   reading. The unsealed append buffer is never cached — it is collapsed
-//!   into an ephemeral run per query, exactly as uncached execution does.
+//!   served run by run: the reader walks its own run list
+//!   ([`crate::DeltaRelation::runs`]) and fetches or builds each run's trie
+//!   ([`crate::delta::Run::trie`]) exactly as it would a static relation's —
+//!   whatever the column order, the relation's native one included. There is
+//!   nothing to revalidate: a key either names a run the reader holds or it
+//!   does not. Every run found is a hit; after a seal the one new run is the
+//!   only one built (the **incremental merge**); after a compaction the
+//!   reader holds one run nobody has seen, and builds it. A snapshot and the
+//!   advancing head share the entries of the runs they have in common and
+//!   never contend for a key, so neither can evict the other by reading. The
+//!   unsealed append buffer is never cached — it has no identity to key on,
+//!   and is collapsed into an ephemeral run per query, exactly as uncached
+//!   execution does.
 //!
-//! A run view holds its run weakly, and the run lives exactly as long as some
-//! log — the head or a snapshot — lists it. Once the last of them has dropped
-//! it no reader can present its id again, so the entry is **dead**:
+//! A run's entry holds the run weakly, and the run lives exactly as long as
+//! some log — the head or a snapshot — lists it. Once the last of them has
+//! dropped it no reader can present its id again, so the entry is **dead**:
 //! [`AccessCache::insert`] removes the dead entries of the `(relation,
 //! positions)` it is inserting for, and each byte resident is charged to
 //! exactly one entry. Stale static entries have no such signal and age out
@@ -47,11 +50,11 @@
 //! The budget defaults to 256 MiB and is configurable via the
 //! `WCOJ_CACHE_BYTES` environment variable; `0` disables caching entirely.
 
-use crate::delta::RunView;
+use crate::delta::Run;
 use crate::trie::Trie;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use wcoj_obs::{Counter, Gauge, Registry};
 
 /// Default cache budget (bytes) when `WCOJ_CACHE_BYTES` is unset: 256 MiB.
@@ -99,58 +102,30 @@ impl CacheStats {
     }
 }
 
-/// Which access structure an entry holds — part of the key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CacheKind {
-    /// A CSR [`Trie`] over a static relation — one per `(relation, order)`,
-    /// shared by both WCOJ engines.
-    Trie,
-    /// A permuted [`RunView`] of one sealed run of a delta log.
-    Delta,
-}
-
-/// What an access structure was built from: the relation's catalog name, the
-/// column permutation it was built over, the structure kind, and the identity
-/// stamp of the immutable input — the insertion stamp of the exact stored
-/// static relation, or the id of the sealed run (see the
-/// [module docs](crate::cache)).
+/// What a cached trie was built from: the relation's catalog name, the column
+/// permutation it was built over, and the identity stamp of the immutable
+/// input — the insertion stamp of the exact stored static relation, or the id
+/// of the sealed run (see the [module docs](crate::cache)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Catalog name of the source relation.
     pub relation: String,
     /// Column positions, one per attribute, in the built order.
     pub positions: Vec<usize>,
-    /// Which structure the entry holds.
-    pub kind: CacheKind,
     /// Insertion stamp of the static source relation, or the sealed run's id.
     pub stamp: u64,
 }
 
-/// A cached access structure, shared by reference count: a hit hands the
-/// execution layer an `Arc` clone, so eviction can never invalidate an
-/// in-flight query.
-#[derive(Debug, Clone)]
-pub enum CachedValue {
-    /// A built CSR trie.
-    Trie(Arc<Trie>),
-    /// One sealed run of a delta log, permuted.
-    Run(Arc<RunView>),
-}
-
-impl CachedValue {
-    /// Whether the input this was built from is gone for good, so that no
-    /// reader can ask for it again (see the [module docs](crate::cache)).
-    fn is_dead(&self) -> bool {
-        match self {
-            CachedValue::Trie(_) => false,
-            CachedValue::Run(view) => view.is_dead(),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Entry {
-    value: CachedValue,
+    /// Shared by reference count: a hit hands the execution layer an `Arc`
+    /// clone, so eviction can never invalidate an in-flight query.
+    value: Arc<Trie>,
+    /// The sealed run this was built from, held weakly: the entry must not
+    /// keep a compacted-away run's rows alive, and the run's refcount is how
+    /// the cache learns that no log (head or snapshot) can ask for it again.
+    /// `None` for a static relation's trie.
+    source: Option<Weak<Run>>,
     bytes: usize,
     cost: u64,
     priority: u64,
@@ -190,16 +165,6 @@ pub struct AccessCache {
     incremental_merges: Arc<Counter>,
     evictions: Arc<Counter>,
     resident_bytes: Arc<Gauge>,
-}
-
-impl Inner {
-    /// The entry under `key`, with its eviction priority refreshed.
-    fn touch(&mut self, key: &CacheKey) -> Option<CachedValue> {
-        let clock = self.clock;
-        let entry = self.map.get_mut(key)?;
-        entry.priority = clock + credit(entry.cost, entry.bytes);
-        Some(entry.value.clone())
-    }
 }
 
 impl Default for AccessCache {
@@ -319,15 +284,12 @@ impl AccessCache {
 
     /// Look up `key`, refreshing its eviction priority on a hit. The returned
     /// value is an `Arc` clone.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedValue> {
-        self.lock().touch(key)
-    }
-
-    /// [`AccessCache::get`] for each of `keys` under one lock acquisition —
-    /// how a delta-backed atom fetches the views of all its runs.
-    pub fn get_many(&self, keys: impl Iterator<Item = CacheKey>) -> Vec<Option<CachedValue>> {
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<Trie>> {
         let mut inner = self.lock();
-        keys.map(|key| inner.touch(&key)).collect()
+        let clock = inner.clock;
+        let entry = inner.map.get_mut(key)?;
+        entry.priority = clock + credit(entry.cost, entry.bytes);
+        Some(Arc::clone(&entry.value))
     }
 
     /// Insert (or replace) `key` with `value`, charging `bytes` of residency
@@ -335,13 +297,16 @@ impl AccessCache {
     /// eviction priority. Returns how many entries were evicted to fit. An
     /// unpinned value larger than the whole budget is not admitted (inserting
     /// it could only thrash); a pinned value always is, and pinned entries are
-    /// never evicted. Dead entries of the same `(relation, positions)` —
-    /// views of runs no log holds any more — are removed first, pinned or
-    /// not, and are not counted as evictions: nothing could have hit them.
+    /// never evicted. `source` is the sealed run the trie was built from
+    /// (`None` for a static relation): dead entries of the same `(relation,
+    /// positions)` — tries of runs no log holds any more — are removed first,
+    /// pinned or not, and are not counted as evictions: nothing could have
+    /// hit them.
     pub fn insert(
         &self,
         key: CacheKey,
-        value: CachedValue,
+        value: Arc<Trie>,
+        source: Option<Weak<Run>>,
         cost: u64,
         bytes: usize,
         pinned: bool,
@@ -352,8 +317,9 @@ impl AccessCache {
         }
         let mut reclaimed = 0;
         inner.map.retain(|k, e| {
-            let dead =
-                e.value.is_dead() && k.relation == key.relation && k.positions == key.positions;
+            let dead = e.source.as_ref().is_some_and(|run| run.strong_count() == 0)
+                && k.relation == key.relation
+                && k.positions == key.positions;
             if dead {
                 reclaimed += e.bytes;
             }
@@ -368,6 +334,7 @@ impl AccessCache {
             key,
             Entry {
                 value,
+                source,
                 bytes,
                 cost,
                 priority,
@@ -388,7 +355,6 @@ impl AccessCache {
                         .cmp(&eb.priority)
                         .then_with(|| ka.relation.cmp(&kb.relation))
                         .then_with(|| ka.stamp.cmp(&kb.stamp))
-                        .then_with(|| ka.kind.cmp(&kb.kind))
                         .then_with(|| ka.positions.cmp(&kb.positions))
                 })
                 .map(|(k, _)| k.clone());
@@ -405,7 +371,7 @@ impl AccessCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{DeltaAccess, DeltaRelation};
+    use crate::delta::DeltaRelation;
     use crate::relation::Relation;
     use crate::schema::Schema;
 
@@ -418,7 +384,6 @@ mod tests {
         CacheKey {
             relation: name.to_string(),
             positions: vec![0, 1],
-            kind: CacheKind::Trie,
             stamp,
         }
     }
@@ -435,23 +400,15 @@ mod tests {
         let cache = AccessCache::with_budget(1 << 20);
         let t = trie_of(10);
         assert!(cache.get(&key("R", 1)).is_none());
-        cache.insert(
-            key("R", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
+        cache.insert(key("R", 1), Arc::clone(&t), None, 10, 100, false);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 100);
-        match cache.get(&key("R", 1)) {
-            Some(CachedValue::Trie(got)) => assert!(Arc::ptr_eq(&got, &t)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let got = cache.get(&key("R", 1)).expect("just inserted");
+        assert!(Arc::ptr_eq(&got, &t));
         // different stamp = different relation generation = different entry
         assert!(cache.get(&key("R", 2)).is_none());
         // replacement under the same key swaps bytes, not duplicates
-        cache.insert(key("R", 1), CachedValue::Trie(trie_of(5)), 5, 60, false);
+        cache.insert(key("R", 1), trie_of(5), None, 5, 60, false);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 60);
         cache.clear();
@@ -462,7 +419,7 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_instead_of_wedging() {
         let cache = AccessCache::with_budget(1 << 20);
-        cache.insert(key("R", 1), CachedValue::Trie(trie_of(3)), 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), None, 3, 100, false);
         assert_eq!(cache.len(), 1);
         // A builder thread dies while holding the cache lock.
         let died = std::thread::scope(|s| {
@@ -477,7 +434,7 @@ mod tests {
         // and every operation keeps working instead of panicking.
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes(), 0);
-        cache.insert(key("R", 1), CachedValue::Trie(trie_of(3)), 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), None, 3, 100, false);
         assert!(cache.get(&key("R", 1)).is_some());
         assert_eq!(cache.bytes(), 100);
     }
@@ -487,27 +444,9 @@ mod tests {
         let cache = AccessCache::with_budget(250);
         let t = trie_of(4);
         // same bytes, different build costs: the cheap-to-rebuild entry goes first
-        cache.insert(
-            key("cheap", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            1,
-            100,
-            false,
-        );
-        cache.insert(
-            key("dear", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            1_000,
-            100,
-            false,
-        );
-        let evicted = cache.insert(
-            key("new", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
+        cache.insert(key("cheap", 1), Arc::clone(&t), None, 1, 100, false);
+        cache.insert(key("dear", 1), Arc::clone(&t), None, 1_000, 100, false);
+        let evicted = cache.insert(key("new", 1), Arc::clone(&t), None, 10, 100, false);
         assert_eq!(evicted, 1);
         assert!(cache.get(&key("cheap", 1)).is_none(), "cheap entry evicted");
         assert!(cache.get(&key("dear", 1)).is_some());
@@ -520,32 +459,14 @@ mod tests {
         let cache = AccessCache::with_budget(50);
         let t = trie_of(4);
         assert_eq!(
-            cache.insert(
-                key("big", 1),
-                CachedValue::Trie(Arc::clone(&t)),
-                1,
-                100,
-                false
-            ),
+            cache.insert(key("big", 1), Arc::clone(&t), None, 1, 100, false),
             0
         );
         assert!(cache.is_empty(), "over-budget unpinned value not admitted");
-        cache.insert(
-            key("big", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            1,
-            100,
-            true,
-        );
+        cache.insert(key("big", 1), Arc::clone(&t), None, 1, 100, true);
         assert_eq!(cache.len(), 1);
         // pinned entries are never the victim, even under pressure
-        cache.insert(
-            key("small", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            1,
-            10,
-            false,
-        );
+        cache.insert(key("small", 1), Arc::clone(&t), None, 1, 10, false);
         assert!(cache.get(&key("big", 1)).is_some());
         assert!(
             cache.get(&key("small", 1)).is_none(),
@@ -557,41 +478,32 @@ mod tests {
         CacheKey {
             relation: "E".to_string(),
             positions: vec![1, 0],
-            kind: CacheKind::Delta,
             stamp: id,
         }
     }
 
     /// What the execution layer does for one delta-backed atom: look up the
-    /// reader's own runs, build the views that are missing, keep those.
+    /// reader's own runs, build the tries that are missing, keep those.
     /// Returns how many were built.
     fn fetch_or_build(cache: &AccessCache, delta: &DeltaRelation) -> usize {
-        let found = cache
-            .get_many(delta.run_ids().into_iter().map(run_key))
-            .into_iter()
-            .map(|v| match v {
-                Some(CachedValue::Run(view)) => Some(view),
-                _ => None,
-            })
-            .collect();
-        let (_, built) = DeltaAccess::build_positions_with(delta, &[1, 0], 1, found).unwrap();
-        let n = built.len();
-        for view in built {
-            let (id, cost, bytes) = (view.run_id(), view.num_rows() as u64, view.heap_bytes());
-            cache.insert(run_key(id), CachedValue::Run(view), cost, bytes, false);
+        let mut built = 0;
+        for run in delta.runs() {
+            if cache.get(&run_key(run.id())).is_none() {
+                let trie = Arc::new(run.trie(&[1, 0], 1).unwrap());
+                let (cost, bytes) = (run.len() as u64, trie.heap_bytes());
+                let source = Some(Arc::downgrade(run));
+                cache.insert(run_key(run.id()), trie, source, cost, bytes, false);
+                built += 1;
+            }
         }
-        n
+        built
     }
 
-    /// Sum of `heap_bytes()` over the resident views of `ids`, and how many
+    /// Sum of `heap_bytes()` over the resident tries of `ids`, and how many
     /// of them are resident.
     fn resident(cache: &AccessCache, ids: &[u64]) -> (usize, usize) {
-        let views = cache.get_many(ids.iter().copied().map(run_key));
-        let bytes = views.iter().flatten().map(|v| match v {
-            CachedValue::Run(view) => view.heap_bytes(),
-            CachedValue::Trie(_) => 0,
-        });
-        (bytes.sum(), views.iter().flatten().count())
+        let tries = ids.iter().filter_map(|&id| cache.get(&run_key(id)));
+        tries.fold((0, 0), |(bytes, n), t| (bytes + t.heap_bytes(), n + 1))
     }
 
     #[test]
@@ -605,7 +517,7 @@ mod tests {
         head.seal();
         assert_eq!(fetch_or_build(&cache, &head), 1, "cold: the base");
         // seal-extend: each small seal adds one run and one entry, and the
-        // views every reader shares are charged to exactly one of them
+        // tries every reader shares are charged to exactly one of them
         for round in 0..3u64 {
             for i in 0..(16 >> round) {
                 head.insert(vec![round, 1000 + 100 * round + i]).unwrap();
@@ -681,7 +593,7 @@ mod tests {
     fn zero_budget_disables() {
         let cache = AccessCache::with_budget(0);
         assert!(!cache.is_enabled());
-        cache.insert(key("R", 1), CachedValue::Trie(trie_of(2)), 1, 10, false);
+        cache.insert(key("R", 1), trie_of(2), None, 1, 10, false);
         assert!(cache.is_empty());
     }
 
@@ -689,38 +601,14 @@ mod tests {
     fn recency_breaks_cost_ties() {
         let cache = AccessCache::with_budget(200);
         let t = trie_of(4);
-        cache.insert(
-            key("a", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
-        cache.insert(
-            key("b", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
+        cache.insert(key("a", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("b", 1), Arc::clone(&t), None, 10, 100, false);
         // evicting "a" (priority tie, key tie-break) advances the clock past
         // the survivors; a touched survivor then outlives an untouched one
-        cache.insert(
-            key("c", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
+        cache.insert(key("c", 1), Arc::clone(&t), None, 10, 100, false);
         assert!(cache.get(&key("a", 1)).is_none());
         let _ = cache.get(&key("c", 1));
-        cache.insert(
-            key("d", 1),
-            CachedValue::Trie(Arc::clone(&t)),
-            10,
-            100,
-            false,
-        );
+        cache.insert(key("d", 1), Arc::clone(&t), None, 10, 100, false);
         assert!(
             cache.get(&key("b", 1)).is_none(),
             "stale entry is the victim"

@@ -22,15 +22,22 @@
 //!   argsort-and-merge machinery of [`Relation::sort_perm_threads`] for large
 //!   multi-threaded merges); [`DeltaRelation::compact`] merges everything back
 //!   into a single tombstone-free base;
-//! * query-side, [`DeltaAccess`] is the run set's **mergeable access
-//!   structure**: per run, the columns permuted to the query's attribute order
-//!   plus a prefix-sum array of the signs, so the signed tuple count under *any*
-//!   prefix range is O(1). Its [`DeltaCursor`] implements [`crate::TrieAccess`] by
-//!   n-way-merging the runs' sorted sibling groups **and suppressing values whose
-//!   signed subtree count is zero** — so both Generic Join and Leapfrog Triejoin
-//!   run unmodified over live data, bit-identical to a full rebuild. Merge work
-//!   is attributed to the `delta_merge` tally of
-//!   [`crate::CursorWork`]/[`crate::WorkCounter`].
+//! * query-side, a sealed run's access structure **is a [`Trie`]**: a run is a
+//!   canonical relation plus signs, so [`Run::trie`] is the one trie builder
+//!   — layouts included for a run of inserts, which is a static relation bit
+//!   for bit; a run that carries tombstones is not a set of live values, so it
+//!   gets no set layouts and instead one flag bit per leaf with a running
+//!   count per word, which makes the signed tuple count under any node two
+//!   popcounts (a quarter of a byte per row). It is built once per
+//!   `(run, order)` and cached like a static relation's. [`DeltaAccess`] is the list of a log's run tries for
+//!   one order and its [`DeltaCursor`] implements [`crate::TrieAccess`] by
+//!   k-way-merging the runs' sorted, *distinct* sibling groups **and
+//!   suppressing values whose signed subtree count is not positive** — so both
+//!   Generic Join and Leapfrog Triejoin run unmodified over live data,
+//!   bit-identical to a full rebuild. A prefix that lives in one run with no
+//!   tombstone under it is not merged at all: the cursor hands out that trie's
+//!   own group and — from a run of inserts — its set layout. Merge work is
+//!   attributed to the `delta_merge` tally of [`crate::CursorWork`]/[`crate::WorkCounter`].
 //!
 //! # Cost model
 //!
@@ -40,48 +47,28 @@
 //! | seal (per `B` buffered ops) | — | O(B log B) |
 //! | compaction (amortized per op) | — | O(log(n/B)) linear merge touches |
 //! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
-//! | access-structure build | O(n log n) argsort | O(n log n) worst case, identity orders skip the sort per run |
-//! | cursor `open` of a prefix | O(1)–O(log n) | O(runs · log n + merged group) and memoized per depth |
+//! | access-structure build | O(n log n) argsort + scan | the same builder once per `(run, order)`, cached; identity orders skip the argsort |
+//! | cursor `open` of a prefix | one `child_start` lookup | one lookup per run holding the prefix, plus one merge step per `(value, run)` when more than one does (or a tombstone lies under it) |
 //! | query result | — | **bit-identical** to rebuilding from [`DeltaRelation::snapshot`] |
 //!
 //! The signed-count discipline (each live tuple contributes net +1 across its
 //! history, each dead tuple net 0) is what lets the cursor decide liveness of an
-//! *interior* trie value in O(runs) prefix-sum lookups instead of exploring the
-//! subtree: a value extends the current prefix iff the summed signed count of
-//! rows under prefix·value is positive.
+//! *interior* trie value with one rank subtraction per run instead of
+//! exploring the subtree: a value extends the current prefix iff the summed
+//! signed count of the tuples under prefix·value is positive. A log with one
+//! run and no tombstones needs none of this — its trie *is* the static trie, and
+//! the execution layer runs it on the plain [`crate::TrieCursor`].
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
-use crate::relation::{argsort_columns_threads, Relation, Tuple};
+use crate::relation::{argsort_columns_threads, is_canonical, Relation, Tuple};
 use crate::schema::Schema;
 use crate::stats::CursorWork;
+use crate::trie::{Trie, TrieCursor};
+use crate::wal::PayloadReader;
 use crate::Value;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, Weak};
-
-/// A column (or prefix-sum) slice inside an [`AccessRun`]: borrowed straight
-/// from the log when the requested order is a run's native order, owned when
-/// collapsed from the unsealed buffer, or shared with a sealed run's
-/// [`RunView`] (which the access-structure cache may also hold). `Deref` keeps
-/// the cursor code oblivious to which.
-#[derive(Debug, Clone)]
-enum SliceRef<'a, T> {
-    Borrowed(&'a [T]),
-    Owned(Vec<T>),
-    Shared(Arc<[T]>),
-}
-
-impl<T> std::ops::Deref for SliceRef<'_, T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            SliceRef::Borrowed(s) => s,
-            SliceRef::Owned(v) => v,
-            SliceRef::Shared(a) => a,
-        }
-    }
-}
+use std::sync::Arc;
 
 /// The live-tuple membership index: one entry per live tuple, maintained
 /// incrementally by `insert`/`delete` (hashed with the in-tree [`FxHasher`];
@@ -205,20 +192,6 @@ impl OpBuffer {
     }
 }
 
-/// Exclusive prefix sums of per-row signs: `cum[i]` = signed count of rows
-/// `[0, i)` — the shared representation behind [`Run`] and [`AccessRun`].
-fn cum_from(signs: impl Iterator<Item = i64>) -> Vec<i64> {
-    let (lo, _) = signs.size_hint();
-    let mut cum = Vec::with_capacity(lo + 1);
-    let mut acc = 0i64;
-    cum.push(acc);
-    for s in signs {
-        acc += s;
-        cum.push(acc);
-    }
-    cum
-}
-
 /// Unpack an order-preserving `u128` key back into `arity` column values.
 #[inline]
 fn unpack2(key: u128, arity: usize, out: &mut [Vec<Value>]) {
@@ -237,29 +210,30 @@ pub const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 /// while the predecessor is smaller than `GROWTH` times the new run.
 const GROWTH: usize = 2;
 
-/// One immutable sorted run: a canonical ± mini-relation plus sign prefix sums.
+/// One immutable sorted run of a [`DeltaRelation`]: a canonical mini-relation
+/// plus one sign per row. Opaque outside this module except as a build input:
+/// the execution layer fetches or builds [`Run::trie`] per run, and the access
+/// cache holds a `Weak` to it so the entry dies with the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Run {
+pub struct Run {
     /// Process-unique identity stamp ([`crate::cache::next_stamp`]): runs are
     /// immutable, so equal ids imply identical content — the stamp of the
-    /// access-structure cache's key for this run's [`RunView`]s.
+    /// access-structure cache's key for this run's tries.
     id: u64,
     /// The run's rows: sorted, distinct tuples (each tuple occurs at most once
     /// per run, with its net sign).
     rel: Relation,
-    /// `cum[i]` = signed count of rows `[0, i)`: +1 per insert row, −1 per
-    /// tombstone. The signed count of any row range is one subtraction.
-    cum: Vec<i64>,
+    /// Per row: whether it is a tombstone (sign −1) rather than an insert (+1).
+    dead: Vec<bool>,
 }
 
 impl Run {
     /// A run of pure inserts (the base-run shape).
     fn all_insert(rel: Relation) -> Run {
-        let cum = (0..=rel.len() as i64).collect();
         Run {
             id: crate::cache::next_stamp(),
+            dead: vec![false; rel.len()],
             rel,
-            cum,
         }
     }
 
@@ -271,23 +245,41 @@ impl Run {
         Run {
             id: crate::cache::next_stamp(),
             rel,
-            cum: cum_from(signs.iter().copied()),
+            dead: signs.iter().map(|&s| s < 0).collect(),
         }
     }
 
-    fn len(&self) -> usize {
+    /// The run's identity stamp ([`DeltaRelation::run_ids`]).
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Rows in the run — the rebuild-cost proxy for cache eviction priorities.
+    pub fn len(&self) -> usize {
         self.rel.len()
+    }
+
+    /// Whether the run has no rows (a sealed run never is).
+    pub fn is_empty(&self) -> bool {
+        self.rel.is_empty()
+    }
+
+    /// The run's access structure for the column order `positions`: the one
+    /// trie builder over the run's rows — `threads` parallelizes it,
+    /// bit-identically — keeping tombstone flags only if a row is a tombstone.
+    pub fn trie(&self, positions: &[usize], threads: usize) -> Result<Trie, StorageError> {
+        let dead = self.dead.contains(&true).then_some(&self.dead[..]);
+        Trie::build_signed(&self.rel, positions, threads, dead)
     }
 
     /// The sign of row `i` (+1 insert, −1 tombstone).
     fn sign(&self, i: usize) -> i64 {
-        self.cum[i + 1] - self.cum[i]
+        1 - 2 * self.dead[i] as i64
     }
 
     /// Number of tombstone rows.
     fn tombstones(&self) -> usize {
-        let net = self.cum.last().copied().unwrap_or(0);
-        (self.len() as i64 - net) as usize / 2
+        self.dead.iter().filter(|&&d| d).count()
     }
 }
 
@@ -568,6 +560,26 @@ impl DeltaRelation {
         self.runs.iter().map(|r| r.id).collect()
     }
 
+    /// The sealed runs themselves, oldest first — the immutable inputs the
+    /// execution layer fetches or builds one [`Run::trie`] each for.
+    pub fn runs(&self) -> &[Arc<Run>] {
+        &self.runs
+    }
+
+    /// The unsealed buffer collapsed into an ephemeral run (the log is not
+    /// touched — queries take `&DeltaRelation`) and built like any other;
+    /// `None` when nothing is buffered or it all cancels. Never cached.
+    pub fn buffer_trie(&self, positions: &[usize]) -> Result<Option<Trie>, StorageError> {
+        if self.buffer.is_empty() {
+            return Ok(None);
+        }
+        let (cols, signs) = self.buffer_parts();
+        let run = Run::from_parts(self.schema.clone(), cols, &signs);
+        (!run.is_empty())
+            .then(|| run.trie(positions, 1))
+            .transpose()
+    }
+
     /// The schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -754,7 +766,7 @@ impl DeltaRelation {
     ///
     /// Sealing an **empty** buffer is a complete no-op: no run is pushed, the
     /// epoch is not bumped, and — because the run list is untouched — every
-    /// cached [`RunView`] keeps hitting. The tiering invariant is
+    /// cached run trie keeps hitting. The tiering invariant is
     /// re-established by the seals that actually add runs.
     pub fn seal(&mut self) {
         if self.buffer.is_empty() {
@@ -795,9 +807,7 @@ impl DeltaRelation {
                     out.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            for i in 0..rows {
-                out.push(if run.sign(i) == 1 { 1 } else { 0 });
-            }
+            out.extend(run.dead.iter().map(|&d| !d as u8));
         }
         out.extend_from_slice(&(self.buffer.len() as u64).to_le_bytes());
         let mut push_op = |tuple: &[Value], sign: i64| {
@@ -833,80 +843,77 @@ impl DeltaRelation {
     /// (a CRC-valid checkpoint should never produce this; it guards against
     /// version skew).
     pub fn decode_state(schema: Schema, bytes: &[u8]) -> Result<DeltaRelation, StorageError> {
-        let corrupt = |pos: usize, reason: &str| StorageError::WalCorrupt {
-            offset: pos as u64,
-            reason: format!("delta state: {reason}"),
-        };
-        let arity = schema.arity();
         let mut log = DeltaRelation::try_new(schema)?;
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], StorageError> {
-            if bytes.len() - *pos < n {
-                return Err(corrupt(*pos, "truncated"));
+        let mut r = PayloadReader::new(bytes);
+        match log.decode_from(&mut r) {
+            Ok(()) => Ok(log),
+            Err(reason) => Err(StorageError::WalCorrupt {
+                offset: (bytes.len() - r.rest().len()) as u64,
+                reason: format!("delta state: {reason}"),
+            }),
+        }
+    }
+
+    /// [`DeltaRelation::decode_state`] into a fresh log. Every count in the
+    /// bytes is untrusted: nothing is allocated before the reader has proved
+    /// the bytes are there, a run must be canonical, a sign byte 0 or 1.
+    fn decode_from(&mut self, r: &mut PayloadReader<'_>) -> Result<(), String> {
+        fn values(r: &mut PayloadReader<'_>, n: usize) -> Result<Vec<Value>, String> {
+            let raw = r.take(n.checked_mul(8).ok_or("row count overflows")?)?;
+            let words = raw.chunks_exact(8).filter_map(|c| c.first_chunk());
+            Ok(words.map(|c| Value::from_le_bytes(*c)).collect())
+        }
+        fn sign(byte: u8) -> Result<i64, String> {
+            match byte {
+                0 => Ok(-1),
+                1 => Ok(1),
+                other => Err(format!("sign byte {other}")),
             }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let take_u64 = |pos: &mut usize| -> Result<u64, StorageError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().expect("len 8")))
-        };
-        log.seal_threshold = (take_u64(&mut pos)? as usize).max(1);
-        let num_runs = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("len 4"));
+        }
+        let arity = self.arity();
+        self.seal_threshold = (r.u64()? as usize).max(1);
         let mut live = LiveSet::for_arity(arity);
-        for _ in 0..num_runs {
-            let rows = take_u64(&mut pos)? as usize;
-            let mut cols: Vec<Vec<Value>> = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                let raw = take(&mut pos, rows * 8)?;
-                cols.push(
-                    raw.chunks_exact(8)
-                        .map(|c| Value::from_le_bytes(c.try_into().expect("len 8")))
-                        .collect(),
-                );
-            }
-            let sign_bytes = take(&mut pos, rows)?;
-            let signs: Vec<i64> = sign_bytes
+        for _ in 0..r.u32()? {
+            let rows = r.u64()? as usize;
+            let cols: Vec<Vec<Value>> = (0..arity)
+                .map(|_| values(r, rows))
+                .collect::<Result<_, _>>()?;
+            let signs: Vec<i64> = r
+                .take(rows)?
                 .iter()
-                .map(|&b| if b == 1 { 1 } else { -1 })
-                .collect();
-            let run = Run::from_parts(log.schema.clone(), cols, &signs);
+                .map(|&b| sign(b))
+                .collect::<Result<_, _>>()?;
+            if !is_canonical(&cols, rows) {
+                return Err("run rows are not strictly ascending".into());
+            }
+            let run = Run::from_parts(self.schema.clone(), cols, &signs);
             let mut row = Vec::with_capacity(arity);
             for i in 0..rows {
                 row.clear();
-                for c in 0..arity {
-                    row.push(run.rel.column(c)[i]);
-                }
-                if run.sign(i) == 1 {
+                row.extend(run.rel.columns().iter().map(|c| c[i]));
+                if !run.dead[i] {
                     live.insert(&row);
                 } else if !live.remove(&row) {
-                    return Err(corrupt(pos, "tombstone for a tuple that is not live"));
+                    return Err("tombstone for a tuple that is not live".into());
                 }
             }
-            log.runs.push(Arc::new(run));
+            self.runs.push(Arc::new(run));
         }
-        let buffered = take_u64(&mut pos)? as usize;
-        for _ in 0..buffered {
-            let sign: i64 = if take(&mut pos, 1)?[0] == 1 { 1 } else { -1 };
-            let raw = take(&mut pos, arity * 8)?;
-            let tuple: Vec<Value> = raw
-                .chunks_exact(8)
-                .map(|c| Value::from_le_bytes(c.try_into().expect("len 8")))
-                .collect();
+        for _ in 0..r.u64()? {
+            let sign = sign(r.take(1)?[0])?;
+            let tuple = values(r, arity)?;
             if sign == 1 {
                 if !live.insert(&tuple) {
-                    return Err(corrupt(pos, "buffered insert of a live tuple"));
+                    return Err("buffered insert of a live tuple".into());
                 }
             } else if !live.remove(&tuple) {
-                return Err(corrupt(pos, "buffered delete of a dead tuple"));
+                return Err("buffered delete of a dead tuple".into());
             }
-            log.buffer.push(&tuple, sign);
+            self.buffer.push(&tuple, sign);
         }
-        if pos != bytes.len() {
-            return Err(corrupt(pos, "trailing garbage"));
-        }
-        log.live_set = Arc::new(live);
-        Ok(log)
+        r.done()?;
+        self.live_set = Arc::new(live);
+        Ok(())
     }
 
     /// Merge `runs[start..]` into one run (signed annihilation); when `start ==
@@ -942,10 +949,10 @@ impl DeltaRelation {
                     .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
             }
         } else {
-            while self.runs.len() - start >= 2 {
-                let b = self.runs.pop().expect("len checked");
-                let a = self.runs.pop().expect("len checked");
-                let (cols, signs) = merge_two(&a, &b);
+            // newest pair first; a pair that annihilates leaves nothing behind
+            while let [.., a, b] = &self.runs[start..] {
+                let (cols, signs) = merge_two(a, b);
+                self.runs.truncate(self.runs.len() - 2);
                 if !signs.is_empty() {
                     self.runs
                         .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
@@ -953,11 +960,7 @@ impl DeltaRelation {
             }
         }
         debug_assert!(
-            start > 0
-                || self
-                    .runs
-                    .get(start)
-                    .is_none_or(|r| (0..r.len()).all(|i| r.sign(i) > 0)),
+            start > 0 || self.runs.get(start).is_none_or(|r| r.tombstones() == 0),
             "a merged base cannot carry tombstones"
         );
     }
@@ -1009,251 +1012,63 @@ impl DeltaRelation {
     }
 }
 
-/// Check that `positions` is a permutation of `0..arity`; returns whether it
-/// is the identity (the native-order short-circuit: runs are already sorted
-/// and prefix-summed in that order, so nothing needs permuting — or caching).
-fn validate_positions(arity: usize, positions: &[usize]) -> Result<bool, StorageError> {
-    if positions.len() != arity {
-        return Err(StorageError::ArityMismatch {
-            expected: arity,
-            found: positions.len(),
-        });
-    }
-    let mut seen = vec![false; arity];
-    for &p in positions {
-        if p >= arity || seen[p] {
-            return Err(StorageError::DuplicateAttribute(format!("column {p}")));
-        }
-        seen[p] = true;
-    }
-    Ok(positions.iter().enumerate().all(|(i, &p)| i == p))
-}
-
-/// One sealed run permuted to one attribute order: the columns re-sorted in
-/// that order plus the permuted sign prefix sums. A run is immutable, so its
-/// view for an order is built once and is valid for as long as the run
-/// exists — the unit the access-structure cache holds for delta-backed
-/// relations ([`crate::CachedValue::Run`], keyed by the run's id). The
-/// allocations are `Arc`-backed, so the cache, every in-flight query and every
-/// snapshot that still holds the run share them.
-#[derive(Debug)]
-pub struct RunView {
-    run_id: u64,
-    cols: Vec<Arc<[Value]>>,
-    cum: Arc<[i64]>,
-    /// The run this is a view of, held weakly: the view must not keep a
-    /// compacted-away run's rows alive, and its refcount is how the cache
-    /// learns that no log (head or snapshot) can ask for this view again.
-    source: Weak<Run>,
-}
-
-impl RunView {
-    /// Re-sort `run`'s rows into the order given by `positions` — the one
-    /// place a sealed run becomes a permuted view. `threads` parallelizes the
-    /// argsort, bit-identically to serial.
-    fn build(run: &Arc<Run>, positions: &[usize], threads: usize) -> RunView {
-        let perm = run.rel.sort_perm_threads(positions, threads);
-        let cols = positions
-            .iter()
-            .map(|&p| {
-                let src = run.rel.column(p);
-                perm.iter().map(|&i| src[i]).collect::<Arc<[Value]>>()
-            })
-            .collect();
-        RunView {
-            run_id: run.id,
-            cols,
-            cum: cum_from(perm.iter().map(|&i| run.sign(i))).into(),
-            source: Arc::downgrade(run),
-        }
-    }
-
-    /// The id of the run this is a view of ([`DeltaRelation::run_ids`]).
-    pub fn run_id(&self) -> u64 {
-        self.run_id
-    }
-
-    /// Rows in the run — the rebuild-cost proxy for cache eviction priorities.
-    pub fn num_rows(&self) -> usize {
-        self.cum.len().saturating_sub(1)
-    }
-
-    /// Heap footprint in bytes — what the cache charges for holding the view.
-    pub fn heap_bytes(&self) -> usize {
-        let cols: usize = self
-            .cols
-            .iter()
-            .map(|c| std::mem::size_of_val(&c[..]))
-            .sum();
-        cols + std::mem::size_of_val(&self.cum[..])
-    }
-
-    /// Whether the run is gone: every log that held it — the head and each
-    /// snapshot — has dropped it (tier merge, compaction, or the log itself
-    /// went away). Run ids are never reissued, so a dead view can never be
-    /// asked for again. Once true, stays true.
-    pub(crate) fn is_dead(&self) -> bool {
-        self.source.strong_count() == 0
-    }
-}
-
-/// One run's view inside a [`DeltaAccess`]: columns in the requested
-/// attribute order, rows sorted in that order, plus the matching sign prefix
-/// sums. For the run's native order both are borrowed straight from the log —
-/// zero per-query work; any other order shares a [`RunView`]'s allocations;
-/// the collapsed unsealed buffer owns its own.
+/// A [`DeltaRelation`]'s access structure for one attribute order: the tries
+/// of its sealed runs, oldest first, then the collapsed unsealed buffer's —
+/// each a plain [`Trie`] ([`Run::trie`]), shared with the access cache by
+/// refcount. Obtain cursors with [`DeltaAccess::cursor`].
 #[derive(Debug, Clone)]
-struct AccessRun<'a> {
-    cols: Vec<SliceRef<'a, Value>>,
-    cum: SliceRef<'a, i64>,
-}
-
-impl<'a> AccessRun<'a> {
-    /// Native order: the run is already sorted and prefix-summed this way —
-    /// borrow both, permute (and allocate) nothing.
-    fn borrowed(run: &'a Run) -> Self {
-        AccessRun {
-            cols: run
-                .rel
-                .columns()
-                .iter()
-                .map(|c| SliceRef::Borrowed(c.as_slice()))
-                .collect(),
-            cum: SliceRef::Borrowed(&run.cum),
-        }
-    }
-
-    fn shared(view: &RunView) -> AccessRun<'static> {
-        AccessRun {
-            cols: view
-                .cols
-                .iter()
-                .map(|c| SliceRef::Shared(Arc::clone(c)))
-                .collect(),
-            cum: SliceRef::Shared(Arc::clone(&view.cum)),
-        }
-    }
-
-    /// Owned (ephemeral) columns + signs — the unsealed buffer's collapsed
-    /// view, which cannot borrow from the log and is never shared.
-    fn owned(
-        cols: Vec<Vec<Value>>,
-        signs: &[i64],
-        positions: &[usize],
-        identity: bool,
-    ) -> AccessRun<'static> {
-        if identity {
-            return AccessRun {
-                cum: SliceRef::Owned(cum_from(signs.iter().copied())),
-                cols: cols.into_iter().map(SliceRef::Owned).collect(),
-            };
-        }
-        let perm = crate::relation::argsort_columns(&cols, positions, signs.len());
-        AccessRun {
-            cum: SliceRef::Owned(cum_from(perm.iter().map(|&i| signs[i]))),
-            cols: positions
-                .iter()
-                .map(|&p| SliceRef::Owned(perm.iter().map(|&i| cols[p][i]).collect()))
-                .collect(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.cum.len() - 1
-    }
-
-    fn signed_count(&self, lo: usize, hi: usize) -> i64 {
-        self.cum[hi] - self.cum[lo]
-    }
-}
-
-/// The mergeable access structure over a [`DeltaRelation`]'s runs for one
-/// attribute order: what a [`crate::Trie`] is to a static
-/// [`Relation`], this is to a delta log — except construction only re-sorts runs
-/// whose native order differs from the requested one, and a still-unsealed
-/// buffer is collapsed into an ephemeral extra run without mutating the log.
-/// Obtain cursors with [`DeltaAccess::cursor`].
-#[derive(Debug, Clone)]
-pub struct DeltaAccess<'a> {
+pub struct DeltaAccess {
     arity: usize,
-    runs: Vec<AccessRun<'a>>,
+    tries: Vec<Arc<Trie>>,
 }
 
-impl<'a> DeltaAccess<'a> {
-    /// Build the access structure with the attribute order given as **column
-    /// positions** (a permutation of `0..arity`), permuting every sealed run
-    /// afresh; `threads` parallelizes the per-run argsorts. This is the entry
-    /// the execution layer uses when it is not caching.
+impl DeltaAccess {
+    /// The one place a log's access structure is put together: every sealed
+    /// run's trie from `run_trie`, oldest first — [`Run::trie`] for a fresh
+    /// build, the execution layer's fetch-or-build through the access cache —
+    /// then the collapsed unsealed buffer's. `positions` is a permutation of
+    /// `0..arity`, checked here.
+    pub fn assemble<E: From<StorageError>>(
+        delta: &DeltaRelation,
+        positions: &[usize],
+        run_trie: impl FnMut(&Arc<Run>) -> Result<Arc<Trie>, E>,
+    ) -> Result<Self, E> {
+        crate::trie::check_positions(delta.arity(), positions)?;
+        let mut tries = delta
+            .runs
+            .iter()
+            .map(run_trie)
+            .collect::<Result<Vec<_>, E>>()?;
+        tries.extend(delta.buffer_trie(positions)?.map(Arc::new));
+        let arity = delta.arity();
+        Ok(DeltaAccess { arity, tries })
+    }
+
+    /// Build every run's trie afresh, with the attribute order given as
+    /// **column positions**; `threads` parallelizes each build.
     pub fn build_positions(
-        delta: &'a DeltaRelation,
+        delta: &DeltaRelation,
         positions: &[usize],
         threads: usize,
     ) -> Result<Self, StorageError> {
-        Ok(Self::build_positions_with(delta, positions, threads, Vec::new())?.0)
+        Self::assemble(delta, positions, |run| {
+            run.trie(positions, threads).map(Arc::new)
+        })
     }
 
-    /// The one builder. `views[i]` says where the permuted view of the `i`-th
-    /// sealed run ([`DeltaRelation::run_ids`] order) comes from: `Some` is a
-    /// view someone kept (the access cache), `None` — or a list that stops
-    /// short, or a view of some other run — means build it here. Returns the
-    /// access structure plus the views it had to build, for the caller to
-    /// keep. Run order is the log's, the unsealed buffer is collapsed into an
-    /// ephemeral last run either way, and a kept view is the same bytes a
-    /// fresh one would be, so cursors over the result are bit-identical
-    /// wherever the views came from. The native order borrows the log,
-    /// consults no view and builds none.
-    pub fn build_positions_with(
-        delta: &'a DeltaRelation,
-        positions: &[usize],
-        threads: usize,
-        views: Vec<Option<Arc<RunView>>>,
-    ) -> Result<(Self, Vec<Arc<RunView>>), StorageError> {
-        let arity = delta.arity();
-        let identity = validate_positions(arity, positions)?;
-        let mut runs: Vec<AccessRun<'a>> = Vec::with_capacity(delta.runs.len() + 1);
-        let mut built = Vec::new();
-        let mut views = views.into_iter();
-        for run in &delta.runs {
-            if identity {
-                runs.push(AccessRun::borrowed(run));
-                continue;
-            }
-            let kept = views.next().flatten().filter(|v| v.run_id == run.id);
-            let view = kept.unwrap_or_else(|| {
-                let view = Arc::new(RunView::build(run, positions, threads));
-                built.push(Arc::clone(&view));
-                view
-            });
-            runs.push(AccessRun::shared(&view));
-        }
-        if !delta.buffer.is_empty() {
-            // collapse a copy of the unsealed buffer into an ephemeral owned
-            // run; the log itself stays untouched (queries take `&DeltaRelation`)
-            let (cols, signs) = delta.buffer_parts();
-            if !signs.is_empty() {
-                runs.push(AccessRun::owned(cols, &signs, positions, identity));
-            }
-        }
-        Ok((DeltaAccess { arity, runs }, built))
+    /// The tries being merged, in run order — a single one without tombstones
+    /// is the static case and needs no union cursor.
+    pub fn tries(&self) -> &[Arc<Trie>] {
+        &self.tries
     }
 
     /// [`DeltaAccess::build_positions`] with the order given by attribute names.
     pub fn build(
-        delta: &'a DeltaRelation,
+        delta: &DeltaRelation,
         attr_order: &[&str],
         threads: usize,
     ) -> Result<Self, StorageError> {
-        if attr_order.len() != delta.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: delta.arity(),
-                found: attr_order.len(),
-            });
-        }
-        let mut positions = Vec::with_capacity(attr_order.len());
-        for attr in attr_order {
-            positions.push(delta.schema.require(attr)?);
-        }
-        Self::build_positions(delta, &positions, threads)
+        Self::build_positions(delta, &delta.schema.positions(attr_order)?, threads)
     }
 
     /// Number of levels (the relation's arity).
@@ -1261,13 +1076,13 @@ impl<'a> DeltaAccess<'a> {
         self.arity
     }
 
-    /// A [`DeltaCursor`] positioned at the root.
+    /// A [`DeltaCursor`] positioned at the root. Its per-level frames are
+    /// allocated here and reused for every group opened at that level.
     pub fn cursor(&self) -> DeltaCursor<'_> {
         DeltaCursor {
-            access: self,
-            frames: Vec::new(),
-            memo: vec![None; self.arity],
-            prefix_buf: Vec::with_capacity(self.arity),
+            runs: self.tries.iter().map(|t| t.cursor()).collect(),
+            frames: vec![Frame::default(); self.arity],
+            depth: 0,
             work: CursorWork::default(),
             simd: crate::simd::active_level(),
             seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
@@ -1275,262 +1090,249 @@ impl<'a> DeltaAccess<'a> {
     }
 }
 
-/// A merged (tombstone-suppressed) sibling group: the sorted live values
-/// extending one prefix, plus the per-run row ranges matching that prefix (the
-/// input the next-deeper merge narrows). Shared via `Arc` so memo hits and
-/// cursor clones cost a refcount, not a copy.
-#[derive(Debug)]
-struct MergedGroup {
-    values: Vec<Value>,
-    /// Per-run `(lo, hi)` row ranges of the rows matching the group's prefix.
-    ranges: Vec<(usize, usize)>,
-}
+/// "This run does not hold the value" in [`Frame::offsets`].
+const ABSENT: usize = usize::MAX;
 
-#[derive(Debug, Clone)]
-struct DeltaFrame {
-    group: Arc<MergedGroup>,
+/// One level of the union: the sibling group open there — the sorted live
+/// values extending the current prefix — and where each value sits in the runs
+/// that hold it.
+#[derive(Debug, Clone, Default)]
+struct Frame<'a> {
+    /// The group, when one run alone holds the prefix and no tombstone lies
+    /// under it: that run's trie's own slice.
+    borrowed: Option<&'a [Value]>,
+    /// The group otherwise: the merge of the runs' groups.
+    merged: Vec<Value>,
     pos: usize,
+    /// The runs holding the prefix — each one's cursor is open at its group.
+    active: Vec<usize>,
+    /// Merged groups only: `offsets[i * active.len() + k]` is where value `i`
+    /// sits in the group of run `active[k]`, or [`ABSENT`]. (A borrowed
+    /// group's value `i` sits at offset `i` of its one run.)
+    offsets: Vec<usize>,
+    /// How many groups this level has held (at least one once it has any),
+    /// and the parent's `(fills, pos)` the present one was opened under:
+    /// while the parent has not moved, a re-`open` finds the group still here
+    /// and only re-charges its `steps`, so the tallies stay a pure function
+    /// of the visited values.
+    fills: u64,
+    under: Option<(u64, usize)>,
+    steps: u64,
+    /// [`Frame::merge`]'s scratch: the runs' groups and its position in each.
+    groups: Vec<&'a [Value]>,
+    heads: Vec<usize>,
 }
 
-/// One-entry memo per depth: the last prefix merged there, its group, and the
-/// merge work that was charged — hits re-charge the same work so the tallies
-/// stay a pure function of the visited values (scheduling-independent).
-#[derive(Debug, Clone)]
-struct DeltaMemo {
-    prefix: Vec<Value>,
-    group: Arc<MergedGroup>,
-    merge_steps: u64,
+impl<'a> Frame<'a> {
+    fn values(&self) -> &[Value] {
+        self.borrowed.unwrap_or(&self.merged)
+    }
+
+    /// Where the current value sits in the group of run `active[k]`.
+    fn offset_in(&self, k: usize) -> usize {
+        match self.borrowed {
+            Some(_) => self.pos,
+            None => self.offsets[self.pos * self.active.len() + k],
+        }
+    }
+
+    /// Merge the open groups of the `active` runs into `merged`/`offsets`,
+    /// keeping a value iff its signed subtree count is positive. Returns the
+    /// merge steps taken: one per (value, run).
+    fn merge(&mut self, runs: &[TrieCursor<'a>]) -> u64 {
+        let signed = self
+            .active
+            .iter()
+            .any(|&r| !runs[r].prefix_is_tombstone_free());
+        self.groups.clear();
+        self.groups
+            .extend(self.active.iter().map(|&r| runs[r].remaining()));
+        self.heads.clear();
+        self.heads.resize(self.groups.len(), 0);
+        let mut steps = 0u64;
+        loop {
+            let heads = self.groups.iter().zip(&self.heads);
+            let Some(v) = heads.filter_map(|(g, &h)| g.get(h)).min().copied() else {
+                return steps;
+            };
+            let row = self.offsets.len();
+            let mut net = 0i64;
+            for (k, head) in self.heads.iter_mut().enumerate() {
+                if self.groups[k].get(*head) != Some(&v) {
+                    self.offsets.push(ABSENT);
+                    continue;
+                }
+                if signed {
+                    net += runs[self.active[k]].signed_count_at(*head);
+                }
+                self.offsets.push(*head);
+                *head += 1;
+                steps += 1;
+            }
+            if !signed || net > 0 {
+                self.merged.push(v);
+            } else {
+                self.offsets.truncate(row);
+            }
+        }
+    }
 }
 
-/// A [`crate::TrieAccess`] cursor over a [`DeltaAccess`] — the **union cursor**: each
-/// `open` materializes the merged sibling group of the current prefix by an
-/// n-way sorted merge over the runs' ranges, keeping a value iff its signed
-/// subtree count is positive. The root group's merge is uncounted (it is
-/// computed once per run and amortized); deeper merges charge `delta_merge` work that
-/// depends only on the prefix, which is what keeps parallel merged counters
-/// bit-identical to serial execution.
+/// A [`crate::TrieAccess`] cursor over a [`DeltaAccess`] — the **union cursor**: one
+/// [`TrieCursor`] per run, kept in lockstep along the union's path. `open` is
+/// one `child_start` lookup per run holding the current value; when a single
+/// run holds the prefix with no tombstone under it the group is that trie's
+/// own slice (with the layout it has), otherwise the runs' distinct sibling groups
+/// are k-way merged, keeping a value iff its signed subtree count is positive.
+/// The root group is uncounted (each parallel worker opens it once per
+/// private cursor); deeper opens charge `delta_merge` work that depends only
+/// on the prefix, which is what keeps parallel merged counters bit-identical
+/// to serial execution.
 #[derive(Debug, Clone)]
 pub struct DeltaCursor<'a> {
-    access: &'a DeltaAccess<'a>,
-    frames: Vec<DeltaFrame>,
-    memo: Vec<Option<DeltaMemo>>,
-    /// Reused per-`open` prefix assembly buffer: memo hits — the common case —
-    /// never allocate.
-    prefix_buf: Vec<Value>,
+    runs: Vec<TrieCursor<'a>>,
+    /// One frame per level; `frames[..depth]` are open.
+    frames: Vec<Frame<'a>>,
+    depth: usize,
     work: CursorWork,
     simd: crate::simd::SimdLevel,
     seek_linear_max: usize,
 }
 
-impl DeltaCursor<'_> {
-    /// Merge the runs' groups for the prefix whose per-run ranges (at `depth`)
-    /// are given, returning the live values and counting merge steps.
-    fn merge_group(&self, depth: usize, ranges: &[(usize, usize)]) -> (Vec<Value>, u64) {
-        let mut steps = 0u64;
-        let mut values = Vec::new();
-        // per-run head position within its range
-        let mut heads: Vec<usize> = ranges.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let mut min: Option<Value> = None;
-            for (r, run) in self.access.runs.iter().enumerate() {
-                if heads[r] < ranges[r].1 {
-                    let v = run.cols[depth][heads[r]];
-                    min = Some(min.map_or(v, |m: Value| m.min(v)));
-                }
-            }
-            let Some(v) = min else { break };
-            let mut net = 0i64;
-            for (r, run) in self.access.runs.iter().enumerate() {
-                let (_, hi) = ranges[r];
-                let pos = heads[r];
-                if pos >= hi || run.cols[depth][pos] != v {
-                    continue;
-                }
-                let end = if v == Value::MAX {
-                    hi // sorted tail ≥ MAX is all MAX
-                } else {
-                    let (end, probes) = crate::ops::gallop_lub(&run.cols[depth], pos, hi, v + 1);
-                    steps += probes;
-                    end
-                };
-                net += run.signed_count(pos, end);
-                heads[r] = end;
-                steps += 1;
-            }
-            if net > 0 {
-                values.push(v);
-            }
-        }
-        (values, steps)
+impl<'a> DeltaCursor<'a> {
+    fn top(&self) -> Option<&Frame<'a>> {
+        self.frames[..self.depth].last()
     }
 
-    /// Narrow the parent's per-run ranges to the rows whose `depth − 1` column
-    /// equals `v` (the parent's current key), counting one step per run probed.
-    fn narrow(&self, depth: usize, parent: &MergedGroup, v: Value) -> (Vec<(usize, usize)>, u64) {
-        let mut steps = 0u64;
-        let mut ranges = Vec::with_capacity(self.access.runs.len());
-        for (r, run) in self.access.runs.iter().enumerate() {
-            let (lo, hi) = parent.ranges[r];
-            let col = &run.cols[depth - 1][lo..hi];
-            let start = lo + col.partition_point(|&x| x < v);
-            let end = lo + col.partition_point(|&x| x <= v);
-            ranges.push((start, end));
-            steps += 1;
-        }
-        (ranges, steps)
+    /// The open frame, if it has values left from its position.
+    fn live_top(&mut self) -> Option<&mut Frame<'a>> {
+        let top = self.frames[..self.depth].last_mut()?;
+        (top.pos < top.values().len()).then_some(top)
     }
 }
 
 impl crate::access::TrieAccess for DeltaCursor<'_> {
     fn arity(&self) -> usize {
-        self.access.arity
-    }
-
-    fn depth(&self) -> usize {
         self.frames.len()
     }
 
+    fn depth(&self) -> usize {
+        self.depth
+    }
+
     fn open(&mut self) -> bool {
-        let depth = self.frames.len();
-        if depth >= self.access.arity {
+        let (open, rest) = self.frames.split_at_mut(self.depth);
+        let Some(frame) = rest.first_mut() else {
             return false;
-        }
-        self.prefix_buf.clear();
-        for f in &self.frames {
-            debug_assert!(
-                f.pos < f.group.values.len(),
-                "open below an exhausted level"
-            );
-            self.prefix_buf.push(f.group.values[f.pos]);
-        }
-        if let Some(memo) = &self.memo[depth] {
-            if memo.prefix == self.prefix_buf {
-                if depth > 0 {
-                    // memo hits charge the same work as the merge they skip, so
-                    // tallies stay a pure function of the visited values
-                    self.work.delta_merge += memo.merge_steps;
+        };
+        frame.pos = 0;
+        frame.active.clear();
+        // one child_start lookup per run that holds the current value
+        match open.last() {
+            None => {
+                let opened = (0..self.runs.len()).filter(|&r| self.runs[r].open());
+                frame.active.extend(opened);
+            }
+            Some(parent) if parent.pos >= parent.values().len() => return false,
+            Some(parent) => {
+                for (k, &r) in parent.active.iter().enumerate() {
+                    let at = parent.offset_in(k);
+                    if at != ABSENT && self.runs[r].open_at(at) {
+                        frame.active.push(r);
+                    }
                 }
-                if memo.group.values.is_empty() {
-                    return false;
-                }
-                let group = Arc::clone(&memo.group);
-                self.frames.push(DeltaFrame { group, pos: 0 });
-                return true;
+                self.work.delta_merge += frame.active.len() as u64;
             }
         }
-        let (ranges, narrow_steps) = if depth == 0 {
-            (
-                self.access.runs.iter().map(|r| (0, r.len())).collect(),
-                0u64,
-            )
-        } else {
-            let parent = Arc::clone(&self.frames[depth - 1].group);
-            self.narrow(depth, &parent, self.prefix_buf[depth - 1])
-        };
-        let (values, merge_steps) = self.merge_group(depth, &ranges);
-        let steps = narrow_steps + merge_steps;
-        if depth > 0 {
-            // the root merge is uncounted: parallel workers each materialize it
-            // once per private cursor, so charging it would make merged counters
-            // depend on the worker count
-            self.work.delta_merge += steps;
+        // the root group is always the same one: (0, 0) is no parent's key
+        let under = open.last().map_or((0, 0), |p| (p.fills, p.pos));
+        if frame.under != Some(under) {
+            (frame.under, frame.fills) = (Some(under), frame.fills + 1);
+            frame.borrowed = None;
+            frame.merged.clear();
+            frame.offsets.clear();
+            frame.steps = match frame.active[..] {
+                [r] if self.runs[r].prefix_is_tombstone_free() => {
+                    frame.borrowed = Some(self.runs[r].remaining());
+                    0
+                }
+                _ => frame.merge(&self.runs),
+            };
         }
-        let group = Arc::new(MergedGroup { values, ranges });
-        let empty = group.values.is_empty();
-        self.memo[depth] = Some(DeltaMemo {
-            prefix: self.prefix_buf.clone(),
-            group: Arc::clone(&group),
-            merge_steps: steps,
-        });
-        if empty {
+        // the root merge is uncounted: parallel workers each do it once per
+        // private cursor, so charging it would make merged counters depend on
+        // the worker count
+        if self.depth > 0 {
+            self.work.delta_merge += frame.steps;
+        }
+        if frame.values().is_empty() {
+            frame.active.iter().for_each(|&r| self.runs[r].up());
             return false;
         }
-        self.frames.push(DeltaFrame { group, pos: 0 });
+        self.depth += 1;
         true
     }
 
     fn up(&mut self) {
-        self.frames.pop();
+        if let Some(depth) = self.depth.checked_sub(1) {
+            self.depth = depth;
+            let closed = &self.frames[depth];
+            closed.active.iter().for_each(|&r| self.runs[r].up());
+        }
     }
 
     fn key(&self) -> Value {
-        let f = self.frames.last().expect("cursor is at the root");
-        assert!(
-            f.pos < f.group.values.len(),
-            "cursor is at end of its group"
-        );
-        f.group.values[f.pos]
+        let f = self.top().expect("cursor is at the root");
+        f.values()[f.pos]
     }
 
     fn at_end(&self) -> bool {
-        match self.frames.last() {
-            None => true,
-            Some(f) => f.pos >= f.group.values.len(),
-        }
+        self.top().is_none_or(|f| f.pos >= f.values().len())
     }
 
     fn next(&mut self) -> bool {
         self.work.intersect_steps += 1;
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        if f.pos < f.group.values.len() {
-            f.pos += 1;
-        }
-        f.pos < f.group.values.len()
+        let Some(f) = self.live_top() else {
+            return false;
+        };
+        f.pos += 1;
+        f.pos < f.values().len()
     }
 
     fn seek(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        let values = &f.group.values;
-        if f.pos >= values.len() {
+        let (simd, linear_max) = (self.simd, self.seek_linear_max);
+        let Some(f) = self.live_top() else {
             return false;
-        }
-        let (pos, probes, cmps) = crate::ops::seek_lub_cal(
-            self.simd,
-            values,
-            f.pos,
-            values.len(),
-            target,
-            self.seek_linear_max,
-        );
+        };
+        let values = f.values();
+        let (pos, probes, cmps) =
+            crate::ops::seek_lub_cal(simd, values, f.pos, values.len(), target, linear_max);
+        let found = pos < values.len();
+        f.pos = pos;
         self.work.probes += probes;
         self.work.comparisons += cmps;
-        f.pos = pos;
-        f.pos < values.len()
+        found
     }
 
     fn reposition(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        match f.group.values.binary_search(&target) {
-            Ok(i) => {
-                f.pos = i;
-                true
-            }
-            Err(i) => {
-                f.pos = i;
-                false
-            }
-        }
+        let Some(f) = self.frames[..self.depth].last_mut() else {
+            return false;
+        };
+        let found = f.values().binary_search(&target);
+        f.pos = found.unwrap_or_else(|i| i);
+        found.is_ok()
     }
 
     fn advance_to(&mut self, target: Value) -> bool {
-        let f = self.frames.last_mut().expect("cursor is at the root");
-        let values = &f.group.values;
-        if f.pos >= values.len() {
+        let (simd, linear_max) = (self.simd, self.seek_linear_max);
+        let Some(f) = self.live_top() else {
             return false;
+        };
+        let values = f.values();
+        if values[f.pos] < target {
+            f.pos = crate::ops::advance_lub(simd, values, f.pos, values.len(), target, linear_max);
         }
-        if values[f.pos] >= target {
-            return values[f.pos] == target;
-        }
-        let pos = crate::ops::advance_lub(
-            self.simd,
-            values,
-            f.pos,
-            values.len(),
-            target,
-            self.seek_linear_max,
-        );
-        f.pos = pos;
-        pos < values.len() && values[pos] == target
+        f.values().get(f.pos) == Some(&target)
     }
 
     fn set_seek_calibration(&mut self, linear_max: usize) {
@@ -1538,10 +1340,13 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
     }
 
     fn remaining(&self) -> &[Value] {
-        match self.frames.last() {
-            None => &[],
-            Some(f) => &f.group.values[f.pos..],
-        }
+        self.top().map_or(&[], |f| &f.values()[f.pos..])
+    }
+
+    fn layout(&self) -> Option<crate::kernels::Layout<'_>> {
+        // a borrowed group is its run's own: so is the layout the trie built
+        let f = self.top()?;
+        f.borrowed.and(self.runs[*f.active.first()?].layout())
     }
 
     fn take_work(&mut self) -> CursorWork {
@@ -1821,26 +1626,35 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_recharge_identical_work() {
+    fn reopening_a_prefix_charges_identical_work() {
         let mut d = DeltaRelation::new(schema_ab());
+        d.set_seal_threshold(usize::MAX);
         for i in 0..64u64 {
             d.insert(vec![i % 2, i]).unwrap();
         }
         d.seal();
+        for i in 0..8u64 {
+            d.delete(&[i % 2, i]).unwrap();
+            d.insert(vec![i % 2, 100 + i]).unwrap();
+        }
+        d.seal();
+        assert_eq!(d.num_runs(), 2);
         let access = DeltaAccess::build(&d, &["A", "B"], 1).unwrap();
         let mut c = access.cursor();
         assert!(c.open());
         c.take_work();
-        assert!(c.open()); // miss
+        assert!(c.open());
         let first = c.take_work();
+        // two child_start lookups, then one merge step per (value, run)
+        assert_eq!(first.delta_merge, 2 + 32 + 8);
+        assert_eq!(TrieAccess::remaining(&c).len(), 32, "4 dead, 4 fresh");
         c.up();
-        assert!(c.open()); // memo hit, same prefix
-        let second = c.take_work();
-        assert_eq!(first.delta_merge, second.delta_merge);
+        assert!(c.open()); // the group is still in the level's frame: same work charged
+        assert_eq!(c.take_work().delta_merge, first.delta_merge);
         c.up();
         assert!(c.next());
-        assert!(c.open()); // different prefix: fresh merge
-        assert!(c.take_work().delta_merge > 0);
+        assert!(c.open());
+        assert_eq!(c.take_work().delta_merge, first.delta_merge);
     }
 
     #[test]
@@ -1853,7 +1667,7 @@ mod tests {
         fn assert_send_clone<T: Send + Clone>() {}
         fn assert_sync<T: Sync>() {}
         assert_send_clone::<DeltaCursor<'_>>();
-        assert_sync::<DeltaAccess<'_>>();
+        assert_sync::<DeltaAccess>();
     }
 
     #[test]
@@ -1906,16 +1720,111 @@ mod tests {
         assert!(!extended.contains(&compacted[0]));
     }
 
-    /// Enumerate a fresh cursor of `access` and return the rows with the work
-    /// the walk charged — what "cursor for cursor" compares.
-    fn walk(access: &DeltaAccess<'_>) -> (Vec<Tuple>, CursorWork) {
+    /// SplitMix64 (Steele et al. 2014) — the workspace's seeded generator
+    /// (`wcoj_workloads::SplitMix64`), copied so this crate's tests stay
+    /// dependency-free.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound.max(1)
+        }
+    }
+
+    /// Depth-first rows of a fresh cursor of `access`, with the work the walk
+    /// charged — what "cursor for cursor" compares.
+    fn walk(access: &DeltaAccess) -> (Vec<Tuple>, CursorWork) {
         let mut c = access.cursor();
-        let rows = enumerate(&mut c, 2);
+        let rows = enumerate(&mut c, access.arity());
         (rows, c.take_work())
     }
 
+    /// A ternary log grown by a seeded op stream over a small domain that
+    /// includes `Value::MAX`, sealed at random points so runs stack up with
+    /// tombstones, plus one interior value (`A = 3`) inserted and then fully
+    /// deleted in a later run.
+    fn random_log(seed: u64) -> DeltaRelation {
+        let mut rng = SplitMix64(seed);
+        let mut d = DeltaRelation::new(Schema::new(&["A", "B", "C"]));
+        d.set_seal_threshold(usize::MAX);
+        let value = |rng: &mut SplitMix64| match rng.below(7) {
+            6 => Value::MAX,
+            v => v,
+        };
+        let doomed: Vec<Tuple> = (0..5).map(|i| vec![3, value(&mut rng), i]).collect();
+        for t in &doomed {
+            d.insert(t.clone()).unwrap();
+        }
+        for _ in 0..60 + rng.below(200) {
+            let t = vec![value(&mut rng), value(&mut rng), value(&mut rng)];
+            if t[0] == 3 {
+                continue;
+            }
+            if rng.below(3) == 0 {
+                d.delete(&t).unwrap();
+            } else {
+                d.insert(t).unwrap();
+            }
+            if rng.below(40) == 0 {
+                d.seal();
+            }
+        }
+        d.seal();
+        for t in &doomed {
+            assert!(d.delete(t).unwrap());
+        }
+        if rng.below(2) == 0 {
+            d.seal(); // else the tombstones ride in the ephemeral run
+        }
+        d
+    }
+
     #[test]
-    fn kept_run_views_serve_what_a_fresh_build_serves() {
+    fn the_union_cursor_over_signed_run_tries_enumerates_the_snapshot() {
+        let orders: [[usize; 3]; 6] = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let mut merged_somewhere = false;
+        for seed in 0..40u64 {
+            let d = random_log(0x7A1E ^ seed);
+            let snap = d.snapshot();
+            assert!(snap.iter().all(|t| t[0] != 3), "seed {seed}");
+            for positions in orders {
+                let names: Vec<&str> = positions.iter().map(|&p| ["A", "B", "C"][p]).collect();
+                let expected = snap.reorder(&names).unwrap().rows();
+                let fresh = DeltaAccess::build_positions(&d, &positions, 1).unwrap();
+                let (rows, work) = walk(&fresh);
+                assert_eq!(rows, expected, "seed {seed} order {positions:?}");
+                merged_somewhere |= work.delta_merge > 0;
+                // four build workers, and tries kept from an earlier build
+                // (what the access cache hands back): same rows, same work
+                let par = DeltaAccess::build_positions(&d, &positions, 4).unwrap();
+                assert_eq!(par.tries, fresh.tries);
+                assert_eq!(walk(&par), (rows.clone(), work));
+                let mut held = fresh.tries().iter().cloned();
+                let next = |_: &Arc<Run>| Ok::<_, StorageError>(held.next().unwrap());
+                let kept = DeltaAccess::assemble(&d, &positions, next).unwrap();
+                assert_eq!(walk(&kept), (rows, work), "seed {seed} order {positions:?}");
+            }
+        }
+        assert!(merged_somewhere);
+    }
+
+    #[test]
+    fn run_tries_are_built_per_run_shared_and_die_with_the_run() {
         let mut d = DeltaRelation::new(schema_ab());
         d.set_seal_threshold(usize::MAX);
         for (chunk, size) in [(0u64, 200u64), (1, 40), (2, 8)] {
@@ -1928,88 +1837,158 @@ mod tests {
             d.seal();
         }
         assert_eq!(d.num_runs(), 3, "{:?}", d.run_sizes());
-        let keep = |built: &[Arc<RunView>]| -> Vec<Option<Arc<RunView>>> {
-            built.iter().cloned().map(Some).collect()
-        };
-        for threads in [1usize, 4] {
-            // the native order borrows the log: no view is built or consulted
-            let (_, built) =
-                DeltaAccess::build_positions_with(&d, &[0, 1], threads, vec![]).unwrap();
-            assert!(built.is_empty());
-
-            let positions = [1usize, 0];
-            let (cold, built) =
-                DeltaAccess::build_positions_with(&d, &positions, threads, vec![]).unwrap();
-            assert_eq!(
-                built.iter().map(|v| v.run_id()).collect::<Vec<_>>(),
-                d.run_ids(),
-                "one view per sealed run, in run order"
-            );
-            for (view, rows) in built.iter().zip(d.run_sizes()) {
-                assert_eq!(view.num_rows(), rows);
-                assert_eq!(view.heap_bytes(), rows * 16 + (rows + 1) * 8);
-                assert!(!view.is_dead());
+        assert_eq!(
+            d.runs().iter().map(|r| r.id()).collect::<Vec<_>>(),
+            d.run_ids()
+        );
+        for positions in [[0usize, 1], [1, 0]] {
+            let tries: Vec<Arc<Trie>> = d
+                .runs()
+                .iter()
+                .map(|r| Arc::new(r.trie(&positions, 1).unwrap()))
+                .collect();
+            let mut shed_a_layout = false;
+            for ((trie, run), rows) in tries.iter().zip(d.runs()).zip(d.run_sizes()) {
+                assert_eq!((trie.num_tuples(), run.len()), (rows, rows));
+                // without tombstones a run's trie is the static relation's,
+                // bit for bit; with them it is the CSR arrays and the flags (a
+                // bit a leaf plus a count a word) — it is not a set of live
+                // values, so it carries no set layouts
+                assert_eq!(trie.has_tombstones(), run.tombstones() > 0);
+                let plain = Trie::build_positions(&run.rel, &positions).unwrap();
+                if trie.has_tombstones() {
+                    let csr = 8 * (rows + 2 * trie.nodes_at(0) + 1) + "AB".len();
+                    assert_eq!(trie.heap_bytes(), csr + 16 * (rows / 64 + 1));
+                    shed_a_layout |= plain.heap_bytes() > csr;
+                    let mut cursor = trie.cursor();
+                    assert!(cursor.open() && cursor.layout().is_none());
+                } else {
+                    assert_eq!(**trie, plain);
+                }
             }
-            let fresh = DeltaAccess::build_positions(&d, &positions, 1).unwrap();
-            assert_eq!(walk(&cold), walk(&fresh), "x{threads}");
-
-            // every view kept: nothing is built, the access is the same
-            let (warm, rebuilt) =
-                DeltaAccess::build_positions_with(&d, &positions, threads, keep(&built)).unwrap();
-            assert!(rebuilt.is_empty());
-            assert_eq!(walk(&warm), walk(&fresh), "x{threads}");
-
-            // unsealed ops ride on the kept views through the ephemeral run
+            assert!(!tries[0].has_tombstones() && tries[1].has_tombstones());
+            assert!(
+                shed_a_layout,
+                "the fixture has a dense group under tombstones"
+            );
+            // unsealed ops ride on the kept tries through the ephemeral run
             let mut d2 = d.clone();
             d2.insert(vec![999, 1]).unwrap();
             d2.delete(&[3, 3]).unwrap();
-            let (warm2, rebuilt) =
-                DeltaAccess::build_positions_with(&d2, &positions, threads, keep(&built)).unwrap();
-            assert!(rebuilt.is_empty(), "buffer-only changes keep every run");
-            let fresh2 = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
-            assert_eq!(walk(&warm2), walk(&fresh2), "x{threads}");
-            drop((warm2, fresh2));
-
-            // a seal adds one run: only that one is built
-            d2.seal();
-            assert_eq!(d2.num_runs(), 4, "{:?}", d2.run_sizes());
-            let (merged, tail) =
-                DeltaAccess::build_positions_with(&d2, &positions, threads, keep(&built)).unwrap();
-            assert_eq!(tail.len(), 1);
-            assert_eq!(tail[0].run_id(), d2.run_ids()[3]);
-            let fresh3 = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
-            assert_eq!(walk(&merged), walk(&fresh3), "x{threads}");
-
-            // a view in the wrong slot is not of that run: ignored, rebuilt
-            let mut shuffled = keep(&built);
-            shuffled.swap(0, 2);
-            let (mixed, rebuilt) =
-                DeltaAccess::build_positions_with(&d, &positions, threads, shuffled).unwrap();
-            assert_eq!(rebuilt.len(), 2);
-            assert_eq!(walk(&mixed), walk(&fresh), "x{threads}");
-
-            // compaction rewrites every run: no kept view applies, and once
-            // the last log holding the old runs is gone their views are dead
-            let mut d3 = d2.clone();
-            d3.compact(threads);
-            let (compacted, rebuilt) =
-                DeltaAccess::build_positions_with(&d3, &positions, threads, keep(&built)).unwrap();
-            assert_eq!(rebuilt.len(), 1);
-            let fresh4 = DeltaAccess::build_positions(&d3, &positions, 1).unwrap();
-            assert_eq!(walk(&compacted), walk(&fresh4), "x{threads}");
-            drop((merged, fresh3));
-            drop(d2);
-            assert!(tail[0].is_dead(), "d2 is gone and d3 compacted it away");
-            assert!(!built[0].is_dead(), "`d` still holds the first three");
+            let mut with_buffer = tries.clone();
+            with_buffer.extend(d2.buffer_trie(&positions).unwrap().map(Arc::new));
+            assert_eq!(with_buffer.len(), 4);
+            let fresh = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
+            let kept = DeltaAccess {
+                arity: 2,
+                tries: with_buffer,
+            };
+            assert_eq!(walk(&kept), walk(&fresh));
         }
-        let (_, built) = DeltaAccess::build_positions_with(&d, &[1, 0], 1, vec![]).unwrap();
+        // a run is held by the logs that list it and by nothing else
+        let weak: Vec<_> = d.runs().iter().map(Arc::downgrade).collect();
         let mut head = d.clone();
         head.compact(1);
-        assert!(built.iter().all(|v| !v.is_dead()), "`d` pins its runs");
+        assert!(weak.iter().all(|w| w.strong_count() > 0), "`d` pins them");
         drop(d);
-        assert!(built.iter().all(|v| v.is_dead()), "no log holds them");
-        assert!(DeltaAccess::build_positions_with(&head, &[0, 0], 1, vec![]).is_err());
-        assert!(DeltaAccess::build_positions_with(&head, &[0], 1, vec![]).is_err());
+        assert!(weak.iter().all(|w| w.strong_count() == 0));
+        assert!(head.buffer_trie(&[0, 1]).unwrap().is_none());
+        assert!(DeltaAccess::build_positions(&head, &[0, 0], 1).is_err());
+        assert!(DeltaAccess::build_positions(&head, &[0], 1).is_err());
+    }
+
+    #[test]
+    fn decode_state_rejects_what_it_used_to_trust() {
+        let mut d = DeltaRelation::new(schema_ab());
+        d.set_seal_threshold(usize::MAX);
+        for t in [[1u64, 2], [1, 3], [2, 1]] {
+            d.insert(t.to_vec()).unwrap();
+        }
+        d.seal();
+        d.delete(&[1, 3]).unwrap();
+        d.seal();
+        let good = d.encode_state();
+        assert!(DeltaRelation::decode_state(schema_ab(), &good).is_ok());
+        // layout: threshold u64, runs u32, then per run rows u64, columns, signs
+        let (rows_at, col0_at) = (12, 20);
+        let corrupt =
+            |bytes: &[u8], what: &str| match DeltaRelation::decode_state(schema_ab(), bytes) {
+                Err(StorageError::WalCorrupt { reason, .. }) => {
+                    assert!(reason.contains(what), "{reason}")
+                }
+                other => panic!("{what}: {other:?}"),
+            };
+        // an out-of-order run: swap the first two A values' rows (1,2) <-> (2,1)
+        let mut swapped = good.clone();
+        swapped[col0_at..col0_at + 8].copy_from_slice(&2u64.to_le_bytes());
+        swapped[col0_at + 16..col0_at + 24].copy_from_slice(&1u64.to_le_bytes());
+        corrupt(&swapped, "not strictly ascending");
+        // a duplicated row is not canonical either
+        let mut dup = good.clone();
+        let b_at = col0_at + 24;
+        dup[b_at + 8..b_at + 16].copy_from_slice(&2u64.to_le_bytes());
+        corrupt(&dup, "not strictly ascending");
+        // a row count whose byte length overflows
+        let mut huge = good.clone();
+        huge[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        corrupt(&huge, "overflows");
+        // a sign byte that is neither 0 nor 1
+        let mut sign = good.clone();
+        let sign_at = col0_at + 48;
+        assert_eq!(sign[sign_at], 1);
+        sign[sign_at] = 2;
+        corrupt(&sign, "sign byte 2");
+    }
+
+    #[test]
+    fn decode_state_survives_byte_mutations() {
+        let mut rng = SplitMix64(0xDEC0DE);
+        let mut oks = 0;
+        for seed in 0..2400u64 {
+            let mut d = DeltaRelation::new(schema_ab());
+            d.set_seal_threshold(4 + rng.below(12) as usize);
+            for _ in 0..rng.below(48) {
+                let t = vec![rng.below(6), rng.below(6)];
+                if rng.below(3) == 0 {
+                    d.delete(&t).unwrap();
+                } else {
+                    d.insert(t).unwrap();
+                }
+            }
+            let mut bytes = d.encode_state();
+            let at = |rng: &mut SplitMix64, len: usize| rng.below(len as u64 + 1) as usize;
+            match seed % 3 {
+                0 => {
+                    let i = at(&mut rng, bytes.len() - 1);
+                    bytes[i] ^= 1 << rng.below(8);
+                }
+                1 => bytes.truncate(at(&mut rng, bytes.len())),
+                _ => {
+                    let (from, to) = (at(&mut rng, bytes.len()), at(&mut rng, bytes.len()));
+                    let len = at(&mut rng, 24).min(bytes.len() - from);
+                    let chunk = bytes[from..from + len].to_vec();
+                    bytes.splice(to..to, chunk);
+                }
+            }
+            match DeltaRelation::decode_state(schema_ab(), &bytes) {
+                Ok(log) => {
+                    oks += 1;
+                    // every value stored was read from the input, once
+                    let stored = log.run_sizes().iter().sum::<usize>() + log.buffered();
+                    assert!(stored * 16 <= bytes.len(), "seed {seed}");
+                    for run in log.runs() {
+                        assert!(is_canonical(run.rel.columns(), run.len()), "seed {seed}");
+                    }
+                    assert_cursor_matches_snapshot(&log);
+                }
+                Err(StorageError::WalCorrupt { .. }) => {}
+                Err(other) => panic!("seed {seed}: {other:?}"),
+            }
+        }
+        assert!(
+            oks > 0,
+            "some mutations (a flipped threshold bit) stay valid"
+        );
     }
 
     #[test]

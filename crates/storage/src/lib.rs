@@ -27,23 +27,26 @@
 //! * [`access::TrieAccess`] — the cursor trait the join engines in `wcoj-core` are
 //!   written against — once, generically, monomorphized per cursor type: Generic
 //!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
-//!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** static access
-//!   structure; [`access::CursorKind`] composes static and delta-backed atoms
-//!   without vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
+//!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** access
+//!   structure — of a static relation and of each sealed run of a delta log;
+//!   [`access::CursorKind`] composes static and delta-backed atoms without
+//!   vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
 //!   hold private cursors over one shared access structure;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as a base run + ordered delta runs (sorted ± mini-relations with
 //!   sign prefix-sums, tombstones for deletes) + an append buffer, with
-//!   size-tiered compaction; [`delta::DeltaAccess`] / [`delta::DeltaCursor`] is
-//!   the **union cursor** — a [`access::TrieAccess`] implementation that n-way
-//!   merges the runs and suppresses tombstoned subtrees, so both engines run
-//!   unmodified (and bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: one entry per immutable input and
-//!   column permutation — a built trie per static relation, a permuted
-//!   [`delta::RunView`] per sealed run of a delta log — keyed by the input's
-//!   identity stamp in a shared [`cache::AccessCache`] with a byte budget and
-//!   cost-aware (GreedyDual-Size) eviction; a seal adds one run, so the next
-//!   query builds one view (the **incremental** path) and finds the rest;
+//!   size-tiered compaction; a sealed run's access structure is a signed
+//!   [`trie::Trie`] ([`delta::Run::trie`]), and [`delta::DeltaAccess`] /
+//!   [`delta::DeltaCursor`] is the **union cursor** — a [`access::TrieAccess`]
+//!   implementation that k-way merges the run tries' sibling groups and
+//!   suppresses tombstoned subtrees, so both engines run unmodified (and
+//!   bit-identically to a full rebuild) over live data;
+//! * [`cache`] — the access-structure cache: one built trie per immutable input
+//!   (a static relation, or one sealed run of a delta log) and column
+//!   permutation, keyed by the input's identity stamp in a shared
+//!   [`cache::AccessCache`] with a byte budget and cost-aware (GreedyDual-Size)
+//!   eviction; a seal adds one run, so the next query builds one trie (the
+//!   **incremental** path) and finds the rest;
 //! * [`wal`] — write-ahead logging for the ingest path: every write batch is
 //!   appended as length-prefixed, CRC32-checksummed [`wal::WalOp`] records
 //!   closed by a commit marker, by the one writer ([`SegmentedWal`]) of a log
@@ -114,8 +117,8 @@ pub mod typed;
 pub mod wal;
 
 pub use access::{CursorKind, TrieAccess};
-pub use cache::{next_stamp, AccessCache, CacheKey, CacheKind, CacheStats, CachedValue};
-pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation, RunView};
+pub use cache::{next_stamp, AccessCache, CacheKey, CacheStats};
+pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation};
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
 pub use kernels::{KernelKind, KernelPolicy};

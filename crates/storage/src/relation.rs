@@ -591,7 +591,7 @@ fn check_shape(schema: &Schema, columns: &[Vec<Value>]) -> Result<usize, Storage
 /// time from the least significant (the most significant column in which two
 /// rows differ has the last word): branch-free streaming loops, and unsorted
 /// bulk loads are turned away by their first block.
-fn is_canonical(columns: &[Vec<Value>], n: usize) -> bool {
+pub(crate) fn is_canonical(columns: &[Vec<Value>], n: usize) -> bool {
     const BLOCK: usize = 1024;
     let mut ascending = [0u8; BLOCK];
     (1..n).step_by(BLOCK).all(|lo| {

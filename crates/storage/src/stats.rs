@@ -35,10 +35,10 @@ pub struct CursorWork {
     /// Element comparisons performed by the adaptive linear-scan `seek` path on
     /// short sibling groups (the galloping path records `probes` instead).
     pub comparisons: u64,
-    /// Delta-log merge steps: run-range narrowing probes and n-way sorted-merge
-    /// advances performed by `DeltaCursor::open` when materializing the merged
-    /// (tombstone-suppressed) sibling group of a prefix over a
-    /// [`crate::delta::DeltaRelation`]'s runs.
+    /// Delta-log merge steps charged by `DeltaCursor::open` below the root: one
+    /// `child_start` lookup per run of a [`crate::delta::DeltaRelation`] that
+    /// holds the prefix, plus — when the (tombstone-suppressed) sibling group
+    /// has to be merged from several runs — one step per `(value, run)`.
     pub delta_merge: u64,
 }
 

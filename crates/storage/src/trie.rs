@@ -14,7 +14,14 @@
 //! group (CSR, like the child ranges), filled from the finished value arrays by
 //! the same code in the serial and the parallel build (so the two stay
 //! bit-identical), counted in [`Trie::heap_bytes`], and absent altogether on a
-//! level without a dense group.
+//! level without a dense group — and on a trie with tombstones, whose sibling
+//! groups are not sets of live values.
+//!
+//! A sealed run of a [`crate::DeltaRelation`] is a relation whose rows carry a
+//! sign, and its trie is this one: [`crate::delta::Run::trie`] is the same builder,
+//! which keeps — only when some row is a tombstone — one bit per leaf plus a
+//! running count per word, so the signed tuple count under any node is two
+//! popcounts over the leaf range its `child_start` offsets descend to.
 //!
 //! A [`TrieCursor`] implements the linear-iterator interface Leapfrog needs: `open`,
 //! `up`, `next`, `seek` (least upper bound within the current sibling group), `key`,
@@ -79,23 +86,62 @@ impl TrieLevel {
 
 /// Assemble a trie's levels from the per-level `values` and `child_start`
 /// arrays both builds produce: level 0 is one sibling group, level `d + 1`'s
-/// groups are level `d`'s child ranges.
-fn assemble_levels(values: Vec<Vec<Value>>, child_start: Vec<Vec<usize>>) -> Vec<TrieLevel> {
+/// groups are level `d`'s child ranges. Without `layouts` no group gets one.
+fn assemble_levels(
+    values: Vec<Vec<Value>>,
+    child_start: Vec<Vec<usize>>,
+    layouts: bool,
+) -> Vec<TrieLevel> {
     let mut levels: Vec<TrieLevel> = Vec::with_capacity(values.len());
     for (values, child_start) in values.into_iter().zip(child_start) {
         let level = match levels.last() {
             None => {
-                let root = (!values.is_empty()).then_some(0..values.len());
+                let root = (layouts && !values.is_empty()).then_some(0..values.len());
                 TrieLevel::new(values, child_start, root.into_iter())
             }
             Some(parent) => {
                 let groups = parent.child_start.windows(2).map(|w| w[0]..w[1]);
-                TrieLevel::new(values, child_start, groups)
+                TrieLevel::new(values, child_start, groups.filter(|_| layouts))
             }
         };
         levels.push(level);
     }
     levels
+}
+
+/// Which leaves of a signed trie are tombstones: one bit per leaf and a rank
+/// directory — a quarter of a byte per row, so a small run's trie stays small.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Tombstones {
+    /// Bit `i % 64` of `words[i / 64]` is set iff leaf `i` is a tombstone. One
+    /// word past the last leaf's, so [`Tombstones::rank`] of the leaf count reads
+    /// in bounds.
+    words: Vec<u64>,
+    /// `before[w]` = tombstones in `words[..w]`.
+    before: Vec<usize>,
+}
+
+impl Tombstones {
+    /// The flags of `n` leaves, leaf `i` a tombstone iff `dead(i)`.
+    fn new(n: usize, dead: impl Fn(usize) -> bool) -> Self {
+        let mut words = vec![0u64; n / 64 + 1];
+        for i in (0..n).filter(|&i| dead(i)) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        let mut before = Vec::with_capacity(words.len());
+        let mut seen = 0;
+        for w in &words {
+            before.push(seen);
+            seen += w.count_ones() as usize;
+        }
+        Tombstones { words, before }
+    }
+
+    /// Tombstones among leaves `[0, i)`.
+    fn rank(&self, i: usize) -> usize {
+        let below = self.words[i / 64] & ((1u64 << (i % 64)) - 1);
+        self.before[i / 64] + below.count_ones() as usize
+    }
 }
 
 /// A prefix trie over a relation in a fixed attribute order.
@@ -104,52 +150,27 @@ pub struct Trie {
     attr_order: Vec<String>,
     levels: Vec<TrieLevel>,
     num_tuples: usize,
+    /// Present only on the trie of a delta run with tombstones.
+    tombstones: Option<Tombstones>,
 }
 
-/// Validate that `attr_order` is a permutation of `rel`'s attributes and return the
-/// column position of each ordered attribute.
-fn order_positions(rel: &Relation, attr_order: &[&str]) -> Result<Vec<usize>, StorageError> {
-    if attr_order.len() != rel.arity() {
+/// Check that `positions` is a permutation of `0..arity` — the one place a
+/// column order is validated, for static relations and delta runs alike.
+pub(crate) fn check_positions(arity: usize, positions: &[usize]) -> Result<(), StorageError> {
+    if positions.len() != arity {
         return Err(StorageError::ArityMismatch {
-            expected: rel.arity(),
-            found: attr_order.len(),
-        });
-    }
-    let mut positions = Vec::with_capacity(attr_order.len());
-    let mut seen = vec![false; rel.arity()];
-    for attr in attr_order {
-        let p = rel.schema().require(attr)?;
-        if seen[p] {
-            return Err(StorageError::DuplicateAttribute(attr.to_string()));
-        }
-        seen[p] = true;
-        positions.push(p);
-    }
-    Ok(positions)
-}
-
-/// Validate that `positions` is a permutation of `0..rel.arity()` and synthesize the
-/// attribute names of that order from the relation's stored schema. The positional
-/// twin of [`order_positions`]: atom variables bind to stored columns
-/// positionally.
-fn positions_order(rel: &Relation, positions: &[usize]) -> Result<Vec<String>, StorageError> {
-    if positions.len() != rel.arity() {
-        return Err(StorageError::ArityMismatch {
-            expected: rel.arity(),
+            expected: arity,
             found: positions.len(),
         });
     }
-    let mut seen = vec![false; rel.arity()];
+    let mut seen = vec![false; arity];
     for &p in positions {
-        if p >= rel.arity() || seen[p] {
+        if p >= arity || seen[p] {
             return Err(StorageError::DuplicateAttribute(format!("column {p}")));
         }
         seen[p] = true;
     }
-    Ok(positions
-        .iter()
-        .map(|&p| rel.schema().attrs()[p].clone())
-        .collect())
+    Ok(())
 }
 
 /// Argsort of `rel`'s rows by the permuted columns (across `threads` scoped
@@ -181,15 +202,18 @@ fn boundary(cols: &[&[Value]], r: usize, prev: usize) -> usize {
 /// (skipped when the order is native), then scan once, pushing a node at depth
 /// `d` whenever the current row first differs from the previous row at depth
 /// `≤ d`.
-fn scan_serial(rel: &Relation, positions: &[usize]) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
+fn scan_serial(
+    rel: &Relation,
+    positions: &[usize],
+    perm: Option<&[usize]>,
+) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
     let arity = rel.arity();
-    let perm = order_perm(rel, positions, 1);
     let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
     let mut values: Vec<Vec<Value>> = vec![Vec::new(); arity];
     let mut child_start: Vec<Vec<usize>> = vec![Vec::new(); arity];
     let mut prev: Option<usize> = None;
     for idx in 0..rel.len() {
-        let r = perm.as_ref().map_or(idx, |p| p[idx]);
+        let r = perm.map_or(idx, |p| p[idx]);
         let d = prev.map_or(0, |pr| boundary(&cols, r, pr));
         // the row starts a new node at every depth >= d
         for (depth, col) in cols.iter().enumerate().skip(d) {
@@ -247,7 +271,7 @@ fn boundary_depths(
 }
 
 /// [`scan_serial`]'s arrays from three parallel stages, each bit-identical to
-/// its serial counterpart: the argsort runs as sorted runs + parallel merges
+/// its serial counterpart: the argsort ran as sorted runs + parallel merges
 /// ([`Relation::sort_perm_threads`]), the level-boundary stream is chunked
 /// ([`boundary_depths`]), and the level arrays are filled through exclusive
 /// per-chunk output slices whose offsets come from a prefix sum of per-chunk
@@ -255,13 +279,13 @@ fn boundary_depths(
 fn scan_parallel(
     rel: &Relation,
     positions: &[usize],
+    perm: Option<&[usize]>,
     threads: usize,
 ) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
     let arity = rel.arity();
     let n = rel.len();
-    let perm = order_perm(rel, positions, threads);
     let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
-    let bounds = boundary_depths(&cols, n, perm.as_deref(), threads);
+    let bounds = boundary_depths(&cols, n, perm, threads);
 
     // per-chunk node counts per depth (a row with boundary b creates one node
     // at every depth >= b), then exclusive prefix sums -> chunk output offsets
@@ -319,7 +343,6 @@ fn scan_parallel(
         std::thread::scope(|scope| {
             let bounds = &bounds;
             let cols = &cols;
-            let perm = perm.as_deref();
             for (c, range) in ranges.iter().enumerate() {
                 let mut vs: Vec<&mut [Value]> = Vec::with_capacity(arity);
                 let mut cs: Vec<&mut [usize]> = Vec::with_capacity(arity);
@@ -390,7 +413,7 @@ impl Trie {
         attr_order: &[&str],
         threads: usize,
     ) -> Result<Self, StorageError> {
-        Self::build_positions_parallel(rel, &order_positions(rel, attr_order)?, threads)
+        Self::build_positions_parallel(rel, &rel.schema().positions(attr_order)?, threads)
     }
 
     /// [`Trie::build_positions`] with the parallel fused pass of
@@ -400,16 +423,36 @@ impl Trie {
         positions: &[usize],
         threads: usize,
     ) -> Result<Self, StorageError> {
-        let attr_order = positions_order(rel, positions)?;
+        Self::build_signed(rel, positions, threads, None)
+    }
+
+    /// The one builder. `dead` is given for a delta run with tombstones: which
+    /// of `rel`'s rows are, in their stored order — the built trie keeps the
+    /// flags permuted to its own leaf order (leaf `i` is sorted row `i`) and,
+    /// not being a set of live values, builds no set layouts.
+    pub(crate) fn build_signed(
+        rel: &Relation,
+        positions: &[usize],
+        threads: usize,
+        dead: Option<&[bool]>,
+    ) -> Result<Self, StorageError> {
+        check_positions(rel.arity(), positions)?;
+        let perm = order_perm(rel, positions, threads);
         let (values, child_start) = if threads <= 1 || rel.len() < PAR_BUILD_MIN {
-            scan_serial(rel, positions)
+            scan_serial(rel, positions, perm.as_deref())
         } else {
-            scan_parallel(rel, positions, threads)
+            scan_parallel(rel, positions, perm.as_deref(), threads)
         };
+        let row = |idx: usize| perm.as_ref().map_or(idx, |p| p[idx]);
+        let tombstones = dead.map(|dead| Tombstones::new(rel.len(), |idx| dead[row(idx)]));
         Ok(Trie {
-            attr_order,
-            levels: assemble_levels(values, child_start),
+            attr_order: positions
+                .iter()
+                .map(|&p| rel.schema().attrs()[p].clone())
+                .collect(),
+            levels: assemble_levels(values, child_start, tombstones.is_none()),
             num_tuples: rel.len(),
+            tombstones,
         })
     }
 
@@ -419,7 +462,7 @@ impl Trie {
     }
 
     /// Approximate heap footprint in bytes (level value, offset and layout
-    /// arrays plus order metadata) — the byte accounting behind the
+    /// arrays, tombstone flags, order metadata) — the byte accounting behind the
     /// access-structure cache's budget.
     pub fn heap_bytes(&self) -> usize {
         self.levels
@@ -432,6 +475,9 @@ impl Trie {
             })
             .sum::<usize>()
             + self.attr_order.iter().map(|s| s.len()).sum::<usize>()
+            + self.tombstones.as_ref().map_or(0, |t| {
+                std::mem::size_of_val(&t.words[..]) + std::mem::size_of_val(&t.before[..])
+            })
     }
 
     /// Arity (number of levels).
@@ -454,6 +500,27 @@ impl Trie {
     /// to compute the first join variable's extension set up front.
     pub fn root_values(&self) -> &[Value] {
         self.levels.first().map_or(&[], |l| l.values.as_slice())
+    }
+
+    /// Whether some leaf is a tombstone (only the trie of a delta run can say
+    /// yes: [`crate::delta::Run::trie`]).
+    pub fn has_tombstones(&self) -> bool {
+        self.tombstones.is_some()
+    }
+
+    /// How many tuples lie under node `node` of level `depth`, and how many of
+    /// them are tombstones: the node's leaf range is found by descending
+    /// `child_start`, its tombstones are one rank subtraction.
+    fn subtree(&self, depth: usize, node: usize) -> (usize, usize) {
+        let (mut lo, mut hi) = (node, node + 1);
+        for level in &self.levels[depth..self.levels.len() - 1] {
+            (lo, hi) = (level.child_start[lo], level.child_start[hi]);
+        }
+        let dead = self
+            .tombstones
+            .as_ref()
+            .map_or(0, |t| t.rank(hi) - t.rank(lo));
+        (hi - lo, dead)
     }
 
     /// A cursor positioned at the root. Its frame stack is sized for a full
@@ -665,6 +732,37 @@ impl<'a> TrieCursor<'a> {
     /// Drain the cursor's private work tallies (resetting them to zero).
     pub fn take_work(&mut self) -> CursorWork {
         std::mem::take(&mut self.work)
+    }
+
+    /// Descend into the children of the sibling at `offset` of the current
+    /// group: one `child_start` lookup, uncounted — the union cursor's `open`.
+    pub(crate) fn open_at(&mut self, offset: usize) -> bool {
+        if let Some(frame) = self.stack.last_mut() {
+            frame.pos = frame.start + offset;
+        }
+        self.open()
+    }
+
+    /// The signed tuple count under the sibling at `offset` of the current
+    /// group (0 at the root, which has none).
+    pub(crate) fn signed_count_at(&self, offset: usize) -> i64 {
+        self.stack.last().map_or(0, |f| {
+            let depth = self.stack.len() - 1;
+            let (tuples, dead) = self.trie.subtree(depth, f.start + offset);
+            tuples as i64 - 2 * dead as i64
+        })
+    }
+
+    /// Whether no tombstone lies under the prefix whose children the cursor
+    /// has open (at the root: anywhere in the trie).
+    pub(crate) fn prefix_is_tombstone_free(&self) -> bool {
+        if !self.trie.has_tombstones() {
+            return true;
+        }
+        self.stack
+            .len()
+            .checked_sub(2)
+            .is_some_and(|depth| self.trie.subtree(depth, self.stack[depth].pos).1 == 0)
     }
 }
 
@@ -960,5 +1058,42 @@ mod tests {
         let mut c = t.cursor();
         walk(&mut c, 3, &mut Vec::new(), &mut out);
         assert_eq!(out, r.rows());
+    }
+
+    #[test]
+    fn signed_counts_are_rank_differences_at_every_word_boundary() {
+        // 0, 1, 63, 64, 65, 128 and 200 leaves: the flag words end on, before
+        // and after a leaf; every node's signed count against a recount
+        for n in [0usize, 1, 63, 64, 65, 128, 200] {
+            let rows: Vec<Vec<Value>> = (0..n as Value).map(|i| vec![i / 5, i % 5]).collect();
+            let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
+            let dead: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i == n - 1).collect();
+            for positions in [[0usize, 1], [1, 0]] {
+                let t = Trie::build_signed(&r, &positions, 1, Some(&dead)).unwrap();
+                let sign = |a: Value, b: Value| {
+                    let row = if positions[0] == 0 {
+                        a * 5 + b
+                    } else {
+                        b * 5 + a
+                    };
+                    1 - 2 * dead[row as usize] as i64
+                };
+                let mut c = t.cursor();
+                assert_eq!(c.open(), n > 0);
+                for (i, &a) in t.root_values().iter().enumerate() {
+                    assert!(c.open_at(i));
+                    let below: Vec<Value> = c.remaining().to_vec();
+                    let clean = below.iter().all(|&b| sign(a, b) > 0);
+                    assert_eq!(c.prefix_is_tombstone_free(), clean, "n {n}");
+                    assert!(c.layout().is_none(), "a signed trie has no layouts");
+                    for (j, &b) in below.iter().enumerate() {
+                        assert_eq!(c.signed_count_at(j), sign(a, b), "n {n}");
+                    }
+                    c.up();
+                    let net: i64 = below.iter().map(|&b| sign(a, b)).sum();
+                    assert_eq!(c.signed_count_at(i), net, "n {n} value {a}");
+                }
+            }
+        }
     }
 }
