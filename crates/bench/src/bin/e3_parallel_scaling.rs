@@ -91,7 +91,7 @@ fn main() {
 
     // access-structure construction scaling: one representative reordered build
     // (the non-native order forces the parallel argsort too)
-    let rel = w.db.get("R").expect("workload binds R");
+    let rel = &w.db.delta("R").expect("workload binds R").snapshot();
     let mut build_table = ExperimentTable::new(
         format!(
             "E3b: parallel access-structure build, |R| = {} rows",

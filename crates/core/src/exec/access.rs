@@ -1,17 +1,17 @@
 //! Access-structure builds and their cache entries.
 //!
 //! [`BuiltAccess::build`] produces one access structure per atom, and there is
-//! one kind: the CSR [`Trie`], the same for either WCOJ engine. A static
-//! relation has one; a delta-backed relation has one per sealed run (plus the
-//! collapsed unsealed buffer's, built per query), merged on the fly by the
-//! [`DeltaAccess`] union cursor — and a log that comes to a single trie with no
-//! tombstone *is* the static case and runs as one. Every trie of an immutable
-//! input goes through the one [`fetch_or_build`] and the per-database
-//! [`wcoj_storage::AccessCache`], keyed `(relation, column positions, stamp)`.
-//! Builds record no [`wcoj_storage::WorkCounter`] work (their activity is
-//! tallied in [`CacheStats`]), and cached, fresh-serial and fresh-parallel
-//! structures are bit-identical, so results and work counters are the same with
-//! the cache on, off, or cold.
+//! one kind: the CSR [`Trie`], the same for either WCOJ engine. Every stored
+//! relation is a log with one trie per sealed run (plus the collapsed unsealed
+//! buffer's, built per query), merged on the fly by the [`DeltaAccess`] union
+//! cursor — and a log that comes to a single trie with no tombstone, such as a
+//! loaded relation, runs on that trie alone. Every run's trie goes through the
+//! one [`fetch_or_build`] and the per-database [`wcoj_storage::AccessCache`],
+//! keyed `(relation, column positions, run id)`. Builds record no
+//! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
+//! [`CacheStats`]), and cached, fresh-serial and fresh-parallel structures are
+//! bit-identical, so results and work counters are the same with the cache
+//! on, off, or cold.
 
 use super::driver::run_cursors;
 use super::engine::{InteriorStep, JoinCtx};
@@ -21,9 +21,9 @@ use crate::error::ExecError;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_obs::{AtomTrace, MorselTrace};
-use wcoj_query::{AtomSource, ConjunctiveQuery, Database};
+use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::delta::Run;
-use wcoj_storage::{CacheKey, CacheStats, CursorKind, DeltaAccess, StorageError, Trie};
+use wcoj_storage::{CacheKey, CacheStats, CursorKind, DeltaAccess, DeltaRelation, Trie};
 
 /// One atom's built access structure. Tries are `Arc`-shared with the access
 /// cache, so a hit costs a refcount, not a rebuild.
@@ -39,6 +39,14 @@ impl AtomAccess {
             AtomAccess::Delta(d) => d.cursor().into(),
         }
     }
+
+    /// The trace's name for the structure serving the atom.
+    fn kind(&self) -> &'static str {
+        match self {
+            AtomAccess::Trie(_) => "trie",
+            AtomAccess::Delta(_) => "delta",
+        }
+    }
 }
 
 /// The access structures built for one execution, shared immutably by all
@@ -51,7 +59,7 @@ pub(super) enum BuiltAccess {
 }
 
 /// The cache side-channel of one [`BuiltAccess::build`]: the database whose
-/// [`wcoj_storage::AccessCache`] (and relation stamps) to consult, and the
+/// [`wcoj_storage::AccessCache`] to consult, and the
 /// resolved [`CacheMode`]. `use_cache` is false when the mode is
 /// [`CacheMode::Off`] *or* the cache's byte budget is zero — either way every
 /// build is fresh and the shared cache is never touched.
@@ -61,49 +69,47 @@ struct CacheCtx<'a> {
     pinned: bool,
 }
 
-/// Fetch-or-build the trie of one immutable input — a static relation, or one
-/// sealed run of a delta log (`run`) — through the access cache. `key` names
-/// the input by its stamp (`None`: not caching): a relation's insertion stamp
-/// changes when its name is rebound and a run's id is never reissued, so a
-/// stale entry can never be returned. Returns the trie and whether it was
-/// built here; a built trie is inserted (`rows` is its rebuild cost), and the
-/// insert drops the entries of this relation and order whose run no log holds
-/// any more.
+/// Fetch-or-build the trie of one sealed run through the access cache. `key`
+/// names the run by its id (`None`: not caching), which is never reissued, so
+/// a stale entry can never be returned. Returns the trie and whether it was
+/// built here; a built trie is inserted (the run's rows are its rebuild
+/// cost), and the insert drops the entries of this relation and order whose
+/// run no log holds any more.
 fn fetch_or_build(
     ctx: &CacheCtx<'_>,
     key: Option<&CacheKey>,
-    rows: usize,
-    run: Option<&Arc<Run>>,
-    build: impl FnOnce() -> Result<Trie, StorageError>,
+    run: &Arc<Run>,
+    positions: &[usize],
+    threads: usize,
     stats: &mut CacheStats,
 ) -> Result<(Arc<Trie>, bool), ExecError> {
     let cache = ctx.db.access_cache();
     if let Some(t) = key.and_then(|key| cache.get(key)) {
         return Ok((t, false));
     }
-    let t = Arc::new(build()?);
+    let t = Arc::new(run.trie(positions, threads)?);
     if let Some(key) = key {
-        let (value, run) = (Arc::clone(&t), run.map(Arc::downgrade));
-        let (cost, bytes) = (rows as u64, t.heap_bytes());
-        stats.evictions += cache.insert(key.clone(), value, run, cost, bytes, ctx.pinned);
+        let (cost, bytes) = (run.len() as u64, t.heap_bytes());
+        let (value, source) = (Arc::clone(&t), Arc::downgrade(run));
+        stats.evictions += cache.insert(key.clone(), value, source, cost, bytes, ctx.pinned);
     }
     Ok((t, true))
 }
 
-/// One atom's access structure. A static relation is one input; a delta log
-/// is its sealed runs, each fetched or built exactly like a static relation
-/// (the reader walks **its own** run list, so the head and any number of
-/// pinned snapshots share the entries of the runs they have in common and
-/// never write to each other's keys), plus the unsealed buffer collapsed per
-/// query, exactly like an uncached build. One tally per atom: every input
-/// found is a hit, some found an incremental merge (after a seal: only the new
-/// run is built), none found a miss (cold, or after a compaction); a log with
-/// no sealed run has nothing to keep and tallies nothing. A log that comes to
-/// one trie with no tombstone is served as that trie: the static path.
+/// One atom's access structure: its log's sealed runs, each fetched or built
+/// through the cache (the reader walks **its own** run list, so the head and
+/// any number of pinned snapshots share the entries of the runs they have in
+/// common and never write to each other's keys), plus the unsealed buffer
+/// collapsed per query, exactly like an uncached build. One tally per atom:
+/// every run found is a hit, some found an incremental merge (after a seal:
+/// only the new run is built), none found a miss (cold, or after a compaction
+/// or a rebind); a log with no sealed run — buffered ops only, or an empty
+/// relation — has nothing to keep and tallies nothing. A log that comes to one
+/// trie with no tombstone is served as that trie.
 fn atom_access(
     ctx: &CacheCtx<'_>,
     name: &str,
-    source: &AtomSource<'_>,
+    delta: &DeltaRelation,
     positions: &[usize],
     threads: usize,
     stats: &mut CacheStats,
@@ -111,34 +117,23 @@ fn atom_access(
     let mut key = ctx.use_cache.then(|| CacheKey {
         relation: name.to_string(),
         positions: positions.to_vec(),
-        stamp: ctx.db.relation_stamp(name),
+        stamp: 0,
     });
-    let tally = |stats: &mut CacheStats, built: usize, inputs: usize| match built {
-        _ if !ctx.use_cache || inputs == 0 => {}
-        0 => stats.hits += 1,
-        n if n == inputs => stats.misses += 1,
-        _ => stats.incremental_merges += 1,
-    };
-    let delta = match source {
-        AtomSource::Static(rel) => {
-            let build = || Trie::build_positions_parallel(rel, positions, threads);
-            let (trie, built) = fetch_or_build(ctx, key.as_ref(), rel.len(), None, build, stats)?;
-            tally(stats, built as usize, 1);
-            return Ok(AtomAccess::Trie(trie));
-        }
-        AtomSource::Delta(delta) => delta,
-    };
     let mut built = 0;
     let access = DeltaAccess::assemble(delta, positions, |run| {
         if let Some(key) = key.as_mut() {
             key.stamp = run.id();
         }
-        let build = || run.trie(positions, threads);
-        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run.len(), Some(run), build, stats)?;
+        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run, positions, threads, stats)?;
         built += fresh as usize;
         Ok::<_, ExecError>(trie)
     })?;
-    tally(stats, built, delta.num_runs());
+    match built {
+        _ if !ctx.use_cache || delta.num_runs() == 0 => {}
+        0 => stats.hits += 1,
+        n if n == delta.num_runs() => stats.misses += 1,
+        _ => stats.incremental_merges += 1,
+    }
     Ok(match access.tries() {
         [only] if !only.has_tombstones() => AtomAccess::Trie(Arc::clone(only)),
         _ => AtomAccess::Delta(access),
@@ -150,17 +145,18 @@ impl BuiltAccess {
     /// per atom over the column `positions` its join order resolves to (also
     /// the cache key's permutation component); with `threads > 1` each fresh
     /// build's argsort-and-scan pass is partitioned across scoped workers
-    /// ([`Trie::build_positions_parallel`], for a relation and for a run).
-    /// Delta-backed atoms get a [`DeltaAccess`] over their runs' tries — no
-    /// snapshot materialization.
+    /// ([`wcoj_storage::delta::Run::trie`]). An atom whose log needs the union
+    /// cursor gets a [`DeltaAccess`] over its runs' tries — no snapshot
+    /// materialization.
     ///
     /// With `trace` present, one [`AtomTrace`] per atom is appended — its
-    /// relation name, structure kind, cache outcome (diffed from `stats`),
-    /// and build wall-time. `None` adds no timing calls at all.
+    /// relation name, structure kind (`trie` on one trie, `delta` on the union
+    /// cursor), cache outcome (diffed from `stats`), and build wall-time.
+    /// `None` adds no timing calls at all.
     pub(super) fn build(
         query: &ConjunctiveQuery,
         db: &Database,
-        sources: &[AtomSource<'_>],
+        sources: &[&DeltaRelation],
         positions: &[Vec<usize>],
         opts: &ExecOptions,
         stats: &mut CacheStats,
@@ -178,14 +174,9 @@ impl BuiltAccess {
             let before = *stats;
             let access = atom_access(&ctx, &atom.name, source, positions, threads, stats)?;
             if let Some(tr) = trace.as_deref_mut() {
-                // where the atom is served from, not which cursor serves it
-                let kind = match source {
-                    AtomSource::Static(_) => "trie",
-                    AtomSource::Delta(_) => "delta",
-                };
                 tr.push(AtomTrace {
                     relation: atom.name.clone(),
-                    kind: kind.to_string(),
+                    kind: access.kind().to_string(),
                     outcome: atom_outcome(&before, stats).to_string(),
                     build_ns: elapsed_ns(started),
                 });

@@ -155,8 +155,8 @@ impl Wcoj<'_> {
 /// What a (valid) global variable order means for each atom, resolved once:
 /// `participants[l]` = the atoms containing the variable bound at level `l`,
 /// and per atom the **column positions** of its relation sorted by the level
-/// their variable is bound at — the order its trie / delta view is built over
-/// (every source's columns bind to its atom's variables positionally).
+/// their variable is bound at — the order its runs' tries are built over
+/// (every log's columns bind to its atom's variables positionally).
 fn levels_and_positions(
     query: &ConjunctiveQuery,
     order: &[VarId],

@@ -74,11 +74,10 @@
 //! # One builder loop
 //!
 //! Access structures are built by one per-atom loop (`access`) with one
-//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: an
-//! immutable input — a static relation, or one sealed run of a delta log —
-//! permuted to one column order is one cached trie, keyed `(relation, column
-//! positions, stamp)`, and the entry dies with its input. A delta-backed atom
-//! walks its own run list: every run found is a hit, a newly sealed run is the
+//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: one
+//! sealed run of a relation's log permuted to one column order is one cached
+//! trie, keyed `(relation, column positions, run id)`, and the entry dies with
+//! its run. An atom walks its own log's run list: every run found is a hit, a newly sealed run is the
 //! only one built (an *incremental merge*), a compaction leaves one run nobody
 //! has seen (a miss). [`CacheMode`] switches the cache off or pins entries per
 //! execution, and [`ExecOutput::cache_stats`] reports the activity — builds
@@ -391,7 +390,7 @@ mod tests {
             }
         }
         // the buffered ops cancel, so sealing leaves one run with no tombstone:
-        // that log's trie is the static trie and runs on the static path
+        // that log's trie is the loaded relation's and runs on the plain trie
         db.seal("R").unwrap();
         let out = execute(&q, &db, Engine::GenericJoin).unwrap();
         assert_eq!(out.result, expected.result);

@@ -32,7 +32,7 @@
 //!
 //! The skeleton is written once, **generically**, against the
 //! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over CSR tries
-//! (static relations) and delta union cursors (live ones), and any future
+//! (a log of one clean run) and delta union cursors (any other log), and any future
 //! access path (compressed, distributed) only has to implement the trait.
 //!
 //! # Example: the triangle query three ways

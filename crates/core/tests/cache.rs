@@ -10,11 +10,13 @@
 //! ever surfacing a stale structure; and the two WCOJ engines must share one
 //! cached trie per `(relation, order)`.
 
-use wcoj_core::exec::{execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions};
+use wcoj_core::exec::{
+    execute_explain, execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions,
+};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::query::examples;
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::Relation;
+use wcoj_storage::{Relation, Schema};
 use wcoj_workloads::{query_replay, random_pairs, Workload};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
@@ -56,7 +58,7 @@ fn cache_on_equals_cache_off_under_log_mutations() {
 
     // every visibility-changing mutation kind, with queries replayed between:
     // buffered appends, deletes, seals (epoch advance + new runs), compaction
-    // (structural rewrite), and a static-relation rebind (stamp change)
+    // (structural rewrite), and a rebind (a new log, a new run)
     let mut rng = wcoj_workloads::SplitMix64::new(0xE8E8);
     for step in 0..6 {
         match step {
@@ -83,8 +85,8 @@ fn cache_on_equals_cache_off_under_log_mutations() {
                 db.seal("S").expect("seal");
             }
             _ => {
-                // rebind the static relation: the stamp changes, so cached
-                // entries for the old binding can never be returned
+                // rebind T: its run is new, so cached entries for the old
+                // binding can never be returned
                 db.insert(
                     "T",
                     Relation::from_pairs("A", "C", random_pairs(64, 24, step)),
@@ -384,6 +386,84 @@ fn generic_join_and_leapfrog_share_one_cached_trie() {
     assert_eq!(second.cache_stats.misses, 0);
     assert_eq!(second.cache_stats.bytes, first.cache_stats.bytes);
     assert_eq!(second.result, oracle.result);
+}
+
+/// A rebound name's old log is dropped, and its run with it: the old
+/// binding's entries die with the run (reclaimed by the next build for that
+/// relation and order), not when eviction gets to them. A snapshot that
+/// still holds the old binding keeps its entry alive until it goes.
+#[test]
+fn rebinding_a_name_reclaims_the_old_bindings_entries() {
+    let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE85);
+    db.set_cache_budget(64 << 20);
+    // the identity order: every atom binds positions [0, 1] whatever the sizes
+    let order = vec![0, 1, 2];
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let run = |db: &Database| execute_opts_with_order(&query, db, &opts, &order).expect("query");
+    let rebind = |db: &mut Database, seed| {
+        let pairs = random_pairs(256, 64, seed);
+        db.insert("R", Relation::from_pairs("A", "B", pairs));
+    };
+    assert_eq!(run(&db).cache_stats.misses, 3);
+    for seed in 1..4u64 {
+        rebind(&mut db, seed);
+        let out = run(&db);
+        assert_eq!(out.cache_stats.misses, 1, "seed {seed}: the new R builds");
+        assert_eq!(out.cache_stats.hits, 2, "seed {seed}: S and T hit");
+        assert_eq!(out.cache_stats.evictions, 0, "reclaimed, not evicted");
+        assert_eq!(
+            db.access_cache().len(),
+            3,
+            "seed {seed}: no entry of an old R"
+        );
+        let bytes = db.access_cache().bytes();
+        db.access_cache().clear();
+        assert_eq!(run(&db).result, out.result);
+        assert_eq!(
+            db.access_cache().bytes(),
+            bytes,
+            "seed {seed}: a cold build's bytes"
+        );
+    }
+    let pinned = db.snapshot();
+    rebind(&mut db, 4);
+    run(&db);
+    assert_eq!(db.access_cache().len(), 4, "the snapshot's R is still held");
+    drop(pinned);
+    rebind(&mut db, 5);
+    run(&db);
+    assert_eq!(db.access_cache().len(), 3, "both old R entries are gone");
+}
+
+/// An empty relation is a log with no run: its atom is served by the union
+/// cursor over nothing, builds nothing, caches nothing and tallies nothing,
+/// and the rows and work counters are the ones a trie over no rows gave.
+#[test]
+fn an_empty_relation_caches_and_tallies_nothing() {
+    let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE86);
+    db.insert("S", Relation::empty(Schema::new(&["B", "C"])));
+    db.set_cache_budget(64 << 20);
+    for engine in [Engine::GenericJoin, Engine::Leapfrog] {
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::new(engine).with_threads(threads);
+            let on = execute_opts(&query, &db, &opts).expect("cached");
+            let off = execute_opts(&query, &db, &opts.with_cache(CacheMode::Off)).expect("off");
+            assert!(on.result.is_empty());
+            assert_eq!(on.work, off.work, "{engine:?}/t{threads}");
+            // the counters the same query read with S a static empty relation
+            let work = &on.work;
+            assert_eq!((work.probes(), work.kernel_bitmap()), (2, 1));
+            assert_eq!((work.intersect_steps(), work.comparisons()), (0, 0));
+            assert_eq!(on.cache_stats.misses + on.cache_stats.hits, 2);
+        }
+    }
+    assert_eq!(db.access_cache().len(), 2, "R and T only");
+    let (_, trace) =
+        execute_explain(&query, &db, &ExecOptions::new(Engine::GenericJoin)).expect("explain");
+    let s = &trace.atoms[1];
+    assert_eq!((s.relation.as_str(), s.kind.as_str()), ("S", "delta"));
+    assert_eq!(s.outcome, "bypass");
+    assert_eq!(trace.backend, "mixed");
 }
 
 #[test]

@@ -1,12 +1,12 @@
 //! Differential tests for the adaptive intersection-kernel layer at the engine
 //! level: every kernel policy (adaptive, forced merge, forced gallop, forced
 //! bitmap) must produce bit-identical engine output across the full workload
-//! suite, over static and delta-backed atoms, and the adaptive policy must actually record its
+//! suite, over one trie per atom and over the union cursor, and the adaptive policy must actually record its
 //! per-kernel choices in the `WorkCounter` breakdown.
 
 use wcoj_core::exec::{execute, execute_explain, execute_opts, Engine, ExecOptions};
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::{KernelPolicy, Relation, Schema};
+use wcoj_storage::{DeltaRelation, KernelPolicy, Relation, Schema};
 use wcoj_workloads::differential_suite;
 
 #[test]
@@ -29,22 +29,50 @@ fn every_kernel_policy_gives_identical_results() {
     }
 }
 
+/// `db` with every relation rebuilt as a log of three sealed runs — the last
+/// one a tombstone for a tuple the second one inserted — so every atom is
+/// served by the union cursor over the runs' tries, never by one plain trie.
+fn churned_twin(db: &Database) -> Database {
+    let mut live = db.clone();
+    for name in db.relation_names() {
+        let rel = db.delta(name).expect("listed relation").snapshot();
+        let rows = rel.rows();
+        let extra = vec![rel.columns().iter().flatten().max().expect("rows") + 1; rel.arity()];
+        let (base, tail) = rows.split_at(rows.len() - 2);
+        let mut log = DeltaRelation::new(rel.schema().clone());
+        log.set_seal_threshold(usize::MAX);
+        // the runs: all but two rows | those two and `extra` | `extra`'s tombstone
+        let tail = [tail, std::slice::from_ref(&extra)].concat();
+        for batch in [base, &tail] {
+            for t in batch {
+                log.insert(t.clone()).unwrap();
+            }
+            log.seal();
+        }
+        log.delete(&extra).unwrap();
+        log.seal();
+        assert_eq!((log.num_runs(), log.tombstones()), (3, 1), "{name}");
+        assert_eq!(log.snapshot(), rel, "{name}");
+        live.insert_delta_relation(name, log);
+    }
+    live
+}
+
 #[test]
 fn kernel_policies_agree_on_both_backends_and_threads() {
     // policy identity is backend- and schedule-independent: check a representative
-    // cyclic and a wide-atom workload over static tries and over a delta-backed
-    // twin (every relation converted to a log), serial and parallel
+    // cyclic and a wide-atom workload over loaded relations (one trie per atom)
+    // and over a churned twin (the union cursor), serial and parallel
     for w in [
         wcoj_workloads::hub_spoke(128, 0xB17),
         wcoj_workloads::kclique(4, 64, 0xB18),
         wcoj_workloads::lw4(64, 0xB19),
     ] {
-        let mut live = w.db.clone();
-        for name in w.db.relation_names() {
-            live.to_delta(name).expect("convert to a delta log");
-        }
+        let live = churned_twin(&w.db);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine)).unwrap();
+            let (_, trace) = execute_explain(&w.query, &live, &ExecOptions::new(engine)).unwrap();
+            assert_eq!(trace.backend, "delta", "{}: {engine:?}", w.name);
             for policy in KernelPolicy::ALL {
                 for (backend, db) in [("trie", &w.db), ("delta", &live)] {
                     for threads in [1usize, 4] {

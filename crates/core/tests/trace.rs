@@ -156,7 +156,7 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
     db.set_cache_budget(64 << 20);
     db.insert_delta("E", vec![100, 101]).unwrap();
     db.delete("E", &[100, 101]).unwrap();
-    db.insert_delta("E", vec![1, 2]).unwrap();
+    db.insert_delta("E", vec![1, 99]).unwrap();
     db.seal("E").unwrap();
     assert!(db.delta("E").is_some(), "E must stay delta-backed");
 

@@ -43,12 +43,7 @@ fn stringified_db(w: &Workload) -> Database {
     let mut names: Vec<&str> = w.db.relation_names();
     names.sort_unstable(); // deterministic interning order
     for name in &names {
-        // delta-backed relations (edge_stream) stringify from their live snapshot
-        let rel =
-            w.db.get(name)
-                .cloned()
-                .unwrap_or_else(|| w.db.delta(name).expect("static or delta").snapshot());
-        let rel = &rel;
+        let rel = &w.db.delta(name).expect("listed relation").snapshot();
         for attr in rel.schema().attrs() {
             db.set_domain(attr.clone(), "shared");
         }

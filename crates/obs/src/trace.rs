@@ -58,7 +58,8 @@ pub struct LevelTrace {
 pub struct AtomTrace {
     /// Relation name.
     pub relation: String,
-    /// Structure kind built ("trie" or "delta").
+    /// Structure serving the atom: "trie" (one trie) or "delta" (the union
+    /// cursor over a log's runs).
     pub kind: String,
     /// Cache outcome: "hit", "miss", "incremental", or "bypass".
     pub outcome: String,

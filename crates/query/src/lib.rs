@@ -53,7 +53,7 @@ pub mod repair;
 pub mod snapshot;
 
 pub use constraints::{constraint_graph, ConstraintSet, DegreeConstraint};
-pub use database::{AtomSource, Database, VarBinding};
+pub use database::{Database, VarBinding};
 pub use hypergraph::Hypergraph;
 pub use parser::{parse_constraints, parse_query, ParseError};
 pub use plan::{default_order, is_valid_order};

@@ -1,20 +1,19 @@
 //! MVCC snapshots: pin a database's visible state for lock-free readers.
 //!
 //! A [`Snapshot`] is a frozen view of a [`Database`] taken at one instant:
-//! every relation's state — base run, sealed-run list, append buffer,
-//! live-set, dictionaries — is pinned by `Arc` refcounts, **not copied**
-//! (see [`Database#snapshots`](Database#snapshots)). Taking one is
-//! O(catalog size); holding one costs nothing beyond keeping the pinned
-//! allocations alive. Writers on the live database proceed concurrently:
-//! appends, seals, and compactions copy-on-write exactly the structures they
-//! touch, so a reader executing against the snapshot observes a stable state
-//! and produces **bit-identical** rows and work counters to a run against the
+//! every relation's log — sealed-run list, append buffer, live-set — and every
+//! dictionary is pinned by `Arc` refcounts, **not copied** (see
+//! [`Database#snapshots`](Database#snapshots)). Taking one is O(catalog
+//! size); holding one costs nothing beyond keeping the pinned allocations
+//! alive. Writers on the live database proceed concurrently: appends, seals,
+//! compactions and rebinds copy-on-write exactly the structures they touch, so
+//! a reader executing against the snapshot observes a stable state and
+//! produces **bit-identical** rows and work counters to a run against the
 //! database at pin time, no matter what the writer does in between.
 //!
 //! Snapshots share the origin database's access-structure cache. That is safe
-//! by construction — every cache key carries the identity stamp of one
-//! immutable input (a static relation binding, or one sealed run of a delta
-//! log), and a reader only ever asks for the inputs it holds, so a snapshot
+//! by construction — every cache key carries the id of one immutable sealed
+//! run, and a reader only ever asks for the runs it holds, so a snapshot
 //! can never surface a structure built over state it does not have — and it
 //! is what makes repeated reads cheap: a snapshot and the live database find
 //! and seed the same entries for every run they have in common, whichever of
@@ -30,7 +29,6 @@
 //!
 //! let mut db = Database::new();
 //! db.insert("R", Relation::from_pairs("A", "B", vec![(1, 2)]));
-//! db.to_delta("R").unwrap();
 //! let snap = db.snapshot();
 //! db.insert_delta("R", vec![3, 4]).unwrap(); // invisible to `snap`
 //! assert_eq!(snap.delta("R").unwrap().len(), 1);
@@ -107,7 +105,6 @@ mod tests {
             "R",
             Relation::from_pairs("A", "B", vec![(1, 2), (2, 3), (1, 3)]),
         );
-        db.to_delta("R").unwrap();
         db.insert("S", Relation::from_pairs("B", "C", vec![(2, 3), (3, 1)]));
         db
     }
@@ -126,9 +123,9 @@ mod tests {
             snap.delta("R").unwrap().snapshot().rows(),
             vec![vec![1, 2], vec![1, 3], vec![2, 3]]
         );
-        assert_eq!(snap.get("S").unwrap().len(), 2);
+        assert_eq!(snap.delta("S").unwrap().len(), 2);
         assert_eq!(db.delta("R").unwrap().len(), 3);
-        assert_eq!(db.get("S").unwrap().len(), 1);
+        assert_eq!(db.delta("S").unwrap().len(), 1);
     }
 
     #[test]

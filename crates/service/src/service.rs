@@ -44,7 +44,7 @@
 //! # Recovery
 //!
 //! The log is a **directory**: rotated segments (`wal.000001`, …) plus
-//! periodic **checkpoints** (`ckpt.000047`) holding every delta relation's
+//! periodic **checkpoints** (`ckpt.000047`) holding every relation's
 //! serialized state ([`wcoj_storage::DeltaRelation::encode_state`]), taken
 //! from an MVCC snapshot so the writer is never stalled, and followed by
 //! deletion of fully-covered segments. [`QueryService::open`] loads the
@@ -515,7 +515,6 @@ impl QueryService {
                 let schema = base
                     .delta(name)
                     .map(|d| d.schema().clone())
-                    .or_else(|| base.get(name).map(|r| r.schema().clone()))
                     .ok_or_else(|| ServiceError::UnknownRelation(name.clone()))?;
                 let state = DeltaRelation::decode_state(schema, bytes)?;
                 base.insert_delta_relation(name.clone(), state);
@@ -990,7 +989,7 @@ impl QueryService {
         }
     }
 
-    /// Persist a checkpoint of every delta relation's state at the current
+    /// Persist a checkpoint of every relation's state at the current
     /// applied sequence, then delete the segments (and older checkpoints) it
     /// makes redundant. The state is cloned from an MVCC read — **the writer
     /// is never stalled**: encoding and file I/O happen outside all locks.
@@ -1016,24 +1015,19 @@ impl QueryService {
     ) -> Result<Option<u64>, ServiceError> {
         // consistent (state, seq) pair: applied_seq is stored under the db
         // write lock, so one read-lock hold sees both atomically
-        let (seq, relations) = {
+        let (seq, pinned) = {
             let db = self.db_read();
-            let seq = self.applied_seq.load(Ordering::Acquire);
-            let mut rels: Vec<(String, DeltaRelation)> = db
-                .relation_names()
-                .into_iter()
-                .filter_map(|name| db.delta(name).map(|d| (name.to_string(), d.clone())))
-                .collect();
-            rels.sort_by(|a, b| a.0.cmp(&b.0));
-            (seq, rels)
+            (self.applied_seq.load(Ordering::Acquire), db.clone())
         };
         if seq == 0 || seq == self.last_checkpoint_seq.load(Ordering::Acquire) {
             return Ok(None);
         }
         let checkpoint_started = Instant::now();
-        let encoded: Vec<(String, Vec<u8>)> = relations
-            .iter()
-            .map(|(name, d)| (name.clone(), d.encode_state()))
+        let mut names = pinned.relation_names();
+        names.sort_unstable();
+        let encoded: Vec<(String, Vec<u8>)> = names
+            .into_iter()
+            .filter_map(|name| Some((name.to_string(), pinned.delta(name)?.encode_state())))
             .collect();
         write_checkpoint(dir, seq, &encoded, &self.config.fault)?;
         // the checkpoint is durable (file + directory fsynced) — only now is

@@ -4,38 +4,35 @@
 //!
 //! # Keying and invalidation
 //!
-//! One rule: **an immutable input permuted to one column order is one entry —
-//! a [`Trie`] — and the entry dies with its input.** A cache cannot safely key
-//! on relation **names** alone — names are rebound (`Database::insert`
-//! replaces), databases are cloned, and delta logs mutate in place — so every
-//! [`CacheKey`] carries a **stamp** ([`next_stamp`]), a process-global
-//! monotone counter that names one immutable input and is never reissued:
+//! One rule: **a sealed run permuted to one column order is one entry — a
+//! [`Trie`] — and the entry dies with its run.** A cache cannot safely key on
+//! relation **names** alone — names are rebound (`Database::insert`
+//! replaces), databases are cloned, and logs mutate in place — so every
+//! [`CacheKey`] carries a **stamp**: the id of one immutable sealed run of a
+//! [`crate::DeltaRelation`], taken from [`next_stamp`] (a process-global
+//! monotone counter, never reissued) when the run is created — by a load, a
+//! seal, a tier merge or a compaction.
 //!
-//! * a **static relation** takes a fresh stamp per insertion; replacing a
-//!   relation under the same name keys new builds away from the old entries;
-//! * a **sealed run** of a [`crate::DeltaRelation`] takes one when it is
-//!   created (a seal, a tier merge, a compaction), and a delta-backed atom is
-//!   served run by run: the reader walks its own run list
-//!   ([`crate::DeltaRelation::runs`]) and fetches or builds each run's trie
-//!   ([`crate::delta::Run::trie`]) exactly as it would a static relation's —
-//!   whatever the column order, the relation's native one included. There is
-//!   nothing to revalidate: a key either names a run the reader holds or it
-//!   does not. Every run found is a hit; after a seal the one new run is the
-//!   only one built (the **incremental merge**); after a compaction the
-//!   reader holds one run nobody has seen, and builds it. A snapshot and the
-//!   advancing head share the entries of the runs they have in common and
-//!   never contend for a key, so neither can evict the other by reading. The
-//!   unsealed append buffer is never cached — it has no identity to key on,
-//!   and is collapsed into an ephemeral run per query, exactly as uncached
-//!   execution does.
+//! An atom is served run by run: the reader walks its own run list
+//! ([`crate::DeltaRelation::runs`]) and fetches or builds each run's trie
+//! ([`crate::delta::Run::trie`]), whatever the column order, the relation's
+//! native one included. There is nothing to revalidate: a key either names a
+//! run the reader holds or it does not. Every run found is a hit; after a seal
+//! the one new run is the only one built (the **incremental merge**); after a
+//! compaction, or a rebind of the name, the reader holds one run nobody has
+//! seen, and builds it. A snapshot and the advancing head share the entries of
+//! the runs they have in common and never contend for a key, so neither can
+//! evict the other by reading. The unsealed append buffer is never cached —
+//! it has no identity to key on, and is collapsed into an ephemeral run per
+//! query, exactly as uncached execution does — and a log with no run (an
+//! empty relation) has nothing to cache.
 //!
-//! A run's entry holds the run weakly, and the run lives exactly as long as
-//! some log — the head or a snapshot — lists it. Once the last of them has
-//! dropped it no reader can present its id again, so the entry is **dead**:
+//! An entry holds its run weakly, and the run lives exactly as long as some
+//! log — the head or a snapshot — lists it. Once the last of them has dropped
+//! it no reader can present its id again, so the entry is **dead**:
 //! [`AccessCache::insert`] removes the dead entries of the `(relation,
 //! positions)` it is inserting for, and each byte resident is charged to
-//! exactly one entry. Stale static entries have no such signal and age out
-//! through eviction.
+//! exactly one entry.
 //!
 //! # Eviction
 //!
@@ -63,10 +60,10 @@ pub const DEFAULT_CACHE_BYTES: usize = 256 << 20;
 static STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// The process-global monotone stamp source: every call returns a fresh,
-/// unique value. Stamps identify immutable build inputs — static relations
-/// take one per insertion, sealed delta runs take one per run, and
-/// [`crate::DeltaRelation`] epochs are refreshed from it on every mutation —
-/// so equal stamps imply identical content even across cloned catalogs.
+/// unique value. Stamps identify immutable build inputs — sealed runs take
+/// one per run, and [`crate::DeltaRelation`] epochs are refreshed from it on
+/// every mutation — so equal stamps imply identical content even across
+/// cloned catalogs.
 pub fn next_stamp() -> u64 {
     STAMP.fetch_add(1, Ordering::Relaxed)
 }
@@ -103,16 +100,15 @@ impl CacheStats {
 }
 
 /// What a cached trie was built from: the relation's catalog name, the column
-/// permutation it was built over, and the identity stamp of the immutable
-/// input — the insertion stamp of the exact stored static relation, or the id
-/// of the sealed run (see the [module docs](crate::cache)).
+/// permutation it was built over, and the id of the sealed run (see the
+/// [module docs](crate::cache)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Catalog name of the source relation.
     pub relation: String,
     /// Column positions, one per attribute, in the built order.
     pub positions: Vec<usize>,
-    /// Insertion stamp of the static source relation, or the sealed run's id.
+    /// The sealed run's id ([`crate::delta::Run::id`]).
     pub stamp: u64,
 }
 
@@ -122,10 +118,10 @@ struct Entry {
     /// clone, so eviction can never invalidate an in-flight query.
     value: Arc<Trie>,
     /// The sealed run this was built from, held weakly: the entry must not
-    /// keep a compacted-away run's rows alive, and the run's refcount is how
-    /// the cache learns that no log (head or snapshot) can ask for it again.
-    /// `None` for a static relation's trie.
-    source: Option<Weak<Run>>,
+    /// keep a compacted-away or rebound run's rows alive, and the run's
+    /// refcount is how the cache learns that no log (head or snapshot) can
+    /// ask for it again.
+    source: Weak<Run>,
     bytes: usize,
     cost: u64,
     priority: u64,
@@ -297,16 +293,15 @@ impl AccessCache {
     /// eviction priority. Returns how many entries were evicted to fit. An
     /// unpinned value larger than the whole budget is not admitted (inserting
     /// it could only thrash); a pinned value always is, and pinned entries are
-    /// never evicted. `source` is the sealed run the trie was built from
-    /// (`None` for a static relation): dead entries of the same `(relation,
-    /// positions)` — tries of runs no log holds any more — are removed first,
-    /// pinned or not, and are not counted as evictions: nothing could have
-    /// hit them.
+    /// never evicted. `source` is the sealed run the trie was built from:
+    /// dead entries of the same `(relation, positions)` — tries of runs no log
+    /// holds any more — are removed first, pinned or not, and are not counted
+    /// as evictions: nothing could have hit them.
     pub fn insert(
         &self,
         key: CacheKey,
         value: Arc<Trie>,
-        source: Option<Weak<Run>>,
+        source: Weak<Run>,
         cost: u64,
         bytes: usize,
         pinned: bool,
@@ -317,7 +312,7 @@ impl AccessCache {
         }
         let mut reclaimed = 0;
         inner.map.retain(|k, e| {
-            let dead = e.source.as_ref().is_some_and(|run| run.strong_count() == 0)
+            let dead = e.source.strong_count() == 0
                 && k.relation == key.relation
                 && k.positions == key.positions;
             if dead {
@@ -380,6 +375,15 @@ mod tests {
         Arc::new(Trie::build(&rel, &["A", "B"]).unwrap())
     }
 
+    /// The source of entries whose run outlives every test (never dead).
+    fn live() -> Weak<Run> {
+        static RUN: std::sync::OnceLock<Arc<Run>> = std::sync::OnceLock::new();
+        Arc::downgrade(RUN.get_or_init(|| {
+            let rel = Relation::from_pairs("A", "B", [(0, 1)]);
+            Arc::clone(&DeltaRelation::from_relation(rel).runs()[0])
+        }))
+    }
+
     fn key(name: &str, stamp: u64) -> CacheKey {
         CacheKey {
             relation: name.to_string(),
@@ -400,7 +404,7 @@ mod tests {
         let cache = AccessCache::with_budget(1 << 20);
         let t = trie_of(10);
         assert!(cache.get(&key("R", 1)).is_none());
-        cache.insert(key("R", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("R", 1), Arc::clone(&t), live(), 10, 100, false);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 100);
         let got = cache.get(&key("R", 1)).expect("just inserted");
@@ -408,7 +412,7 @@ mod tests {
         // different stamp = different relation generation = different entry
         assert!(cache.get(&key("R", 2)).is_none());
         // replacement under the same key swaps bytes, not duplicates
-        cache.insert(key("R", 1), trie_of(5), None, 5, 60, false);
+        cache.insert(key("R", 1), trie_of(5), live(), 5, 60, false);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 60);
         cache.clear();
@@ -419,7 +423,7 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_instead_of_wedging() {
         let cache = AccessCache::with_budget(1 << 20);
-        cache.insert(key("R", 1), trie_of(3), None, 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), live(), 3, 100, false);
         assert_eq!(cache.len(), 1);
         // A builder thread dies while holding the cache lock.
         let died = std::thread::scope(|s| {
@@ -434,7 +438,7 @@ mod tests {
         // and every operation keeps working instead of panicking.
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes(), 0);
-        cache.insert(key("R", 1), trie_of(3), None, 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), live(), 3, 100, false);
         assert!(cache.get(&key("R", 1)).is_some());
         assert_eq!(cache.bytes(), 100);
     }
@@ -444,9 +448,9 @@ mod tests {
         let cache = AccessCache::with_budget(250);
         let t = trie_of(4);
         // same bytes, different build costs: the cheap-to-rebuild entry goes first
-        cache.insert(key("cheap", 1), Arc::clone(&t), None, 1, 100, false);
-        cache.insert(key("dear", 1), Arc::clone(&t), None, 1_000, 100, false);
-        let evicted = cache.insert(key("new", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("cheap", 1), Arc::clone(&t), live(), 1, 100, false);
+        cache.insert(key("dear", 1), Arc::clone(&t), live(), 1_000, 100, false);
+        let evicted = cache.insert(key("new", 1), Arc::clone(&t), live(), 10, 100, false);
         assert_eq!(evicted, 1);
         assert!(cache.get(&key("cheap", 1)).is_none(), "cheap entry evicted");
         assert!(cache.get(&key("dear", 1)).is_some());
@@ -459,14 +463,14 @@ mod tests {
         let cache = AccessCache::with_budget(50);
         let t = trie_of(4);
         assert_eq!(
-            cache.insert(key("big", 1), Arc::clone(&t), None, 1, 100, false),
+            cache.insert(key("big", 1), Arc::clone(&t), live(), 1, 100, false),
             0
         );
         assert!(cache.is_empty(), "over-budget unpinned value not admitted");
-        cache.insert(key("big", 1), Arc::clone(&t), None, 1, 100, true);
+        cache.insert(key("big", 1), Arc::clone(&t), live(), 1, 100, true);
         assert_eq!(cache.len(), 1);
         // pinned entries are never the victim, even under pressure
-        cache.insert(key("small", 1), Arc::clone(&t), None, 1, 10, false);
+        cache.insert(key("small", 1), Arc::clone(&t), live(), 1, 10, false);
         assert!(cache.get(&key("big", 1)).is_some());
         assert!(
             cache.get(&key("small", 1)).is_none(),
@@ -491,7 +495,7 @@ mod tests {
             if cache.get(&run_key(run.id())).is_none() {
                 let trie = Arc::new(run.trie(&[1, 0], 1).unwrap());
                 let (cost, bytes) = (run.len() as u64, trie.heap_bytes());
-                let source = Some(Arc::downgrade(run));
+                let source = Arc::downgrade(run);
                 cache.insert(run_key(run.id()), trie, source, cost, bytes, false);
                 built += 1;
             }
@@ -593,7 +597,7 @@ mod tests {
     fn zero_budget_disables() {
         let cache = AccessCache::with_budget(0);
         assert!(!cache.is_enabled());
-        cache.insert(key("R", 1), trie_of(2), None, 1, 10, false);
+        cache.insert(key("R", 1), trie_of(2), live(), 1, 10, false);
         assert!(cache.is_empty());
     }
 
@@ -601,14 +605,14 @@ mod tests {
     fn recency_breaks_cost_ties() {
         let cache = AccessCache::with_budget(200);
         let t = trie_of(4);
-        cache.insert(key("a", 1), Arc::clone(&t), None, 10, 100, false);
-        cache.insert(key("b", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("a", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("b", 1), Arc::clone(&t), live(), 10, 100, false);
         // evicting "a" (priority tie, key tie-break) advances the clock past
         // the survivors; a touched survivor then outlives an untouched one
-        cache.insert(key("c", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("c", 1), Arc::clone(&t), live(), 10, 100, false);
         assert!(cache.get(&key("a", 1)).is_none());
         let _ = cache.get(&key("c", 1));
-        cache.insert(key("d", 1), Arc::clone(&t), None, 10, 100, false);
+        cache.insert(key("d", 1), Arc::clone(&t), live(), 10, 100, false);
         assert!(
             cache.get(&key("b", 1)).is_none(),
             "stale entry is the victim"

@@ -1,10 +1,11 @@
 //! Incremental maintenance: delta-log relations with mergeable access structures.
 //!
-//! The static access path in this crate ([`crate::Trie`]) is built over an
-//! immutable, canonically sorted [`Relation`] — and
-//! [`Relation::insert`] pays O(n) per tuple to keep that order. This module adds
-//! the LSM-style storage layout that makes the engines' worst-case-optimal
-//! guarantees usable over a *live, continuously-ingesting* database:
+//! A [`crate::Trie`] is built over an immutable, canonically sorted
+//! [`Relation`] — and [`Relation::insert`] pays O(n) per tuple to keep that
+//! order. This module is the LSM-style storage layout that makes the engines'
+//! worst-case-optimal guarantees usable over a *live, continuously-ingesting*
+//! database, and it is the one way a catalog stores a relation: a loaded
+//! relation is a log of one sealed run ([`DeltaRelation::from_relation`]).
 //!
 //! * a [`DeltaRelation`] is a **base run + ordered delta runs** — each run an
 //!   immutable, sorted, canonicalized mini-relation whose rows carry a sign
@@ -24,12 +25,12 @@
 //!   into a single tombstone-free base;
 //! * query-side, a sealed run's access structure **is a [`Trie`]**: a run is a
 //!   canonical relation plus signs, so [`Run::trie`] is the one trie builder
-//!   — layouts included for a run of inserts, which is a static relation bit
+//!   — layouts included for a run of inserts, which is its relation's trie bit
 //!   for bit; a run that carries tombstones is not a set of live values, so it
 //!   gets no set layouts and instead one flag bit per leaf with a running
 //!   count per word, which makes the signed tuple count under any node two
 //!   popcounts (a quarter of a byte per row). It is built once per
-//!   `(run, order)` and cached like a static relation's. [`DeltaAccess`] is the list of a log's run tries for
+//!   `(run, order)` and cached. [`DeltaAccess`] is the list of a log's run tries for
 //!   one order and its [`DeltaCursor`] implements [`crate::TrieAccess`] by
 //!   k-way-merging the runs' sorted, *distinct* sibling groups **and
 //!   suppressing values whose signed subtree count is not positive** — so both
@@ -56,8 +57,9 @@
 //! *interior* trie value with one rank subtraction per run instead of
 //! exploring the subtree: a value extends the current prefix iff the summed
 //! signed count of the tuples under prefix·value is positive. A log with one
-//! run and no tombstones needs none of this — its trie *is* the static trie, and
-//! the execution layer runs it on the plain [`crate::TrieCursor`].
+//! run and no tombstones — a loaded relation — needs none of this: its trie
+//! *is* the relation's trie, and the execution layer runs it on the plain
+//! [`crate::TrieCursor`].
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
@@ -507,18 +509,21 @@ impl DeltaRelation {
         Self::try_from_relation(rel).expect("delta relations need at least one column")
     }
 
-    /// Wrap an existing relation as the base run of a new delta log, rejecting
-    /// zero-arity relations with [`StorageError::EmptySchema`].
+    /// Wrap an existing relation as the base run of a new delta log (an empty
+    /// relation is a log with no run), rejecting zero-arity relations with
+    /// [`StorageError::EmptySchema`]. This is how every loaded relation is
+    /// stored, so the live set is filled straight from the columns: packed
+    /// keys for arity ≤ 2, one tuple per row only above that.
     pub fn try_from_relation(rel: Relation) -> Result<Self, StorageError> {
         if rel.arity() == 0 {
             return Err(StorageError::EmptySchema);
         }
         let schema = rel.schema().clone();
-        let mut live_set = LiveSet::for_arity(schema.arity());
-        live_set.reserve(rel.len());
-        for row in rel.iter() {
-            live_set.insert(&row);
-        }
+        let live_set = match rel.columns() {
+            [a] => LiveSet::Packed(a.iter().map(|&x| pack2(&[x])).collect()),
+            [a, b] => LiveSet::Packed(a.iter().zip(b).map(|(&x, &y)| pack2(&[x, y])).collect()),
+            _ => LiveSet::General(rel.iter().collect()),
+        };
         let runs = if rel.is_empty() {
             Vec::new()
         } else {
@@ -986,8 +991,19 @@ impl DeltaRelation {
 
     /// Materialize the live tuples as a canonical [`Relation`] — the "full
     /// rebuild" the union cursor is differential-tested against. Does not mutate
-    /// the log (the buffer is collapsed into a temporary copy).
+    /// the log (the buffer is collapsed into a temporary copy). A log that is
+    /// one run of inserts with nothing buffered — a loaded relation — *is* that
+    /// run's relation, returned as it is without a sort.
     pub fn snapshot(&self) -> Relation {
+        match (&self.runs[..], self.buffer.is_empty()) {
+            ([run], true) if run.tombstones() == 0 => run.rel.clone(),
+            _ => self.collapse(),
+        }
+    }
+
+    /// [`DeltaRelation::snapshot`]'s general path: every run and the buffer
+    /// concatenated, argsorted and collapsed to their net signs.
+    fn collapse(&self) -> Relation {
         let arity = self.arity();
         let total: usize = self.runs.iter().map(|r| r.len()).sum::<usize>() + self.buffer.len();
         let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
@@ -1057,7 +1073,7 @@ impl DeltaAccess {
     }
 
     /// The tries being merged, in run order — a single one without tombstones
-    /// is the static case and needs no union cursor.
+    /// needs no union cursor.
     pub fn tries(&self) -> &[Arc<Trie>] {
         &self.tries
     }
@@ -1594,6 +1610,44 @@ mod tests {
         assert_eq!(d.snapshot().rows(), rows);
         assert_eq!(d.len(), rows.len());
         assert_cursor_matches_snapshot(&d);
+    }
+
+    #[test]
+    fn a_clean_single_run_snapshot_equals_the_collapse_path() {
+        let mut state = 0x5EEDu64;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for round in 0..24u64 {
+            let arity = 1 + (round % 3) as usize;
+            let names = ["A", "B", "C"];
+            let rows: Vec<Tuple> = (0..rng() % 200)
+                .map(|_| (0..arity).map(|_| rng() % 16).collect())
+                .collect();
+            let rel = Relation::from_rows(Schema::new(&names[..arity]), rows);
+            // a loaded relation: one clean run, its live set packed from columns
+            let mut d = DeltaRelation::from_relation(rel.clone());
+            assert_eq!(d.len(), rel.len(), "round {round}");
+            assert!(rel.iter().all(|t| d.is_live(&t)), "round {round}");
+            assert_eq!(d.snapshot(), d.collapse(), "round {round}");
+            assert_eq!(d.snapshot(), rel, "round {round}");
+            // churned, sealed and compacted back to one clean run
+            for _ in 0..rng() % 40 {
+                let t: Tuple = (0..arity).map(|_| rng() % 16).collect();
+                if rng() % 2 == 0 {
+                    d.delete(&t).unwrap();
+                } else {
+                    d.insert(t).unwrap();
+                }
+            }
+            assert_eq!(d.snapshot(), d.collapse(), "round {round}: churned");
+            d.compact(1);
+            assert!(d.num_runs() <= 1 && d.tombstones() == 0);
+            assert_eq!(d.snapshot(), d.collapse(), "round {round}: compacted");
+        }
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   written against — once, generically, monomorphized per cursor type: Generic
 //!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
 //!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** access
-//!   structure — of a static relation and of each sealed run of a delta log;
-//!   [`access::CursorKind`] composes static and delta-backed atoms without
-//!   vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
+//!   structure — of each sealed run of a delta log, a loaded relation being a
+//!   log of one run; [`access::CursorKind`] composes plain-trie and
+//!   union-cursor atoms without vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
 //!   hold private cursors over one shared access structure;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as a base run + ordered delta runs (sorted ± mini-relations with
@@ -41,9 +41,8 @@
 //!   implementation that k-way merges the run tries' sibling groups and
 //!   suppresses tombstoned subtrees, so both engines run unmodified (and
 //!   bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: one built trie per immutable input
-//!   (a static relation, or one sealed run of a delta log) and column
-//!   permutation, keyed by the input's identity stamp in a shared
+//! * [`cache`] — the access-structure cache: one built trie per sealed run of
+//!   a delta log and column permutation, keyed by the run's id in a shared
 //!   [`cache::AccessCache`] with a byte budget and cost-aware (GreedyDual-Size)
 //!   eviction; a seal adds one run, so the next query builds one trie (the
 //!   **incremental** path) and finds the rest;

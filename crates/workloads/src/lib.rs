@@ -20,7 +20,7 @@
 //! let w = wcoj_workloads::triangle(256, 42);
 //! assert_eq!(w.query.num_vars(), 3);
 //! assert_eq!(w.db.num_relations(), 3);
-//! assert!(w.db.get("R").unwrap().len() <= 256);
+//! assert!(w.db.delta("R").unwrap().len() <= 256);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -171,10 +171,9 @@ pub fn needle(n: usize, seed: u64) -> Workload {
     }
 }
 
-/// [`triangle`] with `R` **delta-backed** — converted on first mutation, then a
-/// sealed run of fresh edges on top of the base — beside the static `S` and
-/// `T`: levels where `R` participates intersect through its union cursor,
-/// the others through the static structures alone.
+/// [`triangle`] with a sealed run of fresh edges on top of `R`'s base run,
+/// beside `S` and `T` as loaded: levels where `R` participates intersect
+/// through its union cursor, the others through plain tries alone.
 pub fn triangle_live(n: usize, seed: u64) -> Workload {
     let mut w = triangle(n, seed);
     for (a, b) in random_pairs((n / 8).max(4), default_domain(n), seed ^ 0x11FE) {
@@ -482,7 +481,7 @@ pub fn edge_stream(n: usize, seed: u64) -> Workload {
 
 /// The cache-replay workload: the triangle query over two **delta-backed**
 /// Zipf-skewed sliding-window edge streams (`R` and `S` — several sealed runs
-/// plus a still-unsealed buffer tail) and one static Zipf relation `T`.
+/// plus a still-unsealed buffer tail) and one loaded Zipf relation `T`.
 /// Replaying the same query against it is the access-structure cache's target
 /// regime (experiment E8): repeated executions hit cached tries/indexes and
 /// permuted delta views, each newly sealed run takes the incremental-merge
@@ -748,7 +747,7 @@ mod tests {
     fn social_graph_is_string_keyed_and_deterministic() {
         let w = social_graph(64, 7);
         assert_eq!(w.name, "social_n64");
-        let e = w.db.get("E").unwrap();
+        let e = w.db.delta("E").unwrap().snapshot();
         assert!(e.schema().has_strings());
         assert!(!e.is_empty());
         // one shared dictionary for both endpoint columns
@@ -759,8 +758,8 @@ mod tests {
         assert!(w.db.var_bindings(&w.query).is_ok());
         // deterministic per seed
         let w2 = social_graph(64, 7);
-        assert_eq!(e, w2.db.get("E").unwrap());
-        assert_ne!(e, social_graph(64, 8).db.get("E").unwrap());
+        assert_eq!(e, w2.db.delta("E").unwrap().snapshot());
+        assert_ne!(e, social_graph(64, 8).db.delta("E").unwrap().snapshot());
     }
 
     #[test]
@@ -797,7 +796,7 @@ mod tests {
         let w = query_replay(96, 7);
         assert_eq!(w.name, "query_replay_n96");
         // R and S are delta-backed streams with sealed runs AND a live
-        // unsealed tail; T is static
+        // unsealed tail; T is as loaded, one clean run
         for name in ["R", "S"] {
             let delta = w.db.delta(name).expect("delta-backed stream");
             assert!(delta.num_runs() >= 1, "{name}: sealed runs stacked");
@@ -806,8 +805,8 @@ mod tests {
             // compaction annihilate every +1/−1 pair — only liveness is stable
             assert!(!delta.is_empty(), "{name}: live edges survive the window");
         }
-        assert!(w.db.delta("T").is_none());
-        assert!(!w.db.get("T").unwrap().is_empty());
+        let t = w.db.delta("T").expect("loaded relation");
+        assert_eq!((t.num_runs(), t.tombstones(), t.buffered()), (1, 0, 0));
         assert!(w.db.var_bindings(&w.query).is_ok());
         // deterministic per seed
         assert_eq!(
