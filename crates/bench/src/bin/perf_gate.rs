@@ -10,7 +10,7 @@
 //! * **kernel breakdown** — the per-kernel tallies (`kernel_merge`,
 //!   `kernel_gallop`, `kernel_bitmap`) and the incremental-path `delta_merge`
 //!   tally must match the baseline **exactly**. The adaptive policy's choices
-//!   are a pure function of the data and the (default) thresholds: any drift means the kernel-selection logic (or
+//!   are a pure function of the data and the constant thresholds: any drift means the kernel-selection logic (or
 //!   a counted kernel's accounting) changed, and the baseline must be re-recorded
 //!   deliberately rather than absorbed silently.
 //! * **wall-clock** — the fresh time must not exceed the baseline median by more

@@ -133,7 +133,6 @@ impl Wcoj<'_> {
         }
         let ctx = JoinCtx {
             policy: opts.kernel,
-            cal: &opts.calibration,
             counter: work,
             trace: rec.levels.as_ref(),
         };
@@ -215,9 +214,6 @@ where
         );
     }
     let mut cursors = make_cursors();
-    for c in cursors.iter_mut() {
-        c.set_seek_calibration(ctx.cal.linear_seek_max);
-    }
     if let Some(t) = token {
         t.check()?;
     }

@@ -29,15 +29,14 @@
 use super::trace::trace_kernel;
 use super::ColumnSink;
 use wcoj_obs::LevelRecorder;
-use wcoj_storage::{kernels, KernelCalibration, KernelPolicy, TrieAccess, Value, WorkCounter};
+use wcoj_storage::{kernels, KernelPolicy, TrieAccess, Value, WorkCounter};
 
-/// What every engine body reads while it runs: the kernel policy and
-/// thresholds, the counter it charges (a morsel worker swaps in its private
-/// one), and the per-level trace recorder when the execution is traced.
+/// What every engine body reads while it runs: the kernel policy, the counter
+/// it charges (a morsel worker swaps in its private one), and the per-level
+/// trace recorder when the execution is traced.
 #[derive(Clone, Copy)]
 pub(crate) struct JoinCtx<'a> {
     pub(crate) policy: KernelPolicy,
-    pub(crate) cal: &'a KernelCalibration,
     pub(crate) counter: &'a WorkCounter,
     pub(crate) trace: Option<&'a LevelRecorder>,
 }
@@ -273,8 +272,8 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// [`wcoj_storage::kernels::intersect_layouts_into`] when every participant's
 /// group carries a prebuilt set layout (static structures build one per dense
 /// group) and the policy allows bitmaps,
-/// [`wcoj_storage::kernels::intersect_into_cal`] over the sorted lists otherwise
-/// — so the policy, the thresholds and the per-kernel work/choice tallies apply
+/// [`wcoj_storage::kernels::intersect_into_at`] over the sorted lists otherwise
+/// — so the policy and the per-kernel work/choice tallies apply
 /// uniformly, at level 0, interior and deepest levels alike. The SIMD level is
 /// the process-wide detected one — it never changes output or counters, only
 /// the instruction mix.
@@ -295,7 +294,6 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
 ) {
     let JoinCtx {
         policy,
-        cal,
         counter,
         trace,
     } = ctx;
@@ -327,7 +325,7 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
     let chosen = if dense && layouts.len() == parts.len() {
         kernels::intersect_layouts_into(ext, lists, layouts, counter)
     } else {
-        kernels::intersect_into_cal(simd, ext, lists, policy, cal, counter)
+        kernels::intersect_into_at(simd, ext, lists, policy, counter)
     };
     if let (Some(rec), Some((start, before))) = (trace, before) {
         let after = charged();
@@ -374,7 +372,6 @@ mod tests {
     ) -> Vec<Vec<Value>> {
         let ctx = JoinCtx {
             policy: KernelPolicy::Adaptive,
-            cal: &KernelCalibration::fixed(),
             counter,
             trace: None,
         };

@@ -39,9 +39,9 @@
 //! The first level and every deepest level — and every level of Generic Join —
 //! compute their extension set through the **adaptive intersection kernel
 //! layer** ([`wcoj_storage::kernels`]): branchless merge, galloping, or
-//! small-domain bitmap, chosen per intersection by the [`KernelPolicy`] and the
-//! [`KernelCalibration`] thresholds carried in [`ExecOptions`] and recorded in the
-//! [`WorkCounter`] kernel breakdown; where every participating sibling group is
+//! small-domain bitmap, chosen per intersection by the [`KernelPolicy`] carried
+//! in [`ExecOptions`] under the kernel layer's constant thresholds, and recorded
+//! in the [`WorkCounter`] kernel breakdown; where every participating sibling group is
 //! dense enough to carry the bitset its access structure prebuilt, the
 //! intersection is a word-parallel AND of those instead of a scan of the lists
 //! (see [`wcoj_storage::kernels`]).

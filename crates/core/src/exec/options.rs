@@ -63,12 +63,6 @@ pub struct ExecOptions {
     /// intersection; the other values force one kernel (used by differential
     /// tests and experiments). Ignored by the binary baseline.
     pub kernel: KernelPolicy,
-    /// Kernel-selection and seek thresholds: [`KernelCalibration::fixed`]
-    /// unless overridden (differential tests run other values). Thresholds
-    /// change which kernel/tally a given intersection or seek lands in —
-    /// never the result — and are never derived from the host, so the same
-    /// options give the same work counters on every machine and every run.
-    pub calibration: KernelCalibration,
     /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
     /// the database's shared cache ([`CacheMode::On`], the default), pin them
     /// against eviction, or bypass the cache. Ignored by the binary baseline,
@@ -91,7 +85,6 @@ impl PartialEq for ExecOptions {
         self.engine == other.engine
             && self.threads == other.threads
             && self.kernel == other.kernel
-            && self.calibration == other.calibration
             && self.cache == other.cache
     }
 }
@@ -104,7 +97,6 @@ impl Default for ExecOptions {
             engine: Engine::GenericJoin,
             threads: 1,
             kernel: KernelPolicy::Adaptive,
-            calibration: KernelCalibration::fixed(),
             cache: CacheMode::On,
             trace: None,
         }
@@ -136,12 +128,13 @@ impl ExecOptions {
         }
     }
 
-    /// Builder-style threshold override (see [`ExecOptions::calibration`]).
+    /// Kept for callers that compile against it: accepts
+    /// [`KernelCalibration::fixed`] only and returns the options unchanged.
+    /// The kernel and seek thresholds are constants, not options.
+    #[doc(hidden)]
     pub fn with_calibration(&self, calibration: KernelCalibration) -> Self {
-        ExecOptions {
-            calibration,
-            ..self.clone()
-        }
+        debug_assert_eq!(calibration, KernelCalibration::fixed());
+        self.clone()
     }
 
     /// Builder-style cache-mode override (see [`ExecOptions::cache`]).
@@ -222,7 +215,7 @@ mod tests {
         let opts = ExecOptions::default();
         assert_eq!(opts.engine, Engine::GenericJoin);
         assert_eq!(opts.resolved_threads(), 1);
-        assert_eq!(opts.calibration, KernelCalibration::fixed());
+        assert_eq!(opts.with_calibration(KernelCalibration::fixed()), opts);
         assert_eq!(opts.cache, CacheMode::On);
         assert_eq!(
             ExecOptions::default().with_cache(CacheMode::Pinned).cache,

@@ -154,9 +154,6 @@ where
     // the main counter — the same charge serial execution makes.
     let extensions = {
         let mut driver_cursors = make_cursors();
-        for c in driver_cursors.iter_mut() {
-            c.set_seek_calibration(ctx.cal.linear_seek_max);
-        }
         first_extension_set(&mut driver_cursors, &participants[0], ctx)
     };
     let morsel_len = extensions
@@ -188,9 +185,6 @@ where
                         ..ctx
                     };
                     let mut cursors = make_cursors();
-                    for c in cursors.iter_mut() {
-                        c.set_seek_calibration(ctx.cal.linear_seek_max);
-                    }
                     let mut report = WorkerTrace {
                         claimed: 0,
                         stolen: 0,
@@ -274,12 +268,11 @@ mod tests {
     use super::super::driver::run_cursors;
     use super::super::engine::{KernelExtension, LeapfrogRing};
     use super::*;
-    use wcoj_storage::{KernelCalibration, KernelPolicy, Relation, Trie};
+    use wcoj_storage::{KernelPolicy, Relation, Trie};
 
-    fn ctx<'a>(cal: &'a KernelCalibration, counter: &'a WorkCounter) -> JoinCtx<'a> {
+    fn ctx(counter: &WorkCounter) -> JoinCtx<'_> {
         JoinCtx {
             policy: KernelPolicy::Adaptive,
-            cal,
             counter,
             trace: None,
         }
@@ -301,13 +294,12 @@ mod tests {
         let tries = triangle_tries();
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
 
-        let cal = KernelCalibration::fixed();
         let serial_counter = WorkCounter::new();
         let serial = run_cursors::<KernelExtension, _, _>(
             || tries.iter().map(|t| t.cursor()).collect(),
             &participants,
             1,
-            ctx(&cal, &serial_counter),
+            ctx(&serial_counter),
             None,
             None,
         )
@@ -322,7 +314,7 @@ mod tests {
                 || tries.iter().map(|t| t.cursor()).collect(),
                 &participants,
                 threads,
-                ctx(&cal, &parallel_counter),
+                ctx(&parallel_counter),
                 None,
                 None,
             )
@@ -345,13 +337,12 @@ mod tests {
             Trie::build(&s, &["A", "C"]).unwrap(),
         ];
         let w = WorkCounter::new();
-        let cal = KernelCalibration::fixed();
         let slot = OnceLock::new();
         let out = morsel_join::<LeapfrogRing, _, _>(
             || tries.iter().map(|t| t.cursor()).collect(),
             &[vec![0, 1], vec![0], vec![1]],
             4,
-            ctx(&cal, &w),
+            ctx(&w),
             None,
             Some(&slot),
         )
@@ -372,7 +363,6 @@ mod tests {
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
         let calls = AtomicUsize::new(0);
         let w = WorkCounter::new();
-        let cal = KernelCalibration::fixed();
         let err = morsel_join::<KernelExtension, _, _>(
             || {
                 // the driver's cursor set (call 0) builds; every worker's dies
@@ -383,7 +373,7 @@ mod tests {
             },
             &participants,
             2,
-            ctx(&cal, &w),
+            ctx(&w),
             None,
             None,
         )

@@ -76,7 +76,7 @@ fn cache_on_equals_cache_off_under_log_mutations() {
                 }
             }
             2 => db.seal("R").expect("seal"),
-            3 => db.compact("R", 2).expect("compact"),
+            3 => db.compact("R").expect("compact"),
             4 => {
                 for _ in 0..8 {
                     db.insert_delta("S", vec![rng.below(24), rng.below(24)])
@@ -162,7 +162,7 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
     assert_eq!(merged.work, off.work);
 
     // compaction rewrites the run list: the view diverges and R rebuilds
-    db.compact("R", 1).expect("compact");
+    db.compact("R").expect("compact");
     let rebuilt = execute_opts_with_order(&query, &db, &opts, &order).expect("rebuilt");
     assert_eq!(rebuilt.cache_stats.incremental_merges, 0);
     assert_eq!(rebuilt.cache_stats.misses, 1, "compacted R rebuilds");
@@ -213,7 +213,7 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
     let snap = db.snapshot();
     seal_batch(&mut db, 0);
     for name in ["R", "S", "T"] {
-        db.compact(name, 1).expect("compact");
+        db.compact(name).expect("compact");
         assert!(!snap
             .delta(name)
             .unwrap()

@@ -22,7 +22,7 @@ use wcoj_core::exec::{
 };
 use wcoj_obs::TraceSink;
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::{KernelCalibration, Relation, Schema};
+use wcoj_storage::{Relation, Schema};
 use wcoj_workloads::{
     four_cycle, k_path, kclique, star, triangle, triangle_live, SplitMix64, Workload,
 };
@@ -138,8 +138,7 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                         for threads in [1, 2, 4] {
                             let opts = ExecOptions::new(engine)
                                 .with_cache(cache)
-                                .with_threads(threads)
-                                .with_calibration(KernelCalibration::fixed());
+                                .with_threads(threads);
                             for mode in ["plain", "cancellable", "traced"] {
                                 let out = run(w, &opts, &order, mode);
                                 let at = format!(

@@ -65,7 +65,7 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     }
     let mut compacted = w.db.clone();
     for name in w.db.relation_names() {
-        compacted.compact(name, 2).expect("compact");
+        compacted.compact(name).expect("compact");
         if let Some(delta) = compacted.delta(name) {
             assert!(delta.num_runs() <= 1 && delta.tombstones() == 0);
         }
@@ -134,7 +134,7 @@ fn delta_path_survives_every_compaction_step() {
     let mut step = 0;
     loop {
         assert_delta_matches_rebuild(&w, &format!("edge_stream after {step} compaction steps"));
-        if !w.db.delta_mut("E").unwrap().compact_step(2) {
+        if !w.db.delta_mut("E").unwrap().compact_step() {
             break;
         }
         step += 1;

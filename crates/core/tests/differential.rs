@@ -9,30 +9,15 @@
 //!    steps) of both WCOJ engines must stay within a constant factor of the AGM
 //!    bound `N^{3/2}` — the guarantee of Theorem 4.3 made checkable.
 //!
-//! Property 1 is checked under two sets of kernel thresholds ([`CALIBRATIONS`]):
-//! thresholds move which kernel an intersection lands in, never the rows.
+//! Every forced kernel policy runs this suite too (`tests/kernels.rs`).
 
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{
-    execute, execute_opts, execute_opts_with_order, Engine, ExecOptions, KernelCalibration,
-};
+use wcoj_core::exec::{execute, execute_opts, execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_query::Database;
 use wcoj_storage::ops::nested_loop_join;
 use wcoj_storage::Relation;
 use wcoj_workloads::{differential_suite, triangle, Workload};
-
-/// The default thresholds and a deliberately different set (every field moved,
-/// in both directions): rows must equal the reference under both.
-const CALIBRATIONS: [KernelCalibration; 2] = [
-    KernelCalibration::fixed(),
-    KernelCalibration {
-        merge_max_ratio: 4,
-        bitmap_max_span: 2048,
-        bitmap_span_per_element: 8,
-        linear_seek_max: 32,
-    },
-];
 
 /// The nested-loop ground truth, with columns in the query's variable order.
 fn reference(w: &Workload) -> Relation {
@@ -48,16 +33,13 @@ fn wcoj_engines_match_nested_loop_reference() {
     for w in differential_suite(0xD1FF) {
         let expected = reference(&w);
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for cal in CALIBRATIONS {
-                let opts = ExecOptions::new(engine).with_calibration(cal);
-                let out = execute_opts(&w.query, &w.db, &opts)
-                    .unwrap_or_else(|e| panic!("{}: {engine:?} failed: {e}", w.name));
-                assert_eq!(
-                    out.result, expected,
-                    "{}: {engine:?} under {cal:?} diverges from nested-loop reference",
-                    w.name
-                );
-            }
+            let out = execute_opts(&w.query, &w.db, &ExecOptions::new(engine))
+                .unwrap_or_else(|e| panic!("{}: {engine:?} failed: {e}", w.name));
+            assert_eq!(
+                out.result, expected,
+                "{}: {engine:?} diverges from nested-loop reference",
+                w.name
+            );
         }
     }
 }
@@ -99,14 +81,9 @@ fn every_order_agrees_across_engines_on_four_cycle() {
     }
     for order in orders {
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for cal in CALIBRATIONS {
-                let opts = ExecOptions::new(engine).with_calibration(cal);
-                let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
-                assert_eq!(
-                    out.result, expected,
-                    "order {order:?} engine {engine:?} under {cal:?}"
-                );
-            }
+            let opts = ExecOptions::new(engine);
+            let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+            assert_eq!(out.result, expected, "order {order:?} engine {engine:?}");
         }
     }
 }

@@ -10,9 +10,7 @@
 //! (relaxed atomic sums are commutative, so scheduling cannot change them).
 
 use std::sync::Arc;
-use wcoj_core::exec::{
-    execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions, KernelCalibration,
-};
+use wcoj_core::exec::{execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_obs::Json;
@@ -46,8 +44,7 @@ fn tracing_never_perturbs_rows_or_counters() {
                 for cache in [CacheMode::Off, CacheMode::On] {
                     let base = ExecOptions::new(engine)
                         .with_threads(threads)
-                        .with_cache(cache)
-                        .with_calibration(KernelCalibration::fixed());
+                        .with_cache(cache);
                     let label = format!("{engine:?}/t{threads}/{cache:?}");
                     let plain =
                         execute_opts_with_order(&w.query, &w.db, &base, &order).expect("plain");
@@ -113,9 +110,7 @@ fn per_level_statistics_are_thread_count_independent() {
     let w = triangle(400, 21);
     let order = agm_variable_order(&w.query, &w.db).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let base = ExecOptions::new(engine)
-            .with_cache(CacheMode::Off)
-            .with_calibration(KernelCalibration::fixed());
+        let base = ExecOptions::new(engine).with_cache(CacheMode::Off);
         let (_, serial) = run_traced(&w.query, &w.db, &base, &order);
         for threads in [2usize, 4, 8] {
             let (_, parallel) = run_traced(&w.query, &w.db, &base.with_threads(threads), &order);
@@ -160,7 +155,7 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
     db.seal("E").unwrap();
     assert!(db.delta("E").is_some(), "E must stay delta-backed");
 
-    let opts = ExecOptions::new(Engine::GenericJoin).with_calibration(KernelCalibration::fixed());
+    let opts = ExecOptions::new(Engine::GenericJoin);
     let (out, trace) = execute_explain(&q, &db, &opts).expect("explain");
     let (out2, trace2) = execute_explain(&q, &db, &opts).expect("explain warm");
     assert_eq!(out.result, out2.result);

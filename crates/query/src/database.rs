@@ -308,10 +308,9 @@ impl Database {
     }
 
     /// Fully compact relation `name`: merge every run (and the buffer) back
-    /// into a single tombstone-free base run, using `threads` scoped workers
-    /// for the merge passes. Errors only if `name` is unknown.
-    pub fn compact(&mut self, name: &str, threads: usize) -> Result<(), DatabaseError> {
-        self.log_mut(name)?.compact(threads);
+    /// into a single tombstone-free base run. Errors only if `name` is unknown.
+    pub fn compact(&mut self, name: &str) -> Result<(), DatabaseError> {
+        self.log_mut(name)?.compact();
         Ok(())
     }
 
@@ -1320,7 +1319,7 @@ mod tests {
         assert_eq!(db.atom_source(&q, 1).unwrap().num_runs(), 1);
         // seal + compact round-trip
         db.seal("R").unwrap();
-        db.compact("R", 2).unwrap();
+        db.compact("R").unwrap();
         assert_eq!(db.delta("R").unwrap().num_runs(), 1);
         // raw insert replaces the log
         db.insert("R", Relation::from_pairs("A", "B", vec![(7, 7)]));
@@ -1426,7 +1425,7 @@ mod tests {
         assert_eq!(db.relation_epoch("R"), epoch, "rejected batch wrote to R");
         // maintenance calls on a log with nothing buffered change nothing
         db.seal("R").unwrap();
-        db.compact("R", 1).unwrap();
+        db.compact("R").unwrap();
         assert_eq!(db.relation_epoch("R"), epoch);
         assert_eq!(db.delta("R").unwrap().num_runs(), 1);
         assert!(matches!(
@@ -1434,7 +1433,7 @@ mod tests {
             DatabaseError::MissingRelation(_)
         ));
         assert!(matches!(
-            db.compact("Z", 1).unwrap_err(),
+            db.compact("Z").unwrap_err(),
             DatabaseError::MissingRelation(_)
         ));
     }

@@ -116,7 +116,7 @@ mod tests {
         db.insert_delta("R", vec![9, 9]).unwrap();
         db.delete("R", &[1, 2]).unwrap();
         db.seal("R").unwrap();
-        db.compact("R", 2).unwrap();
+        db.compact("R").unwrap();
         db.insert("S", Relation::from_pairs("B", "C", vec![(7, 7)]));
         // the snapshot still sees pin-time state, bit-identically
         assert_eq!(

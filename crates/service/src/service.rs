@@ -90,9 +90,6 @@ pub struct ServiceConfig {
     pub write_retries: u32,
     /// Base backoff between conflict retries (doubles per attempt).
     pub retry_backoff: Duration,
-    /// Worker threads for compaction ops (1 = serial; the merge is
-    /// deterministic either way, so replay matches any setting).
-    pub compact_threads: usize,
     /// Injected faults for the durability path (seal delay is honored here;
     /// fsync/torn faults inside the WAL writer, checkpoint tears inside
     /// [`write_checkpoint`]).
@@ -124,7 +121,6 @@ impl Default for ServiceConfig {
             exec: ExecOptions::default(),
             write_retries: 3,
             retry_backoff: Duration::from_millis(1),
-            compact_threads: 1,
             fault: FaultPlan::default(),
             group_commit_window: Duration::ZERO,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -363,18 +359,13 @@ impl WriteBatch {
 pub fn replay_into(db: &mut Database, batches: &[Vec<WalOp>]) -> Result<(), ServiceError> {
     for batch in batches {
         for op in batch {
-            apply_op(db, op, 1, &FaultPlan::default())?;
+            apply_op(db, op, &FaultPlan::default())?;
         }
     }
     Ok(())
 }
 
-fn apply_op(
-    db: &mut Database,
-    op: &WalOp,
-    compact_threads: usize,
-    fault: &FaultPlan,
-) -> Result<(), ServiceError> {
+fn apply_op(db: &mut Database, op: &WalOp, fault: &FaultPlan) -> Result<(), ServiceError> {
     match op {
         WalOp::Insert { relation, tuple } => {
             db.insert_delta(relation, tuple.clone())?;
@@ -391,7 +382,7 @@ fn apply_op(
             db.seal(relation)?;
         }
         WalOp::Compact { relation } => {
-            db.compact(relation, compact_threads.max(1))?;
+            db.compact(relation)?;
         }
         WalOp::Commit { .. } => {
             // commit markers delimit batches in the log; replay_into receives
@@ -669,17 +660,9 @@ impl QueryService {
         self.query_with(query, &token)
     }
 
-    /// Execute `query` with an explicit deadline from now.
-    pub fn query_deadline(
-        &self,
-        query: &ConjunctiveQuery,
-        deadline: Duration,
-    ) -> Result<ExecOutput, ServiceError> {
-        self.query_with(query, &CancelToken::expiring_in(deadline))
-    }
-
     /// Execute `query` with a caller-held [`CancelToken`] (keep a clone to
-    /// cancel from another thread).
+    /// cancel from another thread, or make it with
+    /// [`CancelToken::expiring_in`] for a deadline).
     pub fn query_with(
         &self,
         query: &ConjunctiveQuery,
@@ -819,7 +802,7 @@ impl QueryService {
             }
         }
         for op in &batch.ops {
-            apply_op(&mut db, op, self.config.compact_threads, &self.config.fault)?;
+            apply_op(&mut db, op, &self.config.fault)?;
         }
         self.stats.batches_committed.inc();
         self.stats.ops_committed.add(batch.ops.len() as u64);
@@ -942,9 +925,7 @@ impl QueryService {
             for (pending, seq) in accepted.into_iter().zip(seqs) {
                 let mut outcome = Ok(seq);
                 for op in &pending.batch.ops {
-                    if let Err(e) =
-                        apply_op(&mut db, op, self.config.compact_threads, &self.config.fault)
-                    {
+                    if let Err(e) = apply_op(&mut db, op, &self.config.fault) {
                         outcome = Err(e);
                         break;
                     }

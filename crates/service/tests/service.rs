@@ -200,7 +200,7 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
     let q = examples::triangle();
 
     // an already-expired deadline cancels at the first check point
-    match service.query_deadline(&q, Duration::ZERO) {
+    match service.query_with(&q, &CancelToken::expiring_in(Duration::ZERO)) {
         Err(ServiceError::DeadlineExceeded) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }

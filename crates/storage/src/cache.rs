@@ -537,7 +537,7 @@ mod tests {
         }
         // a snapshot pins the four runs; the head compacts them away
         let snapshot = head.clone();
-        head.compact(1);
+        head.compact();
         assert_eq!(fetch_or_build(&cache, &head), 1);
         assert_eq!(fetch_or_build(&cache, &snapshot), 0, "shared entries hit");
         let both = [snapshot.run_ids(), head.run_ids()].concat();

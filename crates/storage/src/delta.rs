@@ -19,10 +19,8 @@
 //!   `u128` keys, so the hot ingest path never allocates. When the buffer
 //!   reaches the seal threshold it is **sealed**: collapsed into a new sorted
 //!   run, followed by **size-tiered compaction** (adjacent runs of comparable
-//!   size merge — linear two-pointer passes serially, or the parallel
-//!   argsort-and-merge machinery of [`Relation::sort_perm_threads`] for large
-//!   multi-threaded merges); [`DeltaRelation::compact`] merges everything back
-//!   into a single tombstone-free base;
+//!   size merge in linear two-pointer passes); [`DeltaRelation::compact`]
+//!   merges everything back into a single tombstone-free base;
 //! * query-side, a sealed run's access structure **is a [`Trie`]**: a run is a
 //!   canonical relation plus signs, so [`Run::trie`] is the one trie builder
 //!   — layouts included for a run of inserts, which is its relation's trie bit
@@ -63,7 +61,7 @@
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
-use crate::relation::{argsort_columns_threads, is_canonical, Relation, Tuple};
+use crate::relation::{argsort_columns, is_canonical, Relation, Tuple};
 use crate::schema::Schema;
 use crate::stats::CursorWork;
 use crate::trie::{Trie, TrieCursor};
@@ -291,14 +289,10 @@ impl Run {
 /// ties by row index), though the net sum does not depend on it. Returns
 /// canonical (sorted, distinct) columns plus per-row net signs — always ±1 under
 /// the alternating-history invariant.
-fn collapse_signed(
-    cols: &[Vec<Value>],
-    signs: &[i64],
-    threads: usize,
-) -> (Vec<Vec<Value>>, Vec<i64>) {
+fn collapse_signed(cols: &[Vec<Value>], signs: &[i64]) -> (Vec<Vec<Value>>, Vec<i64>) {
     let len = signs.len();
     let positions: Vec<usize> = (0..cols.len()).collect();
-    let perm = argsort_columns_threads(cols, &positions, len, threads);
+    let perm = argsort_columns(cols, &positions, len);
     let mut out_cols: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
     let mut out_signs = Vec::new();
     let mut i = 0;
@@ -476,6 +470,8 @@ pub struct DeltaRelation {
     /// identical visible state — what compare-and-set writers validate
     /// against. (The access-structure cache never reads it: it keys by run.)
     epoch: u64,
+    /// [`DeltaRelation::values_written`]; not part of the state codec.
+    values_written: u64,
 }
 
 impl DeltaRelation {
@@ -500,6 +496,7 @@ impl DeltaRelation {
             live_set,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
+            values_written: 0,
         })
     }
 
@@ -537,6 +534,7 @@ impl DeltaRelation {
             live_set: Arc::new(live_set),
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
+            values_written: 0,
         })
     }
 
@@ -554,6 +552,14 @@ impl DeltaRelation {
     /// optimistic-concurrency check of `Database::relation_epoch`.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Values this log has written since it was created (a clone carries the
+    /// count on): `arity` per buffered operation, plus `arity` per row that a
+    /// seal, a tier merge or a compaction writes into a run. The ingest cost
+    /// `e6_incremental` compares with a sorted relation's shifted values.
+    pub fn values_written(&self) -> u64 {
+        self.values_written
     }
 
     /// The sealed runs' unique identity stamps, oldest first. Runs are
@@ -675,6 +681,7 @@ impl DeltaRelation {
             return Ok(false); // already live: blind re-insert is a no-op
         }
         self.buffer.push(tuple, 1);
+        self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
         Ok(true)
@@ -691,6 +698,7 @@ impl DeltaRelation {
             return Ok(false); // not live: blind delete is a no-op
         }
         self.buffer.push(tuple, -1);
+        self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
         Ok(true)
@@ -780,6 +788,7 @@ impl DeltaRelation {
         let (cols, signs) = self.buffer_parts();
         self.buffer.clear();
         self.touch();
+        self.values_written += (signs.len() * self.arity()) as u64;
         if !signs.is_empty() {
             self.runs
                 .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
@@ -787,7 +796,7 @@ impl DeltaRelation {
         while self.runs.len() >= 2
             && self.runs[self.runs.len() - 2].len() < GROWTH * self.runs[self.runs.len() - 1].len()
         {
-            self.merge_tail(self.runs.len() - 2, 1);
+            self.merge_tail(self.runs.len() - 2);
         }
     }
 
@@ -922,46 +931,22 @@ impl DeltaRelation {
     }
 
     /// Merge `runs[start..]` into one run (signed annihilation); when `start ==
-    /// 0` the result is the new base and must carry no tombstones.
-    ///
-    /// Serial merges run as pairwise linear two-pointer passes over the sorted
-    /// runs (newest pair first — the cheapest order under tiered sizes); with
-    /// `threads > 1` and enough rows, the runs are concatenated and re-collapsed
-    /// through the parallel argsort-and-merge machinery of
-    /// [`Relation::sort_perm_threads`] instead. Both paths produce identical
-    /// runs (net signs are associative over a tuple's alternating history).
-    fn merge_tail(&mut self, start: usize, threads: usize) {
-        const PAR_MERGE_MIN: usize = 4096;
+    /// 0` the result is the new base and must carry no tombstones. The merge is
+    /// pairwise linear two-pointer passes over the sorted runs, newest pair
+    /// first — the cheapest order under tiered sizes.
+    fn merge_tail(&mut self, start: usize) {
         if self.runs.len() - start < 2 {
             return;
         }
         self.touch();
-        let total: usize = self.runs[start..].iter().map(|r| r.len()).sum();
-        if threads > 1 && total >= PAR_MERGE_MIN {
-            let arity = self.arity();
-            let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
-            let mut signs = Vec::with_capacity(total);
-            for run in &self.runs[start..] {
-                for (col, src) in cols.iter_mut().zip(run.rel.columns()) {
-                    col.extend_from_slice(src);
-                }
-                signs.extend((0..run.len()).map(|i| run.sign(i)));
-            }
-            let (cols, signs) = collapse_signed(&cols, &signs, threads);
-            self.runs.truncate(start);
+        // a pair that annihilates leaves nothing behind
+        while let [.., a, b] = &self.runs[start..] {
+            let (cols, signs) = merge_two(a, b);
+            self.values_written += (signs.len() * self.arity()) as u64;
+            self.runs.truncate(self.runs.len() - 2);
             if !signs.is_empty() {
                 self.runs
                     .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
-            }
-        } else {
-            // newest pair first; a pair that annihilates leaves nothing behind
-            while let [.., a, b] = &self.runs[start..] {
-                let (cols, signs) = merge_two(a, b);
-                self.runs.truncate(self.runs.len() - 2);
-                if !signs.is_empty() {
-                    self.runs
-                        .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
-                }
             }
         }
         debug_assert!(
@@ -972,21 +957,20 @@ impl DeltaRelation {
 
     /// One compaction step: merge the two **newest** runs. Returns `false` when
     /// fewer than two sealed runs exist (nothing to do).
-    pub fn compact_step(&mut self, threads: usize) -> bool {
+    pub fn compact_step(&mut self) -> bool {
         if self.runs.len() < 2 {
             return false;
         }
         let start = self.runs.len() - 2;
-        self.merge_tail(start, threads);
+        self.merge_tail(start);
         true
     }
 
     /// Full compaction: seal the buffer, then merge every run into a single
-    /// tombstone-free base, using `threads` scoped workers for the argsort-and-
-    /// merge passes (the [`Relation::sort_perm_threads`] machinery).
-    pub fn compact(&mut self, threads: usize) {
+    /// tombstone-free base.
+    pub fn compact(&mut self) {
         self.seal();
-        self.merge_tail(0, threads);
+        self.merge_tail(0);
     }
 
     /// Materialize the live tuples as a canonical [`Relation`] — the "full
@@ -1019,7 +1003,7 @@ impl DeltaRelation {
             col.extend_from_slice(src);
         }
         signs.extend_from_slice(&bsigns);
-        let (cols, signs) = collapse_signed(&cols, &signs, 1);
+        let (cols, signs) = collapse_signed(&cols, &signs);
         debug_assert!(
             signs.iter().all(|&s| s > 0),
             "full-history nets are 0 or +1"
@@ -1101,7 +1085,6 @@ impl DeltaAccess {
             depth: 0,
             work: CursorWork::default(),
             simd: crate::simd::active_level(),
-            seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
         }
     }
 }
@@ -1212,7 +1195,6 @@ pub struct DeltaCursor<'a> {
     depth: usize,
     work: CursorWork,
     simd: crate::simd::SimdLevel,
-    seek_linear_max: usize,
 }
 
 impl<'a> DeltaCursor<'a> {
@@ -1316,13 +1298,12 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
     }
 
     fn seek(&mut self, target: Value) -> bool {
-        let (simd, linear_max) = (self.simd, self.seek_linear_max);
+        let simd = self.simd;
         let Some(f) = self.live_top() else {
             return false;
         };
         let values = f.values();
-        let (pos, probes, cmps) =
-            crate::ops::seek_lub_cal(simd, values, f.pos, values.len(), target, linear_max);
+        let (pos, probes, cmps) = crate::ops::seek_lub(simd, values, f.pos, values.len(), target);
         let found = pos < values.len();
         f.pos = pos;
         self.work.probes += probes;
@@ -1340,19 +1321,15 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
     }
 
     fn advance_to(&mut self, target: Value) -> bool {
-        let (simd, linear_max) = (self.simd, self.seek_linear_max);
+        let simd = self.simd;
         let Some(f) = self.live_top() else {
             return false;
         };
         let values = f.values();
         if values[f.pos] < target {
-            f.pos = crate::ops::advance_lub(simd, values, f.pos, values.len(), target, linear_max);
+            f.pos = crate::ops::advance_lub(simd, values, f.pos, values.len(), target);
         }
         f.values().get(f.pos) == Some(&target)
-    }
-
-    fn set_seek_calibration(&mut self, linear_max: usize) {
-        self.seek_linear_max = linear_max;
     }
 
     fn remaining(&self) -> &[Value] {
@@ -1501,7 +1478,7 @@ mod tests {
         assert_cursor_matches_snapshot(&d);
         let expected = vec![vec![1, 2], vec![2, 2], vec![3, 3], vec![4, 4], vec![5, 5]];
         assert_eq!(d.snapshot().rows(), expected);
-        d.compact(1);
+        d.compact();
         assert_eq!(d.num_runs(), 1);
         assert_eq!(d.tombstones(), 0);
         assert_eq!(d.snapshot().rows(), expected);
@@ -1569,7 +1546,7 @@ mod tests {
         assert_eq!(d.num_runs(), 4, "{:?}", d.run_sizes());
         let expected = d.snapshot();
         let mut steps = 0;
-        while d.compact_step(1) {
+        while d.compact_step() {
             steps += 1;
             assert_eq!(d.snapshot(), expected, "after compaction step {steps}");
             assert_cursor_matches_snapshot(&d);
@@ -1577,6 +1554,23 @@ mod tests {
         assert_eq!(steps, 3);
         assert_eq!(d.num_runs(), 1);
         assert_eq!(d.tombstones(), 0);
+    }
+
+    #[test]
+    fn values_written_counts_appends_seals_and_merges() {
+        let mut d = DeltaRelation::new(schema_ab());
+        d.set_seal_threshold(usize::MAX);
+        d.insert(vec![1, 1]).unwrap();
+        d.insert(vec![2, 2]).unwrap();
+        assert!(!d.insert(vec![2, 2]).unwrap(), "a no-op writes nothing");
+        assert_eq!(d.values_written(), 4);
+        d.seal(); // one run of two rows
+        assert_eq!(d.values_written(), 8);
+        d.delete(&[1, 1]).unwrap();
+        d.seal(); // a one-row tombstone run; 2 < 2 · 1 keeps it apart
+        assert_eq!((d.num_runs(), d.values_written()), (2, 12));
+        d.compact(); // the merge annihilates (1, 1) and writes (2, 2)
+        assert_eq!((d.num_runs(), d.values_written()), (1, 14));
     }
 
     #[test]
@@ -1605,7 +1599,7 @@ mod tests {
                 assert_cursor_matches_snapshot(&d);
             }
         }
-        d.compact(2);
+        d.compact();
         let rows: Vec<Tuple> = reference.iter().cloned().collect();
         assert_eq!(d.snapshot().rows(), rows);
         assert_eq!(d.len(), rows.len());
@@ -1644,7 +1638,7 @@ mod tests {
                 }
             }
             assert_eq!(d.snapshot(), d.collapse(), "round {round}: churned");
-            d.compact(1);
+            d.compact();
             assert!(d.num_runs() <= 1 && d.tombstones() == 0);
             assert_eq!(d.snapshot(), d.collapse(), "round {round}: compacted");
         }
@@ -1768,7 +1762,7 @@ mod tests {
             "old run untouched by append-only seal"
         );
         // compaction rewrites: a fresh id, not a prefix of the old list
-        d.compact(1);
+        d.compact();
         let compacted = d.run_ids();
         assert_eq!(compacted.len(), 1);
         assert!(!extended.contains(&compacted[0]));
@@ -1942,7 +1936,7 @@ mod tests {
         // a run is held by the logs that list it and by nothing else
         let weak: Vec<_> = d.runs().iter().map(Arc::downgrade).collect();
         let mut head = d.clone();
-        head.compact(1);
+        head.compact();
         assert!(weak.iter().all(|w| w.strong_count() > 0), "`d` pins them");
         drop(d);
         assert!(weak.iter().all(|w| w.strong_count() == 0));

@@ -39,12 +39,9 @@
 //! group** gets its bitset once, at build time: a [`Layout`] `(base, words)`.
 //!
 //! * **Rule.** A group is dense when the adaptive policy's bitmap condition
-//!   holds for the group alone, under the fixed thresholds: more than
-//!   `TINY_LIST` (4) values, span at most [`BITMAP_MAX_SPAN`], span at most
-//!   [`BITMAP_SPAN_PER_ELEMENT`] per value ([`append_layout`]). The rule is baked
-//!   into a structure that is cached and shared across queries, so it cannot
-//!   depend on per-query options: [`KernelCalibration`]'s two bitmap thresholds
-//!   steer the *list*-kernel choice ([`choose_kernel_with`]) only.
+//!   holds for the group alone: more than `TINY_LIST` (4) values, span at most
+//!   [`BITMAP_MAX_SPAN`], span at most [`BITMAP_SPAN_PER_ELEMENT`] per value
+//!   ([`append_layout`]).
 //! * **Memory.** Words sit on the absolute 64-grid (`base = first / 64 · 64`), so
 //!   any two layouts AND without shifting; that alignment costs at most one word
 //!   beyond the span's own `⌈span/64⌉`, and the density rule bounds the total at
@@ -57,16 +54,16 @@
 //!   is scanned. Anything else — a sparse or delta-backed participant, or a
 //!   forced `Merge`/`Gallop`, which must keep exercising the list kernels for
 //!   the "all kernels agree" differentials — goes through
-//!   [`intersect_into_cal`] unchanged. The list-bitmap kernel stays: it is the
+//!   [`intersect_into_at`] unchanged. The list-bitmap kernel stays: it is the
 //!   only bitmap path for delta-backed atoms and for sparse groups whose
 //!   *common* window is dense.
 //!
 //! # Append contract
 //!
 //! Every `*_into` entry point ([`intersect_into`], [`intersect_into_at`],
-//! [`intersect_into_cal`], [`intersect_layouts_into`]) **appends** the
-//! intersection to `out` and never reads, reorders or drops what `out` already
-//! holds — short-circuits append nothing. That is what lets the execution layer
+//! [`intersect_layouts_into`]) **appends** the intersection to `out` and never
+//! reads, reorders or drops what `out` already holds — short-circuits append
+//! nothing. That is what lets the execution layer
 //! hand the deepest join level the result column itself: the extension set of
 //! a bound prefix lands behind the previous prefix's, written once. A caller
 //! reusing one buffer across intersections clears it between calls; counters
@@ -88,7 +85,6 @@
 
 use crate::simd::{self, SimdLevel};
 use crate::stats::WorkCounter;
-use crate::tune::KernelCalibration;
 use crate::Value;
 
 /// Which intersection kernel the execution layer should run. Carried through
@@ -154,23 +150,12 @@ const TINY_LIST: usize = 4;
 pub const MAX_INLINE_LISTS: usize = 16;
 
 /// Pick the kernel for `lists` (all non-empty) whose common span is `[lo, hi]`.
-/// Exposed so tests and experiments can audit the heuristic directly. Uses the
-/// fixed thresholds; [`choose_kernel_with`] takes a [`KernelCalibration`].
+/// Exposed so tests and experiments can audit the heuristic directly.
 pub fn choose_kernel(lists: &[&[Value]], lo: Value, hi: Value) -> KernelKind {
-    choose_kernel_with(&KernelCalibration::fixed(), lists, lo, hi)
-}
-
-/// [`choose_kernel`] with explicit thresholds.
-pub fn choose_kernel_with(
-    cal: &KernelCalibration,
-    lists: &[&[Value]],
-    lo: Value,
-    hi: Value,
-) -> KernelKind {
     let m = lists.iter().map(|l| l.len()).min().unwrap_or(0);
     let max_len = lists.iter().map(|l| l.len()).max().unwrap_or(0);
     if m <= TINY_LIST {
-        return if max_len <= cal.merge_max_ratio * m.max(1) {
+        return if max_len <= MERGE_MAX_RATIO * m.max(1) {
             KernelKind::Merge
         } else {
             KernelKind::Gallop
@@ -179,9 +164,9 @@ pub fn choose_kernel_with(
     // the span is `width + 1`, which overflows when the operands hold both 0
     // and `u64::MAX`: compare widths (`span <= x` is `width < x`)
     let width = hi - lo;
-    if width < cal.bitmap_max_span && width < cal.bitmap_span_per_element.saturating_mul(m as u64) {
+    if width < BITMAP_MAX_SPAN && width < BITMAP_SPAN_PER_ELEMENT.saturating_mul(m as u64) {
         KernelKind::Bitmap
-    } else if max_len <= cal.merge_max_ratio * m {
+    } else if max_len <= MERGE_MAX_RATIO * m {
         KernelKind::Merge
     } else {
         KernelKind::Gallop
@@ -200,58 +185,30 @@ pub fn intersect(lists: &[&[Value]], policy: KernelPolicy, counter: &WorkCounter
 /// Intersect `lists` under `policy`, **appending** the result to `out` (see the
 /// module docs' *Append contract*) and recording work and the kernel choice
 /// into `counter`. All kernels produce identical output: the ascending sorted
-/// intersection. Runs at the detected SIMD level with the fixed thresholds; the
-/// SIMD level never changes output or counters. Returns the kernel that ran
-/// (`None` when a short-circuit skipped the kernel layer).
+/// intersection. Runs at the detected SIMD level; the SIMD level never changes
+/// output or counters. Returns the kernel that ran (`None` when a short-circuit
+/// skipped the kernel layer).
 pub fn intersect_into(
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     policy: KernelPolicy,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
-    intersect_into_cal(
-        simd::active_level(),
-        out,
-        lists,
-        policy,
-        &KernelCalibration::fixed(),
-        counter,
-    )
+    intersect_into_at(simd::active_level(), out, lists, policy, counter)
 }
 
-/// [`intersect_into`] at an explicit SIMD level (fixed thresholds) — the entry
-/// point differential tests and the tuning probe use to pin the code path.
+/// [`intersect_into`] at an explicit SIMD level, appending to `out` like every
+/// `*_into` here. The execution layer resolves the level once per query and
+/// calls this in its hot loop; differential tests pin it to compare code paths.
+/// Returns the kernel that ran, so tracing can attribute the choice per level;
+/// `None` means a short-circuit (empty operand, single list, disjoint spans)
+/// answered before any kernel dispatched. The return value is derived from
+/// state the function computes anyway, so ignoring it costs nothing.
 pub fn intersect_into_at(
     level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     policy: KernelPolicy,
-    counter: &WorkCounter,
-) -> Option<KernelKind> {
-    intersect_into_cal(
-        level,
-        out,
-        lists,
-        policy,
-        &KernelCalibration::fixed(),
-        counter,
-    )
-}
-
-/// The full-control intersection entry point: explicit SIMD level and policy
-/// thresholds, appending to `out` like every `*_into` here. The execution layer
-/// resolves both once per query (the detected level,
-/// `ExecOptions::calibration`) and calls this in its hot loop.
-/// Returns the kernel that ran, so tracing can attribute the choice per level;
-/// `None` means a short-circuit (empty operand, single list, disjoint spans)
-/// answered before any kernel dispatched. The return value is derived from
-/// state the function computes anyway, so ignoring it costs nothing.
-pub fn intersect_into_cal(
-    level: SimdLevel,
-    out: &mut Vec<Value>,
-    lists: &[&[Value]],
-    policy: KernelPolicy,
-    cal: &KernelCalibration,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
     if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
@@ -275,7 +232,7 @@ pub fn intersect_into_cal(
         return None;
     }
     let kind = match policy {
-        KernelPolicy::Adaptive => choose_kernel_with(cal, lists, lo, hi),
+        KernelPolicy::Adaptive => choose_kernel(lists, lo, hi),
         KernelPolicy::Merge => KernelKind::Merge,
         KernelPolicy::Gallop => KernelKind::Gallop,
         KernelPolicy::Bitmap => {
@@ -669,7 +626,7 @@ pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
 /// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s,
 /// **appending** to `out`: `lists[i]` is what remains of group `i` from its
 /// cursor's position and `layouts[i]` the whole group's layout. The common span
-/// comes from `lists` exactly as [`intersect_into_cal`]'s prefilter computes it
+/// comes from `lists` exactly as [`intersect_into_at`]'s prefilter computes it
 /// — which also masks off the values behind each cursor — and the covered
 /// words are ANDed first (every layout sits on the same 64-grid), masked at the
 /// span's two ends, then counted and decoded ascending in one go. Nothing is

@@ -69,11 +69,11 @@
 //!   CPU-topology probe for socket/SMT-aware worker placement. All SIMD paths are
 //!   bit-identical to scalar in both output **and** recorded work: the counters
 //!   replay the scalar algorithm's tally arithmetically from the landing
-//!   position, so recorded work baselines stay machine-independent;
-//! * [`tune::KernelCalibration`] — the four kernel-selection thresholds, a plain
-//!   value ([`tune::KernelCalibration::fixed`] by default) that the execution
-//!   layer passes in. There is no host tuning: nothing in this crate times the
-//!   machine, and work counters are a function of the data and the thresholds.
+//!   position, so recorded work baselines stay machine-independent. There is
+//!   no host tuning: the kernel-selection and seek thresholds are constants
+//!   ([`tune::KernelCalibration::fixed`] names them), nothing in this crate
+//!   times the machine, and work counters are a function of the data and the
+//!   kernel policy.
 //!
 //! # Quick example
 //!

@@ -65,32 +65,28 @@ pub(crate) fn gallop_lub(
 
 /// Sibling groups at or below this length are sought by a branch-predictable
 /// linear scan instead of galloping: for tiny groups the scan's sequential loads
-/// beat the galloping search's data-dependent branches. This is the default
-/// of [`crate::tune::KernelCalibration::linear_seek_max`].
+/// beat the galloping search's data-dependent branches.
 pub(crate) const LINEAR_SEEK_MAX: usize = 16;
 
-/// Adaptive least-upper-bound seek with an explicit SIMD level and calibrated
-/// linear-scan cutoff: linear scan for windows at or under `linear_max`
-/// (recorded as comparisons), galloping search otherwise (recorded as probes).
-/// Returns `(position, probes, comparisons)` — the seek path shared by every
-/// cursor, mirroring the kernel layer's adaptivity at the single-seek grain.
+/// Adaptive least-upper-bound seek at an explicit SIMD level: linear scan for
+/// windows at or under [`LINEAR_SEEK_MAX`] (recorded as comparisons),
+/// galloping search otherwise (recorded as probes). Returns `(position,
+/// probes, comparisons)` — the seek path shared by every cursor, mirroring the
+/// kernel layer's adaptivity at the single-seek grain.
 ///
-/// The counted work is a pure function of `(start, end, position, cutoff)` —
-/// the linear path charges `1 + (position - start)` comparisons and the gallop
+/// The counted work is a pure function of `(start, end, position)` — the
+/// linear path charges `1 + (position - start)` comparisons and the gallop
 /// path charges the [`gallop_lub`] probe sequence replayed arithmetically — so
-/// the SIMD level changes wall-clock only, never the counters. The *cutoff*
-/// does change counters (it picks which tally a seek lands in), which is why
-/// it is an explicit input and never measured.
-pub(crate) fn seek_lub_cal(
+/// the SIMD level changes wall-clock only, never the counters.
+pub(crate) fn seek_lub(
     level: crate::simd::SimdLevel,
     values: &[Value],
     start: usize,
     end: usize,
     target: Value,
-    linear_max: usize,
 ) -> (usize, u64, u64) {
     debug_assert!(end <= values.len());
-    if end - start <= linear_max {
+    if end - start <= LINEAR_SEEK_MAX {
         let pos = crate::simd::linear_lub(level, values, start, end, target);
         (pos, 0, 1 + (pos - start) as u64)
     } else {
@@ -108,19 +104,17 @@ pub(crate) fn seek_lub_cal(
 }
 
 /// Uncounted least-upper-bound search in `values[start..end]` — the repositioning
-/// path (`advance_to`) which by contract records no work. Linear scan below the
-/// calibrated cutoff (previously this always galloped, even for a 2-element
-/// window), galloping search above it.
+/// path (`advance_to`) which by contract records no work. Linear scan up to
+/// [`LINEAR_SEEK_MAX`], galloping search above it.
 pub(crate) fn advance_lub(
     level: crate::simd::SimdLevel,
     values: &[Value],
     start: usize,
     end: usize,
     target: Value,
-    linear_max: usize,
 ) -> usize {
     debug_assert!(end <= values.len());
-    if end - start <= linear_max {
+    if end - start <= LINEAR_SEEK_MAX {
         crate::simd::linear_lub(level, values, start, end, target)
     } else {
         find_lub(level, values, start, end, target)

@@ -777,8 +777,7 @@ pub(crate) fn argsort_columns(
 /// parallel merges. The comparator is a strict total order, so the result is
 /// bit-identical to the serial argsort for every thread count; small inputs (or
 /// `threads <= 1`) fall back to the serial sort. This is the parallel merge
-/// machinery behind both [`Relation::sort_perm_threads`] and delta-run
-/// compaction.
+/// machinery behind [`Relation::sort_perm_threads`].
 ///
 /// Workers are pinned by [`crate::topology::CpuTopology::pin_plan`] (advisory;
 /// `WCOJ_NO_PIN=1` disables): the plan is socket-major, chunk `i`'s sorter runs

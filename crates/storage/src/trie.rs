@@ -531,7 +531,6 @@ impl Trie {
             stack: Vec::with_capacity(self.arity()),
             work: CursorWork::default(),
             simd: crate::simd::active_level(),
-            seek_linear_max: crate::ops::LINEAR_SEEK_MAX,
         }
     }
 }
@@ -554,7 +553,6 @@ pub struct TrieCursor<'a> {
     stack: Vec<Frame>,
     work: CursorWork,
     simd: crate::simd::SimdLevel,
-    seek_linear_max: usize,
 }
 
 impl<'a> TrieCursor<'a> {
@@ -636,24 +634,12 @@ impl<'a> TrieCursor<'a> {
         if frame.pos >= frame.end {
             return false;
         }
-        let (pos, probes, cmps) = crate::ops::seek_lub_cal(
-            self.simd,
-            values,
-            frame.pos,
-            frame.end,
-            target,
-            self.seek_linear_max,
-        );
+        let (pos, probes, cmps) =
+            crate::ops::seek_lub(self.simd, values, frame.pos, frame.end, target);
         self.work.probes += probes;
         self.work.comparisons += cmps;
         frame.pos = pos;
         frame.pos < frame.end
-    }
-
-    /// Set the linear-scan-vs-gallop cutoff used by [`TrieCursor::seek`] and
-    /// [`TrieCursor::advance_to`] (see [`crate::tune::KernelCalibration`]).
-    pub fn set_seek_calibration(&mut self, linear_max: usize) {
-        self.seek_linear_max = linear_max;
     }
 
     /// Position at the sibling with value exactly `target`, searching the *whole*
@@ -691,14 +677,7 @@ impl<'a> TrieCursor<'a> {
         if values[frame.pos] >= target {
             return values[frame.pos] == target;
         }
-        let pos = crate::ops::advance_lub(
-            self.simd,
-            values,
-            frame.pos,
-            frame.end,
-            target,
-            self.seek_linear_max,
-        );
+        let pos = crate::ops::advance_lub(self.simd, values, frame.pos, frame.end, target);
         frame.pos = pos;
         pos < frame.end && values[pos] == target
     }

@@ -1,7 +1,9 @@
-//! The kernel-policy thresholds.
+//! The kernel-policy thresholds, named as one value.
 //!
 //! The adaptive kernel heuristic (`kernels::choose_kernel`) and the cursor seek
-//! fast path steer on four thresholds, carried as one [`KernelCalibration`]:
+//! fast path steer on four constants of the implementation, which
+//! [`KernelCalibration::fixed`] gathers for display and for callers that name
+//! them:
 //!
 //! * `merge_max_ratio` — largest `max/min` list-size ratio at which the SIMD
 //!   merge kernel still beats galloping search.
@@ -11,17 +13,12 @@
 //! * `linear_seek_max` — seek window length below which a linear scan beats
 //!   galloping search.
 //!
-//! The two bitmap thresholds steer the choice among the *list* kernels only:
-//! which sibling groups carry a prebuilt set layout (`kernels::append_layout`)
-//! is decided when an access structure is built, under the fixed values — a
-//! cached structure cannot depend on one query's options.
-//!
-//! Thresholds decide which kernel the adaptive policy picks and therefore the
-//! deterministic work counters, so they are a plain *input* of an execution:
-//! [`KernelCalibration::fixed`] unless the caller passes other values. Nothing
-//! here measures the host, reads the environment or touches the filesystem —
-//! a startup probe used to, and EXPERIMENTS.md E7 records why it went
-//! (calibrated ≈ fixed in wall-clock, counters no longer reproducible).
+//! They are constants, not inputs of a query: which kernel runs is a
+//! constant-factor choice (every kernel stays `O(min list)` up to log
+//! factors), so no execution varies them. Nothing here measures the host,
+//! reads the environment or touches the filesystem — a startup probe used to,
+//! and EXPERIMENTS.md E7 records why it went (calibrated ≈ fixed in
+//! wall-clock, counters no longer reproducible).
 
 use crate::kernels;
 
@@ -45,8 +42,8 @@ impl Default for KernelCalibration {
 }
 
 impl KernelCalibration {
-    /// The thresholds every execution runs with unless told otherwise, and the
-    /// ones every recorded baseline (bench, `perf_gate`) was taken under.
+    /// The thresholds every execution runs with, and the ones every recorded
+    /// baseline (bench, `perf_gate`) was taken under.
     pub const fn fixed() -> Self {
         KernelCalibration {
             merge_max_ratio: kernels::MERGE_MAX_RATIO,
