@@ -12,9 +12,8 @@
 //!    process-wide dispatch flipped between `Scalar` and the native level via
 //!    [`wcoj_storage::simd::force_active_level`]; asserts bit-identical output
 //!    and work counters, reports the wall-clock ratio.
-//! 5. **Morsel scaling** — threads 1/2/4 with topology-aware placement
-//!    (pinning state reported; disable with `WCOJ_NO_PIN=1` to A/B across
-//!    runs).
+//! 5. **Morsel scaling** — threads 1/2/4, worker `w` pinned to CPU
+//!    `w % available_cpus()`.
 //!
 //! `--smoke` shrinks sizes/iterations for CI; the full run backs the numbers
 //! quoted in `EXPERIMENTS.md`.
@@ -25,7 +24,7 @@ use wcoj_bounds::agm::agm_bound;
 use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_storage::simd::{self, SimdLevel};
-use wcoj_storage::topology::{pinning_enabled, CpuTopology};
+use wcoj_storage::topology::available_cpus;
 use wcoj_storage::{kernels, KernelPolicy, Value, WorkCounter};
 use wcoj_workloads::{triangle, triangle_skewed, Workload};
 
@@ -164,16 +163,9 @@ fn main() {
     }
 
     // ---- 5. morsel scaling ----------------------------------------------
-    let topo = CpuTopology::detect();
     println!(
-        "\nE7.5 morsel scaling (uniform, GenericJoin; {} CPUs over {} package(s), pinning {})",
-        topo.slots().len(),
-        topo.packages(),
-        if pinning_enabled() {
-            "on"
-        } else {
-            "off (WCOJ_NO_PIN)"
-        }
+        "\nE7.5 morsel scaling (uniform, GenericJoin; {} CPUs)",
+        available_cpus()
     );
     let (name, w) = &workloads[0];
     let serial_opts = ExecOptions::new(Engine::GenericJoin);

@@ -2,7 +2,7 @@
 //! builder loop** — and nothing ambient. Rows and work counters are a function
 //! of `(query, database, options)`: no environment variable, file, wall-clock
 //! probe or process-global setting is consulted anywhere below this module
-//! (SIMD level and CPU topology are host *detection* that never moves a row or
+//! (SIMD level and CPU count are host *detection* that never moves a row or
 //! a counter).
 //!
 //! # One entry

@@ -21,17 +21,12 @@
 //! *returns* its sinks, counter, tallies and scheduling report through its join
 //! handle, and a worker that panics surfaces as [`ExecError::WorkerPanicked`].
 //!
-//! # Topology-aware placement
+//! # Placement
 //!
-//! Workers are pinned to CPUs by [`wcoj_storage::topology::CpuTopology::pin_plan`]
-//! (distinct physical cores before SMT siblings, one socket filled before the
-//! next; advisory — `WCOJ_NO_PIN=1` disables it), and the morsel sequence is
-//! partitioned into one **contiguous range per socket group**, sized
-//! proportionally to the group's worker count. A worker claims from its own
-//! group's range first (socket-local atomics, socket-local portions of the
-//! extension set) and steals from other groups only when its range is drained.
-//! Placement changes *which worker* runs a morsel, never the morsel boundaries
-//! — so results and merged counters stay bit-identical to serial execution.
+//! Worker `w` pins to CPU [`wcoj_storage::topology::worker_cpu`]`(w)`, i.e.
+//! `w % available_cpus()` (advisory: a failed pin is ignored). Placement
+//! changes *where* a worker runs, never the morsel boundaries — so results and
+//! merged counters stay bit-identical to serial execution.
 //!
 //! # Determinism
 //!
@@ -52,77 +47,13 @@ use crate::error::ExecError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use wcoj_obs::{LevelRecorder, MorselTrace, WorkerTrace};
-use wcoj_storage::topology::{self, CpuTopology};
+use wcoj_storage::topology;
 use wcoj_storage::{TrieAccess, Value, WorkCounter};
 
 /// Morsels handed out per worker thread: small enough that a skewed heavy-hitter
 /// value cannot leave threads idle, large enough that the scheduling atomics are
 /// noise.
 const MORSELS_PER_THREAD: usize = 8;
-
-/// The socket-aware morsel schedule: per-group contiguous morsel ranges with a
-/// claim cursor each. Morsel *boundaries* are fixed by the caller; this only
-/// decides which worker runs which morsel, so it cannot affect results.
-struct MorselSchedule {
-    /// `(start, end)` morsel-id range per socket group.
-    ranges: Vec<(usize, usize)>,
-    /// Per-group claim cursor (relative to the range start).
-    next: Vec<AtomicUsize>,
-    /// Socket-group index of each worker.
-    group_of: Vec<usize>,
-}
-
-impl MorselSchedule {
-    /// Partition `morsel_count` morsels into contiguous per-group ranges sized
-    /// proportionally to each group's worker count (remainders to the earliest
-    /// groups, matching how `chunks` distributes elements).
-    fn new(topo: &CpuTopology, threads: usize, morsel_count: usize) -> MorselSchedule {
-        let groups = topo.socket_groups(threads);
-        let mut group_of = vec![0usize; threads];
-        for (g, members) in groups.iter().enumerate() {
-            for &w in members {
-                group_of[w] = g;
-            }
-        }
-        let mut ranges = Vec::with_capacity(groups.len());
-        let mut start = 0usize;
-        let mut assigned_workers = 0usize;
-        for members in &groups {
-            assigned_workers += members.len();
-            // cumulative proportional split: group g ends at
-            // round(morsels * workers_so_far / threads)
-            let end = morsel_count * assigned_workers / threads;
-            ranges.push((start, end));
-            start = end;
-        }
-        if let Some(last) = ranges.last_mut() {
-            last.1 = morsel_count; // absorb rounding slack
-        }
-        let next = ranges.iter().map(|_| AtomicUsize::new(0)).collect();
-        MorselSchedule {
-            ranges,
-            next,
-            group_of,
-        }
-    }
-
-    /// Claim the next morsel for `worker`: its own socket group's range first,
-    /// then the other groups' leftovers (work stealing). The flag reports
-    /// whether the claim came from a foreign group — a steal — so the trace
-    /// can attribute scheduling behavior without touching the hot path.
-    fn claim(&self, worker: usize) -> Option<(usize, bool)> {
-        let own = self.group_of[worker];
-        let order = std::iter::once(own).chain((0..self.ranges.len()).filter(move |&g| g != own));
-        for g in order {
-            let (start, end) = self.ranges[g];
-            let i = self.next[g].fetch_add(1, Ordering::Relaxed);
-            if start + i < end {
-                return Some((start + i, g != own));
-            }
-        }
-        None
-    }
-}
 
 /// Run the engine skeleton with step `S` over `threads` workers, each holding a
 /// private cursor set produced by `make_cursors` (one cursor per atom, positioned at the root). Returns the
@@ -161,9 +92,7 @@ where
         .div_ceil(threads * MORSELS_PER_THREAD)
         .max(1);
     let slices: Vec<&[Value]> = extensions.chunks(morsel_len).collect();
-    let topo = CpuTopology::detect();
-    let pin_plan = topo.pin_plan(threads);
-    let schedule = MorselSchedule::new(topo, threads, slices.len());
+    let next_morsel = AtomicUsize::new(0);
 
     // one `(morsel id, sink)` list, private counter and scheduling report per
     // worker, handed back through its join handle; an empty extension set
@@ -172,10 +101,11 @@ where
     let joined: Vec<std::thread::Result<_>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let (pin_plan, schedule, slices) = (&pin_plan, &schedule, &slices);
+                let (next_morsel, slices) = (&next_morsel, &slices);
                 let make_cursors = &make_cursors;
                 scope.spawn(move || {
-                    let pinned = topology::pin_current_thread(pin_plan[w]);
+                    let cpu = topology::worker_cpu(w);
+                    let pinned = topology::pin_current_thread(cpu);
                     let local = WorkCounter::new();
                     // a recorder has one writer: tallies go to a private one too
                     let levels = ctx.trace.map(|rec| LevelRecorder::new(rec.len()));
@@ -187,12 +117,15 @@ where
                     let mut cursors = make_cursors();
                     let mut report = WorkerTrace {
                         claimed: 0,
-                        stolen: 0,
-                        pin: pinned.then_some(pin_plan[w]),
+                        pin: pinned.then_some(cpu),
                     };
                     let mut produced: Vec<(usize, ColumnSink)> = Vec::new();
                     let mut scratch = level_scratch(participants);
-                    while let Some((m, stole)) = schedule.claim(w) {
+                    loop {
+                        let m = next_morsel.fetch_add(1, Ordering::Relaxed);
+                        if m >= slices.len() {
+                            break;
+                        }
                         // cooperative cancellation: stop claiming once the token
                         // fires; the partial output is discarded by the caller
                         if token.is_some_and(|t| t.is_canceled()) {
@@ -207,7 +140,6 @@ where
                             }
                         }
                         report.claimed += 1;
-                        report.stolen += stole as u64;
                         let mut sink = ColumnSink::new(participants.len());
                         join_extensions::<S, C>(
                             &mut cursors,

@@ -66,7 +66,7 @@ pub(super) struct Recording {
     /// atomics — per-level sums are commutative, so the deterministic fields are
     /// identical for any thread count); installed by the WCOJ engines only.
     pub(super) levels: Option<LevelRecorder>,
-    /// Filled by the morsel scheduler with its per-worker claim/steal/pin report.
+    /// Filled by the morsel scheduler with its per-worker claim/pin report.
     pub(super) morsels: OnceLock<MorselTrace>,
 }
 

@@ -16,6 +16,7 @@ use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_obs::Json;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
+use wcoj_storage::topology::available_cpus;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::{four_cycle, triangle};
 
@@ -125,6 +126,15 @@ fn per_level_statistics_are_thread_count_independent() {
                 claimed, morsels.morsels,
                 "every morsel claimed exactly once"
             );
+            // placement is the one rule: worker `w` on CPU `w % cpus`, or unpinned
+            let cpus = available_cpus();
+            for (w, worker) in morsels.workers.iter().enumerate() {
+                assert!(
+                    worker.pin.is_none_or(|cpu| cpu == w % cpus),
+                    "worker {w} pinned to {:?} of {cpus} CPUs",
+                    worker.pin
+                );
+            }
         }
         assert!(serial.morsels.is_none(), "serial runs schedule no morsels");
         // the deepest level emits exactly the output rows

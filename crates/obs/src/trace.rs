@@ -74,8 +74,6 @@ pub struct AtomTrace {
 pub struct WorkerTrace {
     /// Morsels this worker claimed in total.
     pub claimed: u64,
-    /// Of those, morsels stolen from another socket group.
-    pub stolen: u64,
     /// CPU the worker was pinned to, if pinning was active.
     pub pin: Option<usize>,
 }
@@ -153,10 +151,9 @@ impl QueryTrace {
         }
         if let Some(m) = &mut self.morsels {
             // morsel count and worker count are deterministic; who claimed
-            // or stole what is not
+            // what is not
             for w in &mut m.workers {
                 w.claimed = 0;
-                w.stolen = 0;
             }
         }
     }
@@ -243,9 +240,8 @@ impl QueryTrace {
                         out.push_str(", ");
                     }
                     out.push_str(&format!(
-                        "{{\"claimed\": {}, \"stolen\": {}, \"pin\": {}}}",
+                        "{{\"claimed\": {}, \"pin\": {}}}",
                         w.claimed,
-                        w.stolen,
                         w.pin.map_or("null".to_string(), |p| p.to_string())
                     ));
                 }
@@ -332,11 +328,10 @@ impl QueryTrace {
             for (i, w) in m.workers.iter().enumerate() {
                 let pin = w.pin.map_or("-".to_string(), |p| format!("cpu{p}"));
                 out.push_str(&format!(
-                    "{} w{}: {} claimed ({} stolen) pin={}",
+                    "{} w{}: {} claimed pin={}",
                     if i == 0 { " — " } else { "; " },
                     i,
                     w.claimed,
-                    w.stolen,
                     pin
                 ));
             }
@@ -549,7 +544,6 @@ mod tests {
                 morsels: 32,
                 workers: vec![WorkerTrace {
                     claimed: 9,
-                    stolen: 1,
                     pin: Some(0),
                 }],
             }),

@@ -170,12 +170,12 @@ fn parse_constraint_line(
         };
         let xs = parse_var_list(x_part, query)?;
         let mut ys = parse_var_list(y_part, query)?;
-        ys.extend(xs.iter().copied());
-        if ys.len() == xs.len() {
+        if ys.iter().all(|v| xs.contains(v)) {
             return Err(ParseError::Syntax(format!(
                 "degree constraint `{line}` bounds no variable"
             )));
         }
+        ys.extend(xs.iter().copied());
         return Ok(DegreeConstraint::new(xs, ys, bound).with_guard(guard_idx));
     }
     // FD: R: A, B -> C
@@ -186,6 +186,9 @@ fn parse_constraint_line(
             let ys = parse_var_list(rhs, query)?;
             if xs.is_empty() || ys.is_empty() {
                 return Err(ParseError::Syntax(format!("malformed FD `{line}`")));
+            }
+            if ys.iter().all(|v| xs.contains(v)) {
+                return Err(ParseError::Syntax(format!("trivial FD `{line}`")));
             }
             return Ok(DegreeConstraint::functional_dependency(xs, ys).with_guard(guard_idx));
         }
@@ -326,6 +329,77 @@ mod tests {
         assert!(parse_constraints("R: -> B", &q).is_err());
         assert!(parse_constraints("nonsense", &q).is_err());
         assert!(parse_constraints("R: A -> Z", &q).is_err());
+        // trivial after deduplication: `Y ⊆ X`
+        assert!(matches!(
+            parse_constraints("R: A -> A", &q),
+            Err(ParseError::Syntax(_))
+        ));
+        assert!(matches!(
+            parse_constraints("R: A, B -> B, A", &q),
+            Err(ParseError::Syntax(_))
+        ));
+        assert!(matches!(
+            parse_constraints("deg(R; A | A) <= 5", &q),
+            Err(ParseError::Syntax(_))
+        ));
+    }
+
+    /// SplitMix64 (Steele et al. 2014) — local copy so the query crate's
+    /// tests stay dependency-free.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound.max(1) as u64) as usize
+        }
+    }
+
+    /// Seeded byte mutations (replace, insert, delete — half the new bytes from
+    /// the syntax's own alphabet, half arbitrary, so invalid UTF-8 reaches the
+    /// parser through `from_utf8_lossy`) of the module-doc examples: every
+    /// input parses to `Ok` or `Err`, never a panic.
+    #[test]
+    fn mutated_text_never_panics() {
+        const ALPHABET: &[u8] = b"ABCDRSTWQ(),.:-><=|;# 059\n";
+        let q = parse_query("R(A), S(A,B), T(B,C), W(C,A,D)").unwrap();
+        let seeds: [&[u8]; 2] = [
+            b"Q(A, B, C) :- R(A, B), S(B, C), T(A, C).",
+            b"|R| <= 1000\ndeg(W; A, D | C) <= 50\nS: A -> B\ndeg(S; B | A) <= 5",
+        ];
+        let mut rng = SplitMix64(0x9A25E);
+        for round in 0..20_000 {
+            let mut bytes = seeds[round % seeds.len()].to_vec();
+            for _ in 0..1 + rng.below(3) {
+                let byte = if rng.below(2) == 0 {
+                    ALPHABET[rng.below(ALPHABET.len())]
+                } else {
+                    rng.next() as u8
+                };
+                let at = rng.below(bytes.len() + 1);
+                match rng.below(3) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.push(byte),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| {
+                let _ = parse_query(&text);
+                let _ = parse_constraints(&text, &q);
+            });
+            assert!(outcome.is_ok(), "round {round} panicked on {text:?}");
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@
 //!   workers' counters merge associatively;
 //! * [`simd`] / [`topology`] — host *detection*, which never moves a result or a
 //!   counter: runtime-dispatched SIMD intersection and seek primitives (AVX2 /
-//!   NEON with a scalar fallback, selected once at startup) and a `/sys`-based
-//!   CPU-topology probe for socket/SMT-aware worker placement. All SIMD paths are
+//!   NEON with a scalar fallback, selected once at startup) and the CPU count
+//!   behind worker placement (worker `w` pins to CPU `w % cpus`). All SIMD paths are
 //!   bit-identical to scalar in both output **and** recorded work: the counters
 //!   replay the scalar algorithm's tally arithmetically from the landing
 //!   position, so recorded work baselines stay machine-independent. There is

@@ -779,12 +779,10 @@ pub(crate) fn argsort_columns(
 /// `threads <= 1`) fall back to the serial sort. This is the parallel merge
 /// machinery behind [`Relation::sort_perm_threads`].
 ///
-/// Workers are pinned by [`crate::topology::CpuTopology::pin_plan`] (advisory;
-/// `WCOJ_NO_PIN=1` disables): the plan is socket-major, chunk `i`'s sorter runs
-/// on `plan[i]`, and the merger of runs `2j, 2j+1` runs on the CPU that sorted
-/// the left run — so each pairwise merge tree stays socket-local (warm last-level
-/// cache) until the final cross-socket rounds. Placement never changes chunk or
-/// merge boundaries, so the permutation is identical with or without pinning.
+/// Chunk `i`'s sorter pins to [`crate::topology::worker_cpu`]`(i)` and the
+/// merger of runs `2j, 2j+1` to `worker_cpu(j)` (advisory). Placement never
+/// changes chunk or merge boundaries, so the permutation is identical with or
+/// without pinning.
 pub(crate) fn argsort_columns_threads(
     columns: &[Vec<Value>],
     positions: &[usize],
@@ -796,8 +794,6 @@ pub(crate) fn argsort_columns_threads(
         return argsort_columns(columns, positions, len);
     }
     let chunk = len.div_ceil(threads);
-    let plan = crate::topology::CpuTopology::detect().pin_plan(threads);
-    let plan = &plan;
     let mut runs: Vec<Vec<usize>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..len)
             .step_by(chunk)
@@ -805,7 +801,7 @@ pub(crate) fn argsort_columns_threads(
             .map(|(i, start)| {
                 let end = (start + chunk).min(len);
                 scope.spawn(move || {
-                    crate::topology::pin_current_thread(plan[i % plan.len()]);
+                    crate::topology::pin_current_thread(crate::topology::worker_cpu(i));
                     let mut run: Vec<usize> = (start..end).collect();
                     run.sort_unstable_by(|&a, &b| cmp_columns_at(columns, positions, a, b));
                     run
@@ -817,17 +813,14 @@ pub(crate) fn argsort_columns_threads(
             .map(|h| h.join().expect("argsort worker"))
             .collect()
     });
-    // each merge round doubles the number of original chunks per run; `stride`
-    // tracks it so merge worker j maps back to the CPU of its leftmost chunk
-    let mut stride = 1usize;
     while runs.len() > 1 {
         runs = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             let mut iter = runs.into_iter().enumerate();
-            while let Some((j, a)) = iter.next() {
+            while let Some((left, a)) = iter.next() {
                 match iter.next() {
                     Some((_, b)) => handles.push(scope.spawn(move || {
-                        crate::topology::pin_current_thread(plan[(j * stride) % plan.len()]);
+                        crate::topology::pin_current_thread(crate::topology::worker_cpu(left / 2));
                         let mut out = Vec::with_capacity(a.len() + b.len());
                         let (mut i, mut j) = (0usize, 0usize);
                         while i < a.len() && j < b.len() {
@@ -851,7 +844,6 @@ pub(crate) fn argsort_columns_threads(
                 .map(|h| h.join().expect("merge worker"))
                 .collect()
         });
-        stride *= 2;
     }
     runs.pop().unwrap_or_default()
 }

@@ -1,191 +1,13 @@
-//! CPU-topology detection and worker placement.
+//! Worker placement: one rule, `worker w → CPU w % available_cpus()`.
 //!
-//! Parallel construction and execution in this workspace split work into
-//! morsels claimed by scoped worker threads. Where those workers *run* matters
-//! on real machines: two workers sharing an SMT pair compete for one core's
-//! ports, and a worker migrating across sockets drags its working set across
-//! the interconnect. This module gives the parallel layers just enough
-//! topology awareness to avoid both, without any external dependency:
-//!
-//! * [`CpuTopology::detect`] parses `/sys/devices/system/cpu/*/topology/` into
-//!   a per-CPU (package, core) map, falling back to a flat single-socket view
-//!   when sysfs is unavailable (non-Linux, sandboxes);
-//! * [`CpuTopology::pin_plan`] assigns each of `n` workers a CPU — distinct
-//!   physical cores first, SMT siblings only once every core is occupied,
-//!   filling one socket before spilling to the next so small worker groups
-//!   stay socket-local;
-//! * [`CpuTopology::socket_groups`] groups worker indices by the socket their
-//!   planned CPU lives on, which the morsel scheduler uses to hand each group
-//!   a contiguous range of the iteration space (socket-local first, stealing
-//!   across sockets only when a group's range is exhausted);
-//! * [`pin_current_thread`] applies the plan with one raw `sched_setaffinity`
-//!   syscall (no libc binding in this workspace). Pinning is advisory: any
-//!   failure is ignored, and `WCOJ_NO_PIN=1` disables it outright.
+//! Both parallel seams (morsel-driven joins and the parallel sort) pin worker
+//! `w` to [`worker_cpu`]`(w)` with one raw `sched_setaffinity` syscall (no libc
+//! binding in this workspace). Pinning is advisory: a failed pin is ignored.
 //!
 //! None of this affects results or recorded work — morsel counts and counter
 //! merging are deterministic regardless of placement — only wall-clock.
 
 use std::sync::OnceLock;
-
-/// One logical CPU's position in the machine: its kernel id, the physical
-/// package (socket) it belongs to, and its core id within that package. Two
-/// CPUs with equal `(package, core)` are SMT siblings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuSlot {
-    /// Kernel CPU number (`cpuN` in sysfs), usable with `sched_setaffinity`.
-    pub cpu: usize,
-    /// Physical package (socket) id.
-    pub package: usize,
-    /// Core id within the package.
-    pub core: usize,
-}
-
-/// The machine's CPU layout: every online logical CPU with its socket and
-/// core coordinates, in ascending CPU-id order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuTopology {
-    slots: Vec<CpuSlot>,
-}
-
-impl CpuTopology {
-    /// Detect the host topology from sysfs, cached for the process lifetime.
-    ///
-    /// Falls back to [`CpuTopology::flat`] over [`available_cpus`] when sysfs
-    /// is unreadable, so callers never need a fallback path of their own.
-    pub fn detect() -> &'static CpuTopology {
-        static DETECTED: OnceLock<CpuTopology> = OnceLock::new();
-        DETECTED.get_or_init(|| Self::from_sysfs().unwrap_or_else(|| Self::flat(available_cpus())))
-    }
-
-    /// A synthetic single-socket topology with `n` independent cores — the
-    /// portable fallback, and a convenient fixture for deterministic tests.
-    pub fn flat(n: usize) -> CpuTopology {
-        CpuTopology {
-            slots: (0..n.max(1))
-                .map(|cpu| CpuSlot {
-                    cpu,
-                    package: 0,
-                    core: cpu,
-                })
-                .collect(),
-        }
-    }
-
-    /// Build a topology from an explicit slot list (tests and plan fixtures).
-    /// Slots are sorted by CPU id; an empty list yields a single-CPU machine.
-    pub fn from_slots(mut slots: Vec<CpuSlot>) -> CpuTopology {
-        if slots.is_empty() {
-            return Self::flat(1);
-        }
-        slots.sort_by_key(|s| s.cpu);
-        CpuTopology { slots }
-    }
-
-    fn from_sysfs() -> Option<CpuTopology> {
-        let mut slots = Vec::new();
-        let entries = std::fs::read_dir("/sys/devices/system/cpu").ok()?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_str()?;
-            let Some(rest) = name.strip_prefix("cpu") else {
-                continue;
-            };
-            let Ok(cpu) = rest.parse::<usize>() else {
-                continue;
-            };
-            let base = entry.path().join("topology");
-            let read = |leaf: &str| -> Option<usize> {
-                std::fs::read_to_string(base.join(leaf))
-                    .ok()?
-                    .trim()
-                    .parse()
-                    .ok()
-            };
-            // CPUs without a topology directory are offline; skip them.
-            let (Some(package), Some(core)) = (read("physical_package_id"), read("core_id")) else {
-                continue;
-            };
-            slots.push(CpuSlot { cpu, package, core });
-        }
-        if slots.is_empty() {
-            None
-        } else {
-            Some(Self::from_slots(slots))
-        }
-    }
-
-    /// All online logical CPUs, ascending by CPU id.
-    pub fn slots(&self) -> &[CpuSlot] {
-        &self.slots
-    }
-
-    /// Number of distinct physical packages (sockets).
-    pub fn packages(&self) -> usize {
-        let mut ids: Vec<usize> = self.slots.iter().map(|s| s.package).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
-    /// Assign each of `threads` workers a CPU id. Distinct physical cores are
-    /// handed out first (so no two workers share an SMT pair until every core
-    /// is busy), one socket is filled before the next (so small worker counts
-    /// stay socket-local), and the plan wraps around when `threads` exceeds
-    /// the number of logical CPUs.
-    pub fn pin_plan(&self, threads: usize) -> Vec<usize> {
-        // Order slots: socket-major, and within a socket every first SMT
-        // sibling of each core before any second sibling.
-        let mut ordered: Vec<(usize, CpuSlot)> = Vec::with_capacity(self.slots.len());
-        let mut seen_cores: Vec<(usize, usize, usize)> = Vec::new(); // (package, core, count)
-        for &slot in &self.slots {
-            let smt_rank = match seen_cores
-                .iter_mut()
-                .find(|(p, c, _)| *p == slot.package && *c == slot.core)
-            {
-                Some((_, _, count)) => {
-                    *count += 1;
-                    *count - 1
-                }
-                None => {
-                    seen_cores.push((slot.package, slot.core, 1));
-                    0
-                }
-            };
-            ordered.push((smt_rank, slot));
-        }
-        ordered.sort_by_key(|&(smt_rank, slot)| (smt_rank, slot.package, slot.cpu));
-        (0..threads)
-            .map(|w| ordered[w % ordered.len()].1.cpu)
-            .collect()
-    }
-
-    /// Group worker indices `0..threads` by the socket their planned CPU
-    /// belongs to, in ascending socket order. Workers on the same socket share
-    /// cache and memory locality, so the morsel scheduler gives each group a
-    /// contiguous slice of the iteration space.
-    pub fn socket_groups(&self, threads: usize) -> Vec<Vec<usize>> {
-        let plan = self.pin_plan(threads);
-        let package_of = |cpu: usize| {
-            self.slots
-                .iter()
-                .find(|s| s.cpu == cpu)
-                .map_or(0, |s| s.package)
-        };
-        let mut packages: Vec<usize> = plan.iter().map(|&cpu| package_of(cpu)).collect();
-        let mut distinct = packages.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        packages.truncate(threads);
-        distinct
-            .into_iter()
-            .map(|pkg| {
-                (0..threads)
-                    .filter(|&w| packages[w] == pkg)
-                    .collect::<Vec<usize>>()
-            })
-            .collect()
-    }
-}
 
 /// Number of CPUs available to this process, from `std::thread` — read once.
 /// `available_parallelism` reports the *calling thread's* affinity mask, which
@@ -196,24 +18,16 @@ pub fn available_cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Whether pinning is enabled for this process (`WCOJ_NO_PIN` unset).
-pub fn pinning_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !std::env::var("WCOJ_NO_PIN")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
+/// The CPU worker `w` of a parallel seam pins to: `w % available_cpus()`.
+pub fn worker_cpu(w: usize) -> usize {
+    w % available_cpus()
 }
 
 /// Pin the calling thread to `cpu`. Best-effort and advisory: returns `false`
-/// (and leaves affinity untouched) when pinning is disabled via `WCOJ_NO_PIN`,
-/// unsupported on this platform, or rejected by the kernel. Never affects
-/// results — only where the scheduler places the thread.
+/// (and leaves affinity untouched) when pinning is unsupported on this
+/// platform or rejected by the kernel. Never affects results — only where the
+/// scheduler places the thread.
 pub fn pin_current_thread(cpu: usize) -> bool {
-    if !pinning_enabled() {
-        return false;
-    }
     imp::pin_current_thread(cpu)
 }
 
@@ -282,52 +96,15 @@ mod imp {
 mod tests {
     use super::*;
 
-    fn two_socket_smt() -> CpuTopology {
-        // 2 sockets × 2 cores × 2 SMT threads; sibling pairs (0,4) (1,5) (2,6) (3,7).
-        CpuTopology::from_slots(
-            (0..8)
-                .map(|cpu| CpuSlot {
-                    cpu,
-                    package: (cpu % 4) / 2,
-                    core: cpu % 2,
-                })
-                .collect(),
-        )
-    }
-
     #[test]
-    fn detect_is_nonempty_and_cached() {
-        let t = CpuTopology::detect();
-        assert!(!t.slots().is_empty());
-        assert!(std::ptr::eq(t, CpuTopology::detect()));
-    }
-
-    #[test]
-    fn flat_plan_is_identity_then_wraps() {
-        let t = CpuTopology::flat(4);
-        assert_eq!(t.pin_plan(4), vec![0, 1, 2, 3]);
-        assert_eq!(t.pin_plan(6), vec![0, 1, 2, 3, 0, 1]);
-        assert_eq!(t.packages(), 1);
-    }
-
-    #[test]
-    fn plan_fills_cores_before_smt_siblings() {
-        let t = two_socket_smt();
-        // Socket 0 cores are cpus {0,1} (siblings {4,5}); socket 1 cores are
-        // {2,3} (siblings {6,7}). Four workers must land on four distinct
-        // physical cores; eight workers then add the siblings.
-        assert_eq!(t.pin_plan(4), vec![0, 1, 2, 3]);
-        assert_eq!(t.pin_plan(8), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn socket_groups_partition_workers() {
-        let t = two_socket_smt();
-        assert_eq!(t.packages(), 2);
-        let groups = t.socket_groups(4);
-        assert_eq!(groups, vec![vec![0, 1], vec![2, 3]]);
-        let all: usize = t.socket_groups(7).iter().map(Vec::len).sum();
-        assert_eq!(all, 7);
+    fn worker_cpu_wraps() {
+        let n = available_cpus();
+        assert_eq!(
+            (0..n).map(worker_cpu).collect::<Vec<_>>(),
+            (0..n).collect::<Vec<_>>()
+        );
+        assert_eq!(worker_cpu(n), 0);
+        assert_eq!(worker_cpu(2 * n + 1), 1 % n);
     }
 
     /// A pin narrows the calling thread's affinity mask; the process-wide
@@ -347,9 +124,9 @@ mod tests {
 
     #[test]
     fn pin_current_thread_is_advisory() {
-        // Must not panic regardless of platform support; on Linux pinning to
-        // CPU 0 of this process should generally succeed unless disabled.
+        // Must not panic regardless of platform support; an out-of-range CPU
+        // is refused, not an error.
         let _ = pin_current_thread(0);
-        let _ = pin_current_thread(usize::MAX);
+        assert!(!pin_current_thread(usize::MAX));
     }
 }
