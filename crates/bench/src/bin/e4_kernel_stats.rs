@@ -18,7 +18,7 @@ use std::time::Instant;
 use wcoj_bench::ExperimentTable;
 use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
-use wcoj_storage::{kernels, KernelPolicy, Value, WorkCounter};
+use wcoj_storage::{kernels, simd, KernelPolicy, Value, WorkCounter};
 use wcoj_workloads::{hub_spoke, kclique, triangle, triangle_skewed, SplitMix64, Workload};
 
 fn median_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -126,7 +126,7 @@ fn dense_intersection_microbench(reps: usize) {
             })
             .collect();
         let layout = |i: usize| kernels::layout_of(groups[i][0], &layouts[i]).expect("dense");
-        let w = WorkCounter::new();
+        let (w, level) = (WorkCounter::new(), simd::active_level());
         let (mut by_list, mut by_layout) = (Vec::new(), Vec::new());
         let mut out_values = 0usize;
         let mut time_ns = |dense: bool, out: &mut Vec<Value>| {
@@ -136,7 +136,8 @@ fn dense_intersection_microbench(reps: usize) {
                 let lists: [&[Value]; 2] = [&groups[a], &groups[b]];
                 out.clear(); // the kernels append
                 if dense {
-                    kernels::intersect_layouts_into(out, &lists, &[layout(a), layout(b)], &w);
+                    let layouts = [layout(a), layout(b)];
+                    kernels::intersect_layouts_into(level, out, &lists, &layouts, &w);
                 } else {
                     kernels::intersect_into(out, &lists, KernelPolicy::Adaptive, &w);
                 }

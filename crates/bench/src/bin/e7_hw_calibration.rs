@@ -7,13 +7,15 @@
 //!
 //! 2. **Kernel microbench** — the merge/gallop/bitmap kernels at every
 //!    runnable SIMD level on dense and short/skewed list shapes, so the
-//!    SIMD-vs-scalar ratio of each inner loop is visible in isolation.
+//!    SIMD-vs-scalar ratio of each inner loop is visible in isolation; then
+//!    one AND of two 5-word set layouts, and the name of the layout decoder
+//!    the native level runs (`vbmi2` or `scalar`).
 //! 3. **End-to-end SIMD A/B** — serial triangle joins (uniform and Zipf) with
 //!    process-wide dispatch flipped between `Scalar` and the native level via
 //!    [`wcoj_storage::simd::force_active_level`]; asserts bit-identical output
 //!    and work counters, reports the wall-clock ratio.
-//! 5. **Morsel scaling** — threads 1/2/4, worker `w` pinned to CPU
-//!    `w % available_cpus()`.
+//! 5. **Morsel scaling** — threads 1/2/4, worker `w` pinned to
+//!    `topology::worker_cpu(w)`.
 //!
 //! `--smoke` shrinks sizes/iterations for CI; the full run backs the numbers
 //! quoted in `EXPERIMENTS.md`.
@@ -109,6 +111,58 @@ fn main() {
             println!("{line}");
         }
     }
+    // the deepest step of a dense triangle: one AND of two prebuilt layouts,
+    // each about 70 of 320 values, whose decode is most of the cost
+    let groups: Vec<Vec<Value>> = (0..2)
+        .map(|_| {
+            (64..384)
+                .filter(|_| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed % 100 < 22
+                })
+                .collect()
+        })
+        .collect();
+    let words: Vec<Vec<u64>> = groups
+        .iter()
+        .map(|g| {
+            let mut words = Vec::new();
+            assert_eq!(kernels::append_layout(&mut words, g), 5, "a 5-word layout");
+            words
+        })
+        .collect();
+    let layouts: Vec<kernels::Layout> = (0..2)
+        .map(|i| kernels::layout_of(groups[i][0], &words[i]).expect("dense"))
+        .collect();
+    let lists: [&[Value]; 2] = [&groups[0], &groups[1]];
+    let reps = 10_000;
+    let (mut timings, mut values) = (String::new(), 0);
+    for level in simd::runnable_levels() {
+        let mut out = Vec::new();
+        let ms = min_time_ms(
+            || {
+                for _ in 0..reps {
+                    out.clear(); // the kernels append
+                    kernels::intersect_layouts_into(level, &mut out, &lists, &layouts, &w);
+                    std::hint::black_box(&out);
+                }
+            },
+            iters,
+        );
+        values = out.len();
+        timings.push_str(&format!(" {level:?} {ms:.3}ms/{reps}"));
+    }
+    println!("  layouts 2x5 words ({values} values):{timings}");
+    println!(
+        "  layout decoder at {native:?}: {}",
+        if simd::decode_vbmi2(native) {
+            "vbmi2"
+        } else {
+            "scalar"
+        }
+    );
 
     // ---- 3. end-to-end SIMD A/B -----------------------------------------
     println!("\nE7.3 end-to-end serial joins, {native:?} vs Scalar (min of {iters})");

@@ -2,7 +2,7 @@
 //!
 //! Re-measures the serial benchmark matrix at smoke-scale sizes and diffs every
 //! row against the committed `BENCH_joins.json` baseline (matched on
-//! workload/engine, `threads == 1`). Two checks per row:
+//! workload/engine, `threads == 1`). Every check is on counters or rows:
 //!
 //! * **work** — the deterministic `total_work` tally must not exceed the
 //!   baseline by more than the threshold (default 10%). Work counters are exactly
@@ -13,13 +13,11 @@
 //!   are a pure function of the data and the constant thresholds: any drift means the kernel-selection logic (or
 //!   a counted kernel's accounting) changed, and the baseline must be re-recorded
 //!   deliberately rather than absorbed silently.
-//! * **wall-clock** — the fresh time must not exceed the baseline median by more
-//!   than `--time-factor` (default 1.10). The fresh measurement is the **minimum**
-//!   of the timed iterations: scheduler noise and co-tenant interference only ever
-//!   *add* time, so the minimum is the robust estimator for "did the code get
-//!   slower". Wall-clock comparisons are only meaningful against a baseline
-//!   recorded on comparable hardware, so CI runs with a looser
-//!   `--time-factor 1.5` and relies on the work gate for precision.
+//! * **wall-clock** — printed, not gated: each row's `time_ratio` is the fresh
+//!   time (the **minimum** of the timed iterations, since noise only ever adds
+//!   time) over the baseline median. A wall-clock ratio against a baseline from
+//!   other hardware, or another phase of a shared host, says nothing a counter
+//!   does not say more precisely.
 //! * **cache differential** — every row is additionally executed once with the
 //!   access-structure cache off ([`CacheMode::Off`]), and the output relation
 //!   plus the **entire** work counter — including the exact per-kernel
@@ -33,15 +31,15 @@
 //! * **trace differential** — every row is executed once more with a
 //!   [`TraceSink`] installed, and the output relation plus the entire work
 //!   counter must again be bit-identical: observability may watch the join but
-//!   never steer it. The timed iterations run trace-off, so the gate also
-//!   bounds any residual cost of the disabled trace path.
+//!   never steer it. The timed iterations run trace-off, so `time_ratio` also
+//!   shows any residual cost of the disabled trace path.
 //!
 //! Exits non-zero if any row regresses — wire as a CI step:
-//! `cargo run --release -p wcoj-bench --bin perf_gate -- --time-factor 1.5`.
+//! `cargo run --release -p wcoj-bench --bin perf_gate`.
 //!
 //! Options: `--baseline <path>` (default `BENCH_joins.json` at the workspace
-//! root), `--time-factor <f>`, `--work-factor <f>`, `--full` (measure the full
-//! non-smoke size matrix; slower).
+//! root), `--work-factor <f>`, `--full` (measure the full non-smoke size
+//! matrix; slower).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,9 +68,6 @@ fn arg_value(args: &[String], name: &str) -> Option<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let time_factor: f64 = arg_value(&args, "--time-factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.10);
     let work_factor: f64 = arg_value(&args, "--work-factor")
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.10);
@@ -109,7 +104,7 @@ fn main() {
 
     let mut table = ExperimentTable::new(
         format!(
-            "perf gate: fresh serial medians vs {} (work x{work_factor:.2}, time x{time_factor:.2})",
+            "perf gate: fresh serial medians vs {} (work x{work_factor:.2}; time_ratio printed, not gated)",
             baseline_path.display()
         ),
         &[
@@ -270,12 +265,6 @@ fn main() {
                         "{label}/{engine_name}: {tally} {base_value} -> {fresh_value} (breakdown must match exactly)"
                     ));
                 }
-            }
-            if time_ratio > time_factor {
-                failures.push(format!(
-                    "{label}/{engine_name}: baseline median {:.3}ms -> fresh min {fresh_ms:.3}ms (x{time_ratio:.3} > x{time_factor:.2})",
-                    base.median_ms
-                ));
             }
         }
     }

@@ -323,7 +323,7 @@ pub(crate) fn level_extension_into<C: TrieAccess>(
         &[]
     };
     let chosen = if dense && layouts.len() == parts.len() {
-        kernels::intersect_layouts_into(ext, lists, layouts, counter)
+        kernels::intersect_layouts_into(simd, ext, lists, layouts, counter)
     } else {
         kernels::intersect_into_at(simd, ext, lists, policy, counter)
     };

@@ -23,8 +23,9 @@
 //!
 //! # Placement
 //!
-//! Worker `w` pins to CPU [`wcoj_storage::topology::worker_cpu`]`(w)`, i.e.
-//! `w % available_cpus()` (advisory: a failed pin is ignored). Placement
+//! Worker `w` pins to CPU [`wcoj_storage::topology::worker_cpu`]`(w)`, the
+//! `(w mod k)`-th of the `k` CPUs the process may run on (advisory: a failed
+//! pin is ignored). Placement
 //! changes *where* a worker runs, never the morsel boundaries — so results and
 //! merged counters stay bit-identical to serial execution.
 //!

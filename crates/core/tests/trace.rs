@@ -16,7 +16,7 @@ use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_obs::Json;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_storage::topology::available_cpus;
+use wcoj_storage::topology::worker_cpu;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::{four_cycle, triangle};
 
@@ -126,14 +126,14 @@ fn per_level_statistics_are_thread_count_independent() {
                 claimed, morsels.morsels,
                 "every morsel claimed exactly once"
             );
-            // placement is the one rule: worker `w` on CPU `w % cpus`, or unpinned
-            let cpus = available_cpus();
+            // placement is the one rule, and on Linux the pin lands: worker
+            // `w` on an allowed CPU, `worker_cpu(w)`
+            let pins = cfg!(all(
+                target_os = "linux",
+                any(target_arch = "x86_64", target_arch = "aarch64")
+            ));
             for (w, worker) in morsels.workers.iter().enumerate() {
-                assert!(
-                    worker.pin.is_none_or(|cpu| cpu == w % cpus),
-                    "worker {w} pinned to {:?} of {cpus} CPUs",
-                    worker.pin
-                );
+                assert_eq!(worker.pin, pins.then(|| worker_cpu(w)), "worker {w}");
             }
         }
         assert!(serial.morsels.is_none(), "serial runs schedule no morsels");

@@ -57,6 +57,13 @@
 //!   [`intersect_into_at`] unchanged. The list-bitmap kernel stays: it is the
 //!   only bitmap path for delta-backed atoms and for sparse groups whose
 //!   *common* window is dense.
+//! * **Decode.** Turning the ANDed words back into values is most of a dense
+//!   intersection's cost. Both bitmap paths decode through
+//!   [`simd::decode_words`] at the caller's level, which has no per-bit exit
+//!   on any level: a VBMI2 compress-store where the x86 host has it, 8
+//!   unconditional scalar slot writes per word everywhere else. The decode is
+//!   uncharged — each path's tallies are charged before it — so no counter
+//!   depends on the decoder.
 //!
 //! # Append contract
 //!
@@ -251,7 +258,7 @@ pub fn intersect_into_at(
     match kind {
         KernelKind::Merge => merge_intersect(level, out, lists, counter),
         KernelKind::Gallop => gallop_intersect(level, out, lists, counter),
-        KernelKind::Bitmap => bitmap_intersect(out, lists, lo, hi, counter),
+        KernelKind::Bitmap => bitmap_intersect(level, out, lists, lo, hi, counter),
     }
     Some(kind)
 }
@@ -449,6 +456,7 @@ fn gallop_intersect(
 /// smallest list, AND in a bitset of each other list, then decode set bits (in
 /// word order, so the output is ascending).
 fn bitmap_intersect(
+    level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     lo: Value,
@@ -544,29 +552,7 @@ fn bitmap_intersect(
     counter.add_comparisons(scanned);
     counter.add_probes((words * lists.len()) as u64);
 
-    decode_words(out, lo, acc);
-}
-
-/// Append the values of the bitset `words` — `base + 64·i + b` for every set
-/// bit `b` of `words[i]`, ascending — to `out`. The bits are counted first, so
-/// `out` grows once, by exactly the slots the decode loop then fills: no
-/// per-value capacity check, no length written back per value.
-#[inline]
-fn decode_words(out: &mut Vec<Value>, base: Value, words: &[u64]) {
-    let total: usize = words.iter().map(|w| w.count_ones() as usize).sum();
-    let start = out.len();
-    out.resize(start + total, 0);
-    // one slot per set bit: the slots drive the loop, each taking the next
-    // set bit at or after word `i`
-    let (mut i, mut bits) = (0, words.first().copied().unwrap_or(0));
-    for slot in &mut out[start..] {
-        while bits == 0 {
-            i += 1;
-            bits = words[i];
-        }
-        *slot = base + 64 * i as u64 + bits.trailing_zeros() as u64;
-        bits &= bits - 1;
-    }
+    simd::decode_words(level, out, lo, acc);
 }
 
 /// The most words one layout takes: a dense group spans at most
@@ -629,11 +615,13 @@ pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
 /// comes from `lists` exactly as [`intersect_into_at`]'s prefilter computes it
 /// — which also masks off the values behind each cursor — and the covered
 /// words are ANDed first (every layout sits on the same 64-grid), masked at the
-/// span's two ends, then counted and decoded ascending in one go. Nothing is
-/// scanned, so the charge is one `Bitmap` invocation and `words · k` probes, no
-/// comparisons. Returns `None` when a short-circuit (empty operand, disjoint
-/// spans) answered first.
+/// span's two ends, then decoded ascending by [`simd::decode_words`] at
+/// `level`, the only step the level changes. Nothing is scanned, so the charge
+/// is one `Bitmap` invocation and `words · k` probes, no comparisons, and the
+/// decode is uncharged. Returns `None` when a short-circuit (empty operand,
+/// disjoint spans) answered first.
 pub fn intersect_layouts_into(
+    level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
     layouts: &[Layout<'_>],
@@ -664,7 +652,7 @@ pub fn intersect_layouts_into(
     }
     acc[0] &= u64::MAX << (lo % 64);
     acc[acc.len() - 1] &= u64::MAX >> (63 - hi % 64);
-    decode_words(out, first * 64, acc);
+    simd::decode_words(level, out, first * 64, acc);
     Some(KernelKind::Bitmap)
 }
 
@@ -717,7 +705,7 @@ mod tests {
             .map(|(g, ws)| layout_of(g[0], ws).expect("dense"))
             .collect();
         let lists: Vec<&[Value]> = groups.iter().zip(skip).map(|(g, &s)| &g[s..]).collect();
-        intersect_layouts_into(out, &lists, &layouts, w);
+        intersect_layouts_into(simd::active_level(), out, &lists, &layouts, w);
         Some(())
     }
 
@@ -856,7 +844,7 @@ mod tests {
             assert!(base <= group[0] && group[0] - base < 64);
             assert!(words.len() <= group.len() / 4 + 2, "{} words", words.len());
             let mut decoded = Vec::new();
-            decode_words(&mut decoded, base, words);
+            simd::decode_words(simd::active_level(), &mut decoded, base, words);
             assert_eq!(decoded, group);
         }
         assert!(

@@ -64,9 +64,11 @@
 //!   check the *work* bounds the paper proves, not just wall-clock time. Parallel
 //!   workers' counters merge associatively;
 //! * [`simd`] / [`topology`] — host *detection*, which never moves a result or a
-//!   counter: runtime-dispatched SIMD intersection and seek primitives (AVX2 /
-//!   NEON with a scalar fallback, selected once at startup) and the CPU count
-//!   behind worker placement (worker `w` pins to CPU `w % cpus`). All SIMD paths are
+//!   counter: runtime-dispatched SIMD intersection, seek and set-layout decode
+//!   primitives (AVX2 / NEON with a scalar fallback, selected once at startup;
+//!   a VBMI2 decode inside the AVX2 level) and the affinity mask behind worker
+//!   placement (worker `w` pins to the `(w mod k)`-th of the process's `k`
+//!   allowed CPUs). All SIMD paths are
 //!   bit-identical to scalar in both output **and** recorded work: the counters
 //!   replay the scalar algorithm's tally arithmetically from the landing
 //!   position, so recorded work baselines stay machine-independent. There is

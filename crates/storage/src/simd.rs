@@ -9,15 +9,23 @@
 //!
 //! Dispatch:
 //! * x86-64 with AVX2 → 4×u64 block kernels (`_mm256_cmpeq_epi64` + movemask).
+//!   Inside that level, set-layout decode ([`decode_words`]) runs a
+//!   compress-store body when the host also has AVX-512 F + BW + VBMI2
+//!   (detected once, like the level; see [`decode_vbmi2`]) — a refinement of
+//!   the x86 level, not a level of its own.
 //! * aarch64 with NEON → 2×u64 block kernels.
 //! * anything else, or `WCOJ_FORCE_SCALAR=1` → the scalar fallback.
+//!
+//! Every level without VBMI2 decodes layouts with the branch-light scalar body:
+//! 8 unconditional slot writes per word, more rounds only for a word with more
+//! than 8 bits set.
 //!
 //! The force-scalar escape hatch is read once at first use; tests that need to
 //! cover both paths on one machine pass an explicit [`SimdLevel`], or flip the
 //! process-wide dispatch between runs with the hidden test-support hook
 //! `force_active_level`, instead of mutating the environment.
 
-// The only unsafe in the storage crate (with the `topology` pinning syscall):
+// The only unsafe in the storage crate (with the `topology` affinity syscalls):
 // `#[target_feature]` intrinsics, each call guarded by runtime detection.
 #![allow(unsafe_code)]
 
@@ -293,6 +301,136 @@ unsafe fn linear_lub_avx2(values: &[Value], start: usize, end: usize, target: Va
     linear_lub_scalar(values, i, end, target)
 }
 
+/// VBMI2 detection cache: 0 = not yet detected, 1 = absent, 2 = present.
+static VBMI2: AtomicU8 = AtomicU8::new(0);
+
+/// Whether [`decode_words`] at `level` runs the VBMI2 compress-store body:
+/// the x86 level on a host that also has AVX-512 F, BW and VBMI2. Detected once
+/// at first use; every other case runs the scalar body.
+pub fn decode_vbmi2(level: SimdLevel) -> bool {
+    if level != SimdLevel::Avx2 {
+        return false;
+    }
+    match VBMI2.load(Ordering::Relaxed) {
+        0 => {
+            #[cfg(target_arch = "x86_64")]
+            let found = std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vbmi2");
+            #[cfg(not(target_arch = "x86_64"))]
+            let found = false;
+            VBMI2.store(1 + found as u8, Ordering::Relaxed);
+            found
+        }
+        byte => byte == 2,
+    }
+}
+
+/// Append the values of the bitset `words` — `base + 64·i + b` for every set
+/// bit `b` of `words[i]`, ascending — to `out`, leaving what `out` holds
+/// untouched. The bits are counted first, so `out` grows once; each word then
+/// writes 8 slots unconditionally (garbage past its own values, which the next
+/// word or the final length cut off) and more rounds only when it has more
+/// than 8 bits, so the loop's exits do not depend on where the bits lie.
+pub fn decode_words(level: SimdLevel, out: &mut Vec<Value>, base: Value, words: &[u64]) {
+    match level {
+        // SAFETY: `decode_vbmi2` saw avx512f, avx512bw and avx512vbmi2 on this host.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if decode_vbmi2(level) => unsafe { decode_words_vbmi2(out, base, words) },
+        _ => decode_words_scalar(out, base, words),
+    }
+}
+
+/// The portable decode: 8 `tzcnt`/`blsr` slot writes per round into a buffer
+/// with 8 spare slots, then cut back to the exact length.
+fn decode_words_scalar(out: &mut Vec<Value>, base: Value, words: &[u64]) {
+    let total: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+    let start = out.len();
+    out.resize(start + total + 8, 0);
+    let slots = &mut out[start..];
+    let mut n = 0;
+    for (i, &word) in words.iter().enumerate() {
+        let word_base = base + 64 * i as u64;
+        let count = word.count_ones() as usize;
+        let mut bits = word;
+        let mut k = 0;
+        loop {
+            // rounds end at n + count + 7 at most, inside the 8 spare slots
+            for slot in &mut slots[n + k..n + k + 8] {
+                // an exhausted word writes word_base + 64: garbage, which may
+                // wrap on the top word of the value range
+                *slot = word_base.wrapping_add(bits.trailing_zeros() as u64);
+                bits &= bits.wrapping_sub(1);
+            }
+            k += 8;
+            if k >= count {
+                break;
+            }
+        }
+        n += count;
+    }
+    out.truncate(start + total);
+}
+
+/// Byte `i` is `i`: compressed by a word's bits, it lists their positions.
+#[cfg(target_arch = "x86_64")]
+const BYTE_IOTA: [u8; 64] = {
+    let mut iota = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        iota[i] = i as u8;
+        i += 1;
+    }
+    iota
+};
+
+/// The VBMI2 decode: per word, one byte compress of [`BYTE_IOTA`] lists the
+/// set bits' positions; 8 of them at a time are zero-extended to `u64`, offset
+/// by the word's base and stored as one 8-lane vector.
+///
+/// # Safety
+///
+/// The host must support avx512f, avx512bw and avx512vbmi2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+unsafe fn decode_words_vbmi2(out: &mut Vec<Value>, base: Value, words: &[u64]) {
+    use core::arch::x86_64::*;
+    let total: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+    out.reserve(total + 8);
+    let start = out.len();
+    // SAFETY: `start` is `out`'s length, within its allocation.
+    let dst = unsafe { out.as_mut_ptr().add(start) };
+    // SAFETY: BYTE_IOTA is 64 readable bytes; the load is unaligned.
+    let iota = unsafe { _mm512_loadu_si512(BYTE_IOTA.as_ptr().cast()) };
+    let mut n = 0;
+    for (i, &word) in words.iter().enumerate() {
+        let word_base = _mm512_set1_epi64((base + 64 * i as u64) as i64);
+        let count = word.count_ones() as usize;
+        let mut positions = _mm512_maskz_compress_epi8(word, iota);
+        let mut k = 0;
+        loop {
+            let eight = _mm512_cvtepu8_epi64(_mm512_castsi512_si128(positions));
+            // SAFETY: the `total + 8` reservation above covers this store of
+            // slots n + k .. n + k + 8: the last round starts at k = 0 or
+            // k < count, so it ends by n + count + 8 <= total + 8.
+            unsafe {
+                _mm512_storeu_si512(dst.add(n + k).cast(), _mm512_add_epi64(eight, word_base))
+            };
+            k += 8;
+            if k >= count {
+                break;
+            }
+            // the next 8 positions move down one lane
+            positions = _mm512_alignr_epi64::<1>(positions, positions);
+        }
+        n += count;
+    }
+    // SAFETY: within the `total + 8` reservation, every slot below `total` was
+    // written with its value: a word's rounds cover its own `count` slots, and
+    // the next word's stores start at its first slot, past them.
+    unsafe { out.set_len(start + total) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +512,62 @@ mod tests {
                     linear_lub(level, &v, 0, v.len(), u64::MAX),
                     v.partition_point(|&x| x < u64::MAX)
                 );
+            }
+        }
+    }
+
+    /// The reference: every set bit, one at a time.
+    fn naive_decode(base: Value, words: &[u64]) -> Vec<Value> {
+        let mut out = Vec::new();
+        for (i, &word) in words.iter().enumerate() {
+            for b in 0..64 {
+                if word >> b & 1 == 1 {
+                    out.push(base + 64 * i as u64 + b);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn decode_words_is_bit_enumeration_at_every_level() {
+        let mut seed = 0xDEC0DE;
+        let mut shapes: Vec<(Value, Vec<u64>)> = vec![
+            (0, vec![0]),
+            (64, vec![u64::MAX]), // 8 rounds
+            (u64::MAX - 63, vec![u64::MAX]),
+            (u64::MAX - 127, vec![1 << 63, u64::MAX]),
+            (128, vec![0x8000_0000_0000_0001, 0, 0]), // a zero tail
+        ];
+        for len in 1..=65usize {
+            let base = xorshift(&mut seed) % (1 << 40) / 64 * 64;
+            let words = (0..len)
+                .map(|i| match (i + len) % 4 {
+                    0 => 0,
+                    1 => xorshift(&mut seed) & xorshift(&mut seed) & xorshift(&mut seed),
+                    2 => xorshift(&mut seed),
+                    _ => u64::MAX,
+                })
+                .collect();
+            shapes.push((base, words));
+        }
+        for level in runnable_levels() {
+            for (base, words) in &shapes {
+                let expected = naive_decode(*base, words);
+                let what = format!("{level:?} base {base} {} words", words.len());
+                // behind a prefix, into no spare capacity, exactly enough,
+                // and an empty vector
+                let prefix = [7, 99, 3];
+                let mut tight = prefix.to_vec();
+                tight.shrink_to_fit();
+                let mut exact = Vec::with_capacity(prefix.len() + expected.len());
+                exact.extend_from_slice(&prefix);
+                for (mut out, keep) in [(tight, 3), (exact, 3), (Vec::new(), 0)] {
+                    decode_words(level, &mut out, *base, words);
+                    assert_eq!(out[..keep], prefix[..keep], "{what}: prefix");
+                    assert_eq!(out.len(), keep + expected.len(), "{what}: length");
+                    assert_eq!(out[keep..], expected, "{what}: values");
+                }
             }
         }
     }

@@ -1,8 +1,13 @@
-//! Worker placement: one rule, `worker w → CPU w % available_cpus()`.
+//! Worker placement: one rule, `worker w → the (w mod k)-th of the k CPUs the
+//! process may run on`.
 //!
 //! Both parallel seams (morsel-driven joins and the parallel sort) pin worker
 //! `w` to [`worker_cpu`]`(w)` with one raw `sched_setaffinity` syscall (no libc
-//! binding in this workspace). Pinning is advisory: a failed pin is ignored.
+//! binding in this workspace). The rule is relative to the process's affinity
+//! mask, read once at first use with a raw `sched_getaffinity`, so a process
+//! started under `taskset -c 1` pins worker 0 to CPU 1, never to a CPU the
+//! operator excluded. Where the mask cannot be read, worker `w` goes to CPU
+//! `w % available_cpus()`. Pinning is advisory: a failed pin is ignored.
 //!
 //! None of this affects results or recorded work — morsel counts and counter
 //! merging are deterministic regardless of placement — only wall-clock.
@@ -18,9 +23,26 @@ pub fn available_cpus() -> usize {
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The CPU worker `w` of a parallel seam pins to: `w % available_cpus()`.
+/// Words of affinity mask the syscalls pass: 1024 CPUs.
+const MASK_WORDS: usize = 16;
+
+/// The CPU worker `w` of a parallel seam pins to: the `(w mod k)`-th of the
+/// `k` CPUs in the process's affinity mask, or `w % available_cpus()` where
+/// the mask cannot be read.
 pub fn worker_cpu(w: usize) -> usize {
-    w % available_cpus()
+    static MASK: OnceLock<Option<[u64; MASK_WORDS]>> = OnceLock::new();
+    MASK.get_or_init(imp::affinity_mask)
+        .and_then(|mask| nth_allowed(&mask, w))
+        .unwrap_or(w % available_cpus())
+}
+
+/// The `(w mod k)`-th set bit of `mask`, which has `k` set bits; `None` when
+/// `k` is 0.
+fn nth_allowed(mask: &[u64], w: usize) -> Option<usize> {
+    let k: usize = mask.iter().map(|word| word.count_ones() as usize).sum();
+    (0..mask.len() * 64)
+        .filter(|&cpu| mask[cpu / 64] >> (cpu % 64) & 1 == 1)
+        .nth(w.checked_rem(k)?)
 }
 
 /// Pin the calling thread to `cpu`. Best-effort and advisory: returns `false`
@@ -36,13 +58,52 @@ pub fn pin_current_thread(cpu: usize) -> bool {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod imp {
+    use super::MASK_WORDS;
+
+    /// Raw `sched_getaffinity(0, size, mask)`: the calling thread's affinity
+    /// mask, `None` when the kernel refuses (a mask wider than 1024 CPUs).
+    #[allow(unsafe_code)]
+    pub(super) fn affinity_mask() -> Option<[u64; MASK_WORDS]> {
+        let mut mask = [0u64; MASK_WORDS];
+        let size = core::mem::size_of_val(&mask);
+        let ret: isize;
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: sched_getaffinity writes at most `size` bytes to `mask`, a
+        // live stack array of exactly that size, and touches no other memory.
+        unsafe {
+            core::arch::asm!(
+                "syscall",
+                inlateout("rax") 204isize => ret, // __NR_sched_getaffinity
+                in("rdi") 0usize,                 // pid 0 = calling thread
+                in("rsi") size,
+                in("rdx") mask.as_mut_ptr(),
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: as above; aarch64 passes the syscall number in x8.
+        unsafe {
+            core::arch::asm!(
+                "svc 0",
+                in("x8") 123usize, // __NR_sched_getaffinity
+                inlateout("x0") 0usize => ret,
+                in("x1") size,
+                in("x2") mask.as_mut_ptr(),
+                options(nostack),
+            );
+        }
+        // success returns the bytes written; the rest of `mask` stays zero
+        (ret > 0).then_some(mask)
+    }
+
     /// Raw `sched_setaffinity(0, size, mask)` — the workspace links no libc
     /// crate, so the one syscall the placement layer needs is issued directly.
     /// The mask lives on the stack and outlives the syscall; an error return
     /// (negative) simply reports failure to the advisory caller.
     #[allow(unsafe_code)]
     pub(super) fn pin_current_thread(cpu: usize) -> bool {
-        const MASK_WORDS: usize = 16; // 1024 CPUs
         if cpu >= MASK_WORDS * 64 {
             return false;
         }
@@ -87,6 +148,10 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod imp {
+    pub(super) fn affinity_mask() -> Option<[u64; super::MASK_WORDS]> {
+        None
+    }
+
     pub(super) fn pin_current_thread(_cpu: usize) -> bool {
         false
     }
@@ -98,13 +163,49 @@ mod tests {
 
     #[test]
     fn worker_cpu_wraps() {
-        let n = available_cpus();
+        let mut mask = [0u64; MASK_WORDS];
+        assert_eq!(nth_allowed(&mask, 0), None, "an empty mask falls back");
+        mask[0] = 0b1100; // CPUs {2, 3}
         assert_eq!(
-            (0..n).map(worker_cpu).collect::<Vec<_>>(),
-            (0..n).collect::<Vec<_>>()
+            (0..5).map(|w| nth_allowed(&mask, w)).collect::<Vec<_>>(),
+            [Some(2), Some(3), Some(2), Some(3), Some(2)]
         );
-        assert_eq!(worker_cpu(n), 0);
-        assert_eq!(worker_cpu(2 * n + 1), 1 % n);
+        mask[2] = 1 << 5; // and CPU 133
+        assert_eq!(nth_allowed(&mask, 2), Some(133));
+        assert_eq!(nth_allowed(&mask, 3), Some(2));
+    }
+
+    /// `Cpus_allowed_list` of `/proc/self/status`, e.g. `0-3,6`.
+    #[cfg(target_os = "linux")]
+    fn allowed_list() -> Vec<usize> {
+        let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+        let list = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+            .expect("Cpus_allowed_list");
+        let mut cpus = Vec::new();
+        for range in list.trim().split(',') {
+            let (lo, hi) = range.split_once('-').unwrap_or((range, range));
+            let (lo, hi): (usize, usize) = (lo.parse().expect("cpu"), hi.parse().expect("cpu"));
+            cpus.extend(lo..=hi);
+        }
+        cpus
+    }
+
+    /// Run under `taskset -c 1` too (a CI step does): worker 0 must not be
+    /// placed on CPU 0.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn worker_cpus_lie_in_the_allowed_list() {
+        let allowed = allowed_list();
+        let n = available_cpus();
+        for w in 0..2 * n {
+            let cpu = worker_cpu(w);
+            assert!(
+                allowed.contains(&cpu),
+                "worker {w} on CPU {cpu}, allowed {allowed:?}"
+            );
+        }
     }
 
     /// A pin narrows the calling thread's affinity mask; the process-wide
