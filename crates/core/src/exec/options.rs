@@ -154,8 +154,10 @@ impl ExecOptions {
     }
 
     /// The concrete worker count: `threads`, with `0` resolved to the CPUs
-    /// available to the process ([`topology::available_cpus`], read once — so a
-    /// caller that has pinned its own thread still gets every core).
+    /// available to the process ([`topology::available_cpus`], read once and
+    /// before any [`topology::pin_current_thread`] takes effect — so a caller
+    /// that has pinned its own thread, even before its first query, still gets
+    /// every core).
     pub fn resolved_threads(&self) -> usize {
         if self.threads == 0 {
             topology::available_cpus()

@@ -128,54 +128,67 @@ pub trait TrieAccess {
 }
 
 impl TrieAccess for TrieCursor<'_> {
+    #[inline]
     fn arity(&self) -> usize {
         TrieCursor::arity(self)
     }
 
+    #[inline]
     fn depth(&self) -> usize {
         TrieCursor::depth(self)
     }
 
+    #[inline]
     fn open(&mut self) -> bool {
         TrieCursor::open(self)
     }
 
+    #[inline]
     fn up(&mut self) {
         TrieCursor::up(self)
     }
 
+    #[inline]
     fn key(&self) -> Value {
         TrieCursor::key(self)
     }
 
+    #[inline]
     fn at_end(&self) -> bool {
         TrieCursor::at_end(self)
     }
 
+    #[inline]
     fn next(&mut self) -> bool {
         TrieCursor::next(self)
     }
 
+    #[inline]
     fn seek(&mut self, target: Value) -> bool {
         TrieCursor::seek(self, target)
     }
 
+    #[inline]
     fn reposition(&mut self, target: Value) -> bool {
         TrieCursor::reposition(self, target)
     }
 
+    #[inline]
     fn advance_to(&mut self, target: Value) -> bool {
         TrieCursor::advance_to(self, target)
     }
 
+    #[inline]
     fn remaining(&self) -> &[Value] {
         TrieCursor::remaining(self)
     }
 
+    #[inline]
     fn layout(&self) -> Option<Layout<'_>> {
         TrieCursor::layout(self)
     }
 
+    #[inline]
     fn take_work(&mut self) -> CursorWork {
         TrieCursor::take_work(self)
     }

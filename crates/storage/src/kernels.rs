@@ -57,6 +57,11 @@
 //!   [`intersect_into_at`] unchanged. The list-bitmap kernel stays: it is the
 //!   only bitmap path for delta-backed atoms and for sparse groups whose
 //!   *common* window is dense.
+//! * **Rank.** A layout answers rank as well as membership: one bit per
+//!   member, in order, so the members between two values are a popcount of the
+//!   words between them (`members_between`). A [`crate::TrieCursor`] holds its
+//!   group's layout and repositions at a kernel-found value by that count
+//!   instead of searching the list — uncounted, like every reposition.
 //! * **Decode.** Turning the ANDed words back into values is most of a dense
 //!   intersection's cost. Both bitmap paths decode through
 //!   [`simd::decode_words`] at the caller's level, which has no per-bit exit
@@ -604,9 +609,33 @@ pub fn append_layout(pool: &mut Vec<u64>, group: &[Value]) -> usize {
 
 /// The [`Layout`] of a group whose first value is `first` over the `words`
 /// [`append_layout`] appended for it — `None` when it appended none (a sparse
-/// group). With `append_layout`, the only code that knows the 64-grid.
+/// group). With `append_layout` and `members_between`, the only code that
+/// knows the 64-grid.
+#[inline]
 pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
     (!words.is_empty()).then_some((first / 64 * 64, words))
+}
+
+/// How many members of the group whose layout is `(base, words)` lie in
+/// `[from, to)`, for a member `from` and any `to >= from`: the set bits between
+/// the two, counted a word at a time. From `from`'s position in the group, that
+/// many places on is the least member `>= to`, or the group's end when there is
+/// none — so a cursor repositions by rank instead of searching.
+#[inline]
+pub(crate) fn members_between((base, words): Layout<'_>, from: Value, to: Value) -> usize {
+    debug_assert!(base <= from && from <= to);
+    let (from, to) = (from - base, to - base);
+    let (first, last) = ((from / 64) as usize, to / 64);
+    let below_to = |word: u64| word & ((1u64 << (to % 64)) - 1);
+    let head = words[first] & (u64::MAX << (from % 64));
+    if last == first as u64 {
+        return below_to(head).count_ones() as usize;
+    }
+    // a `to` past the last word counts every member from `from` on
+    let last = last.min(words.len() as u64) as usize;
+    let full: u32 = words[first + 1..last].iter().map(|w| w.count_ones()).sum();
+    let tail = words.get(last).map_or(0, |&w| below_to(w).count_ones());
+    (head.count_ones() + full + tail) as usize
 }
 
 /// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s,
@@ -620,6 +649,7 @@ pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
 /// is one `Bitmap` invocation and `words · k` probes, no comparisons, and the
 /// decode is uncharged. Returns `None` when a short-circuit (empty operand,
 /// disjoint spans) answered first.
+#[inline]
 pub fn intersect_layouts_into(
     level: SimdLevel,
     out: &mut Vec<Value>,

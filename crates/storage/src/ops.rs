@@ -104,8 +104,10 @@ pub(crate) fn seek_lub(
 }
 
 /// Uncounted least-upper-bound search in `values[start..end]` — the repositioning
-/// path (`advance_to`) which by contract records no work. Linear scan up to
+/// path (`advance_to`) which by contract records no work, on a group without a
+/// set layout (a dense one repositions by rank). Linear scan up to
 /// [`LINEAR_SEEK_MAX`], galloping search above it.
+#[inline]
 pub(crate) fn advance_lub(
     level: crate::simd::SimdLevel,
     values: &[Value],

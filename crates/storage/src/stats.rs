@@ -118,29 +118,34 @@ impl WorkCounter {
 
     /// Record `n` steps of set-intersection work (iterations of the smaller set,
     /// leapfrog seeks, galloping probes, ...).
+    #[inline]
     pub fn add_intersect_steps(&self, n: u64) {
         self.intersect_steps.set(self.intersect_steps.get() + n);
     }
 
     /// Record `n` index probes (hash lookups or binary searches).
+    #[inline]
     pub fn add_probes(&self, n: u64) {
         self.probes.set(self.probes.get() + n);
     }
 
     /// Record `n` intermediate tuples materialized by a plan (the quantity that blows
     /// up for one-pair-at-a-time plans on skewed inputs).
+    #[inline]
     pub fn add_intermediate(&self, n: u64) {
         self.intermediate_tuples
             .set(self.intermediate_tuples.get() + n);
     }
 
     /// Record `n` output tuples emitted.
+    #[inline]
     pub fn add_output(&self, n: u64) {
         self.output_tuples.set(self.output_tuples.get() + n);
     }
 
     /// Record `n` element comparisons (sort-merge, the merge/bitmap intersection
     /// kernels, linear-scan seeks, ...).
+    #[inline]
     pub fn add_comparisons(&self, n: u64) {
         self.comparisons.set(self.comparisons.get() + n);
     }
@@ -148,6 +153,7 @@ impl WorkCounter {
     /// Record `n` delta-log merge steps (run-range narrowing probes plus n-way
     /// sorted-merge advances of the delta union cursor) — the work the
     /// incremental-maintenance path adds on top of a fully-compacted relation.
+    #[inline]
     pub fn add_delta_merge(&self, n: u64) {
         self.delta_merge.set(self.delta_merge.get() + n);
     }
@@ -156,6 +162,7 @@ impl WorkCounter {
     /// observability hook that makes the adaptive policy's choices auditable.
     /// Kernel invocation counts are a *breakdown*, not work: they are excluded
     /// from [`WorkCounter::total_work`].
+    #[inline]
     pub fn add_kernel(&self, kind: KernelKind) {
         let cell = match kind {
             KernelKind::Merge => &self.kernel_merge,
@@ -174,51 +181,61 @@ impl WorkCounter {
     }
 
     /// Total set-intersection steps recorded.
+    #[inline]
     pub fn intersect_steps(&self) -> u64 {
         self.intersect_steps.get()
     }
 
     /// Total index probes recorded.
+    #[inline]
     pub fn probes(&self) -> u64 {
         self.probes.get()
     }
 
     /// Total intermediate tuples recorded.
+    #[inline]
     pub fn intermediate_tuples(&self) -> u64 {
         self.intermediate_tuples.get()
     }
 
     /// Total output tuples recorded.
+    #[inline]
     pub fn output_tuples(&self) -> u64 {
         self.output_tuples.get()
     }
 
     /// Total comparisons recorded.
+    #[inline]
     pub fn comparisons(&self) -> u64 {
         self.comparisons.get()
     }
 
     /// Total delta-log merge steps recorded.
+    #[inline]
     pub fn delta_merge(&self) -> u64 {
         self.delta_merge.get()
     }
 
     /// Merge-kernel invocations recorded.
+    #[inline]
     pub fn kernel_merge(&self) -> u64 {
         self.kernel_merge.get()
     }
 
     /// Gallop-kernel invocations recorded.
+    #[inline]
     pub fn kernel_gallop(&self) -> u64 {
         self.kernel_gallop.get()
     }
 
     /// Bitmap-kernel invocations recorded.
+    #[inline]
     pub fn kernel_bitmap(&self) -> u64 {
         self.kernel_bitmap.get()
     }
 
     /// Total intersection-kernel invocations of any kind.
+    #[inline]
     pub fn kernel_calls(&self) -> u64 {
         self.kernel_merge.get() + self.kernel_gallop.get() + self.kernel_bitmap.get()
     }

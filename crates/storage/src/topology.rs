@@ -4,20 +4,26 @@
 //! Both parallel seams (morsel-driven joins and the parallel sort) pin worker
 //! `w` to [`worker_cpu`]`(w)` with one raw `sched_setaffinity` syscall (no libc
 //! binding in this workspace). The rule is relative to the process's affinity
-//! mask, read once at first use with a raw `sched_getaffinity`, so a process
-//! started under `taskset -c 1` pins worker 0 to CPU 1, never to a CPU the
-//! operator excluded. Where the mask cannot be read, worker `w` goes to CPU
-//! `w % available_cpus()`. Pinning is advisory: a failed pin is ignored.
+//! mask, read once with a raw `sched_getaffinity`, so a process started under
+//! `taskset -c 1` pins worker 0 to CPU 1, never to a CPU the operator excluded.
+//! Where the mask cannot be read, worker `w` goes to CPU `w % available_cpus()`.
+//! Pinning is advisory: a failed pin is ignored.
+//!
+//! The CPU count and the mask are read from the *calling thread*, which a pin
+//! narrows to one CPU; so [`pin_current_thread`] reads both before its first
+//! syscall, and a host that pins its own thread before its first query still
+//! sees every CPU the process may use.
 //!
 //! None of this affects results or recorded work — morsel counts and counter
 //! merging are deterministic regardless of placement — only wall-clock.
 
 use std::sync::OnceLock;
 
-/// Number of CPUs available to this process, from `std::thread` — read once.
-/// `available_parallelism` reports the *calling thread's* affinity mask, which
-/// [`pin_current_thread`] narrows to one CPU; a count read after a pin would
-/// silently turn "use every core" into "run serially".
+/// Number of CPUs available to this process, from `std::thread` — read once,
+/// before any [`pin_current_thread`] in the process. `available_parallelism`
+/// reports the *calling thread's* affinity mask, which a pin narrows to one
+/// CPU; a count read after a pin would silently turn "use every core" into
+/// "run serially".
 pub fn available_cpus() -> usize {
     static CPUS: OnceLock<usize> = OnceLock::new();
     *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -26,12 +32,18 @@ pub fn available_cpus() -> usize {
 /// Words of affinity mask the syscalls pass: 1024 CPUs.
 const MASK_WORDS: usize = 16;
 
+/// The process's affinity mask — read once, before any [`pin_current_thread`]
+/// in the process, for the reason [`available_cpus`] gives.
+fn process_mask() -> Option<[u64; MASK_WORDS]> {
+    static MASK: OnceLock<Option<[u64; MASK_WORDS]>> = OnceLock::new();
+    *MASK.get_or_init(imp::affinity_mask)
+}
+
 /// The CPU worker `w` of a parallel seam pins to: the `(w mod k)`-th of the
 /// `k` CPUs in the process's affinity mask, or `w % available_cpus()` where
 /// the mask cannot be read.
 pub fn worker_cpu(w: usize) -> usize {
-    static MASK: OnceLock<Option<[u64; MASK_WORDS]>> = OnceLock::new();
-    MASK.get_or_init(imp::affinity_mask)
+    process_mask()
         .and_then(|mask| nth_allowed(&mask, w))
         .unwrap_or(w % available_cpus())
 }
@@ -50,6 +62,9 @@ fn nth_allowed(mask: &[u64], w: usize) -> Option<usize> {
 /// platform or rejected by the kernel. Never affects results — only where the
 /// scheduler places the thread.
 pub fn pin_current_thread(cpu: usize) -> bool {
+    // the first pin must not be what the CPU count and the mask are read from
+    available_cpus();
+    process_mask();
     imp::pin_current_thread(cpu)
 }
 

@@ -535,13 +535,16 @@ impl Trie {
     }
 }
 
-/// A cursor frame: the sibling group `[start, end)` at this level and the position
-/// within it.
+/// A cursor frame: the sibling group `[start, end)` at this level, the position
+/// within it, and the group's set layout, resolved once by `open` (`None` for a
+/// sparse group). A dense group's layout holds every member's rank, so
+/// [`TrieCursor::advance_to`] repositions in such a group by counting set bits.
 #[derive(Debug, Clone, Copy)]
-struct Frame {
+struct Frame<'a> {
     start: usize,
     pos: usize,
     end: usize,
+    layout: Option<Layout<'a>>,
 }
 
 /// A seekable cursor over a [`Trie`], implementing the Leapfrog Triejoin iterator
@@ -550,7 +553,7 @@ struct Frame {
 #[derive(Debug, Clone)]
 pub struct TrieCursor<'a> {
     trie: &'a Trie,
-    stack: Vec<Frame>,
+    stack: Vec<Frame<'a>>,
     work: CursorWork,
     simd: crate::simd::SimdLevel,
 }
@@ -568,37 +571,50 @@ impl<'a> TrieCursor<'a> {
 
     /// Descend into the first child of the current node (or into the first root-level
     /// value when at the root). Returns `false` without moving if there are no
-    /// children (already at the deepest level, or the trie is empty).
+    /// children (already at the deepest level, or the trie is empty). The new
+    /// frame carries the group's set layout, if it has one.
+    #[inline]
     pub fn open(&mut self) -> bool {
+        let trie: &'a Trie = self.trie;
         let next_level = self.stack.len();
-        if next_level >= self.trie.levels.len() {
+        let Some(level) = trie.levels.get(next_level) else {
             return false;
-        }
-        let (begin, end) = match self.stack.last() {
-            None => (0, self.trie.levels[0].values.len()),
+        };
+        // group `g` of a level is the children of node `g` one level up
+        let (group, begin, end) = match self.stack.last() {
+            None => (0, 0, level.values.len()),
             Some(frame) => {
-                let cs = &self.trie.levels[next_level - 1].child_start;
-                (cs[frame.pos], cs[frame.pos + 1])
+                let cs = &trie.levels[next_level - 1].child_start;
+                (frame.pos, cs[frame.pos], cs[frame.pos + 1])
             }
         };
         if begin == end {
             return false;
         }
+        let layout = level.layout_start.get(group..group + 2).and_then(|bounds| {
+            kernels::layout_of(
+                level.values[begin],
+                &level.layout_words[bounds[0]..bounds[1]],
+            )
+        });
         self.stack.push(Frame {
             start: begin,
             pos: begin,
             end,
+            layout,
         });
         true
     }
 
     /// Ascend one level. No-op at the root.
+    #[inline]
     pub fn up(&mut self) {
         self.stack.pop();
     }
 
     /// The value at the cursor's current position. Panics if the cursor is at the root
     /// or at the end of its sibling group.
+    #[inline]
     pub fn key(&self) -> Value {
         let frame = self.stack.last().expect("cursor is at the root");
         assert!(frame.pos < frame.end, "cursor is at end of its group");
@@ -615,6 +631,7 @@ impl<'a> TrieCursor<'a> {
 
     /// Advance to the next sibling. Returns `false` if that moves past the end.
     #[allow(clippy::should_implement_trait)]
+    #[inline]
     pub fn next(&mut self) -> bool {
         self.work.intersect_steps += 1;
         let frame = self.stack.last_mut().expect("cursor is at the root");
@@ -627,6 +644,7 @@ impl<'a> TrieCursor<'a> {
     /// Seek to the least sibling with value `>= target` (adaptive: linear scan for
     /// short groups, galloping search otherwise). Returns `false` if no such
     /// sibling exists (the cursor is then `at_end`).
+    #[inline]
     pub fn seek(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
         let frame = self.stack.last_mut().expect("cursor is at the root");
@@ -666,7 +684,14 @@ impl<'a> TrieCursor<'a> {
     /// `>=` the current key: the fast path for re-positioning at
     /// kernel-discovered keys visited in ascending order (their search cost was
     /// already accounted by the intersection kernel). Returns whether the value
-    /// is present.
+    /// is present — the cursor then stands at the least sibling `>= target`.
+    ///
+    /// A dense group repositions by rank: its set layout has one bit per
+    /// member, so the members in `[current key, target)` are counted a word at
+    /// a time (`kernels::members_between`) and the cursor moves that many
+    /// places — no value is compared but the one it lands on. A sparse group
+    /// searches forward from the cursor (`ops::advance_lub`).
+    #[inline]
     pub fn advance_to(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
         let frame = self.stack.last_mut().expect("cursor is at the root");
@@ -674,16 +699,20 @@ impl<'a> TrieCursor<'a> {
         if frame.pos >= frame.end {
             return false;
         }
-        if values[frame.pos] >= target {
-            return values[frame.pos] == target;
+        let current = values[frame.pos];
+        if current >= target {
+            return current == target;
         }
-        let pos = crate::ops::advance_lub(self.simd, values, frame.pos, frame.end, target);
-        frame.pos = pos;
-        pos < frame.end && values[pos] == target
+        frame.pos = match frame.layout {
+            Some(layout) => frame.pos + kernels::members_between(layout, current, target),
+            None => crate::ops::advance_lub(self.simd, values, frame.pos, frame.end, target),
+        };
+        frame.pos < frame.end && values[frame.pos] == target
     }
 
     /// Convenience: the values remaining in the current sibling group, from the
     /// cursor's position onward.
+    #[inline]
     pub fn remaining(&self) -> &'a [Value] {
         match self.stack.last() {
             None => &[],
@@ -692,23 +721,15 @@ impl<'a> TrieCursor<'a> {
     }
 
     /// The prebuilt set layout of the whole current sibling group, if the
-    /// group is dense (see [`crate::kernels`]); `None` at the root.
+    /// group is dense (see [`crate::kernels`]); `None` at the root. `open`
+    /// resolved it, so this is a read of the frame.
+    #[inline]
     pub fn layout(&self) -> Option<Layout<'a>> {
-        let depth = self.stack.len();
-        let frame = self.stack.last()?;
-        // a parent's position is fixed while its children are open
-        let group = if depth == 1 {
-            0
-        } else {
-            self.stack[depth - 2].pos
-        };
-        let level = &self.trie.levels[depth - 1];
-        let bounds = level.layout_start.get(group..group + 2)?;
-        let words = &level.layout_words[bounds[0]..bounds[1]];
-        kernels::layout_of(level.values[frame.start], words)
+        self.stack.last()?.layout
     }
 
     /// Drain the cursor's private work tallies (resetting them to zero).
+    #[inline]
     pub fn take_work(&mut self) -> CursorWork {
         std::mem::take(&mut self.work)
     }
@@ -904,6 +925,86 @@ mod tests {
         assert!(!c.take_work().is_zero()); // from the earlier seek only
         assert!(c.reposition(2));
         assert_eq!(c.take_work(), CursorWork::default());
+    }
+
+    /// A dense group's `advance_to` moves by rank, and lands where a search
+    /// would: groups spanning 1–65 words, first values on and off the 64-grid
+    /// (some near the top of the value range), last words partly used, and
+    /// chains of targets — the current key, just ahead (often absent), in the
+    /// next word, words ahead, a member, past the end — against
+    /// `partition_point` on the group's values.
+    #[test]
+    fn advance_to_by_rank_equals_search() {
+        let mut state = 0x5EED_4A11u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let (mut dense, mut calls) = (0, 0);
+        for case in 0..600u64 {
+            let words = 1 + case % 65;
+            let base = match case % 7 {
+                0 => (u64::MAX / 64 - 66) * 64,
+                _ => next(1 << 40) * 64,
+            };
+            // a 65-word group fits the 4096-value span only off the grid
+            let first = match (words, case % 3) {
+                (65, _) => base + 1 + next(63),
+                (_, 0) => base,
+                _ => base + next(64),
+            };
+            let last = (base + 64 * (words - 1) + next(64)).clamp(first, first + 4095);
+            let every = [1, 2, 4, 12][next(4) as usize];
+            let mut group: Vec<Value> = (first + 1..last).filter(|_| next(every) == 0).collect();
+            group.insert(0, first);
+            group.extend((last > first).then_some(last));
+            // group 0 is a fixed dense neighbour, so group 1's layout is found by index
+            let rows = (0..8)
+                .map(|v| vec![0, v])
+                .chain(group.iter().map(|&v| vec![1, v]));
+            let r = Relation::from_rows(Schema::new(&["P", "V"]), rows.collect());
+            let t = Trie::build(&r, &["P", "V"]).unwrap();
+            let mut c = t.cursor();
+            assert!(c.open() && c.advance_to(1) && c.open());
+            assert_eq!(c.remaining(), group.as_slice());
+            let Some((layout_base, layout_words)) = c.layout() else {
+                continue;
+            };
+            assert_eq!((layout_base, layout_words.len() as u64), (base, words));
+            dense += 1;
+            loop {
+                let at = group.len() - c.remaining().len();
+                let Some(&current) = group.get(at) else {
+                    assert!(!c.advance_to(Value::MAX), "at the end stays at the end");
+                    break;
+                };
+                let target = match next(16) {
+                    0 => current,
+                    1..=4 => current.saturating_add(1 + next(3)),
+                    5..=7 => (current / 64 + 1)
+                        .saturating_mul(64)
+                        .saturating_add(next(64)),
+                    8..=10 => current.saturating_add(64 * (2 + next(8)) + next(64)),
+                    11..=14 => group[at + next((group.len() - at) as u64) as usize],
+                    _ => last.saturating_add(1 + next(100)),
+                };
+                let found = c.advance_to(target);
+                calls += 1;
+                let lub = group.partition_point(|&v| v < target);
+                assert_eq!(
+                    (group.len() - c.remaining().len(), found),
+                    (lub, group.get(lub) == Some(&target)),
+                    "case {case}: {words} words from {first}, {current} -> {target}"
+                );
+            }
+            assert!(c.take_work().is_zero(), "repositioning is uncounted");
+        }
+        assert!(
+            dense > 500 && calls > 3_000,
+            "{dense} dense groups, {calls} calls"
+        );
     }
 
     #[test]
