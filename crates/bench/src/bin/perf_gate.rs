@@ -1,21 +1,30 @@
-//! CI perf-regression gate (the ROADMAP's perf-trajectory item).
+//! The serial join matrix's one recorder, and the CI perf-regression gate
+//! that reads what it recorded.
 //!
-//! Re-measures the serial benchmark matrix at smoke-scale sizes and diffs every
-//! row against the committed `BENCH_joins.json` baseline (matched on
-//! workload/engine, `threads == 1`). Every check is on counters or rows:
+//! `BENCH_joins.json` at the workspace root holds one row per workload ×
+//! engine of [`bench_matrix`] at its full sizes, all serial: the median
+//! wall-clock of the timed iterations, the output size, the AGM bound and ten
+//! work tallies, under a `"host"` line naming the CPUs, SIMD level and layout
+//! decoder they were measured with ([`host_json`]).
+//!
+//! * `perf_gate --record` measures the full matrix and rewrites the file.
+//! * `perf_gate` re-measures the matrix at smoke-scale sizes (`--full`: all of
+//!   it) and diffs every row against the file, matched on workload/engine.
+//!
+//! Every check is on counters or rows:
 //!
 //! * **work** — the deterministic `total_work` tally must not exceed the
-//!   baseline by more than the threshold (default 10%). Work counters are exactly
+//!   record by more than [`WORK_FACTOR`]. Work counters are exactly
 //!   reproducible, so this catches algorithmic regressions on any machine.
 //! * **kernel breakdown** — the per-kernel tallies (`kernel_merge`,
 //!   `kernel_gallop`, `kernel_bitmap`) and the incremental-path `delta_merge`
-//!   tally must match the baseline **exactly**. The adaptive policy's choices
+//!   tally must match the record **exactly**. The adaptive policy's choices
 //!   are a pure function of the data and the constant thresholds: any drift means the kernel-selection logic (or
-//!   a counted kernel's accounting) changed, and the baseline must be re-recorded
+//!   a counted kernel's accounting) changed, and the record must be re-recorded
 //!   deliberately rather than absorbed silently.
 //! * **wall-clock** — printed, not gated: each row's `time_ratio` is the fresh
 //!   time (the **minimum** of the timed iterations, since noise only ever adds
-//!   time) over the baseline median. A wall-clock ratio against a baseline from
+//!   time) over the recorded median. A wall-clock ratio against a record from
 //!   other hardware, or another phase of a shared host, says nothing a counter
 //!   does not say more precisely.
 //! * **cache differential** — every row is additionally executed once with the
@@ -34,65 +43,61 @@
 //!   never steer it. The timed iterations run trace-off, so `time_ratio` also
 //!   shows any residual cost of the disabled trace path.
 //!
-//! Exits non-zero if any row regresses — wire as a CI step:
+//! `--record` makes the two differentials too, compares with the record it
+//! replaces only in the printed table, and writes nothing if a differential
+//! fails. Exits non-zero if any check fails — wire as a CI step:
 //! `cargo run --release -p wcoj-bench --bin perf_gate`.
-//!
-//! Options: `--baseline <path>` (default `BENCH_joins.json` at the workspace
-//! root), `--work-factor <f>`, `--full` (measure the full non-smoke size
-//! matrix; slower).
 
 use std::sync::Arc;
 use std::time::Instant;
-use wcoj_bench::report::parse_bench_json;
+use wcoj_bench::report::{host_json, parse_bench_json, render_bench_json, BenchRecord};
 use wcoj_bench::{bench_matrix, ExperimentTable};
+use wcoj_bounds::agm::agm_bound;
 use wcoj_core::exec::{execute_opts_with_order, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::agm_variable_order;
 use wcoj_core::TraceSink;
 
-fn min_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
+/// How far a row's `total_work` may exceed the record's before the gate fails.
+const WORK_FACTOR: f64 = 1.10;
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// Timed iterations per measurement, after one untimed run.
+const ITERS: usize = 5;
+
+/// The wall-clock milliseconds of [`ITERS`] runs of `f`, ascending.
+fn sorted_times_ms<F: FnMut()>(mut f: F) -> Vec<f64> {
+    let mut samples: Vec<f64> = (0..ITERS)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let work_factor: f64 = arg_value(&args, "--work-factor")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.10);
-    let full = args.iter().any(|a| a == "--full");
-    let baseline_path = arg_value(&args, "--baseline")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| {
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("BENCH_joins.json")
-        });
+    let record = args.iter().any(|a| a == "--record");
+    let full = record || args.iter().any(|a| a == "--full");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join("BENCH_joins.json");
 
-    let doc = match std::fs::read_to_string(&baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("perf_gate: cannot read {}: {e}", baseline_path.display());
+    let baseline = std::fs::read_to_string(&path)
+        .ok()
+        .and_then(|doc| parse_bench_json(&doc));
+    let baseline = match baseline {
+        Some(rows) => rows,
+        // a record being replaced is read only for the printed comparison
+        None if record => Vec::new(),
+        None => {
+            eprintln!(
+                "perf_gate: {} is missing or not a bench document",
+                path.display()
+            );
             std::process::exit(2);
         }
-    };
-    let Some(baseline) = parse_bench_json(&doc) else {
-        eprintln!(
-            "perf_gate: {} is not a bench document",
-            baseline_path.display()
-        );
-        std::process::exit(2);
     };
 
     let (sizes, clique_sizes): (&[usize], &[usize]) = if full {
@@ -100,12 +105,11 @@ fn main() {
     } else {
         (&[1_024, 4_096], &[1_024])
     };
-    let iters = 5;
 
     let mut table = ExperimentTable::new(
         format!(
-            "perf gate: fresh serial medians vs {} (work x{work_factor:.2}; time_ratio printed, not gated)",
-            baseline_path.display()
+            "perf gate: fresh serial minima vs {} (work x{WORK_FACTOR:.2}; time_ratio printed, not gated)",
+            path.display()
         ),
         &[
             "base_ms",
@@ -118,27 +122,26 @@ fn main() {
             "warm_ratio",
         ],
     );
+    let mut records = Vec::new();
     let mut failures = Vec::new();
     let mut compared = 0usize;
 
     for (label, w) in bench_matrix(sizes, clique_sizes) {
         let order = agm_variable_order(&w.query, &w.db).expect("planner");
+        let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
             let engine_name = format!("{engine:?}");
-            let Some(base) = baseline
+            let base = baseline
                 .iter()
-                .find(|r| r.workload == label && r.engine == engine_name && r.threads == 1)
-            else {
-                continue; // workload/engine not in the committed baseline yet
-            };
+                .find(|r| r.workload == label && r.engine == engine_name);
+            if base.is_none() && !record {
+                continue; // workload/engine not in the committed record yet
+            }
             let opts = ExecOptions::new(engine);
             let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("execute");
-            let fresh_ms = min_time_ms(
-                || {
-                    let _ = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
-                },
-                iters,
-            );
+            let times = sorted_times_ms(|| {
+                let _ = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+            });
             // cache differential: the uncached execution must be bit-identical
             // in output rows and in the full work counter — caching can only
             // move structure *builds* around, never change what the join does
@@ -186,12 +189,9 @@ fn main() {
                     "{label}/{engine_name}: work counters differ under caching (must be bit-identical)"
                 ));
             }
-            let off_ms = min_time_ms(
-                || {
-                    let _ = execute_opts_with_order(&w.query, &w.db, &off_opts, &order).unwrap();
-                },
-                iters,
-            );
+            let off_ms = sorted_times_ms(|| {
+                let _ = execute_opts_with_order(&w.query, &w.db, &off_opts, &order).unwrap();
+            })[0];
             // trace differential: a traced run must not drift a single counter
             let sink = Arc::new(TraceSink::new());
             let traced_opts = opts.with_trace(Arc::clone(&sink));
@@ -215,42 +215,68 @@ fn main() {
                     "{label}/{engine_name}: traced run deposited no trace"
                 )),
             }
+            let fresh_ms = times[0];
             let fresh_work = out.work.total_work();
-            let base_work = base.work_value("total_work").unwrap_or(0);
-            let time_ratio = fresh_ms / base.median_ms;
-            let warm_ratio = fresh_ms / off_ms.max(f64::MIN_POSITIVE);
-            let work_ratio = if base_work == 0 {
+            let base_ms = base.map_or(f64::NAN, |b| b.median_ms);
+            let base_work = base.map(|b| b.work_value("total_work").unwrap_or(0));
+            let work_ratio = match base_work {
+                None => f64::NAN, // a row the record does not hold yet
                 // a zero/missing baseline tally must not silently disable the
                 // deterministic gate: any fresh work over a zero base fails below
-                if fresh_work == 0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                fresh_work as f64 / base_work as f64
+                Some(0) if fresh_work == 0 => 1.0,
+                Some(0) => f64::INFINITY,
+                Some(base_work) => fresh_work as f64 / base_work as f64,
             };
-            compared += 1;
             table.push(
                 format!("{label}/{engine_name}"),
                 vec![
-                    base.median_ms,
+                    base_ms,
                     fresh_ms,
-                    time_ratio,
-                    base_work as f64,
+                    fresh_ms / base_ms,
+                    base_work.map_or(f64::NAN, |w| w as f64),
                     fresh_work as f64,
                     work_ratio,
                     off_ms,
-                    warm_ratio,
+                    fresh_ms / off_ms.max(f64::MIN_POSITIVE),
                 ],
             );
-            if work_ratio > work_factor {
+            if record {
+                let work = &out.work;
+                records.push(BenchRecord {
+                    workload: label.clone(),
+                    engine: engine_name,
+                    threads: 1,
+                    median_ms: times[ITERS / 2],
+                    out_tuples: out.result.len() as u64,
+                    agm_bound: agm,
+                    work: [
+                        ("intersect_steps", work.intersect_steps()),
+                        ("probes", work.probes()),
+                        ("intermediate_tuples", work.intermediate_tuples()),
+                        ("output_tuples", work.output_tuples()),
+                        ("comparisons", work.comparisons()),
+                        ("delta_merge", work.delta_merge()),
+                        ("total_work", work.total_work()),
+                        ("kernel_merge", work.kernel_merge()),
+                        ("kernel_gallop", work.kernel_gallop()),
+                        ("kernel_bitmap", work.kernel_bitmap()),
+                    ]
+                    .map(|(name, value)| (name.to_string(), value))
+                    .into(),
+                });
+                continue;
+            }
+            let (Some(base), Some(base_work)) = (base, base_work) else {
+                continue;
+            };
+            compared += 1;
+            if work_ratio > WORK_FACTOR {
                 failures.push(format!(
-                    "{label}/{engine_name}: total_work {base_work} -> {fresh_work} (x{work_ratio:.3} > x{work_factor:.2})"
+                    "{label}/{engine_name}: total_work {base_work} -> {fresh_work} (x{work_ratio:.3} > x{WORK_FACTOR:.2})"
                 ));
             }
             // deterministic per-kernel breakdown: exact match required (see module
-            // docs) — skipped per tally when the baseline predates the tally
+            // docs) — skipped per tally when the record predates the tally
             for (tally, fresh_value) in [
                 ("kernel_merge", out.work.kernel_merge()),
                 ("kernel_gallop", out.work.kernel_gallop()),
@@ -270,17 +296,29 @@ fn main() {
     }
 
     table.print();
-    if compared == 0 {
-        eprintln!("perf_gate: no overlapping rows between the fresh matrix and the baseline");
-        std::process::exit(2);
-    }
-    if failures.is_empty() {
-        println!("perf gate PASSED: {compared} rows within budget");
-    } else {
-        eprintln!("perf gate FAILED ({} of {compared} rows):", failures.len());
+    if !failures.is_empty() {
+        let rows = if record { records.len() } else { compared };
+        eprintln!("perf gate FAILED ({} of {rows} rows):", failures.len());
         for f in &failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);
+    }
+    if record {
+        let doc = render_bench_json(
+            "cargo run --release -p wcoj-bench --bin perf_gate -- --record",
+            &host_json(),
+            &records,
+        );
+        if let Err(e) = std::fs::write(&path, doc) {
+            eprintln!("perf_gate: cannot write {}: {e}", path.display());
+            std::process::exit(2);
+        }
+        println!("recorded {} rows into {}", records.len(), path.display());
+    } else if compared == 0 {
+        eprintln!("perf_gate: no overlapping rows between the fresh matrix and the baseline");
+        std::process::exit(2);
+    } else {
+        println!("perf gate PASSED: {compared} rows within budget");
     }
 }

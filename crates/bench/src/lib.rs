@@ -1,11 +1,11 @@
-//! `wcoj-bench` — experiment harness shared code (workload sizing, table printing,
-//! machine-readable benchmark records).
+//! `wcoj-bench` — experiment harness shared code (the benchmark matrix, table
+//! printing, machine-readable benchmark records).
 //!
-//! The actual benchmarks live in `benches/` (dependency-free in-tree harness) and
-//! the experiment binaries in `src/bin/` — one per reproduced table/figure of the
-//! paper. See `EXPERIMENTS.md` at the repository root for the index. The benchmark
-//! additionally writes `BENCH_joins.json` (see [`report::write_bench_json`]) so the
-//! perf trajectory is tracked across PRs.
+//! The experiment binaries live in `src/bin/` — see `EXPERIMENTS.md` at the
+//! repository root for the index. `perf_gate --record` measures the serial
+//! matrix ([`bench_matrix`]) and writes `BENCH_joins.json` (see
+//! [`report::render_bench_json`]); `perf_gate` without it re-measures the
+//! matrix and diffs it against that record.
 
 pub mod report;
 pub mod suite;

@@ -2,8 +2,9 @@
 //! tables for eyeballing/diffing, and a JSON emitter so the perf
 //! trajectory (`BENCH_joins.json`) is machine-readable across PRs.
 
-use std::io::Write as _;
 use wcoj_obs::json::{escape as json_escape, num as json_f64, Json};
+use wcoj_storage::simd;
+use wcoj_storage::topology::available_cpus;
 
 /// One row of an experiment table: a label plus numeric cells.
 #[derive(Debug, Clone)]
@@ -81,7 +82,8 @@ impl ExperimentTable {
 }
 
 /// One benchmark measurement: a workload/engine/thread-count configuration with its
-/// wall-clock time and work-counter tallies. Serialized into `BENCH_joins.json`.
+/// wall-clock time and work-counter tallies. Serialized into `BENCH_joins.json`,
+/// whose rows are all serial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchRecord {
     /// Workload identifier (e.g. `uniform_n16384`).
@@ -107,14 +109,28 @@ impl BenchRecord {
     }
 }
 
-/// Render benchmark records as a pretty-printed JSON document.
-pub fn render_bench_json(command: &str, records: &[BenchRecord]) -> String {
+/// The host the running process measures on, as one JSON object: the CPUs it
+/// may run on, the SIMD level the kernels dispatch to, and whether set layouts
+/// decode with the VBMI2 body at that level.
+pub fn host_json() -> String {
+    let level = simd::active_level();
+    format!(
+        "{{\"available_cpus\": {}, \"simd_level\": \"{level:?}\", \"decode_vbmi2\": {}}}",
+        available_cpus(),
+        simd::decode_vbmi2(level)
+    )
+}
+
+/// Render benchmark records as a pretty-printed JSON document, under a
+/// `"host"` line holding `host` (see [`host_json`]).
+pub fn render_bench_json(command: &str, host: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
         "  \"generated_by\": \"{}\",\n",
         json_escape(command)
     ));
+    out.push_str(&format!("  \"host\": {host},\n"));
     out.push_str("  \"runs\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("    {");
@@ -138,21 +154,12 @@ pub fn render_bench_json(command: &str, records: &[BenchRecord]) -> String {
     out
 }
 
-/// Write benchmark records to `path` as JSON.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    command: &str,
-    records: &[BenchRecord],
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(render_bench_json(command, records).as_bytes())
-}
-
 /// Parse a `BENCH_joins.json` document produced by [`render_bench_json`] back
 /// into records — the reader behind the CI perf-regression gate, on the
 /// workspace's one JSON parser ([`Json`]). One record per `{"workload": …}`
-/// line; `parse(render(r)) == r` is property-tested below. Returns `None` for
-/// documents this emitter did not produce.
+/// line, every other line (the host's among them) skipped; `parse(render(r))
+/// == r` is property-tested below. Returns `None` for documents this emitter
+/// did not produce.
 pub fn parse_bench_json(doc: &str) -> Option<Vec<BenchRecord>> {
     let mut records = Vec::new();
     for line in doc.lines().map(str::trim) {
@@ -217,8 +224,9 @@ mod tests {
             agm_bound: 27616.56,
             work: vec![("probes".into(), 123), ("output_tuples".into(), 2783)],
         }];
-        let s = render_bench_json("cargo bench -p wcoj-bench", &records);
+        let s = render_bench_json("perf_gate --record", &host_json(), &records);
         assert!(s.contains("\"workload\": \"uniform_n1024\""));
+        assert!(s.contains("\"host\": {\"available_cpus\": "));
         assert!(s.contains("\"threads\": 4"));
         assert!(s.contains("\"probes\": 123"));
         // balanced braces/brackets (crude well-formedness check without a parser)
@@ -259,7 +267,8 @@ mod tests {
                 work: vec![],
             },
         ];
-        let parsed = parse_bench_json(&render_bench_json("cmd", &records)).expect("parses");
+        let doc = render_bench_json("cmd", &host_json(), &records);
+        let parsed = parse_bench_json(&doc).expect("parses");
         assert_eq!(parsed, records);
         assert_eq!(parsed[0].work_value("total_work"), Some(456));
         assert_eq!(parsed[0].work_value("missing"), None);

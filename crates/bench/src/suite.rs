@@ -1,10 +1,9 @@
 //! The shared benchmark workload matrix.
 //!
-//! One definition used by both the E2 benchmark (`benches/triangle.rs`, which
-//! records `BENCH_joins.json`) and the CI perf-regression gate
-//! (`src/bin/perf_gate.rs`, which re-measures a subset and diffs it against the
-//! committed baseline) — so the gate always measures exactly what the baseline
-//! recorded.
+//! One definition, read by `src/bin/perf_gate.rs` both when it records
+//! `BENCH_joins.json` (`--record`) and when it re-measures a subset and diffs
+//! it against that record — so the gate always measures exactly what the
+//! record holds.
 
 use wcoj_workloads::{
     edge_stream, hub_spoke, kclique, query_replay, social_graph, triangle, triangle_skewed,

@@ -176,7 +176,8 @@ fn shared_and_merged_dictionaries_are_join_equivalent() {
 }
 
 /// The social-graph workload exercises the whole typed path end to end: skewed
-/// string ids, a shared overridden domain, self-join, parallel execution, decode.
+/// string ids, a shared overridden domain, self-join, parallel execution,
+/// decode — and decodes to the rows its own pairs give loaded pre-encoded.
 #[test]
 fn social_graph_decodes_identically_across_engines_and_threads() {
     let w = wcoj_workloads::social_graph(192, 0xBEE);
@@ -186,6 +187,20 @@ fn social_graph_decodes_identically_across_engines_and_threads() {
     };
     assert!(!reference.is_empty(), "social graph should have triangles");
     assert!(reference[0][0].starts_with("user"));
+    let mut pre_encoded = Database::new();
+    let pairs = wcoj_workloads::social_graph_pairs(192, 0xBEE);
+    pre_encoded.insert("E", Relation::from_pairs("src", "dst", pairs));
+    let mut ids: Vec<Vec<u64>> = reference
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|s| s["user".len()..].parse().unwrap())
+                .collect()
+        })
+        .collect();
+    ids.sort();
+    let raw = execute(&w.query, &pre_encoded, Engine::BinaryHash).unwrap();
+    assert_eq!(ids, raw.result.rows(), "typed and pre-encoded rows differ");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         for threads in [1usize, 4] {
             let opts = ExecOptions::new(engine).with_threads(threads);

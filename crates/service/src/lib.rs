@@ -20,7 +20,8 @@
 //!   polled at the engines' chunk boundaries, surfacing
 //!   [`ServiceError::DeadlineExceeded`] with partial output discarded;
 //! * **optimistic write concurrency** — [`WriteBatch::against`] a snapshot
-//!   records relation epochs, [`QueryService::apply`] CAS-validates them, and
+//!   records relation epochs, [`QueryService::apply`] CAS-validates those of
+//!   the relations the batch writes (snapshot isolation), and
 //!   [`QueryService::apply_with_retry`] rebases with exponential backoff on
 //!   [`ServiceError::Conflict`];
 //! * **fault injection** — a [`wcoj_storage::FaultPlan`] in the

@@ -13,11 +13,14 @@
 //! # Write path
 //!
 //! Mutations travel in [`WriteBatch`]es. A batch built
-//! [`against`](WriteBatch::against) a snapshot records the epochs it read;
-//! [`QueryService::apply`] re-checks them under the write lock (optimistic
-//! CAS) and returns a typed [`ServiceError::Conflict`] if another writer got
-//! there first — [`QueryService::apply_with_retry`] rebases and retries with
-//! exponential backoff. Once validated, the batch is **logged and fsynced
+//! [`against`](WriteBatch::against) a snapshot records every epoch the
+//! snapshot pinned; [`QueryService::apply`] re-checks those of the relations
+//! the batch **writes** under the write lock (optimistic CAS) and returns a
+//! typed [`ServiceError::Conflict`] if another writer got there first —
+//! [`QueryService::apply_with_retry`] rebases and retries with exponential
+//! backoff. A relation the batch only read may move without a conflict: this
+//! is snapshot isolation, so two batches that each write what the other read
+//! both commit (write skew). Once validated, the batch is **logged and fsynced
 //! before touching memory**: a WAL failure (real or injected via
 //! [`FaultPlan`]) rejects the batch with memory unchanged, so the in-memory
 //! state never runs ahead of the durable log.
@@ -267,7 +270,8 @@ impl ServiceStats {
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
     ops: Vec<WalOp>,
-    /// Epochs observed at build time, per relation; validated at apply time.
+    /// Every epoch the snapshot pinned, per relation; apply validates those
+    /// of the relations the batch writes.
     expected: HashMap<String, u64>,
     blind: bool,
 }
@@ -282,8 +286,10 @@ impl WriteBatch {
         }
     }
 
-    /// A batch that conflicts if any relation it touches has moved past the
-    /// epoch `snapshot` pinned.
+    /// A batch that conflicts if any relation it writes has moved past the
+    /// epoch `snapshot` pinned. It records every epoch the snapshot pinned,
+    /// but a relation the batch only read is not validated: snapshot
+    /// isolation, not serializability.
     pub fn against(snapshot: &Snapshot) -> WriteBatch {
         WriteBatch {
             expected: snapshot

@@ -213,6 +213,7 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
     }
 
     // saturate the single slot with a long query, then shed a second arrival
+    let mut shed = 0;
     std::thread::scope(|scope| {
         let long = scope.spawn(|| service.query(&q));
         // wait until the long query actually holds the slot — or has already
@@ -223,6 +224,7 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
         match service.query(&q) {
             Err(ServiceError::Overloaded { running, queued }) => {
                 assert_eq!((running, queued), (1, 0));
+                shed += 1;
             }
             Ok(_) => {
                 // the long query finished between our load() check and the
@@ -235,6 +237,8 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
 
     assert_eq!(counter(&service, "service.deadline_exceeded"), 1);
     assert_eq!(counter(&service, "service.canceled"), 1);
+    // the registry counts one shed per typed rejection a caller saw
+    assert_eq!(counter(&service, "service.shed"), shed);
 }
 
 #[test]
@@ -284,6 +288,50 @@ fn conflicting_batches_are_rejected_and_retry_rebases() {
         Err(ServiceError::UnknownRelation(name)) => assert_eq!(name, "missing"),
         other => panic!("expected UnknownRelation, got {other:?}"),
     }
+}
+
+/// What [`WriteBatch::against`] isolates, in the doctors-on-call shape: two
+/// clients pin one snapshot, and each goes off call after reading there that
+/// the other is on call — each reads one relation and writes the other.
+/// `against` records every epoch the snapshot pinned, but `apply` validates
+/// only the relations a batch writes, so both batches commit and nobody is
+/// left on call: snapshot isolation, write skew included, on the in-memory
+/// and the durable write path alike.
+#[test]
+fn batches_against_one_snapshot_commit_when_each_writes_what_the_other_read() {
+    let on_call = || {
+        let mut db = Database::new();
+        for doctor in ["alice", "bob"] {
+            let mut shifts = DeltaRelation::new(Schema::new(&["shift"]));
+            shifts.insert(vec![1]).unwrap();
+            db.insert_delta_relation(doctor, shifts);
+        }
+        db
+    };
+    let path = temp_wal("write-skew");
+    let (durable, _) = QueryService::open(&path, on_call(), config()).unwrap();
+    for service in [QueryService::in_memory(on_call(), config()), durable] {
+        let snap = service.snapshot();
+        let batches: Vec<WriteBatch> = [("alice", "bob"), ("bob", "alice")]
+            .into_iter()
+            .map(|(me, other)| {
+                assert!(snap.delta(other).unwrap().is_live(&[1]), "{other} on call");
+                WriteBatch::against(&snap).delete(me, vec![1])
+            })
+            .collect();
+        for batch in &batches {
+            service
+                .apply(batch)
+                .expect("a relation only read is not validated");
+        }
+        assert_eq!(counter(&service, "wal.conflicts"), 0);
+        service.with_db(|db| {
+            for doctor in ["alice", "bob"] {
+                assert!(!db.delta(doctor).unwrap().is_live(&[1]), "{doctor}");
+            }
+        });
+    }
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
@@ -718,62 +766,83 @@ fn concurrent_cas_writers_converge_under_group_commit() {
 
 #[test]
 fn registry_mirrors_stats_and_renders_stable_snapshots() {
-    let path = temp_wal("metrics");
-    let (service, _) =
-        QueryService::open(&path, triangle_db(40), ServiceConfig::default()).unwrap();
-    for i in 0..6u64 {
-        let batch = WriteBatch::new().insert("R", vec![i, i + 1]).seal("R");
-        service.apply(&batch).unwrap();
-    }
-    service.query(&examples::triangle()).unwrap();
-    service.query(&examples::triangle()).unwrap();
-
-    // six solo writers: every batch is its own group, under the dotted
-    // names a scrape would read
-    let snap = service.registry().snapshot();
-    assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
-    assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
-    assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
-    assert_eq!(snap.counter_value("service.admitted"), Some(2));
-    let disk_bytes = std::fs::metadata(path.join("wal.000001")).unwrap().len();
-    assert_eq!(snap.gauge_value("wal.bytes"), Some(disk_bytes));
-    match snap.get("wal.batches_per_fsync") {
-        Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
-            assert_eq!(&counts[..], &[6, 0, 0, 0, 0, 0]);
-            assert_eq!(*count, 6);
+    // a solo writer is a group of one, with or without a coalescing window
+    for window in [Duration::ZERO, Duration::from_micros(200)] {
+        let path = temp_wal(&format!("metrics-{}", window.as_micros()));
+        let config = ServiceConfig::default().with_group_commit_window(window);
+        let (service, _) = QueryService::open(&path, triangle_db(40), config).unwrap();
+        for i in 0..6u64 {
+            let batch = WriteBatch::new().insert("R", vec![i, i + 1]).seal("R");
+            service.apply(&batch).unwrap();
         }
-        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
-    }
-    // one fsync-latency observation per coalesced group
-    match snap.get("wal.fsync_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 6),
-        other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
-    }
-    // one query-latency observation per admitted query
-    match snap.get("service.query_us") {
-        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
-        other => panic!("service.query_us missing or wrong kind: {other:?}"),
-    }
-    // the database's access cache registers its own primitives
-    assert!(snap.counter_value("cache.hits").is_some());
-    assert!(snap.gauge_value("cache.resident_bytes").is_some());
+        service.query(&examples::triangle()).unwrap();
+        service.query(&examples::triangle()).unwrap();
 
-    // the JSON rendering is stable and parses with the crate's own parser
-    let doc = service.metrics_json();
-    assert_eq!(doc, service.metrics_json(), "snapshot JSON is stable");
-    let json = wcoj_obs::Json::parse(&doc).expect("metrics JSON parses");
-    assert_eq!(
-        json.get("wal.batches_committed")
-            .and_then(|m| m.get("value"))
-            .and_then(wcoj_obs::Json::as_u64),
-        Some(6)
-    );
-    // the Prometheus exposition carries the histogram expansion
-    let prom = service.metrics_prometheus();
-    assert!(prom.contains("# TYPE wal_fsync_us histogram"));
-    assert!(prom.contains("wal_batches_per_fsync_bucket{le=\"1\"}"));
-    assert!(prom.contains("wal_bytes "));
-    std::fs::remove_dir_all(&path).ok();
+        // six solo writers: every batch is its own group, under the dotted
+        // names a scrape would read
+        let snap = service.registry().snapshot();
+        assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
+        assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
+        assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
+        assert_eq!(snap.counter_value("service.admitted"), Some(2));
+        let disk_bytes = std::fs::metadata(path.join("wal.000001")).unwrap().len();
+        assert_eq!(snap.gauge_value("wal.bytes"), Some(disk_bytes));
+        match snap.get("wal.batches_per_fsync") {
+            Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
+                assert_eq!(&counts[..], &[6, 0, 0, 0, 0, 0]);
+                assert_eq!(*count, 6);
+            }
+            other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
+        }
+        // one fsync-latency observation per coalesced group
+        match snap.get("wal.fsync_us") {
+            Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 6),
+            other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
+        }
+        // one query-latency observation per admitted query
+        match snap.get("service.query_us") {
+            Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
+            other => panic!("service.query_us missing or wrong kind: {other:?}"),
+        }
+        // the database's access cache registers its own primitives
+        assert!(snap.counter_value("cache.hits").is_some());
+        assert!(snap.gauge_value("cache.resident_bytes").is_some());
+
+        // the JSON rendering is stable and parses with the crate's own parser
+        let doc = service.metrics_json();
+        assert_eq!(doc, service.metrics_json(), "snapshot JSON is stable");
+        let json = wcoj_obs::Json::parse(&doc).expect("metrics JSON parses");
+        // every entry is tagged with its kind, and carries that kind's fields
+        // with the registry's values
+        let field = |name: &str, key: &str| json.get(name).and_then(|m| m.get(key));
+        let kind = |name: &str| field(name, "type").and_then(wcoj_obs::Json::as_str);
+        let number = |name: &str, key: &str| field(name, key).and_then(wcoj_obs::Json::as_u64);
+        for name in [
+            "service.admitted",
+            "service.slow_queries",
+            "wal.batches_committed",
+            "wal.group_commits",
+        ] {
+            assert_eq!(kind(name), Some("counter"), "{name}");
+            assert_eq!(number(name, "value"), snap.counter_value(name), "{name}");
+        }
+        assert_eq!(kind("wal.bytes"), Some("gauge"));
+        assert_eq!(number("wal.bytes", "value"), Some(disk_bytes));
+        for (name, count) in [
+            ("wal.fsync_us", 6),
+            ("wal.batches_per_fsync", 6),
+            ("service.query_us", 2),
+        ] {
+            assert_eq!(kind(name), Some("histogram"), "{name}");
+            assert_eq!(number(name, "count"), Some(count), "{name}");
+        }
+        // the Prometheus exposition carries the histogram expansion
+        let prom = service.metrics_prometheus();
+        assert!(prom.contains("# TYPE wal_fsync_us histogram"));
+        assert!(prom.contains("wal_batches_per_fsync_bucket{le=\"1\"}"));
+        assert!(prom.contains("wal_bytes "));
+        std::fs::remove_dir_all(&path).ok();
+    }
 }
 
 #[test]

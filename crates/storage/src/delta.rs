@@ -557,7 +557,7 @@ impl DeltaRelation {
     /// Values this log has written since it was created (a clone carries the
     /// count on): `arity` per buffered operation, plus `arity` per row that a
     /// seal, a tier merge or a compaction writes into a run. The ingest cost
-    /// `e6_incremental` compares with a sorted relation's shifted values.
+    /// `core/tests/delta.rs` compares with sorted rows' shifted values.
     pub fn values_written(&self) -> u64 {
         self.values_written
     }

@@ -47,7 +47,7 @@ pub enum SimdLevel {
 
 /// Dispatch-level cache: 0 = not yet detected, otherwise `encode_level + 1`.
 /// An atomic rather than a `OnceLock` so `force_active_level` can re-point
-/// dispatch for in-process scalar-vs-SIMD A/B runs (tests, the E7 bench).
+/// dispatch for in-process scalar-vs-SIMD A/B runs in tests.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn encode_level(level: SimdLevel) -> u8 {
@@ -92,12 +92,12 @@ pub fn active_level() -> SimdLevel {
 }
 
 /// Re-point process-wide dispatch at `level` — **test support**, hidden from
-/// the documented API: the in-process A/B hook of the SIMD-parity test
-/// (`core/tests/simd_parity.rs`) and the E7 calibration bench, which compare
-/// scalar and vector paths without respawning under `WCOJ_FORCE_SCALAR=1`
-/// (both live outside this crate, so `cfg(test)` cannot reach them). Panics if
-/// the host cannot execute `level`. Not for concurrent use with live queries:
-/// flip it only between runs.
+/// the documented API: the in-process A/B hook of the engine-level parity
+/// tests (`core/tests/simd_parity.rs`, `core/tests/dense_layouts.rs`), which
+/// compare scalar and vector paths without respawning under
+/// `WCOJ_FORCE_SCALAR=1` (they live outside this crate, so `cfg(test)` cannot
+/// reach them). Panics if the host cannot execute `level`. Not for concurrent
+/// use with live queries: flip it only between runs.
 #[doc(hidden)]
 pub fn force_active_level(level: SimdLevel) {
     assert!(
@@ -190,6 +190,7 @@ unsafe fn merge2_avx2(out: &mut Vec<Value>, a: &[Value], b: &[Value]) {
     let (mut i, mut j) = (0usize, 0usize);
     while i + 4 <= a.len() && j + 4 <= b.len() {
         // SAFETY: i+4 <= a.len() and j+4 <= b.len() bound every unaligned load.
+        debug_assert!(i + 4 <= a.len() && j + 4 <= b.len());
         let va = unsafe { _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i) };
         let vb = unsafe { _mm256_loadu_si256(b.as_ptr().add(j) as *const __m256i) };
         // va against all four rotations of vb: a lane matches iff its value
@@ -220,6 +221,7 @@ unsafe fn merge2_neon(out: &mut Vec<Value>, a: &[Value], b: &[Value]) {
     let (mut i, mut j) = (0usize, 0usize);
     while i + 2 <= a.len() && j + 2 <= b.len() {
         // SAFETY: i+2 <= a.len() and j+2 <= b.len() bound every load.
+        debug_assert!(i + 2 <= a.len() && j + 2 <= b.len());
         let va = unsafe { vld1q_u64(a.as_ptr().add(i)) };
         let vb = unsafe { vld1q_u64(b.as_ptr().add(j)) };
         let m0 = vceqq_u64(va, vb);
@@ -289,6 +291,7 @@ unsafe fn linear_lub_avx2(values: &[Value], start: usize, end: usize, target: Va
     let mut i = start;
     while i + 4 <= end {
         // SAFETY: i+4 <= end <= values.len() bounds the load.
+        debug_assert!(i + 4 <= end && end <= values.len());
         let v = unsafe { _mm256_loadu_si256(values.as_ptr().add(i) as *const __m256i) };
         let lt = _mm256_cmpgt_epi64(vt, _mm256_xor_si256(v, sign));
         let mask = _mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32;
@@ -399,6 +402,7 @@ unsafe fn decode_words_vbmi2(out: &mut Vec<Value>, base: Value, words: &[u64]) {
     out.reserve(total + 8);
     let start = out.len();
     // SAFETY: `start` is `out`'s length, within its allocation.
+    debug_assert!(start + total + 8 <= out.capacity());
     let dst = unsafe { out.as_mut_ptr().add(start) };
     // SAFETY: BYTE_IOTA is 64 readable bytes; the load is unaligned.
     let iota = unsafe { _mm512_loadu_si512(BYTE_IOTA.as_ptr().cast()) };
@@ -413,6 +417,7 @@ unsafe fn decode_words_vbmi2(out: &mut Vec<Value>, base: Value, words: &[u64]) {
             // SAFETY: the `total + 8` reservation above covers this store of
             // slots n + k .. n + k + 8: the last round starts at k = 0 or
             // k < count, so it ends by n + count + 8 <= total + 8.
+            debug_assert!(n + k + 8 <= total + 8);
             unsafe {
                 _mm512_storeu_si512(dst.add(n + k).cast(), _mm512_add_epi64(eight, word_base))
             };
@@ -428,6 +433,7 @@ unsafe fn decode_words_vbmi2(out: &mut Vec<Value>, base: Value, words: &[u64]) {
     // SAFETY: within the `total + 8` reservation, every slot below `total` was
     // written with its value: a word's rounds cover its own `count` slots, and
     // the next word's stores start at its first slot, past them.
+    debug_assert_eq!(n, total);
     unsafe { out.set_len(start + total) };
 }
 
