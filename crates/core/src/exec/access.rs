@@ -66,7 +66,6 @@ pub(super) enum BuiltAccess {
 struct CacheCtx<'a> {
     db: &'a Database,
     use_cache: bool,
-    pinned: bool,
 }
 
 /// Fetch-or-build the trie of one sealed run through the access cache. `key`
@@ -91,7 +90,7 @@ fn fetch_or_build(
     if let Some(key) = key {
         let (cost, bytes) = (run.len() as u64, t.heap_bytes());
         let (value, source) = (Arc::clone(&t), Arc::downgrade(run));
-        stats.evictions += cache.insert(key.clone(), value, source, cost, bytes, ctx.pinned);
+        stats.evictions += cache.insert(key.clone(), value, source, cost, bytes);
     }
     Ok((t, true))
 }
@@ -166,7 +165,6 @@ impl BuiltAccess {
         let ctx = CacheCtx {
             db,
             use_cache: opts.cache != CacheMode::Off && db.access_cache().is_enabled(),
-            pinned: opts.cache == CacheMode::Pinned,
         };
         let mut atoms = Vec::with_capacity(sources.len());
         for ((atom, source), positions) in query.atoms().iter().zip(sources).zip(positions) {

@@ -36,10 +36,6 @@ pub enum CacheMode {
     /// cost-aware policy evict under byte pressure. The default.
     #[default]
     On,
-    /// Like [`CacheMode::On`], but entries this execution inserts are exempt
-    /// from eviction (they still revalidate, and stale ones are replaced).
-    /// For hot recurring queries that must never lose their structures.
-    Pinned,
 }
 
 /// Execution configuration threaded through the public API and the planner.
@@ -64,8 +60,8 @@ pub struct ExecOptions {
     /// tests and experiments). Ignored by the binary baseline.
     pub kernel: KernelPolicy,
     /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
-    /// the database's shared cache ([`CacheMode::On`], the default), pin them
-    /// against eviction, or bypass the cache. Ignored by the binary baseline,
+    /// the database's shared cache ([`CacheMode::On`], the default) or bypass
+    /// the cache. Ignored by the binary baseline,
     /// which builds no access structures.
     pub cache: CacheMode,
     /// Optional trace sink: `Some` makes the execution deposit a
@@ -220,8 +216,8 @@ mod tests {
         assert_eq!(opts.with_calibration(KernelCalibration::fixed()), opts);
         assert_eq!(opts.cache, CacheMode::On);
         assert_eq!(
-            ExecOptions::default().with_cache(CacheMode::Pinned).cache,
-            CacheMode::Pinned
+            ExecOptions::default().with_cache(CacheMode::Off).cache,
+            CacheMode::Off
         );
         let lf = ExecOptions::new(Engine::Leapfrog).with_threads(4);
         assert_eq!(lf.resolved_threads(), 4);

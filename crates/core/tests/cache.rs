@@ -1,6 +1,6 @@
 //! Differential and property tests for the stamp-keyed access-structure cache:
 //!
-//! executing with the cache **on** (or pinned) must be bit-identical — output
+//! executing with the cache **on** must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
 //! across engines × threads {1, 4}, interleaved with every kind of
 //! log mutation (append, delete, seal, compact, relation rebinding); repeated
@@ -34,18 +34,16 @@ fn assert_cached_matches_uncached(
             let base = ExecOptions::new(engine).with_threads(threads);
             let off = execute_opts_with_order(query, db, &base.with_cache(CacheMode::Off), order)
                 .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
-            for mode in [CacheMode::On, CacheMode::Pinned] {
-                let on = execute_opts_with_order(query, db, &base.with_cache(mode), order)
-                    .unwrap_or_else(|e| panic!("{label}: {mode:?} {engine:?} failed: {e}"));
-                assert_eq!(
-                    on.result, off.result,
-                    "{label}: {engine:?}/t{threads}/{mode:?}: rows diverge"
-                );
-                assert_eq!(
-                    on.work, off.work,
-                    "{label}: {engine:?}/t{threads}/{mode:?}: counters diverge"
-                );
-            }
+            let on = execute_opts_with_order(query, db, &base.with_cache(CacheMode::On), order)
+                .unwrap_or_else(|e| panic!("{label}: on {engine:?} failed: {e}"));
+            assert_eq!(
+                on.result, off.result,
+                "{label}: {engine:?}/t{threads}: rows diverge"
+            );
+            assert_eq!(
+                on.work, off.work,
+                "{label}: {engine:?}/t{threads}: counters diverge"
+            );
         }
     }
 }
@@ -464,27 +462,4 @@ fn an_empty_relation_caches_and_tallies_nothing() {
     assert_eq!((s.relation.as_str(), s.kind.as_str()), ("S", "delta"));
     assert_eq!(s.outcome, "bypass");
     assert_eq!(trace.backend, "mixed");
-}
-
-#[test]
-fn pinned_entries_survive_pressure_and_stay_correct() {
-    let mut db = Database::new();
-    db.insert(
-        "E",
-        Relation::from_pairs("src", "dst", random_pairs(512, 48, 0xE83)),
-    );
-    db.set_cache_budget(4 * 1024);
-    let query = examples::clique(3);
-    let pinned = ExecOptions::new(Engine::GenericJoin).with_cache(CacheMode::Pinned);
-    let first = execute_opts(&query, &db, &pinned).expect("pinned build");
-    assert!(first.cache_stats.misses > 0);
-    // pinned entries are admitted and kept even over the byte budget
-    let again = execute_opts(&query, &db, &pinned).expect("pinned reuse");
-    assert_eq!(again.cache_stats.misses, 0);
-    assert!(again.cache_stats.hits > 0, "pinned entries survive");
-    assert_eq!(again.result, first.result);
-    assert_eq!(again.work, first.work);
-    let off = execute_opts(&query, &db, &pinned.with_cache(CacheMode::Off)).expect("off");
-    assert_eq!(off.result, first.result);
-    assert_eq!(off.work, first.work);
 }

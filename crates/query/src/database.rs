@@ -406,9 +406,7 @@ impl Database {
                     )
                 }
             };
-            let col = encode_column(attr, ty, rows.iter().map(|r| &r[pos]), dict)
-                .expect("value kinds were validated above");
-            columns.push(col);
+            columns.push(encode_column(attr, ty, rows.iter().map(|r| &r[pos]), dict)?);
             col_domains.push(domain);
         }
         Ok((columns, col_domains))
@@ -658,9 +656,8 @@ impl Database {
             }
         }
         let map_refs: Vec<Option<&[u64]>> = maps.iter().map(|m| m.as_deref()).collect();
-        let remapped = relation
-            .remap_columns(&map_refs)
-            .expect("code ranges were validated above");
+        // cannot fail: every code range was validated above
+        let remapped = relation.remap_columns(&map_refs)?;
         // a nullary relation merged no dictionary: rejecting it here is still
         // all-or-nothing
         let log = DeltaRelation::try_from_relation(remapped)?;
@@ -682,7 +679,9 @@ impl Database {
     /// current [`Database::set_domain`] mapping — so remapping a domain after
     /// loading cannot smuggle two unrelated dictionaries past this check.
     pub fn var_bindings(&self, query: &ConjunctiveQuery) -> Result<Vec<VarBinding>, DatabaseError> {
-        let mut out: Vec<Option<VarBinding>> = vec![None; query.num_vars()];
+        // variable ids are assigned in order of first appearance, atom by
+        // atom, so an unseen variable is always the next id
+        let mut out: Vec<VarBinding> = Vec::with_capacity(query.num_vars());
         for (ai, atom) in query.atoms().iter().enumerate() {
             let stored = self.atom_source(query, ai)?.schema();
             let load_record = self.loaded_domains.get(&atom.name);
@@ -697,8 +696,11 @@ impl Database {
                             .unwrap_or_else(|| self.domain_of(attr).to_string())
                     }),
                 };
-                match &out[v] {
-                    None => out[v] = Some(binding),
+                match out.get(v) {
+                    None => {
+                        debug_assert_eq!(v, out.len(), "ids follow first appearance");
+                        out.push(binding);
+                    }
                     Some(first) if *first != binding => {
                         return Err(DatabaseError::VarTypeMismatch {
                             var: query.var_name(v).to_string(),
@@ -714,10 +716,7 @@ impl Database {
                 }
             }
         }
-        Ok(out
-            .into_iter()
-            .map(|b| b.expect("every query variable appears in some atom"))
-            .collect())
+        Ok(out)
     }
 
     /// Names of the stored relations (unsorted).

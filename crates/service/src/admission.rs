@@ -10,6 +10,7 @@
 //! for a few instructions per admit/release, never across query execution.
 
 use crate::error::ServiceError;
+use crate::unpoison;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[derive(Debug, Default)]
@@ -44,16 +45,9 @@ impl AdmissionGate {
     }
 
     /// The gate's counters are two integers updated under the lock in single
-    /// statements, so a panicking holder cannot leave them torn — recover from
-    /// poison rather than wedging every later request.
+    /// statements, so a panicking holder cannot leave them torn.
     fn lock(&self) -> MutexGuard<'_, GateState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.state.clear_poison();
-                poisoned.into_inner()
-            }
-        }
+        unpoison(self.state.lock())
     }
 
     /// Acquire a permit: immediately if a slot is free, after waiting if the
@@ -70,13 +64,7 @@ impl AdmissionGate {
             }
             state.queued += 1;
             while state.running >= self.max_concurrent {
-                state = match self.freed.wait(state) {
-                    Ok(g) => g,
-                    Err(poisoned) => {
-                        self.state.clear_poison();
-                        poisoned.into_inner()
-                    }
-                };
+                state = unpoison(self.freed.wait(state));
             }
             state.queued -= 1;
         }

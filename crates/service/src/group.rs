@@ -14,6 +14,9 @@
 //! moment to grow the group — a latency-for-throughput trade that defaults to
 //! off.
 //!
+//! Every service commits through this queue: an in-memory service's leader
+//! runs the same validation and apply, and skips only the append and fsync.
+//!
 //! This module owns only the queueing fabric (queue, leadership flag, per-
 //! caller outcome slots). The commit protocol itself — epoch CAS, WAL append,
 //! single sync, in-memory apply — lives in [`crate::QueryService`], which has
@@ -21,62 +24,18 @@
 
 use crate::error::ServiceError;
 use crate::service::WriteBatch;
+use crate::unpoison;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Mutex, MutexGuard};
 
-/// One caller's rendezvous: the leader fills `result` exactly once and
-/// notifies; the owner waits on `ready`. (The leader's own slot is filled the
-/// same way — it just never has to block on it.)
-#[derive(Debug, Default)]
-pub(crate) struct Slot {
-    result: Mutex<Option<Result<u64, ServiceError>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    /// Deliver the outcome (leader side).
-    pub(crate) fn fill(&self, outcome: Result<u64, ServiceError>) {
-        let mut guard = match self.result.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.result.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        debug_assert!(guard.is_none(), "a slot is filled exactly once");
-        *guard = Some(outcome);
-        self.ready.notify_all();
-    }
-
-    /// Block until the outcome arrives (member side).
-    pub(crate) fn wait(&self) -> Result<u64, ServiceError> {
-        let mut guard = match self.result.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.result.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
-            }
-            guard = match self.ready.wait(guard) {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    self.result.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
-        }
-    }
-}
-
-/// One enqueued batch: the payload plus its owner's outcome slot.
+/// One enqueued batch: the payload plus its owner's outcome slot, a one-shot
+/// channel the leader answers exactly once. (The leader answers its own slot
+/// the same way — it just never has to block on it.)
 #[derive(Debug)]
 pub(crate) struct Pending {
     pub(crate) batch: WriteBatch,
-    pub(crate) slot: Arc<Slot>,
+    pub(crate) slot: SyncSender<Result<u64, ServiceError>>,
 }
 
 #[derive(Debug, Default)]
@@ -95,17 +54,8 @@ pub(crate) struct GroupQueue {
 }
 
 impl GroupQueue {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                // the queue holds only data (no invariants spanning the
-                // guard), and every enqueued slot is eventually filled by a
-                // leader or its enqueuer — recovering the mutex is safe
-                self.state.clear_poison();
-                poisoned.into_inner()
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        unpoison(self.state.lock())
     }
 
     /// Enqueue `pending`; returns whether the caller must act as leader
@@ -158,14 +108,22 @@ impl GroupQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{sync_channel, Receiver};
+
+    /// A pending insert of `(n, n)` and the receiving end of its slot.
+    fn pending(n: u64) -> (Pending, Receiver<Result<u64, ServiceError>>) {
+        let (slot, outcome) = sync_channel(1);
+        let batch = WriteBatch::new().insert("E", vec![n, n]);
+        (Pending { batch, slot }, outcome)
+    }
+
+    fn p(n: u64) -> Pending {
+        pending(n).0
+    }
 
     #[test]
     fn leadership_transfers_atomically_with_enqueue() {
         let q = GroupQueue::default();
-        let p = |n: u64| Pending {
-            batch: WriteBatch::new().insert("E", vec![n, n]),
-            slot: Arc::new(Slot::default()),
-        };
         assert!(q.enqueue(p(1)), "first arrival leads");
         assert!(!q.enqueue(p(2)), "second follows");
         let drained = q.drain();
@@ -184,10 +142,6 @@ mod tests {
     #[test]
     fn requeue_front_preserves_order() {
         let q = GroupQueue::default();
-        let p = |n: u64| Pending {
-            batch: WriteBatch::new().insert("E", vec![n, n]),
-            slot: Arc::new(Slot::default()),
-        };
         assert!(q.enqueue(p(9)));
         q.requeue_front(vec![p(1), p(2)]);
         let drained = q.drain();
@@ -199,14 +153,30 @@ mod tests {
         assert!(!q.step_down_or_continue());
     }
 
+    /// A follower blocks on its slot until the leader, on another thread,
+    /// drains its batch and answers it.
     #[test]
     fn slots_rendezvous_across_threads() {
-        let slot = Arc::new(Slot::default());
-        let waiter = {
-            let slot = Arc::clone(&slot);
-            std::thread::spawn(move || slot.wait())
-        };
-        slot.fill(Ok(7));
-        assert_eq!(waiter.join().unwrap().unwrap(), 7);
+        let q = GroupQueue::default();
+        let (own, own_outcome) = pending(1);
+        assert!(q.enqueue(own));
+        std::thread::scope(|scope| {
+            let follower = scope.spawn(|| {
+                let (mine, outcome) = pending(2);
+                assert!(!q.enqueue(mine), "a leader is active");
+                outcome.recv()
+            });
+            let mut group = Vec::new();
+            while group.len() < 2 {
+                group.extend(q.drain());
+                std::thread::yield_now();
+            }
+            for (seq, member) in (7..).zip(group) {
+                member.slot.send(Ok(seq)).unwrap();
+            }
+            assert_eq!(follower.join().unwrap(), Ok(Ok(8)));
+        });
+        assert_eq!(own_outcome.recv(), Ok(Ok(7)));
+        assert!(!q.step_down_or_continue());
     }
 }

@@ -3,22 +3,24 @@
 //! The lower crates model the paper's *algorithms*; this crate wraps them into
 //! a long-lived **service** with the robustness a real deployment needs:
 //!
-//! * **WAL durability with group commit** — every write batch is logged and
-//!   fsynced through [`wcoj_storage::wal`] *before* it touches memory, and
-//!   concurrent committers share one fsync via the leader-based group-commit
-//!   coordinator; the log is a directory of rotated segments plus periodic
-//!   checkpoints, so [`QueryService::open`] recovers committed batches after
-//!   a crash in time bounded by the post-checkpoint tail, truncating torn
-//!   tails;
+//! * **one write path, WAL durability with group commit** — every write
+//!   batch, on an in-memory or a durable service, commits through the
+//!   leader-based group-commit coordinator; on a durable service it is logged
+//!   and fsynced through [`wcoj_storage::wal`] *before* it touches memory,
+//!   and concurrent committers share one fsync; the log is a directory of
+//!   rotated segments plus a checkpoint after every rotation, so
+//!   [`QueryService::open`] recovers committed batches after a crash in time
+//!   bounded by the post-checkpoint tail, truncating torn tails;
 //! * **MVCC snapshot reads** — queries execute lock-free against a pinned
 //!   [`wcoj_query::Snapshot`] while writers append, seal, and compact
 //!   concurrently, with bit-identical rows *and* work counters;
 //! * **admission control** — a bounded [`AdmissionGate`] runs at most
 //!   `max_concurrent` queries, queues at most `max_queued`, and sheds the
 //!   rest with a typed [`ServiceError::Overloaded`];
-//! * **deadlines & cancellation** — per-query [`wcoj_core::CancelToken`]s are
-//!   polled at the engines' chunk boundaries, surfacing
-//!   [`ServiceError::DeadlineExceeded`] with partial output discarded;
+//! * **deadlines & cancellation** — the [`wcoj_core::CancelToken`] a caller
+//!   passes to [`QueryService::query_with`] is polled at the engines' chunk
+//!   boundaries, surfacing [`ServiceError::DeadlineExceeded`] with partial
+//!   output discarded;
 //! * **optimistic write concurrency** — [`WriteBatch::against`] a snapshot
 //!   records relation epochs, [`QueryService::apply`] CAS-validates those of
 //!   the relations the batch writes (snapshot isolation), and
@@ -57,6 +59,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::{LockResult, PoisonError};
+
 pub mod admission;
 pub mod error;
 mod group;
@@ -68,3 +72,13 @@ pub use service::{
     replay_into, QueryService, RecoveryReport, ServiceConfig, WriteBatch, GROUP_SIZE_BUCKETS,
 };
 pub use wcoj_obs::{MetricValue, MetricsSnapshot, Registry};
+
+/// The crate's one lock rule: take the guard out of a poisoned lock. Every
+/// lock here guards state that is whole between statements — the catalog
+/// (mutated only by a commit leader, which upholds its invariants before
+/// releasing), the WAL writer (which poisons itself when its durable tail is
+/// unknown), the group queue, the admission counters and the slow-query ring
+/// — so a panic on one thread must not wedge the whole service.
+pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -12,29 +12,32 @@
 //!
 //! # Write path
 //!
-//! Mutations travel in [`WriteBatch`]es. A batch built
+//! Mutations travel in [`WriteBatch`]es, and every service — in-memory or
+//! durable — commits them through one routine. A batch built
 //! [`against`](WriteBatch::against) a snapshot records every epoch the
-//! snapshot pinned; [`QueryService::apply`] re-checks those of the relations
-//! the batch **writes** under the write lock (optimistic CAS) and returns a
-//! typed [`ServiceError::Conflict`] if another writer got there first —
+//! snapshot pinned; the commit re-checks those of the relations the batch
+//! **writes** under the write lock (optimistic CAS) and returns a typed
+//! [`ServiceError::Conflict`] if another writer got there first —
 //! [`QueryService::apply_with_retry`] rebases and retries with exponential
 //! backoff. A relation the batch only read may move without a conflict: this
 //! is snapshot isolation, so two batches that each write what the other read
-//! both commit (write skew). Once validated, the batch is **logged and fsynced
-//! before touching memory**: a WAL failure (real or injected via
-//! [`FaultPlan`]) rejects the batch with memory unchanged, so the in-memory
-//! state never runs ahead of the durable log.
+//! both commit (write skew). The rule lives in one function, the private
+//! `WriteBatch::validate`.
 //!
-//! Durable writes flow through the **group-commit coordinator** (the private
-//! `group` module): concurrent `apply` callers enqueue their batches, one
-//! leader drains the queue, CAS-validates every member under the write lock,
-//! appends all payloads and commit markers, and issues a **single fsync** for
-//! the whole group — so the per-batch fsync cost is amortized across however
-//! many writers piled up during the previous group's barrier. A failed group
-//! fsync fails *every* member atomically with memory untouched. An optional
-//! coalescing window ([`ServiceConfig::group_commit_window`]) grows groups at
-//! the cost of latency; a solo writer is a group of one — one append, one
-//! marker, one fsync.
+//! Writes flow through the **group-commit coordinator** (the private `group`
+//! module): concurrent `apply` callers enqueue their batches, one leader
+//! drains the queue, validates every member under the write lock, and applies
+//! the accepted ones in memory. A durable service **logs and fsyncs before
+//! touching memory**: the leader appends all payloads and commit markers and
+//! issues a **single fsync** for the whole group — so the per-batch fsync cost
+//! is amortized across however many writers piled up during the previous
+//! group's barrier — and a WAL failure (real or injected via [`FaultPlan`])
+//! fails *every* member atomically with memory untouched, so the in-memory
+//! state never runs ahead of the durable log. An in-memory service skips only
+//! that step. An optional coalescing window
+//! ([`ServiceConfig::group_commit_window`]) grows groups at the cost of
+//! latency; a solo writer is a group of one — one append, one marker, one
+//! fsync.
 //!
 //! # Configuration
 //!
@@ -46,11 +49,12 @@
 //!
 //! # Recovery
 //!
-//! The log is a **directory**: rotated segments (`wal.000001`, …) plus
-//! periodic **checkpoints** (`ckpt.000047`) holding every relation's
-//! serialized state ([`wcoj_storage::DeltaRelation::encode_state`]), taken
-//! from an MVCC snapshot so the writer is never stalled, and followed by
-//! deletion of fully-covered segments. [`QueryService::open`] loads the
+//! The log is a **directory**: rotated segments (`wal.000001`, …) plus a
+//! **checkpoint** (`ckpt.000047`) after every rotation, holding every
+//! relation's serialized state
+//! ([`wcoj_storage::DeltaRelation::encode_state`]), taken from an MVCC
+//! snapshot so the writer is never stalled, and followed by deletion of
+//! fully-covered segments. [`QueryService::open`] loads the
 //! newest valid checkpoint (base), replays only the **tail** — batches after
 //! the checkpoint — through the same public mutation API the writer used, and
 //! resumes the writer with a contiguous commit sequence. Recovery cost is
@@ -62,11 +66,12 @@
 
 use crate::admission::{AdmissionGate, Permit};
 use crate::error::ServiceError;
-use crate::group::{GroupQueue, Pending, Slot};
+use crate::group::{GroupQueue, Pending};
+use crate::unpoison;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions, ExecOutput, QueryTrace, TraceSink};
 use wcoj_obs::{Counter, Gauge, Histogram, Registry};
@@ -84,8 +89,6 @@ pub struct ServiceConfig {
     /// Queries allowed to wait; arrivals beyond this are shed with
     /// [`ServiceError::Overloaded`].
     pub max_queued: usize,
-    /// Deadline applied to queries that do not bring their own token.
-    pub default_deadline: Option<Duration>,
     /// Engine/backend/threads used for query execution.
     pub exec: ExecOptions,
     /// Conflict retries in [`QueryService::apply_with_retry`] before the
@@ -102,12 +105,9 @@ pub struct ServiceConfig {
     /// Zero (the default) relies on the self-clocking batching alone.
     pub group_commit_window: Duration,
     /// WAL segment-rotation threshold in bytes (default
-    /// [`DEFAULT_SEGMENT_BYTES`], 64 MiB).
+    /// [`DEFAULT_SEGMENT_BYTES`], 64 MiB). Every rotation is followed by a
+    /// checkpoint.
     pub segment_bytes: u64,
-    /// Take a checkpoint after this many completed (rotated-out) segments;
-    /// `0` disables automatic checkpoints ([`QueryService::checkpoint`] can
-    /// still be called directly).
-    pub checkpoint_after_segments: u64,
     /// Slow-query threshold: queries at or above it run with a per-query
     /// [`TraceSink`] and deposit their [`QueryTrace`] into the bounded ring
     /// behind [`QueryService::slow_queries`]. `Duration::ZERO` traces every
@@ -120,14 +120,12 @@ impl Default for ServiceConfig {
         ServiceConfig {
             max_concurrent: 4,
             max_queued: 16,
-            default_deadline: None,
             exec: ExecOptions::default(),
             write_retries: 3,
             retry_backoff: Duration::from_millis(1),
             fault: FaultPlan::default(),
             group_commit_window: Duration::ZERO,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
-            checkpoint_after_segments: 1,
             slow_query: None,
         }
     }
@@ -138,12 +136,6 @@ impl ServiceConfig {
     pub fn with_admission(mut self, max_concurrent: usize, max_queued: usize) -> Self {
         self.max_concurrent = max_concurrent;
         self.max_queued = max_queued;
-        self
-    }
-
-    /// Override the default per-query deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
         self
     }
 
@@ -171,12 +163,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Override the automatic checkpoint cadence (`0` disables).
-    pub fn with_checkpoint_after_segments(mut self, segments: u64) -> Self {
-        self.checkpoint_after_segments = segments;
-        self
-    }
-
     /// Override the slow-query threshold (`Duration::ZERO` traces everything).
     pub fn with_slow_query(mut self, threshold: Duration) -> Self {
         self.slow_query = Some(threshold);
@@ -196,6 +182,10 @@ fn latency_histogram() -> Histogram {
 /// How many slow-query traces [`QueryService::slow_queries`] retains (oldest
 /// evicted first).
 const SLOW_LOG_CAP: usize = 16;
+
+/// A durable service takes a checkpoint once this many segments have rotated
+/// out since the last one.
+const CHECKPOINT_AFTER_SEGMENTS: u64 = 1;
 
 /// Registry-backed service metrics. The service owns `Arc` handles so the hot
 /// paths update lock-free atomics directly (no name lookups); the same
@@ -265,25 +255,31 @@ impl ServiceStats {
     }
 }
 
-/// A batch of catalog mutations applied atomically: WAL-logged, fsynced, then
-/// applied in memory under the write lock.
+/// A batch of catalog mutations applied atomically: validated, WAL-logged and
+/// fsynced (on a durable service), then applied in memory under the write
+/// lock.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBatch {
     ops: Vec<WalOp>,
-    /// Every epoch the snapshot pinned, per relation; apply validates those
-    /// of the relations the batch writes.
-    expected: HashMap<String, u64>,
-    blind: bool,
+    /// Every epoch the snapshot pinned, per relation, for a batch built
+    /// [`against`](WriteBatch::against) one (`None`: blind); the commit
+    /// validates those of the relations the batch writes.
+    expected: Option<HashMap<String, u64>>,
+}
+
+/// What the commit leader does with one member of its group.
+enum Decision {
+    Accept,
+    /// Requeue for the leader's next round (see [`QueryService::apply`]).
+    Defer,
+    Reject(ServiceError),
 }
 
 impl WriteBatch {
     /// A blind batch: no conflict detection, last writer wins (the semantics
     /// of raw `insert`/`delete` — idempotent against the live-set).
     pub fn new() -> WriteBatch {
-        WriteBatch {
-            blind: true,
-            ..WriteBatch::default()
-        }
+        WriteBatch::default()
     }
 
     /// A batch that conflicts if any relation it writes has moved past the
@@ -292,11 +288,12 @@ impl WriteBatch {
     /// isolation, not serializability.
     pub fn against(snapshot: &Snapshot) -> WriteBatch {
         WriteBatch {
-            expected: snapshot
-                .epochs()
-                .map(|(name, epoch)| (name.to_string(), epoch))
-                .collect(),
-            blind: false,
+            expected: Some(
+                snapshot
+                    .epochs()
+                    .map(|(name, epoch)| (name.to_string(), epoch))
+                    .collect(),
+            ),
             ..WriteBatch::default()
         }
     }
@@ -356,6 +353,38 @@ impl WriteBatch {
             }
         }
         seen
+    }
+
+    /// The service's one validation rule, checked under the write lock.
+    /// Every relation the batch touches must exist. A batch built `against` a
+    /// snapshot must find each of them at the epoch the snapshot pinned
+    /// (snapshot isolation: a relation only read is not checked) — unless an
+    /// earlier member of its group, which has not applied yet, writes it
+    /// (`written`): then the batch is deferred, since its epoch is about to
+    /// move for a reason the batch had no chance to observe.
+    fn validate(&self, db: &Database, written: &HashSet<String>) -> Decision {
+        for rel in self.touched() {
+            let Some(found) = db.relation_epoch(rel) else {
+                return Decision::Reject(ServiceError::UnknownRelation(rel.to_string()));
+            };
+            let Some(expected) = &self.expected else {
+                continue;
+            };
+            if written.contains(rel) {
+                return Decision::Defer;
+            }
+            let Some(&expected) = expected.get(rel) else {
+                return Decision::Reject(ServiceError::UnknownRelation(rel.to_string()));
+            };
+            if expected != found {
+                return Decision::Reject(ServiceError::Conflict {
+                    relation: rel.to_string(),
+                    expected,
+                    found,
+                });
+            }
+        }
+        Decision::Accept
     }
 }
 
@@ -437,23 +466,12 @@ impl RecoveryReport {
     }
 }
 
-/// The long-lived service: shared catalog, optional segmented WAL, group-
-/// commit queue, admission gate, and counters. All methods take `&self`; the
-/// service is `Sync` and meant to be shared across request threads.
+/// A durable service's log: the segmented WAL writer, its directory, and the
+/// checkpoint bookkeeping.
 #[derive(Debug)]
-pub struct QueryService {
-    db: RwLock<Database>,
-    wal: Option<Mutex<SegmentedWal>>,
-    /// The log directory (`None` for in-memory services).
-    wal_dir: Option<PathBuf>,
-    group: GroupQueue,
-    gate: AdmissionGate,
-    registry: Arc<Registry>,
-    stats: ServiceStats,
-    /// Bounded ring of slow-query traces (newest last); see
-    /// [`ServiceConfig::slow_query`].
-    slow_log: Mutex<VecDeque<QueryTrace>>,
-    config: ServiceConfig,
+struct Log {
+    wal: Mutex<SegmentedWal>,
+    dir: PathBuf,
     /// Last WAL sequence whose effects are applied in memory. Written under
     /// the db **write** lock, read under the read lock — so a checkpoint's
     /// `(state, seq)` pair is always consistent.
@@ -467,27 +485,42 @@ pub struct QueryService {
     gc_segment_bytes: AtomicU64,
 }
 
+/// The long-lived service: shared catalog, optional segmented WAL, group-
+/// commit queue, admission gate, and counters. All methods take `&self`; the
+/// service is `Sync` and meant to be shared across request threads.
+#[derive(Debug)]
+pub struct QueryService {
+    db: RwLock<Database>,
+    /// `None` for in-memory services.
+    log: Option<Log>,
+    group: GroupQueue,
+    gate: AdmissionGate,
+    registry: Arc<Registry>,
+    stats: ServiceStats,
+    /// Bounded ring of slow-query traces (newest last); see
+    /// [`ServiceConfig::slow_query`].
+    slow_log: Mutex<VecDeque<QueryTrace>>,
+    config: ServiceConfig,
+}
+
 impl QueryService {
     /// A service over `db` with no durability (tests, ephemeral catalogs).
     pub fn in_memory(db: Database, config: ServiceConfig) -> QueryService {
-        let gate = AdmissionGate::new(config.max_concurrent, config.max_queued);
+        QueryService::new(db, config, None)
+    }
+
+    fn new(db: Database, config: ServiceConfig, log: Option<Log>) -> QueryService {
         let registry = Arc::new(Registry::new());
-        let stats = ServiceStats::new(&registry);
         db.access_cache().register_metrics(&registry);
         QueryService {
             db: RwLock::new(db),
-            wal: None,
-            wal_dir: None,
+            log,
             group: GroupQueue::default(),
-            gate,
+            gate: AdmissionGate::new(config.max_concurrent, config.max_queued),
+            stats: ServiceStats::new(&registry),
             registry,
-            stats,
             slow_log: Mutex::new(VecDeque::new()),
             config,
-            applied_seq: AtomicU64::new(0),
-            checkpoint_active: AtomicBool::new(false),
-            last_checkpoint_seq: AtomicU64::new(0),
-            gc_segment_bytes: AtomicU64::new(0),
         }
     }
 
@@ -531,68 +564,31 @@ impl QueryService {
             segments: recovery.segments,
             wal_bytes: recovery.wal_bytes,
         };
-        let registry = Arc::new(Registry::new());
-        let stats = ServiceStats::new(&registry);
-        base.access_cache().register_metrics(&registry);
-        let service = QueryService {
-            db: RwLock::new(base),
-            wal: Some(Mutex::new(writer)),
-            wal_dir: Some(dir),
-            group: GroupQueue::default(),
-            gate: AdmissionGate::new(config.max_concurrent, config.max_queued),
-            registry,
-            stats,
-            slow_log: Mutex::new(VecDeque::new()),
-            config,
+        let log = Log {
+            wal: Mutex::new(writer),
+            dir,
             applied_seq: AtomicU64::new(recovery.committed),
             checkpoint_active: AtomicBool::new(false),
             last_checkpoint_seq: AtomicU64::new(checkpoint_seq),
             gc_segment_bytes: AtomicU64::new(0),
         };
+        let service = QueryService::new(base, config, Some(log));
         // a fresh registry starts at zero, so `add` seeds the recovery view
-        service.stats.recovered_batches.add(recovery.committed);
-        service
-            .stats
-            .recovery_replay_ops
-            .add(report.num_ops() as u64);
-        service.stats.recovery_checkpoint_seq.set(checkpoint_seq);
-        service
-            .stats
-            .recovery_tail_batches
-            .set(report.tail.len() as u64);
-        service.stats.recovery_install_us.set(install_us);
-        service.stats.recovery_replay_us.set(replay_us);
-        service.stats.wal_bytes.set(recovery.wal_bytes);
+        let stats = &service.stats;
+        stats.recovered_batches.add(recovery.committed);
+        stats.recovery_replay_ops.add(report.num_ops() as u64);
+        stats.recovery_checkpoint_seq.set(checkpoint_seq);
+        stats.recovery_tail_batches.set(report.tail.len() as u64);
+        stats.recovery_install_us.set(install_us);
+        stats.recovery_replay_us.set(replay_us);
+        stats.wal_bytes.set(recovery.wal_bytes);
         Ok((service, report))
-    }
-
-    /// The catalog is only mutated through `apply`, which upholds its
-    /// invariants before releasing the lock — recover from poison instead of
-    /// wedging the whole service on an unrelated panic.
-    fn db_read(&self) -> RwLockReadGuard<'_, Database> {
-        match self.db.read() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.db.clear_poison();
-                poisoned.into_inner()
-            }
-        }
-    }
-
-    fn db_write(&self) -> RwLockWriteGuard<'_, Database> {
-        match self.db.write() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.db.clear_poison();
-                poisoned.into_inner()
-            }
-        }
     }
 
     /// Pin an MVCC snapshot of the current catalog (O(catalog) `Arc` bumps;
     /// the read lock is held only for the clone).
     pub fn snapshot(&self) -> Snapshot {
-        self.db_read().snapshot()
+        unpoison(self.db.read()).snapshot()
     }
 
     /// The metrics registry behind the service: every `service.*`, `wal.*`,
@@ -617,14 +613,7 @@ impl QueryService {
     /// entries are evicted). Populated only when
     /// [`ServiceConfig::slow_query`] is set.
     pub fn slow_queries(&self) -> Vec<QueryTrace> {
-        let log = match self.slow_log.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                self.slow_log.clear_poison();
-                poisoned.into_inner()
-            }
-        };
-        log.iter().cloned().collect()
+        unpoison(self.slow_log.lock()).iter().cloned().collect()
     }
 
     /// `(running, queued)` admission load right now.
@@ -634,36 +623,14 @@ impl QueryService {
 
     /// Batches committed through the WAL so far (`0` for in-memory services).
     pub fn committed(&self) -> u64 {
-        self.wal
+        self.log
             .as_ref()
-            .map(|w| self.wal_lock(w).committed())
-            .unwrap_or(0)
+            .map_or(0, |log| unpoison(log.wal.lock()).committed())
     }
 
-    fn wal_lock<'a>(
-        &self,
-        wal: &'a Mutex<SegmentedWal>,
-    ) -> std::sync::MutexGuard<'a, SegmentedWal> {
-        match wal.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                // a panic while holding the WAL lock leaves the writer in an
-                // unknown state; the writer's own poisoning (durable-tail
-                // unknown) is the safety net, so recovering the mutex is safe
-                wal.clear_poison();
-                poisoned.into_inner()
-            }
-        }
-    }
-
-    /// Execute `query` against a fresh snapshot, with the config's default
-    /// deadline (if any).
+    /// Execute `query` against a fresh snapshot, with no deadline.
     pub fn query(&self, query: &ConjunctiveQuery) -> Result<ExecOutput, ServiceError> {
-        let token = match self.config.default_deadline {
-            Some(d) => CancelToken::expiring_in(d),
-            None => CancelToken::new(),
-        };
-        self.query_with(query, &token)
+        self.query_with(query, &CancelToken::new())
     }
 
     /// Execute `query` with a caller-held [`CancelToken`] (keep a clone to
@@ -697,13 +664,7 @@ impl QueryService {
             if elapsed >= threshold {
                 if let Some(trace) = sink.take() {
                     self.stats.slow_queries.inc();
-                    let mut log = match self.slow_log.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => {
-                            self.slow_log.clear_poison();
-                            poisoned.into_inner()
-                        }
-                    };
+                    let mut log = unpoison(self.slow_log.lock());
                     if log.len() == SLOW_LOG_CAP {
                         log.pop_front();
                     }
@@ -728,15 +689,16 @@ impl QueryService {
     }
 
     /// Apply `batch`: validate its epoch expectations under the write lock,
-    /// log + fsync it, then mutate the catalog. Returns the WAL commit
-    /// sequence number (`0` for in-memory services and empty batches).
+    /// log + fsync it (durable services), then mutate the catalog. Returns the
+    /// WAL commit sequence number (`0` for in-memory services; an empty batch
+    /// returns the last committed one).
     ///
-    /// Durable services route through the **group-commit coordinator**: the
+    /// Every service commits through the **group-commit coordinator**: the
     /// batch joins the shared queue, and either this caller becomes the
-    /// leader (drains the queue, commits the whole group under one fsync,
-    /// fills every member's outcome) or it blocks until a concurrent leader
-    /// delivers its outcome. A solo writer is a group of one — one append,
-    /// one marker, one fsync — behind two uncontended mutex hops.
+    /// leader (drains the queue, commits the whole group, answers every
+    /// member) or it blocks until a concurrent leader delivers its outcome. A
+    /// solo writer is a group of one — on a durable service one append, one
+    /// marker, one fsync — behind two uncontended mutex hops.
     ///
     /// **Deferral rule:** a non-blind member whose touched relations were
     /// already written by an *earlier member of the same group* cannot be
@@ -749,229 +711,160 @@ impl QueryService {
         if batch.is_empty() {
             return Ok(self.committed());
         }
-        let Some(wal) = &self.wal else {
-            return self.apply_in_memory(batch);
-        };
         let enqueued = Instant::now();
-        let slot = Arc::new(Slot::default());
+        let (slot, outcome) = mpsc::sync_channel(1);
         let leader = self.group.enqueue(Pending {
             batch: batch.clone(),
-            slot: Arc::clone(&slot),
+            slot,
         });
         if leader {
             // bounded coalescing window: arrivals during the sleep join this
-            // group's fsync (self-clocking batching needs no window at all —
+            // group (self-clocking batching needs no window at all —
             // followers pile up while the leader is inside the *previous*
             // fsync — so zero is the default)
             if !self.config.group_commit_window.is_zero() {
                 std::thread::sleep(self.config.group_commit_window);
             }
             loop {
-                let group = self.group.drain();
-                self.commit_group(wal, group);
+                self.commit_group(self.group.drain());
                 if !self.group.step_down_or_continue() {
                     break;
                 }
             }
-            self.maybe_checkpoint(wal);
+            self.maybe_checkpoint();
         }
-        let outcome = slot.wait();
-        // enqueue → durable ack: group-formation wait plus the group's
-        // validate/append/fsync/apply, as the committer experiences it
+        // every drained member is answered before its leader moves on; a
+        // closed channel means a leader unwound mid-group
+        let outcome = outcome.recv().unwrap_or_else(|_| {
+            Err(ServiceError::Wal(StorageError::Io(
+                "the commit leader exited without an outcome".into(),
+            )))
+        });
+        // enqueue → ack: group-formation wait plus the group's validate/
+        // append/fsync/apply, as the committer experiences it
         self.stats
             .commit_wait_us
             .observe(enqueued.elapsed().as_micros() as u64);
         outcome
     }
 
-    /// The non-durable write path: CAS + in-memory apply under the write
-    /// lock, no WAL, sequence `0`.
-    fn apply_in_memory(&self, batch: &WriteBatch) -> Result<u64, ServiceError> {
-        let mut db = self.db_write();
-        for rel in batch.touched() {
-            let found = db
-                .relation_epoch(rel)
-                .ok_or_else(|| ServiceError::UnknownRelation(rel.to_string()))?;
-            if !batch.blind {
-                let expected = *batch
-                    .expected
-                    .get(rel)
-                    .ok_or_else(|| ServiceError::UnknownRelation(rel.to_string()))?;
-                if expected != found {
-                    self.stats.conflicts.inc();
-                    return Err(ServiceError::Conflict {
-                        relation: rel.to_string(),
-                        expected,
-                        found,
-                    });
-                }
-            }
-        }
-        for op in &batch.ops {
-            apply_op(&mut db, op, &self.config.fault)?;
-        }
-        self.stats.batches_committed.inc();
-        self.stats.ops_committed.add(batch.ops.len() as u64);
-        Ok(0)
-    }
-
-    /// Commit one drained group (leader only): CAS-validate every member
-    /// under the write lock, append all accepted payloads + commit markers,
-    /// issue a **single fsync**, apply in memory, then fill every member's
-    /// outcome slot. A WAL failure anywhere in the group fails *every*
-    /// accepted member atomically with memory untouched — the log may run
-    /// ahead of acknowledgement, memory never runs ahead of the log.
-    fn commit_group(&self, wal: &Mutex<SegmentedWal>, group: Vec<Pending>) {
-        if group.is_empty() {
-            return;
-        }
-        enum Decision {
-            Accept,
-            Defer,
-            Reject(ServiceError),
-        }
-        let mut outcomes: Vec<(Arc<Slot>, Result<u64, ServiceError>)> = Vec::new();
+    /// Commit one drained group (leader only): validate every member under
+    /// the write lock, make the accepted ones durable (durable services:
+    /// append all payloads + commit markers, then a **single fsync**), apply
+    /// them in memory, then answer every member. A WAL failure anywhere in
+    /// the group fails *every* accepted member atomically with memory
+    /// untouched — the log may run ahead of acknowledgement, memory never
+    /// runs ahead of the log.
+    fn commit_group(&self, group: Vec<Pending>) {
+        let mut outcomes = Vec::new();
         let mut accepted: Vec<Pending> = Vec::new();
-        let mut deferred: Vec<Pending> = Vec::new();
-        let mut db = self.db_write();
+        let mut deferred = Vec::new();
+        let mut db = unpoison(self.db.write());
         // 1. validation: relations an earlier member of this group writes
-        let mut dirty: HashSet<String> = HashSet::new();
+        let mut written: HashSet<String> = HashSet::new();
         for pending in group {
-            let decision = 'decide: {
-                for rel in pending.batch.touched() {
-                    let Some(found) = db.relation_epoch(rel) else {
-                        break 'decide Decision::Reject(ServiceError::UnknownRelation(
-                            rel.to_string(),
-                        ));
-                    };
-                    if !pending.batch.blind {
-                        if dirty.contains(rel) {
-                            break 'decide Decision::Defer;
-                        }
-                        let Some(&expected) = pending.batch.expected.get(rel) else {
-                            break 'decide Decision::Reject(ServiceError::UnknownRelation(
-                                rel.to_string(),
-                            ));
-                        };
-                        if expected != found {
-                            self.stats.conflicts.inc();
-                            break 'decide Decision::Reject(ServiceError::Conflict {
-                                relation: rel.to_string(),
-                                expected,
-                                found,
-                            });
-                        }
-                    }
-                }
-                Decision::Accept
-            };
-            match decision {
+            match pending.batch.validate(&db, &written) {
                 Decision::Accept => {
-                    for rel in pending.batch.touched() {
-                        dirty.insert(rel.to_string());
-                    }
+                    written.extend(pending.batch.touched().into_iter().map(str::to_string));
                     accepted.push(pending);
                 }
                 Decision::Defer => deferred.push(pending),
-                Decision::Reject(e) => outcomes.push((pending.slot, Err(e))),
+                Decision::Reject(e) => {
+                    if matches!(e, ServiceError::Conflict { .. }) {
+                        self.stats.conflicts.inc();
+                    }
+                    outcomes.push((pending.slot, Err(e)));
+                }
             }
         }
         // 2. durability first, one fsync for the whole group
-        if !accepted.is_empty() {
-            let mut w = self.wal_lock(wal);
-            let mut seqs = Vec::with_capacity(accepted.len());
-            let mut failure: Option<StorageError> = None;
-            // one buffered write per batch (ops + marker in a single
-            // syscall): with the fsync amortized across the group, the
-            // leader's serial write-path CPU is what bounds ingest
-            for pending in &accepted {
-                match w.commit_batch_unsynced(&pending.batch.ops) {
-                    Ok(seq) => seqs.push(seq),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if failure.is_none() {
-                let fsync_started = Instant::now();
-                let synced = w.sync();
-                self.stats
-                    .fsync_us
-                    .observe(fsync_started.elapsed().as_micros() as u64);
-                if let Err(e) = synced {
-                    failure = Some(e);
-                }
-            }
-            if let Some(e) = failure {
-                // group atomicity: no member's effects reach memory; the
-                // writer is poisoned, so deferred members fail next round
-                drop(w);
-                drop(db);
-                for pending in accepted {
-                    outcomes.push((pending.slot, Err(ServiceError::Wal(e.clone()))));
-                }
-                self.group.requeue_front(deferred);
-                for (slot, outcome) in outcomes {
-                    slot.fill(outcome);
-                }
-                return;
-            }
-            // rotation only ever happens on a durable batch boundary; a
-            // rotation failure leaves the current segment as append target
-            let _ = w.maybe_rotate();
-            let total_bytes = w.total_bytes();
-            drop(w);
+        let seqs = match &self.log {
+            Some(log) if !accepted.is_empty() => self.append_and_sync(log, &accepted),
+            _ => Ok(vec![0; accepted.len()]),
+        };
+        match seqs {
+            // group atomicity: no member's effects reach memory; the writer
+            // is poisoned, so deferred members fail next round
+            Err(e) => outcomes.extend(
+                accepted
+                    .into_iter()
+                    .map(|pending| (pending.slot, Err(ServiceError::Wal(e.clone())))),
+            ),
             // 3. apply in memory under the still-held write lock; an apply
             //    error fails only that member (its ops are durable and replay
             //    deterministically)
-            let accepted_len = accepted.len() as u64;
-            let mut last_seq = 0;
-            let apply_started = Instant::now();
-            for (pending, seq) in accepted.into_iter().zip(seqs) {
-                let mut outcome = Ok(seq);
-                for op in &pending.batch.ops {
-                    if let Err(e) = apply_op(&mut db, op, &self.config.fault) {
-                        outcome = Err(e);
-                        break;
+            Ok(seqs) if !accepted.is_empty() => {
+                let apply_started = Instant::now();
+                let mut last_seq = 0;
+                for (pending, seq) in accepted.into_iter().zip(seqs) {
+                    let outcome = pending
+                        .batch
+                        .ops
+                        .iter()
+                        .try_for_each(|op| apply_op(&mut db, op, &self.config.fault))
+                        .map(|()| seq);
+                    if outcome.is_ok() {
+                        self.stats.batches_committed.inc();
+                        self.stats.ops_committed.add(pending.batch.ops.len() as u64);
                     }
+                    last_seq = seq;
+                    outcomes.push((pending.slot, outcome));
                 }
-                if outcome.is_ok() {
-                    self.stats.batches_committed.inc();
-                    self.stats.ops_committed.add(pending.batch.ops.len() as u64);
+                self.stats
+                    .apply_us
+                    .observe(apply_started.elapsed().as_micros() as u64);
+                // stored under the write lock: a checkpoint's (state, seq)
+                // pair read under the read lock is consistent
+                if let Some(log) = &self.log {
+                    log.applied_seq.store(last_seq, Ordering::Release);
                 }
-                last_seq = seq;
-                outcomes.push((pending.slot, outcome));
             }
-            self.stats
-                .apply_us
-                .observe(apply_started.elapsed().as_micros() as u64);
-            // stored under the write lock: a checkpoint's (state, seq) pair
-            // read under the read lock is consistent
-            self.applied_seq.store(last_seq, Ordering::Release);
-            self.stats.group_commits.inc();
-            self.stats.batches_per_fsync.observe(accepted_len);
-            self.stats
-                .wal_bytes
-                .set(total_bytes.saturating_sub(self.gc_segment_bytes.load(Ordering::Relaxed)));
+            Ok(_) => {}
         }
         drop(db);
         self.group.requeue_front(deferred);
         for (slot, outcome) in outcomes {
-            slot.fill(outcome);
+            // a member whose caller is gone has nobody to tell
+            let _ = slot.send(outcome);
         }
+    }
+
+    /// Append `accepted` to the log and make it durable with one fsync;
+    /// returns each member's commit sequence. The leader holds the db write
+    /// lock, so nothing else appends in between.
+    fn append_and_sync(&self, log: &Log, accepted: &[Pending]) -> Result<Vec<u64>, StorageError> {
+        let mut w = unpoison(log.wal.lock());
+        // one buffered write per batch (ops + marker in a single syscall):
+        // with the fsync amortized across the group, the leader's serial
+        // write-path CPU is what bounds ingest
+        let seqs = accepted
+            .iter()
+            .map(|pending| w.commit_batch_unsynced(&pending.batch.ops))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let fsync_started = Instant::now();
+        let synced = w.sync();
+        self.stats
+            .fsync_us
+            .observe(fsync_started.elapsed().as_micros() as u64);
+        synced?;
+        // rotation only ever happens on a durable batch boundary; a rotation
+        // failure leaves the current segment as append target
+        let _ = w.maybe_rotate();
+        self.stats.group_commits.inc();
+        self.stats.batches_per_fsync.observe(accepted.len() as u64);
+        let gc_bytes = log.gc_segment_bytes.load(Ordering::Relaxed);
+        self.stats
+            .wal_bytes
+            .set(w.total_bytes().saturating_sub(gc_bytes));
+        Ok(seqs)
     }
 
     /// Take a checkpoint if enough segments rotated out since the last one.
     /// Best-effort: a failed attempt (e.g. an injected tear) just leaves
     /// recovery on the previous checkpoint plus a longer tail.
-    fn maybe_checkpoint(&self, wal: &Mutex<SegmentedWal>) {
-        if self.config.checkpoint_after_segments == 0 {
-            return;
-        }
-        let due =
-            self.wal_lock(wal).segments_since_checkpoint() >= self.config.checkpoint_after_segments;
-        if due {
+    fn maybe_checkpoint(&self) {
+        let Some(log) = &self.log else { return };
+        if unpoison(log.wal.lock()).segments_since_checkpoint() >= CHECKPOINT_AFTER_SEGMENTS {
             let _ = self.checkpoint();
         }
     }
@@ -984,29 +877,25 @@ impl QueryService {
     /// service, no progress since the last checkpoint, or another checkpoint
     /// in flight).
     pub fn checkpoint(&self) -> Result<Option<u64>, ServiceError> {
-        let (Some(wal), Some(dir)) = (&self.wal, &self.wal_dir) else {
+        let Some(log) = &self.log else {
             return Ok(None);
         };
-        if self.checkpoint_active.swap(true, Ordering::AcqRel) {
+        if log.checkpoint_active.swap(true, Ordering::AcqRel) {
             return Ok(None); // single-flight; the in-flight one covers us
         }
-        let result = self.checkpoint_inner(wal, dir);
-        self.checkpoint_active.store(false, Ordering::Release);
+        let result = self.checkpoint_inner(log);
+        log.checkpoint_active.store(false, Ordering::Release);
         result
     }
 
-    fn checkpoint_inner(
-        &self,
-        wal: &Mutex<SegmentedWal>,
-        dir: &Path,
-    ) -> Result<Option<u64>, ServiceError> {
+    fn checkpoint_inner(&self, log: &Log) -> Result<Option<u64>, ServiceError> {
         // consistent (state, seq) pair: applied_seq is stored under the db
         // write lock, so one read-lock hold sees both atomically
         let (seq, pinned) = {
-            let db = self.db_read();
-            (self.applied_seq.load(Ordering::Acquire), db.clone())
+            let db = unpoison(self.db.read());
+            (log.applied_seq.load(Ordering::Acquire), db.clone())
         };
-        if seq == 0 || seq == self.last_checkpoint_seq.load(Ordering::Acquire) {
+        if seq == 0 || seq == log.last_checkpoint_seq.load(Ordering::Acquire) {
             return Ok(None);
         }
         let checkpoint_started = Instant::now();
@@ -1016,18 +905,18 @@ impl QueryService {
             .into_iter()
             .filter_map(|name| Some((name.to_string(), pinned.delta(name)?.encode_state())))
             .collect();
-        write_checkpoint(dir, seq, &encoded, &self.config.fault)?;
+        write_checkpoint(&log.dir, seq, &encoded, &self.config.fault)?;
         // the checkpoint is durable (file + directory fsynced) — only now is
         // it safe to delete the segments it covers
-        let gc = gc_checkpoint(dir, seq)?;
-        self.last_checkpoint_seq.store(seq, Ordering::Release);
+        let gc = gc_checkpoint(&log.dir, seq)?;
+        log.last_checkpoint_seq.store(seq, Ordering::Release);
         self.stats.checkpoints.inc();
         self.stats.segments_deleted.add(gc.segments_deleted);
-        let gc_total = self
+        let gc_total = log
             .gc_segment_bytes
             .fetch_add(gc.segment_bytes_freed, Ordering::AcqRel)
             + gc.segment_bytes_freed;
-        let mut w = self.wal_lock(wal);
+        let mut w = unpoison(log.wal.lock());
         w.checkpoint_taken();
         let total_bytes = w.total_bytes();
         drop(w);
@@ -1050,25 +939,26 @@ impl QueryService {
         make: impl Fn(&Snapshot) -> Result<WriteBatch, ServiceError>,
     ) -> Result<u64, ServiceError> {
         let mut backoff = self.config.retry_backoff;
-        for attempt in 0..=self.config.write_retries {
-            let snap = self.snapshot();
-            let batch = make(&snap)?;
+        let mut retries = 0;
+        loop {
+            let batch = make(&self.snapshot())?;
             match self.apply(&batch) {
-                Err(ServiceError::Conflict { .. }) if attempt < self.config.write_retries => {
+                Err(ServiceError::Conflict { .. }) if retries < self.config.write_retries => {
+                    retries += 1;
                     self.stats.write_retries.inc();
                     std::thread::sleep(backoff);
                     backoff = backoff.saturating_mul(2);
                 }
-                other => return other,
+                outcome => return outcome,
             }
         }
-        unreachable!("loop returns on the final attempt");
     }
 
     /// Run `f` with read access to the live catalog (monitoring, tests). For
     /// query execution prefer [`QueryService::query`], which snapshots and
     /// releases the lock.
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.db_read())
+        let db = unpoison(self.db.read());
+        f(&db)
     }
 }

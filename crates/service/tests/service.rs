@@ -46,6 +46,18 @@ fn edge_db() -> Database {
     db
 }
 
+/// An in-memory and a durable service over the same catalog, in that order,
+/// for the write-path tests that must hold on both; the durable one logs to
+/// the fresh directory at `path`.
+fn in_memory_and_durable(
+    path: &std::path::Path,
+    db: impl Fn() -> Database,
+    config: ServiceConfig,
+) -> [QueryService; 2] {
+    let (durable, _) = QueryService::open(path, db(), config.clone()).unwrap();
+    [QueryService::in_memory(db(), config), durable]
+}
+
 /// A triangle-shaped catalog (`R`, `S`, `T` delta relations) seeded with
 /// `n` deterministic edges each, sealed.
 fn triangle_db(n: u64) -> Database {
@@ -243,51 +255,54 @@ fn overload_sheds_and_deadlines_expire_with_typed_errors() {
 
 #[test]
 fn conflicting_batches_are_rejected_and_retry_rebases() {
-    let service = QueryService::in_memory(edge_db(), config());
-    let snap = service.snapshot();
-    let first = WriteBatch::against(&snap).insert("E", vec![1, 2]).seal("E");
-    service.apply(&first).unwrap();
+    let path = temp_wal("conflict");
+    for service in in_memory_and_durable(&path, edge_db, config()) {
+        let snap = service.snapshot();
+        let first = WriteBatch::against(&snap).insert("E", vec![1, 2]).seal("E");
+        service.apply(&first).unwrap();
 
-    // a second batch against the same (now stale) snapshot must conflict
-    let stale = WriteBatch::against(&snap).insert("E", vec![3, 4]);
-    match service.apply(&stale) {
-        Err(ServiceError::Conflict { relation, .. }) => assert_eq!(relation, "E"),
-        other => panic!("expected Conflict, got {other:?}"),
+        // a second batch against the same (now stale) snapshot must conflict
+        let stale = WriteBatch::against(&snap).insert("E", vec![3, 4]);
+        match service.apply(&stale) {
+            Err(ServiceError::Conflict { relation, .. }) => assert_eq!(relation, "E"),
+            other => panic!("expected Conflict, got {other:?}"),
+        }
+        assert_eq!(counter(&service, "wal.conflicts"), 1);
+        service.with_db(|db| assert!(!db.delta("E").unwrap().is_live(&[3, 4])));
+
+        // rebasing on a fresh snapshot succeeds without retries...
+        service
+            .apply_with_retry(|snap| Ok(WriteBatch::against(snap).insert("E", vec![3, 4])))
+            .unwrap();
+        service.with_db(|db| assert!(db.delta("E").unwrap().is_live(&[3, 4])));
+
+        // ...and a mid-flight overwrite is retried transparently: the closure's
+        // first batch is doomed by a sneaky write squeezed in after the snapshot
+        let sneaky = std::sync::atomic::AtomicBool::new(true);
+        service
+            .apply_with_retry(|snap| {
+                let batch = WriteBatch::against(snap).insert("E", vec![7, 8]);
+                if sneaky.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                    service
+                        .apply(&WriteBatch::new().insert("E", vec![9, 9]))
+                        .unwrap();
+                }
+                Ok(batch)
+            })
+            .unwrap();
+        assert_eq!(counter(&service, "wal.write_retries"), 1);
+        service.with_db(|db| {
+            let delta = db.delta("E").unwrap();
+            assert!(delta.is_live(&[7, 8]) && delta.is_live(&[9, 9]));
+        });
+
+        // unknown relations are typed, not panics
+        match service.apply(&WriteBatch::new().insert("missing", vec![1])) {
+            Err(ServiceError::UnknownRelation(name)) => assert_eq!(name, "missing"),
+            other => panic!("expected UnknownRelation, got {other:?}"),
+        }
     }
-    assert_eq!(counter(&service, "wal.conflicts"), 1);
-    service.with_db(|db| assert!(!db.delta("E").unwrap().is_live(&[3, 4])));
-
-    // rebasing on a fresh snapshot succeeds without retries...
-    service
-        .apply_with_retry(|snap| Ok(WriteBatch::against(snap).insert("E", vec![3, 4])))
-        .unwrap();
-    service.with_db(|db| assert!(db.delta("E").unwrap().is_live(&[3, 4])));
-
-    // ...and a mid-flight overwrite is retried transparently: the closure's
-    // first batch is doomed by a sneaky write squeezed in after the snapshot
-    let sneaky = std::sync::atomic::AtomicBool::new(true);
-    service
-        .apply_with_retry(|snap| {
-            let batch = WriteBatch::against(snap).insert("E", vec![7, 8]);
-            if sneaky.swap(false, std::sync::atomic::Ordering::SeqCst) {
-                service
-                    .apply(&WriteBatch::new().insert("E", vec![9, 9]))
-                    .unwrap();
-            }
-            Ok(batch)
-        })
-        .unwrap();
-    assert_eq!(counter(&service, "wal.write_retries"), 1);
-    service.with_db(|db| {
-        let delta = db.delta("E").unwrap();
-        assert!(delta.is_live(&[7, 8]) && delta.is_live(&[9, 9]));
-    });
-
-    // unknown relations are typed, not panics
-    match service.apply(&WriteBatch::new().insert("missing", vec![1])) {
-        Err(ServiceError::UnknownRelation(name)) => assert_eq!(name, "missing"),
-        other => panic!("expected UnknownRelation, got {other:?}"),
-    }
+    std::fs::remove_dir_all(&path).ok();
 }
 
 /// What [`WriteBatch::against`] isolates, in the doctors-on-call shape: two
@@ -309,8 +324,7 @@ fn batches_against_one_snapshot_commit_when_each_writes_what_the_other_read() {
         db
     };
     let path = temp_wal("write-skew");
-    let (durable, _) = QueryService::open(&path, on_call(), config()).unwrap();
-    for service in [QueryService::in_memory(on_call(), config()), durable] {
+    for service in in_memory_and_durable(&path, on_call, config()) {
         let snap = service.snapshot();
         let batches: Vec<WriteBatch> = [("alice", "bob"), ("bob", "alice")]
             .into_iter()
@@ -580,9 +594,7 @@ fn failed_group_fsync_fails_every_member_atomically() {
 #[test]
 fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
     let path = temp_wal("ckpt-torn");
-    let tiny = config()
-        .with_segment_bytes(1024)
-        .with_checkpoint_after_segments(1);
+    let tiny = config().with_segment_bytes(1024);
 
     // phase 1: healthy service rotates segments and checkpoints
     let (service, _) = QueryService::open(&path, edge_db(), tiny.clone()).unwrap();
@@ -677,9 +689,7 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
 #[test]
 fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
     let path = temp_wal("ckpt-bound");
-    let config = config()
-        .with_segment_bytes(2048)
-        .with_checkpoint_after_segments(1);
+    let config = config().with_segment_bytes(2048);
     let (service, _) = QueryService::open(&path, edge_db(), config.clone()).unwrap();
     let mut rng = SplitMix64::new(0xB0);
     for i in 0..120u64 {
@@ -731,34 +741,34 @@ fn concurrent_cas_writers_converge_under_group_commit() {
     let mut windowed = config().with_group_commit_window(Duration::from_micros(200));
     windowed.write_retries = 50;
     windowed.retry_backoff = Duration::from_micros(50);
-    let (service, _) = QueryService::open(&path, edge_db(), windowed).unwrap();
-
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let service = &service;
-            scope.spawn(move || {
-                for i in 0..PER_THREAD {
-                    let tuple = t * 100 + i;
-                    service
-                        .apply_with_retry(|snap| {
-                            Ok(WriteBatch::against(snap).insert("E", vec![tuple, tuple]))
-                        })
-                        .unwrap();
-                }
-            });
-        }
-    });
-    assert_eq!(
-        counter(&service, "wal.batches_committed"),
-        THREADS * PER_THREAD
-    );
-    service.with_db(|db| {
-        let delta = db.delta("E").unwrap();
-        assert_eq!(delta.len(), (THREADS * PER_THREAD) as usize);
-    });
-    drop(service);
+    // the durable service comes last and is dropped with its iteration
+    for service in in_memory_and_durable(&path, edge_db, windowed) {
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let service = &service;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        let tuple = t * 100 + i;
+                        service
+                            .apply_with_retry(|snap| {
+                                Ok(WriteBatch::against(snap).insert("E", vec![tuple, tuple]))
+                            })
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            counter(&service, "wal.batches_committed"),
+            THREADS * PER_THREAD
+        );
+        service.with_db(|db| {
+            let delta = db.delta("E").unwrap();
+            assert_eq!(delta.len(), (THREADS * PER_THREAD) as usize);
+        });
+    }
     let (_, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, THREADS * PER_THREAD);
     std::fs::remove_dir_all(&path).ok();
@@ -892,9 +902,7 @@ fn slow_query_log_captures_traces_without_perturbing_results() {
 fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
     let path = temp_wal("recovery-metrics");
     // tiny segments force rotation, so checkpoints happen under the loop
-    let config = config()
-        .with_segment_bytes(256)
-        .with_checkpoint_after_segments(1);
+    let config = config().with_segment_bytes(256);
     let (service, _) = QueryService::open(&path, edge_db(), config.clone()).unwrap();
     for i in 0..30u64 {
         let batch = WriteBatch::new().insert("E", vec![i, i + 1]);

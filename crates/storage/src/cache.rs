@@ -41,8 +41,7 @@
 //! priority `L + cost/bytes` is dropped and the clock `L` advances to the
 //! victim's priority — the classic GreedyDual-Size rule (in integer
 //! arithmetic), which decays to LRU for same-shaped entries but prefers
-//! keeping structures that are expensive to rebuild per byte. Pinned entries
-//! (see `CacheMode::Pinned` in the execution layer) are never evicted.
+//! keeping structures that are expensive to rebuild per byte.
 //!
 //! The budget defaults to 256 MiB and is configurable via the
 //! `WCOJ_CACHE_BYTES` environment variable; `0` disables caching entirely.
@@ -125,7 +124,6 @@ struct Entry {
     bytes: usize,
     cost: u64,
     priority: u64,
-    pinned: bool,
 }
 
 /// GreedyDual-Size credit: build cost per byte, scaled to integer arithmetic
@@ -290,13 +288,12 @@ impl AccessCache {
 
     /// Insert (or replace) `key` with `value`, charging `bytes` of residency
     /// and remembering the build-`cost` estimate (rows scanned) for the
-    /// eviction priority. Returns how many entries were evicted to fit. An
-    /// unpinned value larger than the whole budget is not admitted (inserting
-    /// it could only thrash); a pinned value always is, and pinned entries are
-    /// never evicted. `source` is the sealed run the trie was built from:
-    /// dead entries of the same `(relation, positions)` — tries of runs no log
-    /// holds any more — are removed first, pinned or not, and are not counted
-    /// as evictions: nothing could have hit them.
+    /// eviction priority. Returns how many entries were evicted to fit. A
+    /// value larger than the whole budget is not admitted (inserting it could
+    /// only thrash). `source` is the sealed run the trie was built from: dead
+    /// entries of the same `(relation, positions)` — tries of runs no log
+    /// holds any more — are removed first, and are not counted as evictions:
+    /// nothing could have hit them.
     pub fn insert(
         &self,
         key: CacheKey,
@@ -304,7 +301,6 @@ impl AccessCache {
         source: Weak<Run>,
         cost: u64,
         bytes: usize,
-        pinned: bool,
     ) -> u64 {
         let mut inner = self.lock();
         if let Some(old) = inner.map.remove(&key) {
@@ -321,7 +317,7 @@ impl AccessCache {
             !dead
         });
         inner.bytes -= reclaimed;
-        if !self.is_enabled() || (!pinned && bytes > self.budget) {
+        if !self.is_enabled() || bytes > self.budget {
             return 0;
         }
         let priority = inner.clock + credit(cost, bytes);
@@ -333,18 +329,16 @@ impl AccessCache {
                 bytes,
                 cost,
                 priority,
-                pinned,
             },
         );
         inner.bytes += bytes;
         let mut evicted = 0u64;
         while inner.bytes > self.budget {
-            // victim: lowest priority among unpinned entries, with a
-            // deterministic key tie-break (map iteration order is not)
+            // victim: lowest priority, with a deterministic key tie-break
+            // (map iteration order is not)
             let victim = inner
                 .map
                 .iter()
-                .filter(|(_, e)| !e.pinned)
                 .min_by(|(ka, ea), (kb, eb)| {
                     ea.priority
                         .cmp(&eb.priority)
@@ -404,7 +398,7 @@ mod tests {
         let cache = AccessCache::with_budget(1 << 20);
         let t = trie_of(10);
         assert!(cache.get(&key("R", 1)).is_none());
-        cache.insert(key("R", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("R", 1), Arc::clone(&t), live(), 10, 100);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 100);
         let got = cache.get(&key("R", 1)).expect("just inserted");
@@ -412,7 +406,7 @@ mod tests {
         // different stamp = different relation generation = different entry
         assert!(cache.get(&key("R", 2)).is_none());
         // replacement under the same key swaps bytes, not duplicates
-        cache.insert(key("R", 1), trie_of(5), live(), 5, 60, false);
+        cache.insert(key("R", 1), trie_of(5), live(), 5, 60);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), 60);
         cache.clear();
@@ -423,7 +417,7 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_instead_of_wedging() {
         let cache = AccessCache::with_budget(1 << 20);
-        cache.insert(key("R", 1), trie_of(3), live(), 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), live(), 3, 100);
         assert_eq!(cache.len(), 1);
         // A builder thread dies while holding the cache lock.
         let died = std::thread::scope(|s| {
@@ -438,7 +432,7 @@ mod tests {
         // and every operation keeps working instead of panicking.
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.bytes(), 0);
-        cache.insert(key("R", 1), trie_of(3), live(), 3, 100, false);
+        cache.insert(key("R", 1), trie_of(3), live(), 3, 100);
         assert!(cache.get(&key("R", 1)).is_some());
         assert_eq!(cache.bytes(), 100);
     }
@@ -448,9 +442,9 @@ mod tests {
         let cache = AccessCache::with_budget(250);
         let t = trie_of(4);
         // same bytes, different build costs: the cheap-to-rebuild entry goes first
-        cache.insert(key("cheap", 1), Arc::clone(&t), live(), 1, 100, false);
-        cache.insert(key("dear", 1), Arc::clone(&t), live(), 1_000, 100, false);
-        let evicted = cache.insert(key("new", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("cheap", 1), Arc::clone(&t), live(), 1, 100);
+        cache.insert(key("dear", 1), Arc::clone(&t), live(), 1_000, 100);
+        let evicted = cache.insert(key("new", 1), Arc::clone(&t), live(), 10, 100);
         assert_eq!(evicted, 1);
         assert!(cache.get(&key("cheap", 1)).is_none(), "cheap entry evicted");
         assert!(cache.get(&key("dear", 1)).is_some());
@@ -459,23 +453,14 @@ mod tests {
     }
 
     #[test]
-    fn oversized_unpinned_rejected_pinned_admitted_and_kept() {
+    fn oversized_values_are_not_admitted() {
         let cache = AccessCache::with_budget(50);
         let t = trie_of(4);
         assert_eq!(
-            cache.insert(key("big", 1), Arc::clone(&t), live(), 1, 100, false),
+            cache.insert(key("big", 1), Arc::clone(&t), live(), 1, 100),
             0
         );
-        assert!(cache.is_empty(), "over-budget unpinned value not admitted");
-        cache.insert(key("big", 1), Arc::clone(&t), live(), 1, 100, true);
-        assert_eq!(cache.len(), 1);
-        // pinned entries are never the victim, even under pressure
-        cache.insert(key("small", 1), Arc::clone(&t), live(), 1, 10, false);
-        assert!(cache.get(&key("big", 1)).is_some());
-        assert!(
-            cache.get(&key("small", 1)).is_none(),
-            "only the unpinned entry could yield"
-        );
+        assert!(cache.is_empty(), "over-budget value not admitted");
     }
 
     fn run_key(id: u64) -> CacheKey {
@@ -496,7 +481,7 @@ mod tests {
                 let trie = Arc::new(run.trie(&[1, 0], 1).unwrap());
                 let (cost, bytes) = (run.len() as u64, trie.heap_bytes());
                 let source = Arc::downgrade(run);
-                cache.insert(run_key(run.id()), trie, source, cost, bytes, false);
+                cache.insert(run_key(run.id()), trie, source, cost, bytes);
                 built += 1;
             }
         }
@@ -597,7 +582,7 @@ mod tests {
     fn zero_budget_disables() {
         let cache = AccessCache::with_budget(0);
         assert!(!cache.is_enabled());
-        cache.insert(key("R", 1), trie_of(2), live(), 1, 10, false);
+        cache.insert(key("R", 1), trie_of(2), live(), 1, 10);
         assert!(cache.is_empty());
     }
 
@@ -605,14 +590,14 @@ mod tests {
     fn recency_breaks_cost_ties() {
         let cache = AccessCache::with_budget(200);
         let t = trie_of(4);
-        cache.insert(key("a", 1), Arc::clone(&t), live(), 10, 100, false);
-        cache.insert(key("b", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("a", 1), Arc::clone(&t), live(), 10, 100);
+        cache.insert(key("b", 1), Arc::clone(&t), live(), 10, 100);
         // evicting "a" (priority tie, key tie-break) advances the clock past
         // the survivors; a touched survivor then outlives an untouched one
-        cache.insert(key("c", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("c", 1), Arc::clone(&t), live(), 10, 100);
         assert!(cache.get(&key("a", 1)).is_none());
         let _ = cache.get(&key("c", 1));
-        cache.insert(key("d", 1), Arc::clone(&t), live(), 10, 100, false);
+        cache.insert(key("d", 1), Arc::clone(&t), live(), 10, 100);
         assert!(
             cache.get(&key("b", 1)).is_none(),
             "stale entry is the victim"

@@ -498,6 +498,59 @@ mod tests {
         }
     }
 
+    /// The kernels append: behind a prefix, into a vector with no spare
+    /// capacity and into one with exactly enough, the prefix stays and the
+    /// intersection follows it.
+    #[test]
+    fn merge2_appends_behind_a_prefix_into_exact_capacity() {
+        let mut seed = 0xA99E;
+        let prefix = [5, u64::MAX, 0];
+        for level in runnable_levels() {
+            for &(la, lb, span) in &[(4usize, 4usize, 6u64), (9, 33, 40), (200, 150, 260)] {
+                let a = sorted_unique(&mut seed, la, span);
+                let b = sorted_unique(&mut seed, lb, span);
+                let expected = naive_intersect(&a, &b);
+                let mut tight = prefix.to_vec();
+                tight.shrink_to_fit();
+                let mut exact = Vec::with_capacity(prefix.len() + expected.len());
+                exact.extend_from_slice(&prefix);
+                for mut out in [tight, exact] {
+                    merge2_into(level, &mut out, &a, &b);
+                    let what = format!("{level:?} {la}x{lb} span {span}");
+                    assert_eq!(out[..prefix.len()], prefix, "{what}: prefix");
+                    assert_eq!(out[prefix.len()..], expected, "{what}: values");
+                }
+            }
+        }
+    }
+
+    /// Callers probe windows of a longer slice: `start > 0`, `end < len`,
+    /// and windows long enough (17 and up) to leave the scalar short path.
+    #[test]
+    fn linear_lub_matches_partition_point_on_sub_windows() {
+        let mut seed = 0x5EB;
+        let v = sorted_unique(&mut seed, 160, 1 << 40);
+        for level in runnable_levels() {
+            for start in [1usize, 2, 3, 5, 8, 31] {
+                for width in [17usize, 18, 19, 20, 21, 32, 33, 64, 100] {
+                    let end = start + width;
+                    assert!(end < v.len());
+                    let window = &v[start..end];
+                    let mut targets = vec![0, window[0], window[width - 1], u64::MAX];
+                    targets.extend(window.iter().step_by(3).map(|&x| x + 1));
+                    targets.extend((0..4).map(|_| xorshift(&mut seed) % (1 << 41)));
+                    for target in targets {
+                        assert_eq!(
+                            linear_lub(level, &v, start, end, target),
+                            start + window.partition_point(|&x| x < target),
+                            "{level:?} [{start}, {end}) target {target}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn linear_lub_matches_partition_point() {
         let mut seed = 0xDEADBEEF;
