@@ -9,9 +9,10 @@
 //! one [`fetch_or_build`] and the per-database [`wcoj_storage::AccessCache`],
 //! keyed `(relation, column positions, run id)`. Builds record no
 //! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
-//! [`CacheStats`]), and cached, fresh-serial and fresh-parallel structures are
-//! bit-identical, so results and work counters are the same with the cache
-//! on, off, or cold.
+//! [`CacheStats`]), and a cached structure is the one a fresh build would
+//! produce, bit for bit, so results and work counters are the same with the
+//! cache on, off, or cold. Builds run on the calling thread; the only threads
+//! an execution spawns are the morsel workers of [`super::parallel`].
 
 use super::driver::run_cursors;
 use super::engine::{InteriorStep, JoinCtx};
@@ -79,14 +80,13 @@ fn fetch_or_build(
     key: Option<&CacheKey>,
     run: &Arc<Run>,
     positions: &[usize],
-    threads: usize,
     stats: &mut CacheStats,
 ) -> Result<(Arc<Trie>, bool), ExecError> {
     let cache = ctx.db.access_cache();
     if let Some(t) = key.and_then(|key| cache.get(key)) {
         return Ok((t, false));
     }
-    let t = Arc::new(run.trie(positions, threads)?);
+    let t = Arc::new(run.trie(positions)?);
     if let Some(key) = key {
         let (cost, bytes) = (run.len() as u64, t.heap_bytes());
         let (value, source) = (Arc::clone(&t), Arc::downgrade(run));
@@ -110,7 +110,6 @@ fn atom_access(
     name: &str,
     delta: &DeltaRelation,
     positions: &[usize],
-    threads: usize,
     stats: &mut CacheStats,
 ) -> Result<AtomAccess, ExecError> {
     let mut key = ctx.use_cache.then(|| CacheKey {
@@ -123,7 +122,7 @@ fn atom_access(
         if let Some(key) = key.as_mut() {
             key.stamp = run.id();
         }
-        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run, positions, threads, stats)?;
+        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run, positions, stats)?;
         built += fresh as usize;
         Ok::<_, ExecError>(trie)
     })?;
@@ -142,9 +141,8 @@ fn atom_access(
 impl BuiltAccess {
     /// Build (or fetch from the database's access cache) one access structure
     /// per atom over the column `positions` its join order resolves to (also
-    /// the cache key's permutation component); with `threads > 1` each fresh
-    /// build's argsort-and-scan pass is partitioned across scoped workers
-    /// ([`wcoj_storage::delta::Run::trie`]). An atom whose log needs the union
+    /// the cache key's permutation component), each fresh one by
+    /// [`wcoj_storage::delta::Run::trie`]. An atom whose log needs the union
     /// cursor gets a [`DeltaAccess`] over its runs' tries — no snapshot
     /// materialization.
     ///
@@ -161,7 +159,6 @@ impl BuiltAccess {
         stats: &mut CacheStats,
         mut trace: Option<&mut Vec<AtomTrace>>,
     ) -> Result<Self, ExecError> {
-        let threads = opts.resolved_threads();
         let ctx = CacheCtx {
             db,
             use_cache: opts.cache != CacheMode::Off && db.access_cache().is_enabled(),
@@ -170,7 +167,7 @@ impl BuiltAccess {
         for ((atom, source), positions) in query.atoms().iter().zip(sources).zip(positions) {
             let started = trace.is_some().then(Instant::now);
             let before = *stats;
-            let access = atom_access(&ctx, &atom.name, source, positions, threads, stats)?;
+            let access = atom_access(&ctx, &atom.name, source, positions, stats)?;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(AtomTrace {
                     relation: atom.name.clone(),

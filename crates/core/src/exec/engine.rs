@@ -425,7 +425,7 @@ mod tests {
         let rels = triangle_relations();
         let trie_r = Trie::build(&rels[0], &["A", "B"]).unwrap();
         let log_s = DeltaRelation::from_relation(rels[1].clone());
-        let live_s = DeltaAccess::build(&log_s, &["B", "C"], 1).unwrap();
+        let live_s = DeltaAccess::build(&log_s, &["B", "C"]).unwrap();
         let trie_t = Trie::build(&rels[2], &["A", "C"]).unwrap();
         let mixed = || -> Vec<CursorKind> {
             vec![

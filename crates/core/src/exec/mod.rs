@@ -66,10 +66,10 @@
 //!
 //! With `threads > 1` the skeleton runs under the morsel-driven scheduler of
 //! [`parallel`], which partitions the first join variable's extension set across
-//! `std::thread::scope` workers holding private cursors and private
-//! [`WorkCounter`]s, and the access-structure *builds* are partitioned across
-//! the same number of workers; results, counters and built structures are
-//! bit-identical to serial execution.
+//! scoped workers holding private cursors and private [`WorkCounter`]s; results
+//! and counters are bit-identical to serial execution. That is the one seam
+//! the library parallelizes at, and [`parallel`] the one place it spawns
+//! threads: the access structures the workers share are built serially first.
 //!
 //! # One builder loop
 //!

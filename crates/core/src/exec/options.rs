@@ -48,10 +48,10 @@ pub enum CacheMode {
 pub struct ExecOptions {
     /// The join engine.
     pub engine: Engine,
-    /// Worker threads for the WCOJ engines: `1` runs serially, `n > 1` runs the
-    /// morsel-driven scheduler with `n` workers, and `0` asks the OS for the
-    /// available parallelism. With `n > 1` the access-structure *builds* are also
-    /// partitioned across `n` scoped workers. The binary baseline always runs
+    /// Worker threads for the WCOJ engines' join: `1` runs serially, `n > 1`
+    /// runs the morsel-driven scheduler with `n` workers, and `0` asks the OS
+    /// for the available parallelism. Access structures are built serially,
+    /// before the join, whatever the count. The binary baseline always runs
     /// serially.
     pub threads: usize,
     /// Intersection-kernel policy for the WCOJ engines' extension sets:

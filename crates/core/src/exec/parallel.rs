@@ -3,8 +3,9 @@
 //!
 //! # Architecture
 //!
-//! The access structures (tries / delta views) are built **once** and shared
-//! immutably (`Sync`) across workers. The driver computes the first join variable's
+//! This is the one place library code spawns threads. The access structures
+//! (tries / delta views) are built **once**, serially, and shared immutably
+//! (`Sync`) across workers. The driver computes the first join variable's
 //! extension set — the multi-way intersection of the root sibling groups, exactly
 //! what serial execution computes first — and partitions it into contiguous
 //! **morsels** (small value ranges, several per thread so that skewed values cannot

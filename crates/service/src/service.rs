@@ -210,6 +210,7 @@ struct ServiceStats {
     recovery_tail_batches: Arc<Gauge>,
     recovery_install_us: Arc<Gauge>,
     recovery_replay_us: Arc<Gauge>,
+    recovery_torn_tail: Arc<Gauge>,
     group_commits: Arc<Counter>,
     batches_per_fsync: Arc<Histogram>,
     fsync_us: Arc<Histogram>,
@@ -219,6 +220,7 @@ struct ServiceStats {
     checkpoints: Arc<Counter>,
     segments_deleted: Arc<Counter>,
     wal_bytes: Arc<Gauge>,
+    wal_poisoned: Arc<Gauge>,
 }
 
 impl ServiceStats {
@@ -240,6 +242,7 @@ impl ServiceStats {
             recovery_tail_batches: registry.gauge("recovery.tail_batches"),
             recovery_install_us: registry.gauge("recovery.checkpoint_install_us"),
             recovery_replay_us: registry.gauge("recovery.replay_us"),
+            recovery_torn_tail: registry.gauge("recovery.torn_tail"),
             group_commits: registry.counter("wal.group_commits"),
             batches_per_fsync: registry.histogram("wal.batches_per_fsync", || {
                 Histogram::with_bounds(&GROUP_SIZE_BUCKETS)
@@ -251,6 +254,7 @@ impl ServiceStats {
             checkpoints: registry.counter("wal.checkpoints"),
             segments_deleted: registry.counter("wal.segments_deleted"),
             wal_bytes: registry.gauge("wal.bytes"),
+            wal_poisoned: registry.gauge("wal.poisoned"),
         }
     }
 }
@@ -581,6 +585,7 @@ impl QueryService {
         stats.recovery_tail_batches.set(report.tail.len() as u64);
         stats.recovery_install_us.set(install_us);
         stats.recovery_replay_us.set(replay_us);
+        stats.recovery_torn_tail.set(report.torn as u64);
         stats.wal_bytes.set(recovery.wal_bytes);
         Ok((service, report))
     }
@@ -785,11 +790,17 @@ impl QueryService {
         match seqs {
             // group atomicity: no member's effects reach memory; the writer
             // is poisoned, so deferred members fail next round
-            Err(e) => outcomes.extend(
-                accepted
-                    .into_iter()
-                    .map(|pending| (pending.slot, Err(ServiceError::Wal(e.clone())))),
-            ),
+            Err(e) => {
+                if let Some(log) = &self.log {
+                    let poisoned = unpoison(log.wal.lock()).is_poisoned();
+                    self.stats.wal_poisoned.set(poisoned as u64);
+                }
+                outcomes.extend(
+                    accepted
+                        .into_iter()
+                        .map(|pending| (pending.slot, Err(ServiceError::Wal(e.clone())))),
+                )
+            }
             // 3. apply in memory under the still-held write lock; an apply
             //    error fails only that member (its ops are durable and replay
             //    deterministically)

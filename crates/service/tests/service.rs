@@ -29,6 +29,11 @@ fn counter(service: &QueryService, name: &str) -> u64 {
     service.registry().snapshot().counter_value(name).unwrap()
 }
 
+/// A registry gauge of `service`, by name.
+fn gauge(service: &QueryService, name: &str) -> u64 {
+    service.registry().snapshot().gauge_value(name).unwrap()
+}
+
 /// A fresh WAL **directory** (segments + checkpoints live inside).
 fn temp_wal(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -87,6 +92,8 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, 0);
     assert!(replayed.tail.is_empty());
+    assert_eq!(gauge(&service, "recovery.torn_tail"), 0, "a clean open");
+    assert_eq!(gauge(&service, "wal.poisoned"), 0);
 
     let mut rng = SplitMix64::new(11);
     for batch_no in 0..12 {
@@ -133,6 +140,7 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     assert_eq!(replayed.committed, 12, "committed batches survive");
     assert_eq!(replayed.tail.len(), 12, "no checkpoint: all replayed");
     assert!(replayed.torn(), "the uncommitted tail was dropped");
+    assert_eq!(gauge(&recovered, "recovery.torn_tail"), 1);
     assert_eq!(counter(&recovered, "recovery.batches"), 12);
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
@@ -355,6 +363,7 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     let path = temp_wal("fsync-fault");
     let faulty = config().with_fault(FaultPlan::parse("fsync_fail:1").unwrap());
     let (service, _) = QueryService::open(&path, edge_db(), faulty).unwrap();
+    assert_eq!(gauge(&service, "wal.poisoned"), 0);
     let batch = WriteBatch::new()
         .insert("E", vec![1, 2])
         .insert("E", vec![3, 4]);
@@ -362,6 +371,11 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
         Err(ServiceError::Wal(wcoj_storage::StorageError::FaultInjected(_))) => {}
         other => panic!("expected an injected fault, got {other:?}"),
     }
+    assert_eq!(
+        gauge(&service, "wal.poisoned"),
+        1,
+        "the writer poisoned itself"
+    );
     service.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 0, "memory unchanged"));
     // the poisoned writer fails fast until the log is recovered
     assert!(matches!(
@@ -403,6 +417,12 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
     assert_eq!(replayed.committed, 0, "no batch ever committed");
     assert!(replayed.torn());
+    assert_eq!(gauge(&service, "recovery.torn_tail"), 1);
+    assert_eq!(
+        gauge(&service, "wal.poisoned"),
+        0,
+        "a reopened writer is live"
+    );
     assert_eq!(service.apply(&big).unwrap(), 1);
     service.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 3));
     std::fs::remove_dir_all(&path).ok();

@@ -45,7 +45,9 @@
 //! `up` pops back, `next`/`seek` move within the current group and never escape it.
 //! `seek` only moves forward (targets must be non-decreasing between `open`s — the
 //! leapfrog discipline); `reposition` may move in either direction but only to keys
-//! whose discovery was already paid for elsewhere, so it records no work.
+//! whose discovery was already paid for elsewhere, so it records no work. At the
+//! root there is no group: `next`, `seek`, `reposition` and `advance_to` answer
+//! `false` there without moving, and only `key` panics.
 
 use crate::delta::DeltaCursor;
 use crate::kernels::Layout;
@@ -346,7 +348,7 @@ mod tests {
         let r = rel();
         let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
         let log = DeltaRelation::from_relation(r.clone());
-        let live = DeltaAccess::build(&log, &["A", "B", "C"], 1).unwrap();
+        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
         let mut tc = trie.cursor();
         let mut dc = live.cursor();
         assert_eq!(enumerate(&mut tc, 3), r.rows());
@@ -358,7 +360,7 @@ mod tests {
         let r = rel();
         let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
         let log = DeltaRelation::from_relation(r.clone());
-        let live = DeltaAccess::build(&log, &["A", "B", "C"], 1).unwrap();
+        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
         let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), live.cursor().into()];
         for c in cursors.iter_mut() {
             assert_eq!(c.arity(), 3);
@@ -433,7 +435,7 @@ mod tests {
         // a delta group that lives in one run is that run's trie's own group:
         // the same values and the very same layout words
         let mut log = DeltaRelation::from_relation(r);
-        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
+        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
         let mut d: CursorKind = live.cursor().into();
         assert!(d.open());
         assert!(d.open()); // under A = 3: the same dense values
@@ -450,7 +452,7 @@ mod tests {
         assert!(log.insert(vec![3, 71]).unwrap());
         log.seal();
         assert_eq!(log.num_runs(), 2);
-        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
+        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
         let mut d: CursorKind = live.cursor().into();
         assert!(d.open());
         assert!(d.open());
@@ -463,6 +465,31 @@ mod tests {
         assert!(d.seek(200) && d.open());
         assert_eq!(TrieAccess::remaining(&d), &[0, 1, 2, 3]);
         assert_eq!(d.take_work().delta_merge, 2 + (33 + 2) + 1);
+    }
+
+    /// At the root there is no group to move in: every positioning call
+    /// answers `false` and leaves the cursor where it is, on both cursor kinds
+    /// (before the first `open` and after the last `up`).
+    #[test]
+    fn positioning_at_the_root_answers_false() {
+        fn at_root<C: TrieAccess>(c: &mut C) {
+            for _ in 0..2 {
+                assert!(!c.next());
+                assert!(!c.seek(1));
+                assert!(!c.reposition(1));
+                assert!(!c.advance_to(1));
+                assert_eq!((c.depth(), c.at_end(), c.remaining()), (0, true, &[][..]));
+                assert!(c.open() && c.open());
+                c.up();
+                c.up();
+            }
+        }
+        let r = rel();
+        let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
+        let log = DeltaRelation::from_relation(r);
+        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
+        at_root(&mut trie.cursor());
+        at_root(&mut live.cursor());
     }
 
     #[test]
@@ -489,7 +516,7 @@ mod tests {
         let r = Relation::empty(Schema::new(&["A", "B"]));
         let trie = Trie::build(&r, &["A", "B"]).unwrap();
         let log = DeltaRelation::from_relation(r);
-        let live = DeltaAccess::build(&log, &["A", "B"], 1).unwrap();
+        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
         let mut tc = trie.cursor();
         let mut dc = live.cursor();
         assert!(!TrieAccess::open(&mut tc));

@@ -478,7 +478,7 @@ mod tests {
         let mut built = 0;
         for run in delta.runs() {
             if cache.get(&run_key(run.id())).is_none() {
-                let trie = Arc::new(run.trie(&[1, 0], 1).unwrap());
+                let trie = Arc::new(run.trie(&[1, 0]).unwrap());
                 let (cost, bytes) = (run.len() as u64, trie.heap_bytes());
                 let source = Arc::downgrade(run);
                 cache.insert(run_key(run.id()), trie, source, cost, bytes);

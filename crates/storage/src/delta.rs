@@ -265,11 +265,11 @@ impl Run {
     }
 
     /// The run's access structure for the column order `positions`: the one
-    /// trie builder over the run's rows — `threads` parallelizes it,
-    /// bit-identically — keeping tombstone flags only if a row is a tombstone.
-    pub fn trie(&self, positions: &[usize], threads: usize) -> Result<Trie, StorageError> {
+    /// trie builder over the run's rows, keeping tombstone flags only if a row
+    /// is a tombstone.
+    pub fn trie(&self, positions: &[usize]) -> Result<Trie, StorageError> {
         let dead = self.dead.contains(&true).then_some(&self.dead[..]);
-        Trie::build_signed(&self.rel, positions, threads, dead)
+        Trie::build_signed(&self.rel, positions, dead)
     }
 
     /// The sign of row `i` (+1 insert, −1 tombstone).
@@ -586,9 +586,7 @@ impl DeltaRelation {
         }
         let (cols, signs) = self.buffer_parts();
         let run = Run::from_parts(self.schema.clone(), cols, &signs);
-        (!run.is_empty())
-            .then(|| run.trie(positions, 1))
-            .transpose()
+        (!run.is_empty()).then(|| run.trie(positions)).transpose()
     }
 
     /// The schema.
@@ -1045,15 +1043,12 @@ impl DeltaAccess {
     }
 
     /// Build every run's trie afresh, with the attribute order given as
-    /// **column positions**; `threads` parallelizes each build.
+    /// **column positions**.
     pub fn build_positions(
         delta: &DeltaRelation,
         positions: &[usize],
-        threads: usize,
     ) -> Result<Self, StorageError> {
-        Self::assemble(delta, positions, |run| {
-            run.trie(positions, threads).map(Arc::new)
-        })
+        Self::assemble(delta, positions, |run| run.trie(positions).map(Arc::new))
     }
 
     /// The tries being merged, in run order — a single one without tombstones
@@ -1063,12 +1058,8 @@ impl DeltaAccess {
     }
 
     /// [`DeltaAccess::build_positions`] with the order given by attribute names.
-    pub fn build(
-        delta: &DeltaRelation,
-        attr_order: &[&str],
-        threads: usize,
-    ) -> Result<Self, StorageError> {
-        Self::build_positions(delta, &delta.schema.positions(attr_order)?, threads)
+    pub fn build(delta: &DeltaRelation, attr_order: &[&str]) -> Result<Self, StorageError> {
+        Self::build_positions(delta, &delta.schema.positions(attr_order)?)
     }
 
     /// Number of levels (the relation's arity).
@@ -1384,7 +1375,7 @@ mod tests {
     fn assert_cursor_matches_snapshot(d: &DeltaRelation) {
         let snap = d.snapshot();
         for order in [vec!["A", "B"], vec!["B", "A"]] {
-            let access = DeltaAccess::build(d, &order, 1).unwrap();
+            let access = DeltaAccess::build(d, &order).unwrap();
             let mut cursor = access.cursor();
             let got = enumerate(&mut cursor, 2);
             let expected = snap.reorder(&order).unwrap();
@@ -1496,7 +1487,7 @@ mod tests {
         d.delete(&[1, 10]).unwrap();
         d.delete(&[1, 11]).unwrap();
         d.seal();
-        let access = DeltaAccess::build(&d, &["A", "B"], 1).unwrap();
+        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
         let mut c = access.cursor();
         assert!(c.open());
         assert_eq!(TrieAccess::remaining(&c), &[2]);
@@ -1653,7 +1644,7 @@ mod tests {
         d.seal();
         d.delete(&[0, 0]).unwrap();
         d.seal();
-        let access = DeltaAccess::build(&d, &["A", "B"], 1).unwrap();
+        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
         let mut c = access.cursor();
         assert_eq!(c.arity(), 2);
         assert!(c.at_end()); // root
@@ -1687,7 +1678,7 @@ mod tests {
         }
         d.seal();
         assert_eq!(d.num_runs(), 2);
-        let access = DeltaAccess::build(&d, &["A", "B"], 1).unwrap();
+        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
         let mut c = access.cursor();
         assert!(c.open());
         c.take_work();
@@ -1708,10 +1699,10 @@ mod tests {
     #[test]
     fn build_rejects_bad_orders_and_cursors_are_send_clone() {
         let d = DeltaRelation::new(schema_ab());
-        assert!(DeltaAccess::build(&d, &["A"], 1).is_err());
-        assert!(DeltaAccess::build(&d, &["A", "A"], 1).is_err());
-        assert!(DeltaAccess::build(&d, &["A", "Z"], 1).is_err());
-        assert!(DeltaAccess::build_positions(&d, &[0, 0], 1).is_err());
+        assert!(DeltaAccess::build(&d, &["A"]).is_err());
+        assert!(DeltaAccess::build(&d, &["A", "A"]).is_err());
+        assert!(DeltaAccess::build(&d, &["A", "Z"]).is_err());
+        assert!(DeltaAccess::build_positions(&d, &[0, 0]).is_err());
         fn assert_send_clone<T: Send + Clone>() {}
         fn assert_sync<T: Sync>() {}
         assert_send_clone::<DeltaCursor<'_>>();
@@ -1853,15 +1844,12 @@ mod tests {
             for positions in orders {
                 let names: Vec<&str> = positions.iter().map(|&p| ["A", "B", "C"][p]).collect();
                 let expected = snap.reorder(&names).unwrap().rows();
-                let fresh = DeltaAccess::build_positions(&d, &positions, 1).unwrap();
+                let fresh = DeltaAccess::build_positions(&d, &positions).unwrap();
                 let (rows, work) = walk(&fresh);
                 assert_eq!(rows, expected, "seed {seed} order {positions:?}");
                 merged_somewhere |= work.delta_merge > 0;
-                // four build workers, and tries kept from an earlier build
-                // (what the access cache hands back): same rows, same work
-                let par = DeltaAccess::build_positions(&d, &positions, 4).unwrap();
-                assert_eq!(par.tries, fresh.tries);
-                assert_eq!(walk(&par), (rows.clone(), work));
+                // tries kept from an earlier build (what the access cache
+                // hands back): same rows, same work
                 let mut held = fresh.tries().iter().cloned();
                 let next = |_: &Arc<Run>| Ok::<_, StorageError>(held.next().unwrap());
                 let kept = DeltaAccess::assemble(&d, &positions, next).unwrap();
@@ -1893,7 +1881,7 @@ mod tests {
             let tries: Vec<Arc<Trie>> = d
                 .runs()
                 .iter()
-                .map(|r| Arc::new(r.trie(&positions, 1).unwrap()))
+                .map(|r| Arc::new(r.trie(&positions).unwrap()))
                 .collect();
             let mut shed_a_layout = false;
             for ((trie, run), rows) in tries.iter().zip(d.runs()).zip(d.run_sizes()) {
@@ -1926,7 +1914,7 @@ mod tests {
             let mut with_buffer = tries.clone();
             with_buffer.extend(d2.buffer_trie(&positions).unwrap().map(Arc::new));
             assert_eq!(with_buffer.len(), 4);
-            let fresh = DeltaAccess::build_positions(&d2, &positions, 1).unwrap();
+            let fresh = DeltaAccess::build_positions(&d2, &positions).unwrap();
             let kept = DeltaAccess {
                 arity: 2,
                 tries: with_buffer,
@@ -1941,8 +1929,8 @@ mod tests {
         drop(d);
         assert!(weak.iter().all(|w| w.strong_count() == 0));
         assert!(head.buffer_trie(&[0, 1]).unwrap().is_none());
-        assert!(DeltaAccess::build_positions(&head, &[0, 0], 1).is_err());
-        assert!(DeltaAccess::build_positions(&head, &[0], 1).is_err());
+        assert!(DeltaAccess::build_positions(&head, &[0, 0]).is_err());
+        assert!(DeltaAccess::build_positions(&head, &[0]).is_err());
     }
 
     #[test]
@@ -2037,24 +2025,5 @@ mod tests {
             oks > 0,
             "some mutations (a flipped threshold bit) stay valid"
         );
-    }
-
-    #[test]
-    fn parallel_access_build_matches_serial() {
-        let mut d = DeltaRelation::new(schema_ab());
-        d.set_seal_threshold(1024);
-        for i in 0..6000u64 {
-            d.insert(vec![i % 97, (i * 7) % 89]).unwrap();
-        }
-        d.seal();
-        for threads in [2, 4] {
-            for order in [vec!["A", "B"], vec!["B", "A"]] {
-                let serial = DeltaAccess::build(&d, &order, 1).unwrap();
-                let par = DeltaAccess::build(&d, &order, threads).unwrap();
-                let mut cs = serial.cursor();
-                let mut cp = par.cursor();
-                assert_eq!(enumerate(&mut cs, 2), enumerate(&mut cp, 2), "x{threads}");
-            }
-        }
     }
 }

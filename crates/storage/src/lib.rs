@@ -8,10 +8,10 @@
 //! expose it explicitly:
 //!
 //! * [`Relation`] — a sorted, deduplicated, **columnar** relation over
-//!   dictionary-encoded [`Value`]s (one contiguous array per attribute) with the
-//!   classical unary/binary operators (selection, projection, semijoin, union,
-//!   difference, binary hash join, sort-merge join), all operating
-//!   column-at-a-time;
+//!   dictionary-encoded [`Value`]s (one contiguous array per attribute) with
+//!   projection, renaming, membership and degree statistics, plus the binary
+//!   hash join the baseline runs and the nested-loop join the differential
+//!   tests trust ([`ops`]), all operating column-at-a-time;
 //! * [`kernels`] — the adaptive multi-way intersection layer: branchless merge,
 //!   smallest-driven galloping, and a small-domain bitmap kernel, selected per
 //!   intersection by a span/size-ratio heuristic ([`kernels::KernelPolicy`]) and
@@ -20,10 +20,8 @@
 //!   ([`kernels::Layout`]), which turn dense∩dense into a word-parallel AND;
 //! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order with a
 //!   seekable cursor, the access path of both Generic Join and Leapfrog Triejoin;
-//!   built by a
-//!   single fused argsort-and-scan pass over the relation's columns — or, with
-//!   [`trie::Trie::build_parallel`], by the same pass partitioned across scoped
-//!   workers with bit-identical results;
+//!   built by a single fused argsort-and-scan pass over the relation's columns,
+//!   on the calling thread;
 //! * [`access::TrieAccess`] — the cursor trait the join engines in `wcoj-core` are
 //!   written against — once, generically, monomorphized per cursor type: Generic
 //!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
@@ -87,10 +85,10 @@
 //!     vec![vec![1, 2], vec![1, 3], vec![2, 3]],
 //! );
 //! assert_eq!(r.len(), 3);
-//! let s = r.select_eq("A", 1).unwrap();
-//! assert_eq!(s.len(), 2);
+//! assert!(r.contains(&[1, 3]));
 //! let p = r.project(&["B"]).unwrap();
 //! assert_eq!(p.len(), 2); // {2, 3}
+//! assert!(p.contains(&[3]));
 //! ```
 
 // Unsafe is denied crate-wide and allowed back in exactly two leaf modules:
@@ -123,7 +121,7 @@ pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation};
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
 pub use kernels::{KernelKind, KernelPolicy};
-pub use ops::{hash_join, intersect_sorted, merge_join, nested_loop_join};
+pub use ops::{hash_join, nested_loop_join};
 pub use relation::{Relation, Tuple};
 pub use schema::{AttrType, Schema};
 pub use simd::SimdLevel;

@@ -1,11 +1,10 @@
-//! Classical relational operators: multi-way sorted-set intersection, binary hash
-//! join, sort-merge join, and a naive nested-loop multi-way join used as ground truth
-//! in differential tests.
+//! Classical relational operators — the binary hash join and a naive
+//! nested-loop multi-way join used as ground truth in differential tests — plus
+//! the least-upper-bound searches every seekable cursor shares.
 //!
-//! The binary joins here are the building blocks of the *baselines* the paper's
-//! worst-case optimal algorithms are compared against (the "one-pair-at-a-time join
-//! paradigm" of Section 1.1); the multi-way intersection is the building block of the
-//! WCOJ engines themselves. The joins operate column-at-a-time over the columnar
+//! The hash join is the building block of the *baseline* the paper's worst-case
+//! optimal algorithms are compared against (the "one-pair-at-a-time join
+//! paradigm" of Section 1.1). It operates column-at-a-time over the columnar
 //! [`Relation`] layout: keys are gathered from key columns, matches are emitted by
 //! appending to output columns, and no intermediate row objects are allocated.
 
@@ -13,20 +12,7 @@ use crate::error::StorageError;
 use crate::relation::Relation;
 use crate::stats::WorkCounter;
 use crate::Value;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Intersect any number of sorted, deduplicated value slices.
-///
-/// Delegates to the adaptive kernel layer ([`crate::kernels`]): the common-span
-/// and size-ratio heuristic picks branchless merge, galloping search
-/// (`O(k · m · log(M/m))` for smallest list `m`, largest `M` — the "intersection
-/// in time proportional to the smaller set" primitive every runtime analysis in
-/// the paper relies on), or a small-domain bitmap kernel. Work and the kernel
-/// choice are recorded into `counter`.
-pub fn intersect_sorted(lists: &[&[Value]], counter: &WorkCounter) -> Vec<Value> {
-    crate::kernels::intersect(lists, crate::kernels::KernelPolicy::Adaptive, counter)
-}
 
 /// Least-upper-bound galloping search within `values[start..end]`: the first index
 /// `>= start` (and `< end`) whose value is `>= target`, or `end` if none. Returns the
@@ -381,61 +367,6 @@ pub fn hash_join(
     Relation::try_from_columns(shape.out_schema, out_cols)
 }
 
-/// Natural sort-merge join: both inputs are argsorted by the shared attributes
-/// (index permutations — no row materialization), then merged. Produces the same
-/// output and schema as [`hash_join`]; comparisons are recorded in `counter`.
-pub fn merge_join(
-    left: &Relation,
-    right: &Relation,
-    counter: &WorkCounter,
-) -> Result<Relation, StorageError> {
-    let shape = join_shape(left, right)?;
-    let lperm = left.sort_perm(&shape.left_key);
-    let rperm = right.sort_perm(&shape.right_key);
-
-    let key_cmp = |li: usize, ri: usize| -> Ordering {
-        for (&lp, &rp) in shape.left_key.iter().zip(&shape.right_key) {
-            match left.column(lp)[li].cmp(&right.column(rp)[ri]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        Ordering::Equal
-    };
-
-    let mut out_cols: Vec<Vec<Value>> = vec![Vec::new(); shape.out_schema.arity()];
-    let mut emitted = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lperm.len() && j < rperm.len() {
-        counter.add_comparisons(1);
-        match key_cmp(lperm[i], rperm[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                // find the extent of the equal-key runs on both sides
-                let i_end = i + lperm[i..]
-                    .iter()
-                    .take_while(|&&li| key_cmp(li, rperm[j]) == Ordering::Equal)
-                    .count();
-                let j_end = j + rperm[j..]
-                    .iter()
-                    .take_while(|&&ri| key_cmp(lperm[i], ri) == Ordering::Equal)
-                    .count();
-                for &li in &lperm[i..i_end] {
-                    for &ri in &rperm[j..j_end] {
-                        emit_match(&mut out_cols, left, right, &shape.right_only, li, ri);
-                        emitted += 1;
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    counter.add_intermediate(emitted);
-    Relation::try_from_columns(shape.out_schema, out_cols)
-}
-
 /// Naive multi-way natural join by pairwise nested loops, used as ground truth in
 /// differential tests. Quadratic per pair — only use on small inputs.
 pub fn nested_loop_join(relations: &[&Relation]) -> Result<Relation, StorageError> {
@@ -479,7 +410,13 @@ pub fn nested_loop_join(relations: &[&Relation]) -> Result<Relation, StorageErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{intersect, KernelPolicy};
     use crate::schema::Schema;
+
+    /// The adaptive kernel layer's multi-way intersection, as the engines call it.
+    fn intersect_sorted(lists: &[&[Value]], counter: &WorkCounter) -> Vec<Value> {
+        intersect(lists, KernelPolicy::Adaptive, counter)
+    }
 
     fn r() -> Relation {
         Relation::from_rows(
@@ -593,48 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_matches_hash_join() {
-        let w = WorkCounter::new();
-        let hj = hash_join(&r(), &s(), &w).unwrap();
-        let mj = merge_join(&r(), &s(), &w).unwrap();
-        assert_eq!(hj, mj);
-        assert!(w.comparisons() > 0);
-    }
-
-    #[test]
-    fn merge_join_multi_attribute_key() {
-        let w = WorkCounter::new();
-        let l = Relation::from_rows(
-            Schema::new(&["A", "B", "X"]),
-            vec![vec![1, 2, 100], vec![1, 3, 200], vec![2, 2, 300]],
-        );
-        let rr = Relation::from_rows(
-            Schema::new(&["A", "B", "Y"]),
-            vec![vec![1, 2, 7], vec![1, 2, 8], vec![2, 2, 9], vec![9, 9, 9]],
-        );
-        let hj = hash_join(&l, &rr, &w).unwrap();
-        let mj = merge_join(&l, &rr, &w).unwrap();
-        assert_eq!(hj, mj);
-        assert_eq!(hj.len(), 3);
-    }
-
-    #[test]
-    fn merge_join_non_leading_key_columns() {
-        // the shared attribute is trailing on the left, leading on the right: the
-        // argsort path must still align the runs correctly
-        let w = WorkCounter::new();
-        let l = Relation::from_rows(
-            Schema::new(&["X", "B"]),
-            vec![vec![10, 2], vec![20, 1], vec![30, 2]],
-        );
-        let rr = Relation::from_rows(Schema::new(&["B", "Y"]), vec![vec![1, 5], vec![2, 6]]);
-        let hj = hash_join(&l, &rr, &w).unwrap();
-        let mj = merge_join(&l, &rr, &w).unwrap();
-        assert_eq!(hj, mj);
-        assert_eq!(mj.len(), 3);
-    }
-
-    #[test]
     fn nested_loop_ground_truth_triangle() {
         let w = WorkCounter::new();
         let r = Relation::from_pairs("A", "B", vec![(1, 2), (2, 3), (1, 3)]);
@@ -668,7 +563,6 @@ mod tests {
         let w = WorkCounter::new();
         let empty = Relation::empty(Schema::new(&["B", "C"]));
         assert!(hash_join(&r(), &empty, &w).unwrap().is_empty());
-        assert!(merge_join(&r(), &empty, &w).unwrap().is_empty());
         assert!(nested_loop_join(&[&r(), &empty]).unwrap().is_empty());
     }
 }

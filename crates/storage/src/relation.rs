@@ -2,8 +2,7 @@
 //!
 //! A relation stores one contiguous `Vec<Value>` per attribute; row `i` is the tuple
 //! `(columns[0][i], …, columns[k-1][i])`. Rows are kept lexicographically sorted and
-//! deduplicated, which gives set semantics, O(log n) membership and prefix range
-//! lookups, and lets [`crate::Trie::build`] run as a single fused pass over the
+//! deduplicated, which gives set semantics and O(log n) membership, and lets [`crate::Trie::build`] run as a single fused pass over the
 //! columns (an argsort of row indices — no row materialization).
 //!
 //! The columnar layout is the storage half of the PR's performance story: scans touch
@@ -232,38 +231,10 @@ impl Relation {
         Ordering::Equal
     }
 
-    /// Compare row `i` of `self` against row `j` of `other` column-wise (the
-    /// schemas must have equal arity). Allocation-free cross-relation comparison.
-    fn cmp_rows_across(&self, i: usize, other: &Relation, j: usize) -> Ordering {
-        debug_assert_eq!(self.arity(), other.arity());
-        for (a, b) in self.columns.iter().zip(&other.columns) {
-            match a[i].cmp(&b[j]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Whether `other`'s row `j` occurs in `self` (binary search, no allocation).
-    fn contains_row_of(&self, other: &Relation, j: usize) -> bool {
-        let pos = self.partition_point(|r, i| r.cmp_rows_across(i, other, j) == Ordering::Less);
-        pos < self.len && self.cmp_rows_across(pos, other, j) == Ordering::Equal
-    }
-
     /// Argsort of the rows by the given column positions (ties broken by row index,
     /// i.e. by the canonical lexicographic order — deterministic).
     pub fn sort_perm(&self, positions: &[usize]) -> Vec<usize> {
         argsort_columns(&self.columns, positions, self.len)
-    }
-
-    /// [`Relation::sort_perm`] across `threads` scoped workers: each sorts one run
-    /// of row indices, then runs are pairwise-merged (also in parallel). The
-    /// comparator is a strict total order, so the result is **bit-identical** to
-    /// the serial argsort for every thread count. Small relations (or
-    /// `threads <= 1`) fall back to the serial sort.
-    pub fn sort_perm_threads(&self, positions: &[usize], threads: usize) -> Vec<usize> {
-        argsort_columns_threads(&self.columns, positions, self.len, threads)
     }
 
     /// Insert a single tuple, keeping the relation sorted.
@@ -319,62 +290,6 @@ impl Relation {
         }
         let lo = self.partition_point(|r, i| r.cmp_row_prefix(i, tuple) == Ordering::Less);
         lo < self.len && self.cmp_row_prefix(lo, tuple) == Ordering::Equal
-    }
-
-    /// The contiguous range of row indices whose first `prefix.len()` values equal
-    /// `prefix`.
-    ///
-    /// This is the primitive behind `σ_{A_S = a_S}` selections on the leading
-    /// attributes; it runs in O(log n) time.
-    pub fn prefix_range(&self, prefix: &[Value]) -> std::ops::Range<usize> {
-        let lo = self.partition_point(|r, i| r.cmp_row_prefix(i, prefix) == Ordering::Less);
-        let hi = self.partition_point(|r, i| r.cmp_row_prefix(i, prefix) != Ordering::Greater);
-        lo..hi
-    }
-
-    /// Sorted distinct values of attribute `attr`.
-    pub fn distinct_values(&self, attr: &str) -> Result<Vec<Value>, StorageError> {
-        let pos = self.schema.require(attr)?;
-        let mut vals = self.columns[pos].clone();
-        vals.sort_unstable();
-        vals.dedup();
-        Ok(vals)
-    }
-
-    /// Keep the rows whose indices satisfy `keep`, preserving canonical order.
-    fn filter_rows<F: Fn(usize) -> bool>(&self, keep: F) -> Relation {
-        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); self.arity()];
-        for i in 0..self.len {
-            if keep(i) {
-                for (c, col) in columns.iter_mut().enumerate() {
-                    col.push(self.columns[c][i]);
-                }
-            }
-        }
-        Relation::from_canonical_columns(self.schema.clone(), columns)
-    }
-
-    /// Selection `σ_{attr = value}`.
-    pub fn select_eq(&self, attr: &str, value: Value) -> Result<Relation, StorageError> {
-        let pos = self.schema.require(attr)?;
-        Ok(self.filter_rows(|i| self.columns[pos][i] == value))
-    }
-
-    /// Selection by an arbitrary predicate over whole tuples.
-    pub fn select_where<F: Fn(&[Value]) -> bool>(&self, pred: F) -> Relation {
-        let mut scratch: Tuple = vec![0; self.arity()];
-        let mut columns: Vec<Vec<Value>> = vec![Vec::new(); self.arity()];
-        for i in 0..self.len {
-            for (c, s) in scratch.iter_mut().enumerate() {
-                *s = self.columns[c][i];
-            }
-            if pred(&scratch) {
-                for (c, col) in columns.iter_mut().enumerate() {
-                    col.push(self.columns[c][i]);
-                }
-            }
-        }
-        Relation::from_canonical_columns(self.schema.clone(), columns)
     }
 
     /// Projection `π_{attrs}` (deduplicating).
@@ -443,62 +358,6 @@ impl Relation {
         self.project(attrs)
     }
 
-    /// Set union (schemas must match exactly).
-    pub fn union(&self, other: &Relation) -> Result<Relation, StorageError> {
-        self.check_same_schema(other)?;
-        let columns: Vec<Vec<Value>> = self
-            .columns
-            .iter()
-            .zip(&other.columns)
-            .map(|(a, b)| {
-                let mut col = a.clone();
-                col.extend_from_slice(b);
-                col
-            })
-            .collect();
-        Relation::try_from_columns(self.schema.clone(), columns)
-    }
-
-    /// Set difference `self \ other` (schemas must match exactly).
-    pub fn difference(&self, other: &Relation) -> Result<Relation, StorageError> {
-        self.check_same_schema(other)?;
-        Ok(self.filter_rows(|i| !other.contains_row_of(self, i)))
-    }
-
-    /// Set intersection (schemas must match exactly).
-    pub fn intersect(&self, other: &Relation) -> Result<Relation, StorageError> {
-        self.check_same_schema(other)?;
-        let (small, large) = if self.len() <= other.len() {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        Ok(small.filter_rows(|i| large.contains_row_of(small, i)))
-    }
-
-    /// Semijoin `self ⋉ other`: keep the tuples of `self` whose projection onto the
-    /// shared attributes appears in `other`.
-    pub fn semijoin(&self, other: &Relation) -> Result<Relation, StorageError> {
-        let common = self.schema.common_attrs(other.schema());
-        if common.is_empty() {
-            return Err(StorageError::NoJoinAttributes);
-        }
-        let common_refs: Vec<&str> = common.iter().map(|s| s.as_str()).collect();
-        let my_pos = self.schema.positions(&common_refs)?;
-        let other_proj = other.project(&common_refs)?;
-        Ok(self.filter_rows(|i| {
-            let key: Tuple = my_pos.iter().map(|&p| self.columns[p][i]).collect();
-            other_proj.contains(&key)
-        }))
-    }
-
-    /// Antijoin `self ▷ other`: keep the tuples of `self` whose projection onto the
-    /// shared attributes does *not* appear in `other`.
-    pub fn antijoin(&self, other: &Relation) -> Result<Relation, StorageError> {
-        let keep = self.semijoin(other)?;
-        self.difference(&keep)
-    }
-
     /// Maximum degree `deg(A_Y | A_X)` of Definition 1 in the paper: the maximum over
     /// bindings `t` of the `X` attributes of the number of distinct `Y`-projections of
     /// tuples matching `t`. With `x_attrs` empty this is simply the number of distinct
@@ -528,22 +387,6 @@ impl Relation {
             max = max.max(ys.len() as u64);
         }
         Ok(max)
-    }
-
-    /// Whether the functional dependency `X → Y` holds in this relation (every binding
-    /// of the `X` attributes determines at most one binding of the `Y` attributes).
-    pub fn fd_holds(&self, x_attrs: &[&str], y_attrs: &[&str]) -> Result<bool, StorageError> {
-        Ok(self.max_degree(x_attrs, y_attrs)? <= 1)
-    }
-
-    fn check_same_schema(&self, other: &Relation) -> Result<(), StorageError> {
-        if self.schema != other.schema {
-            return Err(StorageError::SchemaMismatch {
-                left: self.schema.attrs().to_vec(),
-                right: other.schema.attrs().to_vec(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -759,8 +602,8 @@ fn radix_sort(keys: &mut Vec<u64>, bits: u32, spare: &mut Vec<u64>) {
     }
 }
 
-/// Argsort of `len` rows of column-major `columns` by `positions` — the serial
-/// core of [`Relation::sort_perm`], shared with the delta-log subsystem (whose
+/// Argsort of `len` rows of column-major `columns` by `positions` — the core
+/// of [`Relation::sort_perm`], shared with the delta-log subsystem (whose
 /// run concatenations are *not* canonical relations, so this works on raw
 /// columns).
 pub(crate) fn argsort_columns(
@@ -771,81 +614,6 @@ pub(crate) fn argsort_columns(
     let mut perm: Vec<usize> = (0..len).collect();
     perm.sort_unstable_by(|&a, &b| cmp_columns_at(columns, positions, a, b));
     perm
-}
-
-/// [`argsort_columns`] across `threads` scoped workers: sorted runs plus pairwise
-/// parallel merges. The comparator is a strict total order, so the result is
-/// bit-identical to the serial argsort for every thread count; small inputs (or
-/// `threads <= 1`) fall back to the serial sort. This is the parallel merge
-/// machinery behind [`Relation::sort_perm_threads`].
-///
-/// Chunk `i`'s sorter pins to [`crate::topology::worker_cpu`]`(i)` and the
-/// merger of runs `2j, 2j+1` to `worker_cpu(j)` (advisory). Placement never
-/// changes chunk or merge boundaries, so the permutation is identical with or
-/// without pinning.
-pub(crate) fn argsort_columns_threads(
-    columns: &[Vec<Value>],
-    positions: &[usize],
-    len: usize,
-    threads: usize,
-) -> Vec<usize> {
-    const PAR_SORT_MIN: usize = 4096;
-    if threads <= 1 || len < PAR_SORT_MIN {
-        return argsort_columns(columns, positions, len);
-    }
-    let chunk = len.div_ceil(threads);
-    let mut runs: Vec<Vec<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .enumerate()
-            .map(|(i, start)| {
-                let end = (start + chunk).min(len);
-                scope.spawn(move || {
-                    crate::topology::pin_current_thread(crate::topology::worker_cpu(i));
-                    let mut run: Vec<usize> = (start..end).collect();
-                    run.sort_unstable_by(|&a, &b| cmp_columns_at(columns, positions, a, b));
-                    run
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("argsort worker"))
-            .collect()
-    });
-    while runs.len() > 1 {
-        runs = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut iter = runs.into_iter().enumerate();
-            while let Some((left, a)) = iter.next() {
-                match iter.next() {
-                    Some((_, b)) => handles.push(scope.spawn(move || {
-                        crate::topology::pin_current_thread(crate::topology::worker_cpu(left / 2));
-                        let mut out = Vec::with_capacity(a.len() + b.len());
-                        let (mut i, mut j) = (0usize, 0usize);
-                        while i < a.len() && j < b.len() {
-                            if cmp_columns_at(columns, positions, a[i], b[j]) == Ordering::Less {
-                                out.push(a[i]);
-                                i += 1;
-                            } else {
-                                out.push(b[j]);
-                                j += 1;
-                            }
-                        }
-                        out.extend_from_slice(&a[i..]);
-                        out.extend_from_slice(&b[j..]);
-                        out
-                    })),
-                    None => handles.push(scope.spawn(move || a)),
-                }
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("merge worker"))
-                .collect()
-        });
-    }
-    runs.pop().unwrap_or_default()
 }
 
 impl std::fmt::Display for Relation {
@@ -1119,33 +887,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_prefix_range() {
+    fn contains_is_exact_membership() {
         let r = r_ab();
         assert!(r.contains(&[1, 3]));
         assert!(!r.contains(&[3, 1]));
         assert!(!r.contains(&[1])); // arity mismatch is simply absent
-        assert_eq!(r.prefix_range(&[1]), 0..2);
-        assert_eq!(r.prefix_range(&[2]), 2..3);
-        assert!(r.prefix_range(&[9]).is_empty());
-        assert_eq!(r.prefix_range(&[]), 0..3);
-    }
-
-    #[test]
-    fn distinct_values_sorted() {
-        let r = r_ab();
-        assert_eq!(r.distinct_values("A").unwrap(), vec![1, 2]);
-        assert_eq!(r.distinct_values("B").unwrap(), vec![2, 3]);
-        assert!(r.distinct_values("Z").is_err());
-    }
-
-    #[test]
-    fn select_eq_and_where() {
-        let r = r_ab();
-        let s = r.select_eq("A", 1).unwrap();
-        assert_eq!(s.len(), 2);
-        let w = r.select_where(|t| t[0] + t[1] == 5);
-        assert_eq!(w.len(), 1); // only (2,3) sums to 5
-        assert_eq!(w.rows(), vec![vec![2, 3]]);
+        assert!(!r.contains(&[]));
     }
 
     #[test]
@@ -1171,38 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn union_difference_intersect() {
-        let r = r_ab();
-        let s = Relation::from_rows(Schema::new(&["A", "B"]), vec![vec![1, 2], vec![9, 9]]);
-        let u = r.union(&s).unwrap();
-        assert_eq!(u.len(), 4);
-        let d = r.difference(&s).unwrap();
-        assert_eq!(d.len(), 2);
-        assert!(!d.contains(&[1, 2]));
-        let i = r.intersect(&s).unwrap();
-        assert_eq!(i.rows(), vec![vec![1, 2]]);
-        let bad = Relation::empty(Schema::new(&["X"]));
-        assert!(r.union(&bad).is_err());
-        assert!(r.difference(&bad).is_err());
-        assert!(r.intersect(&bad).is_err());
-    }
-
-    #[test]
-    fn semijoin_and_antijoin() {
-        let r = r_ab();
-        let s = Relation::from_rows(Schema::new(&["B", "C"]), vec![vec![3, 7]]);
-        let sj = r.semijoin(&s).unwrap();
-        assert_eq!(sj.rows(), vec![vec![1, 3], vec![2, 3]]);
-        let aj = r.antijoin(&s).unwrap();
-        assert_eq!(aj.rows(), vec![vec![1, 2]]);
-        let disjoint = Relation::empty(Schema::new(&["Z"]));
-        assert_eq!(
-            r.semijoin(&disjoint).unwrap_err(),
-            StorageError::NoJoinAttributes
-        );
-    }
-
-    #[test]
     fn degrees_and_fds() {
         // A=1 has B in {2,3}; A=2 has B in {3}
         let r = r_ab();
@@ -1210,9 +925,9 @@ mod tests {
         assert_eq!(r.max_degree(&["B"], &["A"]).unwrap(), 2);
         assert_eq!(r.max_degree(&[], &["A"]).unwrap(), 2);
         assert_eq!(r.max_degree(&[], &["A", "B"]).unwrap(), 3);
-        assert!(!r.fd_holds(&["A"], &["B"]).unwrap());
+        // a functional dependency K -> V is a degree of at most 1
         let key = Relation::from_rows(Schema::new(&["K", "V"]), vec![vec![1, 10], vec![2, 20]]);
-        assert!(key.fd_holds(&["K"], &["V"]).unwrap());
+        assert_eq!(key.max_degree(&["K"], &["V"]).unwrap(), 1);
     }
 
     #[test]
@@ -1272,9 +987,8 @@ mod tests {
     fn empty_relation_behaves() {
         let r = Relation::empty(Schema::new(&["A", "B"]));
         assert!(r.is_empty());
-        assert_eq!(r.distinct_values("A").unwrap(), Vec::<Value>::new());
         assert_eq!(r.max_degree(&["A"], &["B"]).unwrap(), 0);
-        assert!(r.fd_holds(&["A"], &["B"]).unwrap());
-        assert!(r.prefix_range(&[1]).is_empty());
+        assert_eq!(r.max_degree(&[], &["A"]).unwrap(), 0);
+        assert!(!r.contains(&[1, 2]));
     }
 }

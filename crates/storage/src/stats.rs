@@ -143,7 +143,7 @@ impl WorkCounter {
         self.output_tuples.set(self.output_tuples.get() + n);
     }
 
-    /// Record `n` element comparisons (sort-merge, the merge/bitmap intersection
+    /// Record `n` element comparisons (the merge/bitmap intersection
     /// kernels, linear-scan seeks, ...).
     #[inline]
     pub fn add_comparisons(&self, n: u64) {

@@ -7,13 +7,14 @@
 //! **fused pass over the relation's columns**: one argsort of row indices (skipped
 //! entirely when the requested order is the relation's native order), then a single
 //! scan that emits every level's values and child offsets simultaneously — no row
-//! materialization, no per-level re-grouping.
+//! materialization, no per-level re-grouping. It is the only way a trie is
+//! built, and it runs on the calling thread: the one place the library spawns
+//! threads is the join's morsel scheduler, which shares finished tries.
 //!
 //! Each level also carries the **set layouts** of its dense sibling groups (see
 //! [`crate::kernels`]): one pool of bitset words per level plus one offset per
-//! group (CSR, like the child ranges), filled from the finished value arrays by
-//! the same code in the serial and the parallel build (so the two stay
-//! bit-identical), counted in [`Trie::heap_bytes`], and absent altogether on a
+//! group (CSR, like the child ranges), filled from the finished value arrays,
+//! counted in [`Trie::heap_bytes`], and absent altogether on a
 //! level without a dense group — and on a trie with tombstones, whose sibling
 //! groups are not sets of live values.
 //!
@@ -60,7 +61,6 @@ struct TrieLevel {
 impl TrieLevel {
     /// Assemble a level from its finished `values`, building the layouts of its
     /// sibling groups — `groups` yields their `start..end` ranges in order.
-    /// Shared by the serial and parallel builds, so both produce the same bits.
     fn new(
         values: Vec<Value>,
         child_start: Vec<usize>,
@@ -85,7 +85,7 @@ impl TrieLevel {
 }
 
 /// Assemble a trie's levels from the per-level `values` and `child_start`
-/// arrays both builds produce: level 0 is one sibling group, level `d + 1`'s
+/// arrays [`scan`] produces: level 0 is one sibling group, level `d + 1`'s
 /// groups are level `d`'s child ranges. Without `layouts` no group gets one.
 fn assemble_levels(
     values: Vec<Vec<Value>>,
@@ -173,16 +173,15 @@ pub(crate) fn check_positions(arity: usize, positions: &[usize]) -> Result<(), S
     Ok(())
 }
 
-/// Argsort of `rel`'s rows by the permuted columns (across `threads` scoped
-/// workers, bit-identical for every count — [`Relation::sort_perm_threads`]),
+/// Argsort of `rel`'s rows by the permuted columns ([`Relation::sort_perm`]),
 /// or `None` when the permutation is the identity (the relation is already
 /// sorted in that order). Rows of a full-attribute permutation are distinct, so
 /// the argsort's index tie-break never fires.
-fn order_perm(rel: &Relation, positions: &[usize], threads: usize) -> Option<Vec<usize>> {
+fn order_perm(rel: &Relation, positions: &[usize]) -> Option<Vec<usize>> {
     if positions.iter().enumerate().all(|(i, &p)| i == p) {
         return None;
     }
-    Some(rel.sort_perm_threads(positions, threads))
+    Some(rel.sort_perm(positions))
 }
 
 /// The first depth at which row `r` differs from row `prev` under the permuted
@@ -202,7 +201,7 @@ fn boundary(cols: &[&[Value]], r: usize, prev: usize) -> usize {
 /// (skipped when the order is native), then scan once, pushing a node at depth
 /// `d` whenever the current row first differs from the previous row at depth
 /// `≤ d`.
-fn scan_serial(
+fn scan(
     rel: &Relation,
     positions: &[usize],
     perm: Option<&[usize]>,
@@ -231,169 +230,12 @@ fn scan_serial(
     (values, child_start)
 }
 
-/// Relations below this many rows build serially even when worker threads are
-/// requested: the scoped-thread spawn cost would exceed the build itself.
-const PAR_BUILD_MIN: usize = 4096;
-
-/// The level-boundary stream of the fused scan over `n >= 1` rows as data:
-/// `bounds[idx]` is the [`boundary`] of sorted row `idx` against row `idx - 1`
-/// (0 for row 0).
-/// Computed across `threads` scoped workers — each chunk's boundaries depend only
-/// on the rows at its edges, so the partition is embarrassingly parallel.
-fn boundary_depths(
-    cols: &[&[Value]],
-    n: usize,
-    perm: Option<&[usize]>,
-    threads: usize,
-) -> Vec<usize> {
-    let mut bounds = vec![0usize; n];
-    let row = |idx: usize| perm.map_or(idx, |p| p[idx]);
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let row = &row;
-        // skip row 0 (boundary 0 by definition), then hand out chunks
-        let mut rest: &mut [usize] = &mut bounds[1..];
-        let mut start = 1usize;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let begin = start;
-            scope.spawn(move || {
-                for (off, b) in head.iter_mut().enumerate() {
-                    *b = boundary(cols, row(begin + off), row(begin + off - 1));
-                }
-            });
-            rest = tail;
-            start += take;
-        }
-    });
-    bounds
-}
-
-/// [`scan_serial`]'s arrays from three parallel stages, each bit-identical to
-/// its serial counterpart: the argsort ran as sorted runs + parallel merges
-/// ([`Relation::sort_perm_threads`]), the level-boundary stream is chunked
-/// ([`boundary_depths`]), and the level arrays are filled through exclusive
-/// per-chunk output slices whose offsets come from a prefix sum of per-chunk
-/// node counts. Called with at least [`PAR_BUILD_MIN`] rows and two threads.
-fn scan_parallel(
-    rel: &Relation,
-    positions: &[usize],
-    perm: Option<&[usize]>,
-    threads: usize,
-) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
-    let arity = rel.arity();
-    let n = rel.len();
-    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
-    let bounds = boundary_depths(&cols, n, perm, threads);
-
-    // per-chunk node counts per depth (a row with boundary b creates one node
-    // at every depth >= b), then exclusive prefix sums -> chunk output offsets
-    let chunk = n.div_ceil(threads);
-    let ranges: Vec<std::ops::Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|s| s..(s + chunk).min(n))
-        .collect();
-    let counts: Vec<Vec<usize>> = std::thread::scope(|scope| {
-        let bounds = &bounds;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    let mut c = vec![0usize; arity];
-                    for idx in range {
-                        for slot in c.iter_mut().skip(bounds[idx]) {
-                            *slot += 1;
-                        }
-                    }
-                    c
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("count worker"))
-            .collect()
-    });
-    let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(counts.len());
-    let mut totals = vec![0usize; arity];
-    for c in &counts {
-        offsets.push(totals.clone());
-        for (t, &k) in totals.iter_mut().zip(c) {
-            *t += k;
-        }
-    }
-
-    // exact-size level arrays, handed to workers as exclusive per-chunk slices
-    let mut values: Vec<Vec<Value>> = totals.iter().map(|&t| vec![0; t]).collect();
-    let mut child_start: Vec<Vec<usize>> = (0..arity)
-        .map(|d| {
-            if d + 1 < arity {
-                vec![0usize; totals[d] + 1] // + 1 for the closing sentinel
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    {
-        let mut val_rem: Vec<&mut [Value]> = values.iter_mut().map(|v| v.as_mut_slice()).collect();
-        let mut cs_rem: Vec<&mut [usize]> =
-            child_start.iter_mut().map(|v| v.as_mut_slice()).collect();
-        std::thread::scope(|scope| {
-            let bounds = &bounds;
-            let cols = &cols;
-            for (c, range) in ranges.iter().enumerate() {
-                let mut vs: Vec<&mut [Value]> = Vec::with_capacity(arity);
-                let mut cs: Vec<&mut [usize]> = Vec::with_capacity(arity);
-                for d in 0..arity {
-                    let (head, tail) = std::mem::take(&mut val_rem[d]).split_at_mut(counts[c][d]);
-                    vs.push(head);
-                    val_rem[d] = tail;
-                    if d + 1 < arity {
-                        let (head, tail) =
-                            std::mem::take(&mut cs_rem[d]).split_at_mut(counts[c][d]);
-                        cs.push(head);
-                        cs_rem[d] = tail;
-                    }
-                }
-                let range = range.clone();
-                let offs = offsets[c].clone();
-                scope.spawn(move || {
-                    let mut vs = vs;
-                    let mut cs = cs;
-                    let mut local = vec![0usize; arity];
-                    for idx in range {
-                        let r = perm.map_or(idx, |p| p[idx]);
-                        for depth in bounds[idx]..arity {
-                            if depth + 1 < arity {
-                                // first child of this node = depth+1 nodes
-                                // emitted so far, globally
-                                cs[depth][local[depth]] = offs[depth + 1] + local[depth + 1];
-                            }
-                            vs[depth][local[depth]] = cols[depth][r];
-                            local[depth] += 1;
-                        }
-                    }
-                });
-            }
-        });
-        // closing sentinels: node i's children end where node i + 1's begin
-        for d in 0..arity.saturating_sub(1) {
-            debug_assert_eq!(cs_rem[d].len(), 1);
-            cs_rem[d][0] = totals[d + 1];
-        }
-    }
-
-    (values, child_start)
-}
-
 impl Trie {
     /// Build a trie for `rel` with attributes reordered to `attr_order` (a permutation
     /// of the relation's attributes), by a single fused argsort-and-scan pass over
     /// the relation's columns.
     pub fn build(rel: &Relation, attr_order: &[&str]) -> Result<Self, StorageError> {
-        Self::build_parallel(rel, attr_order, 1)
+        Self::build_positions(rel, &rel.schema().positions(attr_order)?)
     }
 
     /// [`Trie::build`] with the order given as **column positions** (a permutation of
@@ -401,29 +243,7 @@ impl Trie {
     /// execution layer's access-structure cache, whose keys are positional so that
     /// per-query variable names never reach (or fragment) the cache.
     pub fn build_positions(rel: &Relation, positions: &[usize]) -> Result<Self, StorageError> {
-        Self::build_positions_parallel(rel, positions, 1)
-    }
-
-    /// [`Trie::build`] with the fused argsort-and-scan pass partitioned across
-    /// `threads` scoped workers. The result is guaranteed equal to [`Trie::build`]
-    /// for every thread count (property-tested for threads ∈ {1, 2, 4, 8}). Small
-    /// relations and `threads <= 1` take the serial pass.
-    pub fn build_parallel(
-        rel: &Relation,
-        attr_order: &[&str],
-        threads: usize,
-    ) -> Result<Self, StorageError> {
-        Self::build_positions_parallel(rel, &rel.schema().positions(attr_order)?, threads)
-    }
-
-    /// [`Trie::build_positions`] with the parallel fused pass of
-    /// [`Trie::build_parallel`]; bit-identical for every thread count.
-    pub fn build_positions_parallel(
-        rel: &Relation,
-        positions: &[usize],
-        threads: usize,
-    ) -> Result<Self, StorageError> {
-        Self::build_signed(rel, positions, threads, None)
+        Self::build_signed(rel, positions, None)
     }
 
     /// The one builder. `dead` is given for a delta run with tombstones: which
@@ -433,16 +253,11 @@ impl Trie {
     pub(crate) fn build_signed(
         rel: &Relation,
         positions: &[usize],
-        threads: usize,
         dead: Option<&[bool]>,
     ) -> Result<Self, StorageError> {
         check_positions(rel.arity(), positions)?;
-        let perm = order_perm(rel, positions, threads);
-        let (values, child_start) = if threads <= 1 || rel.len() < PAR_BUILD_MIN {
-            scan_serial(rel, positions, perm.as_deref())
-        } else {
-            scan_parallel(rel, positions, perm.as_deref(), threads)
-        };
+        let perm = order_perm(rel, positions);
+        let (values, child_start) = scan(rel, positions, perm.as_deref());
         let row = |idx: usize| perm.as_ref().map_or(idx, |p| p[idx]);
         let tombstones = dead.map(|dead| Tombstones::new(rel.len(), |idx| dead[row(idx)]));
         Ok(Trie {
@@ -629,12 +444,15 @@ impl<'a> TrieCursor<'a> {
         }
     }
 
-    /// Advance to the next sibling. Returns `false` if that moves past the end.
+    /// Advance to the next sibling. Returns `false` if that moves past the end,
+    /// or at the root.
     #[allow(clippy::should_implement_trait)]
     #[inline]
     pub fn next(&mut self) -> bool {
         self.work.intersect_steps += 1;
-        let frame = self.stack.last_mut().expect("cursor is at the root");
+        let Some(frame) = self.stack.last_mut() else {
+            return false;
+        };
         if frame.pos < frame.end {
             frame.pos += 1;
         }
@@ -643,11 +461,13 @@ impl<'a> TrieCursor<'a> {
 
     /// Seek to the least sibling with value `>= target` (adaptive: linear scan for
     /// short groups, galloping search otherwise). Returns `false` if no such
-    /// sibling exists (the cursor is then `at_end`).
+    /// sibling exists (the cursor is then `at_end`), or at the root.
     #[inline]
     pub fn seek(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
-        let frame = self.stack.last_mut().expect("cursor is at the root");
+        let Some(frame) = self.stack.last_mut() else {
+            return false;
+        };
         let values = &self.trie.levels[depth - 1].values;
         if frame.pos >= frame.end {
             return false;
@@ -664,9 +484,12 @@ impl<'a> TrieCursor<'a> {
     /// group (may move backward). Uncounted: used by the execution layer to
     /// re-position at keys whose discovery cost was already accounted elsewhere
     /// (e.g. the first-variable extension set shared across parallel workers).
+    /// `false` at the root.
     pub fn reposition(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
-        let frame = self.stack.last_mut().expect("cursor is at the root");
+        let Some(frame) = self.stack.last_mut() else {
+            return false;
+        };
         let values = &self.trie.levels[depth - 1].values[frame.start..frame.end];
         match values.binary_search(&target) {
             Ok(i) => {
@@ -684,7 +507,8 @@ impl<'a> TrieCursor<'a> {
     /// `>=` the current key: the fast path for re-positioning at
     /// kernel-discovered keys visited in ascending order (their search cost was
     /// already accounted by the intersection kernel). Returns whether the value
-    /// is present — the cursor then stands at the least sibling `>= target`.
+    /// is present — the cursor then stands at the least sibling `>= target`
+    /// (`false` at the root).
     ///
     /// A dense group repositions by rank: its set layout has one bit per
     /// member, so the members in `[current key, target)` are counted a word at
@@ -694,7 +518,9 @@ impl<'a> TrieCursor<'a> {
     #[inline]
     pub fn advance_to(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
-        let frame = self.stack.last_mut().expect("cursor is at the root");
+        let Some(frame) = self.stack.last_mut() else {
+            return false;
+        };
         let values = &self.trie.levels[depth - 1].values;
         if frame.pos >= frame.end {
             return false;
@@ -796,8 +622,6 @@ mod tests {
             &["C".to_string(), "A".to_string(), "B".to_string()]
         );
         assert!(by_pos.heap_bytes() > 0);
-        let par = Trie::build_positions_parallel(&r, &[2, 0, 1], 4).unwrap();
-        assert_eq!(par, by_name);
         assert!(Trie::build_positions(&r, &[0, 1]).is_err());
         assert!(Trie::build_positions(&r, &[0, 1, 1]).is_err());
         assert!(Trie::build_positions(&r, &[0, 1, 3]).is_err());
@@ -1095,6 +919,34 @@ mod tests {
         assert_eq!(b.key(), 4);
     }
 
+    /// Shapes at the edges of the fused scan: no child offsets at all (unary),
+    /// one root whose group holds every row, and fewer roots than chunks any
+    /// partition of the rows would cut — each enumerates its rows and has the
+    /// node counts its shape implies.
+    #[test]
+    fn build_handles_degenerate_shapes() {
+        let unary = Relation::from_rows(
+            Schema::new(&["A"]),
+            (0..10_000).map(|i| vec![i * 3]).collect(),
+        );
+        let fat = Relation::from_rows(
+            Schema::new(&["A", "B"]),
+            (0..10_000).map(|i| vec![7, i]).collect(),
+        );
+        let few_roots = Relation::from_rows(
+            Schema::new(&["A", "B"]),
+            (0..9_000).map(|i| vec![i % 3, i]).collect(),
+        );
+        for (r, roots) in [(&unary, 10_000), (&fat, 1), (&few_roots, 3)] {
+            let names: Vec<&str> = r.schema().attrs().iter().map(String::as_str).collect();
+            let t = Trie::build(r, &names).unwrap();
+            assert_eq!((t.nodes_at(0), t.nodes_at(r.arity() - 1)), (roots, r.len()));
+            let mut out = Vec::new();
+            walk(&mut t.cursor(), r.arity(), &mut Vec::new(), &mut out);
+            assert_eq!(out, r.rows(), "{roots} roots");
+        }
+    }
+
     #[test]
     fn bad_attr_order_rejected() {
         assert!(Trie::build(&rel(), &["A", "B"]).is_err());
@@ -1149,7 +1001,7 @@ mod tests {
             let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
             let dead: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i == n - 1).collect();
             for positions in [[0usize, 1], [1, 0]] {
-                let t = Trie::build_signed(&r, &positions, 1, Some(&dead)).unwrap();
+                let t = Trie::build_signed(&r, &positions, Some(&dead)).unwrap();
                 let sign = |a: Value, b: Value| {
                     let row = if positions[0] == 0 {
                         a * 5 + b
