@@ -75,7 +75,9 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions, ExecOutput, QueryTrace, TraceSink};
 use wcoj_obs::{Counter, Gauge, Histogram, Registry};
+use wcoj_query::database::DatabaseError;
 use wcoj_query::{ConjunctiveQuery, Database, Snapshot};
+use wcoj_storage::wal::log_len;
 use wcoj_storage::{
     gc_checkpoint, recover_dir, write_checkpoint, DeltaRelation, FaultPlan, SegmentedWal,
     StorageError, Value, WalOp, DEFAULT_SEGMENT_BYTES,
@@ -360,7 +362,10 @@ impl WriteBatch {
     }
 
     /// The service's one validation rule, checked under the write lock.
-    /// Every relation the batch touches must exist. A batch built `against` a
+    /// Every relation the batch touches must exist, and every tuple it
+    /// inserts or deletes must have that relation's arity — refused here, a
+    /// tuple of another length would reach the log and fail only at apply,
+    /// and then fail every replay of the log. A batch built `against` a
     /// snapshot must find each of them at the epoch the snapshot pinned
     /// (snapshot isolation: a relation only read is not checked) — unless an
     /// earlier member of its group, which has not applied yet, writes it
@@ -386,6 +391,19 @@ impl WriteBatch {
                     expected,
                     found,
                 });
+            }
+        }
+        for op in &self.ops {
+            let (WalOp::Insert { relation, tuple } | WalOp::Delete { relation, tuple }) = op else {
+                continue;
+            };
+            let expected = db.delta(relation).map_or(0, DeltaRelation::arity);
+            if tuple.len() != expected {
+                let e = StorageError::ArityMismatch {
+                    expected,
+                    found: tuple.len(),
+                };
+                return Decision::Reject(ServiceError::Database(DatabaseError::Storage(e)));
             }
         }
         Decision::Accept
@@ -535,11 +553,20 @@ impl QueryService {
     /// commit sequence. `base` must contain the same catalog the original
     /// writer started from — schemas are not logged — and recovery cost is
     /// bounded by the tail length, not total history.
+    ///
+    /// A catalog the log cannot name — a relation name over 65 535 bytes or
+    /// an arity over 65 535 ([`StorageError::TooLongForLog`]) — is refused
+    /// before the directory is touched: the catalog is fixed from here on, so
+    /// no later write can then fail the encoder halfway through a group.
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         mut base: Database,
         config: ServiceConfig,
     ) -> Result<(QueryService, RecoveryReport), ServiceError> {
+        for name in base.relation_names() {
+            log_len("relation name", name.len())?;
+            log_len("tuple", base.delta(name).map_or(0, DeltaRelation::arity))?;
+        }
         let dir = dir.as_ref().to_path_buf();
         let recovery = recover_dir(&dir)?;
         let checkpoint_seq = recovery.checkpoint_seq();

@@ -5,10 +5,11 @@
 
 use std::time::Duration;
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions};
+use wcoj_query::database::DatabaseError;
 use wcoj_query::{query::examples, Database};
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
 use wcoj_storage::wal::crc32;
-use wcoj_storage::{DeltaRelation, FaultPlan, Relation, Schema, WalOp};
+use wcoj_storage::{DeltaRelation, FaultPlan, Relation, Schema, StorageError, WalOp};
 use wcoj_workloads::SplitMix64;
 
 /// The suite's base config. The "every service query traced" CI leg runs this
@@ -125,7 +126,8 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
         relation: "E".into(),
         tuple: vec![999, 999],
     }
-    .encode();
+    .encode()
+    .unwrap();
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
     frame.extend(crc32(&payload).to_le_bytes());
     frame.extend(payload); // and no commit marker behind it
@@ -426,6 +428,66 @@ fn injected_wal_faults_never_let_memory_run_ahead_of_the_log() {
     assert_eq!(service.apply(&big).unwrap(), 1);
     service.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 3));
     std::fs::remove_dir_all(&path).ok();
+}
+
+#[test]
+fn tuples_of_the_wrong_arity_are_refused_before_the_log() {
+    // a 3-value tuple into an arity-2 relation used to be logged and fsynced,
+    // then fail at apply — and fail every later replay; a 70 000-value one
+    // would also overflow the record's u16 arity field
+    let path = temp_wal("wrong-arity");
+    for service in in_memory_and_durable(&path, edge_db, config()) {
+        service
+            .apply(&WriteBatch::new().insert("E", vec![1, 2]))
+            .unwrap();
+        let (committed, bytes) = (service.committed(), gauge(&service, "wal.bytes"));
+        for found in [3, 70_000] {
+            let tuple = vec![7; found];
+            for batch in [
+                WriteBatch::new()
+                    .insert("E", vec![3, 4])
+                    .insert("E", tuple.clone()),
+                WriteBatch::new().delete("E", tuple.clone()),
+            ] {
+                match service.apply(&batch) {
+                    Err(ServiceError::Database(DatabaseError::Storage(
+                        StorageError::ArityMismatch {
+                            expected: 2,
+                            found: f,
+                        },
+                    ))) if f == found => {}
+                    other => panic!("arity {found}: {other:?}"),
+                }
+                assert_eq!(
+                    (service.committed(), gauge(&service, "wal.bytes")),
+                    (committed, bytes)
+                );
+                assert_eq!(gauge(&service, "wal.poisoned"), 0);
+                service
+                    .with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 1, "nothing applied"));
+            }
+        }
+    }
+    // nothing was logged that a replay would fail on
+    let (service, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
+    assert_eq!((replayed.committed, replayed.torn()), (1, false));
+    service.with_db(|db| assert!(db.delta("E").unwrap().is_live(&[1, 2])));
+    std::fs::remove_dir_all(&path).ok();
+}
+
+#[test]
+fn a_catalog_the_log_cannot_name_is_refused_at_open() {
+    let path = temp_wal("long-name");
+    let mut db = edge_db();
+    db.insert_delta_relation("n".repeat(70_000), DeltaRelation::new(Schema::new(&["a"])));
+    match QueryService::open(&path, db, config()) {
+        Err(ServiceError::Wal(StorageError::TooLongForLog {
+            what: "relation name",
+            len: 70_000,
+        })) => {}
+        other => panic!("{:?}", other.map(|(_, report)| report)),
+    }
+    assert!(!path.exists(), "the directory is not touched");
 }
 
 #[test]

@@ -15,11 +15,13 @@
 //!   after an O(arity)-expected liveness probe of an incrementally-maintained
 //!   live-tuple hash index (which keeps each tuple's history an alternating +/−
 //!   sequence — the invariant that makes signed counting exact — at the price
-//!   of one extra copy of each live tuple); unary/binary tuples pack into
-//!   `u128` keys, so the hot ingest path never allocates. When the buffer
-//!   reaches the seal threshold it is **sealed**: collapsed into a new sorted
-//!   run, followed by **size-tiered compaction** (adjacent runs of comparable
-//!   size merge in linear two-pointer passes); [`DeltaRelation::compact`]
+//!   of one extra copy of each live tuple; unary/binary tuples pack into
+//!   `u128` keys there). The buffer is columnar at every arity — one column
+//!   per attribute plus one sign per op — so an append allocates nothing of
+//!   its own. When the buffer reaches the seal threshold it is **sealed**:
+//!   collapsed into a new sorted run by the one signed collapse, followed by
+//!   **size-tiered compaction** (adjacent runs of comparable size merge in
+//!   linear two-pointer passes, the one run merge); [`DeltaRelation::compact`]
 //!   merges everything back into a single tombstone-free base;
 //! * query-side, a sealed run's access structure **is a [`Trie`]**: a run is a
 //!   canonical relation plus signs, so [`Run::trie`] is the one trie builder
@@ -136,70 +138,6 @@ impl LiveSet {
             LiveSet::Packed(s) => s.remove(&pack2(tuple)),
             LiveSet::General(s) => s.remove(tuple),
         }
-    }
-
-    fn reserve(&mut self, n: usize) {
-        match self {
-            LiveSet::Packed(s) => s.reserve(n),
-            LiveSet::General(s) => s.reserve(n),
-        }
-    }
-}
-
-/// The append buffer: operations in arrival order, each a tuple plus its sign
-/// (+1 insert, −1 tombstone). Like [`LiveSet`], unary/binary tuples are packed
-/// into `u128`s so the hot ingest path performs no heap allocation at all.
-#[derive(Debug, Clone)]
-enum OpBuffer {
-    /// Arity ≤ 2: `(packed tuple, sign)`.
-    Packed(Vec<(u128, i64)>),
-    /// Arity ≥ 3: `(owned tuple, sign)`.
-    General(Vec<(Tuple, i64)>),
-}
-
-impl OpBuffer {
-    fn for_arity(arity: usize) -> OpBuffer {
-        if arity <= 2 {
-            OpBuffer::Packed(Vec::new())
-        } else {
-            OpBuffer::General(Vec::new())
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            OpBuffer::Packed(v) => v.len(),
-            OpBuffer::General(v) => v.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn clear(&mut self) {
-        match self {
-            OpBuffer::Packed(v) => v.clear(),
-            OpBuffer::General(v) => v.clear(),
-        }
-    }
-
-    fn push(&mut self, tuple: &[Value], sign: i64) {
-        match self {
-            OpBuffer::Packed(v) => v.push((pack2(tuple), sign)),
-            OpBuffer::General(v) => v.push((tuple.to_vec(), sign)),
-        }
-    }
-}
-
-/// Unpack an order-preserving `u128` key back into `arity` column values.
-#[inline]
-fn unpack2(key: u128, arity: usize, out: &mut [Vec<Value>]) {
-    if arity == 1 {
-        out[0].push(key as Value);
-    } else {
-        out[0].push((key >> 64) as Value);
-        out[1].push(key as Value);
     }
 }
 
@@ -326,9 +264,6 @@ fn collapse_signed(cols: &[Vec<Value>], signs: &[i64]) -> (Vec<Vec<Value>>, Vec<
 fn merge_two(a: &Run, b: &Run) -> (Vec<Vec<Value>>, Vec<i64>) {
     use std::cmp::Ordering;
     let arity = a.rel.arity();
-    if arity <= 2 {
-        return merge_two_packed(a, b, arity);
-    }
     let (an, bn) = (a.len(), b.len());
     let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(an + bn)).collect();
     let mut signs: Vec<i64> = Vec::with_capacity(an + bn);
@@ -389,57 +324,6 @@ fn merge_two(a: &Run, b: &Run) -> (Vec<Vec<Value>>, Vec<i64>) {
     (cols, signs)
 }
 
-/// [`merge_two`] over order-preserving packed `u128` keys — single-word
-/// comparisons and pushes for the unary/binary (streaming graph) case; columns
-/// are unpacked once at the end.
-fn merge_two_packed(a: &Run, b: &Run, arity: usize) -> (Vec<Vec<Value>>, Vec<i64>) {
-    let pack_run = |r: &Run| -> Vec<u128> {
-        match arity {
-            1 => r.rel.column(0).iter().map(|&v| v as u128).collect(),
-            _ => r
-                .rel
-                .column(0)
-                .iter()
-                .zip(r.rel.column(1))
-                .map(|(&x, &y)| ((x as u128) << 64) | y as u128)
-                .collect(),
-        }
-    };
-    let (ka, kb) = (pack_run(a), pack_run(b));
-    let mut keys: Vec<u128> = Vec::with_capacity(ka.len() + kb.len());
-    let mut signs: Vec<i64> = Vec::with_capacity(ka.len() + kb.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ka.len() && j < kb.len() {
-        if ka[i] < kb[j] {
-            keys.push(ka[i]);
-            signs.push(a.sign(i));
-            i += 1;
-        } else if ka[i] > kb[j] {
-            keys.push(kb[j]);
-            signs.push(b.sign(j));
-            j += 1;
-        } else {
-            let net = a.sign(i) + b.sign(j);
-            debug_assert_eq!(net, 0, "a tuple's +/− history must alternate");
-            if net != 0 {
-                keys.push(ka[i]);
-                signs.push(net.signum());
-            }
-            i += 1;
-            j += 1;
-        }
-    }
-    keys.extend_from_slice(&ka[i..]);
-    signs.extend((i..ka.len()).map(|k| a.sign(k)));
-    keys.extend_from_slice(&kb[j..]);
-    signs.extend((j..kb.len()).map(|k| b.sign(k)));
-    let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(keys.len())).collect();
-    for &k in &keys {
-        unpack2(k, arity, &mut cols);
-    }
-    (cols, signs)
-}
-
 /// A relation stored as a delta log: base run + ordered delta runs + append
 /// buffer. See the [module docs](crate::delta) for the layout and cost model.
 ///
@@ -457,8 +341,10 @@ pub struct DeltaRelation {
     /// later runs are newer and shadow earlier ones via signed counting.
     /// `Arc`-shared: snapshot clones pin runs by refcount, never by copying.
     runs: Vec<Arc<Run>>,
-    /// Unsealed operations in arrival order: (tuple, +1 insert / −1 tombstone).
-    buffer: OpBuffer,
+    /// Unsealed operations in arrival order, one column per attribute...
+    buffer: Vec<Vec<Value>>,
+    /// ...and one sign per operation (+1 insert, −1 tombstone).
+    buffer_signs: Vec<i64>,
     /// Exactly the live tuples, maintained incrementally — O(1) liveness and
     /// the alternating-history guard, without per-op run searches.
     /// Copy-on-write (`Arc::make_mut`): queries never read it beyond `len()`,
@@ -488,11 +374,11 @@ impl DeltaRelation {
             return Err(StorageError::EmptySchema);
         }
         let live_set = Arc::new(LiveSet::for_arity(schema.arity()));
-        let buffer = OpBuffer::for_arity(schema.arity());
         Ok(DeltaRelation {
+            buffer: vec![Vec::new(); schema.arity()],
+            buffer_signs: Vec::new(),
             schema,
             runs: Vec::new(),
-            buffer,
             live_set,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
@@ -526,11 +412,11 @@ impl DeltaRelation {
         } else {
             vec![Arc::new(Run::all_insert(rel))]
         };
-        let buffer = OpBuffer::for_arity(schema.arity());
         Ok(DeltaRelation {
+            buffer: vec![Vec::new(); schema.arity()],
+            buffer_signs: Vec::new(),
             schema,
             runs,
-            buffer,
             live_set: Arc::new(live_set),
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
@@ -581,10 +467,10 @@ impl DeltaRelation {
     /// touched — queries take `&DeltaRelation`) and built like any other;
     /// `None` when nothing is buffered or it all cancels. Never cached.
     pub fn buffer_trie(&self, positions: &[usize]) -> Result<Option<Trie>, StorageError> {
-        if self.buffer.is_empty() {
+        if self.buffer_signs.is_empty() {
             return Ok(None);
         }
-        let (cols, signs) = self.buffer_parts();
+        let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
         let run = Run::from_parts(self.schema.clone(), cols, &signs);
         (!run.is_empty()).then(|| run.trie(positions)).transpose()
     }
@@ -621,7 +507,7 @@ impl DeltaRelation {
 
     /// Number of buffered (unsealed) operations.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer_signs.len()
     }
 
     /// Total tombstone rows across the sealed runs.
@@ -634,12 +520,6 @@ impl DeltaRelation {
     /// runs — useful for testing deep run stacks.
     pub fn set_seal_threshold(&mut self, threshold: usize) {
         self.seal_threshold = threshold.max(1);
-    }
-
-    /// Pre-size the live-tuple index for `n` expected live tuples (avoids
-    /// rehash pauses during bulk ingest).
-    pub fn reserve(&mut self, n: usize) {
-        Arc::make_mut(&mut self.live_set).reserve(n);
     }
 
     /// Whether `tuple` is currently live. O(arity) expected — one probe of the
@@ -678,7 +558,7 @@ impl DeltaRelation {
         if !Arc::make_mut(&mut self.live_set).insert(tuple) {
             return Ok(false); // already live: blind re-insert is a no-op
         }
-        self.buffer.push(tuple, 1);
+        self.push_op(tuple, 1);
         self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
@@ -695,80 +575,25 @@ impl DeltaRelation {
         if !Arc::make_mut(&mut self.live_set).remove(tuple) {
             return Ok(false); // not live: blind delete is a no-op
         }
-        self.buffer.push(tuple, -1);
+        self.push_op(tuple, -1);
         self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
         Ok(true)
     }
 
-    fn maybe_seal(&mut self) {
-        if self.buffer.len() >= self.seal_threshold {
-            self.seal();
+    /// Append one operation to the buffer, in arrival order.
+    fn push_op(&mut self, tuple: &[Value], sign: i64) {
+        for (col, &v) in self.buffer.iter_mut().zip(tuple) {
+            col.push(v);
         }
+        self.buffer_signs.push(sign);
     }
 
-    /// Collapse the buffered operations (arrival order) into canonical columns
-    /// plus net signs — the seal sort. Unary/binary tuples (the streaming graph
-    /// case) sort as packed integers with no heap access at all; wider tuples
-    /// take the generic lexicographic path. (Order within an equal-tuple group
-    /// does not matter: only the net sign is kept.)
-    fn buffer_parts(&self) -> (Vec<Vec<Value>>, Vec<i64>) {
-        let arity = self.arity();
-        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-        let mut signs = Vec::new();
-        match &self.buffer {
-            OpBuffer::Packed(ops) => {
-                let mut keyed = ops.clone();
-                keyed.sort_unstable_by_key(|&(k, _)| k);
-                let n = keyed.len();
-                let mut i = 0;
-                while i < n {
-                    let (key, mut net) = keyed[i];
-                    let mut j = i + 1;
-                    while j < n && keyed[j].0 == key {
-                        net += keyed[j].1;
-                        j += 1;
-                    }
-                    debug_assert!(
-                        (-1..=1).contains(&net),
-                        "a tuple's +/− history must alternate"
-                    );
-                    if net != 0 {
-                        unpack2(key, arity, &mut cols);
-                        signs.push(net);
-                    }
-                    i = j;
-                }
-            }
-            OpBuffer::General(ops) => {
-                let n = ops.len();
-                let mut order: Vec<u32> = (0..n as u32).collect();
-                order.sort_unstable_by(|&a, &b| ops[a as usize].0.cmp(&ops[b as usize].0));
-                let mut i = 0;
-                while i < n {
-                    let a = order[i] as usize;
-                    let mut net = ops[a].1;
-                    let mut j = i + 1;
-                    while j < n && ops[order[j] as usize].0 == ops[a].0 {
-                        net += ops[order[j] as usize].1;
-                        j += 1;
-                    }
-                    debug_assert!(
-                        (-1..=1).contains(&net),
-                        "a tuple's +/− history must alternate"
-                    );
-                    if net != 0 {
-                        for (c, col) in cols.iter_mut().enumerate() {
-                            col.push(ops[a].0[c]);
-                        }
-                        signs.push(net);
-                    }
-                    i = j;
-                }
-            }
+    fn maybe_seal(&mut self) {
+        if self.buffered() >= self.seal_threshold {
+            self.seal();
         }
-        (cols, signs)
     }
 
     /// Seal the append buffer into a new sorted run, then apply size-tiered
@@ -780,11 +605,12 @@ impl DeltaRelation {
     /// cached run trie keeps hitting. The tiering invariant is
     /// re-established by the seals that actually add runs.
     pub fn seal(&mut self) {
-        if self.buffer.is_empty() {
+        if self.buffer_signs.is_empty() {
             return;
         }
-        let (cols, signs) = self.buffer_parts();
-        self.buffer.clear();
+        let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
+        self.buffer.iter_mut().for_each(Vec::clear);
+        self.buffer_signs.clear();
         self.touch();
         self.values_written += (signs.len() * self.arity()) as u64;
         if !signs.is_empty() {
@@ -821,27 +647,11 @@ impl DeltaRelation {
             }
             out.extend(run.dead.iter().map(|&d| !d as u8));
         }
-        out.extend_from_slice(&(self.buffer.len() as u64).to_le_bytes());
-        let mut push_op = |tuple: &[Value], sign: i64| {
+        out.extend_from_slice(&(self.buffered() as u64).to_le_bytes());
+        for (i, &sign) in self.buffer_signs.iter().enumerate() {
             out.push(if sign == 1 { 1 } else { 0 });
-            for &v in tuple {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        };
-        match &self.buffer {
-            OpBuffer::Packed(ops) => {
-                let mut cols: Vec<Vec<Value>> = vec![Vec::new(); arity];
-                for &(key, sign) in ops {
-                    cols.iter_mut().for_each(|c| c.clear());
-                    unpack2(key, arity, &mut cols);
-                    let tuple: Vec<Value> = cols.iter().map(|c| c[0]).collect();
-                    push_op(&tuple, sign);
-                }
-            }
-            OpBuffer::General(ops) => {
-                for (tuple, sign) in ops {
-                    push_op(tuple, *sign);
-                }
+            for col in &self.buffer {
+                out.extend_from_slice(&col[i].to_le_bytes());
             }
         }
         out
@@ -921,7 +731,7 @@ impl DeltaRelation {
             } else if !live.remove(&tuple) {
                 return Err("buffered delete of a dead tuple".into());
             }
-            self.buffer.push(&tuple, sign);
+            self.push_op(&tuple, sign);
         }
         r.done()?;
         self.live_set = Arc::new(live);
@@ -977,17 +787,17 @@ impl DeltaRelation {
     /// one run of inserts with nothing buffered — a loaded relation — *is* that
     /// run's relation, returned as it is without a sort.
     pub fn snapshot(&self) -> Relation {
-        match (&self.runs[..], self.buffer.is_empty()) {
+        match (&self.runs[..], self.buffer_signs.is_empty()) {
             ([run], true) if run.tombstones() == 0 => run.rel.clone(),
             _ => self.collapse(),
         }
     }
 
-    /// [`DeltaRelation::snapshot`]'s general path: every run and the buffer
-    /// concatenated, argsorted and collapsed to their net signs.
+    /// [`DeltaRelation::snapshot`]'s general path: every run and the buffered
+    /// ops concatenated, argsorted and collapsed to their net signs.
     fn collapse(&self) -> Relation {
         let arity = self.arity();
-        let total: usize = self.runs.iter().map(|r| r.len()).sum::<usize>() + self.buffer.len();
+        let total: usize = self.runs.iter().map(|r| r.len()).sum::<usize>() + self.buffered();
         let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
         let mut signs = Vec::with_capacity(total);
         for run in &self.runs {
@@ -996,11 +806,10 @@ impl DeltaRelation {
             }
             signs.extend((0..run.len()).map(|i| run.sign(i)));
         }
-        let (bcols, bsigns) = self.buffer_parts();
-        for (col, src) in cols.iter_mut().zip(&bcols) {
+        for (col, src) in cols.iter_mut().zip(&self.buffer) {
             col.extend_from_slice(src);
         }
-        signs.extend_from_slice(&bsigns);
+        signs.extend_from_slice(&self.buffer_signs);
         let (cols, signs) = collapse_signed(&cols, &signs);
         debug_assert!(
             signs.iter().all(|&s| s > 0),
@@ -1371,13 +1180,16 @@ mod tests {
         out
     }
 
-    /// The union cursor must enumerate exactly the snapshot, for every order.
+    /// The union cursor must enumerate exactly the snapshot, in the schema's
+    /// order and in its reverse.
     fn assert_cursor_matches_snapshot(d: &DeltaRelation) {
         let snap = d.snapshot();
-        for order in [vec!["A", "B"], vec!["B", "A"]] {
+        let order: Vec<&str> = d.schema().attrs().iter().map(String::as_str).collect();
+        let reversed: Vec<&str> = order.iter().rev().copied().collect();
+        for order in [order.clone(), reversed] {
             let access = DeltaAccess::build(d, &order).unwrap();
             let mut cursor = access.cursor();
-            let got = enumerate(&mut cursor, 2);
+            let got = enumerate(&mut cursor, d.arity());
             let expected = snap.reorder(&order).unwrap();
             assert_eq!(got, expected.rows(), "order {order:?}");
         }
@@ -1419,6 +1231,55 @@ mod tests {
                 DeltaRelation::decode_state(schema_ab(), &bytes[..cut]).is_err(),
                 "prefix {cut} must not decode"
             );
+        }
+    }
+
+    /// A fixed log of the given arity: a base run, a run carrying
+    /// tombstones, and an unsealed buffer that holds inserts and deletes.
+    fn golden_log(arity: usize) -> DeltaRelation {
+        let mut d = DeltaRelation::new(Schema::new(&["A", "B", "C"][..arity]));
+        d.set_seal_threshold(usize::MAX);
+        let tuple =
+            |i: u64| -> Tuple { (0..arity as u64).map(|c| (i * (c + 3) + c) % 29).collect() };
+        for i in 0..24 {
+            d.insert(tuple(i)).unwrap();
+        }
+        d.seal();
+        for i in 0..3 {
+            d.delete(&tuple(i * 5)).unwrap();
+            d.insert(tuple(24 + i)).unwrap();
+        }
+        d.seal(); // 24 >= 2 * 6: tiering keeps the two runs apart
+        d.delete(&tuple(24)).unwrap();
+        d.insert(tuple(27)).unwrap();
+        d.delete(&tuple(1)).unwrap();
+        d.insert(tuple(1)).unwrap();
+        d
+    }
+
+    #[test]
+    fn encode_state_bytes_are_pinned() {
+        // (arity, byte length, CRC-32 of the bytes) of `golden_log`'s state:
+        // the checkpoint format a recovering process reads back
+        let pinned = [
+            (1, 342, 0x4635_77f4),
+            (2, 614, 0x5a27_0be2),
+            (3, 886, 0x671a_e7b2),
+        ];
+        for (arity, len, crc) in pinned {
+            let d = golden_log(arity);
+            assert_eq!(
+                (d.run_sizes(), d.tombstones(), d.buffered()),
+                (vec![24, 6], 3, 4)
+            );
+            let bytes = d.encode_state();
+            assert_eq!(
+                (bytes.len(), crate::wal::crc32(&bytes)),
+                (len, crc),
+                "arity {arity}"
+            );
+            let back = DeltaRelation::decode_state(d.schema().clone(), &bytes).unwrap();
+            assert_eq!(back.encode_state(), bytes, "arity {arity}");
         }
     }
 
@@ -1567,34 +1428,37 @@ mod tests {
     #[test]
     fn random_ops_match_reference_set() {
         use std::collections::BTreeSet;
-        let mut d = DeltaRelation::new(schema_ab());
-        d.set_seal_threshold(16);
-        let mut reference: BTreeSet<Tuple> = BTreeSet::new();
-        let mut state = 0xD17Au64;
-        let mut rng = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for step in 0..600 {
-            let t = vec![rng() % 12, rng() % 12];
-            if rng() % 3 == 0 {
-                assert_eq!(d.delete(&t).unwrap(), reference.remove(&t));
-            } else {
-                assert_eq!(d.insert(t.clone()).unwrap(), reference.insert(t));
-            }
-            if step % 97 == 0 {
+        for arity in 1..=3 {
+            let schema = Schema::new(&["A", "B", "C"][..arity]);
+            let mut d = DeltaRelation::new(schema.clone());
+            d.set_seal_threshold(16);
+            let mut reference: BTreeSet<Tuple> = BTreeSet::new();
+            let mut rng = SplitMix64(0xD17A + arity as u64);
+            // every check also round-trips the checkpoint codec
+            let check = |d: &DeltaRelation, reference: &BTreeSet<Tuple>, step: usize| {
                 let rows: Vec<Tuple> = reference.iter().cloned().collect();
-                assert_eq!(d.snapshot().rows(), rows, "step {step}");
-                assert_cursor_matches_snapshot(&d);
+                assert_eq!(d.snapshot().rows(), rows, "arity {arity} step {step}");
+                assert_cursor_matches_snapshot(d);
+                let bytes = d.encode_state();
+                let back = DeltaRelation::decode_state(schema.clone(), &bytes).unwrap();
+                assert_eq!(back.encode_state(), bytes, "arity {arity} step {step}");
+                assert_eq!(back.snapshot(), d.snapshot(), "arity {arity} step {step}");
+            };
+            for step in 0..600 {
+                let t: Tuple = (0..arity).map(|_| rng.below(12)).collect();
+                if rng.below(3) == 0 {
+                    assert_eq!(d.delete(&t).unwrap(), reference.remove(&t));
+                } else {
+                    assert_eq!(d.insert(t.clone()).unwrap(), reference.insert(t));
+                }
+                if step % 97 == 0 {
+                    check(&d, &reference, step);
+                }
             }
+            d.compact();
+            check(&d, &reference, 600);
+            assert_eq!(d.len(), reference.len());
         }
-        d.compact();
-        let rows: Vec<Tuple> = reference.iter().cloned().collect();
-        assert_eq!(d.snapshot().rows(), rows);
-        assert_eq!(d.len(), rows.len());
-        assert_cursor_matches_snapshot(&d);
     }
 
     #[test]

@@ -60,6 +60,15 @@ pub enum StorageError {
     FaultInjected(String),
     /// A relation constructor requires at least one column.
     EmptySchema,
+    /// A relation name's byte length or a tuple's arity does not fit the
+    /// `u16` field the log and checkpoint formats store it in; nothing was
+    /// written.
+    TooLongForLog {
+        /// What was too long (`"relation name"` or `"tuple"`).
+        what: &'static str,
+        /// Its length: bytes of a name, values of a tuple.
+        len: usize,
+    },
 }
 
 impl From<std::io::Error> for StorageError {
@@ -104,6 +113,11 @@ impl fmt::Display for StorageError {
             StorageError::EmptySchema => {
                 write!(f, "relations need at least one column")
             }
+            StorageError::TooLongForLog { what, len } => write!(
+                f,
+                "{what} of length {len} exceeds the log's limit of {}",
+                u16::MAX
+            ),
         }
     }
 }
@@ -157,5 +171,10 @@ mod tests {
             .to_string()
             .contains("fsync"));
         assert!(!StorageError::EmptySchema.to_string().is_empty());
+        let e = StorageError::TooLongForLog {
+            what: "tuple",
+            len: 70_000,
+        };
+        assert!(e.to_string().contains("tuple") && e.to_string().contains("70000"));
     }
 }

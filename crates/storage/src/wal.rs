@@ -35,6 +35,7 @@
 //! catalog (`wcoj_query::Database`) lives with the service layer, which owns
 //! both sides.
 
+use crate::error::StorageError;
 use crate::Value;
 
 pub mod segmented;
@@ -119,18 +120,26 @@ const TAG_SEAL: u8 = 2;
 const TAG_COMPACT: u8 = 3;
 const TAG_COMMIT: u8 = 4;
 
-fn put_name(buf: &mut Vec<u8>, name: &str) {
-    let bytes = name.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "relation name too long");
-    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    buf.extend_from_slice(bytes);
+/// `len` as the `u16` the record and checkpoint formats store a relation
+/// name's byte length and a tuple's arity in; a longer one is refused, so an
+/// encoder fails before it writes a byte instead of wrapping the field.
+pub fn log_len(what: &'static str, len: usize) -> Result<u16, StorageError> {
+    u16::try_from(len).map_err(|_| StorageError::TooLongForLog { what, len })
 }
 
-fn put_tuple(buf: &mut Vec<u8>, tuple: &[Value]) {
-    buf.extend_from_slice(&(tuple.len() as u16).to_le_bytes());
+pub(crate) fn put_name(buf: &mut Vec<u8>, name: &str) -> Result<(), StorageError> {
+    let bytes = name.as_bytes();
+    buf.extend_from_slice(&log_len("relation name", bytes.len())?.to_le_bytes());
+    buf.extend_from_slice(bytes);
+    Ok(())
+}
+
+fn put_tuple(buf: &mut Vec<u8>, tuple: &[Value]) -> Result<(), StorageError> {
+    buf.extend_from_slice(&log_len("tuple", tuple.len())?.to_le_bytes());
     for &v in tuple {
         buf.extend_from_slice(&v.to_le_bytes());
     }
+    Ok(())
 }
 
 /// A bounds-checked little-endian reader over one record or checkpoint
@@ -214,33 +223,35 @@ impl<'a> PayloadReader<'a> {
 
 impl WalOp {
     /// Encode the op as one record payload (tag + fields, no framing).
-    pub fn encode(&self) -> Vec<u8> {
+    /// Fails with [`StorageError::TooLongForLog`] on a relation name over
+    /// 65 535 bytes or a tuple over 65 535 values.
+    pub fn encode(&self) -> Result<Vec<u8>, StorageError> {
         let mut buf = Vec::with_capacity(32);
         match self {
             WalOp::Insert { relation, tuple } => {
                 buf.push(TAG_INSERT);
-                put_name(&mut buf, relation);
-                put_tuple(&mut buf, tuple);
+                put_name(&mut buf, relation)?;
+                put_tuple(&mut buf, tuple)?;
             }
             WalOp::Delete { relation, tuple } => {
                 buf.push(TAG_DELETE);
-                put_name(&mut buf, relation);
-                put_tuple(&mut buf, tuple);
+                put_name(&mut buf, relation)?;
+                put_tuple(&mut buf, tuple)?;
             }
             WalOp::Seal { relation } => {
                 buf.push(TAG_SEAL);
-                put_name(&mut buf, relation);
+                put_name(&mut buf, relation)?;
             }
             WalOp::Compact { relation } => {
                 buf.push(TAG_COMPACT);
-                put_name(&mut buf, relation);
+                put_name(&mut buf, relation)?;
             }
             WalOp::Commit { seq } => {
                 buf.push(TAG_COMMIT);
                 buf.extend_from_slice(&seq.to_le_bytes());
             }
         }
-        buf
+        Ok(buf)
     }
 
     /// Decode one record payload. The error is a human-readable reason;
@@ -343,11 +354,12 @@ impl FaultPlan {
 }
 
 /// Append one length-prefixed, CRC-guarded frame for `op` to `buf`.
-pub(crate) fn frame_into(buf: &mut Vec<u8>, op: &WalOp) {
-    let payload = op.encode();
+pub(crate) fn frame_into(buf: &mut Vec<u8>, op: &WalOp) -> Result<(), StorageError> {
+    let payload = op.encode()?;
     buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     buf.extend_from_slice(&crc32(&payload).to_le_bytes());
     buf.extend_from_slice(&payload);
+    Ok(())
 }
 
 /// What [`replay_bytes_from`] found in one segment's bytes.
@@ -507,13 +519,53 @@ mod tests {
             WalOp::Commit { seq: 42 },
         ];
         for op in &ops {
-            assert_eq!(&WalOp::decode(&op.encode()).unwrap(), op);
+            assert_eq!(&WalOp::decode(&op.encode().unwrap()).unwrap(), op);
         }
         assert!(WalOp::decode(&[99]).is_err(), "unknown tag");
         assert!(WalOp::decode(&[]).is_err(), "empty payload");
-        let mut trailing = ops[2].encode();
+        let mut trailing = ops[2].encode().unwrap();
         trailing.push(0);
         assert!(WalOp::decode(&trailing).is_err(), "trailing garbage");
+    }
+
+    #[test]
+    fn lengths_over_u16_are_refused_before_a_byte_is_written() {
+        let dir = temp_dir("too-long");
+        let (_, mut w) = open(&dir, FaultPlan::default());
+        append_synced(&mut w, &[ins("E", &[1, 2])]).unwrap();
+        let long_name = "n".repeat(70_000);
+        let wide = vec![7; 70_000];
+        let refused = [
+            (ins(&long_name, &[1, 2]), "relation name"),
+            (ins("E", &wide), "tuple"),
+            (
+                WalOp::Seal {
+                    relation: long_name.clone(),
+                },
+                "relation name",
+            ),
+        ];
+        let (bytes, committed) = (w.total_bytes(), w.committed());
+        for (op, what) in &refused {
+            let expected = StorageError::TooLongForLog { what, len: 70_000 };
+            assert_eq!(op.encode(), Err(expected.clone()));
+            // behind a good op in the same batch: still nothing is written
+            let batch = [ins("E", &[3, 4]), op.clone()];
+            assert_eq!(w.commit_batch_unsynced(&batch), Err(expected));
+            assert!(!w.is_poisoned(), "{what}");
+            assert_eq!((w.total_bytes(), w.committed()), (bytes, committed));
+        }
+        // the largest lengths that fit still round-trip
+        let widest = WalOp::Delete {
+            relation: "n".repeat(u16::MAX as usize),
+            tuple: vec![9; u16::MAX as usize],
+        };
+        assert_eq!(WalOp::decode(&widest.encode().unwrap()).unwrap(), widest);
+        assert_eq!(append_synced(&mut w, &[ins("E", &[5, 6])]).unwrap(), 2);
+        let replayed = replay_first_segment(&dir);
+        assert_eq!(replayed.batches.len(), 2);
+        assert!(!replayed.torn());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -553,7 +605,7 @@ mod tests {
         // a crash mid-batch: the op frame is on disk, its marker is not
         let segment = dir.join("wal.000001");
         let mut bytes = std::fs::read(&segment).unwrap();
-        frame_into(&mut bytes, &ins("E", &[5, 6]));
+        frame_into(&mut bytes, &ins("E", &[5, 6])).unwrap();
         std::fs::write(&segment, &bytes).unwrap();
 
         let (rec, mut w) = open(&dir, FaultPlan::default());

@@ -42,7 +42,7 @@
 //! — the writer is **poisoned**: the durable tail is unknown, so every later
 //! call fails until the directory is recovered and reopened.
 
-use super::{crc32, frame_into, replay_bytes_from, FaultPlan, PayloadReader, WalOp};
+use super::{crc32, frame_into, put_name, replay_bytes_from, FaultPlan, PayloadReader, WalOp};
 use crate::error::StorageError;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -119,18 +119,12 @@ pub struct Checkpoint {
 }
 
 /// Serialize a checkpoint file's bytes (magic, version, covered seq, CRC'd
-/// payload of per-relation blobs).
-fn encode_checkpoint(seq: u64, relations: &[(String, Vec<u8>)]) -> Vec<u8> {
+/// payload of per-relation blobs). Fails on a name [`super::log_len`] refuses.
+fn encode_checkpoint(seq: u64, relations: &[(String, Vec<u8>)]) -> Result<Vec<u8>, StorageError> {
     let mut payload = Vec::new();
     payload.extend_from_slice(&(relations.len() as u32).to_le_bytes());
     for (name, state) in relations {
-        let name_bytes = name.as_bytes();
-        debug_assert!(
-            name_bytes.len() <= u16::MAX as usize,
-            "relation name too long"
-        );
-        payload.extend_from_slice(&(name_bytes.len() as u16).to_le_bytes());
-        payload.extend_from_slice(name_bytes);
+        put_name(&mut payload, name)?;
         payload.extend_from_slice(&(state.len() as u64).to_le_bytes());
         payload.extend_from_slice(state);
     }
@@ -141,7 +135,7 @@ fn encode_checkpoint(seq: u64, relations: &[(String, Vec<u8>)]) -> Vec<u8> {
     bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
     bytes.extend_from_slice(&payload);
-    bytes
+    Ok(bytes)
 }
 
 /// Decode + verify one checkpoint file's bytes. The error is the reason the
@@ -183,7 +177,8 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, String> {
 /// Write checkpoint `ckpt.{seq}` into `dir` and make it durable (file fsync,
 /// then directory fsync — only after both may covered segments be deleted;
 /// [`gc_checkpoint`] is a separate call so the service controls that order).
-/// Returns the file's size in bytes.
+/// Returns the file's size in bytes. A relation name the format cannot hold
+/// fails with [`StorageError::TooLongForLog`] before the file is created.
 ///
 /// Honors the `ckpt_torn:K` fault: the write stops after `K` bytes and the
 /// file is **not** fsynced — exactly the disk state a crash mid-checkpoint
@@ -195,7 +190,7 @@ pub fn write_checkpoint(
     relations: &[(String, Vec<u8>)],
     fault: &FaultPlan,
 ) -> Result<u64, StorageError> {
-    let bytes = encode_checkpoint(seq, relations);
+    let bytes = encode_checkpoint(seq, relations)?;
     let path = checkpoint_path(dir, seq);
     let mut file = OpenOptions::new()
         .create(true)
@@ -578,7 +573,10 @@ impl SegmentedWal {
     /// returned sequence number is provisional until that sync succeeds; a
     /// sync failure poisons the writer, so the unacknowledged markers can
     /// never be followed by later appends. An empty batch is a no-op (no
-    /// marker written) and returns the current committed count.
+    /// marker written) and returns the current committed count. An op the
+    /// record format cannot hold ([`StorageError::TooLongForLog`]) fails the
+    /// batch before any byte is written: the writer is not poisoned and the
+    /// committed count does not move.
     pub fn commit_batch_unsynced(&mut self, ops: &[WalOp]) -> Result<u64, StorageError> {
         self.check_poisoned()?;
         if ops.is_empty() {
@@ -592,9 +590,9 @@ impl SegmentedWal {
                     "commit markers are written by the batch append, not passed to it".into(),
                 ));
             }
-            frame_into(&mut framed, op);
+            frame_into(&mut framed, op)?;
         }
-        frame_into(&mut framed, &WalOp::Commit { seq });
+        frame_into(&mut framed, &WalOp::Commit { seq })?;
         self.write_all(&framed)?;
         self.committed = seq;
         Ok(seq)
@@ -811,7 +809,7 @@ mod tests {
         // commit marker never did
         let (_, newest) = list_segments(&dir).unwrap().pop().unwrap();
         let mut frame = Vec::new();
-        frame_into(&mut frame, &ins("E", &[77, 78]));
+        frame_into(&mut frame, &ins("E", &[77, 78])).unwrap();
         let mut file = OpenOptions::new().append(true).open(newest).unwrap();
         file.write_all(&frame).unwrap();
         drop(file);
@@ -926,7 +924,7 @@ mod tests {
             ("E".to_string(), vec![0u8; 100]),
             ("R".to_string(), b"abc".to_vec()),
         ];
-        let bytes = encode_checkpoint(42, &rels);
+        let bytes = encode_checkpoint(42, &rels).unwrap();
         let ckpt = decode_checkpoint(&bytes).unwrap();
         assert_eq!(ckpt.seq, 42);
         assert_eq!(ckpt.relations, rels);
@@ -943,6 +941,33 @@ mod tests {
             );
         }
         assert!(decode_checkpoint(b"NOTMAGIC________________________").is_err());
+    }
+
+    #[test]
+    fn a_checkpoint_name_over_u16_is_refused_and_no_file_is_created() {
+        let dir = temp_dir("ckpt-long-name");
+        let mut w = open_fresh(&dir, 64);
+        commit_n(&mut w, 4, 0);
+        let relations = vec![
+            ("E".to_string(), b"state".to_vec()),
+            ("n".repeat(70_000), b"state".to_vec()),
+        ];
+        let err = write_checkpoint(&dir, 4, &relations, &FaultPlan::default()).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::TooLongForLog {
+                what: "relation name",
+                len: 70_000
+            }
+        );
+        assert!(!checkpoint_path(&dir, 4).exists(), "no file is created");
+        // so GC has nothing to trust and the segments it would cover stay
+        let rec = recover_dir(&dir).unwrap();
+        assert_eq!(
+            (rec.checkpoint_seq(), rec.tail.len(), rec.torn),
+            (0, 4, false)
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -237,7 +237,7 @@ fn failed_fsyncs_never_surface_a_partial_batch() {
 /// Append an op frame with no commit marker behind it to `segment` — the
 /// bytes a crash mid-batch leaves.
 fn splice_uncommitted(segment: &Path, op: &WalOp) {
-    let payload = op.encode();
+    let payload = op.encode().unwrap();
     let mut bytes = std::fs::read(segment).unwrap();
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
