@@ -85,7 +85,7 @@
 //! bit-identical with the cache on, off, or cold.
 //!
 //! **Typed data** never reaches the engines: string columns are
-//! dictionary-encoded at load time (`wcoj_query::Database`'s typed loaders),
+//! dictionary-encoded at load time (`wcoj_query::Database::insert_typed_rows`),
 //! execution runs pure `u64`, and [`ExecOutput::typed_rows`] decodes results back
 //! through the shared per-domain dictionaries. Every execution validates up front
 //! that every atom binding a variable agrees on its type and dictionary domain

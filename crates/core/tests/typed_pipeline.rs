@@ -1,20 +1,14 @@
-//! Differential and property tests for the typed-value catalog.
+//! Differential tests for the typed-value catalog.
 //!
-//! 1. **Typed pipeline differential** (the acceptance criterion): for every
-//!    workload of the differential suite, re-loading the data as *strings* through
-//!    the shared-dictionary catalog (intern → join → decode) produces exactly the
-//!    rows of the pre-encoded `u64` path, for all engines.
-//! 2. **Shared vs. merged dictionaries** (property): encoding through one shared
-//!    per-domain dictionary is join-equivalent to encoding each relation against
-//!    its own dictionaries and unifying them afterwards with
-//!    `Dictionary::merge` + column remap — for random string relations, both WCOJ
-//!    engines, and threads ∈ {1, 4}.
+//! **Typed pipeline differential** (the acceptance criterion): for every
+//! workload of the differential suite, re-loading the data as *strings* through
+//! the shared-dictionary catalog (intern → join → decode) produces exactly the
+//! rows of the pre-encoded `u64` path, for all engines.
 
 use wcoj_core::exec::{execute, execute_opts, Engine, ExecOptions};
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::typed::encode_column;
-use wcoj_storage::{AttrType, Dictionary, Relation, Schema, TypedValue};
-use wcoj_workloads::{differential_suite, SplitMix64, Workload};
+use wcoj_storage::{AttrType, Relation, TypedValue};
+use wcoj_workloads::{differential_suite, Workload};
 
 /// Decode an execution result through the database's dictionaries and return the
 /// rows as sorted string vectors — the external (code-independent) view of a join
@@ -100,77 +94,6 @@ fn typed_pipeline_matches_pre_encoded_path_on_full_suite() {
                 "{}: {engine:?} output columns differ",
                 w.name
             );
-        }
-    }
-}
-
-/// One random string relation: `n` pairs of ids drawn from `[0, domain)`, with the
-/// id text scrambling the numeric order.
-fn random_string_pairs(n: usize, domain: u64, rng: &mut SplitMix64) -> Vec<Vec<TypedValue>> {
-    (0..n)
-        .map(|_| {
-            vec![
-                TypedValue::Str(format!("id{}", rng.below(domain))),
-                TypedValue::Str(format!("id{}", rng.below(domain))),
-            ]
-        })
-        .collect()
-}
-
-/// Property: loading string relations through the shared per-domain dictionaries
-/// is join-equivalent to encoding each relation against its **own** per-relation
-/// dictionaries and unifying them afterwards via `Dictionary::merge` + column
-/// rewrite (`Database::insert_interned`) — across random instances, both WCOJ
-/// engines (plus the binary baseline), and threads ∈ {1, 4}.
-#[test]
-fn shared_and_merged_dictionaries_are_join_equivalent() {
-    let q = wcoj_query::query::examples::triangle();
-    let atoms: [(&str, [&str; 2]); 3] = [("R", ["A", "B"]), ("S", ["B", "C"]), ("T", ["A", "C"])];
-    for seed in 0..6 {
-        let mut rng = SplitMix64::new(0xD1C7 + seed);
-        let mut shared_db = Database::new();
-        let mut merged_db = Database::new();
-        for (name, attrs) in &atoms {
-            let schema = Schema::with_types(&[attrs[0], attrs[1]], &[AttrType::Str, AttrType::Str]);
-            let rows = random_string_pairs(48, 12, &mut rng);
-
-            // path A: intern straight into the catalog's shared domains
-            shared_db
-                .insert_typed_rows(name.to_string(), schema.clone(), &rows)
-                .unwrap();
-
-            // path B: per-relation dictionaries, unified afterwards by merge/remap
-            let mut dicts = [Dictionary::new(), Dictionary::new()];
-            let mut columns = Vec::new();
-            for (pos, dict) in dicts.iter_mut().enumerate() {
-                columns.push(
-                    encode_column(
-                        attrs[pos],
-                        AttrType::Str,
-                        rows.iter().map(|r| &r[pos]),
-                        Some(dict),
-                    )
-                    .unwrap(),
-                );
-            }
-            let rel = Relation::try_from_columns(schema, columns).unwrap();
-            let [da, db_] = dicts;
-            merged_db
-                .insert_interned(name.to_string(), rel, &[Some(da), Some(db_)])
-                .unwrap();
-        }
-
-        for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for threads in [1usize, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                let a = execute_opts(&q, &shared_db, &opts).unwrap();
-                let b = execute_opts(&q, &merged_db, &opts).unwrap();
-                assert_eq!(
-                    decoded_rows(&a, &q, &shared_db),
-                    decoded_rows(&b, &q, &merged_db),
-                    "seed {seed}: {engine:?} x{threads}: shared vs merged dictionaries disagree"
-                );
-            }
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Databases: a catalog of named relations bound to the atoms of a query, shared
-//! per-domain string dictionaries with typed loaders, plus verification that a
+//! per-domain string dictionaries behind a typed loader, plus verification that a
 //! database satisfies a set of degree constraints (`D ⊨ DC`).
 
 use crate::constraints::{ConstraintSet, DegreeConstraint};
@@ -10,7 +10,6 @@ use std::sync::Arc;
 use wcoj_storage::typed::{encode_column, TypedRow};
 use wcoj_storage::{
     AccessCache, AttrType, DeltaRelation, Dictionary, Relation, Schema, StorageError, Tuple,
-    TypedValue,
 };
 
 /// Errors raised when binding a database to a query or verifying constraints.
@@ -43,26 +42,6 @@ pub enum DatabaseError {
         /// The conflicting typing, with the atom that introduced it.
         conflict: String,
     },
-    /// A delta-path typed load targets a relation whose columns were interned
-    /// into different dictionary domains than the incoming batch would use —
-    /// appending would mix codes from two value spaces.
-    DomainMismatch {
-        /// The target relation.
-        relation: String,
-        /// The attribute whose domains disagree.
-        attr: String,
-        /// The domain the stored column's codes were interned into.
-        loaded: String,
-        /// The domain the incoming batch would intern into.
-        current: String,
-    },
-    /// A cell of a CSV/TSV load could not be parsed.
-    Parse {
-        /// 1-based line number within the input text.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
     /// A storage-level error.
     Storage(StorageError),
     /// A query-level error.
@@ -92,19 +71,6 @@ impl fmt::Display for DatabaseError {
                 f,
                 "variable `{var}` is bound to {first} in one atom and {conflict} in another"
             ),
-            DatabaseError::DomainMismatch {
-                relation,
-                attr,
-                loaded,
-                current,
-            } => write!(
-                f,
-                "relation `{relation}` attribute `{attr}` was interned into domain `{loaded}`, \
-                 the incoming batch would use `{current}`"
-            ),
-            DatabaseError::Parse { line, message } => {
-                write!(f, "parse error on line {line}: {message}")
-            }
             DatabaseError::Storage(e) => write!(f, "storage error: {e}"),
             DatabaseError::Query(e) => write!(f, "query error: {e}"),
         }
@@ -144,18 +110,17 @@ impl VarBinding {
     }
 }
 
-/// Encoded columns plus the per-column intern domains — what the typed loaders'
-/// shared validation/encode front half produces.
-type EncodedColumns = (Vec<Vec<u64>>, Vec<Option<String>>);
-
 /// A database instance: a catalog of named relations plus one shared string
 /// [`Dictionary`] per attribute *domain*.
 ///
-/// There is one kind of stored relation, the [`DeltaRelation`] log. A loaded
-/// [`Relation`] ([`Database::insert`] and the typed loaders) becomes a log of
-/// one sealed run with no tombstones, whose access structure is exactly the
-/// relation's trie; [`Database::insert_delta`] / [`Database::delete`] append to
-/// the same log, and a log is read back whole through
+/// There is one kind of stored relation, the [`DeltaRelation`] log, and a
+/// relation enters the catalog one of three ways: [`Database::insert`]
+/// (already encoded), [`Database::insert_delta_relation`] (a log), or
+/// [`Database::insert_typed_rows`] (typed rows, interned once). A loaded
+/// [`Relation`] becomes a log of one sealed run with no tombstones, whose
+/// access structure is exactly the relation's trie; from then on the relation
+/// changes only through its log ([`Database::insert_delta`] /
+/// [`Database::delete`]), and a log is read back whole through
 /// [`DeltaRelation::snapshot`].
 ///
 /// Relations are matched to query atoms *by name and positionally*: the atom
@@ -192,11 +157,13 @@ pub struct Database {
     dicts: HashMap<String, Arc<Dictionary>>,
     /// Attribute-name → domain-name overrides (attributes default to themselves).
     domains: HashMap<String, String>,
-    /// For relations loaded through the typed loaders: the domain each column's
-    /// codes were **actually interned into** (per column; `None` for Int columns).
-    /// [`Database::var_bindings`] validates against these, so remapping an
-    /// attribute's domain *after* loading cannot misrepresent where existing codes
-    /// live. Relations stored via the raw [`Database::insert`] have no record.
+    /// For relations loaded through [`Database::insert_typed_rows`]: the domain
+    /// each column's codes were **actually interned into** (per column; `None`
+    /// for Int columns). [`Database::var_bindings`] validates against these, so
+    /// remapping an attribute's domain *after* loading cannot misrepresent where
+    /// existing codes live. The record lasts while the relation changes through
+    /// its log; storing a relation or a log under the name
+    /// ([`Database::insert`], [`Database::insert_delta_relation`]) drops it.
     loaded_domains: HashMap<String, Vec<Option<String>>>,
     /// The access-structure cache, shared across clones of this database (a
     /// key names one sealed run by its never-reissued id, so sharing is safe —
@@ -333,11 +300,6 @@ impl Database {
         self.dicts.get(domain).map(|d| d.as_ref())
     }
 
-    /// The shared dictionary that attribute `attr` interns into, if any.
-    pub fn dictionary_of_attr(&self, attr: &str) -> Option<&Dictionary> {
-        self.dicts.get(self.domain_of(attr)).map(|d| d.as_ref())
-    }
-
     /// Load external typed rows as relation `name`, interning every string value
     /// through the shared per-domain dictionaries (strings are interned once per
     /// database: values already seen by this attribute's domain reuse their code).
@@ -354,25 +316,6 @@ impl Database {
         schema: Schema,
         rows: &[TypedRow],
     ) -> Result<usize, DatabaseError> {
-        let (columns, col_domains) = self.encode_typed_columns(&schema, rows)?;
-        let log = DeltaRelation::try_from_relation(Relation::try_from_columns(schema, columns)?)?;
-        let stored = log.len();
-        let name = name.into();
-        self.insert_delta_relation(name.clone(), log);
-        self.loaded_domains.insert(name, col_domains);
-        Ok(stored)
-    }
-
-    /// Validate `rows` against `schema` and encode them columnarly through the
-    /// shared per-domain dictionaries — the common front half of the typed
-    /// loaders. Validation happens **before** any string reaches a shared
-    /// dictionary, so a rejected load leaves the catalog untouched. Returns the
-    /// encoded columns plus the per-column intern domains.
-    fn encode_typed_columns(
-        &mut self,
-        schema: &Schema,
-        rows: &[TypedRow],
-    ) -> Result<EncodedColumns, DatabaseError> {
         for row in rows {
             if row.len() != schema.arity() {
                 return Err(StorageError::ArityMismatch {
@@ -409,258 +352,7 @@ impl Database {
             columns.push(encode_column(attr, ty, rows.iter().map(|r| &r[pos]), dict)?);
             col_domains.push(domain);
         }
-        Ok((columns, col_domains))
-    }
-
-    /// Typed ingest through the **delta path**: validate and dictionary-encode
-    /// `rows` exactly like [`Database::insert_typed_rows`], but *append* them to
-    /// the log stored under `name` (creating an empty log if `name` is new)
-    /// instead of replacing the relation — so a batch costs O(batch · (arity +
-    /// runs · log n)) amortized, not a full re-sort of everything loaded so
-    /// far. The target's schema (and, for string columns, the intern-time
-    /// domain record) must match the incoming batch. Returns the number of
-    /// newly live tuples.
-    pub fn insert_typed_rows_delta(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        rows: &[TypedRow],
-    ) -> Result<usize, DatabaseError> {
-        // ── validation phase: a rejected batch leaves the catalog untouched ──
-        // the batch's intern domains, derived without touching any dictionary
-        let col_domains: Vec<Option<String>> = schema
-            .attrs()
-            .iter()
-            .enumerate()
-            .map(|(pos, attr)| {
-                (schema.attr_type(pos) == AttrType::Str).then(|| self.domain_of(attr).to_string())
-            })
-            .collect();
-        if let Some(stored) = self.delta(name).map(DeltaRelation::schema) {
-            if stored.attrs() != schema.attrs() {
-                return Err(StorageError::SchemaMismatch {
-                    left: stored.attrs().to_vec(),
-                    right: schema.attrs().to_vec(),
-                }
-                .into());
-            }
-            // same names, differing types: report the first offending column
-            if let Some(pos) =
-                (0..schema.arity()).find(|&p| stored.attr_type(p) != schema.attr_type(p))
-            {
-                return Err(StorageError::TypeMismatch {
-                    attr: schema.attrs()[pos].clone(),
-                    expected: stored.attr_type(pos),
-                    found: schema.attr_type(pos),
-                }
-                .into());
-            }
-            // intern-time domain record must agree with the incoming batch (a
-            // raw-inserted base has no record: the caller owns its encoding, so
-            // bind-time domains apply, as for `insert`)
-            if let Some(loaded) = self.loaded_domains.get(name) {
-                for (pos, (was, now)) in loaded.iter().zip(&col_domains).enumerate() {
-                    if was != now {
-                        return Err(DatabaseError::DomainMismatch {
-                            relation: name.to_string(),
-                            attr: schema.attrs()[pos].clone(),
-                            loaded: was.clone().unwrap_or_else(|| "<none>".into()),
-                            current: now.clone().unwrap_or_else(|| "<none>".into()),
-                        });
-                    }
-                }
-            }
-        }
-        // row arity/kind validation happens inside encode_typed_columns before
-        // any string reaches a shared dictionary
-        let (columns, encoded_domains) = self.encode_typed_columns(&schema, rows)?;
-        debug_assert_eq!(encoded_domains, col_domains);
-
-        // ── mutation phase ──
-        if !self.relations.contains_key(name) {
-            self.insert_delta_relation(name, DeltaRelation::try_new(schema)?);
-            self.loaded_domains.insert(name.to_string(), col_domains);
-        }
-        let delta = self.log_mut(name)?;
-        let mut tuple = Vec::with_capacity(columns.len());
-        let mut fresh = 0usize;
-        for i in 0..rows.len() {
-            tuple.clear();
-            tuple.extend(columns.iter().map(|c| c[i]));
-            fresh += delta.insert_ref(&tuple)? as usize;
-        }
-        Ok(fresh)
-    }
-
-    /// Load delimiter-separated text (CSV with `delim = ','`, TSV with `'\t'`) as
-    /// relation `name`. Each non-empty line is one tuple; cells are trimmed;
-    /// [`AttrType::Int`] attributes parse as `u64`, [`AttrType::Str`] attributes
-    /// intern through the shared per-domain dictionaries. If the **first non-empty
-    /// line** matches the schema's attribute names exactly, it is skipped as a
-    /// header (note the corollary: for an all-`Str` schema, a headerless file whose
-    /// first tuple happens to spell the attribute names is indistinguishable from a
-    /// header and is skipped). Returns the number of stored tuples.
-    pub fn insert_csv(
-        &mut self,
-        name: impl Into<String>,
-        schema: Schema,
-        text: &str,
-        delim: char,
-    ) -> Result<usize, DatabaseError> {
-        let rows = Self::parse_csv_rows(&schema, text, delim)?;
-        self.insert_typed_rows(name, schema, &rows)
-    }
-
-    /// [`Database::insert_csv`] routed through the **delta path**
-    /// ([`Database::insert_typed_rows_delta`]): the parsed batch appends to the
-    /// delta log under `name` instead of replacing the relation.
-    pub fn insert_csv_delta(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        text: &str,
-        delim: char,
-    ) -> Result<usize, DatabaseError> {
-        let rows = Self::parse_csv_rows(&schema, text, delim)?;
-        self.insert_typed_rows_delta(name, schema, &rows)
-    }
-
-    /// Parse delimiter-separated text into typed rows (shared by the replace-
-    /// and delta-path CSV loaders; see [`Database::insert_csv`] for the format).
-    fn parse_csv_rows(
-        schema: &Schema,
-        text: &str,
-        delim: char,
-    ) -> Result<Vec<TypedRow>, DatabaseError> {
-        let mut rows: Vec<TypedRow> = Vec::new();
-        let mut first_nonempty = true;
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let cells: Vec<&str> = line.split(delim).map(str::trim).collect();
-            let is_first = std::mem::replace(&mut first_nonempty, false);
-            if is_first
-                && cells
-                    == schema
-                        .attrs()
-                        .iter()
-                        .map(|s| s.as_str())
-                        .collect::<Vec<_>>()
-            {
-                continue; // header row
-            }
-            if cells.len() != schema.arity() {
-                return Err(DatabaseError::Parse {
-                    line: lineno + 1,
-                    message: format!("expected {} fields, got {}", schema.arity(), cells.len()),
-                });
-            }
-            let row: TypedRow =
-                cells
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, cell)| match schema.attr_type(pos) {
-                        AttrType::Str => Ok(TypedValue::Str(cell.to_string())),
-                        AttrType::Int => cell.parse::<u64>().map(TypedValue::Int).map_err(|e| {
-                            DatabaseError::Parse {
-                                line: lineno + 1,
-                                message: format!(
-                                    "attribute `{}`: `{cell}` is not a u64 ({e})",
-                                    schema.attrs()[pos]
-                                ),
-                            }
-                        }),
-                    })
-                    .collect::<Result<_, _>>()?;
-            rows.push(row);
-        }
-        Ok(rows)
-    }
-
-    /// [`Database::insert_csv`] with a tab delimiter.
-    pub fn insert_tsv(
-        &mut self,
-        name: impl Into<String>,
-        schema: Schema,
-        text: &str,
-    ) -> Result<usize, DatabaseError> {
-        self.insert_csv(name, schema, text, '\t')
-    }
-
-    /// Absorb a relation that was encoded against its **own** per-attribute
-    /// dictionaries: each local dictionary is merged into the attribute's shared
-    /// per-domain dictionary ([`Dictionary::merge`]) and the column is rewritten
-    /// through the resulting code remap ([`Relation::remap_columns`]). `attr_dicts`
-    /// holds one entry per attribute, `Some` exactly for the [`AttrType::Str`]
-    /// attributes. This is how independently-loaded data (one dictionary per file,
-    /// per shard, per ingest worker) is unified into the catalog's shared domains.
-    ///
-    /// All-or-nothing: the dictionary pairing and every column's code range are
-    /// validated **before** any merge, so a rejected load leaves the shared
-    /// dictionaries untouched.
-    pub fn insert_interned(
-        &mut self,
-        name: impl Into<String>,
-        relation: Relation,
-        attr_dicts: &[Option<Dictionary>],
-    ) -> Result<usize, DatabaseError> {
-        if attr_dicts.len() != relation.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: relation.arity(),
-                found: attr_dicts.len(),
-            }
-            .into());
-        }
-        // validation pass: no shared state is touched until everything checks out
-        for (pos, attr) in relation.schema().attrs().iter().enumerate() {
-            match (relation.schema().attr_type(pos), &attr_dicts[pos]) {
-                (AttrType::Int, None) => {}
-                (AttrType::Str, Some(local)) => {
-                    // every code of the column must be assigned by its local dict
-                    if let Some(&max) = relation.column(pos).iter().max() {
-                        if max as usize >= local.len() {
-                            return Err(StorageError::UnknownCode(max).into());
-                        }
-                    }
-                }
-                (AttrType::Str, None) => {
-                    return Err(StorageError::MissingDictionary(attr.clone()).into())
-                }
-                (AttrType::Int, Some(_)) => {
-                    return Err(StorageError::TypeMismatch {
-                        attr: attr.clone(),
-                        expected: AttrType::Int,
-                        found: AttrType::Str,
-                    }
-                    .into())
-                }
-            }
-        }
-        // mutation pass: merge local dictionaries into the shared domains
-        let mut maps: Vec<Option<Vec<u64>>> = Vec::with_capacity(relation.arity());
-        let mut col_domains = Vec::with_capacity(relation.arity());
-        for (pos, attr) in relation.schema().attrs().iter().enumerate() {
-            match &attr_dicts[pos] {
-                None => {
-                    maps.push(None);
-                    col_domains.push(None);
-                }
-                Some(local) => {
-                    let domain = self.domain_of(attr).to_string();
-                    let shared = Arc::make_mut(self.dicts.entry(domain.clone()).or_default());
-                    maps.push(Some(shared.merge(local)));
-                    col_domains.push(Some(domain));
-                }
-            }
-        }
-        let map_refs: Vec<Option<&[u64]>> = maps.iter().map(|m| m.as_deref()).collect();
-        // cannot fail: every code range was validated above
-        let remapped = relation.remap_columns(&map_refs)?;
-        // a nullary relation merged no dictionary: rejecting it here is still
-        // all-or-nothing
-        let log = DeltaRelation::try_from_relation(remapped)?;
+        let log = DeltaRelation::try_from_relation(Relation::try_from_columns(schema, columns)?)?;
         let stored = log.len();
         let name = name.into();
         self.insert_delta_relation(name.clone(), log);
@@ -674,10 +366,11 @@ impl Database {
     /// otherwise the join would compare codes from different value spaces. Returns
     /// one [`VarBinding`] per variable, in variable-id order.
     ///
-    /// For relations loaded through the typed loaders, the domain compared is the
-    /// one each column's codes were **interned into at load time** — not the
-    /// current [`Database::set_domain`] mapping — so remapping a domain after
-    /// loading cannot smuggle two unrelated dictionaries past this check.
+    /// For relations loaded through [`Database::insert_typed_rows`], the domain
+    /// compared is the one each column's codes were **interned into at load
+    /// time** — not the current [`Database::set_domain`] mapping — so remapping
+    /// a domain after loading cannot smuggle two unrelated dictionaries past
+    /// this check.
     pub fn var_bindings(&self, query: &ConjunctiveQuery) -> Result<Vec<VarBinding>, DatabaseError> {
         // variable ids are assigned in order of first appearance, atom by
         // atom, so an unseen variable is always the next id
@@ -727,11 +420,6 @@ impl Database {
     /// Number of stored relations.
     pub fn num_relations(&self) -> usize {
         self.relations.len()
-    }
-
-    /// Total number of (live) tuples across all stored relations (`|D|`).
-    pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(|d| d.len()).sum()
     }
 
     /// Size of the largest stored relation (the `N` of the AGM bound `N^{ρ*}`).
@@ -874,7 +562,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::query::examples;
-    use wcoj_storage::Schema;
+    use wcoj_storage::{Schema, TypedValue};
 
     fn triangle_db() -> Database {
         let mut db = Database::new();
@@ -893,11 +581,18 @@ mod tests {
         db
     }
 
+    fn live_tuples(db: &Database) -> usize {
+        db.relation_names()
+            .into_iter()
+            .map(|n| db.delta(n).unwrap().len())
+            .sum()
+    }
+
     #[test]
     fn basic_accessors() {
         let db = triangle_db();
         assert_eq!(db.num_relations(), 3);
-        assert_eq!(db.total_tuples(), 9);
+        assert_eq!(live_tuples(&db), 9);
         assert_eq!(db.max_relation_size(), 3);
         // a loaded relation is a log of one clean run: its rows, unchanged
         let r = db.delta("R").unwrap();
@@ -914,31 +609,21 @@ mod tests {
         let mut db = db;
         db.insert("E", Relation::empty(Schema::new(&["A", "B"])));
         assert_eq!(db.delta("E").unwrap().num_runs(), 0);
-        assert_eq!(db.total_tuples(), 9);
+        assert_eq!(live_tuples(&db), 9);
     }
 
     #[test]
     fn nullary_relations_are_refused() {
-        let nullary = || Relation::empty(Schema::new(&[]));
         let mut db = Database::new();
-        let refused = DatabaseError::Storage(StorageError::EmptySchema);
         assert_eq!(
             db.insert_typed_rows("N", Schema::new(&[]), &[])
                 .unwrap_err(),
-            refused
-        );
-        assert_eq!(
-            db.insert_interned("N", nullary(), &[]).unwrap_err(),
-            refused
-        );
-        assert_eq!(
-            db.insert_typed_rows_delta("N", Schema::new(&[]), &[])
-                .unwrap_err(),
-            refused
+            DatabaseError::Storage(StorageError::EmptySchema)
         );
         assert_eq!(db.num_relations(), 0, "nothing was stored");
         // the raw loader has no error to return: it panics, as documented
-        let raw = std::panic::catch_unwind(move || db.insert("N", nullary()));
+        let raw =
+            std::panic::catch_unwind(move || db.insert("N", Relation::empty(Schema::new(&[]))));
         assert!(raw.is_err());
     }
 
@@ -1049,11 +734,6 @@ mod tests {
             conflict: "Int (atom #1 `S`)".into(),
         };
         assert!(e.to_string().contains("Str[user]") && e.to_string().contains('B'));
-        let e = DatabaseError::Parse {
-            line: 3,
-            message: "bad".into(),
-        };
-        assert!(e.to_string().contains("line 3"));
     }
 
     fn str_pair_schema(a: &str, b: &str) -> Schema {
@@ -1082,7 +762,7 @@ mod tests {
         assert_eq!(b.len(), 2); // bob, cat — interned once, shared by R and S
         assert_eq!(
             b.code("bob"),
-            db.dictionary_of_attr("B").unwrap().code("bob")
+            db.dictionary(db.domain_of("B")).unwrap().code("bob")
         );
         // codes in R's B-column and S's B-column agree, so the join is meaningful
         let column_b = |name| {
@@ -1120,86 +800,6 @@ mod tests {
         let ann = user.code("ann").unwrap();
         assert!(rel.column_of("src").unwrap().contains(&ann));
         assert!(rel.column_of("dst").unwrap().contains(&ann));
-    }
-
-    #[test]
-    fn csv_and_tsv_loads() {
-        let mut db = Database::new();
-        let schema = Schema::with_types(&["name", "age"], &[AttrType::Str, AttrType::Int]);
-        let n = db
-            .insert_csv(
-                "P",
-                schema.clone(),
-                "name,age\nann, 31\nbob,44\n\nann,31\n",
-                ',',
-            )
-            .unwrap();
-        assert_eq!(n, 2); // header skipped, blank skipped, duplicate deduped
-        assert_eq!(db.dictionary("name").unwrap().len(), 2);
-
-        let mut db2 = Database::new();
-        assert_eq!(
-            db2.insert_tsv("P", schema.clone(), "ann\t31\nbob\t44")
-                .unwrap(),
-            2
-        );
-        // bad arity and bad integers are reported with line numbers
-        assert!(matches!(
-            db2.insert_csv("Q", schema.clone(), "ann,31\nbob", ',')
-                .unwrap_err(),
-            DatabaseError::Parse { line: 2, .. }
-        ));
-        assert!(matches!(
-            db2.insert_csv("Q", schema, "ann,notanumber", ',')
-                .unwrap_err(),
-            DatabaseError::Parse { line: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn insert_interned_merges_into_shared_domains() {
-        // encode R and S against independent local dictionaries, then unify
-        let mut local_b_r = Dictionary::new();
-        let r_rows: Vec<Vec<u64>> = vec![
-            vec![0, local_b_r.intern("bob")],
-            vec![1, local_b_r.intern("ann")],
-        ];
-        let r = Relation::from_rows(
-            Schema::with_types(&["A", "B"], &[AttrType::Int, AttrType::Str]),
-            r_rows,
-        );
-        let mut local_b_s = Dictionary::new();
-        let s_rows: Vec<Vec<u64>> = vec![
-            vec![local_b_s.intern("ann"), 7],
-            vec![local_b_s.intern("cat"), 8],
-        ];
-        let s = Relation::from_rows(
-            Schema::with_types(&["B", "C"], &[AttrType::Str, AttrType::Int]),
-            s_rows,
-        );
-
-        let mut db = Database::new();
-        db.insert_interned("R", r, &[None, Some(local_b_r)])
-            .unwrap();
-        db.insert_interned("S", s, &[Some(local_b_s), None])
-            .unwrap();
-        let b = db.dictionary("B").unwrap();
-        assert_eq!(b.len(), 3); // bob, ann, cat — interned once
-                                // after the rewrite, "ann" has ONE code across both relations
-        let ann = b.code("ann").unwrap();
-        for name in ["R", "S"] {
-            let rel = db.delta(name).unwrap().snapshot();
-            assert!(rel.column_of("B").unwrap().contains(&ann));
-        }
-
-        // contract violations
-        let t = Relation::empty(Schema::with_types(&["X"], &[AttrType::Str]));
-        assert!(db.insert_interned("T", t.clone(), &[]).is_err()); // wrong dict count
-        assert!(db.insert_interned("T", t, &[None]).is_err()); // Str without dict
-        let u = Relation::empty(Schema::new(&["Y"]));
-        assert!(db
-            .insert_interned("U", u, &[Some(Dictionary::new())])
-            .is_err()); // Int with dict
     }
 
     #[test]
@@ -1272,20 +872,6 @@ mod tests {
         ));
         assert!(db.dictionary("name").is_none());
         assert!(db.delta("P").is_none());
-
-        // insert_interned: a column carrying a code its local dict never assigned
-        // is rejected before any merge touches the shared tables
-        let mut local = Dictionary::new();
-        local.intern("only"); // codes: {0}
-        let rel = Relation::from_rows(
-            Schema::with_types(&["A"], &[AttrType::Str]),
-            vec![vec![0], vec![7]],
-        );
-        assert!(matches!(
-            db.insert_interned("R", rel, &[Some(local)]).unwrap_err(),
-            DatabaseError::Storage(StorageError::UnknownCode(7))
-        ));
-        assert!(db.dictionary("A").is_none());
     }
 
     #[test]
@@ -1304,7 +890,7 @@ mod tests {
         assert_eq!(db.delta("R").unwrap().len(), 3);
         assert_eq!(db.delta("R").unwrap().buffered(), 2);
         assert_eq!(db.num_relations(), 3);
-        assert_eq!(db.total_tuples(), 9);
+        assert_eq!(live_tuples(&db), 9);
         assert!(db.relation_names().contains(&"R"));
         // sizes and schemas flow without materializing
         assert_eq!(db.atom_size(&q, 0).unwrap(), 3);
@@ -1360,68 +946,11 @@ mod tests {
     }
 
     #[test]
-    fn typed_delta_ingest_appends_through_shared_dictionaries() {
-        let mut db = Database::new();
-        let schema = str_pair_schema("A", "B");
-        let n = db
-            .insert_typed_rows_delta("R", schema.clone(), &typed_pairs(&[("ann", "bob")]))
-            .unwrap();
-        assert_eq!(n, 1);
-        // a second batch APPENDS (the replace path would drop the first batch)
-        let n = db
-            .insert_typed_rows_delta(
-                "R",
-                schema.clone(),
-                &typed_pairs(&[("ann", "bob"), ("bob", "cat")]),
-            )
-            .unwrap();
-        assert_eq!(n, 1, "duplicate row is not re-inserted");
-        assert_eq!(db.delta("R").unwrap().len(), 2);
-        assert_eq!(db.dictionary("A").unwrap().len(), 2); // ann, bob
-        let q = examples::triangle();
-        let bindings = db.var_bindings(&q);
-        // R alone doesn't bind the triangle, but its schema is visible
-        assert!(bindings.is_err()); // S, T missing
-                                    // same attribute names with different types report the offending column
-        assert!(matches!(
-            db.insert_typed_rows_delta(
-                "R",
-                Schema::with_types(&["A", "B"], &[AttrType::Int, AttrType::Int]),
-                &[vec![TypedValue::Int(1), TypedValue::Int(2)]],
-            )
-            .unwrap_err(),
-            DatabaseError::Storage(StorageError::TypeMismatch { .. })
-        ));
-        // a late domain remap cannot mix code spaces in an append — and the
-        // rejected batch must leave the catalog untouched (no "user" dictionary,
-        // no new strings, no new tuples)
-        db.set_domain("A", "user");
-        let before_len = db.delta("R").unwrap().len();
-        let err = db
-            .insert_typed_rows_delta("R", schema, &typed_pairs(&[("dan", "eve")]))
-            .unwrap_err();
-        assert!(matches!(err, DatabaseError::DomainMismatch { .. }));
-        assert!(err.to_string().contains("user"));
-        assert!(db.dictionary("user").is_none(), "rejected batch interned");
-        assert_eq!(db.dictionary("A").unwrap().len(), 2);
-        assert_eq!(db.delta("R").unwrap().len(), before_len);
-    }
-
-    #[test]
     fn rejected_delta_batch_leaves_the_log_untouched() {
         let mut db = Database::new();
         db.insert_typed_rows("R", str_pair_schema("A", "B"), &typed_pairs(&[("x", "y")]))
             .unwrap();
         let epoch = db.relation_epoch("R");
-        // wrong schema against a loaded target: error, and R is as it was
-        assert!(db
-            .insert_typed_rows_delta(
-                "R",
-                Schema::with_types(&["A", "B"], &[AttrType::Int, AttrType::Int]),
-                &[vec![TypedValue::Int(1), TypedValue::Int(2)]],
-            )
-            .is_err());
-        assert_eq!(db.relation_epoch("R"), epoch, "rejected batch wrote to R");
         // maintenance calls on a log with nothing buffered change nothing
         db.seal("R").unwrap();
         db.compact("R").unwrap();
@@ -1435,35 +964,6 @@ mod tests {
             db.compact("Z").unwrap_err(),
             DatabaseError::MissingRelation(_)
         ));
-    }
-
-    #[test]
-    fn csv_delta_ingest_appends() {
-        let mut db = Database::new();
-        let schema = Schema::with_types(&["name", "age"], &[AttrType::Str, AttrType::Int]);
-        assert_eq!(
-            db.insert_csv_delta("P", schema.clone(), "name,age\nann,31\n", ',')
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            db.insert_csv_delta("P", schema, "bob,44\nann,31\n", ',')
-                .unwrap(),
-            1
-        );
-        assert_eq!(db.delta("P").unwrap().len(), 2);
-        assert_eq!(db.dictionary("name").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn csv_header_skipped_after_leading_blank_lines() {
-        let mut db = Database::new();
-        let schema = Schema::with_types(&["name", "age"], &[AttrType::Str, AttrType::Int]);
-        let n = db
-            .insert_csv("P", schema, "\n\nname,age\nann,31\n", ',')
-            .unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(db.dictionary("name").unwrap().len(), 1);
     }
 
     #[test]

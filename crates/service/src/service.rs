@@ -572,13 +572,12 @@ impl QueryService {
         let checkpoint_seq = recovery.checkpoint_seq();
         let install_started = Instant::now();
         if let Some(ckpt) = &recovery.checkpoint {
+            // in place: a typed relation keeps its intern-time domain record
             for (name, bytes) in &ckpt.relations {
-                let schema = base
-                    .delta(name)
-                    .map(|d| d.schema().clone())
+                let log = base
+                    .delta_mut(name)
                     .ok_or_else(|| ServiceError::UnknownRelation(name.clone()))?;
-                let state = DeltaRelation::decode_state(schema, bytes)?;
-                base.insert_delta_relation(name.clone(), state);
+                *log = DeltaRelation::decode_state(log.schema().clone(), bytes)?;
             }
         }
         let install_us = install_started.elapsed().as_micros() as u64;

@@ -9,7 +9,7 @@ use wcoj_query::database::DatabaseError;
 use wcoj_query::{query::examples, Database};
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
 use wcoj_storage::wal::crc32;
-use wcoj_storage::{DeltaRelation, FaultPlan, Relation, Schema, StorageError, WalOp};
+use wcoj_storage::{AttrType, DeltaRelation, FaultPlan, Relation, Schema, StorageError, WalOp};
 use wcoj_workloads::SplitMix64;
 
 /// The suite's base config. The "every service query traced" CI leg runs this
@@ -810,6 +810,48 @@ fn checkpoints_bound_recovery_to_the_tail_through_the_service() {
             .unwrap(),
         121,
         "the writer resumes with a contiguous sequence"
+    );
+    std::fs::remove_dir_all(&path).ok();
+}
+
+/// A checkpoint installs a relation's recovered state in place, so a typed
+/// relation keeps the domains its codes were interned into: a `set_domain`
+/// remap after the load must not unify `src` and `dst` across a reopen.
+#[test]
+fn reopening_from_a_checkpoint_keeps_a_typed_relations_intern_domains() {
+    let typed_db = || {
+        let mut db = Database::new();
+        let str_pair = Schema::with_types(&["src", "dst"], &[AttrType::Str, AttrType::Str]);
+        let rows = [("a", "b"), ("b", "a")].map(|(s, d)| vec![s.into(), d.into()]);
+        db.insert_typed_rows("E", str_pair, &rows).unwrap();
+        db.set_domain("src", "user");
+        db.set_domain("dst", "user");
+        db
+    };
+    let clique = examples::clique(3);
+    let split = |service: &QueryService| {
+        service.with_db(|db| {
+            matches!(
+                db.var_bindings(&clique),
+                Err(DatabaseError::VarTypeMismatch { .. })
+            )
+        })
+    };
+    let path = temp_wal("ckpt-domains");
+    let (service, _) = QueryService::open(&path, typed_db(), config()).unwrap();
+    assert!(split(&service), "src and dst were interned apart");
+    service
+        .apply(&WriteBatch::new().insert("E", vec![0, 1]))
+        .unwrap();
+    assert_eq!(service.checkpoint().unwrap(), Some(1));
+    drop(service);
+
+    let (reopened, replayed) = QueryService::open(&path, typed_db(), config()).unwrap();
+    assert_eq!(replayed.checkpoint_seq, 1);
+    reopened.with_db(|db| assert_eq!(db.delta("E").unwrap().len(), 3));
+    assert!(
+        split(&reopened),
+        "the reopen forgot the intern-time domains"
     );
     std::fs::remove_dir_all(&path).ok();
 }

@@ -87,17 +87,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Fold another query's tallies into this one (for aggregating sweeps).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.incremental_merges += other.incremental_merges;
-        self.evictions += other.evictions;
-        self.bytes = other.bytes; // residency is a level, not a flow
-    }
-}
-
 /// What a cached trie was built from: the relation's catalog name, the column
 /// permutation it was built over, and the id of the sealed run (see the
 /// [module docs](crate::cache)).
@@ -195,18 +184,6 @@ impl AccessCache {
         self.incremental_merges.add(stats.incremental_merges);
         self.evictions.add(stats.evictions);
         self.resident_bytes.set(stats.bytes);
-    }
-
-    /// The cumulative process-lifetime tallies as a [`CacheStats`] view —
-    /// the same shape callers already consume per query.
-    pub fn cumulative_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            incremental_merges: self.incremental_merges.get(),
-            bytes: self.resident_bytes.get(),
-            evictions: self.evictions.get(),
-        }
     }
 
     /// Register the cumulative counters (and the residency gauge) in a
@@ -564,18 +541,19 @@ mod tests {
             bytes: 640,
             evictions: 3,
         });
-        let total = cache.cumulative_stats();
-        assert_eq!(total.hits, 3);
-        assert_eq!(total.misses, 1);
-        assert_eq!(total.incremental_merges, 1);
-        assert_eq!(total.evictions, 3);
-        assert_eq!(total.bytes, 640, "residency is a level, not a flow");
         let registry = Registry::new();
         cache.register_metrics(&registry);
         cache.register_metrics(&registry); // idempotent for the same cache
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("cache.hits"), Some(3));
-        assert_eq!(snap.gauge_value("cache.resident_bytes"), Some(640));
+        assert_eq!(snap.counter_value("cache.misses"), Some(1));
+        assert_eq!(snap.counter_value("cache.incremental_merges"), Some(1));
+        assert_eq!(snap.counter_value("cache.evictions"), Some(3));
+        assert_eq!(
+            snap.gauge_value("cache.resident_bytes"),
+            Some(640),
+            "residency is a level, not a flow"
+        );
     }
 
     #[test]

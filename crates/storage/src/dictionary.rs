@@ -3,9 +3,7 @@
 //! Dictionaries are the bridge between external typed data and the pure-`u64` join
 //! engines: strings are interned **once per database domain** (see
 //! `wcoj_query::Database`), joins run over the dense codes, and results decode back
-//! through the same dictionary. Per-relation dictionaries can be unified into a
-//! shared one with [`Dictionary::merge`], which returns the code remap to rewrite
-//! already-encoded columns ([`crate::Relation::remap_columns`]).
+//! through the same dictionary.
 
 use crate::error::StorageError;
 use crate::Value;
@@ -19,8 +17,7 @@ use std::sync::Arc;
 /// iterate and intersect sorted code sets.
 ///
 /// Each interned string is stored **once**: the code table and the lookup map share
-/// one `Arc<str>` allocation per distinct string (merging dictionaries shares the
-/// allocations across dictionaries, too).
+/// one `Arc<str>` allocation per distinct string.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     by_string: HashMap<Arc<str>, Value>,
@@ -39,12 +36,6 @@ impl Dictionary {
             return c;
         }
         let shared: Arc<str> = Arc::from(s);
-        self.push_shared(shared)
-    }
-
-    /// Intern an already-shared string, avoiding the copy (and sharing the
-    /// allocation with the caller — the primitive behind [`Dictionary::merge`]).
-    fn push_shared(&mut self, shared: Arc<str>) -> Value {
         let code = self.by_code.len() as Value;
         self.by_code.push(shared.clone());
         self.by_string.insert(shared, code);
@@ -95,35 +86,6 @@ impl Dictionary {
     /// codes) mid-decode.
     pub fn reader(&self) -> DictReader<'_> {
         DictReader { dict: self }
-    }
-
-    /// Intern a whole tuple of strings.
-    pub fn intern_row(&mut self, row: &[&str]) -> Vec<Value> {
-        row.iter().map(|s| self.intern(s)).collect()
-    }
-
-    /// Decode a tuple of codes back to strings, failing on the first code this
-    /// dictionary never assigned.
-    pub fn try_decode_row(&self, row: &[Value]) -> Result<Vec<String>, StorageError> {
-        row.iter()
-            .map(|&c| self.try_string(c).map(str::to_string))
-            .collect()
-    }
-
-    /// Merge `other` into `self`, interning every string of `other` that `self` has
-    /// not seen. Returns the remap table `m` with `m[other_code] = self_code`, the
-    /// input to [`crate::Relation::remap_columns`] — together they unify
-    /// per-relation dictionaries into one shared per-domain dictionary. String
-    /// allocations are shared between the two dictionaries, not copied.
-    pub fn merge(&mut self, other: &Dictionary) -> Vec<Value> {
-        other
-            .by_code
-            .iter()
-            .map(|s| match self.by_string.get(s.as_ref()) {
-                Some(&c) => c,
-                None => self.push_shared(s.clone()),
-            })
-            .collect()
     }
 }
 
@@ -184,17 +146,14 @@ mod tests {
     #[test]
     fn round_trip() {
         let mut d = Dictionary::new();
-        let codes = d.intern_row(&["x", "y", "x"]);
+        let codes: Vec<Value> = ["x", "y", "x"].iter().map(|s| d.intern(s)).collect();
         assert_eq!(codes, vec![0, 1, 0]);
-        assert_eq!(d.try_decode_row(&codes).unwrap(), vec!["x", "y", "x"]);
+        let decoded: Vec<&str> = codes.iter().map(|&c| d.try_string(c).unwrap()).collect();
+        assert_eq!(decoded, vec!["x", "y", "x"]);
         assert_eq!(d.code("y"), Some(1));
         assert_eq!(d.code("z"), None);
         assert_eq!(d.string(99), None);
         assert_eq!(d.try_string(99).unwrap_err(), StorageError::UnknownCode(99));
-        assert_eq!(
-            d.try_decode_row(&[0, 99]).unwrap_err(),
-            StorageError::UnknownCode(99)
-        );
     }
 
     #[test]
@@ -235,33 +194,5 @@ mod tests {
         assert_eq!(r.try_string(1).unwrap_err(), StorageError::UnknownCode(1));
         assert_eq!(r.len(), 1);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn merge_returns_remap_and_shares_allocations() {
-        let mut shared = Dictionary::new();
-        shared.intern_row(&["a", "b"]); // a=0, b=1
-        let mut local = Dictionary::new();
-        local.intern_row(&["b", "c", "a"]); // b=0, c=1, a=2
-        let map = shared.merge(&local);
-        // local codes remap: b(0)->1, c(1)->2 (new), a(2)->0
-        assert_eq!(map, vec![1, 2, 0]);
-        assert_eq!(shared.len(), 3);
-        assert_eq!(shared.string(2), Some("c"));
-        // merging again is a no-op on the table, same remap
-        assert_eq!(shared.merge(&local), vec![1, 2, 0]);
-        assert_eq!(shared.len(), 3);
-        // the merged entry shares its allocation with `local`'s
-        assert!(Arc::ptr_eq(&shared.by_code[2], &local.by_code[1]));
-    }
-
-    #[test]
-    fn merge_into_empty_is_identity() {
-        let mut local = Dictionary::new();
-        local.intern_row(&["x", "y"]);
-        let mut shared = Dictionary::new();
-        let map = shared.merge(&local);
-        assert_eq!(map, vec![0, 1]);
-        assert_eq!(shared.len(), 2);
     }
 }

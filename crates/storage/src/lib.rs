@@ -54,9 +54,8 @@
 //! * [`typed`] / [`dictionary`] — the typed-value layer over the `u64` columns:
 //!   [`Schema`]s carry per-attribute [`AttrType`]s, [`typed::TypedValue`] rows
 //!   encode through per-domain [`Dictionary`]s (batch interning, single-storage
-//!   `Arc<str>` tables, [`Dictionary::merge`] + [`Relation::remap_columns`] for
-//!   unifying per-relation dictionaries), and [`typed::TypedRows`] decodes result
-//!   relations back to typed rows — the join engines themselves never leave `u64`;
+//!   `Arc<str>` tables), and [`typed::TypedRows`] decodes result relations back
+//!   to typed rows — the join engines themselves never leave `u64`;
 //! * [`stats::WorkCounter`] / [`stats::CursorWork`] — instrumentation counting
 //!   comparisons, probes, and intermediate tuples so that tests and benchmarks can
 //!   check the *work* bounds the paper proves, not just wall-clock time. Parallel

@@ -311,41 +311,6 @@ impl Relation {
         })
     }
 
-    /// Rewrite each column through a per-attribute code remap table and
-    /// re-canonicalize: `maps[p]`, when present, maps every old code `c` of column
-    /// `p` to `maps[p][c]`; `None` leaves the column untouched. Codes outside a
-    /// map's range fail with [`StorageError::UnknownCode`].
-    ///
-    /// This is the column-rewrite half of dictionary unification: after
-    /// [`crate::Dictionary::merge`] produces the remap for a per-relation
-    /// dictionary, this rewrites the relation onto the shared dictionary's codes.
-    /// Remapping permutes values, so rows are re-sorted and re-deduplicated.
-    pub fn remap_columns(&self, maps: &[Option<&[Value]>]) -> Result<Relation, StorageError> {
-        if maps.len() != self.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.arity(),
-                found: maps.len(),
-            });
-        }
-        let columns: Vec<Vec<Value>> = self
-            .columns
-            .iter()
-            .zip(maps)
-            .map(|(col, map)| match map {
-                None => Ok(col.clone()),
-                Some(m) => col
-                    .iter()
-                    .map(|&c| {
-                        m.get(c as usize)
-                            .copied()
-                            .ok_or(StorageError::UnknownCode(c))
-                    })
-                    .collect(),
-            })
-            .collect::<Result<_, _>>()?;
-        Relation::try_from_columns(self.schema.clone(), columns)
-    }
-
     /// Reorder columns to the order given by `attrs` (which must be a permutation of
     /// the schema) — used to build tries over a global variable order.
     pub fn reorder(&self, attrs: &[&str]) -> Result<Relation, StorageError> {
@@ -949,29 +914,6 @@ mod tests {
         let r = Relation::from_rows(schema, vec![vec![0, 10], vec![1, 20]]);
         let rn = r.rename(&["X", "Y"]).unwrap();
         assert_eq!(rn.schema().types(), &[AttrType::Str, AttrType::Int]);
-    }
-
-    #[test]
-    fn remap_columns_rewrites_and_recanonicalizes() {
-        let r = Relation::from_rows(
-            Schema::new(&["A", "B"]),
-            vec![vec![0, 1], vec![1, 0], vec![2, 2]],
-        );
-        // remap column A through [2, 0, 1] (0->2, 1->0, 2->1), leave B untouched
-        let map: Vec<Value> = vec![2, 0, 1];
-        let out = r.remap_columns(&[Some(&map), None]).unwrap();
-        assert_eq!(out.rows(), vec![vec![0, 0], vec![1, 2], vec![2, 1]]);
-        // out-of-range codes fail loudly
-        let short: Vec<Value> = vec![0];
-        assert_eq!(
-            r.remap_columns(&[Some(&short), None]).unwrap_err(),
-            StorageError::UnknownCode(1)
-        );
-        // map count must match arity
-        assert!(matches!(
-            r.remap_columns(&[None]).unwrap_err(),
-            StorageError::ArityMismatch { .. }
-        ));
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl AddAssign for CursorWork {
 ///
 /// Uses interior mutability (`Cell`) so that read-only operator code can record work
 /// without plumbing `&mut` everywhere.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct WorkCounter {
     intersect_steps: Cell<u64>,
     probes: Cell<u64>,
@@ -77,38 +77,6 @@ pub struct WorkCounter {
     kernel_gallop: Cell<u64>,
     kernel_bitmap: Cell<u64>,
 }
-
-impl Clone for WorkCounter {
-    fn clone(&self) -> Self {
-        WorkCounter {
-            intersect_steps: Cell::new(self.intersect_steps.get()),
-            probes: Cell::new(self.probes.get()),
-            intermediate_tuples: Cell::new(self.intermediate_tuples.get()),
-            output_tuples: Cell::new(self.output_tuples.get()),
-            comparisons: Cell::new(self.comparisons.get()),
-            delta_merge: Cell::new(self.delta_merge.get()),
-            kernel_merge: Cell::new(self.kernel_merge.get()),
-            kernel_gallop: Cell::new(self.kernel_gallop.get()),
-            kernel_bitmap: Cell::new(self.kernel_bitmap.get()),
-        }
-    }
-}
-
-impl PartialEq for WorkCounter {
-    fn eq(&self, other: &Self) -> bool {
-        self.intersect_steps.get() == other.intersect_steps.get()
-            && self.probes.get() == other.probes.get()
-            && self.intermediate_tuples.get() == other.intermediate_tuples.get()
-            && self.output_tuples.get() == other.output_tuples.get()
-            && self.comparisons.get() == other.comparisons.get()
-            && self.delta_merge.get() == other.delta_merge.get()
-            && self.kernel_merge.get() == other.kernel_merge.get()
-            && self.kernel_gallop.get() == other.kernel_gallop.get()
-            && self.kernel_bitmap.get() == other.kernel_bitmap.get()
-    }
-}
-
-impl Eq for WorkCounter {}
 
 impl WorkCounter {
     /// A fresh counter with all tallies at zero.
@@ -251,19 +219,6 @@ impl WorkCounter {
             + self.delta_merge.get()
     }
 
-    /// Reset every tally to zero.
-    pub fn reset(&self) {
-        self.intersect_steps.set(0);
-        self.probes.set(0);
-        self.intermediate_tuples.set(0);
-        self.output_tuples.set(0);
-        self.comparisons.set(0);
-        self.delta_merge.set(0);
-        self.kernel_merge.set(0);
-        self.kernel_gallop.set(0);
-        self.kernel_bitmap.set(0);
-    }
-
     /// Merge the tallies of `other` into `self`. Associative and commutative, so
     /// parallel workers' counters sum losslessly in any order.
     pub fn merge(&self, other: &WorkCounter) {
@@ -294,7 +249,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_reset() {
-        let w = WorkCounter::new();
+        let mut w = WorkCounter::new();
         w.add_intersect_steps(3);
         w.add_probes(2);
         w.add_intermediate(5);
@@ -306,8 +261,9 @@ mod tests {
         assert_eq!(w.output_tuples(), 1);
         assert_eq!(w.comparisons(), 4);
         assert_eq!(w.total_work(), 15);
-        w.reset();
-        assert_eq!(w.total_work(), 0);
+        // taking the counter leaves a zeroed one behind
+        assert_eq!(std::mem::take(&mut w).total_work(), 15);
+        assert_eq!(w, WorkCounter::new());
     }
 
     #[test]
@@ -399,8 +355,6 @@ mod tests {
         assert_ne!(w, other);
         w.merge(&other);
         assert_eq!(w.delta_merge(), 7);
-        w.reset();
-        assert_eq!(w.delta_merge(), 0);
     }
 
     #[test]
@@ -420,10 +374,8 @@ mod tests {
         other.add_kernel(KernelKind::Merge);
         w.merge(&other);
         assert_eq!(w.kernel_merge(), 2);
-        // equality discriminates on the breakdown, and reset clears it
+        // equality discriminates on the breakdown
         assert_ne!(w, other);
-        w.reset();
-        assert_eq!(w.kernel_calls(), 0);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub type TypedRow = Vec<TypedValue>;
 /// `attr`/`ty` describe the attribute; `dict` must be `Some` exactly when
 /// `ty == AttrType::Str` (the attribute's domain dictionary, mutated by interning).
 /// Values of the wrong kind fail with [`StorageError::TypeMismatch`]. This is the
-/// column-builder primitive the catalog's typed loaders are made of.
+/// column-builder primitive the catalog's typed loader is made of.
 pub fn encode_column<'v>(
     attr: &str,
     ty: AttrType,

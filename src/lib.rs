@@ -7,3 +7,9 @@ pub use wcoj_query as query;
 pub use wcoj_service as service;
 pub use wcoj_storage as storage;
 pub use wcoj_workloads as workloads;
+
+/// The README's Rust examples, compiled and run as doctests so that the
+/// README cannot name an API the workspace no longer has.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
