@@ -15,8 +15,8 @@
 
 use std::time::Instant;
 use wcoj_bench::ExperimentTable;
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{run, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_workloads::triangle;
 
 fn median_time_ms<F: FnMut()>(mut f: F, iters: usize) -> f64 {
@@ -49,13 +49,13 @@ fn main() {
     );
 
     let w = triangle(n, 0xE3);
-    let order = agm_variable_order(&w.query, &w.db).expect("planner");
+    let plan = plan(&w.query, &w.db, None).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         let serial_opts = ExecOptions::new(engine);
-        let serial = execute_opts_with_order(&w.query, &w.db, &serial_opts, &order).unwrap();
+        let serial = run(&w.query, &w.db, &plan, &serial_opts, None).unwrap();
         let serial_ms = median_time_ms(
             || {
-                let _ = execute_opts_with_order(&w.query, &w.db, &serial_opts, &order).unwrap();
+                let _ = run(&w.query, &w.db, &plan, &serial_opts, None).unwrap();
             },
             3,
         );
@@ -65,12 +65,12 @@ fn main() {
         );
         for threads in [2usize, 4] {
             let opts = serial_opts.with_threads(threads);
-            let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+            let out = run(&w.query, &w.db, &plan, &opts, None).unwrap();
             assert_eq!(out.result, serial.result, "{engine:?} x{threads} output");
             assert_eq!(out.work, serial.work, "{engine:?} x{threads} work");
             let ms = median_time_ms(
                 || {
-                    let _ = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+                    let _ = run(&w.query, &w.db, &plan, &opts, None).unwrap();
                 },
                 3,
             );

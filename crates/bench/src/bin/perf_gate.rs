@@ -52,9 +52,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use wcoj_bench::report::{host_json, parse_bench_json, render_bench_json, BenchRecord};
 use wcoj_bench::{bench_matrix, ExperimentTable};
-use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute_opts_with_order, CacheMode, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{run, CacheMode, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_core::TraceSink;
 
 /// How far a row's `total_work` may exceed the record's before the gate fails.
@@ -127,8 +126,8 @@ fn main() {
     let mut compared = 0usize;
 
     for (label, w) in bench_matrix(sizes, clique_sizes) {
-        let order = agm_variable_order(&w.query, &w.db).expect("planner");
-        let agm = agm_bound(&w.query, &w.db).expect("agm").tuple_bound();
+        let plan = plan(&w.query, &w.db, None).expect("planner");
+        let agm = plan.agm.tuple_bound();
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
             let engine_name = format!("{engine:?}");
             let base = baseline
@@ -138,16 +137,15 @@ fn main() {
                 continue; // workload/engine not in the committed record yet
             }
             let opts = ExecOptions::new(engine);
-            let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("execute");
+            let out = run(&w.query, &w.db, &plan, &opts, None).expect("execute");
             let times = sorted_times_ms(|| {
-                let _ = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+                let _ = run(&w.query, &w.db, &plan, &opts, None).unwrap();
             });
             // cache differential: the uncached execution must be bit-identical
             // in output rows and in the full work counter — caching can only
             // move structure *builds* around, never change what the join does
             let off_opts = opts.with_cache(CacheMode::Off);
-            let off =
-                execute_opts_with_order(&w.query, &w.db, &off_opts, &order).expect("execute off");
+            let off = run(&w.query, &w.db, &plan, &off_opts, None).expect("execute off");
             if off.result != out.result {
                 failures.push(format!(
                     "{label}/{engine_name}: cache-off output diverges from cache-on ({} vs {} rows)",
@@ -190,13 +188,12 @@ fn main() {
                 ));
             }
             let off_ms = sorted_times_ms(|| {
-                let _ = execute_opts_with_order(&w.query, &w.db, &off_opts, &order).unwrap();
+                let _ = run(&w.query, &w.db, &plan, &off_opts, None).unwrap();
             })[0];
             // trace differential: a traced run must not drift a single counter
             let sink = Arc::new(TraceSink::new());
             let traced_opts = opts.with_trace(Arc::clone(&sink));
-            let traced = execute_opts_with_order(&w.query, &w.db, &traced_opts, &order)
-                .expect("execute traced");
+            let traced = run(&w.query, &w.db, &plan, &traced_opts, None).expect("execute traced");
             if traced.result != out.result || traced.work != out.work {
                 failures.push(format!(
                     "{label}/{engine_name}: tracing perturbed execution (rows or work \

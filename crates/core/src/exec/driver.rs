@@ -1,56 +1,66 @@
-//! The driver: the one internal entry every public `execute*` calls ([`run`]),
-//! and the serial loop that feeds the engine skeleton ([`run_cursors`]).
+//! The driver: the one internal entry every public entry calls ([`run`]), the
+//! planning step of the wrappers that take no plan ([`plan_and_run`]), and the
+//! serial loop that feeds the engine skeleton ([`run_cursors`]).
 
 use super::access::BuiltAccess;
 use super::engine::{
     first_extension_set, join_extensions, level_scratch, InteriorStep, JoinCtx, KernelExtension,
     LeapfrogRing,
 };
-use super::trace::{elapsed_ns, Recording, TraceTo};
+use super::trace::{elapsed_ns, Recording};
 use super::{
     binary, parallel, CacheMode, CancelToken, ColumnSink, Engine, ExecOptions, ExecOutput,
 };
 use crate::error::ExecError;
-use crate::planner::{plan, Plan};
+use crate::planner::{baseline_order, plan, Plan};
 use std::sync::OnceLock;
 use wcoj_obs::{LevelRecorder, MorselTrace};
 use wcoj_query::database::VarBinding;
-use wcoj_query::plan::{default_order, is_valid_order};
+use wcoj_query::plan::is_valid_order;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::{AttrType, CacheStats, Relation, Schema, TrieAccess, WorkCounter};
 
-/// Execute `query` over `db` as `opts` says: under `order` (`None` asks the
-/// planner — the binary baseline ignores it), polling `token` if there is one,
-/// with the trace (if `to` wants one) built here, planning time included, and
-/// handed to `to`.
-pub(super) fn run<T: TraceTo>(
+/// Plan `query` over `db` for `opts` — `order` costed when given, the binary
+/// baseline's identity costed, else the planner's search — and [`run`] the plan.
+/// Only the search is timed: a trace's `plan_ns` reads 0 when the order was given.
+pub(super) fn plan_and_run(
     query: &ConjunctiveQuery,
     db: &Database,
     opts: &ExecOptions,
     order: Option<&[VarId]>,
     token: Option<&CancelToken>,
-    to: T,
-) -> Result<T::Out, ExecError> {
+) -> Result<ExecOutput, ExecError> {
+    // a token that has already fired skips the planning LP as well
     if let Some(t) = token {
         t.check()?;
     }
-    let mut rec = Recording::new(to.tracing());
-    // the planner's plan, when it ran: the trace reports its bounds as solved
-    let mut planned: Option<Plan> = None;
-    let identity;
-    let order = match order {
-        Some(order) => order,
-        None if opts.engine == Engine::BinaryHash => {
-            identity = default_order(query);
-            &identity
-        }
-        None => {
-            let planning = rec.clock();
-            let plan = plan(query, db)?;
-            rec.plan_ns = elapsed_ns(planning);
-            &planned.insert(plan).order
-        }
-    };
+    let mut rec = Recording::new(opts.trace.is_some());
+    let baseline = baseline_order(query, opts);
+    let given = order.or(baseline.as_deref());
+    let planning = rec.clock();
+    let plan = plan(query, db, given)?;
+    if given.is_none() {
+        rec.plan_ns = elapsed_ns(planning);
+    }
+    run(query, db, &plan, opts, token, rec)
+}
+
+/// Execute `query` over `db` under `plan`'s order as `opts` says, polling
+/// `token` if there is one; the trace, if `opts` carries a sink, is finished
+/// from `rec` and deposited there.
+pub(super) fn run(
+    query: &ConjunctiveQuery,
+    db: &Database,
+    plan: &Plan,
+    opts: &ExecOptions,
+    token: Option<&CancelToken>,
+    mut rec: Recording,
+) -> Result<ExecOutput, ExecError> {
+    if let Some(t) = token {
+        t.check()?;
+    }
+    let order = &plan.order[..];
+    // a `Plan`'s fields are public, so the order is checked where it is used
     if !is_valid_order(query, order) {
         return Err(ExecError::InvalidOrder(order.to_vec()));
     }
@@ -89,7 +99,10 @@ pub(super) fn run<T: TraceTo>(
         order: order.to_vec(),
         cache_stats,
     };
-    Ok(to.deliver(out, |out| rec.into_trace(query, db, opts, out, planned)))
+    if let Some(sink) = &opts.trace {
+        sink.record(rec.into_trace(query, opts, &out, plan));
+    }
+    Ok(out)
 }
 
 /// One validated WCOJ execution: what [`run`] resolved before choosing the

@@ -7,17 +7,20 @@
 //!
 //! # One entry
 //!
-//! The five public `execute*` functions are one-line calls into a single
-//! internal function (`driver::run`), which plans the variable order when the
-//! caller gave none, validates, dispatches on [`Engine`] **once**, and builds
-//! the trace where everything it reports is known:
+//! The executor's one input is a [`Plan`]: a variable order with the bounds
+//! that cost it (Section 4.2's prefix AGM bounds, and the whole query's bound of
+//! Corollary 4.2). [`crate::planner::plan`] makes one — searching for the order,
+//! or costing one the caller gives — and [`run`] executes it: validates,
+//! dispatches on [`Engine`] **once**, and deposits the trace (when
+//! [`ExecOptions::trace`] carries a sink) where everything it reports is known.
+//! Two wrappers plan and run in one call, through the same internal function:
 //!
-//! * [`execute`] — engine only, everything else default (the quick start);
-//! * [`execute_opts`] — full [`ExecOptions`], planner-chosen order;
-//! * [`execute_opts_with_order`] — explicit global variable order;
-//! * [`execute_cancellable`] — under a [`CancelToken`];
-//! * [`execute_explain`] — `EXPLAIN ANALYZE`: the [`QueryTrace`] comes back
-//!   with the output.
+//! * [`execute_opts`] — full [`ExecOptions`], planner-chosen order (the binary
+//!   baseline, which ignores the order, keeps the identity);
+//! * [`execute_cancellable`] — under a [`CancelToken`], with an optional order.
+//!
+//! `EXPLAIN ANALYZE` is any of the three with [`ExecOptions::with_trace`]: the
+//! sink's [`wcoj_obs::TraceSink::take`] hands back the [`wcoj_obs::QueryTrace`].
 //!
 //! # One engine skeleton
 //!
@@ -40,11 +43,10 @@
 //! compute their extension set through the **adaptive intersection kernel
 //! layer** ([`wcoj_storage::kernels`]): branchless merge, galloping, or
 //! small-domain bitmap, chosen per intersection by the [`KernelPolicy`] carried
-//! in [`ExecOptions`] under the kernel layer's constant thresholds, and recorded
-//! in the [`WorkCounter`] kernel breakdown; where every participating sibling group is
-//! dense enough to carry the bitset its access structure prebuilt, the
-//! intersection is a word-parallel AND of those instead of a scan of the lists
-//! (see [`wcoj_storage::kernels`]).
+//! in [`ExecOptions`], and recorded in the [`WorkCounter`] kernel breakdown;
+//! where every participating sibling group is dense enough to carry the bitset
+//! its access structure prebuilt, the intersection is a word-parallel AND of
+//! those instead of a scan of the lists (see [`wcoj_storage::kernels`]).
 //!
 //! # Prefix runs × deepest column
 //!
@@ -77,12 +79,12 @@
 //! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: one
 //! sealed run of a relation's log permuted to one column order is one cached
 //! trie, keyed `(relation, column positions, run id)`, and the entry dies with
-//! its run. An atom walks its own log's run list: every run found is a hit, a newly sealed run is the
-//! only one built (an *incremental merge*), a compaction leaves one run nobody
-//! has seen (a miss). [`CacheMode`] switches the cache off or pins entries per
-//! execution, and [`ExecOutput::cache_stats`] reports the activity — builds
-//! record no [`WorkCounter`] work, so results and work counters are
-//! bit-identical with the cache on, off, or cold.
+//! its run. An atom walks its own log's run list: every run found is a hit, a
+//! newly sealed run is the only one built (an *incremental merge*), a
+//! compaction leaves one run nobody has seen (a miss). [`CacheMode`] switches
+//! the cache off for one execution, and [`ExecOutput::cache_stats`] reports the
+//! activity — builds record no [`WorkCounter`] work, so results and work
+//! counters are bit-identical with the cache on, off, or cold.
 //!
 //! **Typed data** never reaches the engines: string columns are
 //! dictionary-encoded at load time (`wcoj_query::Database::insert_typed_rows`),
@@ -111,49 +113,38 @@ pub use sink::ColumnSink;
 pub use wcoj_storage::{CacheStats, KernelCalibration};
 
 use crate::error::ExecError;
-use driver::run;
-use wcoj_obs::QueryTrace;
+use crate::planner::Plan;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 
-/// Execute `query` over `db` with the given engine and otherwise default
-/// options (serial), letting the prefix-bound planner pick the
-/// variable order for the WCOJ engines.
-pub fn execute(
+/// Execute `query` over `db` under `plan` (from [`crate::planner::plan`]) with
+/// full [`ExecOptions`], polling `token` if there is one: the engines poll it
+/// cooperatively (between extension-set chunks serially, in the morsel claim
+/// loop in parallel — see [`cancel`]) and return [`ExecError::Canceled`],
+/// discarding partial output, once it fires. Rows and work counters do not
+/// depend on the token while it has not fired, nor on tracing.
+pub fn run(
     query: &ConjunctiveQuery,
     db: &Database,
-    engine: Engine,
+    plan: &Plan,
+    opts: &ExecOptions,
+    token: Option<&CancelToken>,
 ) -> Result<ExecOutput, ExecError> {
-    run(query, db, &ExecOptions::new(engine), None, None, None)
+    let rec = trace::Recording::new(opts.trace.is_some());
+    driver::run(query, db, plan, opts, token, rec)
 }
 
-/// Execute `query` over `db` with full [`ExecOptions`], letting the planner pick
-/// the variable order.
+/// Plan and [`run`] `query` over `db` with full [`ExecOptions`], letting the
+/// planner pick the variable order.
 pub fn execute_opts(
     query: &ConjunctiveQuery,
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<ExecOutput, ExecError> {
-    run(query, db, opts, None, None, opts.trace.as_deref())
+    driver::plan_and_run(query, db, opts, None, None)
 }
 
-/// Execute `query` over `db` with full [`ExecOptions`] and an explicit global
-/// variable order (ignored by the binary baseline).
-pub fn execute_opts_with_order(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    opts: &ExecOptions,
-    order: &[VarId],
-) -> Result<ExecOutput, ExecError> {
-    run(query, db, opts, Some(order), None, opts.trace.as_deref())
-}
-
-/// Execute `query` over `db` under a [`CancelToken`]: the engines poll the
-/// token cooperatively (between extension-set chunks serially, in the morsel
-/// claim loop in parallel — see [`cancel`]) and return
-/// [`ExecError::Canceled`], discarding partial output, once it fires. With a
-/// token that never fires, rows and work counters are **bit-identical** to
-/// [`execute_opts_with_order`]. `order` picks an explicit global variable
-/// order; `None` asks the prefix-bound planner, like [`execute_opts`].
+/// Plan and [`run`] `query` over `db` under a [`CancelToken`]: `order` is
+/// costed when given; `None` asks the planner, like [`execute_opts`].
 pub fn execute_cancellable(
     query: &ConjunctiveQuery,
     db: &Database,
@@ -161,22 +152,7 @@ pub fn execute_cancellable(
     order: Option<&[VarId]>,
     token: &CancelToken,
 ) -> Result<ExecOutput, ExecError> {
-    run(query, db, opts, order, Some(token), opts.trace.as_deref())
-}
-
-/// Execute `query` with tracing forced on and return the recorded
-/// [`QueryTrace`] alongside the output — the `EXPLAIN ANALYZE` entry point
-/// (any sink on `opts` is left alone). The trace's
-/// [`QueryTrace::render_tree`] is the human-readable profile;
-/// [`QueryTrace::to_json`] is the machine-readable one. The execution itself
-/// is bit-identical to [`execute_opts`] without a sink: rows and work
-/// counters never depend on tracing.
-pub fn execute_explain(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    opts: &ExecOptions,
-) -> Result<(ExecOutput, QueryTrace), ExecError> {
-    run(query, db, opts, None, None, trace::Explain)
+    driver::plan_and_run(query, db, opts, order, Some(token))
 }
 
 #[cfg(test)]
@@ -208,7 +184,7 @@ mod tests {
         let db = triangle_db();
         let outs: Vec<_> = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog]
             .into_iter()
-            .map(|e| execute(&q, &db, e).unwrap())
+            .map(|e| execute_opts(&q, &db, &ExecOptions::new(e)).unwrap())
             .collect();
         assert_eq!(outs[0].result, outs[1].result);
         assert_eq!(outs[1].result, outs[2].result);
@@ -225,7 +201,9 @@ mod tests {
     fn every_variable_order_gives_the_same_result() {
         let q = examples::triangle();
         let db = triangle_db();
-        let reference = execute(&q, &db, Engine::Leapfrog).unwrap().result;
+        let reference = execute_opts(&q, &db, &ExecOptions::new(Engine::Leapfrog))
+            .unwrap()
+            .result;
         for order in [
             vec![0, 1, 2],
             vec![0, 2, 1],
@@ -235,8 +213,8 @@ mod tests {
             vec![2, 1, 0],
         ] {
             for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-                let out =
-                    execute_opts_with_order(&q, &db, &ExecOptions::new(engine), &order).unwrap();
+                let plan = crate::planner::plan(&q, &db, Some(&order)).unwrap();
+                let out = run(&q, &db, &plan, &ExecOptions::new(engine), None).unwrap();
                 assert_eq!(out.result, reference, "order {order:?} engine {engine:?}");
                 assert_eq!(out.order, order);
             }
@@ -256,9 +234,9 @@ mod tests {
                 vec![(1, 2), (1, 3), (2, 3), (3, 4), (2, 4), (1, 4)],
             ),
         );
-        let gj = execute(&q, &db, Engine::GenericJoin).unwrap();
-        let lf = execute(&q, &db, Engine::Leapfrog).unwrap();
-        let bh = execute(&q, &db, Engine::BinaryHash).unwrap();
+        let gj = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
+        let lf = execute_opts(&q, &db, &ExecOptions::new(Engine::Leapfrog)).unwrap();
+        let bh = execute_opts(&q, &db, &ExecOptions::new(Engine::BinaryHash)).unwrap();
         assert_eq!(gj.result, lf.result);
         assert_eq!(gj.result, bh.result);
         // K4 minus nothing: every 3-subset of {1,2,3,4} with increasing edges = 4
@@ -270,8 +248,14 @@ mod tests {
         let q = examples::triangle();
         let db = triangle_db();
         assert!(matches!(
-            execute_opts_with_order(&q, &db, &ExecOptions::new(Engine::Leapfrog), &[0, 1])
-                .unwrap_err(),
+            crate::planner::plan(&q, &db, Some(&[0, 1])).unwrap_err(),
+            ExecError::InvalidOrder(_)
+        ));
+        // a hand-made plan is checked where it runs
+        let mut plan = crate::planner::plan(&q, &db, None).unwrap();
+        plan.order = vec![0, 1, 1];
+        assert!(matches!(
+            run(&q, &db, &plan, &ExecOptions::new(Engine::Leapfrog), None).unwrap_err(),
             ExecError::InvalidOrder(_)
         ));
     }
@@ -285,7 +269,7 @@ mod tests {
             Relation::from_pairs("x", "y", Vec::<(u64, u64)>::new()),
         );
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            let out = execute(&q, &db, engine).unwrap();
+            let out = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
             assert!(out.result.is_empty(), "{engine:?}");
         }
     }
@@ -325,7 +309,7 @@ mod tests {
 
         let mut decoded_by_engine = Vec::new();
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            let out = execute(&q, &db, engine).unwrap();
+            let out = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
             assert_eq!(out.result.len(), 3);
             assert!(out.result.schema().has_strings());
             let typed = out.typed_rows(&q, &db).unwrap();
@@ -363,7 +347,7 @@ mod tests {
         )
         .unwrap();
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            let err = execute(&q, &db, engine).unwrap_err();
+            let err = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap_err();
             assert!(err.to_string().contains("bound to"), "{engine:?}: {err}");
         }
     }
@@ -372,7 +356,7 @@ mod tests {
     fn delta_backed_atoms_run_live_and_match_static() {
         let q = examples::triangle();
         let mut db = triangle_db();
-        let expected = execute(&q, &db, Engine::GenericJoin).unwrap();
+        let expected = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         // make R delta-backed and mutate it: delete one edge, add another that
         // completes a triangle with the existing S and T tuples
         db.insert_delta("R", vec![2, 3]).unwrap(); // already present: no-op
@@ -392,7 +376,7 @@ mod tests {
         // the buffered ops cancel, so sealing leaves one run with no tombstone:
         // that log's trie is the loaded relation's and runs on the plain trie
         db.seal("R").unwrap();
-        let out = execute(&q, &db, Engine::GenericJoin).unwrap();
+        let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
         assert_eq!(out.work, expected.work, "one clean run is the static case");
         // delta work appears in the counters once a second run has to be merged
@@ -400,7 +384,7 @@ mod tests {
         db.insert_delta("R", vec![1, 9]).unwrap();
         db.seal("R").unwrap();
         db.insert_delta("R", vec![1, 2]).unwrap();
-        let out = execute(&q, &db, Engine::GenericJoin).unwrap();
+        let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
         assert!(
             out.work.delta_merge() > 0,
@@ -415,10 +399,10 @@ mod tests {
         // pin an explicit budget so the counter asserts hold even when the
         // environment disables the cache (the WCOJ_CACHE_BYTES=0 CI leg)
         db.set_cache_budget(64 << 20);
-        let cold = execute(&q, &db, Engine::GenericJoin).unwrap();
+        let cold = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(cold.cache_stats.misses, 3, "three atoms built cold");
         assert_eq!(cold.cache_stats.hits, 0);
-        let warm = execute(&q, &db, Engine::GenericJoin).unwrap();
+        let warm = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(warm.cache_stats.hits, 3, "three atoms reused warm");
         assert_eq!(warm.cache_stats.misses, 0);
         assert_eq!(warm.result, cold.result);
@@ -434,7 +418,7 @@ mod tests {
         assert_eq!(off.result, cold.result);
         assert_eq!(off.work, cold.work);
         // the binary baseline builds no access structures
-        let bh = execute(&q, &db, Engine::BinaryHash).unwrap();
+        let bh = execute_opts(&q, &db, &ExecOptions::new(Engine::BinaryHash)).unwrap();
         assert_eq!(bh.cache_stats, CacheStats::default());
     }
 
@@ -479,7 +463,7 @@ mod tests {
         let q = examples::triangle();
         let db = triangle_db();
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let serial = execute(&q, &db, engine).unwrap();
+            let serial = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
             for threads in [2, 4] {
                 let opts = ExecOptions::new(engine).with_threads(threads);
                 let out = execute_opts(&q, &db, &opts).unwrap();

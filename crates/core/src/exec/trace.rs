@@ -1,56 +1,16 @@
 //! Trace plumbing: what a traced execution records on the side
-//! ([`Recording`]), who receives the finished [`QueryTrace`] ([`TraceTo`]), and
-//! the stable trace spellings of engines, kernels and counters.
+//! ([`Recording`]) for the [`QueryTrace`] it deposits in [`ExecOptions::trace`],
+//! and the stable trace spellings of engines, kernels and counters.
 //! Tracing observes, never configures — rows and work counters are
 //! bit-identical with it on or off; only wall-clock fields differ.
 
 use super::{Engine, ExecOptions, ExecOutput};
-use crate::planner::{cost_order, Plan};
+use crate::planner::Plan;
 use std::sync::OnceLock;
 use std::time::Instant;
-use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel, TraceSink};
-use wcoj_query::{ConjunctiveQuery, Database};
+use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel};
+use wcoj_query::ConjunctiveQuery;
 use wcoj_storage::{kernels, CacheStats, WorkCounter};
-
-/// Who receives an execution's [`QueryTrace`], and therefore whether one is
-/// recorded at all and what the execution returns.
-pub(super) trait TraceTo {
-    /// What the caller gets back.
-    type Out;
-    /// Whether this execution records a trace.
-    fn tracing(&self) -> bool;
-    /// Hand over the output; `trace` is called iff [`TraceTo::tracing`].
-    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> Self::Out;
-}
-
-/// The sink on [`ExecOptions::trace`], if any: the trace is deposited there and
-/// the caller gets the plain output. `None` records nothing and adds no work.
-impl TraceTo for Option<&TraceSink> {
-    type Out = ExecOutput;
-    fn tracing(&self) -> bool {
-        self.is_some()
-    }
-    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> ExecOutput {
-        if let Some(sink) = self {
-            sink.record(trace(&out));
-        }
-        out
-    }
-}
-
-/// `EXPLAIN ANALYZE`: tracing forced on, the trace returned next to the output.
-pub(super) struct Explain;
-
-impl TraceTo for Explain {
-    type Out = (ExecOutput, QueryTrace);
-    fn tracing(&self) -> bool {
-        true
-    }
-    fn deliver(self, out: ExecOutput, trace: impl FnOnce(&ExecOutput) -> QueryTrace) -> Self::Out {
-        let trace = trace(&out);
-        (out, trace)
-    }
-}
 
 /// What one execution records on the side. Inert — no clock read, no
 /// allocation, no recorder on the hot path — unless the execution is traced.
@@ -92,22 +52,14 @@ impl Recording {
         self.started.map(|_| Instant::now())
     }
 
-    /// Assemble the trace of the execution that produced `out` under `plan`'s
-    /// order; `None` — the caller supplied the order, or the engine has none —
-    /// solves the bounds of `out.order` here.
+    /// Assemble the trace of the execution that produced `out` under `plan`.
     pub(super) fn into_trace(
         self,
         query: &ConjunctiveQuery,
-        db: &Database,
         opts: &ExecOptions,
         out: &ExecOutput,
-        plan: Option<Plan>,
+        plan: &Plan,
     ) -> QueryTrace {
-        let plan = plan.or_else(|| cost_order(query, db, &out.order).ok());
-        let (agm_log2, agm_tuples, prefix_log2) = match plan {
-            Some(p) => (p.agm.log2_bound, p.agm.tuple_bound(), p.prefix_log2),
-            None => (f64::NAN, f64::NAN, Vec::new()),
-        };
         let order: Vec<String> = out
             .order
             .iter()
@@ -123,9 +75,13 @@ impl Recording {
         QueryTrace {
             engine: engine_name(opts.engine).to_string(),
             backend: backend_name(&self.atoms).to_string(),
-            threads: opts.resolved_threads(),
-            agm_log2,
-            agm_tuples,
+            // the binary baseline always runs serially
+            threads: match opts.engine {
+                Engine::BinaryHash => 1,
+                _ => opts.resolved_threads(),
+            },
+            agm_log2: plan.agm.log2_bound,
+            agm_tuples: plan.agm.tuple_bound(),
             rows: out.result.len() as u64,
             plan_ns: self.plan_ns,
             build_ns: self.build_ns,
@@ -135,7 +91,7 @@ impl Recording {
             levels: self.levels.map_or_else(Vec::new, |l| l.into_levels(&order)),
             morsels: self.morsels.into_inner(),
             order,
-            prefix_log2,
+            prefix_log2: plan.prefix_log2.clone(),
             work: work_pairs(&out.work),
             cache_hits: hits,
             cache_misses: misses,

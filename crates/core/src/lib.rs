@@ -19,12 +19,12 @@
 //! * a **prefix-bound planner** that costs a variable order by the sum of the AGM
 //!   bounds of its prefixes (the paper's own analysis of Algorithm 2) and picks
 //!   the cheapest — [`planner`];
-//! * **one entry**: [`exec::execute`] (engine only — the quick start below),
-//!   [`exec::execute_opts`] (full [`exec::ExecOptions`]), and three variants for
-//!   an explicit order, a cancel token and `EXPLAIN ANALYZE`, every one a
-//!   one-line call into the same internal function. Each returns the output
-//!   relation plus the [`wcoj_storage::WorkCounter`] tallies that let tests compare
-//!   measured work against the `N^{ρ*}` bound directly.
+//! * **one entry**: [`planner::plan`] makes a [`planner::Plan`] — the variable
+//!   order with its prefix bounds and the query's AGM bound, searched or costed
+//!   from a given order — and [`exec::run`] executes it; [`exec::execute_opts`]
+//!   and [`exec::execute_cancellable`] plan and run in one call. Each returns
+//!   the output relation plus the [`wcoj_storage::WorkCounter`] tallies that let
+//!   tests compare measured work against the `N^{ρ*}` bound directly.
 //!
 //! Rows and work counters are a function of `(query, database, options)`:
 //! nothing in this crate reads the environment, the filesystem or a clock to
@@ -38,7 +38,8 @@
 //! # Example: the triangle query three ways
 //!
 //! ```
-//! use wcoj_core::exec::{execute, Engine};
+//! use wcoj_core::exec::{execute_opts, run, Engine, ExecOptions};
+//! use wcoj_core::planner::plan;
 //! use wcoj_query::query::examples;
 //! use wcoj_query::Database;
 //! use wcoj_storage::Relation;
@@ -49,9 +50,12 @@
 //! db.insert("S", Relation::from_pairs("b", "c", vec![(2, 3), (3, 1), (3, 4)]));
 //! db.insert("T", Relation::from_pairs("a", "c", vec![(1, 3), (2, 1), (1, 4)]));
 //!
-//! let gj = execute(&q, &db, Engine::GenericJoin).unwrap();
-//! let lf = execute(&q, &db, Engine::Leapfrog).unwrap();
-//! let bh = execute(&q, &db, Engine::BinaryHash).unwrap();
+//! let gj = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
+//! let bh = execute_opts(&q, &db, &ExecOptions::new(Engine::BinaryHash)).unwrap();
+//! // plan once, run the plan: the order with the bounds that cost it
+//! let p = plan(&q, &db, None).unwrap();
+//! let lf = run(&q, &db, &p, &ExecOptions::new(Engine::Leapfrog), None).unwrap();
+//! assert!(lf.result.len() as f64 <= p.agm.tuple_bound()); // the AGM bound holds
 //! assert_eq!(gj.result, lf.result);
 //! assert_eq!(gj.result, bh.result);
 //! assert_eq!(gj.result.len(), 3); // three triangles
@@ -66,8 +70,8 @@ pub mod planner;
 
 pub use error::ExecError;
 pub use exec::{
-    execute, execute_cancellable, execute_explain, execute_opts, execute_opts_with_order,
-    CacheMode, CacheStats, CancelToken, Engine, ExecOptions, ExecOutput,
+    execute_cancellable, execute_opts, run, CacheMode, CacheStats, CancelToken, Engine,
+    ExecOptions, ExecOutput,
 };
-pub use planner::{agm_variable_order, plan, plan_order, Plan};
+pub use planner::{plan, plan_order, Plan};
 pub use wcoj_obs::{AtomTrace, LevelTrace, MorselTrace, QueryTrace, TraceSink, WorkerTrace};

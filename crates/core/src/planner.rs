@@ -16,7 +16,9 @@
 //!   of equal size keep the identity order, whose result needs no re-sort;
 //! * one- and two-variable sets are closed forms and the full set is the whole
 //!   query's AGM bound, solved once and kept as [`Plan::agm`]: a three-variable
-//!   query plans with that one LP.
+//!   query plans with that one LP;
+//! * an order the caller gives is costed by the same prefix bounds, not
+//!   searched — the one place an order's bounds are solved.
 //!
 //! The plan is a pure function of the query's shape and its atoms' sizes — never
 //! of cache state, options or the host.
@@ -54,59 +56,45 @@ pub fn plan_order(
     db: &Database,
     opts: &ExecOptions,
 ) -> Result<Vec<VarId>, ExecError> {
-    match opts.engine {
-        Engine::BinaryHash => Ok(default_order(query)),
-        Engine::GenericJoin | Engine::Leapfrog => agm_variable_order(query, db),
-    }
+    Ok(plan(query, db, baseline_order(query, opts).as_deref())?.order)
 }
 
-/// The order [`plan`] chooses for `query` over `db`.
-pub fn agm_variable_order(
+/// The order an execution configured by `opts` runs under when its caller gave
+/// none and the planner is not asked: the binary baseline ignores the order, so
+/// it keeps the identity.
+pub(crate) fn baseline_order(query: &ConjunctiveQuery, opts: &ExecOptions) -> Option<Vec<VarId>> {
+    (opts.engine == Engine::BinaryHash).then(|| default_order(query))
+}
+
+/// The plan of `query` over `db`: the given `order` costed, or with `None` the
+/// variable order of least prefix-bound cost, ties to the lexicographically
+/// least.
+pub fn plan(
     query: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Vec<VarId>, ExecError> {
-    Ok(plan(query, db)?.order)
-}
-
-/// The variable order of least prefix-bound cost for `query` over `db`, ties to
-/// the lexicographically least.
-pub fn plan(query: &ConjunctiveQuery, db: &Database) -> Result<Plan, ExecError> {
-    plan_from_bound(query, agm_bound(query, db)?)
+    order: Option<&[VarId]>,
+) -> Result<Plan, ExecError> {
+    plan_from_bound(query, agm_bound(query, db)?, order)
 }
 
 /// [`plan`], given the whole query's solved bound — whose `log_sizes` are all the
-/// planner reads of the data. An empty relation empties the output under every
-/// order, so it keeps the identity order (and the orders its neighbours'
-/// access structures are cached under).
-pub fn plan_from_bound(query: &ConjunctiveQuery, agm: AgmBound) -> Result<Plan, ExecError> {
-    let order = if agm.log2_bound == f64::NEG_INFINITY {
-        default_order(query)
-    } else if query.num_vars() <= EXHAUSTIVE_VARS {
-        exhaustive_order(query, &agm)?
-    } else {
-        greedy_order(query, &agm)?
-    };
-    with_prefix_bounds(query, order, agm)
-}
-
-/// The prefix bounds of a given `order` (a permutation of the query's
-/// variables): what [`plan`] would report had it chosen `order`.
-pub fn cost_order(
+/// planner reads of the data. A given `order` must be a permutation of the
+/// query's variables ([`ExecError::InvalidOrder`]) and is costed, not searched.
+/// An empty relation empties the output under every order, so the search keeps
+/// the identity order (and the orders its neighbours' access structures are
+/// cached under).
+pub fn plan_from_bound(
     query: &ConjunctiveQuery,
-    db: &Database,
-    order: &[VarId],
-) -> Result<Plan, ExecError> {
-    if !is_valid_order(query, order) {
-        return Err(ExecError::InvalidOrder(order.to_vec()));
-    }
-    with_prefix_bounds(query, order.to_vec(), agm_bound(query, db)?)
-}
-
-fn with_prefix_bounds(
-    query: &ConjunctiveQuery,
-    order: Vec<VarId>,
     agm: AgmBound,
+    order: Option<&[VarId]>,
 ) -> Result<Plan, ExecError> {
+    let order = match order {
+        Some(order) if is_valid_order(query, order) => order.to_vec(),
+        Some(order) => return Err(ExecError::InvalidOrder(order.to_vec())),
+        None if agm.log2_bound == f64::NEG_INFINITY => default_order(query),
+        None if query.num_vars() <= EXHAUSTIVE_VARS => exhaustive_order(query, &agm)?,
+        None => greedy_order(query, &agm)?,
+    };
     let mut prefix_log2 = Vec::with_capacity(order.len());
     for i in 1..order.len() {
         prefix_log2.push(prefix_log2_bound(query, &agm.log_sizes, &order[..i])?);
@@ -219,7 +207,7 @@ mod tests {
         ];
         for q in queries {
             let db = db_of(&q, &vec![81; q.atoms().len()]);
-            let plan = plan(&q, &db).unwrap();
+            let plan = plan(&q, &db, None).unwrap();
             assert_eq!(plan.order, default_order(&q), "{q}");
             assert_eq!(plan.prefix_log2.len(), q.num_vars());
             assert_eq!(plan.prefix_log2.last(), Some(&plan.agm.log2_bound));
@@ -232,7 +220,7 @@ mod tests {
         // first — as they do in B, C, A, the old heuristic's pick, which also
         // costs 4 + 4 + 16; the tie goes to the identity order
         let q = examples::triangle();
-        let plan = plan(&q, &db_of(&q, &[4, 4, 1024])).unwrap();
+        let plan = plan(&q, &db_of(&q, &[4, 4, 1024]), None).unwrap();
         assert_eq!(plan.order, vec![0, 1, 2]);
         assert_eq!(plan.prefix_log2, vec![2.0, 2.0, 4.0]);
         assert_eq!(cost(&plan), 24.0);
@@ -245,19 +233,22 @@ mod tests {
         // 64 + 64 + 128 for the C-first order the cover weights used to pick
         let q = examples::triangle();
         let db = db_of(&q, &[4, 64, 64]);
-        let plan = plan(&q, &db).unwrap();
+        let plan = plan(&q, &db, None).unwrap();
         assert_eq!(plan.order, vec![0, 1, 2]);
         assert_eq!(cost(&plan), 136.0);
-        assert_eq!(cost(&cost_order(&q, &db, &[2, 0, 1]).unwrap()), 256.0);
+        assert_eq!(
+            cost(&super::plan(&q, &db, Some(&[2, 0, 1])).unwrap()),
+            256.0
+        );
         // the needle moved to S(B, C): bind B, C first
-        let plan = super::plan(&q, &db_of(&q, &[64, 4, 64])).unwrap();
+        let plan = super::plan(&q, &db_of(&q, &[64, 4, 64]), None).unwrap();
         assert_eq!(plan.order, vec![1, 2, 0]);
     }
 
     #[test]
     fn empty_relation_still_plans() {
         let q = examples::triangle();
-        let plan = plan(&q, &db_of(&q, &[4, 0, 4])).unwrap();
+        let plan = plan(&q, &db_of(&q, &[4, 0, 4]), None).unwrap();
         assert_eq!(
             plan.order,
             vec![0, 1, 2],
@@ -272,11 +263,11 @@ mod tests {
         let q = examples::triangle();
         let db = Database::new();
         assert!(matches!(
-            agm_variable_order(&q, &db).unwrap_err(),
+            plan(&q, &db, None).unwrap_err(),
             ExecError::Bound(_)
         ));
         assert!(matches!(
-            cost_order(&q, &db_of(&q, &[1, 1, 1]), &[0, 1, 1]).unwrap_err(),
+            plan(&q, &db_of(&q, &[1, 1, 1]), Some(&[0, 1, 1])).unwrap_err(),
             ExecError::InvalidOrder(_)
         ));
     }
@@ -287,7 +278,7 @@ mod tests {
             .atom("R", &["A", "B", "C"])
             .build()
             .unwrap();
-        let plan = plan(&one, &db_of(&one, &[32])).unwrap();
+        let plan = plan(&one, &db_of(&one, &[32]), None).unwrap();
         assert_eq!(plan.order, vec![0, 1, 2]);
         assert_eq!(plan.prefix_log2, vec![5.0, 5.0, 5.0]);
         // disconnected: R(A, B) × S(C, D) with S the smaller — its variables go
@@ -297,7 +288,7 @@ mod tests {
             .atom("S", &["C", "D"])
             .build()
             .unwrap();
-        let plan = super::plan(&cross, &db_of(&cross, &[32, 8])).unwrap();
+        let plan = super::plan(&cross, &db_of(&cross, &[32, 8]), None).unwrap();
         assert_eq!(plan.order, vec![2, 3, 0, 1]);
         assert_eq!(plan.prefix_log2, vec![3.0, 3.0, 8.0, 8.0]);
     }
@@ -312,15 +303,15 @@ mod tests {
         }
         let path = builder.build().unwrap();
         assert!(path.num_vars() > EXHAUSTIVE_VARS);
-        let equal = plan(&path, &db_of(&path, &[16; 7])).unwrap();
+        let equal = plan(&path, &db_of(&path, &[16; 7]), None).unwrap();
         assert_eq!(equal.order, default_order(&path), "ties keep the identity");
-        let plan = plan(&path, &db_of(&path, &[16, 16, 16, 2, 16, 16, 16])).unwrap();
+        let plan = plan(&path, &db_of(&path, &[16, 16, 16, 2, 16, 16, 16]), None).unwrap();
         assert!(is_valid_order(&path, &plan.order));
         assert_eq!(&plan.order[..2], &[3, 4], "the small edge E3(X3, X4) first");
         assert_eq!(plan.prefix_log2.last(), Some(&plan.agm.log2_bound));
         // every prefix bound is what costing the chosen order reports
         let db = db_of(&path, &[16, 16, 16, 2, 16, 16, 16]);
-        let costed = cost_order(&path, &db, &plan.order).unwrap();
+        let costed = super::plan(&path, &db, Some(&plan.order)).unwrap();
         assert_eq!(costed.prefix_log2, plan.prefix_log2);
     }
 

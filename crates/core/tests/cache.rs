@@ -10,10 +10,10 @@
 //! ever surfacing a stale structure; and the two WCOJ engines must share one
 //! cached trie per `(relation, order)`.
 
-use wcoj_core::exec::{
-    execute_explain, execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions,
-};
-use wcoj_core::planner::agm_variable_order;
+use std::sync::Arc;
+use wcoj_core::exec::{execute_opts, run, CacheMode, Engine, ExecOptions};
+use wcoj_core::planner::{plan, Plan};
+use wcoj_core::TraceSink;
 use wcoj_query::query::examples;
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{Relation, Schema};
@@ -26,15 +26,15 @@ const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::L
 fn assert_cached_matches_uncached(
     query: &ConjunctiveQuery,
     db: &Database,
-    order: &[usize],
+    plan: &Plan,
     label: &str,
 ) {
     for engine in ENGINES {
         for threads in [1usize, 4] {
             let base = ExecOptions::new(engine).with_threads(threads);
-            let off = execute_opts_with_order(query, db, &base.with_cache(CacheMode::Off), order)
+            let off = run(query, db, plan, &base.with_cache(CacheMode::Off), None)
                 .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
-            let on = execute_opts_with_order(query, db, &base.with_cache(CacheMode::On), order)
+            let on = run(query, db, plan, &base.with_cache(CacheMode::On), None)
                 .unwrap_or_else(|e| panic!("{label}: on {engine:?} failed: {e}"));
             assert_eq!(
                 on.result, off.result,
@@ -51,8 +51,8 @@ fn assert_cached_matches_uncached(
 #[test]
 fn cache_on_equals_cache_off_under_log_mutations() {
     let Workload { query, mut db, .. } = query_replay(96, 0xE8);
-    let order = agm_variable_order(&query, &db).expect("planner");
-    assert_cached_matches_uncached(&query, &db, &order, "initial");
+    let plan = plan(&query, &db, None).expect("planner");
+    assert_cached_matches_uncached(&query, &db, &plan, "initial");
 
     // every visibility-changing mutation kind, with queries replayed between:
     // buffered appends, deletes, seals (epoch advance + new runs), compaction
@@ -91,7 +91,7 @@ fn cache_on_equals_cache_off_under_log_mutations() {
                 );
             }
         }
-        assert_cached_matches_uncached(&query, &db, &order, &format!("step {step}"));
+        assert_cached_matches_uncached(&query, &db, &plan, &format!("step {step}"));
     }
 }
 
@@ -123,15 +123,16 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
     // a deliberately non-native variable order: every atom's columns must be
     // permuted, so the delta atom flows through a cached view (the native
     // order borrows the log directly and bypasses the cache)
-    let order = vec![2, 1, 0]; // C, B, A: every atom binds positions [1, 0]
+    // C, B, A: every atom binds positions [1, 0]
+    let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
 
-    let cold = execute_opts_with_order(&query, &db, &opts, &order).expect("cold");
+    let cold = run(&query, &db, &plan, &opts, None).expect("cold");
     assert_eq!(cold.cache_stats.hits, 0);
     assert_eq!(cold.cache_stats.misses, 3, "all three atoms built cold");
     assert!(cold.cache_stats.bytes > 0, "built structures are resident");
 
-    let warm = execute_opts_with_order(&query, &db, &opts, &order).expect("warm");
+    let warm = run(&query, &db, &plan, &opts, None).expect("warm");
     assert_eq!(warm.cache_stats.misses, 0);
     assert_eq!(warm.cache_stats.hits, 3, "all three atoms reused warm");
     assert_eq!(warm.result, cold.result);
@@ -144,15 +145,14 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
             .expect("append");
     }
     db.seal("R").expect("seal");
-    let merged = execute_opts_with_order(&query, &db, &opts, &order).expect("merged");
+    let merged = run(&query, &db, &plan, &opts, None).expect("merged");
     assert_eq!(
         merged.cache_stats.incremental_merges, 1,
         "R extends incrementally"
     );
     assert_eq!(merged.cache_stats.hits, 2, "S and T still hit");
     assert_eq!(merged.cache_stats.misses, 0);
-    let off = execute_opts_with_order(&query, &db, &opts.with_cache(CacheMode::Off), &order)
-        .expect("off");
+    let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
     assert_eq!(
         merged.result, off.result,
         "incremental merge is bit-identical"
@@ -161,12 +161,11 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
 
     // compaction rewrites the run list: the view diverges and R rebuilds
     db.compact("R").expect("compact");
-    let rebuilt = execute_opts_with_order(&query, &db, &opts, &order).expect("rebuilt");
+    let rebuilt = run(&query, &db, &plan, &opts, None).expect("rebuilt");
     assert_eq!(rebuilt.cache_stats.incremental_merges, 0);
     assert_eq!(rebuilt.cache_stats.misses, 1, "compacted R rebuilds");
     assert_eq!(rebuilt.cache_stats.hits, 2);
-    let off = execute_opts_with_order(&query, &db, &opts.with_cache(CacheMode::Off), &order)
-        .expect("off");
+    let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
     assert_eq!(rebuilt.result, off.result);
     assert_eq!(rebuilt.work, off.work);
 }
@@ -193,11 +192,11 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
         db.insert_delta_relation(name, delta);
     }
     db.set_cache_budget(64 << 20);
-    let order = vec![2, 1, 0]; // every atom binds positions [1, 0]
+    // every atom binds positions [1, 0]
+    let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
-    let run = |db: &Database, opts: &ExecOptions| {
-        execute_opts_with_order(&query, db, opts, &order).expect("query")
-    };
+    let run =
+        |db: &Database, opts: &ExecOptions| run(&query, db, &plan, opts, None).expect("query");
     // small batches of fresh tuples: never a tier merge against a 512-row base
     let seal_batch = |db: &mut Database, salt: u64| {
         for name in ["R", "S", "T"] {
@@ -283,9 +282,10 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
         "T",
         Relation::from_pairs("A", "C", random_pairs(256, 32, 0xE903)),
     );
-    let order = vec![2, 1, 0]; // permuted: the delta atom flows through a cached view
+    // permuted: the delta atom flows through a cached view
+    let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
-    let cold = execute_opts_with_order(&query, &db, &opts, &order).expect("cold");
+    let cold = run(&query, &db, &plan, &opts, None).expect("cold");
     assert_eq!(cold.cache_stats.misses, 3);
 
     let (epoch, runs) = {
@@ -297,7 +297,7 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
     assert_eq!(d.epoch(), epoch, "empty seal must not bump the epoch");
     assert_eq!(d.run_ids(), runs, "empty seal must not touch the run list");
 
-    let warm = execute_opts_with_order(&query, &db, &opts, &order).expect("warm");
+    let warm = run(&query, &db, &plan, &opts, None).expect("warm");
     assert_eq!(
         warm.cache_stats.hits, 3,
         "cache still hits after empty seal"
@@ -311,20 +311,22 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
 #[test]
 fn eviction_under_pressure_never_surfaces_stale_structures() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE82);
-    let order = agm_variable_order(&query, &db).expect("planner");
+    let plan = plan(&query, &db, None).expect("planner");
     let opts = ExecOptions::new(Engine::GenericJoin).with_threads(1);
-    let off = execute_opts_with_order(&query, &db, &opts.with_cache(CacheMode::Off), &order)
-        .expect("off");
+    let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
 
     // measure the full working set (3 tries under each of two variable
     // orders), then starve the cache to 3/4 of it: individual entries still
     // fit, the set does not (explicit budget first, so WCOJ_CACHE_BYTES=0
     // cannot void the warm-up)
     db.set_cache_budget(64 << 20);
-    let reversed: Vec<usize> = order.iter().rev().copied().collect();
-    let orders = [order, reversed];
-    for order in &orders {
-        execute_opts_with_order(&query, &db, &opts, order).expect("warm-up");
+    let reversed: Vec<usize> = plan.order.iter().rev().copied().collect();
+    let plans = [
+        plan,
+        wcoj_core::plan(&query, &db, Some(&reversed)).expect("plan"),
+    ];
+    for plan in &plans {
+        run(&query, &db, plan, &opts, None).expect("warm-up");
     }
     assert_eq!(
         db.access_cache().len(),
@@ -339,8 +341,9 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
     let mut evictions = 0u64;
     for round in 0..4 {
         // alternate orders so the two sets of tries fight over the budget
-        for order in &orders {
-            let out = execute_opts_with_order(&query, &db, &opts, order)
+        for plan in &plans {
+            let order = &plan.order;
+            let out = run(&query, &db, plan, &opts, None)
                 .unwrap_or_else(|e| panic!("round {round}/{order:?}: {e}"));
             assert_eq!(out.result, off.result, "round {round}/{order:?}");
             evictions += out.cache_stats.evictions;
@@ -354,7 +357,7 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
 
     // zero budget disables the cache outright: no hits, no residency
     db.set_cache_budget(0);
-    let disabled = execute_opts_with_order(&query, &db, &opts, &orders[0]).expect("disabled");
+    let disabled = run(&query, &db, &plans[0], &opts, None).expect("disabled");
     assert_eq!(disabled.result, off.result);
     assert_eq!(disabled.cache_stats.hits, 0);
     assert_eq!(disabled.cache_stats.misses, 0);
@@ -369,17 +372,17 @@ fn eviction_under_pressure_never_surfaces_stale_structures() {
 fn generic_join_and_leapfrog_share_one_cached_trie() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE84);
     db.set_cache_budget(64 << 20);
-    let order = agm_variable_order(&query, &db).expect("planner");
+    let plan = plan(&query, &db, None).expect("planner");
     let atoms = query.atoms().len() as u64;
     let oracle = execute_opts(&query, &db, &ExecOptions::new(Engine::BinaryHash)).expect("oracle");
 
     let gj = ExecOptions::new(Engine::GenericJoin);
-    let first = execute_opts_with_order(&query, &db, &gj, &order).expect("generic join");
+    let first = run(&query, &db, &plan, &gj, None).expect("generic join");
     assert_eq!(first.cache_stats.misses, atoms, "every atom built cold");
     assert_eq!(first.result, oracle.result);
 
     let lf = ExecOptions::new(Engine::Leapfrog);
-    let second = execute_opts_with_order(&query, &db, &lf, &order).expect("leapfrog");
+    let second = run(&query, &db, &plan, &lf, None).expect("leapfrog");
     assert_eq!(second.cache_stats.hits, atoms, "every atom reused");
     assert_eq!(second.cache_stats.misses, 0);
     assert_eq!(second.cache_stats.bytes, first.cache_stats.bytes);
@@ -395,9 +398,9 @@ fn rebinding_a_name_reclaims_the_old_bindings_entries() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE85);
     db.set_cache_budget(64 << 20);
     // the identity order: every atom binds positions [0, 1] whatever the sizes
-    let order = vec![0, 1, 2];
+    let plan = plan(&query, &db, Some(&[0, 1, 2])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
-    let run = |db: &Database| execute_opts_with_order(&query, db, &opts, &order).expect("query");
+    let run = |db: &Database| run(&query, db, &plan, &opts, None).expect("query");
     let rebind = |db: &mut Database, seed| {
         let pairs = random_pairs(256, 64, seed);
         db.insert("R", Relation::from_pairs("A", "B", pairs));
@@ -456,8 +459,10 @@ fn an_empty_relation_caches_and_tallies_nothing() {
         }
     }
     assert_eq!(db.access_cache().len(), 2, "R and T only");
-    let (_, trace) =
-        execute_explain(&query, &db, &ExecOptions::new(Engine::GenericJoin)).expect("explain");
+    let sink = Arc::new(TraceSink::new());
+    let opts = ExecOptions::new(Engine::GenericJoin).with_trace(Arc::clone(&sink));
+    execute_opts(&query, &db, &opts).expect("traced");
+    let trace = sink.take().expect("trace deposited");
     let s = &trace.atoms[1];
     assert_eq!((s.relation.as_str(), s.kind.as_str()), ("S", "delta"));
     assert_eq!(s.outcome, "bypass");

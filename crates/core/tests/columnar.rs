@@ -17,9 +17,9 @@
 
 use std::sync::Arc;
 use wcoj_core::exec::{
-    execute, execute_cancellable, execute_opts_with_order, CacheMode, CancelToken, Engine,
-    ExecOptions, ExecOutput,
+    execute_cancellable, execute_opts, run, CacheMode, CancelToken, Engine, ExecOptions, ExecOutput,
 };
+use wcoj_core::planner::{plan, Plan};
 use wcoj_obs::TraceSink;
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{Relation, Schema};
@@ -88,16 +88,17 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     orders
 }
 
-/// One execution in each of the three serial/parallel driver modes.
-fn run(w: &Workload, opts: &ExecOptions, order: &[usize], mode: &str) -> ExecOutput {
+/// One execution of `plan` in each of the three serial/parallel driver modes.
+fn run_mode(w: &Workload, opts: &ExecOptions, plan: &Plan, mode: &str) -> ExecOutput {
+    let order = &plan.order;
     let out = match mode {
-        "plain" => execute_opts_with_order(&w.query, &w.db, opts, order),
+        "plain" => run(&w.query, &w.db, plan, opts, None),
         "cancellable" => {
             execute_cancellable(&w.query, &w.db, opts, Some(order), &CancelToken::new())
         }
         "traced" => {
             let traced = opts.with_trace(Arc::new(TraceSink::new()));
-            execute_opts_with_order(&w.query, &w.db, &traced, order)
+            run(&w.query, &w.db, plan, &traced, None)
         }
         other => unreachable!("unknown mode {other}"),
     };
@@ -121,7 +122,7 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
             dense(triangle_live(256, seed)),
         ];
         for w in &shapes {
-            let expected = execute(&w.query, &w.db, Engine::BinaryHash)
+            let expected = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::BinaryHash))
                 .unwrap_or_else(|e| panic!("{}: baseline failed: {e}", w.name))
                 .result;
             let must_be_empty = w.name.starts_with("empty_relation");
@@ -132,6 +133,7 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                 &[CacheMode::On]
             };
             for order in permutations(w.query.num_vars()) {
+                let plan = plan(&w.query, &w.db, Some(&order)).expect("plan");
                 for engine in [Engine::GenericJoin, Engine::Leapfrog] {
                     let mut work = None;
                     for &cache in caches {
@@ -140,7 +142,7 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                                 .with_cache(cache)
                                 .with_threads(threads);
                             for mode in ["plain", "cancellable", "traced"] {
-                                let out = run(w, &opts, &order, mode);
+                                let out = run_mode(w, &opts, &plan, mode);
                                 let at = format!(
                                     "{} {engine:?} order {order:?} cache {cache:?} x{threads} \
                                      {mode}",

@@ -7,8 +7,8 @@
 //! deterministic (parallel ≡ serial for every configuration); and both
 //! properties must survive **every** compaction step down to a single run.
 
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{run, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_query::Database;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::{edge_stream, edge_stream_ops, SplitMix64, Workload};
@@ -36,14 +36,14 @@ fn rebuilt(db: &Database) -> Database {
 /// bit, kernel tallies included, and no union-cursor work at all.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
-    let order = agm_variable_order(&w.query, &static_db).expect("planner");
+    let plan = plan(&w.query, &static_db, None).expect("planner");
     for engine in ENGINES {
         let mut serial_work = None;
         for threads in [1usize, 4] {
             let opts = ExecOptions::new(engine).with_threads(threads);
-            let live = execute_opts_with_order(&w.query, &w.db, &opts, &order)
+            let live = run(&w.query, &w.db, &plan, &opts, None)
                 .unwrap_or_else(|e| panic!("{label}: live {engine:?} failed: {e}"));
-            let full = execute_opts_with_order(&w.query, &static_db, &opts, &order)
+            let full = run(&w.query, &static_db, &plan, &opts, None)
                 .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
             assert_eq!(
                 live.result, full.result,
@@ -74,9 +74,9 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         for threads in [1usize, 4] {
             let opts = ExecOptions::new(engine).with_threads(threads);
-            let live = execute_opts_with_order(&w.query, &compacted, &opts, &order)
+            let live = run(&w.query, &compacted, &plan, &opts, None)
                 .unwrap_or_else(|e| panic!("{label}: compacted {engine:?} failed: {e}"));
-            let full = execute_opts_with_order(&w.query, &static_db, &opts, &order)
+            let full = run(&w.query, &static_db, &plan, &opts, None)
                 .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
             assert_eq!(live.result, full.result, "{label}: {engine:?}/t{threads}");
             assert_eq!(

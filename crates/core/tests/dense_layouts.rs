@@ -8,8 +8,8 @@
 //! One `#[test]`: the dispatch level is process-global, so this file must not
 //! grow concurrent tests that execute queries.
 
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{run, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
 use wcoj_storage::simd;
@@ -22,10 +22,8 @@ fn complete_graph_triangles_agree_at_every_level() {
     let pairs = (0..N).flat_map(|a| (0..N).map(move |b| (a, b)));
     db.insert("E", Relation::from_pairs("src", "dst", pairs));
     let query = examples::clique(3);
-    let order = agm_variable_order(&query, &db).expect("planner");
-    let run = |engine| {
-        execute_opts_with_order(&query, &db, &ExecOptions::new(engine), &order).expect("execute")
-    };
+    let plan = plan(&query, &db, None).expect("planner");
+    let run = |engine| run(&query, &db, &plan, &ExecOptions::new(engine), None).expect("execute");
     let baseline = run(Engine::BinaryHash);
     assert_eq!(baseline.result.len() as u64, N * N * N);
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {

@@ -12,8 +12,8 @@
 //! Every forced kernel policy runs this suite too (`tests/kernels.rs`).
 
 use wcoj_bounds::agm::agm_bound;
-use wcoj_core::exec::{execute, execute_opts, execute_opts_with_order, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{execute_opts, run, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_query::Database;
 use wcoj_storage::ops::nested_loop_join;
 use wcoj_storage::Relation;
@@ -48,7 +48,8 @@ fn wcoj_engines_match_nested_loop_reference() {
 fn output_size_never_exceeds_agm_bound() {
     for w in differential_suite(0xA6B) {
         let bound = agm_bound(&w.query, &w.db).expect("agm bound").tuple_bound();
-        let out = execute(&w.query, &w.db, Engine::Leapfrog).expect("leapfrog");
+        let out =
+            execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::Leapfrog)).expect("leapfrog");
         assert!(
             out.result.len() as f64 <= bound + 1e-6,
             "{}: |Q| = {} exceeds AGM bound {bound}",
@@ -80,9 +81,10 @@ fn every_order_agrees_across_engines_on_four_cycle() {
         orders = extended;
     }
     for order in orders {
+        let plan = plan(&w.query, &w.db, Some(&order)).unwrap();
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let opts = ExecOptions::new(engine);
-            let out = execute_opts_with_order(&w.query, &w.db, &opts, &order).unwrap();
+            let out = run(&w.query, &w.db, &plan, &opts, None).unwrap();
             assert_eq!(out.result, expected, "order {order:?} engine {engine:?}");
         }
     }
@@ -100,10 +102,9 @@ fn triangle_1024_work_stays_within_constant_factor_of_agm() {
     assert!(agm <= 1024f64.powf(1.5) + 1e-6);
 
     let expected = reference(&w);
-    let order = agm_variable_order(&w.query, &w.db).expect("planner");
+    let plan = plan(&w.query, &w.db, None).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        let out =
-            execute_opts_with_order(&w.query, &w.db, &ExecOptions::new(engine), &order).unwrap();
+        let out = run(&w.query, &w.db, &plan, &ExecOptions::new(engine), None).unwrap();
         assert_eq!(out.result, expected, "{engine:?} diverges at N=1024");
 
         let cursor_work = (out.work.probes() + out.work.intersect_steps()) as f64;
@@ -127,9 +128,9 @@ fn adversarial_triangle_binary_plan_blows_up_but_wcoj_does_not() {
     // near-linear work.
     let m = 128;
     let w = wcoj_workloads::triangle_adversarial(m);
-    let binary = execute(&w.query, &w.db, Engine::BinaryHash).unwrap();
-    let leapfrog = execute(&w.query, &w.db, Engine::Leapfrog).unwrap();
-    let generic = execute(&w.query, &w.db, Engine::GenericJoin).unwrap();
+    let binary = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::BinaryHash)).unwrap();
+    let leapfrog = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::Leapfrog)).unwrap();
+    let generic = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
     assert_eq!(binary.result, leapfrog.result);
     assert_eq!(binary.result, generic.result);
     assert_eq!(binary.result.len() as u64, 3 * m - 2);
@@ -153,9 +154,10 @@ fn planner_order_is_no_worse_than_default_on_skew() {
     // the planned order must not lose to the appearance order by more than a
     // small factor on the skewed instance (it usually wins)
     let w = wcoj_workloads::triangle_skewed(1_000, 48, 1.3, 0xFACE);
-    let planned = execute(&w.query, &w.db, Engine::GenericJoin).unwrap();
+    let planned = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
     let opts = ExecOptions::new(Engine::GenericJoin);
-    let default = execute_opts_with_order(&w.query, &w.db, &opts, &[0, 1, 2]).unwrap();
+    let identity = plan(&w.query, &w.db, Some(&[0, 1, 2])).unwrap();
+    let default = run(&w.query, &w.db, &identity, &opts, None).unwrap();
     assert_eq!(planned.result, default.result);
     let planned_work = planned.work.probes() + planned.work.intersect_steps();
     let default_work = default.work.probes() + default.work.intersect_steps();
@@ -170,6 +172,9 @@ fn missing_relation_fails_cleanly_for_all_engines() {
     let q = wcoj_query::query::examples::triangle();
     let db = Database::new();
     for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-        assert!(execute(&q, &db, engine).is_err(), "{engine:?}");
+        assert!(
+            execute_opts(&q, &db, &ExecOptions::new(engine)).is_err(),
+            "{engine:?}"
+        );
     }
 }

@@ -4,10 +4,19 @@
 //! suite, over one trie per atom and over the union cursor, and the adaptive policy must actually record its
 //! per-kernel choices in the `WorkCounter` breakdown.
 
-use wcoj_core::exec::{execute, execute_explain, execute_opts, Engine, ExecOptions};
+use std::sync::Arc;
+use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
+use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{DeltaRelation, KernelPolicy, Relation, Schema};
 use wcoj_workloads::differential_suite;
+
+/// The trace of one planned and traced execution.
+fn traced(query: &ConjunctiveQuery, db: &Database, opts: &ExecOptions) -> QueryTrace {
+    let sink = Arc::new(TraceSink::new());
+    execute_opts(query, db, &opts.with_trace(Arc::clone(&sink))).unwrap();
+    sink.take().expect("trace deposited")
+}
 
 #[test]
 fn every_kernel_policy_gives_identical_results() {
@@ -71,7 +80,7 @@ fn kernel_policies_agree_on_both_backends_and_threads() {
         let live = churned_twin(&w.db);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine)).unwrap();
-            let (_, trace) = execute_explain(&w.query, &live, &ExecOptions::new(engine)).unwrap();
+            let trace = traced(&w.query, &live, &ExecOptions::new(engine));
             assert_eq!(trace.backend, "delta", "{}: {engine:?}", w.name);
             for policy in KernelPolicy::ALL {
                 for (backend, db) in [("trie", &w.db), ("delta", &live)] {
@@ -149,7 +158,9 @@ fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
     db.insert("S", Relation::from_pairs("x", "y", pairs(1)));
     db.insert("T", Relation::from_pairs("x", "y", pairs(2)));
     let q = wcoj_query::query::examples::triangle();
-    let expected = execute(&q, &db, Engine::BinaryHash).unwrap().result;
+    let expected = execute_opts(&q, &db, &ExecOptions::new(Engine::BinaryHash))
+        .unwrap()
+        .result;
     assert!(!expected.is_empty());
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         let base = ExecOptions::new(engine);
@@ -166,7 +177,7 @@ fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
         // the trace charges a level's ANDs what the counter does: word
         // probes, and nothing else (the leapfrog ring's interior level
         // calls no kernel)
-        let (_, trace) = execute_explain(&q, &db, &base).unwrap();
+        let trace = traced(&q, &db, &base);
         for (i, l) in trace.levels.iter().enumerate() {
             let anded = engine == Engine::GenericJoin || i != 1;
             assert_eq!(
@@ -214,7 +225,9 @@ fn a_query_spanning_all_of_u64_matches_the_baseline() {
         .build()
         .unwrap();
     for (q, arity) in [(&roots, 1), (&children, 2)] {
-        let expected = execute(q, &db, Engine::BinaryHash).unwrap().result;
+        let expected = execute_opts(q, &db, &ExecOptions::new(Engine::BinaryHash))
+            .unwrap()
+            .result;
         let last: Vec<u64> = expected.iter().map(|row| row[arity - 1]).collect();
         assert_eq!(last, [0, 2, 4, u64::MAX]);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {

@@ -7,14 +7,14 @@
 //! `wcoj_core::exec::parallel` (driver-counted intersection + scheduling-independent
 //! per-extension work).
 
-use wcoj_core::exec::{execute, execute_opts, Engine, ExecOptions};
+use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
 use wcoj_workloads::differential_suite;
 
 #[test]
 fn parallel_results_and_merged_counters_equal_serial() {
     for w in differential_suite(0x9A11E1) {
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let serial = execute(&w.query, &w.db, engine)
+            let serial = execute_opts(&w.query, &w.db, &ExecOptions::new(engine))
                 .unwrap_or_else(|e| panic!("{}: serial {engine:?} failed: {e}", w.name));
             for threads in [1usize, 2, 4, 8] {
                 let opts = ExecOptions::new(engine).with_threads(threads);
@@ -40,7 +40,7 @@ fn parallel_results_and_merged_counters_equal_serial() {
 fn oversubscribed_threads_are_harmless() {
     // more threads than extension values: extra workers claim nothing and exit
     let w = wcoj_workloads::triangle(32, 0xFEED);
-    let serial = execute(&w.query, &w.db, Engine::GenericJoin).unwrap();
+    let serial = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
     let opts = ExecOptions::new(Engine::GenericJoin).with_threads(64);
     let out = execute_opts(&w.query, &w.db, &opts).unwrap();
     assert_eq!(out.result, serial.result);

@@ -13,9 +13,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 use wcoj_bounds::agm::{agm_bound_from_sizes, prefix_log2_bound};
-use wcoj_core::exec::{execute_opts, execute_opts_with_order, CacheMode, Engine, ExecOptions};
-use wcoj_core::planner::{cost_order, plan, plan_from_bound};
-use wcoj_core::{QueryTrace, TraceSink};
+use wcoj_core::exec::{
+    execute_cancellable, execute_opts, run, CacheMode, CancelToken, Engine, ExecOptions,
+};
+use wcoj_core::planner::{plan, plan_from_bound};
+use wcoj_core::{ExecError, QueryTrace, TraceSink};
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::Relation;
 use wcoj_workloads::{differential_suite, needle, random_pairs, SplitMix64, Workload};
@@ -130,7 +132,7 @@ fn the_dp_finds_the_brute_force_minimum_and_the_closed_forms_equal_the_lp() {
         let orders = permutations(n);
         let costs: Vec<f64> = orders.iter().map(|o| cost(o, &mut oracle)).collect();
         let least = costs.iter().copied().fold(f64::INFINITY, f64::min);
-        let plan = plan_from_bound(&query, agm).expect("plan");
+        let plan = plan_from_bound(&query, agm, None).expect("plan");
         let label = format!("{query} sizes {sizes:?}: planned {:?}", plan.order);
         let planned: f64 = plan.prefix_log2.iter().map(|l| l.exp2()).sum();
         assert!((planned - least).abs() <= 1e-9 * least, "{label}");
@@ -151,7 +153,8 @@ fn traced(w: &Workload, opts: &ExecOptions, order: Option<&[VarId]>) -> QueryTra
     let sink = Arc::new(TraceSink::new());
     let opts = opts.with_trace(Arc::clone(&sink));
     match order {
-        Some(order) => execute_opts_with_order(&w.query, &w.db, &opts, order),
+        Some(order) => plan(&w.query, &w.db, Some(order))
+            .and_then(|plan| run(&w.query, &w.db, &plan, &opts, None)),
         None => execute_opts(&w.query, &w.db, &opts),
     }
     .unwrap_or_else(|e| panic!("{}: {e}", w.name));
@@ -161,7 +164,7 @@ fn traced(w: &Workload, opts: &ExecOptions, order: Option<&[VarId]>) -> QueryTra
 #[test]
 fn candidates_stay_under_the_prefix_bound_at_every_level() {
     for w in differential_suite(0xCE27) {
-        let planned = plan(&w.query, &w.db).expect("plan");
+        let planned = plan(&w.query, &w.db, None).expect("plan");
         let reversed: Vec<VarId> = (0..w.query.num_vars()).rev().collect();
         let (mut worst, mut loosest) = (0.0f64, 1.0f64);
         for engine in WCOJ {
@@ -204,7 +207,7 @@ fn a_caller_supplied_order_is_traced_with_its_own_bounds() {
     let w = needle(256, 3);
     let order = [2, 0, 1];
     let trace = traced(&w, &ExecOptions::new(Engine::GenericJoin), Some(&order));
-    let costed = cost_order(&w.query, &w.db, &order).expect("cost");
+    let costed = plan(&w.query, &w.db, Some(&order)).expect("cost");
     assert_eq!(trace.order, ["C", "A", "B"]);
     assert_eq!(trace.prefix_log2, costed.prefix_log2);
     assert_eq!(trace.agm_log2, costed.agm.log2_bound);
@@ -217,7 +220,7 @@ fn a_caller_supplied_order_is_traced_with_its_own_bounds() {
 #[test]
 fn the_plan_does_not_depend_on_cache_state() {
     for w in differential_suite(0x0C4E) {
-        let planned = plan(&w.query, &w.db).expect("plan").order;
+        let planned = plan(&w.query, &w.db, None).expect("plan").order;
         for engine in WCOJ {
             // cold, warm, warm again, bypassed: one order throughout
             for cache in [CacheMode::On, CacheMode::On, CacheMode::Off, CacheMode::On] {
@@ -226,8 +229,47 @@ fn the_plan_does_not_depend_on_cache_state() {
                 assert_eq!(out.order, planned, "{} {engine:?} {cache:?}", w.name);
             }
         }
-        assert_eq!(plan(&w.query, &w.db).expect("plan").order, planned);
+        assert_eq!(plan(&w.query, &w.db, None).expect("plan").order, planned);
     }
+}
+
+#[test]
+fn a_given_planner_order_is_costed_as_the_planner_costed_it() {
+    for w in differential_suite(0x0C57) {
+        let planned = plan(&w.query, &w.db, None).expect("plan");
+        let given = plan(&w.query, &w.db, Some(&planned.order)).expect("cost");
+        assert_eq!(given.order, planned.order, "{}", w.name);
+        assert_eq!(given.prefix_log2, planned.prefix_log2, "{}", w.name);
+        assert_eq!(given.agm.log2_bound, planned.agm.log2_bound, "{}", w.name);
+        assert_eq!(given.agm.exponents, planned.agm.exponents, "{}", w.name);
+    }
+}
+
+#[test]
+fn a_given_order_fails_where_the_search_fails_and_before_any_build() {
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let token = CancelToken::new();
+    // a missing relation is one error whether or not the order was given
+    let q = wcoj_query::query::examples::triangle();
+    let empty = Database::new();
+    for err in [
+        execute_opts(&q, &empty, &opts).unwrap_err(),
+        execute_cancellable(&q, &empty, &opts, Some(&[0, 1, 2]), &token).unwrap_err(),
+        plan(&q, &empty, Some(&[2, 1, 0])).unwrap_err(),
+    ] {
+        assert!(matches!(err, ExecError::Bound(_)), "{err:?}");
+    }
+    // an order that is no permutation fails in the planner: nothing is built
+    let mut w = needle(64, 5);
+    w.db.set_cache_budget(64 << 20);
+    let registry = wcoj_obs::Registry::new();
+    w.db.access_cache().register_metrics(&registry);
+    for order in [&[0, 1][..], &[0, 1, 1], &[0, 1, 3]] {
+        let err = execute_cancellable(&w.query, &w.db, &opts, Some(order), &token).unwrap_err();
+        assert_eq!(err, ExecError::InvalidOrder(order.to_vec()));
+    }
+    assert_eq!(registry.snapshot().counter_value("cache.misses"), Some(0));
+    assert!(w.db.access_cache().is_empty());
 }
 
 /// The `needle_cached` instance of the request benchmark: 4 probe rows against
@@ -275,12 +317,13 @@ fn a_needle_is_probed_from_its_small_side() {
     let mut instances: Vec<Workload> = [1, 5, 7].map(request_needle).into();
     instances.push(needle(16_384, 0xD1D1));
     for w in instances {
-        let planned = plan(&w.query, &w.db).expect("plan").order;
+        let planned = plan(&w.query, &w.db, None).expect("plan").order;
         assert!(planned[0] < 2, "{}: {planned:?} binds C first", w.name);
         for engine in WCOJ {
             let opts = ExecOptions::new(engine);
             let work = |order: &[VarId]| {
-                let out = execute_opts_with_order(&w.query, &w.db, &opts, order).expect("run");
+                let plan = plan(&w.query, &w.db, Some(order)).expect("plan");
+                let out = run(&w.query, &w.db, &plan, &opts, None).expect("run");
                 out.work.total_work()
             };
             let best = permutations(3).iter().map(|o| work(o)).min().unwrap();

@@ -14,8 +14,8 @@
 //! lives in a single `#[test]` because the dispatch level is process-global:
 //! this file must not grow concurrent tests that execute queries.
 
-use wcoj_core::exec::{execute_opts_with_order, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
+use wcoj_core::exec::{run, Engine, ExecOptions};
+use wcoj_core::planner::plan;
 use wcoj_storage::simd::{self, SimdLevel};
 use wcoj_storage::KernelPolicy;
 use wcoj_workloads::differential_suite;
@@ -29,7 +29,7 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
     }
     let suite = differential_suite(0x51D0);
     for w in &suite {
-        let order = agm_variable_order(&w.query, &w.db).expect("planner");
+        let plan = plan(&w.query, &w.db, None).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             for policy in KernelPolicy::ALL {
                 for threads in [1, 4] {
@@ -38,12 +38,10 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
                         .with_kernel(policy);
 
                     simd::force_active_level(SimdLevel::Scalar);
-                    let scalar =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("scalar");
+                    let scalar = run(&w.query, &w.db, &plan, &opts, None).expect("scalar");
 
                     simd::force_active_level(native);
-                    let vector =
-                        execute_opts_with_order(&w.query, &w.db, &opts, &order).expect("simd");
+                    let vector = run(&w.query, &w.db, &plan, &opts, None).expect("simd");
 
                     let cfg = format!(
                         "{}/{engine:?}/{policy:?}/t{threads} ({native:?} vs Scalar)",

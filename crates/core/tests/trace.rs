@@ -10,9 +10,9 @@
 //! (relaxed atomic sums are commutative, so scheduling cannot change them).
 
 use std::sync::Arc;
-use wcoj_core::exec::{execute_explain, execute_opts_with_order, CacheMode, Engine, ExecOptions};
-use wcoj_core::planner::agm_variable_order;
-use wcoj_core::{QueryTrace, TraceSink};
+use wcoj_core::exec::{execute_opts, run, CacheMode, Engine, ExecOptions};
+use wcoj_core::planner::plan;
+use wcoj_core::{ExecOutput, QueryTrace, TraceSink};
 use wcoj_obs::Json;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
@@ -22,24 +22,34 @@ use wcoj_workloads::{four_cycle, triangle};
 
 const ENGINES: [Engine; 3] = [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog];
 
-/// Run one configuration traced and return `(output, trace)`.
+/// Run one configuration under `order` traced and return `(output, trace)`.
 fn run_traced(
     query: &wcoj_query::ConjunctiveQuery,
     db: &Database,
     opts: &ExecOptions,
     order: &[usize],
-) -> (wcoj_core::ExecOutput, QueryTrace) {
+) -> (ExecOutput, QueryTrace) {
     let sink = Arc::new(TraceSink::new());
-    let out = execute_opts_with_order(query, db, &opts.with_trace(Arc::clone(&sink)), order)
-        .expect("traced run");
-    let trace = sink.take().expect("trace deposited");
-    (out, trace)
+    let plan = plan(query, db, Some(order)).expect("plan");
+    let out = run(query, db, &plan, &opts.with_trace(Arc::clone(&sink)), None).expect("traced run");
+    (out, sink.take().expect("trace deposited"))
+}
+
+/// `EXPLAIN ANALYZE`: plan and run traced, and return `(output, trace)`.
+fn explain(
+    query: &wcoj_query::ConjunctiveQuery,
+    db: &Database,
+    opts: &ExecOptions,
+) -> (ExecOutput, QueryTrace) {
+    let sink = Arc::new(TraceSink::new());
+    let out = execute_opts(query, db, &opts.with_trace(Arc::clone(&sink))).expect("traced run");
+    (out, sink.take().expect("trace deposited"))
 }
 
 #[test]
 fn tracing_never_perturbs_rows_or_counters() {
     for w in [triangle(300, 7), four_cycle(200, 11)] {
-        let order = agm_variable_order(&w.query, &w.db).expect("planner");
+        let plan = plan(&w.query, &w.db, None).expect("planner");
         for engine in ENGINES {
             for threads in [1usize, 4] {
                 for cache in [CacheMode::Off, CacheMode::On] {
@@ -47,9 +57,8 @@ fn tracing_never_perturbs_rows_or_counters() {
                         .with_threads(threads)
                         .with_cache(cache);
                     let label = format!("{engine:?}/t{threads}/{cache:?}");
-                    let plain =
-                        execute_opts_with_order(&w.query, &w.db, &base, &order).expect("plain");
-                    let (traced, trace) = run_traced(&w.query, &w.db, &base, &order);
+                    let plain = run(&w.query, &w.db, &plan, &base, None).expect("plain");
+                    let (traced, trace) = run_traced(&w.query, &w.db, &base, &plan.order);
                     assert_eq!(traced.result, plain.result, "{label}: rows perturbed");
                     assert_eq!(traced.work, plain.work, "{label}: counters perturbed");
                     // the trace's work pairs are the counter, re-spelled
@@ -69,6 +78,13 @@ fn tracing_never_perturbs_rows_or_counters() {
                         "{label}"
                     );
                     assert_eq!(trace.rows, plain.result.len() as u64, "{label}");
+                    // the binary baseline runs serially whatever `threads` says
+                    let ran_on = if engine == Engine::BinaryHash {
+                        1
+                    } else {
+                        threads
+                    };
+                    assert_eq!(trace.threads, ran_on, "{label}");
                     // both WCOJ engines build tries; the baseline builds nothing
                     let built = if engine == Engine::BinaryHash {
                         "none"
@@ -79,7 +95,7 @@ fn tracing_never_perturbs_rows_or_counters() {
                     assert_eq!(trace.cache_hits, traced.cache_stats.hits, "{label}");
                     assert_eq!(trace.cache_misses, traced.cache_stats.misses, "{label}");
                     // two traced runs agree on every deterministic field
-                    let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &order);
+                    let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &plan.order);
                     assert_eq!(traced2.result, plain.result, "{label}: rerun rows");
                     assert_eq!(traced2.work, plain.work, "{label}: rerun counters");
                     let mut a = trace.clone();
@@ -109,12 +125,13 @@ fn tracing_never_perturbs_rows_or_counters() {
 #[test]
 fn per_level_statistics_are_thread_count_independent() {
     let w = triangle(400, 21);
-    let order = agm_variable_order(&w.query, &w.db).expect("planner");
+    let plan = plan(&w.query, &w.db, None).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         let base = ExecOptions::new(engine).with_cache(CacheMode::Off);
-        let (_, serial) = run_traced(&w.query, &w.db, &base, &order);
+        let (_, serial) = run_traced(&w.query, &w.db, &base, &plan.order);
         for threads in [2usize, 4, 8] {
-            let (_, parallel) = run_traced(&w.query, &w.db, &base.with_threads(threads), &order);
+            let (_, parallel) =
+                run_traced(&w.query, &w.db, &base.with_threads(threads), &plan.order);
             assert_eq!(
                 serial.levels, parallel.levels,
                 "{engine:?}: per-level stats differ at t{threads}"
@@ -166,8 +183,8 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
     assert!(db.delta("E").is_some(), "E must stay delta-backed");
 
     let opts = ExecOptions::new(Engine::GenericJoin);
-    let (out, trace) = execute_explain(&q, &db, &opts).expect("explain");
-    let (out2, trace2) = execute_explain(&q, &db, &opts).expect("explain warm");
+    let (out, trace) = explain(&q, &db, &opts);
+    let (out2, trace2) = explain(&q, &db, &opts);
     assert_eq!(out.result, out2.result);
     assert_eq!(out.work, out2.work, "explain never perturbs counters");
 
@@ -182,7 +199,7 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
     assert_eq!(trace.backend, "delta");
     // a static relation beside a delta-backed one is reported as mixed
     let live = wcoj_workloads::triangle_live(64, 3);
-    let (_, beside) = execute_explain(&live.query, &live.db, &opts).expect("explain mixed");
+    let (_, beside) = explain(&live.query, &live.db, &opts);
     assert_eq!(beside.backend, "mixed");
     assert_eq!(trace.levels.len(), 3, "one level record per variable");
     assert!(

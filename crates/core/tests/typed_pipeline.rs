@@ -5,7 +5,7 @@
 //! the shared-dictionary catalog (intern → join → decode) produces exactly the
 //! rows of the pre-encoded `u64` path, for all engines.
 
-use wcoj_core::exec::{execute, execute_opts, Engine, ExecOptions};
+use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::{AttrType, Relation, TypedValue};
 use wcoj_workloads::{differential_suite, Workload};
@@ -67,9 +67,9 @@ fn typed_pipeline_matches_pre_encoded_path_on_full_suite() {
     for w in differential_suite(0x7E57) {
         let typed_db = stringified_db(&w);
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            let baseline = execute(&w.query, &w.db, engine)
+            let baseline = execute_opts(&w.query, &w.db, &ExecOptions::new(engine))
                 .unwrap_or_else(|e| panic!("{}: pre-encoded {engine:?} failed: {e}", w.name));
-            let typed_out = execute(&w.query, &typed_db, engine)
+            let typed_out = execute_opts(&w.query, &typed_db, &ExecOptions::new(engine))
                 .unwrap_or_else(|e| panic!("{}: typed {engine:?} failed: {e}", w.name));
             // decode the typed result and strip the "v" prefix back to u64 rows
             let mut decoded: Vec<Vec<u64>> = decoded_rows(&typed_out, &w.query, &typed_db)
@@ -105,7 +105,7 @@ fn typed_pipeline_matches_pre_encoded_path_on_full_suite() {
 fn social_graph_decodes_identically_across_engines_and_threads() {
     let w = wcoj_workloads::social_graph(192, 0xBEE);
     let reference = {
-        let out = execute(&w.query, &w.db, Engine::BinaryHash).unwrap();
+        let out = execute_opts(&w.query, &w.db, &ExecOptions::new(Engine::BinaryHash)).unwrap();
         decoded_rows(&out, &w.query, &w.db)
     };
     assert!(!reference.is_empty(), "social graph should have triangles");
@@ -122,7 +122,12 @@ fn social_graph_decodes_identically_across_engines_and_threads() {
         })
         .collect();
     ids.sort();
-    let raw = execute(&w.query, &pre_encoded, Engine::BinaryHash).unwrap();
+    let raw = execute_opts(
+        &w.query,
+        &pre_encoded,
+        &ExecOptions::new(Engine::BinaryHash),
+    )
+    .unwrap();
     assert_eq!(ids, raw.result.rows(), "typed and pre-encoded rows differ");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         for threads in [1usize, 4] {

@@ -26,9 +26,21 @@ pub mod json;
 pub mod metrics;
 pub mod trace;
 
+use std::sync::{LockResult, PoisonError};
+
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsSnapshot, Registry};
 pub use trace::{
     AtomTrace, LevelRecorder, LevelTrace, MorselTrace, QueryTrace, TraceKernel, TraceSink,
     WorkerTrace,
 };
+
+/// The workspace's one lock rule: take the guard out of a poisoned lock. Every
+/// lock it is used on guards state that is whole between statements — a
+/// registry's name map (a kind-mismatch panic fires after the lookup, with the
+/// map untouched), a trace sink's slot, and the service's catalog, WAL writer,
+/// group queue, admission counters and slow-query ring — so a panic on one
+/// thread must not wedge every later caller.
+pub fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

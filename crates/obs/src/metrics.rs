@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json;
+use crate::{json, unpoison};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -52,11 +52,6 @@ impl Gauge {
     /// Set the gauge.
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Set the gauge to `max(current, v)` (high-watermark tracking).
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -159,7 +154,7 @@ impl Registry {
 
     /// Get or create the counter registered under `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.inner.lock().unwrap();
+        let mut map = unpoison(self.inner.lock());
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -171,7 +166,7 @@ impl Registry {
 
     /// Get or create the gauge registered under `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.inner.lock().unwrap();
+        let mut map = unpoison(self.inner.lock());
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -184,7 +179,7 @@ impl Registry {
     /// Get or create a histogram registered under `name`. `make` supplies the
     /// bucket layout on first registration and is ignored afterwards.
     pub fn histogram(&self, name: &str, make: impl FnOnce() -> Histogram) -> Arc<Histogram> {
-        let mut map = self.inner.lock().unwrap();
+        let mut map = unpoison(self.inner.lock());
         match map
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(make())))
@@ -198,7 +193,7 @@ impl Registry {
     /// own their primitives, like the access cache). Panics if the name is
     /// taken by a different primitive instance.
     pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
-        let mut map = self.inner.lock().unwrap();
+        let mut map = unpoison(self.inner.lock());
         match map.entry(name.to_string()) {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(Metric::Counter(counter));
@@ -212,7 +207,7 @@ impl Registry {
 
     /// Register an existing shared gauge under `name`.
     pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        let mut map = self.inner.lock().unwrap();
+        let mut map = unpoison(self.inner.lock());
         match map.entry(name.to_string()) {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(Metric::Gauge(gauge));
@@ -224,24 +219,10 @@ impl Registry {
         }
     }
 
-    /// Register an existing shared histogram under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        let mut map = self.inner.lock().unwrap();
-        match map.entry(name.to_string()) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(Metric::Histogram(histogram));
-            }
-            std::collections::btree_map::Entry::Occupied(e) => {
-                let same = matches!(e.get(), Metric::Histogram(h) if Arc::ptr_eq(h, &histogram));
-                assert!(same, "metric {name} already registered");
-            }
-        }
-    }
-
     /// Read every registered metric into a point-in-time snapshot, sorted by
     /// name (the `BTreeMap` order), so renderings are stable across runs.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let map = self.inner.lock().unwrap();
+        let map = unpoison(self.inner.lock());
         let entries = map
             .iter()
             .map(|(name, m)| {
@@ -427,10 +408,9 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = Gauge::new();
         g.set(7);
-        g.set_max(3);
         assert_eq!(g.get(), 7);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        g.set(3);
+        assert_eq!(g.get(), 3);
     }
 
     #[test]
@@ -482,6 +462,22 @@ mod tests {
         let r = Registry::new();
         r.counter("m");
         r.gauge("m");
+    }
+
+    #[test]
+    fn a_kind_mismatch_leaves_the_registry_answering() {
+        let r = Registry::new();
+        r.counter("m").add(4);
+        let mismatch = std::panic::catch_unwind(|| r.gauge("m"));
+        assert!(mismatch.is_err(), "a kind mismatch still panics");
+        // the panic fired under the registry's lock: later calls must not
+        // inherit it
+        assert_eq!(r.snapshot().counter_value("m"), Some(4));
+        r.counter("m").inc();
+        r.gauge("g").set(2);
+        let snap = r.snapshot();
+        assert_eq!(snap.counter_value("m"), Some(5));
+        assert_eq!(snap.gauge_value("g"), Some(2));
     }
 
     #[test]

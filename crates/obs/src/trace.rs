@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::json;
+use crate::{json, unpoison};
 
 /// Which intersection kernel handled a level call (the trace-side mirror of
 /// the storage crate's kernel kinds, kept separate so this crate stays at the
@@ -495,12 +495,12 @@ impl TraceSink {
 
     /// Deposit a trace (replacing any previous one).
     pub fn record(&self, trace: QueryTrace) {
-        *self.slot.lock().unwrap() = Some(trace);
+        *unpoison(self.slot.lock()) = Some(trace);
     }
 
     /// Remove and return the most recent trace.
     pub fn take(&self) -> Option<QueryTrace> {
-        self.slot.lock().unwrap().take()
+        unpoison(self.slot.lock()).take()
     }
 }
 

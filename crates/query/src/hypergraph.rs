@@ -83,35 +83,6 @@ impl Hypergraph {
         })
     }
 
-    /// Whether `cover` (a set of edge indices) is an integral edge cover.
-    pub fn is_integral_edge_cover(&self, cover: &[usize]) -> bool {
-        let mut weights = vec![0.0; self.edges.len()];
-        for &i in cover {
-            if i >= self.edges.len() {
-                return false;
-            }
-            weights[i] = 1.0;
-        }
-        self.is_fractional_edge_cover(&weights)
-    }
-
-    /// Remove vertex `v` from every edge, dropping edges that become empty, and keeping
-    /// only non-dominated information — the hypergraph `H'` used in the inductive step
-    /// of the proof of Friedgut's inequality (Theorem 4.1). The vertex set stays `[n]`
-    /// (vertex ids are not renumbered); `v` simply no longer occurs in any edge.
-    pub fn remove_vertex(&self, v: VarId) -> Hypergraph {
-        let edges: Vec<Vec<VarId>> = self
-            .edges
-            .iter()
-            .map(|e| e.iter().copied().filter(|&u| u != v).collect::<Vec<_>>())
-            .filter(|e: &Vec<VarId>| !e.is_empty())
-            .collect();
-        Hypergraph {
-            num_vertices: self.num_vertices,
-            edges,
-        }
-    }
-
     /// The hypergraph of a Loomis–Whitney query `LW(n)`: `n` vertices and the `n`
     /// edges `[n] \ {i}` — every atom contains all but one variable (Section 1.2).
     pub fn loomis_whitney(n: usize) -> Hypergraph {
@@ -166,10 +137,6 @@ mod tests {
         assert!(!h.is_fractional_edge_cover(&[0.5, 0.5, 0.0]));
         assert!(!h.is_fractional_edge_cover(&[0.5, 0.5]));
         assert!(!h.is_fractional_edge_cover(&[-0.5, 1.5, 1.0]));
-        assert!(h.is_integral_edge_cover(&[0, 1, 2]));
-        assert!(h.is_integral_edge_cover(&[0, 1]));
-        assert!(!h.is_integral_edge_cover(&[0]));
-        assert!(!h.is_integral_edge_cover(&[9]));
     }
 
     #[test]
@@ -189,15 +156,6 @@ mod tests {
     fn uncovered_vertex_detected() {
         let h = Hypergraph::new(3, vec![vec![0, 1]]);
         assert!(!h.covers_all_vertices());
-    }
-
-    #[test]
-    fn remove_vertex_drops_empty_edges() {
-        let h = Hypergraph::new(3, vec![vec![0], vec![0, 1], vec![1, 2]]);
-        let h2 = h.remove_vertex(0);
-        assert_eq!(h2.num_edges(), 2);
-        assert_eq!(h2.edge(0), &[1]);
-        assert_eq!(h2.edge(1), &[1, 2]);
     }
 
     #[test]

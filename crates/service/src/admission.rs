@@ -10,8 +10,8 @@
 //! for a few instructions per admit/release, never across query execution.
 
 use crate::error::ServiceError;
-use crate::unpoison;
 use std::sync::{Condvar, Mutex, MutexGuard};
+use wcoj_obs::unpoison;
 
 #[derive(Debug, Default)]
 struct GateState {

@@ -24,10 +24,10 @@
 
 use crate::error::ServiceError;
 use crate::service::WriteBatch;
-use crate::unpoison;
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Mutex, MutexGuard};
+use wcoj_obs::unpoison;
 
 /// One enqueued batch: the payload plus its owner's outcome slot, a one-shot
 /// channel the leader answers exactly once. (The leader answers its own slot

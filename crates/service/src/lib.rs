@@ -59,8 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::{LockResult, PoisonError};
-
 pub mod admission;
 pub mod error;
 mod group;
@@ -72,13 +70,3 @@ pub use service::{
     replay_into, QueryService, RecoveryReport, ServiceConfig, WriteBatch, GROUP_SIZE_BUCKETS,
 };
 pub use wcoj_obs::{MetricValue, MetricsSnapshot, Registry};
-
-/// The crate's one lock rule: take the guard out of a poisoned lock. Every
-/// lock here guards state that is whole between statements — the catalog
-/// (mutated only by a commit leader, which upholds its invariants before
-/// releasing), the WAL writer (which poisons itself when its durable tail is
-/// unknown), the group queue, the admission counters and the slow-query ring
-/// — so a panic on one thread must not wedge the whole service.
-pub(crate) fn unpoison<G>(result: LockResult<G>) -> G {
-    result.unwrap_or_else(PoisonError::into_inner)
-}

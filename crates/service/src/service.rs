@@ -67,13 +67,13 @@
 use crate::admission::{AdmissionGate, Permit};
 use crate::error::ServiceError;
 use crate::group::{GroupQueue, Pending};
-use crate::unpoison;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions, ExecOutput, QueryTrace, TraceSink};
+use wcoj_obs::unpoison;
 use wcoj_obs::{Counter, Gauge, Histogram, Registry};
 use wcoj_query::database::DatabaseError;
 use wcoj_query::{ConjunctiveQuery, Database, Snapshot};

@@ -101,11 +101,6 @@ impl Schema {
         self.types[pos]
     }
 
-    /// The type of the named attribute.
-    pub fn type_of(&self, name: &str) -> Result<AttrType, StorageError> {
-        Ok(self.types[self.require(name)?])
-    }
-
     /// Whether any attribute is dictionary-encoded ([`AttrType::Str`]).
     pub fn has_strings(&self) -> bool {
         self.types.contains(&AttrType::Str)
@@ -285,8 +280,8 @@ mod tests {
         assert_eq!(s.types(), &[AttrType::Int, AttrType::Int]);
         assert!(!s.has_strings());
         assert_eq!(s.attr_type(1), AttrType::Int);
-        assert_eq!(s.type_of("A").unwrap(), AttrType::Int);
-        assert!(s.type_of("Z").is_err());
+        assert_eq!(s.attr_type(s.position("A").unwrap()), AttrType::Int);
+        assert!(s.position("Z").is_none());
     }
 
     #[test]
@@ -294,7 +289,7 @@ mod tests {
         let s = Schema::with_types(&["name", "age"], &[AttrType::Str, AttrType::Int]);
         assert!(s.has_strings());
         assert_eq!(s.attr_type(0), AttrType::Str);
-        assert_eq!(s.type_of("age").unwrap(), AttrType::Int);
+        assert_eq!(s.attr_type(s.position("age").unwrap()), AttrType::Int);
         assert_eq!(AttrType::Str.to_string(), "Str");
         assert_eq!(AttrType::Int.to_string(), "Int");
         // length mismatch rejected

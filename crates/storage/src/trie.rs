@@ -310,13 +310,6 @@ impl Trie {
         self.levels.get(depth).map_or(0, |l| l.values.len())
     }
 
-    /// The sorted distinct values of the first attribute (the root sibling group) —
-    /// what a cursor enumerates after its first `open`. Used by the execution layer
-    /// to compute the first join variable's extension set up front.
-    pub fn root_values(&self) -> &[Value] {
-        self.levels.first().map_or(&[], |l| l.values.as_slice())
-    }
-
     /// Whether some leaf is a tombstone (only the trie of a delta run can say
     /// yes: [`crate::delta::Run::trie`]).
     pub fn has_tombstones(&self) -> bool {
@@ -663,7 +656,9 @@ mod tests {
         assert_eq!(t.nodes_at(0), 3); // A in {1, 2, 4}
         assert_eq!(t.nodes_at(1), 4); // (1,2) (1,3) (2,2) (4,1)
         assert_eq!(t.nodes_at(2), 6); // all tuples distinct
-        assert_eq!(t.root_values(), &[1, 2, 4]);
+        let mut c = t.cursor();
+        assert!(c.open());
+        assert_eq!(c.remaining(), &[1, 2, 4]);
         assert_eq!(
             t.attr_order(),
             &["A".to_string(), "B".to_string(), "C".to_string()]
@@ -871,7 +866,7 @@ mod tests {
         assert!(!c.open());
         assert_eq!(t.nodes_at(0), 0);
         assert_eq!(t.num_tuples(), 0);
-        assert!(t.root_values().is_empty());
+        assert!(c.remaining().is_empty());
     }
 
     #[test]
@@ -1012,7 +1007,8 @@ mod tests {
                 };
                 let mut c = t.cursor();
                 assert_eq!(c.open(), n > 0);
-                for (i, &a) in t.root_values().iter().enumerate() {
+                let roots = c.remaining();
+                for (i, &a) in roots.iter().enumerate() {
                     assert!(c.open_at(i));
                     let below: Vec<Value> = c.remaining().to_vec();
                     let clean = below.iter().all(|&b| sign(a, b) > 0);

@@ -346,11 +346,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Whether any fault is armed.
-    pub fn is_armed(&self) -> bool {
-        *self != FaultPlan::default()
-    }
 }
 
 /// Append one length-prefixed, CRC-guarded frame for `op` to `buf`.
@@ -703,8 +698,7 @@ mod tests {
         assert_eq!(plan.torn_write_at, Some(128));
         assert_eq!(plan.seal_delay_ms, Some(50));
         assert_eq!(plan.ckpt_torn_at, Some(9));
-        assert!(plan.is_armed());
-        assert!(!FaultPlan::default().is_armed());
+        assert_ne!(plan, FaultPlan::default());
         assert!(FaultPlan::parse("fsync_fail").is_err());
         assert!(FaultPlan::parse("fsync_fail:x").is_err());
         assert!(FaultPlan::parse("explode:1").is_err());
