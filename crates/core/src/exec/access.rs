@@ -2,12 +2,15 @@
 //!
 //! [`BuiltAccess::build`] produces one access structure per atom, and there is
 //! one kind: the CSR [`Trie`], the same for either WCOJ engine. Every stored
-//! relation is a log with one trie per sealed run (plus the collapsed unsealed
-//! buffer's, built per query), merged on the fly by the [`DeltaAccess`] union
-//! cursor — and a log that comes to a single trie with no tombstone, such as a
-//! loaded relation, runs on that trie alone. Every run's trie goes through the
-//! one [`fetch_or_build`] and the per-database [`wcoj_storage::AccessCache`],
-//! keyed `(relation, column positions, run id)`. Builds record no
+//! relation is a log read as one tombstone-free run — its sealed runs folded
+//! once per run list, any unsealed buffer merged in per query
+//! ([`DeltaRelation::live_run`]) — so an atom's trie is built exactly as a
+//! loaded relation's is, and runs on the same cursor. A fold's trie goes
+//! through the one [`fetch_or_build`] and the per-database
+//! [`wcoj_storage::AccessCache`], keyed `(relation, column positions, fold
+//! id)`; a buffered log's is built per query. One execution fetches or builds
+//! once per distinct `(relation, column positions)`: the atoms of a self-join
+//! that read a relation in one order share its `Arc<Trie>`. Builds record no
 //! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
 //! [`CacheStats`]), and a cached structure is the one a fresh build would
 //! produce, bit for bit, so results and work counters are the same with the
@@ -23,41 +26,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_obs::{AtomTrace, MorselTrace};
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::delta::Run;
-use wcoj_storage::{CacheKey, CacheStats, CursorKind, DeltaAccess, DeltaRelation, Trie};
+use wcoj_storage::{CacheKey, CacheStats, DeltaRelation, Trie};
 
-/// One atom's built access structure. Tries are `Arc`-shared with the access
-/// cache, so a hit costs a refcount, not a rebuild.
-pub(super) enum AtomAccess {
-    Trie(Arc<Trie>),
-    Delta(DeltaAccess),
-}
-
-impl AtomAccess {
-    fn cursor(&self) -> CursorKind<'_> {
-        match self {
-            AtomAccess::Trie(t) => t.cursor().into(),
-            AtomAccess::Delta(d) => d.cursor().into(),
-        }
-    }
-
-    /// The trace's name for the structure serving the atom.
-    fn kind(&self) -> &'static str {
-        match self {
-            AtomAccess::Trie(_) => "trie",
-            AtomAccess::Delta(_) => "delta",
-        }
-    }
-}
-
-/// The access structures built for one execution, shared immutably by all
-/// workers: all tries (the monomorphized fast path), or — as soon as any atom
-/// needs the union cursor — one [`AtomAccess`] per atom, composed through
-/// [`CursorKind`]'s branch (not vtable) dispatch.
-pub(super) enum BuiltAccess {
-    Tries(Vec<Arc<Trie>>),
-    Mixed(Vec<AtomAccess>),
-}
+/// The tries built for one execution, one per atom, shared immutably by all
+/// workers. Tries are `Arc`-shared with the access cache, so a hit costs a
+/// refcount, not a rebuild.
+pub(super) struct BuiltAccess(Vec<Arc<Trie>>);
 
 /// The cache side-channel of one [`BuiltAccess::build`]: the database whose
 /// [`wcoj_storage::AccessCache`] to consult, and the
@@ -69,87 +43,64 @@ struct CacheCtx<'a> {
     use_cache: bool,
 }
 
-/// Fetch-or-build the trie of one sealed run through the access cache. `key`
-/// names the run by its id (`None`: not caching), which is never reissued, so
-/// a stale entry can never be returned. Returns the trie and whether it was
-/// built here; a built trie is inserted (the run's rows are its rebuild
-/// cost), and the insert drops the entries of this relation and order whose
-/// run no log holds any more.
-fn fetch_or_build(
-    ctx: &CacheCtx<'_>,
-    key: Option<&CacheKey>,
-    run: &Arc<Run>,
-    positions: &[usize],
-    stats: &mut CacheStats,
-) -> Result<(Arc<Trie>, bool), ExecError> {
-    let cache = ctx.db.access_cache();
-    if let Some(t) = key.and_then(|key| cache.get(key)) {
-        return Ok((t, false));
+impl CacheCtx<'_> {
+    /// The key of `delta`'s trie over `positions`, when it has one to keep:
+    /// the log's fold, named by its id, once nothing is buffered. A buffered
+    /// log's run is merged per query and has no identity to key on, and a log
+    /// with no run has nothing to keep.
+    fn key(&self, name: &str, delta: &DeltaRelation, positions: &[usize]) -> Option<CacheKey> {
+        let fold = delta
+            .fold()
+            .filter(|_| self.use_cache && delta.buffered() == 0)?;
+        Some(CacheKey {
+            relation: name.to_string(),
+            positions: positions.to_vec(),
+            stamp: fold.id(),
+        })
     }
-    let t = Arc::new(run.trie(positions)?);
-    if let Some(key) = key {
-        let (cost, bytes) = (run.len() as u64, t.heap_bytes());
-        let (value, source) = (Arc::clone(&t), Arc::downgrade(run));
-        stats.evictions += cache.insert(key.clone(), value, source, cost, bytes);
-    }
-    Ok((t, true))
 }
 
-/// One atom's access structure: its log's sealed runs, each fetched or built
-/// through the cache (the reader walks **its own** run list, so the head and
-/// any number of pinned snapshots share the entries of the runs they have in
-/// common and never write to each other's keys), plus the unsealed buffer
-/// collapsed per query, exactly like an uncached build. One tally per atom:
-/// every run found is a hit, some found an incremental merge (after a seal:
-/// only the new run is built), none found a miss (cold, or after a compaction
-/// or a rebind); a log with no sealed run — buffered ops only, or an empty
-/// relation — has nothing to keep and tallies nothing. A log that comes to one
-/// trie with no tombstone is served as that trie.
-fn atom_access(
+/// Fetch-or-build one atom's trie: the trie of its log's live run over the
+/// column `positions`. With a `key` (see [`CacheCtx::key`]) the fold's trie
+/// is looked up and tallied a hit, or built, inserted (the fold's rows are its
+/// rebuild cost; the insert drops the entries of this relation and order whose
+/// fold no log holds any more) and tallied a miss — cold, or after a seal, a
+/// tier merge, a compaction or a rebind gave the log a new fold. Without one
+/// the trie is built fresh and tallies nothing.
+fn fetch_or_build(
     ctx: &CacheCtx<'_>,
-    name: &str,
+    key: Option<CacheKey>,
     delta: &DeltaRelation,
     positions: &[usize],
     stats: &mut CacheStats,
-) -> Result<AtomAccess, ExecError> {
-    let mut key = ctx.use_cache.then(|| CacheKey {
-        relation: name.to_string(),
-        positions: positions.to_vec(),
-        stamp: 0,
-    });
-    let mut built = 0;
-    let access = DeltaAccess::assemble(delta, positions, |run| {
-        if let Some(key) = key.as_mut() {
-            key.stamp = run.id();
-        }
-        let (trie, fresh) = fetch_or_build(ctx, key.as_ref(), run, positions, stats)?;
-        built += fresh as usize;
-        Ok::<_, ExecError>(trie)
-    })?;
-    match built {
-        _ if !ctx.use_cache || delta.num_runs() == 0 => {}
-        0 => stats.hits += 1,
-        n if n == delta.num_runs() => stats.misses += 1,
-        _ => stats.incremental_merges += 1,
+) -> Result<Arc<Trie>, ExecError> {
+    let cache = ctx.db.access_cache();
+    if let Some(t) = key.as_ref().and_then(|key| cache.get(key)) {
+        stats.hits += 1;
+        return Ok(t);
     }
-    Ok(match access.tries() {
-        [only] if !only.has_tombstones() => AtomAccess::Trie(Arc::clone(only)),
-        _ => AtomAccess::Delta(access),
-    })
+    let run = delta.live_run();
+    let t = Arc::new(run.trie(positions)?);
+    if let Some(key) = key {
+        stats.misses += 1;
+        let (cost, bytes) = (run.len() as u64, t.heap_bytes());
+        let (value, source) = (Arc::clone(&t), Arc::downgrade(&run));
+        stats.evictions += cache.insert(key, value, source, cost, bytes);
+    }
+    Ok(t)
 }
 
 impl BuiltAccess {
-    /// Build (or fetch from the database's access cache) one access structure
-    /// per atom over the column `positions` its join order resolves to (also
-    /// the cache key's permutation component), each fresh one by
-    /// [`wcoj_storage::delta::Run::trie`]. An atom whose log needs the union
-    /// cursor gets a [`DeltaAccess`] over its runs' tries — no snapshot
-    /// materialization.
+    /// Build (or fetch from the database's access cache) one trie per atom
+    /// over the column `positions` its join order resolves to (also the cache
+    /// key's permutation component), once per distinct `(relation,
+    /// positions)`: an atom that reads a relation in an order an earlier atom
+    /// already read shares that atom's trie, and tallies a hit when the trie
+    /// is a cached one.
     ///
     /// With `trace` present, one [`AtomTrace`] per atom is appended — its
-    /// relation name, structure kind (`trie` on one trie, `delta` on the union
-    /// cursor), cache outcome (diffed from `stats`), and build wall-time.
-    /// `None` adds no timing calls at all.
+    /// relation name, cache outcome (diffed from `stats`), and build
+    /// wall-time. `None` adds no timing calls at all.
     pub(super) fn build(
         query: &ConjunctiveQuery,
         db: &Database,
@@ -163,44 +114,39 @@ impl BuiltAccess {
             db,
             use_cache: opts.cache != CacheMode::Off && db.access_cache().is_enabled(),
         };
-        let mut atoms = Vec::with_capacity(sources.len());
-        for ((atom, source), positions) in query.atoms().iter().zip(sources).zip(positions) {
+        let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(sources.len());
+        let atoms = query.atoms().iter().zip(sources).zip(positions);
+        for (i, ((atom, source), columns)) in atoms.enumerate() {
             let started = trace.is_some().then(Instant::now);
             let before = *stats;
-            let access = atom_access(&ctx, &atom.name, source, positions, stats)?;
+            let key = ctx.key(&atom.name, source, columns);
+            let read = |j: usize| query.atoms()[j].name == atom.name && positions[j] == *columns;
+            let trie = match (0..i).find(|&j| read(j)) {
+                Some(j) => {
+                    stats.hits += key.is_some() as u64;
+                    Arc::clone(&tries[j])
+                }
+                None => fetch_or_build(&ctx, key, source, columns, stats)?,
+            };
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(AtomTrace {
                     relation: atom.name.clone(),
-                    kind: access.kind().to_string(),
                     outcome: atom_outcome(&before, stats).to_string(),
                     build_ns: elapsed_ns(started),
                 });
             }
-            atoms.push(access);
+            tries.push(trie);
         }
         if ctx.use_cache {
             stats.bytes = db.access_cache().bytes() as u64;
         }
-        Ok(Self::from_atoms(atoms))
-    }
-
-    /// Pick the monomorphized fast path when every atom is a single trie, the
-    /// [`CursorKind`] composition otherwise.
-    fn from_atoms(atoms: Vec<AtomAccess>) -> Self {
-        let tries = atoms.iter().map(|a| match a {
-            AtomAccess::Trie(t) => Some(Arc::clone(t)),
-            AtomAccess::Delta(_) => None,
-        });
-        match tries.collect() {
-            Some(tries) => BuiltAccess::Tries(tries),
-            None => BuiltAccess::Mixed(atoms),
-        }
+        Ok(BuiltAccess(tries))
     }
 
     /// Run the engine `S` over fresh cursor sets — serial for `threads == 1`,
-    /// morsel workers otherwise. Monomorphizes per cursor type. Fails with
-    /// [`ExecError::Canceled`] when `token` fires mid-run, or
-    /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
+    /// morsel workers otherwise. Fails with [`ExecError::Canceled`] when
+    /// `token` fires mid-run, or [`ExecError::WorkerPanicked`] when a morsel
+    /// worker dies.
     pub(super) fn run<S: InteriorStep>(
         &self,
         participants: &[Vec<usize>],
@@ -209,23 +155,71 @@ impl BuiltAccess {
         token: Option<&CancelToken>,
         morsels: Option<&OnceLock<MorselTrace>>,
     ) -> Result<ColumnSink, ExecError> {
-        match self {
-            BuiltAccess::Tries(tries) => run_cursors::<S, _, _>(
-                || tries.iter().map(|t| t.cursor()).collect(),
-                participants,
-                threads,
-                ctx,
-                token,
-                morsels,
-            ),
-            BuiltAccess::Mixed(atoms) => run_cursors::<S, _, _>(
-                || atoms.iter().map(|a| a.cursor()).collect(),
-                participants,
-                threads,
-                ctx,
-                token,
-                morsels,
-            ),
+        run_cursors::<S, _, _>(
+            || self.0.iter().map(|t| t.cursor()).collect(),
+            participants,
+            threads,
+            ctx,
+            token,
+            morsels,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wcoj_storage::Relation;
+
+    /// The directed 3-cycle `E(A,B), E(B,C), E(C,A)` under the order A, B, C:
+    /// the first two atoms read `E` in its native order, the third swapped.
+    #[test]
+    fn a_self_joins_same_order_atoms_hold_one_trie() {
+        let query = ConjunctiveQuery::builder()
+            .atom("E", &["A", "B"])
+            .atom("E", &["B", "C"])
+            .atom("E", &["C", "A"])
+            .build()
+            .unwrap();
+        let positions = [vec![0, 1], vec![0, 1], vec![1, 0]];
+        let mut db = Database::new();
+        db.insert(
+            "E",
+            Relation::from_pairs("src", "dst", [(1, 2), (2, 3), (3, 1)]),
+        );
+        db.set_cache_budget(64 << 20);
+        for buffered in [false, true] {
+            if buffered {
+                db.insert_delta("E", vec![3, 4]).unwrap();
+            }
+            for cache in [CacheMode::On, CacheMode::Off] {
+                let label = format!("buffered {buffered}, cache {cache:?}");
+                let opts = ExecOptions::default().with_cache(cache);
+                let sources = db.atom_sources(&query).unwrap();
+                let mut stats = CacheStats::default();
+                let mut atoms = Vec::new();
+                let built = BuiltAccess::build(
+                    &query,
+                    &db,
+                    &sources,
+                    &positions,
+                    &opts,
+                    &mut stats,
+                    Some(&mut atoms),
+                )
+                .unwrap();
+                let tries = &built.0;
+                assert!(Arc::ptr_eq(&tries[0], &tries[1]), "{label}");
+                assert!(!Arc::ptr_eq(&tries[0], &tries[2]), "{label}");
+                assert_eq!(tries[0].num_tuples(), 3 + buffered as usize, "{label}");
+                let outcomes: Vec<&str> = atoms.iter().map(|a| a.outcome.as_str()).collect();
+                // the second atom shares the first one's trie: a hit when it is cached
+                let expected = match cache == CacheMode::On && !buffered {
+                    true => ["miss", "hit", "miss"],
+                    false => ["bypass"; 3],
+                };
+                assert_eq!(outcomes, expected, "{label}");
+            }
         }
     }
 }

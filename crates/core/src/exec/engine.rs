@@ -362,7 +362,7 @@ fn gather<'b, T: Copy>(
 mod tests {
     use super::super::driver::run_cursors;
     use super::*;
-    use wcoj_storage::{CursorKind, DeltaAccess, DeltaRelation, Relation, Trie};
+    use wcoj_storage::{Relation, Trie};
 
     /// The whole engine over one cursor per atom, through the serial driver.
     fn join<S: InteriorStep, C: TrieAccess>(
@@ -416,35 +416,6 @@ mod tests {
         let gj = join::<KernelExtension, _>(cursors, &parts, &w);
         assert_eq!(lf, triangle_columns());
         assert_eq!(gj, lf);
-    }
-
-    /// A static trie beside a delta-backed atom: the two cursor types compose
-    /// through [`CursorKind`] without `dyn`.
-    #[test]
-    fn triangle_over_mixed_backends() {
-        let rels = triangle_relations();
-        let trie_r = Trie::build(&rels[0], &["A", "B"]).unwrap();
-        let log_s = DeltaRelation::from_relation(rels[1].clone());
-        let live_s = DeltaAccess::build(&log_s, &["B", "C"]).unwrap();
-        let trie_t = Trie::build(&rels[2], &["A", "C"]).unwrap();
-        let mixed = || -> Vec<CursorKind> {
-            vec![
-                trie_r.cursor().into(),
-                live_s.cursor().into(),
-                trie_t.cursor().into(),
-            ]
-        };
-        let w = WorkCounter::new();
-        let parts = triangle_participants();
-        assert_eq!(
-            join::<KernelExtension, _>(mixed, &parts, &w),
-            triangle_columns()
-        );
-        assert_eq!(
-            join::<LeapfrogRing, _>(mixed, &parts, &w),
-            triangle_columns()
-        );
-        assert!(w.delta_merge() > 0, "the union cursor really took part");
     }
 
     #[test]

@@ -28,15 +28,13 @@
 //! (Leapfrog Triejoin) are one recursion (`engine`) parameterized by how an
 //! *interior* level's values are enumerated — a materialized kernel
 //! intersection, or the leapfrog ring of mutual seeks. It is written
-//! **generically** over `C: TrieAccess`, so each hot loop monomorphizes per
-//! cursor type. Both run on the one access structure, the CSR
-//! [`wcoj_storage::Trie`] — Generic Join's "sorted extensions of a bound prefix"
-//! is a `child_start` offset of the same trie Leapfrog walks. A sealed run of a
-//! delta log is a trie as well: a log of one run with no tombstones *is* the
-//! static case (same cursor, kernels and counters), and any other is walked by
-//! the union cursor over its runs' tries, composed with the plain cursors
-//! through [`wcoj_storage::CursorKind`] with branch (not vtable) dispatch.
-//! [`Engine::BinaryHash`] is the classical left-deep binary hash-join baseline
+//! **generically** over `C: TrieAccess`, so the hot loops monomorphize. Both
+//! run on the one access structure, the CSR [`wcoj_storage::Trie`], through its
+//! one cursor — Generic Join's "sorted extensions of a bound prefix" is a
+//! `child_start` offset of the same trie Leapfrog walks. A delta log is read
+//! as a trie as well: its runs fold into one tombstone-free run before the
+//! join, so a log *is* the static case (same cursor, kernels and counters as
+//! its snapshot). [`Engine::BinaryHash`] is the classical left-deep binary hash-join baseline
 //! the paper measures them against; it has no cursor path.
 //!
 //! The first level and every deepest level — and every level of Generic Join —
@@ -76,15 +74,18 @@
 //! # One builder loop
 //!
 //! Access structures are built by one per-atom loop (`access`) with one
-//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: one
-//! sealed run of a relation's log permuted to one column order is one cached
-//! trie, keyed `(relation, column positions, run id)`, and the entry dies with
-//! its run. An atom walks its own log's run list: every run found is a hit, a
-//! newly sealed run is the only one built (an *incremental merge*), a
-//! compaction leaves one run nobody has seen (a miss). [`CacheMode`] switches
-//! the cache off for one execution, and [`ExecOutput::cache_stats`] reports the
-//! activity — builds record no [`WorkCounter`] work, so results and work
-//! counters are bit-identical with the cache on, off, or cold.
+//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: a
+//! relation's log folded into one run ([`wcoj_storage::DeltaRelation::fold`])
+//! and permuted to one column order is one cached trie, keyed `(relation,
+//! column positions, fold id)`, and the entry dies with its fold. A repeated
+//! query hits; a seal, a tier merge or a compaction gives the log a new fold,
+//! built once per order (a miss); a log with buffered ops merges them into its
+//! fold and builds that per query, uncached. Within one execution an atom that
+//! reads a relation in an order an earlier atom read shares that atom's trie.
+//! [`CacheMode`] switches the cache off for one execution, and
+//! [`ExecOutput::cache_stats`] reports the activity — builds record no
+//! [`WorkCounter`] work, so results and work counters are bit-identical with
+//! the cache on, off, or cold.
 //!
 //! **Typed data** never reaches the engines: string columns are
 //! dictionary-encoded at load time (`wcoj_query::Database::insert_typed_rows`),
@@ -374,22 +375,23 @@ mod tests {
             }
         }
         // the buffered ops cancel, so sealing leaves one run with no tombstone:
-        // that log's trie is the loaded relation's and runs on the plain trie
+        // that log's trie is the loaded relation's
         db.seal("R").unwrap();
         let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
         assert_eq!(out.work, expected.work, "one clean run is the static case");
-        // delta work appears in the counters once a second run has to be merged
+        // so is a log with buffered ops: they merge into its fold before the
+        // join, and nothing is merged during it
         db.delete("R", &[1, 2]).unwrap();
         db.insert_delta("R", vec![1, 9]).unwrap();
         db.seal("R").unwrap();
         db.insert_delta("R", vec![1, 2]).unwrap();
+        db.delete("R", &[1, 9]).unwrap();
+        assert_eq!(db.delta("R").unwrap().buffered(), 2);
         let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
-        assert!(
-            out.work.delta_merge() > 0,
-            "union-cursor work is attributed"
-        );
+        assert_eq!(out.work, expected.work, "a folded log is the static case");
+        assert_eq!(out.work.delta_merge(), 0);
     }
 
     #[test]

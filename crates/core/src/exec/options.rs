@@ -176,8 +176,7 @@ pub struct ExecOutput {
     /// baseline, which is order-insensitive).
     pub order: Vec<VarId>,
     /// Access-structure cache activity during this execution: hits, misses,
-    /// incremental delta merges, evictions triggered, and the cache's resident
-    /// bytes afterwards. Build work is tallied here — never in
+    /// evictions triggered, and the cache's resident bytes afterwards. Build work is tallied here — never in
     /// [`ExecOutput::work`] — so caching cannot perturb the work counters.
     /// All-zero for the binary baseline and with [`CacheMode::Off`].
     pub cache_stats: CacheStats,

@@ -68,13 +68,11 @@ impl Recording {
         let CacheStats {
             hits,
             misses,
-            incremental_merges,
             evictions,
             ..
         } = out.cache_stats;
         QueryTrace {
             engine: engine_name(opts.engine).to_string(),
-            backend: backend_name(&self.atoms).to_string(),
             // the binary baseline always runs serially
             threads: match opts.engine {
                 Engine::BinaryHash => 1,
@@ -95,7 +93,6 @@ impl Recording {
             work: work_pairs(&out.work),
             cache_hits: hits,
             cache_misses: misses,
-            cache_incremental: incremental_merges,
             cache_evictions: evictions,
         }
     }
@@ -135,17 +132,6 @@ fn engine_name(engine: Engine) -> &'static str {
     }
 }
 
-/// What was actually built, over all atoms: the kind they share (`trie` /
-/// `delta`), `mixed` when they differ, `none` for the binary baseline, which
-/// builds no access structure.
-fn backend_name(atoms: &[AtomTrace]) -> &str {
-    match atoms.split_first() {
-        None => "none",
-        Some((first, rest)) if rest.iter().all(|a| a.kind == first.kind) => &first.kind,
-        Some(_) => "mixed",
-    }
-}
-
 /// The trace spelling of a kernel choice.
 pub(super) fn trace_kernel(kind: kernels::KernelKind) -> TraceKernel {
     match kind {
@@ -157,13 +143,11 @@ pub(super) fn trace_kernel(kind: kernels::KernelKind) -> TraceKernel {
 
 /// Classify one atom's cache interaction by diffing the per-query
 /// [`CacheStats`] around its build: exactly one tally moves per cached build,
-/// and none on the cache-bypassing paths (a log with no sealed run,
-/// [`super::CacheMode::Off`], a disabled cache).
+/// and none on the cache-bypassing paths (a log with buffered ops or no sealed
+/// run, [`super::CacheMode::Off`], a disabled cache).
 pub(super) fn atom_outcome(before: &CacheStats, after: &CacheStats) -> &'static str {
     if after.hits > before.hits {
         "hit"
-    } else if after.incremental_merges > before.incremental_merges {
-        "incremental"
     } else if after.misses > before.misses {
         "miss"
     } else {

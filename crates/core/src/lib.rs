@@ -31,9 +31,10 @@
 //! decide *what* to execute — there is no host tuning.
 //!
 //! The skeleton is written once, **generically**, against the
-//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over CSR tries
-//! (a log of one clean run) and delta union cursors (any other log), and any future
-//! access path (compressed, distributed) only has to implement the trait.
+//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over the CSR
+//! trie's cursor — a delta log is read through the trie of its fold — and any
+//! future access path (compressed, distributed) only has to implement the
+//! trait.
 //!
 //! # Example: the triangle query three ways
 //!

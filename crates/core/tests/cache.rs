@@ -4,9 +4,9 @@
 //! rows AND per-query work counters — to executing with the cache **off**,
 //! across engines × threads {1, 4}, interleaved with every kind of
 //! log mutation (append, delete, seal, compact, relation rebinding); repeated
-//! queries must actually hit; newly sealed runs must take the incremental-merge
-//! path, compaction must force a rebuild; a pinned snapshot and a compacting
-//! head must keep each other warm; a byte-starved cache must evict without
+//! queries must actually hit; a seal and a compaction each give the log a new
+//! fold, built once; a pinned snapshot and a compacting head must keep each
+//! other warm; a byte-starved cache must evict without
 //! ever surfacing a stale structure; and the two WCOJ engines must share one
 //! cached trie per `(relation, order)`.
 
@@ -96,7 +96,7 @@ fn cache_on_equals_cache_off_under_log_mutations() {
 }
 
 #[test]
-fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
+fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
     // one delta-backed atom with a deliberately large base run, so sealing a
     // small batch later cannot trip the size-tiered tail merge (which would
     // legitimately — but nondeterministically — rewrite the run list)
@@ -120,10 +120,8 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
         "T",
         Relation::from_pairs("A", "C", random_pairs(512, 48, 0xE813)),
     );
-    // a deliberately non-native variable order: every atom's columns must be
-    // permuted, so the delta atom flows through a cached view (the native
-    // order borrows the log directly and bypasses the cache)
-    // C, B, A: every atom binds positions [1, 0]
+    // a deliberately non-native variable order — C, B, A: every atom binds
+    // positions [1, 0], so every trie is an argsorted build
     let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
 
@@ -138,31 +136,24 @@ fn repeat_hits_seal_merges_incrementally_compaction_rebuilds() {
     assert_eq!(warm.result, cold.result);
     assert_eq!(warm.work, cold.work);
 
-    // seal a small fresh batch into R: only the new run should be permuted
-    // (512-row base ≥ 2 × the 16-row batch, so no tail merge fires)
+    // seal a small fresh batch into R: R's runs fold anew and only R's fold
+    // is built (512-row base ≥ 2 × the 16-row batch, so no tail merge fires)
     for i in 0..16u64 {
         db.insert_delta("R", vec![i % 48, (i * 7) % 48])
             .expect("append");
     }
     db.seal("R").expect("seal");
     let merged = run(&query, &db, &plan, &opts, None).expect("merged");
-    assert_eq!(
-        merged.cache_stats.incremental_merges, 1,
-        "R extends incrementally"
-    );
+    assert_eq!(db.delta("R").unwrap().num_runs(), 2);
+    assert_eq!(merged.cache_stats.misses, 1, "R's new fold builds");
     assert_eq!(merged.cache_stats.hits, 2, "S and T still hit");
-    assert_eq!(merged.cache_stats.misses, 0);
     let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
-    assert_eq!(
-        merged.result, off.result,
-        "incremental merge is bit-identical"
-    );
+    assert_eq!(merged.result, off.result, "a fold is bit-identical");
     assert_eq!(merged.work, off.work);
 
-    // compaction rewrites the run list: the view diverges and R rebuilds
+    // compaction rewrites the run list: R's fold is its one new run
     db.compact("R").expect("compact");
     let rebuilt = run(&query, &db, &plan, &opts, None).expect("rebuilt");
-    assert_eq!(rebuilt.cache_stats.incremental_merges, 0);
     assert_eq!(rebuilt.cache_stats.misses, 1, "compacted R rebuilds");
     assert_eq!(rebuilt.cache_stats.hits, 2);
     let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
@@ -235,20 +226,19 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
             assert_eq!(out.work, first.work, "round {round}");
             assert_eq!(out.cache_stats.hits, 3, "round {round}");
             assert_eq!(out.cache_stats.misses, 0, "round {round}");
-            assert_eq!(out.cache_stats.incremental_merges, 0, "round {round}");
         }
     }
-    assert_eq!(db.access_cache().len(), 6, "one entry per run per side");
+    assert_eq!(db.access_cache().len(), 6, "one fold per relation per side");
 
     // the snapshot goes away; the head's next insert for each relation and
     // order leaves no entry for the runs only the snapshot held
     drop(snap);
     seal_batch(&mut db, 1);
     let merged = run(&db, &opts);
-    assert_eq!(merged.cache_stats.incremental_merges, 3);
+    assert_eq!(merged.cache_stats.misses, 3, "three new folds");
     assert_eq!(merged.cache_stats.evictions, 0, "reclaimed, not evicted");
     let (len, bytes) = (db.access_cache().len(), db.access_cache().bytes());
-    assert_eq!(len, 6, "two runs per relation, all the head's");
+    assert_eq!(len, 3, "one fold per relation, the head's");
     assert_eq!(merged.cache_stats.bytes, bytes as u64);
     // exactly what a head-only warm-up from a cleared cache produces
     db.access_cache().clear();
@@ -282,7 +272,7 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
         "T",
         Relation::from_pairs("A", "C", random_pairs(256, 32, 0xE903)),
     );
-    // permuted: the delta atom flows through a cached view
+    // permuted: every trie is an argsorted build
     let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
     let cold = run(&query, &db, &plan, &opts, None).expect("cold");
@@ -303,7 +293,6 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
         "cache still hits after empty seal"
     );
     assert_eq!(warm.cache_stats.misses, 0);
-    assert_eq!(warm.cache_stats.incremental_merges, 0);
     assert_eq!(warm.result, cold.result);
     assert_eq!(warm.work, cold.work);
 }
@@ -436,9 +425,9 @@ fn rebinding_a_name_reclaims_the_old_bindings_entries() {
     assert_eq!(db.access_cache().len(), 3, "both old R entries are gone");
 }
 
-/// An empty relation is a log with no run: its atom is served by the union
-/// cursor over nothing, builds nothing, caches nothing and tallies nothing,
-/// and the rows and work counters are the ones a trie over no rows gave.
+/// An empty relation is a log with no run: its atom is served by a trie over
+/// no rows, built per query, caches nothing and tallies nothing, and the rows
+/// and work counters are the ones a loaded empty relation gives.
 #[test]
 fn an_empty_relation_caches_and_tallies_nothing() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE86);
@@ -464,7 +453,5 @@ fn an_empty_relation_caches_and_tallies_nothing() {
     execute_opts(&query, &db, &opts).expect("traced");
     let trace = sink.take().expect("trace deposited");
     let s = &trace.atoms[1];
-    assert_eq!((s.relation.as_str(), s.kind.as_str()), ("S", "delta"));
-    assert_eq!(s.outcome, "bypass");
-    assert_eq!(trace.backend, "mixed");
+    assert_eq!((s.relation.as_str(), s.outcome.as_str()), ("S", "bypass"));
 }

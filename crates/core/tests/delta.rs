@@ -1,11 +1,13 @@
 //! Differential and property tests for the incremental-maintenance (delta-log)
-//! subsystem — the PR's acceptance criterion:
+//! subsystem:
 //!
-//! querying **base + delta runs + tombstones** through the union cursor must be
-//! bit-identical to querying a **fully rebuilt** static database, across engines
-//! × threads {1, 4}; the delta path's merged work counters must be
-//! deterministic (parallel ≡ serial for every configuration); and both
-//! properties must survive **every** compaction step down to a single run.
+//! querying **base + delta runs + tombstones + buffer** — read through the
+//! log's fold — must be bit-identical, rows AND work counters, to querying a
+//! **fully rebuilt** static database, across engines × threads {1, 4}; the
+//! counters must be deterministic (parallel ≡ serial for every
+//! configuration); both properties must survive **every** compaction step
+//! down to a single run; and a pinned snapshot keeps hitting its fold while
+//! the head moves on, with stale fold entries swept.
 
 use wcoj_core::exec::{run, Engine, ExecOptions};
 use wcoj_core::planner::plan;
@@ -28,42 +30,14 @@ fn rebuilt(db: &Database) -> Database {
 }
 
 /// Assert the acceptance property on one live database: for every engine ×
-/// threads {1, 4}, the delta path's rows equal the rebuilt path's,
-/// and the delta path's merged counters are thread-count independent. Then
-/// compact every log — one run, no tombstones — and assert that the live
-/// database has *become* the rebuilt one: a sealed run's access structure is
-/// the static trie, so both WCOJ engines charge the same `WorkCounter` bit for
-/// bit, kernel tallies included, and no union-cursor work at all.
+/// threads {1, 4}, the delta path's rows AND work counters equal the rebuilt
+/// path's — a log is read through the trie of its fold, which is the
+/// snapshot's trie bit for bit, kernel tallies included — and are
+/// thread-count independent. Then compact every log — one run, no tombstones
+/// — and assert the same again.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
     let plan = plan(&w.query, &static_db, None).expect("planner");
-    for engine in ENGINES {
-        let mut serial_work = None;
-        for threads in [1usize, 4] {
-            let opts = ExecOptions::new(engine).with_threads(threads);
-            let live = run(&w.query, &w.db, &plan, &opts, None)
-                .unwrap_or_else(|e| panic!("{label}: live {engine:?} failed: {e}"));
-            let full = run(&w.query, &static_db, &plan, &opts, None)
-                .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
-            assert_eq!(
-                live.result, full.result,
-                "{label}: {engine:?}/t{threads}: delta path diverges from rebuild"
-            );
-            // the rebuilt path never runs the union cursor
-            assert_eq!(
-                full.work.delta_merge(),
-                0,
-                "{label}: static path charged delta work"
-            );
-            match &serial_work {
-                None => serial_work = Some(live.work),
-                Some(w1) => assert_eq!(
-                    w1, &live.work,
-                    "{label}: {engine:?}: delta-path counters depend on threads"
-                ),
-            }
-        }
-    }
     let mut compacted = w.db.clone();
     for name in w.db.relation_names() {
         compacted.compact(name).expect("compact");
@@ -71,27 +45,32 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
             assert!(delta.num_runs() <= 1 && delta.tombstones() == 0);
         }
     }
-    for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        for threads in [1usize, 4] {
-            let opts = ExecOptions::new(engine).with_threads(threads);
-            let live = run(&w.query, &compacted, &plan, &opts, None)
-                .unwrap_or_else(|e| panic!("{label}: compacted {engine:?} failed: {e}"));
-            let full = run(&w.query, &static_db, &plan, &opts, None)
-                .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
-            assert_eq!(live.result, full.result, "{label}: {engine:?}/t{threads}");
-            assert_eq!(
-                live.work, full.work,
-                "{label}: {engine:?}/t{threads}: a compacted log is not the static path"
-            );
-            assert_eq!(live.work.delta_merge(), 0, "{label}: {engine:?}/t{threads}");
+    for (state, db) in [("live", &w.db), ("compacted", &compacted)] {
+        for engine in ENGINES {
+            let mut serial_work = None;
+            for threads in [1usize, 4] {
+                let opts = ExecOptions::new(engine).with_threads(threads);
+                let live = run(&w.query, db, &plan, &opts, None)
+                    .unwrap_or_else(|e| panic!("{label}: {state} {engine:?} failed: {e}"));
+                let full = run(&w.query, &static_db, &plan, &opts, None)
+                    .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
+                let at = format!("{label}: {state} {engine:?}/t{threads}");
+                assert_eq!(live.result, full.result, "{at}: rows diverge from rebuild");
+                assert_eq!(live.work, full.work, "{at}: the log is not the static path");
+                assert_eq!(live.work.delta_merge(), 0, "{at}");
+                match &serial_work {
+                    None => serial_work = Some(live.work),
+                    Some(w1) => assert_eq!(w1, &live.work, "{at}: counters depend on threads"),
+                }
+            }
         }
     }
 }
 
 /// A triangle database whose `R` and `T` logs are mutated by a seeded op
 /// stream (inserts and deletes, small seal threshold → several runs with
-/// tombstones); `S` stays as loaded, one clean run served by its plain trie,
-/// so the query mixes both access structures.
+/// tombstones); `S` stays as loaded, one clean run, so the query reads logs of
+/// both shapes.
 fn mutated_triangle(seed: u64, ops: usize) -> Workload {
     let mut w = wcoj_workloads::triangle(96, seed);
     for name in ["R", "T"] {
@@ -121,7 +100,7 @@ fn delta_path_is_bit_identical_to_full_rebuild() {
         assert!(delta.tombstones() > 0, "fixture must carry tombstones");
         assert_delta_matches_rebuild(&w, &w.name.clone());
     }
-    // ... and mutated triangles mixing delta-backed and static atoms
+    // ... and mutated triangles mixing churned and loaded relations
     for seed in [1u64, 7] {
         let w = mutated_triangle(seed, 300);
         assert_delta_matches_rebuild(&w, &w.name.clone());
@@ -201,11 +180,99 @@ fn a_delta_log_moves_at_least_10x_fewer_values_than_sorted_rows_on_ingest() {
 
 #[test]
 fn unsealed_buffer_queries_match_sealed() {
-    // queries must see buffered (unsealed) operations via the ephemeral run
+    // queries must see buffered (unsealed) operations, merged into the fold
     let mut w = mutated_triangle(3, 40);
     assert!(w.db.delta("R").unwrap().buffered() > 0 || w.db.delta("T").unwrap().buffered() > 0);
     assert_delta_matches_rebuild(&w, "unsealed buffers");
     w.db.seal("R").unwrap();
     w.db.seal("T").unwrap();
     assert_delta_matches_rebuild(&w, "after sealing");
+}
+
+/// A seeded interleaving of everything that moves a log — inserts and
+/// deletes, seals, compaction steps, snapshots pinned across seals, drops —
+/// with a query after each step: its rows and counters match a relation
+/// rebuilt from a reference set of the live tuples (kept by the test, not read
+/// back from the log), a pinned snapshot keeps hitting its fold's trie while
+/// the head moves on, and entries of folds no log holds are swept, so the
+/// cache stays bounded.
+#[test]
+fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_bounded() {
+    let query = wcoj_query::query::examples::clique(3);
+    let mut db = Database::new();
+    db.insert_delta_relation("E", DeltaRelation::new(Schema::new(&["src", "dst"])));
+    db.delta_mut("E").unwrap().set_seal_threshold(usize::MAX);
+    db.set_cache_budget(64 << 20);
+    // every atom of the 3-clique binds E's columns swapped under this order
+    let order = [2usize, 1, 0];
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let mut rng = SplitMix64::new(0x1A7E);
+    let mut pinned: Vec<(Database, wcoj_core::ExecOutput)> = Vec::new();
+    let mut reference = std::collections::BTreeSet::new();
+    let mut peak = 0;
+    for step in 0..240 {
+        for _ in 0..1 + rng.below(6) {
+            let t = vec![rng.below(20), rng.below(20)];
+            if rng.below(3) == 0 {
+                assert_eq!(db.delete("E", &t).unwrap(), reference.remove(&t));
+            } else {
+                assert_eq!(
+                    db.insert_delta("E", t.clone()).unwrap(),
+                    reference.insert(t)
+                );
+            }
+        }
+        match rng.below(8) {
+            0..=2 => db.seal("E").unwrap(),
+            3 => {
+                db.delta_mut("E").unwrap().compact_step();
+            }
+            4 if pinned.len() < 3 => {
+                db.seal("E").unwrap();
+                if db.delta("E").unwrap().num_runs() > 0 {
+                    let snap = db.clone();
+                    let at = plan(&query, &snap, Some(&order)).unwrap();
+                    let first = run(&query, &snap, &at, &opts, None).unwrap();
+                    pinned.push((snap, first));
+                }
+            }
+            5 if !pinned.is_empty() => {
+                pinned.remove(rng.below(pinned.len() as u64) as usize);
+            }
+            _ => {}
+        }
+        let at = plan(&query, &db, Some(&order)).unwrap();
+        let live = run(&query, &db, &at, &opts, None).unwrap();
+        let mut rebuilt = Database::new();
+        let rows = reference.iter().cloned().collect();
+        rebuilt.insert("E", Relation::from_rows(Schema::new(&["src", "dst"]), rows));
+        let full = run(&query, &rebuilt, &at, &opts, None).unwrap();
+        assert_eq!(live.result, full.result, "step {step}");
+        assert_eq!(live.work, full.work, "step {step}");
+        // a build for E in this order sweeps every dead entry: what is left is
+        // one fold per holder at most, the head and each snapshot
+        let entries = db.access_cache().len();
+        if live.cache_stats.misses > 0 {
+            assert!(
+                entries <= pinned.len() + 1,
+                "step {step}: {entries} entries"
+            );
+        }
+        peak = peak.max(entries);
+        for (k, (snap, first)) in pinned.iter().enumerate() {
+            let at = plan(&query, snap, Some(&order)).unwrap();
+            let again = run(&query, snap, &at, &opts, None).unwrap();
+            assert_eq!(again.result, first.result, "step {step}: snapshot {k}");
+            assert_eq!(again.work, first.work, "step {step}: snapshot {k}");
+            assert_eq!(
+                (again.cache_stats.hits, again.cache_stats.misses),
+                (3, 0),
+                "step {step}: snapshot {k} keeps hitting its fold"
+            );
+        }
+    }
+    assert!(
+        (3..=8).contains(&peak),
+        "the cache peaked at {peak} entries"
+    );
 }

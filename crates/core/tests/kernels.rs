@@ -1,8 +1,8 @@
 //! Differential tests for the adaptive intersection-kernel layer at the engine
 //! level: every kernel policy (adaptive, forced merge, forced gallop, forced
 //! bitmap) must produce bit-identical engine output across the full workload
-//! suite, over one trie per atom and over the union cursor, and the adaptive policy must actually record its
-//! per-kernel choices in the `WorkCounter` breakdown.
+//! suite, over loaded relations and over churned logs, and the adaptive policy
+//! must actually record its per-kernel choices in the `WorkCounter` breakdown.
 
 use std::sync::Arc;
 use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
@@ -40,7 +40,7 @@ fn every_kernel_policy_gives_identical_results() {
 
 /// `db` with every relation rebuilt as a log of three sealed runs — the last
 /// one a tombstone for a tuple the second one inserted — so every atom is
-/// served by the union cursor over the runs' tries, never by one plain trie.
+/// served by a fold of several runs, never by a loaded run.
 fn churned_twin(db: &Database) -> Database {
     let mut live = db.clone();
     for name in db.relation_names() {
@@ -69,9 +69,9 @@ fn churned_twin(db: &Database) -> Database {
 
 #[test]
 fn kernel_policies_agree_on_both_backends_and_threads() {
-    // policy identity is backend- and schedule-independent: check a representative
-    // cyclic and a wide-atom workload over loaded relations (one trie per atom)
-    // and over a churned twin (the union cursor), serial and parallel
+    // policy identity is storage- and schedule-independent: check a
+    // representative cyclic and a wide-atom workload over loaded relations and
+    // over a churned twin (each log read through its fold), serial and parallel
     for w in [
         wcoj_workloads::hub_spoke(128, 0xB17),
         wcoj_workloads::kclique(4, 64, 0xB18),
@@ -80,10 +80,11 @@ fn kernel_policies_agree_on_both_backends_and_threads() {
         let live = churned_twin(&w.db);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine)).unwrap();
-            let trace = traced(&w.query, &live, &ExecOptions::new(engine));
-            assert_eq!(trace.backend, "delta", "{}: {engine:?}", w.name);
+            // a churned log is read as its snapshot: the static path's counters
+            let churned = execute_opts(&w.query, &live, &ExecOptions::new(engine)).unwrap();
+            assert_eq!(churned.work, reference.work, "{}: {engine:?}", w.name);
             for policy in KernelPolicy::ALL {
-                for (backend, db) in [("trie", &w.db), ("delta", &live)] {
+                for (backend, db) in [("loaded", &w.db), ("churned", &live)] {
                     for threads in [1usize, 4] {
                         let opts = ExecOptions::new(engine)
                             .with_kernel(policy)

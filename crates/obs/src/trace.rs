@@ -58,10 +58,7 @@ pub struct LevelTrace {
 pub struct AtomTrace {
     /// Relation name.
     pub relation: String,
-    /// Structure serving the atom: "trie" (one trie) or "delta" (the union
-    /// cursor over a log's runs).
-    pub kind: String,
-    /// Cache outcome: "hit", "miss", "incremental", or "bypass".
+    /// Cache outcome: "hit", "miss", or "bypass".
     pub outcome: String,
     /// Wall-clock nanoseconds spent obtaining this structure
     /// (nondeterministic).
@@ -93,9 +90,6 @@ pub struct MorselTrace {
 pub struct QueryTrace {
     /// Engine name (e.g. `GenericJoin`).
     pub engine: String,
-    /// What was built, over all atoms: `trie`, `delta`, `mixed`, or `none`
-    /// (the binary baseline builds no access structure).
-    pub backend: String,
     /// Worker thread count (1 = serial).
     pub threads: usize,
     /// Chosen variable order, by name.
@@ -130,8 +124,6 @@ pub struct QueryTrace {
     pub cache_hits: u64,
     /// Access-cache misses during this query.
     pub cache_misses: u64,
-    /// Incremental delta-view merges during this query.
-    pub cache_incremental: u64,
     /// Cache evictions triggered by this query's insertions.
     pub cache_evictions: u64,
 }
@@ -172,10 +164,6 @@ impl QueryTrace {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"engine\": \"{}\", ", json::escape(&self.engine)));
-        out.push_str(&format!(
-            "\"backend\": \"{}\", ",
-            json::escape(&self.backend)
-        ));
         out.push_str(&format!("\"threads\": {}, ", self.threads));
         out.push_str("\"order\": [");
         for (i, v) in self.order.iter().enumerate() {
@@ -198,9 +186,8 @@ impl QueryTrace {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"relation\": \"{}\", \"kind\": \"{}\", \"outcome\": \"{}\", \"build_ns\": {}}}",
+                "{{\"relation\": \"{}\", \"outcome\": \"{}\", \"build_ns\": {}}}",
                 json::escape(&a.relation),
-                json::escape(&a.kind),
                 json::escape(&a.outcome),
                 a.build_ns
             ));
@@ -257,8 +244,8 @@ impl QueryTrace {
         }
         out.push_str("}, ");
         out.push_str(&format!(
-            "\"cache\": {{\"hits\": {}, \"misses\": {}, \"incremental\": {}, \"evictions\": {}}}",
-            self.cache_hits, self.cache_misses, self.cache_incremental, self.cache_evictions
+            "\"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
+            self.cache_hits, self.cache_misses, self.cache_evictions
         ));
         out.push('}');
         out
@@ -271,9 +258,8 @@ impl QueryTrace {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "EXPLAIN ANALYZE — {} backend={} threads={} total {}\n",
+            "EXPLAIN ANALYZE — {} threads={} total {}\n",
             self.engine,
-            self.backend,
             self.threads,
             ms(self.total_ns)
         ));
@@ -288,9 +274,8 @@ impl QueryTrace {
         out.push_str(&format!("├─ build  {}\n", ms(self.build_ns)));
         for a in &self.atoms {
             out.push_str(&format!(
-                "│    {} [{}]: cache {} ({})\n",
+                "│    {}: cache {} ({})\n",
                 a.relation,
-                a.kind,
                 a.outcome,
                 ms(a.build_ns)
             ));
@@ -338,8 +323,8 @@ impl QueryTrace {
             out.push('\n');
         }
         out.push_str(&format!(
-            "├─ cache  hits={} misses={} incremental={} evictions={}\n",
-            self.cache_hits, self.cache_misses, self.cache_incremental, self.cache_evictions
+            "├─ cache  hits={} misses={} evictions={}\n",
+            self.cache_hits, self.cache_misses, self.cache_evictions
         ));
         out.push_str("└─ work   ");
         for (i, (name, value)) in self.work.iter().enumerate() {
@@ -512,7 +497,6 @@ mod tests {
     fn sample() -> QueryTrace {
         QueryTrace {
             engine: "GenericJoin".into(),
-            backend: "Trie".into(),
             threads: 4,
             order: vec!["a".into(), "b".into(), "c".into()],
             prefix_log2: vec![7.0, 9.5, 13.4],
@@ -525,7 +509,6 @@ mod tests {
             total_ns: 1_230_000,
             atoms: vec![AtomTrace {
                 relation: "E".into(),
-                kind: "delta".into(),
                 outcome: "hit".into(),
                 build_ns: 123,
             }],
@@ -550,7 +533,6 @@ mod tests {
             work: vec![("total_work".into(), 4567), ("output_tuples".into(), 2783)],
             cache_hits: 2,
             cache_misses: 1,
-            cache_incremental: 0,
             cache_evictions: 0,
         }
     }

@@ -266,9 +266,9 @@ impl Database {
 
     /// Seal relation `name`'s append buffer into a sorted run (plus
     /// size-tiered compaction). Queries work without sealing — the buffer is
-    /// collapsed into an ephemeral run at access-build time — but a sealed run
-    /// is collapsed once instead of per query. Errors only if `name` is
-    /// unknown.
+    /// collapsed and merged into the log's fold at access-build time — but a
+    /// sealed log's fold and its tries are built once and cached instead of
+    /// per query. Errors only if `name` is unknown.
     pub fn seal(&mut self, name: &str) -> Result<(), DatabaseError> {
         self.log_mut(name)?.seal();
         Ok(())

@@ -1067,11 +1067,10 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
 }
 
 /// The read path the product has — `apply` a batch that seals, `query` on a
-/// fresh snapshot — must keep the access cache incremental and bounded: each
-/// seal costs the next query one run's trie per column order read, a miss
-/// happens only when a tier merge rewrote the base, nothing built for a
-/// superseded run stays resident, and every answer is what an uncached
-/// execution of the same snapshot gives.
+/// fresh snapshot — must keep the access cache bounded: each seal gives the
+/// log a new fold, which costs the next query one trie per column order read,
+/// nothing built for a superseded fold stays resident, and every answer is
+/// what an uncached execution of the same snapshot gives.
 #[test]
 fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     use std::collections::{HashSet, VecDeque};
@@ -1087,11 +1086,10 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     let uncached = config.exec.with_cache(CacheMode::Off);
     let service = QueryService::in_memory(db, config);
     // the directed 3-cycle: under any variable order some atom reads E's
-    // columns swapped. A run's trie is cached per (run, order), the native
+    // columns swapped. A fold's trie is cached per (fold, order), the native
     // order like any other, so E is read in ORDERS = 2 column orders — two
     // atoms share (src, dst), the third reads (dst, src) — and every tally
-    // below is the per-order count times two: per order it is still one trie
-    // built per seal, and a miss only when the base was rewritten
+    // below is the per-order count times two: one trie built per seal
     const ORDERS: u64 = 2;
     let query = wcoj_query::ConjunctiveQuery::builder()
         .atom("E", &["A", "B"])
@@ -1149,12 +1147,12 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
             counter("cache.misses") - misses,
             counter("cache.incremental_merges") - merges,
         );
+        // every seal gives E a new fold: one build per order, never a
+        // run-by-run merge
+        assert_eq!((misses, merges), (ORDERS, 0), "cycle {cycle}: {ids:?}");
         if kept == 0 {
-            // cold, or a tier merge swallowed the base: nothing to reuse
-            assert_eq!((misses, merges), (ORDERS, 0), "cycle {cycle}: {ids:?}");
+            // cold, or a tier merge swallowed the base
             base_rewrites += 1;
-        } else {
-            assert_eq!((misses, merges), (0, ORDERS), "cycle {cycle}: {ids:?}");
         }
         cached_ids = ids;
         resident.push(
@@ -1174,14 +1172,12 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
         base_rewrites, 2,
         "the cold build and the one merge that reaches the 1024-row base"
     );
-    assert_eq!(counter("cache.misses"), 2 * ORDERS);
-    assert_eq!(counter("cache.incremental_merges"), 38 * ORDERS);
-    // the live set is a constant 1024 edges and tiering keeps the runs' rows
-    // under twice that, so residency must stay inside 2x of its first reading
-    // (one whole stranded structure per seal used to make it 40x). That
-    // reading is the clean 1024-row base's tries, the leanest a row gets; the
-    // small runs' fit because a run with tombstones pays a bit a row for them
-    // and carries no set layouts — the peak reads 1.88x
+    assert_eq!(counter("cache.misses"), 40 * ORDERS);
+    assert_eq!(counter("cache.incremental_merges"), 0);
+    // the live set is a constant 1024 edges, and a fold holds exactly the
+    // live edges, so residency must stay inside 2x of its first reading (one
+    // whole stranded structure per seal used to make it 40x): one fold's
+    // tries per order, the superseded fold's entries swept by the next build
     let bound = 2 * resident[0];
     assert!(
         resident.iter().all(|&bytes| bytes > 0 && bytes <= bound),

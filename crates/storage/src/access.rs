@@ -5,23 +5,17 @@
 //! from storage: positioned enumeration of the sorted set of values extending a bound
 //! prefix, with a least-upper-bound `seek` so that set intersections run in time
 //! proportional to the smallest set (Section 2). One structure provides it, the
-//! CSR-flattened [`crate::Trie`], through two cursors:
-//!
-//! * [`crate::TrieCursor`] over one trie — contiguous sorted sibling groups found
-//!   by one `child_start` offset per `open` (no hashing), galloping `seek`; the
-//!   classic Leapfrog Triejoin iterator, and equally the "sorted extensions of
-//!   a prefix" access Generic Join (Algorithm 2) assumes;
-//! * [`DeltaCursor`] over a [`crate::delta::DeltaAccess`] — the union cursor over
-//!   the tries of a delta log's runs: one `TrieCursor` per run, their sibling
-//!   groups merged (and tombstoned values suppressed) where more than one run
-//!   holds the prefix.
+//! CSR-flattened [`crate::Trie`], through one cursor, [`crate::TrieCursor`]:
+//! contiguous sorted sibling groups found by one `child_start` offset per `open`
+//! (no hashing), galloping `seek` — the classic Leapfrog Triejoin iterator, and
+//! equally the "sorted extensions of a prefix" access Generic Join (Algorithm 2)
+//! assumes. A [`crate::DeltaRelation`] has no cursor of its own: its sealed runs
+//! fold into one tombstone-free run whose trie is an ordinary one, so the sets a
+//! join intersects exist before the join, as the paper's algorithms require.
 //!
 //! Generic Join and Leapfrog Triejoin in `wcoj-core` are written once, *generic*
 //! over `C: TrieAccess`, so the hot loops monomorphize — no per-seek virtual
-//! dispatch. To mix static and delta-backed atoms within one query, wrap each
-//! cursor in [`CursorKind`] (a two-variant enum whose dispatch is a predictable
-//! branch, not a vtable call); the trait remains object-safe for callers that
-//! really want `dyn`.
+//! dispatch; the trait remains object-safe for callers that really want `dyn`.
 //!
 //! Every cursor is `Send + Clone`: it borrows its (immutable, `Sync`) access
 //! structure and owns its stack plus private [`CursorWork`] tallies, which the
@@ -31,11 +25,7 @@
 //! A trie also hands out, per dense sibling group, the **set layout** it
 //! prebuilt ([`TrieAccess::layout`], see [`crate::kernels`]): when every cursor
 //! of an intersection has one, the engines AND bitset words instead of scanning
-//! the lists. A [`DeltaCursor`] group that lives in one run is that run's trie's
-//! own group and hands out the same layout; a group merged from several runs —
-//! or borrowed from a run with tombstones, whose trie builds none — has no
-//! layout, which makes an intersection it takes part in fall through to the
-//! list kernels.
+//! the lists — over a loaded relation and a churned log alike.
 //!
 //! # Contract
 //!
@@ -49,7 +39,6 @@
 //! root there is no group: `next`, `seek`, `reposition` and `advance_to` answer
 //! `false` there without moving, and only `key` panics.
 
-use crate::delta::DeltaCursor;
 use crate::kernels::Layout;
 use crate::stats::CursorWork;
 use crate::trie::TrieCursor;
@@ -196,101 +185,10 @@ impl TrieAccess for TrieCursor<'_> {
     }
 }
 
-/// A cursor over either access structure, dispatching through a two-variant enum
-/// instead of a vtable — the composition point for queries that mix static and
-/// delta-backed atoms while keeping the engines' hot loops monomorphized.
-#[derive(Debug, Clone)]
-pub enum CursorKind<'a> {
-    /// A cursor over a CSR [`crate::Trie`].
-    Trie(TrieCursor<'a>),
-    /// A delta-log union cursor over a [`crate::delta::DeltaAccess`] — the live
-    /// (run tries + tombstones) view of a [`crate::delta::DeltaRelation`].
-    Delta(DeltaCursor<'a>),
-}
-
-impl<'a> From<TrieCursor<'a>> for CursorKind<'a> {
-    fn from(c: TrieCursor<'a>) -> Self {
-        CursorKind::Trie(c)
-    }
-}
-
-impl<'a> From<DeltaCursor<'a>> for CursorKind<'a> {
-    fn from(c: DeltaCursor<'a>) -> Self {
-        CursorKind::Delta(c)
-    }
-}
-
-macro_rules! dispatch {
-    ($self:ident, $c:ident => $e:expr) => {
-        match $self {
-            CursorKind::Trie($c) => $e,
-            CursorKind::Delta($c) => $e,
-        }
-    };
-}
-
-impl TrieAccess for CursorKind<'_> {
-    fn arity(&self) -> usize {
-        dispatch!(self, c => c.arity())
-    }
-
-    fn depth(&self) -> usize {
-        dispatch!(self, c => c.depth())
-    }
-
-    fn open(&mut self) -> bool {
-        dispatch!(self, c => c.open())
-    }
-
-    fn up(&mut self) {
-        dispatch!(self, c => c.up())
-    }
-
-    fn key(&self) -> Value {
-        dispatch!(self, c => c.key())
-    }
-
-    fn at_end(&self) -> bool {
-        dispatch!(self, c => c.at_end())
-    }
-
-    fn next(&mut self) -> bool {
-        dispatch!(self, c => c.next())
-    }
-
-    fn seek(&mut self, target: Value) -> bool {
-        dispatch!(self, c => c.seek(target))
-    }
-
-    fn reposition(&mut self, target: Value) -> bool {
-        dispatch!(self, c => c.reposition(target))
-    }
-
-    fn advance_to(&mut self, target: Value) -> bool {
-        dispatch!(self, c => TrieAccess::advance_to(c, target))
-    }
-
-    fn remaining(&self) -> &[Value] {
-        dispatch!(self, c => TrieAccess::remaining(c))
-    }
-
-    fn group_size(&self) -> usize {
-        dispatch!(self, c => c.group_size())
-    }
-
-    fn layout(&self) -> Option<Layout<'_>> {
-        dispatch!(self, c => TrieAccess::layout(c))
-    }
-
-    fn take_work(&mut self) -> CursorWork {
-        dispatch!(self, c => c.take_work())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{DeltaAccess, DeltaRelation};
+    use crate::delta::DeltaRelation;
     use crate::relation::Relation;
     use crate::schema::Schema;
     use crate::trie::Trie;
@@ -307,6 +205,35 @@ mod tests {
                 vec![4, 1, 2],
             ],
         )
+    }
+
+    /// `rel()` as a churned log: a base run without two of its rows plus
+    /// four junk rows, a run that puts the two back and deletes one junk
+    /// row, and a buffer that deletes the rest and re-inserts one more.
+    fn churned() -> DeltaRelation {
+        let r = rel();
+        let junk = |j: Value| vec![9, 9, j];
+        let mut log = DeltaRelation::new(r.schema().clone());
+        log.set_seal_threshold(usize::MAX);
+        for t in r.iter().skip(2).chain((0..4).map(junk)) {
+            log.insert(t).unwrap();
+        }
+        log.seal();
+        for t in r.iter().take(2) {
+            log.insert(t).unwrap();
+        }
+        log.delete(&junk(0)).unwrap();
+        log.seal();
+        for j in 1..4 {
+            log.delete(&junk(j)).unwrap();
+        }
+        log.delete(&[4, 1, 2]).unwrap();
+        log.insert(vec![4, 1, 2]).unwrap();
+        assert_eq!(
+            (log.num_runs(), log.tombstones(), log.buffered()),
+            (2, 1, 5)
+        );
+        log
     }
 
     /// Depth-first enumeration through the trait — must reproduce the sorted tuples
@@ -342,55 +269,49 @@ mod tests {
         c.up();
     }
 
-    /// The static trie and the delta union cursor over the same tuples.
+    /// The static trie and the trie a churned log is read through, over the
+    /// same tuples: the same structure, bit for bit.
     #[test]
     fn both_backends_enumerate_identically() {
         let r = rel();
         let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
-        let log = DeltaRelation::from_relation(r.clone());
-        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
-        let mut tc = trie.cursor();
-        let mut dc = live.cursor();
-        assert_eq!(enumerate(&mut tc, 3), r.rows());
-        assert_eq!(enumerate(&mut dc, 3), r.rows());
+        let live = churned().live_run().trie(&[0, 1, 2]).unwrap();
+        assert_eq!(live, trie);
+        assert_eq!(enumerate(&mut trie.cursor(), 3), r.rows());
+        assert_eq!(enumerate(&mut live.cursor(), 3), r.rows());
     }
 
     #[test]
-    fn cursor_kind_matches_concrete_navigation() {
-        let r = rel();
-        let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
-        let log = DeltaRelation::from_relation(r.clone());
-        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
-        let mut cursors: Vec<CursorKind> = vec![trie.cursor().into(), live.cursor().into()];
-        for c in cursors.iter_mut() {
-            assert_eq!(c.arity(), 3);
-            assert!(c.at_end()); // root
-            assert_eq!(c.group_size(), 0);
-            assert!(c.open());
-            assert_eq!(c.depth(), 1);
-            assert_eq!(c.key(), 1);
-            assert_eq!(c.group_size(), 3); // A in {1, 2, 4}
-            assert_eq!(TrieAccess::remaining(c), &[1, 2, 4]);
-            assert!(c.seek(3));
-            assert_eq!(c.key(), 4); // lub of 3
-            assert!(c.reposition(1)); // backward, uncounted
-            assert_eq!(c.key(), 1);
-            assert!(c.reposition(4));
-            assert!(c.open());
-            assert_eq!(c.key(), 1); // B under A=4
-            assert!(c.open());
-            assert_eq!(c.group_size(), 2); // C in {1, 2}
-            assert!(c.next());
-            assert_eq!(c.key(), 2);
-            assert!(!c.next());
-            assert!(c.at_end());
-            c.up();
-            c.up();
-            assert_eq!(c.depth(), 1);
-            assert!(!c.seek(5)); // nothing >= 5 at level A
-            assert!(c.at_end());
-            assert!(!c.take_work().is_zero());
-        }
+    fn trait_navigation_follows_the_contract() {
+        let trie = Trie::build(&rel(), &["A", "B", "C"]).unwrap();
+        let c = &mut trie.cursor();
+        assert_eq!(c.arity(), 3);
+        assert!(c.at_end()); // root
+        assert_eq!(c.group_size(), 0);
+        assert!(c.open());
+        assert_eq!(c.depth(), 1);
+        assert_eq!(c.key(), 1);
+        assert_eq!(c.group_size(), 3); // A in {1, 2, 4}
+        assert_eq!(TrieAccess::remaining(c), &[1, 2, 4]);
+        assert!(c.seek(3));
+        assert_eq!(c.key(), 4); // lub of 3
+        assert!(c.reposition(1)); // backward, uncounted
+        assert_eq!(c.key(), 1);
+        assert!(c.reposition(4));
+        assert!(c.open());
+        assert_eq!(c.key(), 1); // B under A=4
+        assert!(c.open());
+        assert_eq!(c.group_size(), 2); // C in {1, 2}
+        assert!(c.next());
+        assert_eq!(c.key(), 2);
+        assert!(!c.next());
+        assert!(c.at_end());
+        c.up();
+        c.up();
+        assert_eq!(c.depth(), 1);
+        assert!(!c.seek(5)); // nothing >= 5 at level A
+        assert!(c.at_end());
+        assert!(!c.take_work().is_zero());
     }
 
     /// Every set bit of a layout, ascending.
@@ -402,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_trie_groups_carry_their_layout_and_delta_groups_none() {
+    fn dense_trie_groups_carry_their_layout_and_a_churned_logs_fold_keeps_them() {
         // root: {3, 200, 9000} (sparse); under 3: 70..=134 step 2 (dense, first
         // off the 64-grid); under 200: four values (tiny); under 9000: a wide
         // sparse group
@@ -411,7 +332,7 @@ mod tests {
         rows.extend((0..8).map(|b| vec![9000, b * 1000]));
         let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
         let trie = Trie::build(&r, &["A", "B"]).unwrap();
-        let mut c: CursorKind = trie.cursor().into();
+        let mut c = trie.cursor();
         assert_eq!(c.layout(), None, "at the root");
         assert!(c.open());
         assert_eq!(c.layout(), None, "three root values are a tiny group");
@@ -432,44 +353,30 @@ mod tests {
             c.up();
         }
 
-        // a delta group that lives in one run is that run's trie's own group:
-        // the same values and the very same layout words
+        // a second run under A = 3 (one tombstone, one insert): the log is
+        // read through its fold, whose dense group keeps a layout
         let mut log = DeltaRelation::from_relation(r);
-        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
-        let mut d: CursorKind = live.cursor().into();
-        assert!(d.open());
-        assert!(d.open()); // under A = 3: the same dense values
-        assert!(c.reposition(3) && c.open());
-        assert_eq!(TrieAccess::remaining(&d), group.as_slice());
-        assert_eq!(d.layout(), c.layout());
-        assert_eq!(decode(d.layout().unwrap()), group);
-
-        // a second run under A = 3 (one tombstone, one insert): the group is
-        // merged from two runs and has no layout; A = 200 still lives in the
-        // first run alone and is still borrowed from it
         log.set_seal_threshold(usize::MAX);
         assert!(log.delete(&[3, 70]).unwrap());
         assert!(log.insert(vec![3, 71]).unwrap());
         log.seal();
         assert_eq!(log.num_runs(), 2);
-        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
-        let mut d: CursorKind = live.cursor().into();
-        assert!(d.open());
-        assert!(d.open());
+        let live = log.live_run().trie(&[0, 1]).unwrap();
+        let mut d = live.cursor();
+        assert!(d.open() && d.open());
         let merged: Vec<Value> = std::iter::once(71)
             .chain(group[1..].iter().copied())
             .collect();
         assert_eq!(TrieAccess::remaining(&d), merged.as_slice());
-        assert_eq!(d.layout(), None);
+        assert_eq!(decode(d.layout().expect("a dense group")), merged);
         d.up();
         assert!(d.seek(200) && d.open());
         assert_eq!(TrieAccess::remaining(&d), &[0, 1, 2, 3]);
-        assert_eq!(d.take_work().delta_merge, 2 + (33 + 2) + 1);
     }
 
     /// At the root there is no group to move in: every positioning call
-    /// answers `false` and leaves the cursor where it is, on both cursor kinds
-    /// (before the first `open` and after the last `up`).
+    /// answers `false` and leaves the cursor where it is (before the first
+    /// `open` and after the last `up`).
     #[test]
     fn positioning_at_the_root_answers_false() {
         fn at_root<C: TrieAccess>(c: &mut C) {
@@ -484,12 +391,8 @@ mod tests {
                 c.up();
             }
         }
-        let r = rel();
-        let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
-        let log = DeltaRelation::from_relation(r);
-        let live = DeltaAccess::build(&log, &["A", "B", "C"]).unwrap();
+        let trie = Trie::build(&rel(), &["A", "B", "C"]).unwrap();
         at_root(&mut trie.cursor());
-        at_root(&mut live.cursor());
     }
 
     #[test]
@@ -505,10 +408,9 @@ mod tests {
     fn cursors_are_send_clone_and_indexes_sync() {
         fn assert_send_clone<T: Send + Clone>() {}
         fn assert_sync<T: Sync>() {}
-        assert_send_clone::<DeltaCursor<'_>>();
-        assert_send_clone::<CursorKind<'_>>();
+        assert_send_clone::<crate::TrieCursor<'_>>();
         assert_sync::<Trie>();
-        assert_sync::<DeltaAccess>();
+        assert_sync::<DeltaRelation>();
     }
 
     #[test]
@@ -516,11 +418,10 @@ mod tests {
         let r = Relation::empty(Schema::new(&["A", "B"]));
         let trie = Trie::build(&r, &["A", "B"]).unwrap();
         let log = DeltaRelation::from_relation(r);
-        let live = DeltaAccess::build(&log, &["A", "B"]).unwrap();
-        let mut tc = trie.cursor();
-        let mut dc = live.cursor();
+        let live = log.live_run().trie(&[0, 1]).unwrap();
+        assert_eq!(live, trie);
+        let mut tc = live.cursor();
         assert!(!TrieAccess::open(&mut tc));
-        assert!(!TrieAccess::open(&mut dc));
-        assert_eq!(dc.arity(), 2);
+        assert_eq!(TrieAccess::arity(&tc), 2);
     }
 }

@@ -4,35 +4,38 @@
 //!
 //! # Keying and invalidation
 //!
-//! One rule: **a sealed run permuted to one column order is one entry — a
-//! [`Trie`] — and the entry dies with its run.** A cache cannot safely key on
+//! One rule: **a log's fold permuted to one column order is one entry — a
+//! [`Trie`] — and the entry dies with its fold.** A cache cannot safely key on
 //! relation **names** alone — names are rebound (`Database::insert`
 //! replaces), databases are cloned, and logs mutate in place — so every
-//! [`CacheKey`] carries a **stamp**: the id of one immutable sealed run of a
+//! [`CacheKey`] carries a **stamp**: the id of one immutable run of a
 //! [`crate::DeltaRelation`], taken from [`next_stamp`] (a process-global
 //! monotone counter, never reissued) when the run is created — by a load, a
-//! seal, a tier merge or a compaction.
+//! seal, a tier merge, a compaction, or the fold of several runs.
 //!
-//! An atom is served run by run: the reader walks its own run list
-//! ([`crate::DeltaRelation::runs`]) and fetches or builds each run's trie
-//! ([`crate::delta::Run::trie`]), whatever the column order, the relation's
-//! native one included. There is nothing to revalidate: a key either names a
-//! run the reader holds or it does not. Every run found is a hit; after a seal
-//! the one new run is the only one built (the **incremental merge**); after a
-//! compaction, or a rebind of the name, the reader holds one run nobody has
-//! seen, and builds it. A snapshot and the advancing head share the entries of
-//! the runs they have in common and never contend for a key, so neither can
-//! evict the other by reading. The unsealed append buffer is never cached —
-//! it has no identity to key on, and is collapsed into an ephemeral run per
-//! query, exactly as uncached execution does — and a log with no run (an
-//! empty relation) has nothing to cache.
+//! An atom is served by its log's fold ([`crate::DeltaRelation::fold`]): the
+//! sealed runs merged into one tombstone-free run, memoized in the log for its
+//! current run list — a loaded relation's fold is its one run, id included.
+//! The reader fetches or builds the fold's trie ([`crate::delta::Run::trie`]),
+//! whatever the column order, the relation's native one included. There is
+//! nothing to revalidate: a key either names a fold the reader holds or it
+//! does not. A repeated query hits; a seal, a tier merge or a compaction gives
+//! the log a new fold, whose trie is built once per order (a miss). A snapshot
+//! and the advancing head share the entry of a fold they have in common
+//! (clones that list the same runs share its memo) and never contend for a
+//! key, so neither can evict the other by reading. The unsealed append buffer
+//! is never cached — it has no identity to key on: it is merged into the fold
+//! per query and the result built as a plain trie, exactly as uncached
+//! execution does — and a log with no run has nothing to cache.
 //!
-//! An entry holds its run weakly, and the run lives exactly as long as some
-//! log — the head or a snapshot — lists it. Once the last of them has dropped
-//! it no reader can present its id again, so the entry is **dead**:
-//! [`AccessCache::insert`] removes the dead entries of the `(relation,
-//! positions)` it is inserting for, and each byte resident is charged to
-//! exactly one entry.
+//! An entry holds its fold weakly, and the fold lives exactly as long as some
+//! log — the head or a snapshot — holds it as its memo; a one-run log's fold
+//! is a handle of the log's own on that run, so its entry dies when the log's
+//! run list moves on, even while the run lives on as the oldest of several.
+//! Once the last holder has dropped it no reader can present its id again, so
+//! the entry is **dead**: [`AccessCache::insert`] removes the dead entries of
+//! the `(relation, positions)` it is inserting for, and each byte resident is
+//! charged to exactly one entry.
 //!
 //! # Eviction
 //!
@@ -77,10 +80,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found nothing usable and built from scratch.
     pub misses: u64,
-    /// Delta lookups that found some of the reader's runs and built only the
-    /// others — newly sealed ones (the incremental path between a hit and a
-    /// rebuild).
-    pub incremental_merges: u64,
     /// Cache residency in bytes after the query's builds.
     pub bytes: u64,
     /// Entries evicted by this query's insertions.
@@ -88,7 +87,7 @@ pub struct CacheStats {
 }
 
 /// What a cached trie was built from: the relation's catalog name, the column
-/// permutation it was built over, and the id of the sealed run (see the
+/// permutation it was built over, and the id of the log's fold (see the
 /// [module docs](crate::cache)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -96,7 +95,7 @@ pub struct CacheKey {
     pub relation: String,
     /// Column positions, one per attribute, in the built order.
     pub positions: Vec<usize>,
-    /// The sealed run's id ([`crate::delta::Run::id`]).
+    /// The fold's run id ([`crate::delta::Run::id`]).
     pub stamp: u64,
 }
 
@@ -105,10 +104,10 @@ struct Entry {
     /// Shared by reference count: a hit hands the execution layer an `Arc`
     /// clone, so eviction can never invalidate an in-flight query.
     value: Arc<Trie>,
-    /// The sealed run this was built from, held weakly: the entry must not
-    /// keep a compacted-away or rebound run's rows alive, and the run's
-    /// refcount is how the cache learns that no log (head or snapshot) can
-    /// ask for it again.
+    /// The fold this was built from, held weakly: the entry must not keep a
+    /// superseded or rebound fold's rows alive, and the fold's refcount is
+    /// how the cache learns that no log (head or snapshot) can ask for it
+    /// again.
     source: Weak<Run>,
     bytes: usize,
     cost: u64,
@@ -145,6 +144,9 @@ pub struct AccessCache {
     /// the execution layer's concern; these fold every query in.
     hits: Arc<Counter>,
     misses: Arc<Counter>,
+    /// Registered as `cache.incremental_merges` and never added to: a log is
+    /// built as one fold, never run by run. It stays, reading 0, because the
+    /// request benchmark reads that name from the registry.
     incremental_merges: Arc<Counter>,
     evictions: Arc<Counter>,
     resident_bytes: Arc<Gauge>,
@@ -181,7 +183,6 @@ impl AccessCache {
     pub fn record_query(&self, stats: &CacheStats) {
         self.hits.add(stats.hits);
         self.misses.add(stats.misses);
-        self.incremental_merges.add(stats.incremental_merges);
         self.evictions.add(stats.evictions);
         self.resident_bytes.set(stats.bytes);
     }
@@ -267,8 +268,8 @@ impl AccessCache {
     /// and remembering the build-`cost` estimate (rows scanned) for the
     /// eviction priority. Returns how many entries were evicted to fit. A
     /// value larger than the whole budget is not admitted (inserting it could
-    /// only thrash). `source` is the sealed run the trie was built from: dead
-    /// entries of the same `(relation, positions)` — tries of runs no log
+    /// only thrash). `source` is the fold the trie was built from: dead
+    /// entries of the same `(relation, positions)` — tries of folds no log
     /// holds any more — are removed first, and are not counted as evictions:
     /// nothing could have hit them.
     pub fn insert(
@@ -346,12 +347,12 @@ mod tests {
         Arc::new(Trie::build(&rel, &["A", "B"]).unwrap())
     }
 
-    /// The source of entries whose run outlives every test (never dead).
+    /// The source of entries whose fold outlives every test (never dead).
     fn live() -> Weak<Run> {
         static RUN: std::sync::OnceLock<Arc<Run>> = std::sync::OnceLock::new();
         Arc::downgrade(RUN.get_or_init(|| {
             let rel = Relation::from_pairs("A", "B", [(0, 1)]);
-            Arc::clone(&DeltaRelation::from_relation(rel).runs()[0])
+            DeltaRelation::from_relation(rel).fold().unwrap()
         }))
     }
 
@@ -448,27 +449,25 @@ mod tests {
         }
     }
 
-    /// What the execution layer does for one delta-backed atom: look up the
-    /// reader's own runs, build the tries that are missing, keep those.
-    /// Returns how many were built.
-    fn fetch_or_build(cache: &AccessCache, delta: &DeltaRelation) -> usize {
-        let mut built = 0;
-        for run in delta.runs() {
-            if cache.get(&run_key(run.id())).is_none() {
-                let trie = Arc::new(run.trie(&[1, 0]).unwrap());
-                let (cost, bytes) = (run.len() as u64, trie.heap_bytes());
-                let source = Arc::downgrade(run);
-                cache.insert(run_key(run.id()), trie, source, cost, bytes);
-                built += 1;
-            }
+    /// What the execution layer does for one atom of a log with nothing
+    /// buffered: look up the log's fold, build its trie if it is missing, keep
+    /// that. Returns whether it built.
+    fn fetch_or_build(cache: &AccessCache, delta: &DeltaRelation) -> bool {
+        let fold = delta.fold().unwrap();
+        if cache.get(&run_key(fold.id())).is_some() {
+            return false;
         }
-        built
+        let trie = Arc::new(fold.trie(&[1, 0]).unwrap());
+        let (cost, bytes) = (fold.len() as u64, trie.heap_bytes());
+        cache.insert(run_key(fold.id()), trie, Arc::downgrade(&fold), cost, bytes);
+        true
     }
 
-    /// Sum of `heap_bytes()` over the resident tries of `ids`, and how many
-    /// of them are resident.
-    fn resident(cache: &AccessCache, ids: &[u64]) -> (usize, usize) {
-        let tries = ids.iter().filter_map(|&id| cache.get(&run_key(id)));
+    /// Sum of `heap_bytes()` over the resident tries of the folds of `logs`,
+    /// and how many of them are resident.
+    fn resident(cache: &AccessCache, logs: &[&DeltaRelation]) -> (usize, usize) {
+        let ids = logs.iter().map(|log| log.fold().unwrap().id());
+        let tries = ids.filter_map(|id| cache.get(&run_key(id)));
         tries.fold((0, 0), |(bytes, n), t| (bytes + t.heap_bytes(), n + 1))
     }
 
@@ -481,47 +480,40 @@ mod tests {
             head.insert(vec![i % 31, i]).unwrap();
         }
         head.seal();
-        assert_eq!(fetch_or_build(&cache, &head), 1, "cold: the base");
-        // seal-extend: each small seal adds one run and one entry, and the
-        // tries every reader shares are charged to exactly one of them
+        assert!(fetch_or_build(&cache, &head), "cold: the base");
+        assert!(!fetch_or_build(&cache, &head), "then it hits");
+        // seal-extend: each small seal gives the log a new fold, built once;
+        // the old fold's entry is dead and goes with that build
         for round in 0..3u64 {
             for i in 0..(16 >> round) {
                 head.insert(vec![round, 1000 + 100 * round + i]).unwrap();
             }
             head.seal();
             assert_eq!(head.num_runs(), round as usize + 2, "no tier merge");
-            assert_eq!(fetch_or_build(&cache, &head), 1, "only the new run");
-            assert_eq!(fetch_or_build(&cache, &head), 0, "then every run hits");
-            let (bytes, n) = resident(&cache, &head.run_ids());
-            assert_eq!(n, head.num_runs());
-            assert_eq!(cache.len(), n);
+            assert!(fetch_or_build(&cache, &head), "a new fold");
+            assert!(!fetch_or_build(&cache, &head), "then it hits");
+            let (bytes, n) = resident(&cache, &[&head]);
+            assert_eq!((n, cache.len()), (1, 1), "round {round}");
             assert_eq!(cache.bytes(), bytes, "round {round}");
         }
-        // a snapshot pins the four runs; the head compacts them away
+        // a snapshot pins the fold; the head compacts its runs away
         let snapshot = head.clone();
         head.compact();
-        assert_eq!(fetch_or_build(&cache, &head), 1);
-        assert_eq!(fetch_or_build(&cache, &snapshot), 0, "shared entries hit");
-        let both = [snapshot.run_ids(), head.run_ids()].concat();
-        let (bytes, n) = resident(&cache, &both);
-        assert_eq!(
-            (n, cache.len()),
-            (5, 5),
-            "the snapshot keeps its runs alive"
-        );
+        assert!(fetch_or_build(&cache, &head));
+        assert!(!fetch_or_build(&cache, &snapshot), "the pinned fold hits");
+        let (bytes, n) = resident(&cache, &[&snapshot, &head]);
+        assert_eq!((n, cache.len()), (2, 2), "the snapshot keeps its fold");
         assert_eq!(cache.bytes(), bytes);
         // once it is gone, the next insert for this relation and order
         // reclaims what only it held
         drop(snapshot);
-        assert_eq!(cache.len(), 5, "nothing happens until an insert");
+        assert_eq!(cache.len(), 2, "nothing happens until an insert");
         head.insert(vec![77, 7000]).unwrap();
         head.seal();
-        assert_eq!(fetch_or_build(&cache, &head), 1);
-        let (bytes, n) = resident(&cache, &both);
-        assert_eq!(n, 1, "only the compacted base survives of the old five");
-        let (tail, _) = resident(&cache, &head.run_ids()[1..]);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.bytes(), bytes + tail);
+        assert!(fetch_or_build(&cache, &head));
+        let (bytes, n) = resident(&cache, &[&head]);
+        assert_eq!((n, cache.len()), (1, 1), "only the head's fold is resident");
+        assert_eq!(cache.bytes(), bytes);
     }
 
     #[test]
@@ -530,14 +522,12 @@ mod tests {
         cache.record_query(&CacheStats {
             hits: 2,
             misses: 1,
-            incremental_merges: 1,
             bytes: 512,
             evictions: 0,
         });
         cache.record_query(&CacheStats {
             hits: 1,
             misses: 0,
-            incremental_merges: 0,
             bytes: 640,
             evictions: 3,
         });
@@ -547,7 +537,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("cache.hits"), Some(3));
         assert_eq!(snap.counter_value("cache.misses"), Some(1));
-        assert_eq!(snap.counter_value("cache.incremental_merges"), Some(1));
+        assert_eq!(snap.counter_value("cache.incremental_merges"), Some(0));
         assert_eq!(snap.counter_value("cache.evictions"), Some(3));
         assert_eq!(
             snap.gauge_value("cache.resident_bytes"),

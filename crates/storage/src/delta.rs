@@ -1,4 +1,4 @@
-//! Incremental maintenance: delta-log relations with mergeable access structures.
+//! Incremental maintenance: delta-log relations, read as one folded trie.
 //!
 //! A [`crate::Trie`] is built over an immutable, canonically sorted
 //! [`Relation`] — and [`Relation::insert`] pays O(n) per tuple to keep that
@@ -14,7 +14,7 @@
 //! * [`DeltaRelation::insert`] / [`DeltaRelation::delete`] append to the buffer
 //!   after an O(arity)-expected liveness probe of an incrementally-maintained
 //!   live-tuple hash index (which keeps each tuple's history an alternating +/−
-//!   sequence — the invariant that makes signed counting exact — at the price
+//!   sequence — the invariant that makes signed merging exact — at the price
 //!   of one extra copy of each live tuple; unary/binary tuples pack into
 //!   `u128` keys there). The buffer is columnar at every arity — one column
 //!   per attribute plus one sign per op — so an append allocates nothing of
@@ -23,22 +23,17 @@
 //!   **size-tiered compaction** (adjacent runs of comparable size merge in
 //!   linear two-pointer passes, the one run merge); [`DeltaRelation::compact`]
 //!   merges everything back into a single tombstone-free base;
-//! * query-side, a sealed run's access structure **is a [`Trie`]**: a run is a
-//!   canonical relation plus signs, so [`Run::trie`] is the one trie builder
-//!   — layouts included for a run of inserts, which is its relation's trie bit
-//!   for bit; a run that carries tombstones is not a set of live values, so it
-//!   gets no set layouts and instead one flag bit per leaf with a running
-//!   count per word, which makes the signed tuple count under any node two
-//!   popcounts (a quarter of a byte per row). It is built once per
-//!   `(run, order)` and cached. [`DeltaAccess`] is the list of a log's run tries for
-//!   one order and its [`DeltaCursor`] implements [`crate::TrieAccess`] by
-//!   k-way-merging the runs' sorted, *distinct* sibling groups **and
-//!   suppressing values whose signed subtree count is not positive** — so both
-//!   Generic Join and Leapfrog Triejoin run unmodified over live data,
-//!   bit-identical to a full rebuild. A prefix that lives in one run with no
-//!   tombstone under it is not merged at all: the cursor hands out that trie's
-//!   own group and — from a run of inserts — its set layout. Merge work is
-//!   attributed to the `delta_merge` tally of [`crate::CursorWork`]/[`crate::WorkCounter`].
+//! * query-side, a log is read as **one tombstone-free run**: its sealed runs
+//!   folded by the same run merge ([`DeltaRelation::fold`]), memoized in the
+//!   log for its current run list and dropped whenever a seal, a tier merge or
+//!   a compaction changes that list — a log of one run folds to that run, id
+//!   included — with a non-empty unsealed buffer collapsed and merged into it
+//!   per query ([`DeltaRelation::live_run`]). Either way the result is a plain
+//!   canonical relation and [`Run::trie`] the one trie builder over it, set
+//!   layouts included: the sorted set of values extending a prefix exists
+//!   *before* the join, as Generic Join and Leapfrog Triejoin assume
+//!   (Section 2), and a query over a log runs the static path on its
+//!   snapshot, bit for bit, work counters included.
 //!
 //! # Cost model
 //!
@@ -47,30 +42,28 @@
 //! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort |
 //! | seal (per `B` buffered ops) | — | O(B log B) |
 //! | compaction (amortized per op) | — | O(log(n/B)) linear merge touches |
-//! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
-//! | access-structure build | O(n log n) argsort + scan | the same builder once per `(run, order)`, cached; identity orders skip the argsort |
-//! | cursor `open` of a prefix | one `child_start` lookup | one lookup per run holding the prefix, plus one merge step per `(value, run)` when more than one does (or a tombstone lies under it) |
-//! | query result | — | **bit-identical** to rebuilding from [`DeltaRelation::snapshot`] |
+//! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2), plus the fold of a log of several runs |
+//! | fold (once per run list) | — | linear merges over the runs, newest pair first |
+//! | access-structure build | O(n log n) argsort + scan | the same builder over the fold, once per order and run list, cached; identity orders skip the argsort |
+//! | query with `B` ops buffered | — | O(B log B) collapse + one O(n) merge into the fold + the build, per relation and order |
+//! | cursor `open` of a prefix | one `child_start` lookup | the same: the fold's trie is a trie |
+//! | query result | — | **bit-identical**, rows and work counters, to rebuilding from [`DeltaRelation::snapshot`] |
 //!
-//! The signed-count discipline (each live tuple contributes net +1 across its
-//! history, each dead tuple net 0) is what lets the cursor decide liveness of an
-//! *interior* trie value with one rank subtraction per run instead of
-//! exploring the subtree: a value extends the current prefix iff the summed
-//! signed count of the tuples under prefix·value is positive. A log with one
-//! run and no tombstones — a loaded relation — needs none of this: its trie
-//! *is* the relation's trie, and the execution layer runs it on the plain
-//! [`crate::TrieCursor`].
+//! The alternating-history invariant (each live tuple contributes net +1
+//! across its history, each dead tuple net 0) is what makes a merge of signed
+//! runs exact: two rows of one tuple annihilate, and the merge of a log's
+//! whole history — its fold — holds exactly the live tuples, each once, with
+//! no tombstone left.
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
 use crate::relation::{argsort_columns, is_canonical, Relation, Tuple};
 use crate::schema::Schema;
-use crate::stats::CursorWork;
-use crate::trie::{Trie, TrieCursor};
+use crate::trie::Trie;
 use crate::wal::PayloadReader;
 use crate::Value;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The live-tuple membership index: one entry per live tuple, maintained
 /// incrementally by `insert`/`delete` (hashed with the in-tree [`FxHasher`];
@@ -150,19 +143,20 @@ const GROWTH: usize = 2;
 
 /// One immutable sorted run of a [`DeltaRelation`]: a canonical mini-relation
 /// plus one sign per row. Opaque outside this module except as a build input:
-/// the execution layer fetches or builds [`Run::trie`] per run, and the access
-/// cache holds a `Weak` to it so the entry dies with the run.
+/// the execution layer fetches or builds [`Run::trie`] of a log's fold, and
+/// the access cache holds a `Weak` to the fold so the entry dies with it.
+/// Cloning a run is cheap — its rows and signs are shared — and keeps its id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Run {
     /// Process-unique identity stamp ([`crate::cache::next_stamp`]): runs are
     /// immutable, so equal ids imply identical content — the stamp of the
-    /// access-structure cache's key for this run's tries.
+    /// access-structure cache's key for a fold's tries.
     id: u64,
     /// The run's rows: sorted, distinct tuples (each tuple occurs at most once
     /// per run, with its net sign).
-    rel: Relation,
+    rel: Arc<Relation>,
     /// Per row: whether it is a tombstone (sign −1) rather than an insert (+1).
-    dead: Vec<bool>,
+    dead: Arc<[bool]>,
 }
 
 impl Run {
@@ -170,8 +164,8 @@ impl Run {
     fn all_insert(rel: Relation) -> Run {
         Run {
             id: crate::cache::next_stamp(),
-            dead: vec![false; rel.len()],
-            rel,
+            dead: vec![false; rel.len()].into(),
+            rel: Arc::new(rel),
         }
     }
 
@@ -182,12 +176,13 @@ impl Run {
         debug_assert!(signs.iter().all(|&s| s == 1 || s == -1));
         Run {
             id: crate::cache::next_stamp(),
-            rel,
+            rel: Arc::new(rel),
             dead: signs.iter().map(|&s| s < 0).collect(),
         }
     }
 
-    /// The run's identity stamp ([`DeltaRelation::run_ids`]).
+    /// The run's identity stamp ([`DeltaRelation::run_ids`]; a one-run log's
+    /// fold keeps its run's).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -203,11 +198,12 @@ impl Run {
     }
 
     /// The run's access structure for the column order `positions`: the one
-    /// trie builder over the run's rows, keeping tombstone flags only if a row
-    /// is a tombstone.
+    /// trie builder over the run's rows. Queries read tombstone-free runs only
+    /// — a log's fold, or the fold with its buffer merged in
+    /// ([`DeltaRelation::live_run`]) — whose rows are all live.
     pub fn trie(&self, positions: &[usize]) -> Result<Trie, StorageError> {
-        let dead = self.dead.contains(&true).then_some(&self.dead[..]);
-        Trie::build_signed(&self.rel, positions, dead)
+        debug_assert_eq!(self.tombstones(), 0, "a run with tombstones is no set");
+        Trie::build_positions(&self.rel, positions)
     }
 
     /// The sign of row `i` (+1 insert, −1 tombstone).
@@ -324,6 +320,22 @@ fn merge_two(a: &Run, b: &Run) -> (Vec<Vec<Value>>, Vec<i64>) {
     (cols, signs)
 }
 
+/// Merge `runs[start..]` into at most one run by [`merge_two`], newest pair
+/// first — the cheapest order under tiered sizes; a pair that annihilates
+/// leaves nothing behind. Returns the rows the merges wrote.
+fn merge_from(schema: &Schema, runs: &mut Vec<Arc<Run>>, start: usize) -> usize {
+    let mut written = 0;
+    while let [.., a, b] = &runs[start..] {
+        let (cols, signs) = merge_two(a, b);
+        written += signs.len();
+        runs.truncate(runs.len() - 2);
+        if !signs.is_empty() {
+            runs.push(Arc::new(Run::from_parts(schema.clone(), cols, &signs)));
+        }
+    }
+    written
+}
+
 /// A relation stored as a delta log: base run + ordered delta runs + append
 /// buffer. See the [module docs](crate::delta) for the layout and cost model.
 ///
@@ -333,14 +345,20 @@ fn merge_two(a: &Run, b: &Run) -> (Vec<Vec<Value>>, Vec<i64>) {
 /// (`wcoj_query`'s `Database::snapshot`) pin — a clone freezes the
 /// `(base, sealed-run-list, buffer)` state by refcount while the original
 /// keeps ingesting; the first post-clone `insert`/`delete` pays a one-time
-/// O(live) copy of the shared live-tuple index.
+/// O(live) copy of the shared live-tuple index. Clones that list the same
+/// runs share one memoized fold.
 #[derive(Debug, Clone)]
 pub struct DeltaRelation {
     schema: Schema,
-    /// `runs[0]` is the oldest (the base after a [`DeltaRelation::compact`]);
-    /// later runs are newer and shadow earlier ones via signed counting.
-    /// `Arc`-shared: snapshot clones pin runs by refcount, never by copying.
+    /// `runs[0]` is the oldest (the base after a [`DeltaRelation::compact`])
+    /// and never carries a tombstone; later runs are newer and shadow earlier
+    /// ones by their signs. `Arc`-shared: snapshot clones pin runs by
+    /// refcount, never by copying.
     runs: Vec<Arc<Run>>,
+    /// The memoized [`DeltaRelation::fold`] of `runs`, computed on the first
+    /// read: shared by the clones that list the same runs, and replaced by an
+    /// empty cell whenever the list changes.
+    fold: Arc<OnceLock<Arc<Run>>>,
     /// Unsealed operations in arrival order, one column per attribute...
     buffer: Vec<Vec<Value>>,
     /// ...and one sign per operation (+1 insert, −1 tombstone).
@@ -379,6 +397,7 @@ impl DeltaRelation {
             buffer_signs: Vec::new(),
             schema,
             runs: Vec::new(),
+            fold: Arc::default(),
             live_set,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
@@ -417,6 +436,7 @@ impl DeltaRelation {
             buffer_signs: Vec::new(),
             schema,
             runs,
+            fold: Arc::default(),
             live_set: Arc::new(live_set),
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
@@ -457,22 +477,61 @@ impl DeltaRelation {
         self.runs.iter().map(|r| r.id).collect()
     }
 
-    /// The sealed runs themselves, oldest first — the immutable inputs the
-    /// execution layer fetches or builds one [`Run::trie`] each for.
-    pub fn runs(&self) -> &[Arc<Run>] {
-        &self.runs
+    /// The sealed runs folded into one tombstone-free run — the live tuples
+    /// as of the last seal — or `None` for a log with no sealed run. The runs
+    /// merge newest pair first, once per run list: the fold is memoized in the
+    /// log (and its clones that list the same runs) until a seal, a tier merge
+    /// or a compaction changes the list. A log of one run folds to that run,
+    /// its id included, behind a handle of the log's own: an access-cache
+    /// entry keyed by the fold dies once no log holds the fold, not when the
+    /// run is finally merged away.
+    pub fn fold(&self) -> Option<Arc<Run>> {
+        if self.runs.is_empty() {
+            return None;
+        }
+        let fold = self.fold.get_or_init(|| {
+            let mut runs = self.runs.clone();
+            merge_from(&self.schema, &mut runs, 0);
+            let run = runs
+                .pop()
+                .map_or_else(|| self.empty_run(), |run| Run::clone(&run));
+            debug_assert_eq!(
+                run.tombstones(),
+                0,
+                "a full history nets to its live tuples"
+            );
+            Arc::new(run)
+        });
+        Some(Arc::clone(fold))
     }
 
-    /// The unsealed buffer collapsed into an ephemeral run (the log is not
-    /// touched — queries take `&DeltaRelation`) and built like any other;
-    /// `None` when nothing is buffered or it all cancels. Never cached.
-    pub fn buffer_trie(&self, positions: &[usize]) -> Result<Option<Trie>, StorageError> {
+    /// The live tuples as one tombstone-free run — what a query reads: the
+    /// [`DeltaRelation::fold`] when nothing is buffered, else the unsealed
+    /// buffer collapsed and merged into it, a fresh run per call (the log is
+    /// not touched — queries take `&DeltaRelation`). A log with neither is an
+    /// empty run.
+    pub fn live_run(&self) -> Arc<Run> {
+        let fold = self.fold();
         if self.buffer_signs.is_empty() {
-            return Ok(None);
+            return fold.unwrap_or_else(|| Arc::new(self.empty_run()));
         }
         let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
-        let run = Run::from_parts(self.schema.clone(), cols, &signs);
-        (!run.is_empty()).then(|| run.trie(positions)).transpose()
+        let buffered = Run::from_parts(self.schema.clone(), cols, &signs);
+        let Some(fold) = fold else {
+            // with no run, a buffered delete can only cancel a buffered insert
+            return Arc::new(buffered);
+        };
+        let (cols, signs) = merge_two(&fold, &buffered);
+        debug_assert!(
+            signs.iter().all(|&s| s > 0),
+            "full-history nets are 0 or +1"
+        );
+        Arc::new(Run::from_parts(self.schema.clone(), cols, &signs))
+    }
+
+    /// A run of no rows in this log's schema.
+    fn empty_run(&self) -> Run {
+        Run::all_insert(Relation::empty(self.schema.clone()))
     }
 
     /// The schema.
@@ -495,7 +554,7 @@ impl DeltaRelation {
         self.live_set.is_empty()
     }
 
-    /// Number of sealed runs (the delta depth the union cursor merges over).
+    /// Number of sealed runs (the delta depth a fold merges over).
     pub fn num_runs(&self) -> usize {
         self.runs.len()
     }
@@ -616,6 +675,7 @@ impl DeltaRelation {
         if !signs.is_empty() {
             self.runs
                 .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
+            self.fold = Arc::default();
         }
         while self.runs.len() >= 2
             && self.runs[self.runs.len() - 2].len() < GROWTH * self.runs[self.runs.len() - 1].len()
@@ -738,25 +798,16 @@ impl DeltaRelation {
         Ok(())
     }
 
-    /// Merge `runs[start..]` into one run (signed annihilation); when `start ==
-    /// 0` the result is the new base and must carry no tombstones. The merge is
-    /// pairwise linear two-pointer passes over the sorted runs, newest pair
-    /// first — the cheapest order under tiered sizes.
+    /// Merge `runs[start..]` into one run ([`merge_from`]); when `start == 0`
+    /// the result is the new base and must carry no tombstones.
     fn merge_tail(&mut self, start: usize) {
         if self.runs.len() - start < 2 {
             return;
         }
         self.touch();
-        // a pair that annihilates leaves nothing behind
-        while let [.., a, b] = &self.runs[start..] {
-            let (cols, signs) = merge_two(a, b);
-            self.values_written += (signs.len() * self.arity()) as u64;
-            self.runs.truncate(self.runs.len() - 2);
-            if !signs.is_empty() {
-                self.runs
-                    .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
-            }
-        }
+        self.fold = Arc::default();
+        let rows = merge_from(&self.schema, &mut self.runs, start);
+        self.values_written += (rows * self.arity()) as u64;
         debug_assert!(
             start > 0 || self.runs.get(start).is_none_or(|r| r.tombstones() == 0),
             "a merged base cannot carry tombstones"
@@ -782,368 +833,12 @@ impl DeltaRelation {
     }
 
     /// Materialize the live tuples as a canonical [`Relation`] — the "full
-    /// rebuild" the union cursor is differential-tested against. Does not mutate
-    /// the log (the buffer is collapsed into a temporary copy). A log that is
-    /// one run of inserts with nothing buffered — a loaded relation — *is* that
-    /// run's relation, returned as it is without a sort.
+    /// rebuild" a query over the log is differential-tested against: the rows
+    /// of [`DeltaRelation::live_run`], so the fold, with anything buffered
+    /// merged in. Does not mutate the log.
     pub fn snapshot(&self) -> Relation {
-        match (&self.runs[..], self.buffer_signs.is_empty()) {
-            ([run], true) if run.tombstones() == 0 => run.rel.clone(),
-            _ => self.collapse(),
-        }
-    }
-
-    /// [`DeltaRelation::snapshot`]'s general path: every run and the buffered
-    /// ops concatenated, argsorted and collapsed to their net signs.
-    fn collapse(&self) -> Relation {
-        let arity = self.arity();
-        let total: usize = self.runs.iter().map(|r| r.len()).sum::<usize>() + self.buffered();
-        let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
-        let mut signs = Vec::with_capacity(total);
-        for run in &self.runs {
-            for (col, src) in cols.iter_mut().zip(run.rel.columns()) {
-                col.extend_from_slice(src);
-            }
-            signs.extend((0..run.len()).map(|i| run.sign(i)));
-        }
-        for (col, src) in cols.iter_mut().zip(&self.buffer) {
-            col.extend_from_slice(src);
-        }
-        signs.extend_from_slice(&self.buffer_signs);
-        let (cols, signs) = collapse_signed(&cols, &signs);
-        debug_assert!(
-            signs.iter().all(|&s| s > 0),
-            "full-history nets are 0 or +1"
-        );
-        Relation::from_canonical_columns(self.schema.clone(), cols)
-    }
-}
-
-/// A [`DeltaRelation`]'s access structure for one attribute order: the tries
-/// of its sealed runs, oldest first, then the collapsed unsealed buffer's —
-/// each a plain [`Trie`] ([`Run::trie`]), shared with the access cache by
-/// refcount. Obtain cursors with [`DeltaAccess::cursor`].
-#[derive(Debug, Clone)]
-pub struct DeltaAccess {
-    arity: usize,
-    tries: Vec<Arc<Trie>>,
-}
-
-impl DeltaAccess {
-    /// The one place a log's access structure is put together: every sealed
-    /// run's trie from `run_trie`, oldest first — [`Run::trie`] for a fresh
-    /// build, the execution layer's fetch-or-build through the access cache —
-    /// then the collapsed unsealed buffer's. `positions` is a permutation of
-    /// `0..arity`, checked here.
-    pub fn assemble<E: From<StorageError>>(
-        delta: &DeltaRelation,
-        positions: &[usize],
-        run_trie: impl FnMut(&Arc<Run>) -> Result<Arc<Trie>, E>,
-    ) -> Result<Self, E> {
-        crate::trie::check_positions(delta.arity(), positions)?;
-        let mut tries = delta
-            .runs
-            .iter()
-            .map(run_trie)
-            .collect::<Result<Vec<_>, E>>()?;
-        tries.extend(delta.buffer_trie(positions)?.map(Arc::new));
-        let arity = delta.arity();
-        Ok(DeltaAccess { arity, tries })
-    }
-
-    /// Build every run's trie afresh, with the attribute order given as
-    /// **column positions**.
-    pub fn build_positions(
-        delta: &DeltaRelation,
-        positions: &[usize],
-    ) -> Result<Self, StorageError> {
-        Self::assemble(delta, positions, |run| run.trie(positions).map(Arc::new))
-    }
-
-    /// The tries being merged, in run order — a single one without tombstones
-    /// needs no union cursor.
-    pub fn tries(&self) -> &[Arc<Trie>] {
-        &self.tries
-    }
-
-    /// [`DeltaAccess::build_positions`] with the order given by attribute names.
-    pub fn build(delta: &DeltaRelation, attr_order: &[&str]) -> Result<Self, StorageError> {
-        Self::build_positions(delta, &delta.schema.positions(attr_order)?)
-    }
-
-    /// Number of levels (the relation's arity).
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// A [`DeltaCursor`] positioned at the root. Its per-level frames are
-    /// allocated here and reused for every group opened at that level.
-    pub fn cursor(&self) -> DeltaCursor<'_> {
-        DeltaCursor {
-            runs: self.tries.iter().map(|t| t.cursor()).collect(),
-            frames: vec![Frame::default(); self.arity],
-            depth: 0,
-            work: CursorWork::default(),
-            simd: crate::simd::active_level(),
-        }
-    }
-}
-
-/// "This run does not hold the value" in [`Frame::offsets`].
-const ABSENT: usize = usize::MAX;
-
-/// One level of the union: the sibling group open there — the sorted live
-/// values extending the current prefix — and where each value sits in the runs
-/// that hold it.
-#[derive(Debug, Clone, Default)]
-struct Frame<'a> {
-    /// The group, when one run alone holds the prefix and no tombstone lies
-    /// under it: that run's trie's own slice.
-    borrowed: Option<&'a [Value]>,
-    /// The group otherwise: the merge of the runs' groups.
-    merged: Vec<Value>,
-    pos: usize,
-    /// The runs holding the prefix — each one's cursor is open at its group.
-    active: Vec<usize>,
-    /// Merged groups only: `offsets[i * active.len() + k]` is where value `i`
-    /// sits in the group of run `active[k]`, or [`ABSENT`]. (A borrowed
-    /// group's value `i` sits at offset `i` of its one run.)
-    offsets: Vec<usize>,
-    /// How many groups this level has held (at least one once it has any),
-    /// and the parent's `(fills, pos)` the present one was opened under:
-    /// while the parent has not moved, a re-`open` finds the group still here
-    /// and only re-charges its `steps`, so the tallies stay a pure function
-    /// of the visited values.
-    fills: u64,
-    under: Option<(u64, usize)>,
-    steps: u64,
-    /// [`Frame::merge`]'s scratch: the runs' groups and its position in each.
-    groups: Vec<&'a [Value]>,
-    heads: Vec<usize>,
-}
-
-impl<'a> Frame<'a> {
-    fn values(&self) -> &[Value] {
-        self.borrowed.unwrap_or(&self.merged)
-    }
-
-    /// Where the current value sits in the group of run `active[k]`.
-    fn offset_in(&self, k: usize) -> usize {
-        match self.borrowed {
-            Some(_) => self.pos,
-            None => self.offsets[self.pos * self.active.len() + k],
-        }
-    }
-
-    /// Merge the open groups of the `active` runs into `merged`/`offsets`,
-    /// keeping a value iff its signed subtree count is positive. Returns the
-    /// merge steps taken: one per (value, run).
-    fn merge(&mut self, runs: &[TrieCursor<'a>]) -> u64 {
-        let signed = self
-            .active
-            .iter()
-            .any(|&r| !runs[r].prefix_is_tombstone_free());
-        self.groups.clear();
-        self.groups
-            .extend(self.active.iter().map(|&r| runs[r].remaining()));
-        self.heads.clear();
-        self.heads.resize(self.groups.len(), 0);
-        let mut steps = 0u64;
-        loop {
-            let heads = self.groups.iter().zip(&self.heads);
-            let Some(v) = heads.filter_map(|(g, &h)| g.get(h)).min().copied() else {
-                return steps;
-            };
-            let row = self.offsets.len();
-            let mut net = 0i64;
-            for (k, head) in self.heads.iter_mut().enumerate() {
-                if self.groups[k].get(*head) != Some(&v) {
-                    self.offsets.push(ABSENT);
-                    continue;
-                }
-                if signed {
-                    net += runs[self.active[k]].signed_count_at(*head);
-                }
-                self.offsets.push(*head);
-                *head += 1;
-                steps += 1;
-            }
-            if !signed || net > 0 {
-                self.merged.push(v);
-            } else {
-                self.offsets.truncate(row);
-            }
-        }
-    }
-}
-
-/// A [`crate::TrieAccess`] cursor over a [`DeltaAccess`] — the **union cursor**: one
-/// [`TrieCursor`] per run, kept in lockstep along the union's path. `open` is
-/// one `child_start` lookup per run holding the current value; when a single
-/// run holds the prefix with no tombstone under it the group is that trie's
-/// own slice (with the layout it has), otherwise the runs' distinct sibling groups
-/// are k-way merged, keeping a value iff its signed subtree count is positive.
-/// The root group is uncounted (each parallel worker opens it once per
-/// private cursor); deeper opens charge `delta_merge` work that depends only
-/// on the prefix, which is what keeps parallel merged counters bit-identical
-/// to serial execution.
-#[derive(Debug, Clone)]
-pub struct DeltaCursor<'a> {
-    runs: Vec<TrieCursor<'a>>,
-    /// One frame per level; `frames[..depth]` are open.
-    frames: Vec<Frame<'a>>,
-    depth: usize,
-    work: CursorWork,
-    simd: crate::simd::SimdLevel,
-}
-
-impl<'a> DeltaCursor<'a> {
-    fn top(&self) -> Option<&Frame<'a>> {
-        self.frames[..self.depth].last()
-    }
-
-    /// The open frame, if it has values left from its position.
-    fn live_top(&mut self) -> Option<&mut Frame<'a>> {
-        let top = self.frames[..self.depth].last_mut()?;
-        (top.pos < top.values().len()).then_some(top)
-    }
-}
-
-impl crate::access::TrieAccess for DeltaCursor<'_> {
-    fn arity(&self) -> usize {
-        self.frames.len()
-    }
-
-    fn depth(&self) -> usize {
-        self.depth
-    }
-
-    fn open(&mut self) -> bool {
-        let (open, rest) = self.frames.split_at_mut(self.depth);
-        let Some(frame) = rest.first_mut() else {
-            return false;
-        };
-        frame.pos = 0;
-        frame.active.clear();
-        // one child_start lookup per run that holds the current value
-        match open.last() {
-            None => {
-                let opened = (0..self.runs.len()).filter(|&r| self.runs[r].open());
-                frame.active.extend(opened);
-            }
-            Some(parent) if parent.pos >= parent.values().len() => return false,
-            Some(parent) => {
-                for (k, &r) in parent.active.iter().enumerate() {
-                    let at = parent.offset_in(k);
-                    if at != ABSENT && self.runs[r].open_at(at) {
-                        frame.active.push(r);
-                    }
-                }
-                self.work.delta_merge += frame.active.len() as u64;
-            }
-        }
-        // the root group is always the same one: (0, 0) is no parent's key
-        let under = open.last().map_or((0, 0), |p| (p.fills, p.pos));
-        if frame.under != Some(under) {
-            (frame.under, frame.fills) = (Some(under), frame.fills + 1);
-            frame.borrowed = None;
-            frame.merged.clear();
-            frame.offsets.clear();
-            frame.steps = match frame.active[..] {
-                [r] if self.runs[r].prefix_is_tombstone_free() => {
-                    frame.borrowed = Some(self.runs[r].remaining());
-                    0
-                }
-                _ => frame.merge(&self.runs),
-            };
-        }
-        // the root merge is uncounted: parallel workers each do it once per
-        // private cursor, so charging it would make merged counters depend on
-        // the worker count
-        if self.depth > 0 {
-            self.work.delta_merge += frame.steps;
-        }
-        if frame.values().is_empty() {
-            frame.active.iter().for_each(|&r| self.runs[r].up());
-            return false;
-        }
-        self.depth += 1;
-        true
-    }
-
-    fn up(&mut self) {
-        if let Some(depth) = self.depth.checked_sub(1) {
-            self.depth = depth;
-            let closed = &self.frames[depth];
-            closed.active.iter().for_each(|&r| self.runs[r].up());
-        }
-    }
-
-    fn key(&self) -> Value {
-        let f = self.top().expect("cursor is at the root");
-        f.values()[f.pos]
-    }
-
-    fn at_end(&self) -> bool {
-        self.top().is_none_or(|f| f.pos >= f.values().len())
-    }
-
-    fn next(&mut self) -> bool {
-        self.work.intersect_steps += 1;
-        let Some(f) = self.live_top() else {
-            return false;
-        };
-        f.pos += 1;
-        f.pos < f.values().len()
-    }
-
-    fn seek(&mut self, target: Value) -> bool {
-        let simd = self.simd;
-        let Some(f) = self.live_top() else {
-            return false;
-        };
-        let values = f.values();
-        let (pos, probes, cmps) = crate::ops::seek_lub(simd, values, f.pos, values.len(), target);
-        let found = pos < values.len();
-        f.pos = pos;
-        self.work.probes += probes;
-        self.work.comparisons += cmps;
-        found
-    }
-
-    fn reposition(&mut self, target: Value) -> bool {
-        let Some(f) = self.frames[..self.depth].last_mut() else {
-            return false;
-        };
-        let found = f.values().binary_search(&target);
-        f.pos = found.unwrap_or_else(|i| i);
-        found.is_ok()
-    }
-
-    fn advance_to(&mut self, target: Value) -> bool {
-        let simd = self.simd;
-        let Some(f) = self.live_top() else {
-            return false;
-        };
-        let values = f.values();
-        if values[f.pos] < target {
-            f.pos = crate::ops::advance_lub(simd, values, f.pos, values.len(), target);
-        }
-        f.values().get(f.pos) == Some(&target)
-    }
-
-    fn remaining(&self) -> &[Value] {
-        self.top().map_or(&[], |f| &f.values()[f.pos..])
-    }
-
-    fn layout(&self) -> Option<crate::kernels::Layout<'_>> {
-        // a borrowed group is its run's own: so is the layout the trie built
-        let f = self.top()?;
-        f.borrowed.and(self.runs[*f.active.first()?].layout())
-    }
-
-    fn take_work(&mut self) -> CursorWork {
-        std::mem::take(&mut self.work)
+        let run = Arc::unwrap_or_clone(self.live_run());
+        Arc::unwrap_or_clone(run.rel)
     }
 }
 
@@ -1151,13 +846,14 @@ impl crate::access::TrieAccess for DeltaCursor<'_> {
 mod tests {
     use super::*;
     use crate::access::TrieAccess;
+    use crate::trie::TrieCursor;
 
     fn schema_ab() -> Schema {
         Schema::new(&["A", "B"])
     }
 
-    fn enumerate(c: &mut DeltaCursor<'_>, arity: usize) -> Vec<Tuple> {
-        fn walk(c: &mut DeltaCursor<'_>, arity: usize, prefix: &mut Tuple, out: &mut Vec<Tuple>) {
+    fn enumerate(c: &mut TrieCursor<'_>, arity: usize) -> Vec<Tuple> {
+        fn walk(c: &mut TrieCursor<'_>, arity: usize, prefix: &mut Tuple, out: &mut Vec<Tuple>) {
             if !c.open() {
                 return;
             }
@@ -1180,18 +876,25 @@ mod tests {
         out
     }
 
-    /// The union cursor must enumerate exactly the snapshot, in the schema's
-    /// order and in its reverse.
-    fn assert_cursor_matches_snapshot(d: &DeltaRelation) {
+    /// The trie a query reads must be the snapshot's, bit for bit, and
+    /// enumerate exactly its rows, in the schema's order and in its reverse.
+    fn assert_trie_matches_snapshot(d: &DeltaRelation) {
         let snap = d.snapshot();
-        let order: Vec<&str> = d.schema().attrs().iter().map(String::as_str).collect();
-        let reversed: Vec<&str> = order.iter().rev().copied().collect();
-        for order in [order.clone(), reversed] {
-            let access = DeltaAccess::build(d, &order).unwrap();
-            let mut cursor = access.cursor();
-            let got = enumerate(&mut cursor, d.arity());
-            let expected = snap.reorder(&order).unwrap();
-            assert_eq!(got, expected.rows(), "order {order:?}");
+        let order: Vec<usize> = (0..d.arity()).collect();
+        let reversed: Vec<usize> = order.iter().rev().copied().collect();
+        for positions in [order, reversed] {
+            let trie = d.live_run().trie(&positions).unwrap();
+            assert_eq!(trie, Trie::build_positions(&snap, &positions).unwrap());
+            let names: Vec<&str> = positions
+                .iter()
+                .map(|&p| d.schema().attrs()[p].as_str())
+                .collect();
+            let expected = snap.reorder(&names).unwrap();
+            assert_eq!(
+                enumerate(&mut trie.cursor(), d.arity()),
+                expected.rows(),
+                "order {positions:?}"
+            );
         }
         assert_eq!(d.len(), snap.len());
     }
@@ -1216,7 +919,7 @@ mod tests {
         assert_eq!(d2.buffered(), d.buffered());
         assert_eq!(d2.len(), d.len(), "live set rebuilt");
         assert_eq!(d2.snapshot().rows(), d.snapshot().rows());
-        assert_cursor_matches_snapshot(&d2);
+        assert_trie_matches_snapshot(&d2);
         // future mutations behave identically: same seal decisions
         let (mut a, mut b) = (d, d2);
         for i in 100..140u64 {
@@ -1327,19 +1030,19 @@ mod tests {
         // base (5 rows) >= 2 x the new run (2 rows): tiering keeps both runs
         assert_eq!(d.num_runs(), 2);
         assert_eq!(d.tombstones(), 1);
-        assert_cursor_matches_snapshot(&d);
+        assert_trie_matches_snapshot(&d);
         let expected = vec![vec![1, 2], vec![2, 2], vec![3, 3], vec![4, 4], vec![5, 5]];
         assert_eq!(d.snapshot().rows(), expected);
         d.compact();
         assert_eq!(d.num_runs(), 1);
         assert_eq!(d.tombstones(), 0);
         assert_eq!(d.snapshot().rows(), expected);
-        assert_cursor_matches_snapshot(&d);
+        assert_trie_matches_snapshot(&d);
     }
 
     #[test]
     fn interior_value_fully_tombstoned_is_suppressed() {
-        // base holds both tuples under A=1; delete BOTH -> the union cursor must
+        // base holds both tuples under A=1; delete BOTH -> the fold must
         // not present A=1 at depth 1 even though base rows still exist
         let mut d = DeltaRelation::from_relation(Relation::from_rows(
             schema_ab(),
@@ -1348,11 +1051,11 @@ mod tests {
         d.delete(&[1, 10]).unwrap();
         d.delete(&[1, 11]).unwrap();
         d.seal();
-        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
-        let mut c = access.cursor();
+        let trie = d.live_run().trie(&[0, 1]).unwrap();
+        let mut c = trie.cursor();
         assert!(c.open());
         assert_eq!(TrieAccess::remaining(&c), &[2]);
-        assert_cursor_matches_snapshot(&d);
+        assert_trie_matches_snapshot(&d);
     }
 
     #[test]
@@ -1361,7 +1064,7 @@ mod tests {
         d.insert(vec![7, 8]).unwrap();
         assert_eq!(d.num_runs(), 0);
         assert_eq!(d.buffered(), 1);
-        assert_cursor_matches_snapshot(&d); // ephemeral run path
+        assert_trie_matches_snapshot(&d); // the buffer with no run to merge into
         assert_eq!(d.snapshot().rows(), vec![vec![7, 8]]);
     }
 
@@ -1381,7 +1084,7 @@ mod tests {
             assert!(w[0] >= GROWTH * w[1], "not tiered: {sizes:?}");
         }
         assert_eq!(d.len(), 512);
-        assert_cursor_matches_snapshot(&d);
+        assert_trie_matches_snapshot(&d);
     }
 
     #[test]
@@ -1401,7 +1104,7 @@ mod tests {
         while d.compact_step() {
             steps += 1;
             assert_eq!(d.snapshot(), expected, "after compaction step {steps}");
-            assert_cursor_matches_snapshot(&d);
+            assert_trie_matches_snapshot(&d);
         }
         assert_eq!(steps, 3);
         assert_eq!(d.num_runs(), 1);
@@ -1438,7 +1141,7 @@ mod tests {
             let check = |d: &DeltaRelation, reference: &BTreeSet<Tuple>, step: usize| {
                 let rows: Vec<Tuple> = reference.iter().cloned().collect();
                 assert_eq!(d.snapshot().rows(), rows, "arity {arity} step {step}");
-                assert_cursor_matches_snapshot(d);
+                assert_trie_matches_snapshot(d);
                 let bytes = d.encode_state();
                 let back = DeltaRelation::decode_state(schema.clone(), &bytes).unwrap();
                 assert_eq!(back.encode_state(), bytes, "arity {arity} step {step}");
@@ -1461,6 +1164,25 @@ mod tests {
         }
     }
 
+    /// The whole history — every run and the buffered ops — concatenated,
+    /// argsorted and collapsed to its net signs: the snapshot by definition.
+    fn collapse(d: &DeltaRelation) -> Relation {
+        let mut cols: Vec<Vec<Value>> = d.buffer.clone();
+        let mut signs = d.buffer_signs.clone();
+        for run in &d.runs {
+            for (col, src) in cols.iter_mut().zip(run.rel.columns()) {
+                col.extend_from_slice(src);
+            }
+            signs.extend((0..run.len()).map(|i| run.sign(i)));
+        }
+        let (cols, signs) = collapse_signed(&cols, &signs);
+        assert!(
+            signs.iter().all(|&s| s > 0),
+            "full-history nets are 0 or +1"
+        );
+        Relation::from_canonical_columns(d.schema.clone(), cols)
+    }
+
     #[test]
     fn a_clean_single_run_snapshot_equals_the_collapse_path() {
         let mut state = 0x5EEDu64;
@@ -1481,7 +1203,7 @@ mod tests {
             let mut d = DeltaRelation::from_relation(rel.clone());
             assert_eq!(d.len(), rel.len(), "round {round}");
             assert!(rel.iter().all(|t| d.is_live(&t)), "round {round}");
-            assert_eq!(d.snapshot(), d.collapse(), "round {round}");
+            assert_eq!(d.snapshot(), collapse(&d), "round {round}");
             assert_eq!(d.snapshot(), rel, "round {round}");
             // churned, sealed and compacted back to one clean run
             for _ in 0..rng() % 40 {
@@ -1492,10 +1214,10 @@ mod tests {
                     d.insert(t).unwrap();
                 }
             }
-            assert_eq!(d.snapshot(), d.collapse(), "round {round}: churned");
+            assert_eq!(d.snapshot(), collapse(&d), "round {round}: churned");
             d.compact();
             assert!(d.num_runs() <= 1 && d.tombstones() == 0);
-            assert_eq!(d.snapshot(), d.collapse(), "round {round}: compacted");
+            assert_eq!(d.snapshot(), collapse(&d), "round {round}: compacted");
         }
     }
 
@@ -1508,24 +1230,28 @@ mod tests {
         d.seal();
         d.delete(&[0, 0]).unwrap();
         d.seal();
-        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
-        let mut c = access.cursor();
-        assert_eq!(c.arity(), 2);
-        assert!(c.at_end()); // root
+        assert_eq!((d.num_runs(), d.tombstones()), (2, 1));
+        let trie = d.live_run().trie(&[0, 1]).unwrap();
+        let mut c = trie.cursor();
+        assert_eq!(TrieAccess::arity(&c), 2);
+        assert!(TrieAccess::at_end(&c)); // root
         assert!(c.open());
-        assert!(c.take_work().is_zero(), "root merge is uncounted");
         assert_eq!(TrieAccess::remaining(&c), &[0, 1, 2, 3]);
         assert!(c.seek(2));
         assert_eq!(c.key(), 2);
         assert!(c.reposition(0));
         assert!(c.open()); // B under A=0: 4, 8, ... (0 was deleted)
-        let w = c.take_work();
-        assert!(w.delta_merge > 0, "deep opens charge delta_merge");
         assert_eq!(c.key(), 4);
         assert!(c.advance_to(8));
+        let w = c.take_work();
+        assert!(!w.is_zero(), "the seek was charged");
+        assert_eq!(
+            w.delta_merge, 0,
+            "a log's trie is a trie: nothing is merged"
+        );
         c.up();
         c.up();
-        assert_eq!(c.depth(), 0);
+        assert_eq!(TrieAccess::depth(&c), 0);
     }
 
     #[test]
@@ -1542,35 +1268,36 @@ mod tests {
         }
         d.seal();
         assert_eq!(d.num_runs(), 2);
-        let access = DeltaAccess::build(&d, &["A", "B"]).unwrap();
-        let mut c = access.cursor();
+        let trie = d.live_run().trie(&[0, 1]).unwrap();
+        let mut c = trie.cursor();
         assert!(c.open());
         c.take_work();
         assert!(c.open());
-        let first = c.take_work();
-        // two child_start lookups, then one merge step per (value, run)
-        assert_eq!(first.delta_merge, 2 + 32 + 8);
         assert_eq!(TrieAccess::remaining(&c).len(), 32, "4 dead, 4 fresh");
+        assert!(c.seek(40));
+        let first = c.take_work();
+        assert!(!first.is_zero());
         c.up();
-        assert!(c.open()); // the group is still in the level's frame: same work charged
-        assert_eq!(c.take_work().delta_merge, first.delta_merge);
-        c.up();
-        assert!(c.next());
-        assert!(c.open());
-        assert_eq!(c.take_work().delta_merge, first.delta_merge);
+        assert!(c.open()); // the same group again: the same work charged
+        assert!(c.seek(40));
+        assert_eq!(c.take_work(), first);
     }
 
     #[test]
     fn build_rejects_bad_orders_and_cursors_are_send_clone() {
         let d = DeltaRelation::new(schema_ab());
-        assert!(DeltaAccess::build(&d, &["A"]).is_err());
-        assert!(DeltaAccess::build(&d, &["A", "A"]).is_err());
-        assert!(DeltaAccess::build(&d, &["A", "Z"]).is_err());
-        assert!(DeltaAccess::build_positions(&d, &[0, 0]).is_err());
+        assert!(d.fold().is_none(), "no run, no fold");
+        let live = d.live_run();
+        assert!(live.is_empty());
+        assert!(live.trie(&[0]).is_err());
+        assert!(live.trie(&[0, 0]).is_err());
+        assert!(live.trie(&[0, 2]).is_err());
+        assert!(live.trie(&[1, 0]).is_ok());
         fn assert_send_clone<T: Send + Clone>() {}
         fn assert_sync<T: Sync>() {}
-        assert_send_clone::<DeltaCursor<'_>>();
-        assert_sync::<DeltaAccess>();
+        assert_send_clone::<TrieCursor<'_>>();
+        assert_send_clone::<Arc<Run>>();
+        assert_sync::<DeltaRelation>();
     }
 
     #[test]
@@ -1642,14 +1369,6 @@ mod tests {
         }
     }
 
-    /// Depth-first rows of a fresh cursor of `access`, with the work the walk
-    /// charged — what "cursor for cursor" compares.
-    fn walk(access: &DeltaAccess) -> (Vec<Tuple>, CursorWork) {
-        let mut c = access.cursor();
-        let rows = enumerate(&mut c, access.arity());
-        (rows, c.take_work())
-    }
-
     /// A ternary log grown by a seeded op stream over a small domain that
     /// includes `Value::MAX`, sealed at random points so runs stack up with
     /// tombstones, plus one interior value (`A = 3`) inserted and then fully
@@ -1685,13 +1404,13 @@ mod tests {
             assert!(d.delete(t).unwrap());
         }
         if rng.below(2) == 0 {
-            d.seal(); // else the tombstones ride in the ephemeral run
+            d.seal(); // else the tombstones ride in the buffer
         }
         d
     }
 
     #[test]
-    fn the_union_cursor_over_signed_run_tries_enumerates_the_snapshot() {
+    fn the_fold_trie_enumerates_the_snapshot_in_every_order() {
         let orders: [[usize; 3]; 6] = [
             [0, 1, 2],
             [0, 2, 1],
@@ -1700,101 +1419,80 @@ mod tests {
             [2, 0, 1],
             [2, 1, 0],
         ];
-        let mut merged_somewhere = false;
+        let mut buffered_somewhere = false;
         for seed in 0..40u64 {
             let d = random_log(0x7A1E ^ seed);
             let snap = d.snapshot();
             assert!(snap.iter().all(|t| t[0] != 3), "seed {seed}");
+            assert_eq!(snap, collapse(&d), "seed {seed}");
+            buffered_somewhere |= d.buffered() > 0;
             for positions in orders {
                 let names: Vec<&str> = positions.iter().map(|&p| ["A", "B", "C"][p]).collect();
                 let expected = snap.reorder(&names).unwrap().rows();
-                let fresh = DeltaAccess::build_positions(&d, &positions).unwrap();
-                let (rows, work) = walk(&fresh);
-                assert_eq!(rows, expected, "seed {seed} order {positions:?}");
-                merged_somewhere |= work.delta_merge > 0;
-                // tries kept from an earlier build (what the access cache
-                // hands back): same rows, same work
-                let mut held = fresh.tries().iter().cloned();
-                let next = |_: &Arc<Run>| Ok::<_, StorageError>(held.next().unwrap());
-                let kept = DeltaAccess::assemble(&d, &positions, next).unwrap();
-                assert_eq!(walk(&kept), (rows, work), "seed {seed} order {positions:?}");
+                let trie = d.live_run().trie(&positions).unwrap();
+                assert_eq!(
+                    enumerate(&mut trie.cursor(), 3),
+                    expected,
+                    "seed {seed} order {positions:?}"
+                );
+                // the static path's trie, bit for bit: layouts, counters and all
+                let rebuilt = Trie::build_positions(&snap, &positions).unwrap();
+                assert_eq!(trie, rebuilt, "seed {seed} order {positions:?}");
             }
         }
-        assert!(merged_somewhere);
+        assert!(buffered_somewhere);
     }
 
     #[test]
-    fn run_tries_are_built_per_run_shared_and_die_with_the_run() {
+    fn the_fold_is_memoized_per_run_list_and_dies_with_it() {
         let mut d = DeltaRelation::new(schema_ab());
         d.set_seal_threshold(usize::MAX);
-        for (chunk, size) in [(0u64, 200u64), (1, 40), (2, 8)] {
-            for i in 0..size {
-                d.insert(vec![i % 13 + 100 * chunk, i / 13 * 3 + chunk])
-                    .unwrap();
-            }
-            // a tombstone for a chunk-0 row in every run after the first
-            assert!(d.delete(&[chunk, 0]).unwrap());
-            d.seal();
+        for i in 0..200u64 {
+            d.insert(vec![i % 13, i / 13]).unwrap();
         }
-        assert_eq!(d.num_runs(), 3, "{:?}", d.run_sizes());
-        assert_eq!(
-            d.runs().iter().map(|r| r.id()).collect::<Vec<_>>(),
-            d.run_ids()
-        );
-        for positions in [[0usize, 1], [1, 0]] {
-            let tries: Vec<Arc<Trie>> = d
-                .runs()
-                .iter()
-                .map(|r| Arc::new(r.trie(&positions).unwrap()))
-                .collect();
-            let mut shed_a_layout = false;
-            for ((trie, run), rows) in tries.iter().zip(d.runs()).zip(d.run_sizes()) {
-                assert_eq!((trie.num_tuples(), run.len()), (rows, rows));
-                // without tombstones a run's trie is the static relation's,
-                // bit for bit; with them it is the CSR arrays and the flags (a
-                // bit a leaf plus a count a word) — it is not a set of live
-                // values, so it carries no set layouts
-                assert_eq!(trie.has_tombstones(), run.tombstones() > 0);
-                let plain = Trie::build_positions(&run.rel, &positions).unwrap();
-                if trie.has_tombstones() {
-                    let csr = 8 * (rows + 2 * trie.nodes_at(0) + 1) + "AB".len();
-                    assert_eq!(trie.heap_bytes(), csr + 16 * (rows / 64 + 1));
-                    shed_a_layout |= plain.heap_bytes() > csr;
-                    let mut cursor = trie.cursor();
-                    assert!(cursor.open() && cursor.layout().is_none());
-                } else {
-                    assert_eq!(**trie, plain);
-                }
-            }
-            assert!(!tries[0].has_tombstones() && tries[1].has_tombstones());
-            assert!(
-                shed_a_layout,
-                "the fixture has a dense group under tombstones"
-            );
-            // unsealed ops ride on the kept tries through the ephemeral run
-            let mut d2 = d.clone();
-            d2.insert(vec![999, 1]).unwrap();
-            d2.delete(&[3, 3]).unwrap();
-            let mut with_buffer = tries.clone();
-            with_buffer.extend(d2.buffer_trie(&positions).unwrap().map(Arc::new));
-            assert_eq!(with_buffer.len(), 4);
-            let fresh = DeltaAccess::build_positions(&d2, &positions).unwrap();
-            let kept = DeltaAccess {
-                arity: 2,
-                tries: with_buffer,
-            };
-            assert_eq!(walk(&kept), walk(&fresh));
-        }
-        // a run is held by the logs that list it and by nothing else
-        let weak: Vec<_> = d.runs().iter().map(Arc::downgrade).collect();
-        let mut head = d.clone();
-        head.compact();
-        assert!(weak.iter().all(|w| w.strong_count() > 0), "`d` pins them");
-        drop(d);
-        assert!(weak.iter().all(|w| w.strong_count() == 0));
-        assert!(head.buffer_trie(&[0, 1]).unwrap().is_none());
-        assert!(DeltaAccess::build_positions(&head, &[0, 0]).is_err());
-        assert!(DeltaAccess::build_positions(&head, &[0]).is_err());
+        d.seal();
+        // one run: the fold is that run — its rows and its id — behind a
+        // handle of the log's own, read once and then memoized
+        let one = d.fold().unwrap();
+        assert_eq!(one.id(), d.run_ids()[0]);
+        assert!(Arc::ptr_eq(&one.rel, &d.runs[0].rel), "no row is copied");
+        assert!(!Arc::ptr_eq(&one, &d.runs[0]));
+        assert!(Arc::ptr_eq(&one, &d.fold().unwrap()));
+        assert!(Arc::ptr_eq(&one, &d.live_run()), "nothing is buffered");
+        // a clone that lists the same runs shares the memo, computed or not
+        let pinned = d.clone();
+        assert!(Arc::ptr_eq(&one, &pinned.fold().unwrap()));
+        // buffered ops leave the fold alone; the query's run is merged per call
+        d.insert(vec![999, 1]).unwrap();
+        d.delete(&[3, 3]).unwrap();
+        assert!(Arc::ptr_eq(&one, &d.fold().unwrap()));
+        let live = d.live_run();
+        assert_ne!(live.id(), one.id());
+        assert_eq!((live.len(), live.tombstones()), (200, 0));
+        // a seal changes the run list and with it the fold: several runs fold
+        // into a fresh tombstone-free run, the snapshot's rows
+        d.seal();
+        assert_eq!((d.num_runs(), d.tombstones()), (2, 1));
+        let two = d.fold().unwrap();
+        assert_ne!(two.id(), one.id());
+        assert_eq!(*two.rel, d.snapshot());
+        assert_eq!(two.tombstones(), 0);
+        assert!(Arc::ptr_eq(&two, &d.fold().unwrap()));
+        // the old fold lives as long as a log that lists its runs holds it
+        let weak = (Arc::downgrade(&one), Arc::downgrade(&two));
+        drop((one, two, live));
+        let (one, two) = (weak.0, weak.1);
+        assert!(two.strong_count() > 0, "`d` holds it");
+        assert!(one.strong_count() > 0, "`pinned` holds it");
+        drop(pinned);
+        assert_eq!(one.strong_count(), 0);
+        // compacting a log that is already one clean run changes nothing
+        d.compact();
+        assert_eq!(d.num_runs(), 1);
+        assert_eq!(two.strong_count(), 0, "the compaction rewrote the list");
+        let base = d.fold().unwrap();
+        d.compact();
+        assert!(Arc::ptr_eq(&base, &d.fold().unwrap()));
     }
 
     #[test]
@@ -1876,10 +1574,10 @@ mod tests {
                     // every value stored was read from the input, once
                     let stored = log.run_sizes().iter().sum::<usize>() + log.buffered();
                     assert!(stored * 16 <= bytes.len(), "seed {seed}");
-                    for run in log.runs() {
+                    for run in &log.runs {
                         assert!(is_canonical(run.rel.columns(), run.len()), "seed {seed}");
                     }
-                    assert_cursor_matches_snapshot(&log);
+                    assert_trie_matches_snapshot(&log);
                 }
                 Err(StorageError::WalCorrupt { .. }) => {}
                 Err(other) => panic!("seed {seed}: {other:?}"),

@@ -223,23 +223,15 @@ pub fn intersect_into_at(
     policy: KernelPolicy,
     counter: &WorkCounter,
 ) -> Option<KernelKind> {
-    if lists.is_empty() || lists.iter().any(|l| l.is_empty()) {
-        return None;
-    }
-    if lists.len() == 1 {
+    let (lo, hi, smallest) = span_and_smallest(lists)?;
+    if let [only] = lists {
         // degenerate "intersection": enumerate the single set
-        counter.add_intersect_steps(lists[0].len() as u64);
-        out.extend_from_slice(lists[0]);
+        counter.add_intersect_steps(only.len() as u64);
+        out.extend_from_slice(only);
         return None;
     }
-    // Common span prefilter: the intersection lives in [max of firsts, min of
-    // lasts]. Disjoint spans short-circuit before any kernel runs.
-    let lo = lists.iter().map(|l| l[0]).max().expect("non-empty");
-    let hi = lists
-        .iter()
-        .map(|l| *l.last().unwrap())
-        .min()
-        .expect("non-empty");
+    // Common span prefilter: disjoint spans short-circuit before any kernel
+    // runs.
     if lo > hi {
         return None;
     }
@@ -262,10 +254,27 @@ pub fn intersect_into_at(
     counter.add_kernel(kind);
     match kind {
         KernelKind::Merge => merge_intersect(level, out, lists, counter),
-        KernelKind::Gallop => gallop_intersect(level, out, lists, counter),
-        KernelKind::Bitmap => bitmap_intersect(level, out, lists, lo, hi, counter),
+        KernelKind::Gallop => gallop_intersect(level, out, lists, smallest, counter),
+        KernelKind::Bitmap => bitmap_intersect(level, out, lists, smallest, lo, hi, counter),
     }
     Some(kind)
+}
+
+/// The common span of `lists` — the intersection lives in `[max of firsts,
+/// min of lasts]` — and the index of the (first) smallest list; `None` when
+/// there is no list or some list is empty.
+fn span_and_smallest(lists: &[&[Value]]) -> Option<(Value, Value, usize)> {
+    let (first, rest) = lists.split_first()?;
+    let (mut lo, mut hi) = (*first.first()?, *first.last()?);
+    let mut smallest = 0;
+    for (i, list) in rest.iter().enumerate() {
+        lo = lo.max(*list.first()?);
+        hi = hi.min(*list.last()?);
+        if list.len() < lists[smallest].len() {
+            smallest = i + 1;
+        }
+    }
+    Some((lo, hi, smallest))
 }
 
 /// Branchless two-pointer intersection of two sorted slices, appending to `out`.
@@ -412,21 +421,17 @@ fn retain_common(out: &mut Vec<Value>, start: usize, b: &[Value]) -> u64 {
     cmps
 }
 
-/// Smallest-driven galloping intersection: enumerate the smallest list, gallop in
-/// the others with monotone frontiers, early-exiting when any frontier runs out.
+/// Smallest-driven galloping intersection: enumerate the smallest list
+/// (`lists[smallest]`), gallop in the others with monotone frontiers,
+/// early-exiting when any frontier runs out.
 fn gallop_intersect(
     level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
+    smallest: usize,
     counter: &WorkCounter,
 ) {
     debug_assert!(lists.len() >= 2);
-    let smallest = lists
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, l)| l.len())
-        .map(|(i, _)| i)
-        .expect("non-empty list set");
     let mut pos_buf = [0usize; MAX_INLINE_LISTS];
     let mut pos_vec;
     let positions: &mut [usize] = if lists.len() <= MAX_INLINE_LISTS {
@@ -458,24 +463,19 @@ fn gallop_intersect(
 }
 
 /// Span-windowed bitset intersection: seed a bitset over `[lo, hi]` from the
-/// smallest list, AND in a bitset of each other list, then decode set bits (in
-/// word order, so the output is ascending).
+/// smallest list (`lists[smallest]`), AND in a bitset of each other list, then
+/// decode set bits (in word order, so the output is ascending).
 fn bitmap_intersect(
     level: SimdLevel,
     out: &mut Vec<Value>,
     lists: &[&[Value]],
+    smallest: usize,
     lo: Value,
     hi: Value,
     counter: &WorkCounter,
 ) {
     debug_assert!(lists.len() >= 2);
     let words = ((hi - lo) / 64 + 1) as usize;
-    let smallest = lists
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, l)| l.len())
-        .map(|(i, _)| i)
-        .expect("non-empty list set");
 
     // the adaptive policy caps the span at BITMAP_MAX_SPAN (64 words), so the
     // common case runs on a stack buffer; only a forced wide-span Bitmap (within

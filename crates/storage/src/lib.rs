@@ -26,24 +26,22 @@
 //!   written against — once, generically, monomorphized per cursor type: Generic
 //!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
 //!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** access
-//!   structure — of each sealed run of a delta log, a loaded relation being a
-//!   log of one run; [`access::CursorKind`] composes plain-trie and
-//!   union-cursor atoms without vtable dispatch. Every cursor is `Send + Clone`, so parallel workers
-//!   hold private cursors over one shared access structure;
+//!   structure and [`trie::TrieCursor`] the one cursor. Every cursor is
+//!   `Send + Clone`, so parallel workers hold private cursors over one shared
+//!   access structure;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
-//!   relation as a base run + ordered delta runs (sorted ± mini-relations with
-//!   sign prefix-sums, tombstones for deletes) + an append buffer, with
-//!   size-tiered compaction; a sealed run's access structure is a signed
-//!   [`trie::Trie`] ([`delta::Run::trie`]), and [`delta::DeltaAccess`] /
-//!   [`delta::DeltaCursor`] is the **union cursor** — a [`access::TrieAccess`]
-//!   implementation that k-way merges the run tries' sibling groups and
-//!   suppresses tombstoned subtrees, so both engines run unmodified (and
+//!   relation as a base run + ordered delta runs (sorted ± mini-relations,
+//!   tombstones for deletes) + an append buffer, with size-tiered compaction;
+//!   a query reads it as one tombstone-free run — its runs folded once per
+//!   run list ([`delta::DeltaRelation::fold`]), the unsealed buffer merged in
+//!   per query — whose access structure is a plain [`trie::Trie`]
+//!   ([`delta::Run::trie`]), so both engines run unmodified (and
 //!   bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: one built trie per sealed run of
-//!   a delta log and column permutation, keyed by the run's id in a shared
+//! * [`cache`] — the access-structure cache: one built trie per log fold and
+//!   column permutation, keyed by the fold's run id in a shared
 //!   [`cache::AccessCache`] with a byte budget and cost-aware (GreedyDual-Size)
-//!   eviction; a seal adds one run, so the next query builds one trie (the
-//!   **incremental** path) and finds the rest;
+//!   eviction; a loaded relation's fold is its one run, and a seal, tier merge
+//!   or compaction gives the log a new fold, built once per order;
 //! * [`wal`] — write-ahead logging for the ingest path: every write batch is
 //!   appended as length-prefixed, CRC32-checksummed [`wal::WalOp`] records
 //!   closed by a commit marker, by the one writer ([`SegmentedWal`]) of a log
@@ -114,9 +112,9 @@ pub mod tune;
 pub mod typed;
 pub mod wal;
 
-pub use access::{CursorKind, TrieAccess};
+pub use access::TrieAccess;
 pub use cache::{next_stamp, AccessCache, CacheKey, CacheStats};
-pub use delta::{DeltaAccess, DeltaCursor, DeltaRelation};
+pub use delta::DeltaRelation;
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;
 pub use kernels::{KernelKind, KernelPolicy};

@@ -16,8 +16,7 @@ use std::collections::HashMap;
 
 /// Least-upper-bound galloping search within `values[start..end]`: the first index
 /// `>= start` (and `< end`) whose value is `>= target`, or `end` if none. Returns the
-/// index and the number of probes performed. Shared by every seekable cursor
-/// ([`crate::TrieCursor`], [`crate::DeltaCursor`]).
+/// index and the number of probes performed. The seek of [`crate::TrieCursor`].
 pub(crate) fn gallop_lub(
     values: &[Value],
     start: usize,

@@ -247,9 +247,9 @@ impl Relation {
     /// sustained ingest. Live, continuously-mutating relations should go through
     /// the delta-log path instead: [`crate::delta::DeltaRelation::insert`] appends
     /// to an unsorted buffer in O(arity + runs · log n) amortized (membership
-    /// check plus its share of seal/compaction merges), and queries run over the
-    /// runs directly via the union cursor — see the [`crate::delta`] module docs
-    /// for the full cost table. Bulk loads should use [`Relation::from_rows`].
+    /// check plus its share of seal/compaction merges), and queries read the
+    /// runs folded once per run list — see the [`crate::delta`] module docs for
+    /// the full cost table. Bulk loads should use [`Relation::from_rows`].
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, StorageError> {
         if tuple.len() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {

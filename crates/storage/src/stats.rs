@@ -35,10 +35,10 @@ pub struct CursorWork {
     /// Element comparisons performed by the adaptive linear-scan `seek` path on
     /// short sibling groups (the galloping path records `probes` instead).
     pub comparisons: u64,
-    /// Delta-log merge steps charged by `DeltaCursor::open` below the root: one
-    /// `child_start` lookup per run of a [`crate::delta::DeltaRelation`] that
-    /// holds the prefix, plus — when the (tombstone-suppressed) sibling group
-    /// has to be merged from several runs — one step per `(value, run)`.
+    /// Delta-log merge steps. No cursor charges any: a
+    /// [`crate::delta::DeltaRelation`] is read through the trie of its fold,
+    /// whose runs merge before the join. The tally stays, reading 0, because
+    /// the request benchmark reads [`WorkCounter::delta_merge`].
     pub delta_merge: u64,
 }
 
@@ -118,9 +118,8 @@ impl WorkCounter {
         self.comparisons.set(self.comparisons.get() + n);
     }
 
-    /// Record `n` delta-log merge steps (run-range narrowing probes plus n-way
-    /// sorted-merge advances of the delta union cursor) — the work the
-    /// incremental-maintenance path adds on top of a fully-compacted relation.
+    /// Record `n` delta-log merge steps ([`CursorWork::delta_merge`]: nothing
+    /// records any since a log is read through its fold's trie).
     #[inline]
     pub fn add_delta_merge(&self, n: u64) {
         self.delta_merge.set(self.delta_merge.get() + n);
@@ -178,7 +177,9 @@ impl WorkCounter {
         self.comparisons.get()
     }
 
-    /// Total delta-log merge steps recorded.
+    /// Total delta-log merge steps recorded — 0: a log is read through its
+    /// fold's trie, so a join merges nothing. Kept because the request
+    /// benchmark (and the perf record's `delta_merge` column) reads it.
     #[inline]
     pub fn delta_merge(&self) -> u64 {
         self.delta_merge.get()

@@ -172,8 +172,8 @@ pub fn needle(n: usize, seed: u64) -> Workload {
 }
 
 /// [`triangle`] with a sealed run of fresh edges on top of `R`'s base run,
-/// beside `S` and `T` as loaded: levels where `R` participates intersect
-/// through its union cursor, the others through plain tries alone.
+/// beside `S` and `T` as loaded: `R` is read through the fold of its two runs,
+/// the others through their loaded runs.
 pub fn triangle_live(n: usize, seed: u64) -> Workload {
     let mut w = triangle(n, seed);
     for (a, b) in random_pairs((n / 8).max(4), default_domain(n), seed ^ 0x11FE) {
@@ -453,8 +453,8 @@ pub fn edge_stream_ops(n: usize, window: usize, seed: u64) -> Vec<StreamOp> {
 /// `n/2` window applied to a **delta-backed** edge relation `E` through
 /// [`Database::insert_delta`] / [`Database::delete`], queried with `clique(3)`
 /// (triangles among the live edges). The log is sealed but **not** compacted, so
-/// the workload genuinely exercises the union cursor over base + delta runs +
-/// tombstones — this is the streaming-ingest scenario of experiment E6.
+/// a query genuinely folds base + delta runs + tombstones — this is the
+/// streaming-ingest scenario of experiment E6.
 pub fn edge_stream(n: usize, seed: u64) -> Workload {
     let mut db = Database::new();
     let schema = Schema::new(&["src", "dst"]);
@@ -483,10 +483,10 @@ pub fn edge_stream(n: usize, seed: u64) -> Workload {
 /// Zipf-skewed sliding-window edge streams (`R` and `S` — several sealed runs
 /// plus a still-unsealed buffer tail) and one loaded Zipf relation `T`.
 /// Replaying the same query against it is the access-structure cache's target
-/// regime (experiment E8): repeated executions hit cached tries/indexes and
-/// permuted delta views, each newly sealed run takes the incremental-merge
-/// path instead of a full rebuild, and the live unsealed tail is collapsed
-/// per query exactly as without a cache.
+/// regime (experiment E8): repeated executions hit the cached tries of each
+/// log's fold, a seal gives a log a new fold built once per order, and the
+/// live unsealed tail is merged into the fold per query exactly as without a
+/// cache.
 pub fn query_replay(n: usize, seed: u64) -> Workload {
     let domain = default_domain(n);
     let window = (n / 2).max(8);
