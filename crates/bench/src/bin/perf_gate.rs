@@ -17,8 +17,8 @@
 //!   record by more than [`WORK_FACTOR`]. Work counters are exactly
 //!   reproducible, so this catches algorithmic regressions on any machine.
 //! * **kernel breakdown** — the per-kernel tallies (`kernel_merge`,
-//!   `kernel_gallop`, `kernel_bitmap`) and the `delta_merge` tally (0 since a
-//!   log is read through its fold's trie) must match the record **exactly**. The adaptive policy's choices
+//!   `kernel_gallop`, `kernel_bitmap`) and the `delta_merge` column (always 0:
+//!   a log is read through its run's trie) must match the record **exactly**. The adaptive policy's choices
 //!   are a pure function of the data and the constant thresholds: any drift means the kernel-selection logic (or
 //!   a counted kernel's accounting) changed, and the record must be re-recorded
 //!   deliberately rather than absorbed silently.

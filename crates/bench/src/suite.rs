@@ -19,8 +19,8 @@ use wcoj_workloads::{
 /// The social rows exercise the typed catalog — dictionary-encoded string ids —
 /// and are directly comparable to the `clique4`/`hub` pure-`u64` rows; the
 /// `stream` rows run the same triangle self-join over a **delta-backed**
-/// sliding-window edge stream (base + delta runs + tombstones, read through
-/// the log's fold), so the static-vs-live overhead is visible in the same table, and
+/// sliding-window edge stream (one run that seals merged inserts and
+/// tombstones into), so the static-vs-live overhead is visible in the same table, and
 /// the `replay` rows run the triangle over two Zipf sliding-window streams plus
 /// a static relation — the repeated-query regime the access-structure cache
 /// targets (experiment E8). Labels match the `workload` field of

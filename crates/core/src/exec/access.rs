@@ -2,13 +2,12 @@
 //!
 //! [`BuiltAccess::build`] produces one access structure per atom, and there is
 //! one kind: the CSR [`Trie`], the same for either WCOJ engine. Every stored
-//! relation is a log read as one tombstone-free run — its sealed runs folded
-//! once per run list, any unsealed buffer merged in per query
-//! ([`DeltaRelation::live_run`]) — so an atom's trie is built exactly as a
-//! loaded relation's is, and runs on the same cursor. A fold's trie goes
-//! through the one [`fetch_or_build`] and the per-database
-//! [`wcoj_storage::AccessCache`], keyed `(relation, column positions, fold
-//! id)`; a buffered log's is built per query. One execution fetches or builds
+//! relation is a log read as one tombstone-free run — its sealed run, any
+//! unsealed buffer merged in per query ([`DeltaRelation::live_run`]) — so an
+//! atom's trie is built exactly as a loaded relation's is, and runs on the
+//! same cursor. A sealed run's trie goes through the one [`fetch_or_build`]
+//! and the per-database [`wcoj_storage::AccessCache`], keyed `(relation,
+//! column positions, run id)`; a buffered log's is built per query. One execution fetches or builds
 //! once per distinct `(relation, column positions)`: the atoms of a self-join
 //! that read a relation in one order share its `Arc<Trie>`. Builds record no
 //! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
@@ -45,28 +44,28 @@ struct CacheCtx<'a> {
 
 impl CacheCtx<'_> {
     /// The key of `delta`'s trie over `positions`, when it has one to keep:
-    /// the log's fold, named by its id, once nothing is buffered. A buffered
-    /// log's run is merged per query and has no identity to key on, and a log
-    /// with no run has nothing to keep.
+    /// the log's run, named by its id, once nothing is buffered. A buffered
+    /// log's live run is merged per query and has no identity to key on, and
+    /// a log with no run has nothing to keep.
     fn key(&self, name: &str, delta: &DeltaRelation, positions: &[usize]) -> Option<CacheKey> {
-        let fold = delta
+        let run = delta
             .fold()
             .filter(|_| self.use_cache && delta.buffered() == 0)?;
         Some(CacheKey {
             relation: name.to_string(),
             positions: positions.to_vec(),
-            stamp: fold.id(),
+            stamp: run.id(),
         })
     }
 }
 
 /// Fetch-or-build one atom's trie: the trie of its log's live run over the
-/// column `positions`. With a `key` (see [`CacheCtx::key`]) the fold's trie
-/// is looked up and tallied a hit, or built, inserted (the fold's rows are its
+/// column `positions`. With a `key` (see [`CacheCtx::key`]) the run's trie
+/// is looked up and tallied a hit, or built, inserted (the run's rows are its
 /// rebuild cost; the insert drops the entries of this relation and order whose
-/// fold no log holds any more) and tallied a miss — cold, or after a seal, a
-/// tier merge, a compaction or a rebind gave the log a new fold. Without one
-/// the trie is built fresh and tallies nothing.
+/// run no log holds any more) and tallied a miss — cold, or after a seal or a
+/// rebind gave the log a new run. Without one the trie is built fresh and
+/// tallies nothing.
 fn fetch_or_build(
     ctx: &CacheCtx<'_>,
     key: Option<CacheKey>,

@@ -32,8 +32,8 @@
 //! run on the one access structure, the CSR [`wcoj_storage::Trie`], through its
 //! one cursor — Generic Join's "sorted extensions of a bound prefix" is a
 //! `child_start` offset of the same trie Leapfrog walks. A delta log is read
-//! as a trie as well: its runs fold into one tombstone-free run before the
-//! join, so a log *is* the static case (same cursor, kernels and counters as
+//! as a trie as well: it holds one tombstone-free run, its buffer merged in
+//! before the join, so a log *is* the static case (same cursor, kernels and counters as
 //! its snapshot). [`Engine::BinaryHash`] is the classical left-deep binary hash-join baseline
 //! the paper measures them against; it has no cursor path.
 //!
@@ -75,13 +75,13 @@
 //!
 //! Access structures are built by one per-atom loop (`access`) with one
 //! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: a
-//! relation's log folded into one run ([`wcoj_storage::DeltaRelation::fold`])
-//! and permuted to one column order is one cached trie, keyed `(relation,
-//! column positions, fold id)`, and the entry dies with its fold. A repeated
-//! query hits; a seal, a tier merge or a compaction gives the log a new fold,
-//! built once per order (a miss); a log with buffered ops merges them into its
-//! fold and builds that per query, uncached. Within one execution an atom that
-//! reads a relation in an order an earlier atom read shares that atom's trie.
+//! log's one run ([`wcoj_storage::DeltaRelation::fold`]) permuted to one
+//! column order is one cached trie, keyed `(relation, column positions, run
+//! id)`, and the entry dies with its run. A repeated query hits; a seal gives
+//! the log a new run, built once per order (a miss); a log with buffered ops
+//! merges them into its run and builds that per query, uncached. Within one
+//! execution an atom that reads a relation in an order an earlier atom read
+//! shares that atom's trie.
 //! [`CacheMode`] switches the cache off for one execution, and
 //! [`ExecOutput::cache_stats`] reports the activity — builds record no
 //! [`WorkCounter`] work, so results and work counters are bit-identical with
@@ -380,7 +380,7 @@ mod tests {
         let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
         assert_eq!(out.work, expected.work, "one clean run is the static case");
-        // so is a log with buffered ops: they merge into its fold before the
+        // so is a log with buffered ops: they merge into its run before the
         // join, and nothing is merged during it
         db.delete("R", &[1, 2]).unwrap();
         db.insert_delta("R", vec![1, 9]).unwrap();
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(db.delta("R").unwrap().buffered(), 2);
         let out = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(out.result, expected.result);
-        assert_eq!(out.work, expected.work, "a folded log is the static case");
+        assert_eq!(out.work, expected.work, "a merged log is the static case");
         assert_eq!(out.work.delta_merge(), 0);
     }
 

@@ -32,7 +32,7 @@
 //!
 //! The skeleton is written once, **generically**, against the
 //! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over the CSR
-//! trie's cursor — a delta log is read through the trie of its fold — and any
+//! trie's cursor — a delta log is read through the trie of its run — and any
 //! future access path (compressed, distributed) only has to implement the
 //! trait.
 //!

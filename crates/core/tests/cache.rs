@@ -3,9 +3,9 @@
 //! executing with the cache **on** must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
 //! across engines × threads {1, 4}, interleaved with every kind of
-//! log mutation (append, delete, seal, compact, relation rebinding); repeated
-//! queries must actually hit; a seal and a compaction each give the log a new
-//! fold, built once; a pinned snapshot and a compacting head must keep each
+//! log mutation (append, delete, seal, relation rebinding); repeated
+//! queries must actually hit; every seal gives the log a new run, built
+//! once; a pinned snapshot and a head that seals past it must keep each
 //! other warm; a byte-starved cache must evict without
 //! ever surfacing a stale structure; and the two WCOJ engines must share one
 //! cached trie per `(relation, order)`.
@@ -55,8 +55,8 @@ fn cache_on_equals_cache_off_under_log_mutations() {
     assert_cached_matches_uncached(&query, &db, &plan, "initial");
 
     // every visibility-changing mutation kind, with queries replayed between:
-    // buffered appends, deletes, seals (epoch advance + new runs), compaction
-    // (structural rewrite), and a rebind (a new log, a new run)
+    // buffered appends, deletes, seals (epoch advance + a new run), a seal
+    // that merges a delete, and a rebind (a new log, a new run)
     let mut rng = wcoj_workloads::SplitMix64::new(0xE8E8);
     for step in 0..6 {
         match step {
@@ -74,7 +74,11 @@ fn cache_on_equals_cache_off_under_log_mutations() {
                 }
             }
             2 => db.seal("R").expect("seal"),
-            3 => db.compact("R").expect("compact"),
+            3 => {
+                let row: Vec<u64> = db.delta("R").expect("delta R").snapshot().row(0);
+                db.delete("R", &row).expect("delete");
+                db.seal("R").expect("seal");
+            }
             4 => {
                 for _ in 0..8 {
                     db.insert_delta("S", vec![rng.below(24), rng.below(24)])
@@ -97,9 +101,7 @@ fn cache_on_equals_cache_off_under_log_mutations() {
 
 #[test]
 fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
-    // one delta-backed atom with a deliberately large base run, so sealing a
-    // small batch later cannot trip the size-tiered tail merge (which would
-    // legitimately — but nondeterministically — rewrite the run list)
+    // one delta-backed atom, sealed into one run
     let query = examples::triangle();
     let mut db = Database::new();
     let mut delta = wcoj_storage::DeltaRelation::new(wcoj_storage::Schema::new(&["A", "B"]));
@@ -136,35 +138,38 @@ fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
     assert_eq!(warm.result, cold.result);
     assert_eq!(warm.work, cold.work);
 
-    // seal a small fresh batch into R: R's runs fold anew and only R's fold
-    // is built (512-row base ≥ 2 × the 16-row batch, so no tail merge fires)
+    // seal a small fresh batch into R: R has a new run, and only its trie
+    // is built
     for i in 0..16u64 {
         db.insert_delta("R", vec![i % 48, (i * 7) % 48])
             .expect("append");
     }
     db.seal("R").expect("seal");
     let merged = run(&query, &db, &plan, &opts, None).expect("merged");
-    assert_eq!(db.delta("R").unwrap().num_runs(), 2);
-    assert_eq!(merged.cache_stats.misses, 1, "R's new fold builds");
+    assert_eq!(db.delta("R").unwrap().run_ids().len(), 1);
+    assert_eq!(merged.cache_stats.misses, 1, "R's new run builds");
     assert_eq!(merged.cache_stats.hits, 2, "S and T still hit");
     let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
-    assert_eq!(merged.result, off.result, "a fold is bit-identical");
+    assert_eq!(merged.result, off.result, "a merged run is bit-identical");
     assert_eq!(merged.work, off.work);
 
-    // compaction rewrites the run list: R's fold is its one new run
-    db.compact("R").expect("compact");
+    // a seal that deletes compacts the tombstones away: R's run is new again
+    for i in 0..8u64 {
+        db.delete("R", &[i % 48, (i * 7) % 48]).expect("delete");
+    }
+    db.seal("R").expect("seal");
     let rebuilt = run(&query, &db, &plan, &opts, None).expect("rebuilt");
-    assert_eq!(rebuilt.cache_stats.misses, 1, "compacted R rebuilds");
+    assert_eq!(rebuilt.cache_stats.misses, 1, "resealed R rebuilds");
     assert_eq!(rebuilt.cache_stats.hits, 2);
     let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
     assert_eq!(rebuilt.result, off.result);
     assert_eq!(rebuilt.work, off.work);
 }
 
-/// EXPERIMENTS E10.3's shape, made harsher: the head does not merely seal past
-/// the pinned snapshot, it compacts, so the two run lists share nothing. Both
-/// sides stay warm because neither ever writes a key the other reads, and what
-/// only the snapshot held is reclaimed after it is dropped.
+/// EXPERIMENTS E10.3's shape: the head seals past the pinned snapshot, and
+/// every seal compacts the buffer into a new run, so the two sides share no
+/// run. Both sides stay warm because neither ever writes a key the other
+/// reads, and what only the snapshot held is reclaimed after it is dropped.
 #[test]
 fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
     let query = examples::triangle();
@@ -188,7 +193,7 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
     let opts = ExecOptions::new(Engine::GenericJoin);
     let run =
         |db: &Database, opts: &ExecOptions| run(&query, db, &plan, opts, None).expect("query");
-    // small batches of fresh tuples: never a tier merge against a 512-row base
+    // small batches of fresh tuples, each sealed into a new run
     let seal_batch = |db: &mut Database, salt: u64| {
         for name in ["R", "S", "T"] {
             for i in 0..4u64 {
@@ -201,7 +206,6 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
     let snap = db.snapshot();
     seal_batch(&mut db, 0);
     for name in ["R", "S", "T"] {
-        db.compact(name).expect("compact");
         assert!(!snap
             .delta(name)
             .unwrap()
@@ -228,17 +232,17 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
             assert_eq!(out.cache_stats.misses, 0, "round {round}");
         }
     }
-    assert_eq!(db.access_cache().len(), 6, "one fold per relation per side");
+    assert_eq!(db.access_cache().len(), 6, "one run per relation per side");
 
     // the snapshot goes away; the head's next insert for each relation and
     // order leaves no entry for the runs only the snapshot held
     drop(snap);
     seal_batch(&mut db, 1);
     let merged = run(&db, &opts);
-    assert_eq!(merged.cache_stats.misses, 3, "three new folds");
+    assert_eq!(merged.cache_stats.misses, 3, "three new runs");
     assert_eq!(merged.cache_stats.evictions, 0, "reclaimed, not evicted");
     let (len, bytes) = (db.access_cache().len(), db.access_cache().bytes());
-    assert_eq!(len, 3, "one fold per relation, the head's");
+    assert_eq!(len, 3, "one run per relation, the head's");
     assert_eq!(merged.cache_stats.bytes, bytes as u64);
     // exactly what a head-only warm-up from a cleared cache produces
     db.access_cache().clear();

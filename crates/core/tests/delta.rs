@@ -1,13 +1,14 @@
 //! Differential and property tests for the incremental-maintenance (delta-log)
 //! subsystem:
 //!
-//! querying **base + delta runs + tombstones + buffer** — read through the
-//! log's fold — must be bit-identical, rows AND work counters, to querying a
-//! **fully rebuilt** static database, across engines × threads {1, 4}; the
-//! counters must be deterministic (parallel ≡ serial for every
-//! configuration); both properties must survive **every** compaction step
-//! down to a single run; and a pinned snapshot keeps hitting its fold while
-//! the head moves on, with stale fold entries swept.
+//! querying **a sealed run + a buffer of inserts and tombstones** — read as
+//! the run with the buffer merged in — must be bit-identical, rows AND work
+//! counters, to querying a **fully rebuilt** static database, across engines
+//! × threads {1, 4}; the counters must be deterministic (parallel ≡ serial
+//! for every configuration); both properties must survive **every** seal,
+//! each of which compacts the buffer into the log's one run; and a pinned
+//! snapshot keeps hitting its run's trie while the head moves on, with stale
+//! entries swept.
 
 use wcoj_core::exec::{run, Engine, ExecOptions};
 use wcoj_core::planner::plan;
@@ -31,21 +32,21 @@ fn rebuilt(db: &Database) -> Database {
 
 /// Assert the acceptance property on one live database: for every engine ×
 /// threads {1, 4}, the delta path's rows AND work counters equal the rebuilt
-/// path's — a log is read through the trie of its fold, which is the
+/// path's — a log is read through the trie of its live run, which is the
 /// snapshot's trie bit for bit, kernel tallies included — and are
-/// thread-count independent. Then compact every log — one run, no tombstones
-/// — and assert the same again.
+/// thread-count independent. Then seal every log — one run, nothing
+/// buffered — and assert the same again.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
     let plan = plan(&w.query, &static_db, None).expect("planner");
-    let mut compacted = w.db.clone();
+    let mut sealed = w.db.clone();
     for name in w.db.relation_names() {
-        compacted.compact(name).expect("compact");
-        if let Some(delta) = compacted.delta(name) {
-            assert!(delta.num_runs() <= 1 && delta.tombstones() == 0);
+        sealed.seal(name).expect("seal");
+        if let Some(delta) = sealed.delta(name) {
+            assert!(delta.run_ids().len() <= 1 && delta.buffered() == 0);
         }
     }
-    for (state, db) in [("live", &w.db), ("compacted", &compacted)] {
+    for (state, db) in [("live", &w.db), ("sealed", &sealed)] {
         for engine in ENGINES {
             let mut serial_work = None;
             for threads in [1usize, 4] {
@@ -68,9 +69,9 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
 }
 
 /// A triangle database whose `R` and `T` logs are mutated by a seeded op
-/// stream (inserts and deletes, small seal threshold → several runs with
-/// tombstones); `S` stays as loaded, one clean run, so the query reads logs of
-/// both shapes.
+/// stream (inserts and deletes, small seal threshold → seals that merge
+/// tombstones, then a buffered tail); `S` stays as loaded, one clean run, so
+/// the query reads logs of both shapes.
 fn mutated_triangle(seed: u64, ops: usize) -> Workload {
     let mut w = wcoj_workloads::triangle(96, seed);
     for name in ["R", "T"] {
@@ -96,8 +97,7 @@ fn delta_path_is_bit_identical_to_full_rebuild() {
     for (n, seed) in [(96usize, 0xA11CEu64), (256, 0xB0B)] {
         let w = edge_stream(n, seed);
         let delta = w.db.delta("E").unwrap();
-        assert!(delta.num_runs() > 1, "fixture must stack runs");
-        assert!(delta.tombstones() > 0, "fixture must carry tombstones");
+        assert_eq!(delta.run_ids().len(), 1, "fixture must seal");
         assert_delta_matches_rebuild(&w, &w.name.clone());
     }
     // ... and mutated triangles mixing churned and loaded relations
@@ -107,30 +107,29 @@ fn delta_path_is_bit_identical_to_full_rebuild() {
     }
 }
 
+/// Every seal compacts the buffered ops into the log's one run: keep
+/// streaming into a sealed log in chunks, and the delta path matches the
+/// rebuild with each chunk buffered and again once it is sealed.
 #[test]
 fn delta_path_survives_every_compaction_step() {
     let mut w = edge_stream(192, 0xC0DE);
-    assert!(w.db.delta("E").unwrap().num_runs() >= 2);
-    let mut step = 0;
-    loop {
-        assert_delta_matches_rebuild(&w, &format!("edge_stream after {step} compaction steps"));
-        if !w.db.delta_mut("E").unwrap().compact_step() {
-            break;
+    w.db.delta_mut("E").unwrap().set_seal_threshold(usize::MAX);
+    let ops = edge_stream_ops(64, 32, 0xFEED);
+    for (step, chunk) in ops.chunks(24).enumerate() {
+        let before = w.db.delta("E").unwrap().run_ids();
+        for &(insert, (a, b)) in chunk {
+            if insert {
+                w.db.insert_delta("E", vec![a, b]).unwrap();
+            } else {
+                w.db.delete("E", &[a, b]).unwrap();
+            }
         }
-        step += 1;
+        assert_delta_matches_rebuild(&w, &format!("edge_stream chunk {step}"));
+        w.db.seal("E").unwrap();
+        let delta = w.db.delta("E").unwrap();
+        assert_eq!((delta.run_ids().len(), delta.buffered()), (1, 0));
+        assert_ne!(delta.run_ids(), before, "chunk {step} rewrote the run");
     }
-    assert!(step >= 1, "at least one compaction step must have run");
-    assert_eq!(w.db.delta("E").unwrap().num_runs(), 1);
-    assert_eq!(w.db.delta("E").unwrap().tombstones(), 0);
-    // keep streaming after full compaction: new runs stack on the new base
-    for (insert, (a, b)) in edge_stream_ops(64, 32, 0xFEED) {
-        if insert {
-            w.db.insert_delta("E", vec![a, b]).unwrap();
-        } else {
-            w.db.delete("E", &[a, b]).unwrap();
-        }
-    }
-    assert_delta_matches_rebuild(&w, "edge_stream re-grown after compaction");
 }
 
 /// EXPERIMENTS E6's ingest gate, as exact counts: a sliding-window edge stream
@@ -180,7 +179,7 @@ fn a_delta_log_moves_at_least_10x_fewer_values_than_sorted_rows_on_ingest() {
 
 #[test]
 fn unsealed_buffer_queries_match_sealed() {
-    // queries must see buffered (unsealed) operations, merged into the fold
+    // queries must see buffered (unsealed) operations, merged into the run
     let mut w = mutated_triangle(3, 40);
     assert!(w.db.delta("R").unwrap().buffered() > 0 || w.db.delta("T").unwrap().buffered() > 0);
     assert_delta_matches_rebuild(&w, "unsealed buffers");
@@ -190,12 +189,11 @@ fn unsealed_buffer_queries_match_sealed() {
 }
 
 /// A seeded interleaving of everything that moves a log — inserts and
-/// deletes, seals, compaction steps, snapshots pinned across seals, drops —
-/// with a query after each step: its rows and counters match a relation
-/// rebuilt from a reference set of the live tuples (kept by the test, not read
-/// back from the log), a pinned snapshot keeps hitting its fold's trie while
-/// the head moves on, and entries of folds no log holds are swept, so the
-/// cache stays bounded.
+/// deletes, seals, snapshots pinned across seals, drops — with a query after
+/// each step: its rows and counters match a relation rebuilt from a reference
+/// set of the live tuples (kept by the test, not read back from the log), a
+/// pinned snapshot keeps hitting its run's trie while the head moves on, and
+/// entries of runs no log holds are swept, so the cache stays bounded.
 #[test]
 fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_bounded() {
     let query = wcoj_query::query::examples::clique(3);
@@ -223,13 +221,10 @@ fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_boun
             }
         }
         match rng.below(8) {
-            0..=2 => db.seal("E").unwrap(),
-            3 => {
-                db.delta_mut("E").unwrap().compact_step();
-            }
+            0..=3 => db.seal("E").unwrap(),
             4 if pinned.len() < 3 => {
                 db.seal("E").unwrap();
-                if db.delta("E").unwrap().num_runs() > 0 {
+                if !db.delta("E").unwrap().run_ids().is_empty() {
                     let snap = db.clone();
                     let at = plan(&query, &snap, Some(&order)).unwrap();
                     let first = run(&query, &snap, &at, &opts, None).unwrap();
@@ -250,7 +245,7 @@ fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_boun
         assert_eq!(live.result, full.result, "step {step}");
         assert_eq!(live.work, full.work, "step {step}");
         // a build for E in this order sweeps every dead entry: what is left is
-        // one fold per holder at most, the head and each snapshot
+        // one run per holder at most, the head and each snapshot
         let entries = db.access_cache().len();
         if live.cache_stats.misses > 0 {
             assert!(
@@ -267,7 +262,7 @@ fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_boun
             assert_eq!(
                 (again.cache_stats.hits, again.cache_stats.misses),
                 (3, 0),
-                "step {step}: snapshot {k} keeps hitting its fold"
+                "step {step}: snapshot {k} keeps hitting its run"
             );
         }
     }

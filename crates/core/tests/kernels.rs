@@ -38,9 +38,9 @@ fn every_kernel_policy_gives_identical_results() {
     }
 }
 
-/// `db` with every relation rebuilt as a log of three sealed runs — the last
-/// one a tombstone for a tuple the second one inserted — so every atom is
-/// served by a fold of several runs, never by a loaded run.
+/// `db` with every relation rebuilt as a log sealed three times — the last
+/// seal a tombstone for a tuple the second one inserted — so every atom is
+/// served by a run that seals merged, never by a loaded run.
 fn churned_twin(db: &Database) -> Database {
     let mut live = db.clone();
     for name in db.relation_names() {
@@ -50,7 +50,7 @@ fn churned_twin(db: &Database) -> Database {
         let (base, tail) = rows.split_at(rows.len() - 2);
         let mut log = DeltaRelation::new(rel.schema().clone());
         log.set_seal_threshold(usize::MAX);
-        // the runs: all but two rows | those two and `extra` | `extra`'s tombstone
+        // the seals: all but two rows | those two and `extra` | `extra`'s tombstone
         let tail = [tail, std::slice::from_ref(&extra)].concat();
         for batch in [base, &tail] {
             for t in batch {
@@ -60,7 +60,7 @@ fn churned_twin(db: &Database) -> Database {
         }
         log.delete(&extra).unwrap();
         log.seal();
-        assert_eq!((log.num_runs(), log.tombstones()), (3, 1), "{name}");
+        assert_eq!(log.run_ids().len(), 1, "{name}");
         assert_eq!(log.snapshot(), rel, "{name}");
         live.insert_delta_relation(name, log);
     }
@@ -71,7 +71,7 @@ fn churned_twin(db: &Database) -> Database {
 fn kernel_policies_agree_on_both_backends_and_threads() {
     // policy identity is storage- and schedule-independent: check a
     // representative cyclic and a wide-atom workload over loaded relations and
-    // over a churned twin (each log read through its fold), serial and parallel
+    // over a churned twin (each log read through its run), serial and parallel
     for w in [
         wcoj_workloads::hub_spoke(128, 0xB17),
         wcoj_workloads::kclique(4, 64, 0xB18),

@@ -197,19 +197,19 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
         "kernel-layer levels report candidates"
     );
     // the planner's order keeps every atom in the relation's native column
-    // order; a fold's trie is cached per (fold, order) whatever the order, so
-    // the cold run built E's fold once — the other two atoms share it — and
+    // order; a run's trie is cached per (run, order) whatever the order, so
+    // the cold run built E's trie once — the other two atoms share it — and
     // the warm run hits
     let outcomes: Vec<&str> = trace.atoms.iter().map(|a| a.outcome.as_str()).collect();
     assert_eq!(outcomes, ["miss", "hit", "hit"]);
     assert!(
         trace2.atoms.iter().all(|a| a.outcome == "hit"),
-        "identity-order fold tries are cached like any other: {:?}",
+        "identity-order run tries are cached like any other: {:?}",
         trace2.atoms
     );
 
     // a reversed order permutes every atom's columns: the cold run builds the
-    // fold's permuted trie once, the warm run hits throughout
+    // run's permuted trie once, the warm run hits throughout
     let rev = vec![2usize, 1, 0];
     let (_, cold) = run_traced(&q, &db, &opts, &rev);
     assert!(
@@ -224,7 +224,7 @@ fn explain_analyze_profiles_a_delta_backed_triangle() {
         warm.atoms
     );
 
-    // a log with nothing sealed yet has no fold to key a trie by: its atoms
+    // a log with nothing sealed yet has no run to key a trie by: its atoms
     // bypass the cache under any order, cold and warm alike
     let mut unsealed = Database::new();
     unsealed.insert_delta_relation("E", DeltaRelation::new(Schema::new(&["src", "dst"])));

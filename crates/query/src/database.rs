@@ -117,7 +117,7 @@ impl VarBinding {
 /// relation enters the catalog one of three ways: [`Database::insert`]
 /// (already encoded), [`Database::insert_delta_relation`] (a log), or
 /// [`Database::insert_typed_rows`] (typed rows, interned once). A loaded
-/// [`Relation`] becomes a log of one sealed run with no tombstones, whose
+/// [`Relation`] becomes a log whose one run is its rows, whose
 /// access structure is exactly the relation's trie; from then on the relation
 /// changes only through its log ([`Database::insert_delta`] /
 /// [`Database::delete`]), and a log is read back whole through
@@ -146,7 +146,7 @@ impl VarBinding {
 /// state of every relation in O(catalog) refcount bumps without copying tuple
 /// data. Mutating either side afterwards copies-on-write (`Arc::make_mut`)
 /// only what it touches — a log's header, then (inside the log) its live set;
-/// its runs stay shared. [`Database::snapshot`] wraps a clone as a read-only
+/// its run stays shared. [`Database::snapshot`] wraps a clone as a read-only
 /// [`crate::snapshot::Snapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct Database {
@@ -238,7 +238,7 @@ impl Database {
     }
 
     /// Mutable access to the log stored under `name` — copied on write (its
-    /// run list and buffer, not the runs' rows) if a snapshot still shares it.
+    /// header and buffer, not its run's rows) if a snapshot still shares it.
     pub fn delta_mut(&mut self, name: &str) -> Option<&mut DeltaRelation> {
         self.relations.get_mut(name).map(Arc::make_mut)
     }
@@ -251,8 +251,9 @@ impl Database {
     }
 
     /// Insert one (already-encoded) tuple into relation `name` through its
-    /// log — amortized O(arity + runs · log n), versus the O(n) of rebuilding
-    /// a sorted [`Relation`]. Returns whether the tuple was newly inserted.
+    /// log — O(arity) expected plus a share of the next seal, versus the O(n)
+    /// of rebuilding a sorted [`Relation`]. Returns whether the tuple was
+    /// newly inserted.
     pub fn insert_delta(&mut self, name: &str, tuple: Tuple) -> Result<bool, DatabaseError> {
         Ok(self.log_mut(name)?.insert(tuple)?)
     }
@@ -264,20 +265,13 @@ impl Database {
         Ok(self.log_mut(name)?.delete(tuple)?)
     }
 
-    /// Seal relation `name`'s append buffer into a sorted run (plus
-    /// size-tiered compaction). Queries work without sealing — the buffer is
-    /// collapsed and merged into the log's fold at access-build time — but a
-    /// sealed log's fold and its tries are built once and cached instead of
-    /// per query. Errors only if `name` is unknown.
+    /// Seal relation `name`'s append buffer: merge it into the log's one
+    /// sorted run. Queries work without sealing — the buffer is collapsed and
+    /// merged into the run at access-build time — but a sealed log's tries
+    /// are built once and cached instead of per query. Errors only if `name`
+    /// is unknown.
     pub fn seal(&mut self, name: &str) -> Result<(), DatabaseError> {
         self.log_mut(name)?.seal();
-        Ok(())
-    }
-
-    /// Fully compact relation `name`: merge every run (and the buffer) back
-    /// into a single tombstone-free base run. Errors only if `name` is unknown.
-    pub fn compact(&mut self, name: &str) -> Result<(), DatabaseError> {
-        self.log_mut(name)?.compact();
         Ok(())
     }
 
@@ -596,7 +590,7 @@ mod tests {
         assert_eq!(db.max_relation_size(), 3);
         // a loaded relation is a log of one clean run: its rows, unchanged
         let r = db.delta("R").unwrap();
-        assert_eq!((r.num_runs(), r.tombstones(), r.buffered()), (1, 0, 0));
+        assert_eq!((r.run_ids().len(), r.buffered()), (1, 0));
         assert_eq!(
             r.snapshot().rows(),
             vec![vec![1, 2], vec![1, 3], vec![2, 3]]
@@ -608,7 +602,7 @@ mod tests {
         // an empty relation is a log with no run
         let mut db = db;
         db.insert("E", Relation::empty(Schema::new(&["A", "B"])));
-        assert_eq!(db.delta("E").unwrap().num_runs(), 0);
+        assert!(db.delta("E").unwrap().run_ids().is_empty());
         assert_eq!(live_tuples(&db), 9);
     }
 
@@ -901,11 +895,11 @@ mod tests {
         assert_eq!(r.schema().attrs(), &["A".to_string(), "B".to_string()]);
         // atom sources expose the live log, arity-checked
         assert_eq!(db.atom_source(&q, 0).unwrap().buffered(), 2);
-        assert_eq!(db.atom_source(&q, 1).unwrap().num_runs(), 1);
-        // seal + compact round-trip
+        assert_eq!(db.atom_source(&q, 1).unwrap().run_ids().len(), 1);
+        // a seal merges the buffer into the one run
         db.seal("R").unwrap();
-        db.compact("R").unwrap();
-        assert_eq!(db.delta("R").unwrap().num_runs(), 1);
+        assert_eq!(db.delta("R").unwrap().run_ids().len(), 1);
+        assert_eq!(db.delta("R").unwrap().buffered(), 0);
         // raw insert replaces the log
         db.insert("R", Relation::from_pairs("A", "B", vec![(7, 7)]));
         assert_eq!(db.delta("R").unwrap().snapshot().rows(), vec![vec![7, 7]]);
@@ -951,17 +945,12 @@ mod tests {
         db.insert_typed_rows("R", str_pair_schema("A", "B"), &typed_pairs(&[("x", "y")]))
             .unwrap();
         let epoch = db.relation_epoch("R");
-        // maintenance calls on a log with nothing buffered change nothing
+        // a seal of a log with nothing buffered changes nothing
         db.seal("R").unwrap();
-        db.compact("R").unwrap();
         assert_eq!(db.relation_epoch("R"), epoch);
-        assert_eq!(db.delta("R").unwrap().num_runs(), 1);
+        assert_eq!(db.delta("R").unwrap().run_ids().len(), 1);
         assert!(matches!(
             db.seal("Z").unwrap_err(),
-            DatabaseError::MissingRelation(_)
-        ));
-        assert!(matches!(
-            db.compact("Z").unwrap_err(),
             DatabaseError::MissingRelation(_)
         ));
     }

@@ -1,12 +1,12 @@
 //! MVCC snapshots: pin a database's visible state for lock-free readers.
 //!
 //! A [`Snapshot`] is a frozen view of a [`Database`] taken at one instant:
-//! every relation's log — sealed-run list, append buffer, live-set — and every
+//! every relation's log — sealed run, append buffer, live-set — and every
 //! dictionary is pinned by `Arc` refcounts, **not copied** (see
 //! [`Database#snapshots`](Database#snapshots)). Taking one is O(catalog
 //! size); holding one costs nothing beyond keeping the pinned allocations
-//! alive. Writers on the live database proceed concurrently: appends, seals,
-//! compactions and rebinds copy-on-write exactly the structures they touch, so
+//! alive. Writers on the live database proceed concurrently: appends, seals
+//! and rebinds copy-on-write exactly the structures they touch, so
 //! a reader executing against the snapshot observes a stable state and
 //! produces **bit-identical** rows and work counters to a run against the
 //! database at pin time, no matter what the writer does in between.
@@ -108,7 +108,6 @@ mod tests {
         db.insert_delta("R", vec![9, 9]).unwrap();
         db.delete("R", &[1, 2]).unwrap();
         db.seal("R").unwrap();
-        db.compact("R").unwrap();
         db.insert("S", Relation::from_pairs("B", "C", vec![(7, 7)]));
         // the snapshot still sees pin-time state, bit-identically
         assert_eq!(

@@ -12,8 +12,8 @@
 //!   [`QueryService::open`] recovers committed batches after a crash in time
 //!   bounded by the post-checkpoint tail, truncating torn tails;
 //! * **MVCC snapshot reads** — queries execute lock-free against a pinned
-//!   [`wcoj_query::Snapshot`] while writers append, seal, and compact
-//!   concurrently, with bit-identical rows *and* work counters;
+//!   [`wcoj_query::Snapshot`] while writers append and seal concurrently,
+//!   with bit-identical rows *and* work counters;
 //! * **admission control** — a bounded [`AdmissionGate`] runs at most
 //!   `max_concurrent` queries, queues at most `max_queued`, and sheds the
 //!   rest with a typed [`ServiceError::Overloaded`];

@@ -330,14 +330,6 @@ impl WriteBatch {
         self
     }
 
-    /// Queue a full compaction of the relation.
-    pub fn compact(mut self, relation: impl Into<String>) -> Self {
-        self.ops.push(WalOp::Compact {
-            relation: relation.into(),
-        });
-        self
-    }
-
     /// The queued ops, in application order.
     pub fn ops(&self) -> &[WalOp] {
         &self.ops
@@ -437,9 +429,6 @@ fn apply_op(db: &mut Database, op: &WalOp, fault: &FaultPlan) -> Result<(), Serv
                 std::thread::sleep(Duration::from_millis(ms));
             }
             db.seal(relation)?;
-        }
-        WalOp::Compact { relation } => {
-            db.compact(relation)?;
         }
         WalOp::Commit { .. } => {
             // commit markers delimit batches in the log; replay_into receives

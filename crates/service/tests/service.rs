@@ -107,16 +107,13 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
                 batch.insert("E", vec![a, b])
             };
         }
-        if batch_no % 3 == 2 {
+        if batch_no % 3 == 2 || batch_no == 7 {
             batch = batch.seal("E");
-        }
-        if batch_no == 7 {
-            batch = batch.compact("E");
         }
         assert_eq!(service.apply(&batch).unwrap(), batch_no + 1);
     }
     let expected_rows: Relation = service.with_db(|db| db.delta("E").unwrap().snapshot());
-    let expected_runs = service.with_db(|db| db.delta("E").unwrap().run_sizes());
+    let expected_run = service.with_db(|db| db.delta("E").unwrap().fold().map(|r| r.len()));
     assert_eq!(counter(&service, "wal.batches_committed"), 12);
     drop(service); // simulated crash after the last commit
 
@@ -147,7 +144,11 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
         assert_eq!(delta.snapshot(), expected_rows, "rows are bit-identical");
-        assert_eq!(delta.run_sizes(), expected_runs, "run structure matches");
+        assert_eq!(
+            delta.fold().map(|r| r.len()),
+            expected_run,
+            "the run matches"
+        );
         assert!(!delta.is_live(&[999, 999]), "torn tail was not applied");
     });
     // the writer resumes with a contiguous sequence
@@ -185,11 +186,8 @@ fn snapshot_queries_are_bit_identical_under_a_concurrent_writer() {
                 for _ in 0..16 {
                     batch = batch.insert("R", vec![rng.next_u64() % 40, rng.next_u64() % 40]);
                 }
-                if i % 4 == 3 {
+                if i % 4 == 3 || i == 20 {
                     batch = batch.seal("R");
-                }
-                if i == 20 {
-                    batch = batch.compact("R");
                 }
                 service.apply(&batch).unwrap();
             }
@@ -513,12 +511,8 @@ fn replay_into_matches_live_application_over_a_random_stream() {
                     relation: "E".into(),
                     tuple: vec![a, b],
                 }
-            } else if roll < 9 {
-                WalOp::Seal {
-                    relation: "E".into(),
-                }
             } else {
-                WalOp::Compact {
+                WalOp::Seal {
                     relation: "E".into(),
                 }
             });
@@ -532,9 +526,8 @@ fn replay_into_matches_live_application_over_a_random_stream() {
     let a = live.delta("E").unwrap();
     let b = recovered.delta("E").unwrap();
     assert_eq!(a.snapshot(), b.snapshot());
-    assert_eq!(a.run_sizes(), b.run_sizes());
+    assert_eq!(a.fold().map(|r| r.len()), b.fold().map(|r| r.len()));
     assert_eq!(a.buffered(), b.buffered());
-    assert_eq!(a.tombstones(), b.tombstones());
 }
 
 /// Property: an acknowledged batch never vanishes. Concurrent committers
@@ -759,8 +752,8 @@ fn torn_checkpoint_falls_back_to_previous_checkpoint_and_longer_tail() {
         let got = db.delta("E").unwrap();
         let want = oracle.delta("E").unwrap();
         assert_eq!(got.snapshot(), want.snapshot());
-        assert_eq!(got.run_sizes(), want.run_sizes());
-        assert_eq!(got.tombstones(), want.tombstones());
+        assert_eq!(got.fold().map(|r| r.len()), want.fold().map(|r| r.len()));
+        assert_eq!(got.buffered(), want.buffered());
     });
     std::fs::remove_dir_all(&path).ok();
 }
@@ -1068,8 +1061,8 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
 
 /// The read path the product has — `apply` a batch that seals, `query` on a
 /// fresh snapshot — must keep the access cache bounded: each seal gives the
-/// log a new fold, which costs the next query one trie per column order read,
-/// nothing built for a superseded fold stays resident, and every answer is
+/// log a new run, which costs the next query one trie per column order read,
+/// nothing built for a superseded run stays resident, and every answer is
 /// what an uncached execution of the same snapshot gives.
 #[test]
 fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
@@ -1086,7 +1079,7 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     let uncached = config.exec.with_cache(CacheMode::Off);
     let service = QueryService::in_memory(db, config);
     // the directed 3-cycle: under any variable order some atom reads E's
-    // columns swapped. A fold's trie is cached per (fold, order), the native
+    // columns swapped. A run's trie is cached per (run, order), the native
     // order like any other, so E is read in ORDERS = 2 column orders — two
     // atoms share (src, dst), the third reads (dst, src) — and every tally
     // below is the per-order count times two: one trie built per seal
@@ -1121,7 +1114,6 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     let run_ids = || service.with_db(|db| db.delta("E").unwrap().run_ids());
     let mut cached_ids: Vec<u64> = Vec::new();
     let mut resident = Vec::new();
-    let mut base_rewrites = 0;
     for cycle in 0..40 {
         if cycle > 0 {
             let mut batch = WriteBatch::new();
@@ -1136,9 +1128,9 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
             service.apply(&batch.seal("E")).unwrap();
         }
         let ids = run_ids();
-        let kept = ids.iter().filter(|id| cached_ids.contains(id)).count();
+        assert_eq!(ids.len(), 1, "cycle {cycle}: one run");
         assert!(
-            kept < ids.len(),
+            !cached_ids.contains(&ids[0]),
             "cycle {cycle}: every seal leaves a new run"
         );
         let (misses, merges) = (counter("cache.misses"), counter("cache.incremental_merges"));
@@ -1147,13 +1139,9 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
             counter("cache.misses") - misses,
             counter("cache.incremental_merges") - merges,
         );
-        // every seal gives E a new fold: one build per order, never a
+        // every seal gives E a new run: one build per order, never a
         // run-by-run merge
         assert_eq!((misses, merges), (ORDERS, 0), "cycle {cycle}: {ids:?}");
-        if kept == 0 {
-            // cold, or a tier merge swallowed the base
-            base_rewrites += 1;
-        }
         cached_ids = ids;
         resident.push(
             service
@@ -1168,16 +1156,12 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
         assert_eq!(out.result, off.result, "cycle {cycle}: rows");
         assert_eq!(out.work, off.work, "cycle {cycle}: work counters");
     }
-    assert_eq!(
-        base_rewrites, 2,
-        "the cold build and the one merge that reaches the 1024-row base"
-    );
     assert_eq!(counter("cache.misses"), 40 * ORDERS);
     assert_eq!(counter("cache.incremental_merges"), 0);
-    // the live set is a constant 1024 edges, and a fold holds exactly the
+    // the live set is a constant 1024 edges, and a run holds exactly the
     // live edges, so residency must stay inside 2x of its first reading (one
-    // whole stranded structure per seal used to make it 40x): one fold's
-    // tries per order, the superseded fold's entries swept by the next build
+    // whole stranded structure per seal used to make it 40x): one run's
+    // tries per order, the superseded run's entries swept by the next build
     let bound = 2 * resident[0];
     assert!(
         resident.iter().all(|&bytes| bytes > 0 && bytes <= bound),

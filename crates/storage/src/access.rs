@@ -9,9 +9,9 @@
 //! contiguous sorted sibling groups found by one `child_start` offset per `open`
 //! (no hashing), galloping `seek` — the classic Leapfrog Triejoin iterator, and
 //! equally the "sorted extensions of a prefix" access Generic Join (Algorithm 2)
-//! assumes. A [`crate::DeltaRelation`] has no cursor of its own: its sealed runs
-//! fold into one tombstone-free run whose trie is an ordinary one, so the sets a
-//! join intersects exist before the join, as the paper's algorithms require.
+//! assumes. A [`crate::DeltaRelation`] has no cursor of its own: it holds one
+//! tombstone-free run whose trie is an ordinary one, so the sets a join
+//! intersects exist before the join, as the paper's algorithms require.
 //!
 //! Generic Join and Leapfrog Triejoin in `wcoj-core` are written once, *generic*
 //! over `C: TrieAccess`, so the hot loops monomorphize — no per-seek virtual
@@ -207,9 +207,9 @@ mod tests {
         )
     }
 
-    /// `rel()` as a churned log: a base run without two of its rows plus
-    /// four junk rows, a run that puts the two back and deletes one junk
-    /// row, and a buffer that deletes the rest and re-inserts one more.
+    /// `rel()` as a churned log: a seal of all but two of its rows plus four
+    /// junk rows, a seal that puts the two back and deletes one junk row, and
+    /// a buffer that deletes the rest and re-inserts one more.
     fn churned() -> DeltaRelation {
         let r = rel();
         let junk = |j: Value| vec![9, 9, j];
@@ -229,10 +229,7 @@ mod tests {
         }
         log.delete(&[4, 1, 2]).unwrap();
         log.insert(vec![4, 1, 2]).unwrap();
-        assert_eq!(
-            (log.num_runs(), log.tombstones(), log.buffered()),
-            (2, 1, 5)
-        );
+        assert_eq!((log.fold().map(|r| r.len()), log.buffered()), (Some(9), 5));
         log
     }
 
@@ -353,14 +350,14 @@ mod tests {
             c.up();
         }
 
-        // a second run under A = 3 (one tombstone, one insert): the log is
-        // read through its fold, whose dense group keeps a layout
+        // a seal under A = 3 (one tombstone, one insert): the log is read
+        // through its new run, whose dense group keeps a layout
         let mut log = DeltaRelation::from_relation(r);
         log.set_seal_threshold(usize::MAX);
         assert!(log.delete(&[3, 70]).unwrap());
         assert!(log.insert(vec![3, 71]).unwrap());
         log.seal();
-        assert_eq!(log.num_runs(), 2);
+        assert_eq!(log.run_ids().len(), 1);
         let live = log.live_run().trie(&[0, 1]).unwrap();
         let mut d = live.cursor();
         assert!(d.open() && d.open());

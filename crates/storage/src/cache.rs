@@ -4,36 +4,33 @@
 //!
 //! # Keying and invalidation
 //!
-//! One rule: **a log's fold permuted to one column order is one entry — a
-//! [`Trie`] — and the entry dies with its fold.** A cache cannot safely key on
+//! One rule: **a log's run permuted to one column order is one entry — a
+//! [`Trie`] — and the entry dies with its run.** A cache cannot safely key on
 //! relation **names** alone — names are rebound (`Database::insert`
 //! replaces), databases are cloned, and logs mutate in place — so every
 //! [`CacheKey`] carries a **stamp**: the id of one immutable run of a
 //! [`crate::DeltaRelation`], taken from [`next_stamp`] (a process-global
-//! monotone counter, never reissued) when the run is created — by a load, a
-//! seal, a tier merge, a compaction, or the fold of several runs.
+//! monotone counter, never reissued) when the run is created — by a load or
+//! a seal.
 //!
-//! An atom is served by its log's fold ([`crate::DeltaRelation::fold`]): the
-//! sealed runs merged into one tombstone-free run, memoized in the log for its
-//! current run list — a loaded relation's fold is its one run, id included.
-//! The reader fetches or builds the fold's trie ([`crate::delta::Run::trie`]),
-//! whatever the column order, the relation's native one included. There is
-//! nothing to revalidate: a key either names a fold the reader holds or it
-//! does not. A repeated query hits; a seal, a tier merge or a compaction gives
-//! the log a new fold, whose trie is built once per order (a miss). A snapshot
-//! and the advancing head share the entry of a fold they have in common
-//! (clones that list the same runs share its memo) and never contend for a
-//! key, so neither can evict the other by reading. The unsealed append buffer
-//! is never cached — it has no identity to key on: it is merged into the fold
-//! per query and the result built as a plain trie, exactly as uncached
-//! execution does — and a log with no run has nothing to cache.
+//! An atom is served by its log's one run ([`crate::DeltaRelation::fold`]):
+//! the live tuples as of the last seal, with no tombstone — a loaded
+//! relation's run is its rows. The reader fetches or builds the run's trie
+//! ([`crate::delta::Run::trie`]), whatever the column order, the relation's
+//! native one included. There is nothing to revalidate: a key either names a
+//! run the reader holds or it does not. A repeated query hits; a seal gives
+//! the log a new run, whose trie is built once per order (a miss). A snapshot
+//! and the advancing head share the entry of a run they have in common and
+//! never contend for a key, so neither can evict the other by reading. The
+//! unsealed append buffer is never cached — it has no identity to key on: it
+//! is merged into the run per query and the result built as a plain trie,
+//! exactly as uncached execution does — and a log with no run has nothing to
+//! cache.
 //!
-//! An entry holds its fold weakly, and the fold lives exactly as long as some
-//! log — the head or a snapshot — holds it as its memo; a one-run log's fold
-//! is a handle of the log's own on that run, so its entry dies when the log's
-//! run list moves on, even while the run lives on as the oldest of several.
-//! Once the last holder has dropped it no reader can present its id again, so
-//! the entry is **dead**: [`AccessCache::insert`] removes the dead entries of
+//! An entry holds its run weakly, and the run lives exactly as long as some
+//! log — the head or a snapshot — holds it. Once the last holder has dropped
+//! it no reader can present its id again, so the entry is **dead**:
+//! [`AccessCache::insert`] removes the dead entries of
 //! the `(relation, positions)` it is inserting for, and each byte resident is
 //! charged to exactly one entry.
 //!
@@ -87,7 +84,7 @@ pub struct CacheStats {
 }
 
 /// What a cached trie was built from: the relation's catalog name, the column
-/// permutation it was built over, and the id of the log's fold (see the
+/// permutation it was built over, and the id of the log's run (see the
 /// [module docs](crate::cache)).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey {
@@ -95,7 +92,7 @@ pub struct CacheKey {
     pub relation: String,
     /// Column positions, one per attribute, in the built order.
     pub positions: Vec<usize>,
-    /// The fold's run id ([`crate::delta::Run::id`]).
+    /// The run's id ([`crate::delta::Run::id`]).
     pub stamp: u64,
 }
 
@@ -104,8 +101,8 @@ struct Entry {
     /// Shared by reference count: a hit hands the execution layer an `Arc`
     /// clone, so eviction can never invalidate an in-flight query.
     value: Arc<Trie>,
-    /// The fold this was built from, held weakly: the entry must not keep a
-    /// superseded or rebound fold's rows alive, and the fold's refcount is
+    /// The run this was built from, held weakly: the entry must not keep a
+    /// superseded or rebound run's rows alive, and the run's refcount is
     /// how the cache learns that no log (head or snapshot) can ask for it
     /// again.
     source: Weak<Run>,
@@ -144,8 +141,8 @@ pub struct AccessCache {
     /// the execution layer's concern; these fold every query in.
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    /// Registered as `cache.incremental_merges` and never added to: a log is
-    /// built as one fold, never run by run. It stays, reading 0, because the
+    /// Registered as `cache.incremental_merges` and never added to: a log's
+    /// trie is built whole from its one run. It stays, reading 0, because the
     /// request benchmark reads that name from the registry.
     incremental_merges: Arc<Counter>,
     evictions: Arc<Counter>,
@@ -268,8 +265,8 @@ impl AccessCache {
     /// and remembering the build-`cost` estimate (rows scanned) for the
     /// eviction priority. Returns how many entries were evicted to fit. A
     /// value larger than the whole budget is not admitted (inserting it could
-    /// only thrash). `source` is the fold the trie was built from: dead
-    /// entries of the same `(relation, positions)` — tries of folds no log
+    /// only thrash). `source` is the run the trie was built from: dead
+    /// entries of the same `(relation, positions)` — tries of runs no log
     /// holds any more — are removed first, and are not counted as evictions:
     /// nothing could have hit them.
     pub fn insert(
@@ -325,8 +322,9 @@ impl AccessCache {
                         .then_with(|| ka.positions.cmp(&kb.positions))
                 })
                 .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            let gone = inner.map.remove(&victim).expect("victim came from the map");
+            let Some(gone) = victim.and_then(|k| inner.map.remove(&k)) else {
+                break;
+            };
             inner.bytes -= gone.bytes;
             inner.clock = inner.clock.max(gone.priority);
             evicted += 1;
@@ -347,7 +345,7 @@ mod tests {
         Arc::new(Trie::build(&rel, &["A", "B"]).unwrap())
     }
 
-    /// The source of entries whose fold outlives every test (never dead).
+    /// The source of entries whose run outlives every test (never dead).
     fn live() -> Weak<Run> {
         static RUN: std::sync::OnceLock<Arc<Run>> = std::sync::OnceLock::new();
         Arc::downgrade(RUN.get_or_init(|| {
@@ -450,7 +448,7 @@ mod tests {
     }
 
     /// What the execution layer does for one atom of a log with nothing
-    /// buffered: look up the log's fold, build its trie if it is missing, keep
+    /// buffered: look up the log's run, build its trie if it is missing, keep
     /// that. Returns whether it built.
     fn fetch_or_build(cache: &AccessCache, delta: &DeltaRelation) -> bool {
         let fold = delta.fold().unwrap();
@@ -463,7 +461,7 @@ mod tests {
         true
     }
 
-    /// Sum of `heap_bytes()` over the resident tries of the folds of `logs`,
+    /// Sum of `heap_bytes()` over the resident tries of the runs of `logs`,
     /// and how many of them are resident.
     fn resident(cache: &AccessCache, logs: &[&DeltaRelation]) -> (usize, usize) {
         let ids = logs.iter().map(|log| log.fold().unwrap().id());
@@ -482,27 +480,28 @@ mod tests {
         head.seal();
         assert!(fetch_or_build(&cache, &head), "cold: the base");
         assert!(!fetch_or_build(&cache, &head), "then it hits");
-        // seal-extend: each small seal gives the log a new fold, built once;
-        // the old fold's entry is dead and goes with that build
+        // each small seal gives the log a new run, built once; the old run's
+        // entry is dead and goes with that build
         for round in 0..3u64 {
             for i in 0..(16 >> round) {
                 head.insert(vec![round, 1000 + 100 * round + i]).unwrap();
             }
             head.seal();
-            assert_eq!(head.num_runs(), round as usize + 2, "no tier merge");
-            assert!(fetch_or_build(&cache, &head), "a new fold");
+            assert_eq!(head.run_ids().len(), 1);
+            assert!(fetch_or_build(&cache, &head), "a new run");
             assert!(!fetch_or_build(&cache, &head), "then it hits");
             let (bytes, n) = resident(&cache, &[&head]);
             assert_eq!((n, cache.len()), (1, 1), "round {round}");
             assert_eq!(cache.bytes(), bytes, "round {round}");
         }
-        // a snapshot pins the fold; the head compacts its runs away
+        // a snapshot pins the run; the head seals past it
         let snapshot = head.clone();
-        head.compact();
+        head.delete(&[0, 0]).unwrap();
+        head.seal();
         assert!(fetch_or_build(&cache, &head));
-        assert!(!fetch_or_build(&cache, &snapshot), "the pinned fold hits");
+        assert!(!fetch_or_build(&cache, &snapshot), "the pinned run hits");
         let (bytes, n) = resident(&cache, &[&snapshot, &head]);
-        assert_eq!((n, cache.len()), (2, 2), "the snapshot keeps its fold");
+        assert_eq!((n, cache.len()), (2, 2), "the snapshot keeps its run");
         assert_eq!(cache.bytes(), bytes);
         // once it is gone, the next insert for this relation and order
         // reclaims what only it held
@@ -512,7 +511,7 @@ mod tests {
         head.seal();
         assert!(fetch_or_build(&cache, &head));
         let (bytes, n) = resident(&cache, &[&head]);
-        assert_eq!((n, cache.len()), (1, 1), "only the head's fold is resident");
+        assert_eq!((n, cache.len()), (1, 1), "only the head's run is resident");
         assert_eq!(cache.bytes(), bytes);
     }
 

@@ -1,59 +1,59 @@
-//! Incremental maintenance: delta-log relations, read as one folded trie.
+//! Incremental maintenance: delta-log relations, read as one tombstone-free run.
 //!
 //! A [`crate::Trie`] is built over an immutable, canonically sorted
 //! [`Relation`] — and [`Relation::insert`] pays O(n) per tuple to keep that
-//! order. This module is the LSM-style storage layout that makes the engines'
+//! order. This module is the storage layout that makes the engines'
 //! worst-case-optimal guarantees usable over a *live, continuously-ingesting*
 //! database, and it is the one way a catalog stores a relation: a loaded
-//! relation is a log of one sealed run ([`DeltaRelation::from_relation`]).
+//! relation is a log whose run is its rows ([`DeltaRelation::from_relation`]).
 //!
-//! * a [`DeltaRelation`] is a **base run + ordered delta runs** — each run an
-//!   immutable, sorted, canonicalized mini-relation whose rows carry a sign
-//!   (+1 insert, −1 **tombstone** for a delete) — plus an unsorted **append
-//!   buffer** in arrival order;
+//! * a [`DeltaRelation`] is **at most one run** — an immutable, sorted,
+//!   canonical relation holding the live tuples as of the last seal, with no
+//!   tombstone — plus an unsorted **append buffer** in arrival order;
 //! * [`DeltaRelation::insert`] / [`DeltaRelation::delete`] append to the buffer
 //!   after an O(arity)-expected liveness probe of an incrementally-maintained
 //!   live-tuple hash index (which keeps each tuple's history an alternating +/−
-//!   sequence — the invariant that makes signed merging exact — at the price
+//!   sequence — the invariant that makes the signed merge exact — at the price
 //!   of one extra copy of each live tuple; unary/binary tuples pack into
 //!   `u128` keys there). The buffer is columnar at every arity — one column
 //!   per attribute plus one sign per op — so an append allocates nothing of
 //!   its own. When the buffer reaches the seal threshold it is **sealed**:
-//!   collapsed into a new sorted run by the one signed collapse, followed by
-//!   **size-tiered compaction** (adjacent runs of comparable size merge in
-//!   linear two-pointer passes, the one run merge); [`DeltaRelation::compact`]
-//!   merges everything back into a single tombstone-free base;
-//! * query-side, a log is read as **one tombstone-free run**: its sealed runs
-//!   folded by the same run merge ([`DeltaRelation::fold`]), memoized in the
-//!   log for its current run list and dropped whenever a seal, a tier merge or
-//!   a compaction changes that list — a log of one run folds to that run, id
-//!   included — with a non-empty unsealed buffer collapsed and merged into it
-//!   per query ([`DeltaRelation::live_run`]). Either way the result is a plain
-//!   canonical relation and [`Run::trie`] the one trie builder over it, set
-//!   layouts included: the sorted set of values extending a prefix exists
-//!   *before* the join, as Generic Join and Leapfrog Triejoin assume
-//!   (Section 2), and a query over a log runs the static path on its
-//!   snapshot, bit for bit, work counters included.
+//!   collapsed to one net sign per tuple (+1 insert, −1 **tombstone**) and
+//!   merged into the run by one linear signed merge, which writes a new run
+//!   with a fresh id;
+//! * query-side, a log is read as that run ([`DeltaRelation::fold`]), with a
+//!   non-empty buffer collapsed and merged into it per query by the same merge
+//!   ([`DeltaRelation::live_run`]). Either way the result is a plain canonical
+//!   relation and [`Run::trie`] the one trie builder over it, set layouts
+//!   included: the sorted set of values extending a prefix exists *before* the
+//!   join, as Generic Join and Leapfrog Triejoin assume (Section 2), and a
+//!   query over a log runs the static path on its snapshot, bit for bit, work
+//!   counters included.
 //!
 //! # Cost model
 //!
 //! | operation | full rebuild ([`Relation`]) | delta log |
 //! | --- | --- | --- |
-//! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort |
-//! | seal (per `B` buffered ops) | — | O(B log B) |
-//! | compaction (amortized per op) | — | O(log(n/B)) linear merge touches |
-//! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2), plus the fold of a log of several runs |
-//! | fold (once per run list) | — | linear merges over the runs, newest pair first |
-//! | access-structure build | O(n log n) argsort + scan | the same builder over the fold, once per order and run list, cached; identity orders skip the argsort |
-//! | query with `B` ops buffered | — | O(B log B) collapse + one O(n) merge into the fold + the build, per relation and order |
-//! | cursor `open` of a prefix | one `child_start` lookup | the same: the fold's trie is a trie |
+//! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort + O(n/B) seal merge |
+//! | seal (per `B` buffered ops) | — | O(B log B) collapse + one O(n + B) linear merge into the run |
+//! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
+//! | access-structure build | O(n log n) argsort + scan | the same builder over the run, once per order and run, cached; identity orders skip the argsort |
+//! | query with `B` ops buffered | — | O(B log B) collapse + one O(n) merge into the run + the build, per relation and order |
+//! | cursor `open` of a prefix | one `child_start` lookup | the same: the run's trie is a trie |
 //! | query result | — | **bit-identical**, rows and work counters, to rebuilding from [`DeltaRelation::snapshot`] |
 //!
+//! The trade: a seal writes O(n + B) values, n the live rows. A stack of
+//! size-tiered runs would amortize a seal's writes to O(log(n/B)) per op, but
+//! a query reads a log as one run, so the first read after a seal would fold
+//! the stack at O(n) anyway — and every workload here reads between seals.
+//! On the gated ingest stream (`edge_stream_ops(16384, 8192)`, seal threshold
+//! 4096) the log writes 126 908 values, where a tiered stack wrote 148 896.
+//!
 //! The alternating-history invariant (each live tuple contributes net +1
-//! across its history, each dead tuple net 0) is what makes a merge of signed
-//! runs exact: two rows of one tuple annihilate, and the merge of a log's
-//! whole history — its fold — holds exactly the live tuples, each once, with
-//! no tombstone left.
+//! across its history, each dead tuple net 0) is what makes the signed merge
+//! exact: a buffered tombstone always meets its tuple in the run and both
+//! drop, a buffered insert never meets one, so the merge holds exactly the
+//! live tuples, each once, with no tombstone left.
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
@@ -63,15 +63,15 @@ use crate::trie::Trie;
 use crate::wal::PayloadReader;
 use crate::Value;
 use std::hash::BuildHasherDefault;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The live-tuple membership index: one entry per live tuple, maintained
 /// incrementally by `insert`/`delete` (hashed with the in-tree [`FxHasher`];
 /// the keys are dense codes). This is the LSM "memtable filter" that makes the
-/// per-operation liveness check O(arity) expected instead of O(runs · log n)
-/// binary searches — at the cost of one extra copy of each live tuple. Unary
-/// and binary tuples (the streaming graph case) pack into `u128` keys, so the
-/// hot ingest path neither allocates nor hashes a heap tuple.
+/// per-operation liveness check O(arity) expected instead of an O(log n)
+/// binary search of the run — at the cost of one extra copy of each live
+/// tuple. Unary and binary tuples (the streaming graph case) pack into `u128`
+/// keys, so the hot ingest path neither allocates nor hashes a heap tuple.
 #[derive(Debug, Clone)]
 enum LiveSet {
     /// Arity ≤ 2: tuples packed as `(t[0] << 64) | t[1]` (resp. `t[0]`).
@@ -137,52 +137,31 @@ impl LiveSet {
 /// Buffered operations before an automatic [`DeltaRelation::seal`].
 pub const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
-/// Size-tiering growth factor: a freshly sealed run merges into its predecessor
-/// while the predecessor is smaller than `GROWTH` times the new run.
-const GROWTH: usize = 2;
-
-/// One immutable sorted run of a [`DeltaRelation`]: a canonical mini-relation
-/// plus one sign per row. Opaque outside this module except as a build input:
-/// the execution layer fetches or builds [`Run::trie`] of a log's fold, and
-/// the access cache holds a `Weak` to the fold so the entry dies with it.
-/// Cloning a run is cheap — its rows and signs are shared — and keeps its id.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The immutable sorted run of a [`DeltaRelation`]: a canonical relation of
+/// live tuples, no tombstone among them. Opaque outside this module except as
+/// a build input: the execution layer fetches or builds [`Run::trie`] of a
+/// log's run, and the access cache holds a `Weak` to the run so the entry
+/// dies with it.
+#[derive(Debug)]
 pub struct Run {
     /// Process-unique identity stamp ([`crate::cache::next_stamp`]): runs are
     /// immutable, so equal ids imply identical content — the stamp of the
-    /// access-structure cache's key for a fold's tries.
+    /// access-structure cache's key for a run's tries.
     id: u64,
-    /// The run's rows: sorted, distinct tuples (each tuple occurs at most once
-    /// per run, with its net sign).
-    rel: Arc<Relation>,
-    /// Per row: whether it is a tombstone (sign −1) rather than an insert (+1).
-    dead: Arc<[bool]>,
+    /// The run's rows: sorted, distinct, live tuples.
+    rel: Relation,
 }
 
 impl Run {
-    /// A run of pure inserts (the base-run shape).
-    fn all_insert(rel: Relation) -> Run {
-        Run {
+    /// A run over canonical rows, under a fresh id.
+    fn new(rel: Relation) -> Arc<Run> {
+        Arc::new(Run {
             id: crate::cache::next_stamp(),
-            dead: vec![false; rel.len()].into(),
-            rel: Arc::new(rel),
-        }
+            rel,
+        })
     }
 
-    /// Build a run from canonical columns plus per-row net signs.
-    fn from_parts(schema: Schema, cols: Vec<Vec<Value>>, signs: &[i64]) -> Run {
-        let rel = Relation::from_canonical_columns(schema, cols);
-        debug_assert_eq!(rel.len(), signs.len());
-        debug_assert!(signs.iter().all(|&s| s == 1 || s == -1));
-        Run {
-            id: crate::cache::next_stamp(),
-            rel: Arc::new(rel),
-            dead: signs.iter().map(|&s| s < 0).collect(),
-        }
-    }
-
-    /// The run's identity stamp ([`DeltaRelation::run_ids`]; a one-run log's
-    /// fold keeps its run's).
+    /// The run's identity stamp ([`DeltaRelation::run_ids`]).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -198,31 +177,18 @@ impl Run {
     }
 
     /// The run's access structure for the column order `positions`: the one
-    /// trie builder over the run's rows. Queries read tombstone-free runs only
-    /// — a log's fold, or the fold with its buffer merged in
-    /// ([`DeltaRelation::live_run`]) — whose rows are all live.
+    /// trie builder over the run's rows.
     pub fn trie(&self, positions: &[usize]) -> Result<Trie, StorageError> {
-        debug_assert_eq!(self.tombstones(), 0, "a run with tombstones is no set");
         Trie::build_positions(&self.rel, positions)
-    }
-
-    /// The sign of row `i` (+1 insert, −1 tombstone).
-    fn sign(&self, i: usize) -> i64 {
-        1 - 2 * self.dead[i] as i64
-    }
-
-    /// Number of tombstone rows.
-    fn tombstones(&self) -> usize {
-        self.dead.iter().filter(|&&d| d).count()
     }
 }
 
 /// Sort the rows of column-major `cols` (with parallel `signs`) lexicographically
 /// and collapse equal-tuple groups to their net sign, dropping net-zero groups.
-/// Concatenated runs keep chronological order within a group (the argsort breaks
-/// ties by row index), though the net sum does not depend on it. Returns
-/// canonical (sorted, distinct) columns plus per-row net signs — always ±1 under
-/// the alternating-history invariant.
+/// The argsort breaks ties by row index, so a group keeps arrival order,
+/// though the net sum does not depend on it. Returns canonical (sorted,
+/// distinct) columns plus per-row net signs — always ±1 under the
+/// alternating-history invariant.
 fn collapse_signed(cols: &[Vec<Value>], signs: &[i64]) -> (Vec<Vec<Value>>, Vec<i64>) {
     let len = signs.len();
     let positions: Vec<usize> = (0..cols.len()).collect();
@@ -253,112 +219,76 @@ fn collapse_signed(cols: &[Vec<Value>], signs: &[i64]) -> (Vec<Vec<Value>>, Vec<
     (out_cols, out_signs)
 }
 
-/// Linear two-pointer merge of two sorted runs (`a` older, `b` newer): rows in
-/// exactly one run pass through with their sign; rows in both annihilate to
-/// their net (0 drops the tuple — under the alternating-history invariant the
-/// signs are opposite). O(|a| + |b|), the serial tier-merge primitive.
-fn merge_two(a: &Run, b: &Run) -> (Vec<Vec<Value>>, Vec<i64>) {
+/// The one signed merge: a linear two-pointer pass over the tombstone-free
+/// `run` (canonical columns; none for no run) and collapsed ops (`cols`,
+/// `signs`, canonical). A run row passes unless a tombstone meets it, and then
+/// both drop; an insert passes. O(|run| + |ops|); returns the live tuples'
+/// canonical columns.
+fn merge_signed(run: &[Vec<Value>], cols: &[Vec<Value>], signs: &[i64]) -> Vec<Vec<Value>> {
     use std::cmp::Ordering;
-    let arity = a.rel.arity();
-    let (an, bn) = (a.len(), b.len());
-    let mut cols: Vec<Vec<Value>> = (0..arity).map(|_| Vec::with_capacity(an + bn)).collect();
-    let mut signs: Vec<i64> = Vec::with_capacity(an + bn);
-    let cmp = |i: usize, j: usize| -> Ordering {
-        for c in 0..arity {
-            match a.rel.column(c)[i].cmp(&b.rel.column(c)[j]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
+    let (an, bn) = (run.first().map_or(0, Vec::len), signs.len());
+    let mut out: Vec<Vec<Value>> = (0..cols.len())
+        .map(|_| Vec::with_capacity(an + bn))
+        .collect();
+    let push = |out: &mut [Vec<Value>], from: &[Vec<Value>], i: usize| {
+        for (col, src) in out.iter_mut().zip(from) {
+            col.push(src[i]);
         }
-        Ordering::Equal
     };
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < an && j < bn {
-        match cmp(i, j) {
-            Ordering::Less => {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push(a.rel.column(c)[i]);
-                }
-                signs.push(a.sign(i));
-                i += 1;
-            }
-            Ordering::Greater => {
-                for (c, col) in cols.iter_mut().enumerate() {
-                    col.push(b.rel.column(c)[j]);
-                }
-                signs.push(b.sign(j));
-                j += 1;
-            }
-            Ordering::Equal => {
-                let net = a.sign(i) + b.sign(j);
-                debug_assert_eq!(net, 0, "a tuple's +/− history must alternate");
-                if net != 0 {
-                    for (c, col) in cols.iter_mut().enumerate() {
-                        col.push(a.rel.column(c)[i]);
-                    }
-                    signs.push(net.signum());
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    while i < an {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.push(a.rel.column(c)[i]);
-        }
-        signs.push(a.sign(i));
-        i += 1;
-    }
+    let (mut i, mut j) = (0, 0);
     while j < bn {
-        for (c, col) in cols.iter_mut().enumerate() {
-            col.push(b.rel.column(c)[j]);
+        // `None`: the run row and the op are one tuple
+        let order = if i < an {
+            let mut cmp = run.iter().zip(cols).map(|(a, b)| a[i].cmp(&b[j]));
+            cmp.find(|o| o.is_ne())
+        } else {
+            Some(Ordering::Greater)
+        };
+        match order {
+            Some(Ordering::Less) => {
+                push(&mut out, run, i);
+                i += 1;
+            }
+            Some(_) => {
+                debug_assert!(signs[j] > 0, "a tombstone for a tuple that is not live");
+                if signs[j] > 0 {
+                    push(&mut out, cols, j);
+                }
+                j += 1;
+            }
+            None => {
+                debug_assert!(signs[j] < 0, "an insert of a tuple that is live");
+                if signs[j] > 0 {
+                    push(&mut out, run, i);
+                }
+                i += 1;
+                j += 1;
+            }
         }
-        signs.push(b.sign(j));
-        j += 1;
     }
-    (cols, signs)
+    for (col, src) in out.iter_mut().zip(run) {
+        col.extend_from_slice(&src[i..]);
+    }
+    out
 }
 
-/// Merge `runs[start..]` into at most one run by [`merge_two`], newest pair
-/// first — the cheapest order under tiered sizes; a pair that annihilates
-/// leaves nothing behind. Returns the rows the merges wrote.
-fn merge_from(schema: &Schema, runs: &mut Vec<Arc<Run>>, start: usize) -> usize {
-    let mut written = 0;
-    while let [.., a, b] = &runs[start..] {
-        let (cols, signs) = merge_two(a, b);
-        written += signs.len();
-        runs.truncate(runs.len() - 2);
-        if !signs.is_empty() {
-            runs.push(Arc::new(Run::from_parts(schema.clone(), cols, &signs)));
-        }
-    }
-    written
-}
-
-/// A relation stored as a delta log: base run + ordered delta runs + append
-/// buffer. See the [module docs](crate::delta) for the layout and cost model.
+/// A relation stored as a delta log: at most one tombstone-free run plus an
+/// append buffer. See the [module docs](crate::delta) for the layout and cost
+/// model.
 ///
-/// Runs are immutable and `Arc`-shared, and the live-tuple index is
-/// copy-on-write, so **cloning is cheap**: O(runs) refcount bumps plus one
-/// copy of the (threshold-bounded) append buffer. That is what MVCC snapshots
+/// The run is immutable and `Arc`-shared, and the live-tuple index is
+/// copy-on-write, so **cloning is cheap**: a refcount bump plus one copy of
+/// the (threshold-bounded) append buffer. That is what MVCC snapshots
 /// (`wcoj_query`'s `Database::snapshot`) pin — a clone freezes the
-/// `(base, sealed-run-list, buffer)` state by refcount while the original
-/// keeps ingesting; the first post-clone `insert`/`delete` pays a one-time
-/// O(live) copy of the shared live-tuple index. Clones that list the same
-/// runs share one memoized fold.
+/// `(run, buffer)` state by refcount while the original keeps ingesting; the
+/// first post-clone `insert`/`delete` pays a one-time O(live) copy of the
+/// shared live-tuple index.
 #[derive(Debug, Clone)]
 pub struct DeltaRelation {
     schema: Schema,
-    /// `runs[0]` is the oldest (the base after a [`DeltaRelation::compact`])
-    /// and never carries a tombstone; later runs are newer and shadow earlier
-    /// ones by their signs. `Arc`-shared: snapshot clones pin runs by
-    /// refcount, never by copying.
-    runs: Vec<Arc<Run>>,
-    /// The memoized [`DeltaRelation::fold`] of `runs`, computed on the first
-    /// read: shared by the clones that list the same runs, and replaced by an
-    /// empty cell whenever the list changes.
-    fold: Arc<OnceLock<Arc<Run>>>,
+    /// The live tuples as of the last seal, or `None` when there are none.
+    /// `Arc`-shared: snapshot clones pin it by refcount, never by copying.
+    run: Option<Arc<Run>>,
     /// Unsealed operations in arrival order, one column per attribute...
     buffer: Vec<Vec<Value>>,
     /// ...and one sign per operation (+1 insert, −1 tombstone).
@@ -396,8 +326,7 @@ impl DeltaRelation {
             buffer: vec![Vec::new(); schema.arity()],
             buffer_signs: Vec::new(),
             schema,
-            runs: Vec::new(),
-            fold: Arc::default(),
+            run: None,
             live_set,
             seal_threshold: DEFAULT_SEAL_THRESHOLD,
             epoch: crate::cache::next_stamp(),
@@ -405,48 +334,31 @@ impl DeltaRelation {
         })
     }
 
-    /// Wrap an existing relation as the base run of a new delta log. Panics on
-    /// a zero-arity relation (use [`DeltaRelation::try_from_relation`]).
+    /// Wrap an existing relation as the run of a new delta log. Panics on a
+    /// zero-arity relation (use [`DeltaRelation::try_from_relation`]).
     pub fn from_relation(rel: Relation) -> Self {
         Self::try_from_relation(rel).expect("delta relations need at least one column")
     }
 
-    /// Wrap an existing relation as the base run of a new delta log (an empty
+    /// Wrap an existing relation as the run of a new delta log (an empty
     /// relation is a log with no run), rejecting zero-arity relations with
     /// [`StorageError::EmptySchema`]. This is how every loaded relation is
     /// stored, so the live set is filled straight from the columns: packed
     /// keys for arity ≤ 2, one tuple per row only above that.
     pub fn try_from_relation(rel: Relation) -> Result<Self, StorageError> {
-        if rel.arity() == 0 {
-            return Err(StorageError::EmptySchema);
-        }
-        let schema = rel.schema().clone();
-        let live_set = match rel.columns() {
+        let mut log = DeltaRelation::try_new(rel.schema().clone())?;
+        log.live_set = Arc::new(match rel.columns() {
             [a] => LiveSet::Packed(a.iter().map(|&x| pack2(&[x])).collect()),
             [a, b] => LiveSet::Packed(a.iter().zip(b).map(|(&x, &y)| pack2(&[x, y])).collect()),
             _ => LiveSet::General(rel.iter().collect()),
-        };
-        let runs = if rel.is_empty() {
-            Vec::new()
-        } else {
-            vec![Arc::new(Run::all_insert(rel))]
-        };
-        Ok(DeltaRelation {
-            buffer: vec![Vec::new(); schema.arity()],
-            buffer_signs: Vec::new(),
-            schema,
-            runs,
-            fold: Arc::default(),
-            live_set: Arc::new(live_set),
-            seal_threshold: DEFAULT_SEAL_THRESHOLD,
-            epoch: crate::cache::next_stamp(),
-            values_written: 0,
-        })
+        });
+        log.run = (!rel.is_empty()).then(|| Run::new(rel));
+        Ok(log)
     }
 
     /// Take a fresh epoch stamp; called on every visible mutation (ingest,
-    /// seal, tier merge). Over-stamping is harmless — a changed epoch only
-    /// makes an optimistic writer retry.
+    /// seal). Over-stamping is harmless — a changed epoch only makes an
+    /// optimistic writer retry.
     fn touch(&mut self) {
         self.epoch = crate::cache::next_stamp();
     }
@@ -461,48 +373,26 @@ impl DeltaRelation {
     }
 
     /// Values this log has written since it was created (a clone carries the
-    /// count on): `arity` per buffered operation, plus `arity` per row that a
-    /// seal, a tier merge or a compaction writes into a run. The ingest cost
+    /// count on): `arity` per buffered operation, plus `arity` per row of the
+    /// run each seal writes (its collapse is scratch). The ingest cost
     /// `core/tests/delta.rs` compares with sorted rows' shifted values.
     pub fn values_written(&self) -> u64 {
         self.values_written
     }
 
-    /// The sealed runs' unique identity stamps, oldest first. Runs are
-    /// immutable, so an id names one run's content for as long as the process
-    /// lives: a seal appends an id, a tier merge or compaction replaces the
-    /// ids of the runs it rewrote with one fresh id, and clones of the log
-    /// (snapshots) keep the ids of the runs they share.
+    /// The run's identity stamp, if the log has a run: `[]` or `[id]`. Runs
+    /// are immutable, so an id names one run's content for as long as the
+    /// process lives: a seal that changes the live tuples replaces the id,
+    /// and clones of the log (snapshots) keep the id of the run they share.
     pub fn run_ids(&self) -> Vec<u64> {
-        self.runs.iter().map(|r| r.id).collect()
+        self.run.iter().map(|r| r.id).collect()
     }
 
-    /// The sealed runs folded into one tombstone-free run — the live tuples
-    /// as of the last seal — or `None` for a log with no sealed run. The runs
-    /// merge newest pair first, once per run list: the fold is memoized in the
-    /// log (and its clones that list the same runs) until a seal, a tier merge
-    /// or a compaction changes the list. A log of one run folds to that run,
-    /// its id included, behind a handle of the log's own: an access-cache
-    /// entry keyed by the fold dies once no log holds the fold, not when the
-    /// run is finally merged away.
+    /// The log's run — the live tuples as of the last seal — or `None` for a
+    /// log with no sealed live tuple. An access-cache entry keyed by it dies
+    /// once no log holds it.
     pub fn fold(&self) -> Option<Arc<Run>> {
-        if self.runs.is_empty() {
-            return None;
-        }
-        let fold = self.fold.get_or_init(|| {
-            let mut runs = self.runs.clone();
-            merge_from(&self.schema, &mut runs, 0);
-            let run = runs
-                .pop()
-                .map_or_else(|| self.empty_run(), |run| Run::clone(&run));
-            debug_assert_eq!(
-                run.tombstones(),
-                0,
-                "a full history nets to its live tuples"
-            );
-            Arc::new(run)
-        });
-        Some(Arc::clone(fold))
+        self.run.clone()
     }
 
     /// The live tuples as one tombstone-free run — what a query reads: the
@@ -511,27 +401,19 @@ impl DeltaRelation {
     /// not touched — queries take `&DeltaRelation`). A log with neither is an
     /// empty run.
     pub fn live_run(&self) -> Arc<Run> {
-        let fold = self.fold();
-        if self.buffer_signs.is_empty() {
-            return fold.unwrap_or_else(|| Arc::new(self.empty_run()));
+        match &self.run {
+            Some(run) if self.buffer_signs.is_empty() => Arc::clone(run),
+            _ => {
+                let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
+                Run::new(self.merged(&cols, &signs))
+            }
         }
-        let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
-        let buffered = Run::from_parts(self.schema.clone(), cols, &signs);
-        let Some(fold) = fold else {
-            // with no run, a buffered delete can only cancel a buffered insert
-            return Arc::new(buffered);
-        };
-        let (cols, signs) = merge_two(&fold, &buffered);
-        debug_assert!(
-            signs.iter().all(|&s| s > 0),
-            "full-history nets are 0 or +1"
-        );
-        Arc::new(Run::from_parts(self.schema.clone(), cols, &signs))
     }
 
-    /// A run of no rows in this log's schema.
-    fn empty_run(&self) -> Run {
-        Run::all_insert(Relation::empty(self.schema.clone()))
+    /// The run with collapsed ops merged in, by [`merge_signed`].
+    fn merged(&self, cols: &[Vec<Value>], signs: &[i64]) -> Relation {
+        let run = self.run.as_ref().map_or(&[][..], |r| r.rel.columns());
+        Relation::from_canonical_columns(self.schema.clone(), merge_signed(run, cols, signs))
     }
 
     /// The schema.
@@ -554,29 +436,14 @@ impl DeltaRelation {
         self.live_set.is_empty()
     }
 
-    /// Number of sealed runs (the delta depth a fold merges over).
-    pub fn num_runs(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Sizes of the sealed runs, oldest first.
-    pub fn run_sizes(&self) -> Vec<usize> {
-        self.runs.iter().map(|r| r.len()).collect()
-    }
-
     /// Number of buffered (unsealed) operations.
     pub fn buffered(&self) -> usize {
         self.buffer_signs.len()
     }
 
-    /// Total tombstone rows across the sealed runs.
-    pub fn tombstones(&self) -> usize {
-        self.runs.iter().map(|r| r.tombstones()).sum()
-    }
-
     /// Override the automatic seal threshold (buffered operations before
-    /// [`DeltaRelation::seal`] runs implicitly). Lower values mean more, smaller
-    /// runs — useful for testing deep run stacks.
+    /// [`DeltaRelation::seal`] runs implicitly). Lower values mean more
+    /// frequent, smaller seals.
     pub fn set_seal_threshold(&mut self, threshold: usize) {
         self.seal_threshold = threshold.max(1);
     }
@@ -600,8 +467,8 @@ impl DeltaRelation {
     /// Insert a tuple. Returns whether it was newly inserted (`false` if already
     /// live). Amortized O(arity) expected per call: one membership-index update
     /// plus a buffer append, with each operation's share of the seal sort
-    /// (O(log B)) and its O(log(n/B)) lifetime tier merges. For unary/binary
-    /// relations the whole path is allocation-free (see [`DeltaRelation::insert_ref`]).
+    /// (O(log B)) and of the seal's merge (O(n/B)). For unary/binary
+    /// relations the append is allocation-free (see [`DeltaRelation::insert_ref`]).
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, StorageError> {
         self.insert_ref(&tuple)
     }
@@ -655,14 +522,13 @@ impl DeltaRelation {
         }
     }
 
-    /// Seal the append buffer into a new sorted run, then apply size-tiered
-    /// compaction: while the previous run is smaller than twice the newest, the
-    /// two merge (annihilating matched insert/tombstone pairs).
+    /// Seal the append buffer: collapse it to net signs and merge those into
+    /// the run, which becomes a new run (a fresh id; no run at all if nothing
+    /// stays live).
     ///
-    /// Sealing an **empty** buffer is a complete no-op: no run is pushed, the
-    /// epoch is not bumped, and — because the run list is untouched — every
-    /// cached run trie keeps hitting. The tiering invariant is
-    /// re-established by the seals that actually add runs.
+    /// Sealing an **empty** buffer is a complete no-op: the epoch is not
+    /// bumped and the run is untouched, so every cached trie of it keeps
+    /// hitting. Nor does a buffer whose ops cancel out touch the run.
     pub fn seal(&mut self) {
         if self.buffer_signs.is_empty() {
             return;
@@ -671,41 +537,34 @@ impl DeltaRelation {
         self.buffer.iter_mut().for_each(Vec::clear);
         self.buffer_signs.clear();
         self.touch();
-        self.values_written += (signs.len() * self.arity()) as u64;
-        if !signs.is_empty() {
-            self.runs
-                .push(Arc::new(Run::from_parts(self.schema.clone(), cols, &signs)));
-            self.fold = Arc::default();
+        if signs.is_empty() {
+            return;
         }
-        while self.runs.len() >= 2
-            && self.runs[self.runs.len() - 2].len() < GROWTH * self.runs[self.runs.len() - 1].len()
-        {
-            self.merge_tail(self.runs.len() - 2);
-        }
+        let merged = self.merged(&cols, &signs);
+        self.values_written += (merged.len() * self.arity()) as u64;
+        self.run = (!merged.is_empty()).then(|| Run::new(merged));
     }
 
-    /// Serialize the log's full state — run partitioning, per-row signs,
-    /// unsealed buffer (arrival order), seal threshold — as an opaque blob for
-    /// a WAL checkpoint. [`DeltaRelation::decode_state`] reconstructs a log
-    /// that is **bit-exact** for recovery: same run sizes, same tombstones,
-    /// same buffered ops, so replaying the same WAL tail yields the same seal
-    /// and tier-merge decisions as the original process would have made.
+    /// Serialize the log's full state — its run, unsealed buffer (arrival
+    /// order) and seal threshold — as an opaque blob for a WAL checkpoint.
+    /// [`DeltaRelation::decode_state`] reconstructs a log that is **bit-exact**
+    /// for recovery: the same run, the same buffered ops, so replaying the
+    /// same WAL tail makes the same seals as the original process would have.
     /// (Run ids and the epoch are process-local identities and are *not*
     /// persisted; decode mints fresh ones.)
+    ///
+    /// The format has room for several runs with a sign byte per row; the
+    /// encoder writes a run count of 0 or 1, and a sign byte 1 on every row.
     pub fn encode_state(&self) -> Vec<u8> {
-        let arity = self.arity();
         let mut out = Vec::new();
         out.extend_from_slice(&(self.seal_threshold as u64).to_le_bytes());
-        out.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
-        for run in &self.runs {
-            let rows = run.len();
-            out.extend_from_slice(&(rows as u64).to_le_bytes());
-            for c in 0..arity {
-                for &v in run.rel.column(c) {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+        out.extend_from_slice(&(self.run.is_some() as u32).to_le_bytes());
+        if let Some(run) = &self.run {
+            out.extend_from_slice(&(run.len() as u64).to_le_bytes());
+            for col in run.rel.columns() {
+                out.extend(col.iter().flat_map(|v| v.to_le_bytes()));
             }
-            out.extend(run.dead.iter().map(|&d| !d as u8));
+            out.resize(out.len() + run.len(), 1);
         }
         out.extend_from_slice(&(self.buffered() as u64).to_le_bytes());
         for (i, &sign) in self.buffer_signs.iter().enumerate() {
@@ -719,11 +578,11 @@ impl DeltaRelation {
 
     /// Reconstruct a delta log from [`DeltaRelation::encode_state`] bytes. The
     /// live-tuple index is rebuilt by replaying the runs (oldest first) and
-    /// then the buffer in arrival order — tombstones in newer runs cancel
-    /// inserts in older ones exactly as they did live. Fails with
-    /// [`StorageError::WalCorrupt`] on any truncation or malformed content
-    /// (a CRC-valid checkpoint should never produce this; it guards against
-    /// version skew).
+    /// then the buffer in arrival order; several signed runs — a checkpoint of
+    /// a log that kept a run stack — fold into one through the merge a seal
+    /// uses. Fails with [`StorageError::WalCorrupt`] on any truncation or
+    /// malformed content (a CRC-valid checkpoint should never produce this; it
+    /// guards against version skew).
     pub fn decode_state(schema: Schema, bytes: &[u8]) -> Result<DeltaRelation, StorageError> {
         let mut log = DeltaRelation::try_new(schema)?;
         let mut r = PayloadReader::new(bytes);
@@ -738,7 +597,9 @@ impl DeltaRelation {
 
     /// [`DeltaRelation::decode_state`] into a fresh log. Every count in the
     /// bytes is untrusted: nothing is allocated before the reader has proved
-    /// the bytes are there, a run must be canonical, a sign byte 0 or 1.
+    /// the bytes are there, a run must be canonical, a sign byte 0 or 1, and
+    /// every sign must keep its tuple's history alternating — what makes the
+    /// fold's merge exact.
     fn decode_from(&mut self, r: &mut PayloadReader<'_>) -> Result<(), String> {
         fn values(r: &mut PayloadReader<'_>, n: usize) -> Result<Vec<Value>, String> {
             let raw = r.take(n.checked_mul(8).ok_or("row count overflows")?)?;
@@ -768,18 +629,18 @@ impl DeltaRelation {
             if !is_canonical(&cols, rows) {
                 return Err("run rows are not strictly ascending".into());
             }
-            let run = Run::from_parts(self.schema.clone(), cols, &signs);
             let mut row = Vec::with_capacity(arity);
-            for i in 0..rows {
+            for (i, &sign) in signs.iter().enumerate() {
                 row.clear();
-                row.extend(run.rel.columns().iter().map(|c| c[i]));
-                if !run.dead[i] {
-                    live.insert(&row);
-                } else if !live.remove(&row) {
+                row.extend(cols.iter().map(|c| c[i]));
+                if sign > 0 && !live.insert(&row) {
+                    return Err("run insert of a live tuple".into());
+                } else if sign < 0 && !live.remove(&row) {
                     return Err("tombstone for a tuple that is not live".into());
                 }
             }
-            self.runs.push(Arc::new(run));
+            let merged = self.merged(&cols, &signs);
+            self.run = (!merged.is_empty()).then(|| Run::new(merged));
         }
         for _ in 0..r.u64()? {
             let sign = sign(r.take(1)?[0])?;
@@ -798,47 +659,15 @@ impl DeltaRelation {
         Ok(())
     }
 
-    /// Merge `runs[start..]` into one run ([`merge_from`]); when `start == 0`
-    /// the result is the new base and must carry no tombstones.
-    fn merge_tail(&mut self, start: usize) {
-        if self.runs.len() - start < 2 {
-            return;
-        }
-        self.touch();
-        self.fold = Arc::default();
-        let rows = merge_from(&self.schema, &mut self.runs, start);
-        self.values_written += (rows * self.arity()) as u64;
-        debug_assert!(
-            start > 0 || self.runs.get(start).is_none_or(|r| r.tombstones() == 0),
-            "a merged base cannot carry tombstones"
-        );
-    }
-
-    /// One compaction step: merge the two **newest** runs. Returns `false` when
-    /// fewer than two sealed runs exist (nothing to do).
-    pub fn compact_step(&mut self) -> bool {
-        if self.runs.len() < 2 {
-            return false;
-        }
-        let start = self.runs.len() - 2;
-        self.merge_tail(start);
-        true
-    }
-
-    /// Full compaction: seal the buffer, then merge every run into a single
-    /// tombstone-free base.
-    pub fn compact(&mut self) {
-        self.seal();
-        self.merge_tail(0);
-    }
-
     /// Materialize the live tuples as a canonical [`Relation`] — the "full
     /// rebuild" a query over the log is differential-tested against: the rows
-    /// of [`DeltaRelation::live_run`], so the fold, with anything buffered
+    /// of [`DeltaRelation::live_run`], so the run with anything buffered
     /// merged in. Does not mutate the log.
     pub fn snapshot(&self) -> Relation {
-        let run = Arc::unwrap_or_clone(self.live_run());
-        Arc::unwrap_or_clone(run.rel)
+        match Arc::try_unwrap(self.live_run()) {
+            Ok(run) => run.rel,
+            Err(shared) => shared.rel.clone(),
+        }
     }
 }
 
@@ -903,19 +732,22 @@ mod tests {
     fn encode_decode_state_is_bit_exact() {
         let mut d = DeltaRelation::new(schema_ab());
         d.set_seal_threshold(8);
-        // a mixed history: sealed runs with tombstones plus a partial buffer
+        // a mixed history: seals that merged deletes plus a partial buffer
+        // holding inserts and deletes
         for i in 0..40u64 {
             d.insert(vec![i % 10, i / 2]).unwrap();
             if i % 3 == 0 {
                 d.delete(&[i % 10, i / 2]).unwrap();
             }
         }
-        assert!(d.num_runs() >= 1);
-        assert!(d.buffered() > 0 || d.tombstones() > 0);
+        assert!(d.fold().is_some() && d.buffered() > 0);
         let bytes = d.encode_state();
         let d2 = DeltaRelation::decode_state(schema_ab(), &bytes).unwrap();
-        assert_eq!(d2.run_sizes(), d.run_sizes(), "run partitioning preserved");
-        assert_eq!(d2.tombstones(), d.tombstones());
+        assert_eq!(
+            d2.fold().unwrap().rel,
+            d.fold().unwrap().rel,
+            "run preserved"
+        );
         assert_eq!(d2.buffered(), d.buffered());
         assert_eq!(d2.len(), d.len(), "live set rebuilt");
         assert_eq!(d2.snapshot().rows(), d.snapshot().rows());
@@ -926,7 +758,7 @@ mod tests {
             a.insert(vec![i, i + 1]).unwrap();
             b.insert(vec![i, i + 1]).unwrap();
         }
-        assert_eq!(a.run_sizes(), b.run_sizes());
+        assert_eq!(a.fold().unwrap().rel, b.fold().unwrap().rel);
         assert_eq!(a.buffered(), b.buffered());
         // every truncation is rejected, never a panic or silent success
         for cut in 0..bytes.len() {
@@ -937,13 +769,18 @@ mod tests {
         }
     }
 
-    /// A fixed log of the given arity: a base run, a run carrying
-    /// tombstones, and an unsealed buffer that holds inserts and deletes.
+    /// Tuple `i` of [`golden_log`] at the given arity (distinct for `i < 29`).
+    fn golden_tuple(arity: usize, i: u64) -> Tuple {
+        (0..arity as u64).map(|c| (i * (c + 3) + c) % 29).collect()
+    }
+
+    /// A fixed log of the given arity: 24 inserts sealed, then three deletes
+    /// and three inserts sealed, and an unsealed buffer that holds inserts and
+    /// deletes.
     fn golden_log(arity: usize) -> DeltaRelation {
         let mut d = DeltaRelation::new(Schema::new(&["A", "B", "C"][..arity]));
         d.set_seal_threshold(usize::MAX);
-        let tuple =
-            |i: u64| -> Tuple { (0..arity as u64).map(|c| (i * (c + 3) + c) % 29).collect() };
+        let tuple = |i| golden_tuple(arity, i);
         for i in 0..24 {
             d.insert(tuple(i)).unwrap();
         }
@@ -952,7 +789,7 @@ mod tests {
             d.delete(&tuple(i * 5)).unwrap();
             d.insert(tuple(24 + i)).unwrap();
         }
-        d.seal(); // 24 >= 2 * 6: tiering keeps the two runs apart
+        d.seal();
         d.delete(&tuple(24)).unwrap();
         d.insert(tuple(27)).unwrap();
         d.delete(&tuple(1)).unwrap();
@@ -960,28 +797,61 @@ mod tests {
         d
     }
 
+    /// [`golden_log`]'s state as a log that kept its seals as a stack of
+    /// signed runs checkpointed it: the 24-row base run, a run of the three
+    /// tombstones and three inserts (sign byte 0 for a tombstone), then the
+    /// buffer — the same format, written here row by row.
+    fn golden_stack_bytes(arity: usize) -> Vec<u8> {
+        let tuple = |i| golden_tuple(arity, i);
+        let signed = [(0, 0u8), (5, 0), (10, 0), (24, 1), (25, 1), (26, 1)];
+        let runs: [Vec<(Tuple, u8)>; 2] = [
+            (0..24).map(|i| (tuple(i), 1)).collect(),
+            signed.iter().map(|&(i, s)| (tuple(i), s)).collect(),
+        ];
+        let mut out = (usize::MAX as u64).to_le_bytes().to_vec();
+        out.extend(2u32.to_le_bytes());
+        for mut run in runs {
+            run.sort();
+            out.extend((run.len() as u64).to_le_bytes());
+            for c in 0..arity {
+                out.extend(run.iter().flat_map(|(t, _)| t[c].to_le_bytes()));
+            }
+            out.extend(run.iter().map(|&(_, s)| s));
+        }
+        let buffer = [(0u8, 24), (1, 27), (0, 1), (1, 1)];
+        out.extend((buffer.len() as u64).to_le_bytes());
+        for (s, i) in buffer {
+            out.push(s);
+            out.extend(tuple(i).iter().flat_map(|v| v.to_le_bytes()));
+        }
+        out
+    }
+
     #[test]
     fn encode_state_bytes_are_pinned() {
-        // (arity, byte length, CRC-32 of the bytes) of `golden_log`'s state:
-        // the checkpoint format a recovering process reads back
+        // (arity, then the byte length and CRC-32 of `golden_log`'s state as
+        // a stack of two signed runs wrote it, and as the log writes it: one
+        // run) — the checkpoint format a recovering process reads back
         let pinned = [
-            (1, 342, 0x4635_77f4),
-            (2, 614, 0x5a27_0be2),
-            (3, 886, 0x671a_e7b2),
+            (1, (342, 0x4635_77f4), (280, 0x20ad_9b7c)),
+            (2, (614, 0x5a27_0be2), (504, 0x294d_b23d)),
+            (3, (886, 0x671a_e7b2), (728, 0x1c16_a2a9)),
         ];
-        for (arity, len, crc) in pinned {
+        let sum = |bytes: &[u8]| (bytes.len(), crate::wal::crc32(bytes));
+        for (arity, stack_pin, pin) in pinned {
             let d = golden_log(arity);
-            assert_eq!(
-                (d.run_sizes(), d.tombstones(), d.buffered()),
-                (vec![24, 6], 3, 4)
-            );
+            assert_eq!((d.fold().map(|r| r.len()), d.buffered()), (Some(24), 4));
             let bytes = d.encode_state();
-            assert_eq!(
-                (bytes.len(), crate::wal::crc32(&bytes)),
-                (len, crc),
-                "arity {arity}"
-            );
+            assert_eq!(sum(&bytes), pin, "arity {arity}");
             let back = DeltaRelation::decode_state(d.schema().clone(), &bytes).unwrap();
+            assert_eq!(back.encode_state(), bytes, "arity {arity}");
+            // a stack of runs still decodes: folded into the same one run,
+            // with the same buffer, and re-encoded as the log writes it
+            let stack = golden_stack_bytes(arity);
+            assert_eq!(sum(&stack), stack_pin, "arity {arity}");
+            let back = DeltaRelation::decode_state(d.schema().clone(), &stack).unwrap();
+            assert_eq!(back.snapshot(), d.snapshot(), "arity {arity}");
+            assert_eq!(back.len(), d.len(), "arity {arity}");
             assert_eq!(back.encode_state(), bytes, "arity {arity}");
         }
     }
@@ -1012,31 +882,40 @@ mod tests {
         assert_eq!(d.buffered(), 3);
         d.seal();
         assert_eq!(d.buffered(), 0);
-        assert_eq!(d.num_runs(), 1);
-        assert_eq!(d.run_sizes(), vec![1]); // only (3,4) survives
-        assert_eq!(d.tombstones(), 0);
+        assert_eq!(d.run_ids().len(), 1);
+        assert_eq!(d.fold().unwrap().len(), 1); // only (3,4) survives
         assert_eq!(d.snapshot().rows(), vec![vec![3, 4]]);
+        // a buffer that cancels out leaves the run as it was
+        let id = d.run_ids();
+        d.insert(vec![5, 6]).unwrap();
+        d.delete(&[5, 6]).unwrap();
+        d.seal();
+        assert_eq!((d.run_ids(), d.buffered()), (id, 0));
     }
 
     #[test]
-    fn tombstones_cross_runs_and_compact_annihilates() {
+    fn a_sealed_tombstone_annihilates_its_row_in_the_run() {
         let mut d = DeltaRelation::from_relation(Relation::from_rows(
             schema_ab(),
             vec![vec![1, 2], vec![1, 3], vec![2, 2], vec![3, 3], vec![4, 4]],
         ));
+        let base = d.run_ids();
         d.delete(&[1, 3]).unwrap();
         d.insert(vec![5, 5]).unwrap();
+        assert_trie_matches_snapshot(&d); // merged per query, tombstone included
         d.seal();
-        // base (5 rows) >= 2 x the new run (2 rows): tiering keeps both runs
-        assert_eq!(d.num_runs(), 2);
-        assert_eq!(d.tombstones(), 1);
-        assert_trie_matches_snapshot(&d);
+        // one signed merge: the tombstone and its row drop, the insert joins
         let expected = vec![vec![1, 2], vec![2, 2], vec![3, 3], vec![4, 4], vec![5, 5]];
-        assert_eq!(d.snapshot().rows(), expected);
-        d.compact();
-        assert_eq!(d.num_runs(), 1);
-        assert_eq!(d.tombstones(), 0);
-        assert_eq!(d.snapshot().rows(), expected);
+        assert_eq!(d.fold().unwrap().rel.rows(), expected);
+        assert_eq!(d.run_ids().len(), 1);
+        assert_ne!(d.run_ids(), base, "a new run");
+        assert_trie_matches_snapshot(&d);
+        // deleting every row leaves no run at all
+        for t in expected {
+            d.delete(&t).unwrap();
+        }
+        d.seal();
+        assert!(d.fold().is_none() && d.is_empty());
         assert_trie_matches_snapshot(&d);
     }
 
@@ -1062,53 +941,37 @@ mod tests {
     fn unsealed_buffer_is_visible_to_queries() {
         let mut d = DeltaRelation::new(schema_ab());
         d.insert(vec![7, 8]).unwrap();
-        assert_eq!(d.num_runs(), 0);
+        assert!(d.run_ids().is_empty());
         assert_eq!(d.buffered(), 1);
         assert_trie_matches_snapshot(&d); // the buffer with no run to merge into
         assert_eq!(d.snapshot().rows(), vec![vec![7, 8]]);
     }
 
     #[test]
-    fn size_tiered_sealing_bounds_run_count() {
+    fn every_seal_leaves_at_most_one_run() {
         let mut d = DeltaRelation::new(schema_ab());
         d.set_seal_threshold(8);
+        let mut seals = 0;
+        let mut check = |d: &DeltaRelation, i: u64| {
+            if d.buffered() == 0 {
+                // an automatic seal just ran: its one run is the live set
+                assert_eq!(d.fold().map_or(0, |r| r.len()), d.len(), "op {i}");
+                seals += 1;
+            }
+        };
         for i in 0..512u64 {
             d.insert(vec![i / 16, i % 16]).unwrap();
-        }
-        d.seal();
-        // factor-2 tiering keeps the run count logarithmic in n / threshold
-        assert!(d.num_runs() <= 8, "tiering failed: {:?}", d.run_sizes());
-        // sizes are (weakly) tiered: each run at least GROWTH x its successor
-        let sizes = d.run_sizes();
-        for w in sizes.windows(2) {
-            assert!(w[0] >= GROWTH * w[1], "not tiered: {sizes:?}");
-        }
-        assert_eq!(d.len(), 512);
-        assert_trie_matches_snapshot(&d);
-    }
-
-    #[test]
-    fn compact_step_walks_to_single_run() {
-        let mut d = DeltaRelation::new(schema_ab());
-        d.set_seal_threshold(usize::MAX);
-        // decreasing chunk sizes survive the tiering check, leaving a deep stack
-        for (chunk, size) in [(0u64, 64u64), (1, 16), (2, 4), (3, 1)] {
-            for i in 0..size {
-                d.insert(vec![chunk, i]).unwrap();
+            check(&d, i);
+            if i % 3 == 0 {
+                d.delete(&[i / 48, i % 16]).unwrap();
+                check(&d, i);
             }
-            d.seal();
         }
-        assert_eq!(d.num_runs(), 4, "{:?}", d.run_sizes());
-        let expected = d.snapshot();
-        let mut steps = 0;
-        while d.compact_step() {
-            steps += 1;
-            assert_eq!(d.snapshot(), expected, "after compaction step {steps}");
-            assert_trie_matches_snapshot(&d);
-        }
-        assert_eq!(steps, 3);
-        assert_eq!(d.num_runs(), 1);
-        assert_eq!(d.tombstones(), 0);
+        assert!(seals > 8 && d.buffered() > 0);
+        assert_trie_matches_snapshot(&d);
+        d.seal();
+        assert_eq!(d.fold().unwrap().len(), d.len());
+        assert_trie_matches_snapshot(&d);
     }
 
     #[test]
@@ -1119,13 +982,15 @@ mod tests {
         d.insert(vec![2, 2]).unwrap();
         assert!(!d.insert(vec![2, 2]).unwrap(), "a no-op writes nothing");
         assert_eq!(d.values_written(), 4);
-        d.seal(); // one run of two rows
+        d.seal(); // a run of two rows
         assert_eq!(d.values_written(), 8);
         d.delete(&[1, 1]).unwrap();
-        d.seal(); // a one-row tombstone run; 2 < 2 · 1 keeps it apart
-        assert_eq!((d.num_runs(), d.values_written()), (2, 12));
-        d.compact(); // the merge annihilates (1, 1) and writes (2, 2)
-        assert_eq!((d.num_runs(), d.values_written()), (1, 14));
+        d.seal(); // the merge annihilates (1, 1) and writes (2, 2)
+        assert_eq!((d.run_ids().len(), d.values_written()), (1, 12));
+        d.insert(vec![3, 3]).unwrap();
+        d.delete(&[3, 3]).unwrap();
+        d.seal(); // the ops cancel in the collapse: no run is written
+        assert_eq!(d.values_written(), 16);
     }
 
     #[test]
@@ -1158,22 +1023,23 @@ mod tests {
                     check(&d, &reference, step);
                 }
             }
-            d.compact();
+            d.seal();
             check(&d, &reference, 600);
             assert_eq!(d.len(), reference.len());
         }
     }
 
-    /// The whole history — every run and the buffered ops — concatenated,
-    /// argsorted and collapsed to its net signs: the snapshot by definition.
+    /// The whole history — the run's rows as inserts, then the buffered ops
+    /// — concatenated, argsorted and collapsed to its net signs: the snapshot
+    /// by definition.
     fn collapse(d: &DeltaRelation) -> Relation {
         let mut cols: Vec<Vec<Value>> = d.buffer.clone();
         let mut signs = d.buffer_signs.clone();
-        for run in &d.runs {
+        if let Some(run) = &d.run {
             for (col, src) in cols.iter_mut().zip(run.rel.columns()) {
                 col.extend_from_slice(src);
             }
-            signs.extend((0..run.len()).map(|i| run.sign(i)));
+            signs.extend(std::iter::repeat_n(1, run.len()));
         }
         let (cols, signs) = collapse_signed(&cols, &signs);
         assert!(
@@ -1205,7 +1071,7 @@ mod tests {
             assert!(rel.iter().all(|t| d.is_live(&t)), "round {round}");
             assert_eq!(d.snapshot(), collapse(&d), "round {round}");
             assert_eq!(d.snapshot(), rel, "round {round}");
-            // churned, sealed and compacted back to one clean run
+            // churned, then sealed back to one clean run
             for _ in 0..rng() % 40 {
                 let t: Tuple = (0..arity).map(|_| rng() % 16).collect();
                 if rng() % 2 == 0 {
@@ -1215,9 +1081,9 @@ mod tests {
                 }
             }
             assert_eq!(d.snapshot(), collapse(&d), "round {round}: churned");
-            d.compact();
-            assert!(d.num_runs() <= 1 && d.tombstones() == 0);
-            assert_eq!(d.snapshot(), collapse(&d), "round {round}: compacted");
+            d.seal();
+            assert_eq!(d.buffered(), 0);
+            assert_eq!(d.snapshot(), collapse(&d), "round {round}: sealed");
         }
     }
 
@@ -1230,7 +1096,7 @@ mod tests {
         d.seal();
         d.delete(&[0, 0]).unwrap();
         d.seal();
-        assert_eq!((d.num_runs(), d.tombstones()), (2, 1));
+        assert_eq!(d.run_ids().len(), 1);
         let trie = d.live_run().trie(&[0, 1]).unwrap();
         let mut c = trie.cursor();
         assert_eq!(TrieAccess::arity(&c), 2);
@@ -1245,10 +1111,6 @@ mod tests {
         assert!(c.advance_to(8));
         let w = c.take_work();
         assert!(!w.is_zero(), "the seek was charged");
-        assert_eq!(
-            w.delta_merge, 0,
-            "a log's trie is a trie: nothing is merged"
-        );
         c.up();
         c.up();
         assert_eq!(TrieAccess::depth(&c), 0);
@@ -1267,7 +1129,7 @@ mod tests {
             d.insert(vec![i % 2, 100 + i]).unwrap();
         }
         d.seal();
-        assert_eq!(d.num_runs(), 2);
+        assert_eq!(d.run_ids().len(), 1);
         let trie = d.live_run().trie(&[0, 1]).unwrap();
         let mut c = trie.cursor();
         assert!(c.open());
@@ -1333,21 +1195,21 @@ mod tests {
         d.seal();
         let base = d.run_ids();
         assert_eq!(base.len(), 1);
-        // a small second seal survives tiering: old ids stay a prefix
-        d.insert(vec![100, 100]).unwrap();
-        d.insert(vec![101, 101]).unwrap();
+        // nothing buffered, or a buffer that cancels out: the run stays
         d.seal();
-        let extended = d.run_ids();
-        assert_eq!(extended.len(), 2);
-        assert_eq!(
-            extended[0], base[0],
-            "old run untouched by append-only seal"
-        );
-        // compaction rewrites: a fresh id, not a prefix of the old list
-        d.compact();
-        let compacted = d.run_ids();
-        assert_eq!(compacted.len(), 1);
-        assert!(!extended.contains(&compacted[0]));
+        d.insert(vec![100, 100]).unwrap();
+        d.delete(&[100, 100]).unwrap();
+        d.seal();
+        assert_eq!(d.run_ids(), base);
+        // a clone shares the run, id included, until the head seals past it
+        let pinned = d.clone();
+        d.insert(vec![101, 101]).unwrap();
+        assert_eq!(d.run_ids(), base, "buffered ops leave the run alone");
+        d.seal();
+        let rewritten = d.run_ids();
+        assert_eq!(rewritten.len(), 1);
+        assert_ne!(rewritten, base, "a seal that merges writes a new run");
+        assert_eq!(pinned.run_ids(), base);
     }
 
     /// SplitMix64 (Steele et al. 2014) — the workspace's seeded generator
@@ -1370,9 +1232,9 @@ mod tests {
     }
 
     /// A ternary log grown by a seeded op stream over a small domain that
-    /// includes `Value::MAX`, sealed at random points so runs stack up with
-    /// tombstones, plus one interior value (`A = 3`) inserted and then fully
-    /// deleted in a later run.
+    /// includes `Value::MAX`, sealed at random points so seals merge
+    /// tombstones into the run, plus one interior value (`A = 3`) inserted and
+    /// then fully deleted after a later seal.
     fn random_log(seed: u64) -> DeltaRelation {
         let mut rng = SplitMix64(seed);
         let mut d = DeltaRelation::new(Schema::new(&["A", "B", "C"]));
@@ -1451,34 +1313,30 @@ mod tests {
             d.insert(vec![i % 13, i / 13]).unwrap();
         }
         d.seal();
-        // one run: the fold is that run — its rows and its id — behind a
-        // handle of the log's own, read once and then memoized
+        // the fold is the log's run itself — its rows and its id — written
+        // once by the seal and read back as often as asked, never recomputed
         let one = d.fold().unwrap();
         assert_eq!(one.id(), d.run_ids()[0]);
-        assert!(Arc::ptr_eq(&one.rel, &d.runs[0].rel), "no row is copied");
-        assert!(!Arc::ptr_eq(&one, &d.runs[0]));
         assert!(Arc::ptr_eq(&one, &d.fold().unwrap()));
         assert!(Arc::ptr_eq(&one, &d.live_run()), "nothing is buffered");
-        // a clone that lists the same runs shares the memo, computed or not
+        // a clone shares the run
         let pinned = d.clone();
         assert!(Arc::ptr_eq(&one, &pinned.fold().unwrap()));
-        // buffered ops leave the fold alone; the query's run is merged per call
+        // buffered ops leave the run alone; the query's run is merged per call
         d.insert(vec![999, 1]).unwrap();
         d.delete(&[3, 3]).unwrap();
         assert!(Arc::ptr_eq(&one, &d.fold().unwrap()));
         let live = d.live_run();
         assert_ne!(live.id(), one.id());
-        assert_eq!((live.len(), live.tombstones()), (200, 0));
-        // a seal changes the run list and with it the fold: several runs fold
-        // into a fresh tombstone-free run, the snapshot's rows
+        assert_eq!(live.len(), 200);
+        // a seal merges them in: a fresh run, the snapshot's rows
         d.seal();
-        assert_eq!((d.num_runs(), d.tombstones()), (2, 1));
         let two = d.fold().unwrap();
         assert_ne!(two.id(), one.id());
-        assert_eq!(*two.rel, d.snapshot());
-        assert_eq!(two.tombstones(), 0);
+        assert_eq!(two.rel, d.snapshot());
+        assert_eq!(two.rel, live.rel, "the seal's merge is the query's");
         assert!(Arc::ptr_eq(&two, &d.fold().unwrap()));
-        // the old fold lives as long as a log that lists its runs holds it
+        // the old run lives as long as a log holds it
         let weak = (Arc::downgrade(&one), Arc::downgrade(&two));
         drop((one, two, live));
         let (one, two) = (weak.0, weak.1);
@@ -1486,13 +1344,9 @@ mod tests {
         assert!(one.strong_count() > 0, "`pinned` holds it");
         drop(pinned);
         assert_eq!(one.strong_count(), 0);
-        // compacting a log that is already one clean run changes nothing
-        d.compact();
-        assert_eq!(d.num_runs(), 1);
-        assert_eq!(two.strong_count(), 0, "the compaction rewrote the list");
-        let base = d.fold().unwrap();
-        d.compact();
-        assert!(Arc::ptr_eq(&base, &d.fold().unwrap()));
+        d.insert(vec![1000, 1]).unwrap();
+        d.seal();
+        assert_eq!(two.strong_count(), 0, "the seal replaced it");
     }
 
     #[test]
@@ -1503,12 +1357,12 @@ mod tests {
             d.insert(t.to_vec()).unwrap();
         }
         d.seal();
-        d.delete(&[1, 3]).unwrap();
-        d.seal();
         let good = d.encode_state();
         assert!(DeltaRelation::decode_state(schema_ab(), &good).is_ok());
-        // layout: threshold u64, runs u32, then per run rows u64, columns, signs
-        let (rows_at, col0_at) = (12, 20);
+        // layout: threshold u64, runs u32, then per run rows u64, columns,
+        // signs, and the buffer's op count last
+        let (rows_at, col0_at, run_end) = (12, 20, 20 + 48 + 3);
+        assert_eq!(good.len(), run_end + 8);
         let corrupt =
             |bytes: &[u8], what: &str| match DeltaRelation::decode_state(schema_ab(), bytes) {
                 Err(StorageError::WalCorrupt { reason, .. }) => {
@@ -1536,6 +1390,15 @@ mod tests {
         assert_eq!(sign[sign_at], 1);
         sign[sign_at] = 2;
         corrupt(&sign, "sign byte 2");
+        // a tombstone whose tuple no earlier run holds
+        sign[sign_at] = 0;
+        corrupt(&sign, "tombstone for a tuple that is not live");
+        // a second run that inserts the first one's tuples again
+        let mut twice = good[..8].to_vec();
+        twice.extend(2u32.to_le_bytes());
+        twice.extend_from_slice(&good[rows_at..run_end]);
+        twice.extend_from_slice(&good[rows_at..]);
+        corrupt(&twice, "run insert of a live tuple");
     }
 
     #[test]
@@ -1572,9 +1435,9 @@ mod tests {
                 Ok(log) => {
                     oks += 1;
                     // every value stored was read from the input, once
-                    let stored = log.run_sizes().iter().sum::<usize>() + log.buffered();
+                    let stored = log.fold().map_or(0, |r| r.len()) + log.buffered();
                     assert!(stored * 16 <= bytes.len(), "seed {seed}");
-                    for run in &log.runs {
+                    if let Some(run) = &log.run {
                         assert!(is_canonical(run.rel.columns(), run.len()), "seed {seed}");
                     }
                     assert_trie_matches_snapshot(&log);

@@ -30,18 +30,17 @@
 //!   `Send + Clone`, so parallel workers hold private cursors over one shared
 //!   access structure;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
-//!   relation as a base run + ordered delta runs (sorted ± mini-relations,
-//!   tombstones for deletes) + an append buffer, with size-tiered compaction;
-//!   a query reads it as one tombstone-free run — its runs folded once per
-//!   run list ([`delta::DeltaRelation::fold`]), the unsealed buffer merged in
-//!   per query — whose access structure is a plain [`trie::Trie`]
+//!   relation as at most one tombstone-free sorted run plus an append buffer,
+//!   and a seal merges the buffer into that run by one signed merge; a query
+//!   reads the run ([`delta::DeltaRelation::fold`]), the unsealed buffer
+//!   merged in per query, and its access structure is a plain [`trie::Trie`]
 //!   ([`delta::Run::trie`]), so both engines run unmodified (and
 //!   bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: one built trie per log fold and
-//!   column permutation, keyed by the fold's run id in a shared
+//! * [`cache`] — the access-structure cache: one built trie per log run and
+//!   column permutation, keyed by the run's id in a shared
 //!   [`cache::AccessCache`] with a byte budget and cost-aware (GreedyDual-Size)
-//!   eviction; a loaded relation's fold is its one run, and a seal, tier merge
-//!   or compaction gives the log a new fold, built once per order;
+//!   eviction; a loaded relation's run is its rows, and a seal gives the log a
+//!   new run, built once per order;
 //! * [`wal`] — write-ahead logging for the ingest path: every write batch is
 //!   appended as length-prefixed, CRC32-checksummed [`wal::WalOp`] records
 //!   closed by a commit marker, by the one writer ([`SegmentedWal`]) of a log

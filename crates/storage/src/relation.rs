@@ -246,10 +246,10 @@ impl Relation {
     /// change — fine for test fixtures and occasional patches, quadratic for
     /// sustained ingest. Live, continuously-mutating relations should go through
     /// the delta-log path instead: [`crate::delta::DeltaRelation::insert`] appends
-    /// to an unsorted buffer in O(arity + runs · log n) amortized (membership
-    /// check plus its share of seal/compaction merges), and queries read the
-    /// runs folded once per run list — see the [`crate::delta`] module docs for
-    /// the full cost table. Bulk loads should use [`Relation::from_rows`].
+    /// to an unsorted buffer in O(arity) expected plus its share of the seal
+    /// that merges the buffer into the log's one run, and queries read that
+    /// run — see the [`crate::delta`] module docs for the full cost table.
+    /// Bulk loads should use [`Relation::from_rows`].
     pub fn insert(&mut self, tuple: Tuple) -> Result<bool, StorageError> {
         if tuple.len() != self.schema.arity() {
             return Err(StorageError::ArityMismatch {

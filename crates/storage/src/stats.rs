@@ -35,20 +35,12 @@ pub struct CursorWork {
     /// Element comparisons performed by the adaptive linear-scan `seek` path on
     /// short sibling groups (the galloping path records `probes` instead).
     pub comparisons: u64,
-    /// Delta-log merge steps. No cursor charges any: a
-    /// [`crate::delta::DeltaRelation`] is read through the trie of its fold,
-    /// whose runs merge before the join. The tally stays, reading 0, because
-    /// the request benchmark reads [`WorkCounter::delta_merge`].
-    pub delta_merge: u64,
 }
 
 impl CursorWork {
     /// Whether no work has been recorded.
     pub fn is_zero(&self) -> bool {
-        self.probes == 0
-            && self.intersect_steps == 0
-            && self.comparisons == 0
-            && self.delta_merge == 0
+        self.probes == 0 && self.intersect_steps == 0 && self.comparisons == 0
     }
 }
 
@@ -57,7 +49,6 @@ impl AddAssign for CursorWork {
         self.probes += rhs.probes;
         self.intersect_steps += rhs.intersect_steps;
         self.comparisons += rhs.comparisons;
-        self.delta_merge += rhs.delta_merge;
     }
 }
 
@@ -72,7 +63,6 @@ pub struct WorkCounter {
     intermediate_tuples: Cell<u64>,
     output_tuples: Cell<u64>,
     comparisons: Cell<u64>,
-    delta_merge: Cell<u64>,
     kernel_merge: Cell<u64>,
     kernel_gallop: Cell<u64>,
     kernel_bitmap: Cell<u64>,
@@ -118,13 +108,6 @@ impl WorkCounter {
         self.comparisons.set(self.comparisons.get() + n);
     }
 
-    /// Record `n` delta-log merge steps ([`CursorWork::delta_merge`]: nothing
-    /// records any since a log is read through its fold's trie).
-    #[inline]
-    pub fn add_delta_merge(&self, n: u64) {
-        self.delta_merge.set(self.delta_merge.get() + n);
-    }
-
     /// Record one intersection-kernel invocation of the given kind — the
     /// observability hook that makes the adaptive policy's choices auditable.
     /// Kernel invocation counts are a *breakdown*, not work: they are excluded
@@ -144,7 +127,6 @@ impl WorkCounter {
         self.add_probes(w.probes);
         self.add_intersect_steps(w.intersect_steps);
         self.add_comparisons(w.comparisons);
-        self.add_delta_merge(w.delta_merge);
     }
 
     /// Total set-intersection steps recorded.
@@ -177,12 +159,14 @@ impl WorkCounter {
         self.comparisons.get()
     }
 
-    /// Total delta-log merge steps recorded — 0: a log is read through its
-    /// fold's trie, so a join merges nothing. Kept because the request
-    /// benchmark (and the perf record's `delta_merge` column) reads it.
+    /// Delta-log merge steps: always 0. A join reads a
+    /// [`crate::delta::DeltaRelation`] through the trie of its one run, so it
+    /// merges nothing, and no counter records merge steps. The getter stays
+    /// because the request benchmark, the perf record's `delta_merge` column
+    /// and the trace's `delta_merge` key read it.
     #[inline]
     pub fn delta_merge(&self) -> u64 {
-        self.delta_merge.get()
+        0
     }
 
     /// Merge-kernel invocations recorded.
@@ -217,7 +201,6 @@ impl WorkCounter {
             + self.intermediate_tuples.get()
             + self.output_tuples.get()
             + self.comparisons.get()
-            + self.delta_merge.get()
     }
 
     /// Merge the tallies of `other` into `self`. Associative and commutative, so
@@ -228,7 +211,6 @@ impl WorkCounter {
         self.add_intermediate(other.intermediate_tuples());
         self.add_output(other.output_tuples());
         self.add_comparisons(other.comparisons());
-        self.add_delta_merge(other.delta_merge());
         self.kernel_merge
             .set(self.kernel_merge.get() + other.kernel_merge.get());
         self.kernel_gallop
@@ -335,27 +317,12 @@ mod tests {
             probes: 1,
             intersect_steps: 1,
             comparisons: 2,
-            delta_merge: 6,
         };
         assert!(!cw.is_zero());
         w.absorb(cw);
         assert_eq!(w.probes(), 4);
         assert_eq!(w.intersect_steps(), 5);
         assert_eq!(w.comparisons(), 2);
-        assert_eq!(w.delta_merge(), 6);
-    }
-
-    #[test]
-    fn delta_merge_is_work_and_merges() {
-        let w = WorkCounter::new();
-        w.add_delta_merge(5);
-        assert_eq!(w.delta_merge(), 5);
-        assert_eq!(w.total_work(), 5);
-        let other = WorkCounter::new();
-        other.add_delta_merge(2);
-        assert_ne!(w, other);
-        w.merge(&other);
-        assert_eq!(w.delta_merge(), 7);
     }
 
     #[test]

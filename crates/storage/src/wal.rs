@@ -6,7 +6,7 @@
 //! A [`DeltaRelation`](crate::DeltaRelation)'s append buffer lives only in
 //! memory, so a crash mid-ingest silently loses every operation since the last
 //! materialization. The classical fix: every mutation
-//! (`insert`/`delete`/`seal`/`compact`) is encoded as a [`WalOp`] and appended
+//! (`insert`/`delete`/`seal`) is encoded as a [`WalOp`] and appended
 //! to a per-database log **before** it is applied in memory, and batches are
 //! bounded by an explicit commit marker. The format is deliberately boring:
 //!
@@ -96,13 +96,8 @@ pub enum WalOp {
         /// The deleted tuple.
         tuple: Vec<Value>,
     },
-    /// `seal(relation)` — buffer sealed into a sorted run.
+    /// `seal(relation)` — buffer merged into the relation's sorted run.
     Seal {
-        /// Target relation name.
-        relation: String,
-    },
-    /// `compact(relation)` — runs merged into a single base.
-    Compact {
         /// Target relation name.
         relation: String,
     },
@@ -117,6 +112,8 @@ pub enum WalOp {
 const TAG_INSERT: u8 = 0;
 const TAG_DELETE: u8 = 1;
 const TAG_SEAL: u8 = 2;
+/// The tag of a full compaction, which logs no longer write: it merged every
+/// run into one, which is what a seal does now, so it decodes as a seal.
 const TAG_COMPACT: u8 = 3;
 const TAG_COMMIT: u8 = 4;
 
@@ -242,10 +239,6 @@ impl WalOp {
                 buf.push(TAG_SEAL);
                 put_name(&mut buf, relation)?;
             }
-            WalOp::Compact { relation } => {
-                buf.push(TAG_COMPACT);
-                put_name(&mut buf, relation)?;
-            }
             WalOp::Commit { seq } => {
                 buf.push(TAG_COMMIT);
                 buf.extend_from_slice(&seq.to_le_bytes());
@@ -268,10 +261,7 @@ impl WalOp {
                 relation: r.name()?,
                 tuple: r.tuple()?,
             },
-            TAG_SEAL => WalOp::Seal {
-                relation: r.name()?,
-            },
-            TAG_COMPACT => WalOp::Compact {
+            TAG_SEAL | TAG_COMPACT => WalOp::Seal {
                 relation: r.name()?,
             },
             TAG_COMMIT => WalOp::Commit { seq: r.u64()? },
@@ -286,8 +276,7 @@ impl WalOp {
         match self {
             WalOp::Insert { relation, .. }
             | WalOp::Delete { relation, .. }
-            | WalOp::Seal { relation }
-            | WalOp::Compact { relation } => Some(relation),
+            | WalOp::Seal { relation } => Some(relation),
             WalOp::Commit { .. } => None,
         }
     }
@@ -508,14 +497,16 @@ mod tests {
             WalOp::Seal {
                 relation: "E".into(),
             },
-            WalOp::Compact {
-                relation: "E".into(),
-            },
             WalOp::Commit { seq: 42 },
         ];
         for op in &ops {
             assert_eq!(&WalOp::decode(&op.encode().unwrap()).unwrap(), op);
         }
+        // a compaction record, as logs once wrote it, replays as a seal
+        let mut compact = ops[2].encode().unwrap();
+        assert_eq!(compact[0], TAG_SEAL);
+        compact[0] = TAG_COMPACT;
+        assert_eq!(WalOp::decode(&compact).unwrap(), ops[2]);
         assert!(WalOp::decode(&[99]).is_err(), "unknown tag");
         assert!(WalOp::decode(&[]).is_err(), "empty payload");
         let mut trailing = ops[2].encode().unwrap();

@@ -65,10 +65,7 @@ fn random_batch(rng: &mut SplitMix64) -> Vec<WalOp> {
                 relation: "edge_rel".into(),
                 tuple: vec![rng.below(100), rng.below(100), rng.below(100)],
             },
-            2 => WalOp::Seal {
-                relation: "E".into(),
-            },
-            _ => WalOp::Compact {
+            _ => WalOp::Seal {
                 relation: "E".into(),
             },
         })

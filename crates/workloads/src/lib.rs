@@ -171,9 +171,9 @@ pub fn needle(n: usize, seed: u64) -> Workload {
     }
 }
 
-/// [`triangle`] with a sealed run of fresh edges on top of `R`'s base run,
-/// beside `S` and `T` as loaded: `R` is read through the fold of its two runs,
-/// the others through their loaded runs.
+/// [`triangle`] with a batch of fresh edges sealed into `R`'s run, beside `S`
+/// and `T` as loaded: `R` is read through the run its seal merged, the others
+/// through their loaded runs.
 pub fn triangle_live(n: usize, seed: u64) -> Workload {
     let mut w = triangle(n, seed);
     for (a, b) in random_pairs((n / 8).max(4), default_domain(n), seed ^ 0x11FE) {
@@ -452,15 +452,15 @@ pub fn edge_stream_ops(n: usize, window: usize, seed: u64) -> Vec<StreamOp> {
 /// The sliding-window graph stream as a workload: [`edge_stream_ops`] with a
 /// `n/2` window applied to a **delta-backed** edge relation `E` through
 /// [`Database::insert_delta`] / [`Database::delete`], queried with `clique(3)`
-/// (triangles among the live edges). The log is sealed but **not** compacted, so
-/// a query genuinely folds base + delta runs + tombstones — this is the
-/// streaming-ingest scenario of experiment E6.
+/// (triangles among the live edges). The log seals every `n/8` ops (at least
+/// 16), each seal merging inserts and tombstones into its one run, and once
+/// more at the end — this is the streaming-ingest scenario of experiment E6.
 pub fn edge_stream(n: usize, seed: u64) -> Workload {
     let mut db = Database::new();
     let schema = Schema::new(&["src", "dst"]);
     db.insert_delta_relation("E", wcoj_storage::DeltaRelation::new(schema));
-    // seal often enough that even small instances stack several runs — the
-    // whole point of the workload is a non-trivial delta depth
+    // seal often enough that even small instances seal several times — the
+    // whole point of the workload is a run rewritten by deletes
     db.delta_mut("E")
         .expect("just inserted")
         .set_seal_threshold((n / 8).max(16));
@@ -480,13 +480,13 @@ pub fn edge_stream(n: usize, seed: u64) -> Workload {
 }
 
 /// The cache-replay workload: the triangle query over two **delta-backed**
-/// Zipf-skewed sliding-window edge streams (`R` and `S` — several sealed runs
-/// plus a still-unsealed buffer tail) and one loaded Zipf relation `T`.
-/// Replaying the same query against it is the access-structure cache's target
-/// regime (experiment E8): repeated executions hit the cached tries of each
-/// log's fold, a seal gives a log a new fold built once per order, and the
-/// live unsealed tail is merged into the fold per query exactly as without a
-/// cache.
+/// Zipf-skewed sliding-window edge streams (`R` and `S` — a run that several
+/// seals merged into, plus a still-unsealed buffer tail) and one loaded Zipf
+/// relation `T`. Replaying the same query against it is the access-structure
+/// cache's target regime (experiment E8): repeated executions hit the cached
+/// tries of each log's run, a seal gives a log a new run built once per
+/// order, and the live unsealed tail is merged into the run per query exactly
+/// as without a cache.
 pub fn query_replay(n: usize, seed: u64) -> Workload {
     let domain = default_domain(n);
     let window = (n / 2).max(8);
@@ -494,7 +494,7 @@ pub fn query_replay(n: usize, seed: u64) -> Workload {
     for (name, attrs, salt) in [("R", ["A", "B"], 0x7171u64), ("S", ["B", "C"], 0x7272)] {
         let schema = Schema::new(&attrs);
         db.insert_delta_relation(name, wcoj_storage::DeltaRelation::new(schema));
-        // seal often enough that even small instances stack several runs
+        // seal often enough that even small instances seal several times
         db.delta_mut(name)
             .expect("just inserted")
             .set_seal_threshold((n / 8).max(16));
@@ -778,11 +778,7 @@ mod tests {
         assert!(delta.len() <= 48);
         assert!(delta.len() > 8);
         assert_eq!(delta.buffered(), 0, "workload returns sealed");
-        assert!(delta.num_runs() >= 1);
-        assert!(
-            delta.tombstones() > 0,
-            "the stream leaves tombstones behind"
-        );
+        assert_eq!(delta.run_ids().len(), 1);
         // deterministic
         assert_eq!(
             delta.snapshot(),
@@ -795,18 +791,18 @@ mod tests {
     fn query_replay_is_streaming_skewed_and_deterministic() {
         let w = query_replay(96, 7);
         assert_eq!(w.name, "query_replay_n96");
-        // R and S are delta-backed streams with sealed runs AND a live
+        // R and S are delta-backed streams with a sealed run AND a live
         // unsealed tail; T is as loaded, one clean run
         for name in ["R", "S"] {
             let delta = w.db.delta(name).expect("delta-backed stream");
-            assert!(delta.num_runs() >= 1, "{name}: sealed runs stacked");
+            assert_eq!(delta.run_ids().len(), 1, "{name}: sealed");
             assert!(delta.buffered() > 0, "{name}: unsealed tail stays live");
             // the window evicts edges, but heavy Zipf duplicate churn can let
-            // compaction annihilate every +1/−1 pair — only liveness is stable
+            // the seals annihilate every +1/−1 pair — only liveness is stable
             assert!(!delta.is_empty(), "{name}: live edges survive the window");
         }
         let t = w.db.delta("T").expect("loaded relation");
-        assert_eq!((t.num_runs(), t.tombstones(), t.buffered()), (1, 0, 0));
+        assert_eq!((t.run_ids().len(), t.buffered()), (1, 0));
         assert!(w.db.var_bindings(&w.query).is_ok());
         // deterministic per seed
         assert_eq!(
