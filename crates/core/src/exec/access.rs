@@ -1,17 +1,18 @@
-//! Access-structure builds and their cache entries.
+//! Access-structure builds and their reuse.
 //!
 //! [`BuiltAccess::build`] produces one access structure per atom, and there is
 //! one kind: the CSR [`Trie`], the same for either WCOJ engine. Every stored
 //! relation is a log read as one tombstone-free run — its sealed run, any
 //! unsealed buffer merged in per query ([`DeltaRelation::live_run`]) — so an
 //! atom's trie is built exactly as a loaded relation's is, and runs on the
-//! same cursor. A sealed run's trie goes through the one [`fetch_or_build`]
-//! and the per-database [`wcoj_storage::AccessCache`], keyed `(relation,
-//! column positions, run id)`; a buffered log's is built per query. One execution fetches or builds
+//! same cursor. A sealed run's trie goes through the one [`fetch_or_build`],
+//! which asks the run for it ([`wcoj_storage::delta::Run::shared_trie`]): the
+//! run memoizes one trie per column order and drops them with itself. A
+//! buffered log's is built per query. One execution fetches or builds
 //! once per distinct `(relation, column positions)`: the atoms of a self-join
 //! that read a relation in one order share its `Arc<Trie>`. Builds record no
 //! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
-//! [`CacheStats`]), and a cached structure is the one a fresh build would
+//! [`CacheStats`]), and a memoized structure is the one a fresh build would
 //! produce, bit for bit, so results and work counters are the same with the
 //! cache on, off, or cold. Builds run on the calling thread; the only threads
 //! an execution spawns are the morsel workers of [`super::parallel`].
@@ -25,77 +26,50 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use wcoj_obs::{AtomTrace, MorselTrace};
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::{CacheKey, CacheStats, DeltaRelation, Trie};
+use wcoj_storage::delta::Run;
+use wcoj_storage::{CacheStats, DeltaRelation, Trie};
 
 /// The tries built for one execution, one per atom, shared immutably by all
-/// workers. Tries are `Arc`-shared with the access cache, so a hit costs a
-/// refcount, not a rebuild.
+/// workers. Tries are `Arc`-shared with the runs that memoize them, so a hit
+/// costs a refcount, not a rebuild.
 pub(super) struct BuiltAccess(Vec<Arc<Trie>>);
 
-/// The cache side-channel of one [`BuiltAccess::build`]: the database whose
-/// [`wcoj_storage::AccessCache`] to consult, and the
-/// resolved [`CacheMode`]. `use_cache` is false when the mode is
-/// [`CacheMode::Off`] *or* the cache's byte budget is zero — either way every
-/// build is fresh and the shared cache is never touched.
-struct CacheCtx<'a> {
-    db: &'a Database,
-    use_cache: bool,
-}
-
-impl CacheCtx<'_> {
-    /// The key of `delta`'s trie over `positions`, when it has one to keep:
-    /// the log's run, named by its id, once nothing is buffered. A buffered
-    /// log's live run is merged per query and has no identity to key on, and
-    /// a log with no run has nothing to keep.
-    fn key(&self, name: &str, delta: &DeltaRelation, positions: &[usize]) -> Option<CacheKey> {
-        let run = delta
-            .fold()
-            .filter(|_| self.use_cache && delta.buffered() == 0)?;
-        Some(CacheKey {
-            relation: name.to_string(),
-            positions: positions.to_vec(),
-            stamp: run.id(),
-        })
-    }
+/// The run whose tries `delta`'s atoms reuse: the log's run once nothing is
+/// buffered, and only when `reuse` is on. A buffered log's live run is merged
+/// per query, and a log with no run has nothing to keep.
+fn memo_run(delta: &DeltaRelation, reuse: bool) -> Option<Arc<Run>> {
+    delta.fold().filter(|_| reuse && delta.buffered() == 0)
 }
 
 /// Fetch-or-build one atom's trie: the trie of its log's live run over the
-/// column `positions`. With a `key` (see [`CacheCtx::key`]) the run's trie
-/// is looked up and tallied a hit, or built, inserted (the run's rows are its
-/// rebuild cost; the insert drops the entries of this relation and order whose
-/// run no log holds any more) and tallied a miss — cold, or after a seal or a
-/// rebind gave the log a new run. Without one the trie is built fresh and
-/// tallies nothing.
+/// column `positions`. With a `memo` run (see [`memo_run`]) the run's trie is
+/// tallied a hit when the run already had it, or built, memoized on the run
+/// and tallied a miss — cold, or after a seal or a rebind gave the log a new
+/// run. Without one the trie is built fresh and tallies nothing.
 fn fetch_or_build(
-    ctx: &CacheCtx<'_>,
-    key: Option<CacheKey>,
+    memo: Option<&Run>,
     delta: &DeltaRelation,
     positions: &[usize],
     stats: &mut CacheStats,
 ) -> Result<Arc<Trie>, ExecError> {
-    let cache = ctx.db.access_cache();
-    if let Some(t) = key.as_ref().and_then(|key| cache.get(key)) {
+    let Some(run) = memo else {
+        return Ok(Arc::new(delta.live_run().trie(positions)?));
+    };
+    let (trie, hit) = run.shared_trie(positions)?;
+    if hit {
         stats.hits += 1;
-        return Ok(t);
-    }
-    let run = delta.live_run();
-    let t = Arc::new(run.trie(positions)?);
-    if let Some(key) = key {
+    } else {
         stats.misses += 1;
-        let (cost, bytes) = (run.len() as u64, t.heap_bytes());
-        let (value, source) = (Arc::clone(&t), Arc::downgrade(&run));
-        stats.evictions += cache.insert(key, value, source, cost, bytes);
     }
-    Ok(t)
+    Ok(trie)
 }
 
 impl BuiltAccess {
-    /// Build (or fetch from the database's access cache) one trie per atom
-    /// over the column `positions` its join order resolves to (also the cache
-    /// key's permutation component), once per distinct `(relation,
+    /// Build (or fetch from the atoms' runs) one trie per atom over the column
+    /// `positions` its join order resolves to, once per distinct `(relation,
     /// positions)`: an atom that reads a relation in an order an earlier atom
     /// already read shares that atom's trie, and tallies a hit when the trie
-    /// is a cached one.
+    /// is a memoized one.
     ///
     /// With `trace` present, one [`AtomTrace`] per atom is appended — its
     /// relation name, cache outcome (diffed from `stats`), and build
@@ -109,23 +83,20 @@ impl BuiltAccess {
         stats: &mut CacheStats,
         mut trace: Option<&mut Vec<AtomTrace>>,
     ) -> Result<Self, ExecError> {
-        let ctx = CacheCtx {
-            db,
-            use_cache: opts.cache != CacheMode::Off && db.access_cache().is_enabled(),
-        };
+        let reuse = opts.cache != CacheMode::Off;
         let mut tries: Vec<Arc<Trie>> = Vec::with_capacity(sources.len());
         let atoms = query.atoms().iter().zip(sources).zip(positions);
         for (i, ((atom, source), columns)) in atoms.enumerate() {
             let started = trace.is_some().then(Instant::now);
             let before = *stats;
-            let key = ctx.key(&atom.name, source, columns);
+            let memo = memo_run(source, reuse);
             let read = |j: usize| query.atoms()[j].name == atom.name && positions[j] == *columns;
             let trie = match (0..i).find(|&j| read(j)) {
                 Some(j) => {
-                    stats.hits += key.is_some() as u64;
+                    stats.hits += memo.is_some() as u64;
                     Arc::clone(&tries[j])
                 }
-                None => fetch_or_build(&ctx, key, source, columns, stats)?,
+                None => fetch_or_build(memo.as_deref(), source, columns, stats)?,
             };
             if let Some(tr) = trace.as_deref_mut() {
                 tr.push(AtomTrace {
@@ -136,8 +107,8 @@ impl BuiltAccess {
             }
             tries.push(trie);
         }
-        if ctx.use_cache {
-            stats.bytes = db.access_cache().bytes() as u64;
+        if reuse {
+            stats.bytes = db.trie_bytes() as u64;
         }
         Ok(BuiltAccess(tries))
     }
@@ -186,7 +157,6 @@ mod tests {
             "E",
             Relation::from_pairs("src", "dst", [(1, 2), (2, 3), (3, 1)]),
         );
-        db.set_cache_budget(64 << 20);
         for buffered in [false, true] {
             if buffered {
                 db.insert_delta("E", vec![3, 4]).unwrap();

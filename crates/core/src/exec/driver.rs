@@ -157,8 +157,8 @@ impl Wcoj<'_> {
         // fold this query's cache activity into the database's cumulative
         // observability counters (guarded so a cache-bypassing run cannot
         // zero the resident-bytes gauge)
-        if opts.cache != CacheMode::Off && db.access_cache().is_enabled() {
-            db.access_cache().record_query(cache_stats);
+        if opts.cache != CacheMode::Off {
+            db.cache_counters().record_query(cache_stats);
         }
         rows_to_relation(query, self.order, rows, self.bindings)
     }

@@ -74,15 +74,15 @@
 //! # One builder loop
 //!
 //! Access structures are built by one per-atom loop (`access`) with one
-//! fetch-or-build through the per-database [`wcoj_storage::AccessCache`]: a
-//! log's one run ([`wcoj_storage::DeltaRelation::fold`]) permuted to one
-//! column order is one cached trie, keyed `(relation, column positions, run
-//! id)`, and the entry dies with its run. A repeated query hits; a seal gives
-//! the log a new run, built once per order (a miss); a log with buffered ops
-//! merges them into its run and builds that per query, uncached. Within one
-//! execution an atom that reads a relation in an order an earlier atom read
-//! shares that atom's trie.
-//! [`CacheMode`] switches the cache off for one execution, and
+//! fetch-or-build that asks the atom's run: a log's one run
+//! ([`wcoj_storage::DeltaRelation::fold`]) permuted to one column order is
+//! one trie, memoized on the run ([`wcoj_storage::delta::Run::shared_trie`])
+//! and dropped with it. A repeated query hits; a seal gives the log a new
+//! run, built once per order (a miss); a log with buffered ops merges them
+//! into its run and builds that per query, unmemoized. Within one execution
+//! an atom that reads a relation in an order an earlier atom read shares
+//! that atom's trie.
+//! [`CacheMode`] switches reuse off for one execution, and
 //! [`ExecOutput::cache_stats`] reports the activity — builds record no
 //! [`WorkCounter`] work, so results and work counters are bit-identical with
 //! the cache on, off, or cold.
@@ -397,10 +397,7 @@ mod tests {
     #[test]
     fn repeated_queries_hit_the_cache() {
         let q = examples::triangle();
-        let mut db = triangle_db();
-        // pin an explicit budget so the counter asserts hold even when the
-        // environment disables the cache (the WCOJ_CACHE_BYTES=0 CI leg)
-        db.set_cache_budget(64 << 20);
+        let db = triangle_db();
         let cold = execute_opts(&q, &db, &ExecOptions::new(Engine::GenericJoin)).unwrap();
         assert_eq!(cold.cache_stats.misses, 3, "three atoms built cold");
         assert_eq!(cold.cache_stats.hits, 0);

@@ -23,17 +23,17 @@ pub enum Engine {
     Leapfrog,
 }
 
-/// How one execution uses the per-database access-structure cache
-/// ([`wcoj_storage::AccessCache`]). Caching never changes results or work
-/// counters — structures are bit-identical however they were obtained — so
-/// this only trades build time against memory.
+/// Whether one execution reuses the tries memoized on its logs' runs
+/// ([`wcoj_storage::delta::Run::shared_trie`]). Reuse never changes results
+/// or work counters — structures are bit-identical however they were
+/// obtained — so this only trades build time against memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// Bypass the cache entirely: build fresh structures and touch no shared
+    /// Bypass reuse entirely: build fresh structures and touch no shared
     /// state (differential baselines, one-shot queries).
     Off,
-    /// Reuse valid cached structures, insert whatever gets built, and let the
-    /// cost-aware policy evict under byte pressure. The default.
+    /// Reuse the tries memoized on the runs read, and memoize whatever gets
+    /// built there; they go when the run does. The default.
     #[default]
     On,
 }
@@ -175,9 +175,10 @@ pub struct ExecOutput {
     /// The global variable order the engine ran with (identity for the binary
     /// baseline, which is order-insensitive).
     pub order: Vec<VarId>,
-    /// Access-structure cache activity during this execution: hits, misses,
-    /// evictions triggered, and the cache's resident bytes afterwards. Build work is tallied here — never in
-    /// [`ExecOutput::work`] — so caching cannot perturb the work counters.
+    /// Trie reuse during this execution: hits, misses, and the bytes of the
+    /// tries memoized on the catalog's runs afterwards. Build work is tallied
+    /// here — never in [`ExecOutput::work`] — so reuse cannot perturb the
+    /// work counters.
     /// All-zero for the binary baseline and with [`CacheMode::Off`].
     pub cache_stats: CacheStats,
 }

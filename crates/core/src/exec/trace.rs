@@ -65,12 +65,7 @@ impl Recording {
             .iter()
             .map(|&v| query.var_name(v).to_string())
             .collect();
-        let CacheStats {
-            hits,
-            misses,
-            evictions,
-            ..
-        } = out.cache_stats;
+        let CacheStats { hits, misses, .. } = out.cache_stats;
         QueryTrace {
             engine: engine_name(opts.engine).to_string(),
             // the binary baseline always runs serially
@@ -93,7 +88,6 @@ impl Recording {
             work: work_pairs(&out.work),
             cache_hits: hits,
             cache_misses: misses,
-            cache_evictions: evictions,
         }
     }
 }

@@ -1,14 +1,13 @@
-//! Differential and property tests for the stamp-keyed access-structure cache:
+//! Differential and property tests for the tries memoized on log runs:
 //!
 //! executing with the cache **on** must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
 //! across engines × threads {1, 4}, interleaved with every kind of
 //! log mutation (append, delete, seal, relation rebinding); repeated
 //! queries must actually hit; every seal gives the log a new run, built
-//! once; a pinned snapshot and a head that seals past it must keep each
-//! other warm; a byte-starved cache must evict without
-//! ever surfacing a stale structure; and the two WCOJ engines must share one
-//! cached trie per `(relation, order)`.
+//! once per order; a pinned snapshot and a head that seals past it must keep
+//! each other warm; a run's tries must die with it; and the two WCOJ engines
+//! must share one memoized trie per `(relation, order)`.
 
 use std::sync::Arc;
 use wcoj_core::exec::{execute_opts, run, CacheMode, Engine, ExecOptions};
@@ -111,9 +110,6 @@ fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
     }
     delta.seal();
     db.insert_delta_relation("R", delta);
-    // pin an explicit budget: the hit/miss asserts below must hold even when
-    // the environment disables the cache (the WCOJ_CACHE_BYTES=0 CI leg)
-    db.set_cache_budget(64 << 20);
     db.insert(
         "S",
         Relation::from_pairs("B", "C", random_pairs(512, 48, 0xE812)),
@@ -149,9 +145,14 @@ fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
     assert_eq!(db.delta("R").unwrap().run_ids().len(), 1);
     assert_eq!(merged.cache_stats.misses, 1, "R's new run builds");
     assert_eq!(merged.cache_stats.hits, 2, "S and T still hit");
+    let registry = wcoj_obs::Registry::new();
+    db.cache_counters().register_metrics(&registry);
     let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
     assert_eq!(merged.result, off.result, "a merged run is bit-identical");
     assert_eq!(merged.work, off.work);
+    // a run with reuse off leaves the cumulative counters as they were
+    let gauge = registry.snapshot().gauge_value("cache.resident_bytes");
+    assert_eq!(gauge, Some(merged.cache_stats.bytes));
 
     // a seal that deletes compacts the tombstones away: R's run is new again
     for i in 0..8u64 {
@@ -167,9 +168,9 @@ fn repeat_hits_seal_and_compaction_rebuild_the_fold() {
 }
 
 /// EXPERIMENTS E10.3's shape: the head seals past the pinned snapshot, and
-/// every seal compacts the buffer into a new run, so the two sides share no
-/// run. Both sides stay warm because neither ever writes a key the other
-/// reads, and what only the snapshot held is reclaimed after it is dropped.
+/// every seal merges the buffer into a new run, so the two sides share no
+/// run. Both sides stay warm because each reads the tries of its own runs,
+/// and what only the snapshot held goes with it.
 #[test]
 fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
     let query = examples::triangle();
@@ -187,7 +188,6 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
         delta.seal();
         db.insert_delta_relation(name, delta);
     }
-    db.set_cache_budget(64 << 20);
     // every atom binds positions [1, 0]
     let plan = plan(&query, &db, Some(&[2, 1, 0])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
@@ -222,7 +222,17 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
         assert_eq!(out.result, off.result);
         assert_eq!(out.work, off.work);
     }
-    // …and from then on both are warm
+    // …and from then on both are warm, on the very tries they built
+    let trie = |db: &Database, name: &str| {
+        let run = db.delta(name).unwrap().fold().unwrap();
+        let (trie, hit) = run.shared_trie(&[1, 0]).unwrap();
+        assert!(hit, "{name}'s trie is memoized on its run");
+        trie
+    };
+    let built: Vec<_> = [&db, &*snap]
+        .into_iter()
+        .flat_map(|side| ["R", "S", "T"].map(|name| trie(side, name)))
+        .collect();
     for round in 0..20 {
         for (side, first) in [(&db, &live0), (&*snap, &snap0)] {
             let out = run(side, &opts);
@@ -232,25 +242,27 @@ fn a_pinned_snapshot_and_a_compacting_head_never_evict_each_other() {
             assert_eq!(out.cache_stats.misses, 0, "round {round}");
         }
     }
-    assert_eq!(db.access_cache().len(), 6, "one run per relation per side");
+    let again = [&db, &*snap]
+        .into_iter()
+        .flat_map(|side| ["R", "S", "T"].map(|name| trie(side, name)));
+    assert!(again.zip(&built).all(|(a, b)| Arc::ptr_eq(&a, b)));
+    let snap_tries: Vec<_> = built[3..].iter().map(Arc::downgrade).collect();
+    drop(built);
 
-    // the snapshot goes away; the head's next insert for each relation and
-    // order leaves no entry for the runs only the snapshot held
+    // the snapshot goes away, and the tries of the runs only it held with it
     drop(snap);
+    assert!(snap_tries.iter().all(|t| t.upgrade().is_none()));
     seal_batch(&mut db, 1);
     let merged = run(&db, &opts);
     assert_eq!(merged.cache_stats.misses, 3, "three new runs");
-    assert_eq!(merged.cache_stats.evictions, 0, "reclaimed, not evicted");
-    let (len, bytes) = (db.access_cache().len(), db.access_cache().bytes());
-    assert_eq!(len, 3, "one run per relation, the head's");
-    assert_eq!(merged.cache_stats.bytes, bytes as u64);
-    // exactly what a head-only warm-up from a cleared cache produces
-    db.access_cache().clear();
-    let cold = run(&db, &opts);
-    assert_eq!(cold.cache_stats.misses, 3);
-    assert_eq!(cold.result, merged.result);
-    assert_eq!(db.access_cache().len(), len);
-    assert_eq!(db.access_cache().bytes(), bytes);
+    // the resident bytes are the head's runs' tries, one per relation: what
+    // fresh builds of them take
+    let fresh = ["R", "S", "T"].map(|name| {
+        let run = db.delta(name).unwrap().fold().unwrap();
+        run.trie(&[1, 0]).unwrap().heap_bytes() as u64
+    });
+    assert_eq!(merged.cache_stats.bytes, fresh.iter().sum::<u64>());
+    assert_eq!(merged.cache_stats.bytes, db.trie_bytes() as u64);
 }
 
 #[test]
@@ -267,7 +279,6 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
     }
     delta.seal();
     db.insert_delta_relation("R", delta);
-    db.set_cache_budget(64 << 20);
     db.insert(
         "S",
         Relation::from_pairs("B", "C", random_pairs(256, 32, 0xE902)),
@@ -301,71 +312,20 @@ fn empty_seal_is_a_complete_noop_and_cache_still_hits() {
     assert_eq!(warm.work, cold.work);
 }
 
-#[test]
-fn eviction_under_pressure_never_surfaces_stale_structures() {
-    let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE82);
-    let plan = plan(&query, &db, None).expect("planner");
-    let opts = ExecOptions::new(Engine::GenericJoin).with_threads(1);
-    let off = run(&query, &db, &plan, &opts.with_cache(CacheMode::Off), None).expect("off");
-
-    // measure the full working set (3 tries under each of two variable
-    // orders), then starve the cache to 3/4 of it: individual entries still
-    // fit, the set does not (explicit budget first, so WCOJ_CACHE_BYTES=0
-    // cannot void the warm-up)
-    db.set_cache_budget(64 << 20);
-    let reversed: Vec<usize> = plan.order.iter().rev().copied().collect();
-    let plans = [
-        plan,
-        wcoj_core::plan(&query, &db, Some(&reversed)).expect("plan"),
-    ];
-    for plan in &plans {
-        run(&query, &db, plan, &opts, None).expect("warm-up");
-    }
-    assert_eq!(
-        db.access_cache().len(),
-        6,
-        "no trie is shared by the two orders"
-    );
-    let full_bytes = db.access_cache().bytes();
-    assert!(full_bytes > 0);
-    let budget = full_bytes * 3 / 4;
-    db.set_cache_budget(budget);
-
-    let mut evictions = 0u64;
-    for round in 0..4 {
-        // alternate orders so the two sets of tries fight over the budget
-        for plan in &plans {
-            let order = &plan.order;
-            let out = run(&query, &db, plan, &opts, None)
-                .unwrap_or_else(|e| panic!("round {round}/{order:?}: {e}"));
-            assert_eq!(out.result, off.result, "round {round}/{order:?}");
-            evictions += out.cache_stats.evictions;
-            assert!(
-                db.access_cache().bytes() <= budget,
-                "round {round}: budget respected"
-            );
-        }
-    }
-    assert!(evictions > 0, "the starved cache must actually evict");
-
-    // zero budget disables the cache outright: no hits, no residency
-    db.set_cache_budget(0);
-    let disabled = run(&query, &db, &plans[0], &opts, None).expect("disabled");
-    assert_eq!(disabled.result, off.result);
-    assert_eq!(disabled.cache_stats.hits, 0);
-    assert_eq!(disabled.cache_stats.misses, 0);
-    assert_eq!(disabled.cache_stats.bytes, 0);
-    assert!(db.access_cache().is_empty());
-}
-
-/// One static structure means one cache entry per `(relation, order)` whichever
-/// WCOJ engine asks: a Leapfrog run after a Generic Join run over the same
-/// order rebuilds nothing and adds no bytes.
+/// One static structure means one memoized trie per `(relation, order)`
+/// whichever WCOJ engine asks: a Leapfrog run after a Generic Join run over
+/// the same order rebuilds nothing and adds no bytes.
 #[test]
 fn generic_join_and_leapfrog_share_one_cached_trie() {
-    let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE84);
-    db.set_cache_budget(64 << 20);
-    let plan = plan(&query, &db, None).expect("planner");
+    let Workload { query, db, .. } = wcoj_workloads::triangle(256, 0xE84);
+    // the identity order: every atom binds positions [0, 1]
+    let plan = plan(&query, &db, Some(&[0, 1, 2])).expect("plan");
+    let trie_of_r = || {
+        let run = db.delta("R").unwrap().fold().unwrap();
+        let (trie, hit) = run.shared_trie(&[0, 1]).unwrap();
+        assert!(hit, "R's trie is memoized on its run");
+        trie
+    };
     let atoms = query.atoms().len() as u64;
     let oracle = execute_opts(&query, &db, &ExecOptions::new(Engine::BinaryHash)).expect("oracle");
 
@@ -373,6 +333,7 @@ fn generic_join_and_leapfrog_share_one_cached_trie() {
     let first = run(&query, &db, &plan, &gj, None).expect("generic join");
     assert_eq!(first.cache_stats.misses, atoms, "every atom built cold");
     assert_eq!(first.result, oracle.result);
+    let built = trie_of_r();
 
     let lf = ExecOptions::new(Engine::Leapfrog);
     let second = run(&query, &db, &plan, &lf, None).expect("leapfrog");
@@ -380,16 +341,18 @@ fn generic_join_and_leapfrog_share_one_cached_trie() {
     assert_eq!(second.cache_stats.misses, 0);
     assert_eq!(second.cache_stats.bytes, first.cache_stats.bytes);
     assert_eq!(second.result, oracle.result);
+    assert!(
+        Arc::ptr_eq(&built, &trie_of_r()),
+        "one trie for both engines"
+    );
 }
 
-/// A rebound name's old log is dropped, and its run with it: the old
-/// binding's entries die with the run (reclaimed by the next build for that
-/// relation and order), not when eviction gets to them. A snapshot that
-/// still holds the old binding keeps its entry alive until it goes.
+/// A rebound name's old log is dropped, and its run with it: the tries
+/// memoized on the run go at once, with no further query. A snapshot that
+/// still holds the old binding keeps them alive until it goes.
 #[test]
-fn rebinding_a_name_reclaims_the_old_bindings_entries() {
+fn a_runs_tries_die_with_it() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE85);
-    db.set_cache_budget(64 << 20);
     // the identity order: every atom binds positions [0, 1] whatever the sizes
     let plan = plan(&query, &db, Some(&[0, 1, 2])).expect("plan");
     let opts = ExecOptions::new(Engine::GenericJoin);
@@ -398,35 +361,37 @@ fn rebinding_a_name_reclaims_the_old_bindings_entries() {
         let pairs = random_pairs(256, 64, seed);
         db.insert("R", Relation::from_pairs("A", "B", pairs));
     };
+    let trie_of_r = |db: &Database| {
+        let run = db.delta("R").unwrap().fold().unwrap();
+        let (trie, hit) = run.shared_trie(&[0, 1]).unwrap();
+        assert!(hit, "R's trie is memoized on its run");
+        Arc::downgrade(&trie)
+    };
     assert_eq!(run(&db).cache_stats.misses, 3);
     for seed in 1..4u64 {
+        let old = trie_of_r(&db);
         rebind(&mut db, seed);
+        assert!(
+            old.upgrade().is_none(),
+            "seed {seed}: the old R's trie is gone"
+        );
         let out = run(&db);
         assert_eq!(out.cache_stats.misses, 1, "seed {seed}: the new R builds");
         assert_eq!(out.cache_stats.hits, 2, "seed {seed}: S and T hit");
-        assert_eq!(out.cache_stats.evictions, 0, "reclaimed, not evicted");
-        assert_eq!(
-            db.access_cache().len(),
-            3,
-            "seed {seed}: no entry of an old R"
-        );
-        let bytes = db.access_cache().bytes();
-        db.access_cache().clear();
-        assert_eq!(run(&db).result, out.result);
-        assert_eq!(
-            db.access_cache().bytes(),
-            bytes,
-            "seed {seed}: a cold build's bytes"
-        );
+        assert_eq!(out.cache_stats.bytes, db.trie_bytes() as u64);
     }
+    let old = trie_of_r(&db);
     let pinned = db.snapshot();
     rebind(&mut db, 4);
-    run(&db);
-    assert_eq!(db.access_cache().len(), 4, "the snapshot's R is still held");
+    assert!(
+        old.upgrade().is_some(),
+        "the snapshot still holds the old R"
+    );
     drop(pinned);
-    rebind(&mut db, 5);
-    run(&db);
-    assert_eq!(db.access_cache().len(), 3, "both old R entries are gone");
+    assert!(
+        old.upgrade().is_none(),
+        "the old R's trie went with the snapshot"
+    );
 }
 
 /// An empty relation is a log with no run: its atom is served by a trie over
@@ -436,7 +401,6 @@ fn rebinding_a_name_reclaims_the_old_bindings_entries() {
 fn an_empty_relation_caches_and_tallies_nothing() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE86);
     db.insert("S", Relation::empty(Schema::new(&["B", "C"])));
-    db.set_cache_budget(64 << 20);
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         for threads in [1usize, 4] {
             let opts = ExecOptions::new(engine).with_threads(threads);
@@ -451,7 +415,11 @@ fn an_empty_relation_caches_and_tallies_nothing() {
             assert_eq!(on.cache_stats.misses + on.cache_stats.hits, 2);
         }
     }
-    assert_eq!(db.access_cache().len(), 2, "R and T only");
+    // R and T only: S has no run to memoize on
+    assert!(db.delta("S").unwrap().fold().is_none());
+    let memoized = ["R", "T"].map(|name| db.delta(name).unwrap().fold().unwrap().trie_bytes());
+    assert!(memoized.iter().all(|&bytes| bytes > 0));
+    assert_eq!(memoized.iter().sum::<usize>(), db.trie_bytes());
     let sink = Arc::new(TraceSink::new());
     let opts = ExecOptions::new(Engine::GenericJoin).with_trace(Arc::clone(&sink));
     execute_opts(&query, &db, &opts).expect("traced");

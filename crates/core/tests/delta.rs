@@ -137,7 +137,7 @@ fn delta_path_survives_every_compaction_step() {
 /// where every effective op shifts the rows behind its position, `arity`
 /// values each — and into a delta log. The two replicas agree tuple for
 /// tuple, and the sorted rows move at least 10× the values the log writes
-/// (933.7× on this stream).
+/// (1095.5× on this stream).
 #[test]
 fn a_delta_log_moves_at_least_10x_fewer_values_than_sorted_rows_on_ingest() {
     let ops = edge_stream_ops(16_384, 8_192, 0xE6);
@@ -193,20 +193,21 @@ fn unsealed_buffer_queries_match_sealed() {
 /// each step: its rows and counters match a relation rebuilt from a reference
 /// set of the live tuples (kept by the test, not read back from the log), a
 /// pinned snapshot keeps hitting its run's trie while the head moves on, and
-/// entries of runs no log holds are swept, so the cache stays bounded.
+/// the tries of runs no log holds are gone, so residency stays bounded.
 #[test]
 fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_bounded() {
     let query = wcoj_query::query::examples::clique(3);
     let mut db = Database::new();
     db.insert_delta_relation("E", DeltaRelation::new(Schema::new(&["src", "dst"])));
     db.delta_mut("E").unwrap().set_seal_threshold(usize::MAX);
-    db.set_cache_budget(64 << 20);
     // every atom of the 3-clique binds E's columns swapped under this order
     let order = [2usize, 1, 0];
     let opts = ExecOptions::new(Engine::GenericJoin);
     let mut rng = SplitMix64::new(0x1A7E);
     let mut pinned: Vec<(Database, wcoj_core::ExecOutput)> = Vec::new();
     let mut reference = std::collections::BTreeSet::new();
+    // a weak handle on every trie ever memoized on one of E's runs
+    let mut built: Vec<std::sync::Weak<wcoj_storage::Trie>> = Vec::new();
     let mut peak = 0;
     for step in 0..240 {
         for _ in 0..1 + rng.below(6) {
@@ -244,16 +245,21 @@ fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_boun
         let full = run(&query, &rebuilt, &at, &opts, None).unwrap();
         assert_eq!(live.result, full.result, "step {step}");
         assert_eq!(live.work, full.work, "step {step}");
-        // a build for E in this order sweeps every dead entry: what is left is
-        // one run per holder at most, the head and each snapshot
-        let entries = db.access_cache().len();
-        if live.cache_stats.misses > 0 {
-            assert!(
-                entries <= pinned.len() + 1,
-                "step {step}: {entries} entries"
-            );
+        // what is left alive is one run's trie per holder at most, the head
+        // and each snapshot
+        built.retain(|t| t.strong_count() > 0);
+        if let Some(run) = db.delta("E").unwrap().fold() {
+            let trie = std::sync::Arc::downgrade(&run.shared_trie(&[1, 0]).unwrap().0);
+            if !built.iter().any(|t| t.ptr_eq(&trie)) {
+                built.push(trie);
+            }
         }
-        peak = peak.max(entries);
+        let resident = built.len();
+        assert!(
+            resident <= pinned.len() + 1,
+            "step {step}: {resident} tries alive"
+        );
+        peak = peak.max(resident);
         for (k, (snap, first)) in pinned.iter().enumerate() {
             let at = plan(&query, snap, Some(&order)).unwrap();
             let again = run(&query, snap, &at, &opts, None).unwrap();
@@ -266,8 +272,5 @@ fn interleaved_mutations_snapshots_and_drops_keep_folds_exact_and_the_cache_boun
             );
         }
     }
-    assert!(
-        (3..=8).contains(&peak),
-        "the cache peaked at {peak} entries"
-    );
+    assert!((3..=4).contains(&peak), "residency peaked at {peak} tries");
 }

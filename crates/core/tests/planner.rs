@@ -260,16 +260,15 @@ fn a_given_order_fails_where_the_search_fails_and_before_any_build() {
         assert!(matches!(err, ExecError::Bound(_)), "{err:?}");
     }
     // an order that is no permutation fails in the planner: nothing is built
-    let mut w = needle(64, 5);
-    w.db.set_cache_budget(64 << 20);
+    let w = needle(64, 5);
     let registry = wcoj_obs::Registry::new();
-    w.db.access_cache().register_metrics(&registry);
+    w.db.cache_counters().register_metrics(&registry);
     for order in [&[0, 1][..], &[0, 1, 1], &[0, 1, 3]] {
         let err = execute_cancellable(&w.query, &w.db, &opts, Some(order), &token).unwrap_err();
         assert_eq!(err, ExecError::InvalidOrder(order.to_vec()));
     }
     assert_eq!(registry.snapshot().counter_value("cache.misses"), Some(0));
-    assert!(w.db.access_cache().is_empty());
+    assert_eq!(w.db.trie_bytes(), 0, "nothing is memoized");
 }
 
 /// The `needle_cached` instance of the request benchmark: 4 probe rows against

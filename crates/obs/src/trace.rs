@@ -124,8 +124,6 @@ pub struct QueryTrace {
     pub cache_hits: u64,
     /// Access-cache misses during this query.
     pub cache_misses: u64,
-    /// Cache evictions triggered by this query's insertions.
-    pub cache_evictions: u64,
 }
 
 impl QueryTrace {
@@ -244,8 +242,8 @@ impl QueryTrace {
         }
         out.push_str("}, ");
         out.push_str(&format!(
-            "\"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}}}",
-            self.cache_hits, self.cache_misses, self.cache_evictions
+            "\"cache\": {{\"hits\": {}, \"misses\": {}}}",
+            self.cache_hits, self.cache_misses
         ));
         out.push('}');
         out
@@ -323,8 +321,8 @@ impl QueryTrace {
             out.push('\n');
         }
         out.push_str(&format!(
-            "├─ cache  hits={} misses={} evictions={}\n",
-            self.cache_hits, self.cache_misses, self.cache_evictions
+            "├─ cache  hits={} misses={}\n",
+            self.cache_hits, self.cache_misses
         ));
         out.push_str("└─ work   ");
         for (i, (name, value)) in self.work.iter().enumerate() {
@@ -533,7 +531,6 @@ mod tests {
             work: vec![("total_work".into(), 4567), ("output_tuples".into(), 2783)],
             cache_hits: 2,
             cache_misses: 1,
-            cache_evictions: 0,
         }
     }
 

@@ -9,7 +9,7 @@ use std::fmt;
 use std::sync::Arc;
 use wcoj_storage::typed::{encode_column, TypedRow};
 use wcoj_storage::{
-    AccessCache, AttrType, DeltaRelation, Dictionary, Relation, Schema, StorageError, Tuple,
+    AttrType, CacheCounters, DeltaRelation, Dictionary, Relation, Schema, StorageError, Tuple,
 };
 
 /// Errors raised when binding a database to a query or verifying constraints.
@@ -165,10 +165,10 @@ pub struct Database {
     /// its log; storing a relation or a log under the name
     /// ([`Database::insert`], [`Database::insert_delta_relation`]) drops it.
     loaded_domains: HashMap<String, Vec<Option<String>>>,
-    /// The access-structure cache, shared across clones of this database (a
-    /// key names one sealed run by its never-reissued id, so sharing is safe —
-    /// clones that diverge simply stop hitting each other's entries).
-    cache: Arc<AccessCache>,
+    /// The cumulative trie-reuse counters, shared across clones and
+    /// snapshots of this database, so every execution over any of them folds
+    /// in. The tries themselves live on the runs.
+    cache: Arc<CacheCounters>,
 }
 
 impl Database {
@@ -201,25 +201,18 @@ impl Database {
         self.relations.insert(name, Arc::new(delta));
     }
 
-    /// The access-structure cache shared by executions over this database (and
-    /// its clones). See [`wcoj_storage::cache`] for keying and eviction.
-    pub fn access_cache(&self) -> &AccessCache {
+    /// The cumulative trie-reuse counters shared by executions over this
+    /// database (and its clones and snapshots). See [`wcoj_storage::cache`].
+    pub fn cache_counters(&self) -> &CacheCounters {
         &self.cache
-    }
-
-    /// Replace this instance's cache with a fresh, empty one of `bytes` budget
-    /// (`0` disables caching). Only this instance is switched — clones sharing
-    /// the previous cache keep it.
-    pub fn set_cache_budget(&mut self, bytes: usize) {
-        self.cache = Arc::new(AccessCache::with_budget(bytes));
     }
 
     /// Pin the current visible state of every relation as a read-only
     /// [`crate::snapshot::Snapshot`]. O(catalog): tuple data, runs, live-sets,
     /// and dictionaries are `Arc`-shared, not copied — see the
-    /// [struct docs](Database#snapshots). The snapshot keeps this database's
-    /// access-structure cache handle, so reads through it hit (and seed)
-    /// the same cache; keys that name immutable runs make that safe.
+    /// [struct docs](Database#snapshots). The snapshot shares this database's
+    /// runs, so reads through it hit (and seed) the tries memoized on them,
+    /// and its [`Database::cache_counters`].
     pub fn snapshot(&self) -> crate::snapshot::Snapshot {
         crate::snapshot::Snapshot::pin(self)
     }
@@ -268,8 +261,8 @@ impl Database {
     /// Seal relation `name`'s append buffer: merge it into the log's one
     /// sorted run. Queries work without sealing — the buffer is collapsed and
     /// merged into the run at access-build time — but a sealed log's tries
-    /// are built once and cached instead of per query. Errors only if `name`
-    /// is unknown.
+    /// are built once per order and memoized on the run instead of per query.
+    /// Errors only if `name` is unknown.
     pub fn seal(&mut self, name: &str) -> Result<(), DatabaseError> {
         self.log_mut(name)?.seal();
         Ok(())
@@ -416,6 +409,13 @@ impl Database {
         self.relations.len()
     }
 
+    /// Heap bytes of the tries memoized on the stored relations' runs
+    /// ([`wcoj_storage::delta::Run::trie_bytes`]).
+    pub fn trie_bytes(&self) -> usize {
+        let runs = self.relations.values().filter_map(|d| d.fold());
+        runs.map(|run| run.trie_bytes()).sum()
+    }
+
     /// Size of the largest stored relation (the `N` of the AGM bound `N^{ρ*}`).
     pub fn max_relation_size(&self) -> usize {
         self.relations.values().map(|d| d.len()).max().unwrap_or(0)
@@ -450,9 +450,9 @@ impl Database {
 
     /// The log bound to atom `i` of `query`: its stored columns map to the
     /// atom's variables positionally, with no per-query rename or copy. This is
-    /// what lets the execution layer run live over logs and reuse cached
-    /// access structures across queries. Fails if the relation is missing or
-    /// its arity is not the atom's.
+    /// what lets the execution layer run live over logs and reuse the tries
+    /// memoized on their runs across queries. Fails if the relation is missing
+    /// or its arity is not the atom's.
     pub fn atom_source(
         &self,
         query: &ConjunctiveQuery,
@@ -931,12 +931,8 @@ mod tests {
         assert_ne!(db.relation_epoch("R"), Some(e1));
         assert_eq!(clone.relation_epoch("R"), Some(e1));
         assert_eq!(clone.delta("R").unwrap().len(), 1);
-        // the cache handle is shared across clones until rebudgeted
-        let mut clone = clone;
-        assert!(std::ptr::eq(db.access_cache(), clone.access_cache()));
-        clone.set_cache_budget(0);
-        assert!(!std::ptr::eq(db.access_cache(), clone.access_cache()));
-        assert!(!clone.access_cache().is_enabled());
+        // the cumulative cache counters are shared across clones
+        assert!(std::ptr::eq(db.cache_counters(), clone.cache_counters()));
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //! produces **bit-identical** rows and work counters to a run against the
 //! database at pin time, no matter what the writer does in between.
 //!
-//! Snapshots share the origin database's access-structure cache. That is safe
-//! by construction — every cache key carries the id of one immutable sealed
-//! run, and a reader only ever asks for the runs it holds, so a snapshot
-//! can never surface a structure built over state it does not have — and it
-//! is what makes repeated reads cheap: a snapshot and the live database find
-//! and seed the same entries for every run they have in common, whichever of
-//! them is ahead, and neither can displace the other's. The entry of a run
-//! that only a snapshot still holds goes away after the snapshot does.
+//! Snapshots share the origin database's runs, and with them the tries
+//! memoized on each run. That is safe by construction — a run is immutable
+//! and a reader only ever asks the runs it holds, so a snapshot can never
+//! surface a structure built over state it does not have — and it is what
+//! makes repeated reads cheap: a snapshot and the live database find and
+//! seed the same tries for every run they have in common, whichever of them
+//! is ahead. The tries of a run that only a snapshot still holds go away
+//! with the snapshot.
 //!
 //! `Snapshot` derefs to [`Database`], so every read-only API — and the
 //! execution layer, which takes `&Database` — works on a snapshot unchanged:

@@ -522,7 +522,7 @@ impl QueryService {
 
     fn new(db: Database, config: ServiceConfig, log: Option<Log>) -> QueryService {
         let registry = Arc::new(Registry::new());
-        db.access_cache().register_metrics(&registry);
+        db.cache_counters().register_metrics(&registry);
         QueryService {
             db: RwLock::new(db),
             log,

@@ -931,7 +931,7 @@ fn registry_mirrors_stats_and_renders_stable_snapshots() {
             Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
             other => panic!("service.query_us missing or wrong kind: {other:?}"),
         }
-        // the database's access cache registers its own primitives
+        // the catalog's cache counters register their own primitives
         assert!(snap.counter_value("cache.hits").is_some());
         assert!(snap.gauge_value("cache.resident_bytes").is_some());
 
@@ -1060,7 +1060,7 @@ fn recovery_metrics_report_checkpoint_vs_tail_breakdown() {
 }
 
 /// The read path the product has — `apply` a batch that seals, `query` on a
-/// fresh snapshot — must keep the access cache bounded: each seal gives the
+/// fresh snapshot — must keep resident tries bounded: each seal gives the
 /// log a new run, which costs the next query one trie per column order read,
 /// nothing built for a superseded run stays resident, and every answer is
 /// what an uncached execution of the same snapshot gives.
@@ -1073,8 +1073,6 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     let mut delta = DeltaRelation::new(Schema::new(&["src", "dst"]));
     delta.set_seal_threshold(usize::MAX);
     db.insert_delta_relation("E", delta);
-    // an explicit budget, so the tallies hold under WCOJ_CACHE_BYTES=0 too
-    db.set_cache_budget(64 << 20);
     let config = ServiceConfig::default();
     let uncached = config.exec.with_cache(CacheMode::Off);
     let service = QueryService::in_memory(db, config);
@@ -1161,10 +1159,64 @@ fn sealing_through_the_service_builds_one_run_and_strands_nothing() {
     // the live set is a constant 1024 edges, and a run holds exactly the
     // live edges, so residency must stay inside 2x of its first reading (one
     // whole stranded structure per seal used to make it 40x): one run's
-    // tries per order, the superseded run's entries swept by the next build
+    // tries per order, the superseded run's gone with it
     let bound = 2 * resident[0];
     assert!(
         resident.iter().all(|&bytes| bytes > 0 && bytes <= bound),
         "resident bytes per cycle: {resident:?}"
     );
+}
+
+/// The through-service read path with trie reuse on and off: two services
+/// over the same catalog, one of them with `CacheMode::Off`, answer one
+/// apply / seal / snapshot-read schedule with identical rows and work
+/// counters, and only the one with reuse on tallies hits and misses.
+#[test]
+fn services_with_reuse_on_and_off_answer_identically() {
+    use wcoj_core::CacheMode;
+    let execs = [
+        ExecOptions::default().with_cache(CacheMode::Off),
+        config().exec,
+    ];
+    let services = execs
+        .each_ref()
+        .map(|exec| QueryService::in_memory(triangle_db(200), config().with_exec(exec.clone())));
+    let q = examples::triangle();
+    let token = CancelToken::new();
+    let pinned = services.each_ref().map(QueryService::snapshot);
+    let mut rng = SplitMix64::new(0xC0FF);
+    for round in 0..12 {
+        let mut batch = WriteBatch::new();
+        for name in ["R", "S"] {
+            for _ in 0..8 {
+                batch = batch.insert(name, vec![rng.next_u64() % 40, rng.next_u64() % 40]);
+            }
+        }
+        if round % 3 == 2 {
+            batch = batch.seal("R").seal("S");
+        }
+        let reads = [0, 1].map(|i| {
+            let service = &services[i];
+            service.apply(&batch).unwrap();
+            let queried = service.query(&q).unwrap();
+            let snap = service.snapshot();
+            let read = execute_cancellable(&q, &snap, &execs[i], None, &token).unwrap();
+            assert_eq!(read.result, queried.result, "round {round}");
+            assert_eq!(read.work, queried.work, "round {round}");
+            queried
+        });
+        let [off, on] = &reads;
+        assert_eq!(off.result, on.result, "round {round}: rows");
+        assert_eq!(off.work, on.work, "round {round}: work counters");
+        assert_eq!(off.cache_stats.hits + off.cache_stats.misses, 0);
+        // T never changes: from the second round on, its trie is a hit
+        assert!(round == 0 || on.cache_stats.hits > 0, "round {round}");
+        let [off, on] =
+            [0, 1].map(|i| execute_cancellable(&q, &pinned[i], &execs[i], None, &token).unwrap());
+        assert_eq!(off.result, on.result, "round {round}: pinned rows");
+        assert_eq!(off.work, on.work, "round {round}: pinned work counters");
+    }
+    assert_eq!(counter(&services[0], "cache.hits"), 0);
+    assert_eq!(counter(&services[0], "cache.misses"), 0);
+    assert!(counter(&services[1], "cache.hits") > 0);
 }

@@ -37,7 +37,7 @@
 //! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort + O(n/B) seal merge |
 //! | seal (per `B` buffered ops) | — | O(B log B) collapse + one O(n + B) linear merge into the run |
 //! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
-//! | access-structure build | O(n log n) argsort + scan | the same builder over the run, once per order and run, cached; identity orders skip the argsort |
+//! | access-structure build | O(n log n) argsort + scan | the same builder over the run, once per order and run, memoized on the run; identity orders skip the argsort |
 //! | query with `B` ops buffered | — | O(B log B) collapse + one O(n) merge into the run + the build, per relation and order |
 //! | cursor `open` of a prefix | one `child_start` lookup | the same: the run's trie is a trie |
 //! | query result | — | **bit-identical**, rows and work counters, to rebuilding from [`DeltaRelation::snapshot`] |
@@ -63,7 +63,7 @@ use crate::trie::Trie;
 use crate::wal::PayloadReader;
 use crate::Value;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The live-tuple membership index: one entry per live tuple, maintained
 /// incrementally by `insert`/`delete` (hashed with the in-tree [`FxHasher`];
@@ -139,17 +139,18 @@ pub const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
 /// The immutable sorted run of a [`DeltaRelation`]: a canonical relation of
 /// live tuples, no tombstone among them. Opaque outside this module except as
-/// a build input: the execution layer fetches or builds [`Run::trie`] of a
-/// log's run, and the access cache holds a `Weak` to the run so the entry
-/// dies with it.
+/// a build input: the execution layer reads [`Run::shared_trie`] of a log's
+/// run, which memoizes the run's tries per column order, so they die with it.
 #[derive(Debug)]
 pub struct Run {
     /// Process-unique identity stamp ([`crate::cache::next_stamp`]): runs are
-    /// immutable, so equal ids imply identical content — the stamp of the
-    /// access-structure cache's key for a run's tries.
+    /// immutable, so equal ids imply identical content.
     id: u64,
     /// The run's rows: sorted, distinct, live tuples.
     rel: Relation,
+    /// The tries built over the rows, one per column order read. Builds
+    /// happen outside the lock; when two race, the first insert wins.
+    tries: Mutex<Vec<(Vec<usize>, Arc<Trie>)>>,
 }
 
 impl Run {
@@ -158,6 +159,7 @@ impl Run {
         Arc::new(Run {
             id: crate::cache::next_stamp(),
             rel,
+            tries: Mutex::default(),
         })
     }
 
@@ -166,7 +168,7 @@ impl Run {
         self.id
     }
 
-    /// Rows in the run — the rebuild-cost proxy for cache eviction priorities.
+    /// Rows in the run.
     pub fn len(&self) -> usize {
         self.rel.len()
     }
@@ -177,9 +179,39 @@ impl Run {
     }
 
     /// The run's access structure for the column order `positions`: the one
-    /// trie builder over the run's rows.
+    /// trie builder over the run's rows, built fresh.
     pub fn trie(&self, positions: &[usize]) -> Result<Trie, StorageError> {
         Trie::build_positions(&self.rel, positions)
+    }
+
+    /// The run's trie for `positions`, memoized on the run, and whether it
+    /// already was (a hit) or this call built it (a miss). A memoized trie is
+    /// the one [`Run::trie`] builds, bit for bit, and lives as long as the run.
+    pub fn shared_trie(&self, positions: &[usize]) -> Result<(Arc<Trie>, bool), StorageError> {
+        let find = |tries: &[(Vec<usize>, Arc<Trie>)]| {
+            let (_, trie) = tries.iter().find(|(p, _)| p == positions)?;
+            Some(Arc::clone(trie))
+        };
+        if let Some(trie) = find(&self.lock_tries()) {
+            return Ok((trie, true));
+        }
+        let built = Arc::new(self.trie(positions)?);
+        let mut tries = self.lock_tries();
+        let trie = find(&tries).unwrap_or_else(|| {
+            tries.push((positions.to_vec(), Arc::clone(&built)));
+            built
+        });
+        Ok((trie, false))
+    }
+
+    /// Heap bytes of the tries memoized on the run.
+    pub fn trie_bytes(&self) -> usize {
+        self.lock_tries().iter().map(|(_, t)| t.heap_bytes()).sum()
+    }
+
+    /// The memo, whole even if a holder panicked: it is only ever pushed to.
+    fn lock_tries(&self) -> MutexGuard<'_, Vec<(Vec<usize>, Arc<Trie>)>> {
+        self.tries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -302,7 +334,7 @@ pub struct DeltaRelation {
     /// Modification epoch: a fresh process-unique stamp
     /// ([`crate::cache::next_stamp`]) on every mutation, so equal epochs imply
     /// identical visible state — what compare-and-set writers validate
-    /// against. (The access-structure cache never reads it: it keys by run.)
+    /// against. (Trie reuse never reads it: tries are memoized on the run.)
     epoch: u64,
     /// [`DeltaRelation::values_written`]; not part of the state codec.
     values_written: u64,
@@ -389,8 +421,8 @@ impl DeltaRelation {
     }
 
     /// The log's run — the live tuples as of the last seal — or `None` for a
-    /// log with no sealed live tuple. An access-cache entry keyed by it dies
-    /// once no log holds it.
+    /// log with no sealed live tuple. Its memoized tries
+    /// ([`Run::shared_trie`]) die once no log holds it.
     pub fn fold(&self) -> Option<Arc<Run>> {
         self.run.clone()
     }
@@ -527,7 +559,7 @@ impl DeltaRelation {
     /// stays live).
     ///
     /// Sealing an **empty** buffer is a complete no-op: the epoch is not
-    /// bumped and the run is untouched, so every cached trie of it keeps
+    /// bumped and the run is untouched, so every memoized trie of it keeps
     /// hitting. Nor does a buffer whose ops cancel out touch the run.
     pub fn seal(&mut self) {
         if self.buffer_signs.is_empty() {
@@ -1347,6 +1379,30 @@ mod tests {
         d.insert(vec![1000, 1]).unwrap();
         d.seal();
         assert_eq!(two.strong_count(), 0, "the seal replaced it");
+    }
+
+    #[test]
+    fn a_runs_tries_are_memoized_per_order_and_die_with_it() {
+        let d = random_log(0x5EED);
+        let run = d.live_run();
+        let mut memoized = Vec::new();
+        for positions in [[0, 1, 2], [2, 0, 1], [0, 1, 2], [2, 0, 1]] {
+            let (trie, hit) = run.shared_trie(&positions).unwrap();
+            assert_eq!(*trie, run.trie(&positions).unwrap(), "{positions:?}");
+            let first = memoized.iter().find(|(p, _)| *p == positions);
+            assert_eq!(hit, first.is_some(), "{positions:?}");
+            if let Some((_, t)) = first {
+                assert!(Arc::ptr_eq(t, &trie), "{positions:?}");
+            }
+            memoized.push((positions, trie));
+        }
+        let bytes = memoized[..2].iter().map(|(_, t)| t.heap_bytes()).sum();
+        assert_eq!(run.trie_bytes(), bytes);
+        let weak = Arc::downgrade(&memoized[0].1);
+        drop(memoized);
+        assert!(weak.upgrade().is_some(), "the run holds its tries");
+        drop((run, d));
+        assert!(weak.upgrade().is_none(), "and they go with it");
     }
 
     #[test]

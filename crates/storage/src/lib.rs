@@ -36,11 +36,12 @@
 //!   merged in per query, and its access structure is a plain [`trie::Trie`]
 //!   ([`delta::Run::trie`]), so both engines run unmodified (and
 //!   bit-identically to a full rebuild) over live data;
-//! * [`cache`] — the access-structure cache: one built trie per log run and
-//!   column permutation, keyed by the run's id in a shared
-//!   [`cache::AccessCache`] with a byte budget and cost-aware (GreedyDual-Size)
-//!   eviction; a loaded relation's run is its rows, and a seal gives the log a
-//!   new run, built once per order;
+//! * [`cache`] — trie reuse: one built trie per log run and column
+//!   permutation, memoized on the run ([`delta::Run::shared_trie`]) and dropped
+//!   with it — there is no map and no budget; a loaded relation's run is its
+//!   rows, and a seal gives the log a new run, built once per order. The
+//!   module keeps the run-id stamps, the per-query [`cache::CacheStats`] and
+//!   the cumulative [`cache::CacheCounters`] a service registers;
 //! * [`wal`] — write-ahead logging for the ingest path: every write batch is
 //!   appended as length-prefixed, CRC32-checksummed [`wal::WalOp`] records
 //!   closed by a commit marker, by the one writer ([`SegmentedWal`]) of a log
@@ -112,7 +113,7 @@ pub mod typed;
 pub mod wal;
 
 pub use access::TrieAccess;
-pub use cache::{next_stamp, AccessCache, CacheKey, CacheStats};
+pub use cache::{next_stamp, CacheCounters, CacheStats};
 pub use delta::DeltaRelation;
 pub use dictionary::{DictReader, Dictionary};
 pub use error::StorageError;

@@ -195,9 +195,9 @@ impl Trie {
     }
 
     /// [`Trie::build`] with the order given as **column positions** (a permutation of
-    /// `0..arity`, names synthesized from the stored schema) — the entry used by the
-    /// execution layer's access-structure cache, whose keys are positional so that
-    /// per-query variable names never reach (or fragment) the cache.
+    /// `0..arity`, names synthesized from the stored schema) — the entry used by
+    /// [`crate::delta::Run::trie`], whose memo is keyed by positions so that
+    /// per-query variable names never reach (or fragment) it.
     pub fn build_positions(rel: &Relation, positions: &[usize]) -> Result<Self, StorageError> {
         check_positions(rel.arity(), positions)?;
         let perm = order_perm(rel, positions);
@@ -218,8 +218,8 @@ impl Trie {
     }
 
     /// Approximate heap footprint in bytes (level value, offset and layout
-    /// arrays, order metadata) — the byte accounting behind the
-    /// access-structure cache's budget.
+    /// arrays, order metadata) — what [`crate::delta::Run::trie_bytes`] sums
+    /// over a run's memoized tries.
     pub fn heap_bytes(&self) -> usize {
         self.levels
             .iter()
