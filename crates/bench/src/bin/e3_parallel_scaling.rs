@@ -5,7 +5,7 @@
 //! Verifies on every row that the parallel output and the merged work counters
 //! are identical to their serial counterparts — scaling must not change *what*
 //! is computed, only how fast. Access structures are built serially whatever
-//! the thread count, and the timed runs find them in the access cache.
+//! the thread count, and the timed runs find them memoized on the runs.
 //!
 //! Note: wall-clock speedup is bounded by the machine's core count; on a
 //! single-core container every thread count ≥ 1 times the same — run this on

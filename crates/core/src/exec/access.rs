@@ -113,10 +113,10 @@ impl BuiltAccess {
         Ok(BuiltAccess(tries))
     }
 
-    /// Run the engine `S` over fresh cursor sets — serial for `threads == 1`,
-    /// morsel workers otherwise. Fails with [`ExecError::Canceled`] when
-    /// `token` fires mid-run, or [`ExecError::WorkerPanicked`] when a morsel
-    /// worker dies.
+    /// Run the engine `S` over one fresh cursor per trie — serial for
+    /// `threads == 1`, morsel workers (each on a clone) otherwise. Fails with
+    /// [`ExecError::Canceled`] when `token` fires mid-run, or
+    /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
     pub(super) fn run<S: InteriorStep>(
         &self,
         participants: &[Vec<usize>],
@@ -125,14 +125,8 @@ impl BuiltAccess {
         token: Option<&CancelToken>,
         morsels: Option<&OnceLock<MorselTrace>>,
     ) -> Result<ColumnSink, ExecError> {
-        run_cursors::<S, _, _>(
-            || self.0.iter().map(|t| t.cursor()).collect(),
-            participants,
-            threads,
-            ctx,
-            token,
-            morsels,
-        )
+        let mut cursors: Vec<_> = self.0.iter().map(|t| t.cursor()).collect();
+        run_cursors::<S>(&mut cursors, participants, threads, ctx, token, morsels)
     }
 }
 

@@ -18,7 +18,7 @@ use wcoj_obs::{LevelRecorder, MorselTrace};
 use wcoj_query::database::VarBinding;
 use wcoj_query::plan::is_valid_order;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
-use wcoj_storage::{AttrType, CacheStats, Relation, Schema, TrieAccess, WorkCounter};
+use wcoj_storage::{AttrType, CacheStats, Relation, Schema, TrieCursor, WorkCounter};
 
 /// Plan `query` over `db` for `opts` — `order` costed when given, the binary
 /// baseline's identity costed, else the planner's search — and [`run`] the plan.
@@ -196,41 +196,28 @@ fn levels_and_positions(
 /// only bounds cancellation latency (one chunk's subtrees).
 const CANCEL_CHUNK: usize = 64;
 
-/// Run the skeleton with step `S` over cursor sets from `make_cursors` (one
-/// cursor per atom, positioned at the root): the morsel scheduler for
-/// `threads > 1`, else the engines' own decomposition in place — the level-0
-/// intersection, then the engine body over slices of it, all into one
-/// [`ColumnSink`]: a single whole-set slice when nothing can cancel the run,
-/// [`CANCEL_CHUNK`]-value slices with a token poll between them otherwise. Rows
-/// and counters do not depend on the slicing, nor on `ctx.trace`.
-pub(super) fn run_cursors<S, C, F>(
-    make_cursors: F,
+/// Run the skeleton with step `S` over `cursors` (one per atom, positioned at
+/// the root): the morsel scheduler for `threads > 1`, else the engines' own
+/// decomposition in place — the level-0 intersection, then the engine body
+/// over slices of it, all into one [`ColumnSink`]: a single whole-set slice
+/// when nothing can cancel the run, [`CANCEL_CHUNK`]-value slices with a token
+/// poll between them otherwise. Rows and counters do not depend on the
+/// slicing, nor on `ctx.trace`.
+pub(super) fn run_cursors<S: InteriorStep>(
+    cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
     threads: usize,
     ctx: JoinCtx<'_>,
     token: Option<&CancelToken>,
     morsels: Option<&OnceLock<MorselTrace>>,
-) -> Result<ColumnSink, ExecError>
-where
-    S: InteriorStep,
-    C: TrieAccess,
-    F: Fn() -> Vec<C> + Sync,
-{
+) -> Result<ColumnSink, ExecError> {
     if threads > 1 {
-        return parallel::morsel_join::<S, C, F>(
-            make_cursors,
-            participants,
-            threads,
-            ctx,
-            token,
-            morsels,
-        );
+        return parallel::morsel_join::<S>(cursors, participants, threads, ctx, token, morsels);
     }
-    let mut cursors = make_cursors();
     if let Some(t) = token {
         t.check()?;
     }
-    let e0 = first_extension_set(&mut cursors, &participants[0], ctx);
+    let e0 = first_extension_set(cursors, &participants[0], ctx);
     let mut sink = ColumnSink::new(participants.len());
     let mut scratch = level_scratch(participants);
     let slice_len = match token {
@@ -241,14 +228,7 @@ where
         if let Some(t) = token {
             t.check()?;
         }
-        join_extensions::<S, C>(
-            &mut cursors,
-            participants,
-            slice,
-            ctx,
-            &mut sink,
-            &mut scratch,
-        );
+        join_extensions::<S>(cursors, participants, slice, ctx, &mut sink, &mut scratch);
     }
     Ok(sink)
 }

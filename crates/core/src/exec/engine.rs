@@ -3,8 +3,8 @@
 //! participating relations one level deeper, enumerate the values they agree
 //! on, bind each, recurse — and differ only in *how an interior level's values
 //! are enumerated*. That difference is the [`InteriorStep`]; everything else is
-//! written once, generically against [`TrieAccess`], so each hot loop
-//! monomorphizes per step and per cursor type (no `dyn`, no closure).
+//! written once, over the one cursor, [`TrieCursor`], so each hot loop
+//! monomorphizes per step (no `dyn`, no closure).
 //!
 //! Variables are bound in the fixed global order. The **first** variable's
 //! extension set is computed up front by one multi-way sorted intersection of the
@@ -29,7 +29,7 @@
 use super::trace::trace_kernel;
 use super::ColumnSink;
 use wcoj_obs::LevelRecorder;
-use wcoj_storage::{kernels, KernelPolicy, TrieAccess, Value, WorkCounter};
+use wcoj_storage::{kernels, KernelPolicy, TrieCursor, Value, WorkCounter};
 
 /// What every engine body reads while it runs: the kernel policy, the counter
 /// it charges (a morsel worker swaps in its private one), and the per-level
@@ -49,8 +49,8 @@ pub(crate) trait InteriorStep {
     /// With every cursor of `participants[level]` open at its sibling group:
     /// bind each value all of them share (ascending) in `sink`, running
     /// [`descend`] below it. Returns how many values were bound.
-    fn bind_each<C: TrieAccess>(
-        cursors: &mut [C],
+    fn bind_each(
+        cursors: &mut [TrieCursor<'_>],
         participants: &[Vec<usize>],
         level: usize,
         sink: &mut ColumnSink,
@@ -71,8 +71,8 @@ pub(crate) struct LeapfrogRing;
 
 impl InteriorStep for KernelExtension {
     #[inline]
-    fn bind_each<C: TrieAccess>(
-        cursors: &mut [C],
+    fn bind_each(
+        cursors: &mut [TrieCursor<'_>],
         participants: &[Vec<usize>],
         level: usize,
         sink: &mut ColumnSink,
@@ -92,7 +92,7 @@ impl InteriorStep for KernelExtension {
                 debug_assert!(found, "extension values occur in every participant");
             }
             sink.bind(level, v);
-            descend::<Self, C>(cursors, participants, level + 1, sink, scratch, ctx);
+            descend::<Self>(cursors, participants, level + 1, sink, scratch, ctx);
         }
         let bound = ext.len() as u64;
         scratch[level] = ext;
@@ -102,8 +102,8 @@ impl InteriorStep for KernelExtension {
 
 impl InteriorStep for LeapfrogRing {
     #[inline]
-    fn bind_each<C: TrieAccess>(
-        cursors: &mut [C],
+    fn bind_each(
+        cursors: &mut [TrieCursor<'_>],
         participants: &[Vec<usize>],
         level: usize,
         sink: &mut ColumnSink,
@@ -126,7 +126,7 @@ impl InteriorStep for LeapfrogRing {
                 // all k cursors agree
                 matches += 1;
                 sink.bind(level, key);
-                descend::<Self, C>(cursors, participants, level + 1, sink, scratch, ctx);
+                descend::<Self>(cursors, participants, level + 1, sink, scratch, ctx);
                 if !cursors[cur].next() {
                     break;
                 }
@@ -157,8 +157,8 @@ impl InteriorStep for LeapfrogRing {
 /// thread of execution must be the only writer of — a morsel worker records
 /// into a private one the scheduler absorbs afterwards (commutative sums, so
 /// parallel traced runs report the same deterministic totals as serial ones).
-pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
-    cursors: &mut [C],
+pub(crate) fn join_extensions<S: InteriorStep>(
+    cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
     values: &[Value],
     ctx: JoinCtx<'_>,
@@ -188,7 +188,7 @@ pub(crate) fn join_extensions<S: InteriorStep, C: TrieAccess>(
             debug_assert!(found, "extension-set values occur in every participant");
         }
         sink.bind(0, v);
-        descend::<S, C>(cursors, participants, 1, sink, scratch, ctx);
+        descend::<S>(cursors, participants, 1, sink, scratch, ctx);
     }
     for c in cursors.iter_mut() {
         ctx.counter.absorb(c.take_work());
@@ -205,8 +205,8 @@ pub(crate) fn level_scratch(participants: &[Vec<usize>]) -> Vec<Vec<Value>> {
 /// One level of the recursion: open every participating cursor one level deeper
 /// (undoing the opens and returning if any has no children), emit at the deepest
 /// level or let the [`InteriorStep`] bind and recurse, then close them again.
-fn descend<S: InteriorStep, C: TrieAccess>(
-    cursors: &mut [C],
+fn descend<S: InteriorStep>(
+    cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
     level: usize,
     sink: &mut ColumnSink,
@@ -249,8 +249,8 @@ fn descend<S: InteriorStep, C: TrieAccess>(
 /// per execution (the driver's charge; workers re-position without re-counting).
 /// Leaves the participant cursors open. Returns empty if any participant has no
 /// values.
-pub(crate) fn first_extension_set<C: TrieAccess>(
-    cursors: &mut [C],
+pub(crate) fn first_extension_set(
+    cursors: &mut [TrieCursor<'_>],
     parts0: &[usize],
     ctx: JoinCtx<'_>,
 ) -> Vec<Value> {
@@ -285,9 +285,9 @@ pub(crate) fn first_extension_set<C: TrieAccess>(
 /// traced run takes the same fused path as an untraced one. Tracing reads the
 /// counter and appends to relaxed atomics; it never changes what the kernel
 /// computes.
-pub(crate) fn level_extension_into<C: TrieAccess>(
+pub(crate) fn level_extension_into(
     ext: &mut Vec<Value>,
-    cursors: &[C],
+    cursors: &[TrieCursor<'_>],
     parts: &[usize],
     ctx: JoinCtx<'_>,
     level: usize,
@@ -364,9 +364,9 @@ mod tests {
     use super::*;
     use wcoj_storage::{Relation, Trie};
 
-    /// The whole engine over one cursor per atom, through the serial driver.
-    fn join<S: InteriorStep, C: TrieAccess>(
-        make_cursors: impl Fn() -> Vec<C> + Sync,
+    /// The whole engine over one cursor per trie, through the serial driver.
+    fn join<S: InteriorStep>(
+        tries: &[Trie],
         participants: &[Vec<usize>],
         counter: &WorkCounter,
     ) -> Vec<Vec<Value>> {
@@ -375,7 +375,8 @@ mod tests {
             counter,
             trace: None,
         };
-        run_cursors::<S, C, _>(make_cursors, participants, 1, ctx, None, None)
+        let mut cursors: Vec<_> = tries.iter().map(Trie::cursor).collect();
+        run_cursors::<S>(&mut cursors, participants, 1, ctx, None, None)
             .expect("serial runs cannot fail")
             .into_columns()
     }
@@ -409,11 +410,10 @@ mod tests {
     #[test]
     fn leapfrog_matches_generic_join() {
         let tries = tries(&triangle_relations());
-        let cursors = || tries.iter().map(|t| t.cursor()).collect::<Vec<_>>();
         let parts = triangle_participants();
         let w = WorkCounter::new();
-        let lf = join::<LeapfrogRing, _>(cursors, &parts, &w);
-        let gj = join::<KernelExtension, _>(cursors, &parts, &w);
+        let lf = join::<LeapfrogRing>(&tries, &parts, &w);
+        let gj = join::<KernelExtension>(&tries, &parts, &w);
         assert_eq!(lf, triangle_columns());
         assert_eq!(gj, lf);
     }
@@ -426,12 +426,11 @@ mod tests {
             Trie::build(&r, &["A", "B"]).unwrap(),
             Trie::build(&s, &["B", "C"]).unwrap(),
         ];
-        let cursors = || tries.iter().map(|t| t.cursor()).collect::<Vec<_>>();
         let parts = [vec![0], vec![0, 1], vec![1]];
         let w = WorkCounter::new();
         let empty = vec![Vec::<Value>::new(); 3];
-        assert_eq!(join::<KernelExtension, _>(cursors, &parts, &w), empty);
-        assert_eq!(join::<LeapfrogRing, _>(cursors, &parts, &w), empty);
+        assert_eq!(join::<KernelExtension>(&tries, &parts, &w), empty);
+        assert_eq!(join::<LeapfrogRing>(&tries, &parts, &w), empty);
         assert_eq!(w.output_tuples(), 0);
     }
 
@@ -439,11 +438,10 @@ mod tests {
     fn single_atom_query_enumerates_relation() {
         let r = Relation::from_pairs("A", "B", vec![(3, 4), (1, 2)]);
         let tries = [Trie::build(&r, &["A", "B"]).unwrap()];
-        let cursors = || tries.iter().map(|t| t.cursor()).collect::<Vec<_>>();
         let parts = [vec![0], vec![0]];
         let w = WorkCounter::new();
         let expected = vec![vec![1, 3], vec![2, 4]];
-        assert_eq!(join::<KernelExtension, _>(cursors, &parts, &w), expected);
-        assert_eq!(join::<LeapfrogRing, _>(cursors, &parts, &w), expected);
+        assert_eq!(join::<KernelExtension>(&tries, &parts, &w), expected);
+        assert_eq!(join::<LeapfrogRing>(&tries, &parts, &w), expected);
     }
 }

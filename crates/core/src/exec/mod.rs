@@ -27,10 +27,10 @@
 //! [`Engine::GenericJoin`] (Algorithm 2 of the paper) and [`Engine::Leapfrog`]
 //! (Leapfrog Triejoin) are one recursion (`engine`) parameterized by how an
 //! *interior* level's values are enumerated — a materialized kernel
-//! intersection, or the leapfrog ring of mutual seeks. It is written
-//! **generically** over `C: TrieAccess`, so the hot loops monomorphize. Both
-//! run on the one access structure, the CSR [`wcoj_storage::Trie`], through its
-//! one cursor — Generic Join's "sorted extensions of a bound prefix" is a
+//! intersection, or the leapfrog ring of mutual seeks, and monomorphized per
+//! step. Both run on the one access structure, the CSR [`wcoj_storage::Trie`],
+//! through its one cursor, [`wcoj_storage::TrieCursor`], which the engines
+//! take directly — Generic Join's "sorted extensions of a bound prefix" is a
 //! `child_start` offset of the same trie Leapfrog walks. A delta log is read
 //! as a trie as well: it holds one tombstone-free run, its buffer merged in
 //! before the join, so a log *is* the static case (same cursor, kernels and counters as
@@ -406,7 +406,7 @@ mod tests {
         assert_eq!(warm.cache_stats.misses, 0);
         assert_eq!(warm.result, cold.result);
         assert_eq!(warm.work, cold.work, "caching never changes work counters");
-        // Off bypasses the shared cache entirely: no hits, no misses recorded
+        // Off bypasses the runs' memoized tries: no hits, no misses recorded
         let off = execute_opts(
             &q,
             &db,

@@ -59,10 +59,9 @@ pub struct ExecOptions {
     /// intersection; the other values force one kernel (used by differential
     /// tests and experiments). Ignored by the binary baseline.
     pub kernel: KernelPolicy,
-    /// Access-structure cache behavior (see [`CacheMode`]): reuse builds from
-    /// the database's shared cache ([`CacheMode::On`], the default) or bypass
-    /// the cache. Ignored by the binary baseline,
-    /// which builds no access structures.
+    /// Trie reuse (see [`CacheMode`]): reuse the tries memoized on the runs
+    /// read ([`CacheMode::On`], the default) or build fresh ones. Ignored by
+    /// the binary baseline, which builds no access structures.
     pub cache: CacheMode,
     /// Optional trace sink: `Some` makes the execution deposit a
     /// [`wcoj_obs::QueryTrace`] — plan choice, per-level extension-set statistics,

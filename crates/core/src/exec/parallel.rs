@@ -12,8 +12,8 @@
 //! starve the schedule). `std::thread::scope` workers then claim morsels from a
 //! shared atomic counter; each worker owns
 //!
-//! * a **private cursor set** (cursors are `Send + Clone`: they borrow the shared
-//!   trie and own their stack),
+//! * a **private cursor set**, a clone of the driver's (cursors are
+//!   `Send + Clone`: they borrow the shared trie and own their stack),
 //! * a **private [`WorkCounter`]**, and
 //! * when the run is traced, a **private [`LevelRecorder`]**,
 //!
@@ -38,7 +38,7 @@
 //! identical to serial execution regardless of scheduling; `ColumnSink::concat`
 //! checks each morsel boundary, so the merged sink is verified canonical too.
 //! Work counters are deterministic too: the driver's intersection is counted exactly
-//! once, per-value re-positioning is uncounted (`TrieAccess::reposition`), and all
+//! once, per-value re-positioning is uncounted (`TrieCursor::reposition`), and all
 //! counted work below level 0 is a pure function of the value being extended — so the
 //! merged counters equal the serial engine's for *any* thread count. The differential
 //! test suite asserts both properties for threads ∈ {1, 2, 4, 8}.
@@ -50,45 +50,40 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use wcoj_obs::{LevelRecorder, MorselTrace, WorkerTrace};
 use wcoj_storage::topology;
-use wcoj_storage::{TrieAccess, Value, WorkCounter};
+use wcoj_storage::{TrieCursor, Value, WorkCounter};
 
 /// Morsels handed out per worker thread: small enough that a skewed heavy-hitter
 /// value cannot leave threads idle, large enough that the scheduling atomics are
 /// noise.
 const MORSELS_PER_THREAD: usize = 8;
 
-/// Run the engine skeleton with step `S` over `threads` workers, each holding a
-/// private cursor set produced by `make_cursors` (one cursor per atom, positioned at the root). Returns the
-/// result tuples in the same order as serial execution; merged worker counters and
-/// the driver's intersection work are recorded into `ctx.counter`, and the
-/// scheduling report into `morsels` when tracing. A `token` is polled in every
+/// Run the engine skeleton with step `S` over `threads` workers. The driver
+/// intersects the level-0 groups on `cursors` (one per atom, positioned at the
+/// root), which leaves the level-0 participants open, and each worker runs on
+/// a private clone of that set. Returns the result tuples in the same order as
+/// serial execution; merged worker counters and the driver's intersection work
+/// are recorded into `ctx.counter`, and the scheduling report into `morsels`
+/// when tracing. A `token` is polled in every
 /// worker's morsel claim loop: once it fires, workers stop claiming, the scope
 /// drains, and the call returns [`ExecError::Canceled`] (partial output is
 /// discarded) — with a token that never fires, rows and counters are
 /// bit-identical to a token-less run.
-pub(crate) fn morsel_join<S, C, F>(
-    make_cursors: F,
+pub(crate) fn morsel_join<S: InteriorStep>(
+    cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
     threads: usize,
     ctx: JoinCtx<'_>,
     token: Option<&CancelToken>,
     morsels: Option<&OnceLock<MorselTrace>>,
-) -> Result<ColumnSink, ExecError>
-where
-    S: InteriorStep,
-    C: TrieAccess,
-    F: Fn() -> Vec<C> + Sync,
-{
+) -> Result<ColumnSink, ExecError> {
     debug_assert!(threads >= 1);
     if let Some(t) = token {
         t.check()?;
     }
     // The driver computes the extension set once, charging the intersection work to
     // the main counter — the same charge serial execution makes.
-    let extensions = {
-        let mut driver_cursors = make_cursors();
-        first_extension_set(&mut driver_cursors, &participants[0], ctx)
-    };
+    let extensions = first_extension_set(cursors, &participants[0], ctx);
+    let cursors: &[TrieCursor<'_>] = cursors;
     let morsel_len = extensions
         .len()
         .div_ceil(threads * MORSELS_PER_THREAD)
@@ -104,7 +99,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let (next_morsel, slices) = (&next_morsel, &slices);
-                let make_cursors = &make_cursors;
                 scope.spawn(move || {
                     let cpu = topology::worker_cpu(w);
                     let pinned = topology::pin_current_thread(cpu);
@@ -116,7 +110,7 @@ where
                         trace: levels.as_ref(),
                         ..ctx
                     };
-                    let mut cursors = make_cursors();
+                    let mut cursors = cursors.to_vec();
                     let mut report = WorkerTrace {
                         claimed: 0,
                         pin: pinned.then_some(cpu),
@@ -133,17 +127,9 @@ where
                         if token.is_some_and(|t| t.is_canceled()) {
                             break;
                         }
-                        if report.claimed == 0 {
-                            // lazily open the level-0 participants: workers that
-                            // never claim a morsel touch nothing
-                            for &ci in &participants[0] {
-                                let ok = cursors[ci].open();
-                                debug_assert!(ok, "non-empty extension set implies children");
-                            }
-                        }
                         report.claimed += 1;
                         let mut sink = ColumnSink::new(participants.len());
-                        join_extensions::<S, C>(
+                        join_extensions::<S>(
                             &mut cursors,
                             participants,
                             slices[m],
@@ -223,14 +209,18 @@ mod tests {
         ]
     }
 
+    fn cursors(tries: &[Trie]) -> Vec<TrieCursor<'_>> {
+        tries.iter().map(Trie::cursor).collect()
+    }
+
     #[test]
     fn morsel_join_matches_serial_rows_and_counters() {
         let tries = triangle_tries();
         let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
 
         let serial_counter = WorkCounter::new();
-        let serial = run_cursors::<KernelExtension, _, _>(
-            || tries.iter().map(|t| t.cursor()).collect(),
+        let serial = run_cursors::<KernelExtension>(
+            &mut cursors(&tries),
             &participants,
             1,
             ctx(&serial_counter),
@@ -244,8 +234,8 @@ mod tests {
 
         for threads in [1, 2, 4, 8] {
             let parallel_counter = WorkCounter::new();
-            let out = morsel_join::<KernelExtension, _, _>(
-                || tries.iter().map(|t| t.cursor()).collect(),
+            let out = morsel_join::<KernelExtension>(
+                &mut cursors(&tries),
                 &participants,
                 threads,
                 ctx(&parallel_counter),
@@ -272,8 +262,8 @@ mod tests {
         ];
         let w = WorkCounter::new();
         let slot = OnceLock::new();
-        let out = morsel_join::<LeapfrogRing, _, _>(
-            || tries.iter().map(|t| t.cursor()).collect(),
+        let out = morsel_join::<LeapfrogRing>(
+            &mut cursors(&tries),
             &[vec![0, 1], vec![0], vec![1]],
             4,
             ctx(&w),
@@ -290,21 +280,16 @@ mod tests {
     }
 
     /// A worker that dies mid-run becomes a typed error naming it — never a
-    /// poisoned-lock panic in the driver.
+    /// poisoned-lock panic in the driver. Here every worker indexes a cursor
+    /// the deepest level names but the set lacks; the driver's level-0
+    /// intersection does not reach it.
     #[test]
     fn worker_panic_is_a_typed_error() {
         let tries = triangle_tries();
-        let participants = vec![vec![0, 2], vec![0, 1], vec![1, 2]];
-        let calls = AtomicUsize::new(0);
+        let participants = vec![vec![0, 2], vec![0, 1], vec![1, 3]];
         let w = WorkCounter::new();
-        let err = morsel_join::<KernelExtension, _, _>(
-            || {
-                // the driver's cursor set (call 0) builds; every worker's dies
-                if calls.fetch_add(1, Ordering::SeqCst) > 0 {
-                    panic!("cursor construction failed");
-                }
-                tries.iter().map(|t| t.cursor()).collect()
-            },
+        let err = morsel_join::<KernelExtension>(
+            &mut cursors(&tries),
             &participants,
             2,
             ctx(&w),
@@ -312,9 +297,12 @@ mod tests {
             None,
         )
         .unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::WorkerPanicked("worker 0: cursor construction failed".into())
+        let ExecError::WorkerPanicked(message) = err else {
+            panic!("expected a worker panic, got {err:?}");
+        };
+        assert!(
+            message.starts_with("worker 0: index out of bounds"),
+            "{message}"
         );
     }
 }

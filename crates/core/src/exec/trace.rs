@@ -137,8 +137,8 @@ pub(super) fn trace_kernel(kind: kernels::KernelKind) -> TraceKernel {
 
 /// Classify one atom's cache interaction by diffing the per-query
 /// [`CacheStats`] around its build: exactly one tally moves per cached build,
-/// and none on the cache-bypassing paths (a log with buffered ops or no sealed
-/// run, [`super::CacheMode::Off`], a disabled cache).
+/// and none on the reuse-bypassing paths (a log with buffered ops or no sealed
+/// run, [`super::CacheMode::Off`]).
 pub(super) fn atom_outcome(before: &CacheStats, after: &CacheStats) -> &'static str {
     if after.hits > before.hits {
         "hit"

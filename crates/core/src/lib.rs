@@ -30,11 +30,9 @@
 //! nothing in this crate reads the environment, the filesystem or a clock to
 //! decide *what* to execute — there is no host tuning.
 //!
-//! The skeleton is written once, **generically**, against the
-//! [`wcoj_storage::TrieAccess`] trait, so it runs monomorphized over the CSR
-//! trie's cursor — a delta log is read through the trie of its run — and any
-//! future access path (compressed, distributed) only has to implement the
-//! trait.
+//! The skeleton is written once, over the one cursor,
+//! [`wcoj_storage::TrieCursor`] of the CSR trie — a delta log is read through
+//! the trie of its run — and monomorphized per engine step.
 //!
 //! # Example: the triangle query three ways
 //!

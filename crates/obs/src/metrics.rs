@@ -190,8 +190,8 @@ impl Registry {
     }
 
     /// Register an existing shared counter under `name` (for subsystems that
-    /// own their primitives, like the access cache). Panics if the name is
-    /// taken by a different primitive instance.
+    /// own their primitives, like a catalog's trie-reuse counters). Panics if
+    /// the name is taken by a different primitive instance.
     pub fn register_counter(&self, name: &str, counter: Arc<Counter>) {
         let mut map = unpoison(self.inner.lock());
         match map.entry(name.to_string()) {

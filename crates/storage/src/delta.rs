@@ -706,7 +706,6 @@ impl DeltaRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::TrieAccess;
     use crate::trie::TrieCursor;
 
     fn schema_ab() -> Schema {
@@ -965,7 +964,7 @@ mod tests {
         let trie = d.live_run().trie(&[0, 1]).unwrap();
         let mut c = trie.cursor();
         assert!(c.open());
-        assert_eq!(TrieAccess::remaining(&c), &[2]);
+        assert_eq!(c.remaining(), &[2]);
         assert_trie_matches_snapshot(&d);
     }
 
@@ -1131,10 +1130,10 @@ mod tests {
         assert_eq!(d.run_ids().len(), 1);
         let trie = d.live_run().trie(&[0, 1]).unwrap();
         let mut c = trie.cursor();
-        assert_eq!(TrieAccess::arity(&c), 2);
-        assert!(TrieAccess::at_end(&c)); // root
+        assert_eq!(c.arity(), 2);
+        assert!(c.at_end()); // root
         assert!(c.open());
-        assert_eq!(TrieAccess::remaining(&c), &[0, 1, 2, 3]);
+        assert_eq!(c.remaining(), &[0, 1, 2, 3]);
         assert!(c.seek(2));
         assert_eq!(c.key(), 2);
         assert!(c.reposition(0));
@@ -1145,7 +1144,7 @@ mod tests {
         assert!(!w.is_zero(), "the seek was charged");
         c.up();
         c.up();
-        assert_eq!(TrieAccess::depth(&c), 0);
+        assert_eq!(c.depth(), 0);
     }
 
     #[test]
@@ -1167,7 +1166,7 @@ mod tests {
         assert!(c.open());
         c.take_work();
         assert!(c.open());
-        assert_eq!(TrieAccess::remaining(&c).len(), 32, "4 dead, 4 fresh");
+        assert_eq!(c.remaining().len(), 32, "4 dead, 4 fresh");
         assert!(c.seek(40));
         let first = c.take_work();
         assert!(!first.is_zero());

@@ -72,14 +72,13 @@
 //!
 //! # Append contract
 //!
-//! Every `*_into` entry point ([`intersect_into`], [`intersect_into_at`],
-//! [`intersect_layouts_into`]) **appends** the intersection to `out` and never
-//! reads, reorders or drops what `out` already holds — short-circuits append
-//! nothing. That is what lets the execution layer
-//! hand the deepest join level the result column itself: the extension set of
-//! a bound prefix lands behind the previous prefix's, written once. A caller
-//! reusing one buffer across intersections clears it between calls; counters
-//! and output are those of clear-then-intersect either way.
+//! Both entry points ([`intersect_into_at`], [`intersect_layouts_into`])
+//! **append** the intersection to `out` and never read, reorder or drop what
+//! `out` already holds — short-circuits append nothing. That is what lets the
+//! execution layer hand the deepest join level the result column itself: the
+//! extension set of a bound prefix lands behind the previous prefix's, written
+//! once. A caller reusing one buffer across intersections clears it between
+//! calls; counters and output are those of clear-then-intersect either way.
 //!
 //! # Work accounting
 //!
@@ -185,35 +184,15 @@ pub fn choose_kernel(lists: &[&[Value]], lo: Value, hi: Value) -> KernelKind {
     }
 }
 
-/// Intersect any number of sorted, deduplicated value slices under `policy`,
-/// returning a fresh vector. See [`intersect_into`] for the appending variant
-/// the engines' hot loops use.
-pub fn intersect(lists: &[&[Value]], policy: KernelPolicy, counter: &WorkCounter) -> Vec<Value> {
-    let mut out = Vec::new();
-    intersect_into(&mut out, lists, policy, counter);
-    out
-}
-
-/// Intersect `lists` under `policy`, **appending** the result to `out` (see the
-/// module docs' *Append contract*) and recording work and the kernel choice
-/// into `counter`. All kernels produce identical output: the ascending sorted
-/// intersection. Runs at the detected SIMD level; the SIMD level never changes
-/// output or counters. Returns the kernel that ran (`None` when a short-circuit
-/// skipped the kernel layer).
-pub fn intersect_into(
-    out: &mut Vec<Value>,
-    lists: &[&[Value]],
-    policy: KernelPolicy,
-    counter: &WorkCounter,
-) -> Option<KernelKind> {
-    intersect_into_at(simd::active_level(), out, lists, policy, counter)
-}
-
-/// [`intersect_into`] at an explicit SIMD level, appending to `out` like every
-/// `*_into` here. The execution layer resolves the level once per query and
-/// calls this in its hot loop; differential tests pin it to compare code paths.
-/// Returns the kernel that ran, so tracing can attribute the choice per level;
-/// `None` means a short-circuit (empty operand, single list, disjoint spans)
+/// Intersect any number of sorted, deduplicated value slices under `policy`
+/// at SIMD `level`, **appending** the result to `out` (see the module docs'
+/// *Append contract*) and recording work and the kernel choice into
+/// `counter`. All kernels produce identical output, the ascending sorted
+/// intersection, and the level never changes output or counters. The
+/// execution layer resolves the level once per query and calls this in its
+/// hot loop; differential tests pin it to compare code paths. Returns the
+/// kernel that ran, so tracing can attribute the choice per level; `None`
+/// means a short-circuit (empty operand, single list, disjoint spans)
 /// answered before any kernel dispatched. The return value is derived from
 /// state the function computes anyway, so ignoring it costs nothing.
 pub fn intersect_into_at(
@@ -441,14 +420,15 @@ fn gallop_intersect(
         &mut pos_vec
     };
 
-    let mut steps = 0u64;
+    let (mut steps, mut probes) = (0u64, 0u64);
     'outer: for &v in lists[smallest] {
         steps += 1;
         for (i, list) in lists.iter().enumerate() {
             if i == smallest {
                 continue;
             }
-            let pos = crate::ops::gallop_at(level, list, positions[i], v, counter);
+            let (pos, charged) = gallop_from(level, list, positions[i], v);
+            probes += charged;
             positions[i] = pos;
             if pos >= list.len() {
                 break 'outer; // this list is exhausted: nothing further matches
@@ -460,6 +440,26 @@ fn gallop_intersect(
         out.push(v);
     }
     counter.add_intersect_steps(steps);
+    counter.add_probes(probes);
+}
+
+/// One gallop of [`gallop_intersect`] in `list` from frontier `start`: probe
+/// the frontier value, and only when it lies below `target` run the one
+/// search ([`crate::ops::gallop_lub`]) past it. Returns the least-upper-bound
+/// index and the probes charged.
+#[inline]
+pub(crate) fn gallop_from(
+    level: SimdLevel,
+    list: &[Value],
+    start: usize,
+    target: Value,
+) -> (usize, u64) {
+    match list.get(start) {
+        Some(&first) if first < target => {
+            crate::ops::gallop_lub(level, list, start, list.len(), target, 1)
+        }
+        _ => (start, 1),
+    }
 }
 
 /// Span-windowed bitset intersection: seed a bitset over `[lo, hi]` from the
@@ -689,6 +689,13 @@ pub fn intersect_layouts_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The list kernels at the detected SIMD level, into a fresh vector.
+    fn intersect(lists: &[&[Value]], policy: KernelPolicy, w: &WorkCounter) -> Vec<Value> {
+        let mut out = Vec::new();
+        intersect_into_at(simd::active_level(), &mut out, lists, policy, w);
+        out
+    }
 
     fn run(lists: &[&[Value]], policy: KernelPolicy) -> Vec<Value> {
         intersect(lists, policy, &WorkCounter::new())
@@ -1024,18 +1031,21 @@ mod tests {
     #[test]
     fn intersect_into_appends_and_leaves_clearing_to_the_caller() {
         let w = WorkCounter::new();
+        let into = |out: &mut Vec<Value>, lists: &[&[Value]], policy| {
+            intersect_into_at(simd::active_level(), out, lists, policy, &w)
+        };
         let mut out = vec![99, 98, 97];
         let a: Vec<Value> = vec![1, 2, 3];
-        intersect_into(&mut out, &[&a, &a], KernelPolicy::Merge, &w);
+        into(&mut out, &[&a, &a], KernelPolicy::Merge);
         assert_eq!(out, vec![99, 98, 97, 1, 2, 3]);
         // every short-circuit leaves `out` alone too
-        intersect_into(&mut out, &[], KernelPolicy::Adaptive, &w);
-        intersect_into(&mut out, &[&a, &[]], KernelPolicy::Adaptive, &w);
-        intersect_into(&mut out, &[&a, &[4, 5]], KernelPolicy::Adaptive, &w);
+        into(&mut out, &[], KernelPolicy::Adaptive);
+        into(&mut out, &[&a, &[]], KernelPolicy::Adaptive);
+        into(&mut out, &[&a, &[4, 5]], KernelPolicy::Adaptive);
         assert_eq!(out, vec![99, 98, 97, 1, 2, 3]);
         // a reused buffer is the caller's to clear
         out.clear();
-        intersect_into(&mut out, &[&a, &[2, 3, 4]], KernelPolicy::Gallop, &w);
+        into(&mut out, &[&a, &[2, 3, 4]], KernelPolicy::Gallop);
         assert_eq!(out, vec![2, 3]);
     }
 }

@@ -18,17 +18,14 @@
 //!   recorded in the [`stats::WorkCounter`] breakdown — plus the **set layouts**
 //!   the static access structures prebuild for their dense sibling groups
 //!   ([`kernels::Layout`]), which turn dense∩dense into a word-parallel AND;
-//! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order with a
-//!   seekable cursor, the access path of both Generic Join and Leapfrog Triejoin;
+//! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order,
 //!   built by a single fused argsort-and-scan pass over the relation's columns,
-//!   on the calling thread;
-//! * [`access::TrieAccess`] — the cursor trait the join engines in `wcoj-core` are
-//!   written against — once, generically, monomorphized per cursor type: Generic
-//!   Join's "sorted extensions of a bound prefix" is one `child_start` offset of
-//!   the same trie Leapfrog walks, so [`trie::Trie`] is the **one** access
-//!   structure and [`trie::TrieCursor`] the one cursor. Every cursor is
+//!   on the calling thread, and the **one** access structure: Generic Join's
+//!   "sorted extensions of a bound prefix" is one `child_start` offset of the
+//!   same trie Leapfrog walks. Its seekable [`trie::TrieCursor`] is the one
+//!   cursor the join engines in `wcoj-core` take; every cursor is
 //!   `Send + Clone`, so parallel workers hold private cursors over one shared
-//!   access structure;
+//!   trie;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as at most one tombstone-free sorted run plus an append buffer,
 //!   and a seal merges the buffer into that run by one signed merge; a query
@@ -94,7 +91,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod access;
 pub mod cache;
 pub mod delta;
 pub mod dictionary;
@@ -112,7 +108,6 @@ pub mod tune;
 pub mod typed;
 pub mod wal;
 
-pub use access::TrieAccess;
 pub use cache::{next_stamp, CacheCounters, CacheStats};
 pub use delta::DeltaRelation;
 pub use dictionary::{DictReader, Dictionary};

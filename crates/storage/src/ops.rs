@@ -1,6 +1,7 @@
 //! Classical relational operators — the binary hash join and a naive
 //! nested-loop multi-way join used as ground truth in differential tests — plus
-//! the least-upper-bound searches every seekable cursor shares.
+//! the one galloping least-upper-bound search that cursor seeks and the
+//! galloping intersection kernel share.
 //!
 //! The hash join is the building block of the *baseline* the paper's worst-case
 //! optimal algorithms are compared against (the "one-pair-at-a-time join
@@ -10,43 +11,10 @@
 
 use crate::error::StorageError;
 use crate::relation::Relation;
+use crate::simd::{self, SimdLevel};
 use crate::stats::WorkCounter;
 use crate::Value;
 use std::collections::HashMap;
-
-/// Least-upper-bound galloping search within `values[start..end]`: the first index
-/// `>= start` (and `< end`) whose value is `>= target`, or `end` if none. Returns the
-/// index and the number of probes performed. The seek of [`crate::TrieCursor`].
-pub(crate) fn gallop_lub(
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> (usize, u64) {
-    debug_assert!(end <= values.len());
-    // Galloping: double the step until we pass `target`, then binary search.
-    let mut step = 1usize;
-    let mut lo = start;
-    let mut probes = 1u64;
-    while lo + step < end && values[lo + step] < target {
-        lo += step;
-        step *= 2;
-        probes += 1;
-    }
-    let mut h = end.min(lo + step + 1);
-    // Binary search in [lo, h) for the first value >= target.
-    let mut l = lo;
-    while l < h {
-        let m = (l + h) / 2;
-        probes += 1;
-        if values[m] < target {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    (l, probes)
-}
 
 /// Sibling groups at or below this length are sought by a branch-predictable
 /// linear scan instead of galloping: for tiny groups the scan's sequential loads
@@ -55,16 +23,17 @@ pub(crate) const LINEAR_SEEK_MAX: usize = 16;
 
 /// Adaptive least-upper-bound seek at an explicit SIMD level: linear scan for
 /// windows at or under [`LINEAR_SEEK_MAX`] (recorded as comparisons),
-/// galloping search otherwise (recorded as probes). Returns `(position,
-/// probes, comparisons)` — the seek path shared by every cursor, mirroring the
-/// kernel layer's adaptivity at the single-seek grain.
+/// [`gallop_lub`] otherwise (recorded as probes). Returns `(position, probes,
+/// comparisons)` — the one search of [`crate::TrieCursor`], which counts it in
+/// `seek` and drops the counts in `advance_to`, mirroring the kernel layer's
+/// adaptivity at the single-seek grain.
 ///
 /// The counted work is a pure function of `(start, end, position)` — the
 /// linear path charges `1 + (position - start)` comparisons and the gallop
-/// path charges the [`gallop_lub`] probe sequence replayed arithmetically — so
-/// the SIMD level changes wall-clock only, never the counters.
+/// path its probe sequence — so the SIMD level changes wall-clock only, never
+/// the counters.
 pub(crate) fn seek_lub(
-    level: crate::simd::SimdLevel,
+    level: SimdLevel,
     values: &[Value],
     start: usize,
     end: usize,
@@ -72,89 +41,40 @@ pub(crate) fn seek_lub(
 ) -> (usize, u64, u64) {
     debug_assert!(end <= values.len());
     if end - start <= LINEAR_SEEK_MAX {
-        let pos = crate::simd::linear_lub(level, values, start, end, target);
+        let pos = simd::linear_lub(level, values, start, end, target);
         (pos, 0, 1 + (pos - start) as u64)
     } else {
-        match level {
-            crate::simd::SimdLevel::Scalar => {
-                let (pos, probes) = gallop_lub(values, start, end, target);
-                (pos, probes, 0)
-            }
-            _ => {
-                let (pos, probes) = gallop_lub_at(level, values, start, end, target);
-                (pos, probes, 0)
-            }
-        }
+        let (pos, probes) = gallop_lub(level, values, start, end, target, 0);
+        (pos, probes, 0)
     }
 }
 
-/// Uncounted least-upper-bound search in `values[start..end]` — the repositioning
-/// path (`advance_to`) which by contract records no work, on a group without a
-/// set layout (a dense one repositions by rank). Linear scan up to
-/// [`LINEAR_SEEK_MAX`], galloping search above it.
-#[inline]
-pub(crate) fn advance_lub(
-    level: crate::simd::SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> usize {
-    debug_assert!(end <= values.len());
-    if end - start <= LINEAR_SEEK_MAX {
-        crate::simd::linear_lub(level, values, start, end, target)
-    } else {
-        find_lub(level, values, start, end, target)
-    }
-}
+/// Values a binary search narrows down by vector scan instead of by halving.
+const SIMD_TAIL: usize = 64;
 
-/// Position-only least-upper-bound search: the same doubling phase as
-/// [`gallop_lub`], but the binary phase hands its last iterations to the SIMD
-/// forward scan once the window is small — fewer data-dependent branches, same
-/// position.
-fn find_lub(
-    level: crate::simd::SimdLevel,
-    values: &[Value],
-    start: usize,
-    end: usize,
-    target: Value,
-) -> usize {
-    const SIMD_TAIL: usize = 64;
-    let mut step = 1usize;
-    let mut lo = start;
-    while lo + step < end && values[lo + step] < target {
-        lo += step;
-        step *= 2;
-    }
-    let mut h = end.min(lo + step + 1);
-    let mut l = lo;
-    while h - l > SIMD_TAIL {
-        let m = (l + h) / 2;
-        if values[m] < target {
-            l = m + 1;
-        } else {
-            h = m;
-        }
-    }
-    crate::simd::linear_lub(level, values, l, h, target)
-}
-
-/// [`gallop_lub`] with a SIMD binary tail and an identical probe tally.
+/// The one galloping least-upper-bound search: the first index in
+/// `values[start..end]` whose value is `>= target` (`end` if none), and the
+/// probes it charges. The step doubles from `start` until it passes `target`,
+/// then a binary search narrows the bracket. The first `below` values of the
+/// bracket are known to lie under `target` and are skipped: the galloping
+/// kernel passes 1, having probed `values[start]` itself (that probe is the
+/// tally's first), and a seek passes 0.
 ///
-/// The doubling phase and the wide binary iterations run (and count) exactly
-/// as in [`gallop_lub`]; once the window shrinks to one vector-scan's worth,
-/// the landing position comes from [`crate::simd::linear_lub`] and the probes
-/// the remaining binary iterations *would* have recorded are replayed with
-/// pure index arithmetic — inside `[l, h)` the position is the partition
-/// point, so `values[m] < target ⟺ m < position`.
-fn gallop_lub_at(
-    level: crate::simd::SimdLevel,
+/// At [`SimdLevel::Scalar`] the binary search runs to the end. At a vector
+/// level it stops once [`SIMD_TAIL`] values remain, lands by
+/// [`simd::linear_lub`], and replays the iterations it skipped with index
+/// arithmetic alone — inside the bracket the landing position is the
+/// partition point, so `values[m] < target ⟺ m < position` — so the probe
+/// tally is the scalar one at every level.
+pub(crate) fn gallop_lub(
+    level: SimdLevel,
     values: &[Value],
     start: usize,
     end: usize,
     target: Value,
+    below: usize,
 ) -> (usize, u64) {
-    const SIMD_TAIL: usize = 64;
+    debug_assert!(start + below <= end && end <= values.len());
     let mut step = 1usize;
     let mut lo = start;
     let mut probes = 1u64;
@@ -163,9 +83,12 @@ fn gallop_lub_at(
         step *= 2;
         probes += 1;
     }
-    let mut h = end.min(lo + step + 1);
-    let mut l = lo;
-    while h - l > SIMD_TAIL {
+    let (mut l, mut h) = (lo + below, end.min(lo + step + 1));
+    let tail = match level {
+        SimdLevel::Scalar => 0,
+        _ => SIMD_TAIL,
+    };
+    while h - l > tail {
         let m = (l + h) / 2;
         probes += 1;
         if values[m] < target {
@@ -174,7 +97,7 @@ fn gallop_lub_at(
             h = m;
         }
     }
-    let pos = crate::simd::linear_lub(level, values, l, h, target);
+    let pos = simd::linear_lub(level, values, l, h, target);
     while l < h {
         let m = (l + h) / 2;
         probes += 1;
@@ -185,88 +108,6 @@ fn gallop_lub_at(
         }
     }
     (pos, probes)
-}
-
-/// Find the first index `>= start` with `list[index] >= target` using galloping search.
-pub(crate) fn gallop(list: &[Value], start: usize, target: Value, counter: &WorkCounter) -> usize {
-    let mut lo = start;
-    if lo >= list.len() || list[lo] >= target {
-        counter.add_probes(1);
-        return lo;
-    }
-    let mut step = 1usize;
-    let mut probes = 1u64;
-    while lo + step < list.len() && list[lo + step] < target {
-        lo += step;
-        step *= 2;
-        probes += 1;
-    }
-    let mut hi = (lo + step + 1).min(list.len());
-    let mut l = lo + 1;
-    while l < hi {
-        let m = (l + hi) / 2;
-        probes += 1;
-        if list[m] < target {
-            l = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    counter.add_probes(probes);
-    l
-}
-
-/// [`gallop`] at an explicit SIMD level: the doubling phase and wide binary
-/// iterations run (and count) exactly as in [`gallop`]; the last vector-scan's
-/// worth of binary search is done by [`crate::simd::linear_lub`] with the
-/// skipped iterations' probes replayed arithmetically, so the tally is
-/// bit-identical to the scalar path.
-pub(crate) fn gallop_at(
-    level: crate::simd::SimdLevel,
-    list: &[Value],
-    start: usize,
-    target: Value,
-    counter: &WorkCounter,
-) -> usize {
-    if let crate::simd::SimdLevel::Scalar = level {
-        return gallop(list, start, target, counter);
-    }
-    let mut lo = start;
-    if lo >= list.len() || list[lo] >= target {
-        counter.add_probes(1);
-        return lo;
-    }
-    const SIMD_TAIL: usize = 64;
-    let mut step = 1usize;
-    let mut probes = 1u64;
-    while lo + step < list.len() && list[lo + step] < target {
-        lo += step;
-        step *= 2;
-        probes += 1;
-    }
-    let mut hi = (lo + step + 1).min(list.len());
-    let mut l = lo + 1;
-    while hi - l > SIMD_TAIL {
-        let m = (l + hi) / 2;
-        probes += 1;
-        if list[m] < target {
-            l = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    let pos = crate::simd::linear_lub(level, list, l, hi, target);
-    while l < hi {
-        let m = (l + hi) / 2;
-        probes += 1;
-        if m < pos {
-            l = m + 1;
-        } else {
-            hi = m;
-        }
-    }
-    counter.add_probes(probes);
-    pos
 }
 
 /// Positions of the common attributes, the output attribute sources, and the output
@@ -409,12 +250,16 @@ pub fn nested_loop_join(relations: &[&Relation]) -> Result<Relation, StorageErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{intersect, KernelPolicy};
+    use crate::kernels::{gallop_from, intersect_into_at, KernelPolicy};
     use crate::schema::Schema;
+    use crate::trie::Trie;
 
     /// The adaptive kernel layer's multi-way intersection, as the engines call it.
     fn intersect_sorted(lists: &[&[Value]], counter: &WorkCounter) -> Vec<Value> {
-        intersect(lists, KernelPolicy::Adaptive, counter)
+        let mut out = Vec::new();
+        let level = simd::active_level();
+        intersect_into_at(level, &mut out, lists, KernelPolicy::Adaptive, counter);
+        out
     }
 
     fn r() -> Relation {
@@ -470,16 +315,94 @@ mod tests {
         assert!(w.probes() < 200, "probes = {}", w.probes());
     }
 
+    /// The one search in its three forms — a counted seek, an uncounted
+    /// cursor advance over a sparse group, and the galloping kernel's — lands
+    /// on `partition_point` at every runnable SIMD level and charges the
+    /// scalar level's probes and comparisons. Windows are random sorted runs
+    /// on both sides of `LINEAR_SEEK_MAX` and of `SIMD_TAIL`, targets below,
+    /// equal to, between and above their values; the first cases are fixed.
     #[test]
     fn gallop_finds_lub() {
-        let w = WorkCounter::new();
-        let list = vec![2, 4, 6, 8, 10];
-        assert_eq!(gallop(&list, 0, 5, &w), 2);
-        assert_eq!(gallop(&list, 0, 6, &w), 2);
-        assert_eq!(gallop(&list, 0, 1, &w), 0);
-        assert_eq!(gallop(&list, 0, 11, &w), 5);
-        assert_eq!(gallop(&list, 3, 9, &w), 4);
-        assert_eq!(gallop(&list, 5, 1, &w), 5);
+        let list = [2, 4, 6, 8, 10];
+        for (start, target, lub) in [
+            (0, 5, 2),
+            (0, 6, 2),
+            (0, 1, 0),
+            (0, 11, 5),
+            (3, 9, 4),
+            (5, 1, 5),
+        ] {
+            for level in simd::runnable_levels() {
+                assert_eq!(gallop_from(level, &list, start, target).0, lub);
+            }
+        }
+
+        let mut state = 0x5EA2_C4A1u64;
+        let mut next = move |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let (mut linear, mut tails) = (0, 0);
+        for case in 0..400u64 {
+            let len = match case % 4 {
+                0 => 1 + next(LINEAR_SEEK_MAX as u64 + 4),
+                1 => SIMD_TAIL as u64 - 4 + next(10),
+                _ => 1 + next(600),
+            } as usize;
+            // gaps of at least 17 keep every group sparse: no rank path
+            let mut values = vec![next(1000)];
+            for _ in 1..len {
+                values.push(values[values.len() - 1] + 17 + next(200));
+            }
+            let relation = Relation::from_rows(
+                Schema::new(&["A"]),
+                values.iter().map(|&v| vec![v]).collect(),
+            );
+            let trie = Trie::build(&relation, &["A"]).unwrap();
+            for _ in 0..8 {
+                let start = next(len as u64) as usize;
+                let end = start + 1 + next((len - start) as u64) as usize;
+                let window = &values[start..end];
+                let pick = window[next(window.len() as u64) as usize];
+                let target = match next(4) {
+                    0 => values[start].saturating_sub(1 + next(3)),
+                    1 => pick,
+                    2 => pick + 1 + next(16),
+                    _ => values[end - 1] + 1 + next(1000),
+                };
+                let lub = start + window.partition_point(|&v| v < target);
+                let scalar = seek_lub(SimdLevel::Scalar, &values, start, end, target);
+                let kernel = gallop_from(SimdLevel::Scalar, &values[..end], start, target);
+                linear += (end - start <= LINEAR_SEEK_MAX) as u64;
+                tails += (end - start > SIMD_TAIL) as u64;
+                for level in simd::runnable_levels() {
+                    let what = format!("{level:?}: {start}..{end} of {len}, target {target}");
+                    let seek = seek_lub(level, &values, start, end, target);
+                    assert_eq!(seek, (lub, scalar.1, scalar.2), "seek at {what}");
+                    let gallop = gallop_from(level, &values[..end], start, target);
+                    assert_eq!(gallop, (lub, kernel.1), "kernel gallop at {what}");
+                    // a cursor advances over the whole group from `start`
+                    let whole = start + values[start..].partition_point(|&v| v < target);
+                    let mut c = trie.cursor().at_level(level);
+                    assert!(c.open() && c.reposition(values[start]));
+                    assert_eq!(c.layout(), None, "a sparse group");
+                    let found = c.advance_to(target);
+                    assert_eq!(
+                        values.len() - c.remaining().len(),
+                        whole,
+                        "advance at {what}"
+                    );
+                    assert_eq!(found, values.get(whole) == Some(&target), "{what}");
+                    assert!(c.take_work().is_zero(), "advance_to drops the counts");
+                }
+            }
+        }
+        assert!(
+            linear > 1_000 && tails > 500,
+            "{linear} linear, {tails} tail windows"
+        );
     }
 
     #[test]

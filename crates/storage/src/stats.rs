@@ -18,14 +18,14 @@
 //!   `Send + Clone` so parallel workers can hold private stacks, which rules out a
 //!   shared `&WorkCounter` inside the cursor; instead each cursor accumulates into
 //!   its own `CursorWork` and the engine drains it into the run's `WorkCounter` via
-//!   `TrieAccess::take_work`.
+//!   [`crate::TrieCursor::take_work`].
 
 use crate::kernels::KernelKind;
 use std::cell::Cell;
 use std::ops::AddAssign;
 
 /// Plain-integer work tallies accumulated privately by a cursor and drained into a
-/// [`WorkCounter`] by the engine (see `TrieAccess::take_work`).
+/// [`WorkCounter`] by the engine (see [`crate::TrieCursor::take_work`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorWork {
     /// Index probes: galloping-search probes performed by `seek`.

@@ -21,13 +21,36 @@
 //! fold into one tombstone-free run, a plain relation, and
 //! [`crate::delta::Run::trie`] is this builder over it.
 //!
-//! A [`TrieCursor`] implements the linear-iterator interface Leapfrog needs: `open`,
-//! `up`, `next`, `seek` (least upper bound within the current sibling group), `key`,
-//! `at_end`. `seek` uses galloping (exponential then binary) search so that a full
-//! leapfrog intersection of `k` sorted sets costs `O(k · min_size · log(max/min))`.
-//! Cursors are `Send + Clone` — they borrow the (immutable, `Sync`) trie and own
-//! their stack plus private [`CursorWork`] tallies, so independent parallel workers
-//! can each hold their own cursor over one shared trie.
+//! # The cursor
+//!
+//! The worst-case optimal join algorithms of the paper need one capability
+//! from storage: positioned enumeration of the sorted values that extend a
+//! bound prefix, with a least-upper-bound `seek`, so that an intersection
+//! costs time proportional to its smallest set (Section 2). [`TrieCursor`]
+//! is that capability — the classic Leapfrog Triejoin iterator, and equally
+//! the "sorted extensions of a prefix" Generic Join (Algorithm 2) assumes —
+//! and Generic Join and Leapfrog Triejoin in `wcoj-core` take it directly.
+//! `seek` gallops (exponential then binary search, `ops::gallop_lub`), so a
+//! full leapfrog intersection of `k` sorted sets costs
+//! `O(k · min_size · log(max/min))`. Cursors are `Send + Clone` — they borrow
+//! the (immutable, `Sync`) trie and own their stack plus private
+//! [`CursorWork`] tallies, which the engine drains with
+//! [`TrieCursor::take_work`] — so morsel workers each hold a private cursor
+//! over one shared trie. A cursor in a dense sibling group also hands out the
+//! group's prebuilt set layout ([`TrieCursor::layout`]): when every cursor of
+//! an intersection has one, the engines AND bitset words instead of scanning
+//! the lists.
+//!
+//! The contract: a cursor is a stack of *sibling groups*. At depth `d` it
+//! stands at one value of the sorted group of distinct values extending the
+//! length-`d-1` prefix chosen at shallower depths. `open` descends into the
+//! children of the current value, `up` pops back, `next`/`seek` move within
+//! the current group and never escape it. `seek` only moves forward (targets
+//! must be non-decreasing between `open`s — the leapfrog discipline);
+//! `reposition` and `advance_to` move only to keys whose discovery was
+//! already paid for elsewhere, so they record no work. At the root there is
+//! no group: `next`, `seek`, `reposition` and `advance_to` answer `false`
+//! there without moving, and only `key` panics.
 
 use crate::error::StorageError;
 use crate::kernels::{self, Layout};
@@ -273,8 +296,8 @@ struct Frame<'a> {
 }
 
 /// A seekable cursor over a [`Trie`], implementing the Leapfrog Triejoin iterator
-/// interface. `Send + Clone`: it borrows the shared trie and owns its stack and
-/// work tallies.
+/// interface under the contract in the module docs. `Send + Clone`: it borrows
+/// the shared trie and owns its stack and work tallies.
 #[derive(Debug, Clone)]
 pub struct TrieCursor<'a> {
     trie: &'a Trie,
@@ -346,7 +369,8 @@ impl<'a> TrieCursor<'a> {
         self.trie.levels[self.stack.len() - 1].values[frame.pos]
     }
 
-    /// Whether the cursor has run past the last sibling at the current level.
+    /// Whether the cursor has run past the last sibling at the current level
+    /// (always true at the root).
     pub fn at_end(&self) -> bool {
         match self.stack.last() {
             None => true,
@@ -370,8 +394,8 @@ impl<'a> TrieCursor<'a> {
     }
 
     /// Seek to the least sibling with value `>= target` (adaptive: linear scan for
-    /// short groups, galloping search otherwise). Returns `false` if no such
-    /// sibling exists (the cursor is then `at_end`), or at the root.
+    /// short groups, galloping search otherwise). Forward-only. Returns `false`
+    /// if no such sibling exists (the cursor is then `at_end`), or at the root.
     #[inline]
     pub fn seek(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
@@ -424,7 +448,8 @@ impl<'a> TrieCursor<'a> {
     /// member, so the members in `[current key, target)` are counted a word at
     /// a time (`kernels::members_between`) and the cursor moves that many
     /// places — no value is compared but the one it lands on. A sparse group
-    /// searches forward from the cursor (`ops::advance_lub`).
+    /// searches forward from the cursor by `seek`'s search, whose counts it
+    /// drops.
     #[inline]
     pub fn advance_to(&mut self, target: Value) -> bool {
         let depth = self.stack.len();
@@ -441,13 +466,13 @@ impl<'a> TrieCursor<'a> {
         }
         frame.pos = match frame.layout {
             Some(layout) => frame.pos + kernels::members_between(layout, current, target),
-            None => crate::ops::advance_lub(self.simd, values, frame.pos, frame.end, target),
+            None => crate::ops::seek_lub(self.simd, values, frame.pos, frame.end, target).0,
         };
         frame.pos < frame.end && values[frame.pos] == target
     }
 
-    /// Convenience: the values remaining in the current sibling group, from the
-    /// cursor's position onward.
+    /// The values remaining in the current sibling group, from the cursor's
+    /// position onward (empty at the root).
     #[inline]
     pub fn remaining(&self) -> &'a [Value] {
         match self.stack.last() {
@@ -464,7 +489,9 @@ impl<'a> TrieCursor<'a> {
         self.stack.last()?.layout
     }
 
-    /// Drain the cursor's private work tallies (resetting them to zero).
+    /// Drain the cursor's private work tallies (resetting them to zero). The
+    /// engines call this once per cursor at the end of a run and absorb the
+    /// result into their [`crate::WorkCounter`].
     #[inline]
     pub fn take_work(&mut self) -> CursorWork {
         std::mem::take(&mut self.work)
@@ -474,7 +501,16 @@ impl<'a> TrieCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaRelation;
     use crate::schema::Schema;
+
+    impl TrieCursor<'_> {
+        /// The cursor at an explicit SIMD level, which changes wall-clock only.
+        pub(crate) fn at_level(mut self, level: crate::simd::SimdLevel) -> Self {
+            self.simd = level;
+            self
+        }
+    }
 
     fn rel() -> Relation {
         Relation::from_rows(
@@ -800,6 +836,15 @@ mod tests {
         assert_eq!(b.key(), 4);
     }
 
+    #[test]
+    fn cursors_are_send_clone_and_indexes_sync() {
+        fn assert_send_clone<T: Send + Clone>() {}
+        fn assert_sync<T: Sync>() {}
+        assert_send_clone::<TrieCursor<'_>>();
+        assert_sync::<Trie>();
+        assert_sync::<DeltaRelation>();
+    }
+
     /// Shapes at the edges of the fused scan: no child offsets at all (unary),
     /// one root whose group holds every row, and fewer roots than chunks any
     /// partition of the rows would cut — each enumerates its rows and has the
@@ -860,6 +905,170 @@ mod tests {
             }
         }
         c.up();
+    }
+
+    /// `rel()` as a churned log: a seal of all but two of its rows plus four
+    /// junk rows, a seal that puts the two back and deletes one junk row, and
+    /// a buffer that deletes the rest and re-inserts one more.
+    fn churned() -> DeltaRelation {
+        let r = rel();
+        let junk = |j: Value| vec![9, 9, j];
+        let mut log = DeltaRelation::new(r.schema().clone());
+        log.set_seal_threshold(usize::MAX);
+        for t in r.iter().skip(2).chain((0..4).map(junk)) {
+            log.insert(t).unwrap();
+        }
+        log.seal();
+        for t in r.iter().take(2) {
+            log.insert(t).unwrap();
+        }
+        log.delete(&junk(0)).unwrap();
+        log.seal();
+        for j in 1..4 {
+            log.delete(&junk(j)).unwrap();
+        }
+        log.delete(&[4, 1, 2]).unwrap();
+        log.insert(vec![4, 1, 2]).unwrap();
+        assert_eq!((log.fold().map(|r| r.len()), log.buffered()), (Some(9), 5));
+        log
+    }
+
+    /// The static trie and the trie a churned log is read through, over the
+    /// same tuples: the same structure, bit for bit.
+    #[test]
+    fn both_backends_enumerate_identically() {
+        let r = rel();
+        let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
+        let live = churned().live_run().trie(&[0, 1, 2]).unwrap();
+        assert_eq!(live, trie);
+        for t in [&trie, &live] {
+            let mut out = Vec::new();
+            walk(&mut t.cursor(), 3, &mut Vec::new(), &mut out);
+            assert_eq!(out, r.rows());
+        }
+    }
+
+    #[test]
+    fn navigation_follows_the_contract() {
+        let trie = Trie::build(&rel(), &["A", "B", "C"]).unwrap();
+        let c = &mut trie.cursor();
+        assert_eq!(c.arity(), 3);
+        assert!(c.at_end()); // root
+        assert!(c.remaining().is_empty());
+        assert!(c.open());
+        assert_eq!(c.depth(), 1);
+        assert_eq!(c.key(), 1);
+        assert_eq!(c.remaining(), &[1, 2, 4]); // A in {1, 2, 4}
+        assert!(c.seek(3));
+        assert_eq!(c.key(), 4); // lub of 3
+        assert!(c.reposition(1)); // backward, uncounted
+        assert_eq!(c.key(), 1);
+        assert!(c.reposition(4));
+        assert!(c.open());
+        assert_eq!(c.key(), 1); // B under A=4
+        assert!(c.open());
+        assert_eq!(c.remaining().len(), 2); // C in {1, 2}
+        assert!(c.next());
+        assert_eq!(c.key(), 2);
+        assert!(!c.next());
+        assert!(c.at_end());
+        c.up();
+        c.up();
+        assert_eq!(c.depth(), 1);
+        assert!(!c.seek(5)); // nothing >= 5 at level A
+        assert!(c.at_end());
+        assert!(!c.take_work().is_zero());
+    }
+
+    /// Every set bit of a layout, ascending.
+    fn decode((base, words): Layout<'_>) -> Vec<Value> {
+        let bits = |i: usize| (0..64).filter(move |b| words[i] >> b & 1 == 1);
+        (0..words.len())
+            .flat_map(|i| bits(i).map(move |b| base + 64 * i as u64 + b))
+            .collect()
+    }
+
+    #[test]
+    fn dense_trie_groups_carry_their_layout_and_a_churned_logs_fold_keeps_them() {
+        // root: {3, 200, 9000} (sparse); under 3: 70..=134 step 2 (dense, first
+        // off the 64-grid); under 200: four values (tiny); under 9000: a wide
+        // sparse group
+        let mut rows: Vec<Vec<Value>> = (70..=134).step_by(2).map(|b| vec![3, b]).collect();
+        rows.extend((0..4).map(|b| vec![200, b]));
+        rows.extend((0..8).map(|b| vec![9000, b * 1000]));
+        let r = Relation::from_rows(Schema::new(&["A", "B"]), rows);
+        let trie = Trie::build(&r, &["A", "B"]).unwrap();
+        let mut c = trie.cursor();
+        assert_eq!(c.layout(), None, "at the root");
+        assert!(c.open());
+        assert_eq!(c.layout(), None, "three root values are a tiny group");
+        assert!(c.open()); // under A = 3
+        let group = c.remaining().to_vec();
+        let (base, words) = c.layout().expect("a dense group");
+        assert_eq!((base, words.len()), (64, 2));
+        assert_eq!(decode((base, words)), group);
+        // the layout is the whole group's wherever the cursor stands
+        assert!(c.seek(101));
+        assert_eq!(c.key(), 102);
+        assert_eq!(decode(c.layout().unwrap()), group);
+        c.up();
+        for sparse in [200, 9000] {
+            assert!(c.seek(sparse));
+            assert!(c.open());
+            assert_eq!(c.layout(), None, "under A = {sparse}");
+            c.up();
+        }
+
+        // a seal under A = 3 (one tombstone, one insert): the log is read
+        // through its new run, whose dense group keeps a layout
+        let mut log = DeltaRelation::from_relation(r);
+        log.set_seal_threshold(usize::MAX);
+        assert!(log.delete(&[3, 70]).unwrap());
+        assert!(log.insert(vec![3, 71]).unwrap());
+        log.seal();
+        assert_eq!(log.run_ids().len(), 1);
+        let live = log.live_run().trie(&[0, 1]).unwrap();
+        let mut d = live.cursor();
+        assert!(d.open() && d.open());
+        let merged: Vec<Value> = std::iter::once(71)
+            .chain(group[1..].iter().copied())
+            .collect();
+        assert_eq!(d.remaining(), merged.as_slice());
+        assert_eq!(decode(d.layout().expect("a dense group")), merged);
+        d.up();
+        assert!(d.seek(200) && d.open());
+        assert_eq!(d.remaining(), &[0, 1, 2, 3]);
+    }
+
+    /// At the root there is no group to move in: every positioning call
+    /// answers `false` and leaves the cursor where it is (before the first
+    /// `open` and after the last `up`).
+    #[test]
+    fn positioning_at_the_root_answers_false() {
+        let trie = Trie::build(&rel(), &["A", "B", "C"]).unwrap();
+        let c = &mut trie.cursor();
+        for _ in 0..2 {
+            assert!(!c.next());
+            assert!(!c.seek(1));
+            assert!(!c.reposition(1));
+            assert!(!c.advance_to(1));
+            assert_eq!((c.depth(), c.at_end(), c.remaining()), (0, true, &[][..]));
+            assert!(c.open() && c.open());
+            c.up();
+            c.up();
+        }
+    }
+
+    #[test]
+    fn empty_relation_cursors() {
+        let r = Relation::empty(Schema::new(&["A", "B"]));
+        let trie = Trie::build(&r, &["A", "B"]).unwrap();
+        let log = DeltaRelation::from_relation(r);
+        let live = log.live_run().trie(&[0, 1]).unwrap();
+        assert_eq!(live, trie);
+        let mut tc = live.cursor();
+        assert!(!tc.open());
+        assert_eq!(tc.arity(), 2);
     }
 
     #[test]
