@@ -12,9 +12,24 @@
 //!
 //! With unit weights the optimum is the fractional edge cover number `ρ*(H)`, and
 //! `|Q| ≤ N^{ρ*}` where `N = max_F N_F` (Grohe–Marx / Alon / Friedgut–Kahn).
+//!
+//! Under cardinality constraints alone, (5) is the dual of the modular LP (54):
+//!
+//! ```text
+//! maximize   Σ_v h_v
+//! subject to Σ_{v ∈ F} h_v ≤ log2 N_F   for every atom F
+//!            h ≥ 0
+//! ```
+//!
+//! Every log size is `≥ 0`, so the origin of (54) is feasible, and
+//! [`wcoj_lp::solve_packing_lp`] solves it in one phase from the slack basis.
+//! By complementary slackness the optimal cover `δ_F` is the reduced cost of
+//! atom `F`'s slack column, read off the final tableau. Every bound here — the
+//! AGM bound, the planner's prefix bounds and `ρ*` — is that one solve, over
+//! rows taken from the atoms as they are.
 
 use crate::BoundError;
-use wcoj_lp::{Cmp, LinearProgram, Sense};
+use wcoj_lp::{solve_packing_lp, LpError};
 use wcoj_query::{Atom, ConjunctiveQuery, Database, Hypergraph, VarId};
 
 /// The result of solving the AGM LP.
@@ -22,7 +37,7 @@ use wcoj_query::{Atom, ConjunctiveQuery, Database, Hypergraph, VarId};
 pub struct AgmBound {
     /// `log2` of the bound on `|Q|`.
     pub log2_bound: f64,
-    /// The optimal fractional edge cover, one weight per atom (in atom order).
+    /// An optimal fractional edge cover, one weight per atom (in atom order).
     pub exponents: Vec<f64>,
     /// `log2 N_F` per atom, as used in the objective.
     pub log_sizes: Vec<f64>,
@@ -35,36 +50,28 @@ impl AgmBound {
     }
 }
 
-/// Solve the fractional edge cover LP with the given per-edge objective weights
-/// (`log2` sizes). Returns `(objective, cover)`.
-fn solve_cover_lp(h: &Hypergraph, weights: &[f64]) -> Result<(f64, Vec<f64>), BoundError> {
-    if !h.covers_all_vertices() {
-        return Err(BoundError::Infinite {
+/// Solve the cover LP (5) over `num_vars` variables as its dual (54): one row per
+/// atom, its weight (`log2` size) and the variables it covers. Returns
+/// `(objective, cover)`.
+fn solve_cover_lp<R, I>(num_vars: usize, rows: R) -> Result<(f64, Vec<f64>), BoundError>
+where
+    R: IntoIterator<Item = (f64, I)>,
+    R::IntoIter: ExactSizeIterator,
+    I: IntoIterator<Item = VarId>,
+{
+    match solve_packing_lp(num_vars, rows) {
+        Ok(packing) => Ok((packing.objective, packing.dual)),
+        Err(LpError::Unbounded) => Err(BoundError::Infinite {
             reason: "some variable occurs in no atom".to_string(),
-        });
+        }),
+        Err(e) => Err(e.into()),
     }
-    let mut lp = LinearProgram::new(Sense::Minimize);
-    let vars: Vec<_> = weights
-        .iter()
-        .enumerate()
-        .map(|(f, &w)| lp.add_var(format!("delta_{f}"), w))
-        .collect();
-    for v in 0..h.num_vertices() {
-        let terms: Vec<_> = h
-            .edges_containing(v)
-            .into_iter()
-            .map(|f| (vars[f], 1.0))
-            .collect();
-        lp.add_constraint(&terms, Cmp::Ge, 1.0);
-    }
-    let sol = lp.solve()?;
-    Ok((sol.objective, sol.primal))
 }
 
 /// The fractional edge cover number `ρ*(H)`: the covering LP with unit weights.
 pub fn fractional_edge_cover_number(h: &Hypergraph) -> f64 {
-    let weights = vec![1.0; h.num_edges()];
-    solve_cover_lp(h, &weights)
+    let rows = h.edges().iter().map(|edge| (1.0, edge.iter().copied()));
+    solve_cover_lp(h.num_vertices(), rows)
         .map(|(obj, _)| obj)
         .unwrap_or(f64::INFINITY)
 }
@@ -100,7 +107,9 @@ pub fn agm_bound_from_sizes(
         });
     }
     let log_sizes: Vec<f64> = sizes.iter().map(|&s| (s as f64).log2()).collect();
-    let (obj, cover) = solve_cover_lp(&query.hypergraph(), &log_sizes)?;
+    let rows =
+        (query.atoms().iter().zip(&log_sizes)).map(|(atom, &l)| (l, atom.vars.iter().copied()));
+    let (obj, cover) = solve_cover_lp(query.num_vars(), rows)?;
     Ok(AgmBound {
         log2_bound: obj,
         exponents: cover,
@@ -135,8 +144,10 @@ pub fn agm_bound(query: &ConjunctiveQuery, db: &Database) -> Result<AgmBound, Bo
 /// optimum charges either one atom containing both or the smallest atom of each:
 /// `min(min_{F ⊇ {u,v}} N_F, min_{F ∋ u} N_F · min_{F ∋ v} N_F)`.
 ///
-/// An empty atom (`log_sizes[F] = -inf`) touching `vars` gives `-inf`; a variable
-/// no atom contains is [`BoundError::Infinite`].
+/// Every log size must be a finite number `≥ 0` (`0` is a one-row relation) or
+/// `-inf` (an empty relation), else [`BoundError::Invalid`] names the atom. An
+/// empty atom touching `vars` gives `-inf`; a variable no atom contains is
+/// [`BoundError::Infinite`].
 pub fn prefix_log2_bound(
     query: &ConjunctiveQuery,
     log_sizes: &[f64],
@@ -145,6 +156,13 @@ pub fn prefix_log2_bound(
     let atoms = query.atoms();
     if log_sizes.len() != atoms.len() {
         return Err(BoundError::Invalid("one log size per atom".to_string()));
+    }
+    let valid = |l: f64| l == f64::NEG_INFINITY || (l.is_finite() && l >= 0.0);
+    if let Some(f) = log_sizes.iter().position(|&l| !valid(l)) {
+        return Err(BoundError::Invalid(format!(
+            "atom {f} ({}) has log size {}, not a finite number >= 0 or -inf",
+            atoms[f].name, log_sizes[f]
+        )));
     }
     // the smallest log size among the atoms containing every variable of `of`
     let smallest = |of: &[VarId]| {
@@ -158,21 +176,19 @@ pub fn prefix_log2_bound(
         [v] => smallest(&[v]),
         [u, v] => smallest(&[u, v]).min(smallest(&[u]) + smallest(&[v])),
         _ => {
-            // the restricted hypergraph: vertex `i` is `vars[i]`; an atom that
-            // misses `vars` is an empty edge, which covers nothing at weight 0
-            let vertices = |atom: &Atom| -> Vec<VarId> {
-                (0..vars.len())
-                    .filter(|&i| atom.vars.contains(&vars[i]))
-                    .collect()
-            };
-            let edges: Vec<Vec<VarId>> = atoms.iter().map(vertices).collect();
-            let weights: Vec<f64> = (edges.iter().zip(log_sizes))
-                .map(|(edge, &l)| if edge.is_empty() { 0.0 } else { l })
-                .collect();
-            if weights.contains(&f64::NEG_INFINITY) {
+            // LP variable `i` is `vars[i]`; an atom that misses `vars` is an
+            // empty row, which bounds nothing whatever its weight
+            let touches = |atom: &Atom| vars.iter().any(|v| atom.vars.contains(v));
+            if (atoms.iter().zip(log_sizes))
+                .any(|(atom, &l)| l == f64::NEG_INFINITY && touches(atom))
+            {
                 return Ok(f64::NEG_INFINITY);
             }
-            solve_cover_lp(&Hypergraph::new(vars.len(), edges), &weights)?.0
+            let rows = atoms.iter().zip(log_sizes).map(|(atom, &l)| {
+                let row = (0..vars.len()).filter(|&i| atom.vars.contains(&vars[i]));
+                (l.max(0.0), row)
+            });
+            solve_cover_lp(vars.len(), rows)?.0
         }
     };
     // a closed form over a variable no atom contains (the LP reports its own)
@@ -302,6 +318,28 @@ mod tests {
             let bound = prefix_log2_bound(&q, &empty_s, vars).unwrap();
             assert_eq!(bound, f64::NEG_INFINITY, "{vars:?}");
         }
+    }
+
+    #[test]
+    fn a_log_size_that_is_no_size_is_invalid_and_names_its_atom() {
+        let q = examples::triangle(); // R(A,B), S(B,C), T(A,C)
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let logs = [2.0, bad, 6.0];
+            for vars in [&[0][..], &[0, 1], &[0, 1, 2]] {
+                match prefix_log2_bound(&q, &logs, vars) {
+                    Err(BoundError::Invalid(msg)) => assert!(msg.contains("atom 1 (S)"), "{msg}"),
+                    other => panic!("{bad} over {vars:?}: {other:?}"),
+                }
+            }
+        }
+        // a one-row relation weighs 0 bits; an empty one empties what it touches
+        let one_row = [0.0, 6.0, 6.0];
+        assert_eq!(prefix_log2_bound(&q, &one_row, &[0, 1]).unwrap(), 0.0);
+        assert!((prefix_log2_bound(&q, &one_row, &[0, 1, 2]).unwrap() - 6.0).abs() < 1e-9);
+        let empty = [f64::NEG_INFINITY, 6.0, 6.0];
+        assert_eq!(prefix_log2_bound(&q, &empty, &[2]).unwrap(), 6.0);
+        let bound = prefix_log2_bound(&q, &empty, &[0, 1, 2]).unwrap();
+        assert_eq!(bound, f64::NEG_INFINITY);
     }
 
     #[test]

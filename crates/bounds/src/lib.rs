@@ -5,7 +5,8 @@
 //! PODS 2018) and the bound-related machinery of Section 5:
 //!
 //! * the **AGM bound** (Corollary 4.2): the fractional edge cover LP (5)/(42) with
-//!   `log` cardinalities as weights — [`agm`];
+//!   `log` cardinalities as weights, solved as its dual, the packing LP (54) under
+//!   cardinality constraints, from that LP's feasible origin — [`agm`];
 //! * **entropy set functions** of concrete query outputs (the entropy argument of
 //!   Section 2 / 4.2), together with checks that they really are polymatroids —
 //!   [`entropy`], [`setfn`];
@@ -14,7 +15,7 @@
 //!   [`polymatroid`];
 //! * the **modular LP** (54) and its dual (57) for *acyclic* degree constraints
 //!   (Proposition 4.4), where the polymatroid bound is tight and poly-time
-//!   computable — [`modular`];
+//!   computable, by the same packing solver — [`modular`];
 //! * the **entropic bound** (43) in the regimes where it is computable, with the
 //!   relationship between the bounds spelled out — [`entropic`];
 //! * **Shannon-flow inequalities** (Definition 5) and **proof sequences**

@@ -14,9 +14,16 @@
 //! dual variables `δ_{Y|X}` are the exponents of the generalized AGM bound
 //! `|Q| ≤ ∏ N_{Y|X}^{δ_{Y|X}}` (equation (57)) — these exponents are exactly what
 //! Algorithm 3's runtime analysis (Theorem 5.1) needs.
+//!
+//! (54) is a packing LP: its coefficients are 0/1 and, once a zero bound has
+//! short-circuited to an empty output, every `log2 N_{Y|X}` is `≥ 0`. So its
+//! origin is feasible and [`wcoj_lp::solve_packing_lp`] solves it in one phase
+//! from the slack basis, with each constraint's `Y − X` as its row; `δ` is the
+//! reduced costs of the slack columns. It is the solver of the AGM bound too
+//! ([`crate::agm`]), which is (54) under cardinality constraints alone.
 
 use crate::BoundError;
-use wcoj_lp::{Cmp, LinearProgram, LpError, Sense};
+use wcoj_lp::{solve_packing_lp, LpError};
 use wcoj_query::repair::{bound_variables, repair_to_acyclic};
 use wcoj_query::ConstraintSet;
 
@@ -62,15 +69,14 @@ pub fn modular_bound_unchecked(n: usize, dc: &ConstraintSet) -> Result<ModularBo
             exponents: vec![0.0; dc.len()],
         });
     }
-    let mut lp = LinearProgram::new(Sense::Maximize);
-    let vars: Vec<_> = (0..n).map(|i| lp.add_var(format!("v{i}"), 1.0)).collect();
-    for c in dc.iter() {
-        let terms: Vec<_> = c.y_minus_x().into_iter().map(|i| (vars[i], 1.0)).collect();
-        lp.add_constraint(&terms, Cmp::Le, c.log_bound());
-    }
-    let sol = match lp.solve() {
+    // one packing row per constraint: its log bound over the variables of Y − X
+    let rows = dc.constraints().iter().map(|c| {
+        let y_minus_x = c.y.iter().copied().filter(|v| !c.x.contains(v));
+        (c.log_bound(), y_minus_x)
+    });
+    let sol = match solve_packing_lp(n, rows) {
         Ok(s) => s,
-        Err(LpError::Unbounded) | Err(LpError::EmptyProblem) => {
+        Err(LpError::Unbounded) => {
             return Err(BoundError::Infinite {
                 reason: "some variable is not bounded by any degree constraint".to_string(),
             })

@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-/// Errors returned by [`crate::LinearProgram::solve`].
+/// Errors returned by [`crate::LinearProgram::solve`] and
+/// [`crate::solve_packing_lp`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
     /// The feasible region is empty.
@@ -16,6 +17,9 @@ pub enum LpError {
     IterationLimit(usize),
     /// A constraint referenced a variable id that was never added to the program.
     UnknownVariable(usize),
+    /// A packing row's bound is not a finite number `≥ 0`, so the origin is no
+    /// feasible start (the row's index).
+    InvalidBound(usize),
 }
 
 impl fmt::Display for LpError {
@@ -29,6 +33,12 @@ impl fmt::Display for LpError {
             }
             LpError::UnknownVariable(v) => {
                 write!(f, "constraint references unknown variable id {v}")
+            }
+            LpError::InvalidBound(row) => {
+                write!(
+                    f,
+                    "packing row {row} has a bound that is not finite and >= 0"
+                )
             }
         }
     }
@@ -52,6 +62,7 @@ mod tests {
         );
         assert!(LpError::IterationLimit(10).to_string().contains("10"));
         assert!(LpError::UnknownVariable(3).to_string().contains('3'));
+        assert!(LpError::InvalidBound(4).to_string().contains('4'));
     }
 
     #[test]

@@ -9,22 +9,33 @@
 //! * the polymatroid bound is the exponential-size LP (68),
 //! * Shannon-flow inequalities are characterized by feasibility of the dual LP (72).
 //!
-//! This crate provides the solver used by `wcoj-bounds` for all of these: a dense,
-//! two-phase primal simplex with Bland's anti-cycling rule, returning both the primal
-//! optimum and the dual solution (needed to translate bound proofs into algorithms,
-//! Section 5 of the paper).
+//! This crate has two solvers:
 //!
-//! The solver is intentionally simple: the LPs arising from join queries have
-//! 0/±1 constraint matrices and `log`-of-cardinality objective coefficients, so a
-//! dense tableau with `f64` arithmetic and a modest tolerance is exact enough (vertex
-//! solutions such as the triangle's (½, ½, ½) are recovered to ~1e-9).
+//! * [`solve_packing_lp`] for the packing LP `max Σ v  s.t.  Σ_{j ∈ row} v_j ≤ b,
+//!   v ≥ 0` with `b ≥ 0` — the modular LP (54), and under cardinality
+//!   constraints the dual of the AGM cover LP (5). Its origin is feasible, so it
+//!   runs one phase of primal simplex from the slack basis on one flat tableau,
+//!   and returns the optimal cover `δ` as the dual prices. `wcoj-bounds` solves
+//!   the AGM bound, the planner's prefix bounds, `ρ*` and the modular bound with
+//!   it: every plan's LP;
+//! * [`LinearProgram`], a dense two-phase primal simplex over general rows, for
+//!   the LPs without that shape: the polymatroid LP (68) and the Shannon-flow
+//!   LP (72). It returns both the primal optimum and the dual solution (needed
+//!   to translate bound proofs into algorithms, Section 5 of the paper).
+//!
+//! Both pivot by Bland's anti-cycling rule and are intentionally simple: the LPs
+//! arising from join queries have 0/±1 constraint matrices and
+//! `log`-of-cardinality coefficients, so a dense tableau with `f64` arithmetic
+//! and a modest tolerance is exact enough (vertex solutions such as the
+//! triangle's (½, ½, ½) are recovered to ~1e-9).
 //!
 //! # Example
 //!
-//! Fractional edge cover LP for the triangle query with |R| = |S| = |T| = 2:
+//! The triangle query with |R| = |S| = |T| = 2, as the cover LP (5) through the
+//! general solver and as its dual packing LP:
 //!
 //! ```
-//! use wcoj_lp::{LinearProgram, Sense, Cmp};
+//! use wcoj_lp::{solve_packing_lp, LinearProgram, Sense, Cmp};
 //!
 //! let mut lp = LinearProgram::new(Sense::Minimize);
 //! let r = lp.add_var("delta_R", 1.0); // objective coefficient log2 |R| = 1
@@ -37,17 +48,26 @@
 //! let sol = lp.solve().unwrap();
 //! assert!((sol.objective - 1.5).abs() < 1e-9);            // rho* = 3/2
 //! assert!((sol.primal[r] - 0.5).abs() < 1e-9);
+//!
+//! // one row per edge: its log size and its variables A = 0, B = 1, C = 2
+//! let edges: [(f64, &[usize]); 3] = [(1.0, &[0, 1]), (1.0, &[1, 2]), (1.0, &[0, 2])];
+//! let packing = solve_packing_lp(3, edges.iter().map(|&(b, vars)| (b, vars.iter().copied())))
+//!     .unwrap();
+//! assert!((packing.objective - 1.5).abs() < 1e-9);
+//! assert!((packing.dual[0] - 0.5).abs() < 1e-9);          // delta_R, as above
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod packing;
 pub mod problem;
 pub mod simplex;
 pub mod solution;
 
 pub use error::LpError;
+pub use packing::{solve_packing_lp, Packing};
 pub use problem::{Cmp, LinearProgram, Sense, VarId};
 pub use simplex::SimplexOptions;
 pub use solution::{Solution, Status};
@@ -55,39 +75,26 @@ pub use solution::{Solution, Status};
 /// Numerical tolerance used throughout the solver.
 pub const EPS: f64 = 1e-9;
 
-/// Convenience: solve a pure fractional-covering LP
-/// `min sum_j w_j x_j  s.t.  sum_{j : j covers i} x_j >= 1  for all i,  x >= 0`.
-///
-/// `cover[i]` lists the variable indices covering element `i`; `weights[j]` is the
-/// objective coefficient of variable `j`. This is the shape of the AGM LP (5) and its
-/// generalization (57) in the paper. Returns `(objective, primal)`.
-pub fn solve_covering_lp(
-    num_vars: usize,
-    weights: &[f64],
-    cover: &[Vec<usize>],
-) -> Result<(f64, Vec<f64>), LpError> {
-    assert_eq!(weights.len(), num_vars, "one weight per variable");
-    let mut lp = LinearProgram::new(Sense::Minimize);
-    let vars: Vec<VarId> = (0..num_vars)
-        .map(|j| lp.add_var(format!("x{j}"), weights[j]))
-        .collect();
-    for row in cover {
-        let terms: Vec<(VarId, f64)> = row.iter().map(|&j| (vars[j], 1.0)).collect();
-        lp.add_constraint(&terms, Cmp::Ge, 1.0);
-    }
-    let sol = lp.solve()?;
-    Ok((sol.objective, sol.primal))
-}
-
 #[cfg(test)]
 mod lib_tests {
     use super::*;
 
+    /// The covering LP `min Σ w_j x_j  s.t.  Σ_{j ∈ cover[i]} x_j ≥ 1, x ≥ 0`
+    /// solved as its dual packing LP: `(objective, x)`.
+    fn solve_covering_lp(weights: &[f64], cover: &[Vec<usize>]) -> (f64, Vec<f64>) {
+        let elements_of = |j: usize| (0..cover.len()).filter(move |&i| cover[i].contains(&j));
+        let rows = weights
+            .iter()
+            .enumerate()
+            .map(|(j, &w)| (w, elements_of(j)));
+        let packing = solve_packing_lp(cover.len(), rows).unwrap();
+        (packing.objective, packing.dual)
+    }
+
     #[test]
     fn covering_lp_triangle() {
         // unit weights: fractional edge cover number of the triangle is 3/2
-        let (obj, x) =
-            solve_covering_lp(3, &[1.0, 1.0, 1.0], &[vec![0, 2], vec![0, 1], vec![1, 2]]).unwrap();
+        let (obj, x) = solve_covering_lp(&[1.0, 1.0, 1.0], &[vec![0, 2], vec![0, 1], vec![1, 2]]);
         assert!((obj - 1.5).abs() < 1e-9);
         for v in x {
             assert!((v - 0.5).abs() < 1e-9);
@@ -96,7 +103,7 @@ mod lib_tests {
 
     #[test]
     fn covering_lp_single_edge() {
-        let (obj, x) = solve_covering_lp(1, &[7.0], &[vec![0], vec![0]]).unwrap();
+        let (obj, x) = solve_covering_lp(&[7.0], &[vec![0], vec![0]]);
         assert!((obj - 7.0).abs() < 1e-9);
         assert!((x[0] - 1.0).abs() < 1e-9);
     }
@@ -104,12 +111,8 @@ mod lib_tests {
     #[test]
     fn covering_lp_star_query() {
         // star query R1(A,B1), R2(A,B2), R3(A,B3): rho* = 3 (every edge needed)
-        let (obj, _) = solve_covering_lp(
-            3,
-            &[1.0, 1.0, 1.0],
-            &[vec![0, 1, 2], vec![0], vec![1], vec![2]],
-        )
-        .unwrap();
+        let cover = [vec![0, 1, 2], vec![0], vec![1], vec![2]];
+        let (obj, _) = solve_covering_lp(&[1.0, 1.0, 1.0], &cover);
         assert!((obj - 3.0).abs() < 1e-9);
     }
 }

@@ -1,8 +1,10 @@
 //! Dense two-phase primal simplex with Bland's anti-cycling rule.
 //!
-//! The implementation favours clarity and robustness over speed: the LPs produced by
-//! `wcoj-bounds` have at most a few thousand rows/columns (the polymatroid LP (68) for
-//! queries with up to ~10 variables), for which a dense tableau is perfectly adequate.
+//! The implementation favours clarity and robustness over speed: the LPs it gets from
+//! `wcoj-bounds` — the polymatroid LP (68) and the Shannon-flow LP (72) — have at most
+//! a few thousand rows/columns (up to ~10 variables), for which a dense tableau is
+//! perfectly adequate. The packing LPs of the AGM and modular bounds, whose origin is
+//! feasible, skip phase 1 and the artificials: [`crate::solve_packing_lp`].
 //!
 //! Outline:
 //!

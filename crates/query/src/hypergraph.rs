@@ -65,12 +65,6 @@ impl Hypergraph {
             .collect()
     }
 
-    /// Whether every vertex is contained in at least one edge (a prerequisite for the
-    /// fractional edge cover polytope to be non-empty and the AGM bound finite).
-    pub fn covers_all_vertices(&self) -> bool {
-        (0..self.num_vertices).all(|v| !self.edges_containing(v).is_empty())
-    }
-
     /// Whether `weights` (one per edge) is a fractional edge cover: non-negative and
     /// summing to at least 1 on every vertex.
     pub fn is_fractional_edge_cover(&self, weights: &[f64]) -> bool {
@@ -131,7 +125,6 @@ mod tests {
         assert_eq!(h.num_vertices(), 3);
         assert_eq!(h.num_edges(), 3);
         assert_eq!(h.edges_containing(0), vec![0, 2]);
-        assert!(h.covers_all_vertices());
         assert!(h.is_fractional_edge_cover(&[0.5, 0.5, 0.5]));
         assert!(h.is_fractional_edge_cover(&[1.0, 1.0, 0.0]));
         assert!(!h.is_fractional_edge_cover(&[0.5, 0.5, 0.0]));
@@ -154,8 +147,10 @@ mod tests {
 
     #[test]
     fn uncovered_vertex_detected() {
+        // no weight on the one edge covers vertex 2
         let h = Hypergraph::new(3, vec![vec![0, 1]]);
-        assert!(!h.covers_all_vertices());
+        assert!(h.edges_containing(2).is_empty());
+        assert!(!h.is_fractional_edge_cover(&[1e9]));
     }
 
     #[test]
