@@ -25,11 +25,30 @@
 //! `{a_I} × Q[a_I]` with `Q[a_I]` one intersection: the kernel appends it
 //! straight into the [`ColumnSink`]'s deepest column, under the prefix runs the
 //! levels above have bound. No scratch copy, no per-value cursor movement.
+//!
+//! Generic Join runs its **last two levels as one loop** ([`bind_above_deepest`]):
+//! each value `a` of the second-to-last variable costs the one intersection
+//! `∩_F π_last R_F[…, a]`, written straight into the sink. An atom without
+//! that variable gives the same sibling group under every `a`, so its cursor
+//! is **fixed**: opened once before the loop, its list and layout gathered
+//! once, closed after it. Only the **moving** cursors, whose atoms do contain
+//! it, are opened, gathered and closed per value. At every interior level,
+//! Generic Join **seats** a level's participants at each value of its
+//! extension set — above the deepest level only the moving ones, since
+//! nothing reads the others' positions again — by a running rank over their
+//! groups' layouts when every one has a layout ([`TrieCursor::seat_by_rank`]:
+//! the member's place is a popcount kept running along the walk, and no value
+//! is read), and by `advance_to` otherwise. Seats are uncounted like every reposition, and every
+//! intersection still goes through the kernel layer in participant order, so
+//! rows, work counters and trace rows are those of a per-value recursion. The
+//! engine never reads a layout's bits itself: the AND, the decode and the
+//! rank's popcounts are all `kernels.rs`'s.
 
 use super::trace::trace_kernel;
 use super::ColumnSink;
 use wcoj_obs::LevelRecorder;
-use wcoj_storage::{kernels, KernelPolicy, TrieCursor, Value, WorkCounter};
+use wcoj_storage::kernels::{self, Layout, RunningRank};
+use wcoj_storage::{KernelPolicy, TrieCursor, Value, WorkCounter};
 
 /// What every engine body reads while it runs: the kernel policy, the counter
 /// it charges (a morsel worker swaps in its private one), and the per-level
@@ -48,7 +67,9 @@ pub(crate) struct JoinCtx<'a> {
 pub(crate) trait InteriorStep {
     /// With every cursor of `participants[level]` open at its sibling group:
     /// bind each value all of them share (ascending) in `sink`, running
-    /// [`descend`] below it. Returns how many values were bound.
+    /// [`descend`] below it — or, for Generic Join just above the deepest
+    /// level, that level's intersection ([`bind_above_deepest`]). Returns how
+    /// many values were bound.
     fn bind_each(
         cursors: &mut [TrieCursor<'_>],
         participants: &[Vec<usize>],
@@ -60,7 +81,9 @@ pub(crate) trait InteriorStep {
 }
 
 /// Generic Join's step: materialize the level's extension set through the
-/// adaptive kernel layer, then walk it.
+/// adaptive kernel layer, then walk it, seating the participants at each value
+/// ([`Seats`]). At the level above the deepest, the walk also runs the
+/// deepest level's intersections ([`bind_above_deepest`]).
 pub(crate) struct KernelExtension;
 
 /// Leapfrog Triejoin's step: keep the cursors sorted by key in a circular
@@ -84,15 +107,15 @@ impl InteriorStep for KernelExtension {
         let mut ext = std::mem::take(&mut scratch[level]);
         ext.clear();
         level_extension_into(&mut ext, cursors, parts, ctx, level);
-        for &v in &ext {
-            // ext is ascending, so the forward-only uncounted advance suffices
-            // (the kernel already paid for the value's discovery)
-            for &ci in parts {
-                let found = cursors[ci].advance_to(v);
-                debug_assert!(found, "extension values occur in every participant");
+        if level + 2 == participants.len() {
+            bind_above_deepest(cursors, participants, level, &ext, sink, ctx);
+        } else {
+            let mut seats = Seats::new(cursors, parts, ctx.policy);
+            for &v in &ext {
+                seats.seat(cursors, v);
+                sink.bind(level, v);
+                descend::<Self>(cursors, participants, level + 1, sink, scratch, ctx);
             }
-            sink.bind(level, v);
-            descend::<Self>(cursors, participants, level + 1, sink, scratch, ctx);
         }
         let bound = ext.len() as u64;
         scratch[level] = ext;
@@ -111,7 +134,9 @@ impl InteriorStep for LeapfrogRing {
         ctx: JoinCtx<'_>,
     ) -> u64 {
         // leapfrog_init: circular order sorted by current key; p points at the least
-        let mut ring: Vec<usize> = participants[level].clone();
+        let parts = &participants[level];
+        let (mut buf, mut spill) = ([0; MAX_INLINE], Vec::new());
+        let ring = gather(&mut buf, &mut spill, parts.len(), parts.iter().copied());
         ring.sort_by_key(|&ci| cursors[ci].key());
         let k = ring.len();
         let mut p = 0usize;
@@ -202,9 +227,147 @@ pub(crate) fn level_scratch(participants: &[Vec<usize>]) -> Vec<Vec<Value>> {
     vec![Vec::new(); participants.len().saturating_sub(1)]
 }
 
+/// How Generic Join moves a level's participants (those a deeper level reads
+/// again) onto each value of the level's extension set, which it walks
+/// ascending. The moves are uncounted: the kernel already paid for each
+/// value's discovery. When every participant's group carries a layout and the
+/// policy reads layouts, each participant keeps a [`RunningRank`] over its
+/// group and is seated by it ([`TrieCursor::seat_by_rank`]); otherwise each
+/// advances ([`TrieCursor::advance_to`]), as sparse groups and the forced list
+/// kernels always do.
+struct Seats<'p> {
+    parts: &'p [usize],
+    /// One running rank per participant, in `parts` order, when seating by rank.
+    ranks: Option<[RunningRank; MAX_INLINE]>,
+}
+
+impl<'p> Seats<'p> {
+    /// The seats of `parts`, whose cursors stand at the start of the groups
+    /// the extension set was intersected from.
+    #[inline]
+    fn new(cursors: &[TrieCursor<'_>], parts: &'p [usize], policy: KernelPolicy) -> Self {
+        let by_rank = reads_layouts(policy)
+            && parts.len() <= MAX_INLINE
+            && parts.iter().all(|&ci| cursors[ci].layout().is_some());
+        Seats {
+            parts,
+            ranks: by_rank.then(|| [RunningRank::default(); MAX_INLINE]),
+        }
+    }
+
+    /// Seat every participant at `v`, the next value of the extension set.
+    #[inline]
+    fn seat(&mut self, cursors: &mut [TrieCursor<'_>], v: Value) {
+        match &mut self.ranks {
+            Some(ranks) => {
+                for (&ci, walk) in self.parts.iter().zip(ranks) {
+                    let seated = cursors[ci].seat_by_rank(walk, v);
+                    debug_assert!(seated, "a seat by rank has a layout to walk");
+                }
+            }
+            None => {
+                for &ci in self.parts {
+                    let found = cursors[ci].advance_to(v);
+                    debug_assert!(found, "extension values occur in every participant");
+                }
+            }
+        }
+    }
+}
+
+/// Generic Join's last two levels as one loop, for `level + 2 ==
+/// participants.len()`: bind each value `v` of `level`'s extension set `ext`
+/// and intersect the deepest level under it straight into the sink —
+/// Algorithm 2's `{a_I} × Q[a_I]` for every value of the second-to-last
+/// variable in one pass. The deepest level's participants split in two:
+///
+/// * a **fixed** one does not take part at `level`, so its sibling group is
+///   the same under every `v`: it is opened once, before the loop, its list
+///   and layout are gathered once, and it is closed after;
+/// * a **moving** one does: it is seated at each `v` ([`Seats`]), opened
+///   under it, its list and layout refreshed, and closed again.
+///
+/// A participant of `level` that the deepest level does not read is not
+/// seated at all: nothing reads its position again.
+///
+/// The intersection goes through the kernel seam every level uses
+/// ([`intersect_gathered`]) with its lists in `participants[level + 1]`
+/// order, so each value's kernel, charge, trace row and emission are those of
+/// a [`descend`] into the deepest level under it. The split lives on the
+/// stack, spilling to the heap only past [`MAX_INLINE`] participants.
+#[inline]
+fn bind_above_deepest(
+    cursors: &mut [TrieCursor<'_>],
+    participants: &[Vec<usize>],
+    level: usize,
+    ext: &[Value],
+    sink: &mut ColumnSink,
+    ctx: JoinCtx<'_>,
+) {
+    let (parts, deepest) = (&participants[level], level + 1);
+    let deep = &participants[deepest];
+    let n = deep.len();
+    // a deepest participant moves when its atom has this level's variable
+    let (mut moves_buf, mut moves_spill) = ([false; MAX_INLINE], Vec::new());
+    let moves = deep.iter().map(|ci| parts.contains(ci));
+    let moves = &*gather(&mut moves_buf, &mut moves_spill, n, moves);
+    let split = |moving: bool| {
+        deep.iter()
+            .zip(moves)
+            .filter(move |&(_, &m)| m == moving)
+            .map(|(&ci, _)| ci)
+    };
+    let (mut movers_buf, mut movers_spill) = ([0; MAX_INLINE], Vec::new());
+    let movers = &*gather(&mut movers_buf, &mut movers_spill, n, split(true));
+    let mut seats = Seats::new(cursors, movers, ctx.policy);
+    let fixed_open = open_all(cursors, split(false));
+    // one slot per deepest participant: a fixed one's holds for every value,
+    // a moving one's is refreshed under each before it is read
+    let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
+    let lists = deep.iter().map(|&ci| cursors[ci].remaining());
+    let lists = gather(&mut list_buf, &mut list_spill, n, lists);
+    let mut fixed_dense = n >= 2 && reads_layouts(ctx.policy);
+    let (mut layout_buf, mut layout_spill) = ([NO_LAYOUT; MAX_INLINE], Vec::new());
+    let layouts = deep.iter().zip(moves).map(|(&ci, &m)| {
+        let layout = cursors[ci].layout();
+        fixed_dense &= m || layout.is_some();
+        layout.unwrap_or(NO_LAYOUT)
+    });
+    let layouts = gather(&mut layout_buf, &mut layout_spill, n, layouts);
+    for &v in ext {
+        seats.seat(cursors, v);
+        sink.bind(level, v);
+        if !fixed_open || !open_all(cursors, movers.iter().copied()) {
+            continue;
+        }
+        let mut dense = fixed_dense;
+        for (j, &ci) in deep.iter().enumerate().filter(|&(j, _)| moves[j]) {
+            lists[j] = cursors[ci].remaining();
+            if dense {
+                match cursors[ci].layout() {
+                    Some(layout) => layouts[j] = layout,
+                    None => dense = false,
+                }
+            }
+        }
+        let layouts = dense.then_some(&*layouts);
+        emit_deepest(sink, ctx, deepest, |tails| {
+            intersect_gathered(tails, lists, layouts, ctx, deepest)
+        });
+        for &ci in movers {
+            cursors[ci].up();
+        }
+    }
+    if fixed_open {
+        for ci in split(false) {
+            cursors[ci].up();
+        }
+    }
+}
+
 /// One level of the recursion: open every participating cursor one level deeper
-/// (undoing the opens and returning if any has no children), emit at the deepest
-/// level or let the [`InteriorStep`] bind and recurse, then close them again.
+/// (returning if any has no children), emit at the deepest level or let the
+/// [`InteriorStep`] bind and recurse, then close them again.
 fn descend<S: InteriorStep>(
     cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
@@ -214,33 +377,54 @@ fn descend<S: InteriorStep>(
     ctx: JoinCtx<'_>,
 ) {
     let parts = &participants[level];
-    let mut opened = 0;
-    while opened < parts.len() && cursors[parts[opened]].open() {
-        opened += 1;
-    }
-    if opened < parts.len() {
-        for &ci in &parts[..opened] {
-            cursors[ci].up();
-        }
+    if !open_all(cursors, parts.iter().copied()) {
         return;
     }
-
-    let emitted = if level + 1 == participants.len() {
+    if level + 1 == participants.len() {
         // deepest variable: the extension set is the tuple tail — the kernel
         // appends it to the sink's deepest column, no per-value repositioning
-        let emitted =
-            sink.emit_with(|tails| level_extension_into(tails, cursors, parts, ctx, level)) as u64;
-        ctx.counter.add_output(emitted);
-        emitted
+        emit_deepest(sink, ctx, level, |tails| {
+            level_extension_into(tails, cursors, parts, ctx, level)
+        });
     } else {
-        S::bind_each(cursors, participants, level, sink, scratch, ctx)
-    };
-    if let Some(rec) = ctx.trace {
-        rec.record_emitted(level, emitted);
+        let bound = S::bind_each(cursors, participants, level, sink, scratch, ctx);
+        if let Some(rec) = ctx.trace {
+            rec.record_emitted(level, bound);
+        }
     }
-
     for &ci in parts {
         cursors[ci].up();
+    }
+}
+
+/// Open every cursor `which` names one level deeper — all of them or none: if
+/// one has no children, close the ones opened before it and answer `false`.
+#[inline]
+fn open_all(cursors: &mut [TrieCursor<'_>], which: impl Iterator<Item = usize> + Clone) -> bool {
+    for (opened, ci) in which.clone().enumerate() {
+        if !cursors[ci].open() {
+            for ci in which.take(opened) {
+                cursors[ci].up();
+            }
+            return false;
+        }
+    }
+    true
+}
+
+/// Emit the deepest level's extension set under the bound prefix — `fill`
+/// appends it to the sink's deepest column — and tally it as output.
+#[inline]
+fn emit_deepest(
+    sink: &mut ColumnSink,
+    ctx: JoinCtx<'_>,
+    level: usize,
+    fill: impl FnOnce(&mut Vec<Value>),
+) {
+    let emitted = sink.emit_with(fill) as u64;
+    ctx.counter.add_output(emitted);
+    if let Some(rec) = ctx.trace {
+        rec.record_emitted(level, emitted);
     }
 }
 
@@ -267,8 +451,10 @@ pub(crate) fn first_extension_set(
 /// Compute the extension set of one join variable — the kernel-layer intersection
 /// of the open participant cursors' remaining sibling groups — and **append** it
 /// to `ext` (what `ext` already holds stays: the deepest level passes the sink's
-/// own column). This is the single intersection seam of the skeleton: every
-/// candidate set flows through the kernel layer —
+/// own column). This is the skeleton's intersection seam — every candidate set
+/// flows through it or, in Generic Join's last-two-levels loop, through its
+/// kernel call over operands that loop gathers itself ([`intersect_gathered`])
+/// — into the kernel layer:
 /// [`wcoj_storage::kernels::intersect_layouts_into`] when every participant's
 /// group carries a prebuilt set layout (static structures build one per dense
 /// group) and the policy allows bitmaps,
@@ -292,6 +478,38 @@ pub(crate) fn level_extension_into(
     ctx: JoinCtx<'_>,
     level: usize,
 ) {
+    let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
+    let remaining = parts.iter().map(|&ci| cursors[ci].remaining());
+    let lists = gather(&mut list_buf, &mut list_spill, parts.len(), remaining);
+    // A forced list kernel never reads a layout (the "all kernels agree"
+    // differentials keep exercising them), and a single participant is an
+    // enumeration, not an intersection.
+    let (mut layout_buf, mut layout_spill) = ([NO_LAYOUT; MAX_INLINE], Vec::new());
+    let layouts = if parts.len() >= 2 && reads_layouts(ctx.policy) {
+        // stops at the first participant without one
+        let found = parts.iter().map_while(|&ci| cursors[ci].layout());
+        let layouts = gather(&mut layout_buf, &mut layout_spill, parts.len(), found);
+        Some(&*layouts).filter(|layouts| layouts.len() == parts.len())
+    } else {
+        None
+    };
+    intersect_gathered(ext, lists, layouts, ctx, level);
+}
+
+/// The kernel call of [`level_extension_into`], over gathered operands:
+/// **append** the intersection of `lists` to `ext` — word-parallel through
+/// their `layouts` when every one has a layout (the dense path: the
+/// intersection is an AND), through the list kernels otherwise — and, with
+/// `ctx.trace` present, record its kernel, charged work and candidates
+/// against join level `level`.
+#[inline]
+fn intersect_gathered(
+    ext: &mut Vec<Value>,
+    lists: &[&[Value]],
+    layouts: Option<&[Layout<'_>]>,
+    ctx: JoinCtx<'_>,
+    level: usize,
+) {
     let JoinCtx {
         policy,
         counter,
@@ -306,26 +524,9 @@ pub(crate) fn level_extension_into(
         ]
     };
     let before = trace.map(|_| (ext.len(), charged()));
-    let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
-    let remaining = parts.iter().map(|&ci| cursors[ci].remaining());
-    let lists = gather(&mut list_buf, &mut list_spill, parts.len(), remaining);
-    // The dense path: every participant's group carries a prebuilt layout, so
-    // the intersection is a word-parallel AND. A forced list kernel never reads
-    // a layout (the "all kernels agree" differentials keep exercising them),
-    // and a single participant is an enumeration, not an intersection.
-    let dense = parts.len() >= 2 && matches!(policy, KernelPolicy::Adaptive | KernelPolicy::Bitmap);
-    let (mut layout_buf, mut layout_spill) = ([(0, &[][..]); MAX_INLINE], Vec::new());
-    let layouts = if dense {
-        // stops at the first participant without one
-        let found = parts.iter().map_while(|&ci| cursors[ci].layout());
-        gather(&mut layout_buf, &mut layout_spill, parts.len(), found)
-    } else {
-        &[]
-    };
-    let chosen = if dense && layouts.len() == parts.len() {
-        kernels::intersect_layouts_into(simd, ext, lists, layouts, counter)
-    } else {
-        kernels::intersect_into_at(simd, ext, lists, policy, counter)
+    let chosen = match layouts {
+        Some(layouts) => kernels::intersect_layouts_into(simd, ext, lists, layouts, counter),
+        None => kernels::intersect_into_at(simd, ext, lists, policy, counter),
     };
     if let (Some(rec), Some((start, before))) = (trace, before) {
         let after = charged();
@@ -334,6 +535,16 @@ pub(crate) fn level_extension_into(
         rec.record_intersection(level, candidates, chosen.map(trace_kernel), work);
     }
 }
+
+/// Whether `policy` lets an intersection read its operands' layouts: the
+/// adaptive and bitmap policies do, the forced list kernels never.
+#[inline]
+fn reads_layouts(policy: KernelPolicy) -> bool {
+    matches!(policy, KernelPolicy::Adaptive | KernelPolicy::Bitmap)
+}
+
+/// The placeholder in a layout slot that holds none.
+const NO_LAYOUT: Layout<'static> = (0, &[]);
 
 /// Sized against the kernel layer's own inline-bookkeeping capacity.
 const MAX_INLINE: usize = kernels::MAX_INLINE_LISTS;
@@ -345,7 +556,7 @@ fn gather<'b, T: Copy>(
     spill: &'b mut Vec<T>,
     n: usize,
     items: impl Iterator<Item = T>,
-) -> &'b [T] {
+) -> &'b mut [T] {
     if n > MAX_INLINE {
         spill.extend(items);
         return spill;
@@ -355,7 +566,7 @@ fn gather<'b, T: Copy>(
         *slot = item;
         len += 1;
     }
-    &buf[..len]
+    &mut buf[..len]
 }
 
 #[cfg(test)]

@@ -61,7 +61,13 @@
 //!   member, in order, so the members between two values are a popcount of the
 //!   words between them (`members_between`). A [`crate::TrieCursor`] holds its
 //!   group's layout and repositions at a kernel-found value by that count
-//!   instead of searching the list — uncounted, like every reposition.
+//!   instead of searching the list — uncounted, like every reposition. A
+//!   caller that visits a group's members in ascending order keeps a
+//!   [`RunningRank`] instead: the members below the word it has reached, so
+//!   each member's place costs the words passed since the last one and one
+//!   masked popcount, and no value is read ([`crate::TrieCursor::seat_by_rank`]).
+//!   `members_between`, `RunningRank`, [`append_layout`] and [`layout_of`]
+//!   are the only code that knows the 64-grid.
 //! * **Decode.** Turning the ANDed words back into values is most of a dense
 //!   intersection's cost. Both bitmap paths decode through
 //!   [`simd::decode_words`] at the caller's level, which has no per-bit exit
@@ -609,8 +615,8 @@ pub fn append_layout(pool: &mut Vec<u64>, group: &[Value]) -> usize {
 
 /// The [`Layout`] of a group whose first value is `first` over the `words`
 /// [`append_layout`] appended for it — `None` when it appended none (a sparse
-/// group). With `append_layout` and `members_between`, the only code that
-/// knows the 64-grid.
+/// group). With `append_layout`, `members_between` and [`RunningRank`], the
+/// only code that knows the 64-grid.
 #[inline]
 pub fn layout_of(first: Value, words: &[u64]) -> Option<Layout<'_>> {
     (!words.is_empty()).then_some((first / 64 * 64, words))
@@ -636,6 +642,41 @@ pub(crate) fn members_between((base, words): Layout<'_>, from: Value, to: Value)
     let full: u32 = words[first + 1..last].iter().map(|w| w.count_ones()).sum();
     let tail = words.get(last).map_or(0, |&w| below_to(w).count_ones());
     (head.count_ones() + full + tail) as usize
+}
+
+/// A running rank over one dense group's [`Layout`]: a walk that answers, for
+/// members of the group taken in ascending order, how many members lie below
+/// each — its place in the group. The walk keeps the word it has reached and
+/// the members before that word, so each answer adds the popcounts of the
+/// words passed since the previous one and masks the target's own word: a walk
+/// over a whole group reads each of its words once, and it needs no starting
+/// member, which `members_between` does. A fresh walk (`default()`) stands
+/// at the group's first word; one walk serves one group.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunningRank {
+    /// The word of the layout the walk has reached.
+    word: usize,
+    /// The members in the words before `word`.
+    below: usize,
+}
+
+impl RunningRank {
+    /// The rank of `to`, a member of the group whose layout is
+    /// `(base, words)`, at or past the previous target's word: the members
+    /// below it, counted from the group's first.
+    #[inline]
+    pub fn rank_of(&mut self, (base, words): Layout<'_>, to: Value) -> usize {
+        debug_assert!(base <= to);
+        let to = to - base;
+        let word = (to / 64) as usize;
+        debug_assert!(self.word <= word && word < words.len());
+        self.below += words[self.word..word]
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>();
+        self.word = word;
+        self.below + (words[word] & ((1u64 << (to % 64)) - 1)).count_ones() as usize
+    }
 }
 
 /// Intersect `k ≥ 2` dense groups through their prebuilt [`Layout`]s,

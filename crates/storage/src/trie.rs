@@ -47,10 +47,13 @@
 //! children of the current value, `up` pops back, `next`/`seek` move within
 //! the current group and never escape it. `seek` only moves forward (targets
 //! must be non-decreasing between `open`s — the leapfrog discipline);
-//! `reposition` and `advance_to` move only to keys whose discovery was
-//! already paid for elsewhere, so they record no work. At the root there is
-//! no group: `next`, `seek`, `reposition` and `advance_to` answer `false`
-//! there without moving, and only `key` panics.
+//! `reposition`, `advance_to` and `seat_by_rank` move only to keys whose
+//! discovery was already paid for elsewhere, so they record no work.
+//! `seat_by_rank` moves in a dense group only: it seats the cursor at a
+//! member by the running rank its caller keeps over the group's layout, for
+//! members visited ascending, and reads no value. At the root there is no
+//! group: `next`, `seek`, `reposition`, `advance_to` and `seat_by_rank`
+//! answer `false` there without moving, and only `key` panics.
 
 use crate::error::StorageError;
 use crate::kernels::{self, Layout};
@@ -471,6 +474,31 @@ impl<'a> TrieCursor<'a> {
         frame.pos < frame.end && values[frame.pos] == target
     }
 
+    /// Forward-only, uncounted positioning at `target`, a member of the
+    /// current group, by the running rank `walk` keeps over the group's layout
+    /// ([`kernels::RunningRank`]): the cursor moves to the member's place from
+    /// the group's start, and no value is read. `walk` must be fresh when the
+    /// group was opened and see its targets ascending — the engine seats a
+    /// level's participants this way at each value of an extension set it
+    /// walks in order, whose discovery the kernel already paid for. Returns
+    /// `false` without moving at the root or in a sparse group (no layout).
+    #[inline]
+    pub fn seat_by_rank(&mut self, walk: &mut kernels::RunningRank, target: Value) -> bool {
+        let depth = self.stack.len();
+        let Some(frame) = self.stack.last_mut() else {
+            return false;
+        };
+        let Some(layout) = frame.layout else {
+            return false;
+        };
+        frame.pos = frame.start + walk.rank_of(layout, target);
+        debug_assert!(
+            frame.pos < frame.end && self.trie.levels[depth - 1].values[frame.pos] == target,
+            "a seat by rank lands on its target"
+        );
+        true
+    }
+
     /// The values remaining in the current sibling group, from the cursor's
     /// position onward (empty at the root).
     #[inline]
@@ -673,7 +701,9 @@ mod tests {
     /// (some near the top of the value range), last words partly used, and
     /// chains of targets — the current key, just ahead (often absent), in the
     /// next word, words ahead, a member, past the end — against
-    /// `partition_point` on the group's values.
+    /// `partition_point` on the group's values. A running rank over the same
+    /// group seats a fresh cursor at an ascending run of its members, each at
+    /// its index.
     #[test]
     fn advance_to_by_rank_equals_search() {
         let mut state = 0x5EED_4A11u64;
@@ -683,7 +713,7 @@ mod tests {
             state ^= state << 17;
             state % below
         };
-        let (mut dense, mut calls) = (0, 0);
+        let (mut dense, mut calls, mut seats) = (0, 0, 0);
         for case in 0..600u64 {
             let words = 1 + case % 65;
             let base = match case % 7 {
@@ -710,11 +740,26 @@ mod tests {
             let mut c = t.cursor();
             assert!(c.open() && c.advance_to(1) && c.open());
             assert_eq!(c.remaining(), group.as_slice());
+            let mut seated = c.clone();
             let Some((layout_base, layout_words)) = c.layout() else {
+                let walk = &mut kernels::RunningRank::default();
+                assert!(
+                    !seated.seat_by_rank(walk, first),
+                    "a sparse group has no rank"
+                );
                 continue;
             };
             assert_eq!((layout_base, layout_words.len() as u64), (base, words));
             dense += 1;
+            let mut walk = kernels::RunningRank::default();
+            for (at, &member) in group.iter().enumerate() {
+                if next(4) == 0 || at + 1 == group.len() {
+                    assert!(seated.seat_by_rank(&mut walk, member));
+                    assert_eq!(group.len() - seated.remaining().len(), at, "case {case}");
+                    seats += 1;
+                }
+            }
+            assert!(seated.take_work().is_zero(), "seating is uncounted");
             loop {
                 let at = group.len() - c.remaining().len();
                 let Some(&current) = group.get(at) else {
@@ -743,8 +788,8 @@ mod tests {
             assert!(c.take_work().is_zero(), "repositioning is uncounted");
         }
         assert!(
-            dense > 500 && calls > 3_000,
-            "{dense} dense groups, {calls} calls"
+            dense > 500 && calls > 3_000 && seats > 3_000,
+            "{dense} dense groups, {calls} calls, {seats} seats"
         );
     }
 
@@ -1052,6 +1097,7 @@ mod tests {
             assert!(!c.seek(1));
             assert!(!c.reposition(1));
             assert!(!c.advance_to(1));
+            assert!(!c.seat_by_rank(&mut kernels::RunningRank::default(), 1));
             assert_eq!((c.depth(), c.at_end(), c.remaining()), (0, true, &[][..]));
             assert!(c.open() && c.open());
             c.up();
