@@ -180,11 +180,14 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
                 *pos += 1;
             }
             _ => {
-                // multi-byte UTF-8: copy the whole scalar
-                let rest = std::str::from_utf8(&b[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // copy the run up to the next `"` or `\` as one slice: both
+                // stop bytes are ASCII, so on the `&str` input every cut is a
+                // char boundary and each byte is validated once
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).ok()?);
             }
         }
     }
@@ -272,10 +275,13 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let raw = "quote\" slash\\ tab\t nl\n unicode\u{1}";
-        let doc = format!("{{\"k\": \"{}\"}}", escape(raw));
-        let v = Json::parse(&doc).expect("parses");
-        assert_eq!(v.get("k").unwrap().as_str(), Some(raw));
+        // a long mixed ASCII / two-, three- and four-byte UTF-8 string too
+        let long = "ascii é € 🦀 \"q\" \\ ".repeat(4_000);
+        for raw in ["quote\" slash\\ tab\t nl\n unicode\u{1}", long.as_str()] {
+            let doc = format!("{{\"k\": \"{}\"}}", escape(raw));
+            let v = Json::parse(&doc).expect("parses");
+            assert_eq!(v.get("k").unwrap().as_str(), Some(raw));
+        }
     }
 
     #[test]

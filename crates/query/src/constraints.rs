@@ -321,6 +321,15 @@ mod tests {
         assert!(!deg.is_cardinality());
         assert!(!deg.is_fd());
 
+        // `deg(W; A, D | C)` over W(C, A, D): X and Y arrive unsorted and
+        // repeated, and are sorted and deduplicated; the guard is kept
+        let unsorted = DegreeConstraint::new(vec![2, 2], vec![3, 0, 2, 0], 7).with_guard(3);
+        assert_eq!(unsorted.x, vec![2]);
+        assert_eq!(unsorted.y, vec![0, 2, 3]);
+        assert_eq!(unsorted.y_minus_x(), vec![0, 3]);
+        assert_eq!(unsorted.bound, 7);
+        assert_eq!(unsorted.guard, Some(3));
+
         let zero = DegreeConstraint::cardinality(vec![0], 0);
         assert_eq!(zero.log_bound(), f64::NEG_INFINITY);
     }

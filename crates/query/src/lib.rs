@@ -16,7 +16,6 @@
 //! * **MVCC snapshots** pinning a database's visible state via `Arc` refcounts
 //!   so readers run lock-free against a frozen view while writers proceed —
 //!   [`Snapshot`];
-//! * a small datalog-style parser for queries and constraints — [`parser`];
 //! * **variable-order validation** for the join engines of `wcoj-core` —
 //!   [`plan`] (the order itself is chosen by `wcoj-core::planner`).
 //!
@@ -46,7 +45,6 @@
 pub mod constraints;
 pub mod database;
 pub mod hypergraph;
-pub mod parser;
 pub mod plan;
 pub mod query;
 pub mod repair;
@@ -55,7 +53,6 @@ pub mod snapshot;
 pub use constraints::{constraint_graph, ConstraintSet, DegreeConstraint};
 pub use database::{Database, VarBinding};
 pub use hypergraph::Hypergraph;
-pub use parser::{parse_constraints, parse_query, ParseError};
 pub use plan::{default_order, is_valid_order};
 pub use query::{Atom, ConjunctiveQuery, QueryBuilder, QueryError};
 pub use repair::{bound_variables, is_output_finite, repair_to_acyclic};

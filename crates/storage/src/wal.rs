@@ -284,9 +284,10 @@ impl WalOp {
 
 /// Deterministic fault injection for the durability path, built directly by
 /// tests or [parsed](FaultPlan::parse) from comma-separated directives (the
-/// crash harness's `--fault` flag):
+/// crash harness's `--fault` flag), each at most once:
 ///
-/// * `fsync_fail:N` — the Nth fsync (1-based) fails and poisons the writer;
+/// * `fsync_fail:N` — the Nth fsync (1-based, so `N ≥ 1`) fails and poisons
+///   the writer;
 /// * `torn:K` — the write that would carry the log past absolute byte offset
 ///   `K` stops at `K` (a torn write) and poisons the writer (the offset counts
 ///   across the surviving segments, oldest first);
@@ -325,12 +326,20 @@ impl FaultPlan {
             let value: u64 = value
                 .parse()
                 .map_err(|_| format!("fault directive `{directive}` needs an integer value"))?;
-            match key {
-                "fsync_fail" => plan.fail_fsync_at = Some(value),
-                "torn" => plan.torn_write_at = Some(value),
-                "ckpt_torn" => plan.ckpt_torn_at = Some(value),
-                "seal_delay" => plan.seal_delay_ms = Some(value),
+            let slot = match key {
+                "fsync_fail" if value == 0 => {
+                    return Err(format!(
+                        "fault directive `{directive}` never fires: fsyncs count from 1"
+                    ))
+                }
+                "fsync_fail" => &mut plan.fail_fsync_at,
+                "torn" => &mut plan.torn_write_at,
+                "ckpt_torn" => &mut plan.ckpt_torn_at,
+                "seal_delay" => &mut plan.seal_delay_ms,
                 other => return Err(format!("unknown fault directive `{other}`")),
+            };
+            if slot.replace(value).is_some() {
+                return Err(format!("fault directive `{directive}` repeats `{key}`"));
             }
         }
         Ok(plan)
@@ -693,6 +702,19 @@ mod tests {
         assert!(FaultPlan::parse("fsync_fail").is_err());
         assert!(FaultPlan::parse("fsync_fail:x").is_err());
         assert!(FaultPlan::parse("explode:1").is_err());
+        // a fault that never fires, and a directive given twice, are errors
+        // naming the directive
+        let never = FaultPlan::parse("fsync_fail:0").unwrap_err();
+        assert!(never.contains("`fsync_fail:0`"), "{never}");
+        assert_eq!(
+            FaultPlan::parse("fsync_fail:1").unwrap().fail_fsync_at,
+            Some(1)
+        );
+        let twice = FaultPlan::parse("torn:10,torn:20").unwrap_err();
+        assert!(twice.contains("`torn:20`"), "{twice}");
+        assert!(FaultPlan::parse("seal_delay:1, fsync_fail:2, seal_delay:1").is_err());
+        // zero is a real offset or delay for the other directives
+        assert!(FaultPlan::parse("torn:0,ckpt_torn:0,seal_delay:0").is_ok());
     }
 
     #[test]
