@@ -145,7 +145,6 @@ impl Wcoj<'_> {
             rec.levels = Some(LevelRecorder::new(self.order.len()));
         }
         let ctx = JoinCtx {
-            policy: opts.kernel,
             counter: work,
             trace: rec.levels.as_ref(),
         };

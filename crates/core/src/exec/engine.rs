@@ -20,7 +20,10 @@
 //! analysis of Section 4.2); the leapfrog ring pays the same
 //! `O(k · m · log(M/m))` per level through adaptive seeks and is worst-case
 //! optimal up to a log factor by the same fractional-cover argument
-//! (Section 1.2). At the **deepest** level nothing remains to bind below, so for
+//! (Section 1.2). Which kernel an intersection runs is the kernel layer's
+//! choice from the operands alone: an AND of layouts when every participant
+//! has one, [`KernelPolicy::Adaptive`]'s pick among the list kernels
+//! otherwise. At the **deepest** level nothing remains to bind below, so for
 //! both engines the extension set *is* the tuple tail — Algorithm 2's
 //! `{a_I} × Q[a_I]` with `Q[a_I]` one intersection: the kernel appends it
 //! straight into the [`ColumnSink`]'s deepest column, under the prefix runs the
@@ -50,12 +53,11 @@ use wcoj_obs::LevelRecorder;
 use wcoj_storage::kernels::{self, Layout, RunningRank};
 use wcoj_storage::{KernelPolicy, TrieCursor, Value, WorkCounter};
 
-/// What every engine body reads while it runs: the kernel policy, the counter
-/// it charges (a morsel worker swaps in its private one), and the per-level
-/// trace recorder when the execution is traced.
+/// What every engine body reads while it runs: the counter it charges (a
+/// morsel worker swaps in its private one) and the per-level trace recorder
+/// when the execution is traced.
 #[derive(Clone, Copy)]
 pub(crate) struct JoinCtx<'a> {
-    pub(crate) policy: KernelPolicy,
     pub(crate) counter: &'a WorkCounter,
     pub(crate) trace: Option<&'a LevelRecorder>,
 }
@@ -110,7 +112,7 @@ impl InteriorStep for KernelExtension {
         if level + 2 == participants.len() {
             bind_above_deepest(cursors, participants, level, &ext, sink, ctx);
         } else {
-            let mut seats = Seats::new(cursors, parts, ctx.policy);
+            let mut seats = Seats::new(cursors, parts);
             for &v in &ext {
                 seats.seat(cursors, v);
                 sink.bind(level, v);
@@ -230,11 +232,10 @@ pub(crate) fn level_scratch(participants: &[Vec<usize>]) -> Vec<Vec<Value>> {
 /// How Generic Join moves a level's participants (those a deeper level reads
 /// again) onto each value of the level's extension set, which it walks
 /// ascending. The moves are uncounted: the kernel already paid for each
-/// value's discovery. When every participant's group carries a layout and the
-/// policy reads layouts, each participant keeps a [`RunningRank`] over its
-/// group and is seated by it ([`TrieCursor::seat_by_rank`]); otherwise each
-/// advances ([`TrieCursor::advance_to`]), as sparse groups and the forced list
-/// kernels always do.
+/// value's discovery. When every participant's group carries a layout, each
+/// participant keeps a [`RunningRank`] over its group and is seated by it
+/// ([`TrieCursor::seat_by_rank`]); otherwise each advances
+/// ([`TrieCursor::advance_to`]), as a sparse group always does.
 struct Seats<'p> {
     parts: &'p [usize],
     /// One running rank per participant, in `parts` order, when seating by rank.
@@ -245,10 +246,9 @@ impl<'p> Seats<'p> {
     /// The seats of `parts`, whose cursors stand at the start of the groups
     /// the extension set was intersected from.
     #[inline]
-    fn new(cursors: &[TrieCursor<'_>], parts: &'p [usize], policy: KernelPolicy) -> Self {
-        let by_rank = reads_layouts(policy)
-            && parts.len() <= MAX_INLINE
-            && parts.iter().all(|&ci| cursors[ci].layout().is_some());
+    fn new(cursors: &[TrieCursor<'_>], parts: &'p [usize]) -> Self {
+        let by_rank =
+            parts.len() <= MAX_INLINE && parts.iter().all(|&ci| cursors[ci].layout().is_some());
         Seats {
             parts,
             ranks: by_rank.then(|| [RunningRank::default(); MAX_INLINE]),
@@ -319,14 +319,14 @@ fn bind_above_deepest(
     };
     let (mut movers_buf, mut movers_spill) = ([0; MAX_INLINE], Vec::new());
     let movers = &*gather(&mut movers_buf, &mut movers_spill, n, split(true));
-    let mut seats = Seats::new(cursors, movers, ctx.policy);
+    let mut seats = Seats::new(cursors, movers);
     let fixed_open = open_all(cursors, split(false));
     // one slot per deepest participant: a fixed one's holds for every value,
     // a moving one's is refreshed under each before it is read
     let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
     let lists = deep.iter().map(|&ci| cursors[ci].remaining());
     let lists = gather(&mut list_buf, &mut list_spill, n, lists);
-    let mut fixed_dense = n >= 2 && reads_layouts(ctx.policy);
+    let mut fixed_dense = n >= 2;
     let (mut layout_buf, mut layout_spill) = ([NO_LAYOUT; MAX_INLINE], Vec::new());
     let layouts = deep.iter().zip(moves).map(|(&ci, &m)| {
         let layout = cursors[ci].layout();
@@ -455,11 +455,11 @@ pub(crate) fn first_extension_set(
 /// flows through it or, in Generic Join's last-two-levels loop, through its
 /// kernel call over operands that loop gathers itself ([`intersect_gathered`])
 /// — into the kernel layer:
-/// [`wcoj_storage::kernels::intersect_layouts_into`] when every participant's
-/// group carries a prebuilt set layout (static structures build one per dense
-/// group) and the policy allows bitmaps,
+/// [`wcoj_storage::kernels::intersect_layouts_into`] when there are at least
+/// two participants and every one's group carries a prebuilt set layout (a
+/// trie builds one per dense group), the adaptive
 /// [`wcoj_storage::kernels::intersect_into_at`] over the sorted lists otherwise
-/// — so the policy and the per-kernel work/choice tallies apply
+/// — so the kernel choice and the per-kernel work/choice tallies apply
 /// uniformly, at level 0, interior and deepest levels alike. The SIMD level is
 /// the process-wide detected one — it never changes output or counters, only
 /// the instruction mix.
@@ -481,11 +481,9 @@ pub(crate) fn level_extension_into(
     let (mut list_buf, mut list_spill) = ([&[][..]; MAX_INLINE], Vec::new());
     let remaining = parts.iter().map(|&ci| cursors[ci].remaining());
     let lists = gather(&mut list_buf, &mut list_spill, parts.len(), remaining);
-    // A forced list kernel never reads a layout (the "all kernels agree"
-    // differentials keep exercising them), and a single participant is an
-    // enumeration, not an intersection.
+    // a single participant is an enumeration, not an intersection
     let (mut layout_buf, mut layout_spill) = ([NO_LAYOUT; MAX_INLINE], Vec::new());
-    let layouts = if parts.len() >= 2 && reads_layouts(ctx.policy) {
+    let layouts = if parts.len() >= 2 {
         // stops at the first participant without one
         let found = parts.iter().map_while(|&ci| cursors[ci].layout());
         let layouts = gather(&mut layout_buf, &mut layout_spill, parts.len(), found);
@@ -499,7 +497,8 @@ pub(crate) fn level_extension_into(
 /// The kernel call of [`level_extension_into`], over gathered operands:
 /// **append** the intersection of `lists` to `ext` — word-parallel through
 /// their `layouts` when every one has a layout (the dense path: the
-/// intersection is an AND), through the list kernels otherwise — and, with
+/// intersection is an AND), through the list kernel [`KernelPolicy::Adaptive`]
+/// picks from the lists otherwise — and, with
 /// `ctx.trace` present, record its kernel, charged work and candidates
 /// against join level `level`.
 #[inline]
@@ -510,11 +509,7 @@ fn intersect_gathered(
     ctx: JoinCtx<'_>,
     level: usize,
 ) {
-    let JoinCtx {
-        policy,
-        counter,
-        trace,
-    } = ctx;
+    let JoinCtx { counter, trace } = ctx;
     let simd = wcoj_storage::simd::active_level();
     let charged = || {
         [
@@ -526,7 +521,7 @@ fn intersect_gathered(
     let before = trace.map(|_| (ext.len(), charged()));
     let chosen = match layouts {
         Some(layouts) => kernels::intersect_layouts_into(simd, ext, lists, layouts, counter),
-        None => kernels::intersect_into_at(simd, ext, lists, policy, counter),
+        None => kernels::intersect_into_at(simd, ext, lists, KernelPolicy::Adaptive, counter),
     };
     if let (Some(rec), Some((start, before))) = (trace, before) {
         let after = charged();
@@ -534,13 +529,6 @@ fn intersect_gathered(
         let candidates = (ext.len() - start) as u64;
         rec.record_intersection(level, candidates, chosen.map(trace_kernel), work);
     }
-}
-
-/// Whether `policy` lets an intersection read its operands' layouts: the
-/// adaptive and bitmap policies do, the forced list kernels never.
-#[inline]
-fn reads_layouts(policy: KernelPolicy) -> bool {
-    matches!(policy, KernelPolicy::Adaptive | KernelPolicy::Bitmap)
 }
 
 /// The placeholder in a layout slot that holds none.
@@ -582,7 +570,6 @@ mod tests {
         counter: &WorkCounter,
     ) -> Vec<Vec<Value>> {
         let ctx = JoinCtx {
-            policy: KernelPolicy::Adaptive,
             counter,
             trace: None,
         };

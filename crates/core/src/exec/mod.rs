@@ -39,12 +39,13 @@
 //!
 //! The first level and every deepest level — and every level of Generic Join —
 //! compute their extension set through the **adaptive intersection kernel
-//! layer** ([`wcoj_storage::kernels`]): branchless merge, galloping, or
-//! small-domain bitmap, chosen per intersection by the [`KernelPolicy`] carried
-//! in [`ExecOptions`], and recorded in the [`WorkCounter`] kernel breakdown;
-//! where every participating sibling group is dense enough to carry the bitset
-//! its access structure prebuilt, the intersection is a word-parallel AND of
-//! those instead of a scan of the lists (see [`wcoj_storage::kernels`]).
+//! layer** ([`wcoj_storage::kernels`]): where every participating sibling
+//! group is dense enough to carry the bitset its trie prebuilt, the
+//! intersection is a word-parallel AND of those; otherwise branchless merge,
+//! galloping or small-domain bitmap, chosen per intersection by
+//! [`KernelPolicy::Adaptive`] from the lists' sizes and spans. Which kernel
+//! runs depends on the data alone — no option selects one — and each choice
+//! is recorded in the [`WorkCounter`] kernel breakdown.
 //!
 //! # Prefix runs × deepest column
 //!
@@ -94,7 +95,7 @@
 //! that every atom binding a variable agrees on its type and dictionary domain
 //! ([`Database::var_bindings`]).
 //!
-//! [`KernelPolicy`]: wcoj_storage::KernelPolicy
+//! [`KernelPolicy::Adaptive`]: wcoj_storage::KernelPolicy::Adaptive
 //! [`WorkCounter`]: wcoj_storage::WorkCounter
 //! [`Relation`]: wcoj_storage::Relation
 

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use wcoj_obs::TraceSink;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::typed::TypedRows;
-use wcoj_storage::{topology, CacheStats, KernelCalibration, KernelPolicy, Relation, WorkCounter};
+use wcoj_storage::{topology, CacheStats, KernelCalibration, Relation, WorkCounter};
 
 /// Which join engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +54,6 @@ pub struct ExecOptions {
     /// before the join, whatever the count. The binary baseline always runs
     /// serially.
     pub threads: usize,
-    /// Intersection-kernel policy for the WCOJ engines' extension sets:
-    /// [`KernelPolicy::Adaptive`] (the default) picks merge / gallop / bitmap per
-    /// intersection; the other values force one kernel (used by differential
-    /// tests and experiments). Ignored by the binary baseline.
-    pub kernel: KernelPolicy,
     /// Trie reuse (see [`CacheMode`]): reuse the tries memoized on the runs
     /// read ([`CacheMode::On`], the default) or build fresh ones. Ignored by
     /// the binary baseline, which builds no access structures.
@@ -77,10 +72,7 @@ pub struct ExecOptions {
 impl PartialEq for ExecOptions {
     fn eq(&self, other: &Self) -> bool {
         // `trace` is deliberately excluded: it observes, never configures.
-        self.engine == other.engine
-            && self.threads == other.threads
-            && self.kernel == other.kernel
-            && self.cache == other.cache
+        self.engine == other.engine && self.threads == other.threads && self.cache == other.cache
     }
 }
 
@@ -91,7 +83,6 @@ impl Default for ExecOptions {
         ExecOptions {
             engine: Engine::GenericJoin,
             threads: 1,
-            kernel: KernelPolicy::Adaptive,
             cache: CacheMode::On,
             trace: None,
         }
@@ -111,14 +102,6 @@ impl ExecOptions {
     pub fn with_threads(&self, threads: usize) -> Self {
         ExecOptions {
             threads,
-            ..self.clone()
-        }
-    }
-
-    /// Builder-style kernel-policy override (see [`ExecOptions::kernel`]).
-    pub fn with_kernel(&self, kernel: KernelPolicy) -> Self {
-        ExecOptions {
-            kernel,
             ..self.clone()
         }
     }

@@ -108,7 +108,6 @@ pub(crate) fn morsel_join<S: InteriorStep>(
                     let ctx = JoinCtx {
                         counter: &local,
                         trace: levels.as_ref(),
-                        ..ctx
                     };
                     let mut cursors = cursors.to_vec();
                     let mut report = WorkerTrace {
@@ -188,11 +187,10 @@ mod tests {
     use super::super::driver::run_cursors;
     use super::super::engine::{KernelExtension, LeapfrogRing};
     use super::*;
-    use wcoj_storage::{KernelPolicy, Relation, Trie};
+    use wcoj_storage::{Relation, Trie};
 
     fn ctx(counter: &WorkCounter) -> JoinCtx<'_> {
         JoinCtx {
-            policy: KernelPolicy::Adaptive,
             counter,
             trace: None,
         }

@@ -1,14 +1,16 @@
-//! Differential tests for the adaptive intersection-kernel layer at the engine
-//! level: every kernel policy (adaptive, forced merge, forced gallop, forced
-//! bitmap) must produce bit-identical engine output across the full workload
-//! suite, over loaded relations and over churned logs, and the adaptive policy
-//! must actually record its per-kernel choices in the `WorkCounter` breakdown.
+//! Tests of the intersection-kernel layer at the engine level: the engines'
+//! output is the same over loaded relations and over churned logs, serial and
+//! parallel; the adaptive choice records its per-kernel picks in the
+//! `WorkCounter` breakdown; dense groups intersect word-parallel; and a sibling
+//! group spanning all of `u64` matches the baseline. Forcing one kernel is a
+//! kernel-layer question: `wcoj_storage::kernels`'s own tests check every
+//! policy against a naive intersection.
 
 use std::sync::Arc;
 use wcoj_core::exec::{execute_opts, Engine, ExecOptions};
 use wcoj_core::{QueryTrace, TraceSink};
 use wcoj_query::{ConjunctiveQuery, Database};
-use wcoj_storage::{DeltaRelation, KernelPolicy, Relation, Schema};
+use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::differential_suite;
 
 /// The trace of one planned and traced execution.
@@ -16,26 +18,6 @@ fn traced(query: &ConjunctiveQuery, db: &Database, opts: &ExecOptions) -> QueryT
     let sink = Arc::new(TraceSink::new());
     execute_opts(query, db, &opts.with_trace(Arc::clone(&sink))).unwrap();
     sink.take().expect("trace deposited")
-}
-
-#[test]
-fn every_kernel_policy_gives_identical_results() {
-    for w in differential_suite(0x6E12) {
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let reference = execute_opts(&w.query, &w.db, &ExecOptions::new(engine))
-                .unwrap_or_else(|e| panic!("{}: {engine:?} failed: {e}", w.name));
-            for policy in KernelPolicy::ALL {
-                let opts = ExecOptions::new(engine).with_kernel(policy);
-                let out = execute_opts(&w.query, &w.db, &opts)
-                    .unwrap_or_else(|e| panic!("{}: {engine:?}/{policy:?} failed: {e}", w.name));
-                assert_eq!(
-                    out.result, reference.result,
-                    "{}: {engine:?} output depends on kernel policy {policy:?}",
-                    w.name
-                );
-            }
-        }
-    }
 }
 
 /// `db` with every relation rebuilt as a log sealed three times — the last
@@ -69,7 +51,7 @@ fn churned_twin(db: &Database) -> Database {
 
 #[test]
 fn kernel_policies_agree_on_both_backends_and_threads() {
-    // policy identity is storage- and schedule-independent: check a
+    // the kernels' output is storage- and schedule-independent: check a
     // representative cyclic and a wide-atom workload over loaded relations and
     // over a churned twin (each log read through its run), serial and parallel
     for w in [
@@ -83,19 +65,15 @@ fn kernel_policies_agree_on_both_backends_and_threads() {
             // a churned log is read as its snapshot: the static path's counters
             let churned = execute_opts(&w.query, &live, &ExecOptions::new(engine)).unwrap();
             assert_eq!(churned.work, reference.work, "{}: {engine:?}", w.name);
-            for policy in KernelPolicy::ALL {
-                for (backend, db) in [("loaded", &w.db), ("churned", &live)] {
-                    for threads in [1usize, 4] {
-                        let opts = ExecOptions::new(engine)
-                            .with_kernel(policy)
-                            .with_threads(threads);
-                        let out = execute_opts(&w.query, db, &opts).unwrap();
-                        assert_eq!(
-                            out.result, reference.result,
-                            "{}: {engine:?}/{policy:?}/{backend} x{threads}",
-                            w.name
-                        );
-                    }
+            for (backend, db) in [("loaded", &w.db), ("churned", &live)] {
+                for threads in [1usize, 4] {
+                    let opts = ExecOptions::new(engine).with_threads(threads);
+                    let out = execute_opts(&w.query, db, &opts).unwrap();
+                    assert_eq!(
+                        out.result, reference.result,
+                        "{}: {engine:?}/{backend} x{threads}",
+                        w.name
+                    );
                 }
             }
         }
@@ -129,27 +107,10 @@ fn adaptive_policy_records_kernel_breakdown() {
     }
 }
 
+/// Every sibling group of this triangle is dense, so every intersection ANDs
+/// prebuilt layouts — nothing is scanned.
 #[test]
-fn forced_policies_shift_the_breakdown() {
-    let w = wcoj_workloads::triangle(512, 0xF0);
-    let opts = ExecOptions::new(Engine::GenericJoin);
-    let merge = execute_opts(&w.query, &w.db, &opts.with_kernel(KernelPolicy::Merge)).unwrap();
-    assert!(merge.work.kernel_merge() > 0);
-    assert_eq!(merge.work.kernel_gallop(), 0);
-    assert_eq!(merge.work.kernel_bitmap(), 0);
-    let gallop = execute_opts(&w.query, &w.db, &opts.with_kernel(KernelPolicy::Gallop)).unwrap();
-    assert!(gallop.work.kernel_gallop() > 0);
-    assert_eq!(gallop.work.kernel_merge(), 0);
-    // comparisons (dead in the pre-kernel engine: always 0) are now populated by
-    // the merge kernel
-    assert!(merge.work.comparisons() > 0);
-}
-
-/// Every sibling group of this triangle is dense, so under the adaptive (or
-/// forced-bitmap) policy every intersection ANDs prebuilt layouts — nothing is
-/// scanned — while a forced list kernel never reads one.
-#[test]
-fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
+fn dense_groups_intersect_word_parallel() {
     let pairs = |skip: u64| {
         let all = (0..32u64).flat_map(|a| (0..32u64).map(move |b| (a, b)));
         all.filter(move |(a, b)| (a + b) % 3 != skip)
@@ -166,14 +127,12 @@ fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         let base = ExecOptions::new(engine);
         let at = format!("{engine:?}");
-        for policy in [KernelPolicy::Adaptive, KernelPolicy::Bitmap] {
-            let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
-            assert_eq!(out.result, expected, "{at}/{policy:?}");
-            assert_eq!(out.work.kernel_calls(), out.work.kernel_bitmap(), "{at}");
-            if engine == Engine::GenericJoin {
-                // (the leapfrog ring's own short seeks do compare)
-                assert_eq!(out.work.comparisons(), 0, "{at}/{policy:?} scanned a list");
-            }
+        let out = execute_opts(&q, &db, &base).unwrap();
+        assert_eq!(out.result, expected, "{at}");
+        assert_eq!(out.work.kernel_calls(), out.work.kernel_bitmap(), "{at}");
+        if engine == Engine::GenericJoin {
+            // (the leapfrog ring's own short seeks do compare)
+            assert_eq!(out.work.comparisons(), 0, "{at} scanned a list");
         }
         // the trace charges a level's ANDs what the counter does: word
         // probes, and nothing else (the leapfrog ring's interior level
@@ -187,11 +146,6 @@ fn dense_groups_intersect_word_parallel_unless_a_list_kernel_is_forced() {
                 "{at}: {l:?}"
             );
             assert_eq!((l.kernel_merge, l.kernel_gallop, l.comparisons), (0, 0, 0));
-        }
-        for policy in [KernelPolicy::Merge, KernelPolicy::Gallop] {
-            let out = execute_opts(&q, &db, &base.with_kernel(policy)).unwrap();
-            assert_eq!(out.result, expected, "{at}/{policy:?}");
-            assert_eq!(out.work.kernel_bitmap(), 0, "{at}/{policy:?} read a layout");
         }
     }
 }
@@ -232,11 +186,8 @@ fn a_query_spanning_all_of_u64_matches_the_baseline() {
         let last: Vec<u64> = expected.iter().map(|row| row[arity - 1]).collect();
         assert_eq!(last, [0, 2, 4, u64::MAX]);
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for policy in KernelPolicy::ALL {
-                let opts = ExecOptions::new(engine).with_kernel(policy);
-                let out = execute_opts(q, &db, &opts).unwrap();
-                assert_eq!(out.result, expected, "{engine:?}/{policy:?}");
-            }
+            let out = execute_opts(q, &db, &ExecOptions::new(engine)).unwrap();
+            assert_eq!(out.result, expected, "{engine:?}");
         }
     }
 }

@@ -10,13 +10,16 @@
 //!   once per loop) and moving ones;
 //! * the 4-cycle and `star(4)`, whose deepest level can be all fixed;
 //! * `path(5)` under the orders that end at an endpoint, whose deepest level
-//!   has one participant — an enumeration.
+//!   has one participant — an enumeration;
+//! * a Zipf-skewed triangle, whose groups are dense for the frequent values
+//!   and sparse for the rare ones, so its levels run both the AND of layouts
+//!   and the list kernels, and the loop takes both its dense and its sparse
+//!   branch.
 //!
 //! For every variable order (of `path(5)`, those 240), both WCOJ engines,
-//! threads {1, 2, 4}, plain, cancellable and traced runs, and every kernel
-//! policy: the rows are the `BinaryHash` baseline's, and for each policy the
-//! work counters (and, when traced, the per-level trace rows) are equal across
-//! threads and modes.
+//! threads {1, 2, 4}, and plain, cancellable and traced runs: the rows are the
+//! `BinaryHash` baseline's, and the work counters (and, when traced, the
+//! per-level trace rows) are equal across threads and modes.
 //!
 //! The last test pins the numbers the per-value recursion produced before
 //! the loop replaced it, so the loop must reproduce them bit for bit.
@@ -27,8 +30,10 @@ use wcoj_core::planner::{plan, Plan};
 use wcoj_core::{LevelTrace, QueryTrace, TraceSink};
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_storage::{KernelPolicy, Relation, Value, WorkCounter};
-use wcoj_workloads::{four_cycle, k_path, kclique, lw4, random_pairs, star, Workload};
+use wcoj_storage::{Relation, Value, WorkCounter};
+use wcoj_workloads::{
+    four_cycle, k_path, kclique, lw4, random_pairs, star, triangle_skewed, Workload,
+};
 
 /// `count` distinct uniform pairs over `[0, domain)²`, in the order the
 /// seeded generator first draws them — the request benchmark's relations.
@@ -118,10 +123,9 @@ fn run_as(
     }
 }
 
-/// Every order of `w` that `keep` keeps × engine × kernel policy, each at
-/// threads {1, 2, 4} and plain, cancellable and traced: rows equal
-/// `BinaryHash`'s, and per order, engine and policy the work counters and
-/// trace rows agree.
+/// Every order of `w` that `keep` keeps × engine, each at threads {1, 2, 4}
+/// and plain, cancellable and traced: rows equal `BinaryHash`'s, and per order
+/// and engine the work counters and trace rows agree.
 fn agrees_with_binary_hash(w: Workload, keep: impl Fn(&[usize]) -> bool) {
     let binary = ExecOptions::new(Engine::BinaryHash);
     let baseline = execute_opts(&w.query, &w.db, &binary)
@@ -131,29 +135,22 @@ fn agrees_with_binary_hash(w: Workload, keep: impl Fn(&[usize]) -> bool) {
     for order in orders(w.query.num_vars()).into_iter().filter(|o| keep(o)) {
         let plan = plan(&w.query, &w.db, Some(&order)).expect("plan");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for policy in KernelPolicy::ALL {
-                let mut work: Option<WorkCounter> = None;
-                let mut levels: Option<Vec<LevelTrace>> = None;
-                for threads in [1, 2, 4] {
-                    let opts = ExecOptions::new(engine)
-                        .with_kernel(policy)
-                        .with_threads(threads);
-                    for mode in [Mode::Plain, Mode::Cancellable, Mode::Traced] {
-                        let label = format!(
-                            "{}: {order:?} {engine:?} {policy:?} t{threads} {mode:?}",
-                            w.name
-                        );
-                        let (out, trace) = run_as(&w, &plan, &opts, mode);
-                        assert_eq!(out.result, baseline, "{label}: rows");
-                        match &work {
-                            Some(work) => assert_eq!(&out.work, work, "{label}: work"),
-                            None => work = Some(out.work),
-                        }
-                        let Some(trace) = trace else { continue };
-                        match &levels {
-                            Some(levels) => assert_eq!(&trace.levels, levels, "{label}"),
-                            None => levels = Some(trace.levels),
-                        }
+            let mut work: Option<WorkCounter> = None;
+            let mut levels: Option<Vec<LevelTrace>> = None;
+            for threads in [1, 2, 4] {
+                let opts = ExecOptions::new(engine).with_threads(threads);
+                for mode in [Mode::Plain, Mode::Cancellable, Mode::Traced] {
+                    let label = format!("{}: {order:?} {engine:?} t{threads} {mode:?}", w.name);
+                    let (out, trace) = run_as(&w, &plan, &opts, mode);
+                    assert_eq!(out.result, baseline, "{label}: rows");
+                    match &work {
+                        Some(work) => assert_eq!(&out.work, work, "{label}: work"),
+                        None => work = Some(out.work),
+                    }
+                    let Some(trace) = trace else { continue };
+                    match &levels {
+                        Some(levels) => assert_eq!(&trace.levels, levels, "{label}"),
+                        None => levels = Some(trace.levels),
                     }
                 }
             }
@@ -195,6 +192,22 @@ fn path5_agrees_where_the_deepest_level_is_one_atom() {
     agrees_with_binary_hash(k_path(5, 10, 0x9A7), endpoint);
 }
 
+#[test]
+fn the_skewed_triangle_agrees_everywhere() {
+    let w = triangle_skewed(600, 64, 1.1, 0x5E);
+    let plan = plan(&w.query, &w.db, None).expect("planner");
+    let opts = ExecOptions::new(Engine::GenericJoin);
+    let (out, trace) = run_as(&w, &plan, &opts, Mode::Traced);
+    assert_eq!(out.result.len(), 1045, "{}: rows", w.name);
+    // below the first level, some intersections AND layouts and some run a
+    // list kernel: both of the loop's branches are taken
+    for l in &trace.expect("traced").levels[1..] {
+        let listed = l.kernel_merge + l.kernel_gallop;
+        assert!(l.kernel_bitmap > 0 && listed > 0, "{}: {l:?}", w.name);
+    }
+    agrees_with_binary_hash(w, |_| true);
+}
+
 /// One level's trace row: candidates, emitted, the merge / gallop / bitmap
 /// kernel tallies, intersect steps, comparisons and probes.
 type Row = [u64; 8];
@@ -231,94 +244,35 @@ fn work(w: &WorkCounter) -> Work {
     ]
 }
 
-/// Generic Join's numbers under the planner's order, per kernel policy in
-/// `KernelPolicy::ALL` order: the order, then per policy the per-level trace
-/// rows and the work counter. Computed at commit 6b33eb5 by the per-value
-/// recursion the loop replaced (a `descend` into the deepest level under every
-/// value of the level above it).
+/// Generic Join's numbers under the planner's order: the order, the
+/// per-level trace rows and the work counter. Computed at commit 6b33eb5 by
+/// the per-value recursion the loop replaced (a `descend` into the deepest
+/// level under every value of the level above it).
 struct Pinned {
     order: &'static [usize],
-    policies: [(&'static [Row], Work); 4],
+    rows: &'static [Row],
+    work: Work,
 }
 
 const DENSE_TRIANGLE: Pinned = Pinned {
     order: &[0, 1, 2],
-    policies: [
-        (
-            &[
-                [92, 92, 0, 0, 1, 0, 0, 4],
-                [2048, 2048, 0, 0, 92, 0, 0, 368],
-                [11147, 11147, 0, 0, 2048, 0, 0, 8192],
-            ],
-            [0, 8564, 0, 11147, 0, 0, 0, 0, 2141],
-        ),
-        (
-            &[
-                [92, 92, 1, 0, 0, 0, 92, 0],
-                [2048, 2048, 92, 0, 0, 0, 8170, 0],
-                [11147, 11147, 2048, 0, 0, 0, 76966, 0],
-            ],
-            [0, 0, 0, 11147, 85228, 0, 2141, 0, 0],
-        ),
-        (
-            &[
-                [92, 92, 0, 1, 0, 92, 0, 183],
-                [2048, 2048, 0, 92, 0, 2048, 0, 9012],
-                [11147, 11147, 0, 2048, 0, 40664, 0, 93017],
-            ],
-            [42804, 102212, 0, 11147, 0, 0, 0, 2141, 0],
-        ),
-        (
-            &[
-                [92, 92, 0, 0, 1, 0, 0, 4],
-                [2048, 2048, 0, 0, 92, 0, 0, 368],
-                [11147, 11147, 0, 0, 2048, 0, 0, 8192],
-            ],
-            [0, 8564, 0, 11147, 0, 0, 0, 0, 2141],
-        ),
+    rows: &[
+        [92, 92, 0, 0, 1, 0, 0, 4],
+        [2048, 2048, 0, 0, 92, 0, 0, 368],
+        [11147, 11147, 0, 0, 2048, 0, 0, 8192],
     ],
+    work: [0, 8564, 0, 11147, 0, 0, 0, 0, 2141],
 };
 
 const CLIQUE4: Pinned = Pinned {
     order: &[0, 1, 2, 3],
-    policies: [
-        (
-            &[
-                [50, 50, 0, 0, 1, 0, 0, 3],
-                [531, 531, 0, 0, 50, 0, 0, 150],
-                [1379, 1379, 0, 0, 531, 0, 0, 1593],
-                [1515, 1515, 0, 0, 1379, 0, 0, 4137],
-            ],
-            [0, 5883, 0, 1515, 0, 0, 0, 0, 1961],
-        ),
-        (
-            &[
-                [50, 50, 1, 0, 0, 0, 100, 0],
-                [531, 531, 50, 0, 0, 0, 4520, 0],
-                [1379, 1379, 531, 0, 0, 0, 26182, 0],
-                [1515, 1515, 1379, 0, 0, 0, 37295, 0],
-            ],
-            [0, 0, 0, 1515, 68097, 0, 1961, 0, 0],
-        ),
-        (
-            &[
-                [50, 50, 0, 1, 0, 50, 0, 198],
-                [531, 531, 0, 50, 0, 531, 0, 4764],
-                [1379, 1379, 0, 531, 0, 4903, 0, 20329],
-                [1515, 1515, 0, 1379, 0, 12267, 0, 42742],
-            ],
-            [17751, 68033, 0, 1515, 0, 0, 0, 1961, 0],
-        ),
-        (
-            &[
-                [50, 50, 0, 0, 1, 0, 0, 3],
-                [531, 531, 0, 0, 50, 0, 0, 150],
-                [1379, 1379, 0, 0, 531, 0, 0, 1593],
-                [1515, 1515, 0, 0, 1379, 0, 0, 4137],
-            ],
-            [0, 5883, 0, 1515, 0, 0, 0, 0, 1961],
-        ),
+    rows: &[
+        [50, 50, 0, 0, 1, 0, 0, 3],
+        [531, 531, 0, 0, 50, 0, 0, 150],
+        [1379, 1379, 0, 0, 531, 0, 0, 1593],
+        [1515, 1515, 0, 0, 1379, 0, 0, 4137],
     ],
+    work: [0, 5883, 0, 1515, 0, 0, 0, 0, 1961],
 };
 
 #[test]
@@ -329,13 +283,11 @@ fn the_loop_reproduces_the_per_value_recursions_numbers() {
     ] {
         let plan = plan(&w.query, &w.db, None).expect("planner");
         assert_eq!(plan.order, pinned.order, "{}: order", w.name);
-        for (policy, (rows, pinned_work)) in KernelPolicy::ALL.into_iter().zip(pinned.policies) {
-            let opts = ExecOptions::new(Engine::GenericJoin).with_kernel(policy);
-            let (out, trace) = run_as(&w, &plan, &opts, Mode::Traced);
-            let trace = trace.expect("traced");
-            let levels: Vec<Row> = trace.levels.iter().map(row).collect();
-            assert_eq!(levels, rows, "{} {policy:?}: per-level rows", w.name);
-            assert_eq!(work(&out.work), pinned_work, "{} {policy:?}: work", w.name);
-        }
+        let opts = ExecOptions::new(Engine::GenericJoin);
+        let (out, trace) = run_as(&w, &plan, &opts, Mode::Traced);
+        let trace = trace.expect("traced");
+        let levels: Vec<Row> = trace.levels.iter().map(row).collect();
+        assert_eq!(levels, pinned.rows, "{}: per-level rows", w.name);
+        assert_eq!(work(&out.work), pinned.work, "{}: work", w.name);
     }
 }

@@ -1,11 +1,9 @@
 //! SIMD-parity property tests: the vector kernels must be **observationally
 //! identical** to the scalar reference — same output tuples in the same order
 //! *and* the same deterministic work counters — across the differential
-//! workload suite (static and delta-backed atoms), every engine, both the
-//! serial and morsel-parallel paths, and every kernel policy
-//! ([`KernelPolicy::ALL`]), so each forced kernel — not only the ones the
-//! adaptive policy happens to pick — is compared row for row and counter for
-//! counter.
+//! workload suite, every engine, and both the serial and morsel-parallel
+//! paths. Each kernel forced at every level is compared with the scalar one
+//! by the kernel layer's own tests (`wcoj_storage::kernels`).
 //!
 //! The sweep flips the process-wide dispatch level with
 //! [`wcoj_storage::simd::force_active_level`] between runs, so it exercises the
@@ -17,7 +15,6 @@
 use wcoj_core::exec::{run, Engine, ExecOptions};
 use wcoj_core::planner::plan;
 use wcoj_storage::simd::{self, SimdLevel};
-use wcoj_storage::KernelPolicy;
 use wcoj_workloads::differential_suite;
 
 #[test]
@@ -31,25 +28,18 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
     for w in &suite {
         let plan = plan(&w.query, &w.db, None).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for policy in KernelPolicy::ALL {
-                for threads in [1, 4] {
-                    let opts = ExecOptions::new(engine)
-                        .with_threads(threads)
-                        .with_kernel(policy);
+            for threads in [1, 4] {
+                let opts = ExecOptions::new(engine).with_threads(threads);
 
-                    simd::force_active_level(SimdLevel::Scalar);
-                    let scalar = run(&w.query, &w.db, &plan, &opts, None).expect("scalar");
+                simd::force_active_level(SimdLevel::Scalar);
+                let scalar = run(&w.query, &w.db, &plan, &opts, None).expect("scalar");
 
-                    simd::force_active_level(native);
-                    let vector = run(&w.query, &w.db, &plan, &opts, None).expect("simd");
+                simd::force_active_level(native);
+                let vector = run(&w.query, &w.db, &plan, &opts, None).expect("simd");
 
-                    let cfg = format!(
-                        "{}/{engine:?}/{policy:?}/t{threads} ({native:?} vs Scalar)",
-                        w.name
-                    );
-                    assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
-                    assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
-                }
+                let cfg = format!("{}/{engine:?}/t{threads} ({native:?} vs Scalar)", w.name);
+                assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
+                assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
             }
         }
     }

@@ -51,13 +51,13 @@ pub enum Json {
 }
 
 impl Json {
-    /// Parse a JSON document. Returns `None` on any syntax error or trailing
-    /// garbage — this is a validator for our own emitters, not a general
-    /// lenient reader.
+    /// Parse a JSON document. Returns `None` on any syntax error, trailing
+    /// garbage or arrays and objects nested more than 128 deep — this is a validator for
+    /// our own emitters, not a general lenient reader.
     pub fn parse(s: &str) -> Option<Json> {
         let bytes = s.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos == bytes.len() {
             Some(v)
@@ -113,11 +113,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Option<Json> {
+/// How many arrays and objects [`Json::parse`] nests before it gives up: the
+/// parser recurses once per level, so an unbounded depth would let a document
+/// overflow the stack. Every document this workspace writes nests a few deep.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value that sits inside `depth` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     skip_ws(b, pos);
     match *b.get(*pos)? {
-        b'{' => parse_obj(b, pos),
-        b'[' => parse_arr(b, pos),
+        b'{' | b'[' if depth == MAX_DEPTH => None,
+        b'{' => parse_obj(b, pos, depth + 1),
+        b'[' => parse_arr(b, pos, depth + 1),
         b'"' => parse_str(b, pos).map(Json::Str),
         b't' => parse_lit(b, pos, "true", Json::Bool(true)),
         b'f' => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -140,14 +147,21 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Option<Json> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    if *pos == start {
-        return None;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()?
-        .parse::<f64>()
-        .ok()
-        .map(Json::Num)
+    let text = std::str::from_utf8(&b[start..*pos]).ok()?;
+    let text = Some(text).filter(|t| is_json_number(t))?;
+    text.parse().ok().map(Json::Num)
+}
+
+/// Whether `s` is a number as JSON spells it, which `f64::parse` alone is not
+/// (it takes `+1`, `01`, `1.` and `.5`):
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn is_json_number(s: &str) -> bool {
+    let s = s.strip_prefix('-').unwrap_or(s);
+    let (mantissa, exp) = s.split_once(['e', 'E']).unwrap_or((s, "0"));
+    let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, "0"));
+    let exp = exp.strip_prefix(['+', '-']).unwrap_or(exp);
+    let digits = |d: &str| !d.is_empty() && d.bytes().all(|c| c.is_ascii_digit());
+    digits(int) && (int == "0" || !int.starts_with('0')) && digits(frac) && digits(exp)
 }
 
 fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
@@ -170,8 +184,13 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'r' => out.push('\r'),
                     b't' => out.push('\t'),
                     b'u' => {
-                        let hex = std::str::from_utf8(b.get(*pos + 1..*pos + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
+                        // exactly four hex digits (`from_str_radix` alone
+                        // would take a sign)
+                        let hex = b.get(*pos + 1..*pos + 5)?;
+                        if !hex.iter().all(u8::is_ascii_hexdigit) {
+                            return None;
+                        }
+                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
                         out.push(char::from_u32(code)?);
                         *pos += 4;
                     }
@@ -193,7 +212,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     debug_assert_eq!(b[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -203,7 +222,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
         return Some(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match *b.get(*pos)? {
             b',' => *pos += 1,
@@ -216,7 +235,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Option<Json> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
     debug_assert_eq!(b[*pos], b'{');
     *pos += 1;
     let mut map = BTreeMap::new();
@@ -236,7 +255,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Option<Json> {
             return None;
         }
         *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
+        map.insert(key, parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match *b.get(*pos)? {
             b',' => *pos += 1,
@@ -271,6 +290,40 @@ mod tests {
         assert!(Json::parse("{\"a\": }").is_none());
         assert!(Json::parse("[1, 2").is_none());
         assert!(Json::parse("nope").is_none());
+        // numbers follow the JSON grammar, and `\u` takes exactly four hex digits
+        for bad in [
+            "+1", "01", "-01", "1.", ".5", "-", "1e", "1e+", "--1", "1.e3", "0x1",
+        ] {
+            assert!(Json::parse(bad).is_none(), "{bad}");
+        }
+        for bad in [r#""\u+041""#, r#""\u041""#, r#""\u 041""#, r#""\u-041""#] {
+            assert!(Json::parse(bad).is_none(), "{bad}");
+        }
+        for (good, v) in [
+            ("0", 0.0),
+            ("-0.5", -0.5),
+            ("10", 10.0),
+            ("1E+2", 100.0),
+            ("2e-1", 0.2),
+        ] {
+            assert_eq!(
+                Json::parse(good).and_then(|j| j.as_f64()),
+                Some(v),
+                "{good}"
+            );
+        }
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_refused_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_some());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_none());
+        assert!(Json::parse(&"[".repeat(100_000)).is_none());
+        assert!(Json::parse(&nested(100_000)).is_none());
+        let objects = format!("{}1{}", r#"{"k":"#.repeat(100_000), "}".repeat(100_000));
+        assert!(Json::parse(&objects).is_none());
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!   values or less, as in skewed hub-and-spoke data and small-domain cliques.
 //!
 //! [`KernelPolicy::Adaptive`] (the default) picks per intersection using the
-//! common span and the size ratio; the other policy values force one kernel,
-//! which is what the differential tests use to prove all kernels compute
-//! bit-identical results. Every invocation is recorded in the
+//! common span and the size ratio; it is the only policy the execution layer
+//! runs, so which kernel runs depends on the data alone. The other policy
+//! values force one kernel: this module's tests use them to prove all kernels
+//! compute bit-identical results at every SIMD level, and the E7 microbench
+//! times each. Every invocation is recorded in the
 //! [`WorkCounter`] kernel breakdown (`kernel_merge` / `kernel_gallop` /
 //! `kernel_bitmap`), so adaptivity is auditable per query.
 //!
@@ -48,15 +50,13 @@
 //!   `len/4 + 2` words per dense group — about 1/4 on top of the values, nothing
 //!   for sparse groups. Both structures count it in their `heap_bytes()`.
 //! * **Who uses them.** [`intersect_layouts_into`]: the execution layer takes
-//!   it when *every* participant of an intersection has a layout and the policy
-//!   is `Adaptive` or `Bitmap`. It ANDs the words under the common span, masks
-//!   the two ends (which also drops values behind a cursor) and decodes — no list
-//!   is scanned. Anything else — a sparse or delta-backed participant, or a
-//!   forced `Merge`/`Gallop`, which must keep exercising the list kernels for
-//!   the "all kernels agree" differentials — goes through
-//!   [`intersect_into_at`] unchanged. The list-bitmap kernel stays: it is the
-//!   only bitmap path for delta-backed atoms and for sparse groups whose
-//!   *common* window is dense.
+//!   it when an intersection has at least two participants and *every* one
+//!   has a layout. It ANDs the words under the common span, masks the two ends
+//!   (which also drops values behind a cursor) and decodes — no list is
+//!   scanned. An intersection with a sparse participant goes through
+//!   [`intersect_into_at`] under [`KernelPolicy::Adaptive`]. The list-bitmap
+//!   kernel stays: it is the only bitmap path for sparse groups whose *common*
+//!   window is dense.
 //! * **Rank.** A layout answers rank as well as membership: one bit per
 //!   member, in order, so the members between two values are a popcount of the
 //!   words between them (`members_between`). A [`crate::TrieCursor`] holds its
@@ -104,8 +104,9 @@ use crate::simd::{self, SimdLevel};
 use crate::stats::WorkCounter;
 use crate::Value;
 
-/// Which intersection kernel the execution layer should run. Carried through
-/// `ExecOptions` in `wcoj-core`; [`KernelPolicy::Adaptive`] is the default.
+/// Which list kernel [`intersect_into_at`] runs. The execution layer in
+/// `wcoj-core` always passes [`KernelPolicy::Adaptive`], the default; the
+/// forcing values serve this module's tests and the kernel microbench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Choose per intersection by the span/size-ratio heuristic ([`choose_kernel`]).
