@@ -9,7 +9,7 @@
 //! E7's other sections are retired (see `EXPERIMENTS.md`): the startup
 //! auto-tune probe with the probe itself; the end-to-end scalar/SIMD A/B,
 //! whose bit-identity `core/tests/simd_parity.rs` asserts; and the morsel
-//! scaling rows, which are `e3_parallel_scaling`'s.
+//! scaling rows, which went with intra-query parallelism (E3).
 //!
 //! `--smoke` shrinks the iteration count for CI.
 

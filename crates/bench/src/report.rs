@@ -81,7 +81,7 @@ impl ExperimentTable {
     }
 }
 
-/// One benchmark measurement: a workload/engine/thread-count configuration with its
+/// One benchmark measurement: a workload/engine configuration with its
 /// wall-clock time and work-counter tallies. Serialized into `BENCH_joins.json`,
 /// whose rows are all serial.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,7 +90,8 @@ pub struct BenchRecord {
     pub workload: String,
     /// Engine name (e.g. `GenericJoin`).
     pub engine: String,
-    /// Worker thread count (1 = serial).
+    /// Worker thread count: 1, as the executor is serial (a column of the
+    /// recorded file).
     pub threads: usize,
     /// Median wall-clock milliseconds across the timed iterations.
     pub median_ms: f64,

@@ -14,24 +14,22 @@
 //! [`wcoj_storage::WorkCounter`] work (their activity is tallied in
 //! [`CacheStats`]), and a memoized structure is the one a fresh build would
 //! produce, bit for bit, so results and work counters are the same with the
-//! cache on, off, or cold. Builds run on the calling thread; the only threads
-//! an execution spawns are the morsel workers of [`super::parallel`].
+//! cache on, off, or cold. Builds and the join run on the calling thread.
 
 use super::driver::run_cursors;
 use super::engine::{InteriorStep, JoinCtx};
 use super::trace::{atom_outcome, elapsed_ns};
 use super::{CacheMode, CancelToken, ColumnSink, ExecOptions};
 use crate::error::ExecError;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-use wcoj_obs::{AtomTrace, MorselTrace};
+use wcoj_obs::AtomTrace;
 use wcoj_query::{ConjunctiveQuery, Database};
 use wcoj_storage::delta::Run;
 use wcoj_storage::{CacheStats, DeltaRelation, Trie};
 
-/// The tries built for one execution, one per atom, shared immutably by all
-/// workers. Tries are `Arc`-shared with the runs that memoize them, so a hit
-/// costs a refcount, not a rebuild.
+/// The tries built for one execution, one per atom. Tries are `Arc`-shared
+/// with the runs that memoize them, so a hit costs a refcount, not a rebuild.
 pub(super) struct BuiltAccess(Vec<Arc<Trie>>);
 
 /// The run whose tries `delta`'s atoms reuse: the log's run once nothing is
@@ -113,20 +111,16 @@ impl BuiltAccess {
         Ok(BuiltAccess(tries))
     }
 
-    /// Run the engine `S` over one fresh cursor per trie — serial for
-    /// `threads == 1`, morsel workers (each on a clone) otherwise. Fails with
-    /// [`ExecError::Canceled`] when `token` fires mid-run, or
-    /// [`ExecError::WorkerPanicked`] when a morsel worker dies.
+    /// Run the engine `S` over one fresh cursor per trie. Fails with
+    /// [`ExecError::Canceled`] when `token` fires mid-run.
     pub(super) fn run<S: InteriorStep>(
         &self,
         participants: &[Vec<usize>],
-        threads: usize,
         ctx: JoinCtx<'_>,
         token: Option<&CancelToken>,
-        morsels: Option<&OnceLock<MorselTrace>>,
     ) -> Result<ColumnSink, ExecError> {
         let mut cursors: Vec<_> = self.0.iter().map(|t| t.cursor()).collect();
-        run_cursors::<S>(&mut cursors, participants, threads, ctx, token, morsels)
+        run_cursors::<S>(&mut cursors, participants, ctx, token)
     }
 }
 

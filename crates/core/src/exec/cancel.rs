@@ -1,23 +1,27 @@
 //! Cooperative cancellation for query execution.
 //!
 //! A [`CancelToken`] carries a shared cancel flag and an optional deadline.
-//! The execution layer polls it at natural chunk boundaries — between slices
-//! of the first join variable's extension set in serial execution, and in the
-//! morsel claim loop of every parallel worker — and returns
-//! [`crate::ExecError::Canceled`], discarding partial output. Polling at
-//! chunk boundaries keeps the hot loops untouched: the engines' inner
-//! recursion never sees the token, so cancellable and plain execution produce
-//! bit-identical rows and work counters when the token never fires (the chunk
-//! independence the morsel scheduler's differential tests already assert).
+//! The execution layer polls it at natural chunk boundaries — between
+//! [`CANCEL_CHUNK`]-value slices of the first join variable's extension set —
+//! and returns [`crate::ExecError::Canceled`], discarding partial output.
+//! Polling at chunk boundaries keeps the hot loops untouched: the engines'
+//! inner recursion never sees the token, so cancellable and plain execution
+//! produce bit-identical rows and work counters when the token never fires
+//! (`core/tests/slicing.rs` asserts it over the differential suite).
 //!
-//! The check is cooperative, so latency is bounded by the largest single-value
-//! subtree of the first join variable — a skewed heavy hitter defers the stop
-//! until its subtree completes.
+//! The check is cooperative, so latency is bounded by one slice's subtrees —
+//! a skewed heavy hitter defers the stop until its slice completes.
 
 use crate::error::ExecError;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A cancellable execution slices the first join variable's extension set
+/// this many values at a time and polls its token between slices. Slice
+/// boundaries cannot affect rows or counters, so this only bounds
+/// cancellation latency (one slice's subtrees).
+pub const CANCEL_CHUNK: usize = 64;
 
 /// A shared cancellation handle: explicit [`CancelToken::cancel`] calls and an
 /// optional deadline both trip it. Clones share the flag (an `Arc`), so one

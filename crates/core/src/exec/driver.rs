@@ -3,18 +3,16 @@
 //! serial loop that feeds the engine skeleton ([`run_cursors`]).
 
 use super::access::BuiltAccess;
+use super::cancel::CANCEL_CHUNK;
 use super::engine::{
     first_extension_set, join_extensions, level_scratch, InteriorStep, JoinCtx, KernelExtension,
     LeapfrogRing,
 };
 use super::trace::{elapsed_ns, Recording};
-use super::{
-    binary, parallel, CacheMode, CancelToken, ColumnSink, Engine, ExecOptions, ExecOutput,
-};
+use super::{binary, CacheMode, CancelToken, ColumnSink, Engine, ExecOptions, ExecOutput};
 use crate::error::ExecError;
 use crate::planner::{baseline_order, plan, Plan};
-use std::sync::OnceLock;
-use wcoj_obs::{LevelRecorder, MorselTrace};
+use wcoj_obs::LevelRecorder;
 use wcoj_query::database::VarBinding;
 use wcoj_query::plan::is_valid_order;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
@@ -149,9 +147,7 @@ impl Wcoj<'_> {
             trace: rec.levels.as_ref(),
         };
         let joining = rec.clock();
-        let morsels = rec.tracing().then_some(&rec.morsels);
-        let threads = opts.resolved_threads();
-        let rows = built.run::<S>(&participants, threads, ctx, self.token, morsels)?;
+        let rows = built.run::<S>(&participants, ctx, self.token)?;
         rec.join_ns = elapsed_ns(joining);
         // fold this query's cache activity into the database's cumulative
         // observability counters (guarded so a cache-bypassing run cannot
@@ -189,30 +185,18 @@ fn levels_and_positions(
     (participants, positions)
 }
 
-/// Serial cancellable execution slices the extension set this many values at a
-/// time between token polls. Chunk boundaries cannot affect rows or counters —
-/// the morsel scheduler's differential tests assert exactly that — so this
-/// only bounds cancellation latency (one chunk's subtrees).
-const CANCEL_CHUNK: usize = 64;
-
 /// Run the skeleton with step `S` over `cursors` (one per atom, positioned at
-/// the root): the morsel scheduler for `threads > 1`, else the engines' own
-/// decomposition in place — the level-0 intersection, then the engine body
-/// over slices of it, all into one [`ColumnSink`]: a single whole-set slice
-/// when nothing can cancel the run, [`CANCEL_CHUNK`]-value slices with a token
-/// poll between them otherwise. Rows and counters do not depend on the
-/// slicing, nor on `ctx.trace`.
+/// the root): the level-0 intersection, then the engine body over slices of
+/// it, all into one [`ColumnSink`] — a single whole-set slice when nothing can
+/// cancel the run, [`CANCEL_CHUNK`]-value slices with a token poll between
+/// them otherwise. Rows and counters do not depend on the slicing, nor on
+/// `ctx.trace`.
 pub(super) fn run_cursors<S: InteriorStep>(
     cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
-    threads: usize,
     ctx: JoinCtx<'_>,
     token: Option<&CancelToken>,
-    morsels: Option<&OnceLock<MorselTrace>>,
 ) -> Result<ColumnSink, ExecError> {
-    if threads > 1 {
-        return parallel::morsel_join::<S>(cursors, participants, threads, ctx, token, morsels);
-    }
     if let Some(t) = token {
         t.check()?;
     }
@@ -269,4 +253,66 @@ fn rows_to_relation(
     } else {
         Relation::try_from_columns(schema, columns)?
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wcoj_storage::{Trie, Value};
+    use wcoj_workloads::{differential_suite, Workload};
+
+    /// The engine body `S` over `w`'s planned order, with level 0 cut into
+    /// `len`-value slices (one slice when `len` is `None`): the rows, level by
+    /// level, and the work.
+    fn sliced<S: InteriorStep>(w: &Workload, len: Option<usize>) -> (Vec<Vec<Value>>, WorkCounter) {
+        let order = plan(&w.query, &w.db, None).expect("plan").order;
+        let (participants, positions) = levels_and_positions(&w.query, &order);
+        let sources = w.db.atom_sources(&w.query).expect("sources");
+        let tries: Vec<Trie> = sources
+            .iter()
+            .zip(&positions)
+            .map(|(source, columns)| source.live_run().trie(columns).expect("trie"))
+            .collect();
+        let mut cursors: Vec<_> = tries.iter().map(Trie::cursor).collect();
+        let work = WorkCounter::new();
+        let ctx = JoinCtx {
+            counter: &work,
+            trace: None,
+        };
+        let e0 = first_extension_set(&mut cursors, &participants[0], ctx);
+        let mut sink = ColumnSink::new(participants.len());
+        let mut scratch = level_scratch(&participants);
+        for slice in e0.chunks(len.unwrap_or(e0.len()).max(1)) {
+            join_extensions::<S>(
+                &mut cursors,
+                &participants,
+                slice,
+                ctx,
+                &mut sink,
+                &mut scratch,
+            );
+        }
+        assert!(sink.is_canonical(), "{}: slices emit in order", w.name);
+        (sink.into_columns(), work)
+    }
+
+    /// Rows and counters do not depend on where level 0 is cut: slices of
+    /// every length from 1 to 5 give the whole set's, for both engine steps.
+    #[test]
+    fn any_cut_of_level_0_gives_the_whole_sets_rows_and_counters() {
+        let mut with_rows = 0;
+        for w in differential_suite(0x51_1CE) {
+            let whole = (
+                sliced::<KernelExtension>(&w, None),
+                sliced::<LeapfrogRing>(&w, None),
+            );
+            with_rows += !whole.0 .0[0].is_empty() as usize;
+            for len in 1..=5 {
+                let at = format!("{} in {len}-value slices", w.name);
+                assert_eq!(sliced::<KernelExtension>(&w, Some(len)), whole.0, "{at}");
+                assert_eq!(sliced::<LeapfrogRing>(&w, Some(len)), whole.1, "{at}");
+            }
+        }
+        assert!(with_rows >= 15, "{with_rows} shapes with rows");
+    }
 }

@@ -8,11 +8,9 @@
 //!
 //! Variables are bound in the fixed global order. The **first** variable's
 //! extension set is computed up front by one multi-way sorted intersection of the
-//! root sibling groups ([`first_extension_set`]) — the natural parallelization
-//! seam: its values can be processed independently, so the morsel scheduler in
-//! [`crate::exec::parallel`] partitions exactly this set, and serial execution is
-//! the one-morsel special case (which is what makes serial and merged parallel
-//! work counters *identical*). [`join_extensions`] processes a slice of it.
+//! root sibling groups ([`first_extension_set`]). Its values are processed
+//! independently, so [`join_extensions`] takes a slice of it: a cancellable run
+//! takes it in slices, a plain run whole, with identical rows and counters.
 //!
 //! Every kernel-layer intersection ([`level_extension_into`]) honors the
 //! "intersection in time proportional to the smallest set" discipline whose
@@ -53,9 +51,8 @@ use wcoj_obs::LevelRecorder;
 use wcoj_storage::kernels::{self, Layout, RunningRank};
 use wcoj_storage::{KernelPolicy, TrieCursor, Value, WorkCounter};
 
-/// What every engine body reads while it runs: the counter it charges (a
-/// morsel worker swaps in its private one) and the per-level trace recorder
-/// when the execution is traced.
+/// What every engine body reads while it runs: the counter it charges and the
+/// per-level trace recorder when the execution is traced.
 #[derive(Clone, Copy)]
 pub(crate) struct JoinCtx<'a> {
     pub(crate) counter: &'a WorkCounter,
@@ -170,20 +167,16 @@ impl InteriorStep for LeapfrogRing {
 /// re-position the level-0 participant cursors (uncounted — the driver's
 /// intersection already paid for the discovery) and recurse over the remaining
 /// levels, emitting into `sink`. The level-0 participant cursors must already be
-/// open at their root group. This is the engine body both the serial driver
-/// and every morsel worker run, on their own cursor sets and their own
-/// `scratch` — one extension-set buffer per interior level
-/// ([`level_scratch`]), kept across slices so a sliced run grows each buffer
-/// once.
+/// open at their root group. `scratch` holds one extension-set buffer per
+/// interior level ([`level_scratch`]), kept across slices so a sliced run
+/// grows each buffer once.
 ///
 /// `participants[l]` lists the cursor indices whose relations contain the
 /// variable bound at level `l` of the global order; every cursor's own attribute
 /// order must be sorted by global position. Tuples land in `sink` sorted and
 /// distinct in level order and are tallied in `ctx.counter`. With `ctx.trace`
-/// present, per-level statistics go to that [`LevelRecorder`], which this
-/// thread of execution must be the only writer of — a morsel worker records
-/// into a private one the scheduler absorbs afterwards (commutative sums, so
-/// parallel traced runs report the same deterministic totals as serial ones).
+/// present, per-level statistics go to that [`LevelRecorder`], whose only
+/// writer this execution is.
 pub(crate) fn join_extensions<S: InteriorStep>(
     cursors: &mut [TrieCursor<'_>],
     participants: &[Vec<usize>],
@@ -205,8 +198,8 @@ pub(crate) fn join_extensions<S: InteriorStep>(
     }
     for (i, &v) in values.iter().enumerate() {
         for &ci in &participants[0] {
-            // the slice ascends, so after the first (bidirectional) reposition —
-            // morsels arrive in arbitrary order — forward advances suffice
+            // the slice ascends, so after its first value's (bidirectional)
+            // reposition forward advances suffice
             let found = if i == 0 {
                 cursors[ci].reposition(v)
             } else {
@@ -430,7 +423,8 @@ fn emit_deepest(
 
 /// Open the level-0 participant cursors and intersect their root sibling groups —
 /// the first join variable's extension set, charged to `ctx.counter` exactly once
-/// per execution (the driver's charge; workers re-position without re-counting).
+/// per execution (the driver's charge; [`join_extensions`] re-positions
+/// without re-counting).
 /// Leaves the participant cursors open. Returns empty if any participant has no
 /// values.
 pub(crate) fn first_extension_set(
@@ -465,8 +459,8 @@ pub(crate) fn first_extension_set(
 /// the instruction mix.
 ///
 /// With `ctx.trace` present the kernel's choice and its charged work (diffed
-/// from `ctx.counter` around the call — the counter is private to this thread
-/// of execution, so the diff attributes exactly this intersection) are recorded
+/// from `ctx.counter` around the call — the counter is this execution's
+/// alone, so the diff attributes exactly this intersection) are recorded
 /// against join level `level`, with the appended count as its candidates: a
 /// traced run takes the same fused path as an untraced one. Tracing reads the
 /// counter and appends to relaxed atomics; it never changes what the kernel
@@ -574,7 +568,7 @@ mod tests {
             trace: None,
         };
         let mut cursors: Vec<_> = tries.iter().map(Trie::cursor).collect();
-        run_cursors::<S>(&mut cursors, participants, 1, ctx, None, None)
+        run_cursors::<S>(&mut cursors, participants, ctx, None)
             .expect("serial runs cannot fail")
             .into_columns()
     }

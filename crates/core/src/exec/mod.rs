@@ -2,8 +2,8 @@
 //! builder loop** — and nothing ambient. Rows and work counters are a function
 //! of `(query, database, options)`: no environment variable, file, wall-clock
 //! probe or process-global setting is consulted anywhere below this module
-//! (SIMD level and CPU count are host *detection* that never moves a row or
-//! a counter).
+//! (the SIMD level is host *detection* that never moves a row or a
+//! counter), and an execution runs on the calling thread.
 //!
 //! # One entry
 //!
@@ -58,19 +58,16 @@
 //! exactly-sized allocation, when the join is over. A result value is written
 //! once. Rows come out strictly ascending in level order, and the sink
 //! **verifies that as it goes** — each emission against its predecessor while
-//! the rows are in L1, each morsel boundary at the merge — so when the join
-//! order is the identity the columns become the result [`Relation`] with no
+//! the rows are in L1 — so when the join order is the identity the columns become the result [`Relation`] with no
 //! copy, no sort and no second pass
 //! ([`wcoj_storage::Relation::try_from_canonical_columns`]); any other order,
 //! or a result that failed the check, is canonicalized by
 //! [`wcoj_storage::Relation::try_from_columns`].
 //!
-//! With `threads > 1` the skeleton runs under the morsel-driven scheduler of
-//! [`parallel`], which partitions the first join variable's extension set across
-//! scoped workers holding private cursors and private [`WorkCounter`]s; results
-//! and counters are bit-identical to serial execution. That is the one seam
-//! the library parallelizes at, and [`parallel`] the one place it spawns
-//! threads: the access structures the workers share are built serially first.
+//! The skeleton is one serial recursion, as Algorithm 2 is: the level-0
+//! intersection, then the engine body over that set — whole, or in
+//! [`cancel::CANCEL_CHUNK`]-value slices with a token poll between them —
+//! on the calling thread. The library spawns no thread.
 //!
 //! # One builder loop
 //!
@@ -105,7 +102,6 @@ pub mod cancel;
 mod driver;
 mod engine;
 mod options;
-pub mod parallel;
 mod sink;
 mod trace;
 
@@ -120,8 +116,8 @@ use wcoj_query::{ConjunctiveQuery, Database, VarId};
 
 /// Execute `query` over `db` under `plan` (from [`crate::planner::plan`]) with
 /// full [`ExecOptions`], polling `token` if there is one: the engines poll it
-/// cooperatively (between extension-set chunks serially, in the morsel claim
-/// loop in parallel — see [`cancel`]) and return [`ExecError::Canceled`],
+/// cooperatively (between slices of the first variable's extension set — see
+/// [`cancel`]) and return [`ExecError::Canceled`],
 /// discarding partial output, once it fires. Rows and work counters do not
 /// depend on the token while it has not fired, nor on tracing.
 pub fn run(
@@ -366,14 +362,11 @@ mod tests {
         db.insert_delta("R", vec![1, 2]).unwrap(); // re-add it
         assert!(db.delta("R").is_some());
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for threads in [1, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                let out = execute_opts(&q, &db, &opts).unwrap();
-                assert_eq!(
-                    out.result, expected.result,
-                    "{engine:?}/t{threads} over the delta path"
-                );
-            }
+            let out = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
+            assert_eq!(
+                out.result, expected.result,
+                "{engine:?} over the delta path"
+            );
         }
         // the buffered ops cancel, so sealing leaves one run with no tombstone:
         // that log's trie is the loaded relation's
@@ -427,49 +420,31 @@ mod tests {
         let q = examples::triangle();
         let db = triangle_db();
         for engine in [Engine::BinaryHash, Engine::GenericJoin, Engine::Leapfrog] {
-            for threads in [1, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                let plain = execute_opts(&q, &db, &opts).unwrap();
-                // a token that never fires: rows AND counters bit-identical
-                let token = CancelToken::new();
-                let out = execute_cancellable(&q, &db, &opts, None, &token).unwrap();
-                assert_eq!(out.result, plain.result, "{engine:?}/t{threads}");
-                assert_eq!(out.work, plain.work, "{engine:?}/t{threads} counters");
-                // explicit order passes through unchanged
-                let ordered =
-                    execute_cancellable(&q, &db, &opts, Some(&plain.order), &token).unwrap();
-                assert_eq!(ordered.result, plain.result);
-                // a pre-fired token cancels before any engine work
-                let fired = CancelToken::new();
-                fired.cancel();
-                assert_eq!(
-                    execute_cancellable(&q, &db, &opts, None, &fired).unwrap_err(),
-                    ExecError::Canceled
-                );
-                // an expired deadline behaves like an explicit cancel
-                let expired = CancelToken::with_deadline(
-                    std::time::Instant::now() - std::time::Duration::from_millis(1),
-                );
-                assert_eq!(
-                    execute_cancellable(&q, &db, &opts, None, &expired).unwrap_err(),
-                    ExecError::Canceled
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_triangle_matches_serial() {
-        let q = examples::triangle();
-        let db = triangle_db();
-        for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            let serial = execute_opts(&q, &db, &ExecOptions::new(engine)).unwrap();
-            for threads in [2, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                let out = execute_opts(&q, &db, &opts).unwrap();
-                assert_eq!(out.result, serial.result, "{engine:?} x{threads}");
-                assert_eq!(out.work, serial.work, "{engine:?} x{threads} counters");
-            }
+            let opts = ExecOptions::new(engine);
+            let plain = execute_opts(&q, &db, &opts).unwrap();
+            // a token that never fires: rows AND counters bit-identical
+            let token = CancelToken::new();
+            let out = execute_cancellable(&q, &db, &opts, None, &token).unwrap();
+            assert_eq!(out.result, plain.result, "{engine:?}");
+            assert_eq!(out.work, plain.work, "{engine:?} counters");
+            // explicit order passes through unchanged
+            let ordered = execute_cancellable(&q, &db, &opts, Some(&plain.order), &token).unwrap();
+            assert_eq!(ordered.result, plain.result);
+            // a pre-fired token cancels before any engine work
+            let fired = CancelToken::new();
+            fired.cancel();
+            assert_eq!(
+                execute_cancellable(&q, &db, &opts, None, &fired).unwrap_err(),
+                ExecError::Canceled
+            );
+            // an expired deadline behaves like an explicit cancel
+            let expired = CancelToken::with_deadline(
+                std::time::Instant::now() - std::time::Duration::from_millis(1),
+            );
+            assert_eq!(
+                execute_cancellable(&q, &db, &opts, None, &expired).unwrap_err(),
+                ExecError::Canceled
+            );
         }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use wcoj_obs::TraceSink;
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::typed::TypedRows;
-use wcoj_storage::{topology, CacheStats, KernelCalibration, Relation, WorkCounter};
+use wcoj_storage::{CacheStats, KernelCalibration, Relation, WorkCounter};
 
 /// Which join engine to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,19 +48,13 @@ pub enum CacheMode {
 pub struct ExecOptions {
     /// The join engine.
     pub engine: Engine,
-    /// Worker threads for the WCOJ engines' join: `1` runs serially, `n > 1`
-    /// runs the morsel-driven scheduler with `n` workers, and `0` asks the OS
-    /// for the available parallelism. Access structures are built serially,
-    /// before the join, whatever the count. The binary baseline always runs
-    /// serially.
-    pub threads: usize,
     /// Trie reuse (see [`CacheMode`]): reuse the tries memoized on the runs
     /// read ([`CacheMode::On`], the default) or build fresh ones. Ignored by
     /// the binary baseline, which builds no access structures.
     pub cache: CacheMode,
     /// Optional trace sink: `Some` makes the execution deposit a
     /// [`wcoj_obs::QueryTrace`] — plan choice, per-level extension-set statistics,
-    /// per-atom cache outcomes, morsel scheduling, and wall-time phases —
+    /// per-atom cache outcomes, and wall-time phases —
     /// into the sink ([`TraceSink::take`] retrieves it). `None` (the default)
     /// records nothing and adds no work to the hot path. Tracing never
     /// perturbs execution: rows and work counters are bit-identical with the
@@ -72,7 +66,7 @@ pub struct ExecOptions {
 impl PartialEq for ExecOptions {
     fn eq(&self, other: &Self) -> bool {
         // `trace` is deliberately excluded: it observes, never configures.
-        self.engine == other.engine && self.threads == other.threads && self.cache == other.cache
+        self.engine == other.engine && self.cache == other.cache
     }
 }
 
@@ -82,7 +76,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             engine: Engine::GenericJoin,
-            threads: 1,
             cache: CacheMode::On,
             trace: None,
         }
@@ -90,19 +83,11 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Options for `engine`, single-threaded, everything else default.
+    /// Options for `engine`, everything else default.
     pub fn new(engine: Engine) -> Self {
         ExecOptions {
             engine,
             ..Default::default()
-        }
-    }
-
-    /// Builder-style thread-count override (see [`ExecOptions::threads`]).
-    pub fn with_threads(&self, threads: usize) -> Self {
-        ExecOptions {
-            threads,
-            ..self.clone()
         }
     }
 
@@ -130,19 +115,6 @@ impl ExecOptions {
             ..self.clone()
         }
     }
-
-    /// The concrete worker count: `threads`, with `0` resolved to the CPUs
-    /// available to the process ([`topology::available_cpus`], read once and
-    /// before any [`topology::pin_current_thread`] takes effect — so a caller
-    /// that has pinned its own thread, even before its first query, still gets
-    /// every core).
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            topology::available_cpus()
-        } else {
-            self.threads
-        }
-    }
 }
 
 /// The result of executing a query: the output relation (columns in the query's
@@ -151,8 +123,7 @@ impl ExecOptions {
 pub struct ExecOutput {
     /// The query output.
     pub result: Relation,
-    /// Elementary-operation tallies recorded during execution (for parallel runs:
-    /// the deterministic merge of every worker's tallies).
+    /// Elementary-operation tallies recorded during execution.
     pub work: WorkCounter,
     /// The global variable order the engine ran with (identity for the binary
     /// baseline, which is order-insensitive).
@@ -194,36 +165,12 @@ mod tests {
     fn options_resolve_sensibly() {
         let opts = ExecOptions::default();
         assert_eq!(opts.engine, Engine::GenericJoin);
-        assert_eq!(opts.resolved_threads(), 1);
         assert_eq!(opts.with_calibration(KernelCalibration::fixed()), opts);
         assert_eq!(opts.cache, CacheMode::On);
         assert_eq!(
             ExecOptions::default().with_cache(CacheMode::Off).cache,
             CacheMode::Off
         );
-        let lf = ExecOptions::new(Engine::Leapfrog).with_threads(4);
-        assert_eq!(lf.resolved_threads(), 4);
-    }
-
-    /// `threads: 0` means every CPU of the *process*: a caller that pinned its
-    /// own thread (a service worker, a benchmark client) must not be resolved
-    /// down to the one CPU its affinity mask now shows.
-    #[test]
-    fn zero_threads_survives_a_pinned_caller() {
-        let all = topology::available_cpus();
-        assert!(all >= 1);
-        let auto = ExecOptions::new(Engine::GenericJoin).with_threads(0);
-        let resolved = std::thread::scope(|s| {
-            s.spawn(|| {
-                topology::pin_current_thread(0);
-                auto.resolved_threads()
-            })
-            .join()
-        });
-        assert_eq!(
-            resolved.ok(),
-            Some(all),
-            "resolved count dropped after a pin"
-        );
+        assert_eq!(ExecOptions::new(Engine::Leapfrog).engine, Engine::Leapfrog);
     }
 }

@@ -3,8 +3,8 @@
 //! union of (bound prefix) × (extension set) products — instead of flattening
 //! it tuple by tuple.
 //!
-//! Every engine body — Generic Join, Leapfrog Triejoin, serial or morsel —
-//! writes through one [`ColumnSink`], which keeps
+//! Every engine body — Generic Join and Leapfrog Triejoin — writes through
+//! one [`ColumnSink`], which keeps
 //!
 //! * the **deepest column**: one value per result tuple. The last level's
 //!   intersection appends its extension set straight into it
@@ -24,8 +24,8 @@
 //! the finished columns to find out: every emission checks its appended tails
 //! (strictly ascending, still in L1) and its first row against the row before
 //! it (the shallowest level re-bound at that row decides; equal values defer to
-//! the next level, and last to the tails), and morsel [`ColumnSink::concat`]
-//! checks each part boundary. [`ColumnSink::is_canonical`] is the conjunction —
+//! the next level, and last to the tails). [`ColumnSink::is_canonical`] is the
+//! conjunction —
 //! equal to "the expanded rows are sorted and distinct", which the property
 //! test in this module proves against the full scan — and is what lets
 //! `rows_to_relation` adopt a verified identity-order result without a second
@@ -120,47 +120,6 @@ impl ColumnSink {
     /// sorted and distinct, a relation's canonical layout (see the module docs).
     pub fn is_canonical(&self) -> bool {
         self.canonical
-    }
-
-    /// All tuples of `parts`, in order, in one sink over `levels` variables (the
-    /// per-morsel merge): the deepest columns are appended into one
-    /// exactly-sized allocation and the run lists are spliced with their rows
-    /// shifted. The result is canonical when every part is and each non-empty
-    /// part's first row is above the last row before it.
-    pub(crate) fn concat(levels: usize, parts: Vec<ColumnSink>) -> Self {
-        let mut all = ColumnSink::new(levels);
-        all.tails
-            .reserve_exact(parts.iter().map(ColumnSink::len).sum());
-        for part in parts.iter().filter(|part| !part.is_empty()) {
-            let base = all.tails.len();
-            all.canonical &= part.canonical && (base == 0 || all.last_row().lt(part.first_row()));
-            all.tails.extend_from_slice(&part.tails);
-            for (runs, more) in all.runs.iter_mut().zip(&part.runs) {
-                // a trailing run that covers no row goes; the part's first
-                // run starts at its row 0 and takes over from here
-                if runs.last().is_some_and(|&(_, first)| first == base) {
-                    runs.pop();
-                }
-                runs.extend(more.iter().map(|&(v, first)| (v, first + base)));
-            }
-        }
-        all
-    }
-
-    /// The first emitted row (of a non-empty sink), level by level.
-    fn first_row(&self) -> impl Iterator<Item = Value> + '_ {
-        let prefix = self.runs.iter().map(|runs| runs[0].0);
-        prefix.chain(self.tails.first().copied())
-    }
-
-    /// The last emitted row (of a non-empty sink), level by level.
-    fn last_row(&self) -> impl Iterator<Item = Value> + '_ {
-        let rows = self.tails.len();
-        let prefix = self.runs.iter().map(move |runs| {
-            let covering = runs.partition_point(|&(_, first)| first < rows);
-            runs[covering - 1].0
-        });
-        prefix.chain(self.tails.last().copied())
     }
 
     /// Number of tuples emitted so far.
@@ -330,83 +289,5 @@ mod tests {
             canonical > 500 && unsorted > 500,
             "{canonical} / {unsorted}"
         );
-    }
-
-    #[test]
-    fn concat_verifies_each_part_boundary() {
-        let mut rng = SplitMix64::new(0xC0_4C);
-        let (mut canonical, mut unsorted) = (0, 0);
-        for case in 0..3_000u64 {
-            let levels = 1 + rng.below(3) as usize;
-            // morsels: the sorted rows of disjoint ascending ranges of level 0,
-            // some empty — or, every fourth case, anything at all
-            let parts: Vec<Checked> = (0..rng.below(5))
-                .map(|m| {
-                    if case % 4 == 0 {
-                        let ops = rng.below(6);
-                        return random_ops(&mut rng, levels, ops);
-                    }
-                    let rows = rng.below(6);
-                    let mut part = engine_like_ops(&mut rng, levels, rows);
-                    let shifted: Vec<Vec<Value>> = part
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            let mut row = row.clone();
-                            row[0] += 4 * m;
-                            row
-                        })
-                        .collect();
-                    part.sink = ColumnSink::new(levels);
-                    for row in &shifted {
-                        for (l, &v) in row[..levels - 1].iter().enumerate() {
-                            part.sink.bind(l, v);
-                        }
-                        part.sink.emit(&row[levels - 1..]);
-                    }
-                    part.rows = shifted;
-                    part
-                })
-                .collect();
-            let rows: Vec<Vec<Value>> = parts.iter().flat_map(|p| p.rows.clone()).collect();
-            let all = ColumnSink::concat(levels, parts.into_iter().map(|p| p.sink).collect());
-            let expected = strictly_ascending(&rows);
-            assert!(expected || case % 4 == 0, "morsel-shaped parts are ordered");
-            assert_eq!(all.is_canonical(), expected, "case {case}: {rows:?}");
-            assert_eq!(all.len(), rows.len());
-            assert_eq!(all.into_columns(), transposed(&rows, levels), "case {case}");
-            canonical += expected as u32;
-            unsorted += !expected as u32;
-        }
-        assert!(
-            canonical > 500 && unsorted > 100,
-            "{canonical} / {unsorted}"
-        );
-    }
-
-    #[test]
-    fn an_out_of_order_part_clears_the_flag() {
-        let part = |a: Value, tails: &[Value]| {
-            let mut sink = ColumnSink::new(2);
-            sink.bind(0, a);
-            sink.emit(tails);
-            sink
-        };
-        let ordered = ColumnSink::concat(2, vec![part(1, &[5, 6]), part(2, &[0]), part(2, &[1])]);
-        assert!(ordered.is_canonical());
-        assert_eq!(ordered.into_columns(), [vec![1, 1, 2, 2], vec![5, 6, 0, 1]]);
-        // each part verified on its own, the sequence not: a swapped morsel ...
-        let swapped = ColumnSink::concat(2, vec![part(2, &[0]), part(1, &[5, 6])]);
-        assert!(!swapped.is_canonical());
-        assert_eq!(swapped.into_columns(), [vec![2, 1, 1], vec![0, 5, 6]]);
-        // ... a row repeated across the boundary ...
-        assert!(!ColumnSink::concat(2, vec![part(1, &[5]), part(1, &[5])]).is_canonical());
-        // ... and one part that failed its own check
-        let parts = vec![part(1, &[6, 5]), part(2, &[0])];
-        assert!(!ColumnSink::concat(2, parts).is_canonical());
-        // empty parts are no boundary
-        let gaps = vec![part(9, &[]), part(1, &[5]), part(0, &[]), part(1, &[6])];
-        assert!(ColumnSink::concat(2, gaps).is_canonical());
-        assert!(ColumnSink::concat(3, Vec::new()).is_canonical());
     }
 }

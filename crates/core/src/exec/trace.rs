@@ -6,9 +6,8 @@
 
 use super::{Engine, ExecOptions, ExecOutput};
 use crate::planner::Plan;
-use std::sync::OnceLock;
 use std::time::Instant;
-use wcoj_obs::{AtomTrace, LevelRecorder, MorselTrace, QueryTrace, TraceKernel};
+use wcoj_obs::{AtomTrace, LevelRecorder, QueryTrace, TraceKernel};
 use wcoj_query::ConjunctiveQuery;
 use wcoj_storage::{kernels, CacheStats, WorkCounter};
 
@@ -22,12 +21,8 @@ pub(super) struct Recording {
     pub(super) join_ns: u64,
     /// One record per atom's access-structure build.
     pub(super) atoms: Vec<AtomTrace>,
-    /// One cell row per join variable (engines record into it with relaxed
-    /// atomics — per-level sums are commutative, so the deterministic fields are
-    /// identical for any thread count); installed by the WCOJ engines only.
+    /// One cell row per join variable; installed by the WCOJ engines only.
     pub(super) levels: Option<LevelRecorder>,
-    /// Filled by the morsel scheduler with its per-worker claim/pin report.
-    pub(super) morsels: OnceLock<MorselTrace>,
 }
 
 impl Recording {
@@ -39,7 +34,6 @@ impl Recording {
             join_ns: 0,
             atoms: Vec::new(),
             levels: None,
-            morsels: OnceLock::new(),
         }
     }
 
@@ -68,11 +62,6 @@ impl Recording {
         let CacheStats { hits, misses, .. } = out.cache_stats;
         QueryTrace {
             engine: engine_name(opts.engine).to_string(),
-            // the binary baseline always runs serially
-            threads: match opts.engine {
-                Engine::BinaryHash => 1,
-                _ => opts.resolved_threads(),
-            },
             agm_log2: plan.agm.log2_bound,
             agm_tuples: plan.agm.tuple_bound(),
             rows: out.result.len() as u64,
@@ -82,7 +71,6 @@ impl Recording {
             total_ns: elapsed_ns(self.started),
             atoms: self.atoms,
             levels: self.levels.map_or_else(Vec::new, |l| l.into_levels(&order)),
-            morsels: self.morsels.into_inner(),
             order,
             prefix_log2: plan.prefix_log2.clone(),
             work: work_pairs(&out.work),

@@ -12,10 +12,6 @@
 //!   ([`exec::Engine`] picks which);
 //! * the classical **binary hash-join baseline** the paper compares against
 //!   ([`exec::Engine::BinaryHash`]);
-//! * **morsel-driven parallel execution** of the skeleton — [`exec::parallel`]
-//!   partitions the first join variable's extension set across `std::thread::scope`
-//!   workers holding private cursors and counters, merging results and work tallies
-//!   deterministically (bit-identical to serial execution);
 //! * a **prefix-bound planner** that costs a variable order by the sum of the AGM
 //!   bounds of its prefixes (the paper's own analysis of Algorithm 2) and picks
 //!   the cheapest — [`planner`];
@@ -32,7 +28,9 @@
 //!
 //! The skeleton is written once, over the one cursor,
 //! [`wcoj_storage::TrieCursor`] of the CSR trie — a delta log is read through
-//! the trie of its run — and monomorphized per engine step.
+//! the trie of its run — and monomorphized per engine step. It is one serial
+//! recursion, as Algorithm 2 is, run on the calling thread: the crate spawns
+//! no thread.
 //!
 //! # Example: the triangle query three ways
 //!
@@ -73,4 +71,4 @@ pub use exec::{
     ExecOptions, ExecOutput,
 };
 pub use planner::{plan, plan_order, Plan};
-pub use wcoj_obs::{AtomTrace, LevelTrace, MorselTrace, QueryTrace, TraceSink, WorkerTrace};
+pub use wcoj_obs::{AtomTrace, LevelTrace, QueryTrace, TraceSink};

@@ -2,7 +2,7 @@
 //!
 //! executing with the cache **on** must be bit-identical — output
 //! rows AND per-query work counters — to executing with the cache **off**,
-//! across engines × threads {1, 4}, interleaved with every kind of
+//! across engines, interleaved with every kind of
 //! log mutation (append, delete, seal, relation rebinding); repeated
 //! queries must actually hit; every seal gives the log a new run, built
 //! once per order; a pinned snapshot and a head that seals past it must keep
@@ -29,21 +29,13 @@ fn assert_cached_matches_uncached(
     label: &str,
 ) {
     for engine in ENGINES {
-        for threads in [1usize, 4] {
-            let base = ExecOptions::new(engine).with_threads(threads);
-            let off = run(query, db, plan, &base.with_cache(CacheMode::Off), None)
-                .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
-            let on = run(query, db, plan, &base.with_cache(CacheMode::On), None)
-                .unwrap_or_else(|e| panic!("{label}: on {engine:?} failed: {e}"));
-            assert_eq!(
-                on.result, off.result,
-                "{label}: {engine:?}/t{threads}: rows diverge"
-            );
-            assert_eq!(
-                on.work, off.work,
-                "{label}: {engine:?}/t{threads}: counters diverge"
-            );
-        }
+        let base = ExecOptions::new(engine);
+        let off = run(query, db, plan, &base.with_cache(CacheMode::Off), None)
+            .unwrap_or_else(|e| panic!("{label}: off {engine:?} failed: {e}"));
+        let on = run(query, db, plan, &base.with_cache(CacheMode::On), None)
+            .unwrap_or_else(|e| panic!("{label}: on {engine:?} failed: {e}"));
+        assert_eq!(on.result, off.result, "{label}: {engine:?}: rows diverge");
+        assert_eq!(on.work, off.work, "{label}: {engine:?}: counters diverge");
     }
 }
 
@@ -402,18 +394,16 @@ fn an_empty_relation_caches_and_tallies_nothing() {
     let Workload { query, mut db, .. } = wcoj_workloads::triangle(256, 0xE86);
     db.insert("S", Relation::empty(Schema::new(&["B", "C"])));
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-        for threads in [1usize, 4] {
-            let opts = ExecOptions::new(engine).with_threads(threads);
-            let on = execute_opts(&query, &db, &opts).expect("cached");
-            let off = execute_opts(&query, &db, &opts.with_cache(CacheMode::Off)).expect("off");
-            assert!(on.result.is_empty());
-            assert_eq!(on.work, off.work, "{engine:?}/t{threads}");
-            // the counters the same query read with S a static empty relation
-            let work = &on.work;
-            assert_eq!((work.probes(), work.kernel_bitmap()), (2, 1));
-            assert_eq!((work.intersect_steps(), work.comparisons()), (0, 0));
-            assert_eq!(on.cache_stats.misses + on.cache_stats.hits, 2);
-        }
+        let opts = ExecOptions::new(engine);
+        let on = execute_opts(&query, &db, &opts).expect("cached");
+        let off = execute_opts(&query, &db, &opts.with_cache(CacheMode::Off)).expect("off");
+        assert!(on.result.is_empty());
+        assert_eq!(on.work, off.work, "{engine:?}");
+        // the counters the same query read with S a static empty relation
+        let work = &on.work;
+        assert_eq!((work.probes(), work.kernel_bitmap()), (2, 1));
+        assert_eq!((work.intersect_steps(), work.comparisons()), (0, 0));
+        assert_eq!(on.cache_stats.misses + on.cache_stats.hits, 2);
     }
     // R and T only: S has no run to memoize on
     assert!(db.delta("S").unwrap().fold().is_none());

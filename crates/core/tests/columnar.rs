@@ -3,11 +3,11 @@
 //! Every engine body emits through one `ColumnSink`, and `rows_to_relation`
 //! either adopts its columns (identity order) or re-sorts them (any other
 //! order). So for random small databases × query shapes × **every** variable
-//! order × both WCOJ engines × threads {1, 2, 4} × {plain, cancellable, traced}:
+//! order × both WCOJ engines × {plain, cancellable, traced}:
 //!
 //! 1. the result equals the binary hash-join baseline's relation, and
-//! 2. the work counters are identical across all nine (threads, mode) runs of
-//!    one (engine, order).
+//! 2. the work counters are identical across the three mode runs of one
+//!    (engine, order).
 //!
 //! The two `dense_*` shapes — the small-domain triangle whose sibling groups
 //! carry set layouts, alone and beside a delta-backed atom that has none — run
@@ -137,28 +137,23 @@ fn every_order_engine_thread_count_and_mode_agrees_with_the_baseline() {
                 for engine in [Engine::GenericJoin, Engine::Leapfrog] {
                     let mut work = None;
                     for &cache in caches {
-                        for threads in [1, 2, 4] {
-                            let opts = ExecOptions::new(engine)
-                                .with_cache(cache)
-                                .with_threads(threads);
-                            for mode in ["plain", "cancellable", "traced"] {
-                                let out = run_mode(w, &opts, &plan, mode);
-                                let at = format!(
-                                    "{} {engine:?} order {order:?} cache {cache:?} x{threads} \
-                                     {mode}",
-                                    w.name
-                                );
-                                assert_eq!(out.result, expected, "{at}: rows");
-                                let first = work.get_or_insert_with(|| out.work.clone());
-                                assert_eq!(&out.work, first, "{at}: work counters");
-                                executions += 1;
-                            }
+                        let opts = ExecOptions::new(engine).with_cache(cache);
+                        for mode in ["plain", "cancellable", "traced"] {
+                            let out = run_mode(w, &opts, &plan, mode);
+                            let at = format!(
+                                "{} {engine:?} order {order:?} cache {cache:?} {mode}",
+                                w.name
+                            );
+                            assert_eq!(out.result, expected, "{at}: rows");
+                            let first = work.get_or_insert_with(|| out.work.clone());
+                            assert_eq!(&out.work, first, "{at}: work counters");
+                            executions += 1;
                         }
                     }
                 }
             }
         }
     }
-    // 3 seeds × ((6 + 24·4 + 1 + 6) + 2·6·2) orders × 2 engines × 9 modes
-    assert_eq!(executions, 3 * (109 + 24) * 18);
+    // 3 seeds × ((6 + 24·4 + 1 + 6) + 2·6·2) orders × 2 engines × 3 modes
+    assert_eq!(executions, 3 * (109 + 24) * 6);
 }

@@ -3,10 +3,9 @@
 //!
 //! querying **a sealed run + a buffer of inserts and tombstones** — read as
 //! the run with the buffer merged in — must be bit-identical, rows AND work
-//! counters, to querying a **fully rebuilt** static database, across engines
-//! × threads {1, 4}; the counters must be deterministic (parallel ≡ serial
-//! for every configuration); both properties must survive **every** seal,
-//! each of which compacts the buffer into the log's one run; and a pinned
+//! counters, to querying a **fully rebuilt** static database, across engines;
+//! the property must survive **every** seal, each of which compacts the
+//! buffer into the log's one run; and a pinned
 //! snapshot keeps hitting its run's trie while the head moves on, with stale
 //! entries swept.
 
@@ -30,11 +29,10 @@ fn rebuilt(db: &Database) -> Database {
     out
 }
 
-/// Assert the acceptance property on one live database: for every engine ×
-/// threads {1, 4}, the delta path's rows AND work counters equal the rebuilt
-/// path's — a log is read through the trie of its live run, which is the
-/// snapshot's trie bit for bit, kernel tallies included — and are
-/// thread-count independent. Then seal every log — one run, nothing
+/// Assert the acceptance property on one live database: for every engine,
+/// the delta path's rows AND work counters equal the rebuilt path's — a log
+/// is read through the trie of its live run, which is the snapshot's trie bit
+/// for bit, kernel tallies included. Then seal every log — one run, nothing
 /// buffered — and assert the same again.
 fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     let static_db = rebuilt(&w.db);
@@ -48,22 +46,15 @@ fn assert_delta_matches_rebuild(w: &Workload, label: &str) {
     }
     for (state, db) in [("live", &w.db), ("sealed", &sealed)] {
         for engine in ENGINES {
-            let mut serial_work = None;
-            for threads in [1usize, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                let live = run(&w.query, db, &plan, &opts, None)
-                    .unwrap_or_else(|e| panic!("{label}: {state} {engine:?} failed: {e}"));
-                let full = run(&w.query, &static_db, &plan, &opts, None)
-                    .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
-                let at = format!("{label}: {state} {engine:?}/t{threads}");
-                assert_eq!(live.result, full.result, "{at}: rows diverge from rebuild");
-                assert_eq!(live.work, full.work, "{at}: the log is not the static path");
-                assert_eq!(live.work.delta_merge(), 0, "{at}");
-                match &serial_work {
-                    None => serial_work = Some(live.work),
-                    Some(w1) => assert_eq!(w1, &live.work, "{at}: counters depend on threads"),
-                }
-            }
+            let opts = ExecOptions::new(engine);
+            let live = run(&w.query, db, &plan, &opts, None)
+                .unwrap_or_else(|e| panic!("{label}: {state} {engine:?} failed: {e}"));
+            let full = run(&w.query, &static_db, &plan, &opts, None)
+                .unwrap_or_else(|e| panic!("{label}: rebuilt {engine:?} failed: {e}"));
+            let at = format!("{label}: {state} {engine:?}");
+            assert_eq!(live.result, full.result, "{at}: rows diverge from rebuild");
+            assert_eq!(live.work, full.work, "{at}: the log is not the static path");
+            assert_eq!(live.work.delta_merge(), 0, "{at}");
         }
     }
 }

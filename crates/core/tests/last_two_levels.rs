@@ -17,9 +17,9 @@
 //!   branch.
 //!
 //! For every variable order (of `path(5)`, those 240), both WCOJ engines,
-//! threads {1, 2, 4}, and plain, cancellable and traced runs: the rows are the
-//! `BinaryHash` baseline's, and the work counters (and, when traced, the
-//! per-level trace rows) are equal across threads and modes.
+//! and plain, cancellable and traced runs: the rows are the `BinaryHash`
+//! baseline's, and the work counters (and, when traced, the per-level trace
+//! rows) are equal across modes.
 //!
 //! The last test pins the numbers the per-value recursion produced before
 //! the loop replaced it, so the loop must reproduce them bit for bit.
@@ -123,9 +123,9 @@ fn run_as(
     }
 }
 
-/// Every order of `w` that `keep` keeps × engine, each at threads {1, 2, 4}
-/// and plain, cancellable and traced: rows equal `BinaryHash`'s, and per order
-/// and engine the work counters and trace rows agree.
+/// Every order of `w` that `keep` keeps × engine, each plain, cancellable
+/// and traced: rows equal `BinaryHash`'s, and per order and engine the work
+/// counters and trace rows agree.
 fn agrees_with_binary_hash(w: Workload, keep: impl Fn(&[usize]) -> bool) {
     let binary = ExecOptions::new(Engine::BinaryHash);
     let baseline = execute_opts(&w.query, &w.db, &binary)
@@ -137,21 +137,19 @@ fn agrees_with_binary_hash(w: Workload, keep: impl Fn(&[usize]) -> bool) {
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
             let mut work: Option<WorkCounter> = None;
             let mut levels: Option<Vec<LevelTrace>> = None;
-            for threads in [1, 2, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
-                for mode in [Mode::Plain, Mode::Cancellable, Mode::Traced] {
-                    let label = format!("{}: {order:?} {engine:?} t{threads} {mode:?}", w.name);
-                    let (out, trace) = run_as(&w, &plan, &opts, mode);
-                    assert_eq!(out.result, baseline, "{label}: rows");
-                    match &work {
-                        Some(work) => assert_eq!(&out.work, work, "{label}: work"),
-                        None => work = Some(out.work),
-                    }
-                    let Some(trace) = trace else { continue };
-                    match &levels {
-                        Some(levels) => assert_eq!(&trace.levels, levels, "{label}"),
-                        None => levels = Some(trace.levels),
-                    }
+            let opts = ExecOptions::new(engine);
+            for mode in [Mode::Plain, Mode::Cancellable, Mode::Traced] {
+                let label = format!("{}: {order:?} {engine:?} {mode:?}", w.name);
+                let (out, trace) = run_as(&w, &plan, &opts, mode);
+                assert_eq!(out.result, baseline, "{label}: rows");
+                match &work {
+                    Some(work) => assert_eq!(&out.work, work, "{label}: work"),
+                    None => work = Some(out.work),
+                }
+                let Some(trace) = trace else { continue };
+                match &levels {
+                    Some(levels) => assert_eq!(&trace.levels, levels, "{label}"),
+                    None => levels = Some(trace.levels),
                 }
             }
         }

@@ -1,8 +1,7 @@
 //! SIMD-parity property tests: the vector kernels must be **observationally
 //! identical** to the scalar reference — same output tuples in the same order
 //! *and* the same deterministic work counters — across the differential
-//! workload suite, every engine, and both the serial and morsel-parallel
-//! paths. Each kernel forced at every level is compared with the scalar one
+//! workload suite and every engine. Each kernel forced at every level is compared with the scalar one
 //! by the kernel layer's own tests (`wcoj_storage::kernels`).
 //!
 //! The sweep flips the process-wide dispatch level with
@@ -28,19 +27,17 @@ fn simd_dispatch_is_bit_identical_to_scalar_everywhere() {
     for w in &suite {
         let plan = plan(&w.query, &w.db, None).expect("planner");
         for engine in [Engine::GenericJoin, Engine::Leapfrog] {
-            for threads in [1, 4] {
-                let opts = ExecOptions::new(engine).with_threads(threads);
+            let opts = ExecOptions::new(engine);
 
-                simd::force_active_level(SimdLevel::Scalar);
-                let scalar = run(&w.query, &w.db, &plan, &opts, None).expect("scalar");
+            simd::force_active_level(SimdLevel::Scalar);
+            let scalar = run(&w.query, &w.db, &plan, &opts, None).expect("scalar");
 
-                simd::force_active_level(native);
-                let vector = run(&w.query, &w.db, &plan, &opts, None).expect("simd");
+            simd::force_active_level(native);
+            let vector = run(&w.query, &w.db, &plan, &opts, None).expect("simd");
 
-                let cfg = format!("{}/{engine:?}/t{threads} ({native:?} vs Scalar)", w.name);
-                assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
-                assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
-            }
+            let cfg = format!("{}/{engine:?} ({native:?} vs Scalar)", w.name);
+            assert_eq!(vector.result, scalar.result, "{cfg}: output diverged");
+            assert_eq!(vector.work, scalar.work, "{cfg}: work counters diverged");
         }
     }
 }

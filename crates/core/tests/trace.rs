@@ -2,21 +2,23 @@
 //! criterion:
 //!
 //! installing a [`TraceSink`] must not perturb execution. For every engine ×
-//! threads {1, 4} × cache mode, rows AND work counters must be
-//! **bit-identical** with tracing on or off; two traced runs of the same plan
-//! must agree on every deterministic trace field (only wall-clock fields may
-//! differ — [`QueryTrace::strip_nondeterministic`] removes exactly those); and
-//! the per-level extension statistics must be thread-count independent
-//! (relaxed atomic sums are commutative, so scheduling cannot change them).
+//! cache mode, rows AND work counters must be **bit-identical** with tracing
+//! on or off; two traced runs of the same plan must agree on every
+//! deterministic trace field (only wall-clock fields may differ —
+//! [`QueryTrace::strip_nondeterministic`] removes exactly those); and the
+//! per-level extension statistics must not depend on how a cancellable run
+//! slices level 0.
 
 use std::sync::Arc;
-use wcoj_core::exec::{execute_opts, run, CacheMode, Engine, ExecOptions};
+use wcoj_core::exec::cancel::CANCEL_CHUNK;
+use wcoj_core::exec::{
+    execute_cancellable, execute_opts, run, CacheMode, CancelToken, Engine, ExecOptions,
+};
 use wcoj_core::planner::plan;
 use wcoj_core::{ExecOutput, QueryTrace, TraceSink};
 use wcoj_obs::Json;
 use wcoj_query::query::examples;
 use wcoj_query::Database;
-use wcoj_storage::topology::worker_cpu;
 use wcoj_storage::{DeltaRelation, Relation, Schema};
 use wcoj_workloads::{four_cycle, triangle};
 
@@ -51,110 +53,96 @@ fn tracing_never_perturbs_rows_or_counters() {
     for w in [triangle(300, 7), four_cycle(200, 11)] {
         let plan = plan(&w.query, &w.db, None).expect("planner");
         for engine in ENGINES {
-            for threads in [1usize, 4] {
-                for cache in [CacheMode::Off, CacheMode::On] {
-                    let base = ExecOptions::new(engine)
-                        .with_threads(threads)
-                        .with_cache(cache);
-                    let label = format!("{engine:?}/t{threads}/{cache:?}");
-                    let plain = run(&w.query, &w.db, &plan, &base, None).expect("plain");
-                    let (traced, trace) = run_traced(&w.query, &w.db, &base, &plan.order);
-                    assert_eq!(traced.result, plain.result, "{label}: rows perturbed");
-                    assert_eq!(traced.work, plain.work, "{label}: counters perturbed");
-                    // the trace's work pairs are the counter, re-spelled
-                    assert_eq!(
-                        trace.work_value("total_work"),
-                        Some(plain.work.total_work()),
-                        "{label}"
-                    );
-                    assert_eq!(
-                        trace.work_value("kernel_merge"),
-                        Some(plain.work.kernel_merge()),
-                        "{label}"
-                    );
-                    assert_eq!(
-                        trace.work_value("output_tuples"),
-                        Some(plain.work.output_tuples()),
-                        "{label}"
-                    );
-                    assert_eq!(trace.rows, plain.result.len() as u64, "{label}");
-                    // the binary baseline runs serially whatever `threads` says
-                    let ran_on = if engine == Engine::BinaryHash {
-                        1
-                    } else {
-                        threads
-                    };
-                    assert_eq!(trace.threads, ran_on, "{label}");
-                    // both WCOJ engines build one trie per atom; the baseline
-                    // builds nothing
-                    let built = match engine {
-                        Engine::BinaryHash => 0,
-                        _ => w.query.atoms().len(),
-                    };
-                    assert_eq!(trace.atoms.len(), built, "{label}");
-                    assert_eq!(trace.cache_hits, traced.cache_stats.hits, "{label}");
-                    assert_eq!(trace.cache_misses, traced.cache_stats.misses, "{label}");
-                    // two traced runs agree on every deterministic field
-                    let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &plan.order);
-                    assert_eq!(traced2.result, plain.result, "{label}: rerun rows");
-                    assert_eq!(traced2.work, plain.work, "{label}: rerun counters");
-                    let mut a = trace.clone();
-                    let mut b = trace2.clone();
-                    a.strip_nondeterministic();
-                    b.strip_nondeterministic();
-                    // cache mode On: the second traced run may hit where the
-                    // first missed, so compare cache-independent forms
-                    for t in [&mut a, &mut b] {
-                        t.cache_hits = 0;
-                        t.cache_misses = 0;
-                    }
-                    for t in [&mut a, &mut b] {
-                        for atom in &mut t.atoms {
-                            atom.outcome.clear();
-                        }
-                    }
-                    assert_eq!(a, b, "{label}: deterministic trace fields diverge");
+            for cache in [CacheMode::Off, CacheMode::On] {
+                let base = ExecOptions::new(engine).with_cache(cache);
+                let label = format!("{engine:?}/{cache:?}");
+                let plain = run(&w.query, &w.db, &plan, &base, None).expect("plain");
+                let (traced, trace) = run_traced(&w.query, &w.db, &base, &plan.order);
+                assert_eq!(traced.result, plain.result, "{label}: rows perturbed");
+                assert_eq!(traced.work, plain.work, "{label}: counters perturbed");
+                // the trace's work pairs are the counter, re-spelled
+                assert_eq!(
+                    trace.work_value("total_work"),
+                    Some(plain.work.total_work()),
+                    "{label}"
+                );
+                assert_eq!(
+                    trace.work_value("kernel_merge"),
+                    Some(plain.work.kernel_merge()),
+                    "{label}"
+                );
+                assert_eq!(
+                    trace.work_value("output_tuples"),
+                    Some(plain.work.output_tuples()),
+                    "{label}"
+                );
+                assert_eq!(trace.rows, plain.result.len() as u64, "{label}");
+                // both WCOJ engines build one trie per atom; the baseline
+                // builds nothing
+                let built = match engine {
+                    Engine::BinaryHash => 0,
+                    _ => w.query.atoms().len(),
+                };
+                assert_eq!(trace.atoms.len(), built, "{label}");
+                assert_eq!(trace.cache_hits, traced.cache_stats.hits, "{label}");
+                assert_eq!(trace.cache_misses, traced.cache_stats.misses, "{label}");
+                // two traced runs agree on every deterministic field
+                let (traced2, trace2) = run_traced(&w.query, &w.db, &base, &plan.order);
+                assert_eq!(traced2.result, plain.result, "{label}: rerun rows");
+                assert_eq!(traced2.work, plain.work, "{label}: rerun counters");
+                let mut a = trace.clone();
+                let mut b = trace2.clone();
+                a.strip_nondeterministic();
+                b.strip_nondeterministic();
+                // cache mode On: the second traced run may hit where the
+                // first missed, so compare cache-independent forms
+                for t in [&mut a, &mut b] {
+                    t.cache_hits = 0;
+                    t.cache_misses = 0;
                 }
+                for t in [&mut a, &mut b] {
+                    for atom in &mut t.atoms {
+                        atom.outcome.clear();
+                    }
+                }
+                assert_eq!(a, b, "{label}: deterministic trace fields diverge");
             }
         }
     }
 }
 
+/// The per-level statistics do not depend on how level 0 is sliced: a
+/// cancellable run, which polls its token every [`CANCEL_CHUNK`] values of
+/// level 0, traces the levels a plain run traces.
 #[test]
-fn per_level_statistics_are_thread_count_independent() {
-    let w = triangle(400, 21);
+fn per_level_statistics_are_slicing_independent() {
+    let w = triangle(4096, 21);
     let plan = plan(&w.query, &w.db, None).expect("planner");
     for engine in [Engine::GenericJoin, Engine::Leapfrog] {
         let base = ExecOptions::new(engine).with_cache(CacheMode::Off);
-        let (_, serial) = run_traced(&w.query, &w.db, &base, &plan.order);
-        for threads in [2usize, 4, 8] {
-            let (_, parallel) =
-                run_traced(&w.query, &w.db, &base.with_threads(threads), &plan.order);
-            assert_eq!(
-                serial.levels, parallel.levels,
-                "{engine:?}: per-level stats differ at t{threads}"
-            );
-            let morsels = parallel.morsels.expect("parallel runs report morsels");
-            assert_eq!(morsels.workers.len(), threads);
-            let claimed: u64 = morsels.workers.iter().map(|w| w.claimed).sum();
-            assert_eq!(
-                claimed, morsels.morsels,
-                "every morsel claimed exactly once"
-            );
-            // placement is the one rule, and on Linux the pin lands: worker
-            // `w` on an allowed CPU, `worker_cpu(w)`
-            let pins = cfg!(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ));
-            for (w, worker) in morsels.workers.iter().enumerate() {
-                assert_eq!(worker.pin, pins.then(|| worker_cpu(w)), "worker {w}");
-            }
-        }
-        assert!(serial.morsels.is_none(), "serial runs schedule no morsels");
+        let (_, whole) = run_traced(&w.query, &w.db, &base, &plan.order);
+        assert!(
+            whole.levels[0].candidates > CANCEL_CHUNK as u64,
+            "{engine:?}: level 0 spans more than one slice"
+        );
+        let sink = Arc::new(TraceSink::new());
+        let opts = base.with_trace(Arc::clone(&sink));
+        execute_cancellable(
+            &w.query,
+            &w.db,
+            &opts,
+            Some(&plan.order),
+            &CancelToken::new(),
+        )
+        .expect("cancellable run");
+        let sliced = sink.take().expect("trace deposited");
+        assert_eq!(
+            whole.levels, sliced.levels,
+            "{engine:?}: per-level stats depend on the slicing"
+        );
         // the deepest level emits exactly the output rows
-        let deepest = serial.levels.last().expect("triangle has levels");
-        assert_eq!(deepest.emitted, serial.rows);
+        let deepest = whole.levels.last().expect("triangle has levels");
+        assert_eq!(deepest.emitted, whole.rows);
     }
 }
 

@@ -184,15 +184,23 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
                     b'r' => out.push('\r'),
                     b't' => out.push('\t'),
                     b'u' => {
-                        // exactly four hex digits (`from_str_radix` alone
-                        // would take a sign)
-                        let hex = b.get(*pos + 1..*pos + 5)?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return None;
-                        }
-                        let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                        out.push(char::from_u32(code)?);
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        if (0xD800..0xDC00).contains(&code) {
+                            // a high surrogate takes the escaped low one that
+                            // must follow it: the pair names one char
+                            let low = match b.get(*pos + 1..*pos + 3)? {
+                                b"\\u" => hex4(b, *pos + 3)?,
+                                _ => return None,
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return None;
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            *pos += 6;
+                        }
+                        // a lone low surrogate is no char
+                        out.push(char::from_u32(code)?);
                     }
                     _ => return None,
                 }
@@ -210,6 +218,16 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Option<String> {
             }
         }
     }
+}
+
+/// The code unit spelled by exactly four hex digits at `b[at..]`
+/// (`from_str_radix` alone would take a sign).
+fn hex4(b: &[u8], at: usize) -> Option<u32> {
+    let hex = b.get(at..at + 4)?;
+    if !hex.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Option<Json> {
@@ -334,6 +352,34 @@ mod tests {
             let doc = format!("{{\"k\": \"{}\"}}", escape(raw));
             let v = Json::parse(&doc).expect("parses");
             assert_eq!(v.get("k").unwrap().as_str(), Some(raw));
+        }
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_combine_and_lone_halves_are_refused() {
+        for doc in [r#""\ud83e\udd80""#, r#""\uD83E\uDD80""#] {
+            let crab = Json::parse(doc).expect("a surrogate pair parses");
+            assert_eq!(crab.as_str(), Some("🦀"), "{doc}");
+            // and round-trips through the emitter, which writes it raw
+            let again = Json::parse(&format!("\"{}\"", escape("🦀"))).expect("re-parses");
+            assert_eq!(again, crab);
+        }
+        let edges = r#""\ud800\udc00 \udbff\udfff""#;
+        assert_eq!(
+            Json::parse(edges).unwrap().as_str(),
+            Some("\u{10000} \u{10FFFF}")
+        );
+        for bad in [
+            r#""\ud83e""#,
+            r#""\udd80\ud83e""#,
+            r#""\ud83ex""#,
+            r#""\udd80""#,
+            r#""\ud83e\u0041""#,
+            r#""\ud83e\ud83e""#,
+            r#""\ud83e\n""#,
+            r#""\ud83e\udd8""#,
+        ] {
+            assert!(Json::parse(bad).is_none(), "{bad}");
         }
     }
 

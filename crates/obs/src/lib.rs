@@ -13,8 +13,8 @@
 //!   query; the rows and deterministic work counters are bit-identical with
 //!   tracing on or off (property-tested in `wcoj-core`). Trace fields are
 //!   split into deterministic ones (candidates, emitted, kernel picks, work)
-//!   and explicitly nondeterministic ones (wall-clock times, per-worker morsel
-//!   claims), so tests can assert the former across runs.
+//!   and explicitly nondeterministic ones (wall-clock times), so tests can
+//!   assert the former across runs.
 //! - **Snapshots are stable.** [`Registry::snapshot`] renders metrics in
 //!   sorted name order to a stable JSON document, so diffs across runs show
 //!   value changes, never ordering noise.
@@ -30,10 +30,7 @@ use std::sync::{LockResult, PoisonError};
 
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsSnapshot, Registry};
-pub use trace::{
-    AtomTrace, LevelRecorder, LevelTrace, MorselTrace, QueryTrace, TraceKernel, TraceSink,
-    WorkerTrace,
-};
+pub use trace::{AtomTrace, LevelRecorder, LevelTrace, QueryTrace, TraceKernel, TraceSink};
 
 /// The workspace's one lock rule: take the guard out of a poisoned lock. Every
 /// lock it is used on guards state that is whole between statements — a

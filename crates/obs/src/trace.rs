@@ -2,15 +2,13 @@
 //!
 //! A [`TraceSink`] is the opt-in hook the executor fills in: at the end of a
 //! traced query it deposits one [`QueryTrace`] describing the plan choice,
-//! per-level join statistics, cache outcomes, phase timings, and (when
-//! parallel) morsel scheduling. The [`LevelRecorder`] is the engine-side
-//! accumulator: per-level atomic tallies that worker threads add into
-//! concurrently, whose *sums* are scheduling-independent — so every
-//! deterministic trace field is identical run-to-run and thread-count-to-
-//! thread-count, with wall-clock times and per-worker morsel claims the only
-//! nondeterministic fields (see [`QueryTrace::strip_nondeterministic`]).
+//! per-level join statistics, cache outcomes and phase timings. The
+//! [`LevelRecorder`] is the engine-side accumulator of per-level tallies, so
+//! every deterministic trace field is identical run to run, with wall-clock
+//! times the only nondeterministic fields (see
+//! [`QueryTrace::strip_nondeterministic`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Mutex;
 
 use crate::{json, unpoison};
@@ -65,33 +63,11 @@ pub struct AtomTrace {
     pub build_ns: u64,
 }
 
-/// Per-worker morsel scheduling statistics (nondeterministic: which worker
-/// claims which morsel depends on thread timing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerTrace {
-    /// Morsels this worker claimed in total.
-    pub claimed: u64,
-    /// CPU the worker was pinned to, if pinning was active.
-    pub pin: Option<usize>,
-}
-
-/// Morsel-level parallelism summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MorselTrace {
-    /// Number of morsels the level-0 extension set was chunked into
-    /// (deterministic).
-    pub morsels: u64,
-    /// Per-worker claim statistics, indexed by worker id.
-    pub workers: Vec<WorkerTrace>,
-}
-
 /// Everything EXPLAIN ANALYZE knows about one executed query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
     /// Engine name (e.g. `GenericJoin`).
     pub engine: String,
-    /// Worker thread count (1 = serial).
-    pub threads: usize,
     /// Chosen variable order, by name.
     pub order: Vec<String>,
     /// The planner's estimate per level of `order`: `log2` of the AGM bound of
@@ -116,8 +92,6 @@ pub struct QueryTrace {
     pub atoms: Vec<AtomTrace>,
     /// Per-level join statistics, in plan order.
     pub levels: Vec<LevelTrace>,
-    /// Morsel scheduling summary (parallel runs only).
-    pub morsels: Option<MorselTrace>,
     /// Work-counter tallies: (name, value) pairs, deterministic.
     pub work: Vec<(String, u64)>,
     /// Access-cache hits during this query.
@@ -127,10 +101,10 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Zero out every nondeterministic field (wall-clock times, per-worker
-    /// claim distribution), leaving exactly the fields that must be identical
-    /// across repeated runs of the same plan. The trace-neutrality property
-    /// suite compares `strip_nondeterministic` forms of independent runs.
+    /// Zero out every nondeterministic field (the wall-clock times), leaving
+    /// exactly the fields that must be identical across repeated runs of the
+    /// same plan. The trace-neutrality property suite compares
+    /// `strip_nondeterministic` forms of independent runs.
     pub fn strip_nondeterministic(&mut self) {
         self.plan_ns = 0;
         self.build_ns = 0;
@@ -138,13 +112,6 @@ impl QueryTrace {
         self.total_ns = 0;
         for a in &mut self.atoms {
             a.build_ns = 0;
-        }
-        if let Some(m) = &mut self.morsels {
-            // morsel count and worker count are deterministic; who claimed
-            // what is not
-            for w in &mut m.workers {
-                w.claimed = 0;
-            }
         }
     }
 
@@ -162,7 +129,6 @@ impl QueryTrace {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!("\"engine\": \"{}\", ", json::escape(&self.engine)));
-        out.push_str(&format!("\"threads\": {}, ", self.threads));
         out.push_str("\"order\": [");
         for (i, v) in self.order.iter().enumerate() {
             if i > 0 {
@@ -213,26 +179,6 @@ impl QueryTrace {
             ));
         }
         out.push_str("], ");
-        match &self.morsels {
-            None => out.push_str("\"morsels\": null, "),
-            Some(m) => {
-                out.push_str(&format!(
-                    "\"morsels\": {{\"count\": {}, \"workers\": [",
-                    m.morsels
-                ));
-                for (i, w) in m.workers.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&format!(
-                        "{{\"claimed\": {}, \"pin\": {}}}",
-                        w.claimed,
-                        w.pin.map_or("null".to_string(), |p| p.to_string())
-                    ));
-                }
-                out.push_str("]}, ");
-            }
-        }
         out.push_str("\"work\": {");
         for (i, (name, value)) in self.work.iter().enumerate() {
             if i > 0 {
@@ -256,9 +202,8 @@ impl QueryTrace {
         }
         let mut out = String::new();
         out.push_str(&format!(
-            "EXPLAIN ANALYZE — {} threads={} total {}\n",
+            "EXPLAIN ANALYZE — {} total {}\n",
             self.engine,
-            self.threads,
             ms(self.total_ns)
         ));
         out.push_str(&format!(
@@ -280,7 +225,7 @@ impl QueryTrace {
         }
         out.push_str(&format!("├─ join   {}\n", ms(self.join_ns)));
         for (i, l) in self.levels.iter().enumerate() {
-            let branch = if i + 1 == self.levels.len() && self.morsels.is_none() {
+            let branch = if i + 1 == self.levels.len() {
                 "└─"
             } else {
                 "├─"
@@ -302,24 +247,6 @@ impl QueryTrace {
                 l.probes
             ));
         }
-        if let Some(m) = &self.morsels {
-            out.push_str(&format!(
-                "│  └─ morsels: {} over {} workers",
-                m.morsels,
-                m.workers.len()
-            ));
-            for (i, w) in m.workers.iter().enumerate() {
-                let pin = w.pin.map_or("-".to_string(), |p| format!("cpu{p}"));
-                out.push_str(&format!(
-                    "{} w{}: {} claimed pin={}",
-                    if i == 0 { " — " } else { "; " },
-                    i,
-                    w.claimed,
-                    pin
-                ));
-            }
-            out.push('\n');
-        }
         out.push_str(&format!(
             "├─ cache  hits={} misses={}\n",
             self.cache_hits, self.cache_misses
@@ -337,14 +264,10 @@ impl QueryTrace {
 }
 
 /// Per-level accumulator the engines add into while a traced query runs. A
-/// recorder has **one writer at a time**: an update is a plain load and store
-/// (the cells are atomics only so that the recorder can be shared by reference
-/// across a thread scope without `unsafe`), because a locked read-modify-write
-/// per intersection stalls on the result stores the engine has just issued —
-/// tracing a 16 k-intersection triangle join cost 0.5 ms that way. A parallel
-/// run gives every worker a private recorder and [`LevelRecorder::absorb`]s
-/// them once the workers have joined; all tallies are commutative sums, so the
-/// totals equal a serial run's and parallel traces stay deterministic.
+/// recorder has **one writer**, the execution's one thread: an update is a
+/// plain load and store of a `Cell`, where a locked read-modify-write per
+/// intersection stalls on the result stores the engine has just issued —
+/// tracing a 16 k-intersection triangle join cost 0.5 ms that way.
 #[derive(Debug)]
 pub struct LevelRecorder {
     levels: Vec<LevelCells>,
@@ -352,36 +275,21 @@ pub struct LevelRecorder {
 
 #[derive(Debug, Default)]
 struct LevelCells {
-    candidates: AtomicU64,
-    emitted: AtomicU64,
-    kernel_merge: AtomicU64,
-    kernel_gallop: AtomicU64,
-    kernel_bitmap: AtomicU64,
-    intersect_steps: AtomicU64,
-    comparisons: AtomicU64,
-    probes: AtomicU64,
-}
-
-impl LevelCells {
-    fn all(&self) -> [&AtomicU64; 8] {
-        [
-            &self.candidates,
-            &self.emitted,
-            &self.kernel_merge,
-            &self.kernel_gallop,
-            &self.kernel_bitmap,
-            &self.intersect_steps,
-            &self.comparisons,
-            &self.probes,
-        ]
-    }
+    candidates: Cell<u64>,
+    emitted: Cell<u64>,
+    kernel_merge: Cell<u64>,
+    kernel_gallop: Cell<u64>,
+    kernel_bitmap: Cell<u64>,
+    intersect_steps: Cell<u64>,
+    comparisons: Cell<u64>,
+    probes: Cell<u64>,
 }
 
 /// `cell += n` by its one writer: a plain load and store, not a locked
 /// read-modify-write (see [`LevelRecorder`]).
 #[inline]
-fn add(cell: &AtomicU64, n: u64) {
-    cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+fn add(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get() + n);
 }
 
 impl LevelRecorder {
@@ -429,16 +337,6 @@ impl LevelRecorder {
     /// Record `n` bindings pushed past `level` (rows, at the deepest level).
     pub fn record_emitted(&self, level: usize, n: u64) {
         add(&self.levels[level].emitted, n);
-    }
-
-    /// Add everything `other` (over the same levels) recorded to this recorder
-    /// — how a morsel worker's private tallies reach the execution's.
-    pub fn absorb(&self, other: &LevelRecorder) {
-        for (cells, more) in self.levels.iter().zip(&other.levels) {
-            for (cell, more) in cells.all().into_iter().zip(more.all()) {
-                add(cell, more.load(Ordering::Relaxed));
-            }
-        }
     }
 
     /// Fold the recorded tallies into [`LevelTrace`]s, naming each level from
@@ -495,7 +393,6 @@ mod tests {
     fn sample() -> QueryTrace {
         QueryTrace {
             engine: "GenericJoin".into(),
-            threads: 4,
             order: vec!["a".into(), "b".into(), "c".into()],
             prefix_log2: vec![7.0, 9.5, 13.4],
             agm_log2: 13.4,
@@ -521,13 +418,6 @@ mod tests {
                 comparisons: 567,
                 probes: 89,
             }],
-            morsels: Some(MorselTrace {
-                morsels: 32,
-                workers: vec![WorkerTrace {
-                    claimed: 9,
-                    pin: Some(0),
-                }],
-            }),
             work: vec![("total_work".into(), 4567), ("output_tuples".into(), 2783)],
             cache_hits: 2,
             cache_misses: 1,
@@ -545,8 +435,6 @@ mod tests {
         assert_eq!(levels[0].get("probes").unwrap().as_u64(), Some(89));
         // the planner's estimate beside the actual
         assert_eq!(levels[0].get("prefix_log2").unwrap().as_f64(), Some(7.0));
-        let morsels = v.get("morsels").unwrap();
-        assert_eq!(morsels.get("count").unwrap().as_u64(), Some(32));
         assert_eq!(
             v.get("work").unwrap().get("total_work").unwrap().as_u64(),
             Some(4567)
@@ -562,7 +450,6 @@ mod tests {
         assert!(tree.contains("merge=5"));
         assert!(tree.contains("cache hit"));
         assert!(tree.contains("hits=2"));
-        assert!(tree.contains("32 over 1 workers"));
     }
 
     #[test]
@@ -571,7 +458,6 @@ mod tests {
         let mut b = sample();
         b.plan_ns = 999;
         b.atoms[0].build_ns = 7;
-        b.morsels.as_mut().unwrap().workers[0].claimed = 3;
         assert_ne!(a, b);
         a.strip_nondeterministic();
         b.strip_nondeterministic();
@@ -593,29 +479,6 @@ mod tests {
         assert_eq!((levels[0].comparisons, levels[0].probes), (6, 9));
         assert_eq!(levels[1].emitted, 2);
         assert_eq!(levels[1].kernel_merge, 0);
-    }
-
-    #[test]
-    fn absorbed_workers_sum_to_the_serial_recorder() {
-        let names = ["x".to_string(), "y".to_string()];
-        let serial = LevelRecorder::new(2);
-        let (shared, workers) = (
-            LevelRecorder::new(2),
-            [LevelRecorder::new(2), LevelRecorder::new(2)],
-        );
-        shared.record_intersection(0, 4, Some(TraceKernel::Bitmap), [0, 0, 6]);
-        serial.record_intersection(0, 4, Some(TraceKernel::Bitmap), [0, 0, 6]);
-        for (i, worker) in workers.iter().enumerate() {
-            for rec in [worker, &serial] {
-                rec.record_intersection(1, 3 + i as u64, Some(TraceKernel::Merge), [1, 2, 3]);
-                rec.record_emitted(1, 3 + i as u64);
-                rec.record_emitted(0, 1);
-            }
-        }
-        for worker in &workers {
-            shared.absorb(worker);
-        }
-        assert_eq!(shared.into_levels(&names), serial.into_levels(&names));
     }
 
     #[test]

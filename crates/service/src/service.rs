@@ -91,7 +91,7 @@ pub struct ServiceConfig {
     /// Queries allowed to wait; arrivals beyond this are shed with
     /// [`ServiceError::Overloaded`].
     pub max_queued: usize,
-    /// Engine/threads used for query execution.
+    /// The engine and cache mode every query executes with.
     pub exec: ExecOptions,
     /// Conflict retries in [`QueryService::apply_with_retry`] before the
     /// conflict is surfaced.

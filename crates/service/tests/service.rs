@@ -161,12 +161,9 @@ fn crash_and_recover_is_bit_identical_to_the_committed_prefix() {
 
 #[test]
 fn snapshot_queries_are_bit_identical_under_a_concurrent_writer() {
-    let service = QueryService::in_memory(
-        triangle_db(600),
-        config().with_exec(ExecOptions::default().with_threads(2)),
-    );
+    let service = QueryService::in_memory(triangle_db(600), config());
     let q = examples::triangle();
-    let opts = ExecOptions::default().with_threads(2);
+    let opts = ExecOptions::default();
     let token = CancelToken::new();
 
     // pin a snapshot, then let a writer churn the live catalog while readers

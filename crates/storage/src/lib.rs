@@ -23,9 +23,7 @@
 //!   on the calling thread, and the **one** access structure: Generic Join's
 //!   "sorted extensions of a bound prefix" is one `child_start` offset of the
 //!   same trie Leapfrog walks. Its seekable [`trie::TrieCursor`] is the one
-//!   cursor the join engines in `wcoj-core` take; every cursor is
-//!   `Send + Clone`, so parallel workers hold private cursors over one shared
-//!   trie;
+//!   cursor the join engines in `wcoj-core` take;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as at most one tombstone-free sorted run plus an append buffer,
 //!   and a seal merges the buffer into that run by one signed merge; a query
@@ -53,14 +51,12 @@
 //!   to typed rows — the join engines themselves never leave `u64`;
 //! * [`stats::WorkCounter`] / [`stats::CursorWork`] — instrumentation counting
 //!   comparisons, probes, and intermediate tuples so that tests and benchmarks can
-//!   check the *work* bounds the paper proves, not just wall-clock time. Parallel
-//!   workers' counters merge associatively;
+//!   check the *work* bounds the paper proves, not just wall-clock time;
 //! * [`simd`] / [`topology`] — host *detection*, which never moves a result or a
 //!   counter: runtime-dispatched SIMD intersection, seek and set-layout decode
 //!   primitives (AVX2 / NEON with a scalar fallback, selected once at startup;
-//!   a VBMI2 decode inside the AVX2 level) and the affinity mask behind worker
-//!   placement (worker `w` pins to the `(w mod k)`-th of the process's `k`
-//!   allowed CPUs). All SIMD paths are
+//!   a VBMI2 decode inside the AVX2 level), and the process's CPU count with
+//!   the one pin a host's own threads use. All SIMD paths are
 //!   bit-identical to scalar in both output **and** recorded work: the counters
 //!   replay the scalar algorithm's tally arithmetically from the landing
 //!   position, so recorded work baselines stay machine-independent. There is

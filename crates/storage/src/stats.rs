@@ -9,15 +9,14 @@
 //!
 //! Two kinds of counter exist:
 //!
-//! * [`WorkCounter`] — the per-query (or per-worker) accumulator, `Cell`-based so
-//!   read-only operator code can record work without plumbing `&mut` everywhere.
-//!   Parallel workers each own a private `WorkCounter`; the driver sums them with
-//!   [`WorkCounter::merge`] / `+=`, which is associative and commutative, so the
-//!   merged totals are independent of scheduling.
-//! * [`CursorWork`] — plain-integer tallies owned *by a cursor*. Cursors must be
-//!   `Send + Clone` so parallel workers can hold private stacks, which rules out a
-//!   shared `&WorkCounter` inside the cursor; instead each cursor accumulates into
-//!   its own `CursorWork` and the engine drains it into the run's `WorkCounter` via
+//! * [`WorkCounter`] — the per-query accumulator, `Cell`-based so read-only
+//!   operator code can record work without plumbing `&mut` everywhere.
+//!   [`WorkCounter::merge`] / `+=` sum two counters (associative and
+//!   commutative).
+//! * [`CursorWork`] — plain-integer tallies owned *by a cursor*. A cursor owns
+//!   its stack and borrows only its trie, so instead of holding a
+//!   `&WorkCounter` each cursor accumulates into its own `CursorWork` and the
+//!   engine drains it into the run's `WorkCounter` via
 //!   [`crate::TrieCursor::take_work`].
 
 use crate::kernels::KernelKind;
@@ -203,8 +202,7 @@ impl WorkCounter {
             + self.comparisons.get()
     }
 
-    /// Merge the tallies of `other` into `self`. Associative and commutative, so
-    /// parallel workers' counters sum losslessly in any order.
+    /// Merge the tallies of `other` into `self`. Associative and commutative.
     pub fn merge(&self, other: &WorkCounter) {
         self.add_intersect_steps(other.intersect_steps());
         self.add_probes(other.probes());

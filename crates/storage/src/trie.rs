@@ -8,8 +8,7 @@
 //! entirely when the requested order is the relation's native order), then a single
 //! scan that emits every level's values and child offsets simultaneously — no row
 //! materialization, no per-level re-grouping. It is the only way a trie is
-//! built, and it runs on the calling thread: the one place the library spawns
-//! threads is the join's morsel scheduler, which shares finished tries.
+//! built, and it runs on the calling thread.
 //!
 //! Each level also carries the **set layouts** of its dense sibling groups (see
 //! [`crate::kernels`]): one pool of bitset words per level plus one offset per
@@ -35,8 +34,7 @@
 //! `O(k · min_size · log(max/min))`. Cursors are `Send + Clone` — they borrow
 //! the (immutable, `Sync`) trie and own their stack plus private
 //! [`CursorWork`] tallies, which the engine drains with
-//! [`TrieCursor::take_work`] — so morsel workers each hold a private cursor
-//! over one shared trie. A cursor in a dense sibling group also hands out the
+//! [`TrieCursor::take_work`]. A cursor in a dense sibling group also hands out the
 //! group's prebuilt set layout ([`TrieCursor::layout`]): when every cursor of
 //! an intersection has one, the engines AND bitset words instead of scanning
 //! the lists.
@@ -420,7 +418,8 @@ impl<'a> TrieCursor<'a> {
     /// Position at the sibling with value exactly `target`, searching the *whole*
     /// group (may move backward). Uncounted: used by the execution layer to
     /// re-position at keys whose discovery cost was already accounted elsewhere
-    /// (e.g. the first-variable extension set shared across parallel workers).
+    /// (e.g. the values of the first variable's extension set, which the
+    /// driver's intersection paid for).
     /// `false` at the root.
     pub fn reposition(&mut self, target: Value) -> bool {
         let depth = self.stack.len();

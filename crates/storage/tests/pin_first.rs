@@ -1,11 +1,11 @@
-//! A host that pins its own thread before its first query — a benchmark
-//! client, a thread-per-core server — must still see every CPU the process may
-//! use. This binary holds one test, so its pin really is the process's first
-//! use of the placement layer.
+//! A host that pins its own thread before it first asks for the CPU count — a
+//! benchmark client, a thread-per-core server — must still see every CPU the
+//! process may use. This binary holds one test, so its pin really is the
+//! process's first use of the topology layer.
 
 #![cfg(target_os = "linux")]
 
-use wcoj_storage::topology::{available_cpus, pin_current_thread, worker_cpu};
+use wcoj_storage::topology::{available_cpus, pin_current_thread};
 
 /// `Cpus_allowed_list` of `/proc/self/status`, e.g. `0-3,6`.
 fn allowed_list() -> Vec<usize> {
@@ -30,11 +30,9 @@ fn a_pin_before_first_use_narrows_nothing() {
     let allowed = allowed_list();
     let last = *allowed.last().expect("some CPU is allowed");
     assert!(pin_current_thread(last), "pin to allowed CPU {last}");
-
-    let n = available_cpus();
-    assert_eq!(n, allowed.len(), "CPU count after a first pin");
-    let mut placed: Vec<usize> = (0..2 * n).map(worker_cpu).collect();
-    placed.sort_unstable();
-    placed.dedup();
-    assert_eq!(placed, allowed, "workers cover the allowed CPUs");
+    assert_eq!(
+        available_cpus(),
+        allowed.len(),
+        "CPU count after a first pin"
+    );
 }
