@@ -59,10 +59,13 @@
 //! the checkpoint — through the same public mutation API the writer used, and
 //! resumes the writer with a contiguous commit sequence. Recovery cost is
 //! bounded by the tail length, not total history. Replay is deterministic,
-//! and the checkpoint codec is bit-exact (same run partitioning, buffer, and
-//! seal threshold), so a recovered catalog is bit-identical to one that
-//! applied the same committed prefix live — the crash harness
-//! differential-checks exactly this.
+//! and the checkpoint codec is bit-exact (the same run, the same buffered
+//! ops in arrival order, the same seal threshold), so a recovered catalog is
+//! bit-identical to one that applied the same committed prefix live — the
+//! crash harness differential-checks exactly this. A relation state the
+//! codec cannot read — one written in an earlier layout — fails `open` with
+//! [`StorageError::WalCorrupt`] and leaves the checkpoint on disk: it is
+//! neither misread nor discarded.
 
 use crate::admission::{AdmissionGate, Permit};
 use crate::error::ServiceError;
@@ -557,29 +560,33 @@ impl QueryService {
             log_len("tuple", base.delta(name).map_or(0, DeltaRelation::arity))?;
         }
         let dir = dir.as_ref().to_path_buf();
-        let recovery = recover_dir(&dir)?;
+        let mut recovery = recover_dir(&dir)?;
         let checkpoint_seq = recovery.checkpoint_seq();
         let install_started = Instant::now();
-        if let Some(ckpt) = &recovery.checkpoint {
-            // in place: a typed relation keeps its intern-time domain record
-            for (name, bytes) in &ckpt.relations {
+        if let Some(ckpt) = recovery.checkpoint.take() {
+            // in place: a typed relation keeps its intern-time domain record;
+            // each blob is dropped once it is installed
+            for (name, bytes) in ckpt.relations {
                 let log = base
-                    .delta_mut(name)
-                    .ok_or_else(|| ServiceError::UnknownRelation(name.clone()))?;
-                *log = DeltaRelation::decode_state(log.schema().clone(), bytes)?;
+                    .delta_mut(&name)
+                    .ok_or(ServiceError::UnknownRelation(name))?;
+                *log = DeltaRelation::decode_state(log.schema().clone(), &bytes)?;
             }
         }
         let install_us = install_started.elapsed().as_micros() as u64;
+        let tail = std::mem::take(&mut recovery.tail);
         let replay_started = Instant::now();
-        replay_into(&mut base, &recovery.tail)?;
+        replay_into(&mut base, &tail)?;
         let replay_us = replay_started.elapsed().as_micros() as u64;
+        // opened last, so a checkpoint or tail that fails above leaves no
+        // fresh segment behind
         let writer = SegmentedWal::open(&dir, &recovery, config.segment_bytes, config.fault)?;
         let report = RecoveryReport {
             checkpoint_seq,
-            tail: recovery.tail.clone(),
+            tail,
             committed: recovery.committed,
             torn: recovery.torn,
-            tail_reason: recovery.tail_reason.clone(),
+            tail_reason: recovery.tail_reason,
             segments: recovery.segments,
             wal_bytes: recovery.wal_bytes,
         };

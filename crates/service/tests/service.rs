@@ -9,7 +9,9 @@ use wcoj_query::database::DatabaseError;
 use wcoj_query::{query::examples, Database};
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
 use wcoj_storage::wal::crc32;
-use wcoj_storage::{AttrType, DeltaRelation, FaultPlan, Relation, Schema, StorageError, WalOp};
+use wcoj_storage::{
+    write_checkpoint, AttrType, DeltaRelation, FaultPlan, Relation, Schema, StorageError, WalOp,
+};
 use wcoj_workloads::SplitMix64;
 
 /// The suite's base config. The "every service query traced" CI leg runs this
@@ -483,6 +485,51 @@ fn a_catalog_the_log_cannot_name_is_refused_at_open() {
         other => panic!("{:?}", other.map(|(_, report)| report)),
     }
     assert!(!path.exists(), "the directory is not touched");
+}
+
+/// A checkpoint whose relation state is in the signed layout the codec wrote
+/// before buffered ops became toggles is refused, not misread: `open` fails
+/// with `WalCorrupt` every time, and leaves the directory as it found it,
+/// the checkpoint file included.
+#[test]
+fn a_checkpoint_in_the_signed_state_layout_fails_open_and_stays_on_disk() {
+    let path = temp_wal("signed-layout");
+    let (service, _) = QueryService::open(&path, edge_db(), config()).unwrap();
+    service
+        .apply(&WriteBatch::new().insert("E", vec![1, 2]))
+        .unwrap();
+    drop(service);
+    // threshold, one run of one row (1, 2) with its sign byte, no buffer
+    let mut signed = (usize::MAX as u64).to_le_bytes().to_vec();
+    signed.extend(1u32.to_le_bytes());
+    signed.extend(1u64.to_le_bytes());
+    signed.extend([1u64, 2].iter().flat_map(|v| v.to_le_bytes()));
+    signed.push(1);
+    signed.extend(0u64.to_le_bytes());
+    write_checkpoint(&path, 1, &[("E".into(), signed)], &FaultPlan::default()).unwrap();
+    // the segment the checkpoint covers is gone, as after a checkpoint's GC,
+    // so a writer opened here would have to start a fresh segment
+    std::fs::remove_file(path.join("wal.000001")).unwrap();
+    let listing = || {
+        let mut names: Vec<_> = std::fs::read_dir(&path)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing();
+    assert_eq!(before, ["ckpt.000001"]);
+    for _ in 0..2 {
+        match QueryService::open(&path, edge_db(), config()) {
+            Err(ServiceError::Wal(StorageError::WalCorrupt { reason, .. })) => {
+                assert!(reason.contains("unknown format tag"), "{reason}")
+            }
+            other => panic!("{:?}", other.map(|(_, report)| report)),
+        }
+        assert_eq!(listing(), before);
+    }
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]

@@ -9,20 +9,18 @@
 //!
 //! * a [`DeltaRelation`] is **at most one run** — an immutable, sorted,
 //!   canonical relation holding the live tuples as of the last seal, with no
-//!   tombstone — plus an unsorted **append buffer** in arrival order;
+//!   tombstone — plus an unsorted **append buffer** of toggles in arrival
+//!   order;
 //! * [`DeltaRelation::insert`] / [`DeltaRelation::delete`] append to the buffer
 //!   after an O(arity)-expected liveness probe of an incrementally-maintained
-//!   live-tuple hash index (which keeps each tuple's history an alternating +/−
-//!   sequence — the invariant that makes the signed merge exact — at the price
-//!   of one extra copy of each live tuple; unary/binary tuples pack into
-//!   `u128` keys there). The buffer is columnar at every arity — one column
-//!   per attribute plus one sign per op — so an append allocates nothing of
-//!   its own. When the buffer reaches the seal threshold it is **sealed**:
-//!   collapsed to one net sign per tuple (+1 insert, −1 **tombstone**) and
-//!   merged into the run by one linear signed merge, which writes a new run
-//!   with a fresh id;
+//!   live-tuple hash index, at the price of one extra copy of each live tuple
+//!   (unary/binary tuples pack into `u128` keys there). The buffer is
+//!   columnar at every arity — one column per attribute — so an append
+//!   allocates nothing of its own. When the buffer reaches the seal
+//!   threshold it is **sealed**: merged into the run by one linear merge,
+//!   which writes a new run with a fresh id;
 //! * query-side, a log is read as that run ([`DeltaRelation::fold`]), with a
-//!   non-empty buffer collapsed and merged into it per query by the same merge
+//!   non-empty buffer merged into it per query by the same merge
 //!   ([`DeltaRelation::live_run`]). Either way the result is a plain canonical
 //!   relation and [`Run::trie`] the one trie builder over it, set layouts
 //!   included: the sorted set of values extending a prefix exists *before* the
@@ -35,10 +33,10 @@
 //! | operation | full rebuild ([`Relation`]) | delta log |
 //! | --- | --- | --- |
 //! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort + O(n/B) seal merge |
-//! | seal (per `B` buffered ops) | — | O(B log B) collapse + one O(n + B) linear merge into the run |
+//! | seal (per `B` buffered ops) | — | O(B log B) sort of the buffer + one O(n + B) linear merge into the run |
 //! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
 //! | access-structure build | O(n log n) argsort + scan | the same builder over the run, once per order and run, memoized on the run; identity orders skip the argsort |
-//! | query with `B` ops buffered | — | O(B log B) collapse + one O(n) merge into the run + the build, per relation and order |
+//! | query with `B` ops buffered | — | O(B log B) sort of the buffer + one O(n + B) merge into the run + the build, per relation and order |
 //! | cursor `open` of a prefix | one `child_start` lookup | the same: the run's trie is a trie |
 //! | query result | — | **bit-identical**, rows and work counters, to rebuilding from [`DeltaRelation::snapshot`] |
 //!
@@ -49,11 +47,16 @@
 //! On the gated ingest stream (`edge_stream_ops(16384, 8192)`, seal threshold
 //! 4096) the log writes 126 908 values, where a tiered stack wrote 148 896.
 //!
-//! The alternating-history invariant (each live tuple contributes net +1
-//! across its history, each dead tuple net 0) is what makes the signed merge
-//! exact: a buffered tombstone always meets its tuple in the run and both
-//! drop, a buffered insert never meets one, so the merge holds exactly the
-//! live tuples, each once, with no tombstone left.
+//! A buffered op is a **toggle**. The live set admits only an insert of a
+//! dead tuple and a delete of a live one, so every op the buffer holds flips
+//! its tuple's liveness, and no op carries a sign. A tuple buffered an odd
+//! number of times changed; one buffered an even number did not. A seal and
+//! a query's merge take the odd ones (sorted, distinct) and merge them into
+//! the run as a **symmetric difference**: a row found in both was live and is
+//! now deleted, so both drop; a row found in one passes. The result holds
+//! exactly the live tuples, each once, with no tombstone, and every
+//! (run, buffer) pair is a valid state — which is what lets the checkpoint
+//! decoder trust any canonical run and any buffer.
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
@@ -137,6 +140,10 @@ impl LiveSet {
 /// Buffered operations before an automatic [`DeltaRelation::seal`].
 pub const DEFAULT_SEAL_THRESHOLD: usize = 1024;
 
+/// The first 8 bytes of every [`DeltaRelation::encode_state`] blob. A blob of
+/// the earlier layout began with its seal threshold, so it fails this check.
+const STATE_TAG: [u8; 8] = *b"wcojdlt2";
+
 /// The immutable sorted run of a [`DeltaRelation`]: a canonical relation of
 /// live tuples, no tombstone among them. Opaque outside this module except as
 /// a build input: the execution layer reads [`Run::shared_trie`] of a log's
@@ -215,51 +222,41 @@ impl Run {
     }
 }
 
-/// Sort the rows of column-major `cols` (with parallel `signs`) lexicographically
-/// and collapse equal-tuple groups to their net sign, dropping net-zero groups.
-/// The argsort breaks ties by row index, so a group keeps arrival order,
-/// though the net sum does not depend on it. Returns canonical (sorted,
-/// distinct) columns plus per-row net signs — always ±1 under the
-/// alternating-history invariant.
-fn collapse_signed(cols: &[Vec<Value>], signs: &[i64]) -> (Vec<Vec<Value>>, Vec<i64>) {
-    let len = signs.len();
+/// The tuples of column-major `cols` that occur an odd number of times, as
+/// canonical (sorted, distinct) columns: the buffered tuples whose liveness
+/// the buffer flipped. Equal tuples are adjacent after the argsort, so one
+/// pass counts each group's parity.
+fn odd_tuples(cols: &[Vec<Value>]) -> Vec<Vec<Value>> {
+    let len = cols[0].len();
     let positions: Vec<usize> = (0..cols.len()).collect();
     let perm = argsort_columns(cols, &positions, len);
-    let mut out_cols: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-    let mut out_signs = Vec::new();
+    let mut out: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
     let mut i = 0;
     while i < len {
         let a = perm[i];
-        let mut net = signs[a];
         let mut j = i + 1;
         while j < len && cols.iter().all(|c| c[perm[j]] == c[a]) {
-            net += signs[perm[j]];
             j += 1;
         }
-        debug_assert!(
-            (-1..=1).contains(&net),
-            "a tuple's +/− history must alternate"
-        );
-        if net != 0 {
-            for (col, src) in out_cols.iter_mut().zip(cols) {
+        if (j - i) % 2 == 1 {
+            for (col, src) in out.iter_mut().zip(cols) {
                 col.push(src[a]);
             }
-            out_signs.push(net);
         }
         i = j;
     }
-    (out_cols, out_signs)
+    out
 }
 
-/// The one signed merge: a linear two-pointer pass over the tombstone-free
-/// `run` (canonical columns; none for no run) and collapsed ops (`cols`,
-/// `signs`, canonical). A run row passes unless a tombstone meets it, and then
-/// both drop; an insert passes. O(|run| + |ops|); returns the live tuples'
-/// canonical columns.
-fn merge_signed(run: &[Vec<Value>], cols: &[Vec<Value>], signs: &[i64]) -> Vec<Vec<Value>> {
+/// The one merge: the symmetric difference of the tombstone-free `run`
+/// (canonical columns; none for no run) and `toggles` (canonical columns of
+/// [`odd_tuples`]), by a linear two-pointer pass. A row found in both drops —
+/// a buffered delete met its row — and a row found in one passes.
+/// O(|run| + |toggles|); returns the live tuples' canonical columns.
+fn symmetric_difference(run: &[Vec<Value>], toggles: &[Vec<Value>]) -> Vec<Vec<Value>> {
     use std::cmp::Ordering;
-    let (an, bn) = (run.first().map_or(0, Vec::len), signs.len());
-    let mut out: Vec<Vec<Value>> = (0..cols.len())
+    let (an, bn) = (run.first().map_or(0, Vec::len), toggles[0].len());
+    let mut out: Vec<Vec<Value>> = (0..toggles.len())
         .map(|_| Vec::with_capacity(an + bn))
         .collect();
     let push = |out: &mut [Vec<Value>], from: &[Vec<Value>], i: usize| {
@@ -268,31 +265,18 @@ fn merge_signed(run: &[Vec<Value>], cols: &[Vec<Value>], signs: &[i64]) -> Vec<V
         }
     };
     let (mut i, mut j) = (0, 0);
-    while j < bn {
-        // `None`: the run row and the op are one tuple
-        let order = if i < an {
-            let mut cmp = run.iter().zip(cols).map(|(a, b)| a[i].cmp(&b[j]));
-            cmp.find(|o| o.is_ne())
-        } else {
-            Some(Ordering::Greater)
-        };
-        match order {
+    while i < an && j < bn {
+        let mut cmp = run.iter().zip(toggles).map(|(a, b)| a[i].cmp(&b[j]));
+        match cmp.find(|o| o.is_ne()) {
             Some(Ordering::Less) => {
                 push(&mut out, run, i);
                 i += 1;
             }
             Some(_) => {
-                debug_assert!(signs[j] > 0, "a tombstone for a tuple that is not live");
-                if signs[j] > 0 {
-                    push(&mut out, cols, j);
-                }
+                push(&mut out, toggles, j);
                 j += 1;
             }
             None => {
-                debug_assert!(signs[j] < 0, "an insert of a tuple that is live");
-                if signs[j] > 0 {
-                    push(&mut out, run, i);
-                }
                 i += 1;
                 j += 1;
             }
@@ -300,6 +284,9 @@ fn merge_signed(run: &[Vec<Value>], cols: &[Vec<Value>], signs: &[i64]) -> Vec<V
     }
     for (col, src) in out.iter_mut().zip(run) {
         col.extend_from_slice(&src[i..]);
+    }
+    for (col, src) in out.iter_mut().zip(toggles) {
+        col.extend_from_slice(&src[j..]);
     }
     out
 }
@@ -321,12 +308,12 @@ pub struct DeltaRelation {
     /// The live tuples as of the last seal, or `None` when there are none.
     /// `Arc`-shared: snapshot clones pin it by refcount, never by copying.
     run: Option<Arc<Run>>,
-    /// Unsealed operations in arrival order, one column per attribute...
+    /// Unsealed operations in arrival order, one column per attribute. Each
+    /// op toggles its tuple's liveness (see the [module docs](crate::delta)).
     buffer: Vec<Vec<Value>>,
-    /// ...and one sign per operation (+1 insert, −1 tombstone).
-    buffer_signs: Vec<i64>,
-    /// Exactly the live tuples, maintained incrementally — O(1) liveness and
-    /// the alternating-history guard, without per-op run searches.
+    /// Exactly the live tuples, maintained incrementally — O(1) liveness, and
+    /// the guard that admits only ops that flip it, without per-op run
+    /// searches.
     /// Copy-on-write (`Arc::make_mut`): queries never read it beyond `len()`,
     /// so snapshot clones share it until the writer's next mutation.
     live_set: Arc<LiveSet>,
@@ -356,7 +343,6 @@ impl DeltaRelation {
         let live_set = Arc::new(LiveSet::for_arity(schema.arity()));
         Ok(DeltaRelation {
             buffer: vec![Vec::new(); schema.arity()],
-            buffer_signs: Vec::new(),
             schema,
             run: None,
             live_set,
@@ -406,7 +392,7 @@ impl DeltaRelation {
 
     /// Values this log has written since it was created (a clone carries the
     /// count on): `arity` per buffered operation, plus `arity` per row of the
-    /// run each seal writes (its collapse is scratch). The ingest cost
+    /// run each seal writes (its sort of the buffer is scratch). The ingest cost
     /// `core/tests/delta.rs` compares with sorted rows' shifted values.
     pub fn values_written(&self) -> u64 {
         self.values_written
@@ -429,23 +415,20 @@ impl DeltaRelation {
 
     /// The live tuples as one tombstone-free run — what a query reads: the
     /// [`DeltaRelation::fold`] when nothing is buffered, else the unsealed
-    /// buffer collapsed and merged into it, a fresh run per call (the log is
-    /// not touched — queries take `&DeltaRelation`). A log with neither is an
+    /// buffer's toggles merged into it, a fresh run per call (the log is not
+    /// touched — queries take `&DeltaRelation`). A log with neither is an
     /// empty run.
     pub fn live_run(&self) -> Arc<Run> {
         match &self.run {
-            Some(run) if self.buffer_signs.is_empty() => Arc::clone(run),
-            _ => {
-                let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
-                Run::new(self.merged(&cols, &signs))
-            }
+            Some(run) if self.buffered() == 0 => Arc::clone(run),
+            _ => Run::new(self.merged(&odd_tuples(&self.buffer))),
         }
     }
 
-    /// The run with collapsed ops merged in, by [`merge_signed`].
-    fn merged(&self, cols: &[Vec<Value>], signs: &[i64]) -> Relation {
+    /// The run with `toggles` merged in, by [`symmetric_difference`].
+    fn merged(&self, toggles: &[Vec<Value>]) -> Relation {
         let run = self.run.as_ref().map_or(&[][..], |r| r.rel.columns());
-        Relation::from_canonical_columns(self.schema.clone(), merge_signed(run, cols, signs))
+        Relation::from_canonical_columns(self.schema.clone(), symmetric_difference(run, toggles))
     }
 
     /// The schema.
@@ -470,7 +453,7 @@ impl DeltaRelation {
 
     /// Number of buffered (unsealed) operations.
     pub fn buffered(&self) -> usize {
-        self.buffer_signs.len()
+        self.buffer[0].len()
     }
 
     /// Override the automatic seal threshold (buffered operations before
@@ -516,14 +499,14 @@ impl DeltaRelation {
         if !Arc::make_mut(&mut self.live_set).insert(tuple) {
             return Ok(false); // already live: blind re-insert is a no-op
         }
-        self.push_op(tuple, 1);
+        self.push_op(tuple);
         self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
         Ok(true)
     }
 
-    /// Delete a tuple (a tombstone append). Returns whether it was live. Same
+    /// Delete a tuple (a toggle of a live tuple). Returns whether it was live. Same
     /// amortized cost as [`DeltaRelation::insert`].
     pub fn delete(&mut self, tuple: &[Value]) -> Result<bool, StorageError> {
         self.check_arity(tuple.len())?;
@@ -533,19 +516,18 @@ impl DeltaRelation {
         if !Arc::make_mut(&mut self.live_set).remove(tuple) {
             return Ok(false); // not live: blind delete is a no-op
         }
-        self.push_op(tuple, -1);
+        self.push_op(tuple);
         self.values_written += tuple.len() as u64;
         self.touch();
         self.maybe_seal();
         Ok(true)
     }
 
-    /// Append one operation to the buffer, in arrival order.
-    fn push_op(&mut self, tuple: &[Value], sign: i64) {
+    /// Append one toggle to the buffer, in arrival order.
+    fn push_op(&mut self, tuple: &[Value]) {
         for (col, &v) in self.buffer.iter_mut().zip(tuple) {
             col.push(v);
         }
-        self.buffer_signs.push(sign);
     }
 
     fn maybe_seal(&mut self) {
@@ -554,67 +536,63 @@ impl DeltaRelation {
         }
     }
 
-    /// Seal the append buffer: collapse it to net signs and merge those into
-    /// the run, which becomes a new run (a fresh id; no run at all if nothing
-    /// stays live).
+    /// Seal the append buffer: merge the tuples it toggled an odd number of
+    /// times into the run, which becomes a new run (a fresh id; no run at all
+    /// if nothing stays live).
     ///
     /// Sealing an **empty** buffer is a complete no-op: the epoch is not
     /// bumped and the run is untouched, so every memoized trie of it keeps
     /// hitting. Nor does a buffer whose ops cancel out touch the run.
     pub fn seal(&mut self) {
-        if self.buffer_signs.is_empty() {
+        if self.buffered() == 0 {
             return;
         }
-        let (cols, signs) = collapse_signed(&self.buffer, &self.buffer_signs);
+        let toggles = odd_tuples(&self.buffer);
         self.buffer.iter_mut().for_each(Vec::clear);
-        self.buffer_signs.clear();
         self.touch();
-        if signs.is_empty() {
+        if toggles[0].is_empty() {
             return;
         }
-        let merged = self.merged(&cols, &signs);
+        let merged = self.merged(&toggles);
         self.values_written += (merged.len() * self.arity()) as u64;
         self.run = (!merged.is_empty()).then(|| Run::new(merged));
     }
 
-    /// Serialize the log's full state — its run, unsealed buffer (arrival
-    /// order) and seal threshold — as an opaque blob for a WAL checkpoint.
+    /// Serialize the log's full state — its seal threshold, run and unsealed
+    /// buffer — as an opaque blob for a WAL checkpoint.
     /// [`DeltaRelation::decode_state`] reconstructs a log that is **bit-exact**
     /// for recovery: the same run, the same buffered ops, so replaying the
     /// same WAL tail makes the same seals as the original process would have.
     /// (Run ids and the epoch are process-local identities and are *not*
     /// persisted; decode mints fresh ones.)
     ///
-    /// The format has room for several runs with a sign byte per row; the
-    /// encoder writes a run count of 0 or 1, and a sign byte 1 on every row.
+    /// The layout, every integer little-endian: the 8-byte tag `wcojdlt2`, the
+    /// threshold (u64), then two blocks of a row count (u64) followed by that
+    /// many values per column, column by column — the run's rows (0 for no
+    /// run), and the buffered tuples in arrival order. No op carries a sign:
+    /// each toggles its tuple.
     pub fn encode_state(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = STATE_TAG.to_vec();
         out.extend_from_slice(&(self.seal_threshold as u64).to_le_bytes());
-        out.extend_from_slice(&(self.run.is_some() as u32).to_le_bytes());
-        if let Some(run) = &self.run {
-            out.extend_from_slice(&(run.len() as u64).to_le_bytes());
-            for col in run.rel.columns() {
+        let run = self.run.as_ref().map_or(&[][..], |r| r.rel.columns());
+        for cols in [run, &self.buffer] {
+            let rows = cols.first().map_or(0, Vec::len);
+            out.extend_from_slice(&(rows as u64).to_le_bytes());
+            for col in cols {
                 out.extend(col.iter().flat_map(|v| v.to_le_bytes()));
-            }
-            out.resize(out.len() + run.len(), 1);
-        }
-        out.extend_from_slice(&(self.buffered() as u64).to_le_bytes());
-        for (i, &sign) in self.buffer_signs.iter().enumerate() {
-            out.push(if sign == 1 { 1 } else { 0 });
-            for col in &self.buffer {
-                out.extend_from_slice(&col[i].to_le_bytes());
             }
         }
         out
     }
 
-    /// Reconstruct a delta log from [`DeltaRelation::encode_state`] bytes. The
-    /// live-tuple index is rebuilt by replaying the runs (oldest first) and
-    /// then the buffer in arrival order; several signed runs — a checkpoint of
-    /// a log that kept a run stack — fold into one through the merge a seal
-    /// uses. Fails with [`StorageError::WalCorrupt`] on any truncation or
-    /// malformed content (a CRC-valid checkpoint should never produce this; it
-    /// guards against version skew).
+    /// Reconstruct a delta log from [`DeltaRelation::encode_state`] bytes:
+    /// the run is installed as read, and the live-tuple index is its rows
+    /// with each buffered tuple toggled in arrival order. Any canonical run
+    /// and any buffer make a valid log, so the only errors are malformed
+    /// bytes: [`StorageError::WalCorrupt`] on a wrong format tag (every
+    /// state an earlier layout wrote, signed ops and run stacks included, is
+    /// refused here, never misread), a truncation, a count whose byte length
+    /// overflows, a run that is not strictly ascending, or trailing bytes.
     pub fn decode_state(schema: Schema, bytes: &[u8]) -> Result<DeltaRelation, StorageError> {
         let mut log = DeltaRelation::try_new(schema)?;
         let mut r = PayloadReader::new(bytes);
@@ -629,65 +607,43 @@ impl DeltaRelation {
 
     /// [`DeltaRelation::decode_state`] into a fresh log. Every count in the
     /// bytes is untrusted: nothing is allocated before the reader has proved
-    /// the bytes are there, a run must be canonical, a sign byte 0 or 1, and
-    /// every sign must keep its tuple's history alternating — what makes the
-    /// fold's merge exact.
+    /// the bytes are there.
     fn decode_from(&mut self, r: &mut PayloadReader<'_>) -> Result<(), String> {
-        fn values(r: &mut PayloadReader<'_>, n: usize) -> Result<Vec<Value>, String> {
-            let raw = r.take(n.checked_mul(8).ok_or("row count overflows")?)?;
-            let words = raw.chunks_exact(8).filter_map(|c| c.first_chunk());
-            Ok(words.map(|c| Value::from_le_bytes(*c)).collect())
-        }
-        fn sign(byte: u8) -> Result<i64, String> {
-            match byte {
-                0 => Ok(-1),
-                1 => Ok(1),
-                other => Err(format!("sign byte {other}")),
-            }
+        fn columns(r: &mut PayloadReader<'_>, arity: usize) -> Result<Vec<Vec<Value>>, String> {
+            let len = (r.u64()? as usize)
+                .checked_mul(8)
+                .ok_or("row count overflows")?;
+            let column = |raw: &[u8]| {
+                let words = raw.chunks_exact(8).filter_map(|c| c.first_chunk());
+                words.map(|c| Value::from_le_bytes(*c)).collect()
+            };
+            (0..arity).map(|_| Ok(column(r.take(len)?))).collect()
         }
         let arity = self.arity();
+        if r.take(STATE_TAG.len())? != STATE_TAG {
+            return Err("unknown format tag".into());
+        }
         self.seal_threshold = (r.u64()? as usize).max(1);
-        let mut live = LiveSet::for_arity(arity);
-        for _ in 0..r.u32()? {
-            let rows = r.u64()? as usize;
-            let cols: Vec<Vec<Value>> = (0..arity)
-                .map(|_| values(r, rows))
-                .collect::<Result<_, _>>()?;
-            let signs: Vec<i64> = r
-                .take(rows)?
-                .iter()
-                .map(|&b| sign(b))
-                .collect::<Result<_, _>>()?;
-            if !is_canonical(&cols, rows) {
-                return Err("run rows are not strictly ascending".into());
-            }
-            let mut row = Vec::with_capacity(arity);
-            for (i, &sign) in signs.iter().enumerate() {
-                row.clear();
-                row.extend(cols.iter().map(|c| c[i]));
-                if sign > 0 && !live.insert(&row) {
-                    return Err("run insert of a live tuple".into());
-                } else if sign < 0 && !live.remove(&row) {
-                    return Err("tombstone for a tuple that is not live".into());
-                }
-            }
-            let merged = self.merged(&cols, &signs);
-            self.run = (!merged.is_empty()).then(|| Run::new(merged));
+        let run = columns(r, arity)?;
+        let rows = run[0].len();
+        if !is_canonical(&run, rows) {
+            return Err("run rows are not strictly ascending".into());
         }
-        for _ in 0..r.u64()? {
-            let sign = sign(r.take(1)?[0])?;
-            let tuple = values(r, arity)?;
-            if sign == 1 {
-                if !live.insert(&tuple) {
-                    return Err("buffered insert of a live tuple".into());
-                }
-            } else if !live.remove(&tuple) {
-                return Err("buffered delete of a dead tuple".into());
-            }
-            self.push_op(&tuple, sign);
-        }
+        self.buffer = columns(r, arity)?;
         r.done()?;
-        self.live_set = Arc::new(live);
+        let live = Arc::make_mut(&mut self.live_set);
+        let mut tuple = Vec::with_capacity(arity);
+        for cols in [&run, &self.buffer] {
+            for i in 0..cols[0].len() {
+                tuple.clear();
+                tuple.extend(cols.iter().map(|c| c[i]));
+                if !live.insert(&tuple) {
+                    live.remove(&tuple);
+                }
+            }
+        }
+        self.run = (rows > 0)
+            .then(|| Run::new(Relation::from_canonical_columns(self.schema.clone(), run)));
         Ok(())
     }
 
@@ -828,63 +784,123 @@ mod tests {
         d
     }
 
-    /// [`golden_log`]'s state as a log that kept its seals as a stack of
-    /// signed runs checkpointed it: the 24-row base run, a run of the three
-    /// tombstones and three inserts (sign byte 0 for a tombstone), then the
-    /// buffer — the same format, written here row by row.
-    fn golden_stack_bytes(arity: usize) -> Vec<u8> {
-        let tuple = |i| golden_tuple(arity, i);
-        let signed = [(0, 0u8), (5, 0), (10, 0), (24, 1), (25, 1), (26, 1)];
-        let runs: [Vec<(Tuple, u8)>; 2] = [
-            (0..24).map(|i| (tuple(i), 1)).collect(),
-            signed.iter().map(|&(i, s)| (tuple(i), s)).collect(),
-        ];
+    /// [`golden_log`]'s unsealed buffer as `(sign byte, tuple)`: a sign byte 0
+    /// for a delete, 1 for an insert.
+    fn golden_signed_buffer(arity: usize) -> Vec<(u8, Tuple)> {
+        let ops = [(0u8, 24), (1, 27), (0, 1), (1, 1)];
+        ops.iter()
+            .map(|&(s, i)| (s, golden_tuple(arity, i)))
+            .collect()
+    }
+
+    /// A state in the layout the codec wrote before ops became toggles:
+    /// threshold `usize::MAX` (u64), a run count (u32), per run its row count
+    /// (u64), columns and one sign byte per row (1 insert, 0 tombstone), then
+    /// the buffer's op count (u64) and per op a sign byte and its tuple. No
+    /// decoder reads this layout any more.
+    fn signed_layout_bytes(runs: &[Vec<(Tuple, u8)>], buffer: &[(u8, Tuple)]) -> Vec<u8> {
         let mut out = (usize::MAX as u64).to_le_bytes().to_vec();
-        out.extend(2u32.to_le_bytes());
-        for mut run in runs {
+        out.extend((runs.len() as u32).to_le_bytes());
+        for run in runs {
+            let mut run = run.clone();
             run.sort();
             out.extend((run.len() as u64).to_le_bytes());
-            for c in 0..arity {
+            for c in 0..run.first().map_or(0, |(t, _)| t.len()) {
                 out.extend(run.iter().flat_map(|(t, _)| t[c].to_le_bytes()));
             }
             out.extend(run.iter().map(|&(_, s)| s));
         }
-        let buffer = [(0u8, 24), (1, 27), (0, 1), (1, 1)];
         out.extend((buffer.len() as u64).to_le_bytes());
-        for (s, i) in buffer {
-            out.push(s);
-            out.extend(tuple(i).iter().flat_map(|v| v.to_le_bytes()));
+        for (s, t) in buffer {
+            out.push(*s);
+            out.extend(t.iter().flat_map(|v| v.to_le_bytes()));
         }
         out
     }
 
+    /// [`golden_log`]'s state as a log that kept its seals as a stack of
+    /// signed runs checkpointed it, in the signed layout: the 24-row base
+    /// run, a run of the three tombstones and three inserts, then the buffer.
+    fn golden_stack_bytes(arity: usize) -> Vec<u8> {
+        let tuple = |i| golden_tuple(arity, i);
+        let signed = [(0, 0u8), (5, 0), (10, 0), (24, 1), (25, 1), (26, 1)];
+        let runs = [
+            (0..24).map(|i| (tuple(i), 1)).collect(),
+            signed.iter().map(|&(i, s)| (tuple(i), s)).collect(),
+        ];
+        signed_layout_bytes(&runs, &golden_signed_buffer(arity))
+    }
+
     #[test]
     fn encode_state_bytes_are_pinned() {
-        // (arity, then the byte length and CRC-32 of `golden_log`'s state as
-        // a stack of two signed runs wrote it, and as the log writes it: one
-        // run) — the checkpoint format a recovering process reads back
+        // (arity, byte length, CRC-32) of `golden_log`'s state — the
+        // checkpoint format a recovering process reads back. The length is
+        // tag 8 + threshold 8 + run rows 8 + 24 rows · arity · 8 + op count 8
+        // + 4 ops · arity · 8 = 32 + 224 · arity: 256, 480, 704. The signed
+        // layout wrote 24 bytes more at each arity (280, 504, 728): a run
+        // count (4) and 24 run sign bytes and 4 op sign bytes, less the tag.
         let pinned = [
-            (1, (342, 0x4635_77f4), (280, 0x20ad_9b7c)),
-            (2, (614, 0x5a27_0be2), (504, 0x294d_b23d)),
-            (3, (886, 0x671a_e7b2), (728, 0x1c16_a2a9)),
+            (1, (256, 0x5c2f_c4e0)),
+            (2, (480, 0x8adf_8d62)),
+            (3, (704, 0xf4c5_8ea3)),
         ];
         let sum = |bytes: &[u8]| (bytes.len(), crate::wal::crc32(bytes));
-        for (arity, stack_pin, pin) in pinned {
+        for (arity, pin) in pinned {
             let d = golden_log(arity);
             assert_eq!((d.fold().map(|r| r.len()), d.buffered()), (Some(24), 4));
             let bytes = d.encode_state();
             assert_eq!(sum(&bytes), pin, "arity {arity}");
             let back = DeltaRelation::decode_state(d.schema().clone(), &bytes).unwrap();
             assert_eq!(back.encode_state(), bytes, "arity {arity}");
-            // a stack of runs still decodes: folded into the same one run,
-            // with the same buffer, and re-encoded as the log writes it
-            let stack = golden_stack_bytes(arity);
-            assert_eq!(sum(&stack), stack_pin, "arity {arity}");
-            let back = DeltaRelation::decode_state(d.schema().clone(), &stack).unwrap();
             assert_eq!(back.snapshot(), d.snapshot(), "arity {arity}");
             assert_eq!(back.len(), d.len(), "arity {arity}");
-            assert_eq!(back.encode_state(), bytes, "arity {arity}");
         }
+    }
+
+    #[test]
+    fn a_hand_built_state_decodes_to_its_replayed_ops() {
+        // run (1,10) (2,20) (3,30); buffer (5,50) three times — absent from
+        // the run, so insert, delete, insert — then the run row (2,20) twice
+        // (delete, insert) and the run row (1,10) once (delete)
+        let run = vec![vec![1u64, 2, 3], vec![10, 20, 30]];
+        let ops = vec![vec![5u64, 5, 5, 2, 2, 1], vec![50, 50, 50, 20, 20, 10]];
+        let mut bytes = b"wcojdlt2".to_vec();
+        bytes.extend(64u64.to_le_bytes());
+        for block in [&run, &ops] {
+            bytes.extend((block[0].len() as u64).to_le_bytes());
+            bytes.extend(block.iter().flatten().flat_map(|v| v.to_le_bytes()));
+        }
+        let decoded = DeltaRelation::decode_state(schema_ab(), &bytes).unwrap();
+        let mut replayed = DeltaRelation::from_relation(Relation::from_rows(
+            schema_ab(),
+            vec![vec![1, 10], vec![2, 20], vec![3, 30]],
+        ));
+        replayed.set_seal_threshold(64);
+        assert!(replayed.insert(vec![5, 50]).unwrap());
+        assert!(replayed.delete(&[5, 50]).unwrap());
+        assert!(replayed.insert(vec![5, 50]).unwrap());
+        assert!(replayed.delete(&[2, 20]).unwrap());
+        assert!(replayed.insert(vec![2, 20]).unwrap());
+        assert!(replayed.delete(&[1, 10]).unwrap());
+        assert_eq!(replayed.encode_state(), bytes, "the same layout");
+        assert_eq!(decoded.buffered(), 6);
+        assert_eq!(decoded.len(), 3, "live set rebuilt by toggling");
+        for t in [[1u64, 10], [2, 20], [3, 30], [5, 50]] {
+            assert_eq!(decoded.is_live(&t), replayed.is_live(&t), "{t:?}");
+        }
+        let rows = vec![vec![2, 20], vec![3, 30], vec![5, 50]];
+        assert_eq!(decoded.snapshot().rows(), rows);
+        assert_eq!(decoded.snapshot(), replayed.snapshot());
+        assert_trie_matches_snapshot(&decoded);
+        // the next ops and the seal behave the same on both
+        let (mut a, mut b) = (decoded, replayed);
+        for d in [&mut a, &mut b] {
+            assert!(!d.insert(vec![5, 50]).unwrap());
+            assert!(d.delete(&[2, 20]).unwrap());
+            d.seal();
+        }
+        assert_eq!(a.fold().unwrap().rel.rows(), vec![vec![3, 30], vec![5, 50]]);
+        assert_eq!(a.encode_state(), b.encode_state());
     }
 
     #[test]
@@ -935,7 +951,8 @@ mod tests {
         d.insert(vec![5, 5]).unwrap();
         assert_trie_matches_snapshot(&d); // merged per query, tombstone included
         d.seal();
-        // one signed merge: the tombstone and its row drop, the insert joins
+        // one merge: the deleted row meets its run row and both drop, the
+        // insert joins
         let expected = vec![vec![1, 2], vec![2, 2], vec![3, 3], vec![4, 4], vec![5, 5]];
         assert_eq!(d.fold().unwrap().rel.rows(), expected);
         assert_eq!(d.run_ids().len(), 1);
@@ -1020,7 +1037,7 @@ mod tests {
         assert_eq!((d.run_ids().len(), d.values_written()), (1, 12));
         d.insert(vec![3, 3]).unwrap();
         d.delete(&[3, 3]).unwrap();
-        d.seal(); // the ops cancel in the collapse: no run is written
+        d.seal(); // (3, 3) is toggled twice: no run is written
         assert_eq!(d.values_written(), 16);
     }
 
@@ -1060,24 +1077,17 @@ mod tests {
         }
     }
 
-    /// The whole history — the run's rows as inserts, then the buffered ops
-    /// — concatenated, argsorted and collapsed to its net signs: the snapshot
-    /// by definition.
+    /// The whole history — the run's rows, each the toggle that made it
+    /// live, then the buffered ops — concatenated, and the tuples in it an
+    /// odd number of times: the snapshot by definition.
     fn collapse(d: &DeltaRelation) -> Relation {
         let mut cols: Vec<Vec<Value>> = d.buffer.clone();
-        let mut signs = d.buffer_signs.clone();
         if let Some(run) = &d.run {
             for (col, src) in cols.iter_mut().zip(run.rel.columns()) {
                 col.extend_from_slice(src);
             }
-            signs.extend(std::iter::repeat_n(1, run.len()));
         }
-        let (cols, signs) = collapse_signed(&cols, &signs);
-        assert!(
-            signs.iter().all(|&s| s > 0),
-            "full-history nets are 0 or +1"
-        );
-        Relation::from_canonical_columns(d.schema.clone(), cols)
+        Relation::from_canonical_columns(d.schema.clone(), odd_tuples(&cols))
     }
 
     #[test]
@@ -1414,9 +1424,9 @@ mod tests {
         d.seal();
         let good = d.encode_state();
         assert!(DeltaRelation::decode_state(schema_ab(), &good).is_ok());
-        // layout: threshold u64, runs u32, then per run rows u64, columns,
-        // signs, and the buffer's op count last
-        let (rows_at, col0_at, run_end) = (12, 20, 20 + 48 + 3);
+        // layout: tag 8, threshold u64, then the run's rows u64 and columns,
+        // and the buffer's op count last
+        let (rows_at, col0_at, run_end) = (16, 24, 24 + 48);
         assert_eq!(good.len(), run_end + 8);
         let corrupt =
             |bytes: &[u8], what: &str| match DeltaRelation::decode_state(schema_ab(), bytes) {
@@ -1439,21 +1449,38 @@ mod tests {
         let mut huge = good.clone();
         huge[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 61).to_le_bytes());
         corrupt(&huge, "overflows");
-        // a sign byte that is neither 0 nor 1
-        let mut sign = good.clone();
-        let sign_at = col0_at + 48;
-        assert_eq!(sign[sign_at], 1);
-        sign[sign_at] = 2;
-        corrupt(&sign, "sign byte 2");
-        // a tombstone whose tuple no earlier run holds
-        sign[sign_at] = 0;
-        corrupt(&sign, "tombstone for a tuple that is not live");
-        // a second run that inserts the first one's tuples again
-        let mut twice = good[..8].to_vec();
-        twice.extend(2u32.to_le_bytes());
-        twice.extend_from_slice(&good[rows_at..run_end]);
-        twice.extend_from_slice(&good[rows_at..]);
-        corrupt(&twice, "run insert of a live tuple");
+        // a wrong tag, and a trailing byte
+        let mut tag = good.clone();
+        tag[0] ^= 1;
+        corrupt(&tag, "unknown format tag");
+        corrupt(&[&good[..], &[0]].concat(), "trailing");
+        // the signed layout is refused, never misread: the two-run stack and
+        // the one-run blob that layout's encoder wrote for `golden_log` (its
+        // length and CRC-32 are the ones that encoder was pinned to)
+        let earlier = [
+            (1, (342, 0x4635_77f4), (280, 0x20ad_9b7c)),
+            (2, (614, 0x5a27_0be2), (504, 0x294d_b23d)),
+            (3, (886, 0x671a_e7b2), (728, 0x1c16_a2a9)),
+        ];
+        for (arity, stack_pin, pin) in earlier {
+            let d = golden_log(arity);
+            let run: Vec<(Tuple, u8)> = d.fold().unwrap().rel.iter().map(|t| (t, 1)).collect();
+            let one_run = signed_layout_bytes(&[run], &golden_signed_buffer(arity));
+            let stack = golden_stack_bytes(arity);
+            for (bytes, pin) in [(one_run, pin), (stack, stack_pin)] {
+                assert_eq!(
+                    (bytes.len(), crate::wal::crc32(&bytes)),
+                    pin,
+                    "arity {arity}"
+                );
+                match DeltaRelation::decode_state(d.schema().clone(), &bytes) {
+                    Err(StorageError::WalCorrupt { reason, .. }) => {
+                        assert!(reason.contains("unknown format tag"), "{reason}")
+                    }
+                    other => panic!("arity {arity}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

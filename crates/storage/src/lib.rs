@@ -26,7 +26,8 @@
 //!   cursor the join engines in `wcoj-core` take;
 //! * [`delta`] — incremental maintenance: [`delta::DeltaRelation`] stores a live
 //!   relation as at most one tombstone-free sorted run plus an append buffer,
-//!   and a seal merges the buffer into that run by one signed merge; a query
+//!   and a seal merges the buffer into that run by one symmetric difference
+//!   (each buffered op toggles its tuple, so no op carries a sign); a query
 //!   reads the run ([`delta::DeltaRelation::fold`]), the unsealed buffer
 //!   merged in per query, and its access structure is a plain [`trie::Trie`]
 //!   ([`delta::Run::trie`]), so both engines run unmodified (and

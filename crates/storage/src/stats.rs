@@ -11,8 +11,6 @@
 //!
 //! * [`WorkCounter`] — the per-query accumulator, `Cell`-based so read-only
 //!   operator code can record work without plumbing `&mut` everywhere.
-//!   [`WorkCounter::merge`] / `+=` sum two counters (associative and
-//!   commutative).
 //! * [`CursorWork`] — plain-integer tallies owned *by a cursor*. A cursor owns
 //!   its stack and borrows only its trie, so instead of holding a
 //!   `&WorkCounter` each cursor accumulates into its own `CursorWork` and the
@@ -201,27 +199,6 @@ impl WorkCounter {
             + self.output_tuples.get()
             + self.comparisons.get()
     }
-
-    /// Merge the tallies of `other` into `self`. Associative and commutative.
-    pub fn merge(&self, other: &WorkCounter) {
-        self.add_intersect_steps(other.intersect_steps());
-        self.add_probes(other.probes());
-        self.add_intermediate(other.intermediate_tuples());
-        self.add_output(other.output_tuples());
-        self.add_comparisons(other.comparisons());
-        self.kernel_merge
-            .set(self.kernel_merge.get() + other.kernel_merge.get());
-        self.kernel_gallop
-            .set(self.kernel_gallop.get() + other.kernel_gallop.get());
-        self.kernel_bitmap
-            .set(self.kernel_bitmap.get() + other.kernel_bitmap.get());
-    }
-}
-
-impl AddAssign<&WorkCounter> for WorkCounter {
-    fn add_assign(&mut self, rhs: &WorkCounter) {
-        self.merge(rhs);
-    }
 }
 
 #[cfg(test)]
@@ -245,53 +222,6 @@ mod tests {
         // taking the counter leaves a zeroed one behind
         assert_eq!(std::mem::take(&mut w).total_work(), 15);
         assert_eq!(w, WorkCounter::new());
-    }
-
-    #[test]
-    fn merge_adds_tallies() {
-        let a = WorkCounter::new();
-        let b = WorkCounter::new();
-        a.add_probes(2);
-        b.add_probes(3);
-        b.add_output(7);
-        a.merge(&b);
-        assert_eq!(a.probes(), 5);
-        assert_eq!(a.output_tuples(), 7);
-        // merging does not mutate the source
-        assert_eq!(b.probes(), 3);
-    }
-
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let mk = |i: u64, p: u64, m: u64, o: u64, c: u64| {
-            let w = WorkCounter::new();
-            w.add_intersect_steps(i);
-            w.add_probes(p);
-            w.add_intermediate(m);
-            w.add_output(o);
-            w.add_comparisons(c);
-            w
-        };
-        let a = mk(1, 2, 3, 4, 5);
-        let b = mk(10, 20, 30, 40, 50);
-        let c = mk(7, 0, 9, 0, 11);
-
-        // (a + b) + c
-        let mut left = a.clone();
-        left += &b;
-        left += &c;
-        // a + (b + c)
-        let mut bc = b.clone();
-        bc += &c;
-        let mut right = a.clone();
-        right += &bc;
-        assert_eq!(left, right);
-
-        // commutativity: c + b + a
-        let mut rev = c.clone();
-        rev += &b;
-        rev += &a;
-        assert_eq!(left, rev);
     }
 
     #[test]
@@ -324,7 +254,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_breakdown_counts_and_merges() {
+    fn kernel_breakdown_counts() {
         let w = WorkCounter::new();
         w.add_kernel(KernelKind::Merge);
         w.add_kernel(KernelKind::Gallop);
@@ -336,12 +266,8 @@ mod tests {
         assert_eq!(w.kernel_calls(), 4);
         // the breakdown is a selection histogram, not work
         assert_eq!(w.total_work(), 0);
-        let other = WorkCounter::new();
-        other.add_kernel(KernelKind::Merge);
-        w.merge(&other);
-        assert_eq!(w.kernel_merge(), 2);
         // equality discriminates on the breakdown
-        assert_ne!(w, other);
+        assert_ne!(w, WorkCounter::new());
     }
 
     #[test]
