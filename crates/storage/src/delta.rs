@@ -1,8 +1,8 @@
 //! Incremental maintenance: delta-log relations, read as one tombstone-free run.
 //!
 //! A [`crate::Trie`] is built over an immutable, canonically sorted
-//! [`Relation`] — and [`Relation::insert`] pays O(n) per tuple to keep that
-//! order. This module is the storage layout that makes the engines'
+//! [`Relation`], which takes a new tuple only by being rebuilt. This module is
+//! the storage layout that makes the engines'
 //! worst-case-optimal guarantees usable over a *live, continuously-ingesting*
 //! database, and it is the one way a catalog stores a relation: a loaded
 //! relation is a log whose run is its rows ([`DeltaRelation::from_relation`]).
@@ -32,10 +32,10 @@
 //!
 //! | operation | full rebuild ([`Relation`]) | delta log |
 //! | --- | --- | --- |
-//! | single insert/delete | O(n) shift | O(arity) expected + amortized O(log B) seal sort + O(n/B) seal merge |
+//! | single insert/delete | O(n log n) rebuild: every row re-sorted | O(arity) expected + amortized O(log B) seal sort + O(n/B) seal merge |
 //! | seal (per `B` buffered ops) | — | O(B log B) sort of the buffer + one O(n + B) linear merge into the run |
 //! | extra memory | — | live-tuple hash index (packed `u128`s for arity ≤ 2) |
-//! | access-structure build | O(n log n) argsort + scan | the same builder over the run, once per order and run, memoized on the run; identity orders skip the argsort |
+//! | access-structure build | one scan; a non-native order first re-sorts a permuted copy of the columns, O(n log n) | the same builder over the run, once per order and run, memoized on the run |
 //! | query with `B` ops buffered | — | O(B log B) sort of the buffer + one O(n + B) merge into the run + the build, per relation and order |
 //! | cursor `open` of a prefix | one `child_start` lookup | the same: the run's trie is a trie |
 //! | query result | — | **bit-identical**, rows and work counters, to rebuilding from [`DeltaRelation::snapshot`] |
@@ -60,7 +60,7 @@
 
 use crate::error::StorageError;
 use crate::fxhash::FxHasher;
-use crate::relation::{argsort_columns, is_canonical, Relation, Tuple};
+use crate::relation::{collapse_rows, is_canonical, Relation, Tuple};
 use crate::schema::Schema;
 use crate::trie::Trie;
 use crate::wal::PayloadReader;
@@ -222,30 +222,11 @@ impl Run {
     }
 }
 
-/// The tuples of column-major `cols` that occur an odd number of times, as
-/// canonical (sorted, distinct) columns: the buffered tuples whose liveness
-/// the buffer flipped. Equal tuples are adjacent after the argsort, so one
-/// pass counts each group's parity.
-fn odd_tuples(cols: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let len = cols[0].len();
-    let positions: Vec<usize> = (0..cols.len()).collect();
-    let perm = argsort_columns(cols, &positions, len);
-    let mut out: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-    let mut i = 0;
-    while i < len {
-        let a = perm[i];
-        let mut j = i + 1;
-        while j < len && cols.iter().all(|c| c[perm[j]] == c[a]) {
-            j += 1;
-        }
-        if (j - i) % 2 == 1 {
-            for (col, src) in out.iter_mut().zip(cols) {
-                col.push(src[a]);
-            }
-        }
-        i = j;
-    }
-    out
+/// Collapse column-major `cols`, in place, to the tuples that occur in them an
+/// odd number of times, as canonical (sorted, distinct) columns: the buffered
+/// tuples whose liveness the buffer flipped.
+fn odd_tuples(cols: &mut [Vec<Value>]) {
+    collapse_rows(cols, |group| group % 2 == 1);
 }
 
 /// The one merge: the symmetric difference of the tombstone-free `run`
@@ -421,7 +402,11 @@ impl DeltaRelation {
     pub fn live_run(&self) -> Arc<Run> {
         match &self.run {
             Some(run) if self.buffered() == 0 => Arc::clone(run),
-            _ => Run::new(self.merged(&odd_tuples(&self.buffer))),
+            _ => {
+                let mut toggles = self.buffer.clone();
+                odd_tuples(&mut toggles);
+                Run::new(self.merged(&toggles))
+            }
         }
     }
 
@@ -547,15 +532,14 @@ impl DeltaRelation {
         if self.buffered() == 0 {
             return;
         }
-        let toggles = odd_tuples(&self.buffer);
+        odd_tuples(&mut self.buffer);
+        let merged = (!self.buffer[0].is_empty()).then(|| self.merged(&self.buffer));
         self.buffer.iter_mut().for_each(Vec::clear);
         self.touch();
-        if toggles[0].is_empty() {
-            return;
+        if let Some(merged) = merged {
+            self.values_written += (merged.len() * self.arity()) as u64;
+            self.run = (!merged.is_empty()).then(|| Run::new(merged));
         }
-        let merged = self.merged(&toggles);
-        self.values_written += (merged.len() * self.arity()) as u64;
-        self.run = (!merged.is_empty()).then(|| Run::new(merged));
     }
 
     /// Serialize the log's full state — its seal threshold, run and unsealed
@@ -1041,27 +1025,50 @@ mod tests {
         assert_eq!(d.values_written(), 16);
     }
 
+    /// Seeded ops against a `BTreeSet`, at arities 1–3 over values below 12,
+    /// and at arities 2 and 3 over four values, three of them 64 bits wide,
+    /// so that the buffer's odd collapse runs on `u128` keys and on its index
+    /// sort too, with tuples repeated within a buffer.
     #[test]
     fn random_ops_match_reference_set() {
         use std::collections::BTreeSet;
-        for arity in 1..=3 {
+        for (arity, wide) in [(1, false), (2, false), (3, false), (2, true), (3, true)] {
             let schema = Schema::new(&["A", "B", "C"][..arity]);
             let mut d = DeltaRelation::new(schema.clone());
             d.set_seal_threshold(16);
             let mut reference: BTreeSet<Tuple> = BTreeSet::new();
-            let mut rng = SplitMix64(0xD17A + arity as u64);
+            let mut rng = SplitMix64(0xD17A + arity as u64 + 0x100 * wide as u64);
+            let (domain, spread) = if wide {
+                (4, 0x9E37_79B9_7F4A_7C15)
+            } else {
+                (12, 1)
+            };
             // every check also round-trips the checkpoint codec
             let check = |d: &DeltaRelation, reference: &BTreeSet<Tuple>, step: usize| {
                 let rows: Vec<Tuple> = reference.iter().cloned().collect();
-                assert_eq!(d.snapshot().rows(), rows, "arity {arity} step {step}");
+                assert_eq!(
+                    d.snapshot().rows(),
+                    rows,
+                    "arity {arity} wide {wide} step {step}"
+                );
                 assert_trie_matches_snapshot(d);
                 let bytes = d.encode_state();
                 let back = DeltaRelation::decode_state(schema.clone(), &bytes).unwrap();
-                assert_eq!(back.encode_state(), bytes, "arity {arity} step {step}");
-                assert_eq!(back.snapshot(), d.snapshot(), "arity {arity} step {step}");
+                assert_eq!(
+                    back.encode_state(),
+                    bytes,
+                    "arity {arity} wide {wide} step {step}"
+                );
+                assert_eq!(
+                    back.snapshot(),
+                    d.snapshot(),
+                    "arity {arity} wide {wide} step {step}"
+                );
             };
             for step in 0..600 {
-                let t: Tuple = (0..arity).map(|_| rng.below(12)).collect();
+                let t: Tuple = (0..arity)
+                    .map(|_| rng.below(domain).wrapping_mul(spread))
+                    .collect();
                 if rng.below(3) == 0 {
                     assert_eq!(d.delete(&t).unwrap(), reference.remove(&t));
                 } else {
@@ -1087,7 +1094,8 @@ mod tests {
                 col.extend_from_slice(src);
             }
         }
-        Relation::from_canonical_columns(d.schema.clone(), odd_tuples(&cols))
+        odd_tuples(&mut cols);
+        Relation::from_canonical_columns(d.schema.clone(), cols)
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   the static access structures prebuild for their dense sibling groups
 //!   ([`kernels::Layout`]), which turn dense∩dense into a word-parallel AND;
 //! * [`trie::Trie`] — a CSR-flattened prefix trie over a chosen attribute order,
-//!   built by a single fused argsort-and-scan pass over the relation's columns,
-//!   on the calling thread, and the **one** access structure: Generic Join's
+//!   built by a single scan over the relation's sorted columns (a sorted,
+//!   permuted copy of them in a non-native order), on the calling thread, and the **one** access structure: Generic Join's
 //!   "sorted extensions of a bound prefix" is one `child_start` offset of the
 //!   same trie Leapfrog walks. Its seekable [`trie::TrieCursor`] is the one
 //!   cursor the join engines in `wcoj-core` take;

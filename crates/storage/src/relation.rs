@@ -2,13 +2,16 @@
 //!
 //! A relation stores one contiguous `Vec<Value>` per attribute; row `i` is the tuple
 //! `(columns[0][i], …, columns[k-1][i])`. Rows are kept lexicographically sorted and
-//! deduplicated, which gives set semantics and O(log n) membership, and lets [`crate::Trie::build`] run as a single fused pass over the
-//! columns (an argsort of row indices — no row materialization).
+//! deduplicated, which gives set semantics and O(log n) membership, and lets
+//! [`crate::Trie::build`] run as a single scan over the columns — no row
+//! materialization.
 //!
-//! The columnar layout is the storage half of the PR's performance story: scans touch
-//! one cache-friendly array per attribute instead of chasing one heap allocation per
-//! row, and access-path construction sorts 4-byte/8-byte indices instead of moving
-//! `Vec<u64>` rows around.
+//! Rows are put in order one way, by this module's sort-and-collapse: a load
+//! keeps one row of each group of equal rows, a trie in a non-native order
+//! sorts a permuted copy of the columns, and the delta log keeps the tuples
+//! its buffer holds an odd number of times. Rows pack into `u64`/`u128` sort
+//! keys where their bit widths allow, so sorting moves scalars instead of
+//! `Vec<u64>` rows; scans touch one cache-friendly array per attribute.
 
 use crate::error::StorageError;
 use crate::schema::Schema;
@@ -22,7 +25,8 @@ use std::cmp::Ordering;
 pub type Tuple = Vec<Value>;
 
 /// An in-memory relation: a [`Schema`] plus a lexicographically sorted, deduplicated
-/// set of rows stored column-major.
+/// set of rows stored column-major. It is immutable: a relation that changes
+/// is a [`crate::DeltaRelation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     schema: Schema,
@@ -50,72 +54,53 @@ impl Relation {
         Self::try_from_rows(schema, rows).expect("row arity must match schema arity")
     }
 
-    /// Build a relation from rows, sorting and deduplicating.
+    /// Build a relation from rows, sorting and deduplicating: the rows are
+    /// transposed into columns and loaded by [`Relation::try_from_columns`].
+    /// Over a nullary schema every row is the empty tuple: any row gives
+    /// `{()}`, none gives `{}`.
     pub fn try_from_rows(schema: Schema, rows: Vec<Tuple>) -> Result<Self, StorageError> {
-        for row in &rows {
-            if row.len() != schema.arity() {
-                return Err(StorageError::ArityMismatch {
-                    expected: schema.arity(),
-                    found: row.len(),
-                });
+        let arity = schema.arity();
+        if let Some(row) = rows.iter().find(|row| row.len() != arity) {
+            return Err(StorageError::ArityMismatch {
+                expected: arity,
+                found: row.len(),
+            });
+        }
+        if arity == 0 {
+            return Ok(Relation {
+                schema,
+                columns: Vec::new(),
+                len: rows.len().min(1),
+            });
+        }
+        let mut columns: Vec<Vec<Value>> =
+            (0..arity).map(|_| Vec::with_capacity(rows.len())).collect();
+        for row in rows {
+            for (col, v) in columns.iter_mut().zip(row) {
+                col.push(v);
             }
         }
-        let mut rows = rows;
-        rows.sort_unstable();
-        rows.dedup();
-        let len = rows.len();
-        let mut columns: Vec<Vec<Value>> = (0..schema.arity())
-            .map(|_| Vec::with_capacity(len))
-            .collect();
-        for row in &rows {
-            for (c, &v) in row.iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        Ok(Relation {
-            schema,
-            columns,
-            len,
-        })
+        Self::try_from_columns(schema, columns)
     }
 
     /// Build a relation directly from columns (all of equal length) — the bulk-load
     /// path, and the join engines' result path under a non-identity variable
     /// order; it never touches a row representation.
     ///
-    /// Columns whose rows are already canonical (strictly ascending) are
-    /// **adopted as they are** after one linear check: no copy, no sort, no
-    /// allocation (a caller that has verified the order itself skips even the
-    /// check: [`Relation::try_from_canonical_columns`]). Anything else is
-    /// sorted lexicographically and deduplicated: when the per-column bit
-    /// widths fit, each row is squeezed into one `u64`/`u128` key
-    /// (lexicographic order is preserved because each field occupies a
-    /// disjoint, more-significant bit range), the keys are sorted — an LSD
-    /// radix sort for `u64` keys — and unpacked back into the input's own
-    /// column allocations; wider rows fall back to an argsort of row indices.
+    /// The rows are put in order by the crate's one sort-and-collapse, which
+    /// keeps one row of each group of equal rows: columns that are already
+    /// canonical (strictly ascending) are **adopted as they are** after one
+    /// linear check — no copy, no sort, no allocation (a caller that has
+    /// verified the order itself skips even the check:
+    /// [`Relation::try_from_canonical_columns`]); anything else is sorted and
+    /// deduplicated in the input's own column allocations whenever its rows
+    /// pack into `u64` keys.
     pub fn try_from_columns(
         schema: Schema,
         mut columns: Vec<Vec<Value>>,
     ) -> Result<Self, StorageError> {
-        let n = check_shape(&schema, &columns)?;
-        if !is_canonical(&columns, n) {
-            let widths: Vec<u32> = columns
-                .iter()
-                .map(|col| 64 - col.iter().fold(0, |acc, &v| acc | v).leading_zeros())
-                .collect();
-            match widths.iter().sum::<u32>() {
-                0..=64 => canonicalize_packed::<u64>(&mut columns, &widths),
-                65..=128 => canonicalize_packed::<u128>(&mut columns, &widths),
-                _ => {
-                    let all: Vec<usize> = (0..columns.len()).collect();
-                    let mut perm = argsort_columns(&columns, &all, n);
-                    perm.dedup_by(|a, b| all.iter().all(|&c| columns[c][*a] == columns[c][*b]));
-                    for col in columns.iter_mut() {
-                        *col = perm.iter().map(|&i| col[i]).collect();
-                    }
-                }
-            }
-        }
+        check_shape(&schema, &columns)?;
+        collapse_rows(&mut columns, |_| true);
         Ok(Self::from_canonical_columns(schema, columns))
     }
 
@@ -231,43 +216,6 @@ impl Relation {
         Ordering::Equal
     }
 
-    /// Argsort of the rows by the given column positions (ties broken by row index,
-    /// i.e. by the canonical lexicographic order — deterministic).
-    pub fn sort_perm(&self, positions: &[usize]) -> Vec<usize> {
-        argsort_columns(&self.columns, positions, self.len)
-    }
-
-    /// Insert a single tuple, keeping the relation sorted.
-    ///
-    /// # Cost model
-    ///
-    /// **O(n) per call** (every column shifts its tail to make room), i.e.
-    /// O(n log n)-per-tuple workloads when access structures are rebuilt per
-    /// change — fine for test fixtures and occasional patches, quadratic for
-    /// sustained ingest. Live, continuously-mutating relations should go through
-    /// the delta-log path instead: [`crate::delta::DeltaRelation::insert`] appends
-    /// to an unsorted buffer in O(arity) expected plus its share of the seal
-    /// that merges the buffer into the log's one run, and queries read that
-    /// run — see the [`crate::delta`] module docs for the full cost table.
-    /// Bulk loads should use [`Relation::from_rows`].
-    pub fn insert(&mut self, tuple: Tuple) -> Result<bool, StorageError> {
-        if tuple.len() != self.schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: tuple.len(),
-            });
-        }
-        let pos = self.partition_point(|r, i| r.cmp_row_prefix(i, &tuple) == Ordering::Less);
-        if pos < self.len && self.cmp_row_prefix(pos, &tuple) == Ordering::Equal {
-            return Ok(false);
-        }
-        for (c, &v) in tuple.iter().enumerate() {
-            self.columns[c].insert(pos, v);
-        }
-        self.len += 1;
-        Ok(true)
-    }
-
     /// First row index for which `pred(self, i)` is false (rows are assumed
     /// partitioned: all `true` rows precede all `false` rows).
     fn partition_point<F: Fn(&Self, usize) -> bool>(&self, pred: F) -> usize {
@@ -329,49 +277,25 @@ impl Relation {
     /// `Y`-projections (a cardinality).
     pub fn max_degree(&self, x_attrs: &[&str], y_attrs: &[&str]) -> Result<u64, StorageError> {
         let y_pos = self.schema.positions(y_attrs)?;
-        if x_attrs.is_empty() {
-            let mut ys: Vec<Tuple> = (0..self.len)
-                .map(|i| y_pos.iter().map(|&p| self.columns[p][i]).collect())
-                .collect();
-            ys.sort_unstable();
-            ys.dedup();
-            return Ok(ys.len() as u64);
-        }
         let x_pos = self.schema.positions(x_attrs)?;
-        use std::collections::HashMap;
-        let mut groups: HashMap<Tuple, Vec<Tuple>> = HashMap::new();
-        for i in 0..self.len {
-            let x: Tuple = x_pos.iter().map(|&p| self.columns[p][i]).collect();
-            let y: Tuple = y_pos.iter().map(|&p| self.columns[p][i]).collect();
-            groups.entry(x).or_default().push(y);
+        // the distinct (X, Y) rows, sorted: each X group's rows are its degree
+        let mut xy: Vec<Vec<Value>> = x_pos
+            .iter()
+            .chain(&y_pos)
+            .map(|&p| self.columns[p].clone())
+            .collect();
+        collapse_rows(&mut xy, |_| true);
+        let n = xy.first().map_or(self.len.min(1), Vec::len);
+        let x = &xy[..x_pos.len()];
+        let (mut max, mut start) = (0, 0);
+        for i in 1..=n {
+            if i == n || x.iter().any(|c| c[i] != c[i - 1]) {
+                max = max.max(i - start);
+                start = i;
+            }
         }
-        let mut max = 0u64;
-        for (_, mut ys) in groups {
-            ys.sort_unstable();
-            ys.dedup();
-            max = max.max(ys.len() as u64);
-        }
-        Ok(max)
+        Ok(max as u64)
     }
-}
-
-/// The strict total row order behind [`Relation::sort_perm`] and the delta-log
-/// merges: lexicographic on the permuted columns, ties broken by row index (so
-/// rows duplicated across concatenated runs keep their run order).
-#[inline]
-pub(crate) fn cmp_columns_at(
-    columns: &[Vec<Value>],
-    positions: &[usize],
-    a: usize,
-    b: usize,
-) -> Ordering {
-    for &p in positions {
-        match columns[p][a].cmp(&columns[p][b]) {
-            Ordering::Equal => continue,
-            o => return o,
-        }
-    }
-    a.cmp(&b)
 }
 
 /// The common length of `columns` once they are known to fit `schema`: one per
@@ -417,6 +341,33 @@ pub(crate) fn is_canonical(columns: &[Vec<Value>], n: usize) -> bool {
         }
         ascending.iter().all(|&asc| asc == 1)
     })
+}
+
+/// The one way rows are put in order: sort column-major rows
+/// lexicographically and collapse each group of equal rows into one row, kept
+/// iff `keep(group size)` — every group for a load, the odd ones for the
+/// delta log's toggles. Works in place, like [`Vec::dedup`]. Rows already
+/// canonical are left as they are, after one linear check, when `keep(1)`.
+/// Otherwise the strategy follows the rows' bit width (the per-column widths
+/// summed): rows of at most 64 bits pack into `u64` keys (radix-sorted from
+/// [`RADIX_MIN_KEYS`] keys and up to [`RADIX_MAX_BITS`] bits), of at most 128
+/// into `u128` keys — lexicographic order survives packing because each
+/// field takes a disjoint, more significant bit range — and wider rows sort
+/// their indices.
+pub(crate) fn collapse_rows(columns: &mut [Vec<Value>], keep: impl Fn(usize) -> bool) {
+    let n = columns.first().map_or(0, Vec::len);
+    if n == 0 || (keep(1) && is_canonical(columns, n)) {
+        return;
+    }
+    let widths: Vec<u32> = columns
+        .iter()
+        .map(|col| 64 - col.iter().fold(0, |acc, &v| acc | v).leading_zeros())
+        .collect();
+    match widths.iter().sum::<u32>() {
+        0..=64 => collapse_packed::<u64>(columns, &widths, keep),
+        65..=128 => collapse_packed::<u128>(columns, &widths, keep),
+        _ => collapse_by_index(columns, keep),
+    }
 }
 
 /// Scalar sort keys that rows can be squeezed into: fields are shifted in and
@@ -487,11 +438,16 @@ impl PackedKey for u128 {
     }
 }
 
-/// Sort + dedup column-major rows in place through packed scalar keys (field 0
-/// most significant): pack column by column, sort, dedup, and unpack into the
-/// same column allocations. With `u64` keys nothing is allocated at all — the
-/// keys live in the first column's buffer and the sort borrows the second's.
-fn canonicalize_packed<T: PackedKey>(columns: &mut [Vec<Value>], widths: &[u32]) {
+/// Sort column-major rows in place through packed scalar keys (field 0 most
+/// significant) and collapse each group of equal rows by `keep`: pack column
+/// by column, sort, collapse, and unpack into the same column allocations.
+/// With `u64` keys nothing is allocated at all — the keys live in the first
+/// column's buffer and the sort borrows the second's.
+fn collapse_packed<T: PackedKey>(
+    columns: &mut [Vec<Value>],
+    widths: &[u32],
+    keep: impl Fn(usize) -> bool,
+) {
     let (first, rest) = columns
         .split_first_mut()
         .expect("rows out of order have at least one column");
@@ -505,7 +461,7 @@ fn canonicalize_packed<T: PackedKey>(columns: &mut [Vec<Value>], widths: &[u32])
     // every input value now lives in a key, so the columns are dead buffers
     let mut none = Vec::new();
     T::sort_keys(&mut keys, bits, rest.first_mut().unwrap_or(&mut none));
-    keys.dedup();
+    collapse_runs(&mut keys, |a, b| a == b, keep);
     let (first_shift, first_width) = (bits - widths[0], widths[0]);
     let mut shift = first_shift;
     for (col, &w) in rest.iter_mut().zip(&widths[1..]) {
@@ -567,18 +523,37 @@ fn radix_sort(keys: &mut Vec<u64>, bits: u32, spare: &mut Vec<u64>) {
     }
 }
 
-/// Argsort of `len` rows of column-major `columns` by `positions` — the core
-/// of [`Relation::sort_perm`], shared with the delta-log subsystem (whose
-/// run concatenations are *not* canonical relations, so this works on raw
-/// columns).
-pub(crate) fn argsort_columns(
-    columns: &[Vec<Value>],
-    positions: &[usize],
-    len: usize,
-) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..len).collect();
-    perm.sort_unstable_by(|&a, &b| cmp_columns_at(columns, positions, a, b));
-    perm
+/// Rows wider than a `u128` key: sort their indices by the rows, collapse
+/// each run of equal rows by `keep`, and gather every column in that order.
+fn collapse_by_index(columns: &mut [Vec<Value>], keep: impl Fn(usize) -> bool) {
+    let row = |i: usize| columns.iter().map(move |c| c[i]);
+    let mut perm: Vec<usize> = (0..columns[0].len()).collect();
+    perm.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    collapse_runs(&mut perm, |&a, &b| row(a).eq(row(b)), keep);
+    for col in columns.iter_mut() {
+        *col = perm.iter().map(|&i| col[i]).collect();
+    }
+}
+
+/// [`Vec::dedup_by`] with a say per group: each run of adjacent items that
+/// `same` equates is collapsed into its first item, kept iff `keep(run
+/// length)`. In place; the kept items stay in order.
+fn collapse_runs<T: Copy>(
+    items: &mut Vec<T>,
+    same: impl Fn(&T, &T) -> bool,
+    keep: impl Fn(usize) -> bool,
+) {
+    let (mut kept, mut i) = (0, 0);
+    while i < items.len() {
+        let first = items[i];
+        let run = items[i..].iter().take_while(|x| same(x, &first)).count();
+        if keep(run) {
+            items[kept] = first;
+            kept += 1;
+        }
+        i += run;
+    }
+    items.truncate(kept);
 }
 
 impl std::fmt::Display for Relation {
@@ -721,6 +696,15 @@ mod tests {
     fn from_columns_arity_zero_and_one() {
         let nullary = Relation::try_from_columns(Schema::new(&[]), vec![]).unwrap();
         assert_eq!((nullary.arity(), nullary.len()), (0, 0));
+        // rows over a nullary schema are all the empty tuple: `{()}`, whose
+        // trie has no level but one tuple
+        let unit = Relation::from_rows(Schema::new(&[]), vec![vec![]; 3]);
+        assert_eq!(
+            (unit.arity(), unit.len(), unit.rows()),
+            (0, 1, vec![vec![]])
+        );
+        assert_eq!(crate::Trie::build(&unit, &[]).unwrap().num_tuples(), 1);
+        assert!(Relation::from_rows(Schema::new(&[]), vec![]).is_empty());
         let unary = Relation::try_from_columns(Schema::new(&["A"]), vec![vec![3, 1, 3, 2]]);
         assert_eq!(unary.unwrap().column(0), &[1, 2, 3]);
         let canonical = vec![1, 2, 3];
@@ -742,7 +726,7 @@ mod tests {
     #[test]
     fn from_columns_agrees_with_from_rows_on_every_key_width() {
         // per-column bit widths that exercise the u64 keys (with and without
-        // the radix sort), the u128 keys, and the argsort fallback
+        // the radix sort), the u128 keys, and the index sort
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for (widths, n) in [
             (vec![0u32, 0], 50),
@@ -777,6 +761,67 @@ mod tests {
             let from_columns = Relation::try_from_columns(schema.clone(), columns).unwrap();
             let from_rows = Relation::try_from_rows(schema, rows).unwrap();
             assert_eq!(from_columns, from_rows, "widths {widths:?}, {n} rows");
+        }
+    }
+
+    /// `collapse_rows` on every strategy — `u64` keys below the radix cutoff
+    /// and radix-sorted, `u128` keys, and an index sort above 128 bits —
+    /// with every group kept and with the odd ones kept, over rows drawn with
+    /// repeats from a small pool, against a count of each row in a `BTreeMap`.
+    /// Canonical input is adopted as it is under both predicates.
+    #[test]
+    fn collapse_rows_agrees_with_a_count_on_every_strategy() {
+        use std::collections::BTreeMap;
+        let mut state = 0xC011_A95E_0D05_7A7Eu64;
+        let odd = |group: usize| group % 2 == 1;
+        for (widths, n) in [
+            (vec![9u32, 9, 9], 600),
+            (vec![11, 11, 11, 11], 3000),
+            (vec![30, 30], 2000),
+            (vec![40, 40, 40], 900),
+            (vec![64, 64], 900),
+            (vec![60, 60, 60], 900),
+            (vec![64, 64, 64, 64], 900),
+        ] {
+            let pool: Vec<Tuple> = (0..n / 3)
+                .map(|_| {
+                    widths
+                        .iter()
+                        .map(|&w| xorshift(&mut state) >> (64 - w))
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<&Tuple> = (0..n)
+                .map(|_| &pool[xorshift(&mut state) as usize % pool.len()])
+                .collect();
+            let mut counts: BTreeMap<&Tuple, usize> = BTreeMap::new();
+            for &row in &rows {
+                *counts.entry(row).or_default() += 1;
+            }
+            for (name, keep) in [
+                ("all", &(|_| true) as &dyn Fn(usize) -> bool),
+                ("odd", &odd),
+            ] {
+                let mut columns: Vec<Vec<Value>> = (0..widths.len())
+                    .map(|c| rows.iter().map(|row| row[c]).collect())
+                    .collect();
+                collapse_rows(&mut columns, keep);
+                let expected: Vec<Tuple> = counts
+                    .iter()
+                    .filter(|&(_, &count)| keep(count))
+                    .map(|(&row, _)| row.clone())
+                    .collect();
+                let got: Vec<Tuple> = (0..columns[0].len())
+                    .map(|i| columns.iter().map(|c| c[i]).collect())
+                    .collect();
+                assert_eq!(got, expected, "widths {widths:?}, {n} rows, keep {name}");
+                // the result is canonical: a second pass adopts it untouched
+                let ptrs: Vec<*const Value> = columns.iter().map(|c| c.as_ptr()).collect();
+                collapse_rows(&mut columns, keep);
+                let again: Vec<*const Value> = columns.iter().map(|c| c.as_ptr()).collect();
+                assert_eq!(again, ptrs, "widths {widths:?}, keep {name}");
+                assert_eq!(columns[0].len(), expected.len());
+            }
         }
     }
 
@@ -842,16 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_keeps_sorted_and_reports_novelty() {
-        let mut r = Relation::empty(Schema::new(&["A"]));
-        assert!(r.insert(vec![5]).unwrap());
-        assert!(r.insert(vec![1]).unwrap());
-        assert!(!r.insert(vec![5]).unwrap());
-        assert_eq!(r.rows(), vec![vec![1], vec![5]]);
-        assert!(r.insert(vec![1, 2]).is_err());
-    }
-
-    #[test]
     fn contains_is_exact_membership() {
         let r = r_ab();
         assert!(r.contains(&[1, 3]));
@@ -893,18 +928,6 @@ mod tests {
         // a functional dependency K -> V is a degree of at most 1
         let key = Relation::from_rows(Schema::new(&["K", "V"]), vec![vec![1, 10], vec![2, 20]]);
         assert_eq!(key.max_degree(&["K"], &["V"]).unwrap(), 1);
-    }
-
-    #[test]
-    fn sort_perm_orders_by_requested_columns() {
-        let r = Relation::from_rows(
-            Schema::new(&["A", "B"]),
-            vec![vec![1, 9], vec![2, 3], vec![3, 3]],
-        );
-        // sort by B then A: rows (2,3)=idx1, (3,3)=idx2, (1,9)=idx0
-        assert_eq!(r.sort_perm(&[1, 0]), vec![1, 2, 0]);
-        // identity prefix: already canonical
-        assert_eq!(r.sort_perm(&[0, 1]), vec![0, 1, 2]);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //!
 //! A [`Trie`] stores a relation's tuples, reordered by a chosen attribute order, as
 //! one sorted value array per level plus child-range offsets. Construction is a
-//! **fused pass over the relation's columns**: one argsort of row indices (skipped
-//! entirely when the requested order is the relation's native order), then a single
-//! scan that emits every level's values and child offsets simultaneously — no row
-//! materialization, no per-level re-grouping. It is the only way a trie is
-//! built, and it runs on the calling thread.
+//! **single scan over sorted columns** that emits every level's values and child
+//! offsets simultaneously — no row materialization, no per-level re-grouping.
+//! In the relation's native order the scan reads its columns as they are; in
+//! any other it reads a permuted copy, put in order by the same sort that
+//! loads a relation (`u64`/`u128` packed keys, radix-sorted when narrow). It
+//! is the only way a trie is built, and it runs on the calling thread.
 //!
 //! Each level also carries the **set layouts** of its dense sibling groups (see
 //! [`crate::kernels`]): one pool of bitset words per level plus one offset per
@@ -55,7 +56,7 @@
 
 use crate::error::StorageError;
 use crate::kernels::{self, Layout};
-use crate::relation::Relation;
+use crate::relation::{collapse_rows, Relation};
 use crate::stats::CursorWork;
 use crate::Value;
 
@@ -153,23 +154,12 @@ fn check_positions(arity: usize, positions: &[usize]) -> Result<(), StorageError
     Ok(())
 }
 
-/// Argsort of `rel`'s rows by the permuted columns ([`Relation::sort_perm`]),
-/// or `None` when the permutation is the identity (the relation is already
-/// sorted in that order). Rows of a full-attribute permutation are distinct, so
-/// the argsort's index tie-break never fires.
-fn order_perm(rel: &Relation, positions: &[usize]) -> Option<Vec<usize>> {
-    if positions.iter().enumerate().all(|(i, &p)| i == p) {
-        return None;
-    }
-    Some(rel.sort_perm(positions))
-}
-
-/// The first depth at which row `r` differs from row `prev` under the permuted
-/// columns `cols` — where `r` starts new trie nodes when it follows `prev`.
+/// The first depth at which row `r` of `cols` differs from row `r - 1` —
+/// where `r` starts new trie nodes.
 #[inline]
-fn boundary(cols: &[&[Value]], r: usize, prev: usize) -> usize {
+fn boundary(cols: &[&[Value]], r: usize) -> usize {
     let mut d = 0;
-    while d < cols.len() && cols[d][r] == cols[d][prev] {
+    while d < cols.len() && cols[d][r] == cols[d][r - 1] {
         d += 1;
     }
     debug_assert!(d < cols.len(), "relations are deduplicated");
@@ -177,23 +167,20 @@ fn boundary(cols: &[&[Value]], r: usize, prev: usize) -> usize {
 }
 
 /// The level arrays — per level the node `values` and their `child_start`
-/// offsets — by one fused pass: argsort the row indices by the permuted columns
-/// (skipped when the order is native), then scan once, pushing a node at depth
-/// `d` whenever the current row first differs from the previous row at depth
-/// `≤ d`.
-fn scan(
-    rel: &Relation,
-    positions: &[usize],
-    perm: Option<&[usize]>,
-) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
-    let arity = rel.arity();
-    let cols: Vec<&[Value]> = positions.iter().map(|&p| rel.column(p)).collect();
+/// offsets — of `len` canonical rows of `cols`, in one pass that pushes a node
+/// at depth `d` whenever the current row first differs from the previous row
+/// at depth `≤ d`. `len` is passed, not read off a column: a nullary relation
+/// has no column.
+fn scan(cols: &[Vec<Value>], len: usize) -> (Vec<Vec<Value>>, Vec<Vec<usize>>) {
+    let arity = cols.len();
+    // a slice per column: one small allocation per build, which keeps the
+    // heap layout `social_decode`'s set-up runs in (without it glibc trims
+    // that heap, EXPERIMENTS E39)
+    let cols: Vec<&[Value]> = cols.iter().map(Vec::as_slice).collect();
     let mut values: Vec<Vec<Value>> = vec![Vec::new(); arity];
     let mut child_start: Vec<Vec<usize>> = vec![Vec::new(); arity];
-    let mut prev: Option<usize> = None;
-    for idx in 0..rel.len() {
-        let r = perm.map_or(idx, |p| p[idx]);
-        let d = prev.map_or(0, |pr| boundary(&cols, r, pr));
+    for r in 0..len {
+        let d = if r == 0 { 0 } else { boundary(&cols, r) };
         // the row starts a new node at every depth >= d
         for (depth, col) in cols.iter().enumerate().skip(d) {
             if depth + 1 < arity {
@@ -201,7 +188,6 @@ fn scan(
             }
             values[depth].push(col[r]);
         }
-        prev = Some(r);
     }
     // closing sentinels: node i's children end where node i+1's begin
     for depth in 0..arity.saturating_sub(1) {
@@ -212,8 +198,9 @@ fn scan(
 
 impl Trie {
     /// Build a trie for `rel` with attributes reordered to `attr_order` (a permutation
-    /// of the relation's attributes), by a single fused argsort-and-scan pass over
-    /// the relation's columns.
+    /// of the relation's attributes), by a single scan over the relation's
+    /// columns — over a sorted, permuted copy of them when the order is not
+    /// the relation's own.
     pub fn build(rel: &Relation, attr_order: &[&str]) -> Result<Self, StorageError> {
         Self::build_positions(rel, &rel.schema().positions(attr_order)?)
     }
@@ -224,8 +211,17 @@ impl Trie {
     /// per-query variable names never reach (or fragment) it.
     pub fn build_positions(rel: &Relation, positions: &[usize]) -> Result<Self, StorageError> {
         check_positions(rel.arity(), positions)?;
-        let perm = order_perm(rel, positions);
-        let (values, child_start) = scan(rel, positions, perm.as_deref());
+        // a non-native order reads a permuted copy of the columns, put in
+        // order (its rows are the relation's, so all distinct)
+        let mut permuted = Vec::new();
+        let cols = if positions.iter().enumerate().all(|(i, &p)| i == p) {
+            rel.columns()
+        } else {
+            permuted.extend(positions.iter().map(|&p| rel.column(p).to_vec()));
+            collapse_rows(&mut permuted, |_| true);
+            &permuted
+        };
+        let (values, child_start) = scan(cols, rel.len());
         Ok(Trie {
             attr_order: positions
                 .iter()
@@ -806,7 +802,7 @@ mod tests {
 
     #[test]
     fn reordered_trie_enumerates_reordered_tuples() {
-        // the fused argsort build must agree with reorder-then-build
+        // a permuted build must agree with reorder-then-build
         let r = rel();
         for order in [
             ["A", "B", "C"],
@@ -822,6 +818,40 @@ mod tests {
             let mut c = t.cursor();
             walk(&mut c, 3, &mut Vec::new(), &mut out);
             assert_eq!(out, reordered.rows(), "order {order:?}");
+        }
+    }
+
+    /// A trie built in a permuted column order enumerates, through its
+    /// cursor, exactly the sorted set of the permuted tuples — on rows whose
+    /// permuted columns sort as `u64` keys (radix-sorted), as `u128` keys and
+    /// by index, with repeats in the leading columns.
+    #[test]
+    fn a_permuted_build_walks_the_sorted_permuted_tuples() {
+        use std::collections::BTreeSet;
+        let mut state = 0x7E1E_5EEDu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for bits in [6u32, 40, 64] {
+            let rows: Vec<Vec<Value>> = (0..3000)
+                .map(|_| vec![next() % 7, next() >> (64 - bits), next() >> (64 - bits)])
+                .collect();
+            let r = Relation::from_rows(Schema::new(&["A", "B", "C"]), rows);
+            for positions in [[1, 0, 2], [2, 1, 0], [1, 2, 0], [2, 0, 1], [0, 2, 1]] {
+                let permuted: BTreeSet<Vec<Value>> = r
+                    .iter()
+                    .map(|t| positions.iter().map(|&p| t[p]).collect())
+                    .collect();
+                let t = Trie::build_positions(&r, &positions).unwrap();
+                let mut out = Vec::new();
+                walk(&mut t.cursor(), 3, &mut Vec::new(), &mut out);
+                let expected: Vec<Vec<Value>> = permuted.into_iter().collect();
+                assert_eq!(out, expected, "{bits}-bit values, order {positions:?}");
+                assert_eq!(t.num_tuples(), r.len());
+            }
         }
     }
 
