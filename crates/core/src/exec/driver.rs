@@ -219,9 +219,10 @@ pub(super) fn run_cursors<S: InteriorStep>(
 /// Package the engines' output — one column per level of the join order — as a
 /// relation with columns in variable-id order. Only the column *vector* is
 /// permuted; no value moves. Under the identity order (the default planner's
-/// usual choice) the columns are already canonical, and the sink proved it row
-/// by row as they were emitted: [`Relation::try_from_canonical_columns`] adopts
-/// them with no second pass — no copy, no sort. Under any other order, or
+/// usual choice) the columns are already canonical, and the sink proves it by
+/// one count of its deepest column's descents, run only here, where the
+/// columns would be adopted: [`Relation::try_from_canonical_columns`] adopts
+/// them as they are — no copy, no sort. Under any other order, or
 /// should the sink's check ever fail, [`Relation::try_from_columns`]
 /// canonicalizes them (packs, radix-sorts and unpacks in place) exactly as
 /// before. Each output column carries the [`AttrType`] of its variable's binding,

@@ -32,8 +32,9 @@
 //! `∩_F π_last R_F[…, a]`, written straight into the sink. An atom without
 //! that variable gives the same sibling group under every `a`, so its cursor
 //! is **fixed**: opened once before the loop, its list and layout gathered
-//! once, closed after it. Only the **moving** cursors, whose atoms do contain
-//! it, are opened, gathered and closed per value. At every interior level,
+//! once, closed after it. The **moving** cursors, whose atoms do contain it,
+//! are seated at each value and their child groups read in place
+//! ([`TrieCursor::children`]), never opened or closed. At every interior level,
 //! Generic Join **seats** a level's participants at each value of its
 //! extension set — above the deepest level only the moving ones, since
 //! nothing reads the others' positions again — by a running rank over their
@@ -277,8 +278,9 @@ impl<'p> Seats<'p> {
 /// * a **fixed** one does not take part at `level`, so its sibling group is
 ///   the same under every `v`: it is opened once, before the loop, its list
 ///   and layout are gathered once, and it is closed after;
-/// * a **moving** one does: it is seated at each `v` ([`Seats`]), opened
-///   under it, its list and layout refreshed, and closed again.
+/// * a **moving** one does: it is seated at each `v` ([`Seats`]), and its
+///   list and layout are read in place under it ([`TrieCursor::children`]):
+///   no frame is pushed or popped per value.
 ///
 /// A participant of `level` that the deepest level does not read is not
 /// seated at all: nothing reads its position again.
@@ -330,14 +332,19 @@ fn bind_above_deepest(
     for &v in ext {
         seats.seat(cursors, v);
         sink.bind(level, v);
-        if !fixed_open || !open_all(cursors, movers.iter().copied()) {
+        if !fixed_open {
             continue;
         }
         let mut dense = fixed_dense;
         for (j, &ci) in deep.iter().enumerate().filter(|&(j, _)| moves[j]) {
-            lists[j] = cursors[ci].remaining();
+            let (children, layout) = cursors[ci].children();
+            debug_assert!(
+                !children.is_empty(),
+                "a member above the deepest level has children"
+            );
+            lists[j] = children;
             if dense {
-                match cursors[ci].layout() {
+                match layout {
                     Some(layout) => layouts[j] = layout,
                     None => dense = false,
                 }
@@ -347,9 +354,6 @@ fn bind_above_deepest(
         emit_deepest(sink, ctx, deepest, |tails| {
             intersect_gathered(tails, lists, layouts, ctx, deepest)
         });
-        for &ci in movers {
-            cursors[ci].up();
-        }
     }
     if fixed_open {
         for ci in split(false) {

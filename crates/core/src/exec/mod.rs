@@ -57,9 +57,11 @@
 //! no scratch copy); and each prefix column is expanded once, into an
 //! exactly-sized allocation, when the join is over. A result value is written
 //! once. Rows come out strictly ascending in level order, and the sink
-//! **verifies that as it goes** — each emission against its predecessor while
-//! the rows are in L1 — so when the join order is the identity the columns become the result [`Relation`] with no
-//! copy, no sort and no second pass
+//! **proves it by counting**: each emission records its first row's prefix
+//! verdict, and one branch-free pass counts the deepest column's descents
+//! against the ones a rising prefix allows. When the join order is the
+//! identity, the columns pass that count and become the result [`Relation`]
+//! with no copy and no sort
 //! ([`wcoj_storage::Relation::try_from_canonical_columns`]); any other order,
 //! or a result that failed the check, is canonicalized by
 //! [`wcoj_storage::Relation::try_from_columns`].

@@ -16,20 +16,25 @@
 //!   exactly-sized allocation, when the columns are taken
 //!   ([`ColumnSink::into_columns`]).
 //!
-//! # Canonical order is proved at emission
+//! # Canonical order is proved by counting descents
 //!
 //! The recursion enumerates every level ascending, so the rows come out
 //! strictly ascending in join-level order — a [`wcoj_storage::Relation`]'s
-//! canonical layout. The sink does not take that on trust, and does not re-read
-//! the finished columns to find out: every emission checks its appended tails
-//! (strictly ascending, still in L1) and its first row against the row before
-//! it (the shallowest level re-bound at that row decides; equal values defer to
-//! the next level, and last to the tails). [`ColumnSink::is_canonical`] is the
-//! conjunction —
-//! equal to "the expanded rows are sorted and distinct", which the property
-//! test in this module proves against the full scan — and is what lets
-//! `rows_to_relation` adopt a verified identity-order result without a second
-//! pass over it.
+//! canonical layout. The sink does not take that on trust, and proves it
+//! without comparing rows one by one. Call a row a **descent** when its tail
+//! is not above the tail of the row before it. Inside one emission the prefix
+//! is the same for every row, so there the tails alone decide. At an
+//! emission's first row, the sink records the **prefix verdict**: the
+//! shallowest level re-bound at that row with a different value decides
+//! (equal values defer to the next level). If that level went down, the rows
+//! are out of order; if it went up, a descent at that row is **allowed**; if
+//! no level decided, the tails do. [`ColumnSink::is_canonical`] then makes one
+//! branch-free pass that counts the descents in the deepest column: the rows
+//! are strictly ascending exactly when no prefix went down and that count
+//! equals the allowed count. This is equal to "the expanded rows are sorted
+//! and distinct", which the property test in this module proves against the
+//! full scan, and is what lets `rows_to_relation` adopt a verified
+//! identity-order result without expanding or sorting it.
 
 use wcoj_storage::Value;
 
@@ -43,8 +48,11 @@ pub struct ColumnSink {
     /// strictly ascending from 0; a run covers the rows up to the next run's
     /// first (the last one up to `tails.len()`, possibly none yet).
     runs: Vec<Vec<(Value, usize)>>,
-    /// Whether every row emitted so far is strictly above its predecessor.
-    canonical: bool,
+    /// Whether no emission's first row had its prefix below its predecessor's.
+    prefixes_ascend: bool,
+    /// How many descents of `tails` sit at an emission's first row whose
+    /// prefix went up (see the module docs).
+    allowed_descents: usize,
 }
 
 impl ColumnSink {
@@ -61,7 +69,8 @@ impl ColumnSink {
         ColumnSink {
             tails: Vec::new(),
             runs: (1..levels).map(seeded).collect(),
-            canonical: true,
+            prefixes_ascend: true,
+            allowed_descents: 0,
         }
     }
 
@@ -78,18 +87,23 @@ impl ColumnSink {
     }
 
     /// Emit one tuple per value `fill` appends to the deepest column it is
-    /// handed — the bound prefix followed by that value — and verify the new
-    /// rows' order. `fill` must only append. Returns how many tuples that was.
+    /// handed — the bound prefix followed by that value — and record the first
+    /// new row's prefix verdict. `fill` must only append. Returns how many
+    /// tuples that was.
     #[inline]
     pub(crate) fn emit_with(&mut self, fill: impl FnOnce(&mut Vec<Value>)) -> usize {
         let from = self.tails.len();
         fill(&mut self.tails);
         debug_assert!(self.tails.len() >= from, "emission only appends");
-        if self.tails.len() > from {
-            let ascending = self.tails[from..]
-                .windows(2)
-                .fold(true, |asc, pair| asc & (pair[0] < pair[1]));
-            self.canonical &= ascending && (from == 0 || self.above_predecessor(from));
+        if from > 0 && self.tails.len() > from {
+            match self.prefix_verdict(from) {
+                Some(true) => {
+                    let descent = self.tails[from - 1] >= self.tails[from];
+                    self.allowed_descents += descent as usize;
+                }
+                Some(false) => self.prefixes_ascend = false,
+                None => {}
+            }
         }
         self.tails.len() - from
     }
@@ -100,26 +114,36 @@ impl ColumnSink {
         self.emit_with(|out| out.extend_from_slice(tails));
     }
 
-    /// Whether row `row` (the first of an emission, `row >= 1`) is strictly
-    /// above row `row - 1`: the two agree at every level whose current run
+    /// How row `row`'s prefix (the first of an emission, `row >= 1`) compares
+    /// with row `row - 1`'s: the two agree at every level whose current run
     /// started earlier, so the shallowest level re-bound at `row` with a
-    /// different value decides, and the tails decide when none did.
+    /// different value decides — `Some(true)` when it went up — and `None`
+    /// when no level did, leaving the verdict to the tails.
     #[inline]
-    fn above_predecessor(&self, row: usize) -> bool {
+    fn prefix_verdict(&self, row: usize) -> Option<bool> {
         for runs in &self.runs {
             if let [.., (before, _), (now, first)] = runs[..] {
                 if first == row && now != before {
-                    return now > before;
+                    return Some(now > before);
                 }
             }
         }
-        self.tails[row - 1] < self.tails[row]
+        None
     }
 
     /// Whether the rows emitted so far are strictly ascending in level order —
-    /// sorted and distinct, a relation's canonical layout (see the module docs).
+    /// sorted and distinct, a relation's canonical layout: one pass that counts
+    /// the deepest column's descents against the allowed ones (see the module
+    /// docs).
     pub fn is_canonical(&self) -> bool {
-        self.canonical
+        let next = self.tails.get(1..).unwrap_or_default();
+        let descents: usize = self
+            .tails
+            .iter()
+            .zip(next)
+            .map(|(before, now)| (before >= now) as usize)
+            .sum();
+        self.prefixes_ascend && descents == self.allowed_descents
     }
 
     /// Number of tuples emitted so far.
@@ -255,6 +279,65 @@ mod tests {
             at += take;
         }
         c
+    }
+
+    /// One step of a named case.
+    #[derive(Debug, Clone, Copy)]
+    enum Op<'a> {
+        Bind(usize, Value),
+        Emit(&'a [Value]),
+    }
+
+    /// Run `ops` on a three-level sink; assert its verdict is the full scan's
+    /// and return it.
+    fn verdict(ops: &[Op<'_>]) -> bool {
+        let mut c = Checked::new(3);
+        for &op in ops {
+            match op {
+                Op::Bind(level, v) => c.bind(level, v),
+                Op::Emit(tails) => c.emit(tails),
+            }
+        }
+        let expected = strictly_ascending(&c.rows);
+        assert_eq!(c.sink.is_canonical(), expected, "{ops:?}");
+        expected
+    }
+
+    /// Named cases of the counted proof: a prefix that rises allows a descent
+    /// of the tails at its first row, and nothing else does.
+    #[test]
+    fn the_counted_proof_on_named_cases() {
+        use Op::{Bind, Emit};
+        // an empty sink, and a sink with one row
+        assert!(verdict(&[]));
+        assert!(verdict(&[Bind(0, 1), Emit(&[]), Bind(1, 2)]));
+        assert!(verdict(&[Bind(0, 1), Emit(&[5])]));
+        // a descent inside one emission, and a repeat
+        assert!(!verdict(&[Emit(&[1, 3, 2])]));
+        assert!(!verdict(&[Bind(1, 4), Emit(&[1, 1])]));
+        // a group split across emissions: the tails decide at the split
+        assert!(verdict(&[Emit(&[1, 2]), Emit(&[3])]));
+        assert!(!verdict(&[Emit(&[1, 2]), Emit(&[2])]));
+        // a rising prefix allows the descent at its first row, and only there;
+        // over rising tails it allows nothing
+        assert!(verdict(&[Emit(&[1]), Bind(1, 1), Emit(&[5])]));
+        assert!(verdict(&[Emit(&[5, 6]), Bind(1, 1), Emit(&[0, 9])]));
+        assert!(!verdict(&[Emit(&[5, 6]), Bind(1, 1), Emit(&[0, 9, 3])]));
+        assert!(verdict(&[Emit(&[5]), Bind(0, 1), Bind(1, 0), Emit(&[0])]));
+        // a descent at a row rebound to the same prefix value: no level
+        // decided, so the tails do
+        assert!(!verdict(&[Emit(&[5]), Bind(0, 0), Emit(&[4])]));
+        assert!(!verdict(&[Emit(&[5]), Bind(0, 0), Bind(1, 0), Emit(&[5])]));
+        assert!(verdict(&[Emit(&[5]), Bind(1, 0), Emit(&[6])]));
+        // a prefix level that goes down, with the tails rising or not
+        assert!(!verdict(&[Bind(1, 3), Emit(&[1]), Bind(1, 2), Emit(&[7])]));
+        assert!(!verdict(&[Bind(1, 3), Emit(&[1]), Bind(1, 2), Emit(&[0])]));
+        // a deeper level goes down under a shallower one that rose: allowed
+        let ops = [Bind(1, 3), Emit(&[1]), Bind(0, 1), Bind(1, 2), Emit(&[0])];
+        assert!(verdict(&ops));
+        // a shallower level goes down over a deeper one that rose: not
+        let ops = [Bind(0, 2), Emit(&[1]), Bind(0, 1), Bind(1, 5), Emit(&[9])];
+        assert!(!verdict(&ops));
     }
 
     #[test]

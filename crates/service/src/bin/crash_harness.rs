@@ -40,18 +40,42 @@ fn base_db() -> Database {
     db
 }
 
-/// The deterministic op stream: `batches` batches of `ops_per_batch` ops each,
-/// a pure function of `seed` and **prefix-stable** (batch `i` is the same for
-/// every total count, because the generator is consumed sequentially).
-fn gen_batches(seed: u64, batches: usize, ops_per_batch: usize) -> Vec<Vec<WalOp>> {
-    let mut rng = SplitMix64::new(seed);
-    let mut out = Vec::with_capacity(batches);
-    for _ in 0..batches {
-        let mut ops = Vec::with_capacity(ops_per_batch);
-        for _ in 0..ops_per_batch {
-            let roll = rng.next_u64() % 100;
-            let a = rng.next_u64() % 128;
-            let b = rng.next_u64() % 128;
+/// The deterministic op stream: batches of `ops_per_batch` ops each,
+/// generated lazily, a pure function of `seed` and **prefix-stable** (batch
+/// `i` is the same for every total count, because the generator is consumed
+/// sequentially). Each op draws exactly three values, so
+/// [`OpStream::skip_batches`] passes over batches without building them.
+struct OpStream {
+    rng: SplitMix64,
+    ops_per_batch: usize,
+}
+
+impl OpStream {
+    fn new(seed: u64, ops_per_batch: usize) -> Self {
+        OpStream {
+            rng: SplitMix64::new(seed),
+            ops_per_batch,
+        }
+    }
+
+    /// Advance past `batches` batches by drawing their values; nothing is
+    /// allocated.
+    fn skip_batches(&mut self, batches: usize) {
+        for _ in 0..batches * self.ops_per_batch * 3 {
+            self.rng.next_u64();
+        }
+    }
+}
+
+impl Iterator for OpStream {
+    type Item = Vec<WalOp>;
+
+    fn next(&mut self) -> Option<Vec<WalOp>> {
+        let mut ops = Vec::with_capacity(self.ops_per_batch);
+        for _ in 0..self.ops_per_batch {
+            let roll = self.rng.next_u64() % 100;
+            let a = self.rng.next_u64() % 128;
+            let b = self.rng.next_u64() % 128;
             if roll < 70 {
                 ops.push(WalOp::Insert {
                     relation: "E".into(),
@@ -70,9 +94,8 @@ fn gen_batches(seed: u64, batches: usize, ops_per_batch: usize) -> Vec<Vec<WalOp
                 });
             }
         }
-        out.push(ops);
+        Some(ops)
     }
-    out
 }
 
 fn batch_from_ops(ops: &[WalOp]) -> WriteBatch {
@@ -161,9 +184,10 @@ fn ingest(args: &Args) -> Result<(), String> {
             recovery_line(&service)
         );
     }
-    let stream = gen_batches(args.seed, args.batches, args.ops_per_batch);
-    for (i, ops) in stream.iter().enumerate().skip(start) {
-        match service.apply(&batch_from_ops(ops)) {
+    let mut stream = OpStream::new(args.seed, args.ops_per_batch);
+    stream.skip_batches(start);
+    for (i, ops) in (start..args.batches).zip(stream) {
+        match service.apply(&batch_from_ops(&ops)) {
             Ok(seq) => println!("committed batch {i} (wal seq {seq})"),
             Err(ServiceError::Wal(e)) => {
                 // an injected (or real) durability fault is a simulated
@@ -189,27 +213,21 @@ fn verify(args: &Args) -> Result<(), String> {
     }
     // differential 1: the recovered tail ops — everything after the
     // checkpoint — are bit-identical to the generated stream at the same
-    // positions: never a partial batch, never a reordered op
-    let stream = gen_batches(args.seed, args.batches, args.ops_per_batch);
-    let ckpt = replayed.checkpoint_seq as usize;
-    for (offset, (got, want)) in replayed
-        .tail
-        .iter()
-        .zip(&stream[ckpt..committed])
-        .enumerate()
-    {
-        if got != want {
-            return Err(format!(
-                "recovered batch {} diverges from the oracle stream",
-                ckpt + offset
-            ));
-        }
-    }
+    // positions: never a partial batch, never a reordered op.
     // differential 2: applying that prefix to a fresh catalog yields the
     // same relation state the recovered service holds — rows AND run count
-    // AND buffered ops
+    // AND buffered ops. Both read the stream one batch at a time.
+    let ckpt = replayed.checkpoint_seq as usize;
     let mut oracle = base_db();
-    replay_into(&mut oracle, &stream[..committed]).map_err(|e| format!("oracle replay: {e}"))?;
+    for (i, batch) in (0..committed).zip(OpStream::new(args.seed, args.ops_per_batch)) {
+        if i >= ckpt && replayed.tail.get(i - ckpt) != Some(&batch) {
+            return Err(format!(
+                "recovered batch {i} diverges from the oracle stream"
+            ));
+        }
+        replay_into(&mut oracle, std::slice::from_ref(&batch))
+            .map_err(|e| format!("oracle replay: {e}"))?;
+    }
     let oracle_delta = oracle.delta("E").expect("oracle catalog has E");
     service.with_db(|db| {
         let got = db.delta("E").expect("recovered catalog has E");

@@ -43,7 +43,8 @@
 //! The contract: a cursor is a stack of *sibling groups*. At depth `d` it
 //! stands at one value of the sorted group of distinct values extending the
 //! length-`d-1` prefix chosen at shallower depths. `open` descends into the
-//! children of the current value, `up` pops back, `next`/`seek` move within
+//! children of the current value (`children` reads that group in place,
+//! without descending), `up` pops back, `next`/`seek` move within
 //! the current group and never escape it. `seek` only moves forward (targets
 //! must be non-decreasing between `open`s — the leapfrog discipline);
 //! `reposition`, `advance_to` and `seat_by_rank` move only to keys whose
@@ -320,11 +321,37 @@ impl<'a> TrieCursor<'a> {
     /// frame carries the group's set layout, if it has one.
     #[inline]
     pub fn open(&mut self) -> bool {
-        let trie: &'a Trie = self.trie;
-        let next_level = self.stack.len();
-        let Some(level) = trie.levels.get(next_level) else {
+        let Some(frame) = self.child_frame() else {
             return false;
         };
+        self.stack.push(frame);
+        true
+    }
+
+    /// The sibling group under the current member — its values and its set
+    /// layout (`None` for a sparse group) — read without pushing a frame:
+    /// what `open` followed by `remaining`, `layout` and `up` would answer.
+    /// Empty at the root (no member) and at the deepest level (no children).
+    /// The cursor must stand at a member, as for `open`.
+    #[inline]
+    pub fn children(&self) -> (&'a [Value], Option<Layout<'a>>) {
+        match self.stack.last().and_then(|_| self.child_frame()) {
+            Some(frame) => {
+                let values = &self.trie.levels[self.stack.len()].values;
+                (&values[frame.start..frame.end], frame.layout)
+            }
+            None => (&[], None),
+        }
+    }
+
+    /// The frame `open` pushes: the group of children of the current member
+    /// (the root group at the root), with its layout resolved; `None` when
+    /// there are none.
+    #[inline]
+    fn child_frame(&self) -> Option<Frame<'a>> {
+        let trie: &'a Trie = self.trie;
+        let next_level = self.stack.len();
+        let level = trie.levels.get(next_level)?;
         // group `g` of a level is the children of node `g` one level up
         let (group, begin, end) = match self.stack.last() {
             None => (0, 0, level.values.len()),
@@ -334,7 +361,7 @@ impl<'a> TrieCursor<'a> {
             }
         };
         if begin == end {
-            return false;
+            return None;
         }
         let layout = level.layout_start.get(group..group + 2).and_then(|bounds| {
             kernels::layout_of(
@@ -342,13 +369,12 @@ impl<'a> TrieCursor<'a> {
                 &level.layout_words[bounds[0]..bounds[1]],
             )
         });
-        self.stack.push(Frame {
+        Some(Frame {
             start: begin,
             pos: begin,
             end,
             layout,
-        });
-        true
+        })
     }
 
     /// Ascend one level. No-op at the root.
@@ -1019,6 +1045,65 @@ mod tests {
             let mut out = Vec::new();
             walk(&mut t.cursor(), 3, &mut Vec::new(), &mut out);
             assert_eq!(out, r.rows());
+        }
+    }
+
+    /// `children()` reads in place what `open`, `remaining`, `layout` and
+    /// `up` answer, at every member of every depth of a dense trie (one
+    /// sparse group mixed in) and of a sparse one, and reads nothing at the
+    /// root or at the deepest level.
+    #[test]
+    fn children_read_what_an_open_would() {
+        let mut dense: Vec<Vec<Value>> = Vec::new();
+        for a in 0..5 {
+            for b in 0..10 {
+                let len = 6 + (a + b) % 5;
+                dense.extend((0..len).map(|k| vec![a, b, 2 * k + b]));
+            }
+        }
+        dense.push(vec![50, 7, 1]);
+        let sparse: Vec<Vec<Value>> = dense
+            .iter()
+            .map(|row| row.iter().map(|v| v * 1000 + 1).collect())
+            .collect();
+        for (rows, dense) in [(dense, true), (sparse, false)] {
+            let r = Relation::from_rows(Schema::new(&["A", "B", "C"]), rows);
+            let t = Trie::build(&r, &["A", "B", "C"]).unwrap();
+            let mut c = t.cursor();
+            assert_eq!(c.children(), (&[][..], None), "root");
+            // per depth: members visited, and how many had a dense child group
+            let (mut members, mut with_layout) = ([0; 3], [0; 3]);
+            let mut stack = vec![c.open()];
+            while let Some(&more) = stack.last() {
+                if !more {
+                    stack.pop();
+                    c.up();
+                    if let Some(top) = stack.last_mut() {
+                        *top = c.next();
+                    }
+                    continue;
+                }
+                let depth = c.depth() - 1;
+                members[depth] += 1;
+                let (children, layout) = c.children();
+                with_layout[depth] += layout.is_some() as usize;
+                assert_eq!(c.depth(), depth + 1, "children() pushes no frame");
+                if c.open() {
+                    assert_eq!((children, layout), (c.remaining(), c.layout()));
+                    stack.push(true);
+                } else {
+                    assert_eq!(depth + 1, t.arity(), "only the deepest level is childless");
+                    assert_eq!((children, layout), (&[][..], None), "deepest");
+                    *stack.last_mut().unwrap() = c.next();
+                }
+            }
+            assert_eq!(members, [0, 1, 2].map(|d| t.nodes_at(d)));
+            assert_eq!(with_layout[2], 0);
+            if dense {
+                assert_eq!(with_layout[..2], [5, 50], "all but (50) and (50, 7)");
+            } else {
+                assert_eq!(with_layout, [0; 3]);
+            }
         }
     }
 
