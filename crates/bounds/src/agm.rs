@@ -22,14 +22,14 @@
 //! ```
 //!
 //! Every log size is `≥ 0`, so the origin of (54) is feasible, and
-//! [`wcoj_lp::solve_packing_lp`] solves it in one phase from the slack basis.
+//! [`crate::lp::solve_packing_lp`] solves it in one phase from the slack basis.
 //! By complementary slackness the optimal cover `δ_F` is the reduced cost of
 //! atom `F`'s slack column, read off the final tableau. Every bound here — the
 //! AGM bound, the planner's prefix bounds and `ρ*` — is that one solve, over
 //! rows taken from the atoms as they are.
 
+use crate::lp::{solve_packing_lp, LpError};
 use crate::BoundError;
-use wcoj_lp::{solve_packing_lp, LpError};
 use wcoj_query::{Atom, ConjunctiveQuery, Database, Hypergraph, VarId};
 
 /// The result of solving the AGM LP.
@@ -61,7 +61,7 @@ where
 {
     match solve_packing_lp(num_vars, rows) {
         Ok(packing) => Ok((packing.objective, packing.dual)),
-        Err(LpError::Unbounded) => Err(BoundError::Infinite {
+        Err(LpError::Unbounded { .. }) => Err(BoundError::Infinite {
             reason: "some variable occurs in no atom".to_string(),
         }),
         Err(e) => Err(e.into()),

@@ -12,16 +12,18 @@
 //! ```
 //!
 //! (The cone is scale-invariant, so normalizing `h([n]) ≤ 1` loses nothing; without a
-//! normalization the LP would be unbounded whenever the inequality fails.)
+//! normalization the LP would be unbounded whenever the inequality fails.) Every row
+//! is `≤ 0` — each elemental Shannon inequality `−(…) ≤ 0` — except the
+//! normalization's `≤ 1`, so `h = 0` is feasible and the one-phase solver of
+//! [`crate::lp`] starts there.
 //!
 //! Shearer's inequality (Corollary 5.5) is the special case where every `X = ∅` and
 //! the `Y` are the hyperedges: then `δ` is a Shannon-flow coefficient vector iff it is
 //! a fractional edge cover.
 
-use crate::polymatroid::build_shannon_lp;
+use crate::polymatroid::{build_shannon_lp, ShannonLp};
 use crate::setfn::{mask_of, SetFunction};
 use crate::BoundError;
-use wcoj_lp::Cmp;
 use wcoj_query::{ConstraintSet, Hypergraph};
 
 /// A sparse coefficient vector `δ ∈ R_+^P`: terms `(X, Y, δ_{Y|X})` with `X ⊆ Y`
@@ -99,10 +101,11 @@ impl DeltaVector {
     }
 }
 
-/// Decide whether `h([n]) ≤ ⟨δ, h⟩` holds for every polymatroid on `n` variables.
-pub fn is_shannon_flow_inequality(n: usize, delta: &DeltaVector) -> Result<bool, BoundError> {
+/// The LP that tests `δ` on `n` variables: maximize
+/// `h([n]) − Σ δ_{Y|X} (h(Y) − h(X))` over the Shannon cone, normalized by the
+/// last row, `h([n]) ≤ 1`.
+pub fn flow_lp(n: usize, delta: &DeltaVector) -> Result<ShannonLp, BoundError> {
     let full: u32 = ((1u64 << n) - 1) as u32;
-    // objective: h([n]) - sum delta (h(Y) - h(X))
     let mut obj: Vec<(u32, f64)> = vec![(full, 1.0)];
     for &(x, y, d) in delta.terms() {
         obj.push((y, -d));
@@ -111,10 +114,14 @@ pub fn is_shannon_flow_inequality(n: usize, delta: &DeltaVector) -> Result<bool,
         }
     }
     let mut lp = build_shannon_lp(n, &obj)?;
-    // normalization: h([n]) <= 1
-    lp.add_constraint(&[(full, 1.0)], Cmp::Le, 1.0);
-    let sol = lp.lp.solve()?;
-    Ok(sol.objective <= 1e-7)
+    lp.add_row(&[(full, 1.0)], 1.0);
+    Ok(lp)
+}
+
+/// Decide whether `h([n]) ≤ ⟨δ, h⟩` holds for every polymatroid on `n` variables:
+/// whether the optimum of [`flow_lp`] is 0.
+pub fn is_shannon_flow_inequality(n: usize, delta: &DeltaVector) -> Result<bool, BoundError> {
+    Ok(flow_lp(n, delta)?.solve()?.objective <= 1e-7)
 }
 
 /// Verify Shearer's lemma / Corollary 5.5 both ways on a concrete weight vector:

@@ -22,7 +22,11 @@
 //!   (Section 5.2.3), including a verifier, canonical sequences for the paper's
 //!   examples, and a bounded search — [`flow`], [`proof`];
 //! * numeric verification of **Friedgut's inequality** (Theorem 4.1) on concrete
-//!   databases — [`friedgut`].
+//!   databases — [`friedgut`];
+//! * the **one LP solver** behind every bound above: one phase of primal simplex
+//!   from the feasible origin of `max c·x s.t. A x ≤ b, x ≥ 0, b ≥ 0`, returning
+//!   the dual prices that certify the optimum (or a ray that certifies
+//!   unboundedness) — [`lp`].
 //!
 //! # Example: the AGM bound of the triangle query
 //!
@@ -48,6 +52,7 @@ pub mod entropic;
 pub mod entropy;
 pub mod flow;
 pub mod friedgut;
+pub mod lp;
 pub mod modular;
 pub mod polymatroid;
 pub mod proof;
@@ -65,8 +70,8 @@ pub use setfn::SetFunction;
 /// Errors produced when computing bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoundError {
-    /// The underlying linear program failed (infeasible/unbounded/degenerate).
-    Lp(wcoj_lp::LpError),
+    /// The underlying linear program failed (unbounded or numerically degenerate).
+    Lp(lp::LpError),
     /// The bound is infinite: some variable cannot be covered/bounded by the
     /// constraints (e.g. a vertex not covered by any atom, or an unbound variable in
     /// the sense of Proposition 5.2).
@@ -107,8 +112,8 @@ impl std::fmt::Display for BoundError {
 
 impl std::error::Error for BoundError {}
 
-impl From<wcoj_lp::LpError> for BoundError {
-    fn from(e: wcoj_lp::LpError) -> Self {
+impl From<lp::LpError> for BoundError {
+    fn from(e: lp::LpError) -> Self {
         BoundError::Lp(e)
     }
 }
@@ -127,8 +132,8 @@ mod tests {
         }
         .to_string()
         .contains("unbound"));
-        let e: BoundError = wcoj_lp::LpError::Infeasible.into();
-        assert!(e.to_string().contains("infeasible"));
+        let e: BoundError = lp::LpError::IterationLimit(7).into();
+        assert!(e.to_string().contains("iteration limit of 7"));
         assert!(BoundError::Database("boom".into())
             .to_string()
             .contains("boom"));

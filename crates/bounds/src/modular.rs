@@ -17,13 +17,13 @@
 //!
 //! (54) is a packing LP: its coefficients are 0/1 and, once a zero bound has
 //! short-circuited to an empty output, every `log2 N_{Y|X}` is `≥ 0`. So its
-//! origin is feasible and [`wcoj_lp::solve_packing_lp`] solves it in one phase
+//! origin is feasible and [`crate::lp::solve_packing_lp`] solves it in one phase
 //! from the slack basis, with each constraint's `Y − X` as its row; `δ` is the
 //! reduced costs of the slack columns. It is the solver of the AGM bound too
 //! ([`crate::agm`]), which is (54) under cardinality constraints alone.
 
+use crate::lp::{solve_packing_lp, LpError};
 use crate::BoundError;
-use wcoj_lp::{solve_packing_lp, LpError};
 use wcoj_query::repair::{bound_variables, repair_to_acyclic};
 use wcoj_query::ConstraintSet;
 
@@ -76,7 +76,7 @@ pub fn modular_bound_unchecked(n: usize, dc: &ConstraintSet) -> Result<ModularBo
     });
     let sol = match solve_packing_lp(n, rows) {
         Ok(s) => s,
-        Err(LpError::Unbounded) => {
+        Err(LpError::Unbounded { .. }) => {
             return Err(BoundError::Infinite {
                 reason: "some variable is not bounded by any degree constraint".to_string(),
             })

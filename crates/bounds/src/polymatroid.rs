@@ -2,21 +2,25 @@
 //! the degree constraints.
 //!
 //! The LP has one variable `h(S)` per non-empty subset `S ⊆ [n]` and the *elemental*
-//! Shannon constraints, which generate the whole Shannon cone `Γ_n`:
+//! Shannon inequalities, which generate the whole Shannon cone `Γ_n`, each written as
+//! a row `≤ 0`:
 //!
-//! * monotonicity at the top: `h([n]) − h([n] \ {i}) ≥ 0` for every `i`;
-//! * conditioned submodularity: `h(S ∪ {i}) + h(S ∪ {j}) − h(S ∪ {i,j}) − h(S) ≥ 0`
+//! * monotonicity at the top: `h([n] \ {i}) − h([n]) ≤ 0` for every `i`;
+//! * conditioned submodularity: `h(S ∪ {i,j}) + h(S) − h(S ∪ {i}) − h(S ∪ {j}) ≤ 0`
 //!   for every pair `i ≠ j` and every `S ⊆ [n] \ {i, j}`;
 //!
-//! plus one degree constraint `h(Y) − h(X) ≤ log2 N_{Y|X}` per element of `DC`.
+//! plus one degree constraint `h(Y) − h(X) ≤ log2 N_{Y|X}` per element of `DC`. Every
+//! right-hand side is `≥ 0` (a zero bound `N` has already short-circuited to an empty
+//! output), so `h = 0` is feasible and [`crate::lp::maximize`] solves the LP in one
+//! phase from there; the degree rows' dual prices are the `δ` of equation (73).
 //!
 //! The LP is exponential in the number of query variables (the paper discusses why
 //! this is unacceptable for 20+ variable OLAP queries and gives Proposition 4.4 as the
 //! remedy); here it is exact and fine for the `n ≤ 8` queries of the experiments.
 
-use crate::setfn::SetFunction;
+use crate::lp::{maximize, LpError, Optimum};
+use crate::setfn::{mask_of, SetFunction};
 use crate::BoundError;
-use wcoj_lp::{Cmp, LinearProgram, LpError, Sense, VarId};
 use wcoj_query::{ConjunctiveQuery, ConstraintSet};
 
 /// Maximum number of query variables accepted by the exponential LP.
@@ -43,68 +47,68 @@ impl PolymatroidBound {
     }
 }
 
-/// A partially-built Shannon-cone LP: one variable per non-empty subset plus all
-/// elemental Shannon constraints. Callers add their own objective terms and extra
-/// constraints before solving. Used by both the polymatroid bound and the
-/// Shannon-flow-inequality test in [`crate::flow`].
-#[derive(Debug)]
+/// A Shannon-cone LP: variable `S − 1` is `h(S)` for every non-empty mask `S`, and
+/// the rows are every elemental Shannon inequality as a row `≤ 0`, then the
+/// caller's rows. Used by both the polymatroid bound and the Shannon-flow test in
+/// [`crate::flow`].
+#[derive(Debug, Clone)]
 pub struct ShannonLp {
-    /// The LP under construction (maximization).
-    pub lp: LinearProgram,
-    /// `vars[mask]` is the LP variable for `h(S)` (`mask > 0`); index 0 is unused.
-    pub vars: Vec<Option<VarId>>,
-    /// Number of ground variables `n`.
-    pub n: usize,
+    objective: Vec<f64>,
+    rows: Vec<(f64, Vec<(usize, f64)>)>,
 }
 
 impl ShannonLp {
-    /// The LP variable for `h(S)`; panics on the empty set.
-    pub fn var(&self, mask: u32) -> VarId {
-        self.vars[mask as usize].expect("h(emptyset) is not a variable")
+    /// Add the row `Σ coeff · h(S) ≤ bound`, given as (mask, coeff) pairs over
+    /// distinct masks; the empty mask contributes nothing (`h(∅) = 0`). The LP
+    /// solves only while every bound is `≥ 0`.
+    pub fn add_row(&mut self, terms: &[(u32, f64)], bound: f64) {
+        let entries = (terms.iter().filter(|(m, _)| *m != 0))
+            .map(|&(m, c)| (m as usize - 1, c))
+            .collect();
+        self.rows.push((bound, entries));
     }
 
-    /// Add a linear constraint `Σ coeff · h(S)  cmp  rhs` given as (mask, coeff)
-    /// pairs; the empty-set mask contributes nothing (h(∅) = 0).
-    pub fn add_constraint(&mut self, terms: &[(u32, f64)], cmp: Cmp, rhs: f64) {
-        let lp_terms: Vec<(VarId, f64)> = terms
-            .iter()
-            .filter(|(m, _)| *m != 0)
-            .map(|&(m, c)| (self.var(m), c))
-            .collect();
-        self.lp.add_constraint(&lp_terms, cmp, rhs);
+    /// The objective `c`: the coefficient of `h(S)` at `S − 1`.
+    pub fn objective(&self) -> &[f64] {
+        &self.objective
+    }
+
+    /// The rows `(b_i, entries)`, each entry `(S − 1, coeff)`: the Shannon rows,
+    /// then the added ones in order.
+    pub fn rows(&self) -> &[(f64, Vec<(usize, f64)>)] {
+        &self.rows
+    }
+
+    /// Maximize the objective over the cone and the added rows, from `h = 0`.
+    pub fn solve(&self) -> Result<Optimum, LpError> {
+        let rows = (self.rows.iter()).map(|(bound, entries)| (*bound, entries.iter().copied()));
+        maximize(self.objective.iter().copied(), rows)
     }
 }
 
 /// Build the Shannon-cone LP skeleton over `n` variables with the objective
-/// `maximize Σ objective[mask] · h(S)` (only non-zero entries need be present).
+/// `maximize Σ coeff · h(S)` over (mask, coeff) pairs: a repeated mask sums, and
+/// the empty mask contributes nothing (only non-zero entries need be present).
 pub fn build_shannon_lp(n: usize, objective: &[(u32, f64)]) -> Result<ShannonLp, BoundError> {
     if n == 0 || n > MAX_VARS {
         return Err(BoundError::TooManyVariables(n));
     }
     let full: u32 = ((1u64 << n) - 1) as u32;
-    let mut obj = vec![0.0; (full as usize) + 1];
-    for &(m, c) in objective {
-        obj[m as usize] += c;
+    let mut obj = vec![0.0; full as usize];
+    for &(m, c) in objective.iter().filter(|(m, _)| *m != 0) {
+        obj[m as usize - 1] += c;
     }
+    let mut shannon = ShannonLp {
+        objective: obj,
+        rows: Vec::new(),
+    };
 
-    let mut lp = LinearProgram::new(Sense::Maximize);
-    let mut vars: Vec<Option<VarId>> = vec![None; (full as usize) + 1];
-    for mask in 1..=full {
-        vars[mask as usize] = Some(lp.add_var(format!("h_{mask:b}"), obj[mask as usize]));
-    }
-    let mut shannon = ShannonLp { lp, vars, n };
-
-    // Monotonicity at the top set: h([n]) - h([n] \ {i}) >= 0.
+    // Monotonicity at the top set: h([n] \ {i}) - h([n]) <= 0.
     for i in 0..n {
-        let without = full & !(1u32 << i);
-        let mut terms = vec![(full, 1.0)];
-        if without != 0 {
-            terms.push((without, -1.0));
-        }
-        shannon.add_constraint(&terms, Cmp::Ge, 0.0);
+        shannon.add_row(&[(full & !(1u32 << i), 1.0), (full, -1.0)], 0.0);
     }
 
-    // Conditioned submodularity: h(S+i) + h(S+j) - h(S+i+j) - h(S) >= 0.
+    // Conditioned submodularity: h(S+i+j) + h(S) - h(S+i) - h(S+j) <= 0.
     for i in 0..n {
         for j in (i + 1)..n {
             let bi = 1u32 << i;
@@ -113,11 +117,8 @@ pub fn build_shannon_lp(n: usize, objective: &[(u32, f64)]) -> Result<ShannonLp,
             // enumerate subsets S of `rest`
             let mut s = rest;
             loop {
-                let mut terms = vec![(s | bi, 1.0), (s | bj, 1.0), (s | bi | bj, -1.0)];
-                if s != 0 {
-                    terms.push((s, -1.0));
-                }
-                shannon.add_constraint(&terms, Cmp::Ge, 0.0);
+                let terms = [(s | bi, -1.0), (s | bj, -1.0), (s | bi | bj, 1.0), (s, 1.0)];
+                shannon.add_row(&terms, 0.0);
                 if s == 0 {
                     break;
                 }
@@ -128,11 +129,28 @@ pub fn build_shannon_lp(n: usize, objective: &[(u32, f64)]) -> Result<ShannonLp,
     Ok(shannon)
 }
 
+/// The polymatroid LP (68) for `n` variables: maximize `h([n])` over the Shannon
+/// cone, with one row `h(Y) − h(X) ≤ log2 N_{Y|X}` per degree constraint, in `DC`
+/// order after the Shannon rows. A zero bound `N` makes a row the solver refuses
+/// ([`LpError::InvalidBound`]); [`polymatroid_bound`] short-circuits it first.
+pub fn polymatroid_lp(n: usize, dc: &ConstraintSet) -> Result<ShannonLp, BoundError> {
+    let full: u32 = ((1u64 << n) - 1) as u32;
+    let mut shannon = build_shannon_lp(n, &[(full, 1.0)])?;
+    for c in dc.iter() {
+        shannon.add_row(
+            &[(mask_of(&c.y), 1.0), (mask_of(&c.x), -1.0)],
+            c.log_bound(),
+        );
+    }
+    Ok(shannon)
+}
+
 /// Compute the polymatroid bound `max { h([n]) : h ∈ Γ_n ∩ H_DC }` for a query with
 /// `n` variables under degree constraints `dc`.
 ///
-/// Degree constraints are added *after* the Shannon skeleton, so their dual values are
-/// the trailing entries of the LP dual — these are returned as `constraint_duals`.
+/// The degree rows follow the Shannon rows ([`polymatroid_lp`]), so their dual
+/// values are the trailing entries of the LP dual — these are returned as
+/// `constraint_duals`.
 pub fn polymatroid_bound(n: usize, dc: &ConstraintSet) -> Result<PolymatroidBound, BoundError> {
     if dc.iter().any(|c| c.bound == 0) {
         // an empty guard relation: the output is empty
@@ -142,26 +160,10 @@ pub fn polymatroid_bound(n: usize, dc: &ConstraintSet) -> Result<PolymatroidBoun
             constraint_duals: vec![0.0; dc.len()],
         });
     }
-    let full: u32 = ((1u64 << n) - 1) as u32;
-    let mut shannon = build_shannon_lp(n, &[(full, 1.0)])?;
-
-    // Remember how many constraints the skeleton used, so we can find the duals of the
-    // degree constraints afterwards.
-    let skeleton_rows = shannon.lp.num_constraints();
-
-    for c in dc.iter() {
-        let y_mask = crate::setfn::mask_of(&c.y);
-        let x_mask = crate::setfn::mask_of(&c.x);
-        let mut terms = vec![(y_mask, 1.0)];
-        if x_mask != 0 {
-            terms.push((x_mask, -1.0));
-        }
-        shannon.add_constraint(&terms, Cmp::Le, c.log_bound());
-    }
-
-    let sol = match shannon.lp.solve() {
+    let lp = polymatroid_lp(n, dc)?;
+    let sol = match lp.solve() {
         Ok(s) => s,
-        Err(LpError::Unbounded) => {
+        Err(LpError::Unbounded { .. }) => {
             return Err(BoundError::Infinite {
                 reason: "degree constraints do not bound every variable".to_string(),
             })
@@ -170,14 +172,14 @@ pub fn polymatroid_bound(n: usize, dc: &ConstraintSet) -> Result<PolymatroidBoun
     };
 
     let mut h = SetFunction::zero(n);
-    for mask in 1..=full {
-        h.set(mask, sol.primal[shannon.var(mask)]);
+    for (mask, &value) in (1..).zip(&sol.primal) {
+        h.set(mask, value);
     }
-    let constraint_duals: Vec<f64> = (0..dc.len()).map(|i| sol.dual[skeleton_rows + i]).collect();
+    let skeleton_rows = lp.rows().len() - dc.len();
     Ok(PolymatroidBound {
         log2_bound: sol.objective,
         h,
-        constraint_duals,
+        constraint_duals: sol.dual[skeleton_rows..].to_vec(),
     })
 }
 

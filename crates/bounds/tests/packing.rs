@@ -1,133 +1,55 @@
-//! The packing solver against the two-phase `LinearProgram` it replaced on the
-//! AGM and modular paths.
+//! The packing solver, certified by duality on every instance.
 //!
-//! The cover side solves the AGM LP (5) as the old path did — one `δ_F` per
-//! atom, one `≥ 1` row per variable, minimized by the two-phase simplex — over
+//! The cover side solves the AGM LP (5) as its dual, the packing LP (54), over
 //! seeded `random_hypergraph` queries, the named families (cycles,
 //! Loomis–Whitney, cliques, stars) and the rows the planner makes: zero weights
 //! from one-row relations, empty rows from prefix restriction, duplicate rows.
-//! The modular side solves LP (54) as a `Maximize` program over random acyclic
-//! and cyclic constraint sets. On every instance:
-//! * the objectives agree within `1e-9 · max(1, |obj|)`;
-//! * the packing `v` is primal feasible and the cover `δ` dual feasible;
-//! * strong duality holds, `Σ b_i δ_i = Σ v_j`;
+//! The modular side solves LP (54) over random acyclic and cyclic constraint
+//! sets. On every instance:
+//! * the solve passes [`common::certify`]: the packing `v` is primal feasible,
+//!   the cover `δ` dual feasible, and `Σ b_i δ_i = Σ v_j`, or its ray proves
+//!   the LP unbounded — a check that does not depend on the solver's pivots;
 //! * the packing is `Unbounded` (`BoundError::Infinite` through the bounds)
-//!   exactly when a variable lies in no row, which is exactly when the two-phase
-//!   cover LP is infeasible.
+//!   exactly when a variable lies in no row;
+//! * the bounds built on the solve report its certified objective.
 
+mod common;
+
+use common::{certify, close, random_constraints, Row};
 use wcoj_bounds::agm::{agm_bound_from_sizes, fractional_edge_cover_number, prefix_log2_bound};
+use wcoj_bounds::lp::solve_packing_lp;
 use wcoj_bounds::modular::modular_bound_unchecked;
 use wcoj_bounds::BoundError;
-use wcoj_lp::{solve_packing_lp, Cmp, LinearProgram, LpError, Packing, Sense};
-use wcoj_query::{ConjunctiveQuery, ConstraintSet, DegreeConstraint, Hypergraph, VarId};
+use wcoj_query::{ConjunctiveQuery, Hypergraph, VarId};
 use wcoj_workloads::{random_hypergraph, SplitMix64};
 
 /// One packing row: its bound and its variables.
-type Row = (f64, Vec<VarId>);
+type PackingRow = (f64, Vec<VarId>);
 
-const TOL: f64 = 1e-9;
-
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= TOL * b.abs().max(1.0)
-}
-
-fn uncovered(num_vars: usize, rows: &[Row]) -> bool {
+fn uncovered(num_vars: usize, rows: &[PackingRow]) -> bool {
     (0..num_vars).any(|j| rows.iter().all(|(_, vars)| !vars.contains(&j)))
 }
 
-fn packing(num_vars: usize, rows: &[Row]) -> Result<Packing, LpError> {
-    solve_packing_lp(
+/// Solve `rows` and check the solve's certificate. Returns the packing's
+/// objective, or `None` where a variable lies in no row.
+fn check(num_vars: usize, rows: &[PackingRow]) -> Option<f64> {
+    let label = format!("{num_vars} variables, rows {rows:?}");
+    let solved = solve_packing_lp(
         num_vars,
         rows.iter().map(|(b, vars)| (*b, vars.iter().copied())),
-    )
-}
-
-/// The old AGM path: the cover LP (5), one `δ` per row, by the two-phase simplex.
-fn two_phase_cover(num_vars: usize, rows: &[Row]) -> Result<f64, LpError> {
-    let mut lp = LinearProgram::new(Sense::Minimize);
-    let delta: Vec<_> = (rows.iter().enumerate())
-        .map(|(i, (b, _))| lp.add_var(format!("delta_{i}"), *b))
+    );
+    // the LP as `A x ≤ b`: a repeated variable counts once
+    let general: Vec<Row> = (rows.iter())
+        .map(|(b, vars)| {
+            let mut vars = vars.clone();
+            vars.sort_unstable();
+            vars.dedup();
+            (*b, vars.into_iter().map(|j| (j, 1.0)).collect())
+        })
         .collect();
-    for j in 0..num_vars {
-        let terms: Vec<_> = (rows.iter().zip(&delta))
-            .filter(|((_, vars), _)| vars.contains(&j))
-            .map(|(_, &d)| (d, 1.0))
-            .collect();
-        lp.add_constraint(&terms, Cmp::Ge, 1.0);
-    }
-    lp.solve().map(|sol| sol.objective)
-}
-
-/// The old modular path: LP (54) as a `Maximize` program.
-fn two_phase_packing(num_vars: usize, rows: &[Row]) -> Result<f64, LpError> {
-    let mut lp = LinearProgram::new(Sense::Maximize);
-    let v: Vec<_> = (0..num_vars)
-        .map(|j| lp.add_var(format!("v{j}"), 1.0))
-        .collect();
-    for (b, vars) in rows {
-        let mut vars = vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        let terms: Vec<_> = vars.iter().map(|&j| (v[j], 1.0)).collect();
-        lp.add_constraint(&terms, Cmp::Le, *b);
-    }
-    lp.solve().map(|sol| sol.objective)
-}
-
-/// Solve `rows` both ways and check the packing's certificate. Returns the
-/// packing's objective, or `None` where a variable lies in no row.
-fn check(
-    num_vars: usize,
-    rows: &[Row],
-    reference: fn(usize, &[Row]) -> Result<f64, LpError>,
-) -> Option<f64> {
-    let label = format!("{num_vars} variables, rows {rows:?}");
-    let solved = packing(num_vars, rows);
-    if uncovered(num_vars, rows) {
-        assert_eq!(solved, Err(LpError::Unbounded), "{label}");
-        assert!(reference(num_vars, rows).is_err(), "{label}");
-        return None;
-    }
-    let p = solved.unwrap_or_else(|e| panic!("{label}: {e}"));
-    let expected = reference(num_vars, rows).unwrap_or_else(|e| panic!("{label}: {e}"));
-    assert!(
-        close(p.objective, expected),
-        "{label}: {} vs {expected}",
-        p.objective
-    );
-    // primal feasibility
-    assert!(
-        p.primal.iter().all(|&v| v >= -TOL),
-        "{label}: {:?}",
-        p.primal
-    );
-    for (b, vars) in rows {
-        let mut vars = vars.clone();
-        vars.sort_unstable();
-        vars.dedup();
-        let load: f64 = vars.iter().map(|&j| p.primal[j]).sum();
-        assert!(
-            load <= b + TOL * b.max(1.0),
-            "{label}: row {vars:?} packs {load} > {b}"
-        );
-    }
-    // dual feasibility: δ is a fractional cover of every variable
-    assert!(p.dual.iter().all(|&d| d >= -TOL), "{label}: {:?}", p.dual);
-    for j in 0..num_vars {
-        let cover: f64 = (rows.iter().zip(&p.dual))
-            .filter(|((_, vars), _)| vars.contains(&j))
-            .map(|(_, d)| d)
-            .sum();
-        assert!(cover >= 1.0 - TOL, "{label}: variable {j} covered {cover}");
-    }
-    // strong duality
-    let priced: f64 = rows.iter().zip(&p.dual).map(|((b, _), d)| b * d).sum();
-    let packed: f64 = p.primal.iter().sum();
-    assert!(
-        close(priced, p.objective) && close(packed, p.objective),
-        "{label}"
-    );
-    Some(p.objective)
+    let objective = certify(&vec![1.0; num_vars], &general, &solved, &label);
+    assert_eq!(objective.is_none(), uncovered(num_vars, rows), "{label}");
+    objective
 }
 
 /// A log size as the planner sees one: `0` for a one-row relation, else up to
@@ -140,7 +62,7 @@ fn log_size(rng: &mut SplitMix64) -> f64 {
     }
 }
 
-fn atom_rows(query: &ConjunctiveQuery, log_sizes: &[f64]) -> Vec<Row> {
+fn atom_rows(query: &ConjunctiveQuery, log_sizes: &[f64]) -> Vec<PackingRow> {
     (query.atoms().iter().zip(log_sizes))
         .map(|(atom, &l)| (l, atom.vars.clone()))
         .collect()
@@ -149,7 +71,7 @@ fn atom_rows(query: &ConjunctiveQuery, log_sizes: &[f64]) -> Vec<Row> {
 /// `query`'s cover LP restricted to `vars` as the old `prefix_log2_bound` built
 /// it: variable `i` is `vars[i]`, an atom that misses `vars` an empty row at
 /// weight 0.
-fn restricted_rows(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId]) -> Vec<Row> {
+fn restricted_rows(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId]) -> Vec<PackingRow> {
     (query.atoms().iter().zip(log_sizes))
         .map(|(atom, &l)| {
             let edge: Vec<VarId> = (0..vars.len())
@@ -161,7 +83,7 @@ fn restricted_rows(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId]) 
 }
 
 #[test]
-fn the_cover_side_agrees_with_the_two_phase_lp() {
+fn the_cover_side_is_certified_by_duality() {
     let mut instances = 0;
     for seed in 0..520u64 {
         let mut rng = SplitMix64::new(0xC0FE ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -174,7 +96,7 @@ fn the_cover_side_agrees_with_the_two_phase_lp() {
 
         // the whole query, through the AGM bound
         let rows = atom_rows(query, &log_sizes);
-        let objective = check(n, &rows, two_phase_cover).expect("every variable is in an atom");
+        let objective = check(n, &rows).expect("every variable is in an atom");
         let sizes: Vec<u64> = log_sizes.iter().map(|l| l.exp2().round() as u64).collect();
         let agm = agm_bound_from_sizes(query, &sizes).unwrap();
         assert!(close(agm.log2_bound, objective), "{}: {agm:?}", w.name);
@@ -187,11 +109,7 @@ fn the_cover_side_agrees_with_the_two_phase_lp() {
         // duplicate rows: an atom listed twice
         let mut doubled = rows.clone();
         doubled.extend_from_slice(&rows[..1 + rng.below(num_atoms as u64) as usize]);
-        assert!(
-            close(check(n, &doubled, two_phase_cover).unwrap(), objective),
-            "{}",
-            w.name
-        );
+        assert!(close(check(n, &doubled).unwrap(), objective), "{}", w.name);
 
         // a prefix: empty rows for the atoms that miss it, through the planner's bound
         let mut vars: Vec<VarId> = (0..n).filter(|_| rng.below(3) != 0).collect();
@@ -199,14 +117,14 @@ fn the_cover_side_agrees_with_the_two_phase_lp() {
             vars = (0..n.min(3)).collect();
         }
         let restricted = restricted_rows(query, &log_sizes, &vars);
-        if let Some(objective) = check(vars.len(), &restricted, two_phase_cover) {
+        if let Some(objective) = check(vars.len(), &restricted) {
             let bound = prefix_log2_bound(query, &log_sizes, &vars).unwrap();
             assert!(close(bound, objective), "{} over {vars:?}", w.name);
         }
 
         // some atoms dropped: a variable may lie in no row, which is infinite
-        let kept: Vec<Row> = rows.iter().filter(|_| rng.below(3) != 0).cloned().collect();
-        let solved = check(n, &kept, two_phase_cover);
+        let kept: Vec<PackingRow> = rows.iter().filter(|_| rng.below(3) != 0).cloned().collect();
+        let solved = check(n, &kept);
         assert_eq!(solved.is_none(), uncovered(n, &kept), "{}", w.name);
         instances += 4;
     }
@@ -229,7 +147,7 @@ fn a_variable_in_no_atom_is_infinite_through_the_bounds() {
 }
 
 #[test]
-fn the_named_families_agree_with_the_two_phase_lp() {
+fn the_named_families_are_certified_by_duality() {
     let mut rng = SplitMix64::new(0xFA417);
     for k in 3..=7 {
         let families = [
@@ -239,76 +157,29 @@ fn the_named_families_agree_with_the_two_phase_lp() {
             (Hypergraph::star(k), k as f64),
         ];
         for (h, rho) in families {
-            let unit: Vec<Row> = h.edges().iter().map(|e| (1.0, e.clone())).collect();
+            let unit: Vec<PackingRow> = h.edges().iter().map(|e| (1.0, e.clone())).collect();
             let n = h.num_vertices();
-            assert!(
-                close(check(n, &unit, two_phase_cover).unwrap(), rho),
-                "{h:?}"
-            );
+            assert!(close(check(n, &unit).unwrap(), rho), "{h:?}");
             assert!(close(fractional_edge_cover_number(&h), rho), "{h:?}");
             for _ in 0..8 {
-                let weighted: Vec<Row> = (h.edges().iter())
+                let weighted: Vec<PackingRow> = (h.edges().iter())
                     .map(|e| (log_size(&mut rng), e.clone()))
                     .collect();
-                check(n, &weighted, two_phase_cover);
+                check(n, &weighted);
             }
         }
     }
-}
-
-/// A random constraint set over `n` variables: with `acyclic`, every
-/// constraint's `X` precedes its `Y − X` in one random order; otherwise the
-/// variables are drawn freely and `X` is never empty, so `G_DC` often has a
-/// cycle.
-fn random_constraints(n: usize, acyclic: bool, rng: &mut SplitMix64) -> ConstraintSet {
-    let mut order: Vec<VarId> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, rng.below(i as u64 + 1) as usize);
-    }
-    let mut dc = ConstraintSet::new();
-    for _ in 0..1 + rng.below(2 * n as u64) {
-        let bits = 1 + rng.below(16);
-        let bound = match rng.below(4) {
-            0 => 1,
-            _ => 1 + rng.below(1 << bits),
-        };
-        // a cyclic draw conditions on a non-empty X, so G_DC gets edges
-        let len = if acyclic {
-            1 + rng.below(n.min(3) as u64) as usize
-        } else {
-            2 + rng.below(n.min(3) as u64 - 1) as usize
-        };
-        let mut y: Vec<VarId> = Vec::new();
-        while y.len() < len {
-            let v = order[rng.below(n as u64) as usize];
-            if !y.contains(&v) {
-                y.push(v);
-            }
-        }
-        // X: a proper prefix of Y — by `order` when acyclic
-        if acyclic {
-            y.sort_by_key(|v| order.iter().position(|u| u == v));
-        }
-        let x_len = if acyclic {
-            rng.below(len as u64)
-        } else {
-            1 + rng.below(len as u64 - 1)
-        };
-        let x = y[..x_len as usize].to_vec();
-        dc.push(DegreeConstraint::new(x, y, bound));
-    }
-    dc
 }
 
 #[test]
-fn the_modular_side_agrees_with_the_two_phase_lp() {
+fn the_modular_side_is_certified_by_duality() {
     let mut rng = SplitMix64::new(0x0D0C);
     let (mut acyclic, mut cyclic, mut infinite) = (0, 0, 0);
     for i in 0..600 {
         let n = 2 + rng.below(5) as usize;
         let dc = random_constraints(n, i % 2 == 0, &mut rng);
-        let rows: Vec<Row> = dc.iter().map(|c| (c.log_bound(), c.y_minus_x())).collect();
-        let solved = check(n, &rows, two_phase_packing);
+        let rows: Vec<PackingRow> = dc.iter().map(|c| (c.log_bound(), c.y_minus_x())).collect();
+        let solved = check(n, &rows);
         let bound = modular_bound_unchecked(n, &dc);
         match solved {
             Some(objective) => {

@@ -10,18 +10,19 @@
 //! * on the needle shapes (a few probe rows against two larger relations) the
 //!   planned order binds the probe first and does close to the best order's work;
 //! * every plan of the differential suites and the paper's named shapes has the
-//!   order and prefix bounds of the two-phase `LinearProgram` path the packing
-//!   solver replaced.
+//!   order and prefix bounds of a brute-force (or greedy) search over prefix
+//!   bounds that are each certified by duality, independently of the solver's
+//!   pivots.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use wcoj_bounds::agm::{agm_bound_from_sizes, prefix_log2_bound};
+use wcoj_bounds::lp::solve_packing_lp;
 use wcoj_core::exec::{
     execute_cancellable, execute_opts, run, CacheMode, CancelToken, Engine, ExecOptions,
 };
 use wcoj_core::planner::{plan, plan_from_bound, EXHAUSTIVE_VARS};
 use wcoj_core::{ExecError, QueryTrace, TraceSink};
-use wcoj_lp::{Cmp, LinearProgram, Sense};
 use wcoj_query::{ConjunctiveQuery, Database, VarId};
 use wcoj_storage::Relation;
 use wcoj_workloads::{
@@ -344,10 +345,11 @@ fn a_needle_is_probed_from_its_small_side() {
     }
 }
 
-/// The two-phase path: `log2` of the cover LP (5) of `query` restricted to
-/// `vars`, as a `LinearProgram` over the atoms that touch `vars` (an empty
-/// touching atom empties the prefix).
-fn two_phase_prefix(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId]) -> f64 {
+/// `log2` of the cover LP (5) of `query` restricted to `vars`, over the atoms
+/// that touch `vars` (an empty touching atom empties the prefix), solved as its
+/// dual packing LP and checked by its certificate: the packing `v` is primal
+/// feasible, the cover `δ` dual feasible, and `Σ b_i δ_i = Σ v_j`.
+fn certified_prefix(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId]) -> f64 {
     let touching: Vec<(f64, Vec<usize>)> = (query.atoms().iter().zip(log_sizes))
         .map(|(atom, &l)| {
             let edge = (0..vars.len()).filter(|&i| atom.vars.contains(&vars[i]));
@@ -358,26 +360,36 @@ fn two_phase_prefix(query: &ConjunctiveQuery, log_sizes: &[f64], vars: &[VarId])
     if touching.iter().any(|&(l, _)| l == f64::NEG_INFINITY) {
         return f64::NEG_INFINITY;
     }
-    let mut lp = LinearProgram::new(Sense::Minimize);
-    let delta: Vec<_> = (touching.iter().enumerate())
-        .map(|(f, &(l, _))| lp.add_var(format!("delta_{f}"), l))
-        .collect();
-    for i in 0..vars.len() {
-        let terms: Vec<_> = (touching.iter().zip(&delta))
-            .filter(|((_, edge), _)| edge.contains(&i))
-            .map(|(_, &d)| (d, 1.0))
-            .collect();
-        lp.add_constraint(&terms, Cmp::Ge, 1.0);
+    let rows = touching.iter().map(|(l, edge)| (*l, edge.iter().copied()));
+    let p = solve_packing_lp(vars.len(), rows).expect("every variable is in an atom");
+    let tol = 1e-9 * p.objective.abs().max(1.0);
+    assert!(p.primal.iter().chain(&p.dual).all(|&x| x >= -1e-9), "{p:?}");
+    for (l, edge) in &touching {
+        let load: f64 = edge.iter().map(|&i| p.primal[i]).sum();
+        assert!(load <= l + 1e-9 * l.max(1.0), "{vars:?}: {load} > {l}");
     }
-    lp.solve().expect("every variable is in an atom").objective
+    for i in 0..vars.len() {
+        let cover: f64 = (touching.iter().zip(&p.dual))
+            .filter(|((_, edge), _)| edge.contains(&i))
+            .map(|(_, d)| d)
+            .sum();
+        assert!(
+            cover >= 1.0 - 1e-9,
+            "{vars:?}: variable {i} covered {cover}"
+        );
+    }
+    let priced: f64 = touching.iter().zip(&p.dual).map(|((l, _), d)| l * d).sum();
+    let packed: f64 = p.primal.iter().sum();
+    assert!((priced - p.objective).abs() <= tol && (packed - p.objective).abs() <= tol);
+    p.objective
 }
 
-/// The order the planner picked before the packing solver, with its prefix
-/// bounds, every bound solved by [`two_phase_prefix`]: up to
+/// The order the planner should pick, with its prefix bounds, every bound
+/// solved by [`certified_prefix`]: up to
 /// [`EXHAUSTIVE_VARS`] variables the least order of least cost (the dynamic
 /// program's answer, `the_dp_finds_the_brute_force_minimum…` above), above that
 /// the greedy walk; an empty relation keeps the identity.
-fn two_phase_plan(query: &ConjunctiveQuery, db: &Database) -> (Vec<VarId>, Vec<f64>) {
+fn certified_plan(query: &ConjunctiveQuery, db: &Database) -> (Vec<VarId>, Vec<f64>) {
     let log_sizes: Vec<f64> = (0..query.atoms().len())
         .map(|i| (db.atom_size(query, i).expect("bound atom") as f64).log2())
         .collect();
@@ -387,7 +399,7 @@ fn two_phase_plan(query: &ConjunctiveQuery, db: &Database) -> (Vec<VarId>, Vec<f
         set.sort_unstable();
         *solved
             .entry(set)
-            .or_insert_with_key(|set| two_phase_prefix(query, &log_sizes, set))
+            .or_insert_with_key(|set| certified_prefix(query, &log_sizes, set))
     };
     let n = query.num_vars();
     let order = if log_sizes.contains(&f64::NEG_INFINITY) {
@@ -422,7 +434,7 @@ fn two_phase_plan(query: &ConjunctiveQuery, db: &Database) -> (Vec<VarId>, Vec<f
 }
 
 #[test]
-fn plans_are_the_two_phase_plans() {
+fn plans_are_the_certified_plans() {
     let mut workloads: Vec<Workload> = [1, 2, 3].into_iter().flat_map(differential_suite).collect();
     workloads.extend([
         four_cycle(64, 4),
@@ -436,7 +448,7 @@ fn plans_are_the_two_phase_plans() {
     ]);
     for w in workloads {
         let planned = plan(&w.query, &w.db, None).unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        let (order, prefix_log2) = two_phase_plan(&w.query, &w.db);
+        let (order, prefix_log2) = certified_plan(&w.query, &w.db);
         assert_eq!(planned.order, order, "{}", w.name);
         for (i, (&ours, &theirs)) in planned.prefix_log2.iter().zip(&prefix_log2).enumerate() {
             assert!(

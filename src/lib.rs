@@ -1,7 +1,6 @@
 //! Facade crate re-exporting the whole workspace public API.
 pub use wcoj_bounds as bounds;
 pub use wcoj_core as core;
-pub use wcoj_lp as lp;
 pub use wcoj_obs as obs;
 pub use wcoj_query as query;
 pub use wcoj_service as service;
