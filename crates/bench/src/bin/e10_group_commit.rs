@@ -2,8 +2,7 @@
 //! `EXPERIMENTS.md` E10 writeup.
 //!
 //! Concurrent writers drive blind batches through the group-commit
-//! coordinator; batches/s at 1–8 committers, coalescing window off and on. The
-//! solo row is the E9.1 baseline shape (one fsync per batch); the scaling above
+//! coordinator; batches/s at 1–8 committers. The solo row is the E9.1 baseline shape (one fsync per batch); the scaling above
 //! it is what the shared fsync buys. Full runs gate batches per fsync at 8
 //! committers (≥ 2) — a count, but one that depends on how many committers
 //! pile up behind an fsync, so it stays out of the test suite; the batches/s
@@ -19,7 +18,7 @@
 //! `--smoke` shrinks the batch counts for CI; the full run backs the numbers
 //! quoted in `EXPERIMENTS.md`.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wcoj_query::Database;
 use wcoj_service::{MetricValue, QueryService, ServiceConfig, WriteBatch};
 use wcoj_storage::{DeltaRelation, Schema};
@@ -53,15 +52,9 @@ fn group_metrics(service: &QueryService) -> (u64, Vec<u64>) {
 
 /// `threads` committers push `per_thread` blind batches (`ops` inserts each)
 /// through one durable service; returns (batches/s, groups, histogram).
-fn ingest_rate(
-    tag: &str,
-    config: ServiceConfig,
-    threads: u64,
-    per_thread: u64,
-    ops: u64,
-) -> (f64, u64, Vec<u64>) {
+fn ingest_rate(tag: &str, threads: u64, per_thread: u64, ops: u64) -> (f64, u64, Vec<u64>) {
     let path = wal_dir(tag);
-    let (service, _) = QueryService::open(&path, edge_db(), config).unwrap();
+    let (service, _) = QueryService::open(&path, edge_db(), ServiceConfig::default()).unwrap();
     let t = Instant::now();
     std::thread::scope(|scope| {
         for thread in 0..threads {
@@ -101,34 +94,20 @@ fn main() {
     let mut solo_rate = 0.0;
     let mut rate_at_8 = 0.0;
     let mut amortization_at_8 = 0.0;
-    for window_us in [0u64, 200] {
-        let label = if window_us == 0 {
-            "window off"
-        } else {
-            "window 200us"
-        };
-        for threads in [1u64, 2, 4, 8] {
-            let config =
-                ServiceConfig::default().with_group_commit_window(Duration::from_micros(window_us));
-            let (rate, groups, hist) = ingest_rate(
-                &format!("ingest-w{window_us}-t{threads}"),
-                config,
-                threads,
-                per_thread,
-                8,
-            );
-            let batches = threads * per_thread;
-            println!(
-                "  {label}, {threads} committer(s): {rate:>9.0} batches/s ({groups:>4} fsyncs for {batches:>4} batches, {:.2} batches/fsync, histogram {hist:?})",
-                batches as f64 / groups as f64
-            );
-            if window_us == 0 && threads == 1 {
-                solo_rate = rate;
-            }
-            if window_us == 0 && threads == 8 {
-                rate_at_8 = rate;
-                amortization_at_8 = batches as f64 / groups as f64;
-            }
+    for threads in [1u64, 2, 4, 8] {
+        let (rate, groups, hist) =
+            ingest_rate(&format!("ingest-t{threads}"), threads, per_thread, 8);
+        let batches = threads * per_thread;
+        println!(
+            "  {threads} committer(s): {rate:>9.0} batches/s ({groups:>4} fsyncs for {batches:>4} batches, {:.2} batches/fsync, histogram {hist:?})",
+            batches as f64 / groups as f64
+        );
+        if threads == 1 {
+            solo_rate = rate;
+        }
+        if threads == 8 {
+            rate_at_8 = rate;
+            amortization_at_8 = batches as f64 / groups as f64;
         }
     }
     println!(

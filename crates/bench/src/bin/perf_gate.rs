@@ -42,6 +42,12 @@
 //!   counter must again be bit-identical: observability may watch the join but
 //!   never steer it. The timed iterations run trace-off, so `time_ratio` also
 //!   shows any residual cost of the disabled trace path.
+//! * **SIMD levels** — every row runs, with both differentials, at each of
+//!   [`simd::runnable_levels`] in turn ([`simd::force_active_level`]), and
+//!   each level's output relation and entire work counter must be
+//!   bit-identical to the previous level's: the scalar and vector kernels are
+//!   checked against the record in one process. The detected level runs
+//!   last, and the timings are taken at it.
 //!
 //! `--record` makes the two differentials too, compares with the record it
 //! replaces only in the printed table, and writes nothing if a differential
@@ -54,7 +60,9 @@ use wcoj_bench::report::{host_json, parse_bench_json, render_bench_json, BenchRe
 use wcoj_bench::{bench_matrix, ExperimentTable};
 use wcoj_core::exec::{run, CacheMode, Engine, ExecOptions};
 use wcoj_core::planner::plan;
-use wcoj_core::TraceSink;
+use wcoj_core::{ExecOutput, Plan, TraceSink};
+use wcoj_storage::simd::{self, SimdLevel};
+use wcoj_workloads::Workload;
 
 /// How far a row's `total_work` may exceed the record's before the gate fails.
 const WORK_FACTOR: f64 = 1.10;
@@ -73,6 +81,63 @@ fn sorted_times_ms<F: FnMut()>(mut f: F) -> Vec<f64> {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples
+}
+
+/// The cache-off and trace differentials of one row: `out` is the cached,
+/// untraced run of `opts`, and every failure is pushed onto `failures`.
+fn differentials(
+    row: &str,
+    w: &Workload,
+    plan: &Plan,
+    opts: &ExecOptions,
+    out: &ExecOutput,
+    failures: &mut Vec<String>,
+) {
+    // cache differential: the uncached execution must be bit-identical
+    // in output rows and in the full work counter — caching can only
+    // move structure *builds* around, never change what the join does
+    let off = run(
+        &w.query,
+        &w.db,
+        plan,
+        &opts.with_cache(CacheMode::Off),
+        None,
+    )
+    .expect("execute off");
+    if off.result != out.result {
+        failures.push(format!(
+            "{row}: cache-off output diverges from cache-on ({} vs {} rows)",
+            off.result.len(),
+            out.result.len()
+        ));
+    }
+    if off.work != out.work {
+        failures.push(format!(
+            "{row}: work counters differ under caching (must be bit-identical): \
+             {:?} off vs {:?} on",
+            off.work, out.work
+        ));
+    }
+    // trace differential: a traced run must not drift a single counter
+    let sink = Arc::new(TraceSink::new());
+    let traced_opts = opts.with_trace(Arc::clone(&sink));
+    let traced = run(&w.query, &w.db, plan, &traced_opts, None).expect("execute traced");
+    if traced.result != out.result || traced.work != out.work {
+        failures.push(format!(
+            "{row}: tracing perturbed execution (rows or work \
+             counters differ from the untraced run)"
+        ));
+    }
+    match sink.take() {
+        Some(trace) => {
+            if trace.work_value("total_work") != Some(out.work.total_work()) {
+                failures.push(format!(
+                    "{row}: trace work tally disagrees with the counter"
+                ));
+            }
+        }
+        None => failures.push(format!("{row}: traced run deposited no trace")),
+    }
 }
 
 fn main() {
@@ -124,6 +189,7 @@ fn main() {
     let mut records = Vec::new();
     let mut failures = Vec::new();
     let mut compared = 0usize;
+    let levels = simd::runnable_levels();
 
     for (label, w) in bench_matrix(sizes, clique_sizes) {
         let plan = plan(&w.query, &w.db, None).expect("planner");
@@ -137,81 +203,30 @@ fn main() {
                 continue; // workload/engine not in the committed record yet
             }
             let opts = ExecOptions::new(engine);
-            let out = run(&w.query, &w.db, &plan, &opts, None).expect("execute");
-            let times = sorted_times_ms(|| {
-                let _ = run(&w.query, &w.db, &plan, &opts, None).unwrap();
-            });
-            // cache differential: the uncached execution must be bit-identical
-            // in output rows and in the full work counter — caching can only
-            // move structure *builds* around, never change what the join does
-            let off_opts = opts.with_cache(CacheMode::Off);
-            let off = run(&w.query, &w.db, &plan, &off_opts, None).expect("execute off");
-            if off.result != out.result {
-                failures.push(format!(
-                    "{label}/{engine_name}: cache-off output diverges from cache-on ({} vs {} rows)",
-                    off.result.len(),
-                    out.result.len()
-                ));
-            }
-            for (tally, on_value, off_value) in [
-                ("total_work", out.work.total_work(), off.work.total_work()),
-                (
-                    "kernel_merge",
-                    out.work.kernel_merge(),
-                    off.work.kernel_merge(),
-                ),
-                (
-                    "kernel_gallop",
-                    out.work.kernel_gallop(),
-                    off.work.kernel_gallop(),
-                ),
-                (
-                    "kernel_bitmap",
-                    out.work.kernel_bitmap(),
-                    off.work.kernel_bitmap(),
-                ),
-                (
-                    "delta_merge",
-                    out.work.delta_merge(),
-                    off.work.delta_merge(),
-                ),
-            ] {
-                if on_value != off_value {
-                    failures.push(format!(
-                        "{label}/{engine_name}: {tally} differs under caching ({off_value} off vs {on_value} on — breakdown must be exactly unchanged)"
-                    ));
-                }
-            }
-            if off.work != out.work {
-                failures.push(format!(
-                    "{label}/{engine_name}: work counters differ under caching (must be bit-identical)"
-                ));
-            }
-            let off_ms = sorted_times_ms(|| {
-                let _ = run(&w.query, &w.db, &plan, &off_opts, None).unwrap();
-            })[0];
-            // trace differential: a traced run must not drift a single counter
-            let sink = Arc::new(TraceSink::new());
-            let traced_opts = opts.with_trace(Arc::clone(&sink));
-            let traced = run(&w.query, &w.db, &plan, &traced_opts, None).expect("execute traced");
-            if traced.result != out.result || traced.work != out.work {
-                failures.push(format!(
-                    "{label}/{engine_name}: tracing perturbed execution (rows or work \
-                     counters differ from the untraced run)"
-                ));
-            }
-            match sink.take() {
-                Some(trace) => {
-                    if trace.work_value("total_work") != Some(out.work.total_work()) {
+            // every runnable level in turn, the detected one last
+            let mut out: Option<(SimdLevel, ExecOutput)> = None;
+            for &level in &levels {
+                simd::force_active_level(level);
+                let row = format!("{label}/{engine_name} at {level:?}");
+                let at = run(&w.query, &w.db, &plan, &opts, None).expect("execute");
+                differentials(&row, &w, &plan, &opts, &at, &mut failures);
+                if let Some((prev, prev_out)) = &out {
+                    if prev_out.result != at.result || prev_out.work != at.work {
                         failures.push(format!(
-                            "{label}/{engine_name}: trace work tally disagrees with the counter"
+                            "{label}/{engine_name}: rows or work counters differ between {prev:?} and {level:?}"
                         ));
                     }
                 }
-                None => failures.push(format!(
-                    "{label}/{engine_name}: traced run deposited no trace"
-                )),
+                out = Some((level, at));
             }
+            let (_, out) = out.expect("at least the scalar level runs");
+            let times = sorted_times_ms(|| {
+                let _ = run(&w.query, &w.db, &plan, &opts, None).unwrap();
+            });
+            let off_opts = opts.with_cache(CacheMode::Off);
+            let off_ms = sorted_times_ms(|| {
+                let _ = run(&w.query, &w.db, &plan, &off_opts, None).unwrap();
+            })[0];
             let fresh_ms = times[0];
             let fresh_work = out.work.total_work();
             let base_ms = base.map_or(f64::NAN, |b| b.median_ms);
@@ -316,6 +331,6 @@ fn main() {
         eprintln!("perf_gate: no overlapping rows between the fresh matrix and the baseline");
         std::process::exit(2);
     } else {
-        println!("perf gate PASSED: {compared} rows within budget");
+        println!("perf gate PASSED: {compared} rows within budget at SIMD levels {levels:?}");
     }
 }

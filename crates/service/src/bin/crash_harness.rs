@@ -8,13 +8,12 @@
 //!
 //! ```text
 //! crash_harness ingest|verify --wal DIR --seed S --batches N [--ops-per-batch M]
-//!               [--segment-bytes B] [--group-commit-us U] [--fault SPEC]
+//!               [--segment-bytes B] [--fault SPEC]
 //! ```
 //!
 //! `--wal` names a log **directory** (rotated segments plus checkpoints).
 //! `--segment-bytes` sizes the segments — small ones force rotation and
-//! checkpointing under the kill loop; `--group-commit-us` arms the commit
-//! leader's coalescing window; `--fault` takes [`FaultPlan::parse`]
+//! checkpointing under the kill loop; `--fault` takes [`FaultPlan::parse`]
 //! directives (`torn:900`, `fsync_fail:5,ckpt_torn:64`), and one that does
 //! not parse is an argument error. These flags are the process's whole
 //! configuration: the library reads no environment. `ingest` resumes: if the
@@ -24,7 +23,6 @@
 //! iteration.
 
 use std::process::ExitCode;
-use std::time::Duration;
 use wcoj_query::Database;
 use wcoj_service::{replay_into, QueryService, ServiceConfig, ServiceError, WriteBatch};
 use wcoj_storage::{DeltaRelation, FaultPlan, Schema, WalOp};
@@ -139,10 +137,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--segment-bytes" => {
                 config.segment_bytes = value.parse().map_err(|_| "--segment-bytes needs a u64")?
-            }
-            "--group-commit-us" => {
-                let us = value.parse().map_err(|_| "--group-commit-us needs a u64")?;
-                config.group_commit_window = Duration::from_micros(us);
             }
             "--fault" => config.fault = FaultPlan::parse(&value)?,
             other => return Err(format!("unknown flag {other}")),

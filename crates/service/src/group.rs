@@ -9,10 +9,9 @@
 //! *single* fsync for the group, then fills each member's outcome slot. While
 //! the leader is inside its fsync, new arrivals pile up in the queue — so the
 //! batching is **self-clocking**: the slower the disk, the larger the groups,
-//! with no tuning required. An optional coalescing window
-//! (`ServiceConfig::group_commit_window`) lets the leader wait a bounded extra
-//! moment to grow the group — a latency-for-throughput trade that defaults to
-//! off.
+//! with no tuning required. A leader never waits for a group to grow: a
+//! coalescing sleep only added latency and cut throughput (EXPERIMENTS E10.4,
+//! E42).
 //!
 //! Every service commits through this queue: an in-memory service's leader
 //! runs the same validation and apply, and skips only the append and fsync.
@@ -87,6 +86,13 @@ impl GroupQueue {
         for pending in deferred.into_iter().rev() {
             state.queue.push_front(pending);
         }
+    }
+
+    /// Whether a leader is active, and how many batches wait for its next
+    /// drain.
+    pub(crate) fn depth(&self) -> (bool, usize) {
+        let state = self.lock();
+        (state.leader_active, state.queue.len())
     }
 
     /// Step down if the queue is empty; returns whether another round is

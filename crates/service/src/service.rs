@@ -34,10 +34,10 @@
 //! group's barrier — and a WAL failure (real or injected via [`FaultPlan`])
 //! fails *every* member atomically with memory untouched, so the in-memory
 //! state never runs ahead of the durable log. An in-memory service skips only
-//! that step. An optional coalescing window
-//! ([`ServiceConfig::group_commit_window`]) grows groups at the cost of
-//! latency; a solo writer is a group of one — one append, one marker, one
-//! fsync.
+//! that step. A leader drains the queue as soon as it leads: groups form
+//! only from writers that arrived while the previous group held the write
+//! lock or its fsync, and a solo writer is a group of one — one append, one
+//! marker, one fsync.
 //!
 //! # Configuration
 //!
@@ -45,7 +45,7 @@
 //! the calls made on it: the library reads no environment variable, and
 //! [`ServiceConfig::default`] is a constant. A process that wants a knob on
 //! its command line parses it where the process starts (`crash_harness
-//! --fault/--segment-bytes/--group-commit-us`).
+//! --fault/--segment-bytes`).
 //!
 //! # Recovery
 //!
@@ -101,14 +101,9 @@ pub struct ServiceConfig {
     pub write_retries: u32,
     /// Base backoff between conflict retries (doubles per attempt).
     pub retry_backoff: Duration,
-    /// Injected faults for the durability path (seal delay is honored here;
-    /// fsync/torn faults inside the WAL writer, checkpoint tears inside
-    /// [`write_checkpoint`]).
+    /// Injected faults for the durability path (fsync/torn faults inside the
+    /// WAL writer, checkpoint tears inside [`write_checkpoint`]).
     pub fault: FaultPlan,
-    /// How long a group-commit leader waits after claiming leadership before
-    /// draining the queue, letting more batches coalesce into its fsync.
-    /// Zero (the default) relies on the self-clocking batching alone.
-    pub group_commit_window: Duration,
     /// WAL segment-rotation threshold in bytes (default
     /// [`DEFAULT_SEGMENT_BYTES`], 64 MiB). Every rotation is followed by a
     /// checkpoint.
@@ -129,7 +124,6 @@ impl Default for ServiceConfig {
             write_retries: 3,
             retry_backoff: Duration::from_millis(1),
             fault: FaultPlan::default(),
-            group_commit_window: Duration::ZERO,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
             slow_query: None,
         }
@@ -153,12 +147,6 @@ impl ServiceConfig {
     /// Override the injected fault plan.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Override the group-commit coalescing window.
-    pub fn with_group_commit_window(mut self, window: Duration) -> Self {
-        self.group_commit_window = window;
         self
     }
 
@@ -411,13 +399,13 @@ impl WriteBatch {
 pub fn replay_into(db: &mut Database, batches: &[Vec<WalOp>]) -> Result<(), ServiceError> {
     for batch in batches {
         for op in batch {
-            apply_op(db, op, &FaultPlan::default())?;
+            apply_op(db, op)?;
         }
     }
     Ok(())
 }
 
-fn apply_op(db: &mut Database, op: &WalOp, fault: &FaultPlan) -> Result<(), ServiceError> {
+fn apply_op(db: &mut Database, op: &WalOp) -> Result<(), ServiceError> {
     match op {
         WalOp::Insert { relation, tuple } => {
             db.insert_delta(relation, tuple.clone())?;
@@ -426,11 +414,6 @@ fn apply_op(db: &mut Database, op: &WalOp, fault: &FaultPlan) -> Result<(), Serv
             db.delete(relation, tuple)?;
         }
         WalOp::Seal { relation } => {
-            if let Some(ms) = fault.seal_delay_ms {
-                // injected scheduling delay: widens the writer/reader race
-                // window so chaos tests can overlap seals with snapshot reads
-                std::thread::sleep(Duration::from_millis(ms));
-            }
             db.seal(relation)?;
         }
         WalOp::Commit { .. } => {
@@ -655,6 +638,12 @@ impl QueryService {
             .map_or(0, |log| unpoison(log.wal.lock()).committed())
     }
 
+    /// The group-commit queue as a new committer would find it: whether a
+    /// leader is committing, and how many batches wait for its next drain.
+    pub fn commit_queue(&self) -> (bool, usize) {
+        self.group.depth()
+    }
+
     /// Execute `query` against a fresh snapshot, with no deadline.
     pub fn query(&self, query: &ConjunctiveQuery) -> Result<ExecOutput, ServiceError> {
         self.query_with(query, &CancelToken::new())
@@ -745,13 +734,8 @@ impl QueryService {
             slot,
         });
         if leader {
-            // bounded coalescing window: arrivals during the sleep join this
-            // group (self-clocking batching needs no window at all —
-            // followers pile up while the leader is inside the *previous*
-            // fsync — so zero is the default)
-            if !self.config.group_commit_window.is_zero() {
-                std::thread::sleep(self.config.group_commit_window);
-            }
+            // drain at once: a group grows from the followers that arrive
+            // while the previous group holds the write lock or its fsync
             loop {
                 self.commit_group(self.group.drain());
                 if !self.group.step_down_or_continue() {
@@ -834,7 +818,7 @@ impl QueryService {
                         .batch
                         .ops
                         .iter()
-                        .try_for_each(|op| apply_op(&mut db, op, &self.config.fault))
+                        .try_for_each(|op| apply_op(&mut db, op))
                         .map(|()| seq);
                     if outcome.is_ok() {
                         self.stats.batches_committed.inc();

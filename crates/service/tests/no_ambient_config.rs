@@ -6,7 +6,6 @@
 //! This file holds exactly one test so it owns its process: the variables are
 //! set before the first `default()`.
 
-use std::time::Duration;
 use wcoj_query::{query::examples, Database};
 use wcoj_service::{QueryService, ServiceConfig, WriteBatch};
 use wcoj_storage::{DeltaRelation, FaultPlan, Schema, DEFAULT_SEGMENT_BYTES};
@@ -21,7 +20,6 @@ fn default_config_is_a_constant_and_the_service_reads_no_environment() {
     let config = ServiceConfig::default();
     assert_eq!(config.fault, FaultPlan::default());
     assert_eq!(config.segment_bytes, DEFAULT_SEGMENT_BYTES);
-    assert_eq!(config.group_commit_window, Duration::ZERO);
     assert_eq!(config.slow_query, None);
 
     let dir = std::env::temp_dir().join(format!("wcoj-no-ambient-cfg-{}", std::process::id()));

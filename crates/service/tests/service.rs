@@ -3,6 +3,7 @@
 //! overload/deadline errors, optimistic write conflicts, and injected
 //! durability faults.
 
+use std::sync::Barrier;
 use std::time::Duration;
 use wcoj_core::{execute_cancellable, CancelToken, ExecOptions};
 use wcoj_query::database::DatabaseError;
@@ -64,6 +65,44 @@ fn in_memory_and_durable(
 ) -> [QueryService; 2] {
     let (durable, _) = QueryService::open(path, db(), config.clone()).unwrap();
     [QueryService::in_memory(db(), config), durable]
+}
+
+/// Commit `batches`, one committer thread each, as exactly two groups: the
+/// first batch alone, then all the others together. The test holds the
+/// catalog read lock while they enqueue, so the first committer leads,
+/// drains only its own batch and blocks on the write lock; the others start
+/// behind a barrier, queue up behind it and form its next group. Returns
+/// every batch's outcome, in `batches` order.
+fn commit_as_two_groups(
+    service: &QueryService,
+    batches: &[WriteBatch],
+) -> Vec<Result<u64, ServiceError>> {
+    let (first, rest) = batches.split_first().expect("a batch to lead");
+    let wait_for = |queue| {
+        while service.commit_queue() != queue {
+            std::thread::yield_now();
+        }
+    };
+    let barrier = Barrier::new(rest.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = service.with_db(|_| {
+            let leader = scope.spawn(|| service.apply(first));
+            wait_for((true, 0));
+            let followers: Vec<_> = rest
+                .iter()
+                .map(|batch| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        service.apply(batch)
+                    })
+                })
+                .collect();
+            wait_for((true, rest.len()));
+            std::iter::once(leader).chain(followers).collect()
+        });
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
 }
 
 /// A triangle-shaped catalog (`R`, `S`, `T` delta relations) seeded with
@@ -575,61 +614,43 @@ fn replay_into_matches_live_application_over_a_random_stream() {
 }
 
 /// Property: an acknowledged batch never vanishes. Concurrent committers
-/// flow through the group-commit coordinator (coalescing window on, so real
-/// multi-batch groups form); after a crash, every `Ok(seq)` the service
-/// handed out is still durable — `committed >= seq` and the tuple is live.
+/// flow through the group-commit coordinator, in rounds that each form a
+/// solo group and a seven-batch group; after a crash, every `Ok(seq)` the
+/// service handed out is still durable — `committed >= seq` and the tuple is
+/// live.
 #[test]
 fn group_commit_acked_batches_never_vanish_across_crash() {
     let path = temp_wal("group-acked");
-    let windowed = config().with_group_commit_window(Duration::from_millis(1));
-    let (service, _) = QueryService::open(&path, edge_db(), windowed).unwrap();
+    let (service, _) = QueryService::open(&path, edge_db(), config()).unwrap();
 
-    const THREADS: u64 = 8;
-    const PER_THREAD: u64 = 25;
-    let mut acked: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let service = &service;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    for i in 0..PER_THREAD {
-                        let tuple = t * 1_000 + i;
-                        let batch = WriteBatch::new().insert("E", vec![tuple, tuple]);
-                        let seq = service.apply(&batch).unwrap();
-                        mine.push((seq, tuple));
-                    }
-                    mine
-                })
-            })
+    const COMMITTERS: u64 = 8;
+    const ROUNDS: u64 = 25;
+    let mut acked: Vec<(u64, u64)> = Vec::new();
+    for round in 0..ROUNDS {
+        let tuples: Vec<u64> = (0..COMMITTERS).map(|t| t * 1_000 + round).collect();
+        let batches: Vec<WriteBatch> = tuples
+            .iter()
+            .map(|&tuple| WriteBatch::new().insert("E", vec![tuple, tuple]))
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect()
-    });
+        let outcomes = commit_as_two_groups(&service, &batches);
+        acked.extend(outcomes.into_iter().map(Result::unwrap).zip(tuples));
+    }
     // sequences are unique and contiguous: every batch got its own marker
     acked.sort_unstable();
     let seqs: Vec<u64> = acked.iter().map(|&(s, _)| s).collect();
-    assert_eq!(seqs, (1..=THREADS * PER_THREAD).collect::<Vec<_>>());
+    assert_eq!(seqs, (1..=COMMITTERS * ROUNDS).collect::<Vec<_>>());
 
     let snap = service.registry().snapshot();
-    let group_commits = snap.counter_value("wal.group_commits").unwrap();
     assert_eq!(
         snap.counter_value("wal.batches_committed"),
-        Some(THREADS * PER_THREAD)
+        Some(COMMITTERS * ROUNDS)
     );
-    assert!(
-        group_commits < THREADS * PER_THREAD,
-        "one fsync per group, not per batch: the coalescing window formed at \
-         least one multi-batch group ({group_commits} groups for {} batches)",
-        THREADS * PER_THREAD
-    );
+    // one fsync per group, not per batch: two groups a round
+    assert_eq!(snap.counter_value("wal.group_commits"), Some(2 * ROUNDS));
     match snap.get("wal.batches_per_fsync") {
-        Some(wcoj_service::MetricValue::Histogram { counts, .. }) => assert_eq!(
-            counts.iter().sum::<u64>(),
-            group_commits,
-            "histogram totals the group count"
-        ),
+        Some(wcoj_service::MetricValue::Histogram { counts, .. }) => {
+            assert_eq!(&counts[..], &[ROUNDS, 0, 0, ROUNDS, 0, 0])
+        }
         other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
     }
     assert!(
@@ -639,7 +660,7 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
     drop(service); // crash
 
     let (recovered, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
-    assert_eq!(replayed.committed, THREADS * PER_THREAD);
+    assert_eq!(replayed.committed, COMMITTERS * ROUNDS);
     recovered.with_db(|db| {
         let delta = db.delta("E").unwrap();
         for &(seq, tuple) in &acked {
@@ -653,42 +674,34 @@ fn group_commit_acked_batches_never_vanish_across_crash() {
     std::fs::remove_dir_all(&path).ok();
 }
 
-/// Property: an injected fsync failure during a coalesced group fails every
-/// member of that group atomically — all callers get `Err`, memory is
-/// untouched — and reopening yields exactly the committed prefix the log
-/// actually holds.
+/// Property: an injected fsync failure during a multi-batch group fails
+/// every member of that group atomically — all its callers get `Err`, memory
+/// is untouched — while the group synced before it stays acknowledged, and
+/// reopening yields exactly the committed prefix the log actually holds.
 #[test]
 fn failed_group_fsync_fails_every_member_atomically() {
     let path = temp_wal("group-fsync-fault");
-    let faulty = config()
-        .with_fault(FaultPlan::parse("fsync_fail:1").unwrap())
-        .with_group_commit_window(Duration::from_millis(2));
+    let faulty = config().with_fault(FaultPlan::parse("fsync_fail:2").unwrap());
     let (service, _) = QueryService::open(&path, edge_db(), faulty).unwrap();
 
     const THREADS: u64 = 6;
-    let outcomes: Vec<Result<u64, ServiceError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let service = &service;
-                scope.spawn(move || service.apply(&WriteBatch::new().insert("E", vec![t, t])))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    // the first group's single fsync fails the whole group; later groups hit
-    // the poisoned writer — nobody is acknowledged
-    for outcome in &outcomes {
+    let batches: Vec<WriteBatch> = (0..THREADS)
+        .map(|t| WriteBatch::new().insert("E", vec![t, t]))
+        .collect();
+    let outcomes = commit_as_two_groups(&service, &batches);
+    // the solo first group's fsync succeeds; the second group's single fsync
+    // fails the whole group
+    assert_eq!(outcomes[0], Ok(1), "the solo first group is acknowledged");
+    for outcome in &outcomes[1..] {
         assert!(
             matches!(outcome, Err(ServiceError::Wal(_))),
-            "expected a WAL error for every member, got {outcome:?}"
+            "expected a WAL error for every member of the second group, got {outcome:?}"
         );
     }
     service.with_db(|db| {
-        assert_eq!(
-            db.delta("E").unwrap().len(),
-            0,
-            "no member's effects reached memory"
-        );
+        let delta = db.delta("E").unwrap();
+        assert_eq!(delta.len(), 1, "no failed member's effects reached memory");
+        assert!(delta.is_live(&[0, 0]));
     });
     drop(service);
 
@@ -696,7 +709,7 @@ fn failed_group_fsync_fails_every_member_atomically() {
     // failed sync can survive the crash) — memory never runs ahead of the
     // log: whatever prefix replays is exactly what the catalog holds
     let (recovered, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
-    assert!(replayed.committed <= THREADS);
+    assert!((1..=THREADS).contains(&replayed.committed));
     recovered.with_db(|db| {
         assert_eq!(
             db.delta("E").unwrap().len(),
@@ -899,13 +912,40 @@ fn reopening_from_a_checkpoint_keeps_a_typed_relations_intern_domains() {
 #[test]
 fn concurrent_cas_writers_converge_under_group_commit() {
     let path = temp_wal("group-cas");
-    let mut windowed = config().with_group_commit_window(Duration::from_micros(200));
-    windowed.write_retries = 50;
-    windowed.retry_backoff = Duration::from_micros(50);
+    let mut retrying = config();
+    retrying.write_retries = 50;
+    retrying.retry_backoff = Duration::from_micros(50);
+    // `E` plus a relation `F` the leading batch writes, so that the CAS
+    // batches behind it validate against an unmoved `E`
+    let db = || {
+        let mut db = edge_db();
+        db.insert_delta_relation("F", DeltaRelation::new(Schema::new(&["a", "b"])));
+        db
+    };
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 10;
     // the durable service comes last and is dropped with its iteration
-    for service in in_memory_and_durable(&path, edge_db, windowed) {
+    for service in in_memory_and_durable(&path, db, retrying) {
+        // one group of three CAS batches against one snapshot: the first to
+        // arrive commits, the other two are deferred to the leader's next
+        // round and then conflict on the epoch it moved
+        let snap = service.snapshot();
+        let mut batches = vec![WriteBatch::new().insert("F", vec![0, 0])];
+        batches.extend(
+            (1..=3).map(|i| WriteBatch::against(&snap).insert("E", vec![1_000 + i, 1_000 + i])),
+        );
+        let outcomes = commit_as_two_groups(&service, &batches);
+        assert!(outcomes[0].is_ok(), "{outcomes:?}");
+        let conflicts = outcomes[1..]
+            .iter()
+            .filter(|outcome| matches!(outcome, Err(ServiceError::Conflict { .. })))
+            .count();
+        let committed = outcomes[1..]
+            .iter()
+            .filter(|outcome| outcome.is_ok())
+            .count();
+        assert_eq!((committed, conflicts), (1, 2), "{outcomes:?}");
+        assert_eq!(counter(&service, "wal.conflicts"), 2);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
                 let service = &service;
@@ -923,97 +963,112 @@ fn concurrent_cas_writers_converge_under_group_commit() {
         });
         assert_eq!(
             counter(&service, "wal.batches_committed"),
-            THREADS * PER_THREAD
+            2 + THREADS * PER_THREAD
         );
         service.with_db(|db| {
             let delta = db.delta("E").unwrap();
-            assert_eq!(delta.len(), (THREADS * PER_THREAD) as usize);
+            assert_eq!(delta.len(), 1 + (THREADS * PER_THREAD) as usize);
         });
     }
-    let (_, replayed) = QueryService::open(&path, edge_db(), config()).unwrap();
-    assert_eq!(replayed.committed, THREADS * PER_THREAD);
+    let (_, replayed) = QueryService::open(&path, db(), config()).unwrap();
+    assert_eq!(replayed.committed, 2 + THREADS * PER_THREAD);
     std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]
 fn registry_mirrors_stats_and_renders_stable_snapshots() {
-    // a solo writer is a group of one, with or without a coalescing window
-    for window in [Duration::ZERO, Duration::from_micros(200)] {
-        let path = temp_wal(&format!("metrics-{}", window.as_micros()));
-        let config = ServiceConfig::default().with_group_commit_window(window);
-        let (service, _) = QueryService::open(&path, triangle_db(40), config).unwrap();
-        for i in 0..6u64 {
-            let batch = WriteBatch::new().insert("R", vec![i, i + 1]).seal("R");
-            service.apply(&batch).unwrap();
-        }
-        service.query(&examples::triangle()).unwrap();
-        service.query(&examples::triangle()).unwrap();
-
-        // six solo writers: every batch is its own group, under the dotted
-        // names a scrape would read
-        let snap = service.registry().snapshot();
-        assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
-        assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
-        assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
-        assert_eq!(snap.counter_value("service.admitted"), Some(2));
-        let disk_bytes = std::fs::metadata(path.join("wal.000001")).unwrap().len();
-        assert_eq!(snap.gauge_value("wal.bytes"), Some(disk_bytes));
-        match snap.get("wal.batches_per_fsync") {
-            Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
-                assert_eq!(&counts[..], &[6, 0, 0, 0, 0, 0]);
-                assert_eq!(*count, 6);
-            }
-            other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
-        }
-        // one fsync-latency observation per coalesced group
-        match snap.get("wal.fsync_us") {
-            Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 6),
-            other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
-        }
-        // one query-latency observation per admitted query
-        match snap.get("service.query_us") {
-            Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
-            other => panic!("service.query_us missing or wrong kind: {other:?}"),
-        }
-        // the catalog's cache counters register their own primitives
-        assert!(snap.counter_value("cache.hits").is_some());
-        assert!(snap.gauge_value("cache.resident_bytes").is_some());
-
-        // the JSON rendering is stable and parses with the crate's own parser
-        let doc = service.metrics_json();
-        assert_eq!(doc, service.metrics_json(), "snapshot JSON is stable");
-        let json = wcoj_obs::Json::parse(&doc).expect("metrics JSON parses");
-        // every entry is tagged with its kind, and carries that kind's fields
-        // with the registry's values
-        let field = |name: &str, key: &str| json.get(name).and_then(|m| m.get(key));
-        let kind = |name: &str| field(name, "type").and_then(wcoj_obs::Json::as_str);
-        let number = |name: &str, key: &str| field(name, key).and_then(wcoj_obs::Json::as_u64);
-        for name in [
-            "service.admitted",
-            "service.slow_queries",
-            "wal.batches_committed",
-            "wal.group_commits",
-        ] {
-            assert_eq!(kind(name), Some("counter"), "{name}");
-            assert_eq!(number(name, "value"), snap.counter_value(name), "{name}");
-        }
-        assert_eq!(kind("wal.bytes"), Some("gauge"));
-        assert_eq!(number("wal.bytes", "value"), Some(disk_bytes));
-        for (name, count) in [
-            ("wal.fsync_us", 6),
-            ("wal.batches_per_fsync", 6),
-            ("service.query_us", 2),
-        ] {
-            assert_eq!(kind(name), Some("histogram"), "{name}");
-            assert_eq!(number(name, "count"), Some(count), "{name}");
-        }
-        // the Prometheus exposition carries the histogram expansion
-        let prom = service.metrics_prometheus();
-        assert!(prom.contains("# TYPE wal_fsync_us histogram"));
-        assert!(prom.contains("wal_batches_per_fsync_bucket{le=\"1\"}"));
-        assert!(prom.contains("wal_bytes "));
-        std::fs::remove_dir_all(&path).ok();
+    let path = temp_wal("metrics");
+    let (service, _) =
+        QueryService::open(&path, triangle_db(40), ServiceConfig::default()).unwrap();
+    for i in 0..6u64 {
+        let batch = WriteBatch::new().insert("R", vec![i, i + 1]).seal("R");
+        service.apply(&batch).unwrap();
     }
+    service.query(&examples::triangle()).unwrap();
+    service.query(&examples::triangle()).unwrap();
+
+    // six solo writers: every batch is its own group, under the dotted
+    // names a scrape would read
+    let snap = service.registry().snapshot();
+    assert_eq!(snap.counter_value("wal.batches_committed"), Some(6));
+    assert_eq!(snap.counter_value("wal.ops_committed"), Some(12));
+    assert_eq!(snap.counter_value("wal.group_commits"), Some(6));
+    assert_eq!(snap.counter_value("service.admitted"), Some(2));
+    let disk_bytes = std::fs::metadata(path.join("wal.000001")).unwrap().len();
+    assert_eq!(snap.gauge_value("wal.bytes"), Some(disk_bytes));
+    match snap.get("wal.batches_per_fsync") {
+        Some(wcoj_service::MetricValue::Histogram { counts, count, .. }) => {
+            assert_eq!(&counts[..], &[6, 0, 0, 0, 0, 0]);
+            assert_eq!(*count, 6);
+        }
+        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
+    }
+    // one fsync-latency observation per coalesced group
+    match snap.get("wal.fsync_us") {
+        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 6),
+        other => panic!("wal.fsync_us missing or wrong kind: {other:?}"),
+    }
+    // one query-latency observation per admitted query
+    match snap.get("service.query_us") {
+        Some(wcoj_service::MetricValue::Histogram { count, .. }) => assert_eq!(*count, 2),
+        other => panic!("service.query_us missing or wrong kind: {other:?}"),
+    }
+    // the catalog's cache counters register their own primitives
+    assert!(snap.counter_value("cache.hits").is_some());
+    assert!(snap.gauge_value("cache.resident_bytes").is_some());
+
+    // the JSON rendering is stable and parses with the crate's own parser
+    let doc = service.metrics_json();
+    assert_eq!(doc, service.metrics_json(), "snapshot JSON is stable");
+    let json = wcoj_obs::Json::parse(&doc).expect("metrics JSON parses");
+    // every entry is tagged with its kind, and carries that kind's fields
+    // with the registry's values
+    let field = |name: &str, key: &str| json.get(name).and_then(|m| m.get(key));
+    let kind = |name: &str| field(name, "type").and_then(wcoj_obs::Json::as_str);
+    let number = |name: &str, key: &str| field(name, key).and_then(wcoj_obs::Json::as_u64);
+    for name in [
+        "service.admitted",
+        "service.slow_queries",
+        "wal.batches_committed",
+        "wal.group_commits",
+    ] {
+        assert_eq!(kind(name), Some("counter"), "{name}");
+        assert_eq!(number(name, "value"), snap.counter_value(name), "{name}");
+    }
+    assert_eq!(kind("wal.bytes"), Some("gauge"));
+    assert_eq!(number("wal.bytes", "value"), Some(disk_bytes));
+    for (name, count) in [
+        ("wal.fsync_us", 6),
+        ("wal.batches_per_fsync", 6),
+        ("service.query_us", 2),
+    ] {
+        assert_eq!(kind(name), Some("histogram"), "{name}");
+        assert_eq!(number(name, "count"), Some(count), "{name}");
+    }
+    // the Prometheus exposition carries the histogram expansion
+    let prom = service.metrics_prometheus();
+    assert!(prom.contains("# TYPE wal_fsync_us histogram"));
+    assert!(prom.contains("wal_batches_per_fsync_bucket{le=\"1\"}"));
+    assert!(prom.contains("wal_bytes "));
+
+    // then a group of one and a group of three: one fsync each
+    let batches: Vec<WriteBatch> = (0..4u64)
+        .map(|i| WriteBatch::new().insert("R", vec![100 + i, i]))
+        .collect();
+    assert!(commit_as_two_groups(&service, &batches)
+        .iter()
+        .all(Result::is_ok));
+    let snap = service.registry().snapshot();
+    assert_eq!(snap.counter_value("wal.batches_committed"), Some(10));
+    assert_eq!(snap.counter_value("wal.ops_committed"), Some(16));
+    assert_eq!(snap.counter_value("wal.group_commits"), Some(8));
+    match snap.get("wal.batches_per_fsync") {
+        Some(wcoj_service::MetricValue::Histogram { counts, .. }) => {
+            assert_eq!(&counts[..], &[7, 0, 1, 0, 0, 0]);
+        }
+        other => panic!("wal.batches_per_fsync missing or wrong kind: {other:?}"),
+    }
+    std::fs::remove_dir_all(&path).ok();
 }
 
 #[test]

@@ -14,16 +14,17 @@
 //!   (detected once, like the level; see [`decode_vbmi2`]) — a refinement of
 //!   the x86 level, not a level of its own.
 //! * aarch64 with NEON → 2×u64 block kernels.
-//! * anything else, or `WCOJ_FORCE_SCALAR=1` → the scalar fallback.
+//! * anything else → the scalar fallback.
 //!
 //! Every level without VBMI2 decodes layouts with the branch-light scalar body:
 //! 8 unconditional slot writes per word, more rounds only for a word with more
 //! than 8 bits set.
 //!
-//! The force-scalar escape hatch is read once at first use; tests that need to
-//! cover both paths on one machine pass an explicit [`SimdLevel`], or flip the
-//! process-wide dispatch between runs with the hidden test-support hook
-//! `force_active_level`, instead of mutating the environment.
+//! The level is a function of the host alone: the library reads no
+//! environment. Tests that cover every path on one machine pass an explicit
+//! [`SimdLevel`], or re-point the process-wide dispatch between runs with
+//! [`force_active_level`], as `perf_gate` does for each of
+//! [`runnable_levels`].
 
 // The only unsafe in the storage crate (with the `topology` affinity syscalls):
 // `#[target_feature]` intrinsics, each call guarded by runtime detection.
@@ -46,8 +47,8 @@ pub enum SimdLevel {
 }
 
 /// Dispatch-level cache: 0 = not yet detected, otherwise `encode_level + 1`.
-/// An atomic rather than a `OnceLock` so `force_active_level` can re-point
-/// dispatch for in-process scalar-vs-SIMD A/B runs in tests.
+/// An atomic rather than a `OnceLock` so [`force_active_level`] can re-point
+/// dispatch for in-process scalar-vs-SIMD runs.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn encode_level(level: SimdLevel) -> u8 {
@@ -66,22 +67,16 @@ fn decode_level(byte: u8) -> SimdLevel {
     }
 }
 
-/// The SIMD level every kernel dispatches to by default: the best level the
-/// host supports, unless `WCOJ_FORCE_SCALAR=1` pins the scalar fallback.
-/// Detected once at first use and stable thereafter (the hidden test-support
-/// hook `force_active_level` aside).
+/// The SIMD level every kernel dispatches to: the best level the host
+/// supports ([`detect_level`]), detected once at first use and stable
+/// thereafter unless [`force_active_level`] re-points it.
 pub fn active_level() -> SimdLevel {
     match ACTIVE.load(Ordering::Relaxed) {
         0 => {
-            let level = if std::env::var("WCOJ_FORCE_SCALAR").is_ok_and(|v| v == "1") {
-                SimdLevel::Scalar
-            } else {
-                detect_level()
-            };
             // first writer wins, so racing initializers agree on the answer
             let _ = ACTIVE.compare_exchange(
                 0,
-                encode_level(level),
+                encode_level(detect_level()),
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             );
@@ -91,14 +86,13 @@ pub fn active_level() -> SimdLevel {
     }
 }
 
-/// Re-point process-wide dispatch at `level` — **test support**, hidden from
-/// the documented API: the in-process A/B hook of the engine-level parity
-/// tests (`core/tests/simd_parity.rs`, `core/tests/dense_layouts.rs`), which
-/// compare scalar and vector paths without respawning under
-/// `WCOJ_FORCE_SCALAR=1` (they live outside this crate, so `cfg(test)` cannot
-/// reach them). Panics if the host cannot execute `level`. Not for concurrent
-/// use with live queries: flip it only between runs.
-#[doc(hidden)]
+/// Re-point process-wide dispatch at `level` — the one way to pin a level. A
+/// process that wants one level throughout calls it at start-up, before its
+/// first kernel; the engine-level parity tests (`core/tests/simd_parity.rs`,
+/// `core/tests/dense_layouts.rs`) and `perf_gate` call it between runs to
+/// compare the scalar and vector paths in one process. Panics if the host
+/// cannot execute `level`. Not for concurrent use with live queries: flip it
+/// only between runs.
 pub fn force_active_level(level: SimdLevel) {
     assert!(
         runnable_levels().contains(&level),
@@ -107,7 +101,7 @@ pub fn force_active_level(level: SimdLevel) {
     ACTIVE.store(encode_level(level), Ordering::Relaxed);
 }
 
-/// The best level the host supports, ignoring the force-scalar override.
+/// The best level the host supports, whatever [`force_active_level`] pinned.
 pub fn detect_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {

@@ -292,9 +292,7 @@ impl WalOp {
 ///   `K` stops at `K` (a torn write) and poisons the writer (the offset counts
 ///   across the surviving segments, oldest first);
 /// * `ckpt_torn:K` — a checkpoint file write stops after `K` bytes, as a
-///   crash mid-checkpoint would leave it (see [`segmented::write_checkpoint`]);
-/// * `seal_delay:MS` — the service layer sleeps `MS` milliseconds before
-///   applying a seal (widens the writer/reader race window in chaos tests).
+///   crash mid-checkpoint would leave it (see [`segmented::write_checkpoint`]).
 ///
 /// Poisoning mirrors the only safe interpretation of a real fsync/write
 /// failure: the log's durable tail is unknown, so every later append fails
@@ -307,8 +305,6 @@ pub struct FaultPlan {
     pub torn_write_at: Option<u64>,
     /// Tear a checkpoint file write at byte `K` of the checkpoint file.
     pub ckpt_torn_at: Option<u64>,
-    /// Milliseconds the service sleeps before applying a seal op.
-    pub seal_delay_ms: Option<u64>,
 }
 
 impl FaultPlan {
@@ -335,7 +331,6 @@ impl FaultPlan {
                 "fsync_fail" => &mut plan.fail_fsync_at,
                 "torn" => &mut plan.torn_write_at,
                 "ckpt_torn" => &mut plan.ckpt_torn_at,
-                "seal_delay" => &mut plan.seal_delay_ms,
                 other => return Err(format!("unknown fault directive `{other}`")),
             };
             if slot.replace(value).is_some() {
@@ -693,15 +688,15 @@ mod tests {
     #[test]
     fn fault_plan_parses_and_rejects() {
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
-        let plan = FaultPlan::parse("fsync_fail:3, torn:128, seal_delay:50, ckpt_torn:9").unwrap();
+        let plan = FaultPlan::parse("fsync_fail:3, torn:128, ckpt_torn:9").unwrap();
         assert_eq!(plan.fail_fsync_at, Some(3));
         assert_eq!(plan.torn_write_at, Some(128));
-        assert_eq!(plan.seal_delay_ms, Some(50));
         assert_eq!(plan.ckpt_torn_at, Some(9));
         assert_ne!(plan, FaultPlan::default());
         assert!(FaultPlan::parse("fsync_fail").is_err());
         assert!(FaultPlan::parse("fsync_fail:x").is_err());
         assert!(FaultPlan::parse("explode:1").is_err());
+        assert!(FaultPlan::parse("seal_delay:1").is_err());
         // a fault that never fires, and a directive given twice, are errors
         // naming the directive
         let never = FaultPlan::parse("fsync_fail:0").unwrap_err();
@@ -712,9 +707,9 @@ mod tests {
         );
         let twice = FaultPlan::parse("torn:10,torn:20").unwrap_err();
         assert!(twice.contains("`torn:20`"), "{twice}");
-        assert!(FaultPlan::parse("seal_delay:1, fsync_fail:2, seal_delay:1").is_err());
-        // zero is a real offset or delay for the other directives
-        assert!(FaultPlan::parse("torn:0,ckpt_torn:0,seal_delay:0").is_ok());
+        assert!(FaultPlan::parse("ckpt_torn:1, fsync_fail:2, ckpt_torn:1").is_err());
+        // zero is a real offset for the other directives
+        assert!(FaultPlan::parse("torn:0,ckpt_torn:0").is_ok());
     }
 
     #[test]

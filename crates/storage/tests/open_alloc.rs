@@ -42,7 +42,7 @@ fn a_trie_cursor_allocates_once_and_sweeps_without_allocating() {
     let trie = Trie::build(&r, &["A", "B", "C"]).unwrap();
 
     // the process's first cursor also resolves the SIMD dispatch level once
-    // (an environment read, which allocates): keep it out of the count
+    // (runtime feature detection): keep that one-time work out of the count
     drop(trie.cursor());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
