@@ -16,6 +16,19 @@
 //!   exactly-sized allocation, when the columns are taken
 //!   ([`ColumnSink::into_columns`]).
 //!
+//! # Short runs are expanded a block at a time
+//!
+//! A prefix run covers as many rows as its subtree emitted: at a triangle's
+//! second-to-last level that is ≈ 16 rows, varying run to run. Filling each
+//! run row by row ends every run with a loop exit the branch predictor cannot
+//! learn. Instead, a run of at most `RUN_BLOCK` (32) rows is written as one
+//! fixed-size block of its value and the column's length is cut back to the
+//! run's end, so the next run overwrites the surplus. The block must fit in
+//! the column's exact-size allocation — a run that starts less than a block
+//! before the last row, or a longer run, is filled row by row — so the
+//! allocation, and with it the request's allocation sequence, is the one a
+//! row-by-row fill makes.
+//!
 //! # Canonical order is proved by counting descents
 //!
 //! The recursion enumerates every level ascending, so the rows come out
@@ -37,6 +50,11 @@
 //! identity-order result without expanding or sorting it.
 
 use wcoj_storage::Value;
+
+/// The longest prefix run [`ColumnSink::into_columns`] writes as one block
+/// (see the module docs): a triangle's second-to-last level binds 3 to 33
+/// rows per run, ≈ 16 on average, so nearly every run there takes the block.
+const RUN_BLOCK: usize = 32;
 
 /// Prefix runs × deepest column: the result buffer of one engine body (see the
 /// module docs).
@@ -158,15 +176,21 @@ impl ColumnSink {
 
     /// The emitted tuples as one column per join level: each prefix column is
     /// expanded from its runs into an exactly-sized allocation, and the deepest
-    /// column is handed over as it was written.
+    /// column is handed over as it was written. Short runs are written a
+    /// block at a time (see the module docs).
     pub fn into_columns(self) -> Vec<Vec<Value>> {
         let rows = self.tails.len();
         let mut columns: Vec<Vec<Value>> = Vec::with_capacity(self.runs.len() + 1);
         for runs in &self.runs {
             let mut col = Vec::with_capacity(rows);
             let ends = runs.iter().skip(1).map(|&(_, first)| first);
-            for (&(v, _), end) in runs.iter().zip(ends.chain([rows])) {
-                col.resize(end, v);
+            for (&(v, first), end) in runs.iter().zip(ends.chain([rows])) {
+                if end - first <= RUN_BLOCK && first + RUN_BLOCK <= rows {
+                    col.extend_from_slice(&[v; RUN_BLOCK]);
+                    col.truncate(end);
+                } else {
+                    col.resize(end, v);
+                }
             }
             columns.push(col);
         }
@@ -340,6 +364,45 @@ mod tests {
         assert!(!verdict(&ops));
     }
 
+    /// A two-level sink whose prefix runs have the given lengths (the first
+    /// level bound to 1, 2, 3, … per run, tails ascending within each run),
+    /// expanded, against the per-row fill; every prefix column is exactly
+    /// sized.
+    fn expands_runs(lengths: &[usize]) {
+        let mut c = Checked::new(2);
+        for (i, &len) in lengths.iter().enumerate() {
+            c.bind(0, i as Value + 1);
+            c.emit(&(0..len as Value).collect::<Vec<_>>());
+        }
+        let expected = transposed(&c.rows, 2);
+        let columns = c.sink.into_columns();
+        assert_eq!(columns, expected, "runs {lengths:?}");
+        assert_eq!(columns[0].capacity(), columns[0].len(), "runs {lengths:?}");
+    }
+
+    /// Runs around the block length, in the middle of a column and at its
+    /// end (an empty last run: re-bound after the last emission), and one run
+    /// over every row.
+    #[test]
+    fn short_runs_expand_a_block_at_a_time_into_an_exact_column() {
+        let b = RUN_BLOCK;
+        let tail = [b + 1; 3];
+        for len in [0, 1, b - 1, b, b + 1] {
+            expands_runs(&[len]);
+            expands_runs(&[3, len, b + 1, len, 2, len]);
+            expands_runs(&[len, len, len]);
+            // a run that starts a block or more before the last row, then one
+            // that starts less than a block before it
+            expands_runs(&[len, 1].iter().chain(&tail).copied().collect::<Vec<_>>());
+        }
+        // a short run that ends within one block of the last row
+        expands_runs(&[b + 1, 5, b - 3]);
+        expands_runs(&[4 * b, 2, 1]);
+        // one run covering every row, short and long
+        expands_runs(&[7]);
+        expands_runs(&[5 * b + 3]);
+    }
+
     #[test]
     fn the_incremental_check_is_the_full_scan_and_expansion_is_the_per_tuple_fill() {
         let mut rng = SplitMix64::new(0x51_4B);
@@ -358,11 +421,12 @@ mod tests {
             assert_eq!(c.sink.is_empty(), c.rows.is_empty());
             let expected = strictly_ascending(&c.rows);
             assert_eq!(c.sink.is_canonical(), expected, "case {case}: {:?}", c.rows);
-            assert_eq!(
-                c.sink.into_columns(),
-                transposed(&c.rows, levels),
-                "case {case}"
-            );
+            let columns = c.sink.into_columns();
+            assert_eq!(columns, transposed(&c.rows, levels), "case {case}");
+            let exact = columns[..levels - 1]
+                .iter()
+                .all(|c| c.capacity() == c.len());
+            assert!(exact, "case {case}: a prefix column with spare capacity");
             if case % 2 == 0 {
                 canonical += expected as u32;
                 unsorted += !expected as u32;

@@ -68,7 +68,12 @@ impl Dictionary {
     /// codes this dictionary never assigned — the decode primitive of the typed
     /// result path.
     pub fn try_string(&self, code: Value) -> Result<&str, StorageError> {
-        self.string(code).ok_or(StorageError::UnknownCode(code))
+        // built only on a miss: `ok_or` would build it, and drop it out of
+        // line, on every decoded value
+        match self.string(code) {
+            Some(s) => Ok(s),
+            None => Err(StorageError::UnknownCode(code)),
+        }
     }
 
     /// Number of distinct interned strings.
@@ -111,7 +116,12 @@ impl<'a> DictReader<'a> {
 
     /// Checked lookup: [`StorageError::UnknownCode`] for unassigned codes.
     pub fn try_string(&self, code: Value) -> Result<&'a str, StorageError> {
-        self.string(code).ok_or(StorageError::UnknownCode(code))
+        // built only on a miss: `ok_or` would build it, and drop it out of
+        // line, on every decoded value
+        match self.string(code) {
+            Some(s) => Ok(s),
+            None => Err(StorageError::UnknownCode(code)),
+        }
     }
 
     /// Number of distinct interned strings.

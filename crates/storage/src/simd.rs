@@ -10,9 +10,9 @@
 //! Dispatch:
 //! * x86-64 with AVX2 → 4×u64 block kernels (`_mm256_cmpeq_epi64` + movemask).
 //!   Inside that level, set-layout decode ([`decode_words`]) runs a
-//!   compress-store body when the host also has AVX-512 F + BW + VBMI2
-//!   (detected once, like the level; see [`decode_vbmi2`]) — a refinement of
-//!   the x86 level, not a level of its own.
+//!   compress-store body when the host also has AVX-512 F + BW + VBMI2 and
+//!   POPCNT (detected once, like the level; see [`decode_vbmi2`]) — a
+//!   refinement of the x86 level, not a level of its own.
 //! * aarch64 with NEON → 2×u64 block kernels.
 //! * anything else → the scalar fallback.
 //!
@@ -138,32 +138,18 @@ pub fn runnable_levels() -> Vec<SimdLevel> {
 /// output is the ascending intersection — exactly the scalar merge's output.
 pub fn merge2_into(level: SimdLevel, out: &mut Vec<Value>, a: &[Value], b: &[Value]) {
     match level {
-        SimdLevel::Scalar => merge2_scalar(out, a, b),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { merge2_avx2(out, a, b) },
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => unsafe { merge2_neon(out, a, b) },
-        #[allow(unreachable_patterns)]
-        _ => merge2_scalar(out, a, b),
+        _ => merge2_tail(out, a, b, 0, 0),
     }
 }
 
-/// Scalar reference: the branchless two-pointer merge (no counting — callers
-/// that need the comparison tally use `kernels::merge2` or the closed form).
-fn merge2_scalar(out: &mut Vec<Value>, a: &[Value], b: &[Value]) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let x = a[i];
-        let y = b[j];
-        if x == y {
-            out.push(x);
-        }
-        i += (x <= y) as usize;
-        j += (y <= x) as usize;
-    }
-}
-
-/// Scalar tail shared by the block kernels once fewer than a block remains.
+/// The branchless two-pointer merge from `a[i..]` and `b[j..]`: the scalar
+/// level's whole merge, and the block kernels' tail once fewer than a block
+/// remains (no counting — callers that need the comparison tally use
+/// `kernels::merge2` or the closed form).
 #[inline]
 fn merge2_tail(out: &mut Vec<Value>, a: &[Value], b: &[Value], mut i: usize, mut j: usize) {
     while i < a.len() && j < b.len() {
@@ -257,10 +243,8 @@ pub fn linear_lub(
         return linear_lub_scalar(values, start, end, target);
     }
     match level {
-        SimdLevel::Scalar => linear_lub_scalar(values, start, end, target),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => unsafe { linear_lub_avx2(values, start, end, target) },
-        #[allow(unreachable_patterns)]
         _ => linear_lub_scalar(values, start, end, target),
     }
 }
@@ -302,8 +286,8 @@ unsafe fn linear_lub_avx2(values: &[Value], start: usize, end: usize, target: Va
 static VBMI2: AtomicU8 = AtomicU8::new(0);
 
 /// Whether [`decode_words`] at `level` runs the VBMI2 compress-store body:
-/// the x86 level on a host that also has AVX-512 F, BW and VBMI2. Detected once
-/// at first use; every other case runs the scalar body.
+/// the x86 level on a host that also has AVX-512 F, BW, VBMI2 and POPCNT.
+/// Detected once at first use; every other case runs the scalar body.
 pub fn decode_vbmi2(level: SimdLevel) -> bool {
     if level != SimdLevel::Avx2 {
         return false;
@@ -313,7 +297,8 @@ pub fn decode_vbmi2(level: SimdLevel) -> bool {
             #[cfg(target_arch = "x86_64")]
             let found = std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512bw")
-                && std::arch::is_x86_feature_detected!("avx512vbmi2");
+                && std::arch::is_x86_feature_detected!("avx512vbmi2")
+                && std::arch::is_x86_feature_detected!("popcnt");
             #[cfg(not(target_arch = "x86_64"))]
             let found = false;
             VBMI2.store(1 + found as u8, Ordering::Relaxed);
@@ -331,7 +316,8 @@ pub fn decode_vbmi2(level: SimdLevel) -> bool {
 /// than 8 bits, so the loop's exits do not depend on where the bits lie.
 pub fn decode_words(level: SimdLevel, out: &mut Vec<Value>, base: Value, words: &[u64]) {
     match level {
-        // SAFETY: `decode_vbmi2` saw avx512f, avx512bw and avx512vbmi2 on this host.
+        // SAFETY: `decode_vbmi2` saw avx512f, avx512bw, avx512vbmi2 and
+        // popcnt on this host.
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 if decode_vbmi2(level) => unsafe { decode_words_vbmi2(out, base, words) },
         _ => decode_words_scalar(out, base, words),
@@ -383,13 +369,15 @@ const BYTE_IOTA: [u8; 64] = {
 
 /// The VBMI2 decode: per word, one byte compress of [`BYTE_IOTA`] lists the
 /// set bits' positions; 8 of them at a time are zero-extended to `u64`, offset
-/// by the word's base and stored as one 8-lane vector.
+/// by the word's base and stored as one 8-lane vector. Built with `popcnt`:
+/// the workspace targets baseline x86-64, where each `count_ones` here would
+/// compile to a 12-instruction bit trick.
 ///
 /// # Safety
 ///
-/// The host must support avx512f, avx512bw and avx512vbmi2.
+/// The host must support avx512f, avx512bw, avx512vbmi2 and popcnt.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi2,popcnt")]
 unsafe fn decode_words_vbmi2(out: &mut Vec<Value>, base: Value, words: &[u64]) {
     use core::arch::x86_64::*;
     let total: usize = words.iter().map(|w| w.count_ones() as usize).sum();
